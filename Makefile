@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-baseline lint-selfcheck fmt all bench-par bench-backend bench-diff bench-stream bench-stream-diff bench-serve bench-serve-diff trace-demo fault-demo obs-demo serve-demo
+.PHONY: build test race lint lint-baseline lint-selfcheck fmt all bench-diff bench-smoke trace-demo fault-demo obs-demo serve-demo
 
 all: fmt lint build test
 
@@ -37,61 +37,60 @@ lint-selfcheck:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# bench-par runs the scheduling-layer microbenchmarks, the skewed native
-# kernels (static vs dynamic/edge-balanced), the per-engine PageRank/BFS
-# kernels at the repo root, and the obs histogram hot paths, and writes
-# the results as JSON. Override the skew graph size with
-# GRAPHMAZE_SKEW_SCALE (default 16).
-bench-par:
-	$(GO) test -run '^$$' -bench 'BenchmarkPar|BenchmarkNative.*Skewed|BenchmarkPageRank$$|BenchmarkBFS$$|BenchmarkObs' -benchmem \
-		. ./internal/par ./internal/native ./internal/obs | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_par.json
+# Benchmark families. Each is a -bench pattern over a package list:
+#   par      scheduling-layer microbenchmarks, the skewed native kernels
+#            (static vs dynamic/edge-balanced), the per-engine
+#            PageRank/BFS kernels at the repo root and the obs histogram
+#            hot paths; override the skew graph size with
+#            GRAPHMAZE_SKEW_SCALE (default 16)
+#   backend  the shared SpMV backend kernels (semiring products, frontier
+#            expansion, a full lowered PageRank iteration); allocs/op must
+#            read 0 for the steady-state kernels, and the per-engine
+#            numbers in BENCH_par.json are measured against these
+#   stream   delta batch ingestion (dedup-sort + merge-build of the next
+#            epoch's CSR), snapshot encode/decode framing and the
+#            incremental kernel refreshes, each iteration ingesting one
+#            delta batch — the steady state of serving a growing graph
+#   serve    the full service path on a cache hit, a cache-bypass miss, a
+#            PageRank recompute miss, the admission fast path alone and
+#            under tenant contention, and the raw result cache
+BENCH_FAMILIES := par backend stream serve
+BENCH_PATTERN_par      := BenchmarkPar|BenchmarkNative.*Skewed|BenchmarkPageRank$$|BenchmarkBFS$$|BenchmarkObs
+BENCH_PACKAGES_par     := . ./internal/par ./internal/native ./internal/obs
+BENCH_PATTERN_backend  := BenchmarkBackend
+BENCH_PACKAGES_backend := ./internal/backend
+BENCH_PATTERN_stream   := BenchmarkStream
+BENCH_PACKAGES_stream  := ./internal/graph ./internal/native
+BENCH_PATTERN_serve    := BenchmarkServe|BenchmarkAdmission|BenchmarkResultCache
+BENCH_PACKAGES_serve   := ./internal/serve
 
-# bench-backend runs the shared SpMV backend kernels (semiring products,
-# frontier expansion, a full lowered PageRank iteration). allocs/op must
-# read 0 for the steady-state kernels, and the per-engine numbers in
-# BENCH_par.json are measured against these.
-bench-backend:
-	$(GO) test -run '^$$' -bench 'BenchmarkBackend' -benchmem \
-		./internal/backend | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_backend.json
+# BENCH_FLAGS adds go test flags (CI's smoke passes -benchtime=1x); the
+# diff fails on a >BENCH_THRESHOLD ns/op or allocs/op regression, or a
+# >BENCH_QUANTILE_THRESHOLD one on the noisier pN-ns/op latency quantiles.
+BENCH_FLAGS ?=
+BENCH_THRESHOLD ?= 1.25
+BENCH_QUANTILE_THRESHOLD ?= 2.0
+.PHONY: $(BENCH_FAMILIES:%=bench-%) $(BENCH_FAMILIES:%=bench-%-diff)
+BENCH_RUN = $(GO) test -run '^$$' -bench '$(BENCH_PATTERN_$*)' -benchmem $(BENCH_FLAGS) $(BENCH_PACKAGES_$*)
 
-# bench-stream runs the epoch-stream benchmarks: delta batch ingestion
-# (dedup-sort + merge-build of the next epoch's CSR), snapshot
-# encode/decode framing, and the incremental kernel refreshes (warm
-# PageRank, BFS repair, CC repair) with each iteration ingesting one
-# delta batch — the steady state of serving queries on a growing graph.
-bench-stream:
-	$(GO) test -run '^$$' -bench 'BenchmarkStream' -benchmem \
-		./internal/graph ./internal/native | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_stream.json
+# bench-<family> runs the family and records it as BENCH_<family>.json.
+$(BENCH_FAMILIES:%=bench-%): bench-%:
+	$(BENCH_RUN) | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_$*.json
 
-# bench-stream-diff compares a fresh bench-stream run against the
-# checked-in BENCH_stream.json, same thresholds as bench-diff.
-bench-stream-diff:
-	$(GO) test -run '^$$' -bench 'BenchmarkStream' -benchmem \
-		./internal/graph ./internal/native | $(GO) run ./cmd/benchjson > BENCH_stream.new.json
-	$(GO) run ./cmd/benchjson -diff -threshold 1.25 -quantile-threshold 2.0 BENCH_stream.json BENCH_stream.new.json
+# bench-<family>-diff compares a fresh run against the checked-in
+# BENCH_<family>.json; bench-diff is the par family's.
+$(BENCH_FAMILIES:%=bench-%-diff): bench-%-diff:
+	$(BENCH_RUN) | $(GO) run ./cmd/benchjson > BENCH_$*.new.json
+	$(GO) run ./cmd/benchjson -diff -threshold $(BENCH_THRESHOLD) -quantile-threshold $(BENCH_QUANTILE_THRESHOLD) BENCH_$*.json BENCH_$*.new.json
 
-# bench-serve runs the serving-layer benchmarks: the full service path on
-# a cache hit, a cache-bypass miss, a PageRank recompute miss, the
-# admission fast path alone and under tenant contention, and the raw
-# result cache, writing BENCH_serve.json.
-bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkServe|BenchmarkAdmission|BenchmarkResultCache' -benchmem \
-		./internal/serve | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_serve.json
+bench-diff: bench-par-diff
 
-# bench-serve-diff compares a fresh bench-serve run against the
-# checked-in BENCH_serve.json, same thresholds as bench-diff.
-bench-serve-diff:
-	$(GO) test -run '^$$' -bench 'BenchmarkServe|BenchmarkAdmission|BenchmarkResultCache' -benchmem \
-		./internal/serve | $(GO) run ./cmd/benchjson > BENCH_serve.new.json
-	$(GO) run ./cmd/benchjson -diff -threshold 1.25 -quantile-threshold 2.0 BENCH_serve.json BENCH_serve.new.json
-
-# bench-diff compares a fresh bench-par run against the checked-in
-# BENCH_par.json and fails on a >1.25x ns/op or allocs/op regression
-# (>2x for the pN-ns/op latency quantiles, which are noisier).
-bench-diff:
-	$(GO) test -run '^$$' -bench 'BenchmarkPar|BenchmarkNative.*Skewed|BenchmarkPageRank$$|BenchmarkBFS$$|BenchmarkObs' -benchmem \
-		. ./internal/par ./internal/native ./internal/obs | $(GO) run ./cmd/benchjson > BENCH_par.new.json
-	$(GO) run ./cmd/benchjson -diff -threshold 1.25 -quantile-threshold 2.0 BENCH_par.json BENCH_par.new.json
+# bench-smoke vets and tests the repository's benchmark (BENCHMARK.json,
+# bench/). It is a module of its own, so `go build ./... && go test ./...`
+# at the root never compiles it: this is what notices an internal API
+# change that breaks it.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # trace-demo runs a small traced experiment end to end: the Chrome trace
 # lands in trace-demo.json (load it at https://ui.perfetto.dev) and the

@@ -36,28 +36,36 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 }
 
 func (e *Engine) bfsLocal(g *graph.CSR, source uint32, tr *trace.Tracer) ([]int32, int) {
-	n := g.NumVertices
-	dist := make([]int32, n)
+	if !e.tuning.Bitvector {
+		// Baseline data structure: the distance array itself is the
+		// visited set (a 4-byte random load per probe instead of a bit).
+		dist := make([]int32, g.NumVertices)
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[source] = 0
+		return bfsTopDownArray(g, dist, source)
+	}
+	// Tuned path: the engine is a thin wrapper over the package's one BFS
+	// kernel on a pool of its own.
+	pool := backend.NewPool(0)
+	defer pool.Close()
+	pool.SetTracer(tr)
+	return BFS(pool, backend.FromCSR(g), source, "native.bfs.level", tr)
+}
+
+// BFS runs the shared backend's direction-switching bit-vector traversal
+// (serial cutover, frontier grain and 3× direction heuristic of the
+// historical native kernel) from source on the caller's pool. It returns
+// the hop distances, -1 for unreached vertices, and the number of levels.
+// span names the per-level trace span; tr may be nil.
+func BFS(pool *backend.Pool, m *backend.Matrix, source uint32, span string, tr *trace.Tracer) ([]int32, int) {
+	dist := make([]int32, m.NumRows)
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[source] = 0
-
-	if !e.tuning.Bitvector {
-		// Baseline data structure: the distance array itself is the
-		// visited set (a 4-byte random load per probe instead of a bit).
-		return bfsTopDownArray(g, dist, source)
-	}
-
-	// Tuned path: the direction-switching bit-vector traversal lives in
-	// the shared backend (same serial cutover, same frontier grain, same
-	// 3× direction heuristic as the historical native kernel); the native
-	// engine is a thin wrapper that keeps its span name.
-	pool := backend.NewPool(0)
-	defer pool.Close()
-	pool.SetTracer(tr)
-	tv := backend.NewTraversal(pool, backend.FromCSR(g), "native.bfs.level", tr)
-	return dist, tv.Run(dist, source)
+	return dist, backend.NewTraversal(pool, m, span, tr).Run(dist, source)
 }
 
 // bfsTopDownArray is the no-bitvector baseline: serial-friendly top-down

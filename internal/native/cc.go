@@ -70,13 +70,11 @@ type IncrementalCC struct {
 	work   []uint32
 }
 
-// NewIncrementalCC builds the kernel; Close releases its pool.
-func NewIncrementalCC() *IncrementalCC {
-	return &IncrementalCC{pool: backend.NewPool(0)}
+// NewIncrementalCC builds the kernel on the caller's pool, which must
+// outlive it.
+func NewIncrementalCC(pool *backend.Pool) *IncrementalCC {
+	return &IncrementalCC{pool: pool}
 }
-
-// Close releases the kernel's worker pool.
-func (c *IncrementalCC) Close() { c.pool.Close() }
 
 // Epoch reports the last epoch Update refreshed against.
 func (c *IncrementalCC) Epoch() graph.Epoch { return c.epoch }
@@ -91,7 +89,7 @@ func (c *IncrementalCC) Update(s *graph.Snapshot, added []graph.Edge) ([]uint32,
 		return nil, fmt.Errorf("native: incremental cc on an empty graph")
 	}
 	if !c.primed {
-		c.labels = ConnectedComponents(c.pool, matrixOf(s))
+		c.labels = ConnectedComponents(c.pool, backend.FromSnapshot(s))
 		c.epoch = s.Epoch()
 		c.primed = true
 		return c.labels, nil

@@ -66,13 +66,11 @@ type IncrementalPageRank struct {
 	outDeg  []int64
 }
 
-// NewIncrementalPageRank builds the kernel; Close releases its pool.
-func NewIncrementalPageRank(opt IncrementalPROptions) *IncrementalPageRank {
-	return &IncrementalPageRank{opt: opt.withDefaults(), pool: backend.NewPool(0)}
+// NewIncrementalPageRank builds the kernel on the caller's pool, which
+// must outlive it.
+func NewIncrementalPageRank(pool *backend.Pool, opt IncrementalPROptions) *IncrementalPageRank {
+	return &IncrementalPageRank{opt: opt.withDefaults(), pool: pool}
 }
-
-// Close releases the kernel's worker pool.
-func (p *IncrementalPageRank) Close() { p.pool.Close() }
 
 // Epoch reports the last epoch Update refreshed against.
 func (p *IncrementalPageRank) Epoch() graph.Epoch { return p.epoch }
@@ -151,34 +149,15 @@ func (p *IncrementalPageRank) Update(s *graph.Snapshot) ([]float64, int, error) 
 	} else {
 		p.mul.Rebind(m)
 	}
-	contribPass := backend.NewDense(p.pool, n, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if outDeg[v] > 0 {
-				contrib[v] = (1 - p.opt.RandomJump) * ranks[v] / float64(outDeg[v])
-			} else {
-				contrib[v] = 0
-			}
-		}
-	})
-	post := func(v uint32, sum float64) float64 { return p.opt.RandomJump + sum }
-
-	sweeps := 0
-	for {
-		if sweeps >= p.opt.MaxSweeps {
-			return nil, sweeps, fmt.Errorf("native: incremental pagerank did not converge to %g in %d sweeps",
-				p.opt.Tolerance, p.opt.MaxSweeps)
-		}
-		sweeps++
-		contribPass.Run()
-		p.mul.MapInto(next, contrib, post)
-		ranks, next = next, ranks
-		if maxAbsDiff(ranks, next) <= p.opt.Tolerance {
-			break
-		}
+	ranks, next, sweeps, converged := pageRankSweeps(p.pool, p.mul, outDeg, p.opt.RandomJump, p.opt.Tolerance,
+		p.opt.MaxSweeps, ranks, next, contrib, nil)
+	if !converged {
+		return nil, sweeps, fmt.Errorf("native: incremental pagerank did not converge to %g in %d sweeps",
+			p.opt.Tolerance, p.opt.MaxSweeps)
 	}
-	// ranks/next were swapped locally; persist the final orientation.
-	p.ranks = ranks[:n]
-	p.next = next[:n]
+	// The sweeps swap the two buffers; persist the final orientation.
+	p.ranks = ranks
+	p.next = next
 	p.epoch = s.Epoch()
 	p.primed = true
 	return ranks, sweeps, nil
@@ -203,7 +182,6 @@ func growFloat64(buf []float64, n int) []float64 {
 type IncrementalBFS struct {
 	source uint32
 	pool   *backend.Pool
-	tv     *backend.Traversal
 
 	epoch  graph.Epoch
 	primed bool
@@ -213,14 +191,11 @@ type IncrementalBFS struct {
 	buckets [][]uint32
 }
 
-// NewIncrementalBFS builds the kernel for traversals from source; Close
-// releases its pool.
-func NewIncrementalBFS(source uint32) *IncrementalBFS {
-	return &IncrementalBFS{source: source, pool: backend.NewPool(0)}
+// NewIncrementalBFS builds the kernel for traversals from source on the
+// caller's pool, which must outlive it.
+func NewIncrementalBFS(pool *backend.Pool, source uint32) *IncrementalBFS {
+	return &IncrementalBFS{source: source, pool: pool}
 }
-
-// Close releases the kernel's worker pool.
-func (b *IncrementalBFS) Close() { b.pool.Close() }
 
 // Epoch reports the last epoch Update refreshed against.
 func (b *IncrementalBFS) Epoch() graph.Epoch { return b.epoch }
@@ -237,13 +212,7 @@ func (b *IncrementalBFS) Update(s *graph.Snapshot, added []graph.Edge) ([]int32,
 	}
 
 	if !b.primed {
-		b.dist = make([]int32, n)
-		for i := range b.dist {
-			b.dist[i] = -1
-		}
-		b.dist[b.source] = 0
-		b.tv = backend.NewTraversal(b.pool, matrixOf(s), "native.bfs.level", nil)
-		b.tv.Run(b.dist, b.source)
+		b.dist, _ = BFS(b.pool, backend.FromSnapshot(s), b.source, "native.bfs.level", nil)
 		b.epoch = s.Epoch()
 		b.primed = true
 		return b.dist, nil
@@ -305,6 +274,3 @@ func (b *IncrementalBFS) Update(s *graph.Snapshot, added []graph.Edge) ([]int32,
 	b.epoch = s.Epoch()
 	return dist, nil
 }
-
-// matrixOf wraps a snapshot for the backend without retaining it.
-func matrixOf(s *graph.Snapshot) *backend.Matrix { return backend.FromSnapshot(s) }

@@ -7,6 +7,7 @@ package native
 import (
 	"testing"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
 )
@@ -70,15 +71,14 @@ func (s *streamBench) next(b *testing.B, i int, reset func()) (*graph.Snapshot, 
 // per delta batch (transpose rebuild + delta-localized sweeps).
 func BenchmarkStreamPageRankRefresh(b *testing.B) {
 	s := newStreamBench(b, 12)
+	pool := backend.NewPool(0)
+	defer pool.Close()
 	var pr *IncrementalPageRank
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap, _ := s.next(b, i, func() {
-			if pr != nil {
-				pr.Close()
-			}
-			pr = NewIncrementalPageRank(IncrementalPROptions{Tolerance: 1e-9})
+			pr = NewIncrementalPageRank(pool, IncrementalPROptions{Tolerance: 1e-9})
 			if _, _, err := pr.Update(s.v.Current()); err != nil {
 				b.Fatal(err)
 			}
@@ -87,23 +87,20 @@ func BenchmarkStreamPageRankRefresh(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	pr.Close()
 }
 
 // BenchmarkStreamBFSRepair measures ingest + BFS distance repair per
 // delta batch.
 func BenchmarkStreamBFSRepair(b *testing.B) {
 	s := newStreamBench(b, 12)
+	pool := backend.NewPool(0)
+	defer pool.Close()
 	var bfs *IncrementalBFS
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap, added := s.next(b, i, func() {
-			if bfs != nil {
-				bfs.Close()
-			}
-			bfs = NewIncrementalBFS(0)
+			bfs = NewIncrementalBFS(pool, 0)
 			if _, err := bfs.Update(s.v.Current(), nil); err != nil {
 				b.Fatal(err)
 			}
@@ -112,23 +109,20 @@ func BenchmarkStreamBFSRepair(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	bfs.Close()
 }
 
 // BenchmarkStreamCCRepair measures ingest + component-label repair per
 // delta batch.
 func BenchmarkStreamCCRepair(b *testing.B) {
 	s := newStreamBench(b, 12)
+	pool := backend.NewPool(0)
+	defer pool.Close()
 	var cc *IncrementalCC
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap, added := s.next(b, i, func() {
-			if cc != nil {
-				cc.Close()
-			}
-			cc = NewIncrementalCC()
+			cc = NewIncrementalCC(pool)
 			if _, err := cc.Update(s.v.Current(), nil); err != nil {
 				b.Fatal(err)
 			}
@@ -137,6 +131,4 @@ func BenchmarkStreamCCRepair(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	cc.Close()
 }

@@ -65,13 +65,12 @@ func TestIncrementalPageRankConformance(t *testing.T) {
 			defer runtime.GOMAXPROCS(prev)
 			v, deltas := buildStream(t, 150, 900, 3, 64, graph.DeltaOptions{DropSelfLoops: true}, 7)
 			opt := IncrementalPROptions{Tolerance: 1e-10}
-			warm := NewIncrementalPageRank(opt)
-			defer warm.Close()
+			pool := backend.NewPool(0)
+			defer pool.Close()
+			warm := NewIncrementalPageRank(pool, opt)
 
 			check := func(s *graph.Snapshot, warmSweeps int, ranks []float64) {
-				cold := NewIncrementalPageRank(opt)
-				defer cold.Close()
-				ref, coldSweeps, err := cold.Update(s)
+				ref, coldSweeps, err := NewIncrementalPageRank(pool, opt).Update(s)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,8 +118,9 @@ func TestIncrementalBFSConformance(t *testing.T) {
 			v, deltas := buildStream(t, 200, 1200, 4, 72,
 				graph.DeltaOptions{Symmetrize: true, DropSelfLoops: true}, 11)
 			const source = 0
-			inc := NewIncrementalBFS(source)
-			defer inc.Close()
+			pool := backend.NewPool(0)
+			defer pool.Close()
+			inc := NewIncrementalBFS(pool, source)
 			if _, err := inc.Update(v.Current(), nil); err != nil {
 				t.Fatal(err)
 			}
@@ -133,12 +133,7 @@ func TestIncrementalBFSConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				full := NewIncrementalBFS(source)
-				ref, err := full.Update(snap, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				full.Close()
+				ref, _ := BFS(pool, backend.FromSnapshot(snap), source, "native.bfs.level", nil)
 				if len(dist) != len(ref) {
 					t.Fatalf("procs=%d epoch=%d length %d vs %d", procs, snap.Epoch(), len(dist), len(ref))
 				}
@@ -161,13 +156,12 @@ func TestIncrementalCCConformance(t *testing.T) {
 			// Sparse base: many components, so deltas actually merge some.
 			v, deltas := buildStream(t, 300, 180, 4, 48,
 				graph.DeltaOptions{Symmetrize: true, DropSelfLoops: true}, 13)
-			inc := NewIncrementalCC()
-			defer inc.Close()
+			pool := backend.NewPool(0)
+			defer pool.Close()
+			inc := NewIncrementalCC(pool)
 			if _, err := inc.Update(v.Current(), nil); err != nil {
 				t.Fatal(err)
 			}
-			pool := backend.NewPool(0)
-			defer pool.Close()
 			for _, d := range deltas {
 				snap, added, _, err := v.ApplyDelta(d)
 				if err != nil {
@@ -207,8 +201,9 @@ func TestIncrementalBFSDisconnectedThenBridged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc := NewIncrementalBFS(0)
-	defer inc.Close()
+	pool := backend.NewPool(0)
+	defer pool.Close()
+	inc := NewIncrementalBFS(pool, 0)
 	dist, err := inc.Update(v.Current(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -279,12 +274,11 @@ func TestIncrementalKernelsRaceStress(t *testing.T) {
 		}()
 	}
 
-	pr := NewIncrementalPageRank(IncrementalPROptions{Tolerance: 1e-8})
-	bfs := NewIncrementalBFS(0)
-	cc := NewIncrementalCC()
-	defer pr.Close()
-	defer bfs.Close()
-	defer cc.Close()
+	pool := backend.NewPool(0)
+	defer pool.Close()
+	pr := NewIncrementalPageRank(pool, IncrementalPROptions{Tolerance: 1e-8})
+	bfs := NewIncrementalBFS(pool, 0)
+	cc := NewIncrementalCC(pool)
 	if _, _, err := pr.Update(v.Current()); err != nil {
 		t.Fatal(err)
 	}

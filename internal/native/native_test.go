@@ -47,13 +47,21 @@ func testGraphUndirected(t testing.TB) *graph.CSR {
 // testGraphAcyclic builds an acyclically oriented graph for TC.
 func testGraphAcyclic(t testing.TB) *graph.CSR {
 	t.Helper()
+	return testTriangleGraph(t, graph.OrientAcyclic)
+}
+
+// testTriangleGraph builds the TC fixture's edge list under the given
+// orientation (acyclic for the engine, symmetrized for the served entry
+// point).
+func testTriangleGraph(t testing.TB, orientation graph.Orientation) *graph.CSR {
+	t.Helper()
 	edges, err := gen.RMAT(gen.TriangleConfig(9, 8, 44))
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := graph.NewBuilder(1 << 9)
 	b.AddEdges(edges)
-	g, err := b.Build(graph.BuildOptions{Orientation: graph.OrientAcyclic, Dedup: true, SortAdjacency: true})
+	g, err := b.Build(graph.BuildOptions{Orientation: orientation, Dedup: true, DropSelfLoops: true, SortAdjacency: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,6 +226,11 @@ func TestTriangleCountMatchesReference(t *testing.T) {
 		if res.Count != want {
 			t.Errorf("tuning %+v: count = %d, want %d", tuned, res.Count, want)
 		}
+	}
+	// The symmetrized-input entry point counts the same triangles on the
+	// same edge list.
+	if got := TriangleCountSymmetrized(testTriangleGraph(t, graph.Symmetrize)); got != want {
+		t.Errorf("TriangleCountSymmetrized = %d, oriented count %d", got, want)
 	}
 }
 

@@ -41,19 +41,22 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 func (e *Engine) pageRankLocal(g *graph.CSR, opt core.PageRankOptions) ([]float64, int) {
 	in := g.Transpose()
 	outDeg := g.OutDegrees()
+	tr := opt.Exec.Tracer()
+	if e.tuning.ContribCaching {
+		// Tuned path: the engine is a thin wrapper over the package's one
+		// PageRank kernel on a pool of its own — the engine-vs-native
+		// deltas in the harness tables measure pure framework abstraction
+		// cost over the same kernels.
+		pool := backend.NewPool(0)
+		defer pool.Close()
+		pool.SetTracer(tr)
+		return PageRank(pool, backend.FromCSR(in), outDeg, opt.RandomJump, opt.Tolerance, opt.Iterations, tr)
+	}
 	n := int(g.NumVertices)
 	pr := make([]float64, n)
 	next := make([]float64, n)
 	for i := range pr {
 		pr[i] = 1
-	}
-	tr := opt.Exec.Tracer()
-	if e.tuning.ContribCaching {
-		// Tuned path: the iteration is exactly the backend's lowered
-		// PageRank shape, so the native engine is a thin wrapper — the
-		// engine-vs-native deltas in the harness tables measure pure
-		// framework abstraction cost over the same kernels.
-		return e.pageRankBackend(in, outDeg, opt, tr, pr, next)
 	}
 	iters := 0
 	for it := 0; it < opt.Iterations; it++ {
@@ -81,45 +84,58 @@ func (e *Engine) pageRankLocal(g *graph.CSR, opt core.PageRankOptions) ([]float6
 	return pr, iters
 }
 
-// pageRankBackend runs the contribution-caching PageRank on the shared
-// SpMV backend: a dense pass producing the contribution array (one
-// streaming store per vertex, so the gather does a single random load per
-// edge instead of two dependent ones plus a divide) and a mapped
-// plus-times pattern SpMV over the in-CSR with edge-balanced row splits.
-// Arithmetic is unchanged from the pre-backend kernel: same per-vertex
-// expressions, same ascending in-neighbor fold order, so ranks stay
-// bit-identical at any worker count.
-func (e *Engine) pageRankBackend(in *graph.CSR, outDeg []int64, opt core.PageRankOptions, tr *trace.Tracer, pr, next []float64) ([]float64, int) {
-	n := len(pr)
-	pool := backend.NewPool(0)
-	defer pool.Close()
-	pool.SetTracer(tr)
-	mul := backend.NewSumVecMul(pool, backend.FromCSR(in)).WithTracer(tr)
+// PageRank runs the contribution-caching PageRank from the paper's
+// all-ones start on the caller's pool: in is the in-edge pattern matrix
+// (the transpose — the paper stores in-edges in CSR form so the gather
+// streams, §3.1), outDeg the out-degrees, jump the random-jump
+// probability r. It runs at most maxSweeps sweeps, stopping early once
+// tol > 0 and no rank moves by more than tol, and returns the ranks with
+// the number of sweeps run. tr may be nil.
+func PageRank(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, maxSweeps int, tr *trace.Tracer) ([]float64, int) {
+	n := int(in.NumRows)
+	pr := make([]float64, n)
+	next := make([]float64, n)
 	contrib := make([]float64, n)
-	contribPass := backend.NewDense(pool, n, func(lo, hi int) {
+	for i := range pr {
+		pr[i] = 1
+	}
+	mul := backend.NewSumVecMul(pool, in).WithTracer(tr)
+	pr, _, sweeps, _ := pageRankSweeps(pool, mul, outDeg, jump, tol, maxSweeps, pr, next, contrib, tr)
+	return pr, sweeps
+}
+
+// pageRankSweeps is the one contribution-caching sweep loop: a dense pass
+// producing the contribution array (one streaming store per vertex, so
+// the gather does a single random load per edge instead of two dependent
+// ones plus a divide), a mapped plus-times pattern SpMV over the in-CSR
+// with edge-balanced row splits, a buffer swap, and — when tol > 0 — the
+// convergence check. Per-vertex expressions and the ascending in-neighbor
+// fold order are fixed, so ranks are bit-identical at any worker count.
+// It starts from the ranks in pr and returns the final ranks, the other
+// buffer (the two swap every sweep), the sweeps run, and whether the
+// tolerance was met.
+func pageRankSweeps(pool *backend.Pool, mul *backend.SumVecMul, outDeg []int64, jump, tol float64, maxSweeps int,
+	pr, next, contrib []float64, tr *trace.Tracer) (ranks, scratch []float64, sweeps int, converged bool) {
+	contribPass := backend.NewDense(pool, len(pr), func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			if outDeg[v] > 0 {
-				contrib[v] = (1 - opt.RandomJump) * pr[v] / float64(outDeg[v])
+				contrib[v] = (1 - jump) * pr[v] / float64(outDeg[v])
 			} else {
 				contrib[v] = 0
 			}
 		}
 	})
-	post := func(v uint32, sum float64) float64 { return opt.RandomJump + sum }
-	iters := 0
-	for it := 0; it < opt.Iterations; it++ {
-		iters++
-		sp := tr.Begin("native.pr.iter", "pagerank iteration").Arg("iter", float64(it))
+	post := func(v uint32, sum float64) float64 { return jump + sum }
+	for sweeps < maxSweeps && !converged {
+		sp := tr.Begin("native.pr.iter", "pagerank iteration").Arg("iter", float64(sweeps))
+		sweeps++
 		contribPass.Run()
 		mul.MapInto(next, contrib, post)
 		pr, next = next, pr
-		converged := opt.Tolerance > 0 && maxAbsDiff(pr, next) <= opt.Tolerance
+		converged = tol > 0 && maxAbsDiff(pr, next) <= tol
 		sp.End()
-		if converged {
-			break
-		}
 	}
-	return pr, iters
+	return pr, next, sweeps, converged
 }
 
 // maxAbsDiff returns the largest element-wise |a-b|, reduced through

@@ -1,6 +1,7 @@
 package native
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -43,19 +44,43 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 const triangleGrain = 64
 
 func (e *Engine) triangleLocal(g *graph.CSR) int64 {
+	return triangles(g, g.Offsets, e.tuning.Bitvector)
+}
+
+// TriangleCountSymmetrized counts the triangles of a symmetrized graph
+// with sorted adjacency. Keeping only each vertex's neighbours above
+// itself is exactly the acyclic orientation TriangleCount's input stores,
+// so one binary search per row finds where that half starts and the
+// count is the oriented kernel's.
+func TriangleCountSymmetrized(g *graph.CSR) int64 {
+	first := make([]int64, g.NumVertices)
+	parallelFor(len(first), func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			above, _ := slices.BinarySearch(g.Neighbors(uint32(v)), uint32(v)+1)
+			first[v] = g.Offsets[v] + int64(above)
+		}
+	})
+	return triangles(g, first, true)
+}
+
+// triangles is the one per-vertex triangle loop. Row v is
+// g.Targets[first[v]:g.Offsets[v+1]] — the sorted neighbours above v:
+// all of them on an oriented CSR (first = g.Offsets), the upper half on a
+// symmetrized one — and every v intersects its row with its neighbours'
+// rows, counting each triangle i<j<k once.
+func triangles(g *graph.CSR, first []int64, bitvector bool) int64 {
 	n := int(g.NumVertices)
 	// Per-worker bit-vector scratch survives across the many small chunks
 	// one worker claims (allocating it per chunk would dominate).
 	scratch := make([]*bitvec.Vector, par.NumWorkers())
 	return par.ReduceInt64Dynamic(n, triangleGrain, func(worker, lo, hi int) int64 {
 		var local int64
-		var bvOwner []uint32
 		for v := lo; v < hi; v++ {
-			adjV := g.Neighbors(uint32(v))
+			adjV := g.Targets[first[v]:g.Offsets[v+1]]
 			if len(adjV) == 0 {
 				continue
 			}
-			useBV := e.tuning.Bitvector && len(adjV) >= bitvecDegreeThreshold
+			useBV := bitvector && len(adjV) >= bitvecDegreeThreshold
 			var bv *bitvec.Vector
 			if useBV {
 				bv = scratch[worker]
@@ -66,10 +91,9 @@ func (e *Engine) triangleLocal(g *graph.CSR) int64 {
 				for _, t := range adjV {
 					bv.Set(t)
 				}
-				bvOwner = adjV
 			}
 			for _, u := range adjV {
-				adjU := g.Neighbors(u)
+				adjU := g.Targets[first[u]:g.Offsets[u+1]]
 				if useBV {
 					// Probe each element of the (usually shorter) list
 					// against the bit-vector: O(|adjU|) constant-time
@@ -84,7 +108,7 @@ func (e *Engine) triangleLocal(g *graph.CSR) int64 {
 				}
 			}
 			if useBV {
-				for _, t := range bvOwner {
+				for _, t := range adjV {
 					bv.Clear(t)
 				}
 			}

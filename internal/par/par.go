@@ -77,46 +77,7 @@ func ForWorkersIndexed(workers, n int, body func(worker, lo, hi int)) {
 // The remainder of n/workers is spread over the first n%workers chunks,
 // so chunk sizes never differ by more than one.
 func ForWorkers(workers, n int, body func(lo, hi int)) {
-	sc := sched.Load()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			start := time.Time{}
-			if sc != nil {
-				start = time.Now()
-			}
-			body(0, n)
-			if sc != nil {
-				observeChunk(sc, 0, 0, n, start)
-			}
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	base, rem := n/workers, n%workers
-	lo := 0
-	for w := 0; w < workers; w++ {
-		hi := lo + base
-		if w < rem {
-			hi++
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			start := time.Time{}
-			if sc != nil {
-				start = time.Now()
-			}
-			body(lo, hi)
-			if sc != nil {
-				observeChunk(sc, w, lo, hi, start)
-			}
-		}(w, lo, hi)
-		lo = hi
-	}
-	wg.Wait()
+	ForWorkersIndexed(workers, n, func(_, lo, hi int) { body(lo, hi) })
 }
 
 // NumWorkers reports the worker-index upper bound of the GOMAXPROCS-wide

@@ -1,0 +1,138 @@
+package serve
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"reflect"
+	"sort"
+	"testing"
+
+	"graphmaze/internal/backend"
+	"graphmaze/internal/core"
+	"graphmaze/internal/graph"
+	"graphmaze/internal/native"
+)
+
+// TestServedNumbersMatchDirectKernels is the differential check the
+// byte-identity tests cannot give: a cached body can be stable and still
+// wrong. Every served number is compared against a direct run on the
+// snapshot the server has pinned — the native engine for PageRank, the
+// serial references for BFS and triangle counting, the plain kernel for
+// connected components — at the first epoch and again after a delta.
+func TestServedNumbersMatchDirectKernels(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	fetch := func(path string, into any) {
+		t.Helper()
+		code, _, body := get(t, ts.URL+path, nil)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s: status %d (body %s)", path, code, body)
+		}
+		if err := json.Unmarshal(body, into); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+	}
+	check := func() {
+		for _, name := range []string{"social", "web"} {
+			v, _ := s.Graph(name)
+			snap := v.Current()
+			g := snap.CSR()
+			where := fmt.Sprintf("%s@%d", name, snap.Epoch())
+
+			for _, tol := range []float64{0, 1e-3} {
+				var got pageRankResponse
+				fetch(fmt.Sprintf("/query/pagerank?graph=%s&iters=30&k=7&tol=%g", name, tol), &got)
+				want, err := native.New().PageRank(g, core.PageRankOptions{Iterations: 30, RandomJump: 0.3, Tolerance: tol})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Iterations != want.Stats.Iterations || got.Checksum != checksumFloat64s(want.Ranks) {
+					t.Errorf("%s pagerank tol=%g: served %d iterations checksum %s, native engine %d iterations checksum %s",
+						where, tol, got.Iterations, got.Checksum, want.Stats.Iterations, checksumFloat64s(want.Ranks))
+				}
+				if top := highestRanked(want.Ranks, 7); !reflect.DeepEqual(got.Top, top) {
+					t.Errorf("%s pagerank tol=%g: served top %v, native engine %v", where, tol, got.Top, top)
+				}
+				if tol > 0 && got.Iterations == 30 {
+					t.Errorf("%s pagerank tol=%g never stopped early; the tolerance path is not exercised", where, tol)
+				}
+			}
+
+			for _, source := range []uint32{0, 2} {
+				var got bfsResponse
+				fetch(fmt.Sprintf("/query/bfs?graph=%s&source=%d", name, source), &got)
+				want := core.RefBFS(g, source)
+				var reached int64
+				var depth int32
+				for _, d := range want {
+					if d >= 0 {
+						reached++
+					}
+					if d > depth {
+						depth = d
+					}
+				}
+				if got.Reached != reached || got.MaxDepth != depth || got.Checksum != checksumInt32s(want) {
+					t.Errorf("%s bfs source=%d: served reached=%d depth=%d checksum=%s, reference reached=%d depth=%d checksum=%s",
+						where, source, got.Reached, got.MaxDepth, got.Checksum, reached, depth, checksumInt32s(want))
+				}
+			}
+
+			var cc ccResponse
+			fetch("/query/cc?graph="+name, &cc)
+			labels := native.ConnectedComponents(s.Pool(), backend.FromSnapshot(snap))
+			sizes := map[uint32]int64{}
+			var largest int64
+			for _, l := range labels {
+				sizes[l]++
+				if sizes[l] > largest {
+					largest = sizes[l]
+				}
+			}
+			if cc.Components != int64(len(sizes)) || cc.LargestSize != largest {
+				t.Errorf("%s cc: served %d components largest %d, kernel %d largest %d",
+					where, cc.Components, cc.LargestSize, len(sizes), largest)
+			}
+
+			if !v.Options().Symmetrize {
+				continue
+			}
+			var tc tcResponse
+			fetch("/query/tc?graph="+name, &tc)
+			if want := core.RefTriangleCount(orientAcyclic(t, g)); tc.Triangles != want || want == 0 {
+				t.Errorf("%s tc: served %d, reference on the oriented graph %d (must be non-zero)", where, tc.Triangles, want)
+			}
+		}
+	}
+	check()
+	postGoldenDeltas(t, ts.URL)
+	check()
+}
+
+// highestRanked lists the k highest ranks, ties by vertex id — written
+// apart from topRanks so the served listing is checked, not replayed.
+func highestRanked(ranks []float64, k int) []vertexValue {
+	all := make([]vertexValue, len(ranks))
+	for v, r := range ranks {
+		all[v] = vertexValue{Vertex: uint32(v), Value: r}
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Value > all[j].Value })
+	return all[:k]
+}
+
+// orientAcyclic rebuilds g's edge list as the acyclically oriented,
+// sorted-adjacency graph the Table-5 triangle kernels take.
+func orientAcyclic(t *testing.T, g *graph.CSR) *graph.CSR {
+	t.Helper()
+	b := graph.NewBuilder(g.NumVertices)
+	for v := uint32(0); v < g.NumVertices; v++ {
+		for _, u := range g.Neighbors(v) {
+			b.AddEdge(v, u)
+		}
+	}
+	oriented, err := b.Build(graph.BuildOptions{Orientation: graph.OrientAcyclic, Dedup: true, SortAdjacency: true})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return oriented
+}

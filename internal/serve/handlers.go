@@ -126,6 +126,10 @@ func (s *Server) recordQuery(kind string, d time.Duration) {
 	s.reg.Hist("serve.query."+kind+"_ns").Record(lane, d.Nanoseconds())
 }
 
+// maxDeltaBytes bounds a /delta body (about half a million edges); a
+// larger batch is refused with 413 before any of it is applied.
+const maxDeltaBytes = 8 << 20
+
 // deltaRequest is the /delta ingestion body.
 type deltaRequest struct {
 	Graph string      `json:"graph"`
@@ -154,7 +158,12 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req deltaRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDeltaBytes)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "delta body exceeds %d bytes", maxDeltaBytes)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad delta body: %v", err)
 		return
 	}

@@ -14,7 +14,6 @@ import (
 	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
 	"graphmaze/internal/native"
-	"graphmaze/internal/par"
 	"graphmaze/internal/socialite"
 )
 
@@ -108,8 +107,8 @@ func (s *Server) parseQuery(r *http.Request) (*query, error) {
 		if err != nil {
 			return nil, err
 		}
-		if src < 0 {
-			return nil, badRequest("source must be >= 0")
+		if src < 0 || int64(src) > math.MaxUint32 {
+			return nil, badRequest("source must be in [0,%d]", uint32(math.MaxUint32))
 		}
 		q.source = graph.MustU32(int64(src))
 		if kind == kindDatalog {
@@ -230,7 +229,7 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 	switch q.kind {
 	case kindPageRank:
 		st := g.bind(snap)
-		ranks, iters := s.pageRank(st, q)
+		ranks, iters := native.PageRank(s.pool, st.in, st.outDeg, q.jump, q.tol, q.iters, nil)
 		resp = &pageRankResponse{
 			queryMeta:  meta,
 			Iterations: iters,
@@ -241,7 +240,7 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 		if int64(q.source) >= int64(snap.NumVertices()) {
 			return nil, badRequest("source %d outside vertex space [0,%d)", q.source, snap.NumVertices())
 		}
-		dist := s.bfs(snap, q.source)
+		dist, _ := native.BFS(s.pool, backend.FromSnapshot(snap), q.source, "serve.bfs.level", nil)
 		var reached int64
 		maxDepth := int32(0)
 		for _, d := range dist {
@@ -272,7 +271,7 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 		if !g.v.Options().Symmetrize {
 			return nil, badRequest("triangle counting needs a symmetrized graph; %q is directed", g.name)
 		}
-		resp = &tcResponse{queryMeta: meta, Triangles: triangleCount(snap.CSR())}
+		resp = &tcResponse{queryMeta: meta, Triangles: native.TriangleCountSymmetrized(snap.CSR())}
 	case kindDatalog:
 		if int64(q.source) >= int64(snap.NumVertices()) {
 			return nil, badRequest("source %d outside vertex space [0,%d)", q.source, snap.NumVertices())
@@ -293,77 +292,6 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 	return append(body, '\n'), nil
 }
 
-// pageRank runs the contribution-caching iteration on the shared pool
-// against the epoch's bound in-CSR: the same dense-pass + plus-times SpMV
-// shape as the native engine, so ranks are bit-identical at any worker
-// count. With tol > 0 the run stops early once no rank moves more than
-// tol in an iteration.
-func (s *Server) pageRank(st *epochState, q *query) ([]float64, int) {
-	n := len(st.outDeg)
-	m := backend.FromCSR(st.in)
-	m.Epoch = uint64(st.epoch) + 1
-	mul := backend.NewSumVecMul(s.pool, m)
-	pr := make([]float64, n)
-	next := make([]float64, n)
-	contrib := make([]float64, n)
-	for i := range pr {
-		pr[i] = 1
-	}
-	outDeg := st.outDeg
-	contribPass := backend.NewDense(s.pool, n, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if outDeg[v] > 0 {
-				contrib[v] = (1 - q.jump) * pr[v] / float64(outDeg[v])
-			} else {
-				contrib[v] = 0
-			}
-		}
-	})
-	post := func(v uint32, sum float64) float64 { return q.jump + sum }
-	iters := 0
-	for it := 0; it < q.iters; it++ {
-		iters++
-		contribPass.Run()
-		mul.MapInto(next, contrib, post)
-		pr, next = next, pr
-		if q.tol > 0 && maxAbsDiff(pr, next) <= q.tol {
-			break
-		}
-	}
-	return pr, iters
-}
-
-// maxAbsDiff mirrors the native engine's convergence check (order-
-// independent max reduction, bit-identical at any worker count).
-func maxAbsDiff(a, b []float64) float64 {
-	return par.ReduceFloat64Max(len(a), func(lo, hi int) float64 {
-		worst := 0.0
-		for i := lo; i < hi; i++ {
-			d := a[i] - b[i]
-			if d < 0 {
-				d = -d
-			}
-			if d > worst {
-				worst = d
-			}
-		}
-		return worst
-	})
-}
-
-// bfs runs the backend's direction-switching traversal from source.
-func (s *Server) bfs(snap *graph.Snapshot, source uint32) []int32 {
-	n := int(snap.NumVertices())
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[source] = 0
-	tv := backend.NewTraversal(s.pool, backend.FromSnapshot(snap), "serve.bfs.level", nil)
-	tv.Run(dist, source)
-	return dist
-}
-
 // componentStats counts distinct labels and the largest component size.
 func componentStats(labels []uint32) (components, largest int64) {
 	sizes := make(map[uint32]int64)
@@ -376,52 +304,6 @@ func componentStats(labels []uint32) (components, largest int64) {
 		}
 	}
 	return int64(len(sizes)), largest
-}
-
-// triangleCount counts triangles on a symmetrized sorted-adjacency CSR
-// with the ordered node-iterator: for every v < u adjacent, count common
-// neighbors w > u. Each triangle v<u<w is counted exactly once; the sum
-// is an integer reduction, so any chunking yields the same count.
-func triangleCount(g *graph.CSR) int64 {
-	n := int(g.NumVertices)
-	return par.ReduceInt64Dynamic(n, 0, func(worker, lo, hi int) int64 {
-		var count int64
-		for v := lo; v < hi; v++ {
-			adjV := g.Neighbors(uint32(v))
-			for i, u := range adjV {
-				if int(u) <= v {
-					continue
-				}
-				// Count w in adjV[i+1:] ∩ N(u) with w > u; both lists are
-				// sorted ascending, so this is a merge scan.
-				count += intersectAbove(adjV[i+1:], g.Neighbors(u), u)
-			}
-		}
-		return count
-	})
-}
-
-// intersectAbove counts elements above floor present in both sorted lists.
-func intersectAbove(a, b []uint32, floor uint32) int64 {
-	var count int64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] <= floor:
-			i++
-		case b[j] <= floor:
-			j++
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			count++
-			i++
-			j++
-		}
-	}
-	return count
 }
 
 // datalogQuery evaluates a SociaLite-style rule over the pinned epoch's

@@ -34,7 +34,6 @@ import (
 	"graphmaze/internal/ckpt"
 	"graphmaze/internal/graph"
 	"graphmaze/internal/obs"
-	"graphmaze/internal/par"
 )
 
 // Config sizes the service.
@@ -57,16 +56,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 0 // pool resolves to GOMAXPROCS
-	}
-	if c.MaxInFlight <= 0 {
-		w := c.Workers
-		if w <= 0 {
-			w = par.NumWorkers()
-		}
-		c.MaxInFlight = 2 * w
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
@@ -100,7 +89,7 @@ type servedGraph struct {
 type epochState struct {
 	epoch  graph.Epoch
 	snap   *graph.Snapshot
-	in     *graph.CSR
+	in     *backend.Matrix
 	outDeg []int64
 }
 
@@ -112,10 +101,12 @@ func (g *servedGraph) bind(snap *graph.Snapshot) *epochState {
 	if g.bound != nil && g.bound.epoch == snap.Epoch() {
 		return g.bound
 	}
+	in := backend.FromCSR(snap.CSR().Transpose())
+	in.Epoch = uint64(snap.Epoch()) + 1
 	st := &epochState{
 		epoch:  snap.Epoch(),
 		snap:   snap,
-		in:     snap.CSR().Transpose(),
+		in:     in,
 		outDeg: snap.CSR().OutDegrees(),
 	}
 	g.bound = st
@@ -148,10 +139,14 @@ type Server struct {
 // and must Close it (releasing the worker pool).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	pool := backend.NewPool(cfg.Workers)
+	if cfg.MaxInFlight <= 0 {
+		cfg.MaxInFlight = 2 * pool.Workers()
+	}
 	s := &Server{
 		cfg:    cfg,
 		reg:    cfg.Registry,
-		pool:   backend.NewPool(cfg.Workers),
+		pool:   pool,
 		cache:  newResultCache(cfg.CacheEntries),
 		graphs: make(map[string]*servedGraph),
 	}

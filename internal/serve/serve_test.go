@@ -114,8 +114,10 @@ func TestQueryValidation(t *testing.T) {
 		{"/query/pagerank?graph=social&iters=0", http.StatusBadRequest},
 		{"/query/pagerank?graph=social&jump=1.5", http.StatusBadRequest},
 		{"/query/pagerank?graph=social&iters=abc", http.StatusBadRequest},
-		{"/query/bfs?graph=web&source=999999999", http.StatusBadRequest}, // out of range
-		{"/query/tc?graph=web", http.StatusBadRequest},                   // directed graph
+		{"/query/bfs?graph=web&source=999999999", http.StatusBadRequest},      // out of range
+		{"/query/bfs?graph=web&source=4294967296", http.StatusBadRequest},     // beyond uint32: must not panic
+		{"/query/datalog?graph=web&source=4294967296", http.StatusBadRequest}, // beyond uint32: must not panic
+		{"/query/tc?graph=web", http.StatusBadRequest},                        // directed graph
 		{"/query/tc?graph=social", http.StatusOK},
 		{"/query/datalog?graph=web&source=0", http.StatusOK},
 	}
@@ -251,6 +253,27 @@ func TestDeltaAdvancesEpochAndInvalidates(t *testing.T) {
 	}
 	if bytes.Equal(before, after) {
 		t.Errorf("post-delta body identical to pre-delta body (epoch should differ)")
+	}
+}
+
+// TestDeltaBodyBounded: an oversized /delta body is refused with 413 and
+// none of it is applied.
+func TestDeltaBodyBounded(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	body := `{"graph":"social","edges":[` + strings.Repeat("[200,201],", maxDeltaBytes/10) + `[200,201]]}`
+	if len(body) <= maxDeltaBytes {
+		t.Fatalf("test body is %d bytes, not above the %d limit", len(body), maxDeltaBytes)
+	}
+	resp, err := http.Post(ts.URL+"/delta", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /delta: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized delta: status %d, want 413", resp.StatusCode)
+	}
+	if v, _ := s.Graph("social"); v.Epoch() != 0 {
+		t.Errorf("oversized delta advanced the graph to epoch %d", v.Epoch())
 	}
 }
 
