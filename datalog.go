@@ -1,8 +1,7 @@
 package graphmaze
 
 import (
-	"fmt"
-
+	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
 	"graphmaze/internal/socialite"
 )
@@ -68,57 +67,27 @@ func (t *DatalogTable) ForEach(fn func(key uint32, value float64)) {
 	t.t.ForEach(func(k uint32, v socialite.Value) { fn(k, v.S()) })
 }
 
-// driverSpan reports the compiled rule's driver key space.
-func driverSpan(rule *socialite.Rule) (uint32, error) {
-	switch {
-	case rule.Driver.Vec != nil:
-		return rule.Driver.Vec.Table.NumKeys(), nil
-	case rule.Driver.Edge != nil:
-		return rule.Driver.Edge.Table.NumKeys(), nil
-	default:
-		return 0, fmt.Errorf("graphmaze: rule has no driver")
-	}
-}
-
 // Eval compiles and evaluates the rule once over all driver tuples.
 func (d *Datalog) Eval(src string) error {
 	rule, err := socialite.Parse(src, d.reg)
 	if err != nil {
 		return err
 	}
-	span, err := driverSpan(rule)
-	if err != nil {
-		return err
-	}
-	_, err = socialite.EvalParallel(rule, 0, span, nil, nil, 0, false)
-	return err
+	return socialite.EvalOnce(rule)
 }
 
 // Fixpoint compiles a recursive rule (the head table must also be the
-// driver) and evaluates it semi-naively until no value changes. It
+// driver; others are rejected — use Eval) and evaluates it semi-naively
+// until no value changes, on a worker pool it owns for the call. It
 // returns the number of rounds.
 func (d *Datalog) Fixpoint(src string) (int, error) {
 	rule, err := socialite.Parse(src, d.reg)
 	if err != nil {
 		return 0, err
 	}
-	if rule.Driver.Vec == nil || rule.Driver.Vec.Table != rule.Head.Table {
-		return 0, fmt.Errorf("graphmaze: Fixpoint needs a recursive rule (head table driving the body); use Eval for %q", src)
-	}
-	span := rule.Driver.Vec.Table.NumKeys()
-	// Initial delta: every key currently present.
-	var delta []uint32
-	rule.Driver.Vec.Table.ForEach(func(k uint32, _ socialite.Value) { delta = append(delta, k) })
-	rounds := 0
-	for len(delta) > 0 {
-		rounds++
-		stats, err := socialite.EvalParallel(rule, 0, span, delta, nil, 0, true)
-		if err != nil {
-			return rounds, err
-		}
-		delta = stats.Changed
-	}
-	return rounds, nil
+	pool := backend.NewPool(0)
+	defer pool.Close()
+	return socialite.Fixpoint(pool, rule)
 }
 
 var _ = graph.Edge{} // anchor the graph import for the Graph alias

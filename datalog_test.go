@@ -25,8 +25,10 @@ func TestDatalogBFSFixpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rounds < 2 {
-		t.Errorf("fixpoint converged in %d rounds", rounds)
+	// The generic semi-naive loop took exactly 5 rounds on this graph; the
+	// shared lowered driver must count rounds the same way.
+	if rounds != 5 {
+		t.Errorf("fixpoint converged in %d rounds, want 5", rounds)
 	}
 	want := core.RefBFS(g, src)
 	for v := uint32(0); v < g.NumVertices; v++ {

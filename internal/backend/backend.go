@@ -22,10 +22,7 @@
 // rows are distributed over workers.
 package backend
 
-import (
-	"graphmaze/internal/graph"
-	"graphmaze/internal/par"
-)
+import "graphmaze/internal/graph"
 
 // Matrix is the backend's view of a sparse pattern matrix: the CSR arrays
 // shared (not copied) from internal/graph or an engine's own matrix type.
@@ -39,11 +36,6 @@ type Matrix struct {
 	// for matrices built from prepared graphs — the order the
 	// deterministic per-row folds rely on.
 	Cols []uint32
-	// Epoch tags matrices wrapped from a versioned graph snapshot
-	// (graph.Epoch + 1, so a value of 0 means "unversioned"). Kernels use
-	// it to key their cached edge-balanced row splits: Rebind recomputes
-	// splits only when the epoch actually advanced.
-	Epoch uint64
 }
 
 // FromCSR wraps a graph's CSR arrays as a backend matrix (no copy).
@@ -51,40 +43,11 @@ func FromCSR(g *graph.CSR) *Matrix {
 	return &Matrix{NumRows: g.NumVertices, Offsets: g.Offsets, Cols: g.Targets}
 }
 
-// FromSnapshot wraps one immutable epoch of a versioned graph. The
-// matrix's Epoch is the snapshot's epoch plus one so that epoch 0 is
-// distinguishable from an unversioned FromCSR matrix.
-func FromSnapshot(s *graph.Snapshot) *Matrix {
-	m := FromCSR(s.CSR())
-	m.Epoch = uint64(s.Epoch()) + 1
-	return m
-}
+// FromSnapshot wraps one immutable epoch of a versioned graph (no copy).
+func FromSnapshot(s *graph.Snapshot) *Matrix { return FromCSR(s.CSR()) }
 
 // NNZ reports the number of stored nonzeros.
 func (m *Matrix) NNZ() int64 { return int64(len(m.Cols)) }
-
-// splitCache memoizes a kernel's edge-balanced row splits keyed by the
-// bound matrix's epoch: rebinding a kernel to the next epoch's matrix
-// invalidates and recomputes, rebinding within the same (nonzero) epoch
-// reuses the cached bounds. Unversioned matrices (Epoch 0) always
-// recompute — there is no version signal to trust.
-type splitCache struct {
-	epoch  uint64
-	valid  bool
-	bounds []int
-}
-
-// get returns the splits for m, recomputing unless the cache holds the
-// same nonzero epoch.
-func (c *splitCache) get(m *Matrix, workers int) []int {
-	if c.valid && m.Epoch != 0 && m.Epoch == c.epoch {
-		return c.bounds
-	}
-	c.bounds = par.OffsetSplits(m.Offsets, workers)
-	c.epoch = m.Epoch
-	c.valid = true
-	return c.bounds
-}
 
 // evenSplits returns k+1 bounds cutting [0,n) into k contiguous ranges
 // whose sizes differ by at most one (the split par.ForWorkers uses).

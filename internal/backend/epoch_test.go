@@ -21,54 +21,6 @@ func buildVersioned(t *testing.T, n uint32, edges []graph.Edge, opts graph.Delta
 	return v
 }
 
-func TestFromSnapshotCarriesEpoch(t *testing.T) {
-	v := buildVersioned(t, 4, []graph.Edge{{Src: 0, Dst: 1}}, graph.DeltaOptions{})
-	m0 := FromSnapshot(v.Current())
-	if m0.Epoch != 1 {
-		t.Fatalf("epoch-0 snapshot must map to matrix epoch 1, got %d", m0.Epoch)
-	}
-	if FromCSR(v.Current().CSR()).Epoch != 0 {
-		t.Fatal("FromCSR must stay unversioned (epoch 0)")
-	}
-	snap, _, _, err := v.ApplyDelta([]graph.Edge{{Src: 1, Dst: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1 := FromSnapshot(snap); m1.Epoch != 2 {
-		t.Fatalf("epoch-1 snapshot must map to matrix epoch 2, got %d", m1.Epoch)
-	}
-}
-
-func TestSplitCacheKeyedByEpoch(t *testing.T) {
-	v := buildVersioned(t, 8, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}}, graph.DeltaOptions{})
-	var c splitCache
-	m := FromSnapshot(v.Current())
-	b1 := c.get(m, 4)
-	b2 := c.get(m, 4)
-	if &b1[0] != &b2[0] {
-		t.Fatal("same epoch must reuse cached splits")
-	}
-	snap, _, _, err := v.ApplyDelta([]graph.Edge{{Src: 3, Dst: 4}, {Src: 4, Dst: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := FromSnapshot(snap)
-	b3 := c.get(m2, 4)
-	if b3[len(b3)-1] != int(m2.NumRows) {
-		t.Fatalf("advanced-epoch splits must cover the new vertex space: %v", b3)
-	}
-	if c.epoch != m2.Epoch {
-		t.Fatal("cache not invalidated on epoch advance")
-	}
-	// Unversioned matrices must never trust the cache.
-	u := FromCSR(snap.CSR())
-	before := c.epoch
-	c.get(u, 4)
-	if c.epoch != 0 || before == 0 {
-		t.Fatal("unversioned get must recompute and store epoch 0")
-	}
-}
-
 func TestSumVecMulRebindAcrossEpochs(t *testing.T) {
 	v := buildVersioned(t, 4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}, graph.DeltaOptions{})
 	pool := NewPool(2)
@@ -76,9 +28,7 @@ func TestSumVecMulRebindAcrossEpochs(t *testing.T) {
 
 	// The kernel sums x over in-edges; bind to the transpose of each epoch.
 	snap0 := v.Current()
-	in0 := FromCSR(snap0.CSR().Transpose())
-	in0.Epoch = uint64(snap0.Epoch()) + 1
-	k := NewSumVecMul(pool, in0)
+	k := NewSumVecMul(pool, FromCSR(snap0.CSR().Transpose()))
 	x := []float64{1, 2, 3, 4}
 	y := make([]float64, 4)
 	k.Into(y, x)
@@ -90,9 +40,7 @@ func TestSumVecMulRebindAcrossEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in1 := FromCSR(snap1.CSR().Transpose())
-	in1.Epoch = uint64(snap1.Epoch()) + 1
-	k.Rebind(in1)
+	k.Rebind(FromCSR(snap1.CSR().Transpose()))
 	k.Into(y, x)
 	if y[1] != 1+4 {
 		t.Fatalf("rebound product must see the delta edge: %v", y)

@@ -31,7 +31,6 @@ type VecMul[A, X, Y any] struct {
 	m      *Matrix
 	vals   []A // nil for pattern matrices (A's zero value is passed to Mul)
 	sr     Semiring[A, X, Y]
-	splits splitCache
 	bounds []int
 	nnz    *trace.Counter
 
@@ -45,19 +44,15 @@ type VecMul[A, X, Y any] struct {
 // NewVecMul builds a reusable kernel for y = m ⊕.⊗ x on the given pool.
 // vals may be nil for pattern matrices.
 func NewVecMul[A, X, Y any](pool *Pool, m *Matrix, vals []A, sr Semiring[A, X, Y]) *VecMul[A, X, Y] {
-	k := &VecMul[A, X, Y]{pool: pool, m: m, vals: vals, sr: sr}
-	k.bounds = k.splits.get(m, pool.Workers())
-	return k
+	return &VecMul[A, X, Y]{pool: pool, m: m, vals: vals, sr: sr, bounds: par.OffsetSplits(m.Offsets, pool.Workers())}
 }
 
 // Rebind points the kernel at a new epoch's matrix (vals may be nil for
-// pattern matrices). The cached edge-balanced row splits are reused when
-// the matrix carries the same nonzero epoch and recomputed otherwise, so
-// steady-state rebinding across epoch advances costs one O(k log V)
-// split per epoch, not per call.
+// pattern matrices), recomputing the edge-balanced row splits: one
+// O(k log V) split per rebind.
 func (k *VecMul[A, X, Y]) Rebind(m *Matrix, vals []A) {
 	k.m, k.vals = m, vals
-	k.bounds = k.splits.get(m, k.pool.Workers())
+	k.bounds = par.OffsetSplits(m.Offsets, k.pool.Workers())
 }
 
 // WithTracer attaches a backend.spmv.nnz counter recording nonzeros
@@ -111,7 +106,6 @@ func (k *VecMul[A, X, Y]) runChunk(worker, lo, hi int) {
 type SumVecMul struct {
 	pool   *Pool
 	m      *Matrix
-	splits splitCache
 	bounds []int
 	nnz    *trace.Counter
 
@@ -122,16 +116,13 @@ type SumVecMul struct {
 
 // NewSumVecMul builds the specialized kernel for the pattern matrix m.
 func NewSumVecMul(pool *Pool, m *Matrix) *SumVecMul {
-	k := &SumVecMul{pool: pool, m: m}
-	k.bounds = k.splits.get(m, pool.Workers())
-	return k
+	return &SumVecMul{pool: pool, m: m, bounds: par.OffsetSplits(m.Offsets, pool.Workers())}
 }
 
-// Rebind points the kernel at a new epoch's matrix, reusing the cached
-// row splits when the epoch is unchanged (see VecMul.Rebind).
+// Rebind points the kernel at a new epoch's matrix (see VecMul.Rebind).
 func (k *SumVecMul) Rebind(m *Matrix) {
 	k.m = m
-	k.bounds = k.splits.get(m, k.pool.Workers())
+	k.bounds = par.OffsetSplits(m.Offsets, k.pool.Workers())
 }
 
 // WithTracer attaches a backend.spmv.nnz counter (nil tracer detaches).
@@ -214,21 +205,24 @@ func (d *Dense) runChunk(worker, lo, hi int) { d.body(lo, hi) }
 // claimed from an atomic cursor, for passes whose per-element cost is
 // skewed (active-set filtered gathers over power-law degree tails). The
 // grain is rounded up to a multiple of 64 by the pool, so a body that
-// writes vertex-indexed bitsets owns whole words per chunk.
+// writes vertex-indexed bitsets owns whole words per chunk. The body also
+// receives the executing worker's index (below pool.Workers()), for
+// kernels that keep per-worker scratch across the many chunks one worker
+// claims.
 type Sweep struct {
 	pool  *Pool
 	n     int
 	grain int
-	body  func(lo, hi int)
+	body  func(worker, lo, hi int)
 }
 
 // NewSweep builds a reusable dynamic kernel over [0, n); grain <= 0 uses
 // the pool's default.
-func NewSweep(pool *Pool, n, grain int, body func(lo, hi int)) *Sweep {
+func NewSweep(pool *Pool, n, grain int, body func(worker, lo, hi int)) *Sweep {
 	return &Sweep{pool: pool, n: n, grain: grain, body: body}
 }
 
 // Run executes one pass; allocation-free after construction.
 func (s *Sweep) Run() { s.pool.RunDynamic(s, s.n, s.grain) }
 
-func (s *Sweep) runChunk(worker, lo, hi int) { s.body(lo, hi) }
+func (s *Sweep) runChunk(worker, lo, hi int) { s.body(worker, lo, hi) }

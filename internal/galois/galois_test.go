@@ -2,6 +2,7 @@ package galois
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -314,5 +315,31 @@ func TestForEachOrderedProcessesPushedWork(t *testing.T) {
 	})
 	if count != 101 {
 		t.Errorf("processed %d items, want 101", count)
+	}
+}
+
+// TestForEachOrderedSamePriorityPush pins the pop/Push aliasing fix: a
+// body pushing at the priority of the chunk it is draining must not
+// overwrite that chunk's unprocessed items. One worker makes the
+// schedule (and so the old failure) deterministic.
+func TestForEachOrderedSamePriorityPush(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const roots, total = 10, 30
+	seen := make([]int, total)
+	initial := make([]int, roots)
+	for i := range initial {
+		initial[i] = i
+	}
+	ForEachOrdered(initial, func(int) int { return 0 }, func(item int, push func(int, int)) {
+		seen[item]++
+		if item < roots {
+			push(0, roots+2*item)
+			push(0, roots+2*item+1)
+		}
+	})
+	for item, n := range seen {
+		if n != 1 {
+			t.Errorf("item %d processed %d times, want 1", item, n)
+		}
 	}
 }

@@ -252,7 +252,10 @@ func (w *OrderedWorklist[T]) pop() ([]T, bool) {
 			take = chunkSize
 		}
 		chunk := bucket[n-take:]
-		w.buckets[w.minPrio] = bucket[:n-take]
+		// Cap the remainder so a concurrent Push at this priority
+		// reallocates instead of appending over the chunk the popping
+		// worker is still iterating.
+		w.buckets[w.minPrio] = bucket[: n-take : n-take]
 		w.size -= take
 		return chunk, true
 	}

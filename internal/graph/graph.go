@@ -13,8 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"graphmaze/internal/par"
 )
 
 // Edge is a directed edge between two vertices.
@@ -289,23 +287,6 @@ func (s *adjWeightSorter) Less(i, j int) bool { return s.adj[i] < s.adj[j] }
 func (s *adjWeightSorter) Swap(i, j int) {
 	s.adj[i], s.adj[j] = s.adj[j], s.adj[i]
 	s.w[i], s.w[j] = s.w[j], s.w[i]
-}
-
-// EdgeBalancedRanges returns k+1 vertex boundaries b (b[0]=0,
-// b[k]=NumVertices) such that each range [b[i], b[i+1]) holds roughly
-// NumEdges/k edges — the paper's §3.1 native partitioning: on power-law
-// graphs an equal-vertex split is wildly imbalanced, so workers and nodes
-// are handed equal *edge* shares instead. The cut points come from a
-// binary search on the Offsets array the CSR already stores, so the split
-// is O(k log V) with zero extra memory. A hub vertex larger than the
-// per-part budget leaves later parts empty rather than being split.
-func (g *CSR) EdgeBalancedRanges(k int) []uint32 {
-	bounds := par.OffsetSplits(g.Offsets, k)
-	out := make([]uint32, len(bounds))
-	for i, b := range bounds {
-		out[i] = uint32(b)
-	}
-	return out
 }
 
 // OutDegrees returns the degree array of the stored orientation.

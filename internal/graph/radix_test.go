@@ -108,38 +108,3 @@ func TestBuildDedupLargeMatchesSmallPath(t *testing.T) {
 		}
 	}
 }
-
-// TestEdgeBalancedRanges checks the CSR-level wrapper: bounds tile the
-// vertex range and every part's edge share is within one max-degree of
-// the ideal.
-func TestEdgeBalancedRanges(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	edges := randomEdgeList(rng, 40_000, 1<<11)
-	b := NewBuilder(1 << 11)
-	b.AddEdges(edges)
-	g, err := b.Build(BuildOptions{Dedup: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var maxDeg int64
-	for v := uint32(0); v < g.NumVertices; v++ {
-		if d := g.Degree(v); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	for _, k := range []int{1, 2, 4, 7, 16} {
-		bounds := g.EdgeBalancedRanges(k)
-		if len(bounds) != k+1 || bounds[0] != 0 || bounds[k] != g.NumVertices {
-			t.Fatalf("k=%d: bad bounds endpoints %v", k, bounds)
-		}
-		for p := 0; p < k; p++ {
-			if bounds[p] > bounds[p+1] {
-				t.Fatalf("k=%d: bounds not monotone at part %d", k, p)
-			}
-			part := g.Offsets[bounds[p+1]] - g.Offsets[bounds[p]]
-			if limit := g.NumEdges()/int64(k) + maxDeg + 1; part > limit {
-				t.Errorf("k=%d part %d: %d edges exceeds limit %d", k, p, part, limit)
-			}
-		}
-	}
-}

@@ -100,7 +100,7 @@ func runLocal[V, G any](g *graph.CSR, in *graph.CSR, spec Spec[V, G]) runResult[
 	// by the active set — so chunks are claimed dynamically. The body is
 	// built once; active/nextActive swap by variable, which the closure
 	// observes.
-	sweep := backend.NewSweep(pool, int(n), 0, func(lo, hi int) {
+	sweep := backend.NewSweep(pool, int(n), 0, func(_, lo, hi int) {
 		for v := uint32(lo); v < uint32(hi); v++ {
 			if !active.Get(v) {
 				continue

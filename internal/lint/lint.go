@@ -10,7 +10,8 @@
 // rule families: det (nondeterminism: map-order leaks, wall clock and
 // global rand in kernels and codecs, float accumulation order), lock
 // (mutex discipline across CFG paths and guarded fields across functions),
-// and hotalloc (allocation patterns inside par.For* kernel bodies).
+// and hotalloc (allocation patterns inside par.For* and backend pool
+// kernel bodies).
 //
 // The analyzer is built only on the standard library (go/parser, go/ast,
 // go/types): Load parses and type-checks the module from source, Run applies

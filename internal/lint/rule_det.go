@@ -22,8 +22,9 @@ import (
 //     parallel kernel bodies or codec functions (encode/decode/
 //     snapshot/marshal).
 //   - floating-point accumulation into a shared scalar inside a
-//     par.For* body: float addition is not associative, so reduction
-//     order must be fixed per worker, not raced over.
+//     parallel kernel body (par.For*, backend.NewDense/NewSweep): float
+//     addition is not associative, so reduction order must be fixed per
+//     worker, not raced over.
 type DetRule struct{}
 
 // Name implements Rule.
@@ -234,8 +235,8 @@ func sortedLater(p *Package, body *ast.BlockStmt, obj types.Object) bool {
 	return found
 }
 
-// checkParBodies scans the function-literal bodies handed to par.For*
-// for wall-clock reads, global rand, and shared float accumulation.
+// checkParBodies scans the parallel kernel bodies (forEachParBody) for
+// wall-clock reads, global rand, and shared float accumulation.
 func (r *DetRule) checkParBodies(p *Package, cg *CallGraph, fn *ast.FuncDecl,
 	flag func(pos token.Pos, format string, args ...any)) {
 	forEachParBody(p, fn.Body, func(callName string, lit *ast.FuncLit) {
@@ -329,8 +330,10 @@ func impureWitness(cg *CallGraph, fn *types.Func, what int) (token.Pos, string) 
 	return fn.Pos(), fn.Name()
 }
 
-// forEachParBody finds every call of the form par.ForXxx(...) inside
-// body and yields each function-literal argument: the hot parallel
+// forEachParBody finds every call inside body that takes a parallel
+// kernel body — par.ForXxx(...), and the backend pool's
+// backend.NewDense / backend.NewSweep passes where the served kernels
+// live — and yields each function-literal argument: the hot parallel
 // kernel bodies the det and hotalloc rules scope to.
 func forEachParBody(p *Package, body *ast.BlockStmt, visit func(callName string, lit *ast.FuncLit)) {
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -339,7 +342,7 @@ func forEachParBody(p *Package, body *ast.BlockStmt, visit func(callName string,
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !strings.HasPrefix(sel.Sel.Name, "For") {
+		if !ok {
 			return true
 		}
 		id, ok := sel.X.(*ast.Ident)
@@ -347,12 +350,19 @@ func forEachParBody(p *Package, body *ast.BlockStmt, visit func(callName string,
 			return true
 		}
 		pkgName, ok := p.Info.Uses[id].(*types.PkgName)
-		if !ok || pkgName.Imported().Name() != "par" {
+		if !ok {
+			return true
+		}
+		pkg, name := pkgName.Imported().Name(), sel.Sel.Name
+		switch {
+		case pkg == "par" && strings.HasPrefix(name, "For"):
+		case pkg == "backend" && (name == "NewDense" || name == "NewSweep"):
+		default:
 			return true
 		}
 		for _, arg := range call.Args {
 			if lit, ok := arg.(*ast.FuncLit); ok {
-				visit("par."+sel.Sel.Name, lit)
+				visit(pkg+"."+name, lit)
 			}
 		}
 		return true

@@ -45,6 +45,12 @@ func (p *Pool) Run() {}
 
 // Launch runs a kernel on the pool.
 func Launch(p *Pool) {}
+
+// NewDense runs f as a static pass over [0, n).
+func NewDense(p *Pool, n int, f func(lo, hi int)) *Pool { f(0, n); return p }
+
+// NewSweep runs f as a dynamic pass over [0, n).
+func NewSweep(p *Pool, n, grain int, f func(w, lo, hi int)) *Pool { f(0, 0, n); return p }
 `
 
 // loadFixtureWithHTTP type-checks an in-memory package with fixture

@@ -10,20 +10,22 @@ import (
 // ObsRule guards the observability layer's lane discipline inside parallel
 // kernel bodies. obs.Histogram shards its buckets across per-worker lanes
 // precisely so that concurrent Record calls do not contend; a Record
-// inside a par.For* body that passes anything other than the body's worker
-// index defeats that sharding — every worker hammers one lane's cache
+// inside a parallel kernel body that passes anything other than the
+// body's worker index defeats that sharding — every worker hammers one lane's cache
 // line, and the "free when enabled" promise of the histograms silently
 // becomes a scalability bug in the hottest loops of the codebase.
 //
 // The rule flags, inside every function-literal body passed to a
-// par.For*-family call in an engine package:
+// par.For*-family call or a backend.NewDense/NewSweep pass in an engine
+// package:
 //
 //   - any obs.Histogram Record call when the body has no worker parameter
-//     (par.For, par.ForDynamic, ... — use the Indexed variant instead);
+//     (par.For, backend.NewDense, ... — use an indexed variant instead);
 //   - a Record whose first argument is not exactly the body's worker
-//     parameter (par.ForDynamicIndexed, par.ForWorkersIndexed).
+//     parameter (par.ForDynamicIndexed, par.ForWorkersIndexed,
+//     backend.NewSweep).
 //
-// Record calls outside par bodies are exempt: serial code records into
+// Record calls outside kernel bodies are exempt: serial code records into
 // lane 0 (or any constant) with no contention.
 type ObsRule struct{}
 
@@ -32,7 +34,7 @@ func (r *ObsRule) Name() string { return "obs" }
 
 // Doc implements Rule.
 func (r *ObsRule) Doc() string {
-	return "histogram Record inside par.For* bodies must pass the body's worker index"
+	return "histogram Record inside par.For* and backend.NewDense/NewSweep bodies must pass the body's worker index"
 }
 
 // Check implements Rule.
@@ -53,7 +55,7 @@ func (r *ObsRule) Check(p *Package, report func(pos token.Pos, format string, ar
 	}
 }
 
-// checkBody inspects one par.For* kernel body for Record lane misuse.
+// checkBody inspects one kernel body for Record lane misuse.
 func (r *ObsRule) checkBody(p *Package, callName string, lit *ast.FuncLit, report func(pos token.Pos, format string, args ...any)) {
 	worker := workerParam(p, lit)
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
@@ -66,7 +68,7 @@ func (r *ObsRule) checkBody(p *Package, callName string, lit *ast.FuncLit, repor
 			return true
 		}
 		if worker == nil {
-			report(call.Pos(), "histogram Record inside %s body, which has no worker index; use the Indexed variant and pass its worker parameter as the lane", callName)
+			report(call.Pos(), "histogram Record inside %s body, which has no worker index; use an indexed variant and pass its worker parameter as the lane", callName)
 			return true
 		}
 		if len(call.Args) == 0 {

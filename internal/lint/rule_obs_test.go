@@ -1,77 +1,9 @@
 package lint
 
-import (
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"testing"
-)
-
-// fixtureObsSrc is a stand-in for graphmaze/internal/obs: the obs rule
-// matches on the receiver type name and package path suffix, so fixtures
-// only need the Histogram/Record shape, not the real lane machinery.
-const fixtureObsSrc = `// Package obs is the fixture metrics layer.
-package obs
-
-// Histogram is the fixture latency histogram.
-type Histogram struct{}
-
-// Record records v into worker's lane.
-func (h *Histogram) Record(worker int, v int64) {}
-`
-
-// loadFixtureWithParObs type-checks an in-memory package with both the
-// fixture par scheduler and the fixture obs package importable under
-// their graphmaze paths.
-func loadFixtureWithParObs(t *testing.T, rel string, files map[string]string) *Package {
-	t.Helper()
-	fset := token.NewFileSet()
-	base := importer.ForCompiler(fset, "source", nil)
-
-	prebuilt := map[string]*types.Package{}
-	for path, src := range map[string]string{
-		"graphmaze/internal/par": fixtureParSrc,
-		"graphmaze/internal/obs": fixtureObsSrc,
-	} {
-		f, err := parser.ParseFile(fset, path+"/fixture.go", src, parser.ParseComments)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conf := types.Config{Importer: base}
-		pkg, err := conf.Check(path, fset, []*ast.File{f}, nil)
-		if err != nil {
-			t.Fatalf("type-check fixture %s: %v", path, err)
-		}
-		prebuilt[path] = pkg
-	}
-
-	var parsed []*ast.File
-	for name, src := range files {
-		f, err := parser.ParseFile(fset, rel+"/"+name, src, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parse %s: %v", name, err)
-		}
-		parsed = append(parsed, f)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{Importer: &prebuiltImporter{base: base, pkgs: prebuilt}}
-	path := "graphmaze/" + rel
-	tpkg, err := conf.Check(path, fset, parsed, info)
-	if err != nil {
-		t.Fatalf("type-check fixture: %v", err)
-	}
-	return &Package{Rel: rel, Path: path, Fset: fset, Files: parsed, Types: tpkg, Info: info}
-}
+import "testing"
 
 func TestObsFlagsRecordInBodyWithoutWorkerIndex(t *testing.T) {
-	p := loadFixtureWithParObs(t, "internal/native", map[string]string{"a.go": `package native
+	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
 
 import (
 	"graphmaze/internal/obs"
@@ -79,7 +11,7 @@ import (
 )
 
 func Sweep(h *obs.Histogram, n int) {
-	par.ForDynamic(n, 64, func(lo, hi int) {
+	par.For(n, func(lo, hi int) {
 		h.Record(0, int64(hi-lo))
 	})
 }
@@ -88,7 +20,7 @@ func Sweep(h *obs.Histogram, n int) {
 }
 
 func TestObsFlagsConstantLaneInIndexedBody(t *testing.T) {
-	p := loadFixtureWithParObs(t, "internal/native", map[string]string{"a.go": `package native
+	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
 
 import (
 	"graphmaze/internal/obs"
@@ -107,7 +39,7 @@ func Sweep(h *obs.Histogram, n int) {
 func TestObsFlagsShadowedLaneVariable(t *testing.T) {
 	// Passing some other int — here lo — instead of the worker parameter
 	// collapses the lanes just as badly as a constant.
-	p := loadFixtureWithParObs(t, "internal/native", map[string]string{"a.go": `package native
+	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
 
 import (
 	"graphmaze/internal/obs"
@@ -124,7 +56,7 @@ func Sweep(h *obs.Histogram, n int) {
 }
 
 func TestObsAllowsWorkerLane(t *testing.T) {
-	p := loadFixtureWithParObs(t, "internal/native", map[string]string{"a.go": `package native
+	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
 
 import (
 	"graphmaze/internal/obs"
@@ -143,7 +75,7 @@ func Sweep(h *obs.Histogram, n int) {
 }
 
 func TestObsAllowsRecordOutsideParBody(t *testing.T) {
-	p := loadFixtureWithParObs(t, "internal/native", map[string]string{"a.go": `package native
+	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
 
 import (
 	"graphmaze/internal/obs"
@@ -151,7 +83,7 @@ import (
 )
 
 func Sweep(h *obs.Histogram, n int) {
-	par.ForDynamic(n, 64, func(lo, hi int) {
+	par.For(n, func(lo, hi int) {
 		_ = hi - lo
 	})
 	h.Record(0, int64(n))
@@ -165,7 +97,7 @@ func Sweep(h *obs.Histogram, n int) {
 func TestObsIgnoresUnrelatedRecordMethods(t *testing.T) {
 	// A Record method on some other type inside a par body is not lane
 	// misuse — the rule keys on obs.Histogram's receiver specifically.
-	p := loadFixtureWithParObs(t, "internal/native", map[string]string{"a.go": `package native
+	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
 
 import "graphmaze/internal/par"
 
@@ -174,7 +106,7 @@ type logger struct{}
 func (l *logger) Record(k int, v int64) {}
 
 func Sweep(l *logger, n int) {
-	par.ForDynamic(n, 64, func(lo, hi int) {
+	par.For(n, func(lo, hi int) {
 		l.Record(0, int64(hi-lo))
 	})
 }

@@ -9,36 +9,58 @@ import (
 	"testing"
 )
 
-// fixtureParSrc is a stand-in for graphmaze/internal/par with the same
-// package name and For*-family shape: the det and hotalloc rules match
-// on the imported package's name, so fixtures do not need the real
-// scheduler.
-const fixtureParSrc = `// Package par is the fixture scheduler.
+// fixtureParSrc (and fixtureBackendSrc, rule_handler_test.go) stand in
+// for graphmaze/internal/par and graphmaze/internal/backend with the same
+// package names and kernel-body-taking shapes: the det, hotalloc and obs
+// rules match on the imported package's name, so fixtures do not need the
+// real schedulers.
+const fixtureParSrc = `// Package par is the fixture fork-join.
 package par
 
-// ForDynamic runs f over dynamic chunks.
-func ForDynamic(n, grain int, f func(lo, hi int)) { f(0, n) }
+// For runs f over static chunks.
+func For(n int, f func(lo, hi int)) { f(0, n) }
 
 // ForWorkersIndexed runs f per worker.
 func ForWorkersIndexed(workers, n int, f func(w, lo, hi int)) { f(0, 0, n) }
 `
 
+// fixtureObsSrc is a stand-in for graphmaze/internal/obs: the obs rule
+// matches on the receiver type name and package path suffix, so fixtures
+// only need the Histogram/Record shape, not the real lane machinery.
+const fixtureObsSrc = `// Package obs is the fixture metrics layer.
+package obs
+
+// Histogram is the fixture latency histogram.
+type Histogram struct{}
+
+// Record records v into worker's lane.
+func (h *Histogram) Record(worker int, v int64) {}
+`
+
 // loadFixtureWithPar type-checks an in-memory package like loadFixture,
-// additionally making the fixture par package importable as
-// "graphmaze/internal/par".
+// additionally making the fixture par, backend and obs packages
+// importable under their graphmaze paths.
 func loadFixtureWithPar(t *testing.T, rel string, files map[string]string) *Package {
 	t.Helper()
 	fset := token.NewFileSet()
 	base := importer.ForCompiler(fset, "source", nil)
 
-	parFile, err := parser.ParseFile(fset, "internal/par/par.go", fixtureParSrc, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parConf := types.Config{Importer: base}
-	parPkg, err := parConf.Check("graphmaze/internal/par", fset, []*ast.File{parFile}, nil)
-	if err != nil {
-		t.Fatalf("type-check fixture par: %v", err)
+	prebuilt := map[string]*types.Package{}
+	for path, src := range map[string]string{
+		"graphmaze/internal/par":     fixtureParSrc,
+		"graphmaze/internal/backend": fixtureBackendSrc,
+		"graphmaze/internal/obs":     fixtureObsSrc,
+	} {
+		f, err := parser.ParseFile(fset, path+"/fixture.go", src, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conf := types.Config{Importer: base}
+		pkg, err := conf.Check(path, fset, []*ast.File{f}, nil)
+		if err != nil {
+			t.Fatalf("type-check fixture %s: %v", path, err)
+		}
+		prebuilt[path] = pkg
 	}
 
 	var parsed []*ast.File
@@ -55,9 +77,7 @@ func loadFixtureWithPar(t *testing.T, rel string, files map[string]string) *Pack
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: &prebuiltImporter{base: base, pkgs: map[string]*types.Package{
-		"graphmaze/internal/par": parPkg,
-	}}}
+	conf := types.Config{Importer: &prebuiltImporter{base: base, pkgs: prebuilt}}
 	path := "graphmaze/" + rel
 	tpkg, err := conf.Check(path, fset, parsed, info)
 	if err != nil {
@@ -214,7 +234,7 @@ import (
 )
 
 func Stamp(n int, out []int64) {
-	par.ForDynamic(n, 0, func(lo, hi int) {
+	par.For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = time.Now().UnixNano()
 		}
@@ -236,7 +256,7 @@ import (
 func stamp() int64 { return time.Now().UnixNano() }
 
 func Kernel(n int, out []int64) {
-	par.ForDynamic(n, 0, func(lo, hi int) {
+	par.For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = stamp()
 		}
@@ -256,7 +276,7 @@ import (
 )
 
 func Shuffle(n int, out []int) {
-	par.ForDynamic(n, 0, func(lo, hi int) {
+	par.For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = rand.Intn(n)
 		}
@@ -277,7 +297,7 @@ import (
 
 func Shuffle(n int, out []int) {
 	r := rand.New(rand.NewSource(42))
-	par.ForDynamic(n, 0, func(lo, hi int) {
+	par.For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = r.Intn(n)
 		}
@@ -296,7 +316,7 @@ import "graphmaze/internal/par"
 
 func Total(n int, xs []float64) float64 {
 	var sum float64
-	par.ForDynamic(n, 0, func(lo, hi int) {
+	par.For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sum += xs[i]
 		}
@@ -481,6 +501,27 @@ func Local() int {
 	}
 }
 
+// TestDetSeesBackendPoolBodies pins the matcher extension: the kernels
+// live in backend.NewDense/NewSweep bodies, so a float accumulation raced
+// across a dense pass must be flagged like one in a par.For body.
+func TestDetSeesBackendPoolBodies(t *testing.T) {
+	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
+
+import "graphmaze/internal/backend"
+
+func Sum(pool *backend.Pool, xs []float64) float64 {
+	total := 0.0
+	backend.NewDense(pool, len(xs), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			total += xs[i]
+		}
+	})
+	return total
+}
+`})
+	wantFinding(t, runRule(t, p, &DetRule{}), "internal/native/a.go", 9, "det")
+}
+
 // ----------------------------------------------------------- hotalloc --
 
 func TestHotAllocFlagsAppendWithoutPrealloc(t *testing.T) {
@@ -489,7 +530,25 @@ func TestHotAllocFlagsAppendWithoutPrealloc(t *testing.T) {
 import "graphmaze/internal/par"
 
 func Collect(n int, sink func([]int)) {
-	par.ForDynamic(n, 0, func(lo, hi int) {
+	par.For(n, func(lo, hi int) {
+		var local []int
+		for i := lo; i < hi; i++ {
+			local = append(local, i)
+		}
+		sink(local)
+	})
+}
+`})
+	wantFinding(t, runRule(t, p, &HotAllocRule{}), "internal/native/a.go", 9, "hotalloc")
+}
+
+func TestHotAllocSeesBackendPoolBodies(t *testing.T) {
+	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
+
+import "graphmaze/internal/backend"
+
+func Collect(pool *backend.Pool, n int, sink func([]int)) {
+	backend.NewSweep(pool, n, 64, func(_, lo, hi int) {
 		var local []int
 		for i := lo; i < hi; i++ {
 			local = append(local, i)
@@ -507,7 +566,7 @@ func TestHotAllocAllowsPreallocatedAppend(t *testing.T) {
 import "graphmaze/internal/par"
 
 func Collect(n int, sink func([]int)) {
-	par.ForDynamic(n, 0, func(lo, hi int) {
+	par.For(n, func(lo, hi int) {
 		local := make([]int, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			local = append(local, i)
@@ -531,7 +590,7 @@ import (
 )
 
 func Work(n int, mu *sync.Mutex) {
-	par.ForDynamic(n, 0, func(lo, hi int) {
+	par.For(n, func(lo, hi int) {
 		mu.Lock()
 		defer mu.Unlock()
 	})
@@ -550,7 +609,7 @@ import (
 )
 
 func Labels(n int, out []string) {
-	par.ForDynamic(n, 0, func(lo, hi int) {
+	par.For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = fmt.Sprintf("v%d", i)
 		}
@@ -566,7 +625,7 @@ func TestHotAllocFlagsClosureInLoop(t *testing.T) {
 import "graphmaze/internal/par"
 
 func Work(n int, run func(func() int)) {
-	par.ForDynamic(n, 0, func(lo, hi int) {
+	par.For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			run(func() int { return i })
 		}
@@ -582,7 +641,7 @@ func TestHotAllocAllowsClosureOutsideLoop(t *testing.T) {
 import "graphmaze/internal/par"
 
 func Work(n int, run func(func(int) int)) {
-	par.ForDynamic(n, 0, func(lo, hi int) {
+	par.For(n, func(lo, hi int) {
 		square := func(x int) int { return x * x }
 		run(square)
 	})
@@ -599,7 +658,7 @@ func TestHotAllocFlagsInterfaceConversion(t *testing.T) {
 import "graphmaze/internal/par"
 
 func Box(n int, out []any) {
-	par.ForDynamic(n, 0, func(lo, hi int) {
+	par.For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = any(i)
 		}

@@ -264,18 +264,3 @@ func (e *Engine) bfsCluster(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult,
 		},
 	}, nil
 }
-
-// dedupSorted removes duplicates from a sorted slice in place.
-func dedupSorted(ids []uint32) []uint32 {
-	if len(ids) == 0 {
-		return ids
-	}
-	w := 1
-	for i := 1; i < len(ids); i++ {
-		if ids[i] != ids[i-1] {
-			ids[w] = ids[i]
-			w++
-		}
-	}
-	return ids[:w]
-}

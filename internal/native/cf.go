@@ -9,6 +9,7 @@ import (
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 // CollabFilter implements core.Engine. The native code implements true
@@ -104,7 +105,7 @@ func (e *Engine) sgdLocal(r *graph.Bipartite, opt core.CFOptions) *core.CFResult
 	gamma := opt.LearningRate
 	for it := 0; it < opt.Iterations; it++ {
 		for sub := 0; sub < w; sub++ {
-			parallelFor(w, func(lo, hi int) {
+			par.For(w, func(lo, hi int) {
 				for stripe := lo; stripe < hi; stripe++ {
 					block := blocks[stripe*w+(stripe+sub)%w]
 					sgdBlock(block, userF, itemF, k, gamma, opt)
@@ -162,7 +163,7 @@ func (e *Engine) gdLocal(r *graph.Bipartite, opt core.CFOptions) *core.CFResult 
 	gamma := opt.LearningRate
 
 	for it := 0; it < opt.Iterations; it++ {
-		parallelFor(int(r.NumUsers), func(lo, hi int) {
+		par.For(int(r.NumUsers), func(lo, hi int) {
 			for u := lo; u < hi; u++ {
 				adj, wts := r.ByUser.Neighbors(uint32(u)), r.ByUser.EdgeWeights(uint32(u))
 				pu := userF[u*k : (u+1)*k]
@@ -179,7 +180,7 @@ func (e *Engine) gdLocal(r *graph.Bipartite, opt core.CFOptions) *core.CFResult 
 				}
 			}
 		})
-		parallelFor(int(r.NumItems), func(lo, hi int) {
+		par.For(int(r.NumItems), func(lo, hi int) {
 			for v := lo; v < hi; v++ {
 				adj, wts := r.ByItem.Neighbors(uint32(v)), r.ByItem.EdgeWeights(uint32(v))
 				qv := itemF[v*k : (v+1)*k]
@@ -210,7 +211,7 @@ func (e *Engine) gdLocal(r *graph.Bipartite, opt core.CFOptions) *core.CFResult 
 }
 
 func applyGradient(f, grad []float32, gamma float64) {
-	parallelFor(len(f), func(lo, hi int) {
+	par.For(len(f), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			f[i] += float32(gamma) * grad[i]
 		}

@@ -143,7 +143,6 @@ func (p *IncrementalPageRank) Update(s *graph.Snapshot) ([]float64, int, error) 
 	}
 
 	m := backend.FromCSR(in)
-	m.Epoch = uint64(s.Epoch()) + 1
 	if p.mul == nil {
 		p.mul = backend.NewSumVecMul(p.pool, m)
 	} else {

@@ -76,7 +76,7 @@ func TestIncrementalPageRankConformance(t *testing.T) {
 				}
 				// Both runs converge to the same unique fixpoint; the bound
 				// is a small multiple of the tolerance (contraction margin).
-				if d := maxAbsDiff(ranks, ref); d > 1e-7 {
+				if d := maxAbsDiff(pool, ranks, ref); d > 1e-7 {
 					t.Fatalf("procs=%d epoch=%d warm/cold ranks diverge: %g", procs, s.Epoch(), d)
 				}
 				// The warm start should never be meaningfully worse than a

@@ -9,10 +9,7 @@
 // for by the contribution-caching / layout optimization (see DESIGN.md §3).
 package native
 
-import (
-	"graphmaze/internal/core"
-	"graphmaze/internal/par"
-)
+import "graphmaze/internal/core"
 
 // Tuning switches the native code's optimization stages (paper Figure 7
 // and §6.1.1).
@@ -61,23 +58,4 @@ func (e *Engine) Tuning() Tuning { return e.tuning }
 // Capabilities implements core.Engine.
 func (e *Engine) Capabilities() core.Capabilities {
 	return core.Capabilities{MultiNode: true, SGD: true, ProgrammingModel: "native"}
-}
-
-// parallelFor splits [0,n) into contiguous chunks across GOMAXPROCS
-// goroutines. The native kernels are all data-parallel over vertex or edge
-// ranges; contiguous chunks keep the CSR scans streaming. Use it for loops
-// whose per-index cost is uniform; degree-proportional loops use
-// parallelForOffsets, and unpredictable ones par.ForDynamic (the paper's
-// §3.1 load-balancing discipline — see DESIGN.md §8).
-func parallelFor(n int, body func(lo, hi int)) {
-	par.For(n, body)
-}
-
-// parallelForOffsets splits a CSR vertex range so every worker owns about
-// the same number of *edges*, using the prefix-sum offsets the CSR already
-// stores. On power-law graphs this is what keeps one worker from owning
-// all the hubs (paper §3.1: native baselines balance 1-D partitions by
-// edges, not vertices).
-func parallelForOffsets(offsets []int64, body func(lo, hi int)) {
-	par.ForOffsets(offsets, body)
 }

@@ -6,6 +6,7 @@ import (
 
 	"graphmaze/internal/codec"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/gen"
@@ -229,7 +230,9 @@ func TestTriangleCountMatchesReference(t *testing.T) {
 	}
 	// The symmetrized-input entry point counts the same triangles on the
 	// same edge list.
-	if got := TriangleCountSymmetrized(testTriangleGraph(t, graph.Symmetrize)); got != want {
+	pool := backend.NewPool(0)
+	defer pool.Close()
+	if got := TriangleCountSymmetrized(pool, testTriangleGraph(t, graph.Symmetrize)); got != want {
 		t.Errorf("TriangleCountSymmetrized = %d, oriented count %d", got, want)
 	}
 }
@@ -383,21 +386,5 @@ func TestPRMessageCodecRoundTrip(t *testing.T) {
 	e := New()
 	if err := e.applyPRMessage([]byte{1}, nil); err == nil {
 		t.Error("applied truncated message")
-	}
-}
-
-func TestDedupSorted(t *testing.T) {
-	got := dedupSorted([]uint32{1, 1, 2, 3, 3, 3, 7})
-	want := []uint32{1, 2, 3, 7}
-	if len(got) != len(want) {
-		t.Fatalf("dedup = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dedup = %v, want %v", got, want)
-		}
-	}
-	if out := dedupSorted(nil); len(out) != 0 {
-		t.Error("dedup(nil) not empty")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"graphmaze/internal/backend"
@@ -42,14 +43,14 @@ func (e *Engine) pageRankLocal(g *graph.CSR, opt core.PageRankOptions) ([]float6
 	in := g.Transpose()
 	outDeg := g.OutDegrees()
 	tr := opt.Exec.Tracer()
+	pool := backend.NewPool(0)
+	defer pool.Close()
+	pool.SetTracer(tr)
 	if e.tuning.ContribCaching {
 		// Tuned path: the engine is a thin wrapper over the package's one
 		// PageRank kernel on a pool of its own — the engine-vs-native
 		// deltas in the harness tables measure pure framework abstraction
 		// cost over the same kernels.
-		pool := backend.NewPool(0)
-		defer pool.Close()
-		pool.SetTracer(tr)
 		return PageRank(pool, backend.FromCSR(in), outDeg, opt.RandomJump, opt.Tolerance, opt.Iterations, tr)
 	}
 	n := int(g.NumVertices)
@@ -65,7 +66,7 @@ func (e *Engine) pageRankLocal(g *graph.CSR, opt core.PageRankOptions) ([]float6
 		// Ablation baseline (no contribution caching): the gather reads raw
 		// ranks and divides per edge — two dependent loads and a divide per
 		// in-edge instead of one streaming load.
-		parallelForOffsets(in.Offsets, func(lo, hi int) {
+		par.ForOffsets(in.Offsets, func(lo, hi int) {
 			for v := lo; v < hi; v++ {
 				sum := 0.0
 				for _, j := range in.Neighbors(uint32(v)) {
@@ -75,7 +76,7 @@ func (e *Engine) pageRankLocal(g *graph.CSR, opt core.PageRankOptions) ([]float6
 			}
 		})
 		pr, next = next, pr
-		converged := opt.Tolerance > 0 && maxAbsDiff(pr, next) <= opt.Tolerance
+		converged := opt.Tolerance > 0 && maxAbsDiff(pool, pr, next) <= opt.Tolerance
 		sp.End()
 		if converged {
 			break
@@ -132,29 +133,38 @@ func pageRankSweeps(pool *backend.Pool, mul *backend.SumVecMul, outDeg []int64, 
 		contribPass.Run()
 		mul.MapInto(next, contrib, post)
 		pr, next = next, pr
-		converged = tol > 0 && maxAbsDiff(pr, next) <= tol
+		converged = tol > 0 && maxAbsDiff(pool, pr, next) <= tol
 		sp.End()
 	}
 	return pr, next, sweeps, converged
 }
 
-// maxAbsDiff returns the largest element-wise |a-b|, reduced through
-// per-worker lanes (max is order-independent, so the parallel result is
-// bit-identical to a serial scan).
-func maxAbsDiff(a, b []float64) float64 {
-	return par.ReduceFloat64Max(len(a), func(lo, hi int) float64 {
-		worst := 0.0
+// maxAbsDiff returns the largest element-wise |a-b| as one dense pass on
+// the caller's pool. Each chunk folds its partial into the shared maximum
+// with one CAS loop at chunk end: the partials are non-negative floats,
+// whose IEEE-754 bit patterns order like the numbers, and max is
+// order-independent, so the result is bit-identical to a serial scan.
+func maxAbsDiff(pool *backend.Pool, a, b []float64) float64 {
+	var worst atomic.Uint64
+	backend.NewDense(pool, len(a), func(lo, hi int) {
+		local := 0.0
 		for i := lo; i < hi; i++ {
 			d := a[i] - b[i]
 			if d < 0 {
 				d = -d
 			}
-			if d > worst {
-				worst = d
+			if d > local {
+				local = d
 			}
 		}
-		return worst
-	})
+		for bits := math.Float64bits(local); ; {
+			old := worst.Load()
+			if bits <= old || worst.CompareAndSwap(old, bits) {
+				return
+			}
+		}
+	}).Run()
+	return math.Float64frombits(worst.Load())
 }
 
 // prExchange is the precomputed boundary-communication plan for

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/bitvec"
 	"graphmaze/internal/core"
 	"graphmaze/internal/gen"
@@ -11,12 +12,13 @@ import (
 	"graphmaze/internal/par"
 )
 
-// The scheduling-layer conversion must not change results at all: the
-// dynamic and edge-balanced loops only move chunk boundaries, never the
-// per-vertex arithmetic. These tests pin bit-identical agreement between
-// the shipped kernels and the pre-conversion static-chunk versions, which
-// are preserved below as references (and reused by the skewed benchmarks
-// as the baseline side).
+// Moving a kernel between schedulers must not change results at all: the
+// pool's dynamic sweeps and edge-balanced splits only move chunk
+// boundaries, never the per-vertex arithmetic. These tests pin
+// bit-identical agreement, at 1 and 4 pool workers, between the shipped
+// pool kernels and the original static-chunk versions, which are preserved
+// below as references (and reused by the skewed benchmarks as the
+// baseline side).
 
 // triangleLocalStatic is the pre-scheduling-layer triangle kernel: one
 // equal-vertex-count chunk per worker, counts merged through a single
@@ -66,6 +68,22 @@ func triangleLocalStatic(e *Engine, g *graph.CSR) int64 {
 	return atomic.LoadInt64(&total)
 }
 
+// maxAbsDiffSerial is the serial reference for the pooled convergence
+// check.
+func maxAbsDiffSerial(a, b []float64) float64 {
+	worst := 0.0
+	for i := range a {
+		d := a[i] - b[i]
+		if d < 0 {
+			d = -d
+		}
+		if d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
 // pageRankLocalStatic is the pre-scheduling-layer PageRank kernel:
 // equal-vertex gather chunks and a serial maxAbsDiff.
 func pageRankLocalStatic(e *Engine, g *graph.CSR, opt core.PageRankOptions) ([]float64, int) {
@@ -80,19 +98,6 @@ func pageRankLocalStatic(e *Engine, g *graph.CSR, opt core.PageRankOptions) ([]f
 	var contrib []float64
 	if e.tuning.ContribCaching {
 		contrib = make([]float64, n)
-	}
-	maxAbsDiffSerial := func(a, b []float64) float64 {
-		worst := 0.0
-		for i := range a {
-			d := a[i] - b[i]
-			if d < 0 {
-				d = -d
-			}
-			if d > worst {
-				worst = d
-			}
-		}
-		return worst
 	}
 	iters := 0
 	for it := 0; it < opt.Iterations; it++ {
@@ -137,14 +142,41 @@ func pageRankLocalStatic(e *Engine, g *graph.CSR, opt core.PageRankOptions) ([]f
 
 func TestTriangleDynamicMatchesStatic(t *testing.T) {
 	g := testGraphAcyclic(t)
-	for _, bitv := range []bool{true, false} {
-		tn := DefaultTuning()
-		tn.Bitvector = bitv
-		e := NewTuned(tn)
-		want := triangleLocalStatic(e, g)
-		got := e.triangleLocal(g)
-		if got != want {
-			t.Errorf("bitvector=%v: dynamic count %d != static count %d", bitv, got, want)
+	for _, workers := range []int{1, 4} {
+		pool := backend.NewPool(workers)
+		defer pool.Close()
+		for _, bitv := range []bool{true, false} {
+			tn := DefaultTuning()
+			tn.Bitvector = bitv
+			want := triangleLocalStatic(NewTuned(tn), g)
+			if got := triangles(pool, g, g.Offsets, bitv); got != want {
+				t.Errorf("workers=%d bitvector=%v: pool count %d != static count %d", workers, bitv, got, want)
+			}
+		}
+	}
+}
+
+// TestMaxAbsDiffMatchesSerial pins the pooled convergence check's CAS-max
+// fold to the serial scan, bit for bit, including the all-equal (zero)
+// and single-outlier cases.
+func TestMaxAbsDiffMatchesSerial(t *testing.T) {
+	zero := make([]float64, 1000)
+	a := make([]float64, 1000)
+	b := make([]float64, 1000)
+	for i := range a {
+		a[i] = 1 / float64(i+1)
+		b[i] = 1 / float64(i+3)
+	}
+	b[777] = -5e-7
+	want := maxAbsDiffSerial(a, b)
+	for _, workers := range []int{1, 4} {
+		pool := backend.NewPool(workers)
+		defer pool.Close()
+		if got := maxAbsDiff(pool, zero, zero); got != 0 {
+			t.Errorf("workers=%d: equal vectors differ by %v", workers, got)
+		}
+		if got := maxAbsDiff(pool, a, b); got != want {
+			t.Errorf("workers=%d: pooled max %v != serial %v", workers, got, want)
 		}
 	}
 }
@@ -155,7 +187,7 @@ func TestPageRankEdgeBalancedMatchesStatic(t *testing.T) {
 		tn := DefaultTuning()
 		tn.ContribCaching = caching
 		e := NewTuned(tn)
-		// Tolerance > 0 exercises the parallel maxAbsDiff reduction's
+		// Tolerance > 0 exercises the pooled maxAbsDiff check's
 		// early-convergence path too.
 		opt := core.PageRankOptions{Iterations: 30, RandomJump: 0.15, Tolerance: 1e-9}
 		wantRanks, wantIters := pageRankLocalStatic(e, g, opt)

@@ -5,12 +5,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/bitvec"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/codec"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
-	"graphmaze/internal/par"
 )
 
 // bitvecDegreeThreshold is the adjacency size above which the native code
@@ -43,37 +43,44 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 // count — so chunks are small and claimed off a shared counter.
 const triangleGrain = 64
 
+// triangleLocal is a thin wrapper over the package's one triangle loop on
+// a pool of its own, like the tuned PageRank and BFS paths.
 func (e *Engine) triangleLocal(g *graph.CSR) int64 {
-	return triangles(g, g.Offsets, e.tuning.Bitvector)
+	pool := backend.NewPool(0)
+	defer pool.Close()
+	return triangles(pool, g, g.Offsets, e.tuning.Bitvector)
 }
 
 // TriangleCountSymmetrized counts the triangles of a symmetrized graph
-// with sorted adjacency. Keeping only each vertex's neighbours above
-// itself is exactly the acyclic orientation TriangleCount's input stores,
-// so one binary search per row finds where that half starts and the
-// count is the oriented kernel's.
-func TriangleCountSymmetrized(g *graph.CSR) int64 {
+// with sorted adjacency on the caller's pool. Keeping only each vertex's
+// neighbours above itself is exactly the acyclic orientation
+// TriangleCount's input stores, so one binary search per row finds where
+// that half starts and the count is the oriented kernel's.
+func TriangleCountSymmetrized(pool *backend.Pool, g *graph.CSR) int64 {
 	first := make([]int64, g.NumVertices)
-	parallelFor(len(first), func(lo, hi int) {
+	backend.NewDense(pool, len(first), func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			above, _ := slices.BinarySearch(g.Neighbors(uint32(v)), uint32(v)+1)
 			first[v] = g.Offsets[v] + int64(above)
 		}
-	})
-	return triangles(g, first, true)
+	}).Run()
+	return triangles(pool, g, first, true)
 }
 
 // triangles is the one per-vertex triangle loop. Row v is
 // g.Targets[first[v]:g.Offsets[v+1]] — the sorted neighbours above v:
 // all of them on an oriented CSR (first = g.Offsets), the upper half on a
 // symmetrized one — and every v intersects its row with its neighbours'
-// rows, counting each triangle i<j<k once.
-func triangles(g *graph.CSR, first []int64, bitvector bool) int64 {
-	n := int(g.NumVertices)
+// rows, counting each triangle i<j<k once. Chunks are claimed dynamically
+// on the caller's pool and each folds its partial count into the total
+// with one atomic add; integer addition is exact, so the count is the
+// same at any worker count.
+func triangles(pool *backend.Pool, g *graph.CSR, first []int64, bitvector bool) int64 {
 	// Per-worker bit-vector scratch survives across the many small chunks
 	// one worker claims (allocating it per chunk would dominate).
-	scratch := make([]*bitvec.Vector, par.NumWorkers())
-	return par.ReduceInt64Dynamic(n, triangleGrain, func(worker, lo, hi int) int64 {
+	scratch := make([]*bitvec.Vector, pool.Workers())
+	var total atomic.Int64
+	backend.NewSweep(pool, int(g.NumVertices), triangleGrain, func(worker, lo, hi int) {
 		var local int64
 		for v := lo; v < hi; v++ {
 			adjV := g.Targets[first[v]:g.Offsets[v+1]]
@@ -113,8 +120,9 @@ func triangles(g *graph.CSR, first []int64, bitvector bool) int64 {
 				}
 			}
 		}
-		return local
-	})
+		total.Add(local)
+	}).Run()
+	return total.Load()
 }
 
 // intersectSortedCount counts common elements of two sorted id lists.

@@ -80,7 +80,9 @@ func BenchmarkParSkewedStatic(b *testing.B) {
 // BenchmarkParSkewedDynamic claims fixed-grain chunks off the shared
 // counter.
 func BenchmarkParSkewedDynamic(b *testing.B) {
-	runSkewed(b, func(n int, body func(lo, hi int)) { ForDynamic(n, 256, body) })
+	runSkewed(b, func(n int, body func(lo, hi int)) {
+		ForDynamicIndexed(n, 256, func(_, lo, hi int) { body(lo, hi) })
+	})
 }
 
 // BenchmarkParSkewedOffsets splits by the prefix-sum array so every
@@ -92,12 +94,12 @@ func BenchmarkParSkewedOffsets(b *testing.B) {
 
 // BenchmarkParDynamicOverhead measures the scheduler's fixed cost on a
 // uniform trivial body — the price a non-skewed loop pays for choosing
-// ForDynamic over For.
+// ForDynamicIndexed over For.
 func BenchmarkParDynamicOverhead(b *testing.B) {
 	n := 1 << 20
 	for i := 0; i < b.N; i++ {
 		var total atomic.Int64
-		ForDynamic(n, 0, func(lo, hi int) {
+		ForDynamicIndexed(n, 0, func(_, lo, hi int) {
 			total.Add(int64(hi - lo))
 		})
 	}

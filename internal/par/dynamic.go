@@ -11,8 +11,7 @@ import (
 // passes grain <= 0. It is tuned for bodies costing tens of nanoseconds
 // per index: large enough that the one atomic add per chunk is noise,
 // small enough that a hub vertex's chunk does not serialize the tail.
-// Kernels with heavy per-index cost (triangle counting's ~deg² work)
-// should pass a smaller grain.
+// Kernels with heavy per-index cost should pass a smaller grain.
 const DefaultGrain = 1024
 
 // serialCutoverChunks is the minimum number of grain-sized chunks worth
@@ -21,20 +20,15 @@ const DefaultGrain = 1024
 // could fix.
 const serialCutoverChunks = 4
 
-// ForDynamic runs body over [0,n) in fixed-grain chunks that workers
-// claim off a shared atomic counter — cheap work-stealing without
+// ForDynamicIndexed runs body over [0,n) in fixed-grain chunks that
+// workers claim off a shared atomic counter — cheap work-stealing without
 // per-worker deques. Chunk boundaries are the multiples of grain, so a
 // body that stages results by its lo index gets a deterministic layout
 // regardless of which worker claims which chunk. grain <= 0 selects
-// DefaultGrain; loops under serialCutoverChunks grains run serially.
-func ForDynamic(n, grain int, body func(lo, hi int)) {
-	ForDynamicIndexed(n, grain, func(_, lo, hi int) { body(lo, hi) })
-}
-
-// ForDynamicIndexed is ForDynamic with the executing worker's index
-// passed to the body, for kernels that reuse per-worker scratch (a
-// triangle-counting bit vector, a SpGEMM accumulator map) across the many
-// small chunks one worker claims. Worker indices are below NumWorkers().
+// DefaultGrain; loops under serialCutoverChunks grains run serially. The
+// body receives the executing worker's index (below NumWorkers()), for
+// kernels that reuse per-worker scratch (a SpGEMM accumulator map) across
+// the many small chunks one worker claims.
 func ForDynamicIndexed(n, grain int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return

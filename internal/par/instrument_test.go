@@ -39,11 +39,11 @@ func TestSchedCountersObserveLoops(t *testing.T) {
 		offsets[i] = int64(i) * 3
 	}
 	before = tr.Sched().Items.Value()
-	ForOffsetsWorkers(4, offsets, func(lo, hi int) {
+	ForOffsets(offsets, func(lo, hi int) {
 		touched.Add(int64(hi - lo))
 	})
 	if got := tr.Sched().Items.Value() - before; got != n {
-		t.Errorf("ForOffsetsWorkers counted %d items, want %d", got, n)
+		t.Errorf("ForOffsets counted %d items, want %d", got, n)
 	}
 
 	if touched.Load() != 3*n {

@@ -48,15 +48,11 @@ func OffsetSplits(offsets []int64, k int) []int {
 // the actual per-edge work. A graph with no edges falls back to the
 // equal-vertex split.
 func ForOffsets(offsets []int64, body func(lo, hi int)) {
-	ForOffsetsWorkers(runtime.GOMAXPROCS(0), offsets, body)
-}
-
-// ForOffsetsWorkers is ForOffsets with an explicit worker cap.
-func ForOffsetsWorkers(workers int, offsets []int64, body func(lo, hi int)) {
 	n := len(offsets) - 1
 	if n <= 0 {
 		return
 	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}

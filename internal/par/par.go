@@ -1,5 +1,8 @@
-// Package par provides the data-parallel loop primitives the engines
-// share. Three scheduling strategies are available (DESIGN.md §8):
+// Package par is the static-split fork-join the one-shot paths share:
+// graph construction (internal/graph), the framework worker models
+// (Giraph's capped workers, SociaLite's generic shards, CombBLAS's free
+// functions) and the native ablation baselines. Everything a served query
+// runs executes on backend.Pool instead (DESIGN.md §8). Three loop shapes:
 //
 //   - For / ForWorkers: static contiguous chunks with equal vertex
 //     counts. Right for loops whose per-index cost is uniform.
@@ -7,9 +10,9 @@
 //     split on a CSR prefix-sum array. Right for per-vertex loops whose
 //     cost is proportional to degree on power-law graphs, where equal
 //     vertex counts are wildly imbalanced (paper §3.1).
-//   - ForDynamic: fixed-grain chunks claimed off an atomic counter.
-//     Right for loops with unpredictable per-index cost (triangle
-//     counting's ~deg² per vertex, frontier expansion).
+//   - ForDynamicIndexed: fixed-grain chunks claimed off an atomic
+//     counter, for loops with unpredictable per-index cost. Its one
+//     caller is combblas.SpGEMM, a free function with no pool to borrow.
 //
 // All loops tile [0,n) exactly once, join before returning, and fall
 // back to a serial call when fan-out would cost more than it saves.

@@ -77,7 +77,7 @@ func TestForDynamicTiles(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 100, 1000, 4096, 100_000} {
 		for _, grain := range []int{-1, 0, 1, 7, 64, 1024, n + 1} {
 			marks := make([]int32, n)
-			ForDynamic(n, grain, func(lo, hi int) {
+			ForDynamicIndexed(n, grain, func(_, lo, hi int) {
 				if lo < 0 || hi > n || lo >= hi {
 					t.Fatalf("n=%d grain=%d: bad chunk [%d,%d)", n, grain, lo, hi)
 				}
@@ -95,11 +95,11 @@ func TestForDynamicTiles(t *testing.T) {
 }
 
 // TestForDynamicChunkLayout asserts chunk lo bounds are multiples of the
-// grain — the property bfsTopDown relies on to stage per-chunk results
-// deterministically under dynamic scheduling.
+// grain — the property a body staging per-chunk results by its lo index
+// relies on for a deterministic layout under dynamic scheduling.
 func TestForDynamicChunkLayout(t *testing.T) {
 	n, grain := 10_000, 64
-	ForDynamic(n, grain, func(lo, hi int) {
+	ForDynamicIndexed(n, grain, func(_, lo, hi int) {
 		if lo%grain != 0 {
 			t.Errorf("chunk lo %d not a multiple of grain %d", lo, grain)
 		}
@@ -211,70 +211,4 @@ func TestOffsetSplitsBalance(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestReduceMatchesSerial checks every reduction variant against the
-// serial fold it replaces.
-func TestReduceMatchesSerial(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 1000, 65_536} {
-		vals := make([]int64, n)
-		fvals := make([]float64, n)
-		var wantI int64
-		var wantF, wantMax float64
-		for i := range vals {
-			vals[i] = int64(i*7%13 - 6)
-			fvals[i] = float64(i%97) / 7
-			wantI += vals[i]
-			wantF += fvals[i]
-			if fvals[i] > wantMax {
-				wantMax = fvals[i]
-			}
-		}
-		sumI := func(lo, hi int) int64 {
-			var s int64
-			for i := lo; i < hi; i++ {
-				s += vals[i]
-			}
-			return s
-		}
-		sumF := func(lo, hi int) float64 {
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += fvals[i]
-			}
-			return s
-		}
-		if got := ReduceInt64(n, sumI); got != wantI {
-			t.Errorf("n=%d: ReduceInt64 = %d, want %d", n, got, wantI)
-		}
-		if got := ReduceInt64Dynamic(n, 64, func(_, lo, hi int) int64 { return sumI(lo, hi) }); got != wantI {
-			t.Errorf("n=%d: ReduceInt64Dynamic = %d, want %d", n, got, wantI)
-		}
-		if got := ReduceFloat64(n, sumF); !closeEnough(got, wantF) {
-			t.Errorf("n=%d: ReduceFloat64 = %v, want %v", n, got, wantF)
-		}
-		if got := ReduceFloat64Dynamic(n, 64, func(_, lo, hi int) float64 { return sumF(lo, hi) }); !closeEnough(got, wantF) {
-			t.Errorf("n=%d: ReduceFloat64Dynamic = %v, want %v", n, got, wantF)
-		}
-		got := ReduceFloat64Max(n, func(lo, hi int) float64 {
-			worst := 0.0
-			for i := lo; i < hi; i++ {
-				if fvals[i] > worst {
-					worst = fvals[i]
-				}
-			}
-			return worst
-		})
-		if got != wantMax {
-			t.Errorf("n=%d: ReduceFloat64Max = %v, want %v", n, got, wantMax)
-		}
-	}
-}
-
-func closeEnough(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d <= 1e-9*(1+b)
 }

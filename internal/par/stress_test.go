@@ -97,7 +97,7 @@ func TestForDynamicStress(t *testing.T) {
 	}
 	covered := make([]int64, n)
 	for it := 0; it < iters; it++ {
-		ForDynamic(n, 37, func(lo, hi int) {
+		ForDynamicIndexed(n, 37, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				covered[i]++ // plain write: chunks are disjoint and joined
 			}
@@ -111,7 +111,7 @@ func TestForDynamicStress(t *testing.T) {
 }
 
 // TestForDynamicIndexedScratchExclusive verifies the per-worker scratch
-// contract the triangle kernel relies on: a worker index is owned by
+// contract combblas.SpGEMM relies on: a worker index is owned by
 // exactly one goroutine for the whole loop, so unsynchronized reads and
 // writes of scratch[worker] across the worker's many chunks are safe.
 func TestForDynamicIndexedScratchExclusive(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -12,6 +13,8 @@ import (
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
 	"graphmaze/internal/native"
+	"graphmaze/internal/par"
+	"graphmaze/internal/trace"
 )
 
 // TestServedNumbersMatchDirectKernels is the differential check the
@@ -135,4 +138,36 @@ func orientAcyclic(t *testing.T, g *graph.CSR) *graph.CSR {
 		t.Fatalf("Build: %v", err)
 	}
 	return oriented
+}
+
+// TestQueriesRunOnlyOnThePool pins the one-substrate invariant: with the
+// epoch's derived state already bound (the transpose is graph
+// construction, built once per epoch on par), every served kind executes
+// on the pool MaxInFlight is derived from and claims no par chunk.
+func TestQueriesRunOnlyOnThePool(t *testing.T) {
+	// Above one worker the generic Datalog evaluator would shard onto par.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s, _ := newTestServer(t, Config{Workers: 2})
+	g, _ := s.graphByName("social")
+	snap := g.v.Current()
+	g.bind(snap)
+
+	sched := trace.New().Sched()
+	par.SetSchedCounters(sched)
+	defer par.SetSchedCounters(nil)
+	for _, q := range []*query{
+		{kind: kindPageRank, iters: 30, jump: 0.3, tol: 1e-3, topK: 5},
+		{kind: kindBFS, source: 2},
+		{kind: kindCC},
+		{kind: kindTC},
+		{kind: kindDatalog, source: 2, rule: defaultDatalogRule},
+	} {
+		before := sched.Chunks.Value()
+		if _, err := s.execute(g, snap, q); err != nil {
+			t.Fatalf("%s: %v", q.kind, err)
+		}
+		if chunks := sched.Chunks.Value() - before; chunks != 0 {
+			t.Errorf("%s ran %d par chunks outside the server's pool", q.kind, chunks)
+		}
+	}
 }

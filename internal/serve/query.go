@@ -271,12 +271,12 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 		if !g.v.Options().Symmetrize {
 			return nil, badRequest("triangle counting needs a symmetrized graph; %q is directed", g.name)
 		}
-		resp = &tcResponse{queryMeta: meta, Triangles: native.TriangleCountSymmetrized(snap.CSR())}
+		resp = &tcResponse{queryMeta: meta, Triangles: native.TriangleCountSymmetrized(s.pool, snap.CSR())}
 	case kindDatalog:
 		if int64(q.source) >= int64(snap.NumVertices()) {
 			return nil, badRequest("source %d outside vertex space [0,%d)", q.source, snap.NumVertices())
 		}
-		dl, err := datalogQuery(snap, q)
+		dl, err := datalogQuery(s.pool, snap, q)
 		if err != nil {
 			return nil, err
 		}
@@ -308,9 +308,9 @@ func componentStats(labels []uint32) (components, largest int64) {
 
 // datalogQuery evaluates a SociaLite-style rule over the pinned epoch's
 // EDGE relation with REACH seeded at the query source. Recursive rules
-// (head table driving the body) run semi-naively to fixpoint; others
-// evaluate once.
-func datalogQuery(snap *graph.Snapshot, q *query) (*datalogResponse, error) {
+// (head table driving the body) run semi-naively to fixpoint on the
+// server's pool; others evaluate once.
+func datalogQuery(pool *backend.Pool, snap *graph.Snapshot, q *query) (*datalogResponse, error) {
 	reg := socialite.NewRegistry()
 	reg.Register(socialite.NewEdgeTable("EDGE", snap.CSR()))
 	tbl := socialite.NewVecTable("REACH", snap.NumVertices())
@@ -320,33 +320,14 @@ func datalogQuery(snap *graph.Snapshot, q *query) (*datalogResponse, error) {
 	if err != nil {
 		return nil, badRequest("bad rule: %v", err)
 	}
-	rounds := 0
-	if rule.Driver.Vec != nil && rule.Driver.Vec.Table == rule.Head.Table {
-		span := rule.Driver.Vec.Table.NumKeys()
-		var delta []uint32
-		rule.Driver.Vec.Table.ForEach(func(k uint32, _ socialite.Value) { delta = append(delta, k) })
-		for len(delta) > 0 {
-			rounds++
-			stats, err := socialite.EvalParallel(rule, 0, span, delta, nil, 0, true)
-			if err != nil {
-				return nil, badRequest("evaluating rule: %v", err)
-			}
-			delta = stats.Changed
-		}
+	rounds := 1
+	if rule.Recursive() {
+		rounds, err = socialite.Fixpoint(pool, rule)
 	} else {
-		var span uint32
-		switch {
-		case rule.Driver.Vec != nil:
-			span = rule.Driver.Vec.Table.NumKeys()
-		case rule.Driver.Edge != nil:
-			span = rule.Driver.Edge.Table.NumKeys()
-		default:
-			return nil, badRequest("rule has no driver")
-		}
-		rounds = 1
-		if _, err := socialite.EvalParallel(rule, 0, span, nil, nil, 0, false); err != nil {
-			return nil, badRequest("evaluating rule: %v", err)
-		}
+		err = socialite.EvalOnce(rule)
+	}
+	if err != nil {
+		return nil, badRequest("evaluating rule: %v", err)
 	}
 	h := fnv.New64a()
 	var buf [12]byte

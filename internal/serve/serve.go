@@ -101,12 +101,10 @@ func (g *servedGraph) bind(snap *graph.Snapshot) *epochState {
 	if g.bound != nil && g.bound.epoch == snap.Epoch() {
 		return g.bound
 	}
-	in := backend.FromCSR(snap.CSR().Transpose())
-	in.Epoch = uint64(snap.Epoch()) + 1
 	st := &epochState{
 		epoch:  snap.Epoch(),
 		snap:   snap,
-		in:     in,
+		in:     backend.FromCSR(snap.CSR().Transpose()),
 		outDeg: snap.CSR().OutDegrees(),
 	}
 	g.bound = st

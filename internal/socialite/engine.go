@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
@@ -227,32 +228,16 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 		return &core.BFSResult{Distances: out, Stats: stats}
 	}
 
-	delta := []uint32{opt.Source}
-	rounds := 0
 	if opt.Exec.Cluster == nil {
 		start := time.Now()
-		// The recursive rule's shape lowers onto the backend's
-		// persistent-claims expander; a round that violates the lowering's
-		// preconditions re-runs on the generic evaluator, permanently.
-		low, lowered := LowerBFSRule(rule)
-		if lowered {
-			low.SetTracer(opt.Exec.Tracer())
-			defer low.Close()
-		}
-		for len(delta) > 0 {
-			rounds++
-			if lowered {
-				if next, ok := low.Round(delta); ok {
-					delta = next
-					continue
-				}
-				lowered = false
-			}
-			stats, err := EvalParallel(rule, 0, n, delta, nil, 0, true)
-			if err != nil {
-				return nil, err
-			}
-			delta = stats.Changed
+		// The shared driver lowers the rule's shape onto the backend's
+		// persistent-claims expander; the engine owns the pool for the call.
+		pool := backend.NewPool(0)
+		defer pool.Close()
+		pool.SetTracer(opt.Exec.Tracer())
+		rounds, err := Fixpoint(pool, rule)
+		if err != nil {
+			return nil, err
 		}
 		return finish(core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: rounds}), nil
 	}
@@ -270,6 +255,8 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 		edges := g.Offsets[hi] - g.Offsets[lo]
 		c.SetBaselineMemory(node, edges*8+int64(hi-lo)*24)
 	}
+	delta := []uint32{opt.Source}
+	rounds := 0
 	for len(delta) > 0 {
 		rounds++
 		var next []uint32

@@ -1,10 +1,10 @@
 package socialite
 
 import (
+	"fmt"
 	"math"
 
 	"graphmaze/internal/backend"
-	"graphmaze/internal/trace"
 )
 
 // This file lowers the BFS-shaped recursive rule onto the shared SpMV
@@ -22,13 +22,12 @@ import (
 // fails, so rules that merely look like BFS still evaluate correctly.
 
 // RuleLowering is a backend-lowered evaluator for one recursive rule.
-// Obtain one with LowerBFSRule; drive it with Round and Close it when
-// the fixpoint loop ends.
+// Obtain one with LowerBFSRule and drive it with Round (Fixpoint does
+// both).
 type RuleLowering struct {
 	rule   *Rule
 	prefix []Atom
 	head   *VecTable
-	pool   *backend.Pool
 	exp    *backend.Expander
 	env    *Env
 	// frontier holds the delta keys that passed the per-round checks;
@@ -47,10 +46,10 @@ type RuleLowering struct {
 // LowerBFSRule recognizes the BFS shape — vec driver whose table is also
 // the head table, key-local vec/scalar-let prefix, one trailing
 // unweighted edge atom keyed by the driver, scalar $MIN head keyed by the
-// edge destination — and builds a lowering for it. It mirrors
-// compileScalarRule's checks, plus recursion (head == driver table) and
-// the $MIN aggregate.
-func LowerBFSRule(rule *Rule) (*RuleLowering, bool) {
+// edge destination — and builds a lowering for it on the caller's pool.
+// It mirrors compileScalarRule's checks, plus recursion (head == driver
+// table) and the $MIN aggregate.
+func LowerBFSRule(pool *backend.Pool, rule *Rule) (*RuleLowering, bool) {
 	d := rule.Driver.Vec
 	if d == nil || len(rule.Lets) != 0 || rule.Head.ValSlot < 0 {
 		return nil, false
@@ -100,14 +99,12 @@ func LowerBFSRule(rule *Rule) (*RuleLowering, bool) {
 	if !scalar {
 		return nil, false
 	}
-	pool := backend.NewPool(0)
 	exp := backend.NewExpander(pool, backend.FromCSR(last.Table.g))
 	head.ForEach(func(k uint32, _ Value) { exp.Claim(k) })
 	return &RuleLowering{
 		rule:   rule,
 		prefix: prefix,
 		head:   head,
-		pool:   pool,
 		exp:    exp,
 		env:    &Env{Keys: make([]uint32, rule.KeySlots), Vals: make([]Value, rule.ValSlots)},
 		maxVal: maxVal,
@@ -194,9 +191,56 @@ func (l *RuleLowering) Round(delta []uint32) ([]uint32, bool) {
 	return next, true
 }
 
-// Close releases the backend pool.
-func (l *RuleLowering) Close() { l.pool.Close() }
+// Recursive reports whether the head table also drives the body — the
+// shape Fixpoint evaluates semi-naively.
+func (r *Rule) Recursive() bool {
+	return r.Driver.Vec != nil && r.Driver.Vec.Table == r.Head.Table
+}
 
-// SetTracer attaches tr's metrics registry to the lowering's backend pool
-// so dispatch/park latency and utilization are observable; nil detaches.
-func (l *RuleLowering) SetTracer(tr *trace.Tracer) { l.pool.SetTracer(tr) }
+// Fixpoint is the one semi-naive driver: it evaluates a recursive rule
+// until no stored value changes, starting from every tuple the driver
+// table holds, and returns the number of rounds. Rounds run on the
+// caller's pool through the BFS lowering while its guards hold; a round
+// that violates them re-runs on the generic sharded evaluator, as does
+// every later round.
+func Fixpoint(pool *backend.Pool, rule *Rule) (int, error) {
+	if !rule.Recursive() {
+		return 0, fmt.Errorf("socialite: Fixpoint needs a recursive rule (head table driving the body); evaluate rule %s once instead", rule.Name)
+	}
+	driver := rule.Driver.Vec.Table
+	var delta []uint32
+	driver.ForEach(func(k uint32, _ Value) { delta = append(delta, k) })
+	low, _ := LowerBFSRule(pool, rule)
+	rounds := 0
+	for len(delta) > 0 {
+		rounds++
+		if low != nil {
+			if next, ok := low.Round(delta); ok {
+				delta = next
+				continue
+			}
+		}
+		stats, err := EvalParallel(rule, 0, driver.NumKeys(), delta, nil, 0, true)
+		if err != nil {
+			return rounds, err
+		}
+		delta = stats.Changed
+	}
+	return rounds, nil
+}
+
+// EvalOnce evaluates a non-recursive rule once over its whole driver key
+// space on the generic sharded evaluator.
+func EvalOnce(rule *Rule) error {
+	var span uint32
+	switch {
+	case rule.Driver.Vec != nil:
+		span = rule.Driver.Vec.Table.NumKeys()
+	case rule.Driver.Edge != nil:
+		span = rule.Driver.Edge.Table.NumKeys()
+	default:
+		return fmt.Errorf("socialite: rule has no driver")
+	}
+	_, err := EvalParallel(rule, 0, span, nil, nil, 0, false)
+	return err
+}
