@@ -88,6 +88,11 @@ var builtinGraphs = []struct {
 	{"web", false},
 }
 
+// drainTimeout bounds how long a shutdown waits for in-flight requests;
+// the slowest served query (triangle counting at the largest built-in
+// scale) finishes well inside it.
+const drainTimeout = 15 * time.Second
+
 func runServe(o serveOpts) int {
 	reg := obs.NewRegistry()
 	sampler := obs.StartSampler(reg, obs.DefaultSampleInterval)
@@ -128,15 +133,22 @@ func runServe(o serveOpts) int {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("shutting down...")
-	if err := ln.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "graphserve: closing listener: %v\n", err)
-		return 1
+	// Drain before saving: a /delta still in flight must land in the
+	// snapshot it was acknowledged against.
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	drainErr := ln.Shutdown(ctx)
+	cancel()
+	if drainErr != nil {
+		fmt.Fprintf(os.Stderr, "graphserve: requests still in flight after %v were dropped: %v\n", drainTimeout, drainErr)
 	}
 	if o.snapDir != "" {
 		if err := saveSnapshots(srv, o.snapDir); err != nil {
 			fmt.Fprintf(os.Stderr, "graphserve: %v\n", err)
 			return 1
 		}
+	}
+	if drainErr != nil {
+		return 1
 	}
 	fmt.Println("clean shutdown")
 	return 0

@@ -1,7 +1,11 @@
 package backend
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -71,6 +75,85 @@ func TestSpMVWorkerCountInvariance(t *testing.T) {
 		for i := range want {
 			if y[i] != want[i] {
 				t.Fatalf("workers=%d: y[%d] differs from 1-worker result", workers, i)
+			}
+		}
+	}
+}
+
+// patternMatrix builds an n-row pattern matrix over ncols columns whose
+// row r stores length(r) ascending random columns (repeats allowed: the
+// fold must follow stored order whatever the columns are).
+func patternMatrix(rng *rand.Rand, n, ncols int, length func(r int) int) *Matrix {
+	m := &Matrix{NumRows: uint32(n), Offsets: make([]int64, n+1)}
+	for r := 0; r < n; r++ {
+		row := make([]uint32, length(r))
+		for i := range row {
+			row[i] = uint32(rng.Intn(ncols))
+		}
+		slices.Sort(row)
+		m.Cols = append(m.Cols, row...)
+		m.Offsets[r+1] = int64(len(m.Cols))
+	}
+	return m
+}
+
+// TestSumVecMulMatchesRowAtATimeFold is the kernel's order contract as a
+// property: whatever SumVecMul.runChunk does inside a chunk, Into and
+// MapInto equal the one-row-at-a-time, left-to-right reference fold
+// bit-for-bit, at every worker count, on the row shapes that stress a
+// chunked kernel — empty rows, a single row, row counts that leave an odd
+// remainder per chunk, and a hub row longer than all others combined
+// (which drags the edge-balanced chunk bounds next to it).
+func TestSumVecMulMatchesRowAtATimeFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(2016))
+	type shape struct {
+		name string
+		m    *Matrix
+	}
+	shapes := []shape{
+		{"all-empty", patternMatrix(rng, 9, 5, func(int) int { return 0 })},
+		{"single-row", patternMatrix(rng, 1, 40, func(int) int { return 9 })},
+		{"half-empty", patternMatrix(rng, 101, 64, func(int) int { return rng.Intn(2) * (1 + rng.Intn(5)) })},
+		{"hub", patternMatrix(rng, 41, 300, func(r int) int {
+			if r == 17 {
+				return 500
+			}
+			return rng.Intn(4)
+		})},
+	}
+	for i := 0; i < 6; i++ {
+		n := 1 + rng.Intn(200)
+		shapes = append(shapes, shape{fmt.Sprintf("random-%d", i), patternMatrix(rng, n, 1+rng.Intn(300), func(int) int {
+			return int(math.Floor(math.Exp(rng.Float64()*4))) - 1 // 0..53, skewed short
+		})})
+	}
+	post := func(r uint32, sum float64) float64 { return float64(r) - 0.7*sum }
+	for _, sh := range shapes {
+		name, m := sh.name, sh.m
+		ncols := 1
+		for _, c := range m.Cols {
+			ncols = max(ncols, int(c)+1)
+		}
+		x := make([]float64, ncols)
+		for i := range x {
+			x[i] = rng.NormFloat64() * math.Exp(rng.Float64()*20-10) // mixed signs and magnitudes: order shows
+		}
+		want := refSpMVSum(m, x)
+		for _, workers := range []int{1, 2, 3, 4, 7} {
+			pool := NewPool(workers)
+			k := NewSumVecMul(pool, m)
+			raw := make([]float64, m.NumRows)
+			mapped := make([]float64, m.NumRows)
+			k.Into(raw, x)
+			k.MapInto(mapped, x, post)
+			pool.Close()
+			for r := range want {
+				if math.Float64bits(raw[r]) != math.Float64bits(want[r]) {
+					t.Fatalf("%s workers=%d: Into row %d = %v, want %v", name, workers, r, raw[r], want[r])
+				}
+				if w := post(uint32(r), want[r]); math.Float64bits(mapped[r]) != math.Float64bits(w) {
+					t.Fatalf("%s workers=%d: MapInto row %d = %v, want %v", name, workers, r, mapped[r], w)
+				}
 			}
 		}
 	}

@@ -142,24 +142,25 @@ func (k *SumVecMul) MapInto(y, x []float64, post func(uint32, float64) float64) 
 	k.nnz.Add(0, k.m.NNZ())
 }
 
+// runChunk folds rows [lo, hi) one at a time, each strictly left to right
+// in stored-column order. The operands are copied into locals first: the
+// stores to y could alias anything reachable through k, so a loop written
+// against k.m.Offsets[r+1] and k.m.Cols[i] reloads both slice headers and
+// re-checks both bounds on every edge; ranging over the row's sub-slice
+// leaves one bounds check (the gather into x) per edge. Interleaving two
+// or four adjacent rows on top of this loop was measured and lost to it
+// (DESIGN.md §12).
 func (k *SumVecMul) runChunk(worker, lo, hi int) {
-	m, x, y := k.m, k.x, k.y
-	if k.post == nil {
-		for r := lo; r < hi; r++ {
-			sum := 0.0
-			for i := m.Offsets[r]; i < m.Offsets[r+1]; i++ {
-				sum += x[m.Cols[i]]
-			}
-			y[r] = sum
-		}
-		return
-	}
+	off, cols, x, y, post := k.m.Offsets, k.m.Cols, k.x, k.y, k.post
 	for r := lo; r < hi; r++ {
 		sum := 0.0
-		for i := m.Offsets[r]; i < m.Offsets[r+1]; i++ {
-			sum += x[m.Cols[i]]
+		for _, c := range cols[off[r]:off[r+1]] {
+			sum += x[c]
 		}
-		y[r] = k.post(uint32(r), sum)
+		if post != nil {
+			sum = post(uint32(r), sum)
+		}
+		y[r] = sum
 	}
 }
 

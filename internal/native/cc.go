@@ -20,9 +20,14 @@ import (
 // fixpoint. Jacobi-style double buffering makes every sweep deterministic
 // at any worker count.
 func ConnectedComponents(pool *backend.Pool, m *backend.Matrix) []uint32 {
+	return ConnectedComponentsInto(pool, m, make([]uint32, m.NumRows), make([]uint32, m.NumRows))
+}
+
+// ConnectedComponentsInto is ConnectedComponents on the caller's two
+// label buffers, each of m.NumRows elements and overwritten whatever they
+// held. The returned labels are one of the two.
+func ConnectedComponentsInto(pool *backend.Pool, m *backend.Matrix, cur, next []uint32) []uint32 {
 	n := int(m.NumRows)
-	cur := make([]uint32, n)
-	next := make([]uint32, n)
 	for i := range cur {
 		cur[i] = uint32(i)
 	}

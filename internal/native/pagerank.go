@@ -94,9 +94,15 @@ func (e *Engine) pageRankLocal(g *graph.CSR, opt core.PageRankOptions) ([]float6
 // the number of sweeps run. tr may be nil.
 func PageRank(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, maxSweeps int, tr *trace.Tracer) ([]float64, int) {
 	n := int(in.NumRows)
-	pr := make([]float64, n)
-	next := make([]float64, n)
-	contrib := make([]float64, n)
+	return PageRankInto(pool, in, outDeg, jump, tol, maxSweeps, tr, make([]float64, n), make([]float64, n), make([]float64, n))
+}
+
+// PageRankInto is PageRank on the caller's vectors: pr, next and contrib
+// each hold in.NumRows elements and are overwritten whatever they held.
+// The returned ranks are pr or next (the two swap every sweep), so they
+// are the caller's to reuse once it has read them.
+func PageRankInto(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, maxSweeps int, tr *trace.Tracer,
+	pr, next, contrib []float64) ([]float64, int) {
 	for i := range pr {
 		pr[i] = 1
 	}

@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
 
 // MuxOn registers the observability endpoints on an existing mux:
@@ -46,8 +48,14 @@ func Mux(reg *Registry) *http.ServeMux {
 	return mux
 }
 
-// Server is a live obs listener started by Serve.
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that opens a socket and trickles bytes
+// cannot hold it (and a drain) open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
+// Server is a live HTTP listener started by Serve or ServeHandler.
 type Server struct {
+	srv  *http.Server
 	ln   net.Listener
 	done chan struct{}
 }
@@ -66,13 +74,16 @@ func ServeHandler(addr string, h http.Handler) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, done: make(chan struct{})}
-	srv := &http.Server{Handler: h}
+	s := &Server{
+		srv:  &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout},
+		ln:   ln,
+		done: make(chan struct{}),
+	}
 	go func() {
 		defer close(s.done)
-		// Serve returns ErrServerClosed-style errors once the listener is
-		// closed by Close; there is nothing useful to do with them here.
-		_ = srv.Serve(ln)
+		// Serve returns http.ErrServerClosed once Shutdown or Close stops
+		// the server; there is nothing useful to do with it here.
+		_ = s.srv.Serve(ln)
 	}()
 	return s, nil
 }
@@ -85,13 +96,30 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close stops the listener and waits for the serve loop to exit. In-flight
-// requests are abandoned; the obs endpoint is diagnostics, not data-plane.
+// Shutdown stops accepting connections and waits for the requests in
+// flight to finish. The wait is bounded by ctx: when it ends first, the
+// connections still open (a stuck handler, a client that never finished
+// its headers) are closed and ctx's error is returned.
+func (s *Server) Shutdown(ctx context.Context) error {
+	if s == nil {
+		return nil
+	}
+	err := s.srv.Shutdown(ctx)
+	if err != nil {
+		_ = s.srv.Close() // the error worth reporting is the expired wait
+	}
+	<-s.done
+	return err
+}
+
+// Close stops the server at once and waits for the serve loop to exit.
+// In-flight requests are abandoned: right for the standalone obs endpoint,
+// which is diagnostics; a data-plane server drains with Shutdown.
 func (s *Server) Close() error {
 	if s == nil {
 		return nil
 	}
-	err := s.ln.Close()
+	err := s.srv.Close()
 	<-s.done
 	return err
 }

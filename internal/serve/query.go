@@ -1,15 +1,13 @@
 package serve
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
+	"sync"
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
@@ -219,6 +217,35 @@ type datalogResponse struct {
 	Checksum string `json:"checksum"`
 }
 
+// rankVectors is the scratch one PageRank miss borrows: the two rank
+// buffers the sweeps swap and the contribution vector between them.
+type rankVectors struct{ pr, next, contrib []float64 }
+
+// labelVectors is the scratch one connected-components miss borrows: the
+// two label buffers and the per-label counts of the reduction.
+type labelVectors struct {
+	cur, next []uint32
+	counts    []int32
+}
+
+// borrow takes a *T from p, or a zero one when the pool is empty (at
+// start, and after the collector reclaimed an idle server's scratch).
+func borrow[T any](p *sync.Pool) *T {
+	if v, ok := p.Get().(*T); ok {
+		return v
+	}
+	return new(T)
+}
+
+// sized returns s with length n, reallocated only when n outgrew it (the
+// first borrow, or a delta that added vertices). Contents are stale.
+func sized[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
+}
+
 // execute runs the query's kernel against the pinned epoch and returns
 // the fully serialized response body. Every kernel here is bit-identical
 // across worker counts (the backend conformance pins), so the bytes are a
@@ -229,44 +256,43 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 	switch q.kind {
 	case kindPageRank:
 		st := g.bind(snap)
-		ranks, iters := native.PageRank(s.pool, st.in, st.outDeg, q.jump, q.tol, q.iters, nil)
+		vec := borrow[rankVectors](&s.rankScratch)
+		n := int(st.in.NumRows)
+		vec.pr, vec.next, vec.contrib = sized(vec.pr, n), sized(vec.next, n), sized(vec.contrib, n)
+		ranks, iters := native.PageRankInto(s.pool, st.in, st.outDeg, q.jump, q.tol, q.iters, nil, vec.pr, vec.next, vec.contrib)
 		resp = &pageRankResponse{
 			queryMeta:  meta,
 			Iterations: iters,
-			Checksum:   checksumFloat64s(ranks),
+			Checksum:   checksumHex(hashFloat64s(ranks)),
 			Top:        topRanks(ranks, q.topK),
 		}
+		s.rankScratch.Put(vec)
 	case kindBFS:
 		if int64(q.source) >= int64(snap.NumVertices()) {
 			return nil, badRequest("source %d outside vertex space [0,%d)", q.source, snap.NumVertices())
 		}
 		dist, _ := native.BFS(s.pool, backend.FromSnapshot(snap), q.source, "serve.bfs.level", nil)
-		var reached int64
-		maxDepth := int32(0)
-		for _, d := range dist {
-			if d >= 0 {
-				reached++
-				if d > maxDepth {
-					maxDepth = d
-				}
-			}
-		}
+		reached, maxDepth, sum := bfsStats(dist)
 		resp = &bfsResponse{
 			queryMeta: meta,
 			Source:    q.source,
 			Reached:   reached,
 			MaxDepth:  maxDepth,
-			Checksum:  checksumInt32s(dist),
+			Checksum:  checksumHex(sum),
 		}
 	case kindCC:
-		labels := native.ConnectedComponents(s.pool, backend.FromSnapshot(snap))
-		comps, largest := componentStats(labels)
+		vec := borrow[labelVectors](&s.labelScratch)
+		n := int(snap.NumVertices())
+		vec.cur, vec.next, vec.counts = sized(vec.cur, n), sized(vec.next, n), sized(vec.counts, n)
+		labels := native.ConnectedComponentsInto(s.pool, backend.FromSnapshot(snap), vec.cur, vec.next)
+		comps, largest, sum := componentStats(labels, vec.counts)
 		resp = &ccResponse{
 			queryMeta:   meta,
 			Components:  comps,
 			LargestSize: largest,
-			Checksum:    checksumUint32s(labels),
+			Checksum:    checksumHex(sum),
 		}
+		s.labelScratch.Put(vec)
 	case kindTC:
 		if !g.v.Options().Symmetrize {
 			return nil, badRequest("triangle counting needs a symmetrized graph; %q is directed", g.name)
@@ -292,20 +318,6 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 	return append(body, '\n'), nil
 }
 
-// componentStats counts distinct labels and the largest component size.
-func componentStats(labels []uint32) (components, largest int64) {
-	sizes := make(map[uint32]int64)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	for _, sz := range sizes {
-		if sz > largest {
-			largest = sz
-		}
-	}
-	return int64(len(sizes)), largest
-}
-
 // datalogQuery evaluates a SociaLite-style rule over the pinned epoch's
 // EDGE relation with REACH seeded at the query source. Recursive rules
 // (head table driving the body) run semi-naively to fixpoint on the
@@ -329,77 +341,136 @@ func datalogQuery(pool *backend.Pool, snap *graph.Snapshot, q *query) (*datalogR
 	if err != nil {
 		return nil, badRequest("evaluating rule: %v", err)
 	}
-	h := fnv.New64a()
-	var buf [12]byte
+	sum := uint64(fnvOffset64)
 	tbl.ForEach(func(k uint32, v socialite.Value) {
-		binary.LittleEndian.PutUint32(buf[0:4], k)
-		binary.LittleEndian.PutUint64(buf[4:12], math.Float64bits(v.S()))
-		_, _ = h.Write(buf[:])
+		sum = fnv1a(fnv1a(sum, uint64(k), 4), math.Float64bits(v.S()), 8)
 	})
 	return &datalogResponse{
 		Rounds:   rounds,
 		Facts:    tbl.Len(),
-		Checksum: fmt.Sprintf("%016x", h.Sum64()),
+		Checksum: checksumHex(sum),
 	}, nil
 }
 
+// worseRank orders top-k candidates: a ranks below b when its value is
+// lower, or equal with the larger vertex id.
+func worseRank(a, b vertexValue) bool {
+	return a.Value < b.Value || (a.Value == b.Value && a.Vertex > b.Vertex)
+}
+
+// siftDown restores the worst-at-root heap order of h below index i.
+func siftDown(h []vertexValue, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && worseRank(h[c+1], h[c]) {
+			c++
+		}
+		if !worseRank(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
 // topRanks returns the k highest-ranked vertices, ties broken by vertex
-// id so the listing is deterministic.
+// id so the listing is deterministic. One ascending-id pass keeps the k
+// best so far in a heap with the worst of them at the root: a later vertex
+// displaces the root only with a strictly higher rank, because on a tie
+// its larger id loses. Popping the heap then fills the listing back to
+// front. Ranks must be NaN-free.
 func topRanks(ranks []float64, k int) []vertexValue {
 	if k <= 0 {
 		return nil
 	}
-	idx := make([]uint32, len(ranks))
-	for i := range idx {
-		idx[i] = uint32(i)
-	}
-	sort.Slice(idx, func(i, j int) bool {
-		a, b := idx[i], idx[j]
-		if ranks[a] != ranks[b] {
-			return ranks[a] > ranks[b]
-		}
-		return a < b
-	})
-	if k > len(idx) {
-		k = len(idx)
+	if k > len(ranks) {
+		k = len(ranks)
 	}
 	top := make([]vertexValue, k)
-	for i := 0; i < k; i++ {
-		top[i] = vertexValue{Vertex: idx[i], Value: ranks[idx[i]]}
+	for v := range top {
+		top[v] = vertexValue{Vertex: uint32(v), Value: ranks[v]}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(top, i)
+	}
+	for v := k; v < len(ranks); v++ {
+		if r := ranks[v]; r > top[0].Value {
+			top[0] = vertexValue{Vertex: uint32(v), Value: r}
+			siftDown(top, 0)
+		}
+	}
+	for end := k - 1; end > 0; end-- {
+		top[0], top[end] = top[end], top[0]
+		siftDown(top[:end], 0)
 	}
 	return top
 }
 
-// checksumFloat64s hashes a float64 array bit-exactly (FNV-1a over the
-// little-endian IEEE-754 words).
-func checksumFloat64s(xs []float64) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, x := range xs {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
-		_, _ = h.Write(buf[:])
+// FNV-1a (64-bit) parameters; every checksum in a response body is this
+// hash over the result array's little-endian words.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a folds the low n bytes of x, least significant first, into h.
+func fnv1a(h, x uint64, n int) uint64 {
+	for ; n > 0; n-- {
+		h = (h ^ (x & 0xff)) * fnvPrime64
+		x >>= 8
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return h
 }
 
-// checksumInt32s hashes an int32 array bit-exactly.
-func checksumInt32s(xs []int32) string {
-	h := fnv.New64a()
-	var buf [4]byte
+// checksumHex renders a checksum the way every response carries it.
+func checksumHex(h uint64) string { return fmt.Sprintf("%016x", h) }
+
+// hashFloat64s hashes a float64 array bit-exactly (the IEEE-754 words).
+func hashFloat64s(xs []float64) uint64 {
+	h := uint64(fnvOffset64)
 	for _, x := range xs {
-		binary.LittleEndian.PutUint32(buf[:], uint32(x))
-		_, _ = h.Write(buf[:])
+		h = fnv1a(h, math.Float64bits(x), 8)
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return h
 }
 
-// checksumUint32s hashes a uint32 array bit-exactly.
-func checksumUint32s(xs []uint32) string {
-	h := fnv.New64a()
-	var buf [4]byte
-	for _, x := range xs {
-		binary.LittleEndian.PutUint32(buf[:], x)
-		_, _ = h.Write(buf[:])
+// bfsStats reduces a distance array (-1 = unreached) in one pass: the
+// reached count, the deepest level, and the bit-exact checksum.
+func bfsStats(dist []int32) (reached int64, maxDepth int32, sum uint64) {
+	sum = fnvOffset64
+	for _, d := range dist {
+		if d >= 0 {
+			reached++
+			if d > maxDepth {
+				maxDepth = d
+			}
+		}
+		sum = fnv1a(sum, uint64(uint32(d)), 4)
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return reached, maxDepth, sum
+}
+
+// componentStats reduces canonical min-id labels (every label is a vertex
+// id below len(labels)): the number of distinct labels, the largest
+// component's size, and the labels' bit-exact checksum. counts is scratch
+// of len(labels), overwritten.
+func componentStats(labels []uint32, counts []int32) (components, largest int64, sum uint64) {
+	clear(counts)
+	sum = fnvOffset64
+	for _, l := range labels {
+		counts[l]++
+		sum = fnv1a(sum, uint64(l), 4)
+	}
+	for _, c := range counts {
+		if c > 0 {
+			components++
+			if int64(c) > largest {
+				largest = int64(c)
+			}
+		}
+	}
+	return components, largest, sum
 }
