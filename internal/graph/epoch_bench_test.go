@@ -105,3 +105,39 @@ func BenchmarkStreamSnapshotDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStreamDeltaRecord measures what persisting one epoch advance
+// costs now that it is the delta's record and not the snapshot: encode,
+// and the decode + checked replay a restore pays per record.
+func BenchmarkStreamDeltaRecord(b *testing.B) {
+	base, delta := benchBase(b, 13)
+	v, err := graph.NewVersioned(base, graph.DeltaOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prev := v.Current()
+	snap, added, _, err := v.ApplyDelta(delta[:64])
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := graph.EncodeDelta(nil, snap, added)
+	b.Run("Encode", func(b *testing.B) {
+		b.SetBytes(int64(len(buf)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = graph.EncodeDelta(buf[:0], snap, added)
+		}
+	})
+	b.Run("Replay", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rec, _, err := graph.DecodeDelta(buf)
+			if err == nil {
+				_, err = rec.Apply(prev)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -91,4 +92,125 @@ func TestSnapshotCodecCorruptInput(t *testing.T) {
 	if _, _, err := DecodeSnapshot(verBad); err == nil {
 		t.Fatal("unknown codec version decoded")
 	}
+}
+
+// deltaFixture applies one delta to a small graph and returns the
+// snapshots before and after with the cleaned edges between them.
+func deltaFixture(t testing.TB) (prev, next *Snapshot, added []Edge) {
+	t.Helper()
+	g, err := func() (*CSR, error) {
+		b := NewBuilder(6)
+		b.AddEdges([]Edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {5, 1}})
+		return b.Build(BuildOptions{Dedup: true, SortAdjacency: true})
+	}()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewVersioned(g, DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev = v.Current()
+	next, added, _, err = v.ApplyDelta([]Edge{{1, 4}, {4, 7}, {0, 1}, {4, 7}, {2, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prev, next, added
+}
+
+func TestDeltaCodecRoundTrip(t *testing.T) {
+	prev, next, added := deltaFixture(t)
+	blob := EncodeDelta([]byte("head"), next, added)
+	rec, rest, err := DecodeDelta(blob[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d trailing bytes after the record", len(rest))
+	}
+	if rec.Epoch != next.Epoch() || rec.NumVertices != next.NumVertices() || !slices.Equal(rec.Added, added) {
+		t.Fatalf("decoded %+v, want epoch %d, %d vertices, %v", rec, next.Epoch(), next.NumVertices(), added)
+	}
+	got, err := rec.Apply(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := next.CSR(), got.CSR()
+	if got.Epoch() != next.Epoch() || !slices.Equal(a.Offsets, b.Offsets) || !slices.Equal(a.Targets, b.Targets) {
+		t.Fatal("replaying the record does not rebuild the epoch ApplyDelta built")
+	}
+	if err := b.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeltaCodecRejectsDamage: every truncation and every single flipped
+// bit of a record is an error. The checksum is what catches a flip inside
+// an edge, which no length check can.
+func TestDeltaCodecRejectsDamage(t *testing.T) {
+	_, next, added := deltaFixture(t)
+	blob := EncodeDelta(nil, next, added)
+	for n := 0; n < len(blob); n++ {
+		if _, _, err := DecodeDelta(blob[:n]); err == nil {
+			t.Errorf("record truncated to %d of %d bytes decoded", n, len(blob))
+		}
+	}
+	for bit := 0; bit < 8*len(blob); bit++ {
+		bad := bytes.Clone(blob)
+		bad[bit/8] ^= 1 << (bit % 8)
+		if _, _, err := DecodeDelta(bad); err == nil {
+			t.Errorf("record with bit %d flipped decoded", bit)
+		}
+	}
+}
+
+// TestDeltaRecordApplyChecksItsBase: a well-formed record replayed onto
+// the wrong snapshot is refused before anything is merged.
+func TestDeltaRecordApplyChecksItsBase(t *testing.T) {
+	prev, next, added := deltaFixture(t)
+	good := DeltaRecord{Epoch: next.Epoch(), NumVertices: next.NumVertices(), Added: added}
+	for name, damage := range map[string]func(r *DeltaRecord){
+		"wrong epoch":     func(r *DeltaRecord) { r.Epoch++ },
+		"shrunk space":    func(r *DeltaRecord) { r.NumVertices = prev.NumVertices() - 1 },
+		"endpoint beyond": func(r *DeltaRecord) { r.NumVertices = 7 },
+		"unsorted":        func(r *DeltaRecord) { r.Added[0], r.Added[1] = r.Added[1], r.Added[0] },
+		"repeated":        func(r *DeltaRecord) { r.Added[1] = r.Added[0] },
+		"already present": func(r *DeltaRecord) { r.Added[0] = Edge{0, 1} },
+	} {
+		r := good
+		r.Added = slices.Clone(added)
+		damage(&r)
+		if _, err := r.Apply(prev); err == nil {
+			t.Errorf("%s: record applied", name)
+		}
+	}
+	if _, err := good.Apply(next); err == nil {
+		t.Error("record applied to its own epoch")
+	}
+}
+
+// FuzzDecodeDelta: arbitrary bytes must decode to an error or to a record
+// no larger than its input, and must never panic — applying what decoded
+// onto a real snapshot included.
+func FuzzDecodeDelta(f *testing.F) {
+	prev, next, added := deltaFixture(f)
+	blob := EncodeDelta(nil, next, added)
+	f.Add(blob)
+	f.Add(blob[:len(blob)/2])
+	f.Add([]byte{})
+	f.Add([]byte{deltaCodecVersion, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, rest, err := DecodeDelta(data)
+		if err != nil {
+			return
+		}
+		if 8*len(rec.Added)+len(rest) > len(data) {
+			t.Fatalf("decoded %d edges and %d trailing bytes from %d bytes", len(rec.Added), len(rest), len(data))
+		}
+		if snap, err := rec.Apply(prev); err == nil {
+			if err := snap.CSR().Validate(); err != nil {
+				t.Fatalf("applied record built an invalid CSR: %v", err)
+			}
+		}
+	})
 }

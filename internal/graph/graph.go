@@ -12,6 +12,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -259,6 +260,17 @@ func (g *CSR) Transpose() *CSR {
 		}
 	}
 	return &CSR{NumVertices: n, Offsets: offsets, Targets: targets, Weights: weights, targetSpace: g.NumVertices, sortedAdj: true}
+}
+
+// Symmetric reports whether every edge has its reverse, by comparing the
+// graph with its transpose array for array. The adjacency must be sorted
+// (Transpose's always is); an unsorted or rectangular graph reports false.
+func (g *CSR) Symmetric() bool {
+	if !g.sortedAdj || g.targetSpace != g.NumVertices {
+		return false
+	}
+	t := g.Transpose()
+	return slices.Equal(g.Offsets, t.Offsets) && slices.Equal(g.Targets, t.Targets)
 }
 
 // SortAdjacency sorts every adjacency list in place by target id (weights,

@@ -14,11 +14,13 @@ import (
 // pin bit-identical: any algorithm computing min-id labels on the same
 // graph produces the same array.
 
-// ConnectedComponents computes min-id component labels of an undirected
-// (symmetrized) graph with synchronous min-label sweeps on the backend
-// pool: next[v] = min(cur[v], min over neighbors cur[w]), iterated to a
-// fixpoint. Jacobi-style double buffering makes every sweep deterministic
-// at any worker count.
+// ConnectedComponents computes min-id labels with synchronous min-label
+// sweeps on the backend pool: next[v] = min(cur[v], min over out-neighbors
+// cur[w]), iterated to a fixpoint, so labels[v] is the smallest vertex id
+// reachable from v. On an undirected (symmetrized) graph that is the
+// smallest id of v's component; on a directed one it is what the service
+// answers for /query/cc all the same. Jacobi-style double buffering makes
+// every sweep deterministic at any worker count.
 func ConnectedComponents(pool *backend.Pool, m *backend.Matrix) []uint32 {
 	return ConnectedComponentsInto(pool, m, make([]uint32, m.NumRows), make([]uint32, m.NumRows))
 }
@@ -60,19 +62,67 @@ func ConnectedComponentsInto(pool *backend.Pool, m *backend.Matrix, cur, next []
 	}
 }
 
+// RepairCC brings min-id labels up to date after edge insertions, in
+// place. labels holds ConnectedComponents' result on the graph as it was
+// before added went in, over a prefix of the vertex space: labels[v] is
+// the smallest vertex id reachable from v along out-edges (on a
+// symmetrized graph, the smallest id of v's component). An added edge
+// (u,v) lets u reach whatever v reaches, so it lowers u when v's label is
+// the smaller, and the lower label then belongs to every vertex that
+// reaches u: the flood runs backwards, through preds, the in-edge matrix
+// (the transpose) of the graph with every added edge present. On a
+// symmetric graph that is the graph's own matrix. Flooding along
+// out-edges instead is only right when every edge has its reverse. The
+// result is bit-identical to a cold ConnectedComponents on the new graph;
+// added may be the union of several epochs' cleaned deltas. Work is
+// proportional to the relabelled region.
+func RepairCC(preds *backend.Matrix, labels []uint32, added []graph.Edge) []uint32 {
+	// New vertices start as their own singleton components. The vector
+	// grows to exactly the new vertex count (see RepairBFS).
+	if n := int(preds.NumRows); len(labels) < n {
+		grown := make([]uint32, n)
+		for i := copy(grown, labels); i < n; i++ {
+			grown[i] = graph.MustU32(int64(i))
+		}
+		labels = grown
+	}
+	var work []uint32
+	for _, e := range added {
+		if lv := labels[e.Dst]; lv < labels[e.Src] {
+			labels[e.Src] = lv
+			work = append(work, e.Src)
+		}
+	}
+	// Min labels only ever fall, so each pop either lowers predecessors or
+	// terminates.
+	for len(work) > 0 {
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
+		lv := labels[v]
+		for _, p := range preds.Cols[preds.Offsets[v]:preds.Offsets[v+1]] {
+			if labels[p] > lv {
+				labels[p] = lv
+				work = append(work, p)
+			}
+		}
+	}
+	return labels
+}
+
 // IncrementalCC maintains min-id component labels across the epochs of a
-// versioned (symmetrized, insert-only) graph. Insertions only merge
-// components, so the refresh seeds a worklist from delta edges whose
-// endpoints carry different labels and floods the smaller label through
-// the losing component — work proportional to the merged region. The
-// first Update runs the full sweep kernel on the backend pool.
+// versioned, symmetrized, insert-only graph: the first Update runs the
+// full sweep kernel on the backend pool, every later one is a RepairCC
+// that floods through the snapshot's own adjacency. That shortcut is what
+// restricts it to symmetric graphs, and Update checks it rather than
+// trusting it — the whole graph once on the cold start, each delta
+// thereafter. A caller with a directed graph and its in-edge matrix at
+// hand calls RepairCC directly.
 type IncrementalCC struct {
 	pool *backend.Pool
 
 	epoch  graph.Epoch
 	primed bool
 	labels []uint32
-	work   []uint32
 }
 
 // NewIncrementalCC builds the kernel on the caller's pool, which must
@@ -85,56 +135,28 @@ func NewIncrementalCC(pool *backend.Pool) *IncrementalCC {
 func (c *IncrementalCC) Epoch() graph.Epoch { return c.epoch }
 
 // Update refreshes the labels for the given epoch; added is the epoch's
-// cleaned delta (ApplyDelta's output). The returned slice is kernel
-// state, valid until the next Update.
+// cleaned delta (ApplyDelta's output). It fails, leaving its state alone,
+// when the snapshot is not symmetric. The returned slice is kernel state,
+// valid until the next Update.
 func (c *IncrementalCC) Update(s *graph.Snapshot, added []graph.Edge) ([]uint32, error) {
 	g := s.CSR()
-	n := int(g.NumVertices)
-	if n == 0 {
+	if g.NumVertices == 0 {
 		return nil, fmt.Errorf("native: incremental cc on an empty graph")
 	}
 	if !c.primed {
-		c.labels = ConnectedComponents(c.pool, backend.FromSnapshot(s))
-		c.epoch = s.Epoch()
-		c.primed = true
-		return c.labels, nil
-	}
-
-	// New vertices start as their own singleton components.
-	for len(c.labels) < n {
-		c.labels = append(c.labels, graph.MustU32(int64(len(c.labels))))
-	}
-	labels := c.labels[:n]
-
-	// Seed: every delta edge bridging two labels lowers the greater side.
-	work := c.work[:0]
-	for _, e := range added {
-		lu, lv := labels[e.Src], labels[e.Dst]
-		switch {
-		case lu < lv:
-			labels[e.Dst] = lu
-			work = append(work, e.Dst)
-		case lv < lu:
-			labels[e.Src] = lv
-			work = append(work, e.Src)
+		if !g.Symmetric() {
+			return nil, fmt.Errorf("native: incremental cc needs a symmetric graph; epoch %d has an edge without its reverse", s.Epoch())
 		}
-	}
-	// Flood: min labels propagate monotonically, so each pop either
-	// improves neighbors or terminates; the graph's symmetry carries the
-	// label through the whole losing component.
-	for len(work) > 0 {
-		v := work[len(work)-1]
-		work = work[:len(work)-1]
-		lv := labels[v]
-		for _, w := range g.Neighbors(v) {
-			if labels[w] > lv {
-				labels[w] = lv
-				work = append(work, w)
+		c.labels = ConnectedComponents(c.pool, backend.FromSnapshot(s))
+		c.primed = true
+	} else {
+		for _, e := range added {
+			if !g.HasEdge(e.Dst, e.Src) {
+				return nil, fmt.Errorf("native: incremental cc needs a symmetric graph; epoch %d adds %d->%d without its reverse", s.Epoch(), e.Src, e.Dst)
 			}
 		}
+		c.labels = RepairCC(backend.FromSnapshot(s), c.labels, added)
 	}
-	c.labels = labels
-	c.work = work[:0]
 	c.epoch = s.Epoch()
-	return labels, nil
+	return c.labels, nil
 }

@@ -170,14 +170,77 @@ func growFloat64(buf []float64, n int) []float64 {
 	return buf
 }
 
+// RepairBFS brings single-source hop distances up to date after edge
+// insertions, in place. dist holds the exact distances (-1 = unreached) on
+// the graph as it was before added went in, over a prefix of m's vertex
+// space; m is the out-edge matrix of the graph with every added edge
+// present. The result is bit-identical to a cold BFS on m from the same
+// source, for a directed graph as much as for a symmetrized one: an
+// insertion never lengthens a path, so every stale distance is an
+// overestimate, and relaxing outward along out-edges from the added edges
+// that create shortcuts reaches exactly the vertices that improved. added
+// may be the union of several epochs' cleaned deltas (ApplyDelta's
+// output) as long as it is all of them — the repair is then one pass
+// seeded by the union. Work is proportional to the improved region, so the
+// repair is serial: its frontiers fall out of the delta, not the graph.
+func RepairBFS(m *backend.Matrix, dist []int32, added []graph.Edge) []int32 {
+	// Vertices the insertions introduced are unreachable until an added
+	// edge connects them. The vector grows to exactly the new vertex
+	// count: whoever carries it across epochs accounts for its capacity.
+	if n := int(m.NumRows); len(dist) < n {
+		grown := make([]int32, n)
+		for i := copy(grown, dist); i < n; i++ {
+			grown[i] = -1
+		}
+		dist = grown
+	}
+
+	// buckets[d] holds vertices whose tentative distance improved to d.
+	var buckets [][]uint32
+	push := func(v uint32, d int32) {
+		for len(buckets) <= int(d) {
+			buckets = append(buckets, nil)
+		}
+		buckets[d] = append(buckets[d], v)
+	}
+	// Seed: an added edge (u,v) with a reached tail is a shortcut when it
+	// beats v's current distance.
+	for _, e := range added {
+		du := dist[e.Src]
+		if du < 0 {
+			continue
+		}
+		if dv := dist[e.Dst]; dv < 0 || dv > du+1 {
+			dist[e.Dst] = du + 1
+			push(e.Dst, du+1)
+		}
+	}
+	// Relax in level order (a bucket queue over unit weights): a popped
+	// vertex is final when its recorded distance still matches its bucket,
+	// so each improved vertex expands exactly once.
+	for d := 0; d < len(buckets); d++ {
+		dd := graph.MustI32(int64(d))
+		for i := 0; i < len(buckets[d]); i++ {
+			v := buckets[d][i]
+			if dist[v] != dd {
+				continue // improved again by a lower bucket; stale entry
+			}
+			nd := dd + 1
+			for _, w := range m.Cols[m.Offsets[v]:m.Offsets[v+1]] {
+				if dw := dist[w]; dw < 0 || dw > nd {
+					dist[w] = nd
+					push(w, nd)
+				}
+			}
+		}
+	}
+	return dist
+}
+
 // IncrementalBFS maintains single-source BFS distances across the epochs
-// of a versioned (symmetrized, insert-only) graph. Epoch N+1's distances
-// can only shrink, so the refresh seeds a repair frontier from the delta
-// edges that create shortcuts and relaxes outward in level order — work
-// proportional to the region the delta actually improved, not the graph.
-// The first Update runs the backend pool's full direction-switching
-// traversal; repairs are serial because repair frontiers are tiny
-// compared to the graph (falling out of the delta, not the frontier).
+// of a versioned insert-only graph, directed or symmetrized. The first
+// Update runs the backend pool's full direction-switching traversal; every
+// later one is a RepairBFS of the distances it kept.
 type IncrementalBFS struct {
 	source uint32
 	pool   *backend.Pool
@@ -185,9 +248,6 @@ type IncrementalBFS struct {
 	epoch  graph.Epoch
 	primed bool
 	dist   []int32
-	// buckets[d] holds vertices whose tentative distance improved to d
-	// during the current repair.
-	buckets [][]uint32
 }
 
 // NewIncrementalBFS builds the kernel for traversals from source on the
@@ -204,72 +264,16 @@ func (b *IncrementalBFS) Epoch() graph.Epoch { return b.epoch }
 // passing the full set is what makes the repair exact. The returned slice
 // is kernel state, valid until the next Update.
 func (b *IncrementalBFS) Update(s *graph.Snapshot, added []graph.Edge) ([]int32, error) {
-	g := s.CSR()
-	n := int(g.NumVertices)
-	if int(b.source) >= n {
-		return nil, fmt.Errorf("native: bfs source %d outside vertex space [0,%d)", b.source, n)
+	m := backend.FromSnapshot(s)
+	if int64(b.source) >= int64(m.NumRows) {
+		return nil, fmt.Errorf("native: bfs source %d outside vertex space [0,%d)", b.source, m.NumRows)
 	}
-
-	if !b.primed {
-		b.dist, _ = BFS(b.pool, backend.FromSnapshot(s), b.source, "native.bfs.level", nil)
-		b.epoch = s.Epoch()
+	if b.primed {
+		b.dist = RepairBFS(m, b.dist, added)
+	} else {
+		b.dist, _ = BFS(b.pool, m, b.source, "native.bfs.level", nil)
 		b.primed = true
-		return b.dist, nil
 	}
-
-	// Grow the distance array for vertices the epoch introduced; they are
-	// unreachable until a delta edge connects them.
-	for len(b.dist) < n {
-		b.dist = append(b.dist, -1)
-	}
-	dist := b.dist[:n]
-
-	// Seed the repair: a delta edge (u,v) with a reached tail creates a
-	// shortcut when it beats v's current distance. Insertions never
-	// lengthen paths, so every stale distance is an overestimate fixed by
-	// relaxing these seeds outward.
-	maxLevel := -1 // no seeds → no repair
-	push := func(v uint32, d int32) {
-		for len(b.buckets) <= int(d) {
-			b.buckets = append(b.buckets, nil)
-		}
-		b.buckets[d] = append(b.buckets[d], v)
-		if int(d) > maxLevel {
-			maxLevel = int(d)
-		}
-	}
-	for _, e := range added {
-		du := dist[e.Src]
-		if du < 0 {
-			continue
-		}
-		if dv := dist[e.Dst]; dv < 0 || dv > du+1 {
-			dist[e.Dst] = du + 1
-			push(e.Dst, du+1)
-		}
-	}
-
-	// Relax in level order (a bucket queue over unit weights): each popped
-	// vertex is final when its recorded distance still matches its bucket,
-	// so each improved vertex expands exactly once.
-	for d := 0; d <= maxLevel; d++ {
-		dd := graph.MustI32(int64(d))
-		for i := 0; i < len(b.buckets[d]); i++ {
-			v := b.buckets[d][i]
-			if dist[v] != dd {
-				continue // improved again by a lower bucket; stale entry
-			}
-			nd := dd + 1
-			for _, w := range g.Neighbors(v) {
-				if dw := dist[w]; dw < 0 || dw > nd {
-					dist[w] = nd
-					push(w, nd)
-				}
-			}
-		}
-		b.buckets[d] = b.buckets[d][:0]
-	}
-	b.dist = dist
 	b.epoch = s.Epoch()
-	return dist, nil
+	return b.dist, nil
 }

@@ -1,0 +1,195 @@
+package native
+
+import (
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"graphmaze/internal/backend"
+	"graphmaze/internal/gen"
+	"graphmaze/internal/graph"
+)
+
+// directedStream is a directed RMAT graph in which vertex 0 reaches nothing
+// on its own account (so lowering a label to 0 is an event, not the
+// starting state) plus 20 random deltas. Every delta carries the cases
+// the repairs must survive: a duplicate of an existing edge, an edge
+// repeated within the batch, a self loop, a brand-new vertex, and — in the
+// middle of the stream — an edge from the highest-numbered vertex straight
+// to vertex 0, which drops the label of everything that reaches it to 0.
+func directedStream(t *testing.T, seed int64) (*graph.Versioned, [][]graph.Edge) {
+	t.Helper()
+	const scale = 8
+	edges, err := gen.RMAT(gen.Graph500Config(scale, 4, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(1 << scale)
+	for _, e := range edges {
+		if e.Dst != 0 {
+			b.AddEdges([]graph.Edge{e})
+		}
+	}
+	base, err := b.Build(graph.BuildOptions{Dedup: true, SortAdjacency: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := graph.NewVersioned(base, graph.DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	top := uint32(1 << scale)
+	existing := base.Edges()
+	deltas := make([][]graph.Edge, 20)
+	for i := range deltas {
+		var d []graph.Edge
+		for j := 0; j < 12; j++ {
+			e := graph.Edge{Src: uint32(rng.Intn(int(top))), Dst: 1 + uint32(rng.Intn(int(top)-1))}
+			d = append(d, e)
+		}
+		d = append(d, d[0], existing[rng.Intn(len(existing))])
+		loop := uint32(rng.Intn(int(top)))
+		d = append(d, graph.Edge{Src: loop, Dst: loop})
+		d = append(d, graph.Edge{Src: top, Dst: 1 + uint32(rng.Intn(int(top)-1))})
+		top++
+		if i == len(deltas)/2 {
+			d = append(d, graph.Edge{Src: top - 1, Dst: 0})
+		}
+		deltas[i] = d
+	}
+	return v, deltas
+}
+
+// TestRepairCCDirectedConformance: on a directed graph connected
+// components is "smallest id reachable along out-edges", and its repair
+// floods predecessors through the in-CSR. Repaired labels must equal a
+// cold run bit for bit at every epoch, one delta at a time and with
+// several skipped epochs repaired at once from the union of their deltas.
+// (Flooding out-edges, as IncrementalCC did before it refused directed
+// graphs, fails this on the first delta that lowers a label.)
+func TestRepairCCDirectedConformance(t *testing.T) {
+	for _, procs := range conformanceProcs {
+		prev := runtime.GOMAXPROCS(procs)
+		func() {
+			defer runtime.GOMAXPROCS(prev)
+			for _, stride := range []int{1, 3} {
+				v, deltas := directedStream(t, 23)
+				pool := backend.NewPool(0)
+				defer pool.Close()
+				labels := ConnectedComponents(pool, backend.FromSnapshot(v.Current()))
+				if labels[0] != 0 || slices.Index(labels[1:], 0) >= 0 {
+					t.Fatal("fixture: something reaches vertex 0 before any delta")
+				}
+				var union []graph.Edge
+				sawZero := false
+				for i, d := range deltas {
+					snap, added, _, err := v.ApplyDelta(d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					union = append(union, added...)
+					if (i+1)%stride != 0 {
+						continue
+					}
+					labels = RepairCC(backend.FromCSR(snap.CSR().Transpose()), labels, union)
+					union = union[:0]
+					ref := ConnectedComponents(pool, backend.FromSnapshot(snap))
+					if !slices.Equal(labels, ref) {
+						t.Fatalf("procs=%d stride=%d epoch=%d: repaired labels differ from a cold run", procs, stride, snap.Epoch())
+					}
+					sawZero = sawZero || slices.Index(labels[1:], 0) >= 0
+				}
+				if !sawZero {
+					t.Error("fixture: no delta ever lowered a label to 0")
+				}
+			}
+		}()
+	}
+}
+
+// TestRepairBFSDirectedConformance pins what RepairBFS's contract says:
+// insertion-only repair along out-edges is exact on a directed graph.
+func TestRepairBFSDirectedConformance(t *testing.T) {
+	for _, procs := range conformanceProcs {
+		prev := runtime.GOMAXPROCS(procs)
+		func() {
+			defer runtime.GOMAXPROCS(prev)
+			for _, stride := range []int{1, 4} {
+				v, deltas := directedStream(t, 29)
+				pool := backend.NewPool(0)
+				defer pool.Close()
+				// The highest-degree vertex: a source that reaches something.
+				var source uint32
+				for u := uint32(0); u < v.Current().NumVertices(); u++ {
+					if v.Current().CSR().Degree(u) > v.Current().CSR().Degree(source) {
+						source = u
+					}
+				}
+				dist, _ := BFS(pool, backend.FromSnapshot(v.Current()), source, "native.bfs.level", nil)
+				var union []graph.Edge
+				for i, d := range deltas {
+					snap, added, _, err := v.ApplyDelta(d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					union = append(union, added...)
+					if (i+1)%stride != 0 {
+						continue
+					}
+					dist = RepairBFS(backend.FromSnapshot(snap), dist, union)
+					union = union[:0]
+					ref, _ := BFS(pool, backend.FromSnapshot(snap), source, "native.bfs.level", nil)
+					if !slices.Equal(dist, ref) {
+						t.Fatalf("procs=%d stride=%d epoch=%d: repaired distances differ from a cold run", procs, stride, snap.Epoch())
+					}
+				}
+			}
+		}()
+	}
+}
+
+// TestIncrementalCCRefusesDirected: the wrapper floods through the
+// snapshot's own adjacency, which is only the in-CSR when the graph is
+// symmetric, so it must say no to anything else — on the cold start and
+// on a later delta that breaks the symmetry.
+func TestIncrementalCCRefusesDirected(t *testing.T) {
+	pool := backend.NewPool(0)
+	defer pool.Close()
+
+	v, _ := directedStream(t, 31)
+	if _, err := NewIncrementalCC(pool).Update(v.Current(), nil); err == nil || !strings.Contains(err.Error(), "symmetric") {
+		t.Errorf("cold start on a directed graph: err = %v, want a refusal", err)
+	}
+
+	// Symmetric base, but ingested without Symmetrize: the first delta adds
+	// an edge with no reverse.
+	b := graph.NewBuilder(4)
+	b.AddEdges([]graph.Edge{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}})
+	base, err := b.Build(graph.BuildOptions{Dedup: true, Orientation: graph.Symmetrize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := graph.NewVersioned(base, graph.DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := NewIncrementalCC(pool)
+	before, err := cc.Update(one.Current(), nil)
+	if err != nil {
+		t.Fatalf("cold start on a symmetric graph: %v", err)
+	}
+	before = slices.Clone(before)
+	snap, added, _, err := one.ApplyDelta([]graph.Edge{{Src: 3, Dst: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cc.Update(snap, added); err == nil {
+		t.Error("a delta edge without its reverse was accepted")
+	}
+	if cc.Epoch() != 0 || !slices.Equal(cc.labels, before) {
+		t.Error("a refused update changed the kernel's state")
+	}
+}

@@ -48,10 +48,21 @@ func Mux(reg *Registry) *http.ServeMux {
 	return mux
 }
 
-// readHeaderTimeout bounds how long a connection may take to send its
-// request headers, so a client that opens a socket and trickles bytes
-// cannot hold it (and a drain) open indefinitely.
-const readHeaderTimeout = 10 * time.Second
+// The listener's timeouts, so that no client can hold a connection (and a
+// drain) open indefinitely by going slow at any stage. readHeaderTimeout
+// bounds the request headers. readTimeout bounds the whole request, body
+// included: the largest body anything mounted here accepts is graphserve's
+// 8 MiB /delta. writeTimeout bounds handling plus the response; it is what
+// ends a connection whose client stopped reading, and it sits above the
+// slowest thing served — a /debug/pprof/profile or trace of the default
+// 30 s, well above any query. idleTimeout closes a keep-alive connection
+// nobody is using.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 90 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // Server is a live HTTP listener started by Serve or ServeHandler.
 type Server struct {
@@ -75,7 +86,13 @@ func ServeHandler(addr string, h http.Handler) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		srv:  &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout},
+		srv: &http.Server{
+			Handler:           h,
+			ReadHeaderTimeout: readHeaderTimeout,
+			ReadTimeout:       readTimeout,
+			WriteTimeout:      writeTimeout,
+			IdleTimeout:       idleTimeout,
+		},
 		ln:   ln,
 		done: make(chan struct{}),
 	}

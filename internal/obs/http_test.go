@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 )
@@ -18,7 +19,13 @@ import (
 func TestShutdownDrainsInFlightAndDropsSlowHeaders(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
+	var first sync.Once
 	srv, err := ServeHandler("127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		held := false
+		first.Do(func() { held = true })
+		if !held {
+			return // the probe below
+		}
 		close(entered)
 		<-release
 		_, _ = io.WriteString(w, "done\n")
@@ -28,6 +35,12 @@ func TestShutdownDrainsInFlightAndDropsSlowHeaders(t *testing.T) {
 	}
 	if srv.srv.ReadHeaderTimeout <= 0 {
 		t.Error("server has no ReadHeaderTimeout: a slow-header client holds its connection forever")
+	}
+	if srv.srv.ReadTimeout <= 0 || srv.srv.IdleTimeout <= 0 {
+		t.Error("server has no ReadTimeout or IdleTimeout: a slow-body or silent keep-alive client holds its connection forever")
+	}
+	if srv.srv.WriteTimeout < 45*time.Second {
+		t.Errorf("WriteTimeout %v would cut a default 30 s /debug/pprof/profile short", srv.srv.WriteTimeout)
 	}
 
 	type reply struct {
@@ -56,6 +69,15 @@ func TestShutdownDrainsInFlightAndDropsSlowHeaders(t *testing.T) {
 	if _, err := io.WriteString(slow, "GET / HTTP/1.1\r\nHost: x\r\n"); err != nil {
 		t.Fatal(err)
 	}
+	// Connections are accepted in order, so once a later one has been
+	// answered the slow one is the server's to track: without this a loaded
+	// machine can close the listener before the slow connection is accepted,
+	// and Shutdown has nothing to wait for.
+	probe, err := http.Get("http://" + srv.Addr() + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.Body.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()

@@ -113,3 +113,43 @@ func BenchmarkResultCache(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServeDeltaThenMiss measures what a delta forces on the two
+// kinds that repair a carried vector instead of recomputing: each
+// iteration posts a small delta and then misses once, end to end over
+// HTTP, on a scale-14 graph (on the 128-vertex fixtures a cold kernel is
+// as cheap as a repair). Refresh is the ordinary request; Cold is the same
+// request with no-cache, which recomputes.
+func BenchmarkServeDeltaThenMiss(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		sym  bool
+		path string
+	}{
+		{"CC", true, "/query/cc?graph=g"},
+		{"BFS", false, "/query/bfs?graph=g&source=2"},
+	} {
+		for _, mode := range []struct {
+			name string
+			hdr  map[string]string
+		}{{"Refresh", nil}, {"Cold", noCache}} {
+			b.Run(c.name+"/"+mode.name, func(b *testing.B) {
+				s, ts := serveOne(b, buildVersioned(b, 14, c.sym, 42))
+				get(b, ts.URL+c.path, nil)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					postGrowDelta(b, ts.URL, fmt.Sprintf(`{"graph":"g","edges":[[%d,%d],[%d,%d]]}`,
+						i%16384, (7*i+3)%16384, (5*i+1)%16384, 16384+i%64))
+					if code, _, _ := get(b, ts.URL+c.path, mode.hdr); code != http.StatusOK {
+						b.Fatalf("status %d", code)
+					}
+				}
+				b.StopTimer()
+				if got := s.refreshedBFS.Load() + s.refreshedCC.Load(); mode.hdr == nil && got != int64(b.N) {
+					b.Fatalf("%d of %d misses were refreshed", got, b.N)
+				}
+			})
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"graphmaze/internal/graph"
@@ -42,10 +41,20 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // handleQuery is the full request pipeline: parse and canonicalize, admit
 // under the tenant's fair share, pin the graph's current epoch, probe the
-// result cache, compute on the shared pool on a miss, fill the cache,
-// respond. The request context is honored at every wait point: a client
-// that disconnects while queued gives its queue slot back, and a
-// cancelled request is never charged as computed.
+// result cache, on a miss either compute on the shared pool and fill the
+// cache or — when the same key is already being computed — wait for that
+// computation and take the hit path, respond. The request context is
+// honored at every wait point: a client that disconnects while queued or
+// parked gives its slot back, and a cancelled request is never charged as
+// computed.
+//
+// X-Cache says which of the three a response was: "hit" is bytes out of
+// the cache, including a request that parked behind the computation that
+// produced them; "miss" is the one request per (graph, epoch,
+// fingerprint) that computed and filled the cache; "bypass" is a
+// Cache-Control: no-cache request, which always runs the cold kernel and
+// neither reads nor fills the cache, waits for anyone, nor touches the
+// carried vectors.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	s.requests.Add(1)
@@ -64,7 +73,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Admission: the only place a request waits. The context carries the
+	// Admission: the first place a request waits. The context carries the
 	// client disconnect, so an abandoned request leaves the queue.
 	start := time.Now()
 	if err := s.adm.Acquire(ctx, tenantOf(r)); err != nil {
@@ -86,17 +95,39 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// if deltas advance the graph mid-query.
 	snap := g.v.Current()
 	key := cacheKey(g.name, snap.Epoch(), q.fingerprint())
-	bypass := strings.Contains(r.Header.Get("Cache-Control"), "no-cache")
-	if !bypass {
-		if body, ok := s.cache.get(key); ok {
-			s.recordQuery(q.kind, time.Since(start))
-			w.Header().Set("X-Cache", "hit")
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			_, _ = w.Write(body)
-			return
+	state := "bypass"
+	if !q.bypass {
+		// Coalesce: park while another request computes this key. A parked
+		// request keeps its admission slot and never touches the pool.
+		for {
+			body, hit, wait := s.cache.acquire(key)
+			if hit {
+				s.recordQuery(q.kind, time.Since(start))
+				writeBody(w, "hit", body)
+				return
+			}
+			if wait == nil {
+				break
+			}
+			s.coalesced.Add(1)
+			select {
+			case <-wait:
+			case <-ctx.Done():
+				writeError(w, http.StatusServiceUnavailable, "cancelled while waiting: %v", ctx.Err())
+				return
+			}
 		}
+		// This request leads the key: whatever happens below — a 400, a
+		// panic — the requests parked behind it are released, and the first
+		// of them to find no entry leads next.
+		defer s.cache.release(key)
+		state = "miss"
 	}
 
+	s.computed.Add(1)
+	if s.beforeExecute != nil {
+		s.beforeExecute(q)
+	}
 	body, err := s.execute(g, snap, q)
 	if err != nil {
 		var bad *badRequestError
@@ -107,14 +138,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	state := "miss"
-	if bypass {
-		state = "bypass"
-	} else {
+	if !q.bypass {
 		s.cache.put(key, body)
 	}
 	s.recordQuery(q.kind, time.Since(start))
-	w.Header().Set("X-Cache", state)
+	writeBody(w, state, body)
+}
+
+// writeBody sends a query's serialized response, saying in X-Cache how it
+// was produced.
+func writeBody(w http.ResponseWriter, xcache string, body []byte) {
+	w.Header().Set("X-Cache", xcache)
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	_, _ = w.Write(body)
 }
@@ -147,10 +181,11 @@ type deltaResponse struct {
 }
 
 // handleDelta ingests a batch of edge insertions: POST {"graph": ...,
-// "edges": [[src,dst],...]}. Ingestion holds only the graph's writer
-// mutex — queries pinned to older epochs keep running unblocked, and the
-// new epoch is persisted into the graph's epoch store before the response
-// confirms it.
+// "edges": [[src,dst],...]}. Ingestion holds only the graph's ingest lock
+// — queries pinned to older epochs keep running unblocked — and under it
+// the epoch advances, the cleaned edges join the pending list the carried
+// vectors are repaired from, and the delta's record is persisted into the
+// graph's epoch store, all before the response confirms the epoch.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	if r.Method != http.MethodPost {
@@ -183,13 +218,20 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	for i, e := range req.Edges {
 		delta[i] = graph.Edge{Src: e[0], Dst: e[1]}
 	}
-	snap, _, stats, err := g.v.ApplyDelta(delta)
+	g.ingest.Lock()
+	snap, added, stats, err := g.v.ApplyDelta(delta)
+	var persistErr error
+	if err == nil {
+		g.notePending(snap.Epoch(), added, snap.NumVertices())
+		_, _, persistErr = g.store.SaveDelta(snap, added, 1)
+	}
+	g.ingest.Unlock()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "applying delta: %v", err)
 		return
 	}
-	if _, _, err := g.store.Save(snap, 1); err != nil {
-		writeError(w, http.StatusInternalServerError, "persisting epoch %d: %v", snap.Epoch(), err)
+	if persistErr != nil {
+		writeError(w, http.StatusInternalServerError, "persisting epoch %d: %v", snap.Epoch(), persistErr)
 		return
 	}
 	s.deltas.Add(1)

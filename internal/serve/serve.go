@@ -6,7 +6,7 @@
 //
 // The request pipeline (DESIGN.md §15) is
 //
-//	admission → fair queue → epoch pin → result cache → backend pool → reduction
+//	admission → fair queue → epoch pin → result cache → coalesce → backend pool → reduction
 //
 // Admission is a bounded queue plus a max-in-flight cap: when both are
 // full the request is shed with 429 immediately, so overload degrades
@@ -20,13 +20,18 @@
 // in the key means a delta invalidates naturally by changing the key,
 // never by flushing, and because every kernel is pinned bit-identical
 // across worker counts, a cache hit serves the exact bytes a recompute
-// would produce. Misses execute on one shared persistent backend.Pool, in
-// O(n) vectors borrowed from the server, and reduce the kernel's array to
-// the response's few numbers in single passes.
+// would produce. A miss on a key another request is already computing
+// waits for that computation and is then served as a hit. Misses execute
+// on one shared persistent backend.Pool, in O(n) vectors borrowed from the
+// server, and reduce the kernel's array to the response's few numbers in
+// single passes; after a delta, a BFS or connected-components miss repairs
+// the vector the graph carried over from the previous epoch instead of
+// recomputing it (carried.go).
 package serve
 
 import (
 	"fmt"
+	"log"
 	"net/http"
 	"sort"
 	"sync"
@@ -71,18 +76,40 @@ func (c Config) withDefaults() Config {
 }
 
 // servedGraph is one registered versioned graph plus its per-epoch bound
-// state and persistence accounting.
+// state, the result vectors it carries from epoch to epoch (carried.go)
+// and its persistence accounting.
 type servedGraph struct {
 	name  string
 	v     *graph.Versioned
 	store *ckpt.EpochStore
 
-	// mu guards bound: the derived state (PageRank's in-CSR and
-	// out-degrees) of the newest epoch any query has bound. The slot only
-	// moves forward, so a straggler still pinned to an older epoch never
-	// evicts the state every current query shares.
-	mu    sync.Mutex
+	// symmetric: every edge has its reverse, so the in-CSR PageRank pulls
+	// through and connected components floods back through is the graph
+	// itself. AddGraph verifies it on the base; DeltaOptions.Symmetrize
+	// preserves it from then on.
+	symmetric bool
+
+	// ingest serializes /delta on this graph: the epoch advance, the
+	// pending entry and the persisted record are one step, in epoch order.
+	// Queries never take it.
+	ingest sync.Mutex
+
+	// mu guards the fields below and is held for pointer moves only, never
+	// across a kernel, a transpose or a repair.
+	mu sync.Mutex
+	// bound is the derived state (PageRank's in-CSR and out-degrees) of
+	// the newest epoch any query has bound. The slot only moves forward, so
+	// a straggler still pinned to an older epoch never evicts the state
+	// every current query shares.
 	bound *epochState
+	// carriedVecs holds the carried result vectors by query fingerprint;
+	// pending[i] is the cleaned delta that produced epoch pendingBase+i.
+	carriedVecs map[string]*carried
+	pending     [][]graph.Edge
+	pendingBase graph.Epoch
+	stamp       uint64
+
+	carriedGauge, pendingGauge *obs.Gauge
 }
 
 // epochState is the derived per-epoch state PageRank-shaped queries need,
@@ -99,10 +126,14 @@ type epochState struct {
 }
 
 // bind returns the derived state for snap. The lock covers only the slot:
-// the transpose runs outside it, once per state, so queries of the same
+// the build runs outside it, once per state, so queries of the same
 // epoch wait for one build and queries of any other epoch wait for none.
 // A snapshot older than the slot's gets private state that is never
-// published; at most the queries in flight across a delta pay that.
+// published; at most the queries in flight across a delta pay that. On a
+// symmetric graph the in-CSR is the snapshot's own arrays, not a copy:
+// the transpose of a symmetric CSR with sorted adjacency equals it array
+// for array, and PageRank over the alias folds every row in the same
+// order.
 func (g *servedGraph) bind(snap *graph.Snapshot) *epochState {
 	g.mu.Lock()
 	st := g.bound
@@ -115,7 +146,11 @@ func (g *servedGraph) bind(snap *graph.Snapshot) *epochState {
 	}
 	g.mu.Unlock()
 	st.build.Do(func() {
-		st.in = backend.FromCSR(st.snap.CSR().Transpose())
+		if g.symmetric {
+			st.in = backend.FromSnapshot(st.snap)
+		} else {
+			st.in = backend.FromCSR(st.snap.CSR().Transpose())
+		}
 		st.outDeg = st.snap.CSR().OutDegrees()
 	})
 	return st
@@ -134,13 +169,26 @@ type Server struct {
 	graphs map[string]*servedGraph
 
 	muxOnce sync.Once
-	mux     *http.ServeMux
+	handler http.Handler
 
 	// lane spreads histogram records across the registry's worker lanes;
 	// request goroutines have no natural worker index.
 	lane     atomic.Int64
 	requests atomic.Int64
 	deltas   atomic.Int64
+	// computed counts kernel executions (misses that led their key, and
+	// bypasses), coalesced the times a request parked behind one, refreshed*
+	// the misses answered by repairing a carried vector, panics the handler
+	// panics answered with a 500.
+	computed     atomic.Int64
+	coalesced    atomic.Int64
+	refreshedBFS atomic.Int64
+	refreshedCC  atomic.Int64
+	panics       atomic.Int64
+
+	// beforeExecute, when a test sets it, runs on the request goroutine
+	// just before execute.
+	beforeExecute func(*query)
 
 	// rankScratch and labelScratch lend execute the O(n) vectors a
 	// PageRank or connected-components miss works in (*rankVectors,
@@ -176,6 +224,11 @@ func New(cfg Config) *Server {
 	s.reg.CounterFunc("serve.deltas", s.deltas.Load)
 	s.reg.CounterFunc("serve.cache_hits", s.cache.hits.Load)
 	s.reg.CounterFunc("serve.cache_misses", s.cache.misses.Load)
+	s.reg.CounterFunc("serve.computed", s.computed.Load)
+	s.reg.CounterFunc("serve.coalesced", s.coalesced.Load)
+	s.reg.CounterFunc("serve.refreshed.bfs", s.refreshedBFS.Load)
+	s.reg.CounterFunc("serve.refreshed.cc", s.refreshedCC.Load)
+	s.reg.CounterFunc("serve.panics", s.panics.Load)
 	s.reg.Gauge("serve.pool.workers").Set(float64(s.pool.Workers()))
 	return s
 }
@@ -202,7 +255,15 @@ func (s *Server) AddGraph(name string, v *graph.Versioned) error {
 	if _, ok := s.graphs[name]; ok {
 		return fmt.Errorf("serve: graph %q already registered", name)
 	}
-	g := &servedGraph{name: name, v: v, store: ckpt.NewEpochStore(ckpt.Config{})}
+	g := &servedGraph{
+		name:         name,
+		v:            v,
+		store:        ckpt.NewEpochStore(ckpt.Config{}),
+		symmetric:    v.Options().Symmetrize && v.Current().CSR().Symmetric(),
+		carriedVecs:  make(map[string]*carried),
+		carriedGauge: s.reg.Gauge("serve.graph." + name + ".carried_bytes"),
+		pendingGauge: s.reg.Gauge("serve.graph." + name + ".pending_edges"),
+	}
 	if _, _, err := g.store.Save(v.Current(), 1); err != nil {
 		return fmt.Errorf("serve: persisting %q epoch %d: %w", name, v.Epoch(), err)
 	}
@@ -243,7 +304,11 @@ func (s *Server) graphNames() []string {
 
 // Handler returns the service mux: query and ingestion endpoints plus the
 // obs diagnostics (/metrics, /metrics.json, /debug/pprof/) mounted on the
-// same mux — one listener, one port.
+// same mux — one listener, one port. A handler that panics answers 500
+// (when nothing has been written yet), is counted in serve.panics and
+// logged with its path; by the time the panic gets here the handler's own
+// defers have already given back its admission slot and released the
+// requests parked behind it.
 func (s *Server) Handler() http.Handler {
 	s.muxOnce.Do(func() {
 		mux := http.NewServeMux()
@@ -253,9 +318,18 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/healthz", s.handleHealthz)
 		obs.MuxOn(mux, s.reg)
 		mux.HandleFunc("/", s.handleIndex)
-		s.mux = mux
+		s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			defer func() {
+				if p := recover(); p != nil {
+					s.panics.Add(1)
+					log.Printf("serve: panic serving %s: %v", r.URL.Path, p)
+					writeError(w, http.StatusInternalServerError, "internal error")
+				}
+			}()
+			mux.ServeHTTP(w, r)
+		})
 	})
-	return s.mux
+	return s.handler
 }
 
 // nextLane picks a histogram lane for the calling request goroutine.
