@@ -8,7 +8,6 @@
 //	graphserve -addr :8090 -scale 12                 # serve two RMAT graphs
 //	graphserve -addr :8090 -snapshot-dir /tmp/snaps  # persist epochs on shutdown
 //	graphserve -addr :8090 -snapshot-dir /tmp/snaps -warm-start
-//	graphserve -loadgen -url http://127.0.0.1:8090 -duration 2s
 //
 // Query examples once serving:
 //
@@ -22,6 +21,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -46,26 +46,17 @@ func main() {
 		cacheN    = flag.Int("cache-entries", 512, "result cache capacity (entries)")
 		snapDir   = flag.String("snapshot-dir", "", "directory for persisted epoch snapshots (saved on clean shutdown)")
 		warmStart = flag.Bool("warm-start", false, "resume graphs from -snapshot-dir instead of rebuilding from edge lists")
-
-		loadgen  = flag.Bool("loadgen", false, "run as load generator against -url instead of serving")
-		url      = flag.String("url", "http://127.0.0.1:8090", "loadgen: server base URL")
-		duration = flag.Duration("duration", 2*time.Second, "loadgen: run length")
-		requests = flag.Int64("requests", 0, "loadgen: stop after this many requests instead of -duration")
-		tenants  = flag.Int("tenants", 8, "loadgen: simulated tenant population (Zipf-skewed)")
-		conc     = flag.Int("concurrency", 8, "loadgen: client goroutines")
-		deltaIv  = flag.Duration("delta-every", 0, "loadgen: post a mutation batch at this cadence (0 = none)")
-		minQPS   = flag.Float64("min-qps", 0, "loadgen: exit nonzero if measured QPS falls below this")
 	)
 	flag.Parse()
 
-	if *loadgen {
-		os.Exit(runLoadgen(*url, *duration, *requests, *tenants, *conc, *deltaIv, *minQPS))
-	}
-	os.Exit(runServe(serveOpts{
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := runServe(ctx, serveOpts{
 		addr: *addr, scale: *scale, edgef: *edgef, seed: *seed,
 		workers: *workers, inflight: *inflight, queue: *queue, cacheN: *cacheN,
 		snapDir: *snapDir, warmStart: *warmStart,
-	}))
+	}, os.Stdout, nil)
+	stop()
+	os.Exit(code)
 }
 
 type serveOpts struct {
@@ -93,7 +84,10 @@ var builtinGraphs = []struct {
 // scale) finishes well inside it.
 const drainTimeout = 15 * time.Second
 
-func runServe(o serveOpts) int {
+// runServe serves until ctx is cancelled, then drains, saves snapshots
+// and returns the process exit code. Progress lines go to out; ready, if
+// non-nil, is called with the bound address once the listener is up.
+func runServe(ctx context.Context, o serveOpts, out io.Writer, ready func(addr string)) int {
 	reg := obs.NewRegistry()
 	sampler := obs.StartSampler(reg, obs.DefaultSampleInterval)
 	defer sampler.Stop()
@@ -118,7 +112,7 @@ func runServe(o serveOpts) int {
 			return 1
 		}
 		snap := v.Current()
-		fmt.Printf("graph %-8s %8d vertices %10d edges  epoch %d  (%s)\n",
+		fmt.Fprintf(out, "graph %-8s %8d vertices %10d edges  epoch %d  (%s)\n",
 			bg.name, snap.NumVertices(), snap.CSR().NumEdges(), snap.Epoch(), how)
 	}
 
@@ -127,22 +121,23 @@ func runServe(o serveOpts) int {
 		fmt.Fprintf(os.Stderr, "graphserve: listen %s: %v\n", o.addr, err)
 		return 1
 	}
-	fmt.Printf("serving on http://%s (metrics at /metrics, queries at /query/<kind>)\n", ln.Addr())
+	fmt.Fprintf(out, "serving on http://%s (metrics at /metrics, queries at /query/<kind>)\n", ln.Addr())
+	if ready != nil {
+		ready(ln.Addr())
+	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("shutting down...")
+	<-ctx.Done()
+	fmt.Fprintln(out, "shutting down...")
 	// Drain before saving: a /delta still in flight must land in the
 	// snapshot it was acknowledged against.
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	drainErr := ln.Shutdown(ctx)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	drainErr := ln.Shutdown(drainCtx)
 	cancel()
 	if drainErr != nil {
 		fmt.Fprintf(os.Stderr, "graphserve: requests still in flight after %v were dropped: %v\n", drainTimeout, drainErr)
 	}
 	if o.snapDir != "" {
-		if err := saveSnapshots(srv, o.snapDir); err != nil {
+		if err := saveSnapshots(srv, o.snapDir, out); err != nil {
 			fmt.Fprintf(os.Stderr, "graphserve: %v\n", err)
 			return 1
 		}
@@ -150,7 +145,7 @@ func runServe(o serveOpts) int {
 	if drainErr != nil {
 		return 1
 	}
-	fmt.Println("clean shutdown")
+	fmt.Fprintln(out, "clean shutdown")
 	return 0
 }
 
@@ -201,7 +196,7 @@ func snapshotPath(dir, name string) string {
 
 // saveSnapshots persists every graph's current epoch for a later
 // -warm-start.
-func saveSnapshots(srv *serve.Server, dir string) error {
+func saveSnapshots(srv *serve.Server, dir string, out io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -215,37 +210,7 @@ func saveSnapshots(srv *serve.Server, dir string) error {
 		if err := serve.SaveSnapshotFile(path, snap); err != nil {
 			return fmt.Errorf("saving %s: %w", path, err)
 		}
-		fmt.Printf("saved %s epoch %d to %s\n", bg.name, snap.Epoch(), path)
+		fmt.Fprintf(out, "saved %s epoch %d to %s\n", bg.name, snap.Epoch(), path)
 	}
 	return nil
-}
-
-func runLoadgen(url string, duration time.Duration, requests int64, tenants, conc int, deltaIv time.Duration, minQPS float64) int {
-	targets := make([]serve.GraphTarget, len(builtinGraphs))
-	for i, bg := range builtinGraphs {
-		targets[i] = serve.GraphTarget{Name: bg.name, Symmetric: bg.symmetric}
-	}
-	rep, err := serve.RunLoad(context.Background(), serve.LoadConfig{
-		BaseURL:       url,
-		Graphs:        targets,
-		Tenants:       tenants,
-		Concurrency:   conc,
-		Duration:      duration,
-		Requests:      requests,
-		DeltaInterval: deltaIv,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "graphserve: loadgen: %v\n", err)
-		return 1
-	}
-	rep.Format(os.Stdout)
-	if rep.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "graphserve: loadgen saw %d errors\n", rep.Errors)
-		return 1
-	}
-	if minQPS > 0 && rep.QPS < minQPS {
-		fmt.Fprintf(os.Stderr, "graphserve: measured %.0f qps, below -min-qps %.0f\n", rep.QPS, minQPS)
-		return 1
-	}
-	return 0
 }

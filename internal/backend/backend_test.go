@@ -94,20 +94,23 @@ func TestSumVecMulMatchesReference(t *testing.T) {
 	}
 }
 
+// plusTimes is the float64 plus-times semiring over a pattern matrix: the
+// product SumVecMul specializes, through the generic interface.
+var plusTimes = Semiring[struct{}, float64, float64]{
+	Mul:  func(_ struct{}, v float64) float64 { return v },
+	Add:  func(a, b float64) float64 { return a + b },
+	Zero: func() float64 { return 0 },
+}
+
 func TestVecMulGenericMatchesSpecialized(t *testing.T) {
 	g := testGraph(t, 10, 11, false)
 	m := FromCSR(g)
 	x := randVec(g.NumVertices, 2)
-	sr := Semiring[struct{}, float64, float64]{
-		Mul:  func(_ struct{}, v float64) float64 { return v },
-		Add:  func(a, b float64) float64 { return a + b },
-		Zero: func() float64 { return 0 },
-	}
 
 	pool := NewPool(4)
 	defer pool.Close()
 	spec := NewSumVecMul(pool, m)
-	gen := NewVecMul[struct{}, float64, float64](pool, m, nil, sr)
+	gen := NewVecMul[struct{}, float64, float64](pool, m, nil, plusTimes)
 
 	ys := make([]float64, g.NumVertices)
 	yg := make([]float64, g.NumVertices)
@@ -136,11 +139,7 @@ func TestSpMVIntoOneShot(t *testing.T) {
 	x := randVec(g.NumVertices, 5)
 	want := refSpMVSum(m, x)
 	y := make([]float64, g.NumVertices)
-	SpMVInto(m, make([]struct{}, len(m.Cols)), x, y, Semiring[struct{}, float64, float64]{
-		Mul:  func(_ struct{}, v float64) float64 { return v },
-		Add:  func(a, b float64) float64 { return a + b },
-		Zero: func() float64 { return 0 },
-	})
+	SpMVInto(m, make([]struct{}, len(m.Cols)), x, y, plusTimes)
 	for i := range want {
 		if y[i] != want[i] {
 			t.Fatalf("y[%d] = %v, want %v", i, y[i], want[i])
@@ -248,6 +247,12 @@ func TestZeroSteadyStateAllocs(t *testing.T) {
 	k.MapInto(y, x, post) // warmup
 	if a := testing.AllocsPerRun(10, func() { k.MapInto(y, x, post) }); a != 0 {
 		t.Errorf("SumVecMul.MapInto allocates %v per call in steady state", a)
+	}
+
+	gen := NewVecMul[struct{}, float64, float64](pool, m, nil, plusTimes)
+	gen.MapInto(y, x, post)
+	if a := testing.AllocsPerRun(10, func() { gen.MapInto(y, x, post) }); a != 0 {
+		t.Errorf("generic VecMul.MapInto allocates %v per call in steady state", a)
 	}
 
 	d := NewDense(pool, int(g.NumVertices), func(lo, hi int) {

@@ -4,11 +4,10 @@ import (
 	"testing"
 )
 
-// The backend micro-benchmarks feed BENCH_backend.json (make
-// bench-backend). allocs/op must read 0 for the steady-state kernels —
-// that is the zero-alloc acceptance criterion in machine-readable form —
-// and the engine-level PageRank/BFS benchmarks at the repo root measure
-// each framework's overhead over these numbers.
+// The backend micro-benchmarks are developer tools: nothing records
+// their output. The zero-alloc acceptance criterion for the steady-state
+// kernels is TestZeroSteadyStateAllocs, and the recorded timings are the
+// backend.* per-layer metrics of BENCHMARK.json.
 
 func benchGraph(b *testing.B, symmetric bool) *Matrix {
 	b.Helper()
@@ -40,11 +39,7 @@ func BenchmarkBackendVecMulGeneric(b *testing.B) {
 	m := benchGraph(b, false)
 	pool := NewPool(0)
 	defer pool.Close()
-	k := NewVecMul[struct{}, float64, float64](pool, m, nil, Semiring[struct{}, float64, float64]{
-		Mul:  func(_ struct{}, v float64) float64 { return v },
-		Add:  func(a, b float64) float64 { return a + b },
-		Zero: func() float64 { return 0 },
-	})
+	k := NewVecMul[struct{}, float64, float64](pool, m, nil, plusTimes)
 	x := randVec(m.NumRows, 1)
 	y := make([]float64, m.NumRows)
 	k.Into(y, x)

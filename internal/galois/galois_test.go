@@ -2,7 +2,6 @@ package galois
 
 import (
 	"errors"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -230,116 +229,5 @@ func TestCollabFilterSGDBeatsGD(t *testing.T) {
 	}
 	if sgd.RMSE[iters-1] >= gd.RMSE[iters-1] {
 		t.Errorf("SGD final RMSE %v not below GD %v", sgd.RMSE[iters-1], gd.RMSE[iters-1])
-	}
-}
-
-func TestOrderedWorklistPriorityOrder(t *testing.T) {
-	// Serial execution (GOMAXPROCS may be 1 here, but the test tolerates
-	// best-effort order): priorities must come out non-decreasing when no
-	// new work is pushed and a single worker drains the list.
-	w := NewOrderedWorklist[int]()
-	w.Push(3, 30)
-	w.Push(1, 10)
-	w.Push(2, 20)
-	w.Push(1, 11)
-	if w.Len() != 4 {
-		t.Fatalf("Len = %d", w.Len())
-	}
-	var prios []int
-	for {
-		chunk, ok := w.pop()
-		if !ok {
-			break
-		}
-		for _, item := range chunk {
-			prios = append(prios, item/10)
-		}
-	}
-	for i := 1; i < len(prios); i++ {
-		if prios[i] < prios[i-1] {
-			t.Fatalf("priorities out of order: %v", prios)
-		}
-	}
-	if len(prios) != 4 {
-		t.Fatalf("drained %d items", len(prios))
-	}
-}
-
-func TestForEachOrderedBFSMatchesReference(t *testing.T) {
-	// Priority BFS: process vertices by current distance; out-of-order
-	// arrivals are fixed up with CAS-min, as a Galois ordered algorithm
-	// would.
-	g := fixtureUndirected(t)
-	const inf = int32(1) << 30
-	dist := make([]int32, g.NumVertices)
-	for i := range dist {
-		dist[i] = inf
-	}
-	src := uint32(9)
-	dist[src] = 0
-	ForEachOrdered([]uint32{src}, func(v uint32) int { return int(atomic.LoadInt32(&dist[v])) },
-		func(v uint32, push func(int, uint32)) {
-			d := atomic.LoadInt32(&dist[v])
-			for _, u := range g.Neighbors(v) {
-				for {
-					old := atomic.LoadInt32(&dist[u])
-					if old <= d+1 {
-						break
-					}
-					if atomic.CompareAndSwapInt32(&dist[u], old, d+1) {
-						push(int(d+1), u)
-						break
-					}
-				}
-			}
-		})
-	want := core.RefBFS(g, src)
-	for v := range want {
-		got := dist[v]
-		if got == inf {
-			got = -1
-		}
-		if got != want[v] {
-			t.Fatalf("vertex %d: distance %d, want %d", v, got, want[v])
-		}
-	}
-}
-
-func TestForEachOrderedProcessesPushedWork(t *testing.T) {
-	var count int64
-	ForEachOrdered([]int{0}, func(int) int { return 0 }, func(item int, push func(int, int)) {
-		atomic.AddInt64(&count, 1)
-		if item < 100 {
-			push(item+1, item+1)
-		}
-	})
-	if count != 101 {
-		t.Errorf("processed %d items, want 101", count)
-	}
-}
-
-// TestForEachOrderedSamePriorityPush pins the pop/Push aliasing fix: a
-// body pushing at the priority of the chunk it is draining must not
-// overwrite that chunk's unprocessed items. One worker makes the
-// schedule (and so the old failure) deterministic.
-func TestForEachOrderedSamePriorityPush(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const roots, total = 10, 30
-	seen := make([]int, total)
-	initial := make([]int, roots)
-	for i := range initial {
-		initial[i] = i
-	}
-	ForEachOrdered(initial, func(int) int { return 0 }, func(item int, push func(int, int)) {
-		seen[item]++
-		if item < roots {
-			push(0, roots+2*item)
-			push(0, roots+2*item+1)
-		}
-	})
-	for item, n := range seen {
-		if n != 1 {
-			t.Errorf("item %d processed %d times, want 1", item, n)
-		}
 	}
 }

@@ -191,108 +191,3 @@ func ForEachBulk[T any](initial []T, body func(item T, push func(T))) int {
 	}
 	return rounds
 }
-
-// OrderedWorklist schedules work by application-defined integer priority
-// (lower runs first) — Galois's ordered/OBIM-style scheduling ("with and
-// without application-defined priorities", paper §3). Strict global order
-// is not guaranteed across workers; like OBIM it is a best-effort
-// priority schedule, so algorithms must tolerate (or fix up) out-of-order
-// execution.
-type OrderedWorklist[T any] struct {
-	mu      sync.Mutex
-	buckets map[int][]T
-	minPrio int
-	size    int
-}
-
-// NewOrderedWorklist returns an empty priority worklist.
-func NewOrderedWorklist[T any]() *OrderedWorklist[T] {
-	return &OrderedWorklist[T]{buckets: make(map[int][]T), minPrio: int(^uint(0) >> 1)}
-}
-
-// Push schedules item at the given priority.
-func (w *OrderedWorklist[T]) Push(priority int, item T) {
-	w.mu.Lock()
-	w.buckets[priority] = append(w.buckets[priority], item)
-	if priority < w.minPrio {
-		w.minPrio = priority
-	}
-	w.size++
-	w.mu.Unlock()
-}
-
-// Len reports the number of queued items.
-func (w *OrderedWorklist[T]) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.size
-}
-
-// pop removes a chunk from the lowest-priority bucket.
-func (w *OrderedWorklist[T]) pop() ([]T, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for w.size > 0 {
-		bucket, ok := w.buckets[w.minPrio]
-		if !ok || len(bucket) == 0 {
-			delete(w.buckets, w.minPrio)
-			// Scan forward for the next non-empty bucket.
-			next := int(^uint(0) >> 1)
-			for p, b := range w.buckets {
-				if len(b) > 0 && p < next {
-					next = p
-				}
-			}
-			w.minPrio = next
-			continue
-		}
-		n := len(bucket)
-		take := n
-		if take > chunkSize {
-			take = chunkSize
-		}
-		chunk := bucket[n-take:]
-		// Cap the remainder so a concurrent Push at this priority
-		// reallocates instead of appending over the chunk the popping
-		// worker is still iterating.
-		w.buckets[w.minPrio] = bucket[: n-take : n-take]
-		w.size -= take
-		return chunk, true
-	}
-	return nil, false
-}
-
-// ForEachOrdered processes items in best-effort priority order (lowest
-// first), including work pushed during execution, across GOMAXPROCS
-// workers.
-func ForEachOrdered[T any](initial []T, priority func(T) int, body func(item T, push func(prio int, item T))) {
-	list := NewOrderedWorklist[T]()
-	for _, item := range initial {
-		list.Push(priority(item), item)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	var active int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				chunk, ok := list.pop()
-				if !ok {
-					if atomic.LoadInt64(&active) == 0 {
-						return
-					}
-					runtime.Gosched()
-					continue
-				}
-				atomic.AddInt64(&active, 1)
-				for _, item := range chunk {
-					body(item, list.Push)
-				}
-				atomic.AddInt64(&active, -1)
-			}
-		}()
-	}
-	wg.Wait()
-}

@@ -1,6 +1,6 @@
 package graph_test
 
-// Streaming-layer benchmarks (the `make bench-stream` set): delta batch
+// Streaming-layer benchmarks (`go test -bench Stream`): delta batch
 // ingestion into a new epoch and snapshot persistence. External test
 // package so the RMAT generator is usable without an import cycle.
 

@@ -214,3 +214,26 @@ func FuzzDecodeDelta(f *testing.F) {
 		}
 	})
 }
+
+// TestEncodeIntoReusedBufferDoesNotAllocate: persisting an epoch — whole
+// snapshot or delta record — into a buffer that already has the capacity
+// allocates nothing, which is what lets the epoch store size a save by
+// encoding it.
+func TestEncodeIntoReusedBufferDoesNotAllocate(t *testing.T) {
+	_, next, added := deltaFixture(t)
+	snapBuf, err := EncodeSnapshot(nil, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		if _, err := EncodeSnapshot(snapBuf[:0], next); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("EncodeSnapshot into a reused buffer allocates %v per call", a)
+	}
+	deltaBuf := EncodeDelta(nil, next, added)
+	if a := testing.AllocsPerRun(10, func() { deltaBuf = EncodeDelta(deltaBuf[:0], next, added) }); a != 0 {
+		t.Errorf("EncodeDelta into a reused buffer allocates %v per call", a)
+	}
+}

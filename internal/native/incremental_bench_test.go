@@ -1,6 +1,6 @@
 package native
 
-// Incremental-kernel benchmarks (the `make bench-stream` set): each
+// Incremental-kernel benchmarks (`go test -bench Stream`): each
 // iteration ingests one delta batch and refreshes a kernel, the steady
 // state of a system serving queries on a growing graph.
 

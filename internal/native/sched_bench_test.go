@@ -16,8 +16,8 @@ import (
 // under the scheduling layer's dynamic / edge-balanced loops, over RMAT
 // graphs WITHOUT vertex permutation — natural RMAT labeling concentrates
 // the hubs at low ids, which is exactly the input that strands one static
-// chunk with most of the work (paper §3.1). Run via `make bench-par`;
-// GRAPHMAZE_SKEW_SCALE overrides the graph scale (default 16).
+// chunk with most of the work (paper §3.1). Run via `go test -bench
+// Skewed`; GRAPHMAZE_SKEW_SCALE overrides the graph scale (default 16).
 
 func skewScale(b *testing.B) int {
 	s := os.Getenv("GRAPHMAZE_SKEW_SCALE")

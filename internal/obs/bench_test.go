@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkObsHistDisabled pins the cost of the disabled path: one nil
-// check per call, 0 allocs/op. bench-diff's structural gate enforces the
-// alloc count stays 0.
+// check per call, 0 allocs/op (TestDisabledRecordAllocatesNothing is the
+// gate).
 func BenchmarkObsHistDisabled(b *testing.B) {
 	var h *Histogram
 	b.ReportAllocs()
@@ -28,7 +28,7 @@ func BenchmarkObsRegistryDisabled(b *testing.B) {
 
 // BenchmarkObsHistRecord measures the enabled single-threaded hot path.
 // ResetTimer excludes histogram construction so allocs/op reads 0 even
-// at CI's -benchtime=1x (the structural bench-diff gate compares it).
+// at -benchtime=1x.
 func BenchmarkObsHistRecord(b *testing.B) {
 	h := newHistogram("bench", 1)
 	b.ReportAllocs()

@@ -12,7 +12,7 @@ import (
 // a handful of hubs holding a large fraction of the total. Static
 // equal-count chunking strands the hub chunk's worker far behind the
 // rest; the dynamic and edge-balanced schedulers keep workers level. Run
-// via `make bench-par` (GOMAXPROCS ≥ 4 for meaningful numbers).
+// via `go test -bench Par` (GOMAXPROCS ≥ 4 for meaningful numbers).
 
 const benchVertices = 1 << 16
 

@@ -28,6 +28,24 @@ func TestAdmissionFastPath(t *testing.T) {
 	}
 }
 
+// TestAdmissionFastPathDoesNotAllocate: an uncontended Acquire / Release
+// cycle for a tenant the controller has already seen — every request of a
+// server below its in-flight cap — allocates nothing.
+func TestAdmissionFastPathDoesNotAllocate(t *testing.T) {
+	a := NewAdmission(AdmissionConfig{MaxInFlight: 8, QueueDepth: 64})
+	ctx := context.Background()
+	cycle := func() {
+		if err := a.Acquire(ctx, "tenant"); err != nil {
+			t.Fatal(err)
+		}
+		a.Release()
+	}
+	cycle() // the first sight of a tenant creates its state
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("uncontended Acquire/Release allocates %v per cycle", n)
+	}
+}
+
 func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{MaxInFlight: 1, QueueDepth: 0})
 	ctx := context.Background()

@@ -156,8 +156,8 @@ func writeBody(w http.ResponseWriter, xcache string, body []byte) {
 // recordQuery records one served query's latency, overall and per kind.
 func (s *Server) recordQuery(kind string, d time.Duration) {
 	lane := s.nextLane()
-	s.reg.Hist("serve.query_ns").Record(lane, d.Nanoseconds())
-	s.reg.Hist("serve.query."+kind+"_ns").Record(lane, d.Nanoseconds())
+	s.queryHist.Record(lane, d.Nanoseconds())
+	s.kindHist[kind].Record(lane, d.Nanoseconds())
 }
 
 // maxDeltaBytes bounds a /delta body (about half a million edges); a

@@ -176,6 +176,11 @@ type Server struct {
 	lane     atomic.Int64
 	requests atomic.Int64
 	deltas   atomic.Int64
+	// queryHist is serve.query_ns and kindHist the serve.query.<kind>_ns
+	// family, resolved once in New and read-only after: recording a
+	// request builds no name and takes no registry lock.
+	queryHist *obs.Histogram
+	kindHist  map[string]*obs.Histogram
 	// computed counts kernel executions (misses that led their key, and
 	// bypasses), coalesced the times a request parked behind one, refreshed*
 	// the misses answered by repairing a carried vector, panics the handler
@@ -213,6 +218,12 @@ func New(cfg Config) *Server {
 		pool:   pool,
 		cache:  newResultCache(cfg.CacheEntries),
 		graphs: make(map[string]*servedGraph),
+
+		queryHist: cfg.Registry.Hist("serve.query_ns"),
+		kindHist:  make(map[string]*obs.Histogram),
+	}
+	for _, kind := range queryKinds() {
+		s.kindHist[kind] = cfg.Registry.Hist("serve.query." + kind + "_ns")
 	}
 	s.adm = NewAdmission(AdmissionConfig{
 		MaxInFlight: cfg.MaxInFlight,

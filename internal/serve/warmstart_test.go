@@ -106,3 +106,65 @@ func TestWarmStartErrors(t *testing.T) {
 		t.Error("ResumeVersioned(nil) should fail")
 	}
 }
+
+// TestSaveSnapshotFileFailureKeepsPrior: a save that fails after its
+// temporary file is open — the write hits a full device — leaves the
+// previous snapshot loadable under the final name and no .tmp beside it;
+// so does one whose rename fails.
+func TestSaveSnapshotFileFailureKeepsPrior(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail a write with")
+	}
+	v := buildVersioned(t, 7, true, 42)
+	path := filepath.Join(t.TempDir(), "social.snap")
+	if err := SaveSnapshotFile(path, v.Current()); err != nil {
+		t.Fatalf("first save: %v", err)
+	}
+	next, _, _, err := v.ApplyDelta([]graph.Edge{{Src: 1, Dst: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The temporary name resolves to /dev/full: open succeeds, the write
+	// returns ENOSPC.
+	if err := os.Symlink("/dev/full", path+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveSnapshotFile(path, next); err == nil {
+		t.Fatal("save onto a full device reported success")
+	}
+	if _, err := os.Lstat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("failed write left %s.tmp behind (err %v)", path, err)
+	}
+	prior, err := LoadSnapshotFile(path)
+	if err != nil {
+		t.Fatalf("prior snapshot no longer loads: %v", err)
+	}
+	if prior.Epoch() != 0 {
+		t.Errorf("prior snapshot epoch %d, want 0", prior.Epoch())
+	}
+
+	// A directory under the final name makes the rename fail after a
+	// complete, synced temporary file exists.
+	blocked := filepath.Join(t.TempDir(), "web.snap")
+	if err := os.Mkdir(blocked, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveSnapshotFile(blocked, next); err == nil {
+		t.Fatal("save over a directory reported success")
+	}
+	if _, err := os.Lstat(blocked + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("failed rename left %s.tmp behind (err %v)", blocked, err)
+	}
+
+	if err := SaveSnapshotFile(path, next); err != nil {
+		t.Fatalf("save after the failures: %v", err)
+	}
+	got, err := LoadSnapshotFile(path)
+	if err != nil {
+		t.Fatalf("reload after a good save: %v", err)
+	}
+	if got.Epoch() != 1 {
+		t.Errorf("reloaded epoch %d, want 1", got.Epoch())
+	}
+}
