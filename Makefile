@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-baseline lint-selfcheck fmt all bench-smoke trace-demo fault-demo obs-demo
+.PHONY: build test race lint lint-baseline lint-selfcheck fmt all bench-smoke fuzz-smoke trace-demo fault-demo obs-demo
 
 all: fmt lint build test
 
@@ -43,6 +43,13 @@ fmt:
 # change that breaks it.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# fuzz-smoke fuzzes the Datalog rule parser for ten seconds: rule text
+# reaches it from a socket (/query/datalog?rule=), so no input may panic,
+# every rejection names an offset, and an accepted rule evaluates the same
+# on the generic evaluator and on the pool paths the matcher picks.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/socialite
 
 # trace-demo runs a small traced experiment end to end: the Chrome trace
 # lands in trace-demo.json (load it at https://ui.perfetto.dev) and the

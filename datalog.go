@@ -67,13 +67,16 @@ func (t *DatalogTable) ForEach(fn func(key uint32, value float64)) {
 	t.t.ForEach(func(k uint32, v socialite.Value) { fn(k, v.S()) })
 }
 
-// Eval compiles and evaluates the rule once over all driver tuples.
+// Eval compiles and evaluates the rule once over all driver tuples, on a
+// worker pool it owns for the call.
 func (d *Datalog) Eval(src string) error {
 	rule, err := socialite.Parse(src, d.reg)
 	if err != nil {
 		return err
 	}
-	return socialite.EvalOnce(rule)
+	pool := backend.NewPool(0)
+	defer pool.Close()
+	return socialite.EvalOnce(pool, rule)
 }
 
 // Fixpoint compiles a recursive rule (the head table must also be the

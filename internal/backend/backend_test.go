@@ -90,6 +90,19 @@ func TestSumVecMulMatchesReference(t *testing.T) {
 				t.Fatalf("workers=%d: y[%d] = %v, want %v (bit-exact)", workers, i, y[i], want[i])
 			}
 		}
+		// The accumulate form folds each row onto the value y holds.
+		seed := randVec(g.NumVertices, 4)
+		copy(y, seed)
+		k.AddInto(y, x)
+		for r := range seed {
+			acc := seed[r]
+			for _, c := range m.Cols[m.Offsets[r]:m.Offsets[r+1]] {
+				acc += x[c]
+			}
+			if y[r] != acc {
+				t.Fatalf("workers=%d: AddInto y[%d] = %v, want %v (bit-exact)", workers, r, y[r], acc)
+			}
+		}
 		pool.Close()
 	}
 }
@@ -247,6 +260,9 @@ func TestZeroSteadyStateAllocs(t *testing.T) {
 	k.MapInto(y, x, post) // warmup
 	if a := testing.AllocsPerRun(10, func() { k.MapInto(y, x, post) }); a != 0 {
 		t.Errorf("SumVecMul.MapInto allocates %v per call in steady state", a)
+	}
+	if a := testing.AllocsPerRun(10, func() { k.AddInto(y, x) }); a != 0 {
+		t.Errorf("SumVecMul.AddInto allocates %v per call in steady state", a)
 	}
 
 	gen := NewVecMul[struct{}, float64, float64](pool, m, nil, plusTimes)

@@ -164,6 +164,32 @@ func (k *SumVecMul) runChunk(worker, lo, hi int) {
 	}
 }
 
+// AddInto computes y[r] = y[r] + Σ x[c]: the accumulate form y ← y ⊕ A·x.
+// Each row's fold starts from the value y already holds and then runs left
+// to right in stored-column order, which is the order a tuple-at-a-time
+// evaluator folds a seeded aggregate in (DESIGN.md §12, socialite).
+func (k *SumVecMul) AddInto(y, x []float64) {
+	k.x, k.y = x, y
+	k.pool.RunStatic((*sumAccumulate)(k), k.bounds)
+	k.x, k.y = nil, nil
+	k.nnz.Add(0, k.m.NNZ())
+}
+
+// sumAccumulate is SumVecMul seen as AddInto's runner: the seeded fold is
+// a loop of its own so that MapInto's stays the one PageRank was tuned on.
+type sumAccumulate SumVecMul
+
+func (k *sumAccumulate) runChunk(worker, lo, hi int) {
+	off, cols, x, y := k.m.Offsets, k.m.Cols, k.x, k.y
+	for r := lo; r < hi; r++ {
+		sum := y[r]
+		for _, c := range cols[off[r]:off[r+1]] {
+			sum += x[c]
+		}
+		y[r] = sum
+	}
+}
+
 // SpMVInto is the one-shot generic path: y = m ⊕.⊗ x into the
 // caller-provided y, with edge-balanced row splits via par.ForOffsets.
 // Engines that run the product every iteration should hold a VecMul on a

@@ -161,13 +161,17 @@ func TestQueriesRunOnlyOnThePool(t *testing.T) {
 		{kind: kindCC},
 		{kind: kindTC},
 		{kind: kindDatalog, source: 2, rule: defaultDatalogRule},
+		// Rules no lowering takes: an edge-driven $SUM goes to the sharded
+		// evaluator, a global $INC to the chunked count, both on the pool.
+		{kind: kindDatalog, source: 2, rule: "REACH[t]($SUM(d)) :- EDGE(s, t), REACH[s](d0), d = d0 + 1."},
+		{kind: kindDatalog, source: 2, rule: "REACH(0, $INC(1)) :- EDGE(x, y), EDGE(y, z), EDGE(x, z)."},
 	} {
 		before := sched.Chunks.Value()
 		if _, err := s.execute(g, snap, q); err != nil {
-			t.Fatalf("%s: %v", q.kind, err)
+			t.Fatalf("%s %s: %v", q.kind, q.rule, err)
 		}
 		if chunks := sched.Chunks.Value() - before; chunks != 0 {
-			t.Errorf("%s ran %d par chunks outside the server's pool", q.kind, chunks)
+			t.Errorf("%s %s ran %d par chunks outside the server's pool", q.kind, q.rule, chunks)
 		}
 	}
 }

@@ -361,8 +361,8 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 
 // datalogQuery evaluates a SociaLite-style rule over the pinned epoch's
 // EDGE relation with REACH seeded at the query source. Recursive rules
-// (head table driving the body) run semi-naively to fixpoint on the
-// server's pool; others evaluate once.
+// (head table driving the body) run semi-naively to fixpoint, others
+// evaluate once; both on the server's pool.
 func datalogQuery(pool *backend.Pool, snap *graph.Snapshot, q *query) (*datalogResponse, error) {
 	reg := socialite.NewRegistry()
 	reg.Register(socialite.NewEdgeTable("EDGE", snap.CSR()))
@@ -377,7 +377,7 @@ func datalogQuery(pool *backend.Pool, snap *graph.Snapshot, q *query) (*datalogR
 	if rule.Recursive() {
 		rounds, err = socialite.Fixpoint(pool, rule)
 	} else {
-		err = socialite.EvalOnce(rule)
+		err = socialite.EvalOnce(pool, rule)
 	}
 	if err != nil {
 		return nil, badRequest("evaluating rule: %v", err)

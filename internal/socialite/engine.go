@@ -88,13 +88,10 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	n := g.NumVertices
 	outEdge := NewEdgeTable("OUTEDGE", g)
 	outDeg := NewVecTable("OUTDEG", n)
-	for v := uint32(0); v < n; v++ {
-		outDeg.Put(v, Scalar(float64(g.Degree(v))))
-	}
+	outDeg.FillScalars(func(v uint32) float64 { return float64(g.Degree(v)) })
 	rank := NewVecTable("RANK", n)
-	for v := uint32(0); v < n; v++ {
-		rank.Put(v, Scalar(1))
-	}
+	rank.FillScalars(func(uint32) float64 { return 1 })
+	rank2 := NewVecTable("RANK2", n)
 
 	// The paper's distributed-optimized rule (§3.1), compiled from source.
 	// The assignment is written before the edge atom — SociaLite's planner
@@ -103,7 +100,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	reg.Register(outEdge)
 	reg.Register(outDeg)
 	reg.Register(rank)
-	reg.Register(NewVecTable("RANK2", n))
+	reg.Register(rank2)
 	rule, err := Parse(fmt.Sprintf(
 		"RANK2[n]($SUM(v)) :- RANK[s](v0), OUTDEG[s](d), v = (1-%g)*v0/d, OUTEDGE[s](n).",
 		opt.RandomJump), reg)
@@ -111,30 +108,31 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 		return nil, err
 	}
 
-	runIteration := func(eval func(rule *Rule, seed func(lo, hi uint32))) error {
-		rank2 := NewVecTable("RANK2", n)
-		// Rebind the compiled rule to this iteration's input/output tables.
-		rule.Driver.Vec.Table = rank
-		rule.Head.Table = rank2
-		eval(rule, func(lo, hi uint32) {
-			// Seed rule: RANK2[n](r).
-			for v := lo; v < hi; v++ {
-				rank2.Put(v, Scalar(opt.RandomJump))
-			}
-		})
-		rank = rank2
+	// runIteration seeds RANK2 (the seed rule RANK2[n](r), a purely local
+	// assignment, so every shard is seeded before any sum crosses a shard
+	// boundary), evaluates the join into it, and swaps the two tables: the
+	// compiled rule is rebound to this iteration's input and output.
+	runIteration := func(eval func() error) error {
+		rank2.FillScalars(func(uint32) float64 { return opt.RandomJump })
+		rule.Driver.Vec.Table, rule.Head.Table = rank, rank2
+		if err := eval(); err != nil {
+			return err
+		}
+		rank, rank2 = rank2, rank
 		return nil
 	}
 
 	if opt.Exec.Cluster == nil {
 		tr := opt.Exec.Tracer()
 		start := time.Now()
+		// The matcher lowers the join onto one seeded SpMV per iteration;
+		// the engine owns the pool for the call.
+		pool := backend.NewPool(0)
+		defer pool.Close()
+		pool.SetTracer(tr)
 		for it := 0; it < opt.Iterations; it++ {
 			sp := tr.Begin("socialite.rule", "rule evaluation").Arg("iter", float64(it))
-			err := runIteration(func(rule *Rule, seed func(lo, hi uint32)) {
-				seed(0, n)
-				_, _ = EvalParallel(rule, 0, n, nil, nil, 0, false)
-			})
+			err := runIteration(func() error { return EvalOnce(pool, rule) })
 			sp.End()
 			if err != nil {
 				return nil, err
@@ -164,11 +162,8 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	tr := c.Tracer()
 	for it := 0; it < opt.Iterations; it++ {
 		iterStart := c.VirtualSeconds()
-		err := runIteration(func(rule *Rule, seed func(lo, hi uint32)) {
-			// Seed every shard before any node folds sums across shard
-			// boundaries (the seed rule is a purely local assignment).
-			seed(0, n)
-			_ = c.RunPhase(func(node int) error {
+		err := runIteration(func() error {
+			return c.RunPhase(func(node int) error {
 				lo, hi := part.Range(node)
 				stats, err := EvalParallel(rule, lo, hi, nil, part.Owner, node, false)
 				if err != nil {
@@ -314,7 +309,12 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 
 	if opt.Exec.Cluster == nil {
 		start := time.Now()
-		if _, err := EvalParallel(rule, 0, g.NumVertices, nil, nil, 0, false); err != nil {
+		// A global $INC(1): chunk partials on a pool the engine owns for
+		// the call.
+		pool := backend.NewPool(0)
+		defer pool.Close()
+		pool.SetTracer(opt.Exec.Tracer())
+		if err := EvalOnce(pool, rule); err != nil {
 			return nil, err
 		}
 		count := int64(0)

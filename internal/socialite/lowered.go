@@ -3,62 +3,46 @@ package socialite
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"graphmaze/internal/backend"
 )
 
-// This file lowers the BFS-shaped recursive rule onto the shared SpMV
-// backend (DESIGN.md §12). The shape is the semi-naive workhorse
+// This file holds the one rule-shape matcher and the evaluators it hands a
+// rule to, each on a pool the caller borrowed (DESIGN.md §12). The shape is
 //
-//	HEAD(t, $MIN(d)) :- HEAD(s, d0), <key-local prefix>, EDGE(s, t).
+//	HEAD[t]($AGG(v)) :- DRIVER[s](v0), <key-local prefix>, EDGE[s](t).
 //
-// i.e. the head table IS the driver table and the fold is $MIN. When
-// every delta source emits the same head value L and L is strictly
-// greater than every value already stored, the $MIN fold can only claim
-// keys that are absent from the table — which is exactly the backend
-// Expander's persistent-claims expansion. The lowering checks those two
-// conditions every round at O(|delta|) cost and falls back to the
-// generic evaluator (permanently, via the dead flag) the moment either
-// fails, so rules that merely look like BFS still evaluate correctly.
+// a keyed driver, vec atoms and scalar assignments that only look at the
+// driver's key, and one trailing unweighted edge atom whose destination
+// keys the scalar head. Every (s, t) tuple of a source then emits the same
+// value, so the head column is a sparse matrix-vector product over EDGE:
+//
+//   - recursive $MIN (HEAD is DRIVER, the BFS workhorse) is frontier
+//     expansion on the backend's Expander;
+//   - non-recursive $SUM (PageRank's rule) is one plus-times SpMV over
+//     EDGE's transposed view, each row's fold seeded with the stored value;
+//   - a constant-key $INC(1) (TRIANGLE) has no such shape to match — any
+//     body counts — and adds up per-worker tallies instead.
+//
+// Each evaluator checks at run time what the shape cannot promise and
+// hands the rule back to the generic sharded evaluator, untouched, when a
+// check fails: a lowering is never a semantic fork.
 
-// RuleLowering is a backend-lowered evaluator for one recursive rule.
-// Obtain one with LowerBFSRule and drive it with Round (Fixpoint does
-// both).
-type RuleLowering struct {
+// edgeShape is a rule the matcher recognised. It holds the rule's own
+// atoms, so tables rebound between evaluations are seen.
+type edgeShape struct {
 	rule   *Rule
+	driver *VecAtom
 	prefix []Atom
-	head   *VecTable
-	exp    *backend.Expander
-	env    *Env
-	// frontier holds the delta keys that passed the per-round checks;
-	// outA/outB alternate as Expand targets so a round never writes into
-	// the slice the caller is still iterating as its delta.
-	frontier []uint32
-	outA     []uint32
-	outB     []uint32
-	flip     bool
-	// maxVal is the largest value stored in the head table so far — the
-	// monotonic-frontier guard.
-	maxVal float64
-	dead   bool
+	edge   *EdgeAtom
 }
 
-// LowerBFSRule recognizes the BFS shape — vec driver whose table is also
-// the head table, key-local vec/scalar-let prefix, one trailing
-// unweighted edge atom keyed by the driver, scalar $MIN head keyed by the
-// edge destination — and builds a lowering for it on the caller's pool.
-// It mirrors compileScalarRule's checks, plus recursion (head == driver
-// table) and the $MIN aggregate.
-func LowerBFSRule(pool *backend.Pool, rule *Rule) (*RuleLowering, bool) {
+// matchEdgeShape classifies a rule by its atoms alone.
+func matchEdgeShape(rule *Rule) (*edgeShape, bool) {
 	d := rule.Driver.Vec
-	if d == nil || len(rule.Lets) != 0 || rule.Head.ValSlot < 0 {
-		return nil, false
-	}
-	if rule.Head.Agg != AggMin || rule.Head.Table != d.Table {
-		return nil, false
-	}
 	na := len(rule.Atoms)
-	if na == 0 {
+	if d == nil || na == 0 || len(rule.Lets) != 0 || rule.Head.ValSlot < 0 {
 		return nil, false
 	}
 	last := rule.Atoms[na-1].Edge
@@ -81,10 +65,90 @@ func LowerBFSRule(pool *backend.Pool, rule *Rule) (*RuleLowering, bool) {
 			return nil, false
 		}
 	}
-	head := rule.Head.Table
-	if head.NumKeys() != last.Table.NumKeys() {
+	return &edgeShape{rule: rule, driver: d, prefix: prefix, edge: last}, true
+}
+
+// sourceValue evaluates the driver and the prefix for one source in env
+// and returns the value the head emits along each of the source's edges;
+// false when the driver or a prefix table holds no tuple for it.
+func (s *edgeShape) sourceValue(env *Env, src uint32) (Value, bool) {
+	v0, ok := s.driver.Table.Get(src)
+	if !ok {
 		return nil, false
 	}
+	env.Keys[s.driver.KeySlot] = src
+	if s.driver.ValSlot >= 0 {
+		env.Vals[s.driver.ValSlot] = v0
+	}
+	for _, a := range s.prefix {
+		if a.Vec != nil {
+			v, ok := a.Vec.Table.Get(src)
+			if !ok {
+				return nil, false
+			}
+			if a.Vec.ValSlot >= 0 {
+				env.Vals[a.Vec.ValSlot] = v
+			}
+			continue
+		}
+		env.setScalar(a.Let.OutSlot, a.Let.FScalar(env))
+	}
+	return env.Vals[s.rule.Head.ValSlot], true
+}
+
+// squareOver reports whether every table of the shape is keyed by the
+// edge table's vertex space, which the dense lowerings index by.
+func (s *edgeShape) squareOver() bool {
+	g := s.edge.Table.g
+	n := g.NumVertices
+	if g.TargetSpace() != n || s.rule.Head.Table.NumKeys() != n || s.driver.Table.NumKeys() != n {
+		return false
+	}
+	for _, a := range s.prefix {
+		if a.Vec != nil && a.Vec.Table.NumKeys() != n {
+			return false
+		}
+	}
+	return true
+}
+
+// RuleLowering is a backend-lowered evaluator for one recursive $MIN
+// rule. When every delta source emits the same head value L and L is
+// strictly greater than every value already stored, the $MIN fold can
+// only claim keys that are absent from the table — which is exactly the
+// backend Expander's persistent-claims expansion. The lowering checks
+// those two conditions every round at O(|delta|) cost and falls back to
+// the generic evaluator (permanently, via the dead flag) the moment either
+// fails, so rules that merely look like BFS still evaluate correctly.
+// Obtain one with LowerBFSRule and drive it with Round (Fixpoint does
+// both).
+type RuleLowering struct {
+	shape *edgeShape
+	head  *VecTable
+	exp   *backend.Expander
+	env   *Env
+	// frontier holds the delta keys that passed the per-round checks;
+	// outA/outB alternate as Expand targets so a round never writes into
+	// the slice the caller is still iterating as its delta.
+	frontier []uint32
+	outA     []uint32
+	outB     []uint32
+	flip     bool
+	// maxVal is the largest value stored in the head table so far — the
+	// monotonic-frontier guard.
+	maxVal float64
+	dead   bool
+}
+
+// LowerBFSRule builds the frontier lowering for a rule of the matched
+// shape that is recursive (the head table drives the body) and folds with
+// $MIN over scalars, on the caller's pool.
+func LowerBFSRule(pool *backend.Pool, rule *Rule) (*RuleLowering, bool) {
+	sh, ok := matchEdgeShape(rule)
+	if !ok || rule.Head.Agg != AggMin || !rule.Recursive() || !sh.squareOver() {
+		return nil, false
+	}
+	head := rule.Head.Table
 	// Seed the claimed set from the stored tuples; $MIN over vectors is
 	// not a shape we lower.
 	scalar := true
@@ -99,45 +163,9 @@ func LowerBFSRule(pool *backend.Pool, rule *Rule) (*RuleLowering, bool) {
 	if !scalar {
 		return nil, false
 	}
-	exp := backend.NewExpander(pool, backend.FromCSR(last.Table.g))
+	exp := backend.NewExpander(pool, backend.FromCSR(sh.edge.Table.g))
 	head.ForEach(func(k uint32, _ Value) { exp.Claim(k) })
-	return &RuleLowering{
-		rule:   rule,
-		prefix: prefix,
-		head:   head,
-		exp:    exp,
-		env:    &Env{Keys: make([]uint32, rule.KeySlots), Vals: make([]Value, rule.ValSlots)},
-		maxVal: maxVal,
-	}, true
-}
-
-// headVal evaluates the rule's loop-invariant prefix for one delta source
-// and returns the value the head would emit for every (src, dst) pair.
-func (l *RuleLowering) headVal(src uint32) (float64, bool) {
-	d := l.rule.Driver.Vec
-	v0, ok := d.Table.Get(src)
-	if !ok {
-		return 0, false
-	}
-	env := l.env
-	env.Keys[d.KeySlot] = src
-	if d.ValSlot >= 0 {
-		env.Vals[d.ValSlot] = v0
-	}
-	for _, a := range l.prefix {
-		if a.Vec != nil {
-			v, vok := a.Vec.Table.Get(src)
-			if !vok {
-				return 0, false
-			}
-			if a.Vec.ValSlot >= 0 {
-				env.Vals[a.Vec.ValSlot] = v
-			}
-			continue
-		}
-		env.setScalar(a.Let.OutSlot, a.Let.FScalar(env))
-	}
-	return env.Vals[l.rule.Head.ValSlot][0], true
+	return &RuleLowering{shape: sh, head: head, exp: exp, env: rule.newEnv(), maxVal: maxVal}, true
 }
 
 // Round evaluates one semi-naive round over delta. On success it returns
@@ -153,16 +181,16 @@ func (l *RuleLowering) Round(delta []uint32) ([]uint32, bool) {
 	level := 0.0
 	first := true
 	for _, src := range delta {
-		v, ok := l.headVal(src)
+		val, ok := l.shape.sourceValue(l.env, src)
 		if !ok {
 			continue
 		}
-		if math.IsNaN(v) || (!first && v != level) {
+		if len(val) != 1 || math.IsNaN(val[0]) || (!first && val[0] != level) {
 			l.dead = true
 			return nil, false
 		}
 		if first {
-			level, first = v, false
+			level, first = val[0], false
 		}
 		frontier = append(frontier, src)
 	}
@@ -197,10 +225,25 @@ func (r *Rule) Recursive() bool {
 	return r.Driver.Vec != nil && r.Driver.Vec.Table == r.Head.Table
 }
 
+// readsHead reports whether a body atom reads the head table. Such a
+// rule's result depends on when each fold lands, so only the evaluator
+// that defines that order may run it.
+func (r *Rule) readsHead() bool {
+	if r.Recursive() {
+		return true
+	}
+	for _, a := range r.Atoms {
+		if a.Vec != nil && a.Vec.Table == r.Head.Table {
+			return true
+		}
+	}
+	return false
+}
+
 // Fixpoint is the one semi-naive driver: it evaluates a recursive rule
 // until no stored value changes, starting from every tuple the driver
 // table holds, and returns the number of rounds. Rounds run on the
-// caller's pool through the BFS lowering while its guards hold; a round
+// caller's pool: through the BFS lowering while its guards hold; a round
 // that violates them re-runs on the generic sharded evaluator, as does
 // every later round.
 func Fixpoint(pool *backend.Pool, rule *Rule) (int, error) {
@@ -220,7 +263,7 @@ func Fixpoint(pool *backend.Pool, rule *Rule) (int, error) {
 				continue
 			}
 		}
-		stats, err := EvalParallel(rule, 0, driver.NumKeys(), delta, nil, 0, true)
+		stats, err := evalSharded(poolTeam(pool), rule, 0, driver.NumKeys(), delta, nil, 0, true)
 		if err != nil {
 			return rounds, err
 		}
@@ -229,18 +272,108 @@ func Fixpoint(pool *backend.Pool, rule *Rule) (int, error) {
 	return rounds, nil
 }
 
-// EvalOnce evaluates a non-recursive rule once over its whole driver key
-// space on the generic sharded evaluator.
-func EvalOnce(rule *Rule) error {
-	var span uint32
-	switch {
-	case rule.Driver.Vec != nil:
-		span = rule.Driver.Vec.Table.NumKeys()
-	case rule.Driver.Edge != nil:
-		span = rule.Driver.Edge.Table.NumKeys()
-	default:
-		return fmt.Errorf("socialite: rule has no driver")
+// EvalOnce evaluates a rule once over its whole driver key space on the
+// caller's pool: lowered when the matcher and the lowering's guard allow,
+// on the generic sharded evaluator otherwise.
+func EvalOnce(pool *backend.Pool, rule *Rule) error {
+	span, err := rule.driverSpan()
+	if err != nil {
+		return err
 	}
-	_, err := EvalParallel(rule, 0, span, nil, nil, 0, false)
+	if rule.Head.Agg == AggCount && rule.Head.ValSlot < 0 && rule.Head.KeySlot < 0 && !rule.readsHead() {
+		evalGlobalCount(pool, rule, span)
+		return nil
+	}
+	if sh, ok := matchEdgeShape(rule); ok && evalEdgeSum(pool, sh) {
+		return nil
+	}
+	_, err = evalSharded(poolTeam(pool), rule, 0, span, nil, nil, 0, false)
 	return err
+}
+
+// evalEdgeSum evaluates a non-recursive scalar $SUM rule of the matched
+// shape as y ← y + Aᵀ·x: x[s] is the value source s emits (one pass
+// through the rule's own prefix), Aᵀ is the edge table keyed by
+// destination, and y is the head column, each row's fold starting from the
+// value the table already holds. The sharded evaluator folds a key's
+// updates onto its stored value in ascending source order, which is a row
+// of Aᵀ left to right, so the column is that evaluator's bit for bit at
+// every worker count. It reports false, with the head untouched, when it
+// cannot promise that: a source with no tuple in the driver or a prefix
+// table (its edges would emit nothing, not zero), a NaN emission (dropped,
+// not folded) or a head or emitted value that is not a scalar.
+func evalEdgeSum(pool *backend.Pool, s *edgeShape) bool {
+	rule := s.rule
+	head := rule.Head.Table
+	if rule.Head.Agg != AggSum || rule.readsHead() || !s.squareOver() {
+		return false
+	}
+	edge := s.edge.Table
+	x := make([]float64, edge.NumKeys())
+	var refused atomic.Bool
+	backend.NewDense(pool, len(x), func(lo, hi int) {
+		env := rule.newEnv()
+		for src := lo; src < hi; src++ {
+			val, ok := s.sourceValue(env, uint32(src))
+			if ok && len(val) == 1 && !math.IsNaN(val[0]) {
+				x[src] = val[0]
+				continue
+			}
+			// A source without edges emits nothing whatever its value is.
+			if len(edge.Neighbors(uint32(src))) > 0 {
+				refused.Store(true)
+				return
+			}
+		}
+	}).Run()
+	if refused.Load() {
+		return false
+	}
+	// A key with no stored value takes its first update as it comes; -0
+	// is the one seed x + seed returns every x from, +0 and -0 included.
+	y, ok := head.scalarColumn(math.Copysign(0, -1))
+	if !ok {
+		return false
+	}
+	in := edge.transposed()
+	backend.NewSumVecMul(pool, in).AddInto(y, x)
+	if head.Len() < len(y) {
+		head.adoptColumn(func(k int) bool { return in.Offsets[k+1] > in.Offsets[k] })
+	}
+	return true
+}
+
+// countLane is one pool worker's frame for evalGlobalCount, padded so
+// neighbouring workers' tallies do not share a cache line.
+type countLane struct {
+	env  *Env
+	sink emit
+	n    float64
+	_    [40]byte
+}
+
+// evalGlobalCount evaluates a constant-key $INC(1) rule: 64-key chunks of
+// the driver range are claimed dynamically on the pool (per-key work is
+// as skewed as the degrees), each worker counts the tuples of the chunks
+// it claimed, and the tallies are added up. Counts are integers, so the
+// sum is exact — the tuple-at-a-time fold's, whoever claimed what.
+func evalGlobalCount(pool *backend.Pool, rule *Rule, span uint32) {
+	lanes := make([]countLane, pool.Workers())
+	backend.NewSweep(pool, int(span), 64, func(w, lo, hi int) {
+		l := &lanes[w]
+		if l.env == nil {
+			// Allocated by the worker that writes it, on every edge: frames
+			// made side by side on the caller would share cache lines.
+			l.env = rule.newEnv()
+			l.sink = func(uint32, Value) { l.n++ }
+		}
+		rule.evalDriver(l.env, uint32(lo), uint32(hi), nil, l.sink)
+	}).Run()
+	total := 0.0
+	for i := range lanes {
+		total += lanes[i].n
+	}
+	if total != 0 {
+		rule.Head.Table.foldScalar(AggCount, 0, total)
+	}
 }

@@ -2,11 +2,13 @@ package socialite
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
 
 	"graphmaze/internal/backend"
+	"graphmaze/internal/core"
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
 )
@@ -258,5 +260,258 @@ func TestLoweredRoundFallsBackOnNonUniformDelta(t *testing.T) {
 	}
 	if _, ok := low.Round([]uint32{3}); ok {
 		t.Fatal("lowering must stay dead after a violation")
+	}
+}
+
+// sumRuleSrc is PageRank's shape with one more prefix atom: a keyed
+// driver, a keyed prefix table, a scalar assignment and the trailing edge
+// atom, folded with $SUM into a table that drives nothing.
+const sumRuleSrc = "OUT[n]($SUM(v)) :- A[s](v0), B[s](d), v = 0.7*v0/d + v0, E[s](n)."
+
+// sumTables describes one scenario's tables: which keys each holds (nil
+// means every key) and what OUT is seeded with.
+type sumTables struct {
+	name           string
+	aHas, bHas     func(k uint32) bool
+	outHas         func(k uint32) bool
+	lowers         bool
+	negativeZeroes bool
+}
+
+// buildSumRule compiles sumRuleSrc over edge with fresh tables filled as
+// sc prescribes. Values vary by key so that fold order shows in the bits.
+func buildSumRule(t *testing.T, edge *EdgeTable, sc sumTables) *Rule {
+	t.Helper()
+	n := edge.NumKeys()
+	a, b, out := NewVecTable("A", n), NewVecTable("B", n), NewVecTable("OUT", n)
+	for k := uint32(0); k < n; k++ {
+		if sc.aHas == nil || sc.aHas(k) {
+			v := 1 / float64(k%97+3)
+			if sc.negativeZeroes && k%5 == 0 {
+				v = math.Copysign(0, -1)
+			}
+			a.Put(k, Scalar(v))
+		}
+		if sc.bHas == nil || sc.bHas(k) {
+			b.Put(k, Scalar(float64(k%13+1)))
+		}
+		if sc.outHas == nil || sc.outHas(k) {
+			out.Put(k, Scalar(0.15+float64(k%7)*1e-3))
+		}
+	}
+	reg := NewRegistry()
+	for _, tab := range []Table{edge, a, b, out} {
+		reg.Register(tab)
+	}
+	rule, err := Parse(sumRuleSrc, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rule
+}
+
+// sameBits reports how two tables differ, if they do: they must hold the
+// same keys with the same float64 bit patterns.
+func sameBits(want, got *VecTable) error {
+	if want.Len() != got.Len() {
+		return fmt.Errorf("%d tuples, want %d", got.Len(), want.Len())
+	}
+	var err error
+	want.ForEach(func(k uint32, v Value) {
+		gv, ok := got.Get(k)
+		if err == nil && (!ok || len(gv) != 1 || math.Float64bits(gv[0]) != math.Float64bits(v[0])) {
+			err = fmt.Errorf("key %d: %v (present=%v), want %v", k, gv, ok, v)
+		}
+	})
+	return err
+}
+
+func requireSameBits(t *testing.T, what string, want, got *VecTable) {
+	t.Helper()
+	if err := sameBits(want, got); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+}
+
+// handBuiltGraph has what RMAT at this size may not: isolated vertices
+// (8, 9), sources nothing points at (10, 11), a sink with no out-edges
+// (7) and a hub (0) every other vertex points at and that points back.
+func handBuiltGraph(t *testing.T) *graph.CSR {
+	t.Helper()
+	var edges []graph.Edge
+	for v := uint32(1); v < 7; v++ {
+		edges = append(edges, graph.Edge{Src: v, Dst: 0}, graph.Edge{Src: 0, Dst: v}, graph.Edge{Src: v, Dst: 7})
+	}
+	edges = append(edges, graph.Edge{Src: 10, Dst: 3}, graph.Edge{Src: 11, Dst: 3}, graph.Edge{Src: 11, Dst: 0})
+	g, err := graph.FromEdges(12, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestSumLoweringMatchesGeneric evaluates the $SUM rule on the generic
+// evaluator and through EvalOnce and requires the same tuples with the
+// same float64 bits, at 1, 2 and 4 workers and across them. Scenarios the
+// guard must refuse (a source with edges but no driver or prefix tuple)
+// have to leave the head untouched and still agree.
+func TestSumLoweringMatchesGeneric(t *testing.T) {
+	graphs := fixpointFixtures(t)
+	graphs["hand"] = handBuiltGraph(t)
+	third := func(k uint32) bool { return k%3 == 0 }
+	scenarios := []sumTables{
+		{name: "seeded", lowers: true},
+		{name: "partial-head", outHas: third, lowers: true, negativeZeroes: true},
+		{name: "empty-head", outHas: func(uint32) bool { return false }, lowers: true, negativeZeroes: true},
+		{name: "partial-driver", aHas: func(k uint32) bool { return k%4 != 1 }, outHas: third},
+		{name: "partial-prefix", bHas: func(k uint32) bool { return k%5 != 2 }},
+	}
+	for name, g := range graphs {
+		edge := NewEdgeTable("E", g)
+		for _, sc := range scenarios {
+			var across *VecTable
+			for _, procs := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/%s/procs=%d", name, sc.name, procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					pool := backend.NewPool(0)
+					defer pool.Close()
+
+					generic := buildSumRule(t, edge, sc)
+					if _, err := EvalParallel(generic, 0, edge.NumKeys(), nil, nil, 0, false); err != nil {
+						t.Fatal(err)
+					}
+					want := generic.Head.Table
+					if across == nil {
+						across = want
+					}
+					requireSameBits(t, "generic across worker counts", across, want)
+
+					probe := buildSumRule(t, edge, sc)
+					sh, ok := matchEdgeShape(probe)
+					if !ok {
+						t.Fatal("the $SUM rule did not match the shape")
+					}
+					if lowered := evalEdgeSum(pool, sh); lowered != sc.lowers {
+						t.Fatalf("evalEdgeSum = %v, want %v", lowered, sc.lowers)
+					} else if !lowered {
+						requireSameBits(t, "refused head", buildSumRule(t, edge, sc).Head.Table, probe.Head.Table)
+					} else {
+						requireSameBits(t, "lowered", want, probe.Head.Table)
+					}
+
+					once := buildSumRule(t, edge, sc)
+					if err := EvalOnce(pool, once); err != nil {
+						t.Fatal(err)
+					}
+					requireSameBits(t, "EvalOnce", want, once.Head.Table)
+				})
+			}
+		}
+	}
+}
+
+// TestGlobalCountMatchesReference pins the global-aggregate evaluator:
+// the paper's triangle rule counts what core/reference.go counts at every
+// worker count, on top of whatever the head already held.
+func TestGlobalCountMatchesReference(t *testing.T) {
+	g := fixtureAcyclic(t)
+	want := core.RefTriangleCount(g)
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			pool := backend.NewPool(0)
+			defer pool.Close()
+			tri := NewVecTable("TRIANGLE", 1)
+			reg := NewRegistry()
+			reg.Register(NewEdgeTable("EDGE", g))
+			reg.Register(tri)
+			rule, err := Parse("TRIANGLE(0, $INC(1)) :- EDGE(x,y), EDGE(y,z), EDGE(x,z).", reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := int64(1); round <= 2; round++ {
+				if err := EvalOnce(pool, rule); err != nil {
+					t.Fatal(err)
+				}
+				if v, _ := tri.Get(0); int64(v.S()) != round*want {
+					t.Fatalf("after %d evaluations the count is %v, want %d", round, v, round*want)
+				}
+			}
+		})
+	}
+}
+
+// TestNaNEmissionsDroppedAtEveryWorkerCount pins the NaN rule: a NaN head
+// value is no tuple on the compiled single-worker loop, the sharded
+// evaluator and the lowering alike. A[0] = +Inf makes v0 - v0 NaN.
+func TestNaNEmissionsDroppedAtEveryWorkerCount(t *testing.T) {
+	g, err := graph.FromEdges(4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 2, Dst: 1}, {Src: 3, Dst: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *Rule {
+		a, out := NewVecTable("A", 4), NewVecTable("OUT", 4)
+		a.Put(0, Scalar(math.Inf(1)))
+		for k := uint32(1); k < 4; k++ {
+			a.Put(k, Scalar(float64(k)))
+		}
+		reg := NewRegistry()
+		for _, tab := range []Table{NewEdgeTable("E", g), a, out} {
+			reg.Register(tab)
+		}
+		rule, err := Parse("OUT[n]($SUM(v)) :- A[s](v0), v = v0 - v0 + 1, E[s](n).", reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rule
+	}
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			pool := backend.NewPool(0)
+			defer pool.Close()
+			generic, once := build(), build()
+			if _, err := EvalParallel(generic, 0, 4, nil, nil, 0, false); err != nil {
+				t.Fatal(err)
+			}
+			if err := EvalOnce(pool, once); err != nil {
+				t.Fatal(err)
+			}
+			for what, rule := range map[string]*Rule{"EvalParallel": generic, "EvalOnce": once} {
+				if v, ok := rule.Head.Table.Get(1); !ok || v.S() != 1 {
+					t.Errorf("%s: OUT[1] = %v (present=%v), want 1: source 0's NaN is no tuple", what, v, ok)
+				}
+				if v, ok := rule.Head.Table.Get(2); !ok || v.S() != 1 {
+					t.Errorf("%s: OUT[2] = %v (present=%v), want 1", what, v, ok)
+				}
+			}
+		})
+	}
+}
+
+// TestScalarColumnGathersAliasedValues pins the one hazard of moving a
+// table onto a dense column: a Value stored under two keys must be read
+// before anything overwrites the slot it lives in.
+func TestScalarColumnGathersAliasedValues(t *testing.T) {
+	tab := NewVecTable("T", 6)
+	tab.FillScalars(func(k uint32) float64 { return float64(k) + 0.5 })
+	v3, _ := tab.Get(3)
+	tab.Put(5, v3) // key 5 now lives in key 3's slot
+	tab.Delete(3)
+	col, ok := tab.scalarColumn(-1)
+	if !ok {
+		t.Fatal("a scalar table did not yield a column")
+	}
+	want := []float64{0.5, 1.5, 2.5, -1, 4.5, 3.5}
+	if !slices.Equal(col, want) {
+		t.Fatalf("column %v, want %v", col, want)
+	}
+	col[5] = 9
+	if v, _ := tab.Get(5); v.S() != 9 {
+		t.Fatalf("key 5 reads %v after a write to its column slot", v)
+	}
+	tab.Put(2, Value{1, 2})
+	if _, ok := tab.scalarColumn(0); ok {
+		t.Fatal("a table holding a vector yielded a scalar column")
 	}
 }

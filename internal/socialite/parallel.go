@@ -3,6 +3,7 @@ package socialite
 import (
 	"runtime"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
 	"graphmaze/internal/par"
 )
@@ -31,6 +32,35 @@ type kv struct {
 	vec    Value // nil for scalar emissions (stored inline, no alloc)
 }
 
+// team is where a sharded evaluation's workers come from: each(n, body)
+// runs body(w) for every w in [0,n) and joins. The cluster model's nodes
+// evaluate on the framework's own threads (par); everything a query runs
+// evaluates on the pool its caller borrowed.
+type team struct {
+	workers int
+	each    func(n int, body func(w int))
+}
+
+func parTeam() team {
+	return team{runtime.GOMAXPROCS(0), func(n int, body func(w int)) {
+		par.ForWorkersIndexed(n, n, func(_, lo, hi int) {
+			for w := lo; w < hi; w++ {
+				body(w)
+			}
+		})
+	}}
+}
+
+func poolTeam(pool *backend.Pool) team {
+	return team{pool.Workers(), func(n int, body func(w int)) {
+		backend.NewDense(pool, n, func(lo, hi int) {
+			for w := lo; w < hi; w++ {
+				body(w)
+			}
+		}).Run()
+	}}
+}
+
 // EvalParallel evaluates the rule for driver keys/sources in [lo,hi)
 // (restricted to delta when non-nil, for vec drivers) using sharded
 // parallel evaluation, folding into the head table.
@@ -40,16 +70,19 @@ type kv struct {
 // still folds — tables are shared in the simulation; the tally drives the
 // modeled network).
 func EvalParallel(rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) int, selfNode int, trackChanged bool) (EvalStats, error) {
-	var stats EvalStats
-	headKeys := rule.Head.Table.NumKeys()
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 1 {
-		workers = 1
-	}
+	return evalSharded(parTeam(), rule, lo, hi, delta, owner, selfNode, trackChanged)
+}
 
-	// Global aggregates (single-key tables, e.g. TRIANGLE) fold into
-	// per-worker partials merged at the end.
-	global := headKeys == 1
+// evalSharded is EvalParallel on the given team. Every key's updates fold
+// in ascending driver order whatever the team's size: producers own
+// ascending driver ranges and each shard drains them in producer order.
+func evalSharded(t team, rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) int, selfNode int, trackChanged bool) (EvalStats, error) {
+	var stats EvalStats
+	if _, err := rule.driverSpan(); err != nil {
+		return stats, err
+	}
+	headKeys := rule.Head.Table.NumKeys()
+	workers := max(t.workers, 1)
 
 	// Driver shard bounds.
 	span := hi - lo
@@ -67,107 +100,62 @@ func EvalParallel(rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) 
 		return s
 	}
 
-	// Compiled fast path: SociaLite compiles rules to tight loops; the
-	// common scalar shape (vec driver, key-local vec/let atoms, one edge
-	// atom, scalar head) avoids the generic recursive evaluator entirely.
-	if workers == 1 || global {
-		// With a single worker (or a global aggregate) no routing is
-		// needed: fold directly.
-		st, err := evalDirect(rule, lo, hi, delta, owner, selfNode, trackChanged)
-		return st, err
+	// With a single worker no routing is needed, and a global aggregate
+	// (one key, e.g. TRIANGLE) has one shard to route to: fold directly.
+	if workers == 1 || headKeys == 1 || rule.Head.KeySlot < 0 {
+		return evalDirect(rule, lo, hi, delta, owner, selfNode, trackChanged)
 	}
 
 	routed := make([][][]kv, workers) // [producer][consumerShard]
-	globals := make([]float64, workers)
-	// Each worker reports into its own slot: a single shared error variable
-	// would be a write-write race across workers.
-	workerErrs := make([]error, workers)
-	par.ForWorkersIndexed(workers, workers, func(_, wlo, whi int) {
-		for w := wlo; w < whi; w++ {
-			buf := make([][]kv, workers)
-			dlo := lo + graph.MustU32(int64(uint64(span)*uint64(w)/uint64(workers)))
-			dhi := lo + graph.MustU32(int64(uint64(span)*uint64(w+1)/uint64(workers)))
-			//lint:ignore hotalloc one sink closure per worker slot, not per element
-			sink := func(key uint32, val Value) {
-				if global {
-					globals[w] += val.S()
-					return
-				}
-				s := shardOf(key)
-				e := kv{key: key}
-				if len(val) == 1 {
-					e.scalar = val[0]
-				} else {
-					e.vec = val
-				}
-				//lint:ignore hotalloc shard buffers are sparse; eager per-shard make would cost more than amortized growth
-				buf[s] = append(buf[s], e)
-			}
-			var err error
-			if rule.Driver.Vec != nil {
-				err = rule.EvalVecDriver(dlo, dhi, delta, sink)
+	t.each(workers, func(w int) {
+		buf := make([][]kv, workers)
+		dlo := lo + graph.MustU32(int64(uint64(span)*uint64(w)/uint64(workers)))
+		dhi := lo + graph.MustU32(int64(uint64(span)*uint64(w+1)/uint64(workers)))
+		sink := func(key uint32, val Value) {
+			s := shardOf(key)
+			e := kv{key: key}
+			if len(val) == 1 {
+				e.scalar = val[0]
 			} else {
-				err = rule.EvalEdgeDriver(dlo, dhi, sink)
+				e.vec = val
 			}
-			workerErrs[w] = err
-			routed[w] = buf
+			// Shard buffers are sparse: an eager per-shard make would cost
+			// more than amortized growth.
+			buf[s] = append(buf[s], e)
 		}
+		rule.evalDriver(rule.newEnv(), dlo, dhi, delta, sink)
+		routed[w] = buf
 	})
-	for _, err := range workerErrs {
-		if err != nil {
-			return stats, err
-		}
-	}
-
-	if global {
-		var total float64
-		var tuples int64
-		for _, g := range globals {
-			total += g
-			tuples += int64(g)
-		}
-		if total != 0 {
-			rule.Head.Table.fold(rule.Head.Agg, 0, Scalar(total))
-		}
-		if owner != nil && owner(0) != selfNode && total != 0 {
-			// Only the folded partial crosses the network.
-			stats.RemoteBytes += 12
-			stats.RemoteTuples++
-		}
-		return stats, nil
-	}
 
 	// Phase 2: shard owners fold their updates; no two workers touch the
 	// same key.
 	changedPer := make([][]uint32, workers)
 	remoteBytes := make([]int64, workers)
 	remoteTuples := make([]int64, workers)
-	par.ForWorkersIndexed(workers, workers, func(_, wlo, whi int) {
-		for s := wlo; s < whi; s++ {
-			if trackChanged {
-				total := 0
-				for p := 0; p < workers; p++ {
-					total += len(routed[p][s])
-				}
-				changedPer[s] = make([]uint32, 0, total)
-			}
+	t.each(workers, func(s int) {
+		if trackChanged {
+			total := 0
 			for p := 0; p < workers; p++ {
-				for _, u := range routed[p][s] {
-					var changed bool
-					width := 1
-					if u.vec == nil {
-						changed = rule.Head.Table.foldScalar(rule.Head.Agg, u.key, u.scalar)
-					} else {
-						changed = rule.Head.Table.fold(rule.Head.Agg, u.key, u.vec)
-						width = len(u.vec)
-					}
-					if trackChanged && changed {
-						changedPer[s] = append(changedPer[s], u.key)
-					}
-					if owner != nil && owner(u.key) != selfNode {
-						remoteBytes[s] += int64(4 + 8*width)
-						remoteTuples[s]++
-					}
+				total += len(routed[p][s])
+			}
+			changedPer[s] = make([]uint32, 0, total)
+		}
+		for p := 0; p < workers; p++ {
+			for _, u := range routed[p][s] {
+				var changed bool
+				width := 1
+				if u.vec == nil {
+					changed = rule.Head.Table.foldScalar(rule.Head.Agg, u.key, u.scalar)
+				} else {
+					changed = rule.Head.Table.fold(rule.Head.Agg, u.key, u.vec)
+					width = len(u.vec)
+				}
+				if trackChanged && changed {
+					changedPer[s] = append(changedPer[s], u.key)
+				}
+				if owner != nil && owner(u.key) != selfNode {
+					remoteBytes[s] += int64(4 + 8*width)
+					remoteTuples[s]++
 				}
 			}
 		}
@@ -182,12 +170,11 @@ func EvalParallel(rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) 
 }
 
 // evalDirect evaluates without routing buffers, folding each emission
-// immediately — the single-worker (and global-aggregate) path.
+// immediately — the single-worker (and global-aggregate) path. SociaLite
+// compiles rules to tight loops; the hot shape the matcher recognises
+// avoids the generic recursive evaluator entirely.
 func evalDirect(rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) int, selfNode int, trackChanged bool) (EvalStats, error) {
 	var stats EvalStats
-	if compiled, ok := compileScalarRule(rule); ok {
-		return compiled(lo, hi, delta, owner, selfNode, trackChanged)
-	}
 	sink := func(key uint32, val Value) {
 		var changed bool
 		width := len(val)
@@ -204,104 +191,39 @@ func evalDirect(rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) in
 			stats.RemoteTuples++
 		}
 	}
-	var err error
-	if rule.Driver.Vec != nil {
-		err = rule.EvalVecDriver(lo, hi, delta, sink)
+	if sh, ok := matchEdgeShape(rule); ok {
+		sh.evalCompiled(lo, hi, delta, sink)
 	} else {
-		err = rule.EvalEdgeDriver(lo, hi, sink)
+		rule.evalDriver(rule.newEnv(), lo, hi, delta, sink)
 	}
 	stats.Changed = dedup(stats.Changed)
-	return stats, err
+	return stats, nil
 }
 
-// compileScalarRule recognizes the hot rule shape — vec driver, key-local
-// vec/let atoms, one trailing unweighted edge atom, scalar head keyed by
-// the edge destination — and returns a specialized loop for it. This is
-// the moral equivalent of SociaLite's rule-to-Java compilation: the
-// loop-invariant prefix evaluates once per source, the inner loop is a
-// plain scan over the adjacency list.
-func compileScalarRule(rule *Rule) (func(lo, hi uint32, delta []uint32, owner func(uint32) int, selfNode int, trackChanged bool) (EvalStats, error), bool) {
-	d := rule.Driver.Vec
-	if d == nil || len(rule.Lets) != 0 || rule.Head.ValSlot < 0 {
-		return nil, false
-	}
-	n := len(rule.Atoms)
-	if n == 0 {
-		return nil, false
-	}
-	last := rule.Atoms[n-1].Edge
-	if last == nil || last.DstBound || last.WeightSlot >= 0 ||
-		last.SrcSlot != d.KeySlot || rule.Head.KeySlot != last.DstSlot {
-		return nil, false
-	}
-	prefix := rule.Atoms[:n-1]
-	for _, a := range prefix {
-		switch {
-		case a.Vec != nil:
-			if a.Vec.KeySlot != d.KeySlot {
-				return nil, false
-			}
-		case a.Let != nil:
-			if a.Let.FScalar == nil {
-				return nil, false
-			}
-		default:
-			return nil, false
+// evalCompiled is the moral equivalent of SociaLite's rule-to-Java
+// compilation for the matched shape: the loop-invariant prefix evaluates
+// once per source, the inner loop is a plain scan over the adjacency list.
+func (s *edgeShape) evalCompiled(lo, hi uint32, delta []uint32, sink emit) {
+	env := s.rule.newEnv()
+	edge := s.edge.Table
+	visit := func(src uint32) {
+		val, ok := s.sourceValue(env, src)
+		if !ok || isNaN(val) {
+			return
+		}
+		for _, dst := range edge.Neighbors(src) {
+			sink(dst, val)
 		}
 	}
-	table := rule.Head.Table
-	agg := rule.Head.Agg
-	valSlot := rule.Head.ValSlot
-	edge := last.Table
-
-	return func(lo, hi uint32, delta []uint32, owner func(uint32) int, selfNode int, trackChanged bool) (EvalStats, error) {
-		var stats EvalStats
-		env := &Env{Keys: make([]uint32, rule.KeySlots), Vals: make([]Value, rule.ValSlots)}
-		visit := func(src uint32) {
-			v0, ok := d.Table.Get(src)
-			if !ok {
-				return
-			}
-			env.Keys[d.KeySlot] = src
-			if d.ValSlot >= 0 {
-				env.Vals[d.ValSlot] = v0
-			}
-			for _, a := range prefix {
-				if a.Vec != nil {
-					v, ok := a.Vec.Table.Get(src)
-					if !ok {
-						return
-					}
-					if a.Vec.ValSlot >= 0 {
-						env.Vals[a.Vec.ValSlot] = v
-					}
-					continue
-				}
-				env.setScalar(a.Let.OutSlot, a.Let.FScalar(env))
-			}
-			val := env.Vals[valSlot][0]
-			for _, dst := range edge.Neighbors(src) {
-				if table.foldScalar(agg, dst, val) && trackChanged {
-					stats.Changed = append(stats.Changed, dst)
-				}
-				if owner != nil && owner(dst) != selfNode {
-					stats.RemoteBytes += 12
-					stats.RemoteTuples++
-				}
-			}
-		}
-		if delta != nil {
-			for _, key := range delta {
-				if key >= lo && key < hi {
-					visit(key)
-				}
-			}
-		} else {
-			for key := lo; key < hi; key++ {
+	if delta != nil {
+		for _, key := range delta {
+			if key >= lo && key < hi {
 				visit(key)
 			}
 		}
-		stats.Changed = dedup(stats.Changed)
-		return stats, nil
-	}, true
+		return
+	}
+	for key := lo; key < hi; key++ {
+		visit(key)
+	}
 }

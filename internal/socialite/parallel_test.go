@@ -91,11 +91,9 @@ func TestEvalParallelMatchesSerialFold(t *testing.T) {
 	if err := ruleW.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ruleW.EvalVecDriver(0, n, nil, func(key uint32, val Value) {
+	ruleW.evalDriver(ruleW.newEnv(), 0, n, nil, func(key uint32, val Value) {
 		want.foldScalar(AggSum, key, val[0])
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	// Parallel/compiled evaluation.
 	got := NewVecTable("G", n)
@@ -141,7 +139,7 @@ func TestCompileScalarRuleRecognition(t *testing.T) {
 		},
 		Head: Head{Table: head, Agg: AggSum, KeySlot: 1, ValSlot: 1},
 	}
-	if _, ok := compileScalarRule(good); !ok {
+	if _, ok := matchEdgeShape(good); !ok {
 		t.Error("hot-shape rule not recognized by the compiler")
 	}
 
@@ -151,7 +149,7 @@ func TestCompileScalarRuleRecognition(t *testing.T) {
 		Driver: Driver{Edge: &EdgeAtom{Table: edgeT, SrcSlot: 0, DstSlot: 1, WeightSlot: -1}},
 		Head:   Head{Table: head, Agg: AggCount, KeySlot: -1, ValSlot: -1},
 	}
-	if _, ok := compileScalarRule(edgeDriven); ok {
+	if _, ok := matchEdgeShape(edgeDriven); ok {
 		t.Error("edge-driven rule wrongly compiled")
 	}
 
@@ -164,7 +162,7 @@ func TestCompileScalarRuleRecognition(t *testing.T) {
 		},
 		Head: Head{Table: head, Agg: AggSum, KeySlot: 1, ValSlot: 1},
 	}
-	if _, ok := compileScalarRule(weighted); ok {
+	if _, ok := matchEdgeShape(weighted); ok {
 		t.Error("weighted-edge rule wrongly compiled")
 	}
 }

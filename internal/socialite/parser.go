@@ -48,7 +48,7 @@ func Parse(src string, reg *Registry) (*Rule, error) {
 		return nil, fmt.Errorf("socialite: parse %q: %w", src, err)
 	}
 	if err := rule.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("socialite: parse %q: at offset 0: %w", src, err)
 	}
 	return rule, nil
 }
@@ -84,6 +84,8 @@ type parser struct {
 	reg *Registry
 	pos int
 	tok token
+	// depth counts the parentheses and unary minuses factor is inside of.
+	depth int
 
 	// Compilation state.
 	keySlots map[string]int
@@ -92,8 +94,17 @@ type parser struct {
 	valBound map[string]bool
 }
 
+// maxExprDepth bounds expression nesting: the parser recurses once per
+// parenthesis or unary minus, and rule text arrives from sockets.
+const maxExprDepth = 200
+
+// errAt is an error naming the source offset it is about.
+func errAt(pos int, format string, args ...any) error {
+	return fmt.Errorf("at offset %d: "+format, append([]any{pos}, args...)...)
+}
+
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("at offset %d: "+format, append([]any{p.tok.pos}, args...)...)
+	return errAt(p.tok.pos, format, args...)
 }
 
 func (p *parser) next() error {
@@ -136,7 +147,7 @@ func (p *parser) next() error {
 			p.pos += 2
 			p.tok = token{tokTurnstile, ":-", start}
 		} else {
-			return fmt.Errorf("at offset %d: stray ':'", start)
+			return errAt(start, "stray ':'")
 		}
 	case c == '$':
 		p.pos++
@@ -161,7 +172,7 @@ func (p *parser) next() error {
 		}
 		p.tok = token{tokIdent, p.src[start:p.pos], start}
 	default:
-		return fmt.Errorf("at offset %d: unexpected character %q", start, c)
+		return errAt(start, "unexpected character %q", c)
 	}
 	return nil
 }
@@ -177,6 +188,9 @@ func (p *parser) expect(kind tokKind, what string) error {
 
 // headSpec carries the parsed head before slot resolution.
 type headSpec struct {
+	pos        int // of the table name; keyPos and valPos of its arguments
+	keyPos     int
+	valPos     int
 	table      string
 	keyVar     string // "" when the key is a literal (global aggregate)
 	keyLit     bool
@@ -187,11 +201,13 @@ type headSpec struct {
 }
 
 type bodyAtom struct {
+	pos   int
 	table string
 	args  []string // variable names; literals are not allowed in body atoms
 }
 
 type assignment struct {
+	pos      int
 	variable string
 	expr     expr
 }
@@ -215,7 +231,7 @@ func (p *parser) rule() (*Rule, error) {
 		if p.tok.kind != tokIdent {
 			return nil, p.errf("expected a body atom or assignment, got %q", p.tok.text)
 		}
-		name := p.tok.text
+		name, pos := p.tok.text, p.tok.pos
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -228,11 +244,11 @@ func (p *parser) rule() (*Rule, error) {
 			if err != nil {
 				return nil, err
 			}
-			a := assignment{variable: name, expr: e}
+			a := assignment{pos: pos, variable: name, expr: e}
 			assigns = append(assigns, a)
 			order = append(order, a)
 		} else {
-			atom, err := p.atomArgs(name)
+			atom, err := p.atomArgs(name, pos)
 			if err != nil {
 				return nil, err
 			}
@@ -256,7 +272,7 @@ func (p *parser) rule() (*Rule, error) {
 		return nil, p.errf("trailing input %q", p.tok.text)
 	}
 	if len(atoms) == 0 {
-		return nil, fmt.Errorf("rule has no body atoms")
+		return nil, p.errf("rule has no body atoms")
 	}
 	return p.compile(head, order)
 }
@@ -268,11 +284,12 @@ func (p *parser) head() (headSpec, error) {
 	if p.tok.kind != tokIdent {
 		return h, p.errf("expected head table name, got %q", p.tok.text)
 	}
-	h.table = p.tok.text
+	h.table, h.pos = p.tok.text, p.tok.pos
 	if err := p.next(); err != nil {
 		return h, err
 	}
 	readKey := func() error {
+		h.keyPos = p.tok.pos
 		switch p.tok.kind {
 		case tokIdent:
 			h.keyVar = p.tok.text
@@ -302,6 +319,7 @@ func (p *parser) head() (headSpec, error) {
 			if err := p.expect(tokLParen, "'('"); err != nil {
 				return err
 			}
+			h.valPos = p.tok.pos
 			switch p.tok.kind {
 			case tokIdent:
 				h.valVar = p.tok.text
@@ -320,7 +338,7 @@ func (p *parser) head() (headSpec, error) {
 			return p.expect(tokRParen, "')'")
 		case tokIdent:
 			h.agg = AggAssign
-			h.valVar = p.tok.text
+			h.valVar, h.valPos = p.tok.text, p.tok.pos
 			return p.next()
 		default:
 			return p.errf("expected head value, got %q", p.tok.text)
@@ -364,8 +382,8 @@ func (p *parser) head() (headSpec, error) {
 
 // atomArgs parses the argument lists of a body atom whose name was
 // already consumed: NAME[k](args…) or NAME(args…).
-func (p *parser) atomArgs(name string) (bodyAtom, error) {
-	atom := bodyAtom{table: name}
+func (p *parser) atomArgs(name string, pos int) (bodyAtom, error) {
+	atom := bodyAtom{pos: pos, table: name}
 	readVar := func() error {
 		if p.tok.kind != tokIdent {
 			return p.errf("expected a variable, got %q", p.tok.text)
@@ -494,6 +512,10 @@ func (p *parser) term() (expr, error) {
 }
 
 func (p *parser) factor() (expr, error) {
+	if p.depth++; p.depth > maxExprDepth {
+		return nil, p.errf("expression nested deeper than %d", maxExprDepth)
+	}
+	defer func() { p.depth-- }()
 	switch p.tok.kind {
 	case tokNumber:
 		v, err := strconv.ParseFloat(p.tok.text, 64)
@@ -567,7 +589,7 @@ func (p *parser) compile(head headSpec, order []any) (*Rule, error) {
 	classify := func(a bodyAtom) (Table, error) {
 		t, ok := p.reg.Lookup(a.table)
 		if !ok {
-			return nil, fmt.Errorf("unknown table %q", a.table)
+			return nil, errAt(a.pos, "unknown table %q", a.table)
 		}
 		return t, nil
 	}
@@ -583,7 +605,7 @@ func (p *parser) compile(head headSpec, order []any) (*Rule, error) {
 			switch tab := t.(type) {
 			case *EdgeTable:
 				if len(it.args) != 2 {
-					return nil, fmt.Errorf("edge table %s takes 2 variables, got %d", it.table, len(it.args))
+					return nil, errAt(it.pos, "edge table %s takes 2 variables, got %d", it.table, len(it.args))
 				}
 				src, dst := it.args[0], it.args[1]
 				ea := &EdgeAtom{Table: tab, WeightSlot: -1}
@@ -594,7 +616,7 @@ func (p *parser) compile(head headSpec, order []any) (*Rule, error) {
 					p.keyBound[src], p.keyBound[dst] = true, true
 				} else {
 					if !p.keyBound[src] {
-						return nil, fmt.Errorf("edge atom %s joins on unbound variable %q", it.table, src)
+						return nil, errAt(it.pos, "edge atom %s joins on unbound variable %q", it.table, src)
 					}
 					if p.keyBound[dst] {
 						ea.DstBound = true // containment check
@@ -604,10 +626,8 @@ func (p *parser) compile(head headSpec, order []any) (*Rule, error) {
 					rule.Atoms = append(rule.Atoms, Atom{Edge: ea})
 				}
 			case *VecTable:
-				if len(it.args) != 2 && !(first && len(it.args) == 2) {
-					if len(it.args) != 2 {
-						return nil, fmt.Errorf("keyed table %s takes [key](value), got %d args", it.table, len(it.args))
-					}
+				if len(it.args) != 2 {
+					return nil, errAt(it.pos, "keyed table %s takes [key](value), got %d args", it.table, len(it.args))
 				}
 				key, val := it.args[0], it.args[1]
 				va := &VecAtom{Table: tab}
@@ -618,22 +638,22 @@ func (p *parser) compile(head headSpec, order []any) (*Rule, error) {
 					p.keyBound[key] = true
 				} else {
 					if !p.keyBound[key] {
-						return nil, fmt.Errorf("table %s joins on unbound variable %q", it.table, key)
+						return nil, errAt(it.pos, "table %s joins on unbound variable %q", it.table, key)
 					}
 					rule.Atoms = append(rule.Atoms, Atom{Vec: va})
 				}
 				p.valBound[val] = true
 			default:
-				return nil, fmt.Errorf("table %q has unsupported kind %T", it.table, t)
+				return nil, errAt(it.pos, "table %q has unsupported kind %T", it.table, t)
 			}
 			first = false
 		case assignment:
 			if first {
-				return nil, fmt.Errorf("rule cannot start with an assignment")
+				return nil, errAt(it.pos, "rule cannot start with an assignment")
 			}
 			for _, v := range it.expr.vars() {
 				if !p.valBound[v] {
-					return nil, fmt.Errorf("assignment %s = … uses unbound variable %q", it.variable, v)
+					return nil, errAt(it.pos, "assignment %s = … uses unbound variable %q", it.variable, v)
 				}
 			}
 			out := p.valSlot(it.variable)
@@ -646,11 +666,11 @@ func (p *parser) compile(head headSpec, order []any) (*Rule, error) {
 	// Head resolution.
 	ht, ok := p.reg.Lookup(head.table)
 	if !ok {
-		return nil, fmt.Errorf("unknown head table %q", head.table)
+		return nil, errAt(head.pos, "unknown head table %q", head.table)
 	}
 	headVec, ok := ht.(*VecTable)
 	if !ok {
-		return nil, fmt.Errorf("head table %q must be a keyed table", head.table)
+		return nil, errAt(head.pos, "head table %q must be a keyed table", head.table)
 	}
 	rule.Head.Table = headVec
 	rule.Head.Agg = head.agg
@@ -658,18 +678,18 @@ func (p *parser) compile(head headSpec, order []any) (*Rule, error) {
 		rule.Head.KeySlot = -1
 	} else {
 		if !p.keyBound[head.keyVar] {
-			return nil, fmt.Errorf("head key %q never bound in body", head.keyVar)
+			return nil, errAt(head.keyPos, "head key %q never bound in body", head.keyVar)
 		}
 		rule.Head.KeySlot = p.keySlot(head.keyVar)
 	}
 	if head.isValueLit {
 		if head.valLit != 1 {
-			return nil, fmt.Errorf("only $INC(1) literals are supported, got %v", head.valLit)
+			return nil, errAt(head.valPos, "only $INC(1) literals are supported, got %v", head.valLit)
 		}
 		rule.Head.ValSlot = -1
 	} else {
 		if !p.valBound[head.valVar] {
-			return nil, fmt.Errorf("head value %q never bound in body", head.valVar)
+			return nil, errAt(head.valPos, "head value %q never bound in body", head.valVar)
 		}
 		rule.Head.ValSlot = p.valSlot(head.valVar)
 	}

@@ -281,15 +281,44 @@ func (r *Rule) evalFrom(ai int, env *Env, sink emit) {
 // mutate emitted values (they may alias shared or scratch storage).
 var one = Value{1}
 
-// EvalVecDriver evaluates the rule for driver keys in [lo,hi); delta, when
-// non-nil, restricts evaluation to those keys (semi-naive evaluation of
-// recursive rules).
-func (r *Rule) EvalVecDriver(lo, hi uint32, delta []uint32, sink emit) error {
-	d := r.Driver.Vec
-	if d == nil {
-		return fmt.Errorf("socialite: rule %s has no vec driver", r.Name)
+// newEnv returns an empty slot frame sized for the rule.
+func (r *Rule) newEnv() *Env {
+	return &Env{Keys: make([]uint32, r.KeySlots), Vals: make([]Value, r.ValSlots)}
+}
+
+// driverSpan reports the size of the key space the rule's driver
+// enumerates.
+func (r *Rule) driverSpan() (uint32, error) {
+	switch {
+	case r.Driver.Vec != nil:
+		return r.Driver.Vec.Table.NumKeys(), nil
+	case r.Driver.Edge != nil:
+		return r.Driver.Edge.Table.NumKeys(), nil
+	default:
+		return 0, fmt.Errorf("socialite: rule %s has no driver atom", r.Name)
 	}
-	env := &Env{Keys: make([]uint32, r.KeySlots), Vals: make([]Value, r.ValSlots)}
+}
+
+// evalDriver evaluates the rule in the caller's frame for the driver keys
+// (vec driver, restricted to delta when non-nil) or edge sources (edge
+// driver) in [lo,hi). The caller has checked that the rule has a driver.
+func (r *Rule) evalDriver(env *Env, lo, hi uint32, delta []uint32, sink emit) {
+	if d := r.Driver.Edge; d != nil {
+		for src := lo; src < hi; src++ {
+			adj := d.Table.Neighbors(src)
+			wts := d.Table.Weights(src)
+			env.Keys[d.SrcSlot] = src
+			for i, dst := range adj {
+				env.Keys[d.DstSlot] = dst
+				if d.WeightSlot >= 0 && wts != nil {
+					env.setScalar(d.WeightSlot, float64(wts[i]))
+				}
+				r.evalFrom(0, env, sink)
+			}
+		}
+		return
+	}
+	d := r.Driver.Vec
 	visit := func(key uint32) {
 		val, ok := d.Table.Get(key)
 		if !ok {
@@ -307,33 +336,9 @@ func (r *Rule) EvalVecDriver(lo, hi uint32, delta []uint32, sink emit) error {
 				visit(key)
 			}
 		}
-		return nil
+		return
 	}
 	for key := lo; key < hi; key++ {
 		visit(key)
 	}
-	return nil
-}
-
-// EvalEdgeDriver evaluates the rule for edge tuples whose src lies in
-// [lo,hi).
-func (r *Rule) EvalEdgeDriver(lo, hi uint32, sink emit) error {
-	d := r.Driver.Edge
-	if d == nil {
-		return fmt.Errorf("socialite: rule %s has no edge driver", r.Name)
-	}
-	env := &Env{Keys: make([]uint32, r.KeySlots), Vals: make([]Value, r.ValSlots)}
-	for src := lo; src < hi; src++ {
-		adj := d.Table.Neighbors(src)
-		wts := d.Table.Weights(src)
-		env.Keys[d.SrcSlot] = src
-		for i, dst := range adj {
-			env.Keys[d.DstSlot] = dst
-			if d.WeightSlot >= 0 && wts != nil {
-				env.setScalar(d.WeightSlot, float64(wts[i]))
-			}
-			r.evalFrom(0, env, sink)
-		}
-	}
-	return nil
 }

@@ -10,8 +10,10 @@ package socialite
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
 )
 
@@ -36,6 +38,11 @@ type Table interface {
 type EdgeTable struct {
 	name string
 	g    *graph.CSR
+
+	// in is the (dst, src) view a lowered $SUM folds over, built by the
+	// first evaluation that needs it and kept for the table's life.
+	inOnce sync.Once
+	in     *backend.Matrix
 }
 
 // NewEdgeTable wraps a CSR as an edge relation.
@@ -59,6 +66,14 @@ func (t *EdgeTable) Contains(src, dst uint32) bool { return t.g.HasEdge(src, dst
 // NumKeys reports the size of the src key space.
 func (t *EdgeTable) NumKeys() uint32 { return t.g.NumVertices }
 
+// transposed returns the relation keyed by dst: row t lists the sources of
+// t's tuples in ascending order (Transpose scatters sources in order), the
+// order the tuple-at-a-time evaluator folds a key's updates in.
+func (t *EdgeTable) transposed() *backend.Matrix {
+	t.inOnce.Do(func() { t.in = backend.FromCSR(t.g.Transpose()) })
+	return t.in
+}
+
 // NumRows reports the number of tuples.
 func (t *EdgeTable) NumRows() int64 { return t.g.NumEdges() }
 
@@ -70,6 +85,10 @@ type VecTable struct {
 	vals    []Value
 	present []bool
 	count   atomic.Int64
+	// col is the dense backing array of a scalar column, allocated by the
+	// first FillScalars or scalarColumn: vals[k] then aliases col[k:k+1]
+	// until a Put replaces it.
+	col []float64
 }
 
 // NewVecTable returns an empty table over keys [0, numKeys).
@@ -108,6 +127,67 @@ func (t *VecTable) Delete(key uint32) {
 	if t.present[key] {
 		t.present[key] = false
 		t.count.Add(-1)
+	}
+}
+
+// FillScalars assigns key ← f(key) for every key of the table, storing the
+// scalars in one dense column rather than one Value each.
+func (t *VecTable) FillScalars(f func(key uint32) float64) {
+	if t.col == nil {
+		t.col = make([]float64, len(t.vals))
+	}
+	for k := range t.col {
+		t.col[k] = f(uint32(k))
+		t.vals[k] = t.col[k : k+1 : k+1]
+		t.present[k] = true
+	}
+	t.count.Store(int64(len(t.col)))
+}
+
+// scalarColumn moves the table's scalars into its dense column and returns
+// it: col[k] is key k's storage from here on, and absent keys read as
+// fill. ok is false when a present value is not a scalar. Values found
+// anywhere but their own slot are gathered into a fresh column, so a Value
+// a caller Put under two keys is never overwritten before it is read.
+func (t *VecTable) scalarColumn(fill float64) (col []float64, ok bool) {
+	inPlace := t.col != nil
+	for k := 0; inPlace && k < len(t.vals); k++ {
+		v := t.vals[k]
+		inPlace = !t.present[k] || (len(v) == 1 && &v[0] == &t.col[k])
+	}
+	if !inPlace {
+		col = make([]float64, len(t.vals))
+		for k, v := range t.vals {
+			if !t.present[k] {
+				continue
+			}
+			if len(v) != 1 {
+				return nil, false
+			}
+			col[k] = v[0]
+			t.vals[k] = col[k : k+1 : k+1]
+		}
+		t.col = col
+	}
+	if t.Len() < len(t.col) {
+		for k, p := range t.present {
+			if !p {
+				t.col[k] = fill
+			}
+		}
+	}
+	return t.col, true
+}
+
+// adoptColumn makes every absent key that has(key) reports present, with
+// the value its slot of the dense column holds.
+func (t *VecTable) adoptColumn(has func(key int) bool) {
+	for k, p := range t.present {
+		if !p && has(k) {
+			t.present[k] = true
+			t.vals[k] = t.col[k : k+1 : k+1]
+			t.count.Add(1)
+		}
 	}
 }
 
