@@ -1,25 +1,24 @@
 // Command graphlint runs the project-specific static analyzer over the
-// module and reports invariant violations the generic Go toolchain cannot
-// catch: mixed atomic/plain access, unjoined engine goroutines, panics in
-// library code, unchecked 32-bit index truncation, and undocumented engine
-// API. It exits non-zero when any finding survives the //lint:ignore
-// directives, which makes it usable as a CI gate:
+// module and reports violations of the eight invariants internal/lint
+// keeps (atomic, det, goroutine, hotalloc, lock, panic, scratch, truncate;
+// -list describes each). It exits 1 when any finding survives the
+// //lint:ignore directives — the only suppression there is — and 2 on bad
+// usage, which makes one call the whole gate:
 //
 //	go run ./cmd/graphlint ./...
 //
 // Flags:
 //
-//	-json            emit findings as a JSON array instead of text
-//	-list            print the available rules and exit
-//	-rules           comma-separated subset of rules to run (default: all)
-//	-baseline        suppression file: only findings not in it fail the run
-//	-write-baseline  regenerate the baseline from the current findings
+//	-json   emit findings as a JSON array instead of text
+//	-list   print the available rules and exit
+//	-rules  comma-separated subset of rules to run (default: all)
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -27,21 +26,33 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON")
-	list := flag.Bool("list", false, "list available rules and exit")
-	ruleFilter := flag.String("rules", "", "comma-separated subset of rules to run")
-	baselinePath := flag.String("baseline", "", "baseline file: findings recorded in it are suppressed")
-	writeBaseline := flag.Bool("write-baseline", false, "regenerate the baseline file from the current findings and exit")
-	flag.Parse()
+	cwd, err := os.Getwd()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "graphlint:", err)
+		os.Exit(2)
+	}
+	os.Exit(run(cwd, os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *list {
-		for _, r := range lint.DefaultRules() {
-			fmt.Printf("%-10s %s\n", r.Name(), r.Doc())
-		}
-		return
+// run lints the module that contains dir and returns the exit status:
+// 0 clean, 1 findings, 2 bad usage or a module that does not load.
+func run(dir string, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("graphlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit findings as JSON")
+	list := fs.Bool("list", false, "list available rules and exit")
+	ruleFilter := fs.String("rules", "", "comma-separated subset of rules to run")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
 	rules := lint.DefaultRules()
+	if *list {
+		for _, r := range rules {
+			fmt.Fprintf(stdout, "%-10s %s\n", r.Name(), r.Doc())
+		}
+		return 0
+	}
 	if *ruleFilter != "" {
 		want := make(map[string]bool)
 		for _, name := range strings.Split(*ruleFilter, ",") {
@@ -55,71 +66,45 @@ func main() {
 			}
 		}
 		for name := range want {
-			fmt.Fprintf(os.Stderr, "graphlint: unknown rule %q (use -list)\n", name)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "graphlint: unknown rule %q (use -list)\n", name)
+			return 2
 		}
 		rules = kept
 	}
 
-	cwd, err := os.Getwd()
+	var pkgs []*lint.Package
+	modDir, err := lint.FindModuleRoot(dir)
+	if err == nil {
+		pkgs, err = lint.Load(modDir)
+	}
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "graphlint:", err)
+		return 2
 	}
-	modDir, err := lint.FindModuleRoot(cwd)
-	if err != nil {
-		fatal(err)
-	}
-	pkgs, err := lint.Load(modDir)
-	if err != nil {
-		fatal(err)
-	}
-	pkgs = filterPackages(pkgs, flag.Args())
-
-	findings := lint.Run(pkgs, rules)
-
-	if *writeBaseline {
-		path := *baselinePath
-		if path == "" {
-			path = "lint.baseline.json"
-		}
-		if err := lint.WriteBaseline(path, findings); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "graphlint: wrote %d finding(s) to %s\n", len(findings), path)
-		return
-	}
-	var suppressed []lint.Finding
-	if *baselinePath != "" {
-		base, err := lint.ReadBaseline(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		findings, suppressed = base.Apply(findings)
-	}
+	findings := lint.Run(filterPackages(pkgs, fs.Args()), rules)
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if findings == nil {
 			findings = []lint.Finding{}
 		}
 		if err := enc.Encode(findings); err != nil {
-			fatal(err)
+			fmt.Fprintln(stderr, "graphlint:", err)
+			return 2
 		}
 	} else {
 		for _, f := range findings {
-			fmt.Println(f)
+			fmt.Fprintln(stdout, f)
 		}
-	}
-	if len(suppressed) > 0 && !*jsonOut {
-		fmt.Fprintf(os.Stderr, "graphlint: %d baselined finding(s) suppressed\n", len(suppressed))
 	}
 	if len(findings) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "graphlint: %d finding(s)\n", len(findings))
+			fmt.Fprintf(stderr, "graphlint: %d finding(s)\n", len(findings))
 		}
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // filterPackages narrows pkgs to the requested patterns: "./..." (or no
@@ -150,9 +135,4 @@ func matches(rel, pattern string) bool {
 		return rel == prefix || strings.HasPrefix(rel, prefix+"/")
 	}
 	return rel == strings.TrimSuffix(pattern, "/")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "graphlint:", err)
-	os.Exit(2)
 }

@@ -21,10 +21,9 @@ type Epoch uint64
 // any other epoch's mutable state.
 //
 // Snapshots are cheap handles; engines must nonetheless not retain one
-// inside long-lived state across epoch advances (the graphlint `snapshot`
-// rule enforces this for engine packages): re-fetch via Versioned.Current
-// at the top of every operation so staleness is a per-operation choice,
-// not an accident.
+// inside long-lived state across epoch advances: re-fetch via
+// Versioned.Current at the top of every operation so staleness is a
+// per-operation choice, not an accident.
 type Snapshot struct {
 	epoch Epoch
 	csr   *CSR

@@ -11,7 +11,7 @@ import (
 	"graphmaze/internal/graph"
 )
 
-func benchBase(b *testing.B, scale int) (*graph.CSR, []graph.Edge) {
+func benchBase(b testing.TB, scale int) (*graph.CSR, []graph.Edge) {
 	b.Helper()
 	edges, err := gen.RMAT(gen.Graph500Config(scale, 16, 97))
 	if err != nil {

@@ -302,41 +302,6 @@ func Narrow(x int64) uint32 { return uint32(x) }
 	}
 }
 
-func TestDocRuleFlagsUndocumentedAPI(t *testing.T) {
-	p := loadFixture(t, "internal/galois", map[string]string{"a.go": `// Package galois is documented.
-package galois
-
-func Exported() {}
-`})
-	wantFinding(t, runRule(t, p, &DocRule{}), "internal/galois/a.go", 4, "doc")
-}
-
-func TestDocRuleAcceptsDocumentedAPI(t *testing.T) {
-	p := loadFixture(t, "internal/galois", map[string]string{"a.go": `// Package galois is documented.
-package galois
-
-// Exported does a thing.
-func Exported() {}
-
-// Thing is a documented type.
-type Thing struct{}
-
-// Mine is a documented method.
-func (t *Thing) Mine() {}
-
-func unexported() {}
-`})
-	if got := runRule(t, p, &DocRule{}); len(got) != 0 {
-		t.Fatalf("documented API should be clean, got %v", got)
-	}
-}
-
-func TestDocRuleRequiresPackageDoc(t *testing.T) {
-	p := loadFixture(t, "internal/par", map[string]string{"a.go": `package par
-`})
-	wantFinding(t, runRule(t, p, &DocRule{}), "internal/par/a.go", 1, "doc")
-}
-
 func TestIgnoreDirectiveSuppressesFinding(t *testing.T) {
 	p := loadFixture(t, "internal/fix", map[string]string{"a.go": `package fix
 

@@ -9,11 +9,10 @@ import (
 	"testing"
 )
 
-// fixtureParSrc (and fixtureBackendSrc, rule_handler_test.go) stand in
-// for graphmaze/internal/par and graphmaze/internal/backend with the same
-// package names and kernel-body-taking shapes: the det, hotalloc and obs
-// rules match on the imported package's name, so fixtures do not need the
-// real schedulers.
+// fixtureParSrc and fixtureBackendSrc stand in for graphmaze/internal/par
+// and graphmaze/internal/backend with the same package names and
+// kernel-body-taking shapes: the det and hotalloc rules match on the
+// imported package's name, so fixtures do not need the real schedulers.
 const fixtureParSrc = `// Package par is the fixture fork-join.
 package par
 
@@ -24,22 +23,22 @@ func For(n int, f func(lo, hi int)) { f(0, n) }
 func ForWorkersIndexed(workers, n int, f func(w, lo, hi int)) { f(0, 0, n) }
 `
 
-// fixtureObsSrc is a stand-in for graphmaze/internal/obs: the obs rule
-// matches on the receiver type name and package path suffix, so fixtures
-// only need the Histogram/Record shape, not the real lane machinery.
-const fixtureObsSrc = `// Package obs is the fixture metrics layer.
-package obs
+const fixtureBackendSrc = `// Package backend is the fixture kernel pool.
+package backend
 
-// Histogram is the fixture latency histogram.
-type Histogram struct{}
+// Pool is the fixture worker pool.
+type Pool struct{}
 
-// Record records v into worker's lane.
-func (h *Histogram) Record(worker int, v int64) {}
+// NewDense runs f as a static pass over [0, n).
+func NewDense(p *Pool, n int, f func(lo, hi int)) *Pool { f(0, n); return p }
+
+// NewSweep runs f as a dynamic pass over [0, n).
+func NewSweep(p *Pool, n, grain int, f func(w, lo, hi int)) *Pool { f(0, 0, n); return p }
 `
 
 // loadFixtureWithPar type-checks an in-memory package like loadFixture,
-// additionally making the fixture par, backend and obs packages
-// importable under their graphmaze paths.
+// additionally making the fixture par and backend packages importable
+// under their graphmaze paths.
 func loadFixtureWithPar(t *testing.T, rel string, files map[string]string) *Package {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -49,7 +48,6 @@ func loadFixtureWithPar(t *testing.T, rel string, files map[string]string) *Pack
 	for path, src := range map[string]string{
 		"graphmaze/internal/par":     fixtureParSrc,
 		"graphmaze/internal/backend": fixtureBackendSrc,
-		"graphmaze/internal/obs":     fixtureObsSrc,
 	} {
 		f, err := parser.ParseFile(fset, path+"/fixture.go", src, parser.ParseComments)
 		if err != nil {

@@ -90,9 +90,8 @@ type histLane struct {
 // Histogram is a lock-free, mergeable latency/size histogram sharded
 // across per-worker lanes. Record is wait-free apart from the max
 // high-water CAS, never allocates, and scales linearly with workers as
-// long as callers pass their own worker index (the obs lint rule enforces
-// this inside par.For* bodies). A nil *Histogram is a valid disabled
-// histogram: every method is a no-op costing one branch.
+// long as callers pass their own worker index. A nil *Histogram is a
+// valid disabled histogram: every method is a no-op costing one branch.
 type Histogram struct {
 	name  string
 	mask  uint32

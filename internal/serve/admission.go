@@ -111,9 +111,26 @@ func (a *Admission) Shed() int64 { return a.shed.Load() }
 // Admitted reports how many requests have been admitted.
 func (a *Admission) Admitted() int64 { return a.admitted.Load() }
 
+// tenant returns name's queue, creating it on first sight. Names come off
+// the socket, so the map is bounded: once it holds more entries than
+// could have a request in flight or queued (max + depth), a new name
+// first drops every tenant with nothing queued. A dropped tenant comes
+// back with a fresh tenant's tag, vnow; its last request was admitted, so
+// its finish was at most vnow + 1/weight and it is forgiven at most one
+// share — which any client can already claim by sending a new name. The
+// sweep runs only when a name is inserted: traffic from a fixed set of
+// tenants never scans or allocates. The caller holds a.mu.
 func (a *Admission) tenant(name string) *tenantQueue {
 	t := a.tenants[name]
 	if t == nil {
+		if len(a.tenants) > a.max+a.depth {
+			for n, idle := range a.tenants {
+				idle.dropCancelled()
+				if len(idle.q) == 0 {
+					delete(a.tenants, n)
+				}
+			}
+		}
 		w := 1.0
 		if a.weights != nil && a.weights[name] > 0 {
 			w = a.weights[name]
@@ -122,6 +139,16 @@ func (a *Admission) tenant(name string) *tenantQueue {
 		a.tenants[name] = t
 	}
 	return t
+}
+
+// dropCancelled pops cancelled waiters off the head of t's queue; their
+// queued count was already returned when they cancelled. Afterwards the
+// queue is empty or headed by a live waiter. The caller holds the
+// Admission's mu.
+func (t *tenantQueue) dropCancelled() {
+	for len(t.q) > 0 && t.q[0].cancelled {
+		t.q = t.q[1:]
+	}
 }
 
 // chargeLocked assigns the next virtual start tag for tenant t and
@@ -155,11 +182,7 @@ func (a *Admission) dispatchLocked() {
 		var best *tenantQueue
 		var bestTag float64
 		for _, t := range a.tenants {
-			// Drop cancelled heads lazily; their queued count was already
-			// returned when the waiter cancelled.
-			for len(t.q) > 0 && t.q[0].cancelled {
-				t.q = t.q[1:]
-			}
+			t.dropCancelled()
 			if len(t.q) == 0 {
 				continue
 			}

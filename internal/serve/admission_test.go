@@ -224,3 +224,55 @@ func TestAdmissionQueueDrainsInFlightCap(t *testing.T) {
 		t.Errorf("running = %d after drain, want 0", running)
 	}
 }
+
+// TestAdmissionTenantMapIsBounded: tenant names come off the socket, so a
+// client cycling through them must not grow the controller. Ten thousand
+// distinct names, admitted or shed, leave no more entries than could hold
+// a request — and the sweep that bounds the map never drops a tenant that
+// has one queued.
+func TestAdmissionTenantMapIsBounded(t *testing.T) {
+	const max, depth = 2, 1
+	a := NewAdmission(AdmissionConfig{MaxInFlight: max, QueueDepth: depth})
+	ctx := context.Background()
+	entries := func() int {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.tenants)
+	}
+
+	for i := 0; i < 10000; i++ {
+		if err := a.Acquire(ctx, fmt.Sprintf("admitted-%d", i)); err != nil {
+			t.Fatalf("Acquire %d: %v", i, err)
+		}
+		a.Release()
+	}
+	if n := entries(); n > max+depth+1 {
+		t.Fatalf("%d tenant entries after 10000 one-shot tenants, want <= %d", n, max+depth+1)
+	}
+
+	// Fill the slots, park one waiter, then cycle names that are all shed.
+	for i := 0; i < max; i++ {
+		if err := a.Acquire(ctx, "holder"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	granted := make(chan error, 1)
+	go func() { granted <- a.Acquire(ctx, "waiting") }()
+	for a.queuedG.Value() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 10000; i++ {
+		if err := a.Acquire(ctx, fmt.Sprintf("shed-%d", i)); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("Acquire while full = %v, want ErrOverloaded", err)
+		}
+	}
+	if n := entries(); n > max+depth+1 {
+		t.Fatalf("%d tenant entries after 10000 shed tenants, want <= %d", n, max+depth+1)
+	}
+	a.Release()
+	if err := <-granted; err != nil {
+		t.Fatalf("queued tenant lost its place to the sweep: %v", err)
+	}
+	a.Release()
+	a.Release()
+}

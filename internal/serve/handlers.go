@@ -235,7 +235,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.deltas.Add(1)
-	s.reg.Gauge("serve.graph." + g.name + ".epoch").Set(float64(snap.Epoch()))
+	g.epochGauge.Set(float64(snap.Epoch()))
 	writeJSON(w, http.StatusOK, deltaResponse{
 		Graph:       g.name,
 		Epoch:       uint64(snap.Epoch()),

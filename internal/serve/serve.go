@@ -109,7 +109,7 @@ type servedGraph struct {
 	pendingBase graph.Epoch
 	stamp       uint64
 
-	carriedGauge, pendingGauge *obs.Gauge
+	carriedGauge, pendingGauge, epochGauge *obs.Gauge
 }
 
 // epochState is the derived per-epoch state PageRank-shaped queries need,
@@ -274,12 +274,13 @@ func (s *Server) AddGraph(name string, v *graph.Versioned) error {
 		carriedVecs:  make(map[string]*carried),
 		carriedGauge: s.reg.Gauge("serve.graph." + name + ".carried_bytes"),
 		pendingGauge: s.reg.Gauge("serve.graph." + name + ".pending_edges"),
+		epochGauge:   s.reg.Gauge("serve.graph." + name + ".epoch"),
 	}
 	if _, _, err := g.store.Save(v.Current(), 1); err != nil {
 		return fmt.Errorf("serve: persisting %q epoch %d: %w", name, v.Epoch(), err)
 	}
 	s.graphs[name] = g
-	s.reg.Gauge("serve.graph." + name + ".epoch").Set(float64(v.Epoch()))
+	g.epochGauge.Set(float64(v.Epoch()))
 	return nil
 }
 

@@ -238,6 +238,9 @@ func TestDeltaAdvancesEpochAndInvalidates(t *testing.T) {
 	if v, _ := s.Graph("social"); v.Epoch() != 1 {
 		t.Fatalf("server graph epoch = %d, want 1", v.Epoch())
 	}
+	if _, _, m := get(t, ts.URL+"/metrics", nil); !bytes.Contains(m, []byte("\ngraphmaze_serve_graph_social_epoch 1\n")) {
+		t.Errorf("/metrics does not show the social graph at epoch 1")
+	}
 
 	// The same query now misses (the epoch moved the cache key) and
 	// reports the new epoch.

@@ -139,8 +139,7 @@ func (t *Tracer) SetProcessName(pid int, name string) {
 }
 
 // Span is an in-flight real-time span returned by Begin. End completes it;
-// a Span that is never ended is never recorded (graphlint's span rule
-// flags that bug statically). The nil Span is inert.
+// a Span that is never ended is never recorded. The nil Span is inert.
 type Span struct {
 	t       *Tracer
 	name    string
