@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint fmt all bench-smoke fuzz-smoke trace-demo fault-demo obs-demo
+.PHONY: build test race lint fmt loc all bench-smoke fuzz-smoke trace-demo fault-demo obs-demo
 
 all: fmt lint build test
 
@@ -25,6 +25,12 @@ lint:
 # fmt fails if any file needs gofmt, and prints the offenders.
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# loc prints the two sizes every CHANGES.md entry quotes: lines of tracked
+# non-test Go outside bench/, and lines of tracked test Go outside bench/.
+loc:
+	@echo "non-test Go lines outside bench/: $$(git ls-files '*.go' | grep -v '^bench/' | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@echo "test Go lines outside bench/:     $$(git ls-files '*.go' | grep -v '^bench/' | grep '_test\.go$$' | xargs cat | wc -l)"
 
 # bench-smoke vets and tests the repository's benchmark (BENCHMARK.json,
 # bench/). It is a module of its own, so `go build ./... && go test ./...`

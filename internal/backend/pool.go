@@ -18,6 +18,13 @@ type chunkRunner interface {
 	runChunk(worker, lo, hi int)
 }
 
+// DefaultGrain is the chunk size RunDynamic uses when the caller passes
+// grain <= 0. It is tuned for bodies costing tens of nanoseconds per index:
+// large enough that the one atomic add per chunk is noise, small enough
+// that a hub vertex's chunk does not serialize the tail. Kernels with heavy
+// per-index cost should pass a smaller grain.
+const DefaultGrain = 1024
+
 // Pool mode constants: how bounds are handed to workers.
 const (
 	modeStatic  = iota // worker w owns [bounds[w], bounds[w+1])
@@ -208,7 +215,7 @@ func (p *Pool) RunStatic(r chunkRunner, bounds []int) {
 // any vertex-indexed bitset, letting kernels use plain stores.
 func (p *Pool) RunDynamic(r chunkRunner, n, grain int) {
 	if grain <= 0 {
-		grain = par.DefaultGrain
+		grain = DefaultGrain
 	}
 	grain = (grain + 63) &^ 63
 	p.mu.Lock()

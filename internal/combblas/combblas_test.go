@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/gen"
@@ -115,27 +116,42 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
+// testPools returns the pool sizes the pool-taking primitives are checked
+// at — serial, and wider than a small input has chunks — closed with the
+// test.
+func testPools(t *testing.T) []*backend.Pool {
+	pools := []*backend.Pool{backend.NewPool(1), backend.NewPool(4)}
+	t.Cleanup(func() {
+		for _, p := range pools {
+			p.Close()
+		}
+	})
+	return pools
+}
+
 func TestSpGEMMCountsPaths(t *testing.T) {
 	// Path 0→1→2: A² must have exactly A²[0,2] = 1.
 	g, _ := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
 	a := FromGraph(g)
-	a2, err := SpGEMM(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2.NNZ() != 1 {
-		t.Fatalf("A² nnz = %d, want 1", a2.NNZ())
-	}
-	cols, vals := a2.Row(0)
-	if len(cols) != 1 || cols[0] != 2 || vals[0] != 1 {
-		t.Errorf("A²[0] = %v/%v", cols, vals)
+	for _, pool := range testPools(t) {
+		a2, err := SpGEMM(pool, a, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a2.NNZ() != 1 {
+			t.Fatalf("A² nnz = %d, want 1", a2.NNZ())
+		}
+		cols, vals := a2.Row(0)
+		if len(cols) != 1 || cols[0] != 2 || vals[0] != 1 {
+			t.Errorf("A²[0] = %v/%v", cols, vals)
+		}
 	}
 }
 
 func TestSpGEMMShapeError(t *testing.T) {
 	a := &SpMat[struct{}]{NumRows: 2, NumCols: 3, Offsets: []int64{0, 0, 0}}
 	b := &SpMat[struct{}]{NumRows: 2, NumCols: 2, Offsets: []int64{0, 0, 0}}
-	if _, err := SpGEMM(a, b); err == nil {
+	if _, err := SpGEMM(testPools(t)[0], a, b); err == nil {
 		t.Error("accepted shape mismatch")
 	}
 }
@@ -145,16 +161,18 @@ func TestEWiseMultSumTriangles(t *testing.T) {
 	g, _ := graph.FromEdges(4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 1, Dst: 2}, {Src: 1, Dst: 3}, {Src: 2, Dst: 3}})
 	g.SortAdjacency()
 	a := FromGraph(g)
-	a2, err := SpGEMM(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count, err := EWiseMultSum(a, a2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 {
-		t.Errorf("triangles = %d, want 2", count)
+	for _, pool := range testPools(t) {
+		a2, err := SpGEMM(pool, a, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count, err := EWiseMultSum(pool, a, a2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if count != 2 {
+			t.Errorf("triangles = %d, want 2", count)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package combblas
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"graphmaze/internal/cluster"
@@ -140,13 +141,24 @@ func TestDistSpMSpVMatchesLocal(t *testing.T) {
 func TestDistTriangleCountMatchesSerial(t *testing.T) {
 	g := fixtureAcyclic(t)
 	a := FromGraph(g)
-	a2, err := SpGEMM(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := EWiseMultSum(a, a2)
-	if err != nil {
-		t.Fatal(err)
+	// The serial reference is the pooled product, which must not depend on
+	// the pool: same matrix layout and same count at sizes 1 and 4.
+	var ref *SpMat[int64]
+	var want int64
+	for _, pool := range testPools(t) {
+		a2, err := SpGEMM(pool, a, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count, err := EWiseMultSum(pool, a, a2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref, want = a2, count
+		} else if count != want || !reflect.DeepEqual(a2, ref) {
+			t.Fatalf("%d workers: count %d and A² differ from 1 worker's (count %d)", pool.Workers(), count, want)
+		}
 	}
 	for _, nodes := range []int{1, 4, 9} {
 		grid := newTestGrid(t, nodes, g.NumVertices)

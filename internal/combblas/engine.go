@@ -3,13 +3,11 @@ package combblas
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
-	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -103,28 +101,26 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	}
 
 	if opt.Exec.Cluster == nil {
-		tr := opt.Exec.Tracer()
-		start := time.Now()
 		// Lowered onto the shared backend: the pattern SpMV is a
 		// persistent plus-times kernel and the finish pass fuses into its
 		// per-row map — same ascending in-row fold, same finishing
 		// expression, but the semiring indirection and the per-iteration
 		// output allocation are gone.
-		pool := backend.NewPool(0)
-		defer pool.Close()
-		pool.SetTracer(tr)
-		mul := backend.NewSumVecMul(pool, backendView(at)).WithTracer(tr)
-		post := func(r uint32, y float64) float64 {
-			return opt.RandomJump + (1-opt.RandomJump)*y
-		}
-		for it := 0; it < opt.Iterations; it++ {
-			sp := tr.Begin("combblas.spmv", "spmv iteration").Arg("iter", float64(it))
-			par.For(n, normalize)
-			mul.MapInto(p, phat, post)
-			sp.End()
-		}
-		return &core.PageRankResult{Ranks: p,
-			Stats: core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: opt.Iterations}}, nil
+		stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) int {
+			mul := backend.NewSumVecMul(pool, backendView(at)).WithTracer(tr)
+			normalizePass := backend.NewDense(pool, n, normalize)
+			post := func(r uint32, y float64) float64 {
+				return opt.RandomJump + (1-opt.RandomJump)*y
+			}
+			for it := 0; it < opt.Iterations; it++ {
+				sp := tr.Begin("combblas.spmv", "spmv iteration").Arg("iter", float64(it))
+				normalizePass.Run()
+				mul.MapInto(p, phat, post)
+				sp.End()
+			}
+			return opt.Iterations
+		})
+		return &core.PageRankResult{Ranks: p, Stats: stats}, nil
 	}
 
 	grid, err := e.newGrid(execConfig(opt.Exec), g.NumVertices)
@@ -183,58 +179,59 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	}
 	dist[opt.Source] = 0
 	frontier := []uint32{opt.Source}
-
-	var grid *Grid
-	var marks []bool
-	var exp *backend.Expander
-	if opt.Exec.Cluster != nil {
-		grid, err = e.newGrid(execConfig(opt.Exec), n)
-		if err != nil {
-			return nil, err
-		}
-		for node := 0; node < grid.C.Nodes(); node++ {
-			grid.C.SetBaselineMemory(node, a.MemoryBytes(0)/int64(grid.C.Nodes())+int64(n)*5/int64(grid.C.Nodes()))
-		}
-		marks = make([]bool, n)
-	} else {
-		// Local frontier expansion lowers onto the backend's
-		// persistent-claims expander: the claimed bitset replaces the
-		// per-level marks scan, and its scratch survives across levels.
-		pool := backend.NewPool(0)
-		defer pool.Close()
-		pool.SetTracer(opt.Exec.Tracer())
-		exp = backend.NewExpander(pool, backendView(a))
-		exp.Claim(opt.Source)
-	}
-
-	start := time.Now()
-	level := int32(0)
-	var buf []uint32
-	for len(frontier) > 0 {
-		level++
-		var next []uint32
-		if grid == nil {
-			next = exp.Expand(frontier, buf[:0])
-			buf = next
-		} else {
-			next, err = DistSpMSpV(grid, a, frontier, marks)
+	// traverse runs the level loop over whichever frontier product the run
+	// uses and returns the number of levels.
+	traverse := func(expand func(frontier []uint32) ([]uint32, error)) (int, error) {
+		level := int32(0)
+		for len(frontier) > 0 {
+			level++
+			next, err := expand(frontier)
 			if err != nil {
-				return nil, err
+				return 0, err
+			}
+			frontier = frontier[:0]
+			for _, v := range next {
+				if dist[v] == -1 {
+					dist[v] = level
+					frontier = append(frontier, v)
+				}
 			}
 		}
-		frontier = frontier[:0]
-		for _, v := range next {
-			if dist[v] == -1 {
-				dist[v] = level
-				frontier = append(frontier, v)
-			}
-		}
+		return int(level), nil
 	}
-	stats := core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: int(level)}
-	if grid != nil {
-		stats = statsFrom(grid.C, int(level))
+
+	if opt.Exec.Cluster == nil {
+		stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) (levels int) {
+			// Local frontier expansion lowers onto the backend's
+			// persistent-claims expander: the claimed bitset replaces the
+			// per-level marks scan, and its scratch survives across levels.
+			exp := backend.NewExpander(pool, backendView(a))
+			exp.Claim(opt.Source)
+			var buf []uint32
+			levels, _ = traverse(func(frontier []uint32) ([]uint32, error) {
+				buf = exp.Expand(frontier, buf[:0])
+				return buf, nil
+			})
+			return levels
+		})
+		return &core.BFSResult{Distances: dist, Stats: stats}, nil
 	}
-	return &core.BFSResult{Distances: dist, Stats: stats}, nil
+
+	grid, err := e.newGrid(execConfig(opt.Exec), n)
+	if err != nil {
+		return nil, err
+	}
+	for node := 0; node < grid.C.Nodes(); node++ {
+		grid.C.SetBaselineMemory(node, a.MemoryBytes(0)/int64(grid.C.Nodes())+int64(n)*5/int64(grid.C.Nodes()))
+	}
+	marks := make([]bool, n)
+	levels, err := traverse(func(frontier []uint32) ([]uint32, error) {
+		return DistSpMSpV(grid, a, frontier, marks)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &core.BFSResult{Distances: dist, Stats: statsFrom(grid.C, levels)}, nil
 }
 
 // TriangleCount implements core.Engine as nnz(A ∩ A²) (paper §3.2). The
@@ -247,17 +244,18 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 	}
 	a := FromGraph(g)
 	if opt.Exec.Cluster == nil {
-		start := time.Now()
-		a2, err := SpGEMM(a, a)
+		var count int64
+		stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+			var a2 *SpMat[int64]
+			if a2, err = SpGEMM(pool, a, a); err == nil {
+				count, err = EWiseMultSum(pool, a, a2)
+			}
+			return 1
+		})
 		if err != nil {
 			return nil, err
 		}
-		count, err := EWiseMultSum(a, a2)
-		if err != nil {
-			return nil, err
-		}
-		return &core.TriangleResult{Count: count,
-			Stats: core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: 1}}, nil
+		return &core.TriangleResult{Count: count, Stats: stats}, nil
 	}
 	grid, err := e.newGrid(execConfig(opt.Exec), g.NumVertices)
 	if err != nil {
@@ -331,7 +329,6 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 
 	gamma := opt.LearningRate
 	rmse := make([]float64, 0, opt.Iterations)
-	start := time.Now()
 
 	// CombBLAS cannot hold a K-wide dense factor matrix across the grid
 	// (paper §3.2: "multiplication with the p matrix has to be performed
@@ -416,12 +413,25 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		}
 	}
 
-	for it := 0; it < opt.Iterations; it++ {
-		if grid == nil {
-			errPass(0, r.NumUsers, 0, r.NumItems)
-			gradPass(0, r.NumUsers, 0, r.NumItems)
-			applyStripes(0, r.NumUsers, 0, r.NumItems)
-		} else {
+	endIteration := func() {
+		gamma *= opt.StepDecay
+		if !opt.SkipRMSETrajectory {
+			rmse = append(rmse, core.RMSE(r, k, userF, itemF))
+		}
+	}
+	var stats core.RunStats
+	if grid == nil {
+		stats = opt.Exec.Local(func(*backend.Pool, *trace.Tracer) int {
+			for it := 0; it < opt.Iterations; it++ {
+				errPass(0, r.NumUsers, 0, r.NumItems)
+				gradPass(0, r.NumUsers, 0, r.NumItems)
+				applyStripes(0, r.NumUsers, 0, r.NumItems)
+				endIteration()
+			}
+			return opt.Iterations
+		})
+	} else {
+		for it := 0; it < opt.Iterations; it++ {
 			if err := grid.C.RunPhase(func(node int) error {
 				ulo, uhi := userRange(node)
 				ilo, ihi := itemRange(node)
@@ -446,19 +456,12 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 			}); err != nil {
 				return nil, err
 			}
+			endIteration()
 		}
-		gamma *= opt.StepDecay
-		if !opt.SkipRMSETrajectory {
-			rmse = append(rmse, core.RMSE(r, k, userF, itemF))
-		}
+		stats = statsFrom(grid.C, opt.Iterations)
 	}
 	if opt.SkipRMSETrajectory {
 		rmse = append(rmse, core.RMSE(r, k, userF, itemF))
-	}
-
-	stats := core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: opt.Iterations}
-	if grid != nil {
-		stats = statsFrom(grid.C, opt.Iterations)
 	}
 	return &core.CFResult{K: k, UserFactors: userF, ItemFactors: itemF, RMSE: rmse, Stats: stats}, nil
 }

@@ -7,6 +7,7 @@ package combblas
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
@@ -192,15 +193,18 @@ func SpMSpV(a *SpMat[struct{}], x []uint32, marks []bool) []uint32 {
 	return backend.ExpandInto(backendView(a), x, marks, nil)
 }
 
-// spgemmGrain is the dynamic chunk size for SpGEMM's row loop.
+// spgemmGrain is the dynamic chunk size for the row loops of SpGEMM and
+// EWiseMultSum.
 const spgemmGrain = 128
 
 // SpGEMM computes C = A·B over the counting semiring (values are the
 // number of combined paths, the quantity triangle counting needs from A²)
 // using Gustavson's row-by-row algorithm with a dense accumulator — the
 // memory-hungry intermediate the paper calls out (§5.2: CombBLAS "ran out
-// of memory ... while computing the A² matrix product").
-func SpGEMM(a *SpMat[struct{}], b *SpMat[struct{}]) (*SpMat[int64], error) {
+// of memory ... while computing the A² matrix product"). Rows are claimed in
+// spgemmGrain chunks on the caller's pool; each row is folded and sorted by
+// one worker, so the product's layout is the same at any pool size.
+func SpGEMM(pool *backend.Pool, a *SpMat[struct{}], b *SpMat[struct{}]) (*SpMat[int64], error) {
 	if a.NumCols != b.NumRows {
 		return nil, fmt.Errorf("combblas: SpGEMM shape mismatch %d×%d · %d×%d", a.NumRows, a.NumCols, b.NumRows, b.NumCols)
 	}
@@ -210,8 +214,8 @@ func SpGEMM(a *SpMat[struct{}], b *SpMat[struct{}]) (*SpMat[int64], error) {
 	// Per-row cost is the sum of B-row lengths over the row's nonzeros —
 	// unpredictable from A's structure alone — so rows are claimed
 	// dynamically, with the accumulator map reused per worker.
-	accs := make([]map[uint32]int64, par.NumWorkers())
-	par.ForDynamicIndexed(int(a.NumRows), spgemmGrain, func(worker, lo, hi int) {
+	accs := make([]map[uint32]int64, pool.Workers())
+	backend.NewSweep(pool, int(a.NumRows), spgemmGrain, func(worker, lo, hi int) {
 		acc := accs[worker]
 		if acc == nil {
 			acc = make(map[uint32]int64)
@@ -241,7 +245,7 @@ func SpGEMM(a *SpMat[struct{}], b *SpMat[struct{}]) (*SpMat[int64], error) {
 			rowsCols[r] = cols
 			rowsVals[r] = vals
 		}
-	})
+	}).Run()
 	for r := uint32(0); r < a.NumRows; r++ {
 		offsets[r+1] = offsets[r] + int64(len(rowsCols[r]))
 	}
@@ -257,17 +261,19 @@ func SpGEMM(a *SpMat[struct{}], b *SpMat[struct{}]) (*SpMat[int64], error) {
 // EWiseMultSum returns Σ over positions present in both pattern matrix a
 // and value matrix b of b's value — nnz(A ∩ A²) weighted, the triangle
 // count reduction. Both matrices must share shape and have sorted columns.
-func EWiseMultSum(a *SpMat[struct{}], b *SpMat[int64]) (int64, error) {
+// Chunks of rows are claimed on the caller's pool and each folds its partial
+// sum into the total with one atomic add (integer addition is exact, so the
+// sum is the same at any pool size).
+func EWiseMultSum(pool *backend.Pool, a *SpMat[struct{}], b *SpMat[int64]) (int64, error) {
 	if a.NumRows != b.NumRows || a.NumCols != b.NumCols {
 		return 0, fmt.Errorf("combblas: EWiseMult shape mismatch")
 	}
-	var total int64
-	results := make([]int64, a.NumRows)
-	par.ForOffsets(a.Offsets, func(lo, hi int) {
+	var total atomic.Int64
+	backend.NewSweep(pool, int(a.NumRows), spgemmGrain, func(_, lo, hi int) {
+		var sum int64
 		for r := lo; r < hi; r++ {
 			aCols, _ := a.Row(uint32(r))
 			bCols, bVals := b.Row(uint32(r))
-			var sum int64
 			i, j := 0, 0
 			for i < len(aCols) && j < len(bCols) {
 				switch {
@@ -281,13 +287,10 @@ func EWiseMultSum(a *SpMat[struct{}], b *SpMat[int64]) (int64, error) {
 					j++
 				}
 			}
-			results[r] = sum
 		}
-	})
-	for _, s := range results {
-		total += s
-	}
-	return total, nil
+		total.Add(sum)
+	}).Run()
+	return total.Load(), nil
 }
 
 func sortU32(ids []uint32) {

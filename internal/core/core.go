@@ -12,7 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/graph"
 	"graphmaze/internal/metrics"
@@ -43,6 +45,25 @@ func (e Exec) Tracer() *trace.Tracer {
 		return e.Cluster.Trace
 	}
 	return nil
+}
+
+// Local runs the kernel of one single-node engine call and is the only code
+// on such a path that builds a backend.Pool, attaches the run's tracer to
+// it, reads the wall clock or fills RunStats. The timed region is the kernel
+// alone (DESIGN.md §2.3): an engine builds its inputs in the layout it asks
+// for — transpose, out-degrees, matrices, tables, parsed rules — before the
+// call, and converts what the kernel left into the core.*Result arrays after
+// it. The pool is up and traced before the clock starts and closed when
+// Local returns, so nothing the kernel holds on it may outlive the call.
+// kernel returns the iterations it ran.
+func (e Exec) Local(kernel func(pool *backend.Pool, tr *trace.Tracer) (iterations int)) RunStats {
+	tr := e.Tracer()
+	pool := backend.NewPool(0)
+	defer pool.Close()
+	pool.SetTracer(tr)
+	start := time.Now()
+	iterations := kernel(pool, tr)
+	return RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: iterations}
 }
 
 // ErrSingleNodeOnly is returned by engines (Galois) that have no

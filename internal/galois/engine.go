@@ -3,10 +3,11 @@ package galois
 import (
 	"math/rand"
 	"sync/atomic"
-	"time"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/trace"
 )
 
 // Engine is the Galois-model engine.
@@ -37,7 +38,6 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	if opt.Exec.Cluster != nil {
 		return nil, core.ErrSingleNodeOnly
 	}
-	start := time.Now()
 	in := g.Transpose()
 	outDeg := g.OutDegrees()
 	n := g.NumVertices
@@ -46,27 +46,35 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	for i := range pr {
 		pr[i] = 1
 	}
+	vertices := vertexList(n)
+	stats := opt.Exec.Local(func(_ *backend.Pool, tr *trace.Tracer) int {
+		for it := 0; it < opt.Iterations; it++ {
+			sp := tr.Begin("galois.round", "pagerank round").Arg("iter", float64(it))
+			ForEach(vertices, func(v uint32, _ *Ctx[uint32]) {
+				sum := 0.0
+				for _, j := range in.Neighbors(v) {
+					if outDeg[j] > 0 {
+						sum += pr[j] / float64(outDeg[j])
+					}
+				}
+				next[v] = opt.RandomJump + (1-opt.RandomJump)*sum
+			})
+			pr, next = next, pr
+			sp.End()
+		}
+		return opt.Iterations
+	})
+	return &core.PageRankResult{Ranks: pr, Stats: stats}, nil
+}
+
+// vertexList is the initial worklist of the per-vertex loops: every vertex
+// id in order.
+func vertexList(n uint32) []uint32 {
 	vertices := make([]uint32, n)
 	for i := range vertices {
 		vertices[i] = uint32(i)
 	}
-	tr := opt.Exec.Tracer()
-	for it := 0; it < opt.Iterations; it++ {
-		sp := tr.Begin("galois.round", "pagerank round").Arg("iter", float64(it))
-		ForEach(vertices, func(v uint32, _ *Ctx[uint32]) {
-			sum := 0.0
-			for _, j := range in.Neighbors(v) {
-				if outDeg[j] > 0 {
-					sum += pr[j] / float64(outDeg[j])
-				}
-			}
-			next[v] = opt.RandomJump + (1-opt.RandomJump)*sum
-		})
-		pr, next = next, pr
-		sp.End()
-	}
-	return &core.PageRankResult{Ranks: pr,
-		Stats: core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: opt.Iterations}}, nil
+	return vertices
 }
 
 // BFS implements core.Engine with the paper's Algorithm 3: the
@@ -80,7 +88,6 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	if opt.Exec.Cluster != nil {
 		return nil, core.ErrSingleNodeOnly
 	}
-	start := time.Now()
 	n := g.NumVertices
 	dist := make([]int32, n)
 	for i := range dist {
@@ -89,16 +96,17 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	}
 	//lint:ignore atomic initialization happens-before ForEachBulk spawns workers
 	dist[opt.Source] = 0
-	rounds := ForEachBulk([]uint32{opt.Source}, func(v uint32, push func(uint32)) {
-		level := atomic.LoadInt32(&dist[v])
-		for _, t := range g.Neighbors(v) {
-			if atomic.CompareAndSwapInt32(&dist[t], -1, level+1) {
-				push(t)
+	stats := opt.Exec.Local(func(*backend.Pool, *trace.Tracer) int {
+		return ForEachBulk([]uint32{opt.Source}, func(v uint32, push func(uint32)) {
+			level := atomic.LoadInt32(&dist[v])
+			for _, t := range g.Neighbors(v) {
+				if atomic.CompareAndSwapInt32(&dist[t], -1, level+1) {
+					push(t)
+				}
 			}
-		}
+		})
 	})
-	return &core.BFSResult{Distances: dist,
-		Stats: core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: rounds}}, nil
+	return &core.BFSResult{Distances: dist, Stats: stats}, nil
 }
 
 // TriangleCount implements core.Engine with the paper's Algorithm 4:
@@ -113,24 +121,22 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 	if opt.Exec.Cluster != nil {
 		return nil, core.ErrSingleNodeOnly
 	}
-	start := time.Now()
-	vertices := make([]uint32, g.NumVertices)
-	for i := range vertices {
-		vertices[i] = uint32(i)
-	}
+	vertices := vertexList(g.NumVertices)
 	var count int64
-	ForEach(vertices, func(v uint32, _ *Ctx[uint32]) {
-		s1 := g.Neighbors(v)
-		var local int64
-		for _, m := range s1 {
-			local += int64(intersectSorted(s1, g.Neighbors(m)))
-		}
-		if local > 0 {
-			atomic.AddInt64(&count, local)
-		}
+	stats := opt.Exec.Local(func(*backend.Pool, *trace.Tracer) int {
+		ForEach(vertices, func(v uint32, _ *Ctx[uint32]) {
+			s1 := g.Neighbors(v)
+			var local int64
+			for _, m := range s1 {
+				local += int64(intersectSorted(s1, g.Neighbors(m)))
+			}
+			if local > 0 {
+				atomic.AddInt64(&count, local)
+			}
+		})
+		return 1
 	})
-	return &core.TriangleResult{Count: atomic.LoadInt64(&count),
-		Stats: core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: 1}}, nil
+	return &core.TriangleResult{Count: atomic.LoadInt64(&count), Stats: stats}, nil
 }
 
 func intersectSorted(a, b []uint32) int {
@@ -174,7 +180,6 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	if opt.Exec.Cluster != nil {
 		return nil, core.ErrSingleNodeOnly
 	}
-	start := time.Now()
 	k := opt.K
 	userF := core.InitFactors(r.NumUsers, k, opt.Seed)
 	itemF := core.InitFactors(r.NumItems, k, opt.Seed+1)
@@ -203,10 +208,10 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		rng.Shuffle(len(blocks[i]), func(a, b int) { blocks[i][a], blocks[i][b] = blocks[i][b], blocks[i][a] })
 	}
 
-	gd := opt.Method == core.GradientDescent
 	gamma := opt.LearningRate
-	rmse := make([]float64, 0, opt.Iterations)
-	if gd {
+	// step is one iteration of the chosen optimizer.
+	var step func()
+	if opt.Method == core.GradientDescent {
 		// GD also runs fine as tasks, one aggregate pass per iteration.
 		gradP := make([]float64, len(userF))
 		gradQ := make([]float64, len(itemF))
@@ -214,7 +219,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		for i := range stripes {
 			stripes[i] = i
 		}
-		for it := 0; it < opt.Iterations; it++ {
+		step = func() {
 			for i := range gradP {
 				gradP[i] = 0
 			}
@@ -243,13 +248,9 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 			for i := range itemF {
 				itemF[i] += float32(gamma * gradQ[i])
 			}
-			gamma *= opt.StepDecay
-			if !opt.SkipRMSETrajectory {
-				rmse = append(rmse, core.RMSE(r, k, userF, itemF))
-			}
 		}
 	} else {
-		for it := 0; it < opt.Iterations; it++ {
+		step = func() {
 			for sub := 0; sub < w; sub++ {
 				tasks := make([]sgdTask, 0, w)
 				for stripe := 0; stripe < w; stripe++ {
@@ -268,17 +269,23 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 					}
 				})
 			}
+		}
+	}
+	rmse := make([]float64, 0, opt.Iterations)
+	stats := opt.Exec.Local(func(*backend.Pool, *trace.Tracer) int {
+		for it := 0; it < opt.Iterations; it++ {
+			step()
 			gamma *= opt.StepDecay
 			if !opt.SkipRMSETrajectory {
 				rmse = append(rmse, core.RMSE(r, k, userF, itemF))
 			}
 		}
-	}
+		return opt.Iterations
+	})
 	if opt.SkipRMSETrajectory {
 		rmse = append(rmse, core.RMSE(r, k, userF, itemF))
 	}
-	return &core.CFResult{K: k, UserFactors: userF, ItemFactors: itemF, RMSE: rmse,
-		Stats: core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: opt.Iterations}}, nil
+	return &core.CFResult{K: k, UserFactors: userF, ItemFactors: itemF, RMSE: rmse, Stats: stats}, nil
 }
 
 func stripeBounds(n uint32, w int) []uint32 {

@@ -2,11 +2,12 @@ package giraph
 
 import (
 	"math"
-	"time"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/trace"
 )
 
 // coordinationSeconds models the per-superstep Hadoop/ZooKeeper
@@ -72,7 +73,11 @@ func (e *Engine) newCluster(cfg cluster.Config) (*cluster.Cluster, error) {
 	return cluster.New(cfg)
 }
 
-func (e *Engine) runJob(job *Job, exec core.Exec) (*Result, core.RunStats, error) {
+// runJob runs the job: on a cluster, or inside the single-node timed
+// region, where a non-nil lower binds the program's lowering to the call's
+// pool and runs that in place of the stock runtime. The modeled
+// coordination cost is added on top of either clock.
+func (e *Engine) runJob(job *Job, exec core.Exec, lower func(*backend.Pool) Lowering) (*Result, core.RunStats, error) {
 	if e.workers > 0 {
 		job.Workers = e.workers
 	}
@@ -99,13 +104,29 @@ func (e *Engine) runJob(job *Job, exec core.Exec) (*Result, core.RunStats, error
 			Report:      rep,
 		}, nil
 	}
-	start := time.Now()
-	res, err := Run(job)
+	var res *Result
+	var low Lowering
+	var err error
+	stats := exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+		if lower != nil {
+			low = lower(pool)
+			res = runLowered(job, low)
+		} else {
+			res, err = Run(job)
+		}
+		if err != nil {
+			return 0
+		}
+		return res.Supersteps
+	})
 	if err != nil {
 		return nil, core.RunStats{}, err
 	}
-	wall := time.Since(start).Seconds() + float64(res.Supersteps)*coordinationSeconds
-	return res, core.RunStats{WallSeconds: wall, Iterations: res.Supersteps}, nil
+	if low != nil {
+		res.Values = low.Values()
+	}
+	stats.WallSeconds += float64(res.Supersteps) * coordinationSeconds
+	return res, stats, nil
 }
 
 // PageRank implements core.Engine as the paper's Algorithm 1: superstep 0
@@ -124,15 +145,20 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 		MessageBytes:  func(any) int { return 8 },
 	}
 	job.EncodeValue, job.DecodeValue = Float64Codec()
+	job.Compute = prCompute(job, r)
+	var lower func(*backend.Pool) Lowering
 	if e.combine {
 		// PageRank's messages fold with addition (§6.2 recommendation).
 		job.Combiner = func(a, b any) any { return a.(float64) + b.(float64) }
+	} else if opt.Exec.Cluster == nil {
+		// A combiner-less single-node run lowers onto the shared SpMV
+		// backend (DESIGN.md §12); everything else is the stock runtime.
+		in := g.Transpose()
+		lower = func(pool *backend.Pool) Lowering {
+			return newPRLowering(pool, g, in, r, job.MaxSupersteps, job.Tracer)
+		}
 	}
-	job.Compute = prCompute(job, r)
-	// Local combiner-less runs lower onto the shared SpMV backend; the
-	// runtime falls back to the superstep machinery otherwise.
-	job.Lowered = func() Lowering { return newPRLowering(g, r, job.MaxSupersteps, job.Tracer) }
-	res, stats, err := e.runJob(job, opt.Exec)
+	res, stats, err := e.runJob(job, opt.Exec, lower)
 	if err != nil {
 		return nil, err
 	}
@@ -200,9 +226,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 		},
 	}
 	job.EncodeValue, job.DecodeValue = Int32Codec()
-	// Local combiner-less runs lower onto the backend's persistent-claims
-	// frontier expander (min-combine ≡ first claim wins).
-	job.Lowered = func() Lowering { return newBFSLowering(g, source, job.Tracer) }
+	var lower func(*backend.Pool) Lowering
 	if e.combine {
 		// BFS messages fold with min (§6.2 recommendation).
 		job.Combiner = func(a, b any) any {
@@ -211,8 +235,13 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 			}
 			return b
 		}
+	} else if opt.Exec.Cluster == nil {
+		// A combiner-less single-node run lowers onto the backend's
+		// persistent-claims frontier expander (min-combine ≡ first claim
+		// wins).
+		lower = func(pool *backend.Pool) Lowering { return newBFSLowering(pool, g, source) }
 	}
-	res, stats, err := e.runJob(job, opt.Exec)
+	res, stats, err := e.runJob(job, opt.Exec, lower)
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +296,7 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 			}
 		},
 	}
-	res, stats, err := e.runJob(job, opt.Exec)
+	res, stats, err := e.runJob(job, opt.Exec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -388,7 +417,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 
 	var stats core.RunStats
 	var res *Result
-	res, stats, err = e.runJob(job, opt.Exec)
+	res, stats, err = e.runJob(job, opt.Exec, nil)
 	if err != nil {
 		return nil, err
 	}

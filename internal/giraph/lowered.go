@@ -25,8 +25,6 @@ type Lowering interface {
 	AllHalted() bool
 	// Values returns the final boxed vertex values.
 	Values() []any
-	// Close releases backend resources.
-	Close()
 }
 
 // prLowering runs Algorithm 1's superstep schedule as dense semiring
@@ -38,7 +36,6 @@ type Lowering interface {
 // summation order is identical and the lowered ranks are bit-for-bit the
 // stock ranks.
 type prLowering struct {
-	pool        *backend.Pool
 	mul         *backend.SumVecMul
 	contribPass *backend.Dense
 	post        func(uint32, float64) float64
@@ -50,13 +47,12 @@ type prLowering struct {
 	halted      bool
 }
 
-func newPRLowering(g *graph.CSR, r float64, maxSupersteps int, tr *trace.Tracer) *prLowering {
+// newPRLowering binds the lowering to the call's pool. in is g's transpose,
+// built by the caller before the timed region.
+func newPRLowering(pool *backend.Pool, g, in *graph.CSR, r float64, maxSupersteps int, tr *trace.Tracer) *prLowering {
 	n := int(g.NumVertices)
-	pool := backend.NewPool(0)
-	pool.SetTracer(tr)
-	at := backend.FromCSR(g.Transpose())
+	at := backend.FromCSR(in)
 	l := &prLowering{
-		pool:    pool,
 		mul:     backend.NewSumVecMul(pool, at).WithTracer(tr),
 		ranks:   make([]float64, n),
 		contrib: make([]float64, n),
@@ -110,15 +106,12 @@ func (l *prLowering) Values() []any {
 	return vals
 }
 
-func (l *prLowering) Close() { l.pool.Close() }
-
 // bfsLowering runs Algorithm 2 as sparse-frontier expansion: the min
 // combine over delivered distance messages is exactly the persistent
 // claim — a vertex improves iff it was never reached before, and the new
 // distance is the superstep number. Active counts (message receivers)
 // come from a touched bitset over the previous frontier's targets.
 type bfsLowering struct {
-	pool     *backend.Pool
 	exp      *backend.Expander
 	g        *graph.CSR
 	source   uint32
@@ -132,12 +125,9 @@ type bfsLowering struct {
 // bfsInfinity mirrors the vertex program's unreached sentinel.
 const bfsInfinity = int32(1) << 30
 
-func newBFSLowering(g *graph.CSR, source uint32, tr *trace.Tracer) *bfsLowering {
+func newBFSLowering(pool *backend.Pool, g *graph.CSR, source uint32) *bfsLowering {
 	n := g.NumVertices
-	pool := backend.NewPool(0)
-	pool.SetTracer(tr)
 	l := &bfsLowering{
-		pool:    pool,
 		exp:     backend.NewExpander(pool, backend.FromCSR(g)),
 		g:       g,
 		source:  source,
@@ -197,5 +187,3 @@ func (l *bfsLowering) Values() []any {
 	}
 	return vals
 }
-
-func (l *bfsLowering) Close() { l.pool.Close() }

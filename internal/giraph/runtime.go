@@ -124,12 +124,6 @@ type Job struct {
 	// Tracer, when non-nil, receives one span per superstep (active
 	// vertices, messages, peak buffered bytes) plus message counters.
 	Tracer *trace.Tracer
-	// Lowered, when non-nil, supplies a backend lowering of the vertex
-	// program (DESIGN.md §12). Run uses it only for local combiner-less
-	// jobs — the distributed and combiner paths keep the stock superstep
-	// machinery — and the lowering must be observationally equivalent to
-	// running Compute (same values, counters, spans, supersteps).
-	Lowered func() Lowering
 }
 
 type envelope struct {
@@ -237,13 +231,12 @@ func (rt *runtime) send(ctx *Context, to uint32, msg any) {
 	}
 }
 
-// runLowered drives a Lowering through the same superstep loop the stock
-// runtime uses: identical termination conditions (MaxSupersteps bound,
-// quiescence when a message-free superstep leaves every vertex halted),
-// identical per-superstep spans and counters.
-func runLowered(job *Job) (*Result, error) {
-	low := job.Lowered()
-	defer low.Close()
+// runLowered drives a Lowering of the job's vertex program through the
+// same superstep loop the stock runtime uses: identical termination
+// conditions (MaxSupersteps bound, quiescence when a message-free superstep
+// leaves every vertex halted), identical per-superstep spans and counters.
+// The result's Values are left for the caller to unbox from the lowering.
+func runLowered(job *Job, low Lowering) *Result {
 	tr := job.Tracer
 	activeCounter := tr.Counter("giraph.active_vertices")
 	msgCounter := tr.Counter("giraph.messages")
@@ -278,7 +271,7 @@ func runLowered(job *Job) (*Result, error) {
 		lastMsgs = msgs
 		supersteps = s + 1
 	}
-	return &Result{Values: low.Values(), Supersteps: supersteps, PeakBufferedBytes: peak}, nil
+	return &Result{Supersteps: supersteps, PeakBufferedBytes: peak}
 }
 
 // Result of a BSP run.
@@ -290,13 +283,10 @@ type Result struct {
 	PeakBufferedBytes int64
 }
 
-// Run executes the job.
+// Run executes the job on the stock superstep runtime.
 func Run(job *Job) (*Result, error) {
 	if job.Graph == nil {
 		return nil, fmt.Errorf("giraph: nil graph")
-	}
-	if job.Lowered != nil && job.Cluster == nil && job.Combiner == nil {
-		return runLowered(job)
 	}
 	split := job.SplitSupersteps
 	if split < 1 {

@@ -1,8 +1,6 @@
 package graphlab
 
 import (
-	"time"
-
 	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
@@ -56,17 +54,18 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	if err != nil {
 		return nil, err
 	}
-	if g == nil {
-		return nil, errNeedGraph
-	}
 	in := g.Transpose()
+	if opt.Exec.Cluster == nil {
+		outDeg := g.OutDegrees()
+		var ranks []float64
+		stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) int {
+			ranks = pageRankLowered(pool, in, outDeg, opt, tr)
+			return opt.Iterations
+		})
+		return &core.PageRankResult{Ranks: ranks, Stats: stats}, nil
+	}
 	spec := pageRankSpec(opt)
 	spec.Tracer = opt.Exec.Tracer()
-	if opt.Exec.Cluster == nil {
-		res, secs := measure(func() runResult[float64] { return pageRankLowered(g, in, opt, spec.Tracer) })
-		return &core.PageRankResult{Ranks: res.vals,
-			Stats: core.RunStats{WallSeconds: secs, Iterations: res.rounds}}, nil
-	}
 	cfg := *opt.Exec.Cluster
 	if cfg.Trace == nil {
 		cfg.Trace = opt.Exec.Trace
@@ -94,12 +93,8 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 // gather exactly, so the ranks are bit-identical to runLocal's, and the
 // sweep spans keep their shape (every vertex stays active and changes
 // every round under this spec).
-func pageRankLowered(g *graph.CSR, in *graph.CSR, opt core.PageRankOptions, tr *trace.Tracer) runResult[float64] {
-	n := int(g.NumVertices)
-	outDeg := g.OutDegrees()
-	pool := backend.NewPool(0)
-	defer pool.Close()
-	pool.SetTracer(tr)
+func pageRankLowered(pool *backend.Pool, in *graph.CSR, outDeg []int64, opt core.PageRankOptions, tr *trace.Tracer) []float64 {
+	n := int(in.NumVertices)
 	mul := backend.NewSumVecMul(pool, backend.FromCSR(in)).WithTracer(tr)
 	vals := make([]float64, n)
 	for i := range vals {
@@ -122,7 +117,7 @@ func pageRankLowered(g *graph.CSR, in *graph.CSR, opt core.PageRankOptions, tr *
 		mul.MapInto(vals, contrib, post)
 		sp.Arg("changed", float64(n)).End()
 	}
-	return runResult[float64]{vals: vals, rounds: opt.Iterations}
+	return vals
 }
 
 // PageRankAsync runs PageRank on GraphLab's asynchronous engine: no
@@ -222,8 +217,13 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 		return &core.BFSResult{Distances: dist, Stats: stats}
 	}
 	if opt.Exec.Cluster == nil {
-		res, secs := measure(func() runResult[int32] { return runLocal(g, in, spec) })
-		return finish(res, core.RunStats{WallSeconds: secs, Iterations: res.rounds}), nil
+		outDeg := g.OutDegrees()
+		var res runResult[int32]
+		stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+			res = runLocal(pool, g, in, outDeg, spec)
+			return res.rounds
+		})
+		return finish(res, stats), nil
 	}
 	cfg := *opt.Exec.Cluster
 	if cfg.Trace == nil {
@@ -256,10 +256,12 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 	if opt.Exec.Cluster != nil {
 		return e.triangleCluster(g, opt)
 	}
-	start := time.Now()
-	count := triangleCuckoo(g, 0, g.NumVertices, nil)
-	return &core.TriangleResult{Count: count,
-		Stats: core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: 1}}, nil
+	var count int64
+	stats := opt.Exec.Local(func(*backend.Pool, *trace.Tracer) int {
+		count = triangleCuckoo(g, 0, g.NumVertices, nil)
+		return 1
+	})
+	return &core.TriangleResult{Count: count, Stats: stats}, nil
 }
 
 // triangleCuckoo counts triangles whose first vertex lies in [lo,hi),
@@ -394,7 +396,6 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 
 	gamma := opt.LearningRate
 	rmse := make([]float64, 0, opt.Iterations)
-	start := time.Now()
 	iterate := func() {
 		gradP := make([]float64, len(userF))
 		gradQ := make([]float64, len(itemF))
@@ -459,16 +460,20 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 			rmse = append(rmse, core.RMSE(r, k, userF, itemF))
 		}
 	}
-	for it := 0; it < opt.Iterations; it++ {
-		iterate()
+	train := func(*backend.Pool, *trace.Tracer) int {
+		for it := 0; it < opt.Iterations; it++ {
+			iterate()
+		}
+		return opt.Iterations
+	}
+	var stats core.RunStats
+	if c == nil {
+		stats = opt.Exec.Local(train)
+	} else {
+		stats = clusterStats(c, train(nil, nil))
 	}
 	if opt.SkipRMSETrajectory {
 		rmse = append(rmse, core.RMSE(r, k, userF, itemF))
-	}
-
-	stats := core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: opt.Iterations}
-	if c != nil {
-		stats = clusterStats(c, opt.Iterations)
 	}
 	return &core.CFResult{K: k, UserFactors: userF, ItemFactors: itemF, RMSE: rmse, Stats: stats}, nil
 }

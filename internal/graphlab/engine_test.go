@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/gen"
@@ -275,7 +276,9 @@ func TestRunLocalQuiescence(t *testing.T) {
 			return old, false, ActivateNone
 		},
 	}
-	res := runLocal(g, in, spec)
+	pool := backend.NewPool(0)
+	defer pool.Close()
+	res := runLocal(pool, g, in, g.OutDegrees(), spec)
 	if res.rounds != 1 {
 		t.Errorf("rounds = %d, want 1", res.rounds)
 	}

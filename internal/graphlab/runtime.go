@@ -8,9 +8,7 @@
 package graphlab
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/bitvec"
@@ -66,13 +64,12 @@ type runResult[V any] struct {
 // runLocal executes the program on the host: each round gathers over
 // in-edges of active vertices in parallel, applies, and schedules
 // (GraphLab's synchronous engine uses every core). The sweep runs on the
-// shared backend pool with persistent scratch — staged values and a
+// call's backend pool with persistent scratch — staged values and a
 // byte-granular changed flag are written at distinct vertex indices by
 // concurrent workers, and the next-round active set is claimed with
 // atomic bit sets — so steady-state rounds do not allocate.
-func runLocal[V, G any](g *graph.CSR, in *graph.CSR, spec Spec[V, G]) runResult[V] {
+func runLocal[V, G any](pool *backend.Pool, g, in *graph.CSR, outDeg []int64, spec Spec[V, G]) runResult[V] {
 	n := g.NumVertices
-	outDeg := g.OutDegrees()
 	vals := make([]V, n)
 	for i := range vals {
 		vals[i] = spec.Init(uint32(i))
@@ -89,9 +86,6 @@ func runLocal[V, G any](g *graph.CSR, in *graph.CSR, spec Spec[V, G]) runResult[
 	}
 	anyActive := active.Count() > 0
 
-	pool := backend.NewPool(0)
-	defer pool.Close()
-	pool.SetTracer(spec.Tracer)
 	staged := make([]V, n)
 	changed := make([]byte, n)
 	nextActive := bitvec.New(n)
@@ -357,14 +351,4 @@ func newCluster(cfg cluster.Config) (*cluster.Cluster, error) {
 		cfg.Comm = cluster.IPoIBSockets()
 	}
 	return cluster.New(cfg)
-}
-
-// errNeedGraph guards nil inputs in engine entry points.
-var errNeedGraph = errors.New("graphlab: nil graph")
-
-// measure wraps a local run with wall-clock timing.
-func measure[T any](fn func() T) (T, float64) {
-	start := time.Now()
-	out := fn()
-	return out, time.Since(start).Seconds()
 }

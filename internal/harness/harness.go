@@ -76,9 +76,8 @@ type RunRecord struct {
 	Report  *metrics.Report `json:"report,omitempty"`
 	// Hists holds the quantile summary of every registry histogram that
 	// recorded during this run and no other (the harness diffs histogram
-	// snapshots around each engine execution): per-phase latency tails,
-	// pool dispatch/park times, chunk-claim latency. Only present when
-	// tracing is on.
+	// snapshots around each engine execution): per-phase latency tails and
+	// pool dispatch/park times. Only present when tracing is on.
 	Hists map[string]obs.Quantiles `json:"hists,omitempty"`
 }
 

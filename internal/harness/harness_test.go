@@ -260,10 +260,18 @@ func TestRunJSONAndTrace(t *testing.T) {
 	if len(rep.Runs) == 0 {
 		t.Fatal("JSON report has no runs")
 	}
+	// One seed under -quick: every engine runs every algorithm once, Native
+	// (the baseline every ratio divides by) included.
+	cells := map[string]int{}
 	for _, r := range rep.Runs {
 		if r.Engine == "" || r.Algo == "" {
 			t.Errorf("incomplete run record %+v", r)
 		}
+		cells[r.Engine+"/"+r.Algo]++
+	}
+	if len(cells) != len(engines())*len(Algos()) || len(rep.Runs) != len(cells) {
+		t.Errorf("%d run records over %d engine/algorithm cells, want one each of %d: %v",
+			len(rep.Runs), len(cells), len(engines())*len(Algos()), cells)
 	}
 	if rep.Trace == nil {
 		t.Fatal("JSON report missing trace summary")

@@ -126,7 +126,7 @@ func slowdownTable(opt Options, nodes int, seeds []int64, scale int) error {
 			if base.err != nil {
 				return fmt.Errorf("native %v: %w", algo, base.err)
 			}
-			for _, e := range engs {
+			for _, e := range engs[1:] {
 				if nodes > 1 && !e.Capabilities().MultiNode {
 					continue
 				}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/bitvec"
@@ -27,15 +26,15 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	if opt.Exec.Cluster != nil {
 		return e.bfsCluster(g, opt)
 	}
-	start := time.Now()
-	dist, levels := e.bfsLocal(g, opt.Source, opt.Exec.Tracer())
-	return &core.BFSResult{
-		Distances: dist,
-		Stats:     core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: levels},
-	}, nil
+	var dist []int32
+	stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) (levels int) {
+		dist, levels = e.bfsLocal(pool, g, opt.Source, tr)
+		return levels
+	})
+	return &core.BFSResult{Distances: dist, Stats: stats}, nil
 }
 
-func (e *Engine) bfsLocal(g *graph.CSR, source uint32, tr *trace.Tracer) ([]int32, int) {
+func (e *Engine) bfsLocal(pool *backend.Pool, g *graph.CSR, source uint32, tr *trace.Tracer) ([]int32, int) {
 	if !e.tuning.Bitvector {
 		// Baseline data structure: the distance array itself is the
 		// visited set (a 4-byte random load per probe instead of a bit).
@@ -47,10 +46,7 @@ func (e *Engine) bfsLocal(g *graph.CSR, source uint32, tr *trace.Tracer) ([]int3
 		return bfsTopDownArray(g, dist, source)
 	}
 	// Tuned path: the engine is a thin wrapper over the package's one BFS
-	// kernel on a pool of its own.
-	pool := backend.NewPool(0)
-	defer pool.Close()
-	pool.SetTracer(tr)
+	// kernel.
 	return BFS(pool, backend.FromCSR(g), source, "native.bfs.level", tr)
 }
 

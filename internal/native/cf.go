@@ -4,12 +4,12 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"time"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
-	"graphmaze/internal/par"
+	"graphmaze/internal/trace"
 )
 
 // CollabFilter implements core.Engine. The native code implements true
@@ -25,16 +25,24 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	if opt.Exec.Cluster != nil {
 		return e.cfCluster(r, opt)
 	}
-	start := time.Now()
-	var res *core.CFResult
+	k := opt.K
+	userF := core.InitFactors(r.NumUsers, k, opt.Seed)
+	itemF := core.InitFactors(r.NumItems, k, opt.Seed+1)
+	train := func(pool *backend.Pool) []float64 { return gdLocal(pool, r, opt, userF, itemF) }
 	if opt.Method == core.SGD {
-		res = e.sgdLocal(r, opt)
-	} else {
-		res = e.gdLocal(r, opt)
+		blocks, _, _ := buildBlocks(r, numStripes(r))
+		shuffleBlocks(blocks, opt.Seed)
+		train = func(pool *backend.Pool) []float64 { return sgdLocal(pool, r, opt, blocks, userF, itemF) }
 	}
-	res.Stats.WallSeconds = time.Since(start).Seconds()
-	res.Stats.Iterations = opt.Iterations
-	return res, nil
+	var rmse []float64
+	stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+		rmse = train(pool)
+		return opt.Iterations
+	})
+	if opt.SkipRMSETrajectory {
+		rmse = append(rmse, core.RMSE(r, k, userF, itemF))
+	}
+	return &core.CFResult{K: k, UserFactors: userF, ItemFactors: itemF, RMSE: rmse, Stats: stats}, nil
 }
 
 // blockEdge is one rating inside a (user-stripe, item-stripe) block.
@@ -83,44 +91,42 @@ func stripeOf(bounds []uint32, v uint32) int {
 	return lo
 }
 
-// sgdLocal runs diagonal-parallel SGD: W sub-steps per iteration, each
-// processing the W blocks of one diagonal concurrently.
-func (e *Engine) sgdLocal(r *graph.Bipartite, opt core.CFOptions) *core.CFResult {
-	k := opt.K
-	userF := core.InitFactors(r.NumUsers, k, opt.Seed)
-	itemF := core.InitFactors(r.NumItems, k, opt.Seed+1)
-	w := numStripes(r)
-	blocks, _, _ := buildBlocks(r, w)
-
-	// Pre-shuffle each block once with a deterministic seed; SGD requires
-	// random visit order within blocks.
+// shuffleBlocks pre-shuffles each block once with a deterministic seed:
+// SGD requires random visit order within a block.
+func shuffleBlocks(blocks [][]blockEdge, seed int64) {
 	for i := range blocks {
-		rng := rand.New(rand.NewSource(opt.Seed + int64(i)*7919))
+		rng := rand.New(rand.NewSource(seed + int64(i)*7919))
 		rng.Shuffle(len(blocks[i]), func(a, b int) {
 			blocks[i][a], blocks[i][b] = blocks[i][b], blocks[i][a]
 		})
 	}
+}
 
+// sgdLocal runs diagonal-parallel SGD over the W×W shuffled blocks on the
+// call's pool: W sub-steps per iteration, each processing the W blocks of
+// one diagonal concurrently. It updates the factors in place and returns
+// the per-iteration RMSE trajectory (empty when skipped).
+func sgdLocal(pool *backend.Pool, r *graph.Bipartite, opt core.CFOptions, blocks [][]blockEdge, userF, itemF []float32) []float64 {
+	k := opt.K
+	w := numStripes(r)
 	rmse := make([]float64, 0, opt.Iterations)
 	gamma := opt.LearningRate
+	sub := 0
+	diagonal := backend.NewDense(pool, w, func(lo, hi int) {
+		for stripe := lo; stripe < hi; stripe++ {
+			sgdBlock(blocks[stripe*w+(stripe+sub)%w], userF, itemF, k, gamma, opt)
+		}
+	})
 	for it := 0; it < opt.Iterations; it++ {
-		for sub := 0; sub < w; sub++ {
-			par.For(w, func(lo, hi int) {
-				for stripe := lo; stripe < hi; stripe++ {
-					block := blocks[stripe*w+(stripe+sub)%w]
-					sgdBlock(block, userF, itemF, k, gamma, opt)
-				}
-			})
+		for sub = 0; sub < w; sub++ {
+			diagonal.Run()
 		}
 		gamma *= opt.StepDecay
 		if !opt.SkipRMSETrajectory {
 			rmse = append(rmse, core.RMSE(r, k, userF, itemF))
 		}
 	}
-	if opt.SkipRMSETrajectory {
-		rmse = append(rmse, core.RMSE(r, k, userF, itemF))
-	}
-	return &core.CFResult{K: k, UserFactors: userF, ItemFactors: itemF, RMSE: rmse}
+	return rmse
 }
 
 // numStripes picks the SGD grid width: enough for parallelism without
@@ -151,71 +157,71 @@ func sgdBlock(block []blockEdge, userF, itemF []float32, k int, gamma float64, o
 	}
 }
 
-// gdLocal runs full-batch gradient descent (paper eqs. 11–12), parallel
-// over users for P-gradients and over items for Q-gradients.
-func (e *Engine) gdLocal(r *graph.Bipartite, opt core.CFOptions) *core.CFResult {
+// gdLocal runs full-batch gradient descent (paper eqs. 11–12) on the
+// call's pool, parallel over users for P-gradients and over items for
+// Q-gradients. It updates the factors in place and returns the
+// per-iteration RMSE trajectory (empty when skipped).
+func gdLocal(pool *backend.Pool, r *graph.Bipartite, opt core.CFOptions, userF, itemF []float32) []float64 {
 	k := opt.K
-	userF := core.InitFactors(r.NumUsers, k, opt.Seed)
-	itemF := core.InitFactors(r.NumItems, k, opt.Seed+1)
 	gradP := make([]float32, len(userF))
 	gradQ := make([]float32, len(itemF))
 	rmse := make([]float64, 0, opt.Iterations)
 	gamma := opt.LearningRate
 
+	userPass := backend.NewDense(pool, int(r.NumUsers), func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			adj, wts := r.ByUser.Neighbors(uint32(u)), r.ByUser.EdgeWeights(uint32(u))
+			pu := userF[u*k : (u+1)*k]
+			gp := gradP[u*k : (u+1)*k]
+			for d := range gp {
+				gp[d] = 0
+			}
+			for i, v := range adj {
+				qv := itemF[int(v)*k : int(v+1)*k]
+				err := float64(wts[i]) - core.Dot(pu, qv)
+				for d := 0; d < k; d++ {
+					gp[d] += float32(err*float64(qv[d]) - opt.LambdaP*float64(pu[d]))
+				}
+			}
+		}
+	})
+	itemPass := backend.NewDense(pool, int(r.NumItems), func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			adj, wts := r.ByItem.Neighbors(uint32(v)), r.ByItem.EdgeWeights(uint32(v))
+			qv := itemF[v*k : (v+1)*k]
+			gq := gradQ[v*k : (v+1)*k]
+			for d := range gq {
+				gq[d] = 0
+			}
+			for i, u := range adj {
+				pu := userF[int(u)*k : int(u+1)*k]
+				err := float64(wts[i]) - core.Dot(pu, qv)
+				for d := 0; d < k; d++ {
+					gq[d] += float32(err*float64(pu[d]) - opt.LambdaQ*float64(qv[d]))
+				}
+			}
+		}
+	})
+	apply := func(f, grad []float32) *backend.Dense {
+		return backend.NewDense(pool, len(f), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				f[i] += float32(gamma) * grad[i]
+			}
+		})
+	}
+	applyP, applyQ := apply(userF, gradP), apply(itemF, gradQ)
+
 	for it := 0; it < opt.Iterations; it++ {
-		par.For(int(r.NumUsers), func(lo, hi int) {
-			for u := lo; u < hi; u++ {
-				adj, wts := r.ByUser.Neighbors(uint32(u)), r.ByUser.EdgeWeights(uint32(u))
-				pu := userF[u*k : (u+1)*k]
-				gp := gradP[u*k : (u+1)*k]
-				for d := range gp {
-					gp[d] = 0
-				}
-				for i, v := range adj {
-					qv := itemF[int(v)*k : int(v+1)*k]
-					err := float64(wts[i]) - core.Dot(pu, qv)
-					for d := 0; d < k; d++ {
-						gp[d] += float32(err*float64(qv[d]) - opt.LambdaP*float64(pu[d]))
-					}
-				}
-			}
-		})
-		par.For(int(r.NumItems), func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				adj, wts := r.ByItem.Neighbors(uint32(v)), r.ByItem.EdgeWeights(uint32(v))
-				qv := itemF[v*k : (v+1)*k]
-				gq := gradQ[v*k : (v+1)*k]
-				for d := range gq {
-					gq[d] = 0
-				}
-				for i, u := range adj {
-					pu := userF[int(u)*k : int(u+1)*k]
-					err := float64(wts[i]) - core.Dot(pu, qv)
-					for d := 0; d < k; d++ {
-						gq[d] += float32(err*float64(pu[d]) - opt.LambdaQ*float64(qv[d]))
-					}
-				}
-			}
-		})
-		applyGradient(userF, gradP, gamma)
-		applyGradient(itemF, gradQ, gamma)
+		userPass.Run()
+		itemPass.Run()
+		applyP.Run()
+		applyQ.Run()
 		gamma *= opt.StepDecay
 		if !opt.SkipRMSETrajectory {
 			rmse = append(rmse, core.RMSE(r, k, userF, itemF))
 		}
 	}
-	if opt.SkipRMSETrajectory {
-		rmse = append(rmse, core.RMSE(r, k, userF, itemF))
-	}
-	return &core.CFResult{K: k, UserFactors: userF, ItemFactors: itemF, RMSE: rmse}
-}
-
-func applyGradient(f, grad []float32, gamma float64) {
-	par.For(len(f), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f[i] += float32(gamma) * grad[i]
-		}
-	})
+	return rmse
 }
 
 // cfCluster runs distributed CF. SGD uses Gemulla's rotation: node i holds
@@ -247,12 +253,7 @@ func (e *Engine) cfCluster(r *graph.Bipartite, opt core.CFOptions) (*core.CFResu
 	}
 
 	if opt.Method == core.SGD {
-		for i := range blocks {
-			rng := rand.New(rand.NewSource(opt.Seed + int64(i)*7919))
-			rng.Shuffle(len(blocks[i]), func(a, b int) {
-				blocks[i][a], blocks[i][b] = blocks[i][b], blocks[i][a]
-			})
-		}
+		shuffleBlocks(blocks, opt.Seed)
 	}
 
 	rmse := make([]float64, 0, opt.Iterations)

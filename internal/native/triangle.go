@@ -3,7 +3,6 @@ package native
 import (
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/bitvec"
@@ -11,6 +10,7 @@ import (
 	"graphmaze/internal/codec"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/trace"
 )
 
 // bitvecDegreeThreshold is the adjacency size above which the native code
@@ -29,12 +29,12 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 	if opt.Exec.Cluster != nil {
 		return e.triangleCluster(g, opt)
 	}
-	start := time.Now()
-	count := e.triangleLocal(g)
-	return &core.TriangleResult{
-		Count: count,
-		Stats: core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: 1},
-	}, nil
+	var count int64
+	stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+		count = triangles(pool, g, g.Offsets, e.tuning.Bitvector)
+		return 1
+	})
+	return &core.TriangleResult{Count: count, Stats: stats}, nil
 }
 
 // triangleGrain is the dynamic chunk size for the per-vertex triangle
@@ -42,14 +42,6 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 // a power-law graph, where one hub-owning chunk serializes the whole
 // count — so chunks are small and claimed off a shared counter.
 const triangleGrain = 64
-
-// triangleLocal is a thin wrapper over the package's one triangle loop on
-// a pool of its own, like the tuned PageRank and BFS paths.
-func (e *Engine) triangleLocal(g *graph.CSR) int64 {
-	pool := backend.NewPool(0)
-	defer pool.Close()
-	return triangles(pool, g, g.Offsets, e.tuning.Bitvector)
-}
 
 // TriangleCountSymmetrized counts the triangles of a symmetrized graph
 // with sorted adjacency on the caller's pool. Keeping only each vertex's

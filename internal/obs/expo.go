@@ -11,7 +11,7 @@ import (
 
 // promName sanitizes a dotted registry name into a Prometheus metric name:
 // every character outside [a-zA-Z0-9_] becomes '_', and the namespace is
-// prefixed ("par.claim_ns" -> "graphmaze_par_claim_ns").
+// prefixed ("par.busy_ns" -> "graphmaze_par_busy_ns").
 func promName(namespace, name string) string {
 	var b strings.Builder
 	b.Grow(len(namespace) + 1 + len(name))

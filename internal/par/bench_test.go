@@ -11,7 +11,7 @@ import (
 // share: per-index work proportional to a power-law degree sequence, with
 // a handful of hubs holding a large fraction of the total. Static
 // equal-count chunking strands the hub chunk's worker far behind the
-// rest; the dynamic and edge-balanced schedulers keep workers level. Run
+// rest; the edge-balanced scheduler keeps workers level. Run
 // via `go test -bench Par` (GOMAXPROCS ≥ 4 for meaningful numbers).
 
 const benchVertices = 1 << 16
@@ -77,30 +77,9 @@ func BenchmarkParSkewedStatic(b *testing.B) {
 	runSkewed(b, For)
 }
 
-// BenchmarkParSkewedDynamic claims fixed-grain chunks off the shared
-// counter.
-func BenchmarkParSkewedDynamic(b *testing.B) {
-	runSkewed(b, func(n int, body func(lo, hi int)) {
-		ForDynamicIndexed(n, 256, func(_, lo, hi int) { body(lo, hi) })
-	})
-}
-
 // BenchmarkParSkewedOffsets splits by the prefix-sum array so every
 // worker gets an equal edge share.
 func BenchmarkParSkewedOffsets(b *testing.B) {
 	_, offsets := skewedWorkload()
 	runSkewed(b, func(n int, body func(lo, hi int)) { ForOffsets(offsets, body) })
-}
-
-// BenchmarkParDynamicOverhead measures the scheduler's fixed cost on a
-// uniform trivial body — the price a non-skewed loop pays for choosing
-// ForDynamicIndexed over For.
-func BenchmarkParDynamicOverhead(b *testing.B) {
-	n := 1 << 20
-	for i := 0; i < b.N; i++ {
-		var total atomic.Int64
-		ForDynamicIndexed(n, 0, func(_, lo, hi int) {
-			total.Add(int64(hi - lo))
-		})
-	}
 }

@@ -1,8 +1,9 @@
 // Package par is the static-split fork-join the one-shot paths share:
 // graph construction (internal/graph), the framework worker models
-// (Giraph's capped workers, SociaLite's generic shards, CombBLAS's free
-// functions) and the native ablation baselines. Everything a served query
-// runs executes on backend.Pool instead (DESIGN.md §8). Three loop shapes:
+// (Giraph's capped workers, SociaLite's generic shards on a simulated
+// cluster's nodes), cluster-mode kernels and the native ablation baseline.
+// Everything a single-node engine call or a served query runs executes on a
+// backend.Pool instead (DESIGN.md §8). Two loop shapes:
 //
 //   - For / ForWorkers: static contiguous chunks with equal vertex
 //     counts. Right for loops whose per-index cost is uniform.
@@ -10,12 +11,11 @@
 //     split on a CSR prefix-sum array. Right for per-vertex loops whose
 //     cost is proportional to degree on power-law graphs, where equal
 //     vertex counts are wildly imbalanced (paper §3.1).
-//   - ForDynamicIndexed: fixed-grain chunks claimed off an atomic
-//     counter, for loops with unpredictable per-index cost. Its one
-//     caller is combblas.SpGEMM, a free function with no pool to borrow.
 //
-// All loops tile [0,n) exactly once, join before returning, and fall
-// back to a serial call when fan-out would cost more than it saves.
+// Both tile [0,n) exactly once, join before returning, and fall back to a
+// serial call when fan-out would cost more than it saves. Loops with
+// unpredictable per-index cost claim chunks dynamically on a pool
+// (backend.NewSweep).
 package par
 
 import (
@@ -83,8 +83,6 @@ func ForWorkers(workers, n int, body func(lo, hi int)) {
 	ForWorkersIndexed(workers, n, func(_, lo, hi int) { body(lo, hi) })
 }
 
-// NumWorkers reports the worker-index upper bound of the GOMAXPROCS-wide
-// loops: indices passed to ForDynamicIndexed bodies are always below this
-// value. Callers allocating per-worker scratch size their arrays with it
-// (ForWorkersIndexed is instead bounded by its explicit workers argument).
+// NumWorkers reports the width of the GOMAXPROCS-wide loops, which is also
+// the default size of a backend.Pool.
 func NumWorkers() int { return runtime.GOMAXPROCS(0) }

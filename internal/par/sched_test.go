@@ -70,61 +70,6 @@ func (l *sleepless) Lock() {
 }
 func (l *sleepless) Unlock() { atomic.StoreInt32(&l.state, 0) }
 
-// TestForDynamicTiles asserts the dynamic loop covers [0,n) exactly once
-// for grains above, below, and astride n, including the serial-cutover
-// and empty cases.
-func TestForDynamicTiles(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 100, 1000, 4096, 100_000} {
-		for _, grain := range []int{-1, 0, 1, 7, 64, 1024, n + 1} {
-			marks := make([]int32, n)
-			ForDynamicIndexed(n, grain, func(_, lo, hi int) {
-				if lo < 0 || hi > n || lo >= hi {
-					t.Fatalf("n=%d grain=%d: bad chunk [%d,%d)", n, grain, lo, hi)
-				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&marks[i], 1)
-				}
-			})
-			for i, m := range marks {
-				if m != 1 {
-					t.Fatalf("n=%d grain=%d: index %d visited %d times", n, grain, i, m)
-				}
-			}
-		}
-	}
-}
-
-// TestForDynamicChunkLayout asserts chunk lo bounds are multiples of the
-// grain — the property a body staging per-chunk results by its lo index
-// relies on for a deterministic layout under dynamic scheduling.
-func TestForDynamicChunkLayout(t *testing.T) {
-	n, grain := 10_000, 64
-	ForDynamicIndexed(n, grain, func(_, lo, hi int) {
-		if lo%grain != 0 {
-			t.Errorf("chunk lo %d not a multiple of grain %d", lo, grain)
-		}
-		if hi != lo+grain && hi != n {
-			t.Errorf("chunk [%d,%d) is neither full-grain nor final", lo, hi)
-		}
-	})
-}
-
-// TestForDynamicIndexedWorkerBounds asserts worker indices stay below
-// NumWorkers(), the bound callers size scratch arrays with.
-func TestForDynamicIndexedWorkerBounds(t *testing.T) {
-	limit := NumWorkers()
-	var covered int64
-	ForDynamicIndexed(50_000, 16, func(worker, lo, hi int) {
-		if worker < 0 || worker >= limit {
-			t.Errorf("worker index %d outside [0,%d)", worker, limit)
-		}
-		atomic.AddInt64(&covered, int64(hi-lo))
-	})
-	if covered != 50_000 {
-		t.Errorf("covered %d of 50000", covered)
-	}
-}
-
 // offsetsFromDegrees builds a CSR-style prefix-sum array.
 func offsetsFromDegrees(degs []int64) []int64 {
 	offsets := make([]int64, len(degs)+1)

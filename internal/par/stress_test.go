@@ -85,61 +85,6 @@ func TestForWorkersIndexedSlotDisjoint(t *testing.T) {
 	}
 }
 
-// TestForDynamicStress hammers the atomic-counter chunk claiming: chunks
-// must tile [0,n) with no overlap even under contention, so the per-index
-// writes are plain on purpose — if two workers ever claimed the same
-// chunk, the race detector would fire and the exact-count check would
-// fail.
-func TestForDynamicStress(t *testing.T) {
-	n, iters := 1<<17, 30
-	if testing.Short() {
-		n, iters = 1<<13, 8
-	}
-	covered := make([]int64, n)
-	for it := 0; it < iters; it++ {
-		ForDynamicIndexed(n, 37, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				covered[i]++ // plain write: chunks are disjoint and joined
-			}
-		})
-	}
-	for i, c := range covered {
-		if c != int64(iters) {
-			t.Fatalf("index %d covered %d times, want %d", i, c, iters)
-		}
-	}
-}
-
-// TestForDynamicIndexedScratchExclusive verifies the per-worker scratch
-// contract combblas.SpGEMM relies on: a worker index is owned by
-// exactly one goroutine for the whole loop, so unsynchronized reads and
-// writes of scratch[worker] across the worker's many chunks are safe.
-func TestForDynamicIndexedScratchExclusive(t *testing.T) {
-	iters := 100
-	if testing.Short() {
-		iters = 20
-	}
-	n := 20_000
-	for it := 0; it < iters; it++ {
-		scratch := make([]int, NumWorkers())
-		var total int64
-		ForDynamicIndexed(n, 53, func(w, lo, hi int) {
-			scratch[w] += hi - lo // plain read-modify-write: slot w is exclusive
-			atomic.AddInt64(&total, int64(hi-lo))
-		})
-		if total != int64(n) {
-			t.Fatalf("iter %d: covered %d of %d", it, total, n)
-		}
-		sum := 0
-		for _, s := range scratch {
-			sum += s
-		}
-		if sum != n {
-			t.Fatalf("iter %d: scratch sums to %d, want %d", it, sum, n)
-		}
-	}
-}
-
 // TestForOffsetsStress runs the edge-balanced splitter over a skewed
 // degree sequence with plain per-vertex writes, mirroring the PageRank
 // gather's write pattern (each vertex written by exactly one worker).

@@ -2,7 +2,6 @@ package socialite
 
 import (
 	"fmt"
-	"time"
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
@@ -123,23 +122,22 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	}
 
 	if opt.Exec.Cluster == nil {
-		tr := opt.Exec.Tracer()
-		start := time.Now()
-		// The matcher lowers the join onto one seeded SpMV per iteration;
-		// the engine owns the pool for the call.
-		pool := backend.NewPool(0)
-		defer pool.Close()
-		pool.SetTracer(tr)
-		for it := 0; it < opt.Iterations; it++ {
-			sp := tr.Begin("socialite.rule", "rule evaluation").Arg("iter", float64(it))
-			err := runIteration(func() error { return EvalOnce(pool, rule) })
-			sp.End()
-			if err != nil {
-				return nil, err
+		// The matcher lowers the join onto one seeded SpMV per iteration
+		// over the edge table's by-destination index, built here with the
+		// other tables.
+		outEdge.transposed()
+		stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) int {
+			for it := 0; it < opt.Iterations && err == nil; it++ {
+				sp := tr.Begin("socialite.rule", "rule evaluation").Arg("iter", float64(it))
+				err = runIteration(func() error { return EvalOnce(pool, rule) })
+				sp.End()
 			}
+			return opt.Iterations
+		})
+		if err != nil {
+			return nil, err
 		}
-		return &core.PageRankResult{Ranks: vecToFloats(rank, n),
-			Stats: core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: opt.Iterations}}, nil
+		return &core.PageRankResult{Ranks: vecToFloats(rank, n), Stats: stats}, nil
 	}
 
 	cfg := *opt.Exec.Cluster
@@ -224,17 +222,16 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	}
 
 	if opt.Exec.Cluster == nil {
-		start := time.Now()
 		// The shared driver lowers the rule's shape onto the backend's
-		// persistent-claims expander; the engine owns the pool for the call.
-		pool := backend.NewPool(0)
-		defer pool.Close()
-		pool.SetTracer(opt.Exec.Tracer())
-		rounds, err := Fixpoint(pool, rule)
+		// persistent-claims expander.
+		stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) (rounds int) {
+			rounds, err = Fixpoint(pool, rule)
+			return rounds
+		})
 		if err != nil {
 			return nil, err
 		}
-		return finish(core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: rounds}), nil
+		return finish(stats), nil
 	}
 
 	c, err := e.newCluster(*opt.Exec.Cluster)
@@ -308,21 +305,19 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 	}
 
 	if opt.Exec.Cluster == nil {
-		start := time.Now()
-		// A global $INC(1): chunk partials on a pool the engine owns for
-		// the call.
-		pool := backend.NewPool(0)
-		defer pool.Close()
-		pool.SetTracer(opt.Exec.Tracer())
-		if err := EvalOnce(pool, rule); err != nil {
+		// A global $INC(1): chunk partials on the call's pool.
+		stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+			err = EvalOnce(pool, rule)
+			return 1
+		})
+		if err != nil {
 			return nil, err
 		}
 		count := int64(0)
 		if v, ok := tri.Get(0); ok {
 			count = int64(v.S())
 		}
-		return &core.TriangleResult{Count: count,
-			Stats: core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: 1}}, nil
+		return &core.TriangleResult{Count: count, Stats: stats}, nil
 	}
 
 	c, err := e.newCluster(*opt.Exec.Cluster)
@@ -465,26 +460,22 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 
 	gamma := opt.LearningRate
 	rmse := make([]float64, 0, opt.Iterations)
-	start := time.Now()
 
-	evalRules := func(gradPRule, gradQRule, applyP, applyQ *Rule) error {
+	// evalRules evaluates one iteration's rules: on the call's pool for a
+	// single-node run, shard-local on the cluster's nodes otherwise.
+	evalRules := func(pool *backend.Pool, gradPRule, gradQRule, applyP, applyQ *Rule) error {
 		for _, rule := range []*Rule{gradPRule, gradQRule, applyP, applyQ} {
 			if err := rule.Validate(); err != nil {
 				return err
 			}
 		}
 		if c == nil {
-			if _, err := EvalParallel(gradPRule, 0, r.NumUsers, nil, nil, 0, false); err != nil {
-				return err
+			for _, rule := range []*Rule{gradPRule, gradQRule, applyP, applyQ} {
+				if err := EvalOnce(pool, rule); err != nil {
+					return err
+				}
 			}
-			if _, err := EvalParallel(gradQRule, 0, r.NumItems, nil, nil, 0, false); err != nil {
-				return err
-			}
-			if _, err := EvalParallel(applyP, 0, r.NumUsers, nil, nil, 0, false); err != nil {
-				return err
-			}
-			_, err := EvalParallel(applyQ, 0, r.NumItems, nil, nil, 0, false)
-			return err
+			return nil
 		}
 		// Iteration-start table transfer (paper §3.2): each node pulls the
 		// Q rows its users rated and the P rows its items were rated by.
@@ -536,7 +527,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		})
 	}
 
-	for it := 0; it < opt.Iterations; it++ {
+	iterate := func(pool *backend.Pool) error {
 		gradP := NewVecTable("GRADP", r.NumUsers)
 		gradQ := NewVecTable("GRADQ", r.NumItems)
 		p2 := NewVecTable("P2", r.NumUsers)
@@ -545,8 +536,8 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		gq := makeGradRule("gradQ", ratingT, q, p, gradQ, opt.LambdaQ)
 		ap := makeApplyRule("applyP", p, gradP, p2, gamma)
 		aq := makeApplyRule("applyQ", q, gradQ, q2, gamma)
-		if err := evalRules(gp, gq, ap, aq); err != nil {
-			return nil, err
+		if err := evalRules(pool, gp, gq, ap, aq); err != nil {
+			return err
 		}
 		// Users or items with no gradient rows keep their factors.
 		p.ForEach(func(key uint32, val Value) {
@@ -564,6 +555,22 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		if !opt.SkipRMSETrajectory {
 			rmse = append(rmse, rmseOf(r, k, p, q))
 		}
+		return nil
+	}
+	train := func(pool *backend.Pool, _ *trace.Tracer) int {
+		for it := 0; it < opt.Iterations && err == nil; it++ {
+			err = iterate(pool)
+		}
+		return opt.Iterations
+	}
+	var stats core.RunStats
+	if c == nil {
+		stats = opt.Exec.Local(train)
+	} else {
+		stats = statsFrom(c, train(nil, nil))
+	}
+	if err != nil {
+		return nil, err
 	}
 	if opt.SkipRMSETrajectory {
 		rmse = append(rmse, rmseOf(r, k, p, q))
@@ -581,10 +588,6 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 			itemOut[int(key)*k+d] = float32(val[d])
 		}
 	})
-	stats := core.RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: opt.Iterations}
-	if c != nil {
-		stats = statsFrom(c, opt.Iterations)
-	}
 	return &core.CFResult{K: k, UserFactors: userOut, ItemFactors: itemOut, RMSE: rmse, Stats: stats}, nil
 }
 

@@ -3,8 +3,6 @@ package trace
 import (
 	"runtime"
 	"sync/atomic"
-
-	"graphmaze/internal/obs"
 )
 
 // paddedInt64 keeps each worker's lane on its own cache line so concurrent
@@ -126,11 +124,6 @@ type SchedCounters struct {
 	Items *Counter
 	// BusyNS counts nanoseconds spent inside loop bodies.
 	BusyNS *Counter
-	// ClaimNS is the chunk-claim latency histogram ("par.claim_ns"): the
-	// nanoseconds a dynamic-scheduling worker spends between asking the
-	// shared cursor for a chunk and entering the body. Its tail is the
-	// direct cost of cursor contention under skew.
-	ClaimNS *obs.Histogram
 }
 
 // Sched returns the tracer's scheduling counter bundle ("par.chunks",
@@ -144,10 +137,9 @@ func (t *Tracer) Sched() *SchedCounters {
 	defer t.mu.Unlock()
 	if t.sched == nil {
 		t.sched = &SchedCounters{
-			Chunks:  t.counterLocked("par.chunks"),
-			Items:   t.counterLocked("par.items"),
-			BusyNS:  t.counterLocked("par.busy_ns"),
-			ClaimNS: t.reg.Hist("par.claim_ns"),
+			Chunks: t.counterLocked("par.chunks"),
+			Items:  t.counterLocked("par.items"),
+			BusyNS: t.counterLocked("par.busy_ns"),
 		}
 	}
 	return t.sched

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -106,18 +105,5 @@ func TestNilTracerObsAccessors(t *testing.T) {
 		tr.Registry().Hist("y").Record(0, 1)
 	}); n != 0 {
 		t.Fatalf("disabled obs chain allocates %v per op", n)
-	}
-}
-
-// TestSchedClaimHistogram checks Sched() wires the chunk-claim histogram.
-func TestSchedClaimHistogram(t *testing.T) {
-	tr := New()
-	sc := tr.Sched()
-	if sc.ClaimNS == nil {
-		t.Fatal("Sched() did not create ClaimNS")
-	}
-	sc.ClaimNS.Record(runtime.GOMAXPROCS(0)+7, 42) // aliased worker must be safe
-	if got := tr.Registry().HistSnapshots()["par.claim_ns"]; got.Count != 1 {
-		t.Fatalf("claim hist = %+v", got)
 	}
 }
