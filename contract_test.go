@@ -75,10 +75,26 @@ func TestTimedRegionIsTheKernel(t *testing.T) {
 	}
 }
 
+// serialInTimedRegion lists the engine functions whose core.Exec.Local
+// callback may discard the pool it is handed, each with its reason. A
+// kernel that runs on one core inside the timed region is otherwise a test
+// failure here, not a profile finding later.
+var serialInTimedRegion = map[string]string{
+	"combblas.CollabFilter": "serial single-node passes; the float fold order is pinned by the CF goldens (owed)",
+	"graphlab.CollabFilter": "serial gather and apply; the float fold order is pinned by the CF goldens and the native-trajectory test (owed)",
+}
+
 // TestEnginesOwnNoClockOrPool pins the same contract structurally: no
 // engine package reads the wall clock or builds a backend.Pool outside its
-// tests. core.Exec.Local does both, once, for every single-node call.
+// tests — core.Exec.Local does both, once, for every single-node call —
+// and in native, combblas, graphlab and socialite the callback given to
+// core.Exec.Local names the *backend.Pool it receives (a blank or unnamed
+// first parameter fails) unless its function is in serialInTimedRegion.
+// galois and giraph bring their own runtimes — Galois's worklist executor,
+// Giraph's superstep workers — and are exempt from the pool rule by package.
 func TestEnginesOwnNoClockOrPool(t *testing.T) {
+	ownRuntime := map[string]bool{"galois": true, "giraph": true}
+	discards := map[string]bool{}
 	for _, pkg := range []string{"native", "combblas", "graphlab", "socialite", "giraph", "galois"} {
 		dir := filepath.Join("internal", pkg)
 		entries, err := os.ReadDir(dir)
@@ -86,6 +102,7 @@ func TestEnginesOwnNoClockOrPool(t *testing.T) {
 			t.Fatal(err)
 		}
 		fset := token.NewFileSet()
+		localCalls := 0
 		for _, ent := range entries {
 			name := ent.Name()
 			if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -108,6 +125,75 @@ func TestEnginesOwnNoClockOrPool(t *testing.T) {
 				}
 				return true
 			})
+			if ownRuntime[pkg] {
+				continue
+			}
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				for _, kernel := range localKernels(fn) {
+					localCalls++
+					first := kernel.Type.Params.List[0]
+					if len(first.Names) > 0 && first.Names[0].Name != "_" {
+						continue
+					}
+					key := pkg + "." + fn.Name.Name
+					discards[key] = true
+					if serialInTimedRegion[key] == "" {
+						t.Errorf("%s: %s's core.Exec.Local callback discards its *backend.Pool: the kernel runs on one core inside the timed region (run it on the pool, or add it to serialInTimedRegion with the reason)",
+							fset.Position(kernel.Pos()), key)
+					}
+				}
+			}
+		}
+		if localCalls == 0 && !ownRuntime[pkg] {
+			t.Errorf("%s: found no core.Exec.Local call: the pool rule is checking nothing", pkg)
 		}
 	}
+	for key := range serialInTimedRegion {
+		if !discards[key] {
+			t.Errorf("serialInTimedRegion lists %s, whose callback no longer discards its pool: delete the entry", key)
+		}
+	}
+}
+
+// localKernels returns the function literals fn passes to
+// <options>.Exec.Local, whether written in the call or bound to a local
+// name first (the CF methods share one closure between Local and the
+// cluster loop).
+func localKernels(fn *ast.FuncDecl) []*ast.FuncLit {
+	bound := map[string]*ast.FuncLit{}
+	var kernels []*ast.FuncLit
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, rhs := range n.Rhs {
+				if lit, ok := rhs.(*ast.FuncLit); ok && i < len(n.Lhs) {
+					if id, ok := n.Lhs[i].(*ast.Ident); ok {
+						bound[id.Name] = lit
+					}
+				}
+			}
+		case *ast.CallExpr:
+			sel, ok := n.Fun.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Local" || len(n.Args) != 1 {
+				return true
+			}
+			if exec, ok := sel.X.(*ast.SelectorExpr); !ok || exec.Sel.Name != "Exec" {
+				return true
+			}
+			switch arg := n.Args[0].(type) {
+			case *ast.FuncLit:
+				kernels = append(kernels, arg)
+			case *ast.Ident:
+				if lit := bound[arg.Name]; lit != nil {
+					kernels = append(kernels, lit)
+				}
+			}
+		}
+		return true
+	})
+	return kernels
 }

@@ -110,10 +110,10 @@ func TestSweepStress(t *testing.T) {
 }
 
 // TestSweepScratchExclusive verifies the per-worker scratch contract
-// combblas.SpGEMM and native's triangle loop rely on: a worker index is
-// owned by exactly one goroutine for the whole pass, so unsynchronized
-// reads and writes of scratch[worker] across the worker's many chunks are
-// safe.
+// combblas.SpGEMM and the native and graphlab triangle loops rely on: a
+// worker index is owned by exactly one goroutine for the whole pass, so
+// unsynchronized reads and writes of scratch[worker] across the worker's
+// many chunks are safe.
 func TestSweepScratchExclusive(t *testing.T) {
 	iters := 100
 	if testing.Short() {

@@ -2,6 +2,8 @@ package combblas
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"graphmaze/internal/backend"
@@ -41,13 +43,17 @@ func fixtureUndirected(t testing.TB) *graph.CSR {
 	return g
 }
 
-func fixtureAcyclic(t testing.TB) *graph.CSR {
+func fixtureAcyclic(t testing.TB) *graph.CSR { return acyclicRMAT(t, 8, 43) }
+
+// acyclicRMAT is the triangle-counting input at the given scale: a skewed
+// RMAT graph, acyclically oriented, adjacency sorted.
+func acyclicRMAT(t testing.TB, scale int, seed int64) *graph.CSR {
 	t.Helper()
-	edges, err := gen.RMAT(gen.TriangleConfig(8, 8, 43))
+	edges, err := gen.RMAT(gen.TriangleConfig(scale, 8, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := graph.NewBuilder(1 << 8)
+	b := graph.NewBuilder(1 << scale)
 	b.AddEdges(edges)
 	g, err := b.Build(graph.BuildOptions{Orientation: graph.OrientAcyclic, Dedup: true, SortAdjacency: true})
 	if err != nil {
@@ -146,6 +152,147 @@ func TestSpGEMMCountsPaths(t *testing.T) {
 			t.Errorf("A²[0] = %v/%v", cols, vals)
 		}
 	}
+}
+
+// patternFromRows builds a pattern matrix from per-row column lists (each
+// sorted, without duplicates).
+func patternFromRows(numCols uint32, rows [][]uint32) *SpMat[struct{}] {
+	m := &SpMat[struct{}]{NumRows: uint32(len(rows)), NumCols: numCols, Offsets: make([]int64, len(rows)+1)}
+	for r, cols := range rows {
+		m.Cols = append(m.Cols, cols...)
+		m.Offsets[r+1] = int64(len(m.Cols))
+	}
+	m.Vals = make([]struct{}, len(m.Cols))
+	return m
+}
+
+// randomRows draws rows of a pattern matrix: a row is empty with
+// probability emptyFrac, otherwise it holds up to maxDeg distinct columns.
+func randomRows(r *rand.Rand, numRows int, numCols uint32, maxDeg int, emptyFrac float64) [][]uint32 {
+	rows := make([][]uint32, numRows)
+	for i := range rows {
+		if r.Float64() < emptyFrac {
+			continue
+		}
+		for d := 1 + r.Intn(maxDeg); d > 0; d-- {
+			rows[i] = append(rows[i], uint32(r.Intn(int(numCols))))
+		}
+		slices.Sort(rows[i])
+		rows[i] = slices.Compact(rows[i])
+	}
+	return rows
+}
+
+// spgemmReference is the product the obvious way: one dense count vector
+// per row, filled by the triple loop and read back in column order — no
+// touched list, no sort, no chunks.
+func spgemmReference(a, b *SpMat[struct{}]) *SpMat[int64] {
+	c := &SpMat[int64]{NumRows: a.NumRows, NumCols: b.NumCols, Offsets: make([]int64, a.NumRows+1), Cols: []uint32{}, Vals: []int64{}}
+	for i := uint32(0); i < a.NumRows; i++ {
+		dense := make([]int64, b.NumCols)
+		aCols, _ := a.Row(i)
+		for _, j := range aCols {
+			bCols, _ := b.Row(j)
+			for _, k := range bCols {
+				dense[k]++
+			}
+		}
+		for k, v := range dense {
+			if v != 0 {
+				c.Cols = append(c.Cols, uint32(k))
+				c.Vals = append(c.Vals, v)
+			}
+		}
+		c.Offsets[i+1] = int64(len(c.Cols))
+	}
+	return c
+}
+
+// spgemmCases are the products the differential and layout tests run: the
+// skewed input triangle counting squares, a rectangular product, operands
+// whose empty rows span whole chunks, and a hub row that touches every
+// column ahead of short rows (which must not pay for it, nor see its
+// counts).
+func spgemmCases(t *testing.T) map[string][2]*SpMat[struct{}] {
+	rmat := FromGraph(acyclicRMAT(t, 10, 45))
+
+	r := rand.New(rand.NewSource(46))
+	sparse := randomRows(r, 700, 700, 6, 0.6)
+	for i := 128; i < 400; i++ {
+		sparse[i] = nil // chunks 1 and 2 produce nothing at all
+	}
+	hubRows := randomRows(r, 500, 500, 5, 0.1)
+	hubRows[3] = make([]uint32, 500)
+	for k := range hubRows[3] {
+		hubRows[3][k] = uint32(k)
+	}
+	hub := patternFromRows(500, hubRows)
+	return map[string][2]*SpMat[struct{}]{
+		"rmat-scale10": {rmat, rmat},
+		"rectangular":  {patternFromRows(90, randomRows(r, 300, 90, 8, 0.2)), patternFromRows(1000, randomRows(r, 90, 1000, 40, 0.1))},
+		"empty-rows":   {patternFromRows(700, sparse), patternFromRows(700, sparse)},
+		"hub-row":      {hub, hub},
+	}
+}
+
+// TestSpGEMMMatchesReferenceAtAnyPoolSize is the differential and layout
+// pin: Offsets, Cols and Vals equal the naive product's — so they are the
+// same bytes at 1, 2 and 8 workers — and every row's columns strictly
+// increase. The 8-worker pool on the skewed input is also what the race
+// detector watches the per-worker accumulators and chunk buffers under.
+func TestSpGEMMMatchesReferenceAtAnyPoolSize(t *testing.T) {
+	for name, ab := range spgemmCases(t) {
+		want := spgemmReference(ab[0], ab[1])
+		if name == "hub-row" {
+			if cols, _ := want.Row(3); len(cols) != int(want.NumCols) {
+				t.Fatalf("hub row of the reference touches %d of %d columns", len(cols), want.NumCols)
+			}
+		}
+		for _, workers := range []int{1, 2, 8} {
+			pool := backend.NewPool(workers)
+			got, err := SpGEMM(pool, ab[0], ab[1])
+			pool.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got.NumRows != want.NumRows || got.NumCols != want.NumCols {
+				t.Fatalf("%s, %d workers: shape %d×%d, want %d×%d", name, workers, got.NumRows, got.NumCols, want.NumRows, want.NumCols)
+			}
+			if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Cols, want.Cols) || !slices.Equal(got.Vals, want.Vals) {
+				t.Fatalf("%s, %d workers: product differs from the naive reference", name, workers)
+			}
+			for r := uint32(0); r < got.NumRows; r++ {
+				cols, _ := got.Row(r)
+				for i := 1; i < len(cols); i++ {
+					if cols[i-1] >= cols[i] {
+						t.Fatalf("%s, %d workers: row %d columns not strictly increasing: %v", name, workers, r, cols)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSpGEMMAllocatesPerChunkNotPerRow bounds the product's allocations by
+// its chunk count: two exact-size copies per chunk, plus per-worker scratch
+// (whose growth is logarithmic) and the output arrays. A slice pair per row
+// — over 1 700 allocations for this input's 867 non-empty product rows —
+// cannot come back unnoticed.
+func TestSpGEMMAllocatesPerChunkNotPerRow(t *testing.T) {
+	a := spgemmCases(t)["rmat-scale10"][0]
+	pool := backend.NewPool(2)
+	defer pool.Close()
+	chunks := (int(a.NumRows) + spgemmGrain - 1) / spgemmGrain
+	bound := float64(2*chunks + 64*pool.Workers() + 16)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := SpGEMM(pool, a, a); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > bound {
+		t.Errorf("%v allocations for %d rows in %d chunks, want at most %v", allocs, a.NumRows, chunks, bound)
+	}
+	t.Logf("%v allocations, %d rows, %d chunks", allocs, a.NumRows, chunks)
 }
 
 func TestSpGEMMShapeError(t *testing.T) {

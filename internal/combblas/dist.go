@@ -136,33 +136,19 @@ func DistTriangleCount(g *Grid, a *SpMat[struct{}], guardMemory bool) (int64, er
 	cfg := g.C.Config()
 	err := g.C.RunPhase(func(node int) error {
 		rlo, rhi, clo, chi := g.blockBounds(node)
-		acc := make(map[uint32]int64)
+		acc := newRowAccumulator(chi - clo)
 		var blockNNZ int64
 		var partial int64
 		for r := rlo; r < rhi; r++ {
-			clear(acc)
 			aCols, _ := a.Row(r)
-			for _, j := range aCols {
-				bCols, _ := a.Row(j)
-				lo := sort.Search(len(bCols), func(i int) bool { return bCols[i] >= clo })
-				for i := lo; i < len(bCols) && bCols[i] < chi; i++ {
-					acc[bCols[i]]++
-				}
-			}
 			// The real system materializes the A² block (sorted CSR rows)
 			// before the EWiseMult — the expressibility overhead the paper
 			// blames for CombBLAS TC: an extra sort + pass + resident
 			// intermediate per row (§6.2: "inter-operation optimization ...
 			// can make it more efficient").
-			rowCols := make([]uint32, 0, len(acc))
-			rowVals := make([]int64, 0, len(acc))
-			for k := range acc {
-				rowCols = append(rowCols, k)
-			}
-			sortU32(rowCols)
-			for _, k := range rowCols {
-				rowVals = append(rowVals, acc[k])
-			}
+			acc.cols, acc.vals = acc.cols[:0], acc.vals[:0]
+			acc.appendRow(aCols, a, clo, chi)
+			rowCols, rowVals := acc.cols, acc.vals
 			blockNNZ += int64(len(rowCols))
 			// EWiseMult: merge-intersect A's row window with the block row.
 			lo := sort.Search(len(aCols), func(i int) bool { return aCols[i] >= clo })

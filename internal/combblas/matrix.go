@@ -7,6 +7,7 @@ package combblas
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"graphmaze/internal/backend"
@@ -197,64 +198,104 @@ func SpMSpV(a *SpMat[struct{}], x []uint32, marks []bool) []uint32 {
 // EWiseMultSum.
 const spgemmGrain = 128
 
+// rowAccumulator is one worker's sparse accumulator for Gustavson's row
+// product: a dense path count per column of a window of B, plus the list of
+// columns the current row has touched. A path count is at least 1, so zero
+// stands for "untouched" and emitting a row clears exactly the entries it
+// set — a row costs O(touched), never O(window), however wide an earlier
+// hub row was. Emitted rows collect in cols/vals until the owner truncates
+// them, so a worker's output buffers are reused as well.
+type rowAccumulator struct {
+	count   []int64
+	touched []uint32
+	cols    []uint32
+	vals    []int64
+}
+
+func newRowAccumulator(width uint32) *rowAccumulator {
+	return &rowAccumulator{count: make([]int64, width)}
+}
+
+// appendRow appends one row of A·B — aCols is the row of A, the product is
+// restricted to B's columns in [clo, chi), the window the accumulator spans
+// — to cols/vals as sorted columns with their path counts, and leaves the
+// counts clean for the next row. It is the one Gustavson row in the
+// package: SpGEMM passes every column, a grid node its block's.
+func (s *rowAccumulator) appendRow(aCols []uint32, b *SpMat[struct{}], clo, chi uint32) {
+	whole := clo == 0 && chi >= b.NumCols
+	touched := s.touched[:0]
+	for _, j := range aCols {
+		bCols, _ := b.Row(j)
+		if !whole {
+			lo, _ := slices.BinarySearch(bCols, clo)
+			hi, _ := slices.BinarySearch(bCols, chi)
+			bCols = bCols[lo:hi]
+		}
+		for _, k := range bCols {
+			if s.count[k-clo] == 0 {
+				touched = append(touched, k)
+			}
+			s.count[k-clo]++
+		}
+	}
+	slices.Sort(touched)
+	s.cols = append(s.cols, touched...)
+	vals := s.vals
+	for _, k := range touched {
+		vals = append(vals, s.count[k-clo])
+		s.count[k-clo] = 0
+	}
+	s.touched, s.vals = touched, vals
+}
+
 // SpGEMM computes C = A·B over the counting semiring (values are the
 // number of combined paths, the quantity triangle counting needs from A²)
-// using Gustavson's row-by-row algorithm with a dense accumulator — the
-// memory-hungry intermediate the paper calls out (§5.2: CombBLAS "ran out
-// of memory ... while computing the A² matrix product"). Rows are claimed in
-// spgemmGrain chunks on the caller's pool; each row is folded and sorted by
-// one worker, so the product's layout is the same at any pool size.
+// with Gustavson's row-by-row algorithm, materialising the whole product as
+// sorted CSR — the memory-hungry intermediate the paper calls out (§5.2:
+// CombBLAS "ran out of memory ... while computing the A² matrix product").
+// Rows are claimed in spgemmGrain chunks on the caller's pool. Each worker
+// owns one rowAccumulator, reused across the chunks it claims
+// (backend.TestSweepScratchExclusive pins that a worker index is never
+// shared by two running chunks); a finished chunk is kept as an exact-size
+// copy, and once every row length is known the chunks are copied into the
+// product at their offsets. A row is folded and sorted by one worker and
+// placed by its row index, so Offsets, Cols and Vals are the same at any
+// pool size.
 func SpGEMM(pool *backend.Pool, a *SpMat[struct{}], b *SpMat[struct{}]) (*SpMat[int64], error) {
 	if a.NumCols != b.NumRows {
 		return nil, fmt.Errorf("combblas: SpGEMM shape mismatch %d×%d · %d×%d", a.NumRows, a.NumCols, b.NumRows, b.NumCols)
 	}
-	offsets := make([]int64, a.NumRows+1)
-	rowsCols := make([][]uint32, a.NumRows)
-	rowsVals := make([][]int64, a.NumRows)
+	n := int(a.NumRows)
+	offsets := make([]int64, n+1)
 	// Per-row cost is the sum of B-row lengths over the row's nonzeros —
 	// unpredictable from A's structure alone — so rows are claimed
-	// dynamically, with the accumulator map reused per worker.
-	accs := make([]map[uint32]int64, pool.Workers())
-	backend.NewSweep(pool, int(a.NumRows), spgemmGrain, func(worker, lo, hi int) {
+	// dynamically.
+	accs := make([]*rowAccumulator, pool.Workers())
+	chunkCols := make([][]uint32, (n+spgemmGrain-1)/spgemmGrain)
+	chunkVals := make([][]int64, len(chunkCols))
+	backend.NewSweep(pool, n, spgemmGrain, func(worker, lo, hi int) {
+		if accs[worker] == nil {
+			accs[worker] = newRowAccumulator(b.NumCols)
+		}
 		acc := accs[worker]
-		if acc == nil {
-			acc = make(map[uint32]int64)
-			accs[worker] = acc
-		}
+		acc.cols, acc.vals = acc.cols[:0], acc.vals[:0]
 		for r := lo; r < hi; r++ {
-			clear(acc)
 			aCols, _ := a.Row(uint32(r))
-			for _, j := range aCols {
-				bCols, _ := b.Row(j)
-				for _, k := range bCols {
-					acc[k]++
-				}
-			}
-			if len(acc) == 0 {
-				continue
-			}
-			cols := make([]uint32, 0, len(acc))
-			for k := range acc {
-				cols = append(cols, k)
-			}
-			sortU32(cols)
-			vals := make([]int64, len(cols))
-			for i, k := range cols {
-				vals[i] = acc[k]
-			}
-			rowsCols[r] = cols
-			rowsVals[r] = vals
+			before := len(acc.cols)
+			acc.appendRow(aCols, b, 0, b.NumCols)
+			offsets[r+1] = int64(len(acc.cols) - before) // the row's length, until the prefix sum
 		}
+		chunkCols[lo/spgemmGrain], chunkVals[lo/spgemmGrain] = slices.Clone(acc.cols), slices.Clone(acc.vals)
 	}).Run()
-	for r := uint32(0); r < a.NumRows; r++ {
-		offsets[r+1] = offsets[r] + int64(len(rowsCols[r]))
+	for r := 0; r < n; r++ {
+		offsets[r+1] += offsets[r]
 	}
-	cols := make([]uint32, offsets[a.NumRows])
-	vals := make([]int64, offsets[a.NumRows])
-	for r := uint32(0); r < a.NumRows; r++ {
-		copy(cols[offsets[r]:], rowsCols[r])
-		copy(vals[offsets[r]:], rowsVals[r])
-	}
+	cols := make([]uint32, offsets[n])
+	vals := make([]int64, offsets[n])
+	backend.NewSweep(pool, n, spgemmGrain, func(_, lo, _ int) {
+		copy(cols[offsets[lo]:], chunkCols[lo/spgemmGrain])
+		copy(vals[offsets[lo]:], chunkVals[lo/spgemmGrain])
+	}).Run()
 	return &SpMat[int64]{NumRows: a.NumRows, NumCols: b.NumCols, Offsets: offsets, Cols: cols, Vals: vals}, nil
 }
 
@@ -291,42 +332,6 @@ func EWiseMultSum(pool *backend.Pool, a *SpMat[struct{}], b *SpMat[int64]) (int6
 		total.Add(sum)
 	}).Run()
 	return total.Load(), nil
-}
-
-func sortU32(ids []uint32) {
-	if len(ids) < 2 {
-		return
-	}
-	// Insertion sort for short rows, else a simple quicksort.
-	if len(ids) <= 24 {
-		for i := 1; i < len(ids); i++ {
-			v := ids[i]
-			j := i - 1
-			for j >= 0 && ids[j] > v {
-				ids[j+1] = ids[j]
-				j--
-			}
-			ids[j+1] = v
-		}
-		return
-	}
-	pivot := ids[len(ids)/2]
-	i, j := 0, len(ids)-1
-	for i <= j {
-		for ids[i] < pivot {
-			i++
-		}
-		for ids[j] > pivot {
-			j--
-		}
-		if i <= j {
-			ids[i], ids[j] = ids[j], ids[i]
-			i++
-			j--
-		}
-	}
-	sortU32(ids[:j+1])
-	sortU32(ids[i:])
 }
 
 // ReduceInto folds every row of the matrix to a scalar with the

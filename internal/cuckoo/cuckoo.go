@@ -17,7 +17,7 @@ const (
 // Set is an insert-and-lookup cuckoo hash set. The zero value is not
 // usable; call New.
 type Set struct {
-	buckets [][]uint32 // two tables, flattened as rows of bucketSize
+	buckets [2][]uint32 // two tables, flattened as rows of bucketSize
 	rows    uint32
 	size    int
 	hasMax  bool // whether the sentinel key itself was inserted
@@ -25,23 +25,40 @@ type Set struct {
 
 // New returns a set pre-sized for the given number of keys.
 func New(capacity int) *Set {
+	s := &Set{}
+	s.Reset(capacity)
+	return s
+}
+
+// Reset empties the set and sizes its tables for capacity keys, exactly as
+// New would, so a reset set places and finds keys where a new one does. It
+// allocates only when a table is smaller than capacity needs; a caller that
+// builds one neighbourhood after another reuses one set and stops
+// allocating once it has seen its largest. The tables shrink as well as
+// grow: emptying costs the capacity asked for, not the largest ever held.
+func (s *Set) Reset(capacity int) {
 	rows := uint32(minBucketRows)
 	for int(rows)*bucketSize*2 < capacity*5/4 {
 		rows *= 2
 	}
-	return newWithRows(rows)
+	s.resize(rows)
+	s.size, s.hasMax = 0, false
 }
 
-func newWithRows(rows uint32) *Set {
-	s := &Set{rows: rows}
-	for t := 0; t < 2; t++ {
-		b := make([]uint32, rows*bucketSize)
+// resize leaves both tables empty with the given number of rows.
+func (s *Set) resize(rows uint32) {
+	slots := int(rows) * bucketSize
+	for t := range s.buckets {
+		if cap(s.buckets[t]) < slots {
+			s.buckets[t] = make([]uint32, slots)
+		}
+		b := s.buckets[t][:slots]
 		for i := range b {
 			b[i] = emptySlot
 		}
-		s.buckets = append(s.buckets, b)
+		s.buckets[t] = b
 	}
-	return s
+	s.rows = rows
 }
 
 // Len reports the number of keys stored.
@@ -136,7 +153,8 @@ func (s *Set) insertKicking(key uint32) (orphan uint32, ok bool) {
 // grow doubles the table and rehashes every resident key.
 func (s *Set) grow() {
 	old := s.buckets
-	bigger := newWithRows(s.rows * 2)
+	bigger := &Set{}
+	bigger.resize(s.rows * 2)
 	for _, table := range old {
 		for _, key := range table {
 			if key != emptySlot {

@@ -2,6 +2,7 @@ package cuckoo
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -149,5 +150,90 @@ func TestMemoryBytesGrows(t *testing.T) {
 	big := New(1 << 16).MemoryBytes()
 	if big <= small {
 		t.Errorf("MemoryBytes: big %d <= small %d", big, small)
+	}
+}
+
+// resetCases are key-set sizes and the capacity asked for, in the order one
+// reused set sees them: a hub first, so every later Reset shrinks the
+// tables it keeps; then loads that fill buckets and force kick chains
+// (capacity == keys sits at the 80 % load New sizes for); then capacities
+// far below the key count, which only growth can absorb.
+var resetCases = []struct{ keys, capacity int }{
+	{5000, 5000}, {3, 3}, {700, 700}, {0, 0}, {64, 64}, {900, 2}, {40, 1}, {5000, 5000}, {1, 1},
+}
+
+func randomKeys(r *rand.Rand, n int) []uint32 {
+	keys := make([]uint32, n)
+	for i := range keys {
+		keys[i] = uint32(r.Intn(20000))
+	}
+	if n > 2 {
+		keys[n/2] = emptySlot // the sentinel key lives outside the tables
+	}
+	return keys
+}
+
+// TestResetMatchesNew holds Reset to New's answers: after Reset(capacity)
+// and the same inserts, a reused set has the same length, the same table
+// size, the same keys in the same slots — so the same Contains and
+// IntersectCount — as a set built fresh, whatever it held before.
+func TestResetMatchesNew(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	reused := New(0)
+	for i, c := range resetCases {
+		keys := randomKeys(r, c.keys)
+		probes := randomKeys(r, 2000)
+		fresh := New(c.capacity)
+		reused.Reset(c.capacity)
+		if reused.Len() != 0 || reused.Contains(emptySlot) || reused.IntersectCount(probes) != 0 {
+			t.Fatalf("case %d: set not empty after Reset", i)
+		}
+		for _, k := range keys {
+			if fresh.Insert(k) != reused.Insert(k) {
+				t.Fatalf("case %d: Insert(%d) newness differs", i, k)
+			}
+		}
+		if fresh.Len() != reused.Len() || fresh.MemoryBytes() != reused.MemoryBytes() {
+			t.Fatalf("case %d: len %d / %d bytes, fresh set has %d / %d", i, reused.Len(), reused.MemoryBytes(), fresh.Len(), fresh.MemoryBytes())
+		}
+		for tbl := range fresh.buckets {
+			if !slices.Equal(fresh.buckets[tbl], reused.buckets[tbl]) {
+				t.Fatalf("case %d: table %d differs from a fresh set's", i, tbl)
+			}
+		}
+		for _, k := range append(probes, keys...) {
+			if fresh.Contains(k) != reused.Contains(k) {
+				t.Fatalf("case %d: Contains(%d) differs", i, k)
+			}
+		}
+		if got, want := reused.IntersectCount(probes), fresh.IntersectCount(probes); got != want {
+			t.Fatalf("case %d: IntersectCount = %d, fresh set says %d", i, got, want)
+		}
+	}
+}
+
+// TestResetSteadyStateAllocatesNothing pins the reuse: once a set has held
+// its largest neighbourhood, loading any smaller one allocates nothing.
+func TestResetSteadyStateAllocatesNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var sets [][]uint32
+	for _, n := range []int{4000, 5, 300, 0, 1200, 60} {
+		sets = append(sets, randomKeys(r, n))
+	}
+	s := New(0)
+	load := func() {
+		for _, keys := range sets {
+			s.Reset(len(keys))
+			for _, k := range keys {
+				s.Insert(k)
+			}
+			if s.IntersectCount(keys) != len(keys) {
+				t.Fatal("a loaded key is missing")
+			}
+		}
+	}
+	load() // the largest set sizes the tables
+	if allocs := testing.AllocsPerRun(20, load); allocs != 0 {
+		t.Errorf("%v allocations per pass over already-seen sizes, want 0", allocs)
 	}
 }

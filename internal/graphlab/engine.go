@@ -1,6 +1,8 @@
 package graphlab
 
 import (
+	"sync/atomic"
+
 	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
@@ -257,42 +259,52 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 		return e.triangleCluster(g, opt)
 	}
 	var count int64
-	stats := opt.Exec.Local(func(*backend.Pool, *trace.Tracer) int {
-		count = triangleCuckoo(g, 0, g.NumVertices, nil)
+	stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+		count = triangleLocal(pool, g)
 		return 1
 	})
 	return &core.TriangleResult{Count: count, Stats: stats}, nil
 }
 
-// triangleCuckoo counts triangles whose first vertex lies in [lo,hi),
-// using cuckoo sets for the intersections. sets, when non-nil, caches
-// per-vertex cuckoo sets across calls.
-func triangleCuckoo(g *graph.CSR, lo, hi uint32, sets map[uint32]*cuckoo.Set) int64 {
+// triangleGrain is the dynamic chunk size of the single-node triangle
+// loop: per-vertex cost is ~deg², so chunks are small and claimed off the
+// pool's cursor.
+const triangleGrain = 64
+
+// triangleLocal is the single-node count on the caller's pool. Each worker
+// keeps one cuckoo set across the chunks it claims (a worker index is
+// never shared by two running chunks, backend.TestSweepScratchExclusive)
+// and folds a chunk's count into the total with one atomic add; integer
+// addition is exact, so the count is the same at any pool size.
+func triangleLocal(pool *backend.Pool, g *graph.CSR) int64 {
+	sets := make([]*cuckoo.Set, pool.Workers())
+	var total atomic.Int64
+	backend.NewSweep(pool, int(g.NumVertices), triangleGrain, func(worker, lo, hi int) {
+		if sets[worker] == nil {
+			sets[worker] = cuckoo.New(0)
+		}
+		total.Add(triangleCuckoo(g, uint32(lo), uint32(hi), sets[worker]))
+	}).Run()
+	return total.Load()
+}
+
+// triangleCuckoo counts triangles whose first vertex lies in [lo,hi): each
+// vertex's neighbourhood is loaded into set (emptied and resized by Reset,
+// so one set serves every vertex of a caller) and its neighbours' lists are
+// streamed against it.
+func triangleCuckoo(g *graph.CSR, lo, hi uint32, set *cuckoo.Set) int64 {
 	var count int64
-	getSet := func(v uint32) *cuckoo.Set {
-		if sets != nil {
-			if s, ok := sets[v]; ok {
-				return s
-			}
-		}
-		adj := g.Neighbors(v)
-		s := cuckoo.New(len(adj))
-		for _, t := range adj {
-			s.Insert(t)
-		}
-		if sets != nil {
-			sets[v] = s
-		}
-		return s
-	}
 	for v := lo; v < hi; v++ {
 		adjV := g.Neighbors(v)
 		if len(adjV) == 0 {
 			continue
 		}
-		setV := getSet(v)
+		set.Reset(len(adjV))
+		for _, t := range adjV {
+			set.Insert(t)
+		}
 		for _, u := range adjV {
-			count += int64(setV.IntersectCount(g.Neighbors(u)))
+			count += int64(set.IntersectCount(g.Neighbors(u)))
 		}
 	}
 	return count
@@ -315,11 +327,12 @@ func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.
 		return nil, err
 	}
 	var total int64
+	set := cuckoo.New(0)
 	err = c.RunPhase(func(node int) error {
 		lo, hi := part.Range(node)
 		edges := g.Offsets[hi] - g.Offsets[lo]
 		c.SetBaselineMemory(node, edges*8+int64(hi-lo)*48) // CSR + cuckoo sets
-		total += triangleCuckoo(g, lo, hi, nil)
+		total += triangleCuckoo(g, lo, hi, set)
 		// Boundary adjacency shipping: for every out-neighbour u of v owned
 		// elsewhere, adj(v) travels to owner(u) once per (v, owner) pair —
 		// uncompressed 4 B/id plus a 16-byte envelope per list.

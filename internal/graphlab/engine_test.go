@@ -41,13 +41,17 @@ func fixtureUndirected(t testing.TB) *graph.CSR {
 	return g
 }
 
-func fixtureAcyclic(t testing.TB) *graph.CSR {
+func fixtureAcyclic(t testing.TB) *graph.CSR { return acyclicRMAT(t, 8, 23) }
+
+// acyclicRMAT is the triangle-counting input at the given scale: a skewed
+// RMAT graph, acyclically oriented, adjacency sorted.
+func acyclicRMAT(t testing.TB, scale int, seed int64) *graph.CSR {
 	t.Helper()
-	edges, err := gen.RMAT(gen.TriangleConfig(8, 8, 23))
+	edges, err := gen.RMAT(gen.TriangleConfig(scale, 8, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := graph.NewBuilder(1 << 8)
+	b := graph.NewBuilder(1 << scale)
 	b.AddEdges(edges)
 	g, err := b.Build(graph.BuildOptions{Orientation: graph.OrientAcyclic, Dedup: true, SortAdjacency: true})
 	if err != nil {
@@ -161,6 +165,23 @@ func TestTriangleCountMatchesReference(t *testing.T) {
 	}
 	if res.Count != want {
 		t.Errorf("count = %d, want %d", res.Count, want)
+	}
+}
+
+// TestTriangleLocalAtAnyPoolSize runs the single-node count on pools wider
+// than the host on a skewed input: the count is the reference's at every
+// size, and under -race the detector watches the per-worker cuckoo sets
+// being reset and refilled across the chunks each worker claims.
+func TestTriangleLocalAtAnyPoolSize(t *testing.T) {
+	g := acyclicRMAT(t, 10, 47)
+	want := core.RefTriangleCount(g)
+	for _, workers := range []int{1, 4, 8} {
+		pool := backend.NewPool(workers)
+		got := triangleLocal(pool, g)
+		pool.Close()
+		if got != want {
+			t.Errorf("%d workers: count = %d, want %d", workers, got, want)
+		}
 	}
 }
 
