@@ -62,7 +62,8 @@ trace-demo:
 # a quick experiment with -obs, scrapes /metrics until the finished run's
 # harness histogram shows up (the -obs-linger window keeps the listener
 # alive after the run), checks the Prometheus text and JSON expositions
-# are well-formed, and pulls a non-empty heap profile from pprof.
+# are well-formed — a counter an engine fed through the run's tracer
+# included — and pulls a non-empty heap profile from pprof.
 OBS_DEMO_ADDR ?= 127.0.0.1:8321
 obs-demo:
 	@set -e; \
@@ -77,6 +78,7 @@ obs-demo:
 	if [ -z "$$ok" ]; then echo "obs-demo: no harness histogram scraped"; cat obs-demo.log; exit 1; fi; \
 	grep -q '^# TYPE graphmaze_' obs-demo.metrics || { echo "obs-demo: /metrics lacks TYPE lines"; exit 1; }; \
 	grep -q '^graphmaze_runtime_goroutines ' obs-demo.metrics || { echo "obs-demo: /metrics lacks runtime gauges"; exit 1; }; \
+	grep -Eq '^# TYPE graphmaze_(giraph_messages|par_items)_total counter$$' obs-demo.metrics || { echo "obs-demo: /metrics lacks the tracer-fed counters"; exit 1; }; \
 	curl -sf http://$(OBS_DEMO_ADDR)/metrics.json -o obs-demo.metrics.json; \
 	grep -q '"histograms"' obs-demo.metrics.json || { echo "obs-demo: /metrics.json lacks histograms"; exit 1; }; \
 	curl -sf http://$(OBS_DEMO_ADDR)/debug/pprof/heap -o obs-demo.heap; \

@@ -41,7 +41,6 @@ func main() {
 		deltas   = flag.Int("deltas", 0, "delta batches for the stream experiment (0 = default)")
 		obsAddr  = flag.String("obs", "", "serve live metrics (Prometheus text, JSON, pprof) on this address, e.g. :8080")
 		obsWait  = flag.Duration("obs-linger", 0, "keep the -obs listener alive this long after the run (for scraping a finished run)")
-		obsIv    = flag.Duration("obs-sample", obs.DefaultSampleInterval, "runtime-stats sampling interval for the -obs registry")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	)
@@ -82,7 +81,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer server.Close()
-		sampler = obs.StartSampler(reg, *obsIv)
+		sampler = obs.StartSampler(reg, obs.DefaultSampleInterval)
 		fmt.Fprintf(os.Stderr, "graphbench: serving metrics on http://%s/metrics (pprof at /debug/pprof/)\n", server.Addr())
 	}
 	if *cpuProf != "" {

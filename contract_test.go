@@ -84,6 +84,49 @@ var serialInTimedRegion = map[string]string{
 	"graphlab.CollabFilter": "serial gather and apply; the float fold order is pinned by the CF goldens and the native-trajectory test (owed)",
 }
 
+// TestClusterRunsTraceFromExecAlone pins core.Exec's contract that a tracer
+// set on Exec suffices: every multi-node engine, on every algorithm,
+// records at least one span on a simulated node's track when the cluster
+// config carries no tracer of its own.
+func TestClusterRunsTraceFromExecAlone(t *testing.T) {
+	pr, bfs, tc, cf := conformanceInputs(t)
+	for _, eng := range Engines() {
+		if !eng.Capabilities().MultiNode {
+			continue
+		}
+		for algo, run := range map[string]func(Exec) error{
+			"pagerank": func(x Exec) error {
+				_, err := eng.PageRank(pr, PageRankOptions{Iterations: 2, Exec: x})
+				return err
+			},
+			"bfs": func(x Exec) error { _, err := eng.BFS(bfs, BFSOptions{Source: 0, Exec: x}); return err },
+			"triangles": func(x Exec) error {
+				_, err := eng.TriangleCount(tc, TriangleOptions{Exec: x})
+				return err
+			},
+			"cf": func(x Exec) error {
+				_, err := eng.CollabFilter(cf, CFOptions{K: 4, Iterations: 1, Exec: x})
+				return err
+			},
+		} {
+			tr := trace.New()
+			if err := run(Exec{Trace: tr, Cluster: &ClusterConfig{Nodes: 4}}); err != nil {
+				t.Errorf("%s %s: %v", eng.Name(), algo, err)
+				continue
+			}
+			onNodes := 0
+			for _, ev := range tr.Events() {
+				if ev.Pid >= trace.PidNodeBase {
+					onNodes++
+				}
+			}
+			if onNodes == 0 {
+				t.Errorf("%s %s: no node-track span from Exec{Trace: tr} alone", eng.Name(), algo)
+			}
+		}
+	}
+}
+
 // TestEnginesOwnNoClockOrPool pins the same contract structurally: no
 // engine package reads the wall clock or builds a backend.Pool outside its
 // tests — core.Exec.Local does both, once, for every single-node call —

@@ -7,7 +7,6 @@ import (
 
 	"graphmaze/internal/obs"
 	"graphmaze/internal/par"
-	"graphmaze/internal/trace"
 )
 
 // chunkRunner is the unit of work a Pool dispatches: a kernel that can
@@ -59,12 +58,12 @@ type Pool struct {
 	closed bool
 
 	// po is the observability attachment (nil when detached, the default).
-	// An atomic pointer because SetTracer may run while workers are parked
+	// An atomic pointer because SetRegistry may run while workers are parked
 	// in serve; the handles inside are lock-free to use.
 	po atomic.Pointer[poolObs]
 }
 
-// poolObs bundles the metrics a pool feeds once a tracer is attached:
+// poolObs bundles the metrics a pool feeds once a registry is attached:
 // dispatch wall-time and per-worker park-time histograms, plus a busy
 // fraction gauge (dispatch time / wall time since attach). busyNS is
 // only touched under p.mu (dispatch runs with it held).
@@ -76,14 +75,14 @@ type poolObs struct {
 	busyNS   int64
 }
 
-// SetTracer attaches the tracer's metrics registry to the pool: every
-// dispatch records its wall time into backend.pool.dispatch_ns, each
-// woken worker records how long it was parked into backend.pool.park_ns,
-// and backend.pool.busy_frac tracks the fraction of wall time spent
-// dispatching. A nil tracer (or one with no registry) detaches; detached
-// pools pay one atomic load per dispatch and per worker wake.
-func (p *Pool) SetTracer(tr *trace.Tracer) {
-	reg := tr.Registry()
+// SetRegistry attaches a metrics registry to the pool: every dispatch
+// records its wall time into backend.pool.dispatch_ns, each woken worker
+// records how long it was parked into backend.pool.park_ns, and
+// backend.pool.busy_frac tracks the fraction of wall time spent
+// dispatching. A traced run passes its tracer's registry. A nil registry
+// detaches; detached pools pay one atomic load per dispatch and per
+// worker wake.
+func (p *Pool) SetRegistry(reg *obs.Registry) {
 	if reg == nil {
 		p.po.Store(nil)
 		return
@@ -134,7 +133,7 @@ func (p *Pool) Close() {
 
 func (p *Pool) serve(w int, wake chan struct{}) {
 	// parked is when this worker last went idle; zero while detached so a
-	// freshly attached tracer does not credit the pre-attach idle stretch.
+	// freshly attached registry does not credit the pre-attach idle stretch.
 	var parked time.Time
 	for range wake {
 		if o := p.po.Load(); o != nil && !parked.IsZero() {

@@ -12,14 +12,14 @@ type obsTestRunner struct{ n atomic.Int64 }
 
 func (r *obsTestRunner) runChunk(_, lo, hi int) { r.n.Add(int64(hi - lo)) }
 
-// TestPoolObservability checks an attached tracer sees dispatch latency,
+// TestPoolObservability checks an attached registry sees dispatch latency,
 // park latency, and the busy-fraction gauge — and that detaching stops
 // the flow without disturbing the pool.
 func TestPoolObservability(t *testing.T) {
 	tr := trace.New()
 	p := NewPool(4)
 	defer p.Close()
-	p.SetTracer(tr)
+	p.SetRegistry(tr.Registry())
 
 	r := &obsTestRunner{}
 	const dispatches = 8
@@ -57,7 +57,7 @@ func TestPoolObservability(t *testing.T) {
 		t.Fatal("busy_frac never set")
 	}
 
-	p.SetTracer(nil)
+	p.SetRegistry(nil)
 	before := tr.Registry().HistSnapshots()["backend.pool.dispatch_ns"].Count
 	p.RunDynamic(r, 4096, 64)
 	after := tr.Registry().HistSnapshots()["backend.pool.dispatch_ns"].Count

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"graphmaze/internal/obs"
 	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
@@ -32,7 +33,7 @@ type VecMul[A, X, Y any] struct {
 	vals   []A // nil for pattern matrices (A's zero value is passed to Mul)
 	sr     Semiring[A, X, Y]
 	bounds []int
-	nnz    *trace.Counter
+	nnz    *obs.Counter
 
 	// per-dispatch operands, published to workers by the pool's channel
 	// handshake
@@ -107,7 +108,7 @@ type SumVecMul struct {
 	pool   *Pool
 	m      *Matrix
 	bounds []int
-	nnz    *trace.Counter
+	nnz    *obs.Counter
 
 	x    []float64
 	y    []float64

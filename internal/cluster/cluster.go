@@ -471,10 +471,6 @@ func (c *Cluster) failPhase(computeSec []float64, err error) error {
 	return err
 }
 
-// Collector exposes the metrics collector for the recovery driver, which
-// charges checkpoint and restore costs onto the same report.
-func (c *Cluster) Collector() *metrics.Collector { return c.collector }
-
 // Phases reports how many phases have executed, failed ones included. The
 // counter is monotonic and never rolled back — fault plans key their
 // events on it, so a replayed phase runs under a fresh index and a

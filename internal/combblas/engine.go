@@ -36,16 +36,6 @@ func (e *Engine) Capabilities() core.Capabilities {
 	return core.Capabilities{MultiNode: true, SGD: false, ProgrammingModel: "sparse matrix"}
 }
 
-// execConfig mirrors the run-wide tracer into a copy of the cluster config
-// so grid phases emit per-node spans.
-func execConfig(exec core.Exec) cluster.Config {
-	cfg := *exec.Cluster
-	if cfg.Trace == nil {
-		cfg.Trace = exec.Trace
-	}
-	return cfg
-}
-
 // newGrid builds the MPI-driven process grid; node counts must be perfect
 // squares (paper §4.3).
 func (e *Engine) newGrid(cfg cluster.Config, n uint32) (*Grid, error) {
@@ -123,7 +113,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 		return &core.PageRankResult{Ranks: p, Stats: stats}, nil
 	}
 
-	grid, err := e.newGrid(execConfig(opt.Exec), g.NumVertices)
+	grid, err := e.newGrid(opt.Exec.ClusterConfig(), g.NumVertices)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +151,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 		tr.RecordVirtual(trace.PidEngine, "combblas.spmv",
 			fmt.Sprintf("spmv iteration %d", it), iterStart, grid.C.VirtualSeconds()-iterStart, nil)
 	}
-	return &core.PageRankResult{Ranks: p, Stats: statsFrom(grid.C, opt.Iterations)}, nil
+	return &core.PageRankResult{Ranks: p, Stats: core.SimulatedStats(grid.C, opt.Iterations)}, nil
 }
 
 // BFS implements core.Engine as repeated frontier SpMVs over the boolean
@@ -217,7 +207,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 		return &core.BFSResult{Distances: dist, Stats: stats}, nil
 	}
 
-	grid, err := e.newGrid(execConfig(opt.Exec), n)
+	grid, err := e.newGrid(opt.Exec.ClusterConfig(), n)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +221,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	if err != nil {
 		return nil, err
 	}
-	return &core.BFSResult{Distances: dist, Stats: statsFrom(grid.C, levels)}, nil
+	return &core.BFSResult{Distances: dist, Stats: core.SimulatedStats(grid.C, levels)}, nil
 }
 
 // TriangleCount implements core.Engine as nnz(A ∩ A²) (paper §3.2). The
@@ -257,7 +247,7 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 		}
 		return &core.TriangleResult{Count: count, Stats: stats}, nil
 	}
-	grid, err := e.newGrid(execConfig(opt.Exec), g.NumVertices)
+	grid, err := e.newGrid(opt.Exec.ClusterConfig(), g.NumVertices)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +255,7 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 	if err != nil {
 		return nil, err
 	}
-	return &core.TriangleResult{Count: count, Stats: statsFrom(grid.C, 1)}, nil
+	return &core.TriangleResult{Count: count, Stats: core.SimulatedStats(grid.C, 1)}, nil
 }
 
 // CollabFilter implements core.Engine: gradient descent where each
@@ -296,7 +286,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	if opt.Exec.Cluster != nil {
 		// CF's matrix is rectangular; the grid decomposes users into block
 		// rows and items into block columns.
-		cfg := *opt.Exec.Cluster
+		cfg := opt.Exec.ClusterConfig()
 		if cfg.Comm.Bandwidth == 0 {
 			cfg.Comm = cluster.MPI()
 		}
@@ -458,20 +448,10 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 			}
 			endIteration()
 		}
-		stats = statsFrom(grid.C, opt.Iterations)
+		stats = core.SimulatedStats(grid.C, opt.Iterations)
 	}
 	if opt.SkipRMSETrajectory {
 		rmse = append(rmse, core.RMSE(r, k, userF, itemF))
 	}
 	return &core.CFResult{K: k, UserFactors: userF, ItemFactors: itemF, RMSE: rmse, Stats: stats}, nil
-}
-
-func statsFrom(c *cluster.Cluster, iterations int) core.RunStats {
-	rep := c.Report()
-	return core.RunStats{
-		WallSeconds: rep.SimulatedSeconds,
-		Simulated:   true,
-		Iterations:  iterations,
-		Report:      rep,
-	}
 }

@@ -47,6 +47,17 @@ func (e Exec) Tracer() *trace.Tracer {
 	return nil
 }
 
+// ClusterConfig returns the configuration of a simulated run: a copy of
+// *e.Cluster whose Trace is the run's tracer, so a tracer set on Exec alone
+// reaches the per-node tracks. Engines adjust the copy (overlap, default
+// comm layer, workers per node) and hand it to cluster.New. e.Cluster must
+// be non-nil.
+func (e Exec) ClusterConfig() cluster.Config {
+	cfg := *e.Cluster
+	cfg.Trace = e.Tracer()
+	return cfg
+}
+
 // Local runs the kernel of one single-node engine call and is the only code
 // on such a path that builds a backend.Pool, attaches the run's tracer to
 // it, reads the wall clock or fills RunStats. The timed region is the kernel
@@ -60,7 +71,7 @@ func (e Exec) Local(kernel func(pool *backend.Pool, tr *trace.Tracer) (iteration
 	tr := e.Tracer()
 	pool := backend.NewPool(0)
 	defer pool.Close()
-	pool.SetTracer(tr)
+	pool.SetRegistry(tr.Registry())
 	start := time.Now()
 	iterations := kernel(pool, tr)
 	return RunStats{WallSeconds: time.Since(start).Seconds(), Iterations: iterations}
@@ -82,6 +93,13 @@ type RunStats struct {
 	Simulated   bool
 	Iterations  int
 	Report      metrics.Report
+}
+
+// SimulatedStats packages a finished cluster run: the modeled time is the
+// wall clock and the report carries the system metrics.
+func SimulatedStats(c *cluster.Cluster, iterations int) RunStats {
+	rep := c.Report()
+	return RunStats{WallSeconds: rep.SimulatedSeconds, Simulated: true, Iterations: iterations, Report: rep}
 }
 
 // PageRankOptions configures PageRank. The paper's formulation (eq. 1):

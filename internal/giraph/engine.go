@@ -83,11 +83,7 @@ func (e *Engine) runJob(job *Job, exec core.Exec, lower func(*backend.Pool) Lowe
 	}
 	job.Tracer = exec.Tracer()
 	if exec.Cluster != nil {
-		cfg := *exec.Cluster
-		if cfg.Trace == nil {
-			cfg.Trace = exec.Trace
-		}
-		c, err := e.newCluster(cfg)
+		c, err := e.newCluster(exec.ClusterConfig())
 		if err != nil {
 			return nil, core.RunStats{}, err
 		}
@@ -96,13 +92,9 @@ func (e *Engine) runJob(job *Job, exec core.Exec, lower func(*backend.Pool) Lowe
 		if err != nil {
 			return nil, core.RunStats{}, err
 		}
-		rep := c.Report()
-		return res, core.RunStats{
-			WallSeconds: rep.SimulatedSeconds + float64(res.Supersteps)*coordinationSeconds,
-			Simulated:   true,
-			Iterations:  res.Supersteps,
-			Report:      rep,
-		}, nil
+		stats := core.SimulatedStats(c, res.Supersteps)
+		stats.WallSeconds += float64(res.Supersteps) * coordinationSeconds
+		return res, stats, nil
 	}
 	var res *Result
 	var low Lowering

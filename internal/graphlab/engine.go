@@ -68,11 +68,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	}
 	spec := pageRankSpec(opt)
 	spec.Tracer = opt.Exec.Tracer()
-	cfg := *opt.Exec.Cluster
-	if cfg.Trace == nil {
-		cfg.Trace = opt.Exec.Trace
-	}
-	c, err := newCluster(cfg)
+	c, err := newCluster(opt.Exec.ClusterConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +80,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	if err != nil {
 		return nil, err
 	}
-	return &core.PageRankResult{Ranks: res.vals, Stats: clusterStats(c, res.rounds)}, nil
+	return &core.PageRankResult{Ranks: res.vals, Stats: core.SimulatedStats(c, res.rounds)}, nil
 }
 
 // pageRankLowered is the local PageRank sweep lowered onto the shared
@@ -227,11 +223,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 		})
 		return finish(res, stats), nil
 	}
-	cfg := *opt.Exec.Cluster
-	if cfg.Trace == nil {
-		cfg.Trace = opt.Exec.Trace
-	}
-	c, err := newCluster(cfg)
+	c, err := newCluster(opt.Exec.ClusterConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +235,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	if err != nil {
 		return nil, err
 	}
-	return finish(res, clusterStats(c, res.rounds)), nil
+	return finish(res, core.SimulatedStats(c, res.rounds)), nil
 }
 
 // TriangleCount implements core.Engine with GraphLab's approach: per-vertex
@@ -316,7 +308,7 @@ func triangleCuckoo(g *graph.CSR, lo, hi uint32, set *cuckoo.Set) int64 {
 // sets. Overlapped in-flight blocks keep the memory footprint low
 // (§6.1.1), which we reflect by accounting only per-block buffers.
 func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.TriangleResult, error) {
-	cfg := *opt.Exec.Cluster
+	cfg := opt.Exec.ClusterConfig()
 	cfg.Overlap = true // GraphLab's TC overlaps communication (paper §6.1.1)
 	c, err := newCluster(cfg)
 	if err != nil {
@@ -366,7 +358,7 @@ func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.
 	if err != nil {
 		return nil, err
 	}
-	return &core.TriangleResult{Count: total, Stats: clusterStats(c, 1)}, nil
+	return &core.TriangleResult{Count: total, Stats: core.SimulatedStats(c, 1)}, nil
 }
 
 // CollabFilter implements core.Engine: vertex-programming gradient descent.
@@ -392,7 +384,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	var c *cluster.Cluster
 	var userPart *graph.Partition1D
 	if opt.Exec.Cluster != nil {
-		c, err = newCluster(*opt.Exec.Cluster)
+		c, err = newCluster(opt.Exec.ClusterConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -483,21 +475,10 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	if c == nil {
 		stats = opt.Exec.Local(train)
 	} else {
-		stats = clusterStats(c, train(nil, nil))
+		stats = core.SimulatedStats(c, train(nil, nil))
 	}
 	if opt.SkipRMSETrajectory {
 		rmse = append(rmse, core.RMSE(r, k, userF, itemF))
 	}
 	return &core.CFResult{K: k, UserFactors: userF, ItemFactors: itemF, RMSE: rmse, Stats: stats}, nil
-}
-
-// clusterStats packages a cluster run's report.
-func clusterStats(c *cluster.Cluster, iterations int) core.RunStats {
-	rep := c.Report()
-	return core.RunStats{
-		WallSeconds: rep.SimulatedSeconds,
-		Simulated:   true,
-		Iterations:  iterations,
-		Report:      rep,
-	}
 }

@@ -9,6 +9,7 @@ package graphlab
 
 import (
 	"fmt"
+	"slices"
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/bitvec"
@@ -191,23 +192,11 @@ func buildGhostPlan(g *graph.CSR, part *graph.Partition1D) *ghostPlan {
 			for v := range m {
 				ids = append(ids, v)
 			}
-			sortIDs(ids)
+			slices.Sort(ids)
 			plan.sendIDs[s][d] = ids
 		}
 	}
 	return plan
-}
-
-func sortIDs(ids []uint32) {
-	for i := 1; i < len(ids); i++ {
-		v := ids[i]
-		j := i - 1
-		for j >= 0 && ids[j] > v {
-			ids[j+1] = ids[j]
-			j--
-		}
-		ids[j+1] = v
-	}
 }
 
 // runCluster executes the program on a simulated cluster: per round each

@@ -104,7 +104,7 @@ func FaultTolerance(opt Options) error {
 	for _, eng := range engs {
 		var base float64
 		for _, interval := range intervals {
-			ranks, rep, err := eng.run(&cluster.Config{Nodes: nodes, Trace: opt.Trace,
+			ranks, rep, err := eng.run(&cluster.Config{Nodes: nodes,
 				Ckpt: ckpt.Config{Interval: interval}})
 			record(eng.name, fmt.Sprintf("PageRank/ckpt=%d", interval), rep, err)
 			if err != nil {
@@ -149,7 +149,7 @@ func FaultTolerance(opt Options) error {
 			if err != nil {
 				return fmt.Errorf("faulttol: -faults %q: %w", spec, err)
 			}
-			ranks, rep, err := eng.run(&cluster.Config{Nodes: nodes, Trace: opt.Trace,
+			ranks, rep, err := eng.run(&cluster.Config{Nodes: nodes,
 				Fault: plan, Ckpt: ckpt.Config{Interval: interval}})
 			record(eng.name, fmt.Sprintf("PageRank/faults=%s", spec), rep, err)
 			if err != nil {

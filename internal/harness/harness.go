@@ -307,7 +307,7 @@ func runMeasured(opt Options, e core.Engine, algo Algo, in inputs, nodes, iterat
 			multiplier = 128
 		}
 		memPerNode := multiplier * inputBytes / int64(nodes)
-		exec.Cluster = &cluster.Config{Nodes: nodes, MemoryPerNode: memPerNode, Trace: opt.Trace}
+		exec.Cluster = &cluster.Config{Nodes: nodes, MemoryPerNode: memPerNode}
 	}
 	switch algo {
 	case PR:

@@ -1,8 +1,10 @@
-// Package metrics collects the system-level quantities the paper measures
-// with sar/sysstat (§5.4): CPU utilization, memory footprint, total network
-// bytes sent, and peak achieved network bandwidth. In graphmaze they are
-// gathered from the cluster simulation's ground truth rather than OS
-// counters.
+// Package metrics is the paper's §5.4 / Figure 6 system-metric model of a
+// simulated run and nothing else: the four quantities the paper measures
+// with sar/sysstat — CPU utilization, memory footprint, total network
+// bytes sent, peak achieved network bandwidth — gathered by a Collector
+// from the cluster simulation's ground truth rather than OS counters, the
+// Report that carries them, and three formatters. Live counters, gauges
+// and histograms are internal/obs; spans are internal/trace (DESIGN.md §9).
 package metrics
 
 import (
@@ -81,8 +83,8 @@ func (r Report) String() string {
 }
 
 // FormatBytes renders a byte count with a binary-ish unit suffix.
-// Negative counts (deltas from a Merge, anomalies worth surfacing) format
-// as the signed magnitude rather than falling through to the raw value.
+// Negative counts (anomalies worth surfacing) format as the signed
+// magnitude rather than falling through to the raw value.
 func FormatBytes(b int64) string {
 	const unit = 1024
 	if b < 0 {
@@ -227,59 +229,6 @@ func (c *Collector) RecordMemory(node int, bytes int64) {
 	defer c.mu.Unlock()
 	if bytes > c.memHighWater[node] {
 		c.memHighWater[node] = bytes
-	}
-}
-
-// Merge folds other's observations into c: times, traffic, and busy
-// thread-seconds add; peak bandwidth takes the max; per-node memory
-// high-water marks take the per-node max. Use it to aggregate per-node (or
-// per-shard) collectors that accumulated independently instead of sharing
-// one mutex across all nodes. Merging a collector into itself or merging
-// nil is a no-op. Safe for concurrent use, but other must not be receiving
-// observations during the merge.
-func (c *Collector) Merge(other *Collector) {
-	if other == nil || other == c {
-		return
-	}
-	other.mu.Lock()
-	simSeconds := other.simSeconds
-	computeSec := other.computeSec
-	networkSec := other.networkSec
-	busyThreadS := other.busyThreadS
-	bytesSent := other.bytesSent
-	messagesSent := other.messagesSent
-	peakBW := other.peakBW
-	ckptSec, ckptBytes, ckpts := other.ckptSec, other.ckptBytes, other.ckpts
-	recoverySec, recoveries := other.recoverySec, other.recoveries
-	failedPhases, replayedPhases := other.failedPhases, other.replayedPhases
-	memHighWater := make(map[int]int64, len(other.memHighWater))
-	for node, hw := range other.memHighWater {
-		memHighWater[node] = hw
-	}
-	other.mu.Unlock()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.simSeconds += simSeconds
-	c.computeSec += computeSec
-	c.networkSec += networkSec
-	c.busyThreadS += busyThreadS
-	c.bytesSent += bytesSent
-	c.messagesSent += messagesSent
-	c.ckptSec += ckptSec
-	c.ckptBytes += ckptBytes
-	c.ckpts += ckpts
-	c.recoverySec += recoverySec
-	c.recoveries += recoveries
-	c.failedPhases += failedPhases
-	c.replayedPhases += replayedPhases
-	if peakBW > c.peakBW {
-		c.peakBW = peakBW
-	}
-	for node, hw := range memHighWater {
-		if hw > c.memHighWater[node] {
-			c.memHighWater[node] = hw
-		}
 	}
 }
 

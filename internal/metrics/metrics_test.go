@@ -206,81 +206,3 @@ func TestFormatTableMissingLabels(t *testing.T) {
 		t.Errorf("unlabeled row = %q, want ? placeholder", lines[2])
 	}
 }
-
-func TestMerge(t *testing.T) {
-	a := NewCollector(4, 8, 1<<30)
-	a.AddPhase(1, 0.75, 0.25, 8)
-	a.AddTraffic(100, 2, 1000)
-	a.RecordMemory(0, 50)
-	a.RecordMemory(1, 500)
-
-	b := NewCollector(4, 8, 1<<30)
-	b.AddPhase(2, 1, 1, 16)
-	b.AddTraffic(300, 1, 4000)
-	b.RecordMemory(0, 200)
-	b.RecordMemory(2, 30)
-
-	a.Merge(b)
-	r := a.Report()
-	if r.SimulatedSeconds != 3 || r.ComputeSeconds != 1.75 || r.NetworkSeconds != 1.25 {
-		t.Errorf("merged times = %+v", r)
-	}
-	if r.BytesSent != 400 || r.MessagesSent != 3 {
-		t.Errorf("merged traffic = %d/%d", r.BytesSent, r.MessagesSent)
-	}
-	if r.PeakNetworkBandwidth != 4000 {
-		t.Errorf("merged peakBW = %v", r.PeakNetworkBandwidth)
-	}
-	// Per-node maxes: node 0 → max(50,200)=200, node 1 → 500, node 2 → 30;
-	// footprint is the overall max.
-	if r.MemoryFootprintBytes != 500 {
-		t.Errorf("merged footprint = %d", r.MemoryFootprintBytes)
-	}
-	// b is untouched.
-	if br := b.Report(); br.BytesSent != 300 {
-		t.Errorf("merge mutated source: %+v", br)
-	}
-}
-
-func TestMergeNilAndSelf(t *testing.T) {
-	c := NewCollector(1, 1, 0)
-	c.AddTraffic(10, 1, 5)
-	c.Merge(nil)
-	c.Merge(c)
-	if r := c.Report(); r.BytesSent != 10 || r.MessagesSent != 1 {
-		t.Errorf("nil/self merge changed totals: %+v", r)
-	}
-}
-
-// TestMergeConcurrent stresses Merge under the race detector: many
-// per-shard collectors merging into one aggregate while it also receives
-// direct observations.
-func TestMergeConcurrent(t *testing.T) {
-	agg := NewCollector(8, 4, 0)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				shard := NewCollector(8, 4, 0)
-				shard.AddPhase(0.01, 0.01, 0, 0.04)
-				shard.AddTraffic(2, 1, float64(n*100+j))
-				shard.RecordMemory(n, int64(j))
-				agg.Merge(shard)
-				agg.AddTraffic(1, 1, 0)
-			}
-		}(i)
-	}
-	wg.Wait()
-	r := agg.Report()
-	if r.BytesSent != 8*50*3 || r.MessagesSent != 8*50*2 {
-		t.Errorf("concurrent merge lost traffic: %d/%d", r.BytesSent, r.MessagesSent)
-	}
-	if r.PeakNetworkBandwidth != 749 {
-		t.Errorf("peakBW = %v, want 749", r.PeakNetworkBandwidth)
-	}
-	if r.MemoryFootprintBytes != 49 {
-		t.Errorf("footprint = %d, want 49", r.MemoryFootprintBytes)
-	}
-}

@@ -89,7 +89,7 @@ func bfsTopDownArray(g *graph.CSR, dist []int32, source uint32) ([]int32, int) {
 // compressed) sorted id lists — the paper's 3.2× BFS compression win
 // comes from exactly this traffic.
 func (e *Engine) bfsCluster(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error) {
-	cfg := *opt.Exec.Cluster
+	cfg := opt.Exec.ClusterConfig()
 	cfg.Overlap = e.tuning.Overlap
 	c, err := cluster.New(cfg)
 	if err != nil {
@@ -252,11 +252,6 @@ func (e *Engine) bfsCluster(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult,
 
 	return &core.BFSResult{
 		Distances: dist,
-		Stats: core.RunStats{
-			WallSeconds: c.Report().SimulatedSeconds,
-			Simulated:   true,
-			Iterations:  levels,
-			Report:      c.Report(),
-		},
+		Stats:     core.SimulatedStats(c, levels),
 	}, nil
 }

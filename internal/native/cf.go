@@ -230,7 +230,7 @@ func gdLocal(pool *backend.Pool, r *graph.Bipartite, opt core.CFOptions, userF, 
 // stripe per sub-step (K·4 bytes per item, the paper's network-heavy CF
 // pattern). GD aggregates partial item gradients at item owners.
 func (e *Engine) cfCluster(r *graph.Bipartite, opt core.CFOptions) (*core.CFResult, error) {
-	cfg := *opt.Exec.Cluster
+	cfg := opt.Exec.ClusterConfig()
 	cfg.Overlap = e.tuning.Overlap
 	c, err := cluster.New(cfg)
 	if err != nil {
@@ -342,12 +342,7 @@ func (e *Engine) cfCluster(r *graph.Bipartite, opt core.CFOptions) (*core.CFResu
 
 	return &core.CFResult{
 		K: k, UserFactors: userF, ItemFactors: itemF, RMSE: rmse,
-		Stats: core.RunStats{
-			WallSeconds: c.Report().SimulatedSeconds,
-			Simulated:   true,
-			Iterations:  opt.Iterations,
-			Report:      c.Report(),
-		},
+		Stats: core.SimulatedStats(c, opt.Iterations),
 	}, nil
 }
 

@@ -224,11 +224,8 @@ func buildPRExchange(g *graph.CSR, part *graph.Partition1D) *prExchange {
 // vertex partitioning balanced by edges, boundary contribution exchange
 // each iteration, optional message compression and overlap.
 func (e *Engine) pageRankCluster(g *graph.CSR, opt core.PageRankOptions) (*core.PageRankResult, error) {
-	cfg := *opt.Exec.Cluster
+	cfg := opt.Exec.ClusterConfig()
 	cfg.Overlap = e.tuning.Overlap
-	if cfg.Trace == nil {
-		cfg.Trace = opt.Exec.Trace
-	}
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err
@@ -383,12 +380,7 @@ func (e *Engine) pageRankCluster(g *graph.CSR, opt core.PageRankOptions) (*core.
 
 	return &core.PageRankResult{
 		Ranks: pr,
-		Stats: core.RunStats{
-			WallSeconds: c.Report().SimulatedSeconds,
-			Simulated:   true,
-			Iterations:  opt.Iterations,
-			Report:      c.Report(),
-		},
+		Stats: core.SimulatedStats(c, opt.Iterations),
 	}, nil
 }
 

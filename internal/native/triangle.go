@@ -143,7 +143,7 @@ func intersectSortedCount(a, b []uint32) int {
 // lists with neighbours" scheme, whose traffic dwarfs the graph itself
 // (Table 1: 0–10^6 bytes per edge).
 func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.TriangleResult, error) {
-	cfg := *opt.Exec.Cluster
+	cfg := opt.Exec.ClusterConfig()
 	cfg.Overlap = e.tuning.Overlap
 	c, err := cluster.New(cfg)
 	if err != nil {
@@ -229,12 +229,7 @@ func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.
 
 	return &core.TriangleResult{
 		Count: atomic.LoadInt64(&total),
-		Stats: core.RunStats{
-			WallSeconds: c.Report().SimulatedSeconds,
-			Simulated:   true,
-			Iterations:  1,
-			Report:      c.Report(),
-		},
+		Stats: core.SimulatedStats(c, 1),
 	}, nil
 }
 

@@ -90,3 +90,14 @@ func BenchmarkObsGaugeSet(b *testing.B) {
 		g.Set(float64(i))
 	}
 }
+
+// BenchmarkCounterAdd measures the counter increment every instrumented
+// hot path pays: one atomic add on the caller's lane.
+func BenchmarkCounterAdd(b *testing.B) {
+	c := NewRegistry().Counter("bench")
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			c.Add(0, 1)
+		}
+	})
+}

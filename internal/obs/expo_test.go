@@ -16,8 +16,8 @@ var updateGolden = os.Getenv("UPDATE_GOLDEN") != ""
 // values, gauges, and histogram contents.
 func goldenSnapshot() *Snapshot {
 	r := NewRegistry()
-	r.CounterFunc("par.items", func() int64 { return 4096 })
-	r.CounterFunc("giraph.messages", func() int64 { return 123 })
+	r.Counter("par.items").Add(0, 4096)
+	r.Counter("giraph.messages").Add(0, 123)
 	r.Gauge("backend.pool.busy_frac").Set(0.75)
 	r.Gauge("runtime.goroutines").Set(9)
 	h := r.HistLanes("native.pr.iter.dur_ns", 2)

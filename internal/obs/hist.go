@@ -1,15 +1,14 @@
-// Package obs is the live observability layer: lock-free latency
-// histograms with quantile estimation, float gauges, a unified metrics
-// registry that also fronts the trace counters, a Go-runtime sampler, and
-// Prometheus/JSON exposition with pprof endpoints. Everything here follows
-// the repo's tracer discipline: every method is nil-safe, the disabled
-// path (nil receiver) is a single pointer check with zero allocations, and
-// the enabled hot path (Histogram.Record, Gauge.Set) never allocates or
-// takes a lock.
+// Package obs owns every named instrument in graphmaze — counters, gauges
+// and histograms, all resolved from a Registry — and serves them:
+// Prometheus/JSON exposition with pprof endpoints, plus a Go-runtime
+// sampler (DESIGN.md §9). Every method is nil-safe, the disabled path (nil
+// receiver) is a single pointer check with zero allocations, and the
+// enabled hot path (Counter.Add, Histogram.Record, Gauge.Set) never
+// allocates or takes a lock.
 //
-// The package deliberately depends only on the standard library and sits
-// below internal/trace in the import graph: the tracer owns a Registry and
-// feeds its counters and span durations into it, never the other way
+// The package depends only on the standard library and sits below
+// internal/trace in the import graph: a tracer has a Registry and resolves
+// its counters and span-duration histograms from it, never the other way
 // around.
 package obs
 
@@ -99,7 +98,7 @@ type Histogram struct {
 }
 
 // newHistogram builds a histogram with lanes rounded up to a power of two
-// covering n workers (so indexing is a mask, mirroring trace.Counter).
+// covering n workers (so indexing is a mask, like Counter's).
 func newHistogram(name string, workers int) *Histogram {
 	n := 1
 	for n < workers {

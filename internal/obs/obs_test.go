@@ -23,8 +23,10 @@ func TestRegistryBasics(t *testing.T) {
 	if v := r.Gauge("g").Value(); v != 3 {
 		t.Fatalf("gauge = %v", v)
 	}
-	n := int64(0)
-	r.CounterFunc("c", func() int64 { n++; return n })
+	if r.Counter("c") != r.Counter("c") {
+		t.Fatal("Counter not idempotent")
+	}
+	r.Counter("c").Add(0, 1)
 	s := r.Snapshot()
 	if len(s.Counters) != 1 || s.Counters[0].Value != 1 {
 		t.Fatalf("counters: %+v", s.Counters)
@@ -39,10 +41,9 @@ func TestRegistryBasics(t *testing.T) {
 
 func TestNilRegistry(t *testing.T) {
 	var r *Registry
-	if r.Hist("x") != nil || r.Gauge("x") != nil {
+	if r.Hist("x") != nil || r.Gauge("x") != nil || r.Counter("x") != nil {
 		t.Fatal("nil registry returned live handles")
 	}
-	r.CounterFunc("x", func() int64 { return 1 })
 	if r.Snapshot() != nil || r.HistSnapshots() != nil {
 		t.Fatal("nil registry snapshot not nil")
 	}

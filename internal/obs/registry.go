@@ -6,19 +6,18 @@ import (
 	"sync"
 )
 
-// Registry is the unified metrics surface: histograms and gauges it owns,
-// plus read-only int64 counter functions contributed by other packages
-// (the tracer registers its per-lane counters this way, so obs never
-// imports trace). Get-or-create accessors take the lock once per metric
-// lifetime; the returned handles are lock-free afterwards. A nil *Registry
-// is a valid disabled registry: accessors return nil handles whose methods
-// are themselves no-ops, so instrumented code needs no enabled/disabled
-// branches beyond the pointer checks already inside each call.
+// Registry owns every named instrument: counters, gauges and histograms.
+// Get-or-create accessors take the lock once per metric lifetime; the
+// returned handles are lock-free afterwards, so callers resolve a handle
+// once and keep it. A nil *Registry is a valid disabled registry: accessors
+// return nil handles whose methods are themselves no-ops, so instrumented
+// code needs no enabled/disabled branches beyond the pointer checks already
+// inside each call.
 type Registry struct {
 	mu       sync.Mutex
 	hists    map[string]*Histogram
 	gauges   map[string]*Gauge
-	counters map[string]func() int64
+	counters map[string]*Counter
 }
 
 // NewRegistry returns an empty registry.
@@ -26,7 +25,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		hists:    make(map[string]*Histogram),
 		gauges:   make(map[string]*Gauge),
-		counters: make(map[string]func() int64),
+		counters: make(map[string]*Counter),
 	}
 }
 
@@ -69,22 +68,29 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// CounterFunc registers fn as the named read-only counter. Re-registering
-// a name replaces the function (last writer wins). No-op on a nil
-// registry or nil fn.
-func (r *Registry) CounterFunc(name string, fn func() int64) {
-	if r == nil || fn == nil {
-		return
+// Counter returns the named counter, creating it with one padded lane per
+// GOMAXPROCS worker on first use. Returns nil — the disabled counter — on
+// a nil registry.
+func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
 	}
 	r.mu.Lock()
-	r.counters[name] = fn
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	c := r.counters[name]
+	if c == nil {
+		c = newCounter()
+		r.counters[name] = c
+	}
+	return c
 }
 
-// CounterPoint is one sampled counter value.
+// CounterPoint is one sampled counter: Value is the sum of Lanes, the
+// per-worker shares load imbalance is read from.
 type CounterPoint struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
+	Name  string  `json:"name"`
+	Value int64   `json:"value"`
+	Lanes []int64 `json:"lanes,omitempty"`
 }
 
 // GaugePoint is one sampled gauge value.
@@ -101,9 +107,7 @@ type Snapshot struct {
 	Hists    []HistSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot samples every metric. Counter functions are called outside the
-// registry lock paths they belong to but inside r.mu, which is fine: they
-// are lock-free lane sums by construction. Returns nil on a nil registry.
+// Snapshot samples every metric. Returns nil on a nil registry.
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return nil
@@ -111,8 +115,12 @@ func (r *Registry) Snapshot() *Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := &Snapshot{}
-	for name, fn := range r.counters {
-		s.Counters = append(s.Counters, CounterPoint{Name: name, Value: fn()})
+	for name, c := range r.counters {
+		p := CounterPoint{Name: name, Lanes: c.Lanes()}
+		for _, v := range p.Lanes {
+			p.Value += v
+		}
+		s.Counters = append(s.Counters, p)
 	}
 	for name, g := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugePoint{Name: name, Value: g.Value()})

@@ -25,7 +25,8 @@ type AdmissionConfig struct {
 	// tenants get 1.
 	Weights map[string]float64
 	// Registry receives serve.inflight / serve.queued gauges, the
-	// serve.queue_wait_ns histogram, and the serve.shed counter.
+	// serve.queue_wait_ns histogram, and the serve.shed / serve.admitted
+	// counters.
 	Registry *obs.Registry
 }
 
@@ -47,8 +48,7 @@ type Admission struct {
 	vnow     float64
 	tenants  map[string]*tenantQueue
 
-	shed     atomic.Int64
-	admitted atomic.Int64
+	shed, admitted *obs.Counter
 
 	inflightG *obs.Gauge
 	queuedG   *obs.Gauge
@@ -100,16 +100,10 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	a.inflightG = cfg.Registry.Gauge("serve.inflight")
 	a.queuedG = cfg.Registry.Gauge("serve.queued")
 	a.waitH = cfg.Registry.Hist("serve.queue_wait_ns")
-	cfg.Registry.CounterFunc("serve.shed", a.shed.Load)
-	cfg.Registry.CounterFunc("serve.admitted", a.admitted.Load)
+	a.shed = cfg.Registry.Counter("serve.shed")
+	a.admitted = cfg.Registry.Counter("serve.admitted")
 	return a
 }
-
-// Shed reports how many requests have been load-shed.
-func (a *Admission) Shed() int64 { return a.shed.Load() }
-
-// Admitted reports how many requests have been admitted.
-func (a *Admission) Admitted() int64 { return a.admitted.Load() }
 
 // tenant returns name's queue, creating it on first sight. Names come off
 // the socket, so the map is bounded: once it holds more entries than
@@ -169,7 +163,7 @@ func (a *Admission) admitLocked(tag float64) {
 		a.vnow = tag
 	}
 	a.inflight++
-	a.admitted.Add(1)
+	a.admitted.Add(0, 1)
 	a.inflightG.Set(float64(a.inflight))
 }
 
@@ -217,7 +211,7 @@ func (a *Admission) Acquire(ctx context.Context, tenant string) error {
 		return nil
 	}
 	if a.queued >= a.depth {
-		a.shed.Add(1)
+		a.shed.Add(0, 1)
 		a.mu.Unlock()
 		return ErrOverloaded
 	}

@@ -20,10 +20,10 @@ func TestAdmissionFastPath(t *testing.T) {
 	}
 	a.Release()
 	a.Release()
-	if got := a.Admitted(); got != 2 {
+	if got := a.admitted.Value(); got != 2 {
 		t.Errorf("Admitted = %d, want 2", got)
 	}
-	if got := a.Shed(); got != 0 {
+	if got := a.shed.Value(); got != 0 {
 		t.Errorf("Shed = %d, want 0", got)
 	}
 }
@@ -56,7 +56,7 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 	if err := a.Acquire(ctx, "b"); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("Acquire while full = %v, want ErrOverloaded", err)
 	}
-	if got := a.Shed(); got != 1 {
+	if got := a.shed.Value(); got != 1 {
 		t.Errorf("Shed = %d, want 1", got)
 	}
 	a.Release()

@@ -100,7 +100,7 @@ func BenchmarkAdmissionContended(b *testing.B) {
 
 // BenchmarkResultCache measures the cache's get/put cycle.
 func BenchmarkResultCache(b *testing.B) {
-	c := newResultCache(512)
+	c := newResultCache(512, nil)
 	body := []byte(`{"graph":"g","epoch":0,"query":"cc","components":1}`)
 	for i := 0; i < 512; i++ {
 		c.put(fmt.Sprintf("g@0|q%d", i), body)
@@ -146,7 +146,7 @@ func BenchmarkServeDeltaThenMiss(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				if got := s.refreshedBFS.Load() + s.refreshedCC.Load(); mode.hdr == nil && got != int64(b.N) {
+				if got := s.refreshedBFS.Value() + s.refreshedCC.Value(); mode.hdr == nil && got != int64(b.N) {
 					b.Fatalf("%d of %d misses were refreshed", got, b.N)
 				}
 			})

@@ -4,9 +4,9 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"graphmaze/internal/graph"
+	"graphmaze/internal/obs"
 )
 
 // cacheKey builds the result-cache key: the epoch is part of the key, so
@@ -38,8 +38,7 @@ type resultCache struct {
 	entries  map[string]*list.Element
 	inflight map[string]chan struct{} // closed by release
 
-	hits   atomic.Int64
-	misses atomic.Int64
+	hits, misses *obs.Counter
 }
 
 // cacheEntry is one cached response body.
@@ -48,12 +47,16 @@ type cacheEntry struct {
 	body []byte
 }
 
-func newResultCache(maxEntries int) *resultCache {
+// newResultCache builds an empty cache whose probes count into reg's
+// serve.cache_hits / serve.cache_misses.
+func newResultCache(maxEntries int, reg *obs.Registry) *resultCache {
 	return &resultCache{
 		max:      maxEntries,
 		ll:       list.New(),
 		entries:  make(map[string]*list.Element),
 		inflight: make(map[string]chan struct{}),
+		hits:     reg.Counter("serve.cache_hits"),
+		misses:   reg.Counter("serve.cache_misses"),
 	}
 }
 
@@ -69,10 +72,10 @@ func (c *resultCache) acquire(key string) (body []byte, hit bool, wait <-chan st
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
-		c.hits.Add(1)
+		c.hits.Add(0, 1)
 		return el.Value.(*cacheEntry).body, true, nil
 	}
-	c.misses.Add(1)
+	c.misses.Add(0, 1)
 	if ch, ok := c.inflight[key]; ok {
 		return nil, false, ch
 	}

@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"testing"
+
+	"graphmaze/internal/obs"
 )
 
 func TestCacheKeyIncludesEpoch(t *testing.T) {
@@ -30,7 +32,7 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 }
 
 func TestCacheHitMissCounting(t *testing.T) {
-	c := newResultCache(4)
+	c := newResultCache(4, obs.NewRegistry())
 	if _, ok := c.get("a"); ok {
 		t.Fatal("empty cache returned a hit")
 	}
@@ -39,13 +41,13 @@ func TestCacheHitMissCounting(t *testing.T) {
 	if !ok || string(body) != "body-a" {
 		t.Fatalf("get a = %q %v", body, ok)
 	}
-	if h, m := c.hits.Load(), c.misses.Load(); h != 1 || m != 1 {
+	if h, m := c.hits.Value(), c.misses.Value(); h != 1 || m != 1 {
 		t.Errorf("hits %d misses %d, want 1 1", h, m)
 	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := newResultCache(3)
+	c := newResultCache(3, nil)
 	for i := 0; i < 3; i++ {
 		c.put(fmt.Sprintf("k%d", i), []byte{byte(i)})
 	}
@@ -68,7 +70,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCachePutRefreshesExisting(t *testing.T) {
-	c := newResultCache(2)
+	c := newResultCache(2, nil)
 	c.put("a", []byte("one"))
 	c.put("b", []byte("two"))
 	c.put("a", []byte("one'")) // refresh: a becomes most recent

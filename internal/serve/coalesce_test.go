@@ -63,11 +63,11 @@ func TestConcurrentIdenticalMissesComputeOnce(t *testing.T) {
 
 	const n = 16
 	s.beforeExecute = func(*query) {
-		waitFor(t, "the other requests to park", func() bool { return s.coalesced.Load() == n-1 })
+		waitFor(t, "the other requests to park", func() bool { return s.coalesced.Value() == n-1 })
 	}
-	computed := s.computed.Load()
+	computed := s.computed.Value()
 	replies := fire(t, n, ts.URL+path)
-	if got := s.computed.Load() - computed; got != 1 {
+	if got := s.computed.Value() - computed; got != 1 {
 		t.Errorf("%d identical concurrent misses ran execute %d times, want once", n, got)
 	}
 	hits := 0
@@ -106,7 +106,7 @@ func TestCoalescingIsPerKey(t *testing.T) {
 		code, xcache, body := get(t, ts.URL+slow, nil)
 		done <- reply{code, xcache, body}
 	}()
-	waitFor(t, "the cc leader to start", func() bool { return s.computed.Load() == 1 })
+	waitFor(t, "the cc leader to start", func() bool { return s.computed.Value() == 1 })
 
 	if code, xcache, _ := get(t, ts.URL+"/query/bfs?graph=social&source=1", nil); code != http.StatusOK || xcache != "miss" {
 		t.Errorf("another key behind a computing leader: status %d X-Cache %q", code, xcache)
@@ -115,7 +115,7 @@ func TestCoalescingIsPerKey(t *testing.T) {
 	if code != http.StatusOK || xcache != "bypass" {
 		t.Errorf("no-cache for the key being computed: status %d X-Cache %q", code, xcache)
 	}
-	before := s.computed.Load()
+	before := s.computed.Value()
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -125,11 +125,11 @@ func TestCoalescingIsPerKey(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := s.computed.Load() - before; got != 2 {
+	if got := s.computed.Value() - before; got != 2 {
 		t.Errorf("two concurrent no-cache requests ran execute %d times, want 2: a bypass never coalesces", got)
 	}
-	if s.coalesced.Load() != 0 {
-		t.Errorf("%d requests parked, want none", s.coalesced.Load())
+	if s.coalesced.Value() != 0 {
+		t.Errorf("%d requests parked, want none", s.coalesced.Value())
 	}
 
 	close(gate)
@@ -153,7 +153,7 @@ func TestParkedRequestHonorsItsContext(t *testing.T) {
 		code, xcache, body := get(t, ts.URL+path, nil)
 		done <- reply{code, xcache, body}
 	}()
-	waitFor(t, "the leader to start", func() bool { return s.computed.Load() == 1 })
+	waitFor(t, "the leader to start", func() bool { return s.computed.Value() == 1 })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	rec := httptest.NewRecorder()
@@ -162,7 +162,7 @@ func TestParkedRequestHonorsItsContext(t *testing.T) {
 		defer close(parked)
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
 	}()
-	waitFor(t, "the second request to park", func() bool { return s.coalesced.Load() == 1 })
+	waitFor(t, "the second request to park", func() bool { return s.coalesced.Value() == 1 })
 	if inflight.Value() != 2 {
 		t.Errorf("serve.inflight = %v with a leader and a parked request, want 2", inflight.Value())
 	}
@@ -206,11 +206,11 @@ func TestLeaderPanicReleasesItsWaiters(t *testing.T) {
 	var once sync.Once
 	s.beforeExecute = func(*query) {
 		once.Do(func() {
-			waitFor(t, "the waiters to park", func() bool { return s.coalesced.Load() == waiters })
+			waitFor(t, "the waiters to park", func() bool { return s.coalesced.Value() == waiters })
 			panic("injected execute failure")
 		})
 	}
-	computed := s.computed.Load()
+	computed := s.computed.Value()
 	replies := fire(t, waiters+1, ts.URL+path)
 
 	failed, recomputed := 0, 0
@@ -227,11 +227,11 @@ func TestLeaderPanicReleasesItsWaiters(t *testing.T) {
 	if failed != 1 || recomputed != 1 {
 		t.Errorf("%d requests got a 500 and %d recomputed, want 1 and 1", failed, recomputed)
 	}
-	if got := s.computed.Load() - computed; got != 2 {
+	if got := s.computed.Value() - computed; got != 2 {
 		t.Errorf("execute was entered %d times, want 2 (the panic and one recompute)", got)
 	}
-	if s.panics.Load() != 1 {
-		t.Errorf("serve.panics = %d, want 1", s.panics.Load())
+	if s.panics.Value() != 1 {
+		t.Errorf("serve.panics = %d, want 1", s.panics.Value())
 	}
 	if v := s.reg.Gauge("serve.inflight").Value(); v != 0 {
 		t.Errorf("serve.inflight = %v after the panic, want 0", v)

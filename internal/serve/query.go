@@ -287,7 +287,7 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 		if !q.bypass {
 			if c, added := g.takeCarried(meta.Query, snap.Epoch()); c != nil {
 				dist = native.RepairBFS(m, c.dist, added)
-				s.refreshedBFS.Add(1)
+				s.refreshedBFS.Add(0, 1)
 			}
 		}
 		if dist == nil {
@@ -317,7 +317,7 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 			// A lowered label belongs to everything that reaches the vertex:
 			// the repair floods against the edges, through the in-CSR.
 			labels = native.RepairCC(g.bind(snap).in, c.labels, added)
-			s.refreshedCC.Add(1)
+			s.refreshedCC.Add(0, 1)
 		} else {
 			// The result stays with the graph, so it is not computed in
 			// borrowed vectors.

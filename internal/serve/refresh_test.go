@@ -180,10 +180,10 @@ func TestRefreshMatchesColdThroughTheSocket(t *testing.T) {
 					}
 					// Every answer after the first round came from a repair, or
 					// the test compared cold runs with cold runs.
-					if got, want := s.refreshedBFS.Load(), int64(3*rounds); got != want {
+					if got, want := s.refreshedBFS.Value(), int64(3*rounds); got != want {
 						t.Errorf("%d BFS misses were refreshed, want %d", got, want)
 					}
-					if got, want := s.refreshedCC.Load(), int64(rounds); got != want {
+					if got, want := s.refreshedCC.Value(), int64(rounds); got != want {
 						t.Errorf("%d CC misses were refreshed, want %d", got, want)
 					}
 					g, _ := s.graphByName("g")
@@ -227,7 +227,7 @@ func TestStragglerLeavesTheCarriedVectorAlone(t *testing.T) {
 	for _, p := range probes {
 		older := pinned[p.g.name]
 		_, _, atN1 := get(t, ts.URL+p.path, nil) // takes the vector, repairs it, returns it at N+1
-		refreshed := s.refreshedBFS.Load() + s.refreshedCC.Load()
+		refreshed := s.refreshedBFS.Value() + s.refreshedCC.Value()
 
 		late, err := s.execute(p.g, older, p.q)
 		if err != nil {
@@ -236,7 +236,7 @@ func TestStragglerLeavesTheCarriedVectorAlone(t *testing.T) {
 		if !bytes.Equal(late, p.atN) {
 			t.Errorf("%s: straggler answered %s, epoch %d's body is %s", p.path, late, older.Epoch(), p.atN)
 		}
-		if s.refreshedBFS.Load()+s.refreshedCC.Load() != refreshed {
+		if s.refreshedBFS.Value()+s.refreshedCC.Value() != refreshed {
 			t.Errorf("%s: the straggler repaired a vector", p.path)
 		}
 		p.g.mu.Lock()
@@ -252,8 +252,8 @@ func TestStragglerLeavesTheCarriedVectorAlone(t *testing.T) {
 	}
 	// Per probe: the repair to N+1, and the re-reduction of the vector the
 	// straggler left in place.
-	if s.refreshedBFS.Load() != 4 || s.refreshedCC.Load() != 4 {
-		t.Errorf("refreshed %d BFS and %d CC misses, want 4 and 4", s.refreshedBFS.Load(), s.refreshedCC.Load())
+	if s.refreshedBFS.Value() != 4 || s.refreshedCC.Value() != 4 {
+		t.Errorf("refreshed %d BFS and %d CC misses, want 4 and 4", s.refreshedBFS.Value(), s.refreshedCC.Value())
 	}
 }
 
@@ -313,11 +313,11 @@ func TestCarriedVectorsStayWithinTheGraphsOwnBytes(t *testing.T) {
 	}
 	// The evicted source still answers, cold, and the same as a bypass.
 	postEdges(t, ts.URL, "g", []graph.Edge{{Src: 1, Dst: 30}})
-	before := s.refreshedBFS.Load()
+	before := s.refreshedBFS.Value()
 	_, _, evicted := get(t, ts.URL+"/query/bfs?graph=g&source=1", nil)
 	_, _, cold := get(t, ts.URL+"/query/bfs?graph=g&source=1", noCache)
-	if !bytes.Equal(evicted, cold) || s.refreshedBFS.Load() != before {
-		t.Errorf("evicted source: %s (refreshed %d), want the cold answer %s", evicted, s.refreshedBFS.Load()-before, cold)
+	if !bytes.Equal(evicted, cold) || s.refreshedBFS.Value() != before {
+		t.Errorf("evicted source: %s (refreshed %d), want the cold answer %s", evicted, s.refreshedBFS.Value()-before, cold)
 	}
 	if bytes.Equal(fourth, evicted) {
 		t.Error("fixture: sources 3 and 1 answer the same bytes")
@@ -361,8 +361,8 @@ func TestVectorFallenTooFarBehindGoesCold(t *testing.T) {
 	}
 	code, xcache, body := get(t, ts.URL+"/query/cc?graph=g", nil)
 	_, _, cold := get(t, ts.URL+"/query/cc?graph=g", noCache)
-	if code != http.StatusOK || xcache != "miss" || !bytes.Equal(body, cold) || s.refreshedCC.Load() != 0 {
-		t.Errorf("after the drop: status %d X-Cache %q refreshed %d body %s, want a cold miss answering %s", code, xcache, s.refreshedCC.Load(), body, cold)
+	if code != http.StatusOK || xcache != "miss" || !bytes.Equal(body, cold) || s.refreshedCC.Value() != 0 {
+		t.Errorf("after the drop: status %d X-Cache %q refreshed %d body %s, want a cold miss answering %s", code, xcache, s.refreshedCC.Value(), body, cold)
 	}
 }
 
@@ -381,13 +381,13 @@ func TestEpochAdvancedBehindTheServiceRunsCold(t *testing.T) {
 	postEdges(t, ts.URL, "web", []graph.Edge{{Src: 77, Dst: 90}})
 	_, _, body := get(t, ts.URL+path, nil)
 	_, _, cold := get(t, ts.URL+path, noCache)
-	if !bytes.Equal(body, cold) || s.refreshedCC.Load() != 0 {
-		t.Errorf("across an unrecorded epoch: %s (refreshed %d), want the cold answer %s", body, s.refreshedCC.Load(), cold)
+	if !bytes.Equal(body, cold) || s.refreshedCC.Value() != 0 {
+		t.Errorf("across an unrecorded epoch: %s (refreshed %d), want the cold answer %s", body, s.refreshedCC.Value(), cold)
 	}
 	postEdges(t, ts.URL, "web", []graph.Edge{{Src: 5, Dst: 77}})
 	_, _, body = get(t, ts.URL+path, nil)
 	_, _, cold = get(t, ts.URL+path, noCache)
-	if !bytes.Equal(body, cold) || s.refreshedCC.Load() != 1 {
-		t.Errorf("one recorded epoch later: %s (refreshed %d), want a repair answering %s", body, s.refreshedCC.Load(), cold)
+	if !bytes.Equal(body, cold) || s.refreshedCC.Value() != 1 {
+		t.Errorf("one recorded epoch later: %s (refreshed %d), want a repair answering %s", body, s.refreshedCC.Value(), cold)
 	}
 }

@@ -173,23 +173,21 @@ type Server struct {
 
 	// lane spreads histogram records across the registry's worker lanes;
 	// request goroutines have no natural worker index.
-	lane     atomic.Int64
-	requests atomic.Int64
-	deltas   atomic.Int64
+	lane atomic.Int64
 	// queryHist is serve.query_ns and kindHist the serve.query.<kind>_ns
 	// family, resolved once in New and read-only after: recording a
 	// request builds no name and takes no registry lock.
 	queryHist *obs.Histogram
 	kindHist  map[string]*obs.Histogram
-	// computed counts kernel executions (misses that led their key, and
-	// bypasses), coalesced the times a request parked behind one, refreshed*
-	// the misses answered by repairing a carried vector, panics the handler
-	// panics answered with a 500.
-	computed     atomic.Int64
-	coalesced    atomic.Int64
-	refreshedBFS atomic.Int64
-	refreshedCC  atomic.Int64
-	panics       atomic.Int64
+	// The counters, resolved once in New like the histograms. computed
+	// counts kernel executions (misses that led their key, and bypasses),
+	// coalesced the times a request parked behind one, refreshed* the
+	// misses answered by repairing a carried vector, panics the handler
+	// panics answered with a 500. Every increment is Add(0, 1): one atomic
+	// add on one cache line, with no lane to pick first.
+	requests, deltas            *obs.Counter
+	computed, coalesced, panics *obs.Counter
+	refreshedBFS, refreshedCC   *obs.Counter
 
 	// beforeExecute, when a test sets it, runs on the request goroutine
 	// just before execute.
@@ -216,11 +214,19 @@ func New(cfg Config) *Server {
 		cfg:    cfg,
 		reg:    cfg.Registry,
 		pool:   pool,
-		cache:  newResultCache(cfg.CacheEntries),
+		cache:  newResultCache(cfg.CacheEntries, cfg.Registry),
 		graphs: make(map[string]*servedGraph),
 
 		queryHist: cfg.Registry.Hist("serve.query_ns"),
 		kindHist:  make(map[string]*obs.Histogram),
+
+		requests:     cfg.Registry.Counter("serve.requests"),
+		deltas:       cfg.Registry.Counter("serve.deltas"),
+		computed:     cfg.Registry.Counter("serve.computed"),
+		coalesced:    cfg.Registry.Counter("serve.coalesced"),
+		panics:       cfg.Registry.Counter("serve.panics"),
+		refreshedBFS: cfg.Registry.Counter("serve.refreshed.bfs"),
+		refreshedCC:  cfg.Registry.Counter("serve.refreshed.cc"),
 	}
 	for _, kind := range queryKinds() {
 		s.kindHist[kind] = cfg.Registry.Hist("serve.query." + kind + "_ns")
@@ -231,15 +237,6 @@ func New(cfg Config) *Server {
 		Weights:     cfg.TenantWeights,
 		Registry:    cfg.Registry,
 	})
-	s.reg.CounterFunc("serve.requests", s.requests.Load)
-	s.reg.CounterFunc("serve.deltas", s.deltas.Load)
-	s.reg.CounterFunc("serve.cache_hits", s.cache.hits.Load)
-	s.reg.CounterFunc("serve.cache_misses", s.cache.misses.Load)
-	s.reg.CounterFunc("serve.computed", s.computed.Load)
-	s.reg.CounterFunc("serve.coalesced", s.coalesced.Load)
-	s.reg.CounterFunc("serve.refreshed.bfs", s.refreshedBFS.Load)
-	s.reg.CounterFunc("serve.refreshed.cc", s.refreshedCC.Load)
-	s.reg.CounterFunc("serve.panics", s.panics.Load)
 	s.reg.Gauge("serve.pool.workers").Set(float64(s.pool.Workers()))
 	return s
 }
@@ -333,7 +330,7 @@ func (s *Server) Handler() http.Handler {
 		s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			defer func() {
 				if p := recover(); p != nil {
-					s.panics.Add(1)
+					s.panics.Add(0, 1)
 					log.Printf("serve: panic serving %s: %v", r.URL.Path, p)
 					writeError(w, http.StatusInternalServerError, "internal error")
 				}

@@ -71,11 +71,6 @@ func (e *Engine) accountTraffic(c *cluster.Cluster, node int, bytes int64, desti
 	c.Account(node, bytes, msgs)
 }
 
-func statsFrom(c *cluster.Cluster, iterations int) core.RunStats {
-	rep := c.Report()
-	return core.RunStats{WallSeconds: rep.SimulatedSeconds, Simulated: true, Iterations: iterations, Report: rep}
-}
-
 // PageRank implements core.Engine with the paper's distributed-optimized
 // rule pair (§3.1): a seed rule and a join over RANK, OUTEDGE and OUTDEG
 // with $SUM in the head.
@@ -140,11 +135,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 		return &core.PageRankResult{Ranks: vecToFloats(rank, n), Stats: stats}, nil
 	}
 
-	cfg := *opt.Exec.Cluster
-	if cfg.Trace == nil {
-		cfg.Trace = opt.Exec.Trace
-	}
-	c, err := e.newCluster(cfg)
+	c, err := e.newCluster(opt.Exec.ClusterConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +168,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 		tr.RecordVirtual(trace.PidEngine, "socialite.rule",
 			fmt.Sprintf("rule evaluation %d", it), iterStart, c.VirtualSeconds()-iterStart, nil)
 	}
-	return &core.PageRankResult{Ranks: vecToFloats(rank, n), Stats: statsFrom(c, opt.Iterations)}, nil
+	return &core.PageRankResult{Ranks: vecToFloats(rank, n), Stats: core.SimulatedStats(c, opt.Iterations)}, nil
 }
 
 func vecToFloats(t *VecTable, n uint32) []float64 {
@@ -234,7 +225,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 		return finish(stats), nil
 	}
 
-	c, err := e.newCluster(*opt.Exec.Cluster)
+	c, err := e.newCluster(opt.Exec.ClusterConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +260,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 		// Deduplicate: a key may have been improved by several nodes.
 		delta = dedup(next)
 	}
-	return finish(statsFrom(c, rounds)), nil
+	return finish(core.SimulatedStats(c, rounds)), nil
 }
 
 func dedup(keys []uint32) []uint32 {
@@ -320,7 +311,7 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 		return &core.TriangleResult{Count: count, Stats: stats}, nil
 	}
 
-	c, err := e.newCluster(*opt.Exec.Cluster)
+	c, err := e.newCluster(opt.Exec.ClusterConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +354,7 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 	if v, ok := tri.Get(0); ok {
 		count = int64(v.S())
 	}
-	return &core.TriangleResult{Count: count, Stats: statsFrom(c, 1)}, nil
+	return &core.TriangleResult{Count: count, Stats: core.SimulatedStats(c, 1)}, nil
 }
 
 // CollabFilter implements core.Engine: the user and item factor vectors
@@ -439,7 +430,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	var c *cluster.Cluster
 	var userPart, itemPart *graph.Partition1D
 	if opt.Exec.Cluster != nil {
-		c, err = e.newCluster(*opt.Exec.Cluster)
+		c, err = e.newCluster(opt.Exec.ClusterConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -567,7 +558,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	if c == nil {
 		stats = opt.Exec.Local(train)
 	} else {
-		stats = statsFrom(c, train(nil, nil))
+		stats = core.SimulatedStats(c, train(nil, nil))
 	}
 	if err != nil {
 		return nil, err

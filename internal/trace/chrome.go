@@ -86,17 +86,10 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		out.TraceEvents = append(out.TraceEvents, ce)
 	}
 
-	t.mu.Lock()
-	names := append([]string(nil), t.order...)
-	counters := make(map[string]*Counter, len(names))
-	for _, n := range names {
-		counters[n] = t.counters[n]
-	}
-	t.mu.Unlock()
-	for _, n := range names {
+	for _, c := range t.reg.Snapshot().Counters {
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: n, Ph: "C", TsUS: lastUS, Pid: PidHost,
-			Args: map[string]any{"value": counters[n].Value()},
+			Name: c.Name, Ph: "C", TsUS: lastUS, Pid: PidHost,
+			Args: map[string]any{"value": c.Value},
 		})
 	}
 

@@ -41,9 +41,9 @@ func TestCounterAliasedWorkersExact(t *testing.T) {
 	}
 }
 
-// TestTracerRegistryAndSpanHistograms checks the tracer's unified
-// registry: counters are mirrored as counter funcs, and every ended span
-// feeds the per-category duration histogram.
+// TestTracerRegistryAndSpanHistograms checks the tracer's registry: a
+// counter obtained through the tracer is the registry's, and every ended
+// span feeds the per-category duration histogram.
 func TestTracerRegistryAndSpanHistograms(t *testing.T) {
 	tr := New()
 	if tr.Registry() == nil {
@@ -72,7 +72,7 @@ func TestTracerRegistryAndSpanHistograms(t *testing.T) {
 		}
 	}
 	if !foundCounter {
-		t.Fatalf("counter not mirrored into registry: %+v", snap.Counters)
+		t.Fatalf("counter missing from the registry snapshot: %+v", snap.Counters)
 	}
 
 	s := Summarize(tr)

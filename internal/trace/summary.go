@@ -3,7 +3,6 @@ package trace
 import (
 	"sort"
 
-	"graphmaze/internal/metrics"
 	"graphmaze/internal/obs"
 )
 
@@ -37,7 +36,7 @@ type Summary struct {
 	Counters []CounterSnapshot `json:"counters"`
 	// VirtualSeconds is the largest per-node sum of virtual span durations
 	// — the simulated time the trace accounts for. Comparing it against
-	// metrics.Report.SimulatedSeconds gives span coverage.
+	// the cluster report's SimulatedSeconds gives span coverage.
 	VirtualSeconds float64 `json:"virtual_seconds"`
 	// SchedImbalance is max/mean busy time across par workers (0 when the
 	// scheduling counters were not attached).
@@ -49,8 +48,8 @@ type Summary struct {
 	Histograms []obs.NamedQuantiles `json:"histograms,omitempty"`
 }
 
-// Summarize digests the tracer's spans and counters. Nil on the disabled
-// tracer.
+// Summarize digests the tracer's spans and one snapshot of its registry.
+// Nil on the disabled tracer.
 func Summarize(t *Tracer) *Summary {
 	if t == nil {
 		return nil
@@ -84,55 +83,23 @@ func Summarize(t *Tracer) *Summary {
 		}
 	}
 
-	t.mu.Lock()
-	names := append([]string(nil), t.order...)
-	counters := make([]*Counter, len(names))
-	for i, n := range names {
-		counters[i] = t.counters[n]
-	}
-	sched := t.sched
-	t.mu.Unlock()
-	for i, n := range names {
-		snap := CounterSnapshot{Name: n, Total: counters[i].Value()}
-		lanes := counters[i].Lanes()
+	snap := t.reg.Snapshot()
+	for _, c := range snap.Counters {
+		cs := CounterSnapshot{Name: c.Name, Total: c.Value}
 		active := 0
-		for _, v := range lanes {
+		for _, v := range c.Lanes {
 			if v != 0 {
 				active++
 			}
 		}
 		if active > 1 {
-			snap.Lanes = lanes
+			cs.Lanes = c.Lanes
 		}
-		s.Counters = append(s.Counters, snap)
+		s.Counters = append(s.Counters, cs)
+		if c.Name == schedBusyNS {
+			s.SchedImbalance = laneImbalance(c.Lanes)
+		}
 	}
-	s.SchedImbalance = sched.Imbalance()
-	s.Histograms = obs.HistStats(t.reg.Snapshot())
+	s.Histograms = obs.HistStats(snap)
 	return s
-}
-
-// Report extends metrics.Report — the paper's four run-level quantities —
-// with the per-phase timeline and counter snapshots that explain them.
-type Report struct {
-	metrics.Report
-	Trace *Summary `json:"trace,omitempty"`
-}
-
-// BuildReport combines a finalized metrics report with the tracer's
-// digest. The tracer may be nil; the result then carries only the metrics.
-func BuildReport(m metrics.Report, t *Tracer) Report {
-	return Report{Report: m, Trace: Summarize(t)}
-}
-
-// SpanCoverage reports the fraction of SimulatedSeconds covered by
-// virtual-node spans, in [0,1]; 0 when nothing was simulated or traced.
-func (r Report) SpanCoverage() float64 {
-	if r.Trace == nil || r.SimulatedSeconds <= 0 {
-		return 0
-	}
-	cov := r.Trace.VirtualSeconds / r.SimulatedSeconds
-	if cov > 1 {
-		cov = 1
-	}
-	return cov
 }

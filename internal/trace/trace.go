@@ -1,17 +1,15 @@
-// Package trace is graphmaze's structured tracing and counter subsystem:
-// the observability substrate behind the paper's §5.4/§6 analysis, where
-// every "ninja gap" is attributed from per-phase measurement rather than
-// run-level totals (DESIGN.md §9).
+// Package trace records spans on two clocks and exports them: the
+// substrate behind the paper's §5.4/§6 analysis, where every "ninja gap"
+// is attributed from per-phase measurement rather than run-level totals
+// (DESIGN.md §9). It owns no instrument: a tracer's counters and
+// histograms live in its obs.Registry.
 //
-// Two primitives are provided. Spans are named intervals with
-// compute/network/wait attribution, recorded on one of several tracks:
-// real-time spans for in-process kernel work (Begin/End), and virtual-time
-// spans for the cluster simulation's modeled clock (RecordVirtual), one
-// track per simulated node plus an engine-level phase track. Counters are
-// named monotonic accumulators with cache-line-padded per-worker lanes, so
-// hot loops can count chunks, items, and busy nanoseconds without
-// contending on one word — which is what makes scheduler imbalance under
-// skew measurable.
+// Spans are named intervals with compute/network/wait attribution,
+// recorded on one of several tracks: real-time spans for in-process kernel
+// work (Begin/End), and virtual-time spans for the cluster simulation's
+// modeled clock (RecordVirtual), one track per simulated node plus an
+// engine-level phase track. WriteChromeTrace exports them for Perfetto;
+// Summarize digests them with one snapshot of the registry.
 //
 // A nil *Tracer is the disabled mode: every method is nil-safe, costs one
 // pointer check, and allocates nothing (verified by
@@ -56,24 +54,21 @@ type Event struct {
 	Args     map[string]float64
 }
 
-// Tracer records spans and owns the run's counters. It is safe for
-// concurrent use; the nil Tracer is the disabled mode.
+// Tracer records spans. It is safe for concurrent use; the nil Tracer is
+// the disabled mode.
 type Tracer struct {
 	t0 time.Time
 
-	mu       sync.Mutex
-	events   []Event
-	procs    map[int]string
-	counters map[string]*Counter
-	order    []string
-	sched    *SchedCounters
+	mu     sync.Mutex
+	events []Event
+	procs  map[int]string
 
-	// reg is the unified metrics registry: every trace counter is mirrored
-	// into it as a counter func, span durations feed per-category latency
-	// histograms, and instrumented subsystems (backend pool, cluster,
-	// sampler) hang their own histograms and gauges off it. durHists caches
-	// the per-category "<cat>.dur_ns" histogram so Span.End resolves it
-	// without a registry lock in the common case.
+	// reg owns every instrument of the traced run: the counters engines
+	// and par's loops feed, the per-category span-duration histograms, and
+	// whatever instrumented subsystems (backend pool, cluster, sampler)
+	// hang off it. durHists caches the per-category "<cat>.dur_ns"
+	// histogram so Span.End resolves it without a registry lock in the
+	// common case.
 	reg      *obs.Registry
 	durHists map[string]*obs.Histogram
 }
@@ -83,7 +78,6 @@ func New() *Tracer {
 	t := &Tracer{
 		t0:       time.Now(),
 		procs:    make(map[int]string),
-		counters: make(map[string]*Counter),
 		reg:      obs.NewRegistry(),
 		durHists: make(map[string]*obs.Histogram),
 	}
@@ -105,14 +99,14 @@ func (t *Tracer) Registry() *obs.Registry {
 	return t.reg
 }
 
+// Counter returns the named counter from the tracer's registry, nil (the
+// disabled counter) on the disabled tracer, so callers cache the result
+// and Add unconditionally.
+func (t *Tracer) Counter(name string) *obs.Counter { return t.Registry().Counter(name) }
+
 // Hist returns the named histogram from the tracer's registry, nil (the
 // disabled histogram) on the disabled tracer.
-func (t *Tracer) Hist(name string) *obs.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.reg.Hist(name)
-}
+func (t *Tracer) Hist(name string) *obs.Histogram { return t.Registry().Hist(name) }
 
 // durHist returns the cached "<cat>.dur_ns" histogram that accumulates
 // span durations for the category. Called with t.mu held.
