@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint fmt loc all bench-smoke fuzz-smoke trace-demo fault-demo obs-demo
+.PHONY: build test race lint fmt loc all validate bench-smoke fuzz-smoke trace-demo fault-demo obs-demo
 
 all: fmt lint build test
 
@@ -31,6 +31,13 @@ fmt:
 loc:
 	@echo "non-test Go lines outside bench/: $$(git ls-files '*.go' | grep -v '^bench/' | grep -v '_test\.go$$' | xargs cat | wc -l)"
 	@echo "test Go lines outside bench/:     $$(git ls-files '*.go' | grep -v '^bench/' | grep '_test\.go$$' | xargs cat | wc -l)"
+
+# validate runs every engine × every algorithm against the serial
+# reference, single-node and on a simulated 4-node cluster: the one command
+# that checks each engine's multi-node values (the boundary exchanges, the
+# distributed runtimes) end to end. It exits non-zero on any disagreement.
+validate:
+	$(GO) run ./cmd/validate -scale 10 -nodes 4
 
 # bench-smoke vets and tests the repository's benchmark (BENCHMARK.json,
 # bench/). It is a module of its own, so `go build ./... && go test ./...`

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -239,4 +240,119 @@ func localKernels(fn *ast.FuncDecl) []*ast.FuncLit {
 		return true
 	})
 	return kernels
+}
+
+// TestKernelSurfaceHasCallers: every exported function and method of
+// internal/backend and internal/native is referenced by non-test code
+// somewhere in the repository, bench/ included, besides its own
+// declaration. A kernel only tests call is a second implementation nobody
+// runs (DESIGN.md §12): delete it, or give it the caller it is for. The
+// check reads syntax, not types: a function counts as referenced when its
+// package-qualified name (or, inside its own package, its bare name)
+// appears, a method when any selector names it — so it can miss a dead
+// method that shares its name with a live one, never flag a live one.
+func TestKernelSurfaceHasCallers(t *testing.T) {
+	kernelPkgs := map[string]bool{"internal/backend": true, "internal/native": true}
+	type decl struct {
+		pos             token.Position
+		pkg, recv, name string
+	}
+	var decls []decl
+	funcRefs := map[string]bool{}   // "internal/backend.NewSumVecMul"
+	methodRefs := map[string]bool{} // "MapInto"
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		imported := map[string]string{} // local name → kernel package
+		for _, imp := range file.Imports {
+			ipath, _ := strconv.Unquote(imp.Path.Value)
+			pkg := strings.TrimPrefix(ipath, "graphmaze/")
+			if !kernelPkgs[pkg] {
+				continue
+			}
+			name := filepath.Base(pkg)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imported[name] = pkg
+		}
+		declared := map[*ast.Ident]bool{}
+		for _, d := range file.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			declared[fn.Name] = true
+			if kernelPkgs[dir] && fn.Name.IsExported() {
+				decls = append(decls, decl{fset.Position(fn.Pos()), dir, receiverName(fn), fn.Name.Name})
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				methodRefs[n.Sel.Name] = true
+				if x, ok := n.X.(*ast.Ident); ok && imported[x.Name] != "" {
+					funcRefs[imported[x.Name]+"."+n.Sel.Name] = true
+				}
+			case *ast.Ident:
+				if kernelPkgs[dir] && !declared[n] {
+					funcRefs[dir+"."+n.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decls) == 0 {
+		t.Fatal("found no exported kernel declarations: the rule is checking nothing")
+	}
+	for _, d := range decls {
+		if d.recv == "" && !funcRefs[d.pkg+"."+d.name] {
+			t.Errorf("%s: %s.%s has no caller outside tests", d.pos, filepath.Base(d.pkg), d.name)
+		}
+		if d.recv != "" && !methodRefs[d.name] {
+			t.Errorf("%s: %s.%s.%s has no caller outside tests", d.pos, filepath.Base(d.pkg), d.recv, d.name)
+		}
+	}
+}
+
+// receiverName returns the type name of fn's receiver, or "" for a plain
+// function.
+func receiverName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return ""
+	}
+	typ := fn.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	switch x := typ.(type) {
+	case *ast.IndexExpr:
+		typ = x.X
+	case *ast.IndexListExpr:
+		typ = x.X
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return id.Name
+	}
+	return "?"
 }

@@ -3,9 +3,9 @@
 // generalized sparse matrix vector multiplication"). One hand-optimized
 // substrate provides:
 //
-//   - dense semiring SpMV kernels over the shared CSR ([VecMul] for
-//     arbitrary semirings, [SumVecMul] for the float64 plus-times pattern
-//     product PageRank needs),
+//   - one pooled SpMV kernel over the shared CSR ([SumVecMul], the float64
+//     plus-times pattern product every lowered PageRank runs), plus the
+//     one-shot generic semiring product [SpMVInto],
 //   - sparse-frontier expansion ([Expander]) and a full direction-switching
 //     level-synchronous traversal ([Traversal]) for BFS-shaped computations,
 //   - a persistent worker [Pool] so the per-iteration hot loop reuses

@@ -84,7 +84,7 @@ func TestSumVecMulMatchesReference(t *testing.T) {
 		pool := NewPool(workers)
 		k := NewSumVecMul(pool, m)
 		y := make([]float64, g.NumVertices)
-		k.Into(y, x)
+		k.MapInto(y, x, nil)
 		for i := range want {
 			if y[i] != want[i] {
 				t.Fatalf("workers=%d: y[%d] = %v, want %v (bit-exact)", workers, i, y[i], want[i])
@@ -108,42 +108,11 @@ func TestSumVecMulMatchesReference(t *testing.T) {
 }
 
 // plusTimes is the float64 plus-times semiring over a pattern matrix: the
-// product SumVecMul specializes, through the generic interface.
+// product SumVecMul runs, through SpMVInto's generic interface.
 var plusTimes = Semiring[struct{}, float64, float64]{
 	Mul:  func(_ struct{}, v float64) float64 { return v },
 	Add:  func(a, b float64) float64 { return a + b },
 	Zero: func() float64 { return 0 },
-}
-
-func TestVecMulGenericMatchesSpecialized(t *testing.T) {
-	g := testGraph(t, 10, 11, false)
-	m := FromCSR(g)
-	x := randVec(g.NumVertices, 2)
-
-	pool := NewPool(4)
-	defer pool.Close()
-	spec := NewSumVecMul(pool, m)
-	gen := NewVecMul[struct{}, float64, float64](pool, m, nil, plusTimes)
-
-	ys := make([]float64, g.NumVertices)
-	yg := make([]float64, g.NumVertices)
-	spec.Into(ys, x)
-	gen.Into(yg, x)
-	for i := range ys {
-		if ys[i] != yg[i] {
-			t.Fatalf("generic and specialized kernels disagree at %d: %v vs %v", i, yg[i], ys[i])
-		}
-	}
-
-	// MapInto must apply the post transform to the same row fold.
-	post := func(r uint32, acc float64) float64 { return 0.15 + 0.85*acc }
-	spec.MapInto(ys, x, post)
-	gen.MapInto(yg, x, post)
-	for i := range ys {
-		if ys[i] != yg[i] {
-			t.Fatalf("MapInto disagree at %d: %v vs %v", i, yg[i], ys[i])
-		}
-	}
 }
 
 func TestSpMVIntoOneShot(t *testing.T) {
@@ -263,12 +232,6 @@ func TestZeroSteadyStateAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(10, func() { k.AddInto(y, x) }); a != 0 {
 		t.Errorf("SumVecMul.AddInto allocates %v per call in steady state", a)
-	}
-
-	gen := NewVecMul[struct{}, float64, float64](pool, m, nil, plusTimes)
-	gen.MapInto(y, x, post)
-	if a := testing.AllocsPerRun(10, func() { gen.MapInto(y, x, post) }); a != 0 {
-		t.Errorf("generic VecMul.MapInto allocates %v per call in steady state", a)
 	}
 
 	d := NewDense(pool, int(g.NumVertices), func(lo, hi int) {

@@ -14,7 +14,7 @@ func benchGraph(b *testing.B, symmetric bool) *Matrix {
 	return FromCSR(testGraph(b, 14, 9, symmetric))
 }
 
-// BenchmarkBackendSumVecMul is the specialized plus-times pattern product:
+// BenchmarkBackendSumVecMul is the plus-times pattern product:
 // the per-iteration core of every lowered PageRank.
 func BenchmarkBackendSumVecMul(b *testing.B) {
 	m := benchGraph(b, false)
@@ -23,31 +23,12 @@ func BenchmarkBackendSumVecMul(b *testing.B) {
 	k := NewSumVecMul(pool, m)
 	x := randVec(m.NumRows, 1)
 	y := make([]float64, m.NumRows)
-	k.Into(y, x)
+	k.MapInto(y, x, nil)
 	b.SetBytes(m.NNZ() * 12)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Into(y, x)
-	}
-}
-
-// BenchmarkBackendVecMulGeneric is the same product through the generic
-// semiring interface: the gap to BenchmarkBackendSumVecMul is the price
-// of the CombBLAS-style indirection.
-func BenchmarkBackendVecMulGeneric(b *testing.B) {
-	m := benchGraph(b, false)
-	pool := NewPool(0)
-	defer pool.Close()
-	k := NewVecMul[struct{}, float64, float64](pool, m, nil, plusTimes)
-	x := randVec(m.NumRows, 1)
-	y := make([]float64, m.NumRows)
-	k.Into(y, x)
-	b.SetBytes(m.NNZ() * 12)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Into(y, x)
+		k.MapInto(y, x, nil)
 	}
 }
 

@@ -73,17 +73,6 @@ func NewTraversal(pool *Pool, m *Matrix, spanName string, tr *trace.Tracer) *Tra
 	}
 }
 
-// Rebind points the traversal at a new epoch's matrix. Scratch (visited
-// bits, snapshot words) is reused when the vertex space is unchanged and
-// reallocated when the epoch grew it; frontier buffers adapt on use.
-func (t *Traversal) Rebind(m *Matrix) {
-	if m.NumRows != t.m.NumRows {
-		t.visited = bitvec.New(m.NumRows)
-		t.snapshot = make([]uint64, (int(m.NumRows)+63)/64)
-	}
-	t.m = m
-}
-
 func (t *Traversal) degree(v uint32) int64 { return t.m.Offsets[v+1] - t.m.Offsets[v] }
 
 func (t *Traversal) row(v uint32) []uint32 { return t.m.Cols[t.m.Offsets[v]:t.m.Offsets[v+1]] }

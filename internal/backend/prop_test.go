@@ -98,8 +98,8 @@ func patternMatrix(rng *rand.Rand, n, ncols int, length func(r int) int) *Matrix
 }
 
 // TestSumVecMulMatchesRowAtATimeFold is the kernel's order contract as a
-// property: whatever SumVecMul.runChunk does inside a chunk, Into and
-// MapInto equal the one-row-at-a-time, left-to-right reference fold
+// property: whatever SumVecMul.runChunk does inside a chunk, MapInto
+// with and without a post transform equals the one-row-at-a-time, left-to-right reference fold
 // bit-for-bit, at every worker count, on the row shapes that stress a
 // chunked kernel — empty rows, a single row, row counts that leave an odd
 // remainder per chunk, and a hub row longer than all others combined
@@ -144,12 +144,12 @@ func TestSumVecMulMatchesRowAtATimeFold(t *testing.T) {
 			k := NewSumVecMul(pool, m)
 			raw := make([]float64, m.NumRows)
 			mapped := make([]float64, m.NumRows)
-			k.Into(raw, x)
+			k.MapInto(raw, x, nil)
 			k.MapInto(mapped, x, post)
 			pool.Close()
 			for r := range want {
 				if math.Float64bits(raw[r]) != math.Float64bits(want[r]) {
-					t.Fatalf("%s workers=%d: Into row %d = %v, want %v", name, workers, r, raw[r], want[r])
+					t.Fatalf("%s workers=%d: raw row %d = %v, want %v", name, workers, r, raw[r], want[r])
 				}
 				if w := post(uint32(r), want[r]); math.Float64bits(mapped[r]) != math.Float64bits(w) {
 					t.Fatalf("%s workers=%d: MapInto row %d = %v, want %v", name, workers, r, mapped[r], w)

@@ -6,7 +6,7 @@ import (
 	"graphmaze/internal/trace"
 )
 
-// Semiring is the generalized (⊕, ⊗) pair the SpMV kernels fold with,
+// Semiring is the generalized (⊕, ⊗) pair SpMVInto folds with,
 // matching the CombBLAS formulation: y[r] = ⊕_{c ∈ row r} vals[rc] ⊗ x[c],
 // starting from Zero (called once per row). The fold is strictly
 // left-to-right in stored-column order, so results are deterministic even
@@ -17,93 +17,21 @@ type Semiring[A, X, Y any] struct {
 	Zero func() Y
 }
 
-// VecMul is a reusable dense semiring SpMV kernel: y = A ⊕.⊗ x. Rows are
-// statically split at construction so every worker owns an equal share of
-// nonzeros (par.OffsetSplits on the CSR prefix sums); each output element
-// is written by exactly one worker, which is the "padded accumulation
-// lane" scheme degenerated to its cheapest form — the output vector
-// itself is the lane, and the deterministic merge is the fixed row
-// ownership plus the serial in-row fold.
+// SumVecMul is the backend's one pooled SpMV kernel: the plus-times
+// pattern product y[r] = Σ_{c ∈ row r} x[c] that PageRank-shaped
+// computations lower onto. Rows are statically split at construction so
+// every worker owns an equal share of nonzeros (par.OffsetSplits on the
+// CSR prefix sums); each output element is written by exactly one worker,
+// which is the "padded accumulation lane" scheme degenerated to its
+// cheapest form — the output vector itself is the lane, and the
+// deterministic merge is the fixed row ownership plus the serial in-row
+// fold. The inner loop is a plain running sum, with no semiring
+// indirection, which is what keeps lowered engines within the native
+// performance envelope.
 //
-// Steady-state calls perform no allocation: construct once per algorithm
-// run, call Into/MapInto once per iteration.
-type VecMul[A, X, Y any] struct {
-	pool   *Pool
-	m      *Matrix
-	vals   []A // nil for pattern matrices (A's zero value is passed to Mul)
-	sr     Semiring[A, X, Y]
-	bounds []int
-	nnz    *obs.Counter
-
-	// per-dispatch operands, published to workers by the pool's channel
-	// handshake
-	x    []X
-	y    []Y
-	post func(uint32, Y) Y
-}
-
-// NewVecMul builds a reusable kernel for y = m ⊕.⊗ x on the given pool.
-// vals may be nil for pattern matrices.
-func NewVecMul[A, X, Y any](pool *Pool, m *Matrix, vals []A, sr Semiring[A, X, Y]) *VecMul[A, X, Y] {
-	return &VecMul[A, X, Y]{pool: pool, m: m, vals: vals, sr: sr, bounds: par.OffsetSplits(m.Offsets, pool.Workers())}
-}
-
-// Rebind points the kernel at a new epoch's matrix (vals may be nil for
-// pattern matrices), recomputing the edge-balanced row splits: one
-// O(k log V) split per rebind.
-func (k *VecMul[A, X, Y]) Rebind(m *Matrix, vals []A) {
-	k.m, k.vals = m, vals
-	k.bounds = par.OffsetSplits(m.Offsets, k.pool.Workers())
-}
-
-// WithTracer attaches a backend.spmv.nnz counter recording nonzeros
-// processed per call (a nil tracer detaches it).
-func (k *VecMul[A, X, Y]) WithTracer(tr *trace.Tracer) *VecMul[A, X, Y] {
-	k.nnz = tr.Counter("backend.spmv.nnz")
-	return k
-}
-
-// Into computes y = m ⊕.⊗ x. len(y) must be m.NumRows; y is fully
-// overwritten (empty rows get Zero()).
-func (k *VecMul[A, X, Y]) Into(y []Y, x []X) { k.MapInto(y, x, nil) }
-
-// MapInto computes y[r] = post(r, (m ⊕.⊗ x)[r]); a nil post stores the
-// row fold unmapped. post must be a prebuilt func value if the call sits
-// in a zero-alloc hot loop.
-func (k *VecMul[A, X, Y]) MapInto(y []Y, x []X, post func(uint32, Y) Y) {
-	k.x, k.y, k.post = x, y, post
-	k.pool.RunStatic(k, k.bounds)
-	k.x, k.y, k.post = nil, nil, nil
-	k.nnz.Add(0, k.m.NNZ())
-}
-
-func (k *VecMul[A, X, Y]) runChunk(worker, lo, hi int) {
-	m, x, y := k.m, k.x, k.y
-	for r := lo; r < hi; r++ {
-		acc := k.sr.Zero()
-		start, end := m.Offsets[r], m.Offsets[r+1]
-		if k.vals != nil {
-			for i := start; i < end; i++ {
-				acc = k.sr.Add(acc, k.sr.Mul(k.vals[i], x[m.Cols[i]]))
-			}
-		} else {
-			var a A
-			for i := start; i < end; i++ {
-				acc = k.sr.Add(acc, k.sr.Mul(a, x[m.Cols[i]]))
-			}
-		}
-		if k.post != nil {
-			acc = k.post(uint32(r), acc)
-		}
-		y[r] = acc
-	}
-}
-
-// SumVecMul is the specialized plus-times pattern kernel — y[r] =
-// Σ_{c ∈ row r} x[c] — that PageRank-shaped computations lower onto. It
-// is VecMul with the semiring indirection compiled away: the inner loop
-// is a plain running sum, which is what keeps lowered engines within the
-// native performance envelope.
+// A kernel is built for the matrix of the epoch it reads; steady-state
+// calls perform no allocation: construct once per algorithm run, call
+// MapInto/AddInto once per iteration.
 type SumVecMul struct {
 	pool   *Pool
 	m      *Matrix
@@ -115,15 +43,9 @@ type SumVecMul struct {
 	post func(uint32, float64) float64
 }
 
-// NewSumVecMul builds the specialized kernel for the pattern matrix m.
+// NewSumVecMul builds the kernel for the pattern matrix m.
 func NewSumVecMul(pool *Pool, m *Matrix) *SumVecMul {
 	return &SumVecMul{pool: pool, m: m, bounds: par.OffsetSplits(m.Offsets, pool.Workers())}
-}
-
-// Rebind points the kernel at a new epoch's matrix (see VecMul.Rebind).
-func (k *SumVecMul) Rebind(m *Matrix) {
-	k.m = m
-	k.bounds = par.OffsetSplits(m.Offsets, k.pool.Workers())
 }
 
 // WithTracer attaches a backend.spmv.nnz counter (nil tracer detaches).
@@ -131,9 +53,6 @@ func (k *SumVecMul) WithTracer(tr *trace.Tracer) *SumVecMul {
 	k.nnz = tr.Counter("backend.spmv.nnz")
 	return k
 }
-
-// Into computes y[r] = Σ x[c] over row r's stored columns.
-func (k *SumVecMul) Into(y, x []float64) { k.MapInto(y, x, nil) }
 
 // MapInto computes y[r] = post(r, Σ x[c]); nil post stores the raw sum.
 func (k *SumVecMul) MapInto(y, x []float64, post func(uint32, float64) float64) {
@@ -192,10 +111,10 @@ func (k *sumAccumulate) runChunk(worker, lo, hi int) {
 }
 
 // SpMVInto is the one-shot generic path: y = m ⊕.⊗ x into the
-// caller-provided y, with edge-balanced row splits via par.ForOffsets.
-// Engines that run the product every iteration should hold a VecMul on a
-// Pool instead; this entry point exists for callers (combblas's free
-// functions) whose API is a single call.
+// caller-provided y, with edge-balanced row splits via par.ForOffsets. It
+// exists for callers (combblas's free functions) whose API is a single
+// call; an engine that runs the product every iteration lowers onto a
+// SumVecMul on a Pool instead.
 func SpMVInto[A, X, Y any](m *Matrix, vals []A, x []X, y []Y, sr Semiring[A, X, Y]) {
 	par.ForOffsets(m.Offsets, func(lo, hi int) {
 		for r := lo; r < hi; r++ {

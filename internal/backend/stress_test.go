@@ -34,7 +34,7 @@ func TestPoolStressRace(t *testing.T) {
 			dist := make([]int32, g.NumVertices)
 			want := refSpMVSum(m, x)
 			for i := 0; i < iters; i++ {
-				k.Into(y, x)
+				k.MapInto(y, x, nil)
 				for j := range want {
 					if y[j] != want[j] {
 						t.Errorf("worker %d iter %d: SpMV drifted at %d", c, i, j)

@@ -9,14 +9,18 @@ import (
 
 // Snapshot persistence (DESIGN.md §14). An epoch is encoded with the
 // checkpoint subsystem's record framing: one uvarint-version header
-// followed by the CSR's typed arrays in little-endian sections. Decoding
-// is hardened the same way checkpoint restores are — every length is
-// validated before allocation, and the rebuilt CSR is re-validated, so a
-// corrupt epoch surfaces as an error, never a panic. Weights are not
-// framed because versioned graphs are unweighted by construction.
+// followed by the CSR's typed arrays in little-endian sections, and a
+// CRC-32 of all of it. Decoding is hardened the same way checkpoint
+// restores are — every length is validated before allocation, the
+// checksum is compared, and the rebuilt CSR is re-validated, so a corrupt
+// epoch surfaces as an error, never a panic. The checksum is what catches
+// a flipped bit inside a target id that stays in range: without it that
+// frame decodes to a valid but different graph. Weights are not framed
+// because versioned graphs are unweighted by construction.
 
 // snapshotCodecVersion guards the layout; bump on any framing change.
-const snapshotCodecVersion = 1
+// Version 1 had no checksum and is refused like any other unknown version.
+const snapshotCodecVersion = 2
 
 // EncodeSnapshot appends the snapshot's framed representation to dst and
 // returns the extended slice. The encoding is deterministic: the same
@@ -26,6 +30,7 @@ func EncodeSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
 	if g.Weights != nil {
 		return nil, fmt.Errorf("graph: weighted snapshots are not encodable")
 	}
+	start := len(dst)
 	dst = codec.AppendUvarint(dst, snapshotCodecVersion)
 	dst = codec.AppendUint64(dst, uint64(s.epoch))
 	dst = codec.AppendUint32(dst, g.NumVertices)
@@ -37,7 +42,7 @@ func EncodeSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
 	dst = codec.AppendUvarint(dst, flags)
 	dst = codec.AppendInt64s(dst, g.Offsets)
 	dst = codec.AppendUint32s(dst, g.Targets)
-	return dst, nil
+	return codec.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:])), nil
 }
 
 // DecodeSnapshot rebuilds a snapshot encoded by EncodeSnapshot and
@@ -45,6 +50,7 @@ func EncodeSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
 // fresh arrays (a restored epoch is as immutable as a live one) and is
 // fully validated before being returned.
 func DecodeSnapshot(data []byte) (*Snapshot, []byte, error) {
+	frame := data
 	version, data, err := codec.Uvarint(data)
 	if err != nil {
 		return nil, nil, err
@@ -72,9 +78,16 @@ func DecodeSnapshot(data []byte) (*Snapshot, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	targets, rest, err := codec.Uint32s(data)
+	targets, data, err := codec.Uint32s(data)
 	if err != nil {
 		return nil, nil, err
+	}
+	sum, rest, err := codec.Uint32(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if want := crc32.ChecksumIEEE(frame[:len(frame)-len(data)]); sum != want {
+		return nil, nil, fmt.Errorf("graph: snapshot checksum %08x, want %08x", sum, want)
 	}
 	g := &CSR{
 		NumVertices: numVertices,
@@ -112,9 +125,8 @@ type DeltaRecord struct {
 
 // EncodeDelta appends the framed record of the epoch advance that produced
 // s — added is what ApplyDelta returned with it — and returns the extended
-// slice. The frame ends in a CRC-32 of everything before it: a record is
-// too small for a flipped bit to land in a length field and be caught by
-// the bounds checks a snapshot relies on.
+// slice. The frame ends in a CRC-32 of everything before it, as a
+// snapshot's does.
 func EncodeDelta(dst []byte, s *Snapshot, added []Edge) []byte {
 	start := len(dst)
 	dst = codec.AppendUvarint(dst, deltaCodecVersion)

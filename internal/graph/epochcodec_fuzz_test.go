@@ -15,7 +15,11 @@ import (
 // inferred from what was returned); and what was accepted re-encodes to
 // bytes that decode to themselves, no longer than the frame they came
 // from. Byte identity with the input holds for canonical input only —
-// uvarints have over-long spellings — and the canonical seed pins it.
+// uvarints have over-long spellings — and the canonical seed pins it. This
+// target is what found that a version-1 frame had no checksum (a flipped
+// in-range target id decoded to a different valid graph); the last seeds
+// are that flip and a version-1 header, both of which must now fail, and
+// TestSnapshotCodecRejectsEveryBitFlip pins every flip of a small frame.
 // Run it with -fuzzminimizetime 1s (make fuzz-smoke does): the seeds are
 // kilobytes, and the default minute spent minimising each interesting
 // input otherwise leaves a short run almost no executions.
@@ -39,6 +43,16 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(flipped)
 	// A header followed by an offsets array that claims 2^60 entries.
 	f.Add(append(bytes.Clone(blob[:18]), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10))
+	targetFlip := bytes.Clone(blob)
+	targetFlip[len(blob)-5] ^= 0x01 // low bit of the last target id, checksum left alone
+	v1 := bytes.Clone(blob)
+	v1[0] = 1 // the checksum-less layout
+	for _, bad := range [][]byte{targetFlip, v1} {
+		if _, _, err := graph.DecodeSnapshot(bad); err == nil {
+			f.Fatal("a damaged or version-1 seed decoded")
+		}
+		f.Add(bad)
+	}
 
 	var before, after runtime.MemStats
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,7 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -80,17 +83,38 @@ func TestSnapshotCodecCorruptInput(t *testing.T) {
 			t.Fatalf("truncation to %d bytes decoded", cut)
 		}
 	}
-	// A frame whose arrays decode but describe an invalid CSR must fail
-	// validation: point a target outside the vertex space.
+	// A frame whose arrays decode and whose checksum holds but that
+	// describes an invalid CSR must fail validation: point a target outside
+	// the vertex space and re-seal the frame.
 	bad := append([]byte(nil), blob...)
-	bad[len(bad)-1] = 0xEE
-	if _, _, err := DecodeSnapshot(bad); err == nil {
-		t.Fatal("out-of-range target decoded")
+	bad[len(bad)-5] = 0xEE
+	binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.ChecksumIEEE(bad[:len(bad)-4]))
+	if _, _, err := DecodeSnapshot(bad); err == nil || !strings.Contains(err.Error(), "invalid") {
+		t.Fatalf("out-of-range target: err = %v, want a validation error", err)
 	}
 	// Unknown version.
 	verBad := append([]byte{0x7F}, blob[1:]...)
 	if _, _, err := DecodeSnapshot(verBad); err == nil {
 		t.Fatal("unknown codec version decoded")
+	}
+}
+
+// TestSnapshotCodecRejectsEveryBitFlip: every single flipped bit of a
+// small encoded snapshot is an error. Before the frame had its checksum a
+// flip inside a target id that stayed in range decoded to a valid but
+// different graph, which -warm-start would then have served.
+func TestSnapshotCodecRejectsEveryBitFlip(t *testing.T) {
+	g := buildSorted(t, 6, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {5, 1}}, BuildOptions{})
+	blob, err := EncodeSnapshot(nil, NewSnapshot(3, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bit := 0; bit < 8*len(blob); bit++ {
+		bad := bytes.Clone(blob)
+		bad[bit/8] ^= 1 << (bit % 8)
+		if _, _, err := DecodeSnapshot(bad); err == nil {
+			t.Errorf("snapshot with bit %d flipped decoded", bit)
+		}
 	}
 }
 

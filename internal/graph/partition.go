@@ -78,6 +78,29 @@ func (p *Partition1D) EdgeCut(g *CSR) int64 {
 	return cut
 }
 
+// SendIDs returns, for every owning part s and consuming part d, the sorted
+// vertices owned by s that have an out-neighbour in g owned by d: the
+// boundary values s ships to d each round of a 1-D distributed run.
+// sendIDs[s][s] is empty, and so is every pair no edge crosses.
+func (p *Partition1D) SendIDs(g *CSR) (sendIDs [][][]uint32) {
+	sendIDs = make([][][]uint32, p.NumParts)
+	for s := range sendIDs {
+		sendIDs[s] = make([][]uint32, p.NumParts)
+	}
+	for v := uint32(0); v < g.NumVertices; v++ {
+		s := p.Owner(v)
+		for _, t := range g.Neighbors(v) {
+			// Vertices arrive in ascending order, so every list stays sorted
+			// and a repeat of v can only be its last entry.
+			d := p.Owner(t)
+			if ids := sendIDs[s][d]; d != s && (len(ids) == 0 || ids[len(ids)-1] != v) {
+				sendIDs[s][d] = append(ids, v)
+			}
+		}
+	}
+	return sendIDs
+}
+
 // ReplicatedPartition is 1-D vertex partitioning plus replication of
 // high-degree vertices on every node, GraphLab's mitigation for power-law
 // load imbalance (paper §6.1.1, "Partitioning schemes"). Replicated

@@ -1,6 +1,10 @@
 package graph
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 func chain(t *testing.T, n uint32) *CSR {
 	t.Helper()
@@ -138,6 +142,47 @@ func TestEdgeCut(t *testing.T) {
 	p1, _ := NewPartition1D(g, 1)
 	if cut := p1.EdgeCut(g); cut != 0 {
 		t.Errorf("EdgeCut single part = %d, want 0", cut)
+	}
+}
+
+// TestGhostPlanCoversBoundaryEdges pins SendIDs, the boundary plan native
+// PageRank and GraphLab's ghost sync both ship by: sendIDs[s][d] is
+// exactly the sorted, distinct vertices owned by s with an out-edge into
+// d — every cross-partition edge's source is listed, and nothing else is.
+func TestGhostPlanCoversBoundaryEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	edges := make([]Edge, 0, 2048)
+	for i := 0; i < cap(edges); i++ {
+		edges = append(edges, Edge{uint32(rng.Intn(256)), uint32(rng.Intn(256))})
+	}
+	g, err := FromEdges(256, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := NewPartition1D(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][][]uint32, part.NumParts)
+	for s := range want {
+		want[s] = make([][]uint32, part.NumParts)
+	}
+	for v := uint32(0); v < g.NumVertices; v++ {
+		s := part.Owner(v)
+		for _, tgt := range g.Neighbors(v) {
+			if d := part.Owner(tgt); d != s && !slices.Contains(want[s][d], v) {
+				want[s][d] = append(want[s][d], v)
+			}
+		}
+	}
+	got := part.SendIDs(g)
+	for s := range want {
+		for d := range want[s] {
+			slices.Sort(want[s][d])
+			if !slices.Equal(got[s][d], want[s][d]) {
+				t.Fatalf("sendIDs[%d][%d] = %v, want %v", s, d, got[s][d], want[s][d])
+			}
+		}
 	}
 }
 

@@ -258,33 +258,6 @@ func TestCollabFilterCluster(t *testing.T) {
 	}
 }
 
-func TestGhostPlanCoversBoundaryEdges(t *testing.T) {
-	g := fixtureDirected(t)
-	part, err := graph.NewPartition1D(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := buildGhostPlan(g, part)
-	// Every cross-partition edge's source must appear in sendIDs[s][d].
-	inPlan := func(s, d int, v uint32) bool {
-		for _, id := range plan.sendIDs[s][d] {
-			if id == v {
-				return true
-			}
-		}
-		return false
-	}
-	for v := uint32(0); v < g.NumVertices; v++ {
-		s := part.Owner(v)
-		for _, tgt := range g.Neighbors(v) {
-			d := part.Owner(tgt)
-			if d != s && !inPlan(s, d, v) {
-				t.Fatalf("boundary vertex %d (owner %d) missing from plan to %d", v, s, d)
-			}
-		}
-	}
-}
-
 func TestRunLocalQuiescence(t *testing.T) {
 	// A program that never changes must stop after one round.
 	g, _ := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1}})

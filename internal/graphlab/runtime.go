@@ -9,7 +9,6 @@ package graphlab
 
 import (
 	"fmt"
-	"slices"
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/bitvec"
@@ -156,49 +155,6 @@ func runLocal[V, G any](pool *backend.Pool, g, in *graph.CSR, outDeg []int64, sp
 	return runResult[V]{vals: vals, rounds: rounds}
 }
 
-// ghostPlan precomputes, for every owner node s and consumer node d, the
-// sorted vertex ids owned by s whose values d's gathers read.
-type ghostPlan struct {
-	part    *graph.Partition1D
-	sendIDs [][][]uint32
-}
-
-func buildGhostPlan(g *graph.CSR, part *graph.Partition1D) *ghostPlan {
-	nodes := part.NumParts
-	need := make([]map[uint32]struct{}, nodes*nodes)
-	for v := uint32(0); v < g.NumVertices; v++ {
-		s := part.Owner(v)
-		for _, t := range g.Neighbors(v) {
-			d := part.Owner(t)
-			if d == s {
-				continue
-			}
-			idx := s*nodes + d
-			if need[idx] == nil {
-				need[idx] = make(map[uint32]struct{})
-			}
-			need[idx][v] = struct{}{}
-		}
-	}
-	plan := &ghostPlan{part: part, sendIDs: make([][][]uint32, nodes)}
-	for s := 0; s < nodes; s++ {
-		plan.sendIDs[s] = make([][]uint32, nodes)
-		for d := 0; d < nodes; d++ {
-			m := need[s*nodes+d]
-			if len(m) == 0 {
-				continue
-			}
-			ids := make([]uint32, 0, len(m))
-			for v := range m {
-				ids = append(ids, v)
-			}
-			slices.Sort(ids)
-			plan.sendIDs[s][d] = ids
-		}
-	}
-	return plan
-}
-
 // runCluster executes the program on a simulated cluster: per round each
 // node gathers and applies its owned active vertices, then pushes changed
 // boundary values to consumers (GraphLab's ghost synchronization, with
@@ -213,14 +169,15 @@ func runCluster[V, G any](g *graph.CSR, in *graph.CSR, spec Spec[V, G], c *clust
 	for i := range vals {
 		vals[i] = spec.Init(uint32(i))
 	}
-	plan := buildGhostPlan(g, part)
+	// sendIDs[s][d]: the vertices owned by s whose values d's gathers read.
+	sendIDs := part.SendIDs(g)
 
 	for node := 0; node < c.Nodes(); node++ {
 		lo, hi := part.Range(node)
 		edges := in.Offsets[hi] - in.Offsets[lo]
 		var ghost int64
 		for s := 0; s < c.Nodes(); s++ {
-			ghost += int64(len(plan.sendIDs[s][node])) * int64(4+spec.ValueBytes)
+			ghost += int64(len(sendIDs[s][node])) * int64(4+spec.ValueBytes)
 		}
 		c.SetBaselineMemory(node, edges*8+int64(hi-lo)*int64(spec.ValueBytes+16)+ghost)
 	}
@@ -295,7 +252,7 @@ func runCluster[V, G any](g *graph.CSR, in *graph.CSR, spec Spec[V, G], c *clust
 			}
 			// Ghost sync: changed boundary values flow to consumers.
 			for d := 0; d < c.Nodes(); d++ {
-				ids := plan.sendIDs[node][d]
+				ids := sendIDs[node][d]
 				if len(ids) == 0 {
 					continue
 				}

@@ -1,7 +1,6 @@
 package native
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"graphmaze/internal/backend"
@@ -10,8 +9,8 @@ import (
 
 // Connected components for epoch-versioned graphs. Labels are canonical —
 // every vertex ends up labeled with the minimum vertex id of its
-// component — which is what makes the incremental kernel's conformance
-// pin bit-identical: any algorithm computing min-id labels on the same
+// component — which is what makes RepairCC's conformance pin
+// bit-identical: any algorithm computing min-id labels on the same
 // graph produces the same array.
 
 // ConnectedComponents computes min-id labels with synchronous min-label
@@ -107,56 +106,4 @@ func RepairCC(preds *backend.Matrix, labels []uint32, added []graph.Edge) []uint
 		}
 	}
 	return labels
-}
-
-// IncrementalCC maintains min-id component labels across the epochs of a
-// versioned, symmetrized, insert-only graph: the first Update runs the
-// full sweep kernel on the backend pool, every later one is a RepairCC
-// that floods through the snapshot's own adjacency. That shortcut is what
-// restricts it to symmetric graphs, and Update checks it rather than
-// trusting it — the whole graph once on the cold start, each delta
-// thereafter. A caller with a directed graph and its in-edge matrix at
-// hand calls RepairCC directly.
-type IncrementalCC struct {
-	pool *backend.Pool
-
-	epoch  graph.Epoch
-	primed bool
-	labels []uint32
-}
-
-// NewIncrementalCC builds the kernel on the caller's pool, which must
-// outlive it.
-func NewIncrementalCC(pool *backend.Pool) *IncrementalCC {
-	return &IncrementalCC{pool: pool}
-}
-
-// Epoch reports the last epoch Update refreshed against.
-func (c *IncrementalCC) Epoch() graph.Epoch { return c.epoch }
-
-// Update refreshes the labels for the given epoch; added is the epoch's
-// cleaned delta (ApplyDelta's output). It fails, leaving its state alone,
-// when the snapshot is not symmetric. The returned slice is kernel state,
-// valid until the next Update.
-func (c *IncrementalCC) Update(s *graph.Snapshot, added []graph.Edge) ([]uint32, error) {
-	g := s.CSR()
-	if g.NumVertices == 0 {
-		return nil, fmt.Errorf("native: incremental cc on an empty graph")
-	}
-	if !c.primed {
-		if !g.Symmetric() {
-			return nil, fmt.Errorf("native: incremental cc needs a symmetric graph; epoch %d has an edge without its reverse", s.Epoch())
-		}
-		c.labels = ConnectedComponents(c.pool, backend.FromSnapshot(s))
-		c.primed = true
-	} else {
-		for _, e := range added {
-			if !g.HasEdge(e.Dst, e.Src) {
-				return nil, fmt.Errorf("native: incremental cc needs a symmetric graph; epoch %d adds %d->%d without its reverse", s.Epoch(), e.Src, e.Dst)
-			}
-		}
-		c.labels = RepairCC(backend.FromSnapshot(s), c.labels, added)
-	}
-	c.epoch = s.Epoch()
-	return c.labels, nil
 }

@@ -73,19 +73,19 @@ func BenchmarkStreamPageRankRefresh(b *testing.B) {
 	s := newStreamBench(b, 12)
 	pool := backend.NewPool(0)
 	defer pool.Close()
-	var pr *IncrementalPageRank
+	var ranks []float64
+	refresh := func(snap *graph.Snapshot) {
+		g := snap.CSR()
+		var err error
+		if ranks, _, err = WarmPageRank(pool, backend.FromCSR(g.Transpose()), g.OutDegrees(), 0.3, 1e-9, 1000, ranks); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snap, _ := s.next(b, i, func() {
-			pr = NewIncrementalPageRank(pool, IncrementalPROptions{Tolerance: 1e-9})
-			if _, _, err := pr.Update(s.v.Current()); err != nil {
-				b.Fatal(err)
-			}
-		})
-		if _, _, err := pr.Update(snap); err != nil {
-			b.Fatal(err)
-		}
+		snap, _ := s.next(b, i, func() { ranks = nil; refresh(s.v.Current()) })
+		refresh(snap)
 	}
 }
 
@@ -95,40 +95,31 @@ func BenchmarkStreamBFSRepair(b *testing.B) {
 	s := newStreamBench(b, 12)
 	pool := backend.NewPool(0)
 	defer pool.Close()
-	var bfs *IncrementalBFS
+	var dist []int32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap, added := s.next(b, i, func() {
-			bfs = NewIncrementalBFS(pool, 0)
-			if _, err := bfs.Update(s.v.Current(), nil); err != nil {
-				b.Fatal(err)
-			}
+			dist, _ = BFS(pool, backend.FromSnapshot(s.v.Current()), 0, "native.bfs.level", nil)
 		})
-		if _, err := bfs.Update(snap, added); err != nil {
-			b.Fatal(err)
-		}
+		dist = RepairBFS(backend.FromSnapshot(snap), dist, added)
 	}
 }
 
 // BenchmarkStreamCCRepair measures ingest + component-label repair per
-// delta batch.
+// delta batch (the stream is symmetrized, so each snapshot is its own
+// in-edge matrix).
 func BenchmarkStreamCCRepair(b *testing.B) {
 	s := newStreamBench(b, 12)
 	pool := backend.NewPool(0)
 	defer pool.Close()
-	var cc *IncrementalCC
+	var labels []uint32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap, added := s.next(b, i, func() {
-			cc = NewIncrementalCC(pool)
-			if _, err := cc.Update(s.v.Current(), nil); err != nil {
-				b.Fatal(err)
-			}
+			labels = ConnectedComponents(pool, backend.FromSnapshot(s.v.Current()))
 		})
-		if _, err := cc.Update(snap, added); err != nil {
-			b.Fatal(err)
-		}
+		labels = RepairCC(backend.FromSnapshot(snap), labels, added)
 	}
 }

@@ -3,6 +3,7 @@ package native
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -58,22 +59,31 @@ func buildStream(t *testing.T, n uint32, baseEdges, epochs, deltaEdges int, opts
 	return v, deltas
 }
 
+// warmPR is WarmPageRank on snapshot s at the tolerance the conformance
+// tests pin: the transpose and out-degrees are built per epoch, as every
+// caller does.
+func warmPR(t *testing.T, pool *backend.Pool, s *graph.Snapshot, tol float64, ranks []float64) ([]float64, int) {
+	t.Helper()
+	g := s.CSR()
+	ranks, sweeps, err := WarmPageRank(pool, backend.FromCSR(g.Transpose()), g.OutDegrees(), 0.3, tol, 1000, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ranks, sweeps
+}
+
 func TestIncrementalPageRankConformance(t *testing.T) {
 	for _, procs := range conformanceProcs {
 		prev := runtime.GOMAXPROCS(procs)
 		func() {
 			defer runtime.GOMAXPROCS(prev)
 			v, deltas := buildStream(t, 150, 900, 3, 64, graph.DeltaOptions{DropSelfLoops: true}, 7)
-			opt := IncrementalPROptions{Tolerance: 1e-10}
+			const tol = 1e-10
 			pool := backend.NewPool(0)
 			defer pool.Close()
-			warm := NewIncrementalPageRank(pool, opt)
 
 			check := func(s *graph.Snapshot, warmSweeps int, ranks []float64) {
-				ref, coldSweeps, err := NewIncrementalPageRank(pool, opt).Update(s)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ref, coldSweeps := warmPR(t, pool, s, tol, nil)
 				// Both runs converge to the same unique fixpoint; the bound
 				// is a small multiple of the tolerance (contraction margin).
 				if d := maxAbsDiff(pool, ranks, ref); d > 1e-7 {
@@ -88,22 +98,20 @@ func TestIncrementalPageRankConformance(t *testing.T) {
 				}
 			}
 
-			ranks, sweeps, err := warm.Update(v.Current())
-			if err != nil {
-				t.Fatal(err)
+			// A cold start is PageRank itself, bit for bit: on all-ones
+			// ranks the mass deficit is exactly 0.
+			g := v.Current().CSR()
+			ranks, sweeps := warmPR(t, pool, v.Current(), tol, nil)
+			cold, coldSweeps := PageRank(pool, backend.FromCSR(g.Transpose()), g.OutDegrees(), 0.3, tol, 1000, nil)
+			if !slices.Equal(ranks, cold) || sweeps != coldSweeps {
+				t.Fatalf("procs=%d: WarmPageRank(nil) differs from a cold PageRank", procs)
 			}
-			check(v.Current(), sweeps, ranks)
 			for _, d := range deltas {
 				snap, _, _, err := v.ApplyDelta(d)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ranks, sweeps, err = warm.Update(snap); err != nil {
-					t.Fatal(err)
-				}
-				if warm.Epoch() != snap.Epoch() {
-					t.Fatalf("kernel epoch %d, snapshot %d", warm.Epoch(), snap.Epoch())
-				}
+				ranks, sweeps = warmPR(t, pool, snap, tol, ranks)
 				check(snap, sweeps, ranks)
 			}
 		}()
@@ -120,19 +128,13 @@ func TestIncrementalBFSConformance(t *testing.T) {
 			const source = 0
 			pool := backend.NewPool(0)
 			defer pool.Close()
-			inc := NewIncrementalBFS(pool, source)
-			if _, err := inc.Update(v.Current(), nil); err != nil {
-				t.Fatal(err)
-			}
+			dist, _ := BFS(pool, backend.FromSnapshot(v.Current()), source, "native.bfs.level", nil)
 			for _, d := range deltas {
 				snap, added, _, err := v.ApplyDelta(d)
 				if err != nil {
 					t.Fatal(err)
 				}
-				dist, err := inc.Update(snap, added)
-				if err != nil {
-					t.Fatal(err)
-				}
+				dist = RepairBFS(backend.FromSnapshot(snap), dist, added)
 				ref, _ := BFS(pool, backend.FromSnapshot(snap), source, "native.bfs.level", nil)
 				if len(dist) != len(ref) {
 					t.Fatalf("procs=%d epoch=%d length %d vs %d", procs, snap.Epoch(), len(dist), len(ref))
@@ -158,19 +160,14 @@ func TestIncrementalCCConformance(t *testing.T) {
 				graph.DeltaOptions{Symmetrize: true, DropSelfLoops: true}, 13)
 			pool := backend.NewPool(0)
 			defer pool.Close()
-			inc := NewIncrementalCC(pool)
-			if _, err := inc.Update(v.Current(), nil); err != nil {
-				t.Fatal(err)
-			}
+			labels := ConnectedComponents(pool, backend.FromSnapshot(v.Current()))
 			for _, d := range deltas {
 				snap, added, _, err := v.ApplyDelta(d)
 				if err != nil {
 					t.Fatal(err)
 				}
-				labels, err := inc.Update(snap, added)
-				if err != nil {
-					t.Fatal(err)
-				}
+				// Symmetrized: the snapshot's own matrix is its in-edge matrix.
+				labels = RepairCC(backend.FromSnapshot(snap), labels, added)
 				ref := ConnectedComponents(pool, backend.FromSnapshot(snap))
 				if len(labels) != len(ref) {
 					t.Fatalf("procs=%d epoch=%d length %d vs %d", procs, snap.Epoch(), len(labels), len(ref))
@@ -203,23 +200,16 @@ func TestIncrementalBFSDisconnectedThenBridged(t *testing.T) {
 	}
 	pool := backend.NewPool(0)
 	defer pool.Close()
-	inc := NewIncrementalBFS(pool, 0)
-	dist, err := inc.Update(v.Current(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dist, _ := BFS(pool, backend.FromSnapshot(v.Current()), 0, "native.bfs.level", nil)
 	if dist[3] != -1 || dist[5] != -1 {
 		t.Fatalf("island must start unreachable: %v", dist)
 	}
-	// A delta entirely inside the unreached island seeds no repair at all
-	// (the maxLevel = -1 path).
+	// A delta entirely inside the unreached island seeds no repair at all.
 	snap, added, _, err := v.ApplyDelta([]graph.Edge{{Src: 3, Dst: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dist, err = inc.Update(snap, added); err != nil {
-		t.Fatal(err)
-	}
+	dist = RepairBFS(backend.FromSnapshot(snap), dist, added)
 	if dist[3] != -1 || dist[5] != -1 {
 		t.Fatalf("island must stay unreachable before the bridge: %v", dist)
 	}
@@ -227,10 +217,7 @@ func TestIncrementalBFSDisconnectedThenBridged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err = inc.Update(snap, added)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dist = RepairBFS(backend.FromSnapshot(snap), dist, added)
 	// 5 is reached through the island edge 3–5 added above, not the chain.
 	want := []int32{0, 1, 2, 3, 4, 4}
 	for i, w := range want {
@@ -241,8 +228,8 @@ func TestIncrementalBFSDisconnectedThenBridged(t *testing.T) {
 }
 
 // TestIncrementalKernelsRaceStress runs readers over Current() while a
-// writer applies deltas and refreshes all three kernels — the epoch
-// contract under -race: snapshots are immutable, kernels hold no
+// writer applies deltas and refreshes all three carried vectors — the
+// epoch contract under -race: snapshots are immutable, the kernels hold no
 // snapshot, readers never block.
 func TestIncrementalKernelsRaceStress(t *testing.T) {
 	v, deltas := buildStream(t, 128, 512, 12, 32,
@@ -276,32 +263,17 @@ func TestIncrementalKernelsRaceStress(t *testing.T) {
 
 	pool := backend.NewPool(0)
 	defer pool.Close()
-	pr := NewIncrementalPageRank(pool, IncrementalPROptions{Tolerance: 1e-8})
-	bfs := NewIncrementalBFS(pool, 0)
-	cc := NewIncrementalCC(pool)
-	if _, _, err := pr.Update(v.Current()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bfs.Update(v.Current(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cc.Update(v.Current(), nil); err != nil {
-		t.Fatal(err)
-	}
+	ranks, _ := warmPR(t, pool, v.Current(), 1e-8, nil)
+	dist, _ := BFS(pool, backend.FromSnapshot(v.Current()), 0, "native.bfs.level", nil)
+	labels := ConnectedComponents(pool, backend.FromSnapshot(v.Current()))
 	for _, d := range deltas {
 		snap, added, _, err := v.ApplyDelta(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := pr.Update(snap); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := bfs.Update(snap, added); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cc.Update(snap, added); err != nil {
-			t.Fatal(err)
-		}
+		ranks, _ = warmPR(t, pool, snap, 1e-8, ranks)
+		dist = RepairBFS(backend.FromSnapshot(snap), dist, added)
+		labels = RepairCC(backend.FromSnapshot(snap), labels, added)
 	}
 	close(stop)
 	wg.Wait()

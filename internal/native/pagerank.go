@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
 
 	"graphmaze/internal/backend"
@@ -171,55 +170,6 @@ func maxAbsDiff(pool *backend.Pool, a, b []float64) float64 {
 	return math.Float64frombits(worst.Load())
 }
 
-// prExchange is the precomputed boundary-communication plan for
-// distributed PageRank: sendIDs[s][d] lists (sorted) the vertices owned by
-// node s whose contributions node d needs.
-type prExchange struct {
-	part    *graph.Partition1D
-	sendIDs [][][]uint32
-	// idPayloads caches the compressed encoding of each (static) id list:
-	// the structure never changes across iterations, so real native code
-	// encodes it once and ships only fresh values each round.
-	idPayloads [][][]byte
-}
-
-func buildPRExchange(g *graph.CSR, part *graph.Partition1D) *prExchange {
-	nodes := part.NumParts
-	need := make([]map[uint32]struct{}, nodes*nodes)
-	for v := uint32(0); v < g.NumVertices; v++ {
-		s := part.Owner(v)
-		for _, t := range g.Neighbors(v) {
-			d := part.Owner(t)
-			if d == s {
-				continue
-			}
-			idx := s*nodes + d
-			if need[idx] == nil {
-				need[idx] = make(map[uint32]struct{})
-			}
-			need[idx][v] = struct{}{}
-		}
-	}
-	ex := &prExchange{part: part, sendIDs: make([][][]uint32, nodes), idPayloads: make([][][]byte, nodes)}
-	for s := 0; s < nodes; s++ {
-		ex.sendIDs[s] = make([][]uint32, nodes)
-		ex.idPayloads[s] = make([][]byte, nodes)
-		for d := 0; d < nodes; d++ {
-			m := need[s*nodes+d]
-			if len(m) == 0 {
-				continue
-			}
-			ids := make([]uint32, 0, len(m))
-			for v := range m {
-				ids = append(ids, v)
-			}
-			slices.Sort(ids)
-			ex.sendIDs[s][d] = ids
-		}
-	}
-	return ex
-}
-
 // pageRankCluster runs the paper's distributed native PageRank: 1-D
 // vertex partitioning balanced by edges, boundary contribution exchange
 // each iteration, optional message compression and overlap.
@@ -236,7 +186,13 @@ func (e *Engine) pageRankCluster(g *graph.CSR, opt core.PageRankOptions) (*core.
 	}
 	in := g.Transpose()
 	outDeg := g.OutDegrees()
-	ex := buildPRExchange(g, part)
+	// sendIDs[s][d] is the boundary plan: the vertices owned by node s
+	// whose contributions node d needs. idPayloads[s*nodes+d] caches the
+	// compressed encoding of that (static) id list: the structure never
+	// changes across iterations, so real native code encodes it once and
+	// ships only fresh values each round.
+	sendIDs := part.SendIDs(g)
+	idPayloads := make([][]byte, c.Nodes()*c.Nodes())
 	n := int(g.NumVertices)
 
 	pr := make([]float64, n)
@@ -265,7 +221,7 @@ func (e *Engine) pageRankCluster(g *graph.CSR, opt core.PageRankOptions) (*core.
 		state := int64(hi-lo) * 24 // pr + next + contrib
 		var ghost int64
 		for s := 0; s < c.Nodes(); s++ {
-			ghost += int64(len(ex.sendIDs[s][node])) * 12
+			ghost += int64(len(sendIDs[s][node])) * 12
 		}
 		c.SetBaselineMemory(node, edges*4+int64(hi-lo+1)*8+state+ghost)
 	}
@@ -349,18 +305,19 @@ func (e *Engine) pageRankCluster(g *graph.CSR, opt core.PageRankOptions) (*core.
 				return nil // final iteration: nothing left to exchange
 			}
 			for d := 0; d < c.Nodes(); d++ {
-				ids := ex.sendIDs[node][d]
+				ids := sendIDs[node][d]
 				if len(ids) == 0 {
 					continue
 				}
-				if e.tuning.Compression && ex.idPayloads[node][d] == nil {
+				cached := &idPayloads[node*c.Nodes()+d]
+				if e.tuning.Compression && *cached == nil {
 					idBytes, err := codec.EncodeIDsAuto(ids, g.NumVertices)
 					if err != nil {
 						return err
 					}
-					ex.idPayloads[node][d] = idBytes
+					*cached = idBytes
 				}
-				payload, err := e.encodePRMessage(ids, ex.idPayloads[node][d], contrib)
+				payload, err := e.encodePRMessage(ids, *cached, contrib)
 				if err != nil {
 					return err
 				}

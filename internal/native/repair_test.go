@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"graphmaze/internal/backend"
@@ -68,8 +67,8 @@ func directedStream(t *testing.T, seed int64) (*graph.Versioned, [][]graph.Edge)
 // floods predecessors through the in-CSR. Repaired labels must equal a
 // cold run bit for bit at every epoch, one delta at a time and with
 // several skipped epochs repaired at once from the union of their deltas.
-// (Flooding out-edges, as IncrementalCC did before it refused directed
-// graphs, fails this on the first delta that lowers a label.)
+// (Flooding out-edges instead fails this on the first delta that lowers a
+// label.)
 func TestRepairCCDirectedConformance(t *testing.T) {
 	for _, procs := range conformanceProcs {
 		prev := runtime.GOMAXPROCS(procs)
@@ -148,48 +147,5 @@ func TestRepairBFSDirectedConformance(t *testing.T) {
 				}
 			}
 		}()
-	}
-}
-
-// TestIncrementalCCRefusesDirected: the wrapper floods through the
-// snapshot's own adjacency, which is only the in-CSR when the graph is
-// symmetric, so it must say no to anything else — on the cold start and
-// on a later delta that breaks the symmetry.
-func TestIncrementalCCRefusesDirected(t *testing.T) {
-	pool := backend.NewPool(0)
-	defer pool.Close()
-
-	v, _ := directedStream(t, 31)
-	if _, err := NewIncrementalCC(pool).Update(v.Current(), nil); err == nil || !strings.Contains(err.Error(), "symmetric") {
-		t.Errorf("cold start on a directed graph: err = %v, want a refusal", err)
-	}
-
-	// Symmetric base, but ingested without Symmetrize: the first delta adds
-	// an edge with no reverse.
-	b := graph.NewBuilder(4)
-	b.AddEdges([]graph.Edge{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}})
-	base, err := b.Build(graph.BuildOptions{Dedup: true, Orientation: graph.Symmetrize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := graph.NewVersioned(base, graph.DeltaOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := NewIncrementalCC(pool)
-	before, err := cc.Update(one.Current(), nil)
-	if err != nil {
-		t.Fatalf("cold start on a symmetric graph: %v", err)
-	}
-	before = slices.Clone(before)
-	snap, added, _, err := one.ApplyDelta([]graph.Edge{{Src: 3, Dst: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cc.Update(snap, added); err == nil {
-		t.Error("a delta edge without its reverse was accepted")
-	}
-	if cc.Epoch() != 0 || !slices.Equal(cc.labels, before) {
-		t.Error("a refused update changed the kernel's state")
 	}
 }

@@ -21,9 +21,6 @@ type AdmissionConfig struct {
 	MaxInFlight int
 	// QueueDepth bounds queued (admitted-later) requests across tenants.
 	QueueDepth int
-	// Weights maps tenant names to fair-share weights (>0); unlisted
-	// tenants get 1.
-	Weights map[string]float64
 	// Registry receives serve.inflight / serve.queued gauges, the
 	// serve.queue_wait_ns histogram, and the serve.shed / serve.admitted
 	// counters.
@@ -31,18 +28,17 @@ type AdmissionConfig struct {
 }
 
 // Admission is the service's bounded-queue admission controller with
-// per-tenant weighted fair scheduling. It implements start-time fair
-// queuing: each tenant's requests carry virtual start tags spaced by
-// 1/weight within the tenant, frozen at arrival, and the dispatcher
-// always releases the queued request with the smallest tag. A tenant flooding the queue only advances its own
-// virtual time, so a light tenant's next request keeps a small tag and
-// overtakes the flood — weighted max-min fairness without priorities or
-// preemption.
+// per-tenant fair scheduling. It implements start-time fair queuing with
+// one equal share per tenant: each tenant's requests carry virtual start
+// tags spaced by 1 within the tenant, frozen at arrival, and the
+// dispatcher always releases the queued request with the smallest tag. A
+// tenant flooding the queue only advances its own virtual time, so a
+// light tenant's next request keeps a small tag and overtakes the flood —
+// max-min fairness without priorities or preemption.
 type Admission struct {
 	mu       sync.Mutex
 	max      int
 	depth    int
-	weights  map[string]float64
 	inflight int
 	queued   int
 	vnow     float64
@@ -58,8 +54,7 @@ type Admission struct {
 
 // tenantQueue is one tenant's FIFO of waiters plus its virtual-time state.
 type tenantQueue struct {
-	name   string
-	weight float64
+	name string
 	// finish is the virtual finish tag of the tenant's most recently
 	// charged request (admitted or enqueued); the next request starts at
 	// max(vnow, finish).
@@ -94,7 +89,6 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	a := &Admission{
 		max:     cfg.MaxInFlight,
 		depth:   cfg.QueueDepth,
-		weights: cfg.Weights,
 		tenants: make(map[string]*tenantQueue),
 	}
 	a.inflightG = cfg.Registry.Gauge("serve.inflight")
@@ -110,7 +104,7 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 // could have a request in flight or queued (max + depth), a new name
 // first drops every tenant with nothing queued. A dropped tenant comes
 // back with a fresh tenant's tag, vnow; its last request was admitted, so
-// its finish was at most vnow + 1/weight and it is forgiven at most one
+// its finish was at most vnow + 1 and it is forgiven at most one
 // share — which any client can already claim by sending a new name. The
 // sweep runs only when a name is inserted: traffic from a fixed set of
 // tenants never scans or allocates. The caller holds a.mu.
@@ -125,11 +119,7 @@ func (a *Admission) tenant(name string) *tenantQueue {
 				}
 			}
 		}
-		w := 1.0
-		if a.weights != nil && a.weights[name] > 0 {
-			w = a.weights[name]
-		}
-		t = &tenantQueue{name: name, weight: w}
+		t = &tenantQueue{name: name}
 		a.tenants[name] = t
 	}
 	return t
@@ -146,13 +136,13 @@ func (t *tenantQueue) dropCancelled() {
 }
 
 // chargeLocked assigns the next virtual start tag for tenant t and
-// advances t's finish by one weighted share. The caller holds a.mu.
+// advances t's finish by one share. The caller holds a.mu.
 func (a *Admission) chargeLocked(t *tenantQueue) float64 {
 	tag := t.finish
 	if a.vnow > tag {
 		tag = a.vnow
 	}
-	t.finish = tag + 1/t.weight
+	t.finish = tag + 1
 	return tag
 }
 

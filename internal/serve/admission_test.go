@@ -66,17 +66,13 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 	a.Release()
 }
 
-// TestAdmissionWeightedFairOrder pins the SFQ dispatch order: with the
-// only slot held, alice (weight 2) queues three requests and bob
-// (weight 1) two; on successive releases the grants interleave by frozen
-// virtual start tags — alice gets two grants per virtual time unit, bob
-// one — instead of draining either tenant's backlog first.
+// TestAdmissionWeightedFairOrder pins the SFQ dispatch order with equal
+// shares: with the only slot held, alice queues three requests and bob
+// two; on successive releases the grants interleave by frozen virtual
+// start tags — one grant per tenant per virtual time unit — instead of
+// draining either tenant's backlog first.
 func TestAdmissionWeightedFairOrder(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{
-		MaxInFlight: 1,
-		QueueDepth:  16,
-		Weights:     map[string]float64{"alice": 2, "bob": 1},
-	})
+	a := NewAdmission(AdmissionConfig{MaxInFlight: 1, QueueDepth: 16})
 	ctx := context.Background()
 	if err := a.Acquire(ctx, "carol"); err != nil {
 		t.Fatalf("Acquire carol: %v", err)
@@ -116,10 +112,10 @@ func TestAdmissionWeightedFairOrder(t *testing.T) {
 	a.Release()
 	wg.Wait()
 
-	// Tags: a1=0, a2=0.5, a3=1.0, b1=0, b2=1.0. Ties break by tenant
-	// name, so the fair order is a1, b1, a2, a3, b2 — bob's first request
-	// overtakes alice's backlog despite alice's head start.
-	want := []string{"a1", "b1", "a2", "a3", "b2"}
+	// Tags: a1=0, a2=1, a3=2, b1=0, b2=1. Ties break by tenant name, so
+	// the fair order is a1, b1, a2, b2, a3 — bob's requests overtake
+	// alice's backlog despite alice's head start.
+	want := []string{"a1", "b1", "a2", "b2", "a3"}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Errorf("grant order = %v, want %v", order, want)
 	}

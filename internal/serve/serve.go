@@ -11,11 +11,12 @@
 // Admission is a bounded queue plus a max-in-flight cap: when both are
 // full the request is shed with 429 immediately, so overload degrades
 // into fast rejections instead of collapse. Queued requests are released
-// by per-tenant weighted fair scheduling (start-time fair queuing), so
-// one heavy tenant cannot starve the rest. An admitted query pins the
-// graph's current epoch with a single atomic load — ingestion via
-// ApplyDelta never blocks readers, and a query keeps computing on its
-// pinned snapshot however many epochs advance meanwhile. Results are
+// by per-tenant fair scheduling (start-time fair queuing, one equal share
+// per tenant), so one heavy tenant cannot starve the rest. An admitted
+// query pins the graph's current epoch with a single atomic load —
+// ingestion via ApplyDelta never blocks readers, and a query keeps
+// computing on its pinned snapshot however many epochs advance
+// meanwhile. Results are
 // cached keyed on (graph, epoch, canonical query fingerprint): the epoch
 // in the key means a delta invalidates naturally by changing the key,
 // never by flushing, and because every kernel is pinned bit-identical
@@ -54,9 +55,6 @@ type Config struct {
 	QueueDepth int
 	// CacheEntries bounds the result cache (default 512 entries).
 	CacheEntries int
-	// TenantWeights maps tenant names to fair-share weights; unlisted
-	// tenants get weight 1.
-	TenantWeights map[string]float64
 	// Registry receives the service metrics (latency histograms, queue
 	// gauges, shed/cache counters); nil creates a private one.
 	Registry *obs.Registry
@@ -234,7 +232,6 @@ func New(cfg Config) *Server {
 	s.adm = NewAdmission(AdmissionConfig{
 		MaxInFlight: cfg.MaxInFlight,
 		QueueDepth:  cfg.QueueDepth,
-		Weights:     cfg.TenantWeights,
 		Registry:    cfg.Registry,
 	})
 	s.reg.Gauge("serve.pool.workers").Set(float64(s.pool.Workers()))
