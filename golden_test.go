@@ -115,7 +115,7 @@ func TestGoldenEngineOutputs(t *testing.T) {
 	// The outputs must be bit-identical at every worker count, not just
 	// the one the fixture was captured at.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 4} {
+	for _, procs := range []int{1, 3, 4} {
 		runtime.GOMAXPROCS(procs)
 		got := captureOutputs(t, prG, bfsG)
 		for _, name := range goldenEngines {

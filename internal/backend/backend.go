@@ -36,11 +36,24 @@ type Matrix struct {
 	// for matrices built from prepared graphs — the order the
 	// deterministic per-row folds rely on.
 	Cols []uint32
+
+	// occ holds the row-occupancy words SumVecMul walks, when
+	// WithOccupancy built them; otherwise each kernel builds its own.
+	occ []uint64
 }
 
 // FromCSR wraps a graph's CSR arrays as a backend matrix (no copy).
 func FromCSR(g *graph.CSR) *Matrix {
 	return &Matrix{NumRows: g.NumVertices, Offsets: g.Offsets, Cols: g.Targets}
+}
+
+// WithOccupancy builds m's row-occupancy words (n/8 bytes) once, so every
+// SumVecMul later built over m shares them instead of building its own: a
+// matrix many short-lived kernels read, such as a served epoch's in-CSR,
+// pays for them once. Call it before m is shared; it returns m.
+func (m *Matrix) WithOccupancy() *Matrix {
+	m.occ = occupancy(m.Offsets)
+	return m
 }
 
 // FromSnapshot wraps one immutable epoch of a versioned graph (no copy).

@@ -227,6 +227,9 @@ func TestZeroSteadyStateAllocs(t *testing.T) {
 	k := NewSumVecMul(pool, m)
 	post := func(r uint32, acc float64) float64 { return 0.3 + 0.7*acc }
 	k.MapInto(y, x, post) // warmup
+	if a := testing.AllocsPerRun(10, func() { k.AffineInto(y, x, 0.3, 0.7) }); a != 0 {
+		t.Errorf("SumVecMul.AffineInto allocates %v per call in steady state", a)
+	}
 	if a := testing.AllocsPerRun(10, func() { k.MapInto(y, x, post) }); a != 0 {
 		t.Errorf("SumVecMul.MapInto allocates %v per call in steady state", a)
 	}

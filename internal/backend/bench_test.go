@@ -50,17 +50,12 @@ func BenchmarkBackendPageRankIteration(b *testing.B) {
 	}
 	contribPass := NewDense(pool, n, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			if deg[v] > 0 {
-				contrib[v] = 0.7 * pr[v] / float64(deg[v])
-			} else {
-				contrib[v] = 0
-			}
+			contrib[v] = DivDegree(0.7*pr[v], deg[v])
 		}
 	})
-	post := func(r uint32, sum float64) float64 { return 0.3 + sum }
 	iter := func() {
 		contribPass.Run()
-		k.MapInto(next, contrib, post)
+		k.AffineInto(next, contrib, 0.3, 1)
 		pr, next = next, pr
 	}
 	iter()

@@ -158,3 +158,98 @@ func TestSumVecMulMatchesRowAtATimeFold(t *testing.T) {
 		}
 	}
 }
+
+// TestSumVecMulOccupancyEdges pins the occupancy-word walk where word
+// arithmetic can go wrong: row counts on both sides of a word edge (0, 1,
+// 63, 64, 65, and 130, whose final word holds two rows), each with
+// randomly half-empty rows and with every row empty, whole words of empty
+// rows between occupied ones, and a last word whose only occupied row is
+// the matrix's last. At workers 1, 2, 3 and 7 — over the kernel's own
+// occupancy words and over ones the matrix built with WithOccupancy —
+// AffineInto, MapInto and AddInto equal the serial one-row-at-a-time fold
+// bit for bit. Outputs start as NaN, so a row the walk skips shows.
+func TestSumVecMulOccupancyEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	const ncols = 50
+	type shape struct {
+		name string
+		m    *Matrix
+	}
+	var shapes []shape
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		shapes = append(shapes,
+			shape{fmt.Sprintf("n=%d/half-empty", n), patternMatrix(rng, n, ncols, func(int) int { return rng.Intn(2) * (1 + rng.Intn(6)) })},
+			shape{fmt.Sprintf("n=%d/all-empty", n), patternMatrix(rng, n, ncols, func(int) int { return 0 })})
+	}
+	shapes = append(shapes,
+		shape{"empty-words", patternMatrix(rng, 300, ncols, func(r int) int {
+			if r >= 64 && r < 192 {
+				return 0 // words 1 and 2 are all zero bits
+			}
+			return 1 + rng.Intn(4)
+		})},
+		shape{"last-row-only", patternMatrix(rng, 129, ncols, func(r int) int {
+			if r == 128 {
+				return 3
+			}
+			return 0
+		})})
+
+	const a, b = 0.15, 0.85
+	post := func(r uint32, sum float64) float64 { return float64(r) - 0.7*sum }
+	same := func(got, want float64) bool { return math.Float64bits(got) == math.Float64bits(want) }
+	for _, sh := range shapes {
+		m := sh.m
+		n := int(m.NumRows)
+		x := make([]float64, ncols)
+		for i := range x {
+			x[i] = rng.NormFloat64() * math.Exp(rng.Float64()*20-10)
+		}
+		seed := make([]float64, n)
+		for i := range seed {
+			seed[i] = rng.NormFloat64()
+		}
+		if n > 0 {
+			seed[n-1] = math.Copysign(0, -1) // AddInto must keep an empty row's −0
+		}
+		sums := refSpMVSum(m, x)
+		shared := (&Matrix{NumRows: m.NumRows, Offsets: m.Offsets, Cols: m.Cols}).WithOccupancy()
+		for _, workers := range []int{1, 2, 3, 7} {
+			pool := NewPool(workers)
+			for _, mm := range []*Matrix{m, shared} {
+				k := NewSumVecMul(pool, mm)
+				affine, mapped, raw := nanVec(n), nanVec(n), nanVec(n)
+				added := append([]float64(nil), seed...)
+				k.AffineInto(affine, x, a, b)
+				k.MapInto(mapped, x, post)
+				k.MapInto(raw, x, nil)
+				k.AddInto(added, x)
+				for r := 0; r < n; r++ {
+					acc := seed[r]
+					for _, c := range m.Cols[m.Offsets[r]:m.Offsets[r+1]] {
+						acc += x[c]
+					}
+					switch {
+					case !same(affine[r], a+b*sums[r]):
+						t.Fatalf("%s workers=%d: AffineInto row %d = %v, want %v", sh.name, workers, r, affine[r], a+b*sums[r])
+					case !same(mapped[r], post(uint32(r), sums[r])):
+						t.Fatalf("%s workers=%d: MapInto row %d = %v, want %v", sh.name, workers, r, mapped[r], post(uint32(r), sums[r]))
+					case !same(raw[r], sums[r]):
+						t.Fatalf("%s workers=%d: MapInto(nil) row %d = %v, want %v", sh.name, workers, r, raw[r], sums[r])
+					case !same(added[r], acc):
+						t.Fatalf("%s workers=%d: AddInto row %d = %v, want %v", sh.name, workers, r, added[r], acc)
+					}
+				}
+			}
+			pool.Close()
+		}
+	}
+}
+
+func nanVec(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = math.NaN()
+	}
+	return v
+}

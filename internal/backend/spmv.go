@@ -1,6 +1,9 @@
 package backend
 
 import (
+	"math"
+	"math/bits"
+
 	"graphmaze/internal/obs"
 	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
@@ -18,34 +21,47 @@ type Semiring[A, X, Y any] struct {
 }
 
 // SumVecMul is the backend's one pooled SpMV kernel: the plus-times
-// pattern product y[r] = Σ_{c ∈ row r} x[c] that PageRank-shaped
+// pattern product y[r] = a + b·Σ_{c ∈ row r} x[c] that PageRank-shaped
 // computations lower onto. Rows are statically split at construction so
 // every worker owns an equal share of nonzeros (par.OffsetSplits on the
-// CSR prefix sums); each output element is written by exactly one worker,
-// which is the "padded accumulation lane" scheme degenerated to its
-// cheapest form — the output vector itself is the lane, and the
-// deterministic merge is the fixed row ownership plus the serial in-row
-// fold. The inner loop is a plain running sum, with no semiring
-// indirection, which is what keeps lowered engines within the native
-// performance envelope.
+// CSR prefix sums, rounded to 64-row word edges); each output element is
+// written by exactly one worker, which is the "padded accumulation lane"
+// scheme degenerated to its cheapest form — the output vector itself is
+// the lane, and the deterministic merge is the fixed row ownership plus
+// the serial in-row fold. The inner loop is a plain running sum, with no
+// semiring indirection, which is what keeps lowered engines within the
+// native performance envelope.
 //
 // A kernel is built for the matrix of the epoch it reads; steady-state
 // calls perform no allocation: construct once per algorithm run, call
-// MapInto/AddInto once per iteration.
+// AffineInto/AddInto once per iteration.
 type SumVecMul struct {
 	pool   *Pool
 	m      *Matrix
+	occ    []uint64
 	bounds []int
 	nnz    *obs.Counter
 
-	x    []float64
-	y    []float64
-	post func(uint32, float64) float64
+	// The operands of the call in flight (runChunk reads them).
+	x, y   []float64
+	a, b   float64
+	seeded bool
+	post   func(uint32, float64) float64
 }
 
-// NewSumVecMul builds the kernel for the pattern matrix m.
+// NewSumVecMul builds the kernel for the pattern matrix m, reusing m's
+// occupancy words when WithOccupancy built them.
 func NewSumVecMul(pool *Pool, m *Matrix) *SumVecMul {
-	return &SumVecMul{pool: pool, m: m, bounds: par.OffsetSplits(m.Offsets, pool.Workers())}
+	occ := m.occ
+	if occ == nil {
+		occ = occupancy(m.Offsets)
+	}
+	bounds := par.OffsetSplits(m.Offsets, pool.Workers())
+	n := int(m.NumRows)
+	for i := 1; i < len(bounds)-1; i++ {
+		bounds[i] = min((bounds[i]+32)&^63, n)
+	}
+	return &SumVecMul{pool: pool, m: m, occ: occ, bounds: bounds}
 }
 
 // WithTracer attaches a backend.spmv.nnz counter (nil tracer detaches).
@@ -54,60 +70,106 @@ func (k *SumVecMul) WithTracer(tr *trace.Tracer) *SumVecMul {
 	return k
 }
 
-// MapInto computes y[r] = post(r, Σ x[c]); nil post stores the raw sum.
-func (k *SumVecMul) MapInto(y, x []float64, post func(uint32, float64) float64) {
-	k.x, k.y, k.post = x, y, post
-	k.pool.RunStatic(k, k.bounds)
-	k.x, k.y, k.post = nil, nil, nil
-	k.nnz.Add(0, k.m.NNZ())
+// AffineInto computes y[r] = a + b·Σ x[c], the shape of every PageRank
+// finish: jump + Σ, or r + (1−r)·Σ.
+func (k *SumVecMul) AffineInto(y, x []float64, a, b float64) {
+	k.run(y, x, a, b, false, nil)
 }
 
-// runChunk folds rows [lo, hi) one at a time, each strictly left to right
-// in stored-column order. The operands are copied into locals first: the
-// stores to y could alias anything reachable through k, so a loop written
-// against k.m.Offsets[r+1] and k.m.Cols[i] reloads both slice headers and
-// re-checks both bounds on every edge; ranging over the row's sub-slice
-// leaves one bounds check (the gather into x) per edge. Interleaving two
-// or four adjacent rows on top of this loop was measured and lost to it
-// (DESIGN.md §12).
-func (k *SumVecMul) runChunk(worker, lo, hi int) {
-	off, cols, x, y, post := k.m.Offsets, k.m.Cols, k.x, k.y, k.post
-	for r := lo; r < hi; r++ {
-		sum := 0.0
-		for _, c := range cols[off[r]:off[r+1]] {
-			sum += x[c]
-		}
-		if post != nil {
-			sum = post(uint32(r), sum)
-		}
-		y[r] = sum
-	}
+// MapInto computes y[r] = post(r, Σ x[c]); nil post stores the raw sum.
+// It is the affine fold with (a, b) = (0, 1), which stores Σ unchanged
+// (a fold seeded with +0 never yields −0), followed by post over the
+// chunk's rows while they are still in cache.
+func (k *SumVecMul) MapInto(y, x []float64, post func(uint32, float64) float64) {
+	k.run(y, x, 0, 1, false, post)
 }
 
 // AddInto computes y[r] = y[r] + Σ x[c]: the accumulate form y ← y ⊕ A·x.
 // Each row's fold starts from the value y already holds and then runs left
 // to right in stored-column order, which is the order a tuple-at-a-time
-// evaluator folds a seeded aggregate in (DESIGN.md §12, socialite).
+// evaluator folds a seeded aggregate in (DESIGN.md §12, socialite). The
+// epilogue is (a, b) = (−0, 1): −0 + s is s for every s, −0 included.
+// Empty rows keep what they hold.
 func (k *SumVecMul) AddInto(y, x []float64) {
-	k.x, k.y = x, y
-	k.pool.RunStatic((*sumAccumulate)(k), k.bounds)
-	k.x, k.y = nil, nil
+	k.run(y, x, math.Copysign(0, -1), 1, true, nil)
+}
+
+func (k *SumVecMul) run(y, x []float64, a, b float64, seeded bool, post func(uint32, float64) float64) {
+	k.x, k.y, k.a, k.b, k.seeded, k.post = x, y, a, b, seeded, post
+	k.pool.RunStatic(k, k.bounds)
+	k.x, k.y, k.post = nil, nil, nil
 	k.nnz.Add(0, k.m.NNZ())
 }
 
-// sumAccumulate is SumVecMul seen as AddInto's runner: the seeded fold is
-// a loop of its own so that MapInto's stays the one PageRank was tuned on.
-type sumAccumulate SumVecMul
-
-func (k *sumAccumulate) runChunk(worker, lo, hi int) {
-	off, cols, x, y := k.m.Offsets, k.m.Cols, k.x, k.y
-	for r := lo; r < hi; r++ {
-		sum := y[r]
-		for _, c := range cols[off[r]:off[r+1]] {
-			sum += x[c]
+// runChunk folds the occupied rows of [lo, hi) one at a time, each
+// strictly left to right in stored-column order. lo is a word edge, so the
+// chunk walks whole occupancy words: set bits are the rows the inner loop
+// visits, and without a seed the clear bits are written a + b·0 without
+// entering it. On the served graphs a third to a half of all rows are
+// empty, so a row loop that tested each row's length mispredicted its exit
+// on a large share of rows (DESIGN.md §12). The operands are copied into
+// locals first: the stores to y could alias anything reachable through k,
+// so a loop written against k.m.Offsets[r+1] and k.m.Cols[i] reloads both
+// slice headers and re-checks both bounds on every edge; ranging over the
+// row's sub-slice leaves one bounds check (the gather into x) per edge.
+// Interleaving two or four adjacent rows on top of this loop was measured
+// and lost to it (DESIGN.md §12).
+func (k *SumVecMul) runChunk(worker, lo, hi int) {
+	off, cols, occ, x, y := k.m.Offsets, k.m.Cols, k.occ, k.x, k.y
+	a, b, seeded := k.a, k.b, k.seeded
+	empty := a + b*0
+	for base := lo; base < hi; base += 64 {
+		word := occ[base>>6]
+		if !seeded {
+			gaps := ^word
+			if span := hi - base; span < 64 {
+				gaps &= 1<<uint(span) - 1
+			}
+			for ; gaps != 0; gaps &= gaps - 1 {
+				y[base+bits.TrailingZeros64(gaps)] = empty
+			}
 		}
-		y[r] = sum
+		for ; word != 0; word &= word - 1 {
+			r := base + bits.TrailingZeros64(word)
+			sum := 0.0
+			if seeded {
+				sum = y[r]
+			}
+			for _, c := range cols[off[r]:off[r+1]] {
+				sum += x[c]
+			}
+			y[r] = a + b*sum
+		}
 	}
+	if post := k.post; post != nil {
+		for r := lo; r < hi; r++ {
+			y[r] = post(uint32(r), y[r])
+		}
+	}
+}
+
+// occupancy returns the row-occupancy words of a CSR prefix-sum array:
+// bit r%64 of word r/64 is set iff row r stores an entry. The bit is the
+// sign of off[r] − off[r+1], so the build has no branch; bits past the
+// last row stay clear.
+func occupancy(off []int64) []uint64 {
+	n := max(len(off)-1, 0)
+	occ := make([]uint64, (n+63)/64)
+	for r := 0; r < n; r++ {
+		occ[r>>6] |= uint64(off[r]-off[r+1]) >> 63 << (r & 63)
+	}
+	return occ
+}
+
+// DivDegree returns x/d for a vertex of out-degree d > 0 and +0 for d = 0
+// — a PageRank contribution — without a branch: has is −1 when d > 0 and
+// 0 otherwise, so the divisor d+1+has is d or 1 and ANDing the quotient's
+// bits with has keeps it or clears it. A third to a half of the served
+// graphs' vertices have no out-edges, so a contribution pass that
+// branched on d mispredicted on a large share of them (DESIGN.md §12).
+func DivDegree(x float64, d int64) float64 {
+	has := -d >> 63
+	return math.Float64frombits(math.Float64bits(x/float64(d+1+has)) & uint64(has))
 }
 
 // SpMVInto is the one-shot generic path: y = m ⊕.⊗ x into the

@@ -77,11 +77,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	}
 	normalize := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if outDeg[i] > 0 {
-				phat[i] = p[i] / outDeg[i]
-			} else {
-				phat[i] = 0
-			}
+			phat[i] = backend.DivDegree(p[i], int64(outDeg[i]))
 		}
 	}
 	finish := func(y []float64, lo, hi int) {
@@ -93,19 +89,16 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	if opt.Exec.Cluster == nil {
 		// Lowered onto the shared backend: the pattern SpMV is a
 		// persistent plus-times kernel and the finish pass fuses into its
-		// per-row map — same ascending in-row fold, same finishing
+		// affine epilogue — same ascending in-row fold, same finishing
 		// expression, but the semiring indirection and the per-iteration
 		// output allocation are gone.
 		stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) int {
 			mul := backend.NewSumVecMul(pool, backendView(at)).WithTracer(tr)
 			normalizePass := backend.NewDense(pool, n, normalize)
-			post := func(r uint32, y float64) float64 {
-				return opt.RandomJump + (1-opt.RandomJump)*y
-			}
 			for it := 0; it < opt.Iterations; it++ {
 				sp := tr.Begin("combblas.spmv", "spmv iteration").Arg("iter", float64(it))
 				normalizePass.Run()
-				mul.MapInto(p, phat, post)
+				mul.AffineInto(p, phat, opt.RandomJump, 1-opt.RandomJump)
 				sp.End()
 			}
 			return opt.Iterations

@@ -38,7 +38,7 @@ type Lowering interface {
 type prLowering struct {
 	mul         *backend.SumVecMul
 	contribPass *backend.Dense
-	post        func(uint32, float64) float64
+	r           float64
 	ranks       []float64
 	contrib     []float64
 	edges       int64
@@ -54,6 +54,7 @@ func newPRLowering(pool *backend.Pool, g, in *graph.CSR, r float64, maxSuperstep
 	at := backend.FromCSR(in)
 	l := &prLowering{
 		mul:     backend.NewSumVecMul(pool, at).WithTracer(tr),
+		r:       r,
 		ranks:   make([]float64, n),
 		contrib: make([]float64, n),
 		edges:   at.NNZ(),
@@ -62,15 +63,10 @@ func newPRLowering(pool *backend.Pool, g, in *graph.CSR, r float64, maxSuperstep
 	for i := range l.ranks {
 		l.ranks[i] = 1
 	}
-	l.post = func(_ uint32, sum float64) float64 { return r + (1-r)*sum }
 	offs := g.Offsets
 	l.contribPass = backend.NewDense(pool, n, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			if deg := offs[v+1] - offs[v]; deg > 0 {
-				l.contrib[v] = l.ranks[v] / float64(deg)
-			} else {
-				l.contrib[v] = 0
-			}
+			l.contrib[v] = backend.DivDegree(l.ranks[v], offs[v+1]-offs[v])
 		}
 	})
 	return l
@@ -79,7 +75,7 @@ func newPRLowering(pool *backend.Pool, g, in *graph.CSR, r float64, maxSuperstep
 func (l *prLowering) Step(s int) (active, msgs int64) {
 	if s > 0 {
 		// Fold the previous superstep's messages: value ← r + (1−r)·Σ.
-		l.mul.MapInto(l.ranks, l.contrib, l.post)
+		l.mul.AffineInto(l.ranks, l.contrib, l.r, 1-l.r)
 	}
 	n := int64(len(l.ranks))
 	if s < l.maxS-1 {

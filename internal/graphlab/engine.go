@@ -86,7 +86,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 // pageRankLowered is the local PageRank sweep lowered onto the shared
 // SpMV backend (DESIGN.md §12): the GAS gather over in-edges is a
 // plus-times SpMV of the contribution vector over the transpose, and
-// Apply fuses into the per-row map. The fold order — zero-seeded
+// Apply fuses into its affine epilogue. The fold order — zero-seeded
 // accumulator over ascending source ids — matches the generic runtime's
 // gather exactly, so the ranks are bit-identical to runLocal's, and the
 // sweep spans keep their shape (every vertex stays active and changes
@@ -101,18 +101,13 @@ func pageRankLowered(pool *backend.Pool, in *graph.CSR, outDeg []int64, opt core
 	contrib := make([]float64, n)
 	contribPass := backend.NewDense(pool, n, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			if outDeg[v] > 0 {
-				contrib[v] = vals[v] / float64(outDeg[v])
-			} else {
-				contrib[v] = 0
-			}
+			contrib[v] = backend.DivDegree(vals[v], outDeg[v])
 		}
 	})
-	post := func(_ uint32, sum float64) float64 { return opt.RandomJump + (1-opt.RandomJump)*sum }
 	for round := 1; round <= opt.Iterations; round++ {
 		sp := tr.Begin("graphlab.sweep", "sweep").Arg("round", float64(round))
 		contribPass.Run()
-		mul.MapInto(vals, contrib, post)
+		mul.AffineInto(vals, contrib, opt.RandomJump, 1-opt.RandomJump)
 		sp.Arg("changed", float64(n)).End()
 	}
 	return vals

@@ -10,7 +10,7 @@ import (
 // buffers in engine code: a `make` with a vertex-count-shaped length or
 // capacity argument inside a for/range body churns O(V) bytes through
 // the allocator every superstep/round, which is exactly the pattern the
-// shared backend's persistent scratch (Dense/Sweep/SumVecMul MapInto)
+// shared backend's persistent scratch (Dense/Sweep/SumVecMul)
 // exists to eliminate. A size argument is vertex-count-shaped when it
 // mentions a NumVertices/NumRows/NumCols/NumKeys/TargetSpace selector,
 // or a local assigned from one in the same function.

@@ -122,19 +122,14 @@ func pageRankSweeps(pool *backend.Pool, mul *backend.SumVecMul, outDeg []int64, 
 	pr, next, contrib []float64, tr *trace.Tracer) (ranks, scratch []float64, sweeps int, converged bool) {
 	contribPass := backend.NewDense(pool, len(pr), func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			if outDeg[v] > 0 {
-				contrib[v] = (1 - jump) * pr[v] / float64(outDeg[v])
-			} else {
-				contrib[v] = 0
-			}
+			contrib[v] = backend.DivDegree((1-jump)*pr[v], outDeg[v])
 		}
 	})
-	post := func(v uint32, sum float64) float64 { return jump + sum }
 	for sweeps < maxSweeps && !converged {
 		sp := tr.Begin("native.pr.iter", "pagerank iteration").Arg("iter", float64(sweeps))
 		sweeps++
 		contribPass.Run()
-		mul.MapInto(next, contrib, post)
+		mul.AffineInto(next, contrib, jump, 1)
 		pr, next = next, pr
 		converged = tol > 0 && maxAbsDiff(pool, pr, next) <= tol
 		sp.End()

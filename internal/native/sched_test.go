@@ -1,6 +1,7 @@
 package native
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -177,6 +178,35 @@ func TestMaxAbsDiffMatchesSerial(t *testing.T) {
 		}
 		if got := maxAbsDiff(pool, a, b); got != want {
 			t.Errorf("workers=%d: pooled max %v != serial %v", workers, got, want)
+		}
+	}
+}
+
+// TestContributionBranchFreeMatchesBranchy pins the sweep's contribution,
+// backend.DivDegree((1-jump)·pr, d), to the branchy form it replaced —
+// (1-jump)·pr/d when d > 0, else 0 — bit for bit. The table covers degree
+// 0 against ranks that would poison a division (NaN, ±Inf, −0, huge),
+// degree 1 (the divisor d+1+has must stay exactly d), powers of two and
+// the largest degrees, and subnormal quotients.
+func TestContributionBranchFreeMatchesBranchy(t *testing.T) {
+	branchy := func(jump, pr float64, d int64) float64 {
+		if d > 0 {
+			return (1 - jump) * pr / float64(d)
+		}
+		return 0
+	}
+	ranks := []float64{1, 0, math.Copysign(0, -1), 0.15, 1e300, 5e-324, -3.5, math.NaN(), math.Inf(1), math.Inf(-1)}
+	degrees := []int64{0, 1, 2, 3, 7, 64, 1 << 31, 1<<53 + 1, math.MaxInt64}
+	for _, jump := range []float64{0.15, 0.3, 0} {
+		for _, pr := range ranks {
+			for _, d := range degrees {
+				got := backend.DivDegree((1-jump)*pr, d)
+				want := branchy(jump, pr, d)
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Errorf("jump=%v pr=%v d=%d: branch-free %v (%#x), branchy %v (%#x)",
+						jump, pr, d, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
 		}
 	}
 }

@@ -92,7 +92,7 @@ func TestResponseGolden(t *testing.T) {
 			t.Fatalf("decoding golden: %v", err)
 		}
 	}
-	for _, procs := range []int{1, 4} {
+	for _, procs := range []int{1, 3, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		got := captureResponses(t)
 		runtime.GOMAXPROCS(prev)

@@ -131,7 +131,8 @@ type epochState struct {
 // symmetric graph the in-CSR is the snapshot's own arrays, not a copy:
 // the transpose of a symmetric CSR with sorted adjacency equals it array
 // for array, and PageRank over the alias folds every row in the same
-// order.
+// order. The in-CSR's occupancy words are built here too, so a PageRank
+// miss builds none.
 func (g *servedGraph) bind(snap *graph.Snapshot) *epochState {
 	g.mu.Lock()
 	st := g.bound
@@ -149,6 +150,7 @@ func (g *servedGraph) bind(snap *graph.Snapshot) *epochState {
 		} else {
 			st.in = backend.FromCSR(st.snap.CSR().Transpose())
 		}
+		st.in.WithOccupancy()
 		st.outDeg = st.snap.CSR().OutDegrees()
 	})
 	return st
