@@ -13,6 +13,12 @@ import (
 // process the half-open index range [lo, hi) on behalf of one worker.
 // Kernels implement it with pointer receivers so the interface assignment
 // in RunStatic/RunDynamic never allocates.
+//
+// The chunks of one dispatch must never wait on each other: a dispatch
+// that finds the team busy runs all of them, one after another, on its
+// caller's goroutine. For the same reason per-worker scratch belongs to
+// the call, not to the pool: another caller's dispatch may be running the
+// same worker indices at the same moment.
 type chunkRunner interface {
 	runChunk(worker, lo, hi int)
 }
@@ -37,10 +43,14 @@ const (
 // iterations cost two channel hops per worker and zero allocations.
 //
 // Worker 0 is the calling goroutine, so a 1-worker pool degenerates to a
-// plain serial loop with no synchronization at all. Dispatches are
-// serialized by an internal mutex, making a shared Pool safe for
-// concurrent callers (each dispatch still uses every worker).
+// plain serial loop with no synchronization at all. A shared Pool is safe
+// for concurrent callers: a dispatch takes the whole team when it is free
+// and runs on its caller alone when it is not, instead of queueing behind
+// the dispatch that holds it. Either way every chunk runs exactly once
+// and a static range keeps its worker index, so which of the two happened
+// never shows in a result.
 type Pool struct {
+	// mu is held by the dispatch that owns the team (and by Close).
 	mu      sync.Mutex
 	workers int
 	// wake[w] (w >= 1) signals worker w that mode/runner/bounds are set;
@@ -64,24 +74,27 @@ type Pool struct {
 }
 
 // poolObs bundles the metrics a pool feeds once a registry is attached:
-// dispatch wall-time and per-worker park-time histograms, plus a busy
-// fraction gauge (dispatch time / wall time since attach). busyNS is
-// only touched under p.mu (dispatch runs with it held).
+// dispatch wall-time and per-worker park-time histograms, a busy fraction
+// gauge (team dispatch time / wall time since attach) and a count of the
+// dispatches that ran on their caller. busyNS is only touched under p.mu
+// (a team dispatch runs with it held).
 type poolObs struct {
 	dispatch *obs.Histogram
 	park     *obs.Histogram
 	busy     *obs.Gauge
+	inline   *obs.Counter
 	attached time.Time
 	busyNS   int64
 }
 
-// SetRegistry attaches a metrics registry to the pool: every dispatch
-// records its wall time into backend.pool.dispatch_ns, each woken worker
-// records how long it was parked into backend.pool.park_ns, and
-// backend.pool.busy_frac tracks the fraction of wall time spent
-// dispatching. A traced run passes its tracer's registry. A nil registry
-// detaches; detached pools pay one atomic load per dispatch and per
-// worker wake.
+// SetRegistry attaches a metrics registry to the pool: every team
+// dispatch records its wall time into backend.pool.dispatch_ns, each
+// woken worker records how long it was parked into backend.pool.park_ns,
+// backend.pool.busy_frac tracks the fraction of wall time the team spent
+// dispatching, and backend.pool.inline counts the dispatches that found
+// the team busy and ran on their caller. A traced run passes its tracer's
+// registry, the server its own. A nil registry detaches; detached pools
+// pay one atomic load per dispatch and per worker wake.
 func (p *Pool) SetRegistry(reg *obs.Registry) {
 	if reg == nil {
 		p.po.Store(nil)
@@ -92,6 +105,7 @@ func (p *Pool) SetRegistry(reg *obs.Registry) {
 		dispatch: reg.Hist("backend.pool.dispatch_ns"),
 		park:     reg.HistLanes("backend.pool.park_ns", p.workers),
 		busy:     reg.Gauge("backend.pool.busy_frac"),
+		inline:   reg.Counter("backend.pool.inline"),
 		attached: time.Now(),
 	})
 }
@@ -194,12 +208,30 @@ func (p *Pool) dispatch() {
 	}
 }
 
+// ranInline counts a dispatch that found the team busy.
+func (p *Pool) ranInline() {
+	if o := p.po.Load(); o != nil {
+		o.inline.Add(0, 1)
+	}
+}
+
 // RunStatic runs r over the k ranges described by bounds (len workers+1,
 // as produced by par.OffsetSplits or evenSplits): worker w gets
 // [bounds[w], bounds[w+1]). Deterministic ownership — the same worker
-// index always sees the same range for the same bounds.
+// index always sees the same range for the same bounds. When another
+// dispatch holds the team the caller runs the ranges itself, in ascending
+// order and each under its own worker index, so per-worker state groups
+// exactly as it does on the team.
 func (p *Pool) RunStatic(r chunkRunner, bounds []int) {
-	p.mu.Lock()
+	if !p.mu.TryLock() {
+		p.ranInline()
+		for w := 0; w+1 < len(bounds); w++ {
+			if lo, hi := bounds[w], bounds[w+1]; lo < hi {
+				r.runChunk(w, lo, hi)
+			}
+		}
+		return
+	}
 	p.mode = modeStatic
 	p.runner = r
 	p.bounds = bounds
@@ -211,13 +243,22 @@ func (p *Pool) RunStatic(r chunkRunner, bounds []int) {
 // RunDynamic runs r over [0, n) in grain-sized chunks claimed from an
 // atomic cursor (work-stealing for irregular per-chunk cost). The grain
 // is rounded up to a multiple of 64 so each chunk owns disjoint words of
-// any vertex-indexed bitset, letting kernels use plain stores.
+// any vertex-indexed bitset, letting kernels use plain stores. When
+// another dispatch holds the team the caller runs the chunks itself, in
+// ascending order as worker 0; which worker claims a chunk is arbitrary
+// on the team too.
 func (p *Pool) RunDynamic(r chunkRunner, n, grain int) {
 	if grain <= 0 {
 		grain = DefaultGrain
 	}
 	grain = (grain + 63) &^ 63
-	p.mu.Lock()
+	if !p.mu.TryLock() {
+		p.ranInline()
+		for lo := 0; lo < n; lo += grain {
+			r.runChunk(0, lo, min(lo+grain, n))
+		}
+		return
+	}
 	p.mode = modeDynamic
 	p.runner = r
 	p.limit = n

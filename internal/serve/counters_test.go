@@ -61,6 +61,11 @@ func TestServerCountersAgreeWithClient(t *testing.T) {
 	}
 	slices.Sort(names)
 	want := []string{
+		"backend.pool.busy_frac",
+		"backend.pool.dispatch_ns",
+		"backend.pool.inline",
+		"backend.pool.park_ns",
+		"backend.pool.workers",
 		"serve.admitted",
 		"serve.cache_hits",
 		"serve.cache_misses",
@@ -72,7 +77,6 @@ func TestServerCountersAgreeWithClient(t *testing.T) {
 		"serve.graph.social.pending_edges",
 		"serve.inflight",
 		"serve.panics",
-		"serve.pool.workers",
 		"serve.query.bfs_ns",
 		"serve.query.cc_ns",
 		"serve.query.datalog_ns",

@@ -9,8 +9,11 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
 )
 
@@ -58,7 +61,8 @@ func TestBindNeverRegresses(t *testing.T) {
 }
 
 // missPaths are one query of each scratch-borrowing or fused-reduction
-// kind per fixture graph.
+// kind per fixture graph, plus triangle counting and the default Datalog
+// rule on the symmetric one: every served kind.
 var missPaths = []string{
 	"/query/pagerank?graph=social&iters=6&k=4",
 	"/query/pagerank?graph=web&iters=4&tol=0.001&k=7",
@@ -66,6 +70,8 @@ var missPaths = []string{
 	"/query/cc?graph=web",
 	"/query/bfs?graph=social&source=1",
 	"/query/bfs?graph=web&source=2",
+	"/query/tc?graph=social",
+	"/query/datalog?graph=social&source=1",
 }
 
 // growDeltas add an edge to a vertex beyond each fixture graph's 128, so
@@ -89,18 +95,40 @@ func postGrowDelta(t testing.TB, baseURL, body string) {
 	}
 }
 
-// TestConcurrentMissesMatchFreshServer runs uncached PageRank, CC and BFS
-// misses on both graphs from several clients at once while deltas grow
-// both vertex spaces (run it with -race). Every body must equal what a
-// server that has never lent a vector to anyone answers at that epoch.
+// TestConcurrentMissesMatchFreshServer runs uncached misses of every kind
+// from several clients at once while deltas grow both vertex spaces (run
+// it with -race). Every body must equal what a one-worker server that has
+// never lent a vector to anyone answers at that epoch. Until as many
+// answers are in as there are clients, a pass parked on the server's pool
+// holds its team, so kernel phases that find it busy run on their
+// request's own goroutine; backend.pool.inline must show they did. (If
+// they queued for the team instead, no answer would come: the hold also
+// ends after ten seconds, so that failure is the inline check, not a hang.)
 func TestConcurrentMissesMatchFreshServer(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, MaxInFlight: 6, QueueDepth: 64})
+	s, ts := newTestServer(t, Config{Workers: 2, MaxInFlight: 6, QueueDepth: 64})
 	const clients = 6
 	rounds := 12
 	if testing.Short() {
 		rounds = 5
 	}
 	noCache := map[string]string{"Cache-Control": "no-cache"}
+
+	holding, release, held := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	releaseTeam := func() { releaseOnce.Do(func() { close(release) }) }
+	go func() {
+		defer close(held)
+		backend.NewDense(s.Pool(), s.Pool().Workers(), func(lo, _ int) {
+			if lo == 0 {
+				close(holding)
+				<-release
+			}
+		}).Run()
+	}()
+	<-holding
+	deadline := time.AfterFunc(10*time.Second, releaseTeam)
+	defer deadline.Stop()
+	var answered atomic.Int64
 
 	type answer struct {
 		path  string
@@ -144,10 +172,18 @@ func TestConcurrentMissesMatchFreshServer(t *testing.T) {
 					return
 				}
 				answers[c] = append(answers[c], answer{path, meta.Epoch, buf.Bytes()})
+				if answered.Add(1) == clients {
+					releaseTeam()
+				}
 			}
 		}(c)
 	}
 	wg.Wait()
+	releaseTeam()
+	<-held
+	if inline := s.Registry().Counter("backend.pool.inline").Value(); inline == 0 {
+		t.Error("no kernel phase ran on its request's goroutine: the inline path went untested")
+	}
 
 	fresh := make(map[string][]byte)
 	epochsSeen := make(map[uint64]bool)

@@ -23,8 +23,9 @@
 // across worker counts, a cache hit serves the exact bytes a recompute
 // would produce. A miss on a key another request is already computing
 // waits for that computation and is then served as a hit. Misses execute
-// on one shared persistent backend.Pool, in O(n) vectors borrowed from the
-// server, and reduce the kernel's array to the response's few numbers in
+// on one shared persistent backend.Pool (each kernel phase on the whole
+// team when it is free, on the request's own goroutine when another
+// query holds it), in O(n) vectors borrowed from the server, and reduce the kernel's array to the response's few numbers in
 // single passes; after a delta, a BFS or connected-components miss repairs
 // the vector the graph carried over from the previous epoch instead of
 // recomputing it (carried.go).
@@ -236,7 +237,7 @@ func New(cfg Config) *Server {
 		QueueDepth:  cfg.QueueDepth,
 		Registry:    cfg.Registry,
 	})
-	s.reg.Gauge("serve.pool.workers").Set(float64(s.pool.Workers()))
+	pool.SetRegistry(cfg.Registry)
 	return s
 }
 
