@@ -136,6 +136,8 @@ func TestClusterRunsTraceFromExecAlone(t *testing.T) {
 // first parameter fails) unless its function is in serialInTimedRegion.
 // galois and giraph bring their own runtimes — Galois's worklist executor,
 // Giraph's superstep workers — and are exempt from the pool rule by package.
+// socialite runs every evaluation, its simulated cluster nodes' included,
+// on that one pool, so it may not import internal/par either.
 func TestEnginesOwnNoClockOrPool(t *testing.T) {
 	ownRuntime := map[string]bool{"galois": true, "giraph": true}
 	discards := map[string]bool{}
@@ -157,8 +159,12 @@ func TestEnginesOwnNoClockOrPool(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, imp := range file.Imports {
-				if path, _ := strconv.Unquote(imp.Path.Value); path == "time" {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				if path == "time" {
 					t.Errorf("%s imports time: engines leave the clock to core.Exec.Local", fset.Position(imp.Pos()))
+				}
+				if path == "graphmaze/internal/par" && pkg == "socialite" {
+					t.Errorf("%s imports internal/par: socialite evaluates on the backend.Pool alone", fset.Position(imp.Pos()))
 				}
 			}
 			ast.Inspect(file, func(n ast.Node) bool {

@@ -66,7 +66,9 @@ func (e Exec) ClusterConfig() cluster.Config {
 // call, and converts what the kernel left into the core.*Result arrays after
 // it. The pool is up and traced before the clock starts and closed when
 // Local returns, so nothing the kernel holds on it may outlive the call.
-// kernel returns the iterations it ran.
+// kernel returns the iterations it ran. A simulated-cluster call may borrow
+// its pool here too, for every node's evaluation; it then reports
+// SimulatedStats, not the measured time Local returns.
 func (e Exec) Local(kernel func(pool *backend.Pool, tr *trace.Tracer) (iterations int)) RunStats {
 	tr := e.Tracer()
 	pool := backend.NewPool(0)

@@ -1,7 +1,7 @@
 // Package par is the static-split fork-join the one-shot paths share:
 // graph construction (internal/graph), the framework worker models
-// (Giraph's capped workers, SociaLite's generic shards on a simulated
-// cluster's nodes), cluster-mode kernels and the native ablation baseline.
+// (Giraph's capped workers), cluster-mode kernels and the native ablation
+// baseline.
 // Everything a single-node engine call or a served query runs executes on a
 // backend.Pool instead (DESIGN.md §8). Two loop shapes:
 //

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -135,6 +136,31 @@ func TestQueryValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /query/cc: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestUnsettledDatalogRuleIs400: a recursive rule whose values never
+// settle (a sum, or a decreasing minimum, around the graph's cycles)
+// stops at its round bound with 400 naming the round, and leaves the
+// server's pool free: the next query dispatches on the team, not inline.
+func TestUnsettledDatalogRuleIs400(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	for _, rule := range []string{
+		"REACH[t]($SUM(d)) :- REACH[s](d0), d = d0 + 1, EDGE[s](t).",
+		"REACH[t]($MIN(d)) :- REACH[s](d0), d = d0 - 1, EDGE[s](t).",
+	} {
+		code, _, body := get(t, ts.URL+"/query/datalog?graph=social&source=2&rule="+url.QueryEscape(rule), nil)
+		if code != http.StatusBadRequest || !bytes.Contains(body, []byte("after round 129")) {
+			t.Errorf("%s: status %d, body %.200s; want 400 at round 129 (128 keys + 1)", rule, code, body)
+		}
+	}
+	inline := s.Registry().Counter("backend.pool.inline")
+	before := inline.Value()
+	if code, _, body := get(t, ts.URL+"/query/pagerank?graph=social", map[string]string{"Cache-Control": "no-cache"}); code != http.StatusOK {
+		t.Fatalf("pagerank after the 400s: status %d, body %.200s", code, body)
+	}
+	if n := inline.Value() - before; n != 0 {
+		t.Errorf("%d dispatches found the pool busy after the 400s", n)
 	}
 }
 

@@ -47,6 +47,29 @@ func (e *Engine) newCluster(cfg cluster.Config) (*cluster.Cluster, error) {
 	return cluster.New(cfg)
 }
 
+// newPartitioned builds a simulated-cluster call's cluster and splits g
+// across its nodes, charging each node 8 bytes per edge it owns and
+// perVertex bytes per vertex as baseline memory. A single-node call gets
+// nil, nil.
+func (e *Engine) newPartitioned(x core.Exec, g *graph.CSR, perVertex int64) (*cluster.Cluster, *graph.Partition1D, error) {
+	if x.Cluster == nil {
+		return nil, nil, nil
+	}
+	c, err := e.newCluster(x.ClusterConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	part, err := graph.NewPartition1D(g, c.Nodes())
+	if err != nil {
+		return nil, nil, err
+	}
+	for node := 0; node < c.Nodes(); node++ {
+		lo, hi := part.Range(node)
+		c.SetBaselineMemory(node, (g.Offsets[hi]-g.Offsets[lo])*8+int64(hi-lo)*perVertex)
+	}
+	return c, part, nil
+}
+
 // accountTraffic charges one node's head-update (or table-transfer)
 // traffic. The optimized engine merges communication data for batch
 // processing — roughly one message per destination shard (§6.1.3); the
@@ -116,59 +139,52 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 		return nil
 	}
 
-	if opt.Exec.Cluster == nil {
+	c, part, err := e.newPartitioned(opt.Exec, g, 40)
+	if err != nil {
+		return nil, err
+	}
+	if c == nil {
 		// The matcher lowers the join onto one seeded SpMV per iteration
 		// over the edge table's by-destination index, built here with the
 		// other tables.
 		outEdge.transposed()
-		stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) int {
-			for it := 0; it < opt.Iterations && err == nil; it++ {
+	}
+	// One pool per call: a single-node iteration evaluates the rule on it
+	// whole, a cluster iteration shard by shard on every node.
+	stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) int {
+		for it := 0; it < opt.Iterations && err == nil; it++ {
+			if c == nil {
 				sp := tr.Begin("socialite.rule", "rule evaluation").Arg("iter", float64(it))
 				err = runIteration(func() error { return EvalOnce(pool, rule) })
 				sp.End()
+				continue
 			}
-			return opt.Iterations
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &core.PageRankResult{Ranks: vecToFloats(rank, n), Stats: stats}, nil
-	}
-
-	c, err := e.newCluster(opt.Exec.ClusterConfig())
-	if err != nil {
-		return nil, err
-	}
-	part, err := graph.NewPartition1D(g, c.Nodes())
-	if err != nil {
-		return nil, err
-	}
-	for node := 0; node < c.Nodes(); node++ {
-		lo, hi := part.Range(node)
-		edges := g.Offsets[hi] - g.Offsets[lo]
-		c.SetBaselineMemory(node, edges*8+int64(hi-lo)*40)
-	}
-	tr := c.Tracer()
-	for it := 0; it < opt.Iterations; it++ {
-		iterStart := c.VirtualSeconds()
-		err := runIteration(func() error {
-			return c.RunPhase(func(node int) error {
-				lo, hi := part.Range(node)
-				stats, err := EvalParallel(rule, lo, hi, nil, part.Owner, node, false)
-				if err != nil {
-					return err
-				}
-				e.accountTraffic(c, node, stats.RemoteBytes, c.Nodes()-1)
-				return nil
+			iterStart := c.VirtualSeconds()
+			err = runIteration(func() error {
+				return c.RunPhase(func(node int) error {
+					lo, hi := part.Range(node)
+					stats, err := evalSharded(pool, rule, lo, hi, nil, part.Owner, node, false)
+					if err != nil {
+						return err
+					}
+					e.accountTraffic(c, node, stats.RemoteBytes, c.Nodes()-1)
+					return nil
+				})
 			})
-		})
-		if err != nil {
-			return nil, err
+			if err == nil {
+				tr.RecordVirtual(trace.PidEngine, "socialite.rule",
+					fmt.Sprintf("rule evaluation %d", it), iterStart, c.VirtualSeconds()-iterStart, nil)
+			}
 		}
-		tr.RecordVirtual(trace.PidEngine, "socialite.rule",
-			fmt.Sprintf("rule evaluation %d", it), iterStart, c.VirtualSeconds()-iterStart, nil)
+		return opt.Iterations
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &core.PageRankResult{Ranks: vecToFloats(rank, n), Stats: core.SimulatedStats(c, opt.Iterations)}, nil
+	if c != nil {
+		stats = core.SimulatedStats(c, opt.Iterations)
+	}
+	return &core.PageRankResult{Ranks: vecToFloats(rank, n), Stats: stats}, nil
 }
 
 func vecToFloats(t *VecTable, n uint32) []float64 {
@@ -203,64 +219,49 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 		return nil, err
 	}
 
-	finish := func(stats core.RunStats) *core.BFSResult {
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = -1
-		}
-		dist.ForEach(func(k uint32, v Value) { out[k] = int32(v.S()) })
-		return &core.BFSResult{Distances: out, Stats: stats}
+	c, part, err := e.newPartitioned(opt.Exec, g, 24)
+	if err != nil {
+		return nil, err
 	}
-
-	if opt.Exec.Cluster == nil {
-		// The shared driver lowers the rule's shape onto the backend's
-		// persistent-claims expander.
-		stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) (rounds int) {
+	stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) (rounds int) {
+		if c == nil {
+			// The shared driver lowers the rule's shape onto the backend's
+			// persistent-claims expander.
 			rounds, err = Fixpoint(pool, rule)
 			return rounds
-		})
-		if err != nil {
-			return nil, err
 		}
-		return finish(stats), nil
-	}
-
-	c, err := e.newCluster(opt.Exec.ClusterConfig())
+		// A round is one phase: every node evaluates the delta's sources
+		// it owns, on the call's one pool.
+		rounds, err = seminaive(rule, []uint32{opt.Source}, func(delta []uint32) ([]uint32, error) {
+			var next []uint32
+			err := c.RunPhase(func(node int) error {
+				lo, hi := part.Range(node)
+				stats, err := evalSharded(pool, rule, lo, hi, delta, part.Owner, node, true)
+				if err != nil {
+					return err
+				}
+				e.accountTraffic(c, node, stats.RemoteBytes, c.Nodes()-1)
+				next = append(next, stats.Changed...)
+				c.Account(node, 1, 1) // fixpoint check
+				return nil
+			})
+			// Deduplicate: a key may have been improved by several nodes.
+			return dedup(next), err
+		})
+		return rounds
+	})
 	if err != nil {
 		return nil, err
 	}
-	part, err := graph.NewPartition1D(g, c.Nodes())
-	if err != nil {
-		return nil, err
+	if c != nil {
+		stats = core.SimulatedStats(c, stats.Iterations)
 	}
-	for node := 0; node < c.Nodes(); node++ {
-		lo, hi := part.Range(node)
-		edges := g.Offsets[hi] - g.Offsets[lo]
-		c.SetBaselineMemory(node, edges*8+int64(hi-lo)*24)
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = -1
 	}
-	delta := []uint32{opt.Source}
-	rounds := 0
-	for len(delta) > 0 {
-		rounds++
-		var next []uint32
-		err := c.RunPhase(func(node int) error {
-			lo, hi := part.Range(node)
-			stats, err := EvalParallel(rule, lo, hi, delta, part.Owner, node, true)
-			if err != nil {
-				return err
-			}
-			e.accountTraffic(c, node, stats.RemoteBytes, c.Nodes()-1)
-			next = append(next, stats.Changed...)
-			c.Account(node, 1, 1) // fixpoint check
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Deduplicate: a key may have been improved by several nodes.
-		delta = dedup(next)
-	}
-	return finish(core.SimulatedStats(c, rounds)), nil
+	dist.ForEach(func(k uint32, v Value) { out[k] = int32(v.S()) })
+	return &core.BFSResult{Distances: out, Stats: stats}, nil
 }
 
 func dedup(keys []uint32) []uint32 {
@@ -295,66 +296,53 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 		return nil, err
 	}
 
-	if opt.Exec.Cluster == nil {
-		// A global $INC(1): chunk partials on the call's pool.
-		stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+	c, part, err := e.newPartitioned(opt.Exec, g, 16)
+	if err != nil {
+		return nil, err
+	}
+	stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+		if c == nil {
+			// A global $INC(1): chunk partials on the call's pool.
 			err = EvalOnce(pool, rule)
 			return 1
-		})
-		if err != nil {
-			return nil, err
 		}
-		count := int64(0)
-		if v, ok := tri.Get(0); ok {
-			count = int64(v.S())
-		}
-		return &core.TriangleResult{Count: count, Stats: stats}, nil
-	}
-
-	c, err := e.newCluster(opt.Exec.ClusterConfig())
-	if err != nil {
-		return nil, err
-	}
-	part, err := graph.NewPartition1D(g, c.Nodes())
-	if err != nil {
-		return nil, err
-	}
-	for node := 0; node < c.Nodes(); node++ {
-		lo, hi := part.Range(node)
-		edges := g.Offsets[hi] - g.Offsets[lo]
-		c.SetBaselineMemory(node, edges*8+int64(hi-lo)*16)
-	}
-	err = c.RunPhase(func(node int) error {
-		lo, hi := part.Range(node)
-		// Counts aggregate into node-local partials; only the partial sum
-		// crosses the network. The body join, however, ships tuples to the
-		// shards holding EDGE[y] and EDGE[x]: charge 8 bytes per
-		// cross-shard hop, batched per destination.
-		var joinBytes int64
-		if _, err := EvalParallel(rule, lo, hi, nil, part.Owner, node, false); err != nil {
-			return err
-		}
-		for x := lo; x < hi; x++ {
-			for _, y := range g.Neighbors(x) {
-				if part.Owner(y) != node {
-					// (x,y) ships to owner(y) for the EDGE(y,z) join, and
-					// each candidate (x,z) may hop again for the check.
-					joinBytes += 8 + int64(len(g.Neighbors(y)))*8
+		err = c.RunPhase(func(node int) error {
+			lo, hi := part.Range(node)
+			// Counts aggregate into node-local partials; only the partial
+			// sum crosses the network. The body join, however, ships
+			// tuples to the shards holding EDGE[y] and EDGE[x]: charge 8
+			// bytes per cross-shard hop, batched per destination.
+			var joinBytes int64
+			if _, err := evalSharded(pool, rule, lo, hi, nil, nil, 0, false); err != nil {
+				return err
+			}
+			for x := lo; x < hi; x++ {
+				for _, y := range g.Neighbors(x) {
+					if part.Owner(y) != node {
+						// (x,y) ships to owner(y) for the EDGE(y,z) join,
+						// and each candidate (x,z) may hop again for the
+						// check.
+						joinBytes += 8 + int64(len(g.Neighbors(y)))*8
+					}
 				}
 			}
-		}
-		e.accountTraffic(c, node, joinBytes, c.Nodes()-1)
-		c.Account(node, 8, 1) // count reduction
-		return nil
+			e.accountTraffic(c, node, joinBytes, c.Nodes()-1)
+			c.Account(node, 8, 1) // count reduction
+			return nil
+		})
+		return 1
 	})
 	if err != nil {
 		return nil, err
+	}
+	if c != nil {
+		stats = core.SimulatedStats(c, 1)
 	}
 	count := int64(0)
 	if v, ok := tri.Get(0); ok {
 		count = int64(v.S())
 	}
-	return &core.TriangleResult{Count: count, Stats: core.SimulatedStats(c, 1)}, nil
+	return &core.TriangleResult{Count: count, Stats: stats}, nil
 }
 
 // CollabFilter implements core.Engine: the user and item factor vectors
@@ -452,8 +440,9 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	gamma := opt.LearningRate
 	rmse := make([]float64, 0, opt.Iterations)
 
-	// evalRules evaluates one iteration's rules: on the call's pool for a
-	// single-node run, shard-local on the cluster's nodes otherwise.
+	// evalRules evaluates one iteration's rules on the call's pool: over
+	// the whole key space for a single-node run, shard-local on the
+	// cluster's nodes otherwise.
 	evalRules := func(pool *backend.Pool, gradPRule, gradQRule, applyP, applyQ *Rule) error {
 		for _, rule := range []*Rule{gradPRule, gradQRule, applyP, applyQ} {
 			if err := rule.Validate(); err != nil {
@@ -498,22 +487,22 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		// Gradients and applies run shard-local after the transfer.
 		if err := c.RunPhase(func(node int) error {
 			ulo, uhi := userPart.Range(node)
-			if _, err := EvalParallel(gradPRule, ulo, uhi, nil, nil, 0, false); err != nil {
+			if _, err := evalSharded(pool, gradPRule, ulo, uhi, nil, nil, 0, false); err != nil {
 				return err
 			}
 			ilo, ihi := itemPart.Range(node)
-			_, err := EvalParallel(gradQRule, ilo, ihi, nil, nil, 0, false)
+			_, err := evalSharded(pool, gradQRule, ilo, ihi, nil, nil, 0, false)
 			return err
 		}); err != nil {
 			return err
 		}
 		return c.RunPhase(func(node int) error {
 			ulo, uhi := userPart.Range(node)
-			if _, err := EvalParallel(applyP, ulo, uhi, nil, nil, 0, false); err != nil {
+			if _, err := evalSharded(pool, applyP, ulo, uhi, nil, nil, 0, false); err != nil {
 				return err
 			}
 			ilo, ihi := itemPart.Range(node)
-			_, err := EvalParallel(applyQ, ilo, ihi, nil, nil, 0, false)
+			_, err := evalSharded(pool, applyQ, ilo, ihi, nil, nil, 0, false)
 			return err
 		})
 	}
@@ -554,11 +543,9 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		}
 		return opt.Iterations
 	}
-	var stats core.RunStats
-	if c == nil {
-		stats = opt.Exec.Local(train)
-	} else {
-		stats = core.SimulatedStats(c, train(nil, nil))
+	stats := opt.Exec.Local(train)
+	if c != nil {
+		stats = core.SimulatedStats(c, stats.Iterations)
 	}
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package socialite
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -60,7 +59,8 @@ func fuzzRegistry(g *graph.CSR) (*Registry, []*VecTable) {
 
 // FuzzParse: no rule text panics the parser, every rejection names an
 // offset, and a rule that parses evaluates to the same tuples, bit for
-// bit, on the generic evaluator and through the matcher's pool paths.
+// bit, on the generic sharded evaluator at 1, 2 and 5 workers and through
+// the matcher's paths on a pool of 3.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"RANK2[n]($SUM(v)) :- RANK[s](v0), OUTDEG[s](d), v = (1-0.3)*v0/d, OUTEDGE[s](n).",
@@ -73,31 +73,36 @@ func FuzzParse(f *testing.F) {
 		f.Add(seed)
 	}
 	g := fuzzGraph(f)
-	// Two par workers, so that the generic side is the sharded evaluator
-	// on a one-core host too; three on the pool, so that the sides differ.
-	procs := runtime.GOMAXPROCS(2)
-	f.Cleanup(func() { runtime.GOMAXPROCS(procs) })
-	pool := backend.NewPool(3)
-	f.Cleanup(pool.Close)
+	var shardPools []*backend.Pool
+	for _, workers := range shardPoolSizes {
+		shardPools = append(shardPools, newTestPool(f, workers))
+	}
+	pool := newTestPool(f, 3)
 	f.Fuzz(func(t *testing.T, src string) {
-		genericReg, genericTables := fuzzRegistry(g)
-		generic, err := Parse(src, genericReg)
+		pooledReg, pooledTables := fuzzRegistry(g)
+		pooled, err := Parse(src, pooledReg)
 		if err != nil {
 			if !strings.Contains(err.Error(), "at offset ") {
 				t.Fatalf("error names no offset: %v", err)
 			}
 			return
 		}
-		pooledReg, pooledTables := fuzzRegistry(g)
-		pooled, err := Parse(src, pooledReg)
-		if err != nil {
-			t.Fatalf("second parse of an accepted rule failed: %v", err)
+		generic := make([]*Rule, len(shardPools))
+		genericTables := make([][]*VecTable, len(shardPools))
+		for i := range shardPools {
+			reg, tables := fuzzRegistry(g)
+			if generic[i], err = Parse(src, reg); err != nil {
+				t.Fatalf("second parse of an accepted rule failed: %v", err)
+			}
+			genericTables[i] = tables
 		}
 		same := func(what string) {
 			t.Helper()
-			for i, want := range genericTables {
-				if err := sameBits(want, pooledTables[i]); err != nil {
-					t.Fatalf("%s: table %s: %v", what, want.Name(), err)
+			for i, tables := range genericTables {
+				for j, want := range tables {
+					if err := sameBits(want, pooledTables[j]); err != nil {
+						t.Fatalf("%s, %d workers: table %s: %v", what, shardPoolSizes[i], want.Name(), err)
+					}
 				}
 			}
 		}
@@ -105,7 +110,7 @@ func FuzzParse(f *testing.F) {
 		low, _ := LowerBFSRule(pool, pooled)
 		switch {
 		case low != nil:
-		case generic.readsHead():
+		case pooled.readsHead():
 			// The result depends on when each fold lands, which no two
 			// worker counts agree on: one evaluation, for panics only.
 			if err := EvalOnce(pool, pooled); err != nil {
@@ -113,8 +118,10 @@ func FuzzParse(f *testing.F) {
 			}
 			return
 		default:
-			if _, err := EvalParallel(generic, 0, n, nil, nil, 0, false); err != nil {
-				t.Fatal(err)
+			for i, p := range shardPools {
+				if _, err := evalSharded(p, generic[i], 0, n, nil, nil, 0, false); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := EvalOnce(pool, pooled); err != nil {
 				t.Fatal(err)
@@ -124,18 +131,23 @@ func FuzzParse(f *testing.F) {
 		}
 		// A recursive rule may never converge: compare a bounded number of
 		// rounds, the lowering's against the generic evaluator's.
-		var deltaG, deltaP []uint32
-		generic.Head.Table.ForEach(func(k uint32, _ Value) { deltaG = append(deltaG, k) })
-		deltaP = slices.Clone(deltaG)
-		for round := 1; round <= 8 && len(deltaG) > 0; round++ {
-			stats, err := EvalParallel(generic, 0, n, deltaG, nil, 0, true)
-			if err != nil {
-				t.Fatal(err)
+		var deltaP []uint32
+		pooled.Head.Table.ForEach(func(k uint32, _ Value) { deltaP = append(deltaP, k) })
+		deltaG := make([][]uint32, len(shardPools))
+		for i := range deltaG {
+			deltaG[i] = slices.Clone(deltaP)
+		}
+		for round := 1; round <= 8 && len(deltaP) > 0; round++ {
+			for i, p := range shardPools {
+				stats, err := evalSharded(p, generic[i], 0, n, deltaG[i], nil, 0, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				deltaG[i] = stats.Changed
 			}
-			deltaG = stats.Changed
 			next, lowered := low.Round(deltaP)
 			if !lowered {
-				stats, err := evalSharded(poolTeam(pool), pooled, 0, n, deltaP, nil, 0, true)
+				stats, err := evalSharded(pool, pooled, 0, n, deltaP, nil, 0, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -143,8 +155,10 @@ func FuzzParse(f *testing.F) {
 			}
 			deltaP = slices.Clone(next)
 			same(fmt.Sprintf("round %d", round))
-			if !slices.Equal(sortedCopy(deltaG), sortedCopy(deltaP)) {
-				t.Fatalf("round %d: changed keys differ", round)
+			for i := range deltaG {
+				if !slices.Equal(sortedCopy(deltaG[i]), sortedCopy(deltaP)) {
+					t.Fatalf("round %d, %d workers: changed keys differ", round, shardPoolSizes[i])
+				}
 			}
 		}
 	})

@@ -240,12 +240,35 @@ func (r *Rule) readsHead() bool {
 	return false
 }
 
-// Fixpoint is the one semi-naive driver: it evaluates a recursive rule
-// until no stored value changes, starting from every tuple the driver
-// table holds, and returns the number of rounds. Rounds run on the
-// caller's pool: through the BFS lowering while its guards hold; a round
-// that violates them re-runs on the generic sharded evaluator, as does
-// every later round.
+// seminaive is the one semi-naive driver loop: it hands each round the
+// keys the last one changed, starting from delta, until a round changes
+// nothing, and returns the number of rounds. A rule still changing after
+// NumKeys()+1 rounds of its head table stops with an error: $MIN with a
+// positive step settles within NumKeys() rounds, so a rule past the bound
+// is one whose values never settle (a sum or a decreasing minimum around
+// a cycle).
+func seminaive(rule *Rule, delta []uint32, round func(delta []uint32) ([]uint32, error)) (int, error) {
+	bound := int(rule.Head.Table.NumKeys()) + 1
+	rounds := 0
+	for len(delta) > 0 {
+		if rounds == bound {
+			return rounds, fmt.Errorf("socialite: rule %s still changing %d keys after round %d (bound: %d keys + 1)",
+				rule.Name, len(delta), rounds, bound-1)
+		}
+		rounds++
+		var err error
+		if delta, err = round(delta); err != nil {
+			return rounds, err
+		}
+	}
+	return rounds, nil
+}
+
+// Fixpoint evaluates a recursive rule until no stored value changes,
+// starting from every tuple the driver table holds, and returns the number
+// of rounds. Rounds run on the caller's pool: through the BFS lowering
+// while its guards hold; a round that violates them re-runs on the generic
+// sharded evaluator, as does every later round.
 func Fixpoint(pool *backend.Pool, rule *Rule) (int, error) {
 	if !rule.Recursive() {
 		return 0, fmt.Errorf("socialite: Fixpoint needs a recursive rule (head table driving the body); evaluate rule %s once instead", rule.Name)
@@ -254,22 +277,15 @@ func Fixpoint(pool *backend.Pool, rule *Rule) (int, error) {
 	var delta []uint32
 	driver.ForEach(func(k uint32, _ Value) { delta = append(delta, k) })
 	low, _ := LowerBFSRule(pool, rule)
-	rounds := 0
-	for len(delta) > 0 {
-		rounds++
+	return seminaive(rule, delta, func(delta []uint32) ([]uint32, error) {
 		if low != nil {
 			if next, ok := low.Round(delta); ok {
-				delta = next
-				continue
+				return next, nil
 			}
 		}
-		stats, err := evalSharded(poolTeam(pool), rule, 0, driver.NumKeys(), delta, nil, 0, true)
-		if err != nil {
-			return rounds, err
-		}
-		delta = stats.Changed
-	}
-	return rounds, nil
+		stats, err := evalSharded(pool, rule, 0, driver.NumKeys(), delta, nil, 0, true)
+		return stats.Changed, err
+	})
 }
 
 // EvalOnce evaluates a rule once over its whole driver key space on the
@@ -287,7 +303,7 @@ func EvalOnce(pool *backend.Pool, rule *Rule) error {
 	if sh, ok := matchEdgeShape(rule); ok && evalEdgeSum(pool, sh) {
 		return nil
 	}
-	_, err = evalSharded(poolTeam(pool), rule, 0, span, nil, nil, 0, false)
+	_, err = evalSharded(pool, rule, 0, span, nil, nil, 0, false)
 	return err
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"graphmaze/internal/backend"
@@ -47,20 +48,37 @@ func buildBFSRule(t *testing.T, src string, edge *EdgeTable, source uint32, step
 	return rule
 }
 
-// genericFixpoint is the reference driver: every round on EvalParallel.
-// It returns each round's changed-key set, sorted.
-func genericFixpoint(t *testing.T, rule *Rule, source uint32) [][]uint32 {
+// genericFixpoint is the reference driver: every round on the sharded
+// evaluator, run on a fresh rule from build at each of shardPoolSizes'
+// worker counts. The runs must agree on every round's changed-key set and
+// on the final tuples, bit for bit. It returns the first run's rule and
+// its per-round changed-key sets, sorted.
+func genericFixpoint(t *testing.T, build func() *Rule, source uint32) (*Rule, [][]uint32) {
 	t.Helper()
-	var rounds [][]uint32
-	for delta := []uint32{source}; len(delta) > 0; {
-		stats, err := EvalParallel(rule, 0, rule.Head.Table.NumKeys(), delta, nil, 0, true)
-		if err != nil {
-			t.Fatal(err)
+	var first *Rule
+	var want [][]uint32
+	for _, workers := range shardPoolSizes {
+		pool := newTestPool(t, workers)
+		rule := build()
+		var rounds [][]uint32
+		for delta := []uint32{source}; len(delta) > 0; {
+			stats, err := evalSharded(pool, rule, 0, rule.Head.Table.NumKeys(), delta, nil, 0, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			delta = stats.Changed
+			rounds = append(rounds, sortedCopy(delta))
 		}
-		delta = stats.Changed
-		rounds = append(rounds, sortedCopy(delta))
+		if first == nil {
+			first, want = rule, rounds
+			continue
+		}
+		if !slices.EqualFunc(rounds, want, func(a, b []uint32) bool { return slices.Equal(a, b) }) {
+			t.Fatalf("%d workers: per-round changed-key sets differ from %d worker's", workers, shardPoolSizes[0])
+		}
+		requireSameBits(t, fmt.Sprintf("%d workers against %d", workers, shardPoolSizes[0]), first.Head.Table, rule.Head.Table)
 	}
-	return rounds
+	return first, want
 }
 
 func sortedCopy(keys []uint32) []uint32 {
@@ -129,8 +147,7 @@ func TestFixpointLoweredMatchesGeneric(t *testing.T) {
 				edge := NewEdgeTable("EDGE", g)
 				source := maxDegreeVertex(g)
 
-				genericRule := buildBFSRule(t, bfsRuleSrc, edge, source, nil)
-				want := genericFixpoint(t, genericRule, source)
+				genericRule, want := genericFixpoint(t, func() *Rule { return buildBFSRule(t, bfsRuleSrc, edge, source, nil) }, source)
 
 				loweredRule := buildBFSRule(t, bfsRuleSrc, edge, source, nil)
 				low, ok := LowerBFSRule(pool, loweredRule)
@@ -178,8 +195,7 @@ func TestFixpointFallsBackMidRun(t *testing.T) {
 	pool := backend.NewPool(0)
 	defer pool.Close()
 
-	genericRule := buildBFSRule(t, weightedBFSRuleSrc, edge, source, step)
-	want := genericFixpoint(t, genericRule, source)
+	genericRule, want := genericFixpoint(t, func() *Rule { return buildBFSRule(t, weightedBFSRuleSrc, edge, source, step) }, source)
 
 	probe := buildBFSRule(t, weightedBFSRuleSrc, edge, source, step)
 	low, ok := LowerBFSRule(pool, probe)
@@ -203,6 +219,58 @@ func TestFixpointFallsBackMidRun(t *testing.T) {
 		t.Fatalf("Fixpoint ran %d rounds, generic %d", rounds, len(want))
 	}
 	requireSameTuples(t, "Fixpoint", genericRule.Head.Table, fixRule.Head.Table)
+}
+
+// TestFixpointRoundBound: a recursive rule whose values never settle on a
+// 3-vertex cycle stops with an error naming the rule and the round once
+// its delta outlives NumKeys()+1 rounds, while BFS on an n-vertex path
+// still converges, in n rounds.
+func TestFixpointRoundBound(t *testing.T) {
+	pool := newTestPool(t, 2)
+	reach := func(g *graph.CSR, src string) *Rule {
+		t.Helper()
+		tbl := NewVecTable("REACH", g.NumVertices)
+		tbl.Put(0, Scalar(0))
+		reg := NewRegistry()
+		reg.Register(NewEdgeTable("EDGE", g))
+		reg.Register(tbl)
+		rule, err := Parse(src, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rule
+	}
+	cycle, err := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		"REACH[t]($SUM(d)) :- REACH[s](d0), d = d0 + 1, EDGE[s](t).",
+		"REACH[t]($MIN(d)) :- REACH[s](d0), d = d0 - 1, EDGE[s](t).",
+		"REACH[t]($SUM(d)) :- REACH[s](d0), d = 0 - d0, EDGE[s](t).",
+	} {
+		rounds, err := Fixpoint(pool, reach(cycle, src))
+		if err == nil {
+			t.Fatalf("%s: converged in %d rounds on a cycle", src, rounds)
+		}
+		if rounds != 4 || !strings.Contains(err.Error(), "rule REACH") || !strings.Contains(err.Error(), "round 4") {
+			t.Errorf("%s: stopped after %d rounds with %q, want round 4 of rule REACH", src, rounds, err)
+		}
+	}
+
+	const n = 10
+	var edges []graph.Edge
+	for v := uint32(0); v+1 < n; v++ {
+		edges = append(edges, graph.Edge{Src: v, Dst: v + 1})
+	}
+	path, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds, err := Fixpoint(pool, reach(path, "REACH[t]($MIN(d)) :- REACH[s](d0), d = d0 + 1, EDGE[s](t)."))
+	if err != nil || rounds != n {
+		t.Fatalf("BFS on a %d-vertex path: %d rounds, %v; want %d rounds", n, rounds, err, n)
+	}
 }
 
 // TestLowerBFSRuleRejectsNonRecursive pins the shape checks: the PageRank
@@ -377,7 +445,7 @@ func TestSumLoweringMatchesGeneric(t *testing.T) {
 					defer pool.Close()
 
 					generic := buildSumRule(t, edge, sc)
-					if _, err := EvalParallel(generic, 0, edge.NumKeys(), nil, nil, 0, false); err != nil {
+					if _, err := evalSharded(pool, generic, 0, edge.NumKeys(), nil, nil, 0, false); err != nil {
 						t.Fatal(err)
 					}
 					want := generic.Head.Table
@@ -471,13 +539,13 @@ func TestNaNEmissionsDroppedAtEveryWorkerCount(t *testing.T) {
 			pool := backend.NewPool(0)
 			defer pool.Close()
 			generic, once := build(), build()
-			if _, err := EvalParallel(generic, 0, 4, nil, nil, 0, false); err != nil {
+			if _, err := evalSharded(pool, generic, 0, 4, nil, nil, 0, false); err != nil {
 				t.Fatal(err)
 			}
 			if err := EvalOnce(pool, once); err != nil {
 				t.Fatal(err)
 			}
-			for what, rule := range map[string]*Rule{"EvalParallel": generic, "EvalOnce": once} {
+			for what, rule := range map[string]*Rule{"evalSharded": generic, "EvalOnce": once} {
 				if v, ok := rule.Head.Table.Get(1); !ok || v.S() != 1 {
 					t.Errorf("%s: OUT[1] = %v (present=%v), want 1: source 0's NaN is no tuple", what, v, ok)
 				}

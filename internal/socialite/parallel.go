@@ -1,11 +1,10 @@
 package socialite
 
 import (
-	"runtime"
-
 	"graphmaze/internal/backend"
+	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
-	"graphmaze/internal/par"
+	"graphmaze/internal/trace"
 )
 
 // This file implements SociaLite's intra-node parallel evaluation: tables
@@ -14,16 +13,15 @@ import (
 // folds each shard's updates without locks (the paper: "SociaLite tables
 // are horizontally partitioned, or sharded, to support parallelism").
 
-// EvalStats summarizes one parallel evaluation for the distributed
+// EvalStats summarizes one sharded evaluation for the distributed
 // engine's traffic accounting.
 type EvalStats struct {
 	// Changed lists keys whose stored value changed (tracked only when
 	// requested — drives semi-naive recursion).
 	Changed []uint32
-	// RemoteBytes and RemoteTuples count head updates whose key is owned
-	// by a different cluster node than selfNode.
-	RemoteBytes  int64
-	RemoteTuples int64
+	// RemoteBytes counts the bytes of head updates whose key is owned by a
+	// different cluster node than selfNode.
+	RemoteBytes int64
 }
 
 type kv struct {
@@ -32,57 +30,34 @@ type kv struct {
 	vec    Value // nil for scalar emissions (stored inline, no alloc)
 }
 
-// team is where a sharded evaluation's workers come from: each(n, body)
-// runs body(w) for every w in [0,n) and joins. The cluster model's nodes
-// evaluate on the framework's own threads (par); everything a query runs
-// evaluates on the pool its caller borrowed.
-type team struct {
-	workers int
-	each    func(n int, body func(w int))
+// EvalParallel is evalSharded on a pool borrowed through core.Exec.Local.
+// Its only non-test caller is bench/'s Datalog replay; engines and the
+// server hand evalSharded the pool they already hold.
+func EvalParallel(rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) int, selfNode int, trackChanged bool) (stats EvalStats, err error) {
+	core.Exec{}.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+		stats, err = evalSharded(pool, rule, lo, hi, delta, owner, selfNode, trackChanged)
+		return 1
+	})
+	return stats, err
 }
 
-func parTeam() team {
-	return team{runtime.GOMAXPROCS(0), func(n int, body func(w int)) {
-		par.ForWorkersIndexed(n, n, func(_, lo, hi int) {
-			for w := lo; w < hi; w++ {
-				body(w)
-			}
-		})
-	}}
-}
-
-func poolTeam(pool *backend.Pool) team {
-	return team{pool.Workers(), func(n int, body func(w int)) {
-		backend.NewDense(pool, n, func(lo, hi int) {
-			for w := lo; w < hi; w++ {
-				body(w)
-			}
-		}).Run()
-	}}
-}
-
-// EvalParallel evaluates the rule for driver keys/sources in [lo,hi)
-// (restricted to delta when non-nil, for vec drivers) using sharded
-// parallel evaluation, folding into the head table.
+// evalSharded evaluates the rule for driver keys/sources in [lo,hi)
+// (restricted to delta when non-nil, for vec drivers) on the pool's
+// workers, folding into the head table. Every key's updates fold in
+// ascending driver order whatever the pool's size: producers own ascending
+// driver ranges and each shard drains them in producer order.
 //
 // owner, when non-nil, maps keys to cluster nodes; emissions owned by
 // nodes other than selfNode are tallied in the returned stats (the data
 // still folds — tables are shared in the simulation; the tally drives the
 // modeled network).
-func EvalParallel(rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) int, selfNode int, trackChanged bool) (EvalStats, error) {
-	return evalSharded(parTeam(), rule, lo, hi, delta, owner, selfNode, trackChanged)
-}
-
-// evalSharded is EvalParallel on the given team. Every key's updates fold
-// in ascending driver order whatever the team's size: producers own
-// ascending driver ranges and each shard drains them in producer order.
-func evalSharded(t team, rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) int, selfNode int, trackChanged bool) (EvalStats, error) {
+func evalSharded(pool *backend.Pool, rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) int, selfNode int, trackChanged bool) (EvalStats, error) {
 	var stats EvalStats
 	if _, err := rule.driverSpan(); err != nil {
 		return stats, err
 	}
 	headKeys := rule.Head.Table.NumKeys()
-	workers := max(t.workers, 1)
+	workers := pool.Workers()
 
 	// Driver shard bounds.
 	span := hi - lo
@@ -99,6 +74,13 @@ func evalSharded(t team, rule *Rule, lo, hi uint32, delta []uint32, owner func(u
 		}
 		return s
 	}
+	each := func(body func(w int)) {
+		backend.NewDense(pool, workers, func(lo, hi int) {
+			for w := lo; w < hi; w++ {
+				body(w)
+			}
+		}).Run()
+	}
 
 	// With a single worker no routing is needed, and a global aggregate
 	// (one key, e.g. TRIANGLE) has one shard to route to: fold directly.
@@ -107,7 +89,7 @@ func evalSharded(t team, rule *Rule, lo, hi uint32, delta []uint32, owner func(u
 	}
 
 	routed := make([][][]kv, workers) // [producer][consumerShard]
-	t.each(workers, func(w int) {
+	each(func(w int) {
 		buf := make([][]kv, workers)
 		dlo := lo + graph.MustU32(int64(uint64(span)*uint64(w)/uint64(workers)))
 		dhi := lo + graph.MustU32(int64(uint64(span)*uint64(w+1)/uint64(workers)))
@@ -131,8 +113,7 @@ func evalSharded(t team, rule *Rule, lo, hi uint32, delta []uint32, owner func(u
 	// same key.
 	changedPer := make([][]uint32, workers)
 	remoteBytes := make([]int64, workers)
-	remoteTuples := make([]int64, workers)
-	t.each(workers, func(s int) {
+	each(func(s int) {
 		if trackChanged {
 			total := 0
 			for p := 0; p < workers; p++ {
@@ -155,7 +136,6 @@ func evalSharded(t team, rule *Rule, lo, hi uint32, delta []uint32, owner func(u
 				}
 				if owner != nil && owner(u.key) != selfNode {
 					remoteBytes[s] += int64(4 + 8*width)
-					remoteTuples[s]++
 				}
 			}
 		}
@@ -163,7 +143,6 @@ func evalSharded(t team, rule *Rule, lo, hi uint32, delta []uint32, owner func(u
 	for s := 0; s < workers; s++ {
 		stats.Changed = append(stats.Changed, changedPer[s]...)
 		stats.RemoteBytes += remoteBytes[s]
-		stats.RemoteTuples += remoteTuples[s]
 	}
 	stats.Changed = dedup(stats.Changed)
 	return stats, nil
@@ -188,7 +167,6 @@ func evalDirect(rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) in
 		}
 		if owner != nil && owner(key) != selfNode {
 			stats.RemoteBytes += int64(4 + 8*width)
-			stats.RemoteTuples++
 		}
 	}
 	if sh, ok := matchEdgeShape(rule); ok {

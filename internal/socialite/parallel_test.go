@@ -1,59 +1,29 @@
 package socialite
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
 )
 
-// randomRuleFixture builds a PageRank-shaped rule over a random graph so
-// the three evaluation paths (generic serial, compiled, sharded parallel)
-// can be compared.
-func randomRuleFixture(t *testing.T, seed int64, n uint32, m int) (*Rule, *VecTable, func() *VecTable) {
+// shardPoolSizes are the worker counts the sharded evaluator's tests run
+// at: serial, the smallest split, and one that divides no key range evenly.
+var shardPoolSizes = []int{1, 2, 5}
+
+// newTestPool returns a pool of the given size, closed when t ends.
+func newTestPool(t testing.TB, workers int) *backend.Pool {
 	t.Helper()
-	r := rand.New(rand.NewSource(seed))
-	edges := make([]graph.Edge, m)
-	for i := range edges {
-		edges[i] = graph.Edge{Src: uint32(r.Intn(int(n))), Dst: uint32(r.Intn(int(n)))}
-	}
-	b := graph.NewBuilder(n)
-	b.AddEdges(edges)
-	g, err := b.Build(graph.BuildOptions{Dedup: true, DropSelfLoops: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	edgeT := NewEdgeTable("E", g)
-	src := NewVecTable("SRC", n)
-	for v := uint32(0); v < n; v++ {
-		src.Put(v, Scalar(float64(v%17)+1))
-	}
-	makeRule := func(head *VecTable) *Rule {
-		return &Rule{
-			Name: "sum", KeySlots: 2, ValSlots: 2,
-			Driver: Driver{Vec: &VecAtom{Table: src, KeySlot: 0, ValSlot: 0}},
-			Atoms: []Atom{
-				{Let: &Let{OutSlot: 1, FScalar: func(env *Env) float64 { return env.Vals[0].S() * 2 }}},
-				{Edge: &EdgeAtom{Table: edgeT, SrcSlot: 0, DstSlot: 1, WeightSlot: -1}},
-			},
-			Head: Head{Agg: AggSum, KeySlot: 1, ValSlot: 1},
-		}
-	}
-	// Returns a fresh head table + rule each call.
-	return nil, src, func() *VecTable {
-		head := NewVecTable("H", n)
-		rule := makeRule(head)
-		rule.Head.Table = head
-		if err := rule.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := EvalParallel(rule, 0, n, nil, nil, 0, false); err != nil {
-			t.Fatal(err)
-		}
-		return head
-	}
+	p := backend.NewPool(workers)
+	t.Cleanup(p.Close)
+	return p
 }
 
+// TestEvalParallelMatchesSerialFold: the sharded evaluator, at every pool
+// size and through EvalParallel's borrowed pool, folds each key's updates
+// in ascending driver order — the serial fold's, bit for bit.
 func TestEvalParallelMatchesSerialFold(t *testing.T) {
 	const n, m = 300, 2000
 	r := rand.New(rand.NewSource(7))
@@ -95,33 +65,29 @@ func TestEvalParallelMatchesSerialFold(t *testing.T) {
 		want.foldScalar(AggSum, key, val[0])
 	})
 
-	// Parallel/compiled evaluation.
-	got := NewVecTable("G", n)
-	ruleG := build(got)
-	ruleG.Head.Table = got
-	if err := ruleG.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EvalParallel(ruleG, 0, n, nil, nil, 0, false); err != nil {
-		t.Fatal(err)
-	}
-
-	if want.Len() != got.Len() {
-		t.Fatalf("len %d vs %d", got.Len(), want.Len())
-	}
-	want.ForEach(func(key uint32, val Value) {
-		gv, ok := got.Get(key)
-		if !ok {
-			t.Fatalf("key %d missing from parallel result", key)
+	evals := map[string]func(*Rule) error{"EvalParallel": func(rule *Rule) error {
+		_, err := EvalParallel(rule, 0, n, nil, nil, 0, false)
+		return err
+	}}
+	for _, workers := range shardPoolSizes {
+		pool := newTestPool(t, workers)
+		evals[fmt.Sprintf("evalSharded/%d", workers)] = func(rule *Rule) error {
+			_, err := evalSharded(pool, rule, 0, n, nil, nil, 0, false)
+			return err
 		}
-		diff := gv.S() - val.S()
-		if diff < 0 {
-			diff = -diff
+	}
+	for what, eval := range evals {
+		got := NewVecTable("G", n)
+		ruleG := build(got)
+		ruleG.Head.Table = got
+		if err := ruleG.Validate(); err != nil {
+			t.Fatal(err)
 		}
-		if diff > 1e-9 {
-			t.Fatalf("key %d: %v vs %v", key, gv.S(), val.S())
+		if err := eval(ruleG); err != nil {
+			t.Fatal(err)
 		}
-	})
+		requireSameBits(t, what, want, got)
+	}
 }
 
 func TestCompileScalarRuleRecognition(t *testing.T) {
@@ -170,31 +136,33 @@ func TestCompileScalarRuleRecognition(t *testing.T) {
 func TestEvalParallelDeltaRestriction(t *testing.T) {
 	g, _ := graph.FromEdges(4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}})
 	edgeT := NewEdgeTable("E", g)
-	dist := NewVecTable("D", 4)
-	dist.Put(0, Scalar(0))
-	dist.Put(2, Scalar(0))
-	rule := &Rule{
-		Name: "bfs", KeySlots: 2, ValSlots: 2,
-		Driver: Driver{Vec: &VecAtom{Table: dist, KeySlot: 0, ValSlot: 0}},
-		Atoms: []Atom{
-			{Let: &Let{OutSlot: 1, FScalar: func(env *Env) float64 { return env.Vals[0].S() + 1 }}},
-			{Edge: &EdgeAtom{Table: edgeT, SrcSlot: 0, DstSlot: 1, WeightSlot: -1}},
-		},
-		Head: Head{Table: dist, Agg: AggMin, KeySlot: 1, ValSlot: 1},
-	}
-	if err := rule.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Delta restricted to source 0: only vertex 1 should be discovered.
-	stats, err := EvalParallel(rule, 0, 4, []uint32{0}, nil, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Changed) != 1 || stats.Changed[0] != 1 {
-		t.Errorf("Changed = %v, want [1]", stats.Changed)
-	}
-	if _, ok := dist.Get(3); ok {
-		t.Error("vertex 3 reached despite delta restriction")
+	for _, workers := range shardPoolSizes {
+		dist := NewVecTable("D", 4)
+		dist.Put(0, Scalar(0))
+		dist.Put(2, Scalar(0))
+		rule := &Rule{
+			Name: "bfs", KeySlots: 2, ValSlots: 2,
+			Driver: Driver{Vec: &VecAtom{Table: dist, KeySlot: 0, ValSlot: 0}},
+			Atoms: []Atom{
+				{Let: &Let{OutSlot: 1, FScalar: func(env *Env) float64 { return env.Vals[0].S() + 1 }}},
+				{Edge: &EdgeAtom{Table: edgeT, SrcSlot: 0, DstSlot: 1, WeightSlot: -1}},
+			},
+			Head: Head{Table: dist, Agg: AggMin, KeySlot: 1, ValSlot: 1},
+		}
+		if err := rule.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		// Delta restricted to source 0: only vertex 1 should be discovered.
+		stats, err := evalSharded(newTestPool(t, workers), rule, 0, 4, []uint32{0}, nil, 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(stats.Changed) != 1 || stats.Changed[0] != 1 {
+			t.Errorf("%d workers: Changed = %v, want [1]", workers, stats.Changed)
+		}
+		if _, ok := dist.Get(3); ok {
+			t.Errorf("%d workers: vertex 3 reached despite delta restriction", workers)
+		}
 	}
 }
 
@@ -203,19 +171,6 @@ func TestEvalParallelRemoteAccounting(t *testing.T) {
 	edgeT := NewEdgeTable("E", g)
 	src := NewVecTable("S", 4)
 	src.Put(0, Scalar(1))
-	head := NewVecTable("H", 4)
-	rule := &Rule{
-		Name: "acc", KeySlots: 2, ValSlots: 2,
-		Driver: Driver{Vec: &VecAtom{Table: src, KeySlot: 0, ValSlot: 0}},
-		Atoms: []Atom{
-			{Let: &Let{OutSlot: 1, FScalar: func(env *Env) float64 { return 1 }}},
-			{Edge: &EdgeAtom{Table: edgeT, SrcSlot: 0, DstSlot: 1, WeightSlot: -1}},
-		},
-		Head: Head{Table: head, Agg: AggSum, KeySlot: 1, ValSlot: 1},
-	}
-	if err := rule.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// Owner: keys < 2 → node 0, else node 1. Evaluating as node 0, the
 	// emission to key 3 is remote, to key 1 local.
 	owner := func(k uint32) int {
@@ -224,12 +179,26 @@ func TestEvalParallelRemoteAccounting(t *testing.T) {
 		}
 		return 1
 	}
-	stats, err := EvalParallel(rule, 0, 4, nil, owner, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.RemoteTuples != 1 || stats.RemoteBytes != 12 {
-		t.Errorf("remote accounting = %d tuples / %d bytes, want 1/12", stats.RemoteTuples, stats.RemoteBytes)
+	for _, workers := range shardPoolSizes {
+		rule := &Rule{
+			Name: "acc", KeySlots: 2, ValSlots: 2,
+			Driver: Driver{Vec: &VecAtom{Table: src, KeySlot: 0, ValSlot: 0}},
+			Atoms: []Atom{
+				{Let: &Let{OutSlot: 1, FScalar: func(env *Env) float64 { return 1 }}},
+				{Edge: &EdgeAtom{Table: edgeT, SrcSlot: 0, DstSlot: 1, WeightSlot: -1}},
+			},
+			Head: Head{Table: NewVecTable("H", 4), Agg: AggSum, KeySlot: 1, ValSlot: 1},
+		}
+		if err := rule.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := evalSharded(newTestPool(t, workers), rule, 0, 4, nil, owner, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.RemoteBytes != 12 {
+			t.Errorf("%d workers: remote bytes = %d, want 12", workers, stats.RemoteBytes)
+		}
 	}
 }
 

@@ -46,7 +46,7 @@ func TestParsePageRankRuleMatchesReference(t *testing.T) {
 	for v := uint32(0); v < g.NumVertices; v++ {
 		head.Put(v, Scalar(0.3))
 	}
-	if _, err := EvalParallel(rule, 0, g.NumVertices, nil, nil, 0, false); err != nil {
+	if _, err := evalSharded(newTestPool(t, 0), rule, 0, g.NumVertices, nil, nil, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	want := core.RefPageRank(g, core.PageRankOptions{Iterations: 1})
@@ -74,13 +74,8 @@ func TestParseBFSRuleFixpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	dist.Put(7, Scalar(0))
-	delta := []uint32{7}
-	for len(delta) > 0 {
-		stats, err := EvalParallel(rule, 0, g.NumVertices, delta, nil, 0, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		delta = stats.Changed
+	if _, err := Fixpoint(newTestPool(t, 0), rule); err != nil {
+		t.Fatal(err)
 	}
 	want := core.RefBFS(g, 7)
 	for v := uint32(0); v < g.NumVertices; v++ {
@@ -108,7 +103,7 @@ func TestParseTriangleRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvalParallel(rule, 0, g.NumVertices, nil, nil, 0, false); err != nil {
+	if _, err := evalSharded(newTestPool(t, 0), rule, 0, g.NumVertices, nil, nil, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	want := core.RefTriangleCount(g)
@@ -268,10 +263,11 @@ func TestParseBothPaperPageRankVariants(t *testing.T) {
 	}
 	seed(v1out)
 	seed(v2out)
-	if _, err := EvalParallel(v1, 0, g.NumVertices, nil, nil, 0, false); err != nil {
+	pool := newTestPool(t, 0)
+	if _, err := evalSharded(pool, v1, 0, g.NumVertices, nil, nil, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvalParallel(v2, 0, g.NumVertices, nil, nil, 0, false); err != nil {
+	if _, err := evalSharded(pool, v2, 0, g.NumVertices, nil, nil, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	want := core.RefPageRank(g, core.PageRankOptions{Iterations: 1})
