@@ -24,10 +24,11 @@ const (
 
 // Traversal is the reusable direction-switching level-synchronous BFS
 // kernel (the sparse-frontier half of the backend). Push levels expand
-// the frontier claiming targets through the atomic visited bitset; pull
-// levels scan unvisited vertices for a visited parent (chosen when the
-// frontier's edge volume is a large fraction of the untraversed graph,
-// the [28]-style heuristic the native engine always used). All scratch —
+// the frontier along out-edges, claiming targets through the atomic
+// visited bitset; pull levels scan each unvisited vertex's in-edges for a
+// visited parent (chosen when the frontier's edge volume is a large
+// fraction of the untraversed graph, the [28]-style heuristic the native
+// engine always used). All scratch —
 // visited bits, a pre-claim snapshot, both frontier buffers — is owned by
 // the kernel and reused across levels and across Run calls.
 //
@@ -36,7 +37,10 @@ const (
 // reaches it, independent of which worker claims it.
 type Traversal struct {
 	pool *Pool
-	m    *Matrix
+	// m is the out-edge matrix push levels expand; in is its transpose,
+	// the in-edge matrix pull levels read parents from (m itself on a
+	// symmetric graph).
+	m, in *Matrix
 	// span names the per-level trace span ("native.bfs.level" when the
 	// native engine drives the kernel).
 	span string
@@ -57,16 +61,26 @@ type Traversal struct {
 	level int32
 }
 
-// NewTraversal builds the kernel for m. spanName names the per-level
-// trace span; tr may be nil.
+// NewTraversal builds the kernel for a symmetric m, whose rows are both
+// out- and in-edges. spanName names the per-level trace span; tr may be
+// nil.
 func NewTraversal(pool *Pool, m *Matrix, spanName string, tr *trace.Tracer) *Traversal {
+	return NewDirectedTraversal(pool, m, m, spanName, tr)
+}
+
+// NewDirectedTraversal builds the kernel for the out-edge matrix out,
+// whose in-edge matrix (transpose) is in; on a symmetric graph in may be
+// out itself. Pull levels read in's rows, so the traversal is exact on a
+// directed graph at every size.
+func NewDirectedTraversal(pool *Pool, out, in *Matrix, spanName string, tr *trace.Tracer) *Traversal {
 	return &Traversal{
 		pool:           pool,
-		m:              m,
+		m:              out,
+		in:             in,
 		span:           spanName,
 		tr:             tr,
-		visited:        bitvec.New(m.NumRows),
-		snapshot:       make([]uint64, (int(m.NumRows)+63)/64),
+		visited:        bitvec.New(out.NumRows),
+		snapshot:       make([]uint64, (int(out.NumRows)+63)/64),
 		serialEdges:    serialGraphEdges,
 		serialFrontier: serialFrontierThreshold,
 		forceDir:       -1,
@@ -184,7 +198,8 @@ func (p *pushRunner) runChunk(worker, lo, hi int) {
 	}
 }
 
-// pull scans all vertices for an unvisited one with a frontier parent.
+// pull scans all vertices for an unvisited one with a frontier parent
+// among its in-neighbours.
 // Workers write only distances of distinct unvisited vertices (the
 // visited bits are read-only during the scan); the next frontier and the
 // bit updates are materialized afterwards by one pass over the distance
@@ -208,12 +223,13 @@ type pullRunner Traversal
 
 func (p *pullRunner) runChunk(worker, lo, hi int) {
 	t := (*Traversal)(p)
+	in := t.in
 	want := t.level - 1
 	for v := lo; v < hi; v++ {
 		if t.visited.Get(uint32(v)) {
 			continue
 		}
-		for _, c := range t.row(uint32(v)) {
+		for _, c := range in.Cols[in.Offsets[v]:in.Offsets[v+1]] {
 			if t.visited.Get(c) && t.dist[c] == want {
 				t.dist[v] = t.level
 				break

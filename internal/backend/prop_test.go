@@ -10,21 +10,22 @@ import (
 )
 
 // TestPushPullEquivalence is the kernel-selection property test: on
-// random graphs, a traversal forced all-push, one forced all-pull, and
-// the heuristic mix must produce identical distance arrays, at
-// GOMAXPROCS 1 and 4. Distances (not frontier orders) are the engine
-// contract.
+// random graphs, symmetric and directed, a traversal forced all-push, one
+// forced all-pull, and the heuristic mix must produce identical distance
+// arrays, at GOMAXPROCS 1 and 4. Distances (not frontier orders) are the
+// engine contract. The first five seeds are symmetric, the last five
+// directed; pull levels read the transpose either way.
 func TestPushPullEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		for seed := int64(0); seed < 5; seed++ {
-			g := testGraph(t, 10, 100+seed, true)
-			m := FromCSR(g)
+		for seed := int64(0); seed < 10; seed++ {
+			g := testGraph(t, 10, 100+seed, seed < 5)
+			m, in := FromCSR(g), FromCSR(g.Transpose())
 			pool := NewPool(0)
 
 			run := func(dir int) []int32 {
-				tv := NewTraversal(pool, m, "backend.bfs.level", nil)
+				tv := NewDirectedTraversal(pool, m, in, "backend.bfs.level", nil)
 				tv.serialEdges = 0
 				tv.serialFrontier = 0
 				tv.forceDir = dir

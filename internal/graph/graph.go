@@ -262,6 +262,13 @@ func (g *CSR) Transpose() *CSR {
 	return &CSR{NumVertices: n, Offsets: offsets, Targets: targets, Weights: weights, targetSpace: g.NumVertices, sortedAdj: true}
 }
 
+// TransposeArrays is Transpose for a square pattern graph held only as
+// its CSR arrays (len(offsets) = n+1, every target below n), such as a
+// kernel's matrix view, which carries no *CSR.
+func TransposeArrays(n uint32, offsets []int64, targets []uint32) *CSR {
+	return (&CSR{NumVertices: n, Offsets: offsets, Targets: targets, targetSpace: n}).Transpose()
+}
+
 // Symmetric reports whether every edge has its reverse, by comparing the
 // graph with its transpose array for array. The adjacency must be sorted
 // (Transpose's always is); an unsorted or rectangular graph reports false.

@@ -89,12 +89,13 @@ func Stream(opt Options) error {
 
 	// Prime on epoch 0 (the cold start both modes share).
 	g0 := v.Current().CSR()
-	ranks, _, err := native.WarmPageRank(pool, backend.FromCSR(g0.Transpose()), g0.OutDegrees(), jump, tol, maxSweeps, nil)
+	in0 := backend.FromCSR(g0.Transpose())
+	ranks, _, err := native.WarmPageRank(pool, in0, g0.OutDegrees(), jump, tol, maxSweeps, nil)
 	if err != nil {
 		return err
 	}
-	dist, _ := native.BFS(pool, backend.FromCSR(g0), src, "native.bfs.level", nil)
-	labels := native.ConnectedComponents(pool, backend.FromCSR(g0))
+	dist, _ := native.BFS(pool, backend.FromCSR(g0), in0, src, "native.bfs.level", nil)
+	labels := native.ConnectedComponentsInto(in0, make([]uint32, g0.NumVertices), nil)
 	if _, _, err := store.Save(v.Current(), 1); err != nil {
 		return err
 	}
@@ -119,7 +120,8 @@ func Stream(opt Options) error {
 
 		// The refresh clocks cover what each refresh needs built: PageRank
 		// pays for the epoch's transpose and out-degrees; CC floods that
-		// same in-edge matrix without paying for it again.
+		// same in-edge matrix without paying for it again, and so do the
+		// full BFS and CC below.
 		start = time.Now()
 		in := backend.FromCSR(snap.CSR().Transpose())
 		if ranks, _, err = native.WarmPageRank(pool, in, snap.CSR().OutDegrees(), jump, tol, maxSweeps, ranks); err != nil {
@@ -140,10 +142,10 @@ func Stream(opt Options) error {
 			jump, tol, maxSweeps, nil)
 		prFull := time.Since(start).Seconds()
 		start = time.Now()
-		refDist, _ := native.BFS(pool, backend.FromSnapshot(snap), src, "native.bfs.level", nil)
+		refDist, _ := native.BFS(pool, backend.FromSnapshot(snap), in, src, "native.bfs.level", nil)
 		bfsFull := time.Since(start).Seconds()
 		start = time.Now()
-		refLabels := native.ConnectedComponents(pool, backend.FromSnapshot(snap))
+		refLabels := native.ConnectedComponentsInto(in, make([]uint32, snap.NumVertices()), nil)
 		ccFull := time.Since(start).Seconds()
 
 		verdict := streamVerdict(ranks, refRanks, dist, refDist, labels, refLabels)

@@ -46,22 +46,26 @@ func (e *Engine) bfsLocal(pool *backend.Pool, g *graph.CSR, source uint32, tr *t
 		return bfsTopDownArray(g, dist, source)
 	}
 	// Tuned path: the engine is a thin wrapper over the package's one BFS
-	// kernel.
-	return BFS(pool, backend.FromCSR(g), source, "native.bfs.level", tr)
+	// kernel. Its input is symmetrized, so the graph is its own in-edge
+	// matrix.
+	m := backend.FromCSR(g)
+	return BFS(pool, m, m, source, "native.bfs.level", tr)
 }
 
 // BFS runs the shared backend's direction-switching bit-vector traversal
 // (serial cutover, frontier grain and 3× direction heuristic of the
-// historical native kernel) from source on the caller's pool. It returns
-// the hop distances, -1 for unreached vertices, and the number of levels.
-// span names the per-level trace span; tr may be nil.
-func BFS(pool *backend.Pool, m *backend.Matrix, source uint32, span string, tr *trace.Tracer) ([]int32, int) {
-	dist := make([]int32, m.NumRows)
+// historical native kernel) from source along out's edges on the caller's
+// pool. in is out's in-edge matrix, which bottom-up levels read parents
+// from: out itself on a symmetric graph, its transpose on a directed one.
+// It returns the hop distances, -1 for unreached vertices, and the number
+// of levels. span names the per-level trace span; tr may be nil.
+func BFS(pool *backend.Pool, out, in *backend.Matrix, source uint32, span string, tr *trace.Tracer) ([]int32, int) {
+	dist := make([]int32, out.NumRows)
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[source] = 0
-	return dist, backend.NewTraversal(pool, m, span, tr).Run(dist, source)
+	return dist, backend.NewDirectedTraversal(pool, out, in, span, tr).Run(dist, source)
 }
 
 // bfsTopDownArray is the no-bitvector baseline: serial-friendly top-down

@@ -1,8 +1,6 @@
 package native
 
 import (
-	"sync/atomic"
-
 	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
 )
@@ -13,52 +11,41 @@ import (
 // bit-identical: any algorithm computing min-id labels on the same
 // graph produces the same array.
 
-// ConnectedComponents computes min-id labels with synchronous min-label
-// sweeps on the backend pool: next[v] = min(cur[v], min over out-neighbors
-// cur[w]), iterated to a fixpoint, so labels[v] is the smallest vertex id
-// reachable from v. On an undirected (symmetrized) graph that is the
-// smallest id of v's component; on a directed one it is what the service
-// answers for /query/cc all the same. Jacobi-style double buffering makes
-// every sweep deterministic at any worker count.
+// ConnectedComponents computes min-id labels for the out-edge matrix m:
+// labels[v] is the smallest vertex id reachable from v along out-edges.
+// On an undirected (symmetrized) graph that is the smallest id of v's
+// component; on a directed one it is what the service answers for
+// /query/cc all the same. It transposes m (graph.CSR.Transpose) and runs
+// ConnectedComponentsInto's flood over the result. The flood is serial,
+// so pool is unused. A caller that already holds the in-edge matrix calls
+// ConnectedComponentsInto and pays for no transpose.
 func ConnectedComponents(pool *backend.Pool, m *backend.Matrix) []uint32 {
-	return ConnectedComponentsInto(pool, m, make([]uint32, m.NumRows), make([]uint32, m.NumRows))
+	in := backend.FromCSR(graph.TransposeArrays(m.NumRows, m.Offsets, m.Cols))
+	return ConnectedComponentsInto(in, make([]uint32, m.NumRows), nil)
 }
 
-// ConnectedComponentsInto is ConnectedComponents on the caller's two
-// label buffers, each of m.NumRows elements and overwritten whatever they
-// held. The returned labels are one of the two.
-func ConnectedComponentsInto(pool *backend.Pool, m *backend.Matrix, cur, next []uint32) []uint32 {
-	n := int(m.NumRows)
-	for i := range cur {
-		cur[i] = uint32(i)
+// ConnectedComponentsInto computes ConnectedComponents' labels in one
+// pass over preds, the graph's in-edge matrix (the graph itself when it
+// is symmetric), into labels (len preds.NumRows, overwritten whatever it
+// held), and returns labels. Labels start as identity; each vertex s, in
+// ascending id order, that still holds its own id is a root, and a flood
+// from it hands s to every predecessor whose label is larger. Roots come
+// in ascending order, so a vertex first relabelled takes its final label
+// — the smallest root it reaches — and is never pushed again: every vertex
+// is popped once and every edge read once. work is the flood's stack; with
+// capacity preds.NumRows it never grows, so a caller lending one makes the
+// pass allocation-free.
+func ConnectedComponentsInto(preds *backend.Matrix, labels, work []uint32) []uint32 {
+	for i := range labels {
+		labels[i] = uint32(i)
 	}
-	var changed atomic.Bool
-	sweep := backend.NewDense(pool, n, func(lo, hi int) {
-		dirty := false
-		for v := lo; v < hi; v++ {
-			best := cur[v]
-			for _, w := range m.Cols[m.Offsets[v]:m.Offsets[v+1]] {
-				if cur[w] < best {
-					best = cur[w]
-				}
-			}
-			next[v] = best
-			if best != cur[v] {
-				dirty = true
-			}
-		}
-		if dirty {
-			changed.Store(true)
-		}
-	})
-	for {
-		changed.Store(false)
-		sweep.Run()
-		cur, next = next, cur
-		if !changed.Load() {
-			return cur
+	work = work[:0]
+	for s := range labels {
+		if labels[s] == uint32(s) {
+			work = flood(preds, labels, append(work, uint32(s)))
 		}
 	}
+	return labels
 }
 
 // RepairCC brings min-id labels up to date after edge insertions, in
@@ -92,8 +79,16 @@ func RepairCC(preds *backend.Matrix, labels []uint32, added []graph.Edge) []uint
 			work = append(work, e.Src)
 		}
 	}
-	// Min labels only ever fall, so each pop either lowers predecessors or
-	// terminates.
+	flood(preds, labels, work)
+	return labels
+}
+
+// flood pops the vertices on work, whose labels just fell, and hands each
+// one's label to every predecessor (a row of preds) still holding a
+// larger one, pushing it in turn. Min labels only ever fall, so each pop
+// either lowers predecessors or ends a branch. It returns the emptied
+// stack for reuse.
+func flood(preds *backend.Matrix, labels, work []uint32) []uint32 {
 	for len(work) > 0 {
 		v := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -105,5 +100,5 @@ func RepairCC(preds *backend.Matrix, labels []uint32, added []graph.Edge) []uint
 			}
 		}
 	}
-	return labels
+	return work
 }

@@ -100,7 +100,7 @@ func BenchmarkStreamBFSRepair(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap, added := s.next(b, i, func() {
-			dist, _ = BFS(pool, backend.FromSnapshot(s.v.Current()), 0, "native.bfs.level", nil)
+			dist = symmetricBFS(pool, s.v.Current(), 0)
 		})
 		dist = RepairBFS(backend.FromSnapshot(snap), dist, added)
 	}

@@ -16,6 +16,14 @@ import (
 // same epoch regardless of parallelism.
 var conformanceProcs = []int{1, 4}
 
+// symmetricBFS runs BFS from source on a symmetric snapshot, which is
+// its own in-edge matrix.
+func symmetricBFS(pool *backend.Pool, s *graph.Snapshot, source uint32) []int32 {
+	m := backend.FromSnapshot(s)
+	dist, _ := BFS(pool, m, m, source, "native.bfs.level", nil)
+	return dist
+}
+
 // buildStream builds a versioned graph plus a fixed schedule of deltas
 // from a seeded generator. Deltas mix edges inside the current vertex
 // space with edges that grow it, so every epoch exercises both repair
@@ -128,14 +136,14 @@ func TestIncrementalBFSConformance(t *testing.T) {
 			const source = 0
 			pool := backend.NewPool(0)
 			defer pool.Close()
-			dist, _ := BFS(pool, backend.FromSnapshot(v.Current()), source, "native.bfs.level", nil)
+			dist := symmetricBFS(pool, v.Current(), source)
 			for _, d := range deltas {
 				snap, added, _, err := v.ApplyDelta(d)
 				if err != nil {
 					t.Fatal(err)
 				}
 				dist = RepairBFS(backend.FromSnapshot(snap), dist, added)
-				ref, _ := BFS(pool, backend.FromSnapshot(snap), source, "native.bfs.level", nil)
+				ref := symmetricBFS(pool, snap, source)
 				if len(dist) != len(ref) {
 					t.Fatalf("procs=%d epoch=%d length %d vs %d", procs, snap.Epoch(), len(dist), len(ref))
 				}
@@ -200,7 +208,7 @@ func TestIncrementalBFSDisconnectedThenBridged(t *testing.T) {
 	}
 	pool := backend.NewPool(0)
 	defer pool.Close()
-	dist, _ := BFS(pool, backend.FromSnapshot(v.Current()), 0, "native.bfs.level", nil)
+	dist := symmetricBFS(pool, v.Current(), 0)
 	if dist[3] != -1 || dist[5] != -1 {
 		t.Fatalf("island must start unreachable: %v", dist)
 	}
@@ -264,7 +272,7 @@ func TestIncrementalKernelsRaceStress(t *testing.T) {
 	pool := backend.NewPool(0)
 	defer pool.Close()
 	ranks, _ := warmPR(t, pool, v.Current(), 1e-8, nil)
-	dist, _ := BFS(pool, backend.FromSnapshot(v.Current()), 0, "native.bfs.level", nil)
+	dist := symmetricBFS(pool, v.Current(), 0)
 	labels := ConnectedComponents(pool, backend.FromSnapshot(v.Current()))
 	for _, d := range deltas {
 		snap, added, _, err := v.ApplyDelta(d)

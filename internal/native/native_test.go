@@ -2,6 +2,7 @@ package native
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"graphmaze/internal/codec"
@@ -169,6 +170,54 @@ func TestBFSMatchesReference(t *testing.T) {
 		}
 		if !core.EqualDistances(want, res.Distances) {
 			t.Errorf("tuning %+v: distances differ from reference", tuned)
+		}
+	}
+}
+
+// TestBFSDirectedAboveSerialCutover: above the backend's serial cutover
+// (2^19 edges) the traversal switches to bottom-up levels on dense
+// frontiers, and those must find a vertex's parents among its in-edges.
+// On a directed scale-17 RMAT (about a million edges) BFS with the
+// transpose as its in-edge matrix must equal the serial out-edge
+// reference at one and two workers. Reading a vertex's out-edges as its
+// parents, which is only right on a symmetric graph, misplaces tens of
+// thousands of vertices here.
+func TestBFSDirectedAboveSerialCutover(t *testing.T) {
+	edges, err := gen.RMAT(gen.Graph500Config(17, 8, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(1 << 17)
+	b.AddEdges(edges)
+	g, err := b.Build(graph.BuildOptions{Dedup: true, DropSelfLoops: true, SortAdjacency: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() <= 1<<19 {
+		t.Fatalf("fixture: %d edges do not clear the serial cutover", g.NumEdges())
+	}
+	var source uint32
+	for v := uint32(0); v < g.NumVertices; v++ {
+		if g.Degree(v) > g.Degree(source) {
+			source = v
+		}
+	}
+	want := core.RefBFS(g, source)
+	out, in := backend.FromCSR(g), backend.FromCSR(g.Transpose())
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		pool := backend.NewPool(0)
+		got, _ := BFS(pool, out, in, source, "native.bfs.level", nil)
+		pool.Close()
+		runtime.GOMAXPROCS(prev)
+		wrong := 0
+		for v := range want {
+			if got[v] != want[v] {
+				wrong++
+			}
+		}
+		if wrong > 0 {
+			t.Errorf("GOMAXPROCS=%d: %d of %d distances differ from the serial out-edge BFS", procs, wrong, len(want))
 		}
 	}
 }

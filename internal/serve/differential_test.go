@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"sort"
@@ -62,23 +63,7 @@ func TestServedNumbersMatchDirectKernels(t *testing.T) {
 			}
 
 			for _, source := range []uint32{0, 2} {
-				var got bfsResponse
-				fetch(fmt.Sprintf("/query/bfs?graph=%s&source=%d", name, source), &got)
-				want := core.RefBFS(g, source)
-				var reached int64
-				var depth int32
-				for _, d := range want {
-					if d >= 0 {
-						reached++
-					}
-					if d > depth {
-						depth = d
-					}
-				}
-				if got.Reached != reached || got.MaxDepth != depth || got.Checksum != checksumInt32s(want) {
-					t.Errorf("%s bfs source=%d: served reached=%d depth=%d checksum=%s, reference reached=%d depth=%d checksum=%s",
-						where, source, got.Reached, got.MaxDepth, got.Checksum, reached, depth, checksumInt32s(want))
-				}
+				checkServedBFS(t, ts.URL, name, g, source, nil)
 			}
 
 			var cc ccResponse
@@ -110,6 +95,66 @@ func TestServedNumbersMatchDirectKernels(t *testing.T) {
 	check()
 	postGoldenDeltas(t, ts.URL)
 	check()
+}
+
+// checkServedBFS fetches /query/bfs from source on the named graph, with
+// the request headers hdr, and compares the served reached, max_depth and
+// checksum with the serial out-edge BFS on g, the graph's current epoch.
+func checkServedBFS(t *testing.T, baseURL, name string, g *graph.CSR, source uint32, hdr map[string]string) {
+	t.Helper()
+	path := fmt.Sprintf("/query/bfs?graph=%s&source=%d", name, source)
+	code, _, body := get(t, baseURL+path, hdr)
+	if code != http.StatusOK {
+		t.Fatalf("GET %s: status %d (body %s)", path, code, body)
+	}
+	var got bfsResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	want := core.RefBFS(g, source)
+	var reached int64
+	var depth int32
+	for _, d := range want {
+		if d >= 0 {
+			reached++
+		}
+		if d > depth {
+			depth = d
+		}
+	}
+	if got.Reached != reached || got.MaxDepth != depth || got.Checksum != checksumInt32s(want) {
+		t.Errorf("%s@%d bfs source=%d %v: served reached=%d depth=%d checksum=%s, reference reached=%d depth=%d checksum=%s",
+			name, got.Epoch, source, hdr, got.Reached, got.MaxDepth, got.Checksum, reached, depth, checksumInt32s(want))
+	}
+}
+
+// TestServedBFSDirectedAboveSerialCutover: a served directed graph above
+// the backend's serial cutover (2^19 edges) — graphserve's web graph at
+// -scale 17 — runs bottom-up levels, which read parents through the
+// epoch's in-CSR. A cold miss and a bypass from the top-degree vertex must
+// both answer the serial out-edge BFS's numbers; reading out-edges as
+// parents got tens of thousands of distances wrong here.
+func TestServedBFSDirectedAboveSerialCutover(t *testing.T) {
+	s := New(Config{Workers: 2})
+	t.Cleanup(s.Close)
+	v := buildVersioned(t, 17, false, 3)
+	if err := s.AddGraph("web", v); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	g := v.Current().CSR()
+	if g.NumEdges() <= 1<<19 {
+		t.Fatalf("fixture: %d edges do not clear the serial cutover", g.NumEdges())
+	}
+	var source uint32
+	for u := uint32(0); u < g.NumVertices; u++ {
+		if g.Degree(u) > g.Degree(source) {
+			source = u
+		}
+	}
+	checkServedBFS(t, ts.URL, "web", g, source, nil)
+	checkServedBFS(t, ts.URL, "web", g, source, map[string]string{"Cache-Control": "no-cache"})
 }
 
 // highestRanked lists the k highest ranks, ties by vertex id — written

@@ -213,9 +213,10 @@ func TestConcurrentMissesMatchFreshServer(t *testing.T) {
 }
 
 // TestWarmMissBorrowsItsVectors pins the scratch contract by its effect:
-// once a PageRank or CC miss has run, the next one allocates less than a
-// single n-element float64 vector in total (the O(n) working vectors are
-// borrowed; what is left is the response and a few kernel headers). The
+// once a PageRank or CC miss (carried or bypass) has run, the next one
+// allocates less than a single n-element float64 vector in total (the
+// O(n) working vectors are borrowed; what is left is the response and a
+// few kernel headers). The
 // collector is parked so the lending pool cannot be emptied mid-test, and
 // the best of a few tries is taken because a race-enabled sync.Pool drops
 // a quarter of what it is handed.
@@ -232,6 +233,7 @@ func TestWarmMissBorrowsItsVectors(t *testing.T) {
 	for _, q := range []*query{
 		{kind: kindPageRank, iters: 5, jump: 0.3, topK: 5},
 		{kind: kindCC},
+		{kind: kindCC, bypass: true},
 	} {
 		best := ^uint64(0)
 		for try := 0; try < 6; try++ {

@@ -226,10 +226,11 @@ type datalogResponse struct {
 type rankVectors struct{ pr, next, contrib []float64 }
 
 // labelVectors is the scratch one connected-components miss borrows: the
-// two label buffers and the per-label counts of the reduction.
+// label buffer, the flood's work stack and the per-label counts of the
+// reduction.
 type labelVectors struct {
-	cur, next []uint32
-	counts    []int32
+	labels, work []uint32
+	counts       []int32
 }
 
 // borrow takes a *T from p, or a zero one when the pool is empty (at
@@ -291,7 +292,8 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 			}
 		}
 		if dist == nil {
-			dist, _ = native.BFS(s.pool, m, q.source, "serve.bfs.level", nil)
+			// Bottom-up levels read parents through the epoch's in-CSR.
+			dist, _ = native.BFS(s.pool, m, g.bind(snap).in, q.source, "serve.bfs.level", nil)
 		}
 		reached, maxDepth, sum := bfsStats(dist)
 		resp = &bfsResponse{
@@ -305,23 +307,30 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 			g.putCarried(meta.Query, &carried{epoch: snap.Epoch(), dist: dist}, snap.CSR().MemoryBytes())
 		}
 	case kindCC:
+		// A label belongs to everything that reaches its vertex: the cold
+		// flood and the repair both run against the edges, through the
+		// epoch's in-CSR.
 		vec := borrow[labelVectors](&s.labelScratch)
 		n := int(snap.NumVertices())
 		vec.counts = sized(vec.counts, n)
-		m := backend.FromSnapshot(snap)
 		var labels []uint32
-		if q.bypass {
-			vec.cur, vec.next = sized(vec.cur, n), sized(vec.next, n)
-			labels = native.ConnectedComponentsInto(s.pool, m, vec.cur, vec.next)
-		} else if c, added := g.takeCarried(meta.Query, snap.Epoch()); c != nil {
-			// A lowered label belongs to everything that reaches the vertex:
-			// the repair floods against the edges, through the in-CSR.
-			labels = native.RepairCC(g.bind(snap).in, c.labels, added)
-			s.refreshedCC.Add(0, 1)
-		} else {
-			// The result stays with the graph, so it is not computed in
-			// borrowed vectors.
-			labels = native.ConnectedComponents(s.pool, m)
+		if !q.bypass {
+			if c, added := g.takeCarried(meta.Query, snap.Epoch()); c != nil {
+				labels = native.RepairCC(g.bind(snap).in, c.labels, added)
+				s.refreshedCC.Add(0, 1)
+			}
+		}
+		if labels == nil {
+			// A bypass answers from the borrowed label buffer; any other
+			// result stays with the graph, so it gets its own.
+			vec.work = sized(vec.work, n)
+			if q.bypass {
+				vec.labels = sized(vec.labels, n)
+				labels = vec.labels
+			} else {
+				labels = make([]uint32, n)
+			}
+			labels = native.ConnectedComponentsInto(g.bind(snap).in, labels, vec.work)
 		}
 		comps, largest, sum := componentStats(labels, vec.counts)
 		resp = &ccResponse{
