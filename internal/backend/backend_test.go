@@ -12,12 +12,23 @@ import (
 // traversal kernels see in production.
 func testGraph(tb testing.TB, scale int, seed int64, symmetric bool) *graph.CSR {
 	tb.Helper()
+	return rmatGraph(tb, uint32(1)<<uint(scale), scale, seed, symmetric)
+}
+
+// rmatGraph builds an edge-factor-8 RMAT of the given scale over n ≤
+// 2^scale vertex ids, dropping the edges with an endpoint at n or above.
+func rmatGraph(tb testing.TB, n uint32, scale int, seed int64, symmetric bool) *graph.CSR {
+	tb.Helper()
 	edges, err := gen.RMAT(gen.Graph500Config(scale, 8, seed))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	b := graph.NewBuilder(uint32(1) << uint(scale))
-	b.AddEdges(edges)
+	b := graph.NewBuilder(n)
+	for _, e := range edges {
+		if e.Src < n && e.Dst < n {
+			b.AddEdge(e.Src, e.Dst)
+		}
+	}
 	opt := graph.BuildOptions{Dedup: true, DropSelfLoops: true, SortAdjacency: true}
 	if symmetric {
 		opt.Orientation = graph.Symmetrize

@@ -10,8 +10,9 @@ import (
 // Traversal tuning constants, shared with the native engine's historical
 // values so lowering changes nothing observable.
 const (
-	// serialGraphEdges: below this edge count the whole traversal runs on
-	// one core — goroutine fan-out costs more than it saves.
+	// serialGraphEdges: below this edge count every phase of a traversal
+	// runs inline on its caller — goroutine fan-out costs more than it
+	// saves. It picks where a level runs, never its direction.
 	serialGraphEdges = 1 << 19
 	// serialFrontierThreshold: a level with a smaller frontier expands
 	// serially even on large graphs.
@@ -25,11 +26,12 @@ const (
 // Traversal is the reusable direction-switching level-synchronous BFS
 // kernel (the sparse-frontier half of the backend). Push levels expand
 // the frontier along out-edges, claiming targets through the atomic
-// visited bitset; pull levels scan each unvisited vertex's in-edges for a
-// visited parent (chosen when the frontier's edge volume is a large
-// fraction of the untraversed graph, the [28]-style heuristic the native
-// engine always used). All scratch —
-// visited bits, a pre-claim snapshot, both frontier buffers — is owned by
+// visited bitset; pull levels look for a frontier parent among the
+// in-edges of each unvisited vertex that has any (chosen when the
+// frontier's edge volume is a large fraction of the untraversed graph,
+// the [28]-style heuristic the native engine always used). Both kinds run
+// at every graph size, through one level loop. All scratch — visited
+// bits, a pre-claim snapshot, the frontier lists and bitmaps — is owned by
 // the kernel and reused across levels and across Run calls.
 //
 // Distances are deterministic at any worker count because levels are
@@ -39,17 +41,23 @@ type Traversal struct {
 	pool *Pool
 	// m is the out-edge matrix push levels expand; in is its transpose,
 	// the in-edge matrix pull levels read parents from (m itself on a
-	// symmetric graph).
+	// symmetric graph), or nil, which makes every level a push.
 	m, in *Matrix
 	// span names the per-level trace span ("native.bfs.level" when the
 	// native engine drives the kernel).
 	span string
 	tr   *trace.Tracer
 
-	visited  *bitvec.Vector
+	visited *bitvec.Vector
+	// snapshot is the visited words before a parallel push level, built by
+	// the first one.
 	snapshot []uint64
 	frontier []uint32
 	next     []uint32
+	// Pull state, built by the first pull level: occIn is in's occupancy
+	// words, front the frontier as a bitmap, found the bitmap a pull level
+	// writes its discoveries into (the two swap after it).
+	occIn, front, found []uint64
 
 	// tuning, overridable in tests to force specific kernels
 	serialEdges    int64
@@ -57,8 +65,9 @@ type Traversal struct {
 	forceDir       int // -1 auto (heuristic), 0 push, 1 pull
 
 	// per-dispatch state
-	dist  []int32
-	level int32
+	dist   []int32
+	level  int32
+	inline bool // the graph is under serialEdges: no phase uses the pool
 }
 
 // NewTraversal builds the kernel for a symmetric m, whose rows are both
@@ -71,7 +80,8 @@ func NewTraversal(pool *Pool, m *Matrix, spanName string, tr *trace.Tracer) *Tra
 // NewDirectedTraversal builds the kernel for the out-edge matrix out,
 // whose in-edge matrix (transpose) is in; on a symmetric graph in may be
 // out itself. Pull levels read in's rows, so the traversal is exact on a
-// directed graph at every size.
+// directed graph at every size. A nil in runs every level as a push,
+// which is exact on any graph.
 func NewDirectedTraversal(pool *Pool, out, in *Matrix, spanName string, tr *trace.Tracer) *Traversal {
 	return &Traversal{
 		pool:           pool,
@@ -80,7 +90,6 @@ func NewDirectedTraversal(pool *Pool, out, in *Matrix, spanName string, tr *trac
 		span:           spanName,
 		tr:             tr,
 		visited:        bitvec.New(out.NumRows),
-		snapshot:       make([]uint64, (int(out.NumRows)+63)/64),
 		serialEdges:    serialGraphEdges,
 		serialFrontier: serialFrontierThreshold,
 		forceDir:       -1,
@@ -100,54 +109,47 @@ func (t *Traversal) Run(dist []int32, source uint32) int {
 	t.visited.Set(source)
 	t.dist = dist
 	frontier := append(t.frontier[:0], source)
+	// size and frontierEdges describe the frontier. After a pull level it
+	// is held only as front's bits (bitsOnly), and a push level lists it.
+	size, frontierEdges := 1, t.degree(source)
+	bitsOnly := false
 	level := int32(0)
-	frontierEdges := t.degree(source)
 	remaining := t.m.NNZ()
-
-	if remaining < t.serialEdges {
-		for len(frontier) > 0 {
-			level++
-			next := t.next[:0]
-			for _, v := range frontier {
-				for _, c := range t.row(v) {
-					if !t.visited.Get(c) {
-						t.visited.Set(c)
-						dist[c] = level
-						next = append(next, c)
-					}
-				}
-			}
-			frontier, t.next = next, frontier
-		}
-		t.frontier, t.dist = frontier, nil
-		return int(level)
-	}
+	t.inline = remaining < t.serialEdges
 
 	// Frontier-size distribution: levels span several orders of magnitude
 	// on power-law graphs, and the histogram keeps that shape where the
 	// per-level spans only keep instances.
 	frontierHist := t.tr.Hist("backend.frontier_size")
-	for len(frontier) > 0 {
+	for size > 0 {
 		level++
 		t.level = level
-		frontierHist.Record(0, int64(len(frontier)))
+		frontierHist.Record(0, int64(size))
 		sp := t.tr.Begin(t.span, "bfs level").
-			Arg("level", float64(level)).Arg("frontier", float64(len(frontier)))
+			Arg("level", float64(level)).Arg("frontier", float64(size))
 		pull := frontierEdges*3 > remaining
 		if t.forceDir >= 0 {
 			pull = t.forceDir == 1
 		}
-		if pull {
+		remaining -= frontierEdges
+		if pull && t.in != nil {
 			sp.Arg("direction", 1) // pull (bottom-up)
-			frontier = t.pull(frontier)
+			if !bitsOnly {
+				t.setFront(frontier)
+			}
+			size, frontierEdges = t.pull()
+			bitsOnly = true
 		} else {
 			sp.Arg("direction", 0) // push (top-down)
+			if bitsOnly {
+				frontier = t.listFront(frontier[:0])
+			}
 			frontier = t.push(frontier)
-		}
-		remaining -= frontierEdges
-		frontierEdges = 0
-		for _, v := range frontier {
-			frontierEdges += t.degree(v)
+			size, frontierEdges = len(frontier), 0
+			for _, v := range frontier {
+				frontierEdges += t.degree(v)
+			}
+			bitsOnly = false
 		}
 		sp.End()
 	}
@@ -155,14 +157,15 @@ func (t *Traversal) Run(dist []int32, source uint32) int {
 	return int(level)
 }
 
-// push expands the frontier. Small frontiers run serially (discovery
-// order); large ones claim dynamic chunks through the atomic bitset and
-// the next frontier is materialized by diffing the visited words against
-// a pre-expansion snapshot — ascending vertex order, no per-chunk staging
-// buffers, deterministic at any worker count.
+// push expands the frontier. Small frontiers, and every frontier of a
+// graph under the cutover, run serially (discovery order); large ones
+// claim dynamic chunks through the atomic bitset and the next frontier is
+// materialized by diffing the visited words against a pre-expansion
+// snapshot — ascending vertex order, no per-chunk staging buffers,
+// deterministic at any worker count.
 func (t *Traversal) push(frontier []uint32) []uint32 {
 	next := t.next[:0]
-	if len(frontier) < t.serialFrontier {
+	if t.inline || len(frontier) < t.serialFrontier {
 		for _, v := range frontier {
 			for _, c := range t.row(v) {
 				if !t.visited.Get(c) {
@@ -174,6 +177,9 @@ func (t *Traversal) push(frontier []uint32) []uint32 {
 		}
 		t.next, t.frontier = frontier, nil
 		return next
+	}
+	if t.snapshot == nil {
+		t.snapshot = make([]uint64, len(t.visited.Words()))
 	}
 	copy(t.snapshot, t.visited.Words())
 	t.frontier = frontier
@@ -198,43 +204,85 @@ func (p *pushRunner) runChunk(worker, lo, hi int) {
 	}
 }
 
-// pull scans all vertices for an unvisited one with a frontier parent
-// among its in-neighbours.
-// Workers write only distances of distinct unvisited vertices (the
-// visited bits are read-only during the scan); the next frontier and the
-// bit updates are materialized afterwards by one pass over the distance
-// array, keeping the parallel phase free of shared writes.
-func (t *Traversal) pull(frontier []uint32) []uint32 {
-	t.pool.RunDynamic((*pullRunner)(t), int(t.m.NumRows), 0)
-	next := t.next[:0]
-	for v := 0; v < int(t.m.NumRows); v++ {
-		if t.dist[v] == t.level && !t.visited.Get(uint32(v)) {
-			t.visited.Set(uint32(v))
-			next = append(next, uint32(v))
+// setFront makes front the frontier's bitmap, building the pull state on
+// the first pull level: front, found, and in's occupancy words (shared
+// when WithOccupancy built them).
+func (t *Traversal) setFront(frontier []uint32) {
+	if t.front == nil {
+		words := len(t.visited.Words())
+		t.front, t.found = make([]uint64, words), make([]uint64, words)
+		if t.occIn = t.in.occ; t.occIn == nil {
+			t.occIn = occupancy(t.in.Offsets)
 		}
 	}
-	t.next = frontier
-	return next
+	clear(t.front)
+	for _, v := range frontier {
+		t.front[v>>6] |= 1 << (v & 63)
+	}
+}
+
+// pull runs one bottom-up level over the whole vertex range, on the pool
+// or, under the cutover, in one inline call. The runner leaves the level's
+// discoveries in found and visited; found becomes front, the next
+// frontier, and one scan of its words returns that frontier's size and
+// out-edge count.
+func (t *Traversal) pull() (size int, edges int64) {
+	if n := int(t.m.NumRows); t.inline {
+		(*pullRunner)(t).runChunk(0, 0, n)
+	} else {
+		t.pool.RunDynamic((*pullRunner)(t), n, 0)
+	}
+	t.front, t.found = t.found, t.front
+	for w, word := range t.front {
+		size += bits.OnesCount64(word)
+		for ; word != 0; word &= word - 1 {
+			edges += t.degree(uint32(w*64 + bits.TrailingZeros64(word)))
+		}
+	}
+	return size, edges
+}
+
+// listFront appends front's vertices to out in ascending order.
+func (t *Traversal) listFront(out []uint32) []uint32 {
+	for w, word := range t.front {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, uint32(w*64+bits.TrailingZeros64(word)))
+		}
+	}
+	return out
 }
 
 // pullRunner is Traversal's pull-phase chunkRunner ([lo, hi) is a vertex
-// range).
+// range starting on a word edge: RunDynamic's grains are multiples of 64).
+// It walks the range's bitmap words. A word's candidates are its
+// unvisited vertices with at least one in-edge; each scans its in-edges
+// until one is a frontier bit. The chunk then stores the word's
+// discoveries into found and ORs them into visited with plain stores:
+// during a pull no chunk reads another chunk's visited or found words
+// (parents are tested against front, which nothing writes), so the phase
+// has no atomics, no shared writes and no pass over dist afterwards.
 type pullRunner Traversal
 
 func (p *pullRunner) runChunk(worker, lo, hi int) {
 	t := (*Traversal)(p)
-	in := t.in
-	want := t.level - 1
-	for v := lo; v < hi; v++ {
-		if t.visited.Get(uint32(v)) {
-			continue
-		}
-		for _, c := range in.Cols[in.Offsets[v]:in.Offsets[v+1]] {
-			if t.visited.Get(c) && t.dist[c] == want {
-				t.dist[v] = t.level
-				break
+	off, cols := t.in.Offsets, t.in.Cols
+	visited, occ, front, found := t.visited.Words(), t.occIn, t.front, t.found
+	dist, level := t.dist, t.level
+	for w := lo >> 6; w < (hi+63)>>6; w++ {
+		var hit uint64
+		for cand := occ[w] &^ visited[w]; cand != 0; cand &= cand - 1 {
+			b := bits.TrailingZeros64(cand)
+			v := w<<6 | b
+			for _, c := range cols[off[v]:off[v+1]] {
+				if front[c>>6]&(1<<(c&63)) != 0 {
+					hit |= 1 << b
+					dist[v] = level
+					break
+				}
 			}
 		}
+		found[w] = hit
+		visited[w] |= hit
 	}
 }
 

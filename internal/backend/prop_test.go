@@ -4,54 +4,140 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
+
+	"graphmaze/internal/graph"
 )
 
-// TestPushPullEquivalence is the kernel-selection property test: on
-// random graphs, symmetric and directed, a traversal forced all-push, one
-// forced all-pull, and the heuristic mix must produce identical distance
-// arrays, at GOMAXPROCS 1 and 4. Distances (not frontier orders) are the
-// engine contract. The first five seeds are symmetric, the last five
-// directed; pull levels read the transpose either way.
+// TestPushPullEquivalence is the kernel-selection property test: a
+// traversal forced all-push, one forced all-pull and the heuristic mix
+// must each give the serial queue BFS's distances and level count. The
+// graphs are symmetric and directed RMATs on both sides of the 2^19-edge
+// cutover, and a pair whose n is no multiple of 64 (every RMAT has
+// isolated vertices); the sources are vertex 2, the hub and a vertex with
+// no out-edges. Pools run 1 to 4 workers, plus a 1-worker pool whose team is
+// held, so every dispatch takes the inline RunDynamic path. Graphs under
+// the cutover also run with it at 0, on the pool. Pull levels read the
+// graph itself when it is symmetric and its transpose when it is not; a
+// directed traversal with no in-edge matrix must fall back to push when
+// pull is forced.
 func TestPushPullEquivalence(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		for seed := int64(0); seed < 10; seed++ {
-			g := testGraph(t, 10, 100+seed, seed < 5)
-			m, in := FromCSR(g), FromCSR(g.Transpose())
-			pool := NewPool(0)
-
-			run := func(dir int) []int32 {
-				tv := NewDirectedTraversal(pool, m, in, "backend.bfs.level", nil)
-				tv.serialEdges = 0
-				tv.serialFrontier = 0
-				tv.forceDir = dir
-				dist := make([]int32, g.NumVertices)
-				for i := range dist {
-					dist[i] = -1
+	fixtures := []struct {
+		name       string
+		g          *graph.CSR
+		sym, large bool
+	}{
+		{"sym-10", testGraph(t, 10, 100, true), true, false},
+		{"dir-10", testGraph(t, 10, 101, false), false, false},
+		{"sym-odd", rmatGraph(t, 1000, 10, 102, true), true, false},
+		{"dir-odd", rmatGraph(t, 1000, 10, 103, false), false, false},
+		{"sym-16", testGraph(t, 16, 104, true), true, true},
+		{"dir-17", testGraph(t, 17, 105, false), false, true},
+	}
+	pools := []*Pool{NewPool(1), NewPool(2), NewPool(3), NewPool(4), heldPool(t)}
+	for _, p := range pools[:4] {
+		defer p.Close()
+	}
+	for _, fx := range fixtures {
+		m := FromCSR(fx.g)
+		ins := []*Matrix{m}
+		if !fx.sym {
+			ins = []*Matrix{FromCSR(fx.g.Transpose()), nil}
+		}
+		if fx.large != (m.NNZ() >= serialGraphEdges) {
+			t.Fatalf("%s: %d edges on the wrong side of the cutover", fx.name, m.NNZ())
+		}
+		cutovers := []int64{serialGraphEdges}
+		if !fx.large {
+			cutovers = append(cutovers, 0)
+		}
+		sources := []uint32{2, hubOf(m), sinkOf(m)}
+		if testing.Short() && fx.large {
+			sources = sources[1:2] // -short (the race runs) keeps the hub
+		}
+		for _, src := range sources {
+			want := refBFS(m, src)
+			wantLevels := int(slices.Max(want)) + 1
+			for pi, pool := range pools {
+				for _, in := range ins {
+					for _, cut := range cutovers {
+						for _, dir := range []int{0, 1, -1} {
+							if in == nil && dir != 1 {
+								continue
+							}
+							tv := NewDirectedTraversal(pool, m, in, "backend.bfs.level", nil)
+							tv.serialEdges = cut
+							if cut == 0 {
+								tv.serialFrontier = 0
+							}
+							tv.forceDir = dir
+							dist := make([]int32, m.NumRows)
+							for i := range dist {
+								dist[i] = -1
+							}
+							dist[src] = 0
+							levels := tv.Run(dist, src)
+							if wrong := countDiff(dist, want); wrong > 0 || levels != wantLevels {
+								t.Fatalf("%s source=%d pool=%d in=%v cutover=%d dir=%d: %d distances wrong, %d levels (want %d)",
+									fx.name, src, pi, in != nil, cut, dir, wrong, levels, wantLevels)
+							}
+						}
+					}
 				}
-				dist[2] = 0
-				tv.Run(dist, 2)
-				return dist
 			}
-
-			push, pull, auto := run(0), run(1), run(-1)
-			for i := range push {
-				if push[i] != pull[i] {
-					t.Fatalf("procs=%d seed=%d: push dist[%d]=%d, pull dist[%d]=%d",
-						procs, seed, i, push[i], i, pull[i])
-				}
-				if push[i] != auto[i] {
-					t.Fatalf("procs=%d seed=%d: push dist[%d]=%d, auto dist[%d]=%d",
-						procs, seed, i, push[i], i, auto[i])
-				}
-			}
-			pool.Close()
 		}
 	}
+}
+
+// heldPool returns a 1-worker pool whose team a blocked dispatch holds
+// until the test ends, so every dispatch on it runs on its caller.
+func heldPool(t *testing.T) *Pool {
+	pool := NewPool(1)
+	held := &blockingRunner{entered: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		pool.RunStatic(held, evenSplits(4, 1))
+		close(done)
+	}()
+	<-held.entered
+	t.Cleanup(func() {
+		close(held.release)
+		<-done
+		pool.Close()
+	})
+	return pool
+}
+
+// hubOf returns m's highest-degree row; sinkOf its first empty one (0 when
+// none is).
+func hubOf(m *Matrix) uint32 {
+	var hub uint32
+	for v := uint32(0); v < m.NumRows; v++ {
+		if m.Offsets[v+1]-m.Offsets[v] > m.Offsets[hub+1]-m.Offsets[hub] {
+			hub = v
+		}
+	}
+	return hub
+}
+
+func sinkOf(m *Matrix) uint32 {
+	for v := uint32(0); v < m.NumRows; v++ {
+		if m.Offsets[v+1] == m.Offsets[v] {
+			return v
+		}
+	}
+	return 0
+}
+
+func countDiff(got, want []int32) int {
+	wrong := 0
+	for i := range want {
+		if got[i] != want[i] {
+			wrong++
+		}
+	}
+	return wrong
 }
 
 // TestSpMVWorkerCountInvariance pins the determinism claim for the dense

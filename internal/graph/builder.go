@@ -143,6 +143,7 @@ func (b *Builder) Build(opt BuildOptions) (*CSR, error) {
 		// The dedup sort already ordered each adjacency list.
 		g.sortedAdj = true
 	}
+	g.symmetrized = opt.Orientation == Symmetrize
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}

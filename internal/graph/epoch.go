@@ -230,6 +230,7 @@ func (v *Versioned) ApplyDelta(delta []Edge) (*Snapshot, []Edge, DeltaStats, err
 	st.Added = int64(len(added))
 
 	merged := mergeCSR(g, n, added)
+	merged.symmetrized = g.symmetrized && v.opts.Symmetrize
 	next := NewSnapshot(base.epoch+1, merged)
 	v.cur.Store(next)
 	return next, added, st, nil

@@ -131,6 +131,50 @@ func TestApplyDeltaSymmetrize(t *testing.T) {
 	}
 }
 
+// TestSymmetrizedRecordsConstruction: the bit is set by a Symmetrize
+// build, kept by a symmetrizing delta from such a base and copied by
+// Transpose. It is a record, not a check: a directed build whose edges
+// happen to pair up, a directed delta and a decoded snapshot all report
+// false.
+func TestSymmetrizedRecordsConstruction(t *testing.T) {
+	sym := buildSorted(t, 4, []Edge{{0, 1}, {1, 2}}, BuildOptions{Orientation: Symmetrize})
+	paired := buildSorted(t, 4, []Edge{{0, 1}, {1, 0}}, BuildOptions{})
+	if !sym.Symmetrized() || !sym.Transpose().Symmetrized() {
+		t.Error("a Symmetrize build and its transpose must report Symmetrized")
+	}
+	if paired.Symmetrized() || paired.Transpose().Symmetrized() {
+		t.Error("a KeepDirection build reports Symmetrized")
+	}
+	delta := func(g *CSR, opts DeltaOptions) *CSR {
+		v, err := NewVersioned(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, _, _, err := v.ApplyDelta([]Edge{{2, 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.CSR()
+	}
+	if !delta(sym, DeltaOptions{Symmetrize: true}).Symmetrized() {
+		t.Error("a symmetrizing delta from a Symmetrized base lost the bit")
+	}
+	if delta(sym, DeltaOptions{}).Symmetrized() || delta(paired, DeltaOptions{Symmetrize: true}).Symmetrized() {
+		t.Error("a directed delta, or a delta from a directed base, reports Symmetrized")
+	}
+	data, err := EncodeSnapshot(nil, NewSnapshot(0, sym))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, _, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decoded.CSR().Symmetrized() {
+		t.Error("a decoded snapshot reports Symmetrized; the codec does not persist it")
+	}
+}
+
 func TestApplyDeltaNewMaxDegreeVertices(t *testing.T) {
 	// The delta touches only vertices beyond the base id space, and the new
 	// hub immediately becomes the max-degree vertex.

@@ -46,6 +46,7 @@ type CSR struct {
 	// the rectangular CSRs inside a Bipartite.
 	targetSpace uint32
 	sortedAdj   bool
+	symmetrized bool
 }
 
 // TargetSpace reports the number of valid target ids (NumVertices for
@@ -86,6 +87,15 @@ func (g *CSR) Weighted() bool { return g.Weights != nil }
 // SortedAdjacency reports whether every adjacency list is sorted by vertex
 // id (required by the merge-based triangle-counting kernels).
 func (g *CSR) SortedAdjacency() bool { return g.sortedAdj }
+
+// Symmetrized reports whether construction stored every edge's reverse: a
+// Builder with Symmetrize built the graph, ApplyDelta merged it under
+// DeltaOptions.Symmetrize from a base that reports true, or Transpose
+// reversed such a graph. It is a record, not a check (Symmetric is the
+// check), and the snapshot codec does not persist it, so a decoded graph
+// reports false. A kernel may read the graph's rows as its in-edges when
+// it reports true.
+func (g *CSR) Symmetrized() bool { return g.symmetrized }
 
 // HasEdge reports whether the edge (u,v) is present. It is O(log d(u)) on
 // sorted adjacency and O(d(u)) otherwise; intended for tests and small
@@ -259,7 +269,7 @@ func (g *CSR) Transpose() *CSR {
 			cursor[t]++
 		}
 	}
-	return &CSR{NumVertices: n, Offsets: offsets, Targets: targets, Weights: weights, targetSpace: g.NumVertices, sortedAdj: true}
+	return &CSR{NumVertices: n, Offsets: offsets, Targets: targets, Weights: weights, targetSpace: g.NumVertices, sortedAdj: true, symmetrized: g.symmetrized}
 }
 
 // TransposeArrays is Transpose for a square pattern graph held only as

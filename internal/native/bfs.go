@@ -14,10 +14,10 @@ import (
 	"graphmaze/internal/trace"
 )
 
-// BFS implements core.Engine over an undirected (symmetrized) graph,
-// following the approach of [28] cited by the paper: level-synchronous
-// traversal with a bit-vector visited set and a top-down/bottom-up
-// direction switch for the dense middle levels.
+// BFS implements core.Engine following the approach of [28] cited by the
+// paper: level-synchronous traversal with a bit-vector visited set and a
+// top-down/bottom-up direction switch for the dense middle levels, which
+// it takes on a symmetrized graph (a directed one runs top-down only).
 func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error) {
 	opt, err := core.CheckBFSInput(g, opt)
 	if err != nil {
@@ -46,21 +46,34 @@ func (e *Engine) bfsLocal(pool *backend.Pool, g *graph.CSR, source uint32, tr *t
 		return bfsTopDownArray(g, dist, source)
 	}
 	// Tuned path: the engine is a thin wrapper over the package's one BFS
-	// kernel. Its input is symmetrized, so the graph is its own in-edge
-	// matrix.
+	// kernel. Pull levels read parents through an in-edge matrix, and the
+	// graph is its own only when its construction stored every reverse
+	// edge; without one every level is a push, which is exact on any
+	// graph.
 	m := backend.FromCSR(g)
-	return BFS(pool, m, m, source, "native.bfs.level", tr)
+	var in *backend.Matrix
+	if g.Symmetrized() {
+		in = m
+	}
+	return BFS(pool, m, in, source, "native.bfs.level", tr)
 }
 
 // BFS runs the shared backend's direction-switching bit-vector traversal
 // (serial cutover, frontier grain and 3× direction heuristic of the
 // historical native kernel) from source along out's edges on the caller's
 // pool. in is out's in-edge matrix, which bottom-up levels read parents
-// from: out itself on a symmetric graph, its transpose on a directed one.
-// It returns the hop distances, -1 for unreached vertices, and the number
-// of levels. span names the per-level trace span; tr may be nil.
+// from: out itself on a symmetric graph, its transpose on a directed one,
+// or nil for top-down levels only. It returns the hop distances, -1 for
+// unreached vertices, and the number of levels. span names the per-level
+// trace span; tr may be nil.
 func BFS(pool *backend.Pool, out, in *backend.Matrix, source uint32, span string, tr *trace.Tracer) ([]int32, int) {
-	dist := make([]int32, out.NumRows)
+	return BFSInto(pool, out, in, source, span, tr, make([]int32, out.NumRows))
+}
+
+// BFSInto is BFS on the caller's distance vector: dist holds out.NumRows
+// elements and is overwritten whatever it held. The returned distances
+// are dist.
+func BFSInto(pool *backend.Pool, out, in *backend.Matrix, source uint32, span string, tr *trace.Tracer, dist []int32) ([]int32, int) {
 	for i := range dist {
 		dist[i] = -1
 	}

@@ -174,6 +174,40 @@ func TestBFSMatchesReference(t *testing.T) {
 	}
 }
 
+// directedRMAT builds a directed RMAT with edge factor 8 (the served
+// graphs' shape) and returns it with its highest-out-degree vertex.
+func directedRMAT(t *testing.T, scale int, seed int64) (*graph.CSR, uint32) {
+	t.Helper()
+	edges, err := gen.RMAT(gen.Graph500Config(scale, 8, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(1 << scale)
+	b.AddEdges(edges)
+	g, err := b.Build(graph.BuildOptions{Dedup: true, DropSelfLoops: true, SortAdjacency: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hub uint32
+	for v := uint32(0); v < g.NumVertices; v++ {
+		if g.Degree(v) > g.Degree(hub) {
+			hub = v
+		}
+	}
+	return g, hub
+}
+
+// countWrong reports how many distances differ from the reference.
+func countWrong(got, want []int32) int {
+	wrong := 0
+	for v := range want {
+		if got[v] != want[v] {
+			wrong++
+		}
+	}
+	return wrong
+}
+
 // TestBFSDirectedAboveSerialCutover: above the backend's serial cutover
 // (2^19 edges) the traversal switches to bottom-up levels on dense
 // frontiers, and those must find a vertex's parents among its in-edges.
@@ -183,24 +217,9 @@ func TestBFSMatchesReference(t *testing.T) {
 // parents, which is only right on a symmetric graph, misplaces tens of
 // thousands of vertices here.
 func TestBFSDirectedAboveSerialCutover(t *testing.T) {
-	edges, err := gen.RMAT(gen.Graph500Config(17, 8, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := graph.NewBuilder(1 << 17)
-	b.AddEdges(edges)
-	g, err := b.Build(graph.BuildOptions{Dedup: true, DropSelfLoops: true, SortAdjacency: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, source := directedRMAT(t, 17, 3)
 	if g.NumEdges() <= 1<<19 {
 		t.Fatalf("fixture: %d edges do not clear the serial cutover", g.NumEdges())
-	}
-	var source uint32
-	for v := uint32(0); v < g.NumVertices; v++ {
-		if g.Degree(v) > g.Degree(source) {
-			source = v
-		}
 	}
 	want := core.RefBFS(g, source)
 	out, in := backend.FromCSR(g), backend.FromCSR(g.Transpose())
@@ -210,14 +229,28 @@ func TestBFSDirectedAboveSerialCutover(t *testing.T) {
 		got, _ := BFS(pool, out, in, source, "native.bfs.level", nil)
 		pool.Close()
 		runtime.GOMAXPROCS(prev)
-		wrong := 0
-		for v := range want {
-			if got[v] != want[v] {
-				wrong++
-			}
-		}
-		if wrong > 0 {
+		if wrong := countWrong(got, want); wrong > 0 {
 			t.Errorf("GOMAXPROCS=%d: %d of %d distances differ from the serial out-edge BFS", procs, wrong, len(want))
+		}
+	}
+}
+
+// TestEngineBFSDirected: the engine's BFS takes any graph it is handed
+// and may pull only through a real in-edge matrix, which a directed
+// graph's rows are not. On directed RMATs it must equal the serial
+// out-edge BFS at scale 16 (the served web's size, under the 2^19-edge
+// cutover) and at scale 17, above it, where reading the graph's own rows
+// as parents misplaces tens of thousands of vertices.
+func TestEngineBFSDirected(t *testing.T) {
+	for _, scale := range []int{16, 17} {
+		g, source := directedRMAT(t, scale, 3)
+		res, err := New().BFS(g, core.BFSOptions{Source: source})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wrong := countWrong(res.Distances, core.RefBFS(g, source)); wrong > 0 {
+			t.Errorf("scale %d (%d edges): %d of %d distances differ from the serial out-edge BFS",
+				scale, g.NumEdges(), wrong, g.NumVertices)
 		}
 	}
 }

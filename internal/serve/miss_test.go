@@ -216,10 +216,12 @@ func TestConcurrentMissesMatchFreshServer(t *testing.T) {
 // once a PageRank or CC miss (carried or bypass) has run, the next one
 // allocates less than a single n-element float64 vector in total (the
 // O(n) working vectors are borrowed; what is left is the response and a
-// few kernel headers). The
-// collector is parked so the lending pool cannot be emptied mid-test, and
-// the best of a few tries is taken because a race-enabled sync.Pool drops
-// a quarter of what it is handed.
+// few kernel headers), and once a bypass BFS has run, the next allocates
+// less than its own 4·n-byte distance vector (what is left is the
+// traversal's bitmaps and frontier lists, the response and a few headers).
+// The collector is parked so the lending pool cannot be emptied
+// mid-test, and the best of a few tries is taken because a race-enabled
+// sync.Pool drops a quarter of what it is handed.
 func TestWarmMissBorrowsItsVectors(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s := New(Config{Workers: 2})
@@ -229,12 +231,17 @@ func TestWarmMissBorrowsItsVectors(t *testing.T) {
 	}
 	g, _ := s.graphByName("social")
 	snap := g.v.Current()
-	budget := uint64(8 * snap.NumVertices())
-	for _, q := range []*query{
-		{kind: kindPageRank, iters: 5, jump: 0.3, topK: 5},
-		{kind: kindCC},
-		{kind: kindCC, bypass: true},
+	n := uint64(snap.NumVertices())
+	for _, c := range []struct {
+		q      *query
+		budget uint64
+	}{
+		{&query{kind: kindPageRank, iters: 5, jump: 0.3, topK: 5}, 8 * n},
+		{&query{kind: kindCC}, 8 * n},
+		{&query{kind: kindCC, bypass: true}, 8 * n},
+		{&query{kind: kindBFS, source: 1, bypass: true}, 4 * n},
 	} {
+		q := c.q
 		best := ^uint64(0)
 		for try := 0; try < 6; try++ {
 			var before, after runtime.MemStats
@@ -247,10 +254,10 @@ func TestWarmMissBorrowsItsVectors(t *testing.T) {
 				best = min(best, after.TotalAlloc-before.TotalAlloc)
 			}
 		}
-		t.Logf("warm %s miss: %d bytes allocated, budget %d", q.kind, best, budget)
-		if best >= budget {
-			t.Errorf("warm %s miss allocates %d bytes, want under one %d-element float64 vector (%d)",
-				q.kind, best, snap.NumVertices(), budget)
+		t.Logf("warm %s miss (bypass %v): %d bytes allocated, budget %d", q.kind, q.bypass, best, c.budget)
+		if best >= c.budget {
+			t.Errorf("warm %s miss (bypass %v) allocates %d bytes, want under %d for n = %d",
+				q.kind, q.bypass, best, c.budget, n)
 		}
 	}
 }

@@ -233,6 +233,10 @@ type labelVectors struct {
 	counts       []int32
 }
 
+// distVectors is the scratch one bypass BFS miss borrows: the distance
+// buffer the traversal writes.
+type distVectors struct{ dist []int32 }
+
 // borrow takes a *T from p, or a zero one when the pool is empty (at
 // start, and after the collector reclaimed an idle server's scratch).
 func borrow[T any](p *sync.Pool) *T {
@@ -291,9 +295,20 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 				s.refreshedBFS.Add(0, 1)
 			}
 		}
+		var vec *distVectors
 		if dist == nil {
-			// Bottom-up levels read parents through the epoch's in-CSR.
-			dist, _ = native.BFS(s.pool, m, g.bind(snap).in, q.source, "serve.bfs.level", nil)
+			// A bypass answers from the borrowed distance buffer; any other
+			// result stays with the graph, so it gets its own. Bottom-up
+			// levels read parents through the epoch's in-CSR.
+			n := int(snap.NumVertices())
+			if q.bypass {
+				vec = borrow[distVectors](&s.distScratch)
+				vec.dist = sized(vec.dist, n)
+				dist = vec.dist
+			} else {
+				dist = make([]int32, n)
+			}
+			dist, _ = native.BFSInto(s.pool, m, g.bind(snap).in, q.source, "serve.bfs.level", nil, dist)
 		}
 		reached, maxDepth, sum := bfsStats(dist)
 		resp = &bfsResponse{
@@ -302,6 +317,9 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 			Reached:   reached,
 			MaxDepth:  maxDepth,
 			Checksum:  checksumHex(sum),
+		}
+		if vec != nil {
+			s.distScratch.Put(vec)
 		}
 		if !q.bypass {
 			g.putCarried(meta.Query, &carried{epoch: snap.Epoch(), dist: dist}, snap.CSR().MemoryBytes())

@@ -194,13 +194,15 @@ type Server struct {
 	// just before execute.
 	beforeExecute func(*query)
 
-	// rankScratch and labelScratch lend execute the O(n) vectors a
-	// PageRank or connected-components miss works in (*rankVectors,
-	// *labelVectors). They are sync.Pools because the scratch must be
-	// reclaimable when the server is idle: a permanent free list showed up
-	// as +5.5 MB retained heap (DESIGN.md §15).
+	// rankScratch, labelScratch and distScratch lend execute the O(n)
+	// vectors a PageRank, connected-components or bypass BFS miss works in
+	// (*rankVectors, *labelVectors, *distVectors). They are sync.Pools
+	// because the scratch must be reclaimable when the server is idle: a
+	// permanent free list showed up as +5.5 MB retained heap (DESIGN.md
+	// §15).
 	rankScratch  sync.Pool
 	labelScratch sync.Pool
+	distScratch  sync.Pool
 }
 
 // New builds a server with the given configuration. The caller owns it
