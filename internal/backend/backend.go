@@ -6,8 +6,10 @@
 //   - one pooled SpMV kernel over the shared CSR ([SumVecMul], the float64
 //     plus-times pattern product every lowered PageRank runs), plus the
 //     one-shot generic semiring product [SpMVInto],
-//   - sparse-frontier expansion ([Expander]) and a full direction-switching
-//     level-synchronous traversal ([Traversal]) for BFS-shaped computations,
+//   - one direction-switching level-synchronous frontier kernel
+//     ([Traversal]) for BFS-shaped computations: a whole BFS that writes
+//     distances ([Traversal.Run]), or the level step a framework's own
+//     loop drives ([Traversal.Claim], [Traversal.Step]),
 //   - a persistent worker [Pool] so the per-iteration hot loop reuses
 //     parked goroutines and preallocated scratch instead of re-spawning and
 //     re-allocating (zero steady-state allocations; benchmark-asserted),

@@ -166,46 +166,6 @@ func TestTraversalMatchesReference(t *testing.T) {
 	}
 }
 
-func TestExpanderMatchesExpandInto(t *testing.T) {
-	g := testGraph(t, 10, 33, true)
-	m := FromCSR(g)
-	pool := NewPool(4)
-	defer pool.Close()
-
-	exp := NewExpander(pool, m)
-	exp.Claim(0)
-	marks := make([]bool, m.NumRows)
-	claimed := map[uint32]bool{0: true}
-
-	frontier := []uint32{0}
-	for len(frontier) > 0 {
-		// Reference: one-shot distinct targets, then filter by claimed set.
-		raw := ExpandInto(m, frontier, marks, nil)
-		want := map[uint32]bool{}
-		for _, v := range raw {
-			if !claimed[v] {
-				want[v] = true
-			}
-		}
-		got := exp.Expand(frontier, nil)
-		if len(got) != len(want) {
-			t.Fatalf("expand size %d, want %d", len(got), len(want))
-		}
-		seen := map[uint32]bool{}
-		for _, v := range got {
-			if seen[v] {
-				t.Fatalf("duplicate %d in expansion", v)
-			}
-			seen[v] = true
-			if !want[v] {
-				t.Fatalf("unexpected vertex %d in expansion", v)
-			}
-			claimed[v] = true
-		}
-		frontier = got
-	}
-}
-
 func TestDensePass(t *testing.T) {
 	pool := NewPool(3)
 	defer pool.Close()

@@ -91,23 +91,3 @@ func BenchmarkBackendTraversal(b *testing.B) {
 		tv.Run(dist, 0)
 	}
 }
-
-// BenchmarkBackendExpander is the persistent-claims sparse expansion
-// (lowered CombBLAS SpMSpV / Giraph BFS unit).
-func BenchmarkBackendExpander(b *testing.B) {
-	m := benchGraph(b, true)
-	pool := NewPool(0)
-	defer pool.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		exp := NewExpander(pool, m)
-		exp.Claim(0)
-		b.StartTimer()
-		frontier := []uint32{0}
-		for len(frontier) > 0 {
-			frontier = exp.Expand(frontier, nil)
-		}
-	}
-}

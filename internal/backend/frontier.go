@@ -30,9 +30,10 @@ const (
 // in-edges of each unvisited vertex that has any (chosen when the
 // frontier's edge volume is a large fraction of the untraversed graph,
 // the [28]-style heuristic the native engine always used). Both kinds run
-// at every graph size, through one level loop. All scratch — visited
-// bits, a pre-claim snapshot, the frontier lists and bitmaps — is owned by
-// the kernel and reused across levels and across Run calls.
+// at every graph size, whole (Run) or one level per call of a framework's
+// own loop (Claim, Step). All scratch — visited bits, a pre-claim
+// snapshot, the frontier lists and bitmaps — is owned by the kernel and
+// reused across levels and across calls.
 //
 // Distances are deterministic at any worker count because levels are
 // synchronous: a vertex's distance is the level of the first wave that
@@ -43,7 +44,7 @@ type Traversal struct {
 	// the in-edge matrix pull levels read parents from (m itself on a
 	// symmetric graph), or nil, which makes every level a push.
 	m, in *Matrix
-	// span names the per-level trace span ("native.bfs.level" when the
+	// span names Run's per-level trace span ("native.bfs.level" when the
 	// native engine drives the kernel).
 	span string
 	tr   *trace.Tracer
@@ -52,8 +53,9 @@ type Traversal struct {
 	// snapshot is the visited words before a parallel push level, built by
 	// the first one.
 	snapshot []uint64
-	frontier []uint32
-	next     []uint32
+	// frontier and next are Run's two frontier lists, kept across calls;
+	// expanding is the list a parallel push level is reading.
+	frontier, next, expanding []uint32
 	// Pull state, built by the first pull level: occIn is in's occupancy
 	// words, front the frontier as a bitmap, found the bitmap a pull level
 	// writes its discoveries into (the two swap after it).
@@ -64,7 +66,9 @@ type Traversal struct {
 	serialFrontier int
 	forceDir       int // -1 auto (heuristic), 0 push, 1 pull
 
-	// per-dispatch state
+	// remaining is the out-edge volume no level has expanded yet (pulls).
+	remaining int64
+	// per-level state; dist is nil during a Step
 	dist   []int32
 	level  int32
 	inline bool // the graph is under serialEdges: no phase uses the pool
@@ -93,12 +97,25 @@ func NewDirectedTraversal(pool *Pool, out, in *Matrix, spanName string, tr *trac
 		serialEdges:    serialGraphEdges,
 		serialFrontier: serialFrontierThreshold,
 		forceDir:       -1,
+		remaining:      out.NNZ(),
 	}
 }
 
 func (t *Traversal) degree(v uint32) int64 { return t.m.Offsets[v+1] - t.m.Offsets[v] }
 
 func (t *Traversal) row(v uint32) []uint32 { return t.m.Cols[t.m.Offsets[v]:t.m.Offsets[v+1]] }
+
+// pulls is every level's direction rule: pull when the frontier's
+// out-edges are over a third of the edges not yet expanded and there is an
+// in-edge matrix, push otherwise. It charges the frontier's edges.
+func (t *Traversal) pulls(frontierEdges int64) bool {
+	pull := frontierEdges*3 > t.remaining
+	if t.forceDir >= 0 {
+		pull = t.forceDir == 1
+	}
+	t.remaining -= frontierEdges
+	return pull && t.in != nil
+}
 
 // Run traverses from source, writing levels into dist (len NumRows, must
 // be prefilled with -1 except dist[source] = 0) and returns the number of
@@ -107,15 +124,14 @@ func (t *Traversal) row(v uint32) []uint32 { return t.m.Cols[t.m.Offsets[v]:t.m.
 func (t *Traversal) Run(dist []int32, source uint32) int {
 	t.visited.Reset()
 	t.visited.Set(source)
-	t.dist = dist
+	t.dist, t.remaining = dist, t.m.NNZ()
 	frontier := append(t.frontier[:0], source)
 	// size and frontierEdges describe the frontier. After a pull level it
 	// is held only as front's bits (bitsOnly), and a push level lists it.
 	size, frontierEdges := 1, t.degree(source)
 	bitsOnly := false
 	level := int32(0)
-	remaining := t.m.NNZ()
-	t.inline = remaining < t.serialEdges
+	t.inline = t.m.NNZ() < t.serialEdges
 
 	// Frontier-size distribution: levels span several orders of magnitude
 	// on power-law graphs, and the histogram keeps that shape where the
@@ -127,24 +143,21 @@ func (t *Traversal) Run(dist []int32, source uint32) int {
 		frontierHist.Record(0, int64(size))
 		sp := t.tr.Begin(t.span, "bfs level").
 			Arg("level", float64(level)).Arg("frontier", float64(size))
-		pull := frontierEdges*3 > remaining
-		if t.forceDir >= 0 {
-			pull = t.forceDir == 1
-		}
-		remaining -= frontierEdges
-		if pull && t.in != nil {
+		if t.pulls(frontierEdges) {
 			sp.Arg("direction", 1) // pull (bottom-up)
 			if !bitsOnly {
 				t.setFront(frontier)
 			}
-			size, frontierEdges = t.pull()
+			t.pull()
+			size, frontierEdges = t.frontStats()
 			bitsOnly = true
 		} else {
 			sp.Arg("direction", 0) // push (top-down)
 			if bitsOnly {
 				frontier = t.listFront(frontier[:0])
 			}
-			frontier = t.push(frontier)
+			next := t.push(frontier, t.next[:0])
+			t.next, frontier = frontier, next
 			size, frontierEdges = len(frontier), 0
 			for _, v := range frontier {
 				frontierEdges += t.degree(v)
@@ -157,48 +170,75 @@ func (t *Traversal) Run(dist []int32, source uint32) int {
 	return int(level)
 }
 
-// push expands the frontier. Small frontiers, and every frontier of a
-// graph under the cutover, run serially (discovery order); large ones
-// claim dynamic chunks through the atomic bitset and the next frontier is
-// materialized by diffing the visited words against a pre-expansion
-// snapshot — ascending vertex order, no per-chunk staging buffers,
-// deterministic at any worker count.
-func (t *Traversal) push(frontier []uint32) []uint32 {
-	next := t.next[:0]
+// Claim marks v as reached, so no later Step returns it.
+func (t *Traversal) Claim(v uint32) { t.visited.Set(v) }
+
+// Step advances one level from frontier: it claims every unclaimed vertex
+// with an edge from a frontier vertex, appends those vertices to out and
+// returns it, writing no distances. A serial push (any push on a graph
+// under the cutover, or from fewer than 512 vertices) appends them in
+// discovery order, any other level in ascending order. Claims persist
+// across Steps; a Run resets them.
+func (t *Traversal) Step(frontier, out []uint32) []uint32 {
+	t.inline = t.m.NNZ() < t.serialEdges
+	if t.in == nil {
+		return t.push(frontier, out) // no level can pull: skip the rule
+	}
+	var edges int64
+	for _, v := range frontier {
+		edges += t.degree(v)
+	}
+	if t.pulls(edges) {
+		t.setFront(frontier)
+		t.pull()
+		return t.listFront(out)
+	}
+	return t.push(frontier, out)
+}
+
+// push expands the frontier and appends what it claims to next. Small
+// frontiers, and every frontier of a graph under the cutover, run serially
+// (discovery order); large ones claim dynamic chunks through the atomic
+// bitset and the claims are listed by diffing the visited words against a
+// pre-expansion snapshot — ascending vertex order, no per-chunk staging
+// buffers, deterministic at any worker count.
+func (t *Traversal) push(frontier, next []uint32) []uint32 {
 	if t.inline || len(frontier) < t.serialFrontier {
+		dist, level := t.dist, t.level
 		for _, v := range frontier {
 			for _, c := range t.row(v) {
 				if !t.visited.Get(c) {
 					t.visited.Set(c)
-					t.dist[c] = t.level
+					if dist != nil {
+						dist[c] = level
+					}
 					next = append(next, c)
 				}
 			}
 		}
-		t.next, t.frontier = frontier, nil
 		return next
 	}
 	if t.snapshot == nil {
 		t.snapshot = make([]uint64, len(t.visited.Words()))
 	}
 	copy(t.snapshot, t.visited.Words())
-	t.frontier = frontier
+	t.expanding = frontier
 	t.pool.RunDynamic((*pushRunner)(t), len(frontier), frontierGrain)
-	next = t.diffSnapshot(next)
-	t.next, t.frontier = frontier, nil
-	return next
+	t.expanding = nil
+	return t.diffSnapshot(next)
 }
 
 // pushRunner is Traversal's push-phase chunkRunner ([lo, hi) indexes the
-// frontier slice).
+// expanding list).
 type pushRunner Traversal
 
 func (p *pushRunner) runChunk(worker, lo, hi int) {
 	t := (*Traversal)(p)
+	dist, level := t.dist, t.level
 	for i := lo; i < hi; i++ {
-		for _, c := range t.row(t.frontier[i]) {
-			if t.visited.SetAtomic(c) {
-				t.dist[c] = t.level
+		for _, c := range t.row(t.expanding[i]) {
+			if t.visited.SetAtomic(c) && dist != nil {
+				dist[c] = level
 			}
 		}
 	}
@@ -224,15 +264,19 @@ func (t *Traversal) setFront(frontier []uint32) {
 // pull runs one bottom-up level over the whole vertex range, on the pool
 // or, under the cutover, in one inline call. The runner leaves the level's
 // discoveries in found and visited; found becomes front, the next
-// frontier, and one scan of its words returns that frontier's size and
-// out-edge count.
-func (t *Traversal) pull() (size int, edges int64) {
+// frontier.
+func (t *Traversal) pull() {
 	if n := int(t.m.NumRows); t.inline {
 		(*pullRunner)(t).runChunk(0, 0, n)
 	} else {
 		t.pool.RunDynamic((*pullRunner)(t), n, 0)
 	}
 	t.front, t.found = t.found, t.front
+}
+
+// frontStats returns the size and out-edge count of the frontier front
+// holds, in one scan of its words.
+func (t *Traversal) frontStats() (size int, edges int64) {
 	for w, word := range t.front {
 		size += bits.OnesCount64(word)
 		for ; word != 0; word &= word - 1 {
@@ -276,7 +320,9 @@ func (p *pullRunner) runChunk(worker, lo, hi int) {
 			for _, c := range cols[off[v]:off[v+1]] {
 				if front[c>>6]&(1<<(c&63)) != 0 {
 					hit |= 1 << b
-					dist[v] = level
+					if dist != nil {
+						dist[v] = level
+					}
 					break
 				}
 			}
@@ -296,97 +342,6 @@ func (t *Traversal) diffSnapshot(out []uint32) []uint32 {
 			out = append(out, uint32(w*64+bits.TrailingZeros64(diff)))
 			diff &= diff - 1
 		}
-	}
-	return out
-}
-
-// Expander is the persistent-claims sparse expansion kernel: each Expand
-// call claims the not-yet-claimed targets of the frontier and returns
-// them. CombBLAS BFS (frontier = newly discovered vertices per level),
-// Giraph's lowered BFS, and SociaLite's lowered recursive rules all
-// reduce to exactly this operation. Claims persist across calls — the
-// claimed set is the union of everything ever expanded or seeded via
-// Claim.
-type Expander struct {
-	pool     *Pool
-	m        *Matrix
-	claimed  *bitvec.Vector
-	snapshot []uint64
-	frontier []uint32
-	buf      []uint32
-}
-
-// NewExpander builds an expander over m with an empty claimed set.
-func NewExpander(pool *Pool, m *Matrix) *Expander {
-	return &Expander{
-		pool:     pool,
-		m:        m,
-		claimed:  bitvec.New(m.NumRows),
-		snapshot: make([]uint64, (int(m.NumRows)+63)/64),
-	}
-}
-
-// Claim marks v as already reached, so expansion never emits it.
-func (e *Expander) Claim(v uint32) { e.claimed.Set(v) }
-
-// Expand claims the unclaimed targets of the frontier's rows and appends
-// them to out (which may be nil). Small frontiers expand serially in
-// discovery order; large ones in parallel, returned in ascending order —
-// callers treat the result as a set.
-func (e *Expander) Expand(frontier []uint32, out []uint32) []uint32 {
-	m := e.m
-	if len(frontier) < serialFrontierThreshold {
-		for _, v := range frontier {
-			for _, c := range m.Cols[m.Offsets[v]:m.Offsets[v+1]] {
-				if !e.claimed.Get(c) {
-					e.claimed.Set(c)
-					out = append(out, c)
-				}
-			}
-		}
-		return out
-	}
-	copy(e.snapshot, e.claimed.Words())
-	e.frontier = frontier
-	e.pool.RunDynamic(e, len(frontier), frontierGrain)
-	e.frontier = nil
-	words := e.claimed.Words()
-	for w, cur := range words {
-		diff := cur &^ e.snapshot[w]
-		for diff != 0 {
-			out = append(out, uint32(w*64+bits.TrailingZeros64(diff)))
-			diff &= diff - 1
-		}
-	}
-	return out
-}
-
-func (e *Expander) runChunk(worker, lo, hi int) {
-	m := e.m
-	for i := lo; i < hi; i++ {
-		v := e.frontier[i]
-		for _, c := range m.Cols[m.Offsets[v]:m.Offsets[v+1]] {
-			e.claimed.SetAtomic(c)
-		}
-	}
-}
-
-// ExpandInto is the serial one-shot expansion with caller-provided marks,
-// preserving the exact discovery-order contract of combblas.SpMSpV: emit
-// each distinct target of the frontier once, in first-encounter order,
-// and leave marks clean for the next call.
-func ExpandInto(m *Matrix, frontier []uint32, marks []bool, out []uint32) []uint32 {
-	base := len(out)
-	for _, v := range frontier {
-		for _, c := range m.Cols[m.Offsets[v]:m.Offsets[v+1]] {
-			if !marks[c] {
-				marks[c] = true
-				out = append(out, c)
-			}
-		}
-	}
-	for _, c := range out[base:] {
-		marks[c] = false
 	}
 	return out
 }

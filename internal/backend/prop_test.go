@@ -12,18 +12,110 @@ import (
 
 // TestPushPullEquivalence is the kernel-selection property test: a
 // traversal forced all-push, one forced all-pull and the heuristic mix
-// must each give the serial queue BFS's distances and level count. The
-// graphs are symmetric and directed RMATs on both sides of the 2^19-edge
-// cutover, and a pair whose n is no multiple of 64 (every RMAT has
-// isolated vertices); the sources are vertex 2, the hub and a vertex with
-// no out-edges. Pools run 1 to 4 workers, plus a 1-worker pool whose team is
-// held, so every dispatch takes the inline RunDynamic path. Graphs under
-// the cutover also run with it at 0, on the pool. Pull levels read the
-// graph itself when it is symmetric and its transpose when it is not; a
-// directed traversal with no in-edge matrix must fall back to push when
-// pull is forced.
+// must each give the serial queue BFS's distances and level count, on
+// every traversalFixtures graph, in-edge matrix and cutover and every
+// testPools pool. The sources are vertex 2, the hub and a vertex with no
+// out-edges.
 func TestPushPullEquivalence(t *testing.T) {
-	fixtures := []struct {
+	pools := testPools(t)
+	for _, fx := range traversalFixtures(t) {
+		m := fx.m
+		sources := []uint32{2, hubOf(m), sinkOf(m)}
+		if testing.Short() && fx.large {
+			sources = sources[1:2] // -short (the race runs) keeps the hub
+		}
+		for _, src := range sources {
+			want := refBFS(m, src)
+			wantLevels := int(slices.Max(want)) + 1
+			fx.each(t, pools, func(tv *Traversal, what string) {
+				dist := make([]int32, m.NumRows)
+				for i := range dist {
+					dist[i] = -1
+				}
+				dist[src] = 0
+				levels := tv.Run(dist, src)
+				if wrong := countDiff(dist, want); wrong > 0 || levels != wantLevels {
+					t.Fatalf("%s source=%d: %d distances wrong, %d levels (want %d)", what, src, wrong, levels, wantLevels)
+				}
+			})
+		}
+	}
+}
+
+// TestStepMatchesSerialExpansion pins the level step against a serial
+// reference, on TestPushPullEquivalence's graphs, pools and kernel
+// choices, from the hub: each Step must claim exactly the vertices the
+// serial first-encounter expansion of the same frontier finds unclaimed.
+// A level forced to push serially returns them in that discovery order; a
+// level forced to pull, or to push on the pool, in ascending order; an
+// auto level in one of the two. The claims are the next level's frontier
+// on both sides, and the step ends where the reference does.
+func TestStepMatchesSerialExpansion(t *testing.T) {
+	pools := testPools(t)
+	for _, fx := range traversalFixtures(t) {
+		m := fx.m
+		src := hubOf(m)
+		fx.each(t, pools, func(tv *Traversal, what string) {
+			pushes := tv.forceDir == 0 || tv.in == nil
+			claimed := make([]bool, m.NumRows)
+			claimed[src] = true
+			tv.Claim(src)
+			frontier := []uint32{src}
+			for level := 1; len(frontier) > 0; level++ {
+				serial := m.NNZ() < tv.serialEdges || len(frontier) < tv.serialFrontier
+				var want []uint32
+				for _, v := range frontier {
+					for _, c := range m.Cols[m.Offsets[v]:m.Offsets[v+1]] {
+						if !claimed[c] {
+							claimed[c] = true
+							want = append(want, c)
+						}
+					}
+				}
+				got := tv.Step(frontier, nil)
+				inOrder, ascending := slices.Equal(got, want), slices.IsSorted(got)
+				switch {
+				case !slices.Equal(sortedCopy(got), sortedCopy(want)):
+					t.Fatalf("%s level %d: claimed %d vertices, the serial expansion %d, or other ones", what, level, len(got), len(want))
+				case pushes && serial && !inOrder:
+					t.Fatalf("%s level %d: a serial push is not in discovery order", what, level)
+				case !(pushes && serial) && tv.forceDir >= 0 && !ascending:
+					t.Fatalf("%s level %d: a parallel or pull level is not ascending", what, level)
+				case !inOrder && !ascending:
+					t.Fatalf("%s level %d: neither discovery nor ascending order", what, level)
+				}
+				frontier = got
+			}
+		})
+	}
+}
+
+func sortedCopy(s []uint32) []uint32 {
+	out := slices.Clone(s)
+	slices.Sort(out)
+	return out
+}
+
+// traversalFixture is one graph the traversal property tests run on, with
+// the in-edge matrices its kernels may pull through and the serial
+// cutovers they run under.
+type traversalFixture struct {
+	name     string
+	m        *Matrix
+	large    bool
+	ins      []*Matrix
+	cutovers []int64
+}
+
+// traversalFixtures are symmetric and directed RMATs on both sides of the
+// 2^19-edge cutover, and a pair whose n is no multiple of 64 (every RMAT
+// has isolated vertices). Pulls read the graph itself when it is
+// symmetric, and its transpose or nothing when it is not. Graphs under the
+// cutover also run with it at 0, on the pool.
+func traversalFixtures(t *testing.T) []traversalFixture {
+	t.Helper()
+	var out []traversalFixture
+	for _, fx := range []struct {
 		name       string
 		g          *graph.CSR
 		sym, large bool
@@ -34,60 +126,56 @@ func TestPushPullEquivalence(t *testing.T) {
 		{"dir-odd", rmatGraph(t, 1000, 10, 103, false), false, false},
 		{"sym-16", testGraph(t, 16, 104, true), true, true},
 		{"dir-17", testGraph(t, 17, 105, false), false, true},
-	}
-	pools := []*Pool{NewPool(1), NewPool(2), NewPool(3), NewPool(4), heldPool(t)}
-	for _, p := range pools[:4] {
-		defer p.Close()
-	}
-	for _, fx := range fixtures {
+	} {
 		m := FromCSR(fx.g)
-		ins := []*Matrix{m}
-		if !fx.sym {
-			ins = []*Matrix{FromCSR(fx.g.Transpose()), nil}
-		}
 		if fx.large != (m.NNZ() >= serialGraphEdges) {
 			t.Fatalf("%s: %d edges on the wrong side of the cutover", fx.name, m.NNZ())
 		}
-		cutovers := []int64{serialGraphEdges}
+		f := traversalFixture{name: fx.name, m: m, large: fx.large, ins: []*Matrix{m}, cutovers: []int64{serialGraphEdges}}
+		if !fx.sym {
+			f.ins = []*Matrix{FromCSR(fx.g.Transpose()), nil}
+		}
 		if !fx.large {
-			cutovers = append(cutovers, 0)
+			f.cutovers = append(f.cutovers, 0)
 		}
-		sources := []uint32{2, hubOf(m), sinkOf(m)}
-		if testing.Short() && fx.large {
-			sources = sources[1:2] // -short (the race runs) keeps the hub
-		}
-		for _, src := range sources {
-			want := refBFS(m, src)
-			wantLevels := int(slices.Max(want)) + 1
-			for pi, pool := range pools {
-				for _, in := range ins {
-					for _, cut := range cutovers {
-						for _, dir := range []int{0, 1, -1} {
-							if in == nil && dir != 1 {
-								continue
-							}
-							tv := NewDirectedTraversal(pool, m, in, "backend.bfs.level", nil)
-							tv.serialEdges = cut
-							if cut == 0 {
-								tv.serialFrontier = 0
-							}
-							tv.forceDir = dir
-							dist := make([]int32, m.NumRows)
-							for i := range dist {
-								dist[i] = -1
-							}
-							dist[src] = 0
-							levels := tv.Run(dist, src)
-							if wrong := countDiff(dist, want); wrong > 0 || levels != wantLevels {
-								t.Fatalf("%s source=%d pool=%d in=%v cutover=%d dir=%d: %d distances wrong, %d levels (want %d)",
-									fx.name, src, pi, in != nil, cut, dir, wrong, levels, wantLevels)
-							}
-						}
+		out = append(out, f)
+	}
+	return out
+}
+
+// each calls run with a fresh traversal of fx for every pool, in-edge
+// matrix, cutover and forced direction (push, pull, auto; a traversal
+// with no in-edge matrix only as forced pull, which must push).
+func (fx traversalFixture) each(t *testing.T, pools []*Pool, run func(tv *Traversal, what string)) {
+	for pi, pool := range pools {
+		for _, in := range fx.ins {
+			for _, cut := range fx.cutovers {
+				for _, dir := range []int{0, 1, -1} {
+					if in == nil && dir != 1 {
+						continue
 					}
+					tv := NewDirectedTraversal(pool, fx.m, in, "backend.bfs.level", nil)
+					tv.serialEdges = cut
+					if cut == 0 {
+						tv.serialFrontier = 0
+					}
+					tv.forceDir = dir
+					run(tv, fmt.Sprintf("%s pool=%d in=%v cutover=%d dir=%d", fx.name, pi, in != nil, cut, dir))
 				}
 			}
 		}
 	}
+}
+
+// testPools are pools of 1 to 4 workers, closed when the test ends, plus
+// a 1-worker pool whose team is held, so every dispatch on it takes the
+// inline RunDynamic path.
+func testPools(t *testing.T) []*Pool {
+	pools := []*Pool{NewPool(1), NewPool(2), NewPool(3), NewPool(4)}
+	for _, p := range pools {
+		t.Cleanup(p.Close)
+	}
+	return append(pools, heldPool(t))
 }
 
 // heldPool returns a 1-worker pool whose team a blocked dispatch holds

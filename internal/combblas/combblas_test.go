@@ -371,6 +371,45 @@ func TestBFSMatchesReference(t *testing.T) {
 	if !core.EqualDistances(want, res.Distances) {
 		t.Error("distances differ from reference")
 	}
+	// One SpMSpV round per level, the last one finding nothing.
+	if levels := int(slices.Max(want)) + 1; res.Stats.Iterations != levels {
+		t.Errorf("%d rounds, want %d levels", res.Stats.Iterations, levels)
+	}
+}
+
+// TestBFSStepsAboveSerialCutover: CombBLAS's local BFS on a graph above
+// the backend's 2^19-edge serial cutover, where its wide levels claim in
+// parallel on the pool and come back in ascending order, must equal the
+// serial reference BFS from the hub: the distances, and one SpMSpV round
+// per level.
+func TestBFSStepsAboveSerialCutover(t *testing.T) {
+	edges, err := gen.RMAT(gen.Graph500Config(16, 8, 61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(1 << 16)
+	b.AddEdges(edges)
+	g, err := b.Build(graph.BuildOptions{Orientation: graph.Symmetrize, Dedup: true, DropSelfLoops: true, SortAdjacency: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() <= 1<<19 {
+		t.Fatalf("fixture: %d edges do not clear the serial cutover", g.NumEdges())
+	}
+	hub := uint32(0)
+	for v := uint32(1); v < g.NumVertices; v++ {
+		if g.Degree(v) > g.Degree(hub) {
+			hub = v
+		}
+	}
+	want := core.RefBFS(g, hub)
+	res, err := New().BFS(g, core.BFSOptions{Source: hub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !core.EqualDistances(want, res.Distances) || res.Stats.Iterations != int(slices.Max(want))+1 {
+		t.Errorf("%d rounds, want %d; distances equal: %v", res.Stats.Iterations, int(slices.Max(want))+1, core.EqualDistances(want, res.Distances))
+	}
 }
 
 func TestBFSCluster(t *testing.T) {

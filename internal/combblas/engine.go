@@ -185,14 +185,15 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 
 	if opt.Exec.Cluster == nil {
 		stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) (levels int) {
-			// Local frontier expansion lowers onto the backend's
-			// persistent-claims expander: the claimed bitset replaces the
-			// per-level marks scan, and its scratch survives across levels.
-			exp := backend.NewExpander(pool, backendView(a))
-			exp.Claim(opt.Source)
+			// Local frontier expansion lowers onto the backend's level
+			// step: its visited bitset replaces the per-level marks scan,
+			// and its scratch survives across levels. No in-edge matrix,
+			// so every level is a push — the model's SpMSpV.
+			step := backend.NewDirectedTraversal(pool, backendView(a), nil, "", nil)
+			step.Claim(opt.Source)
 			var buf []uint32
 			levels, _ = traverse(func(frontier []uint32) ([]uint32, error) {
-				buf = exp.Expand(frontier, buf[:0])
+				buf = step.Step(frontier, buf[:0])
 				return buf, nil
 			})
 			return levels

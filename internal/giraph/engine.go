@@ -229,8 +229,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 		}
 	} else if opt.Exec.Cluster == nil {
 		// A combiner-less single-node run lowers onto the backend's
-		// persistent-claims frontier expander (min-combine ≡ first claim
-		// wins).
+		// level step (min-combine ≡ first claim wins).
 		lower = func(pool *backend.Pool) Lowering { return newBFSLowering(pool, g, source) }
 	}
 	res, stats, err := e.runJob(job, opt.Exec, lower)

@@ -2,12 +2,14 @@ package giraph
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/trace"
 )
 
 func fixtureDirected(t testing.TB) *graph.CSR {
@@ -120,6 +122,67 @@ func TestBFSMatchesReference(t *testing.T) {
 	}
 	if !core.EqualDistances(want, res.Distances) {
 		t.Error("distances differ from reference")
+	}
+}
+
+// TestLoweredBFSSuperstepsMatchStock: the lowered BFS must report what
+// the stock runtime observes — here on a one-node cluster, which runs the
+// stock superstep loop — superstep for superstep: the same active-vertex
+// and message counts and the same modeled buffer footprint.
+func TestLoweredBFSSuperstepsMatchStock(t *testing.T) {
+	g := fixtureUndirected(t)
+	steps := func(x core.Exec) [][3]float64 {
+		t.Helper()
+		if _, err := New().BFS(g, core.BFSOptions{Source: 7, Exec: x}); err != nil {
+			t.Fatal(err)
+		}
+		var out [][3]float64
+		for _, ev := range x.Tracer().Events() {
+			if ev.Cat == "giraph.superstep" {
+				out = append(out, [3]float64{ev.Args["active"], ev.Args["messages"], ev.Args["buffered_bytes"]})
+			}
+		}
+		return out
+	}
+	lowered := steps(core.Exec{Trace: trace.New()})
+	stock := steps(core.Exec{Trace: trace.New(), Cluster: &cluster.Config{Nodes: 1}})
+	if len(lowered) < 3 || !slices.Equal(lowered, stock) {
+		t.Errorf("per-superstep (active, messages, buffered bytes):\nlowered %v\nstock   %v", lowered, stock)
+	}
+}
+
+// TestLoweredBFSAboveSerialCutover: the lowered BFS on a graph above the
+// backend's 2^19-edge serial cutover, where its wide supersteps claim in
+// parallel on the pool and come back in ascending order, must equal the
+// serial reference BFS from the hub: the distances, and one superstep per
+// level plus the quiet one.
+func TestLoweredBFSAboveSerialCutover(t *testing.T) {
+	edges, err := gen.RMAT(gen.Graph500Config(16, 8, 61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(1 << 16)
+	b.AddEdges(edges)
+	g, err := b.Build(graph.BuildOptions{Orientation: graph.Symmetrize, Dedup: true, DropSelfLoops: true, SortAdjacency: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() <= 1<<19 {
+		t.Fatalf("fixture: %d edges do not clear the serial cutover", g.NumEdges())
+	}
+	hub := uint32(0)
+	for v := uint32(1); v < g.NumVertices; v++ {
+		if g.Degree(v) > g.Degree(hub) {
+			hub = v
+		}
+	}
+	want := core.RefBFS(g, hub)
+	res, err := New().BFS(g, core.BFSOptions{Source: hub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !core.EqualDistances(want, res.Distances) || res.Stats.Iterations != int(slices.Max(want))+2 {
+		t.Errorf("%d supersteps, want %d; distances equal: %v", res.Stats.Iterations, int(slices.Max(want))+2, core.EqualDistances(want, res.Distances))
 	}
 }
 

@@ -102,13 +102,15 @@ func (l *prLowering) Values() []any {
 	return vals
 }
 
-// bfsLowering runs Algorithm 2 as sparse-frontier expansion: the min
-// combine over delivered distance messages is exactly the persistent
-// claim — a vertex improves iff it was never reached before, and the new
-// distance is the superstep number. Active counts (message receivers)
-// come from a touched bitset over the previous frontier's targets.
+// bfsLowering runs Algorithm 2 as the backend's level step: the min
+// combine over delivered distance messages is exactly the step's claim — a
+// vertex improves iff it was never reached before, and the new distance is
+// the superstep number. The step has no in-edge matrix, so every superstep
+// is a push, as the model's messages are. Active counts (message
+// receivers) come from a touched bitset over the previous frontier's
+// targets.
 type bfsLowering struct {
-	exp      *backend.Expander
+	step     *backend.Traversal
 	g        *graph.CSR
 	source   uint32
 	dist     []int32
@@ -124,7 +126,7 @@ const bfsInfinity = int32(1) << 30
 func newBFSLowering(pool *backend.Pool, g *graph.CSR, source uint32) *bfsLowering {
 	n := g.NumVertices
 	l := &bfsLowering{
-		exp:     backend.NewExpander(pool, backend.FromCSR(g)),
+		step:    backend.NewDirectedTraversal(pool, backend.FromCSR(g), nil, "", nil),
 		g:       g,
 		source:  source,
 		dist:    make([]int32, n),
@@ -134,7 +136,7 @@ func newBFSLowering(pool *backend.Pool, g *graph.CSR, source uint32) *bfsLowerin
 		l.dist[i] = bfsInfinity
 	}
 	l.dist[source] = 0
-	l.exp.Claim(source)
+	l.step.Claim(source)
 	return l
 }
 
@@ -158,7 +160,7 @@ func (l *bfsLowering) Step(s int) (active, msgs int64) {
 	active = int64(l.touched.Count())
 	// The improved set is the newly claimed targets; each sends dist+1
 	// along every out-edge before halting.
-	next := l.exp.Expand(l.frontier, l.spare[:0])
+	next := l.step.Step(l.frontier, l.spare[:0])
 	for _, v := range next {
 		l.dist[v] = graph.MustI32(int64(s))
 		msgs += int64(len(l.g.Neighbors(v)))

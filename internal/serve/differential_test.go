@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -155,6 +157,97 @@ func TestServedBFSDirectedAboveSerialCutover(t *testing.T) {
 	}
 	checkServedBFS(t, ts.URL, "web", g, source, nil)
 	checkServedBFS(t, ts.URL, "web", g, source, map[string]string{"Cache-Control": "no-cache"})
+}
+
+// TestServedDatalogIsTheBFSAboveSerialCutover: the default Datalog rule is
+// a BFS from the source, so on a symmetric and a directed graph above the
+// backend's serial cutover (2^19 edges), where its rounds run pull levels
+// on the pool through the epoch's in-CSR, it must state what a push-only
+// native BFS finds: facts are the reached vertices, rounds the levels, and
+// the checksum folds (v, float64(dist[v])) over them in id order — on the
+// miss, the hit and the bypass alike, byte for byte.
+func TestServedDatalogIsTheBFSAboveSerialCutover(t *testing.T) {
+	s := New(Config{Workers: 2})
+	t.Cleanup(s.Close)
+	for i, name := range []string{"social", "web"} {
+		if err := s.AddGraph(name, buildVersioned(t, 17, name == "social", int64(7+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for _, name := range []string{"social", "web"} {
+		v, _ := s.Graph(name)
+		g := v.Current().CSR()
+		if g.NumEdges() <= 1<<19 {
+			t.Fatalf("%s: %d edges do not clear the serial cutover", name, g.NumEdges())
+		}
+		source := uint32(0)
+		for u := uint32(0); u < g.NumVertices; u++ {
+			if g.Degree(u) > g.Degree(source) {
+				source = u
+			}
+		}
+		dist, levels := native.BFSInto(s.Pool(), backend.FromCSR(g), nil, source, "", nil, make([]int32, g.NumVertices))
+		facts, sum := 0, uint64(fnvOffset64)
+		for u, d := range dist {
+			if d >= 0 {
+				facts++
+				sum = fnv1a(fnv1a(sum, uint64(u), 4), math.Float64bits(float64(d)), 8)
+			}
+		}
+		path := fmt.Sprintf("%s/query/datalog?graph=%s&source=%d", ts.URL, name, source)
+		var first []byte
+		for _, hdr := range []map[string]string{nil, nil, {"Cache-Control": "no-cache"}} {
+			code, state, body := get(t, path, hdr)
+			var got datalogResponse
+			if err := json.Unmarshal(body, &got); code != http.StatusOK || err != nil {
+				t.Fatalf("%s %s: status %d, %v (body %.200s)", name, state, code, err, body)
+			}
+			if got.Facts != facts || got.Rounds != levels || got.Checksum != checksumHex(sum) {
+				t.Errorf("%s %s: facts %d rounds %d checksum %s, native BFS %d reached, %d levels, checksum %s",
+					name, state, got.Facts, got.Rounds, got.Checksum, facts, levels, checksumHex(sum))
+			}
+			if first == nil {
+				first = body
+			} else if !bytes.Equal(body, first) {
+				t.Errorf("%s %s: body differs from the miss's", name, state)
+			}
+		}
+	}
+}
+
+// TestDatalogMissAllocations pins the lowered rule's memory shape: a
+// bypass default-rule Datalog miss allocates a bounded number of objects —
+// parse, tables, traversal scratch, the response — however many facts it
+// stores. A Value per reached vertex would put the count above facts.
+func TestDatalogMissAllocations(t *testing.T) {
+	s := New(Config{Workers: 2})
+	t.Cleanup(s.Close)
+	if err := s.AddGraph("social", buildVersioned(t, 12, true, 42)); err != nil {
+		t.Fatal(err)
+	}
+	g, _ := s.graphByName("social")
+	snap := g.v.Current()
+	q := &query{kind: kindDatalog, source: 1, rule: defaultDatalogRule, bypass: true}
+	var resp datalogResponse
+	body, err := s.execute(g, snap, q)
+	if err == nil {
+		err = json.Unmarshal(body, &resp)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 200
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := s.execute(g, snap, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations for %d facts", allocs, resp.Facts)
+	if allocs > bound || resp.Facts < 10*bound {
+		t.Errorf("a Datalog miss storing %d facts allocates %.0f objects, want at most %d and facts at least %d", resp.Facts, allocs, bound, 10*bound)
+	}
 }
 
 // highestRanked lists the k highest ranks, ties by vertex id — written

@@ -36,6 +36,12 @@ func queryKinds() []string {
 // under parallel evaluation, which keeps the cached bytes exact.
 const defaultDatalogRule = "REACH(t, $MIN(d)) :- REACH(s, d0), d = d0 + 1, EDGE(s, t)."
 
+// maxRuleBytes caps the datalog endpoint's rule parameter. Every distinct
+// rule text is its own cache key, and the cached body echoes it: uncapped,
+// padded spellings of one rule, each up to net/http's 1 MB request line,
+// could pin gigabytes in a cache bounded only by its entry count.
+const maxRuleBytes = 1 << 10
+
 // query is one parsed, validated, canonicalized request.
 type query struct {
 	kind  string
@@ -117,6 +123,9 @@ func (s *Server) parseQuery(r *http.Request) (*query, error) {
 			q.rule = vals.Get("rule")
 			if q.rule == "" {
 				q.rule = defaultDatalogRule
+			}
+			if len(q.rule) > maxRuleBytes {
+				return nil, badRequest("rule is %d bytes, over the %d-byte limit", len(q.rule), maxRuleBytes)
 			}
 		}
 	case kindCC, kindTC:
@@ -370,7 +379,7 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 		if int64(q.source) >= int64(snap.NumVertices()) {
 			return nil, badRequest("source %d outside vertex space [0,%d)", q.source, snap.NumVertices())
 		}
-		dl, err := datalogQuery(s.pool, snap, q)
+		dl, err := datalogQuery(s.pool, snap, g.bind(snap).in, q)
 		if err != nil {
 			return nil, err
 		}
@@ -389,10 +398,12 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 // datalogQuery evaluates a SociaLite-style rule over the pinned epoch's
 // EDGE relation with REACH seeded at the query source. Recursive rules
 // (head table driving the body) run semi-naively to fixpoint, others
-// evaluate once; both on the server's pool.
-func datalogQuery(pool *backend.Pool, snap *graph.Snapshot, q *query) (*datalogResponse, error) {
+// evaluate once; both on the server's pool. EDGE carries in, the epoch's
+// in-CSR, so the default rule's rounds are BFS levels that pull exactly as
+// /query/bfs does.
+func datalogQuery(pool *backend.Pool, snap *graph.Snapshot, in *backend.Matrix, q *query) (*datalogResponse, error) {
 	reg := socialite.NewRegistry()
-	reg.Register(socialite.NewEdgeTable("EDGE", snap.CSR()))
+	reg.Register(socialite.NewEdgeTable("EDGE", snap.CSR()).WithInEdges(in))
 	tbl := socialite.NewVecTable("REACH", snap.NumVertices())
 	reg.Register(tbl)
 	tbl.Put(q.source, socialite.Scalar(0))

@@ -164,6 +164,34 @@ func TestUnsettledDatalogRuleIs400(t *testing.T) {
 	}
 }
 
+// TestOversizedDatalogRuleIs400: a rule one byte over maxRuleBytes is
+// refused with 400 and adds no cache entry; one at the cap, and the three
+// rules the other tests use, answer 200 and add one each.
+func TestOversizedDatalogRuleIs400(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	padded := func(n int) string { return defaultDatalogRule + strings.Repeat(" ", n-len(defaultDatalogRule)) }
+	for _, c := range []struct {
+		rule string
+		want int
+	}{
+		{padded(maxRuleBytes + 1), http.StatusBadRequest},
+		{padded(maxRuleBytes), http.StatusOK},
+		{defaultDatalogRule, http.StatusOK},
+		{"REACH[t]($SUM(d)) :- EDGE(s, t), REACH[s](d0), d = d0 + 1.", http.StatusOK},
+		{"REACH(0, $INC(1)) :- EDGE(x, y), EDGE(y, z), EDGE(x, z).", http.StatusOK},
+	} {
+		before := s.cache.Len()
+		code, _, body := get(t, ts.URL+"/query/datalog?graph=social&source=2&rule="+url.QueryEscape(c.rule), nil)
+		entries, wantEntries := s.cache.Len()-before, 0
+		if c.want == http.StatusOK {
+			wantEntries = 1
+		}
+		if code != c.want || entries != wantEntries {
+			t.Errorf("%d-byte rule: status %d (want %d), %d new cache entries, body %.200s", len(c.rule), code, c.want, entries, body)
+		}
+	}
+}
+
 // queryPaths is the canonical query set the byte-identity tests cover:
 // every kind, both graphs where legal.
 func queryPaths() []string {

@@ -226,7 +226,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) (rounds int) {
 		if c == nil {
 			// The shared driver lowers the rule's shape onto the backend's
-			// persistent-claims expander.
+			// level step; EDGE has no in-edge view, so every level pushes.
 			rounds, err = Fixpoint(pool, rule)
 			return rounds
 		}

@@ -18,8 +18,9 @@ import (
 // keys the scalar head. Every (s, t) tuple of a source then emits the same
 // value, so the head column is a sparse matrix-vector product over EDGE:
 //
-//   - recursive $MIN (HEAD is DRIVER, the BFS workhorse) is frontier
-//     expansion on the backend's Expander;
+//   - recursive $MIN (HEAD is DRIVER, the BFS workhorse) is one level
+//     step of the backend's Traversal per round, written into the head's
+//     dense column;
 //   - non-recursive $SUM (PageRank's rule) is one plus-times SpMV over
 //     EDGE's transposed view, each row's fold seeded with the stored value;
 //   - a constant-key $INC(1) (TRIANGLE) has no such shape to match — any
@@ -115,20 +116,22 @@ func (s *edgeShape) squareOver() bool {
 // RuleLowering is a backend-lowered evaluator for one recursive $MIN
 // rule. When every delta source emits the same head value L and L is
 // strictly greater than every value already stored, the $MIN fold can
-// only claim keys that are absent from the table — which is exactly the
-// backend Expander's persistent-claims expansion. The lowering checks
-// those two conditions every round at O(|delta|) cost and falls back to
-// the generic evaluator (permanently, via the dead flag) the moment either
-// fails, so rules that merely look like BFS still evaluate correctly.
-// Obtain one with LowerBFSRule and drive it with Round (Fixpoint does
-// both).
+// only claim keys that are absent from the table — which is exactly one
+// BFS level: the backend Traversal's Step from the delta, with the stored
+// keys claimed. The level pulls through the edge table's in-edge view
+// when it has one (WithInEdges) and pushes otherwise, and its claims go
+// straight into the head's dense column at L. The lowering checks the two
+// conditions every round at O(|delta|) cost and falls back to the generic
+// evaluator (permanently, via the dead flag) the moment either fails, so
+// rules that merely look like BFS still evaluate correctly. Obtain one
+// with LowerBFSRule and drive it with Round (Fixpoint does both).
 type RuleLowering struct {
 	shape *edgeShape
 	head  *VecTable
-	exp   *backend.Expander
+	step  *backend.Traversal
 	env   *Env
 	// frontier holds the delta keys that passed the per-round checks;
-	// outA/outB alternate as Expand targets so a round never writes into
+	// outA/outB alternate as Step targets so a round never writes into
 	// the slice the caller is still iterating as its delta.
 	frontier []uint32
 	outA     []uint32
@@ -163,9 +166,10 @@ func LowerBFSRule(pool *backend.Pool, rule *Rule) (*RuleLowering, bool) {
 	if !scalar {
 		return nil, false
 	}
-	exp := backend.NewExpander(pool, backend.FromCSR(sh.edge.Table.g))
-	head.ForEach(func(k uint32, _ Value) { exp.Claim(k) })
-	return &RuleLowering{shape: sh, head: head, exp: exp, env: rule.newEnv(), maxVal: maxVal}, true
+	edge := sh.edge.Table
+	step := backend.NewDirectedTraversal(pool, backend.FromCSR(edge.g), edge.in, "", nil)
+	head.ForEach(func(k uint32, _ Value) { step.Claim(k) })
+	return &RuleLowering{shape: sh, head: head, step: step, env: rule.newEnv(), maxVal: maxVal}, true
 }
 
 // Round evaluates one semi-naive round over delta. On success it returns
@@ -210,11 +214,9 @@ func (l *RuleLowering) Round(delta []uint32) ([]uint32, bool) {
 		out = &l.outB
 	}
 	l.flip = !l.flip
-	next := l.exp.Expand(frontier, (*out)[:0])
+	next := l.step.Step(frontier, (*out)[:0])
 	*out = next
-	for _, dst := range next {
-		l.head.Put(dst, Scalar(level))
-	}
+	l.head.putScalars(next, level)
 	l.maxVal = level
 	return next, true
 }

@@ -101,8 +101,8 @@ func requireSameTuples(t *testing.T, what string, want, got *VecTable) {
 }
 
 // fixpointFixtures are a symmetrized ("social") and a directed ("web")
-// RMAT graph, large enough that hub frontiers cross the expander's serial
-// cutover and dispatch on the pool.
+// RMAT graph, whose hub frontiers are wide enough for the level step to
+// pull.
 func fixpointFixtures(t *testing.T) map[string]*graph.CSR {
 	t.Helper()
 	edges, err := gen.RMAT(gen.Graph500Config(12, 16, 55))
@@ -136,48 +136,50 @@ func maxDegreeVertex(g *graph.CSR) uint32 {
 // three ways — every round generic, every round through the lowering, and
 // through the shared Fixpoint driver — and requires identical stored
 // tuples, round counts and per-round changed-key sets, at 1 and 4
-// workers.
+// workers. The lowered runs go over a plain edge table, whose levels all
+// push, and over one given its in-edge view, whose wide levels pull.
 func TestFixpointLoweredMatchesGeneric(t *testing.T) {
 	for name, g := range fixpointFixtures(t) {
+		in := backend.FromCSR(g)
+		if name == "web" {
+			in = backend.FromCSR(g.Transpose())
+		}
 		for _, procs := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/procs=%d", name, procs), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				pool := backend.NewPool(0)
 				defer pool.Close()
-				edge := NewEdgeTable("EDGE", g)
 				source := maxDegreeVertex(g)
+				genericRule, want := genericFixpoint(t, func() *Rule { return buildBFSRule(t, bfsRuleSrc, NewEdgeTable("EDGE", g), source, nil) }, source)
 
-				genericRule, want := genericFixpoint(t, func() *Rule { return buildBFSRule(t, bfsRuleSrc, edge, source, nil) }, source)
-
-				loweredRule := buildBFSRule(t, bfsRuleSrc, edge, source, nil)
-				low, ok := LowerBFSRule(pool, loweredRule)
-				if !ok {
-					t.Fatal("BFS rule did not lower")
-				}
-				delta, widest := []uint32{source}, 0
-				for round := 0; len(delta) > 0; round++ {
-					widest = max(widest, len(delta))
-					if delta, ok = low.Round(delta); !ok {
-						t.Fatalf("lowering fell back on round %d", round+1)
+				for _, edge := range []*EdgeTable{NewEdgeTable("EDGE", g), NewEdgeTable("EDGE", g).WithInEdges(in)} {
+					what := fmt.Sprintf("in-edges=%v", edge.in != nil)
+					loweredRule := buildBFSRule(t, bfsRuleSrc, edge, source, nil)
+					low, ok := LowerBFSRule(pool, loweredRule)
+					if !ok {
+						t.Fatalf("%s: BFS rule did not lower", what)
 					}
-					if round >= len(want) || !slices.Equal(sortedCopy(delta), want[round]) {
-						t.Fatalf("round %d: lowered changed-key set differs from generic", round+1)
+					delta := []uint32{source}
+					for round := 0; len(delta) > 0; round++ {
+						if delta, ok = low.Round(delta); !ok {
+							t.Fatalf("%s: lowering fell back on round %d", what, round+1)
+						}
+						if round >= len(want) || !slices.Equal(sortedCopy(delta), want[round]) {
+							t.Fatalf("%s: round %d: lowered changed-key set differs from generic", what, round+1)
+						}
 					}
-				}
-				if widest < 512 {
-					t.Fatalf("widest frontier %d never left the expander's serial path", widest)
-				}
-				requireSameTuples(t, "lowered", genericRule.Head.Table, loweredRule.Head.Table)
+					requireSameTuples(t, what+" lowered", genericRule.Head.Table, loweredRule.Head.Table)
 
-				fixRule := buildBFSRule(t, bfsRuleSrc, edge, source, nil)
-				rounds, err := Fixpoint(pool, fixRule)
-				if err != nil {
-					t.Fatal(err)
+					fixRule := buildBFSRule(t, bfsRuleSrc, edge, source, nil)
+					rounds, err := Fixpoint(pool, fixRule)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rounds != len(want) {
+						t.Fatalf("%s: Fixpoint ran %d rounds, generic %d", what, rounds, len(want))
+					}
+					requireSameTuples(t, what+" Fixpoint", genericRule.Head.Table, fixRule.Head.Table)
 				}
-				if rounds != len(want) {
-					t.Fatalf("Fixpoint ran %d rounds, generic %d", rounds, len(want))
-				}
-				requireSameTuples(t, "Fixpoint", genericRule.Head.Table, fixRule.Head.Table)
 			})
 		}
 	}
@@ -186,39 +188,84 @@ func TestFixpointLoweredMatchesGeneric(t *testing.T) {
 // TestFixpointFallsBackMidRun breaks the lowering's uniform-level guard
 // after the first round (one depth-1 vertex steps by 2): Fixpoint must
 // hand that round and the rest to the generic evaluator and still match
-// an all-generic run.
+// an all-generic run. The head it hands over is column-only — the
+// lowered round stored no Value array — and at 4 workers the sharded
+// evaluator folds into it concurrently (run it with -race).
 func TestFixpointFallsBackMidRun(t *testing.T) {
 	g := fixtureUndirected(t)
 	edge := NewEdgeTable("EDGE", g)
 	source := maxDegreeVertex(g)
 	step := map[uint32]float64{g.Neighbors(source)[0]: 2}
-	pool := backend.NewPool(0)
-	defer pool.Close()
-
 	genericRule, want := genericFixpoint(t, func() *Rule { return buildBFSRule(t, weightedBFSRuleSrc, edge, source, step) }, source)
 
-	probe := buildBFSRule(t, weightedBFSRuleSrc, edge, source, step)
-	low, ok := LowerBFSRule(pool, probe)
-	if !ok {
-		t.Fatal("weighted BFS rule did not lower")
-	}
-	depth1, ok := low.Round([]uint32{source})
-	if !ok {
-		t.Fatal("first round must lower")
-	}
-	if _, ok := low.Round(depth1); ok {
-		t.Fatal("second round mixes levels 2 and 3 and must not lower")
-	}
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			pool := backend.NewPool(0)
+			defer pool.Close()
 
-	fixRule := buildBFSRule(t, weightedBFSRuleSrc, edge, source, step)
-	rounds, err := Fixpoint(pool, fixRule)
+			probe := buildBFSRule(t, weightedBFSRuleSrc, edge, source, step)
+			low, ok := LowerBFSRule(pool, probe)
+			if !ok {
+				t.Fatal("weighted BFS rule did not lower")
+			}
+			depth1, ok := low.Round([]uint32{source})
+			if !ok {
+				t.Fatal("first round must lower")
+			}
+			if probe.Head.Table.vals != nil {
+				t.Fatal("a lowered round made the head's Value array")
+			}
+			if _, ok := low.Round(depth1); ok {
+				t.Fatal("second round mixes levels 2 and 3 and must not lower")
+			}
+
+			fixRule := buildBFSRule(t, weightedBFSRuleSrc, edge, source, step)
+			rounds, err := Fixpoint(pool, fixRule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rounds != len(want) {
+				t.Fatalf("Fixpoint ran %d rounds, generic %d", rounds, len(want))
+			}
+			requireSameTuples(t, "Fixpoint", genericRule.Head.Table, fixRule.Head.Table)
+		})
+	}
+}
+
+// TestFixpointAboveSerialCutover: the engine's lowered BFS rule on a graph
+// above the backend's 2^19-edge serial cutover, where its wide rounds
+// claim in parallel on the pool and come back in ascending order, must
+// equal the serial reference BFS from the hub: the distances, and one
+// round per level.
+func TestFixpointAboveSerialCutover(t *testing.T) {
+	edges, err := gen.RMAT(gen.Graph500Config(16, 8, 61))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rounds != len(want) {
-		t.Fatalf("Fixpoint ran %d rounds, generic %d", rounds, len(want))
+	b := graph.NewBuilder(1 << 16)
+	b.AddEdges(edges)
+	g, err := b.Build(graph.BuildOptions{Orientation: graph.Symmetrize, Dedup: true, DropSelfLoops: true, SortAdjacency: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	requireSameTuples(t, "Fixpoint", genericRule.Head.Table, fixRule.Head.Table)
+	if g.NumEdges() <= 1<<19 {
+		t.Fatalf("fixture: %d edges do not clear the serial cutover", g.NumEdges())
+	}
+	hub := uint32(0)
+	for v := uint32(1); v < g.NumVertices; v++ {
+		if g.Degree(v) > g.Degree(hub) {
+			hub = v
+		}
+	}
+	want := core.RefBFS(g, hub)
+	res, err := New().BFS(g, core.BFSOptions{Source: hub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !core.EqualDistances(want, res.Distances) || res.Stats.Iterations != int(slices.Max(want))+1 {
+		t.Errorf("%d rounds, want %d; distances equal: %v", res.Stats.Iterations, int(slices.Max(want))+1, core.EqualDistances(want, res.Distances))
+	}
 }
 
 // TestFixpointRoundBound: a recursive rule whose values never settle on a
@@ -557,25 +604,29 @@ func TestNaNEmissionsDroppedAtEveryWorkerCount(t *testing.T) {
 	}
 }
 
-// TestScalarColumnGathersAliasedValues pins the one hazard of moving a
-// table onto a dense column: a Value stored under two keys must be read
-// before anything overwrites the slot it lives in.
+// TestScalarColumnGathersAliasedValues pins the dense column's aliasing
+// rules: a scalar Value read from one key (a view of its slot) and stored
+// under another is copied into the other's slot, so a later write to the
+// first key does not reach it; a write to a slot is what its key reads;
+// and a vector anywhere means there is no scalar column.
 func TestScalarColumnGathersAliasedValues(t *testing.T) {
 	tab := NewVecTable("T", 6)
-	tab.FillScalars(func(k uint32) float64 { return float64(k) + 0.5 })
-	v3, _ := tab.Get(3)
-	tab.Put(5, v3) // key 5 now lives in key 3's slot
-	tab.Delete(3)
+	for _, k := range []uint32{0, 1, 2, 4} {
+		tab.Put(k, Scalar(float64(k)+0.5))
+	}
+	v4, _ := tab.Get(4)
+	tab.Put(5, v4)
+	tab.Put(4, Scalar(9))
 	col, ok := tab.scalarColumn(-1)
 	if !ok {
 		t.Fatal("a scalar table did not yield a column")
 	}
-	want := []float64{0.5, 1.5, 2.5, -1, 4.5, 3.5}
+	want := []float64{0.5, 1.5, 2.5, -1, 9, 4.5}
 	if !slices.Equal(col, want) {
 		t.Fatalf("column %v, want %v", col, want)
 	}
-	col[5] = 9
-	if v, _ := tab.Get(5); v.S() != 9 {
+	col[5] = 7
+	if v, _ := tab.Get(5); v.S() != 7 {
 		t.Fatalf("key 5 reads %v after a write to its column slot", v)
 	}
 	tab.Put(2, Value{1, 2})

@@ -110,7 +110,8 @@ func evalSharded(pool *backend.Pool, rule *Rule, lo, hi uint32, delta []uint32, 
 	})
 
 	// Phase 2: shard owners fold their updates; no two workers touch the
-	// same key.
+	// same key, and none has to make the head's vector array.
+	rule.Head.Table.materialize()
 	changedPer := make([][]uint32, workers)
 	remoteBytes := make([]int64, workers)
 	each(func(s int) {

@@ -76,11 +76,6 @@ func TestVecTableBasics(t *testing.T) {
 	if tab.Len() != 1 {
 		t.Errorf("Len = %d", tab.Len())
 	}
-	tab.Delete(3)
-	if tab.Len() != 0 {
-		t.Errorf("Len after delete = %d", tab.Len())
-	}
-	tab.Delete(3) // idempotent
 }
 
 func TestFoldAggregations(t *testing.T) {

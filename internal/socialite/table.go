@@ -39,8 +39,9 @@ type EdgeTable struct {
 	name string
 	g    *graph.CSR
 
-	// in is the (dst, src) view a lowered $SUM folds over, built by the
-	// first evaluation that needs it and kept for the table's life.
+	// in is the (dst, src) view: supplied by WithInEdges, or built by the
+	// first lowered $SUM evaluation that needs it and kept for the table's
+	// life. A recursive $MIN lowering pulls through it when it is there.
 	inOnce sync.Once
 	in     *backend.Matrix
 }
@@ -48,6 +49,15 @@ type EdgeTable struct {
 // NewEdgeTable wraps a CSR as an edge relation.
 func NewEdgeTable(name string, g *graph.CSR) *EdgeTable {
 	return &EdgeTable{name: name, g: g}
+}
+
+// WithInEdges gives the relation its (dst, src) view, in: g's transpose
+// with ascending rows, or g's own on a symmetric graph. Recursive $MIN
+// rounds over the table then pull through it; without it they only push.
+// Call it before the table is shared; it returns t.
+func (t *EdgeTable) WithInEdges(in *backend.Matrix) *EdgeTable {
+	t.inOnce.Do(func() { t.in = in })
+	return t
 }
 
 // Name implements Table.
@@ -76,33 +86,30 @@ func (t *EdgeTable) transposed() *backend.Matrix {
 	return t.in
 }
 
-// NumRows reports the number of tuples.
-func (t *EdgeTable) NumRows() int64 { return t.g.NumEdges() }
-
 // VecTable is a keyed single-column relation: key → Value. It backs both
 // scalar columns (RANK, DIST, DEGREE) and vector columns (the CF factor
-// tables).
+// tables). Scalars live in one dense column, so a scalar-only table holds
+// no Value per key and no []Value array at all.
 type VecTable struct {
 	name    string
-	vals    []Value
 	present []bool
 	count   atomic.Int64
-	// col is the dense backing array of a scalar column, allocated by the
-	// first FillScalars or scalarColumn: vals[k] then aliases col[k:k+1]
-	// until a Put replaces it.
+	// col holds the scalars: a Value read from it aliases the key's slot.
 	col []float64
+	// vals holds the vectors (nil elsewhere), made by the first vector Put.
+	vals []Value
 }
 
 // NewVecTable returns an empty table over keys [0, numKeys).
 func NewVecTable(name string, numKeys uint32) *VecTable {
-	return &VecTable{name: name, vals: make([]Value, numKeys), present: make([]bool, numKeys)}
+	return &VecTable{name: name, present: make([]bool, numKeys), col: make([]float64, numKeys)}
 }
 
 // Name implements Table.
 func (t *VecTable) Name() string { return t.name }
 
 // NumKeys reports the key-space size.
-func (t *VecTable) NumKeys() uint32 { return graph.MustU32(int64(len(t.vals))) }
+func (t *VecTable) NumKeys() uint32 { return graph.MustU32(int64(len(t.col))) }
 
 // Len reports how many keys are present.
 func (t *VecTable) Len() int { return int(t.count.Load()) }
@@ -112,64 +119,83 @@ func (t *VecTable) Get(key uint32) (Value, bool) {
 	if !t.present[key] {
 		return nil, false
 	}
-	return t.vals[key], true
+	return t.value(key), true
 }
 
-// Put assigns key ← val unconditionally.
+// value returns present key's value: its vector, or its column slot.
+func (t *VecTable) value(key uint32) Value {
+	if t.vals != nil && t.vals[key] != nil {
+		return t.vals[key]
+	}
+	return t.col[key : key+1 : key+1]
+}
+
+// Put assigns key ← val unconditionally. A scalar is copied into the
+// table's column; a vector is stored as given.
 func (t *VecTable) Put(key uint32, val Value) {
+	if len(val) == 1 {
+		t.putScalar(key, val[0])
+		return
+	}
+	t.materialize()
+	t.mark(key)
+	t.vals[key] = val
+}
+
+// putScalar assigns key ← x in the column, allocating nothing.
+func (t *VecTable) putScalar(key uint32, x float64) {
+	t.mark(key)
+	t.col[key] = x
+	if t.vals != nil {
+		t.vals[key] = nil
+	}
+}
+
+// putScalars assigns key ← x for every key of keys, none of them present,
+// counting them in one step.
+func (t *VecTable) putScalars(keys []uint32, x float64) {
+	for _, k := range keys {
+		t.present[k] = true
+		t.col[k] = x
+	}
+	t.count.Add(int64(len(keys)))
+}
+
+// mark makes key present.
+func (t *VecTable) mark(key uint32) {
 	if !t.present[key] {
 		t.present[key] = true
 		t.count.Add(1)
 	}
-	t.vals[key] = val
 }
 
-// Delete removes key.
-func (t *VecTable) Delete(key uint32) {
-	if t.present[key] {
-		t.present[key] = false
-		t.count.Add(-1)
+// materialize makes the table's []Value array, so no vector Put has to.
+// The sharded evaluator calls it before its shards fold concurrently: the
+// array is one allocation every shard's Puts would otherwise race to make.
+func (t *VecTable) materialize() {
+	if t.vals == nil {
+		t.vals = make([]Value, len(t.col))
 	}
 }
 
-// FillScalars assigns key ← f(key) for every key of the table, storing the
-// scalars in one dense column rather than one Value each.
+// FillScalars assigns key ← f(key) for every key of the table.
 func (t *VecTable) FillScalars(f func(key uint32) float64) {
-	if t.col == nil {
-		t.col = make([]float64, len(t.vals))
-	}
 	for k := range t.col {
 		t.col[k] = f(uint32(k))
-		t.vals[k] = t.col[k : k+1 : k+1]
 		t.present[k] = true
 	}
+	clear(t.vals)
 	t.count.Store(int64(len(t.col)))
 }
 
-// scalarColumn moves the table's scalars into its dense column and returns
-// it: col[k] is key k's storage from here on, and absent keys read as
-// fill. ok is false when a present value is not a scalar. Values found
-// anywhere but their own slot are gathered into a fresh column, so a Value
-// a caller Put under two keys is never overwritten before it is read.
+// scalarColumn returns the table's dense column, in which absent keys now
+// read as fill; col[k] is key k's storage. ok is false when a present
+// value is a vector.
 func (t *VecTable) scalarColumn(fill float64) (col []float64, ok bool) {
-	inPlace := t.col != nil
-	for k := 0; inPlace && k < len(t.vals); k++ {
-		v := t.vals[k]
-		inPlace = !t.present[k] || (len(v) == 1 && &v[0] == &t.col[k])
-	}
-	if !inPlace {
-		col = make([]float64, len(t.vals))
-		for k, v := range t.vals {
-			if !t.present[k] {
-				continue
-			}
-			if len(v) != 1 {
-				return nil, false
-			}
-			col[k] = v[0]
-			t.vals[k] = col[k : k+1 : k+1]
+	for _, v := range t.vals {
+		if v != nil {
+			return nil, false
 		}
-		t.col = col
 	}
 	if t.Len() < len(t.col) {
 		for k, p := range t.present {
@@ -187,7 +213,6 @@ func (t *VecTable) adoptColumn(has func(key int) bool) {
 	for k, p := range t.present {
 		if !p && has(k) {
 			t.present[k] = true
-			t.vals[k] = t.col[k : k+1 : k+1]
 			t.count.Add(1)
 		}
 	}
@@ -197,21 +222,9 @@ func (t *VecTable) adoptColumn(has func(key int) bool) {
 func (t *VecTable) ForEach(fn func(key uint32, val Value)) {
 	for k, p := range t.present {
 		if p {
-			fn(uint32(k), t.vals[k])
+			fn(uint32(k), t.value(uint32(k)))
 		}
 	}
-}
-
-// MemoryBytes estimates the table's resident size assuming width values
-// per key.
-func (t *VecTable) MemoryBytes() int64 {
-	var b int64
-	for k, p := range t.present {
-		if p {
-			b += 16 + int64(len(t.vals[k]))*8
-		}
-	}
-	return b + int64(len(t.present))
 }
 
 // Agg is a head aggregation function.
@@ -266,13 +279,13 @@ func (t *VecTable) fold(agg Agg, key uint32, val Value) bool {
 		return true
 	case AggMin:
 		if !ok || val.S() < old.S() {
-			t.Put(key, Scalar(val.S()))
+			t.putScalar(key, val.S())
 			return true
 		}
 		return false
 	case AggCount:
 		if !ok {
-			t.Put(key, Scalar(val.S()))
+			t.putScalar(key, val.S())
 			return true
 		}
 		old[0] += val.S()
@@ -283,28 +296,23 @@ func (t *VecTable) fold(agg Agg, key uint32, val Value) bool {
 	}
 }
 
-// foldScalar is fold for scalar values without allocating a Value on the
-// common paths.
+// foldScalar is fold for scalar values, allocating nothing.
 func (t *VecTable) foldScalar(agg Agg, key uint32, x float64) bool {
 	old, ok := t.Get(key)
 	switch agg {
 	case AggAssign:
-		if ok && len(old) == 1 {
-			old[0] = x
-			return true
-		}
-		t.Put(key, Scalar(x))
+		t.putScalar(key, x)
 		return true
 	case AggSum, AggCount:
 		if !ok {
-			t.Put(key, Scalar(x))
+			t.putScalar(key, x)
 			return true
 		}
 		old[0] += x
 		return true
 	case AggMin:
 		if !ok {
-			t.Put(key, Scalar(x))
+			t.putScalar(key, x)
 			return true
 		}
 		if x < old[0] {
