@@ -131,15 +131,15 @@ func TestClusterRunsTraceFromExecAlone(t *testing.T) {
 // TestEnginesOwnNoClockOrPool pins the same contract structurally: no
 // engine package reads the wall clock or builds a backend.Pool outside its
 // tests — core.Exec.Local does both, once, for every single-node call —
-// and in native, combblas, graphlab and socialite the callback given to
-// core.Exec.Local names the *backend.Pool it receives (a blank or unnamed
-// first parameter fails) unless its function is in serialInTimedRegion.
-// galois and giraph bring their own runtimes — Galois's worklist executor,
-// Giraph's superstep workers — and are exempt from the pool rule by package.
-// socialite runs every evaluation, its simulated cluster nodes' included,
-// on that one pool, so it may not import internal/par either.
+// and in native, combblas, graphlab, socialite and galois the callback
+// given to core.Exec.Local names the *backend.Pool it receives (a blank or
+// unnamed first parameter fails) unless its function is in
+// serialInTimedRegion. giraph alone brings its own runtime — its superstep
+// workers — and is exempt from the pool rule by package. socialite runs
+// every evaluation, its simulated cluster nodes' included, on that one
+// pool, so it may not import internal/par either.
 func TestEnginesOwnNoClockOrPool(t *testing.T) {
-	ownRuntime := map[string]bool{"galois": true, "giraph": true}
+	ownRuntime := map[string]bool{"giraph": true}
 	discards := map[string]bool{}
 	for _, pkg := range []string{"native", "combblas", "graphlab", "socialite", "giraph", "galois"} {
 		dir := filepath.Join("internal", pkg)

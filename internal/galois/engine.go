@@ -1,3 +1,11 @@
+// Package galois reimplements the Galois programming model (paper §3):
+// algorithms are parallel iterations over work items, handed out in
+// chunks that idle workers claim, and BFS runs on the bulk-synchronous
+// executor of Algorithm 3. Every loop runs on the backend.Pool its
+// core.Exec.Local call names. Galois is single-node (Table 2) but,
+// because partitioning is flexible and updates are immediately globally
+// visible, it is the only framework besides native code that can express
+// true SGD (§3.2).
 package galois
 
 import (
@@ -9,6 +17,10 @@ import (
 	"graphmaze/internal/graph"
 	"graphmaze/internal/trace"
 )
+
+// chunkSize is the granularity of work distribution: Galois hands out
+// work items in chunks of 64 to amortize scheduling.
+const chunkSize = 64
 
 // Engine is the Galois-model engine.
 type Engine struct{}
@@ -46,19 +58,21 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	for i := range pr {
 		pr[i] = 1
 	}
-	vertices := vertexList(n)
-	stats := opt.Exec.Local(func(_ *backend.Pool, tr *trace.Tracer) int {
-		for it := 0; it < opt.Iterations; it++ {
-			sp := tr.Begin("galois.round", "pagerank round").Arg("iter", float64(it))
-			ForEach(vertices, func(v uint32, _ *Ctx[uint32]) {
+	stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) int {
+		sweep := backend.NewSweep(pool, int(n), chunkSize, func(_, lo, hi int) {
+			for v := lo; v < hi; v++ {
 				sum := 0.0
-				for _, j := range in.Neighbors(v) {
+				for _, j := range in.Neighbors(uint32(v)) {
 					if outDeg[j] > 0 {
 						sum += pr[j] / float64(outDeg[j])
 					}
 				}
 				next[v] = opt.RandomJump + (1-opt.RandomJump)*sum
-			})
+			}
+		})
+		for it := 0; it < opt.Iterations; it++ {
+			sp := tr.Begin("galois.round", "pagerank round").Arg("iter", float64(it))
+			sweep.Run()
 			pr, next = next, pr
 			sp.End()
 		}
@@ -67,19 +81,10 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	return &core.PageRankResult{Ranks: pr, Stats: stats}, nil
 }
 
-// vertexList is the initial worklist of the per-vertex loops: every vertex
-// id in order.
-func vertexList(n uint32) []uint32 {
-	vertices := make([]uint32, n)
-	for i := range vertices {
-		vertices[i] = uint32(i)
-	}
-	return vertices
-}
-
 // BFS implements core.Engine with the paper's Algorithm 3: the
-// bulk-synchronous executor maintains per-level worklists behind the
-// scenes and processes each level in parallel.
+// bulk-synchronous executor keeps one worklist per level and processes
+// each level in parallel. A vertex's level is claimed by CAS, so the
+// distances do not depend on the order a round runs in.
 func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error) {
 	opt, err := core.CheckBFSInput(g, opt)
 	if err != nil {
@@ -91,28 +96,63 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	n := g.NumVertices
 	dist := make([]int32, n)
 	for i := range dist {
-		//lint:ignore atomic initialization happens-before ForEachBulk spawns workers
+		//lint:ignore atomic initialization happens-before the first round: the pool's wake channel publishes it to every worker
 		dist[i] = -1
 	}
-	//lint:ignore atomic initialization happens-before ForEachBulk spawns workers
+	//lint:ignore atomic initialization happens-before the first round: the pool's wake channel publishes it to every worker
 	dist[opt.Source] = 0
-	stats := opt.Exec.Local(func(*backend.Pool, *trace.Tracer) int {
-		return ForEachBulk([]uint32{opt.Source}, func(v uint32, push func(uint32)) {
+	stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) int {
+		return bulkRounds(pool, tr, []uint32{opt.Source}, func(v uint32, push []uint32) []uint32 {
 			level := atomic.LoadInt32(&dist[v])
 			for _, t := range g.Neighbors(v) {
 				if atomic.CompareAndSwapInt32(&dist[t], -1, level+1) {
-					push(t)
+					push = append(push, t)
 				}
 			}
+			return push
 		})
 	})
 	return &core.BFSResult{Distances: dist, Stats: stats}, nil
 }
 
+// bulkRounds is the bulk-synchronous executor: round k runs body once for
+// every item of the frontier, in chunks claimed on pool, and what the
+// bodies push becomes round k+1's frontier after the barrier. body appends
+// its pushes to the buffer it is given, which belongs to the executing
+// worker, and returns it. The loop stops at an empty frontier and returns
+// the number of rounds; each round is one galois.round span carrying its
+// frontier size.
+func bulkRounds(pool *backend.Pool, tr *trace.Tracer, initial []uint32, body func(item uint32, push []uint32) []uint32) int {
+	pushed := make([][]uint32, pool.Workers())
+	frontier := append([]uint32(nil), initial...)
+	var next []uint32
+	rounds := 0
+	for len(frontier) > 0 {
+		sp := tr.Begin("galois.round", "bfs round").Arg("frontier", float64(len(frontier)))
+		items := frontier
+		backend.NewSweep(pool, len(items), chunkSize, func(w, lo, hi int) {
+			for _, item := range items[lo:hi] {
+				pushed[w] = body(item, pushed[w])
+			}
+		}).Run()
+		next = next[:0]
+		for w, p := range pushed {
+			next = append(next, p...)
+			pushed[w] = p[:0]
+		}
+		frontier, next = next, frontier
+		rounds++
+		sp.End()
+	}
+	return rounds
+}
+
 // TriangleCount implements core.Engine with the paper's Algorithm 4:
 // parallel foreach over vertices, sorted-adjacency set intersections.
 // With the acyclic orientation the adjacency lists already hold only
-// larger-id neighbours, so S1 and S2 are the lists themselves.
+// larger-id neighbours, so S1 and S2 are the lists themselves. Each chunk
+// adds its partial count once; integer addition makes the total exact at
+// any worker count.
 func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.TriangleResult, error) {
 	opt, err := core.CheckTriangleInput(g, opt)
 	if err != nil {
@@ -121,22 +161,23 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 	if opt.Exec.Cluster != nil {
 		return nil, core.ErrSingleNodeOnly
 	}
-	vertices := vertexList(g.NumVertices)
-	var count int64
-	stats := opt.Exec.Local(func(*backend.Pool, *trace.Tracer) int {
-		ForEach(vertices, func(v uint32, _ *Ctx[uint32]) {
-			s1 := g.Neighbors(v)
+	var count atomic.Int64
+	stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+		backend.NewSweep(pool, int(g.NumVertices), chunkSize, func(_, lo, hi int) {
 			var local int64
-			for _, m := range s1 {
-				local += int64(intersectSorted(s1, g.Neighbors(m)))
+			for v := lo; v < hi; v++ {
+				s1 := g.Neighbors(uint32(v))
+				for _, m := range s1 {
+					local += int64(intersectSorted(s1, g.Neighbors(m)))
+				}
 			}
 			if local > 0 {
-				atomic.AddInt64(&count, local)
+				count.Add(local)
 			}
-		})
+		}).Run()
 		return 1
 	})
-	return &core.TriangleResult{Count: atomic.LoadInt64(&count), Stats: stats}, nil
+	return &core.TriangleResult{Count: count.Load(), Stats: stats}, nil
 }
 
 func intersectSorted(a, b []uint32) int {
@@ -154,12 +195,6 @@ func intersectSorted(a, b []uint32) int {
 		}
 	}
 	return c
-}
-
-// sgdTask is one work item: process the ratings of block (stripe, sub).
-type sgdTask struct {
-	stripe int
-	block  []cfEdge
 }
 
 type cfEdge struct {
@@ -209,72 +244,46 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	}
 
 	gamma := opt.LearningRate
-	// step is one iteration of the chosen optimizer.
-	var step func()
-	if opt.Method == core.GradientDescent {
-		// GD also runs fine as tasks, one aggregate pass per iteration.
-		gradP := make([]float64, len(userF))
-		gradQ := make([]float64, len(itemF))
-		stripes := make([]int, w)
-		for i := range stripes {
-			stripes[i] = i
-		}
-		step = func() {
-			for i := range gradP {
-				gradP[i] = 0
-			}
-			for i := range gradQ {
-				gradQ[i] = 0
-			}
-			// Diagonal scheduling keeps tasks write-disjoint for gradQ too.
-			for sub := 0; sub < w; sub++ {
-				ForEach(stripes, func(stripe int, _ *Ctx[int]) {
-					for _, edge := range blocks[stripe*w+(stripe+sub)%w] {
-						pu := userF[int(edge.u)*k : int(edge.u+1)*k]
-						qv := itemF[int(edge.v)*k : int(edge.v+1)*k]
-						ev := float64(edge.rating) - core.Dot(pu, qv)
-						gp := gradP[int(edge.u)*k : int(edge.u+1)*k]
-						gq := gradQ[int(edge.v)*k : int(edge.v+1)*k]
-						for d := 0; d < k; d++ {
-							gp[d] += ev*float64(qv[d]) - opt.LambdaP*float64(pu[d])
-							gq[d] += ev*float64(pu[d]) - opt.LambdaQ*float64(qv[d])
-						}
-					}
-				})
-			}
-			for i := range userF {
-				userF[i] += float32(gamma * gradP[i])
-			}
-			for i := range itemF {
-				itemF[i] += float32(gamma * gradQ[i])
-			}
-		}
-	} else {
-		step = func() {
-			for sub := 0; sub < w; sub++ {
-				tasks := make([]sgdTask, 0, w)
-				for stripe := 0; stripe < w; stripe++ {
-					tasks = append(tasks, sgdTask{stripe: stripe, block: blocks[stripe*w+(stripe+sub)%w]})
-				}
-				ForEach(tasks, func(task sgdTask, _ *Ctx[sgdTask]) {
-					for _, edge := range task.block {
-						pu := userF[int(edge.u)*k : int(edge.u+1)*k]
-						qv := itemF[int(edge.v)*k : int(edge.v+1)*k]
-						ev := float64(edge.rating) - core.Dot(pu, qv)
-						for d := 0; d < k; d++ {
-							pud, qvd := float64(pu[d]), float64(qv[d])
-							pu[d] = float32(pud + gamma*(ev*qvd-opt.LambdaP*pud))
-							qv[d] = float32(qvd + gamma*(ev*pud-opt.LambdaQ*qvd))
-						}
-					}
-				})
-			}
-		}
+	gd := opt.Method == core.GradientDescent
+	var gradP, gradQ []float64
+	if gd {
+		gradP = make([]float64, len(userF))
+		gradQ = make([]float64, len(itemF))
 	}
 	rmse := make([]float64, 0, opt.Iterations)
-	stats := opt.Exec.Local(func(*backend.Pool, *trace.Tracer) int {
+	stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+		// Diagonal sub's w blocks cover disjoint user and disjoint item
+		// stripes, so they run side by side: each worker takes a
+		// contiguous run of them and runs each block serially. GD's
+		// gradient sums stay write-disjoint the same way.
+		sub := 0
+		diagonal := backend.NewDense(pool, w, func(lo, hi int) {
+			for stripe := lo; stripe < hi; stripe++ {
+				block := blocks[stripe*w+(stripe+sub)%w]
+				if gd {
+					gdBlock(block, userF, itemF, gradP, gradQ, k, opt)
+				} else {
+					sgdBlock(block, userF, itemF, k, gamma, opt)
+				}
+			}
+		})
 		for it := 0; it < opt.Iterations; it++ {
-			step()
+			if gd {
+				clear(gradP)
+				clear(gradQ)
+			}
+			for sub = 0; sub < w; sub++ {
+				diagonal.Run()
+			}
+			if gd {
+				// GD: one aggregate step per iteration.
+				for i := range userF {
+					userF[i] += float32(gamma * gradP[i])
+				}
+				for i := range itemF {
+					itemF[i] += float32(gamma * gradQ[i])
+				}
+			}
 			gamma *= opt.StepDecay
 			if !opt.SkipRMSETrajectory {
 				rmse = append(rmse, core.RMSE(r, k, userF, itemF))
@@ -286,6 +295,36 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		rmse = append(rmse, core.RMSE(r, k, userF, itemF))
 	}
 	return &core.CFResult{K: k, UserFactors: userF, ItemFactors: itemF, RMSE: rmse, Stats: stats}, nil
+}
+
+// sgdBlock applies the SGD updates to every rating of one block, in its
+// shuffled order.
+func sgdBlock(block []cfEdge, userF, itemF []float32, k int, gamma float64, opt core.CFOptions) {
+	for _, edge := range block {
+		pu := userF[int(edge.u)*k : int(edge.u+1)*k]
+		qv := itemF[int(edge.v)*k : int(edge.v+1)*k]
+		ev := float64(edge.rating) - core.Dot(pu, qv)
+		for d := 0; d < k; d++ {
+			pud, qvd := float64(pu[d]), float64(qv[d])
+			pu[d] = float32(pud + gamma*(ev*qvd-opt.LambdaP*pud))
+			qv[d] = float32(qvd + gamma*(ev*pud-opt.LambdaQ*qvd))
+		}
+	}
+}
+
+// gdBlock adds one block's ratings to the full-batch gradients.
+func gdBlock(block []cfEdge, userF, itemF []float32, gradP, gradQ []float64, k int, opt core.CFOptions) {
+	for _, edge := range block {
+		pu := userF[int(edge.u)*k : int(edge.u+1)*k]
+		qv := itemF[int(edge.v)*k : int(edge.v+1)*k]
+		ev := float64(edge.rating) - core.Dot(pu, qv)
+		gp := gradP[int(edge.u)*k : int(edge.u+1)*k]
+		gq := gradQ[int(edge.v)*k : int(edge.v+1)*k]
+		for d := 0; d < k; d++ {
+			gp[d] += ev*float64(qv[d]) - opt.LambdaP*float64(pu[d])
+			gq[d] += ev*float64(pu[d]) - opt.LambdaQ*float64(qv[d])
+		}
+	}
 }
 
 func stripeBounds(n uint32, w int) []uint32 {

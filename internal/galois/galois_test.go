@@ -2,13 +2,13 @@ package galois
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/trace"
 )
 
 func fixtureDirected(t testing.TB) *graph.CSR {
@@ -63,64 +63,6 @@ func fixtureRatings(t testing.TB) *graph.Bipartite {
 		t.Fatal(err)
 	}
 	return bp
-}
-
-func TestWorklistBasics(t *testing.T) {
-	w := &Worklist[int]{}
-	if !w.Empty() {
-		t.Error("fresh worklist not empty")
-	}
-	w.Push(1)
-	w.Push(2)
-	w.PushChunk([]int{3, 4, 5})
-	if w.Len() != 5 {
-		t.Errorf("Len = %d", w.Len())
-	}
-	seen := 0
-	for {
-		chunk, ok := w.pop()
-		if !ok {
-			break
-		}
-		seen += len(chunk)
-	}
-	if seen != 5 {
-		t.Errorf("popped %d items", seen)
-	}
-}
-
-func TestForEachProcessesAllAndPushed(t *testing.T) {
-	// Each of 1000 initial items pushes one follow-up; all 2000 must run.
-	initial := make([]int, 1000)
-	for i := range initial {
-		initial[i] = i
-	}
-	var count int64
-	ForEach(initial, func(item int, ctx *Ctx[int]) {
-		atomic.AddInt64(&count, 1)
-		if item < 1000 {
-			ctx.Push(item + 1000)
-		}
-	})
-	if count != 2000 {
-		t.Errorf("processed %d items, want 2000", count)
-	}
-}
-
-func TestForEachEmpty(t *testing.T) {
-	ForEach(nil, func(int, *Ctx[int]) { t.Error("body called on empty input") })
-}
-
-func TestForEachBulkRounds(t *testing.T) {
-	// Chain of pushes: item k pushes k+1 until 5 → 6 rounds.
-	rounds := ForEachBulk([]int{0}, func(item int, push func(int)) {
-		if item < 5 {
-			push(item + 1)
-		}
-	})
-	if rounds != 6 {
-		t.Errorf("rounds = %d, want 6", rounds)
-	}
 }
 
 func TestIdentity(t *testing.T) {
@@ -229,5 +171,61 @@ func TestCollabFilterSGDBeatsGD(t *testing.T) {
 	}
 	if sgd.RMSE[iters-1] >= gd.RMSE[iters-1] {
 		t.Errorf("SGD final RMSE %v not below GD %v", sgd.RMSE[iters-1], gd.RMSE[iters-1])
+	}
+}
+
+// TestGaloisKernelsRunOnThePool requires a traced run of every kernel to
+// record team dispatches on the pool core.Exec.Local attaches to the
+// tracer's registry: PageRank one per iteration, BFS one per round, TC
+// one, and CF one per diagonal — iterations × w, so a diagonal's w blocks
+// are handed to the team, not run as one task.
+func TestGaloisKernelsRunOnThePool(t *testing.T) {
+	directed, undirected, acyclic, ratings := fixtureDirected(t), fixtureUndirected(t), fixtureAcyclic(t), fixtureRatings(t)
+	const iters, w = 3, 8
+	if ratings.NumUsers < w || ratings.NumItems < w {
+		t.Fatalf("ratings fixture %d×%d is too small for %d stripes", ratings.NumUsers, ratings.NumItems, w)
+	}
+	cf := func(m core.CFMethod) func(core.Exec) (int, error) {
+		return func(ex core.Exec) (int, error) {
+			res, err := New().CollabFilter(ratings, core.CFOptions{Method: m, K: 8, Iterations: iters, Seed: 8, Exec: ex})
+			if err != nil {
+				return 0, err
+			}
+			return res.Stats.Iterations * w, nil
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(core.Exec) (minDispatches int, err error)
+	}{
+		{"pagerank", func(ex core.Exec) (int, error) {
+			res, err := New().PageRank(directed, core.PageRankOptions{Iterations: iters, Exec: ex})
+			if err != nil {
+				return 0, err
+			}
+			return res.Stats.Iterations, nil
+		}},
+		{"bfs", func(ex core.Exec) (int, error) {
+			res, err := New().BFS(undirected, core.BFSOptions{Source: 13, Exec: ex})
+			if err != nil {
+				return 0, err
+			}
+			return res.Stats.Iterations, nil
+		}},
+		{"tc", func(ex core.Exec) (int, error) {
+			_, err := New().TriangleCount(acyclic, core.TriangleOptions{Exec: ex})
+			return 1, err
+		}},
+		{"cf-sgd", cf(core.SGD)},
+		{"cf-gd", cf(core.GradientDescent)},
+	} {
+		tr := trace.New()
+		want, err := tc.run(core.Exec{Trace: tr})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := tr.Registry().HistSnapshots()["backend.pool.dispatch_ns"].Count; got < int64(want) || want < 1 {
+			t.Errorf("%s: %d pool dispatches recorded, want at least %d", tc.name, got, want)
+		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package par is the static-split fork-join the one-shot paths share:
 // graph construction (internal/graph), the framework worker models
 // (Giraph's capped workers), cluster-mode kernels and the native ablation
-// baseline.
-// Everything a single-node engine call or a served query runs executes on a
-// backend.Pool instead (DESIGN.md §8). Two loop shapes:
+// baseline. Every other single-node engine kernel, Galois's included, runs
+// on the backend.Pool core.Exec.Local hands it, or serially on its caller
+// for two CF loops whose fold order the goldens pin; every served query
+// runs on the server's pool (DESIGN.md §8). Two loop shapes:
 //
 //   - For / ForWorkers: static contiguous chunks with equal vertex
 //     counts. Right for loops whose per-index cost is uniform.
