@@ -135,10 +135,45 @@ func TestClusterRunsTraceFromExecAlone(t *testing.T) {
 // given to core.Exec.Local names the *backend.Pool it receives (a blank or
 // unnamed first parameter fails) unless its function is in
 // serialInTimedRegion. giraph alone brings its own runtime — its superstep
-// workers — and is exempt from the pool rule by package. socialite runs
-// every evaluation, its simulated cluster nodes' included, on that one
-// pool, so it may not import internal/par either.
+// workers — and is exempt from the pool rule by package. Module-wide,
+// internal/par is the static fork-join below backend: no non-test file
+// outside internal/graph (construction, which backend imports) and
+// internal/giraph (its modelled workers) may import it. A nested module
+// (bench/) is its own build and is not walked.
 func TestEnginesOwnNoClockOrPool(t *testing.T) {
+	parImporters := map[string]bool{"internal/graph": true, "internal/giraph": true}
+	parFset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || parImporters[filepath.ToSlash(filepath.Dir(path))] {
+			return nil
+		}
+		file, err := parser.ParseFile(parFset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range file.Imports {
+			if ipath, _ := strconv.Unquote(imp.Path.Value); ipath == "graphmaze/internal/par" {
+				t.Errorf("%s imports internal/par: everything at or above backend runs on a backend.Pool", parFset.Position(imp.Pos()))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	ownRuntime := map[string]bool{"giraph": true}
 	discards := map[string]bool{}
 	for _, pkg := range []string{"native", "combblas", "graphlab", "socialite", "giraph", "galois"} {
@@ -162,9 +197,6 @@ func TestEnginesOwnNoClockOrPool(t *testing.T) {
 				path, _ := strconv.Unquote(imp.Path.Value)
 				if path == "time" {
 					t.Errorf("%s imports time: engines leave the clock to core.Exec.Local", fset.Position(imp.Pos()))
-				}
-				if path == "graphmaze/internal/par" && pkg == "socialite" {
-					t.Errorf("%s imports internal/par: socialite evaluates on the backend.Pool alone", fset.Position(imp.Pos()))
 				}
 			}
 			ast.Inspect(file, func(n ast.Node) bool {

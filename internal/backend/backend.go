@@ -4,8 +4,7 @@
 // substrate provides:
 //
 //   - one pooled SpMV kernel over the shared CSR ([SumVecMul], the float64
-//     plus-times pattern product every lowered PageRank runs), plus the
-//     one-shot generic semiring product [SpMVInto],
+//     plus-times pattern product every lowered PageRank runs),
 //   - one direction-switching level-synchronous frontier kernel
 //     ([Traversal]) for BFS-shaped computations: a whole BFS that writes
 //     distances ([Traversal.Run]), or the level step a framework's own
@@ -13,7 +12,7 @@
 //   - a persistent worker [Pool] so the per-iteration hot loop reuses
 //     parked goroutines and preallocated scratch instead of re-spawning and
 //     re-allocating (zero steady-state allocations; benchmark-asserted),
-//   - edge-balanced static row splits (par.OffsetSplits on the CSR prefix
+//   - edge-balanced static row splits (graph.OffsetSplits on the CSR prefix
 //     sums) and 64-aligned dynamic chunk claiming, both chosen so results
 //     are bit-identical at every GOMAXPROCS setting.
 //
@@ -65,7 +64,7 @@ func FromSnapshot(s *graph.Snapshot) *Matrix { return FromCSR(s.CSR()) }
 func (m *Matrix) NNZ() int64 { return int64(len(m.Cols)) }
 
 // evenSplits returns k+1 bounds cutting [0,n) into k contiguous ranges
-// whose sizes differ by at most one (the split par.ForWorkers uses).
+// whose sizes differ by at most one.
 func evenSplits(n, k int) []int {
 	if k < 1 {
 		k = 1

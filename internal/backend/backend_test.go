@@ -118,28 +118,6 @@ func TestSumVecMulMatchesReference(t *testing.T) {
 	}
 }
 
-// plusTimes is the float64 plus-times semiring over a pattern matrix: the
-// product SumVecMul runs, through SpMVInto's generic interface.
-var plusTimes = Semiring[struct{}, float64, float64]{
-	Mul:  func(_ struct{}, v float64) float64 { return v },
-	Add:  func(a, b float64) float64 { return a + b },
-	Zero: func() float64 { return 0 },
-}
-
-func TestSpMVIntoOneShot(t *testing.T) {
-	g := testGraph(t, 9, 3, false)
-	m := FromCSR(g)
-	x := randVec(g.NumVertices, 5)
-	want := refSpMVSum(m, x)
-	y := make([]float64, g.NumVertices)
-	SpMVInto(m, make([]struct{}, len(m.Cols)), x, y, plusTimes)
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("y[%d] = %v, want %v", i, y[i], want[i])
-		}
-	}
-}
-
 func TestTraversalMatchesReference(t *testing.T) {
 	g := testGraph(t, 10, 21, true)
 	m := FromCSR(g)

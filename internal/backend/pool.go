@@ -1,12 +1,12 @@
 package backend
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"graphmaze/internal/obs"
-	"graphmaze/internal/par"
 )
 
 // chunkRunner is the unit of work a Pool dispatches: a kernel that can
@@ -36,10 +36,10 @@ const (
 	modeDynamic        // workers claim grain-sized chunks from an atomic cursor
 )
 
-// Pool is a persistent team of workers the backend kernels run on. The
-// par package's loops spawn goroutines (and allocate) per call, which is
-// fine for one-shot operations but not for an iterate-until-converged hot
-// loop; a Pool parks its workers between dispatches so steady-state
+// Pool is a persistent team of workers the backend kernels run on.
+// Spawning goroutines per call (internal/par, below backend) allocates on
+// every dispatch, which an iterate-until-converged hot loop cannot
+// afford; a Pool parks its workers between dispatches so steady-state
 // iterations cost two channel hops per worker and zero allocations.
 //
 // Worker 0 is the calling goroutine, so a 1-worker pool degenerates to a
@@ -111,10 +111,10 @@ func (p *Pool) SetRegistry(reg *obs.Registry) {
 }
 
 // NewPool starts a pool with the given worker count; workers <= 0 means
-// par.NumWorkers() (GOMAXPROCS). Callers own the pool and must Close it.
+// GOMAXPROCS. Callers own the pool and must Close it.
 func NewPool(workers int) *Pool {
 	if workers <= 0 {
-		workers = par.NumWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &Pool{
 		workers: workers,
@@ -216,7 +216,7 @@ func (p *Pool) ranInline() {
 }
 
 // RunStatic runs r over the k ranges described by bounds (len workers+1,
-// as produced by par.OffsetSplits or evenSplits): worker w gets
+// as produced by graph.OffsetSplits or evenSplits): worker w gets
 // [bounds[w], bounds[w+1]). Deterministic ownership — the same worker
 // index always sees the same range for the same bounds. When another
 // dispatch holds the team the caller runs the ranges itself, in ascending

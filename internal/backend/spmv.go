@@ -4,26 +4,15 @@ import (
 	"math"
 	"math/bits"
 
+	"graphmaze/internal/graph"
 	"graphmaze/internal/obs"
-	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
-
-// Semiring is the generalized (⊕, ⊗) pair SpMVInto folds with,
-// matching the CombBLAS formulation: y[r] = ⊕_{c ∈ row r} vals[rc] ⊗ x[c],
-// starting from Zero (called once per row). The fold is strictly
-// left-to-right in stored-column order, so results are deterministic even
-// for non-associative ⊕ (floating-point addition).
-type Semiring[A, X, Y any] struct {
-	Mul  func(A, X) Y
-	Add  func(Y, Y) Y
-	Zero func() Y
-}
 
 // SumVecMul is the backend's one pooled SpMV kernel: the plus-times
 // pattern product y[r] = a + b·Σ_{c ∈ row r} x[c] that PageRank-shaped
 // computations lower onto. Rows are statically split at construction so
-// every worker owns an equal share of nonzeros (par.OffsetSplits on the
+// every worker owns an equal share of nonzeros (graph.OffsetSplits on the
 // CSR prefix sums, rounded to 64-row word edges); each output element is
 // written by exactly one worker, which is the "padded accumulation lane"
 // scheme degenerated to its cheapest form — the output vector itself is
@@ -56,7 +45,7 @@ func NewSumVecMul(pool *Pool, m *Matrix) *SumVecMul {
 	if occ == nil {
 		occ = occupancy(m.Offsets)
 	}
-	bounds := par.OffsetSplits(m.Offsets, pool.Workers())
+	bounds := graph.OffsetSplits(m.Offsets, pool.Workers())
 	n := int(m.NumRows)
 	for i := 1; i < len(bounds)-1; i++ {
 		bounds[i] = min((bounds[i]+32)&^63, n)
@@ -170,23 +159,6 @@ func occupancy(off []int64) []uint64 {
 func DivDegree(x float64, d int64) float64 {
 	has := -d >> 63
 	return math.Float64frombits(math.Float64bits(x/float64(d+1+has)) & uint64(has))
-}
-
-// SpMVInto is the one-shot generic path: y = m ⊕.⊗ x into the
-// caller-provided y, with edge-balanced row splits via par.ForOffsets. It
-// exists for callers (combblas's free functions) whose API is a single
-// call; an engine that runs the product every iteration lowers onto a
-// SumVecMul on a Pool instead.
-func SpMVInto[A, X, Y any](m *Matrix, vals []A, x []X, y []Y, sr Semiring[A, X, Y]) {
-	par.ForOffsets(m.Offsets, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			acc := sr.Zero()
-			for i := m.Offsets[r]; i < m.Offsets[r+1]; i++ {
-				acc = sr.Add(acc, sr.Mul(vals[i], x[m.Cols[i]]))
-			}
-			y[r] = acc
-		}
-	})
 }
 
 // Dense is a reusable element-wise pass over [0, n): the vector-transform

@@ -2,6 +2,7 @@ package combblas
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -69,6 +70,25 @@ func fixtureRatings(t testing.TB) *graph.Bipartite {
 		t.Fatal(err)
 	}
 	return bp
+}
+
+// SpMV is the serial oracle y[r] = ⊕_c A[r,c] ⊗ x[c] the SpMSpV and
+// DistSpMV tests compare against: each row folds left to right in
+// stored-column order, starting from Zero.
+func SpMV[A, X, Y any](m *SpMat[A], x []X, sr Semiring[A, X, Y]) ([]Y, error) {
+	if len(x) != int(m.NumCols) {
+		return nil, fmt.Errorf("combblas: SpMV vector length %d, matrix has %d columns", len(x), m.NumCols)
+	}
+	y := make([]Y, m.NumRows)
+	for r := range y {
+		acc := sr.Zero()
+		cols, vals := m.Row(uint32(r))
+		for i, c := range cols {
+			acc = sr.Add(acc, sr.Mul(vals[i], x[c]))
+		}
+		y[r] = acc
+	}
+	return y, nil
 }
 
 func TestSpMVMatchesDense(t *testing.T) {
@@ -547,17 +567,6 @@ func TestReduceRowDegrees(t *testing.T) {
 	for v := uint32(0); v < g.NumVertices; v++ {
 		if int64(deg[v]) != g.Degree(v) {
 			t.Fatalf("vertex %d: Reduce degree %v, want %d", v, deg[v], g.Degree(v))
-		}
-	}
-}
-
-func TestApplyInPlace(t *testing.T) {
-	v := []float64{1, 2, 3, 4}
-	Apply(v, func(i int, x float64) float64 { return x * float64(i) })
-	want := []float64{0, 2, 6, 12}
-	for i := range want {
-		if v[i] != want[i] {
-			t.Fatalf("Apply result %v, want %v", v, want)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
-	"graphmaze/internal/par"
 )
 
 // SpMat is a sparse matrix in CSR layout with generic nonzero values.
@@ -150,38 +149,9 @@ func PlusTimesWeighted() Semiring[float32, float64, float64] {
 }
 
 // backendView wraps the matrix's CSR arrays as a backend pattern matrix
-// (no copy) so the SpMV primitives delegate to the shared kernels.
+// (no copy) so the engine's kernels run on the shared backend.
 func backendView[A any](m *SpMat[A]) *backend.Matrix {
 	return &backend.Matrix{NumRows: m.NumRows, Offsets: m.Offsets, Cols: m.Cols}
-}
-
-// SpMVInto computes y[r] = ⊕_c A[r,c] ⊗ x[c] into the caller-provided y,
-// delegating the row-wise gather to the shared backend (edge-balanced row
-// splits: equal row counts would serialize the hub rows of a power-law
-// matrix onto one worker, paper §3.1). Iterative algorithms reuse y
-// across calls, so the per-iteration allocation the old SpMV paid is
-// gone.
-func SpMVInto[A, X, Y any](m *SpMat[A], x []X, y []Y, sr Semiring[A, X, Y]) error {
-	if len(x) != int(m.NumCols) {
-		return fmt.Errorf("combblas: SpMV vector length %d, matrix has %d columns", len(x), m.NumCols)
-	}
-	if len(y) != int(m.NumRows) {
-		return fmt.Errorf("combblas: SpMV output length %d, matrix has %d rows", len(y), m.NumRows)
-	}
-	backend.SpMVInto(backendView(m), m.Vals, x, y, backend.Semiring[A, X, Y](sr))
-	return nil
-}
-
-// SpMV is the allocating convenience wrapper over SpMVInto.
-func SpMV[A, X, Y any](m *SpMat[A], x []X, sr Semiring[A, X, Y]) ([]Y, error) {
-	if len(x) != int(m.NumCols) {
-		return nil, fmt.Errorf("combblas: SpMV vector length %d, matrix has %d columns", len(x), m.NumCols)
-	}
-	y := make([]Y, m.NumRows)
-	if err := SpMVInto(m, x, y, sr); err != nil {
-		return nil, err
-	}
-	return y, nil
 }
 
 // SpMSpV computes the boolean product y = xᵀA for a sparse input vector
@@ -347,41 +317,19 @@ func EWiseMultSum(pool *backend.Pool, a *SpMat[struct{}], b *SpMat[int64]) (int6
 	return total.Load(), nil
 }
 
-// ReduceInto folds every row of the matrix to a scalar with the
-// semiring's ⊕ over ⊗-mapped nonzeros — CombBLAS's row-wise Reduce
-// primitive — into the caller-provided out slice (len NumRows).
-func ReduceInto[A, X, Y any](m *SpMat[A], x X, out []Y, sr Semiring[A, X, Y]) error {
-	if len(out) != int(m.NumRows) {
-		return fmt.Errorf("combblas: Reduce output length %d, matrix has %d rows", len(out), m.NumRows)
-	}
-	par.ForOffsets(m.Offsets, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			acc := sr.Zero()
-			_, vals := m.Row(uint32(r))
-			for i := range vals {
-				acc = sr.Add(acc, sr.Mul(vals[i], x))
-			}
-			out[r] = acc
-		}
-	})
-	return nil
-}
-
-// Reduce is the allocating convenience wrapper over ReduceInto. The
-// engine's PageRank uses it to derive the degree vector.
+// Reduce folds every row of the matrix to a scalar with the semiring's ⊕
+// over ⊗-mapped nonzeros — CombBLAS's row-wise Reduce primitive. The
+// engine's PageRank derives the degree vector with it once per input,
+// outside the timed kernel, so it is a serial row loop.
 func Reduce[A, X, Y any](m *SpMat[A], x X, sr Semiring[A, X, Y]) []Y {
 	out := make([]Y, m.NumRows)
-	_ = ReduceInto(m, x, out, sr) // out is sized to NumRows: cannot fail
-	return out
-}
-
-// Apply maps fn over a dense vector in place — CombBLAS's element-wise
-// Apply primitive for the "data parallel operations on dense vectors" the
-// paper's CF and PageRank formulations need.
-func Apply[T any](v []T, fn func(i int, x T) T) {
-	par.For(len(v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v[i] = fn(i, v[i])
+	for r := range out {
+		acc := sr.Zero()
+		_, vals := m.Row(uint32(r))
+		for i := range vals {
+			acc = sr.Add(acc, sr.Mul(vals[i], x))
 		}
-	})
+		out[r] = acc
+	}
+	return out
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"graphmaze/internal/par"
 )
 
 // Epoch numbers the immutable versions of a mutating graph. Epoch 0 is the
@@ -269,7 +267,7 @@ func mergeCSR(g *CSR, n uint32, added []Edge) *CSR {
 	// Scatter in parallel: each vertex owns a disjoint output range, so
 	// the merge pass needs no synchronization. Vertex ranges are split by
 	// output edges to keep power-law skew off the critical path.
-	par.ForOffsets(offsets, func(lo, hi int) {
+	forEdgeBalanced(offsets, func(lo, hi int) {
 		for v := uint32(lo); v < uint32(hi); v++ {
 			out := targets[offsets[v]:offsets[v+1]]
 			var baseAdj []uint32

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/combblas"
 	"graphmaze/internal/core"
@@ -24,7 +25,6 @@ import (
 	"graphmaze/internal/metrics"
 	"graphmaze/internal/native"
 	"graphmaze/internal/obs"
-	"graphmaze/internal/par"
 	"graphmaze/internal/socialite"
 	"graphmaze/internal/trace"
 )
@@ -44,8 +44,7 @@ type Options struct {
 	Quick bool
 	// Trace, when non-nil, receives spans and counters from every run: the
 	// harness attaches it to each engine execution (and its simulated
-	// cluster) and points the par scheduler's counters at it for the
-	// duration of Run.
+	// cluster).
 	Trace *trace.Tracer
 	// JSON, when non-nil, receives a machine-readable report of every
 	// measurement (and the trace summary, if tracing) after the experiment
@@ -124,17 +123,12 @@ func Experiments() []Experiment {
 }
 
 // Run executes the experiment with the given id ("all" runs everything).
-// With a tracer in the options, the par scheduler's counters point at it
-// for the duration, and every engine execution records spans into it; with
-// a JSON writer, a machine-readable report follows the tables.
+// With a tracer in the options every engine execution records spans into
+// it; with a JSON writer, a machine-readable report follows the tables.
 func Run(id string, opt Options) error {
 	var records []RunRecord
 	if opt.JSON != nil {
 		opt.rec = &records
-	}
-	if opt.Trace != nil {
-		par.SetSchedCounters(opt.Trace.Sched())
-		defer par.SetSchedCounters(nil)
 	}
 	if err := runExperiments(id, opt); err != nil {
 		return err
@@ -416,8 +410,8 @@ func (t *tableWriter) write(w io.Writer) {
 }
 
 // hostPeakBandwidth measures an approximate memory-bandwidth ceiling for
-// the host with a parallel triad pass, standing in for the paper's STREAM
-// numbers when normalizing Table 4.
+// the host with a triad pass on a GOMAXPROCS-wide pool, standing in for
+// the paper's STREAM numbers when normalizing Table 4.
 func hostPeakBandwidth() float64 {
 	const n = 1 << 22
 	a := make([]float64, n)
@@ -427,14 +421,17 @@ func hostPeakBandwidth() float64 {
 		a[i] = 1
 		b[i] = 2
 	}
+	pool := backend.NewPool(0)
+	defer pool.Close()
+	triad := backend.NewDense(pool, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c[i] = a[i] + 2.5*b[i]
+		}
+	})
 	best := 0.0
 	for trial := 0; trial < 3; trial++ {
 		start := time.Now()
-		par.For(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				c[i] = a[i] + 2.5*b[i]
-			}
-		})
+		triad.Run()
 		elapsed := time.Since(start).Seconds()
 		if bw := float64(3*8*n) / elapsed; bw > best {
 			best = bw

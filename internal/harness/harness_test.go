@@ -232,7 +232,7 @@ func TestIsSquare(t *testing.T) {
 
 // TestRunJSONAndTrace: with a tracer and JSON sink attached, Run emits a
 // parseable machine report whose runs and trace summary are populated, and
-// the tracer holds engine spans plus scheduler counters.
+// the tracer holds engine spans.
 func TestRunJSONAndTrace(t *testing.T) {
 	tr := trace.New()
 	var table, js bytes.Buffer
@@ -308,11 +308,6 @@ func TestRunJSONAndTrace(t *testing.T) {
 		if !cats[want] {
 			t.Errorf("trace missing %q spans (have %v)", want, cats)
 		}
-	}
-
-	// The par scheduler counters were attached for the duration of the run.
-	if tr.Sched().Items.Value() == 0 {
-		t.Error("scheduler counters saw no items")
 	}
 
 	// The Chrome exporter accepts the whole trace.

@@ -11,7 +11,6 @@ import (
 	"graphmaze/internal/codec"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
-	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -56,22 +55,24 @@ func (e *Engine) pageRankLocal(pool *backend.Pool, in *graph.CSR, outDeg []int64
 	for i := range pr {
 		pr[i] = 1
 	}
+	// Ablation baseline (no contribution caching): the gather reads raw
+	// ranks and divides per edge — two dependent loads and a divide per
+	// in-edge instead of one streaming load. Rows are claimed dynamically
+	// on the call's pool; each next[v] is one row's serial fold.
+	gather := backend.NewSweep(pool, int(in.NumVertices), 0, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			sum := 0.0
+			for _, j := range in.Neighbors(uint32(v)) {
+				sum += (1 - opt.RandomJump) * pr[j] / float64(outDeg[j])
+			}
+			next[v] = opt.RandomJump + sum
+		}
+	})
 	iters := 0
 	for it := 0; it < opt.Iterations; it++ {
 		iters++
 		sp := tr.Begin("native.pr.iter", "pagerank iteration").Arg("iter", float64(it))
-		// Ablation baseline (no contribution caching): the gather reads raw
-		// ranks and divides per edge — two dependent loads and a divide per
-		// in-edge instead of one streaming load.
-		par.ForOffsets(in.Offsets, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				sum := 0.0
-				for _, j := range in.Neighbors(uint32(v)) {
-					sum += (1 - opt.RandomJump) * pr[j] / float64(outDeg[j])
-				}
-				next[v] = opt.RandomJump + sum
-			}
-		})
+		gather.Run()
 		pr, next = next, pr
 		converged := opt.Tolerance > 0 && maxAbsDiff(pool, pr, next) <= opt.Tolerance
 		sp.End()

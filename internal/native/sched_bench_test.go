@@ -11,13 +11,13 @@ import (
 	"graphmaze/internal/graph"
 )
 
-// Skewed kernel benchmarks: the same native kernels under static
-// equal-vertex chunking (the preserved references in sched_test.go) and
-// under the scheduling layer's dynamic / edge-balanced loops, over RMAT
-// graphs WITHOUT vertex permutation — natural RMAT labeling concentrates
-// the hubs at low ids, which is exactly the input that strands one static
-// chunk with most of the work (paper §3.1). Run via `go test -bench
-// Skewed`; GRAPHMAZE_SKEW_SCALE overrides the graph scale (default 16).
+// Skewed kernel benchmarks: the same native kernels as serial loops (the
+// references in sched_test.go) and on the pool's dynamic / edge-balanced
+// passes, over RMAT graphs WITHOUT vertex permutation — natural RMAT
+// labeling concentrates the hubs at low ids, which is exactly the input
+// that strands an equal-vertex chunk with most of the work (paper §3.1).
+// Run via `go test -bench Skewed`; GRAPHMAZE_SKEW_SCALE overrides the
+// graph scale (default 16).
 
 func skewScale(b *testing.B) int {
 	s := os.Getenv("GRAPHMAZE_SKEW_SCALE")
@@ -84,7 +84,7 @@ func skewDirectedGraph(b *testing.B) *graph.CSR {
 func BenchmarkNativeTriangleSkewed(b *testing.B) {
 	g := skewTriangleGraph(b)
 	e := New()
-	b.Run("static", func(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
 		b.ReportMetric(float64(g.NumEdges()), "edges")
 		for i := 0; i < b.N; i++ {
 			triangleLocalStatic(e, g)
@@ -104,7 +104,7 @@ func BenchmarkNativePageRankSkewed(b *testing.B) {
 	g := skewDirectedGraph(b)
 	e := New()
 	opt := core.PageRankOptions{Iterations: 5, RandomJump: 0.15}
-	b.Run("static", func(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
 		b.ReportMetric(float64(g.NumEdges()), "edges")
 		for i := 0; i < b.N; i++ {
 			pageRankLocalStatic(e, g, opt)

@@ -2,7 +2,6 @@ package native
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"graphmaze/internal/backend"
@@ -10,63 +9,50 @@ import (
 	"graphmaze/internal/core"
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
-	"graphmaze/internal/par"
+	"graphmaze/internal/trace"
 )
 
 // Moving a kernel between schedulers must not change results at all: the
 // pool's dynamic sweeps and edge-balanced splits only move chunk
 // boundaries, never the per-vertex arithmetic. These tests pin
 // bit-identical agreement, at 1 and 4 pool workers, between the shipped
-// pool kernels and the original static-chunk versions, which are preserved
-// below as references (and reused by the skewed benchmarks as the
-// baseline side).
+// pool kernels and serial loops over the same per-vertex arithmetic,
+// preserved below as references.
 
-// triangleLocalStatic is the pre-scheduling-layer triangle kernel: one
-// equal-vertex-count chunk per worker, counts merged through a single
-// shared atomic.
+// triangleLocalStatic is the triangle kernel as one serial loop.
 func triangleLocalStatic(e *Engine, g *graph.CSR) int64 {
 	var total int64
-	n := int(g.NumVertices)
-	par.For(n, func(lo, hi int) {
-		var local int64
-		var bv *bitvec.Vector
-		var bvOwner []uint32
-		for v := lo; v < hi; v++ {
-			adjV := g.Neighbors(uint32(v))
-			if len(adjV) == 0 {
-				continue
+	var bv *bitvec.Vector
+	for v := uint32(0); v < g.NumVertices; v++ {
+		adjV := g.Neighbors(v)
+		useBV := e.tuning.Bitvector && len(adjV) >= bitvecDegreeThreshold
+		if useBV {
+			if bv == nil {
+				bv = bitvec.New(g.NumVertices)
 			}
-			useBV := e.tuning.Bitvector && len(adjV) >= bitvecDegreeThreshold
-			if useBV {
-				if bv == nil {
-					bv = bitvec.New(g.NumVertices)
-				}
-				for _, t := range adjV {
-					bv.Set(t)
-				}
-				bvOwner = adjV
-			}
-			for _, u := range adjV {
-				adjU := g.Neighbors(u)
-				if useBV {
-					for _, t := range adjU {
-						if bv.Get(t) {
-							local++
-						}
-					}
-				} else {
-					local += int64(intersectSortedCount(adjV, adjU))
-				}
-			}
-			if useBV {
-				for _, t := range bvOwner {
-					bv.Clear(t)
-				}
+			for _, t := range adjV {
+				bv.Set(t)
 			}
 		}
-		atomic.AddInt64(&total, local)
-	})
-	return atomic.LoadInt64(&total)
+		for _, u := range adjV {
+			adjU := g.Neighbors(u)
+			if useBV {
+				for _, t := range adjU {
+					if bv.Get(t) {
+						total++
+					}
+				}
+			} else {
+				total += int64(intersectSortedCount(adjV, adjU))
+			}
+		}
+		if useBV {
+			for _, t := range adjV {
+				bv.Clear(t)
+			}
+		}
+	}
+	return total
 }
 
 // maxAbsDiffSerial is the serial reference for the pooled convergence
@@ -85,8 +71,8 @@ func maxAbsDiffSerial(a, b []float64) float64 {
 	return worst
 }
 
-// pageRankLocalStatic is the pre-scheduling-layer PageRank kernel:
-// equal-vertex gather chunks and a serial maxAbsDiff.
+// pageRankLocalStatic is the PageRank kernel as serial loops, with and
+// without contribution caching, and a serial maxAbsDiff.
 func pageRankLocalStatic(e *Engine, g *graph.CSR, opt core.PageRankOptions) ([]float64, int) {
 	in := g.Transpose()
 	outDeg := g.OutDegrees()
@@ -104,34 +90,28 @@ func pageRankLocalStatic(e *Engine, g *graph.CSR, opt core.PageRankOptions) ([]f
 	for it := 0; it < opt.Iterations; it++ {
 		iters++
 		if e.tuning.ContribCaching {
-			par.For(n, func(lo, hi int) {
-				for v := lo; v < hi; v++ {
-					if outDeg[v] > 0 {
-						contrib[v] = (1 - opt.RandomJump) * pr[v] / float64(outDeg[v])
-					} else {
-						contrib[v] = 0
-					}
+			for v := 0; v < n; v++ {
+				if outDeg[v] > 0 {
+					contrib[v] = (1 - opt.RandomJump) * pr[v] / float64(outDeg[v])
+				} else {
+					contrib[v] = 0
 				}
-			})
-			par.For(n, func(lo, hi int) {
-				for v := lo; v < hi; v++ {
-					sum := 0.0
-					for _, j := range in.Neighbors(uint32(v)) {
-						sum += contrib[j]
-					}
-					next[v] = opt.RandomJump + sum
+			}
+			for v := 0; v < n; v++ {
+				sum := 0.0
+				for _, j := range in.Neighbors(uint32(v)) {
+					sum += contrib[j]
 				}
-			})
+				next[v] = opt.RandomJump + sum
+			}
 		} else {
-			par.For(n, func(lo, hi int) {
-				for v := lo; v < hi; v++ {
-					sum := 0.0
-					for _, j := range in.Neighbors(uint32(v)) {
-						sum += (1 - opt.RandomJump) * pr[j] / float64(outDeg[j])
-					}
-					next[v] = opt.RandomJump + sum
+			for v := 0; v < n; v++ {
+				sum := 0.0
+				for _, j := range in.Neighbors(uint32(v)) {
+					sum += (1 - opt.RandomJump) * pr[j] / float64(outDeg[j])
 				}
-			})
+				next[v] = opt.RandomJump + sum
+			}
 		}
 		pr, next = next, pr
 		if opt.Tolerance > 0 && maxAbsDiffSerial(pr, next) <= opt.Tolerance {
@@ -237,6 +217,28 @@ func TestPageRankEdgeBalancedMatchesStatic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAblationPageRankRunsOnThePool pins where the ablation gather runs:
+// without contribution caching it is a sweep on the pool core.Exec.Local
+// hands the kernel, one dispatch per iteration even at Tolerance 0, where
+// no convergence check dispatches. A gather that spawned its own
+// goroutines beside the pool records none.
+func TestAblationPageRankRunsOnThePool(t *testing.T) {
+	tn := DefaultTuning()
+	tn.ContribCaching = false
+	const iters = 5
+	tr := trace.New()
+	res, err := NewTuned(tn).PageRank(testGraphDirected(t), core.PageRankOptions{Iterations: iters, Exec: core.Exec{Trace: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Iterations != iters {
+		t.Fatalf("ran %d iterations, want %d", res.Stats.Iterations, iters)
+	}
+	if got := tr.Registry().HistSnapshots()["backend.pool.dispatch_ns"].Count; got < iters {
+		t.Errorf("%d pool dispatches recorded over %d iterations, want at least one each", got, iters)
 	}
 }
 

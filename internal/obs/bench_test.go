@@ -39,7 +39,7 @@ func BenchmarkObsHistRecord(b *testing.B) {
 }
 
 // BenchmarkObsHistRecordParallel measures contention behavior with one
-// lane per worker (the intended usage under par.For*). Persistent
+// lane per worker (the intended usage under a pool dispatch). Persistent
 // workers run a warmup round before the timer so the timed round does
 // only Record calls plus warm channel handoffs: goroutine spawning and
 // the runtime's park/wake structures never amortize at CI's

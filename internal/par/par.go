@@ -1,28 +1,16 @@
-// Package par is the static-split fork-join the one-shot paths share:
-// graph construction (internal/graph), the framework worker models
-// (Giraph's capped workers), cluster-mode kernels and the native ablation
-// baseline. Every other single-node engine kernel, Galois's included, runs
-// on the backend.Pool core.Exec.Local hands it, or serially on its caller
-// for two CF loops whose fold order the goldens pin; every served query
-// runs on the server's pool (DESIGN.md §8). Two loop shapes:
-//
-//   - For / ForWorkers: static contiguous chunks with equal vertex
-//     counts. Right for loops whose per-index cost is uniform.
-//   - ForOffsets: static contiguous chunks with equal *edge* counts,
-//     split on a CSR prefix-sum array. Right for per-vertex loops whose
-//     cost is proportional to degree on power-law graphs, where equal
-//     vertex counts are wildly imbalanced (paper §3.1).
-//
-// Both tile [0,n) exactly once, join before returning, and fall back to a
-// serial call when fan-out would cost more than it saves. Loops with
-// unpredictable per-index cost claim chunks dynamically on a pool
-// (backend.NewSweep).
+// Package par is the static fork-join below backend: graph construction
+// and ApplyDelta's scatter (internal/graph, which backend imports, so it
+// cannot borrow a backend.Pool) and Giraph's modelled worker threads
+// (internal/giraph, paper §5.4). Everything at or above backend — every
+// engine kernel and every served query — runs on a backend.Pool
+// (DESIGN.md §8). For and ForWorkers split [0,n) into static contiguous
+// chunks with equal index counts, run one goroutine per chunk (a single
+// chunk runs on the caller), and join before returning.
 package par
 
 import (
 	"runtime"
 	"sync"
-	"time"
 )
 
 // For splits [0,n) into contiguous chunks across up to GOMAXPROCS
@@ -34,20 +22,12 @@ func For(n int, body func(lo, hi int)) {
 // ForWorkersIndexed is ForWorkers with the executing worker's index passed
 // to the body — for callers that keep per-worker staging areas.
 func ForWorkersIndexed(workers, n int, body func(worker, lo, hi int)) {
-	sc := sched.Load()
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		if n > 0 {
-			start := time.Time{}
-			if sc != nil {
-				start = time.Now()
-			}
 			body(0, 0, n)
-			if sc != nil {
-				observeChunk(sc, 0, 0, n, start)
-			}
 		}
 		return
 	}
@@ -62,14 +42,7 @@ func ForWorkersIndexed(workers, n int, body func(worker, lo, hi int)) {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			start := time.Time{}
-			if sc != nil {
-				start = time.Now()
-			}
 			body(w, lo, hi)
-			if sc != nil {
-				observeChunk(sc, w, lo, hi, start)
-			}
 		}(w, lo, hi)
 		lo = hi
 	}
@@ -84,6 +57,5 @@ func ForWorkers(workers, n int, body func(lo, hi int)) {
 	ForWorkersIndexed(workers, n, func(_, lo, hi int) { body(lo, hi) })
 }
 
-// NumWorkers reports the width of the GOMAXPROCS-wide loops, which is also
-// the default size of a backend.Pool.
+// NumWorkers reports the width of the GOMAXPROCS-wide loops.
 func NumWorkers() int { return runtime.GOMAXPROCS(0) }

@@ -85,40 +85,6 @@ func TestForWorkersIndexedSlotDisjoint(t *testing.T) {
 	}
 }
 
-// TestForOffsetsStress runs the edge-balanced splitter over a skewed
-// degree sequence with plain per-vertex writes, mirroring the PageRank
-// gather's write pattern (each vertex written by exactly one worker).
-func TestForOffsetsStress(t *testing.T) {
-	n, iters := 1<<15, 40
-	if testing.Short() {
-		n, iters = 1<<12, 10
-	}
-	degs := make([]int64, n)
-	for i := range degs {
-		degs[i] = int64(i % 7)
-		if i%1000 == 0 {
-			degs[i] = 50_000 // hubs: force lopsided vertex ranges
-		}
-	}
-	offsets := make([]int64, n+1)
-	for i, d := range degs {
-		offsets[i+1] = offsets[i] + d
-	}
-	acc := make([]int64, n)
-	for it := 0; it < iters; it++ {
-		ForOffsets(offsets, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				acc[i]++ // plain write: ranges tile [0,n) and the loop joins
-			}
-		})
-	}
-	for i, v := range acc {
-		if v != int64(iters) {
-			t.Fatalf("acc[%d] = %d, want %d", i, v, iters)
-		}
-	}
-}
-
 // TestForReuseStress reruns For back-to-back with an accumulator carried
 // across calls, the shape of an iterative kernel (PageRank's per-iteration
 // parallel sweep), verifying no writes leak across the implicit barrier.

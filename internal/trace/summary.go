@@ -38,9 +38,6 @@ type Summary struct {
 	// — the simulated time the trace accounts for. Comparing it against
 	// the cluster report's SimulatedSeconds gives span coverage.
 	VirtualSeconds float64 `json:"virtual_seconds"`
-	// SchedImbalance is max/mean busy time across par workers (0 when the
-	// scheduling counters were not attached).
-	SchedImbalance float64 `json:"sched_imbalance"`
 	// Histograms carries the quantile summary (count, mean, p50/p90/p99/
 	// p999, max — nanoseconds) of every registry histogram that recorded
 	// anything: the per-category span-duration histograms plus whatever the
@@ -96,9 +93,6 @@ func Summarize(t *Tracer) *Summary {
 			cs.Lanes = c.Lanes
 		}
 		s.Counters = append(s.Counters, cs)
-		if c.Name == schedBusyNS {
-			s.SchedImbalance = laneImbalance(c.Lanes)
-		}
 	}
 	s.Histograms = obs.HistStats(snap)
 	return s

@@ -64,7 +64,7 @@ type Tracer struct {
 	procs  map[int]string
 
 	// reg owns every instrument of the traced run: the counters engines
-	// and par's loops feed, the per-category span-duration histograms, and
+	// feed, the per-category span-duration histograms, and
 	// whatever instrumented subsystems (backend pool, cluster, sampler)
 	// hang off it. durHists caches the per-category "<cat>.dur_ns"
 	// histogram so Span.End resolves it without a registry lock in the
