@@ -281,16 +281,21 @@ func localKernels(fn *ast.FuncDecl) []*ast.FuncLit {
 }
 
 // TestKernelSurfaceHasCallers: every exported function and method of
-// internal/backend and internal/native is referenced by non-test code
+// internal/backend and internal/native — and of the instruments in
+// internal/obs and internal/trace — is referenced by non-test code
 // somewhere in the repository, bench/ included, besides its own
 // declaration. A kernel only tests call is a second implementation nobody
-// runs (DESIGN.md §12): delete it, or give it the caller it is for. The
+// runs (DESIGN.md §12), an instrument method nobody calls a shape no
+// writer uses: delete it, or give it the caller it is for. The
 // check reads syntax, not types: a function counts as referenced when its
 // package-qualified name (or, inside its own package, its bare name)
 // appears, a method when any selector names it — so it can miss a dead
 // method that shares its name with a live one, never flag a live one.
 func TestKernelSurfaceHasCallers(t *testing.T) {
-	kernelPkgs := map[string]bool{"internal/backend": true, "internal/native": true}
+	kernelPkgs := map[string]bool{
+		"internal/backend": true, "internal/native": true,
+		"internal/obs": true, "internal/trace": true,
+	}
 	type decl struct {
 		pos             token.Position
 		pkg, recv, name string

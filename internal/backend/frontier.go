@@ -136,7 +136,7 @@ func (t *Traversal) Run(dist []int32, source uint32) int {
 	// Frontier-size distribution: levels span several orders of magnitude
 	// on power-law graphs, and the histogram keeps that shape where the
 	// per-level spans only keep instances.
-	frontierHist := t.tr.Hist("backend.frontier_size")
+	frontierHist := t.tr.Registry().Hist("backend.frontier_size")
 	for size > 0 {
 		level++
 		t.level = level

@@ -103,7 +103,7 @@ func (p *Pool) SetRegistry(reg *obs.Registry) {
 	reg.Gauge("backend.pool.workers").Set(float64(p.workers))
 	p.po.Store(&poolObs{
 		dispatch: reg.Hist("backend.pool.dispatch_ns"),
-		park:     reg.HistLanes("backend.pool.park_ns", p.workers),
+		park:     reg.Hist("backend.pool.park_ns"),
 		busy:     reg.Gauge("backend.pool.busy_frac"),
 		inline:   reg.Counter("backend.pool.inline"),
 		attached: time.Now(),
@@ -211,7 +211,7 @@ func (p *Pool) dispatch() {
 // ranInline counts a dispatch that found the team busy.
 func (p *Pool) ranInline() {
 	if o := p.po.Load(); o != nil {
-		o.inline.Add(0, 1)
+		o.inline.Add(1)
 	}
 }
 

@@ -55,7 +55,7 @@ func NewSumVecMul(pool *Pool, m *Matrix) *SumVecMul {
 
 // WithTracer attaches a backend.spmv.nnz counter (nil tracer detaches).
 func (k *SumVecMul) WithTracer(tr *trace.Tracer) *SumVecMul {
-	k.nnz = tr.Counter("backend.spmv.nnz")
+	k.nnz = tr.Registry().Counter("backend.spmv.nnz")
 	return k
 }
 
@@ -87,7 +87,7 @@ func (k *SumVecMul) run(y, x []float64, a, b float64, seeded bool, post func(uin
 	k.x, k.y, k.a, k.b, k.seeded, k.post = x, y, a, b, seeded, post
 	k.pool.RunStatic(k, k.bounds)
 	k.x, k.y, k.post = nil, nil, nil
-	k.nnz.Add(0, k.m.NNZ())
+	k.nnz.Add(k.m.NNZ())
 }
 
 // runChunk folds the occupied rows of [lo, hi) one at a time, each

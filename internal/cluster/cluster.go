@@ -187,10 +187,10 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.Trace.SetProcessName(trace.PidNode(n), fmt.Sprintf("node %d (%s, virtual time)", n, cfg.Comm.Name))
 	}
 	if reg := cfg.Trace.Registry(); reg != nil {
-		c.computeHist = reg.HistLanes("cluster.compute_ns", cfg.Nodes)
-		c.netHist = reg.HistLanes("cluster.network_ns", cfg.Nodes)
-		c.waitHist = reg.HistLanes("cluster.wait_ns", cfg.Nodes)
-		c.phaseHist = reg.HistLanes("cluster.phase_wall_ns", cfg.Nodes)
+		c.computeHist = reg.Hist("cluster.compute_ns")
+		c.netHist = reg.Hist("cluster.network_ns")
+		c.waitHist = reg.Hist("cluster.wait_ns")
+		c.phaseHist = reg.Hist("cluster.phase_wall_ns")
 	}
 	return c, nil
 }

@@ -111,15 +111,9 @@ func TestRunPhaseFeedsAttributionHistograms(t *testing.T) {
 		t.Errorf("phase_wall hist sum %v, want %v", wallSec, want)
 	}
 	// The trace summary quotes the same histograms as quantiles.
-	s := trace.Summarize(tr)
-	found := false
-	for _, h := range s.Histograms {
-		if h.Name == "cluster.compute_ns" && h.P50 > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("summary missing cluster.compute_ns quantiles: %+v", s.Histograms)
+	hists := trace.Summarize(tr).Metrics.Histograms
+	if q, ok := hists["cluster.compute_ns"]; !ok || q.P50 <= 0 {
+		t.Errorf("summary missing cluster.compute_ns quantiles: %+v", hists)
 	}
 }
 

@@ -539,17 +539,9 @@ func TestSemiringIdentities(t *testing.T) {
 	if pt.Add(pt.Zero(), 5) != 5 {
 		t.Error("PlusTimes zero not identity")
 	}
-	mp := MinPlusI32()
-	if mp.Add(mp.Zero(), 7) != 7 {
-		t.Error("MinPlus zero not identity")
-	}
 	ob := OrAndBool()
 	if ob.Add(ob.Zero(), true) != true || ob.Add(ob.Zero(), false) != false {
 		t.Error("OrAnd zero not identity")
-	}
-	pw := PlusTimesWeighted()
-	if pw.Mul(2.0, 3.0) != 6.0 {
-		t.Error("weighted Mul wrong")
 	}
 }
 

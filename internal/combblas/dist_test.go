@@ -78,6 +78,16 @@ func TestDistSpMVShapeError(t *testing.T) {
 	}
 }
 
+// OrAndBool is the boolean semiring for reachability frontiers: the dense
+// oracle SpMSpV's or-and fold is checked against.
+func OrAndBool() Semiring[struct{}, bool, bool] {
+	return Semiring[struct{}, bool, bool]{
+		Mul:  func(_ struct{}, x bool) bool { return x },
+		Add:  func(p, q bool) bool { return p || q },
+		Zero: func() bool { return false },
+	}
+}
+
 func TestSpMSpVMatchesDenseSpMV(t *testing.T) {
 	const n = 300
 	m := randomPattern(t, 5, n, 2500)

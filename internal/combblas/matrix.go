@@ -108,46 +108,6 @@ func PlusTimesF64() Semiring[struct{}, float64, float64] {
 	}
 }
 
-// MinPlusI32 is the tropical semiring used for BFS/shortest hops; the
-// "infinity" is 1<<30.
-func MinPlusI32() Semiring[struct{}, int32, int32] {
-	const inf = int32(1) << 30
-	return Semiring[struct{}, int32, int32]{
-		Mul: func(_ struct{}, x int32) int32 {
-			if x >= inf {
-				return inf
-			}
-			return x + 1
-		},
-		Add: func(p, q int32) int32 {
-			if p < q {
-				return p
-			}
-			return q
-		},
-		Zero: func() int32 { return inf },
-	}
-}
-
-// OrAndBool is the boolean semiring for reachability frontiers.
-func OrAndBool() Semiring[struct{}, bool, bool] {
-	return Semiring[struct{}, bool, bool]{
-		Mul:  func(_ struct{}, x bool) bool { return x },
-		Add:  func(p, q bool) bool { return p || q },
-		Zero: func() bool { return false },
-	}
-}
-
-// PlusTimesWeighted multiplies float32 nonzeros with float64 vector
-// entries.
-func PlusTimesWeighted() Semiring[float32, float64, float64] {
-	return Semiring[float32, float64, float64]{
-		Mul:  func(a float32, x float64) float64 { return float64(a) * x },
-		Add:  func(p, q float64) float64 { return p + q },
-		Zero: func() float64 { return 0 },
-	}
-}
-
 // backendView wraps the matrix's CSR arrays as a backend pattern matrix
 // (no copy) so the engine's kernels run on the shared backend.
 func backendView[A any](m *SpMat[A]) *backend.Matrix {

@@ -238,13 +238,13 @@ func (rt *runtime) send(ctx *Context, to uint32, msg any) {
 // The result's Values are left for the caller to unbox from the lowering.
 func runLowered(job *Job, low Lowering) *Result {
 	tr := job.Tracer
-	activeCounter := tr.Counter("giraph.active_vertices")
-	msgCounter := tr.Counter("giraph.messages")
+	activeCounter := tr.Registry().Counter("giraph.active_vertices")
+	msgCounter := tr.Registry().Counter("giraph.messages")
 	// Distribution views of the same signals: per-superstep message count
 	// and buffered bytes, so the tail (the superstep that blew the buffer
 	// budget) survives aggregation.
-	msgHist := tr.Hist("giraph.superstep.messages")
-	bufHist := tr.Hist("giraph.superstep.buffered_bytes")
+	msgHist := tr.Registry().Hist("giraph.superstep.messages")
+	bufHist := tr.Registry().Hist("giraph.superstep.buffered_bytes")
 	var peak int64
 	var supersteps int
 	lastMsgs := int64(0)
@@ -258,8 +258,8 @@ func runLowered(job *Job, low Lowering) *Result {
 		sp := tr.Begin("giraph.superstep", "superstep").Arg("superstep", float64(s))
 		active, msgs := low.Step(s)
 		buffered := low.BufferedBytes()
-		activeCounter.Add(0, active)
-		msgCounter.Add(0, msgs)
+		activeCounter.Add(active)
+		msgCounter.Add(msgs)
 		sp.Arg("active", float64(active)).
 			Arg("messages", float64(msgs)).
 			Arg("buffered_bytes", float64(buffered)).End()
@@ -345,8 +345,8 @@ func Run(job *Job) (*Result, error) {
 	// Per-superstep observability: active-vertex and message counters plus
 	// one span per superstep (real-time locally, virtual on a cluster).
 	tr := job.Tracer
-	activeCounter := tr.Counter("giraph.active_vertices")
-	msgCounter := tr.Counter("giraph.messages")
+	activeCounter := tr.Registry().Counter("giraph.active_vertices")
+	msgCounter := tr.Registry().Counter("giraph.messages")
 
 	var peakBuffered int64
 	var supersteps int
@@ -370,7 +370,7 @@ func Run(job *Job) (*Result, error) {
 		if len(activeList) == 0 {
 			return true, nil
 		}
-		activeCounter.Add(0, int64(len(activeList)))
+		activeCounter.Add(int64(len(activeList)))
 		var stepSpan *trace.Span
 		var stepVirtualStart float64
 		if job.Cluster != nil {
@@ -465,7 +465,7 @@ func Run(job *Job) (*Result, error) {
 				rt.staging = nil
 			}
 		}
-		msgCounter.Add(0, stepMsgs)
+		msgCounter.Add(stepMsgs)
 		if stepSpan != nil {
 			stepSpan.Arg("active", float64(len(activeList))).
 				Arg("messages", float64(stepMsgs)).

@@ -129,7 +129,7 @@ func runLocal[V, G any](pool *backend.Pool, g, in *graph.CSR, outDeg []int64, sp
 	rounds := 0
 	// changedHist tracks how many vertices each sweep actually moved — the
 	// convergence-shape distribution behind the sweep spans.
-	changedHist := spec.Tracer.Hist("graphlab.sweep.changed")
+	changedHist := spec.Tracer.Registry().Hist("graphlab.sweep.changed")
 	for anyActive {
 		if spec.MaxIterations > 0 && rounds >= spec.MaxIterations {
 			break

@@ -279,8 +279,14 @@ func TestRunJSONAndTrace(t *testing.T) {
 	if rep.Trace.Spans == 0 {
 		t.Error("trace summary has no spans")
 	}
-	if len(rep.Trace.Histograms) == 0 {
-		t.Error("trace summary has no histogram quantiles")
+	if q := rep.Trace.Metrics.Histograms["harness.run.dur_ns"]; q.Count != int64(len(rep.Runs)) {
+		t.Errorf("trace summary harness.run.dur_ns count = %d, want one per run (%d)", q.Count, len(rep.Runs))
+	}
+	if rep.Trace.Metrics.Counters["giraph.messages"] <= 0 {
+		t.Errorf("trace summary counters carry no giraph.messages: %v", rep.Trace.Metrics.Counters)
+	}
+	if _, ok := rep.Trace.Metrics.Gauges["backend.pool.workers"]; !ok {
+		t.Errorf("trace summary gauges carry no backend.pool.workers: %v", rep.Trace.Metrics.Gauges)
 	}
 
 	// Per-run histogram deltas: every traced run wraps itself in a

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -81,62 +80,46 @@ func WritePrometheus(w io.Writer, s *Snapshot, namespace string) error {
 	return nil
 }
 
-// jsonSnapshot is the expvar-style JSON shape: flat name->value maps for
-// counters and gauges, name->quantile-summary for histograms. Maps
-// marshal with sorted keys, so this is deterministic too.
-type jsonSnapshot struct {
+// JSONSnapshot is a registry's one JSON shape — /metrics.json and the
+// trace report's "metrics" both carry it: flat name->value maps for
+// counters and gauges, name->quantile-summary for histograms. Maps marshal
+// with sorted keys, so it is deterministic too.
+type JSONSnapshot struct {
 	Counters   map[string]int64     `json:"counters,omitempty"`
 	Gauges     map[string]float64   `json:"gauges,omitempty"`
 	Histograms map[string]Quantiles `json:"histograms,omitempty"`
 }
 
-// WriteJSON renders the snapshot as indented expvar-style JSON.
-func WriteJSON(w io.Writer, s *Snapshot) error {
-	out := jsonSnapshot{}
-	if s != nil {
-		if len(s.Counters) > 0 {
-			out.Counters = make(map[string]int64, len(s.Counters))
-			for _, c := range s.Counters {
-				out.Counters[c.Name] = c.Value
-			}
-		}
-		if len(s.Gauges) > 0 {
-			out.Gauges = make(map[string]float64, len(s.Gauges))
-			for _, g := range s.Gauges {
-				out.Gauges[g.Name] = g.Value
-			}
-		}
-		if len(s.Hists) > 0 {
-			out.Histograms = make(map[string]Quantiles, len(s.Hists))
-			for _, h := range s.Hists {
-				out.Histograms[h.Name] = h.Summary()
-			}
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// HistStats converts a snapshot's histograms into a sorted list of named
-// quantile summaries — the shape embedded in trace report summaries.
-func HistStats(s *Snapshot) []NamedQuantiles {
+// JSON converts the snapshot to its JSON shape; empty on a nil snapshot.
+func (s *Snapshot) JSON() JSONSnapshot {
+	var out JSONSnapshot
 	if s == nil {
-		return nil
+		return out
 	}
-	var out []NamedQuantiles
-	for _, h := range s.Hists {
-		if h.Count <= 0 {
-			continue
+	if len(s.Counters) > 0 {
+		out.Counters = make(map[string]int64, len(s.Counters))
+		for _, c := range s.Counters {
+			out.Counters[c.Name] = c.Value
 		}
-		out = append(out, NamedQuantiles{Name: h.Name, Quantiles: h.Summary()})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	if len(s.Gauges) > 0 {
+		out.Gauges = make(map[string]float64, len(s.Gauges))
+		for _, g := range s.Gauges {
+			out.Gauges[g.Name] = g.Value
+		}
+	}
+	if len(s.Hists) > 0 {
+		out.Histograms = make(map[string]Quantiles, len(s.Hists))
+		for _, h := range s.Hists {
+			out.Histograms[h.Name] = h.Summary()
+		}
+	}
 	return out
 }
 
-// NamedQuantiles pairs a histogram name with its quantile summary.
-type NamedQuantiles struct {
-	Name string `json:"name"`
-	Quantiles
+// WriteJSON renders the snapshot's JSON shape, indented.
+func WriteJSON(w io.Writer, s *Snapshot) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(s.JSON())
 }

@@ -16,11 +16,11 @@ var updateGolden = os.Getenv("UPDATE_GOLDEN") != ""
 // values, gauges, and histogram contents.
 func goldenSnapshot() *Snapshot {
 	r := NewRegistry()
-	r.Counter("par.items").Add(0, 4096)
-	r.Counter("giraph.messages").Add(0, 123)
+	r.Counter("par.items").Add(4096)
+	r.Counter("giraph.messages").Add(123)
 	r.Gauge("backend.pool.busy_frac").Set(0.75)
 	r.Gauge("runtime.goroutines").Set(9)
-	h := r.HistLanes("native.pr.iter.dur_ns", 2)
+	h := r.Hist("native.pr.iter.dur_ns")
 	for _, v := range []int64{0, 1, 3, 4, 7, 100, 1000, 1000, 65536, 1 << 20} {
 		h.Record(0, v)
 	}
@@ -120,16 +120,5 @@ func TestWriteJSONNilSnapshot(t *testing.T) {
 	}
 	if err := WritePrometheus(&buf, nil, "x"); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistStats(t *testing.T) {
-	s := goldenSnapshot()
-	stats := HistStats(s)
-	if len(stats) != 1 || stats[0].Name != "native.pr.iter.dur_ns" || stats[0].Count != 10 {
-		t.Fatalf("HistStats = %+v", stats)
-	}
-	if HistStats(nil) != nil {
-		t.Fatal("HistStats(nil) not nil")
 	}
 }

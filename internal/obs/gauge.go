@@ -6,19 +6,10 @@ import (
 )
 
 // Gauge is a float64 value that can move both ways (heap bytes, busy
-// fraction, goroutine count). Set and Value are single atomic operations;
-// Add is a CAS loop. A nil *Gauge is a valid disabled gauge.
+// fraction, goroutine count). Set and Value are single atomic operations.
+// A nil *Gauge is a valid disabled gauge.
 type Gauge struct {
-	name string
 	bits atomic.Uint64
-}
-
-// Name returns the registry name ("" on a nil gauge).
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
 }
 
 // Set stores v.
@@ -27,20 +18,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
-}
-
-// Add atomically adds delta to the current value.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
 }
 
 // Value returns the current value (0 on a nil gauge).

@@ -6,6 +6,12 @@
 // enabled hot path (Counter.Add, Histogram.Record, Gauge.Set) never
 // allocates or takes a lock.
 //
+// Each instrument has the shape its writers use. A counter or a gauge is
+// one atomic word. A histogram keeps one padded lane per GOMAXPROCS worker,
+// because its writers record at once from many goroutines (a pool's
+// workers by index, a server's requests on rotating lanes). A registry has
+// one JSON shape, JSONSnapshot, and one Prometheus text rendering.
+//
 // The package depends only on the standard library and sits below
 // internal/trace in the import graph: a tracer has a Registry and resolves
 // its counters and span-duration histograms from it, never the other way
@@ -86,8 +92,8 @@ type histLane struct {
 	_      [48]byte
 }
 
-// Histogram is a lock-free, mergeable latency/size histogram sharded
-// across per-worker lanes. Record is wait-free apart from the max
+// Histogram is a lock-free latency/size histogram sharded across
+// per-worker lanes. Record is wait-free apart from the max
 // high-water CAS, never allocates, and scales linearly with workers as
 // long as callers pass their own worker index. A nil *Histogram is a
 // valid disabled histogram: every method is a no-op costing one branch.
@@ -98,21 +104,13 @@ type Histogram struct {
 }
 
 // newHistogram builds a histogram with lanes rounded up to a power of two
-// covering n workers (so indexing is a mask, like Counter's).
+// covering n workers, so the worker→lane map is a mask, not a modulo.
 func newHistogram(name string, workers int) *Histogram {
 	n := 1
 	for n < workers {
 		n <<= 1
 	}
 	return &Histogram{name: name, mask: uint32(n - 1), lanes: make([]histLane, n)}
-}
-
-// Name returns the registry name ("" on a nil histogram).
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
 }
 
 // Record adds one observation of v (clamped at 0) attributed to worker.
@@ -161,7 +159,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // HistSnapshot is a point-in-time copy of a histogram: plain integers,
-// safe to marshal, subtract, and merge. The zero value is an empty
+// safe to marshal and subtract. The zero value is an empty
 // snapshot.
 type HistSnapshot struct {
 	Name    string  `json:"name"`
@@ -169,29 +167,6 @@ type HistSnapshot struct {
 	Sum     int64   `json:"sum"`
 	Max     int64   `json:"max"`
 	Buckets []int64 `json:"buckets,omitempty"`
-}
-
-// Merge returns the elementwise sum of two snapshots. Merging is pure
-// integer addition, hence bit-stable: associative, commutative, and
-// independent of merge order — the property the cluster relies on when
-// folding per-node histograms.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	out := HistSnapshot{Name: s.Name, Count: s.Count + o.Count, Sum: s.Sum + o.Sum, Max: s.Max}
-	if s.Name == "" {
-		out.Name = o.Name
-	}
-	if o.Max > out.Max {
-		out.Max = o.Max
-	}
-	if s.Buckets == nil && o.Buckets == nil {
-		return out
-	}
-	out.Buckets = make([]int64, histBuckets)
-	copy(out.Buckets, s.Buckets)
-	for i := range o.Buckets {
-		out.Buckets[i] += o.Buckets[i]
-	}
-	return out
 }
 
 // Sub returns the observations recorded after prev was taken, assuming

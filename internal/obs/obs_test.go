@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -18,15 +19,14 @@ func TestRegistryBasics(t *testing.T) {
 	if r.Gauge("g") != r.Gauge("g") {
 		t.Fatal("Gauge not idempotent")
 	}
-	r.Gauge("g").Set(2.5)
-	r.Gauge("g").Add(0.5)
+	r.Gauge("g").Set(3)
 	if v := r.Gauge("g").Value(); v != 3 {
 		t.Fatalf("gauge = %v", v)
 	}
 	if r.Counter("c") != r.Counter("c") {
 		t.Fatal("Counter not idempotent")
 	}
-	r.Counter("c").Add(0, 1)
+	r.Counter("c").Add(1)
 	s := r.Snapshot()
 	if len(s.Counters) != 1 || s.Counters[0].Value != 1 {
 		t.Fatalf("counters: %+v", s.Counters)
@@ -76,6 +76,35 @@ func TestSamplerPublishesRuntimeStats(t *testing.T) {
 	}
 	if got["runtime.gomaxprocs"] < 1 {
 		t.Fatalf("gomaxprocs gauge missing: %+v", got)
+	}
+}
+
+// TestSamplerRecordsEachNewGCPause: a sample feeds the pause histogram
+// exactly the pauses of the GCs it consumed — GC number g sits at
+// PauseNs[(g+255)%256] — so its count and sum match the runtime's ring.
+func TestSamplerRecordsEachNewGCPause(t *testing.T) {
+	s := &Sampler{reg: NewRegistry()}
+	s.sampleOnce()
+	h := s.reg.Hist("runtime.gc_pause_ns")
+	before, first := h.Snapshot(), s.lastNumGC
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	s.sampleOnce()
+	last := s.lastNumGC
+	if last-first < 3 {
+		t.Fatalf("sampler consumed GCs %d..%d, want at least 3", first, last)
+	}
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	var want int64
+	for g := first + 1; g <= last; g++ {
+		want += int64(m.PauseNs[(g+255)%256])
+	}
+	got := h.Snapshot().Sub(before)
+	if got.Count != int64(last-first) || got.Sum != want {
+		t.Fatalf("pause histogram recorded count %d sum %d ns, want count %d sum %d ns",
+			got.Count, got.Sum, last-first, want)
 	}
 }
 

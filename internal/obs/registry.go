@@ -32,13 +32,6 @@ func NewRegistry() *Registry {
 // Hist returns the named histogram, creating it with one lane per
 // GOMAXPROCS worker on first use. Returns nil on a nil registry.
 func (r *Registry) Hist(name string) *Histogram {
-	return r.HistLanes(name, runtime.GOMAXPROCS(0))
-}
-
-// HistLanes is Hist with an explicit worker-lane hint, for callers that
-// shard by something other than GOMAXPROCS (e.g. simulated cluster
-// nodes). The hint only applies on first creation.
-func (r *Registry) HistLanes(name string, workers int) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -46,7 +39,7 @@ func (r *Registry) HistLanes(name string, workers int) *Histogram {
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
-		h = newHistogram(name, workers)
+		h = newHistogram(name, runtime.GOMAXPROCS(0))
 		r.hists[name] = h
 	}
 	return h
@@ -62,15 +55,14 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g := r.gauges[name]
 	if g == nil {
-		g = &Gauge{name: name}
+		g = &Gauge{}
 		r.gauges[name] = g
 	}
 	return g
 }
 
-// Counter returns the named counter, creating it with one padded lane per
-// GOMAXPROCS worker on first use. Returns nil — the disabled counter — on
-// a nil registry.
+// Counter returns the named counter, creating it on first use. Returns
+// nil — the disabled counter — on a nil registry.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
@@ -79,18 +71,16 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c := r.counters[name]
 	if c == nil {
-		c = newCounter()
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
 }
 
-// CounterPoint is one sampled counter: Value is the sum of Lanes, the
-// per-worker shares load imbalance is read from.
+// CounterPoint is one sampled counter value.
 type CounterPoint struct {
-	Name  string  `json:"name"`
-	Value int64   `json:"value"`
-	Lanes []int64 `json:"lanes,omitempty"`
+	Name  string `json:"name"`
+	Value int64  `json:"value"`
 }
 
 // GaugePoint is one sampled gauge value.
@@ -116,11 +106,7 @@ func (r *Registry) Snapshot() *Snapshot {
 	defer r.mu.Unlock()
 	s := &Snapshot{}
 	for name, c := range r.counters {
-		p := CounterPoint{Name: name, Lanes: c.Lanes()}
-		for _, v := range p.Lanes {
-			p.Value += v
-		}
-		s.Counters = append(s.Counters, p)
+		s.Counters = append(s.Counters, CounterPoint{Name: name, Value: c.Value()})
 	}
 	for name, g := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugePoint{Name: name, Value: g.Value()})

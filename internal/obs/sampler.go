@@ -74,8 +74,9 @@ func (s *Sampler) sampleOnce() {
 	s.reg.Gauge("runtime.gomaxprocs").Set(float64(runtime.GOMAXPROCS(0)))
 
 	// Feed pauses newer than the last sample into the pause histogram.
-	// PauseNs is a 256-entry circular buffer indexed by (NumGC+255)%256
-	// for the most recent pause; if more than 256 GCs happened between
+	// PauseNs is a 256-entry circular buffer: GC number g (1-based) lands
+	// at (g+255)%256, so the GCs numbered lastNumGC+1..NumGC sit at
+	// lastNumGC%256..(NumGC-1)%256. If more than 256 GCs happened between
 	// samples the overwritten ones are simply lost.
 	if n := m.NumGC; n > s.lastNumGC {
 		h := s.reg.Hist("runtime.gc_pause_ns")
@@ -84,7 +85,7 @@ func (s *Sampler) sampleOnce() {
 			first = n - 256
 		}
 		for i := first; i < n; i++ {
-			h.Record(0, int64(m.PauseNs[(i+255)%256]))
+			h.Record(0, int64(m.PauseNs[i%256]))
 		}
 		s.lastNumGC = n
 	}

@@ -153,7 +153,7 @@ func (a *Admission) admitLocked(tag float64) {
 		a.vnow = tag
 	}
 	a.inflight++
-	a.admitted.Add(0, 1)
+	a.admitted.Add(1)
 	a.inflightG.Set(float64(a.inflight))
 }
 
@@ -201,7 +201,7 @@ func (a *Admission) Acquire(ctx context.Context, tenant string) error {
 		return nil
 	}
 	if a.queued >= a.depth {
-		a.shed.Add(0, 1)
+		a.shed.Add(1)
 		a.mu.Unlock()
 		return ErrOverloaded
 	}

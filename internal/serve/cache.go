@@ -72,10 +72,10 @@ func (c *resultCache) acquire(key string) (body []byte, hit bool, wait <-chan st
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
-		c.hits.Add(0, 1)
+		c.hits.Add(1)
 		return el.Value.(*cacheEntry).body, true, nil
 	}
-	c.misses.Add(0, 1)
+	c.misses.Add(1)
 	if ch, ok := c.inflight[key]; ok {
 		return nil, false, ch
 	}

@@ -57,7 +57,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // carried vectors.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
-	s.requests.Add(0, 1)
+	s.requests.Add(1)
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "query endpoints are GET")
 		return
@@ -109,7 +109,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			if wait == nil {
 				break
 			}
-			s.coalesced.Add(0, 1)
+			s.coalesced.Add(1)
 			select {
 			case <-wait:
 			case <-ctx.Done():
@@ -124,7 +124,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		state = "miss"
 	}
 
-	s.computed.Add(0, 1)
+	s.computed.Add(1)
 	if s.beforeExecute != nil {
 		s.beforeExecute(q)
 	}
@@ -234,7 +234,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "persisting epoch %d: %v", snap.Epoch(), persistErr)
 		return
 	}
-	s.deltas.Add(0, 1)
+	s.deltas.Add(1)
 	g.epochGauge.Set(float64(snap.Epoch()))
 	writeJSON(w, http.StatusOK, deltaResponse{
 		Graph:       g.name,

@@ -301,7 +301,7 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 		if !q.bypass {
 			if c, added := g.takeCarried(meta.Query, snap.Epoch()); c != nil {
 				dist = native.RepairBFS(m, c.dist, added)
-				s.refreshedBFS.Add(0, 1)
+				s.refreshedBFS.Add(1)
 			}
 		}
 		var vec *distVectors
@@ -344,7 +344,7 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 		if !q.bypass {
 			if c, added := g.takeCarried(meta.Query, snap.Epoch()); c != nil {
 				labels = native.RepairCC(g.bind(snap).in, c.labels, added)
-				s.refreshedCC.Add(0, 1)
+				s.refreshedCC.Add(1)
 			}
 		}
 		if labels == nil {

@@ -332,7 +332,7 @@ func (s *Server) Handler() http.Handler {
 		s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			defer func() {
 				if p := recover(); p != nil {
-					s.panics.Add(0, 1)
+					s.panics.Add(1)
 					log.Printf("serve: panic serving %s: %v", r.URL.Path, p)
 					writeError(w, http.StatusInternalServerError, "internal error")
 				}

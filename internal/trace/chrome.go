@@ -17,7 +17,7 @@ type chromeEvent struct {
 	Ph    string         `json:"ph"`
 	TsUS  float64        `json:"ts"`
 	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
+	Tid   int            `json:"tid"` // 0: a track is one thread
 	DurUS *float64       `json:"dur,omitempty"`
 	Args  map[string]any `json:"args,omitempty"`
 }
@@ -60,10 +60,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		if events[i].StartNS != events[j].StartNS {
 			return events[i].StartNS < events[j].StartNS
 		}
-		if events[i].Pid != events[j].Pid {
-			return events[i].Pid < events[j].Pid
-		}
-		return events[i].Tid < events[j].Tid
+		return events[i].Pid < events[j].Pid
 	})
 	var lastUS float64
 	for _, ev := range events {
@@ -71,7 +68,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		ce := chromeEvent{
 			Name: ev.Name, Cat: ev.Cat, Ph: "X",
 			TsUS: float64(ev.StartNS) / 1e3,
-			Pid:  ev.Pid, Tid: ev.Tid, DurUS: &dur,
+			Pid:  ev.Pid, DurUS: &dur,
 		}
 		if len(ev.Args) > 0 {
 			args := make(map[string]any, len(ev.Args))

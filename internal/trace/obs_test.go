@@ -1,55 +1,23 @@
 package trace
 
 import (
-	"sync"
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
+
+	"graphmaze/internal/obs"
 )
 
-// TestCounterAliasedWorkersExact pins the Counter mask-wrap contract:
-// worker indices at or beyond the lane count alias onto existing lanes,
-// and Value() still equals the exact sum of every Add because aliased
-// workers land on the same atomic word. Run with -race this also proves
-// the aliased path is data-race free.
-func TestCounterAliasedWorkersExact(t *testing.T) {
-	tr := New()
-	c := tr.Counter("alias")
-	lanes := len(c.Lanes())
-	workers := 3*lanes + 1 // strictly more workers than lanes, not a multiple
-	per := 10000
-	if testing.Short() {
-		per = 1000
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.Add(w, 2)
-			}
-		}(w)
-	}
-	wg.Wait()
-	want := int64(workers) * int64(per) * 2
-	if got := c.Value(); got != want {
-		t.Fatalf("aliased Value() = %d, want %d (workers=%d lanes=%d)", got, want, workers, lanes)
-	}
-	// The lane array must not have grown: aliasing wraps, it never resizes.
-	if got := len(c.Lanes()); got != lanes {
-		t.Fatalf("lane count changed under aliasing: %d -> %d", lanes, got)
-	}
-}
-
 // TestTracerRegistryAndSpanHistograms checks the tracer's registry: a
-// counter obtained through the tracer is the registry's, and every ended
-// span feeds the per-category duration histogram.
+// counter obtained through it lands in the snapshot, and every ended span
+// feeds the per-category duration histogram.
 func TestTracerRegistryAndSpanHistograms(t *testing.T) {
 	tr := New()
 	if tr.Registry() == nil {
 		t.Fatal("enabled tracer has no registry")
 	}
-	tr.Counter("x.count").Add(0, 5)
+	tr.Registry().Counter("x.count").Add(5)
 	for i := 0; i < 4; i++ {
 		sp := tr.Begin("unit.test.iter", "iter")
 		time.Sleep(100 * time.Microsecond)
@@ -64,32 +32,52 @@ func TestTracerRegistryAndSpanHistograms(t *testing.T) {
 	if got := hs["unit.virtual.dur_ns"]; got.Count != 1 || got.Sum != 1_500_000_000 {
 		t.Fatalf("virtual hist = %+v", got)
 	}
-	snap := tr.Registry().Snapshot()
-	foundCounter := false
-	for _, c := range snap.Counters {
-		if c.Name == "x.count" && c.Value == 5 {
-			foundCounter = true
-		}
+
+	m := Summarize(tr).Metrics
+	if m.Counters["x.count"] != 5 {
+		t.Fatalf("summary counters = %+v", m.Counters)
 	}
-	if !foundCounter {
-		t.Fatalf("counter missing from the registry snapshot: %+v", snap.Counters)
+	h, ok := m.Histograms["unit.test.iter.dur_ns"]
+	if !ok {
+		t.Fatalf("summary missing iter histogram: %+v", m.Histograms)
+	}
+	if h.Count != 4 || h.P50 <= 0 || h.P99 < h.P50 {
+		t.Fatalf("iter quantiles implausible: %+v", h)
+	}
+}
+
+// TestSummaryMetricsIsTheMetricsJSONShape: the trace report's metrics are
+// the registry's one JSON encoding, byte for byte what /metrics.json
+// serves for the same snapshot — counters, gauges and histograms alike.
+func TestSummaryMetricsIsTheMetricsJSONShape(t *testing.T) {
+	tr := New()
+	reg := tr.Registry()
+	reg.Counter("giraph.messages").Add(1234)
+	reg.Counter("backend.pool.inline").Add(3)
+	reg.Gauge("backend.pool.workers").Set(4)
+	reg.Gauge("backend.pool.busy_frac").Set(0.25)
+	h := reg.Hist("cluster.compute_ns")
+	for _, v := range []int64{1, 10, 100, 1000} {
+		h.Record(0, v)
 	}
 
-	s := Summarize(tr)
-	if len(s.Histograms) == 0 {
-		t.Fatal("summary has no histogram quantiles")
+	got, err := json.Marshal(Summarize(tr).Metrics)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var sawIter bool
-	for _, h := range s.Histograms {
-		if h.Name == "unit.test.iter.dur_ns" {
-			sawIter = true
-			if h.Count != 4 || h.P50 <= 0 || h.P99 < h.P50 {
-				t.Fatalf("iter quantiles implausible: %+v", h)
-			}
-		}
+	var served bytes.Buffer
+	if err := obs.WriteJSON(&served, reg.Snapshot()); err != nil {
+		t.Fatal(err)
 	}
-	if !sawIter {
-		t.Fatalf("summary missing iter histogram: %+v", s.Histograms)
+	var want bytes.Buffer
+	if err := json.Compact(&want, served.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("summary metrics differ from /metrics.json\ngot:  %s\nwant: %s", got, want.Bytes())
+	}
+	if !bytes.Contains(got, []byte(`"backend.pool.workers":4`)) {
+		t.Fatalf("summary metrics carry no gauges: %s", got)
 	}
 }
 
@@ -97,12 +85,12 @@ func TestTracerRegistryAndSpanHistograms(t *testing.T) {
 // nil registry -> nil histogram, all inert and alloc-free.
 func TestNilTracerObsAccessors(t *testing.T) {
 	var tr *Tracer
-	if tr.Registry() != nil || tr.Hist("x") != nil {
+	if tr.Registry() != nil || tr.Registry().Hist("x") != nil {
 		t.Fatal("nil tracer leaked live obs handles")
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		tr.Hist("x").Record(1, 2)
 		tr.Registry().Hist("y").Record(0, 1)
+		tr.Registry().Counter("z").Add(1)
 	}); n != 0 {
 		t.Fatalf("disabled obs chain allocates %v per op", n)
 	}

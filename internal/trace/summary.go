@@ -18,31 +18,22 @@ type PhaseStat struct {
 	WaitSec    float64 `json:"wait_sec"`
 }
 
-// CounterSnapshot is one counter's final value with its per-worker lanes
-// (lanes are omitted from JSON when all but one are zero — single-writer
-// counters carry no balance information).
-type CounterSnapshot struct {
-	Name  string  `json:"name"`
-	Total int64   `json:"total"`
-	Lanes []int64 `json:"lanes,omitempty"`
-}
-
 // Summary is the machine-readable digest of a tracer: the per-category
-// phase timeline, counter snapshots, and the virtual time covered by
-// simulated-node spans.
+// phase timeline, the virtual time covered by simulated-node spans, and
+// the tracer's registry.
 type Summary struct {
-	Spans    int               `json:"spans"`
-	Timeline []PhaseStat       `json:"timeline"`
-	Counters []CounterSnapshot `json:"counters"`
+	Spans    int         `json:"spans"`
+	Timeline []PhaseStat `json:"timeline"`
 	// VirtualSeconds is the largest per-node sum of virtual span durations
 	// — the simulated time the trace accounts for. Comparing it against
 	// the cluster report's SimulatedSeconds gives span coverage.
 	VirtualSeconds float64 `json:"virtual_seconds"`
-	// Histograms carries the quantile summary (count, mean, p50/p90/p99/
-	// p999, max — nanoseconds) of every registry histogram that recorded
-	// anything: the per-category span-duration histograms plus whatever the
+	// Metrics is one snapshot of the tracer's registry in the shape
+	// /metrics.json serves: every counter and gauge by name, and every
+	// histogram's quantile summary (count, mean, p50/p90/p99/p999, max) —
+	// the per-category span-duration histograms plus whatever the
 	// instrumented subsystems fed in.
-	Histograms []obs.NamedQuantiles `json:"histograms,omitempty"`
+	Metrics obs.JSONSnapshot `json:"metrics"`
 }
 
 // Summarize digests the tracer's spans and one snapshot of its registry.
@@ -80,20 +71,6 @@ func Summarize(t *Tracer) *Summary {
 		}
 	}
 
-	snap := t.reg.Snapshot()
-	for _, c := range snap.Counters {
-		cs := CounterSnapshot{Name: c.Name, Total: c.Value}
-		active := 0
-		for _, v := range c.Lanes {
-			if v != 0 {
-				active++
-			}
-		}
-		if active > 1 {
-			cs.Lanes = c.Lanes
-		}
-		s.Counters = append(s.Counters, cs)
-	}
-	s.Histograms = obs.HistStats(snap)
+	s.Metrics = t.reg.Snapshot().JSON()
 	return s
 }

@@ -2,14 +2,15 @@
 // substrate behind the paper's §5.4/§6 analysis, where every "ninja gap"
 // is attributed from per-phase measurement rather than run-level totals
 // (DESIGN.md §9). It owns no instrument: a tracer's counters and
-// histograms live in its obs.Registry.
+// histograms live in its obs.Registry, resolved through Registry().
 //
 // Spans are named intervals with compute/network/wait attribution,
 // recorded on one of several tracks: real-time spans for in-process kernel
 // work (Begin/End), and virtual-time spans for the cluster simulation's
 // modeled clock (RecordVirtual), one track per simulated node plus an
 // engine-level phase track. WriteChromeTrace exports them for Perfetto;
-// Summarize digests them with one snapshot of the registry.
+// Summarize digests them with one snapshot of the registry, in the JSON
+// shape /metrics.json serves (obs.JSONSnapshot).
 //
 // A nil *Tracer is the disabled mode: every method is nil-safe, costs one
 // pointer check, and allocates nothing (verified by
@@ -46,12 +47,12 @@ func PidNode(n int) int { return PidNodeBase + n }
 // the track's clock: time since the tracer was created for real-time
 // tracks, modeled time since the run began for virtual tracks.
 type Event struct {
-	Name     string
-	Cat      string
-	Pid, Tid int
-	StartNS  int64
-	DurNS    int64
-	Args     map[string]float64
+	Name    string
+	Cat     string
+	Pid     int
+	StartNS int64
+	DurNS   int64
+	Args    map[string]float64
 }
 
 // Tracer records spans. It is safe for concurrent use; the nil Tracer is
@@ -99,15 +100,6 @@ func (t *Tracer) Registry() *obs.Registry {
 	return t.reg
 }
 
-// Counter returns the named counter from the tracer's registry, nil (the
-// disabled counter) on the disabled tracer, so callers cache the result
-// and Add unconditionally.
-func (t *Tracer) Counter(name string) *obs.Counter { return t.Registry().Counter(name) }
-
-// Hist returns the named histogram from the tracer's registry, nil (the
-// disabled histogram) on the disabled tracer.
-func (t *Tracer) Hist(name string) *obs.Histogram { return t.Registry().Hist(name) }
-
 // durHist returns the cached "<cat>.dur_ns" histogram that accumulates
 // span durations for the category. Called with t.mu held.
 func (t *Tracer) durHistLocked(cat string) *obs.Histogram {
@@ -138,7 +130,6 @@ type Span struct {
 	t       *Tracer
 	name    string
 	cat     string
-	tid     int
 	startNS int64
 	args    map[string]float64
 }
@@ -176,7 +167,6 @@ func (s *Span) End() {
 		Name:    s.name,
 		Cat:     s.cat,
 		Pid:     PidHost,
-		Tid:     s.tid,
 		StartNS: s.startNS,
 		DurNS:   t.nowNS() - s.startNS,
 		Args:    s.args,
@@ -188,7 +178,7 @@ func (s *Span) End() {
 	t.mu.Unlock()
 	// Every ended span also lands in the category's latency histogram, so
 	// p50/p99 per engine phase falls out of existing instrumentation.
-	h.Record(s.tid, ev.DurNS)
+	h.Record(0, ev.DurNS)
 }
 
 // RecordVirtual records a completed span on a virtual-time track at an

@@ -67,9 +67,9 @@ func TestNilTracerIsInert(t *testing.T) {
 	if tr.Events() != nil {
 		t.Error("nil tracer returned events")
 	}
-	c := tr.Counter("x")
-	c.Add(0, 5)
-	if c.Value() != 0 || c.Lanes() != nil {
+	c := tr.Registry().Counter("x")
+	c.Add(5)
+	if c.Value() != 0 {
 		t.Error("nil counter not inert")
 	}
 	if Summarize(tr) != nil {
@@ -89,31 +89,26 @@ func TestDisabledTracerAllocatesNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := tr.Begin("c", "n").Arg("k", 1).Arg("j", 2)
 		sp.End()
-		c.Add(0, 1)
+		c.Add(1)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracing allocates %v bytes/op, want 0", allocs)
 	}
 }
 
-// TestCounterLanesAndValue: a counter resolved through the tracer is the
-// registry's (obs has the counter's own tests), the same one every time.
+// TestCounterLanesAndValue: a counter resolved through the tracer's
+// registry is the same one every time (obs has the counter's own tests).
 func TestCounterLanesAndValue(t *testing.T) {
 	tr := New()
-	c := tr.Counter("items")
-	c.Add(0, 10)
-	c.Add(1, 5)
-	c.Add(0, 1)
+	c := tr.Registry().Counter("items")
+	c.Add(10)
+	c.Add(5)
+	c.Add(1)
 	if c.Value() != 16 {
 		t.Errorf("Value = %d, want 16", c.Value())
 	}
-	if again := tr.Counter("items"); again != c || tr.Registry().Counter("items") != c {
+	if again := tr.Registry().Counter("items"); again != c {
 		t.Error("Counter did not return the registry's instance")
-	}
-	// Worker ids beyond the lane count wrap without panicking.
-	c.Add(1<<20+3, 4)
-	if c.Value() != 20 {
-		t.Errorf("after wrapped add Value = %d, want 20", c.Value())
 	}
 }
 
@@ -126,17 +121,17 @@ func TestTracerConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := tr.Counter("shared")
+			c := tr.Registry().Counter("shared")
 			for i := 0; i < 200; i++ {
 				sp := tr.Begin("race.cat", "op").Arg("i", float64(i))
-				c.Add(w, 1)
+				c.Add(1)
 				tr.RecordVirtual(PidNode(w), "race.virtual", "v", float64(i), 1, nil)
 				sp.End()
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := tr.Counter("shared").Value(); got != 8*200 {
+	if got := tr.Registry().Counter("shared").Value(); got != 8*200 {
 		t.Errorf("counter = %d, want %d", got, 8*200)
 	}
 	if got := len(tr.Events()); got != 2*8*200 {
@@ -159,7 +154,7 @@ func TestChromeTraceSchema(t *testing.T) {
 		map[string]float64{"compute_sec": 0.4, "wait_sec": 0.1})
 	tr.RecordVirtual(PidNode(0), "cluster.phase", "phase 2", 0.5, 0.25, nil)
 	sp.End()
-	tr.Counter("msgs").Add(0, 7)
+	tr.Registry().Counter("msgs").Add(7)
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -216,7 +211,7 @@ func TestChromeTraceGolden(t *testing.T) {
 	tr.RecordVirtual(PidNode(1), "cluster.phase", "phase 1", 0, 0.5,
 		map[string]float64{"compute_sec": 0.25, "wait_sec": 0.25})
 	tr.RecordVirtual(PidEngine, "giraph.superstep", "superstep 0", 0, 0.5, nil)
-	tr.Counter("giraph.messages").Add(0, 1234)
+	tr.Registry().Counter("giraph.messages").Add(1234)
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -247,7 +242,7 @@ func TestSummarize(t *testing.T) {
 	tr.RecordVirtual(PidNode(0), "cluster.phase", "p2", 1, 2, nil)
 	tr.RecordVirtual(PidNode(1), "cluster.phase", "p1", 0, 1, nil)
 	tr.RecordVirtual(PidEngine, "native.pr.iter", "it", 0, 3, nil)
-	tr.Counter("msgs").Add(0, 5)
+	tr.Registry().Counter("msgs").Add(5)
 
 	s := Summarize(tr)
 	if s.Spans != 4 {
@@ -270,8 +265,8 @@ func TestSummarize(t *testing.T) {
 	if phase.ComputeSec != 0.6 || phase.NetworkSec != 0.3 || phase.WaitSec != 0.1 {
 		t.Errorf("attribution = %+v", phase)
 	}
-	if len(s.Counters) != 1 || s.Counters[0].Total != 5 {
-		t.Errorf("counters = %+v", s.Counters)
+	if len(s.Metrics.Counters) != 1 || s.Metrics.Counters["msgs"] != 5 {
+		t.Errorf("counters = %+v", s.Metrics.Counters)
 	}
 }
 
