@@ -47,12 +47,14 @@ bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke gives each decoder of bytes from outside the process ten
-# seconds on top of its checked-in seeds: the Datalog rule parser (rule
+# seconds on top of its checked-in seeds: the /query/ parameter parser
+# (every query string graphserve answers), the Datalog rule parser (rule
 # text arrives on /query/datalog?rule=), and the delta-record and snapshot
 # decoders (-warm-start and the epoch store read files back). No input may
 # panic; each target's comment says what else it holds. The minimiser is
 # capped so kilobyte snapshot inputs do not eat the ten seconds.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/socialite
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDelta -fuzztime 10s -fuzzminimizetime 1s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/graph

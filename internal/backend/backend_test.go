@@ -26,7 +26,7 @@ func rmatGraph(tb testing.TB, n uint32, scale int, seed int64, symmetric bool) *
 	b := graph.NewBuilder(n)
 	for _, e := range edges {
 		if e.Src < n && e.Dst < n {
-			b.AddEdge(e.Src, e.Dst)
+			b.AddEdges([]graph.Edge{e})
 		}
 	}
 	opt := graph.BuildOptions{Dedup: true, DropSelfLoops: true, SortAdjacency: true}

@@ -10,15 +10,6 @@ import (
 	"sync/atomic"
 )
 
-// The vector deliberately exposes both plain (Set/Get/Clear/...) and atomic
-// (SetAtomic/GetAtomic) accessors over the same word array: the native BFS
-// kernels use the plain forms in serial phases and the atomic forms inside
-// parallel expansion, with the phase barrier providing the happens-before
-// edge. Callers own that discipline, so the whole file opts out of the
-// mixed-access check.
-//
-//lint:file-ignore atomic plain and atomic accessors are phase-separated by the caller's barrier
-
 // Vector is a fixed-capacity bitset over [0, Len()).
 type Vector struct {
 	words []uint64
@@ -50,7 +41,9 @@ func (v *Vector) Get(i uint32) bool {
 
 // SetAtomic sets bit i with a CAS loop, safe for concurrent setters. It
 // reports whether this call changed the bit (false if it was already set),
-// which lets parallel BFS claim vertices exactly once.
+// which lets parallel BFS claim vertices exactly once. The plain accessors
+// share its word array: callers use them only in serial phases, separated
+// from parallel SetAtomic calls by a barrier.
 func (v *Vector) SetAtomic(i uint32) bool {
 	addr := &v.words[i>>6]
 	mask := uint64(1) << (i & 63)
@@ -63,11 +56,6 @@ func (v *Vector) SetAtomic(i uint32) bool {
 			return true
 		}
 	}
-}
-
-// GetAtomic reports bit i using an atomic load.
-func (v *Vector) GetAtomic(i uint32) bool {
-	return atomic.LoadUint64(&v.words[i>>6])&(1<<(i&63)) != 0
 }
 
 // Count returns the number of set bits.
@@ -84,32 +72,6 @@ func (v *Vector) Reset() {
 	for i := range v.words {
 		v.words[i] = 0
 	}
-}
-
-// Or merges other into v (v |= other). Both vectors must have equal
-// capacity; Or panics otherwise, as mixing sizes is a programming error.
-func (v *Vector) Or(other *Vector) {
-	if v.n != other.n {
-		//lint:ignore panic mixing vector sizes is a programmer error, documented in the method contract
-		panic("bitvec: Or on vectors of different capacity")
-	}
-	for i := range v.words {
-		v.words[i] |= other.words[i]
-	}
-}
-
-// AndCount returns the number of bits set in both vectors without
-// materializing the intersection — the triangle-counting inner loop.
-func (v *Vector) AndCount(other *Vector) int {
-	if v.n != other.n {
-		//lint:ignore panic mixing vector sizes is a programmer error, documented in the method contract
-		panic("bitvec: AndCount on vectors of different capacity")
-	}
-	c := 0
-	for i := range v.words {
-		c += bits.OnesCount64(v.words[i] & other.words[i])
-	}
-	return c
 }
 
 // ForEach calls fn for every set bit in ascending order.

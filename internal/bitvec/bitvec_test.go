@@ -73,54 +73,6 @@ func TestSetAtomicClaimsOnce(t *testing.T) {
 	}
 }
 
-func TestGetAtomic(t *testing.T) {
-	v := New(64)
-	v.SetAtomic(7)
-	if !v.GetAtomic(7) || v.GetAtomic(8) {
-		t.Error("GetAtomic readback wrong")
-	}
-}
-
-func TestOrAndCount(t *testing.T) {
-	a, b := New(200), New(200)
-	a.Set(1)
-	a.Set(100)
-	a.Set(150)
-	b.Set(100)
-	b.Set(150)
-	b.Set(199)
-	if got := a.AndCount(b); got != 2 {
-		t.Errorf("AndCount = %d, want 2", got)
-	}
-	a.Or(b)
-	if a.Count() != 4 {
-		t.Errorf("Count after Or = %d, want 4", a.Count())
-	}
-	for _, i := range []uint32{1, 100, 150, 199} {
-		if !a.Get(i) {
-			t.Errorf("bit %d missing after Or", i)
-		}
-	}
-}
-
-func TestOrPanicsOnSizeMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Or on mismatched sizes did not panic")
-		}
-	}()
-	New(64).Or(New(128))
-}
-
-func TestAndCountPanicsOnSizeMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("AndCount on mismatched sizes did not panic")
-		}
-	}()
-	New(64).AndCount(New(128))
-}
-
 func TestForEachAscending(t *testing.T) {
 	v := New(300)
 	want := []uint32{0, 5, 63, 64, 128, 256, 299}

@@ -94,18 +94,18 @@ func TestComputeErrorCleanState(t *testing.T) {
 
 func TestInjectedCrashSurfacesFaultError(t *testing.T) {
 	cfg := testConfig(2)
-	cfg.Fault = fault.NewPlan(fault.Event{Kind: fault.Crash, Phase: 1, Node: 1})
+	cfg.Fault = (&fault.Plan{}).Add(fault.Event{Kind: fault.Crash, Phase: 1, Node: 1})
 	c, _ := New(cfg)
 	if err := c.RunPhase(func(n int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	computed := make([]bool, 2)
 	err := c.RunPhase(func(n int) error { computed[n] = true; return nil })
-	if !fault.IsInjected(err) {
+	var fe *fault.Error
+	if !errors.As(err, &fe) {
 		t.Fatalf("crash phase error = %v, want injected fault", err)
 	}
-	var fe *fault.Error
-	if !errors.As(err, &fe) || fe.Kind != fault.Crash || fe.Node != 1 || fe.Phase != 1 {
+	if fe.Kind != fault.Crash || fe.Node != 1 || fe.Phase != 1 {
 		t.Errorf("fault error = %+v", fe)
 	}
 	if !computed[0] || computed[1] {
@@ -127,7 +127,7 @@ func TestInjectedCrashSurfacesFaultError(t *testing.T) {
 
 func TestInjectedDropAbortsExchange(t *testing.T) {
 	cfg := testConfig(3)
-	cfg.Fault = fault.NewPlan(fault.Event{Kind: fault.Drop, Phase: 0, From: 0, To: 2})
+	cfg.Fault = (&fault.Plan{}).Add(fault.Event{Kind: fault.Drop, Phase: 0, From: 0, To: 2})
 	c, _ := New(cfg)
 	err := c.RunPhase(func(n int) error {
 		if n == 0 {
@@ -150,7 +150,7 @@ func TestStragglerStretchesPhase(t *testing.T) {
 	run := func(factor float64) float64 {
 		cfg := testConfig(2)
 		if factor > 1 {
-			cfg.Fault = fault.NewPlan(fault.Event{Kind: fault.Slow, Phase: 0, PhaseEnd: 10, Node: 0, Factor: factor})
+			cfg.Fault = (&fault.Plan{}).Add(fault.Event{Kind: fault.Slow, Phase: 0, PhaseEnd: 10, Node: 0, Factor: factor})
 		}
 		c, _ := New(cfg)
 		_ = c.RunPhase(func(n int) error {
@@ -173,7 +173,7 @@ func TestDegradeStretchesNetwork(t *testing.T) {
 	run := func(degraded bool) float64 {
 		cfg := Config{Nodes: 2, ThreadsPerNode: 1, Comm: CommLayer{Name: "t", Bandwidth: 1e6}}
 		if degraded {
-			cfg.Fault = fault.NewPlan(fault.Event{Kind: fault.Degrade, Phase: 0, PhaseEnd: 0, Factor: 4})
+			cfg.Fault = (&fault.Plan{}).Add(fault.Event{Kind: fault.Degrade, Phase: 0, PhaseEnd: 0, Factor: 4})
 		}
 		c, _ := New(cfg)
 		_ = c.RunPhase(func(n int) error {
@@ -242,7 +242,7 @@ func TestRecoveryProducesFaultFreeOutput(t *testing.T) {
 		return e.log, c
 	}
 	healthy, _ := run(nil)
-	crashed, c := run(fault.NewPlan(fault.Event{Kind: fault.Crash, Phase: 3, Node: 1}))
+	crashed, c := run((&fault.Plan{}).Add(fault.Event{Kind: fault.Crash, Phase: 3, Node: 1}))
 	if !reflect.DeepEqual(healthy, crashed) {
 		t.Errorf("recovered output %v != fault-free output %v", crashed, healthy)
 	}
@@ -263,10 +263,9 @@ func TestRecoveryProducesFaultFreeOutput(t *testing.T) {
 
 func TestRecoveryTimelineDeterministic(t *testing.T) {
 	run := func() ([]fault.Event, int) {
-		plan := fault.NewPlan(
-			fault.Event{Kind: fault.Crash, Phase: 2, Node: 0},
-			fault.Event{Kind: fault.Drop, Phase: 5, From: 0, To: 1},
-		)
+		plan := (&fault.Plan{}).
+			Add(fault.Event{Kind: fault.Crash, Phase: 2, Node: 0}).
+			Add(fault.Event{Kind: fault.Drop, Phase: 5, From: 0, To: 1})
 		cfg := testConfig(2)
 		cfg.Fault = plan
 		cfg.Ckpt = ckpt.Config{Interval: 1}
@@ -340,7 +339,7 @@ func TestRecoveryRestoresInbox(t *testing.T) {
 	// The inbox at a step boundary is part of the checkpoint: a crash after
 	// the exchange must replay with the checkpointed in-flight messages.
 	cfg := testConfig(2)
-	cfg.Fault = fault.NewPlan(fault.Event{Kind: fault.Crash, Phase: 2, Node: 0})
+	cfg.Fault = (&fault.Plan{}).Add(fault.Event{Kind: fault.Crash, Phase: 2, Node: 0})
 	cfg.Ckpt = ckpt.Config{Interval: 1}
 	c, _ := New(cfg)
 	var seen []string

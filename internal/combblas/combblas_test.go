@@ -478,15 +478,6 @@ func TestTriangleOutOfMemoryGuard(t *testing.T) {
 	if !errors.Is(err, ErrOutOfMemory) {
 		t.Errorf("err = %v, want ErrOutOfMemory", err)
 	}
-	// The unguarded engine powers through.
-	res, err := NewUnguarded().TriangleCount(g, core.TriangleOptions{
-		Exec: core.Exec{Cluster: &cluster.Config{Nodes: 4, MemoryPerNode: 1024}}})
-	if err != nil {
-		t.Fatalf("unguarded: %v", err)
-	}
-	if res.Count != core.RefTriangleCount(g) {
-		t.Error("unguarded count wrong")
-	}
 }
 
 func TestCollabFilterGD(t *testing.T) {

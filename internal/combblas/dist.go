@@ -126,11 +126,10 @@ func DistSpMSpV(g *Grid, a *SpMat[struct{}], frontier []uint32, marks []bool) ([
 // algorithm restricted to its block-row and block-column, intersects it
 // with its A block, and the partial sums reduce to the global triangle
 // count. Each node's A² block is materialized — the memory-hungry
-// intermediate the paper calls out. When guardMemory is true and the
-// modeled footprint exceeds node capacity the run fails with
-// ErrOutOfMemory, reproducing the paper's CombBLAS TC failures on
-// real-world inputs (§5.2–5.3).
-func DistTriangleCount(g *Grid, a *SpMat[struct{}], guardMemory bool) (int64, error) {
+// intermediate the paper calls out. When the modeled footprint exceeds
+// node capacity the run fails with ErrOutOfMemory, reproducing the paper's
+// CombBLAS TC failures on real-world inputs (§5.2–5.3).
+func DistTriangleCount(g *Grid, a *SpMat[struct{}]) (int64, error) {
 	var total int64
 	var peakBlockBytes int64
 	cfg := g.C.Config()
@@ -186,7 +185,7 @@ func DistTriangleCount(g *Grid, a *SpMat[struct{}], guardMemory bool) (int64, er
 	if err != nil {
 		return 0, err
 	}
-	if guardMemory && cfg.MemoryPerNode > 0 && peakBlockBytes > cfg.MemoryPerNode {
+	if cfg.MemoryPerNode > 0 && peakBlockBytes > cfg.MemoryPerNode {
 		return 0, fmt.Errorf("combblas: out of memory computing A² (%d bytes/node exceeds %d): %w",
 			peakBlockBytes, cfg.MemoryPerNode, ErrOutOfMemory)
 	}

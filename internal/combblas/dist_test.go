@@ -78,6 +78,28 @@ func TestDistSpMVShapeError(t *testing.T) {
 	}
 }
 
+// SpMSpV is the serial oracle DistSpMSpV is checked against: the boolean
+// product y = xᵀA for a sparse input vector (an index list over rows of
+// A), returning the deduplicated index list of nonzero outputs. The
+// or-and fold emits each distinct column once, in first-encounter order,
+// and leaves marks clean for the next call.
+func SpMSpV(a *SpMat[struct{}], x []uint32, marks []bool) []uint32 {
+	var out []uint32
+	for _, v := range x {
+		cols, _ := a.Row(v)
+		for _, c := range cols {
+			if !marks[c] {
+				marks[c] = true
+				out = append(out, c)
+			}
+		}
+	}
+	for _, c := range out {
+		marks[c] = false
+	}
+	return out
+}
+
 // OrAndBool is the boolean semiring for reachability frontiers: the dense
 // oracle SpMSpV's or-and fold is checked against.
 func OrAndBool() Semiring[struct{}, bool, bool] {
@@ -172,7 +194,7 @@ func TestDistTriangleCountMatchesSerial(t *testing.T) {
 	}
 	for _, nodes := range []int{1, 4, 9} {
 		grid := newTestGrid(t, nodes, g.NumVertices)
-		got, err := DistTriangleCount(grid, a, false)
+		got, err := DistTriangleCount(grid, a)
 		if err != nil {
 			t.Fatalf("nodes=%d: %v", nodes, err)
 		}

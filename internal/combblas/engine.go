@@ -13,20 +13,12 @@ import (
 
 // Engine is the CombBLAS-model engine: every algorithm is a composition of
 // sparse matrix primitives over semirings.
-type Engine struct {
-	// guardMemory enables the modeled out-of-memory failure for the A²
-	// product (on by default, as in the real system).
-	guardMemory bool
-}
+type Engine struct{}
 
 var _ core.Engine = (*Engine)(nil)
 
 // New returns the CombBLAS-model engine.
-func New() *Engine { return &Engine{guardMemory: true} }
-
-// NewUnguarded returns an engine that ignores the modeled memory capacity
-// (for experiments that want the count despite the blowup).
-func NewUnguarded() *Engine { return &Engine{guardMemory: false} }
+func New() *Engine { return &Engine{} }
 
 // Name implements core.Engine.
 func (e *Engine) Name() string { return "CombBLAS" }
@@ -245,7 +237,7 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 	if err != nil {
 		return nil, err
 	}
-	count, err := DistTriangleCount(grid, a, e.guardMemory)
+	count, err := DistTriangleCount(grid, a)
 	if err != nil {
 		return nil, err
 	}

@@ -114,29 +114,6 @@ func backendView[A any](m *SpMat[A]) *backend.Matrix {
 	return &backend.Matrix{NumRows: m.NumRows, Offsets: m.Offsets, Cols: m.Cols}
 }
 
-// SpMSpV computes the boolean product y = xᵀA for a sparse input vector
-// (an index list over rows of A), returning the deduplicated index list of
-// nonzero outputs — the frontier expansion CombBLAS BFS uses instead of a
-// dense SpMV when the frontier is small. The or-and semiring fold emits
-// each distinct column once, in first-encounter order, and leaves marks
-// clean for the next call.
-func SpMSpV(a *SpMat[struct{}], x []uint32, marks []bool) []uint32 {
-	var out []uint32
-	for _, v := range x {
-		cols, _ := a.Row(v)
-		for _, c := range cols {
-			if !marks[c] {
-				marks[c] = true
-				out = append(out, c)
-			}
-		}
-	}
-	for _, c := range out {
-		marks[c] = false
-	}
-	return out
-}
-
 // spgemmGrain is the dynamic chunk size for the row loops of SpGEMM and
 // EWiseMultSum.
 const spgemmGrain = 128

@@ -110,19 +110,18 @@ func SimulatedStats(c *cluster.Cluster, iterations int) RunStats {
 //
 // with r the random-jump probability (the paper uses 0.3) and unnormalized
 // ranks initialized to 1.
+//
+// Every engine runs exactly Iterations iterations: implementations differ
+// on convergence detection, so the paper compares time per iteration
+// (§5.2). Early stopping is not an engine option; it lives on the tol
+// argument of native.PageRank, PageRankInto and WarmPageRank, which the
+// service and the streaming experiment call directly.
 type PageRankOptions struct {
 	// RandomJump is r in the paper's equation (default 0.3).
 	RandomJump float64
-	// Iterations is the fixed iteration count (default 10). Engines report
-	// per-iteration time, as the paper does, to normalize for convergence
-	// detection differences.
+	// Iterations is the fixed iteration count (default 10).
 	Iterations int
-	// Tolerance, when positive, enables early convergence detection: the
-	// run stops once no rank moves by more than Tolerance in an iteration
-	// (the paper notes implementations differ on this, §5.2 — which is
-	// why its comparisons use time per iteration).
-	Tolerance float64
-	Exec      Exec
+	Exec       Exec
 }
 
 func (o PageRankOptions) withDefaults() PageRankOptions {
@@ -137,14 +136,11 @@ func (o PageRankOptions) withDefaults() PageRankOptions {
 
 // Validate reports the first problem with the options.
 func (o PageRankOptions) Validate() error {
-	if o.RandomJump < 0 || o.RandomJump >= 1 {
+	if !(o.RandomJump >= 0 && o.RandomJump < 1) { // NaN fails it
 		return fmt.Errorf("core: random jump %v outside [0,1)", o.RandomJump)
 	}
 	if o.Iterations < 0 {
 		return fmt.Errorf("core: negative iteration count %d", o.Iterations)
-	}
-	if o.Tolerance < 0 {
-		return fmt.Errorf("core: negative tolerance %v", o.Tolerance)
 	}
 	return nil
 }
@@ -259,14 +255,18 @@ func (o CFOptions) Validate() error {
 	if o.Iterations < 0 {
 		return fmt.Errorf("core: negative iteration count %d", o.Iterations)
 	}
-	if o.LearningRate < 0 || o.StepDecay < 0 || o.StepDecay > 1 {
+	// Each float check is written so NaN fails it.
+	if !(finiteNonNegative(o.LearningRate) && o.StepDecay >= 0 && o.StepDecay <= 1) {
 		return fmt.Errorf("core: bad step schedule γ0=%v s=%v", o.LearningRate, o.StepDecay)
 	}
-	if o.LambdaP < 0 || o.LambdaQ < 0 {
-		return fmt.Errorf("core: negative regularization")
+	if !(finiteNonNegative(o.LambdaP) && finiteNonNegative(o.LambdaQ)) {
+		return fmt.Errorf("core: bad regularization λP=%v λQ=%v", o.LambdaP, o.LambdaQ)
 	}
 	return nil
 }
+
+// finiteNonNegative reports 0 ≤ x < +Inf; NaN fails it.
+func finiteNonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // CFResult carries the learned factors (flat, K values per vertex) and the
 // training-RMSE trajectory, one entry per iteration.

@@ -28,8 +28,10 @@ func TestPageRankOptionsDefaults(t *testing.T) {
 }
 
 func TestPageRankOptionsValidation(t *testing.T) {
-	if _, err := CheckPageRankInput(paperGraph(t), PageRankOptions{RandomJump: 1.5}); err == nil {
-		t.Error("accepted jump > 1")
+	for _, jump := range []float64{1.5, -0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := CheckPageRankInput(paperGraph(t), PageRankOptions{RandomJump: jump}); err == nil {
+			t.Errorf("accepted jump %v", jump)
+		}
 	}
 	if _, err := CheckPageRankInput(paperGraph(t), PageRankOptions{Iterations: -1}); err == nil {
 		t.Error("accepted negative iterations")
@@ -86,6 +88,12 @@ func TestCFOptionsValidation(t *testing.T) {
 		{LearningRate: -1},
 		{StepDecay: 2},
 		{LambdaP: -1},
+		{LearningRate: math.NaN()},
+		{LearningRate: math.Inf(1)},
+		{StepDecay: math.NaN()},
+		{LambdaP: math.NaN()},
+		{LambdaQ: math.NaN()},
+		{LambdaQ: math.Inf(1)},
 	} {
 		if _, err := CheckCFInput(bp, bad); err == nil {
 			t.Errorf("accepted bad options %+v", bad)
@@ -147,7 +155,7 @@ func TestRefTriangleCount(t *testing.T) {
 	b := graph.NewBuilder(4)
 	for u := uint32(0); u < 4; u++ {
 		for v := u + 1; v < 4; v++ {
-			b.AddEdge(u, v)
+			b.AddEdges([]graph.Edge{{Src: u, Dst: v}})
 		}
 	}
 	g, err := b.Build(graph.BuildOptions{Orientation: graph.OrientAcyclic, Dedup: true, SortAdjacency: true})
@@ -324,7 +332,7 @@ func TestValidateBFSAllEnginesWouldPass(t *testing.T) {
 		state ^= state << 13
 		state ^= state >> 7
 		state ^= state << 17
-		b.AddEdge(uint32(state%256), uint32((state>>8)%256))
+		b.AddEdges([]graph.Edge{{Src: uint32(state % 256), Dst: uint32((state >> 8) % 256)}})
 	}
 	g, err := b.Build(graph.BuildOptions{Orientation: graph.Symmetrize, Dedup: true, DropSelfLoops: true})
 	if err != nil {

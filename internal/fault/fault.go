@@ -92,7 +92,7 @@ func (e Event) String() string {
 }
 
 // Error is the failure RunPhase surfaces for an injected fault. Recovery
-// classifies it with errors.As / IsInjected.
+// classifies it with errors.As.
 type Error struct {
 	Kind  Kind
 	Phase int
@@ -112,12 +112,6 @@ func (e *Error) Error() string {
 	default:
 		return fmt.Sprintf("fault: injected %v at phase %d", e.Kind, e.Phase)
 	}
-}
-
-// IsInjected reports whether err stems from an injected fault.
-func IsInjected(err error) bool {
-	var fe *Error
-	return errors.As(err, &fe)
 }
 
 // Verdict is an Injector's decision about one in-flight payload.
@@ -160,10 +154,6 @@ type Injector interface {
 // Plan is healthy. Plans are single-use: one-shot events are consumed as
 // they fire, so construct a fresh Plan (same spec or seed) per run.
 type Plan struct {
-	// Detect is the failure-detection latency (seconds of virtual time)
-	// charged when a phase aborts; DefaultDetectSeconds when 0.
-	Detect float64
-
 	mu     sync.Mutex
 	events []Event
 	fired  []Event // consumed one-shot events, in firing order
@@ -175,15 +165,6 @@ type Plan struct {
 const DefaultDetectSeconds = 0.5
 
 var _ Injector = (*Plan)(nil)
-
-// NewPlan returns a plan over the given events.
-func NewPlan(events ...Event) *Plan {
-	p := &Plan{}
-	for _, e := range events {
-		p.Add(e)
-	}
-	return p
-}
 
 // Add appends an event, normalizing defaults (PhaseEnd, factors).
 func (p *Plan) Add(e Event) *Plan {
@@ -299,9 +280,6 @@ func (p *Plan) DetectSeconds() float64 {
 	if p == nil {
 		return 0
 	}
-	if p.Detect > 0 {
-		return p.Detect
-	}
 	return DefaultDetectSeconds
 }
 
@@ -312,11 +290,8 @@ type SeedConfig struct {
 	Phases int
 	// Nodes is the node-count events target (default 4).
 	Nodes int
-	// Crashes, Drops, Truncates are one-shot event counts (all default 0;
-	// a config with none set gets one crash).
-	Crashes, Drops, Truncates int
-	// Stragglers is the number of slow ranges (factor 2–8×).
-	Stragglers int
+	// Crashes is the number of one-shot crashes (default 1).
+	Crashes int
 }
 
 func (c SeedConfig) withDefaults() SeedConfig {
@@ -326,7 +301,7 @@ func (c SeedConfig) withDefaults() SeedConfig {
 	if c.Nodes <= 0 {
 		c.Nodes = 4
 	}
-	if c.Crashes == 0 && c.Drops == 0 && c.Truncates == 0 && c.Stragglers == 0 {
+	if c.Crashes == 0 {
 		c.Crashes = 1
 	}
 	return c
@@ -340,17 +315,6 @@ func Seeded(seed int64, cfg SeedConfig) *Plan {
 	p := &Plan{}
 	for i := 0; i < cfg.Crashes; i++ {
 		p.Add(Event{Kind: Crash, Phase: rng.Intn(cfg.Phases), Node: rng.Intn(cfg.Nodes)})
-	}
-	for i := 0; i < cfg.Drops; i++ {
-		p.Add(Event{Kind: Drop, Phase: rng.Intn(cfg.Phases), From: Any, To: rng.Intn(cfg.Nodes)})
-	}
-	for i := 0; i < cfg.Truncates; i++ {
-		p.Add(Event{Kind: Truncate, Phase: rng.Intn(cfg.Phases), From: Any, To: rng.Intn(cfg.Nodes)})
-	}
-	for i := 0; i < cfg.Stragglers; i++ {
-		start := rng.Intn(cfg.Phases)
-		p.Add(Event{Kind: Slow, Phase: start, PhaseEnd: start + rng.Intn(4),
-			Node: rng.Intn(cfg.Nodes), Factor: 2 + 6*rng.Float64()})
 	}
 	// Stable order so the plan's string form (and event scan order) does
 	// not depend on generation order across config changes.

@@ -2,7 +2,6 @@ package gen
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"graphmaze/internal/graph"
@@ -147,75 +146,4 @@ func Ratings(cfg RatingsConfig) (*graph.Bipartite, error) {
 		ratings[i] = graph.WeightedEdge{Src: u, Dst: v, Weight: stars}
 	}
 	return graph.NewBipartite(graph.MustU32(int64(len(userID))), graph.MustU32(int64(len(itemID))), ratings)
-}
-
-// DegreeCCDF returns the complementary CDF of a degree distribution
-// sampled at power-of-two thresholds: out[k] = fraction of vertices with
-// degree ≥ 2^k. The paper's generator calibration (§4.1.2: "Through
-// experimentation, we found that RMAT parameters of A = 0.40 and
-// B = C = 0.22 generates degree distributions whose tail is reasonably
-// close to that of the Netflix dataset") compares exactly these tails.
-func DegreeCCDF(degrees []int64) []float64 {
-	if len(degrees) == 0 {
-		return nil
-	}
-	var maxDeg int64
-	for _, d := range degrees {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	buckets := 1
-	for t := int64(1); t < maxDeg; t <<= 1 {
-		buckets++
-	}
-	out := make([]float64, buckets)
-	for _, d := range degrees {
-		for k := 0; k < buckets; k++ {
-			if d >= int64(1)<<uint(k) {
-				out[k]++
-			} else {
-				break
-			}
-		}
-	}
-	n := float64(len(degrees))
-	for k := range out {
-		out[k] /= n
-	}
-	return out
-}
-
-// TailDistance compares two degree distributions' tails: the maximum
-// absolute difference between their log10-CCDFs over the thresholds both
-// populate. Smaller is a closer tail match.
-func TailDistance(a, b []int64) float64 {
-	ca, cb := DegreeCCDF(a), DegreeCCDF(b)
-	n := len(ca)
-	if len(cb) < n {
-		n = len(cb)
-	}
-	worst := 0.0
-	for k := 0; k < n; k++ {
-		if ca[k] == 0 || cb[k] == 0 {
-			break
-		}
-		d := math.Log10(ca[k]) - math.Log10(cb[k])
-		if d < 0 {
-			d = -d
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	// Tail-length mismatch counts against the match too.
-	la, lb := len(ca), len(cb)
-	if la != lb {
-		diff := float64(la - lb)
-		if diff < 0 {
-			diff = -diff
-		}
-		worst += 0.25 * diff
-	}
-	return worst
 }

@@ -37,7 +37,7 @@ type BuildOptions struct {
 
 // Builder accumulates raw edges and produces a cleaned CSR. A builder is
 // reusable: Build consumes the accumulated edges and resets the internal
-// buffer (on success and on error alike), so a subsequent AddEdge/Build
+// buffer (on success and on error alike), so a subsequent AddEdges/Build
 // cycle starts from a clean slate.
 type Builder struct {
 	numVertices uint32
@@ -49,18 +49,10 @@ func NewBuilder(numVertices uint32) *Builder {
 	return &Builder{numVertices: numVertices}
 }
 
-// AddEdge appends a raw directed edge.
-func (b *Builder) AddEdge(src, dst uint32) {
-	b.edges = append(b.edges, Edge{Src: src, Dst: dst})
-}
-
 // AddEdges appends a batch of raw directed edges.
 func (b *Builder) AddEdges(edges []Edge) {
 	b.edges = append(b.edges, edges...)
 }
-
-// NumRawEdges reports how many edges have been added so far.
-func (b *Builder) NumRawEdges() int { return len(b.edges) }
 
 // Reset discards any accumulated edges, returning the builder to its
 // freshly-constructed state without waiting for a Build.
@@ -69,7 +61,7 @@ func (b *Builder) Reset() { b.edges = nil }
 // Build applies the requested transforms and constructs the CSR. The
 // accumulated edges are consumed: whether Build succeeds or fails, the
 // builder's buffer is reset, so the builder itself is safe to reuse for
-// another AddEdge/Build cycle (the transforms reorder the old buffer in
+// another AddEdges/Build cycle (the transforms reorder the old buffer in
 // place, so it is never handed back).
 func (b *Builder) Build(opt BuildOptions) (*CSR, error) {
 	edges := b.edges

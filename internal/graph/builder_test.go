@@ -4,11 +4,9 @@ import "testing"
 
 func TestBuilderKeepDirection(t *testing.T) {
 	b := NewBuilder(3)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(0, 1) // duplicate
-	if b.NumRawEdges() != 3 {
-		t.Fatalf("NumRawEdges = %d", b.NumRawEdges())
+	b.AddEdges([]Edge{{0, 1}, {1, 2}, {0, 1}}) // one duplicate
+	if len(b.edges) != 3 {
+		t.Fatalf("raw edges = %d", len(b.edges))
 	}
 	g, err := b.Build(BuildOptions{Dedup: true})
 	if err != nil {
@@ -101,7 +99,7 @@ func TestBuilderSymmetrizeDropsSelfLoops(t *testing.T) {
 
 func TestBuilderRejectsOutOfRange(t *testing.T) {
 	b := NewBuilder(2)
-	b.AddEdge(0, 7)
+	b.AddEdges([]Edge{{0, 7}})
 	if _, err := b.Build(BuildOptions{}); err == nil {
 		t.Error("expected out-of-range error")
 	}

@@ -45,15 +45,6 @@ func (s *Snapshot) NumVertices() uint32 { return s.csr.NumVertices }
 // NumEdges reports the snapshot's directed edge count.
 func (s *Snapshot) NumEdges() int64 { return s.csr.NumEdges() }
 
-// DegreeStats recomputes the out-degree statistics of this epoch's graph.
-// Statistics are deliberately not cached on the snapshot: a versioned
-// graph's distribution changes with every delta, so recomputation is an
-// explicit per-epoch act the caller pays for (and sees) rather than an
-// implicit cache that silently serves a stale epoch.
-func (s *Snapshot) DegreeStats() DegreeStats {
-	return ComputeDegreeStats(s.csr.OutDegrees())
-}
-
 // DeltaOptions configures how a Versioned graph ingests raw delta edges,
 // mirroring Builder's per-workload preparation: BFS-oriented graphs
 // symmetrize every insertion, PageRank-oriented graphs keep direction.

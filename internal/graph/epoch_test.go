@@ -206,7 +206,7 @@ func TestApplyDeltaNewMaxDegreeVertices(t *testing.T) {
 	if snap.CSR().Degree(0) != 1 || snap.CSR().Degree(3) != 0 {
 		t.Fatal("grown epoch corrupted old or padding vertices")
 	}
-	st2 := snap.DegreeStats()
+	st2 := ComputeDegreeStats(snap.CSR().OutDegrees())
 	if st2.Max != 5 {
 		t.Fatalf("per-epoch stats must see the new hub: max=%d", st2.Max)
 	}
@@ -315,15 +315,15 @@ func TestVersionedConcurrentReaders(t *testing.T) {
 
 func TestBuilderReusableAfterBuild(t *testing.T) {
 	b := NewBuilder(4)
-	b.AddEdge(0, 1)
+	b.AddEdges([]Edge{{0, 1}})
 	g1, err := b.Build(BuildOptions{Dedup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.NumRawEdges() != 0 {
-		t.Fatalf("Build must consume the buffer, %d edges remain", b.NumRawEdges())
+	if len(b.edges) != 0 {
+		t.Fatalf("Build must consume the buffer, %d edges remain", len(b.edges))
 	}
-	b.AddEdge(2, 3)
+	b.AddEdges([]Edge{{2, 3}})
 	g2, err := b.Build(BuildOptions{Dedup: true})
 	if err != nil {
 		t.Fatal(err)
@@ -338,14 +338,14 @@ func TestBuilderReusableAfterBuild(t *testing.T) {
 
 func TestBuilderResetAfterError(t *testing.T) {
 	b := NewBuilder(2)
-	b.AddEdge(0, 5) // out of range
+	b.AddEdges([]Edge{{0, 5}}) // out of range
 	if _, err := b.Build(BuildOptions{}); err == nil {
 		t.Fatal("out-of-range edge must fail")
 	}
-	if b.NumRawEdges() != 0 {
+	if len(b.edges) != 0 {
 		t.Fatal("failed Build must still reset the buffer")
 	}
-	b.AddEdge(0, 1)
+	b.AddEdges([]Edge{{0, 1}})
 	g, err := b.Build(BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -353,9 +353,9 @@ func TestBuilderResetAfterError(t *testing.T) {
 	if g.NumEdges() != 1 {
 		t.Fatalf("post-error reuse built %d edges", g.NumEdges())
 	}
-	b.AddEdge(1, 0)
+	b.AddEdges([]Edge{{1, 0}})
 	b.Reset()
-	if b.NumRawEdges() != 0 {
+	if len(b.edges) != 0 {
 		t.Fatal("Reset must drop accumulated edges")
 	}
 }

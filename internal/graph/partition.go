@@ -58,26 +58,6 @@ func (p *Partition1D) Range(i int) (lo, hi uint32) {
 	return p.Starts[i], p.Starts[i+1]
 }
 
-// NumLocalVertices reports how many vertices part i owns.
-func (p *Partition1D) NumLocalVertices(i int) uint32 {
-	return p.Starts[i+1] - p.Starts[i]
-}
-
-// EdgeCut counts edges of g whose endpoints land in different parts — the
-// traffic a 1-D distributed run must put on the network.
-func (p *Partition1D) EdgeCut(g *CSR) int64 {
-	var cut int64
-	for v := uint32(0); v < g.NumVertices; v++ {
-		ov := p.Owner(v)
-		for _, t := range g.Neighbors(v) {
-			if p.Owner(t) != ov {
-				cut++
-			}
-		}
-	}
-	return cut
-}
-
 // SendIDs returns, for every owning part s and consuming part d, the sorted
 // vertices owned by s that have an out-neighbour in g owned by d: the
 // boundary values s ships to d each round of a 1-D distributed run.
@@ -110,7 +90,6 @@ type ReplicatedPartition struct {
 	Base *Partition1D
 	// Replicated is the sorted list of vertex ids mirrored on all nodes.
 	Replicated []uint32
-	isRep      map[uint32]bool
 }
 
 // NewReplicatedPartition replicates every vertex whose degree (in g's
@@ -121,18 +100,14 @@ func NewReplicatedPartition(g *CSR, parts int, degreeThreshold int64) (*Replicat
 		return nil, err
 	}
 	in := g.InDegrees()
-	rp := &ReplicatedPartition{Base: base, isRep: make(map[uint32]bool)}
+	rp := &ReplicatedPartition{Base: base}
 	for v := uint32(0); v < g.NumVertices; v++ {
 		if g.Degree(v)+in[v] > degreeThreshold {
 			rp.Replicated = append(rp.Replicated, v)
-			rp.isRep[v] = true
 		}
 	}
 	return rp, nil
 }
-
-// IsReplicated reports whether v is mirrored on all nodes.
-func (p *ReplicatedPartition) IsReplicated(v uint32) bool { return p.isRep[v] }
 
 // Partition2D is CombBLAS's edge partitioning: the adjacency matrix is cut
 // into an r×r block grid (r=√parts) and node (i,j) owns block (i,j). The

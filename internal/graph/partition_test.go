@@ -123,25 +123,9 @@ func TestPartition1DMorePartsThanNeeded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if p.NumLocalVertices(i) == 0 {
+		if lo, hi := p.Range(i); hi == lo {
 			t.Errorf("part %d owns no vertices", i)
 		}
-	}
-}
-
-func TestEdgeCut(t *testing.T) {
-	g := chain(t, 10) // 9 edges in a path
-	p, err := NewPartition1D(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A contiguous split of a path cuts exactly one edge.
-	if cut := p.EdgeCut(g); cut != 1 {
-		t.Errorf("EdgeCut = %d, want 1", cut)
-	}
-	p1, _ := NewPartition1D(g, 1)
-	if cut := p1.EdgeCut(g); cut != 0 {
-		t.Errorf("EdgeCut single part = %d, want 0", cut)
 	}
 }
 
@@ -200,13 +184,7 @@ func TestReplicatedPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rp.IsReplicated(0) {
-		t.Error("hub vertex should be replicated")
-	}
-	if rp.IsReplicated(5) {
-		t.Error("leaf vertex should not be replicated")
-	}
-	if len(rp.Replicated) != 1 {
+	if len(rp.Replicated) != 1 || rp.Replicated[0] != 0 {
 		t.Errorf("Replicated = %v, want just the hub", rp.Replicated)
 	}
 }

@@ -101,7 +101,8 @@ func TestQuickPartition1D(t *testing.T) {
 		}
 		var total uint32
 		for i := 0; i < parts; i++ {
-			total += p.NumLocalVertices(i)
+			lo, hi := p.Range(i)
+			total += hi - lo
 		}
 		if total != n {
 			return false

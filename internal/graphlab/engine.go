@@ -113,46 +113,6 @@ func pageRankLowered(pool *backend.Pool, in *graph.CSR, outDeg []int64, opt core
 	return vals
 }
 
-// PageRankAsync runs PageRank on GraphLab's asynchronous engine: no
-// rounds, immediately visible updates, vertices rescheduled only while
-// their rank still moves by more than tol. It returns the ranks and the
-// number of vertex updates performed.
-func (e *Engine) PageRankAsync(g *graph.CSR, opt core.PageRankOptions, tol float64) ([]float64, int, error) {
-	opt, err := core.CheckPageRankInput(g, opt)
-	if err != nil {
-		return nil, 0, err
-	}
-	if tol <= 0 {
-		tol = 1e-9
-	}
-	in := g.Transpose()
-	spec := Spec[float64, float64]{
-		Init:       func(uint32) float64 { return 1 },
-		GatherZero: func() float64 { return 0 },
-		Gather: func(acc float64, _ uint32, srcVal float64, srcOutDeg int64, _ float32) float64 {
-			if srcOutDeg == 0 {
-				return acc
-			}
-			return acc + srcVal/float64(srcOutDeg)
-		},
-		Apply: func(_ uint32, old float64, acc float64, _ bool) (float64, bool, Activation) {
-			next := opt.RandomJump + (1-opt.RandomJump)*acc
-			d := next - old
-			if d < 0 {
-				d = -d
-			}
-			if d > tol {
-				// Converging contraction: propagate to out-neighbours.
-				return next, true, ActivateNeighbors
-			}
-			return next, true, ActivateNone
-		},
-	}
-	// A generous update budget: async PageRank contracts geometrically.
-	res := runLocalAsync(g, in, spec, int64(g.NumVertices)*1000)
-	return res.vals, res.rounds, nil
-}
-
 // bfsSpec is the paper's Algorithm 2 as a GAS program.
 func bfsSpec(source uint32) Spec[int32, int32] {
 	const inf = int32(1) << 30

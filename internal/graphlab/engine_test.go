@@ -277,38 +277,3 @@ func TestRunLocalQuiescence(t *testing.T) {
 		t.Errorf("rounds = %d, want 1", res.rounds)
 	}
 }
-
-func TestPageRankAsyncConvergesToSyncFixpoint(t *testing.T) {
-	g := fixtureDirected(t)
-	// The synchronous fixpoint after many rounds.
-	want := core.RefPageRank(g, core.PageRankOptions{Iterations: 100})
-	ranks, updates, err := New().PageRankAsync(g, core.PageRankOptions{}, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if updates <= int(g.NumVertices) {
-		t.Errorf("async engine did only %d updates", updates)
-	}
-	if d := core.ComparePageRank(want, ranks); d > 1e-6 {
-		t.Errorf("async fixpoint off by %v", d)
-	}
-}
-
-func TestBFSAsyncMatchesReference(t *testing.T) {
-	// BFS's min-update is monotone, so the async engine computes exact
-	// distances regardless of schedule.
-	g := fixtureUndirected(t)
-	in := g.Transpose()
-	spec := bfsSpec(5)
-	res := runLocalAsync(g, in, spec, 0)
-	want := core.RefBFS(g, 5)
-	for v, d := range res.vals {
-		got := d
-		if got >= int32(1)<<30 {
-			got = -1
-		}
-		if got != want[v] {
-			t.Fatalf("vertex %d: async distance %d, want %d", v, got, want[v])
-		}
-	}
-}

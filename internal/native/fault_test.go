@@ -1,6 +1,7 @@
 package native
 
 import (
+	"errors"
 	"testing"
 
 	"graphmaze/internal/ckpt"
@@ -159,7 +160,8 @@ func TestClusterCrashWithoutCheckpointFails(t *testing.T) {
 	if err == nil {
 		t.Fatal("crash without checkpointing should fail the run")
 	}
-	if !fault.IsInjected(err) {
+	var fe *fault.Error
+	if !errors.As(err, &fe) {
 		t.Errorf("error %v should classify as injected", err)
 	}
 }

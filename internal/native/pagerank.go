@@ -32,25 +32,25 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	// before their kernels too).
 	n := int(g.NumVertices)
 	ranks, next, contrib := make([]float64, n), make([]float64, n), make([]float64, n)
-	stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) (iters int) {
-		ranks, iters = e.pageRankLocal(pool, in, outDeg, opt, tr, ranks, next, contrib)
-		return iters
+	stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) int {
+		ranks = e.pageRankLocal(pool, in, outDeg, opt, tr, ranks, next, contrib)
+		return opt.Iterations
 	})
 	return &core.PageRankResult{Ranks: ranks, Stats: stats}, nil
 }
 
 // pageRankLocal is the single-node kernel over the in-CSR, on the caller's
-// vectors (each in.NumVertices long, overwritten). It returns the ranks —
-// pr or next — and the number of iterations actually run (fewer than
-// requested when early convergence detection is enabled and triggers).
+// vectors (each in.NumVertices long, overwritten). It runs opt.Iterations
+// iterations and returns the ranks, pr or next.
 func (e *Engine) pageRankLocal(pool *backend.Pool, in *graph.CSR, outDeg []int64, opt core.PageRankOptions, tr *trace.Tracer,
-	pr, next, contrib []float64) ([]float64, int) {
+	pr, next, contrib []float64) []float64 {
 	if e.tuning.ContribCaching {
 		// Tuned path: the engine is a thin wrapper over the package's one
 		// PageRank kernel — the engine-vs-native deltas in the harness
 		// tables measure pure framework abstraction cost over the same
 		// kernels.
-		return PageRankInto(pool, backend.FromCSR(in), outDeg, opt.RandomJump, opt.Tolerance, opt.Iterations, tr, pr, next, contrib)
+		ranks, _ := PageRankInto(pool, backend.FromCSR(in), outDeg, opt.RandomJump, 0, opt.Iterations, tr, pr, next, contrib)
+		return ranks
 	}
 	for i := range pr {
 		pr[i] = 1
@@ -68,19 +68,13 @@ func (e *Engine) pageRankLocal(pool *backend.Pool, in *graph.CSR, outDeg []int64
 			next[v] = opt.RandomJump + sum
 		}
 	})
-	iters := 0
 	for it := 0; it < opt.Iterations; it++ {
-		iters++
 		sp := tr.Begin("native.pr.iter", "pagerank iteration").Arg("iter", float64(it))
 		gather.Run()
 		pr, next = next, pr
-		converged := opt.Tolerance > 0 && maxAbsDiff(pool, pr, next) <= opt.Tolerance
 		sp.End()
-		if converged {
-			break
-		}
 	}
-	return pr, iters
+	return pr
 }
 
 // PageRank runs the contribution-caching PageRank from the paper's

@@ -95,14 +95,19 @@ func (s *Server) parseQuery(r *http.Request) (*query, error) {
 		if q.jump, err = floatParam(vals, "jump", 0.3); err != nil {
 			return nil, err
 		}
-		if q.jump <= 0 || q.jump >= 1 {
+		// Each range check is written so NaN fails it: ParseFloat accepts
+		// "NaN" and "Inf", and a NaN would reach the kernel and the cache.
+		if !(q.jump > 0 && q.jump < 1) {
 			return nil, badRequest("jump must be in (0,1)")
 		}
 		if q.tol, err = floatParam(vals, "tol", 0); err != nil {
 			return nil, err
 		}
-		if q.tol < 0 {
-			return nil, badRequest("tol must be >= 0")
+		if !(q.tol >= 0 && q.tol <= math.MaxFloat64) {
+			return nil, badRequest("tol must be finite and >= 0")
+		}
+		if q.tol == 0 {
+			q.tol = 0 // -0 is 0: one query, one fingerprint
 		}
 		if q.topK, err = intParam(vals, "k", 10); err != nil {
 			return nil, err
@@ -137,11 +142,14 @@ func (s *Server) parseQuery(r *http.Request) (*query, error) {
 }
 
 // fingerprint renders the canonical query string: the cache key component
-// and the Query field echoed in every response.
+// and the Query field echoed in every response. Requested as written, it
+// names the same query: %g writes a large tol as 1e+10, and a bare '+'
+// in a query string reads back as a space, so it is escaped.
 func (q *query) fingerprint() string {
 	switch q.kind {
 	case kindPageRank:
-		return fmt.Sprintf("pagerank?iters=%d&jump=%g&tol=%g&k=%d", q.iters, q.jump, q.tol, q.topK)
+		fp := fmt.Sprintf("pagerank?iters=%d&jump=%g&tol=%g&k=%d", q.iters, q.jump, q.tol, q.topK)
+		return strings.ReplaceAll(fp, "+", "%2B")
 	case kindBFS:
 		return fmt.Sprintf("bfs?source=%d", q.source)
 	case kindCC:

@@ -254,9 +254,33 @@ func TestEquivalentSpellingsShareCacheEntry(t *testing.T) {
 	if code != http.StatusOK || state != "miss" {
 		t.Fatalf("first spelling: status %d X-Cache %q", code, state)
 	}
-	code, state, _ = get(t, ts.URL+"/query/pagerank?graph=social&iters=20&jump=0.3&tol=0&k=10", nil)
-	if code != http.StatusOK || state != "hit" {
-		t.Fatalf("explicit-defaults spelling: status %d X-Cache %q, want hit", code, state)
+	for _, spelling := range []string{"iters=20&jump=0.3&tol=0&k=10", "tol=-0", "jump=0x1.3333333333333p-02"} {
+		code, state, _ = get(t, ts.URL+"/query/pagerank?graph=social&"+spelling, nil)
+		if code != http.StatusOK || state != "hit" {
+			t.Fatalf("spelling %q: status %d X-Cache %q, want hit", spelling, code, state)
+		}
+	}
+}
+
+// TestNonFiniteFloatsAre400: every spelling of a NaN, an infinity or an
+// out-of-range float in /query/pagerank's jump and tol is refused with
+// 400, never a 5xx, and adds no cache entry. ParseFloat accepts NaN and
+// Inf, so only range checks that NaN fails keep them from the kernel.
+func TestNonFiniteFloatsAre400(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	for _, params := range []string{
+		"jump=NaN", "jump=nan", "jump=NaN&k=0", "jump=-NaN", "jump=Inf", "jump=+Inf", "jump=-Inf",
+		"jump=infinity", "jump=1e400", "jump=0", "jump=1",
+		"tol=NaN", "tol=NaN&k=0", "tol=Inf", "tol=+inf", "tol=-Inf", "tol=1e400", "tol=-1",
+	} {
+		before := s.cache.Len()
+		code, _, body := get(t, ts.URL+"/query/pagerank?graph=social&"+params, nil)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (body %.200s)", params, code, body)
+		}
+		if n := s.cache.Len() - before; n != 0 {
+			t.Errorf("%s: %d new cache entries, want 0", params, n)
+		}
 	}
 }
 
