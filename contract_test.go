@@ -81,8 +81,8 @@ func TestTimedRegionIsTheKernel(t *testing.T) {
 // kernel that runs on one core inside the timed region is otherwise a test
 // failure here, not a profile finding later.
 var serialInTimedRegion = map[string]string{
-	"combblas.CollabFilter": "serial single-node passes; the float fold order is pinned by the CF goldens (owed)",
-	"graphlab.CollabFilter": "serial gather and apply; the float fold order is pinned by the CF goldens and the native-trajectory test (owed)",
+	"combblas.CollabFilter": "serial single-node passes; the float fold order is pinned by the CF goldens",
+	"graphlab.CollabFilter": "serial gather and apply; the float fold order is pinned by the CF goldens and the native-trajectory test",
 }
 
 // TestClusterRunsTraceFromExecAlone pins core.Exec's contract that a tracer

@@ -162,3 +162,123 @@ func firstDiff(a, b []string) int {
 	}
 	return n
 }
+
+// The CF goldens pin collaborative filtering the same way: user and item
+// factors as float32 bit patterns and the per-iteration RMSE trajectory as
+// float64 bit patterns, for every engine and method whose output is fixed
+// at every worker count — Native GD and SGD (SGD's blocks of one diagonal
+// touch disjoint users and items, so the schedule is race-free and
+// ordered), and the GD of CombBLAS, GraphLab, SociaLite and Giraph.
+//
+// Regenerate (only when an intentional numeric change lands) with:
+//
+//	GRAPHMAZE_WRITE_GOLDEN=1 go test -run TestGoldenCFOutputs .
+
+const goldenCFPath = "testdata/golden_cf_outputs.json"
+
+// goldenCFRuns names each pinned run "engine/method".
+var goldenCFRuns = []struct {
+	engine string
+	sgd    bool
+}{
+	{"Native", false}, {"Native", true},
+	{"CombBLAS", false}, {"GraphLab", false},
+	{"SociaLite", false}, {"Giraph", false},
+}
+
+type goldenCFRun struct {
+	User []string `json:"user_factor_bits"`
+	Item []string `json:"item_factor_bits"`
+	RMSE []string `json:"rmse_bits"`
+}
+
+func goldenCFKey(engine string, sgd bool) string {
+	if sgd {
+		return engine + "/SGD"
+	}
+	return engine + "/GD"
+}
+
+func goldenCFInput(t testing.TB) *Ratings {
+	t.Helper()
+	r, err := GenerateRatings(9, 8, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// cfBits runs one engine's CF and returns its outputs as bit strings.
+func cfBits(t testing.TB, eng Engine, r *Ratings, sgd bool) goldenCFRun {
+	t.Helper()
+	opt := CFOptions{Method: GradientDescent, K: 4, Iterations: 3, Seed: 5}
+	if sgd {
+		opt.Method = SGD
+	}
+	res, err := eng.CollabFilter(r, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", goldenCFKey(eng.Name(), sgd), err)
+	}
+	f32 := func(f []float32) []string {
+		out := make([]string, len(f))
+		for i, x := range f {
+			out[i] = fmt.Sprintf("%08x", math.Float32bits(x))
+		}
+		return out
+	}
+	rmse := make([]string, len(res.RMSE))
+	for i, x := range res.RMSE {
+		rmse[i] = fmt.Sprintf("%016x", math.Float64bits(x))
+	}
+	return goldenCFRun{User: f32(res.UserFactors), Item: f32(res.ItemFactors), RMSE: rmse}
+}
+
+func TestGoldenCFOutputs(t *testing.T) {
+	r := goldenCFInput(t)
+	capture := func() map[string]goldenCFRun {
+		out := map[string]goldenCFRun{}
+		for _, run := range goldenCFRuns {
+			out[goldenCFKey(run.engine, run.sgd)] = cfBits(t, goldenEngine(t, run.engine), r, run.sgd)
+		}
+		return out
+	}
+
+	if os.Getenv("GRAPHMAZE_WRITE_GOLDEN") != "" {
+		data, err := json.MarshalIndent(capture(), "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenCFPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", goldenCFPath)
+		return
+	}
+
+	data, err := os.ReadFile(goldenCFPath)
+	if err != nil {
+		t.Fatalf("missing golden fixture (regenerate with GRAPHMAZE_WRITE_GOLDEN=1): %v", err)
+	}
+	var want map[string]goldenCFRun
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := capture()
+		for _, run := range goldenCFRuns {
+			key := goldenCFKey(run.engine, run.sgd)
+			w, g := want[key], got[key]
+			for _, part := range []struct {
+				name       string
+				want, have []string
+			}{{"user factors", w.User, g.User}, {"item factors", w.Item, g.Item}, {"RMSE", w.RMSE, g.RMSE}} {
+				if !equalStrings(part.want, part.have) {
+					t.Errorf("GOMAXPROCS=%d %s: %s differ from golden (first diff at %d of %d)",
+						procs, key, part.name, firstDiff(part.want, part.have), len(part.want))
+				}
+			}
+		}
+	}
+}

@@ -4,7 +4,8 @@
 // substrate provides:
 //
 //   - one pooled SpMV kernel over the shared CSR ([SumVecMul], the float64
-//     plus-times pattern product every lowered PageRank runs),
+//     plus-times pattern product), and the one PageRank iteration built on
+//     it ([PageRankSweep]) that Native and every lowered PageRank run,
 //   - one direction-switching level-synchronous frontier kernel
 //     ([Traversal]) for BFS-shaped computations: a whole BFS that writes
 //     distances ([Traversal.Run]), or the level step a framework's own
@@ -16,11 +17,11 @@
 //     sums) and 64-aligned dynamic chunk claiming, both chosen so results
 //     are bit-identical at every GOMAXPROCS setting.
 //
-// Engines keep their own arithmetic when they lower: each constructs the
-// per-iteration vector transforms exactly as its model prescribes and the
-// backend contributes only the per-row fold, which is serial within a row
-// (ascending column order) and therefore deterministic regardless of how
-// rows are distributed over workers.
+// Engines keep their own arithmetic when they lower: each picks the
+// constants of its per-iteration vector transforms exactly as its model
+// prescribes, and the per-row fold is serial within a row (ascending
+// column order) and therefore deterministic regardless of how rows are
+// distributed over workers.
 package backend
 
 import "graphmaze/internal/graph"

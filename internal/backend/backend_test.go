@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -163,6 +164,55 @@ func TestDensePass(t *testing.T) {
 	}
 }
 
+// TestPageRankSweepInPlace: the shared PageRank sweep run in place,
+// Run(p, p) as the lowered engines call it, equals Run(next, p) as Native
+// calls it, bit for bit, sweep after sweep, in both engine forms of
+// (s, a, b), on pools of 1 and 3 workers — and both equal the serial
+// contribution-then-fold reference.
+func TestPageRankSweepInPlace(t *testing.T) {
+	g := testGraph(t, 10, 17, false)
+	in := FromCSR(g.Transpose())
+	deg := g.OutDegrees()
+	n := int(g.NumVertices)
+	ref := func(src []float64, s, a, b float64) []float64 {
+		contrib := make([]float64, n)
+		for v := range contrib {
+			if deg[v] > 0 {
+				contrib[v] = s * src[v] / float64(deg[v])
+			}
+		}
+		dst := refSpMVSum(in, contrib)
+		for r := range dst {
+			dst[r] = a + b*dst[r]
+		}
+		return dst
+	}
+	for _, workers := range []int{1, 3} {
+		pool := NewPool(workers)
+		for _, f := range [][3]float64{{0.7, 0.3, 1}, {1, 0.3, 0.7}} {
+			s, a, b := f[0], f[1], f[2]
+			p := randVec(g.NumVertices, 5)
+			cur, next := append([]float64(nil), p...), make([]float64, n)
+			want := append([]float64(nil), p...)
+			inPlace := NewPageRankSweep(pool, in, deg, s, a, b, make([]float64, n))
+			outOfPlace := NewPageRankSweep(pool, in, deg, s, a, b, make([]float64, n))
+			for sweep := 0; sweep < 4; sweep++ {
+				inPlace.Run(p, p)
+				outOfPlace.Run(next, cur)
+				cur, next = next, cur
+				want = ref(want, s, a, b)
+				for v := range p {
+					if math.Float64bits(p[v]) != math.Float64bits(cur[v]) || math.Float64bits(p[v]) != math.Float64bits(want[v]) {
+						t.Fatalf("workers=%d (s,a,b)=%v sweep %d: rank[%d] in place %v, out of place %v, reference %v",
+							workers, f, sweep, v, p[v], cur[v], want[v])
+					}
+				}
+			}
+		}
+		pool.Close()
+	}
+}
+
 // TestZeroSteadyStateAllocs is the acceptance criterion: after warmup,
 // per-iteration kernel calls allocate nothing.
 func TestZeroSteadyStateAllocs(t *testing.T) {
@@ -184,6 +234,12 @@ func TestZeroSteadyStateAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(10, func() { k.AddInto(y, x) }); a != 0 {
 		t.Errorf("SumVecMul.AddInto allocates %v per call in steady state", a)
+	}
+
+	sweep := NewPageRankSweep(pool, m, g.OutDegrees(), 0.7, 0.3, 1, make([]float64, g.NumVertices))
+	sweep.Run(y, x)
+	if a := testing.AllocsPerRun(10, func() { sweep.Run(y, y) }); a != 0 {
+		t.Errorf("PageRankSweep.Run allocates %v per call in steady state", a)
 	}
 
 	d := NewDense(pool, int(g.NumVertices), func(lo, hi int) {

@@ -32,30 +32,24 @@ func BenchmarkBackendSumVecMul(b *testing.B) {
 	}
 }
 
-// BenchmarkBackendPageRankIteration is one full lowered PageRank
-// iteration — contribution pass plus mapped SpMV — the unit the 1.5×
-// engine-overhead budget is measured against.
+// BenchmarkBackendPageRankIteration is one PageRankSweep.Run, the full
+// PageRank iteration every engine lowers onto — contribution pass plus
+// affine SpMV — the unit the 1.5× engine-overhead budget is measured
+// against.
 func BenchmarkBackendPageRankIteration(b *testing.B) {
 	m := benchGraph(b, false)
 	pool := NewPool(0)
 	defer pool.Close()
 	n := int(m.NumRows)
-	k := NewSumVecMul(pool, m)
 	pr := randVec(m.NumRows, 2)
 	next := make([]float64, n)
-	contrib := make([]float64, n)
 	deg := make([]int64, n)
 	for r := 0; r < n; r++ {
 		deg[r] = m.Offsets[r+1] - m.Offsets[r]
 	}
-	contribPass := NewDense(pool, n, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			contrib[v] = DivDegree(0.7*pr[v], deg[v])
-		}
-	})
+	sweep := NewPageRankSweep(pool, m, deg, 0.7, 0.3, 1, make([]float64, n))
 	iter := func() {
-		contribPass.Run()
-		k.AffineInto(next, contrib, 0.3, 1)
+		sweep.Run(next, pr)
 		pr, next = next, pr
 	}
 	iter()

@@ -161,6 +161,55 @@ func DivDegree(x float64, d int64) float64 {
 	return math.Float64frombits(math.Float64bits(x/float64(d+1+has)) & uint64(has))
 }
 
+// PageRankSweep is the one PageRank iteration every engine lowers onto
+// (DESIGN.md §12): a dense contribution pass contrib[v] =
+// DivDegree(s·src[v], deg[v]) — one streaming store per vertex, so the
+// gather does a single random load per edge instead of two dependent ones
+// plus a divide — then the affine SpMV dst = a + b·Aᵀcontrib over the
+// in-edge matrix. Native runs it as (s, a, b) = (1−r, r, 1), the lowered
+// engines as (1, r, 1−r), their vertex programs' arithmetic: the IEEE
+// product 1·x is x, so each form is bit-identical to the loop it replaced.
+// dst may alias src, since the contribution pass has read all of src
+// before the SpMV writes dst. Per-vertex expressions and the ascending
+// in-neighbour fold order are fixed, so the result is bit-identical at any
+// worker count; steady-state calls do not allocate.
+type PageRankSweep struct {
+	mul     *SumVecMul
+	pass    *Dense
+	contrib []float64
+	a, b    float64
+	src     []float64 // the operand of the call in flight
+}
+
+// NewPageRankSweep builds the sweep over the in-edge matrix in, with the
+// out-degrees deg and a contribution buffer of in.NumRows elements, which
+// every Run overwrites.
+func NewPageRankSweep(pool *Pool, in *Matrix, deg []int64, s, a, b float64, contrib []float64) *PageRankSweep {
+	p := &PageRankSweep{mul: NewSumVecMul(pool, in), contrib: contrib, a: a, b: b}
+	p.pass = NewDense(pool, len(contrib), func(lo, hi int) {
+		src := p.src
+		for v := lo; v < hi; v++ {
+			contrib[v] = DivDegree(s*src[v], deg[v])
+		}
+	})
+	return p
+}
+
+// WithTracer attaches the SpMV's backend.spmv.nnz counter (nil tracer
+// detaches).
+func (p *PageRankSweep) WithTracer(tr *trace.Tracer) *PageRankSweep {
+	p.mul.WithTracer(tr)
+	return p
+}
+
+// Run computes one sweep from the ranks in src into dst.
+func (p *PageRankSweep) Run(dst, src []float64) {
+	p.src = src
+	p.pass.Run()
+	p.src = nil
+	p.mul.AffineInto(dst, p.contrib, p.a, p.b)
+}
+
 // Dense is a reusable element-wise pass over [0, n): the vector-transform
 // half of a lowered iteration (contribution scaling, normalization).
 // The body closure is built once and reads its operands through captured

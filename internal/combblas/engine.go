@@ -59,9 +59,12 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	at := FromGraph(g.Transpose()) // rows = destinations, sorted columns
 	sr := PlusTimesF64()
 	// The degree vector is a row-wise Reduce over A (CombBLAS derives d
-	// with its Reduce primitive, eq. 9's d vector).
-	outDeg := Reduce(a, 1.0, sr)
+	// with its Reduce primitive, eq. 9's d vector), held as counts.
 	n := int(g.NumVertices)
+	outDeg := make([]int64, n)
+	for i, d := range Reduce(a, 1.0, sr) {
+		outDeg[i] = int64(d)
+	}
 	p := make([]float64, n)
 	phat := make([]float64, n)
 	for i := range p {
@@ -69,7 +72,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	}
 	normalize := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			phat[i] = backend.DivDegree(p[i], int64(outDeg[i]))
+			phat[i] = backend.DivDegree(p[i], outDeg[i])
 		}
 	}
 	finish := func(y []float64, lo, hi int) {
@@ -79,18 +82,17 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	}
 
 	if opt.Exec.Cluster == nil {
-		// Lowered onto the shared backend: the pattern SpMV is a
-		// persistent plus-times kernel and the finish pass fuses into its
-		// affine epilogue — same ascending in-row fold, same finishing
-		// expression, but the semiring indirection and the per-iteration
-		// output allocation are gone.
+		// Lowered onto the shared backend sweep as (s, a, b) = (1, r, 1−r):
+		// the normalize pass is its contribution pass and the finish pass
+		// fuses into its affine epilogue — same ascending in-row fold, same
+		// finishing expression, but the semiring indirection and the
+		// per-iteration output allocation are gone.
 		stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) int {
-			mul := backend.NewSumVecMul(pool, backendView(at)).WithTracer(tr)
-			normalizePass := backend.NewDense(pool, n, normalize)
+			r := opt.RandomJump
+			sweep := backend.NewPageRankSweep(pool, backendView(at), outDeg, 1, r, 1-r, phat).WithTracer(tr)
 			for it := 0; it < opt.Iterations; it++ {
 				sp := tr.Begin("combblas.spmv", "spmv iteration").Arg("iter", float64(it))
-				normalizePass.Run()
-				mul.AffineInto(p, phat, opt.RandomJump, 1-opt.RandomJump)
+				sweep.Run(p, p)
 				sp.End()
 			}
 			return opt.Iterations

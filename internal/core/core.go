@@ -3,15 +3,18 @@
 // triangle counting, collaborative filtering), their options and results,
 // and serial reference implementations used to cross-validate engines.
 //
-// The engines deliberately do NOT share kernels — each implements the
-// algorithms through its own programming model, because the per-model
-// overhead is the phenomenon the paper studies.
+// Each engine implements the algorithms through its own programming
+// model, because the per-model overhead is the phenomenon the paper
+// studies. What two models compute identically is one kernel: SGD's
+// block grid lives here beside the factor helpers, the lowered PageRank
+// sweep in backend (DESIGN.md §12).
 package core
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"time"
 
 	"graphmaze/internal/backend"
@@ -396,4 +399,123 @@ func RMSE(r *graph.Bipartite, k int, userF, itemF []float32) float64 {
 		return 0
 	}
 	return math.Sqrt(sum / float64(n))
+}
+
+// BlockEdge is one rating inside a (user-stripe, item-stripe) block.
+type BlockEdge struct {
+	U, V   uint32
+	Rating float32
+}
+
+// BuildBlocks groups ratings into a W×W grid of blocks over contiguous
+// user and item stripes — Gemulla's partitioning (paper §3.2): blocks on
+// the same diagonal touch disjoint users and items, so they update without
+// locks. Block su·w+sv holds stripe su's users' ratings of stripe sv's
+// items, in ascending user order.
+func BuildBlocks(r *graph.Bipartite, w int) (blocks [][]BlockEdge, userStripe, itemStripe []uint32) {
+	userStripe = stripeBounds(r.NumUsers, w)
+	itemStripe = stripeBounds(r.NumItems, w)
+	blocks = make([][]BlockEdge, w*w)
+	for u := uint32(0); u < r.NumUsers; u++ {
+		su := stripeOf(userStripe, u)
+		adj, wts := r.ByUser.Neighbors(u), r.ByUser.EdgeWeights(u)
+		for i, v := range adj {
+			idx := su*w + stripeOf(itemStripe, v)
+			blocks[idx] = append(blocks[idx], BlockEdge{U: u, V: v, Rating: wts[i]})
+		}
+	}
+	return blocks, userStripe, itemStripe
+}
+
+func stripeBounds(n uint32, w int) []uint32 {
+	b := make([]uint32, w+1)
+	for i := 0; i <= w; i++ {
+		b[i] = graph.MustU32(int64(uint64(n) * uint64(i) / uint64(w)))
+	}
+	return b
+}
+
+func stripeOf(bounds []uint32, v uint32) int {
+	lo, hi := 0, len(bounds)-1
+	for lo < hi-1 {
+		mid := (lo + hi) / 2
+		if bounds[mid] <= v {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// ShuffleBlocks pre-shuffles each block once with a deterministic seed:
+// SGD requires random visit order within a block.
+func ShuffleBlocks(blocks [][]BlockEdge, seed int64) {
+	for i := range blocks {
+		rng := rand.New(rand.NewSource(seed + int64(i)*7919))
+		rng.Shuffle(len(blocks[i]), func(a, b int) {
+			blocks[i][a], blocks[i][b] = blocks[i][b], blocks[i][a]
+		})
+	}
+}
+
+// NumStripes picks the single-node grid width W: enough for parallelism
+// without making blocks degenerate on small inputs.
+func NumStripes(r *graph.Bipartite) int {
+	w := 8
+	for uint32(w) > r.NumUsers || uint32(w) > r.NumItems {
+		w /= 2
+	}
+	return max(w, 1)
+}
+
+// DiagonalSweep returns one pass over the W×W grid, one diagonal at a
+// time: W sub-steps, sub-step d handing the W blocks su·w + (su+d) mod W
+// — disjoint users, disjoint items — to the pool side by side, each
+// worker a contiguous run of them, visit running each block serially.
+func DiagonalSweep(pool *backend.Pool, w int, visit func(block int)) func() {
+	sub := 0
+	diagonal := backend.NewDense(pool, w, func(lo, hi int) {
+		for stripe := lo; stripe < hi; stripe++ {
+			visit(stripe*w + (stripe+sub)%w)
+		}
+	})
+	return func() {
+		for sub = 0; sub < w; sub++ {
+			diagonal.Run()
+		}
+	}
+}
+
+// SGDBlock applies the paper's update equations (5)–(8) to every rating
+// in the block, in its stored order.
+func SGDBlock(block []BlockEdge, userF, itemF []float32, k int, gamma float64, opt CFOptions) {
+	for _, edge := range block {
+		pu := userF[int(edge.U)*k : int(edge.U+1)*k]
+		qv := itemF[int(edge.V)*k : int(edge.V+1)*k]
+		euv := float64(edge.Rating) - Dot(pu, qv)
+		for d := 0; d < k; d++ {
+			pud, qvd := float64(pu[d]), float64(qv[d])
+			pu[d] = float32(pud + gamma*(euv*qvd-opt.LambdaP*pud))
+			qv[d] = float32(qvd + gamma*(euv*pud-opt.LambdaQ*qvd))
+		}
+	}
+}
+
+// TrainSGD runs diagonal-parallel SGD over the NumStripes(r)-wide grid of
+// shuffled blocks on the call's pool — Native's single-node SGD and
+// Galois's, one code. It updates the factors in place and returns the
+// per-iteration RMSE trajectory (empty when skipped).
+func TrainSGD(pool *backend.Pool, r *graph.Bipartite, opt CFOptions, blocks [][]BlockEdge, userF, itemF []float32) []float64 {
+	rmse := make([]float64, 0, opt.Iterations)
+	gamma := opt.LearningRate
+	pass := DiagonalSweep(pool, NumStripes(r), func(b int) { SGDBlock(blocks[b], userF, itemF, opt.K, gamma, opt) })
+	for it := 0; it < opt.Iterations; it++ {
+		pass()
+		gamma *= opt.StepDecay
+		if !opt.SkipRMSETrajectory {
+			rmse = append(rmse, RMSE(r, opt.K, userF, itemF))
+		}
+	}
+	return rmse
 }

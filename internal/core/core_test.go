@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
 )
 
@@ -341,5 +343,39 @@ func TestValidateBFSAllEnginesWouldPass(t *testing.T) {
 	dist := RefBFS(g, 5)
 	if err := ValidateBFS(g, 5, dist); err != nil {
 		t.Errorf("reference BFS on random graph rejected: %v", err)
+	}
+}
+
+// TestDiagonalSweepVisitsEachBlockOnce: one pass over the W×W grid visits
+// every block exactly once, and each sub-step's W blocks hit every user
+// stripe and every item stripe once — the disjointness that lets them run
+// side by side. Sub-steps are barriers, so the visit log splits into them
+// W entries at a time.
+func TestDiagonalSweepVisitsEachBlockOnce(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		pool := backend.NewPool(workers)
+		for _, w := range []int{1, 2, 5, 8} {
+			var mu sync.Mutex
+			var log []int
+			DiagonalSweep(pool, w, func(b int) {
+				mu.Lock()
+				log = append(log, b)
+				mu.Unlock()
+			})()
+			if len(log) != w*w {
+				t.Fatalf("workers=%d w=%d: %d visits, want %d", workers, w, len(log), w*w)
+			}
+			seen := make([]bool, w*w)
+			for sub := 0; sub < w; sub++ {
+				users, items := make([]bool, w), make([]bool, w)
+				for _, b := range log[sub*w : (sub+1)*w] {
+					if seen[b] || users[b/w] || items[b%w] {
+						t.Fatalf("workers=%d w=%d: sub-step %d visits %v", workers, w, sub, log[sub*w:(sub+1)*w])
+					}
+					seen[b], users[b/w], items[b%w] = true, true, true
+				}
+			}
+		}
+		pool.Close()
 	}
 }

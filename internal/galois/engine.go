@@ -9,7 +9,6 @@
 package galois
 
 import (
-	"math/rand"
 	"sync/atomic"
 
 	"graphmaze/internal/backend"
@@ -168,7 +167,7 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 			for v := lo; v < hi; v++ {
 				s1 := g.Neighbors(uint32(v))
 				for _, m := range s1 {
-					local += int64(intersectSorted(s1, g.Neighbors(m)))
+					local += int64(graph.IntersectSortedCount(s1, g.Neighbors(m)))
 				}
 			}
 			if local > 0 {
@@ -178,28 +177,6 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 		return 1
 	})
 	return &core.TriangleResult{Count: count.Load(), Stats: stats}, nil
-}
-
-func intersectSorted(a, b []uint32) int {
-	i, j, c := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
-	}
-	return c
-}
-
-type cfEdge struct {
-	u, v   uint32
-	rating float32
 }
 
 // CollabFilter implements core.Engine. Galois is the only non-native
@@ -219,75 +196,18 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	userF := core.InitFactors(r.NumUsers, k, opt.Seed)
 	itemF := core.InitFactors(r.NumItems, k, opt.Seed+1)
 
-	// Gemulla's n² uniform 2-D chunking (paper §3.2, point (1)).
-	w := 8
-	for uint32(w) > r.NumUsers || uint32(w) > r.NumItems {
-		w /= 2
-	}
-	if w < 1 {
-		w = 1
-	}
-	userStripe := stripeBounds(r.NumUsers, w)
-	itemStripe := stripeBounds(r.NumItems, w)
-	blocks := make([][]cfEdge, w*w)
-	for u := uint32(0); u < r.NumUsers; u++ {
-		su := stripeOf(userStripe, u)
-		adj, wts := r.ByUser.Neighbors(u), r.ByUser.EdgeWeights(u)
-		for i, v := range adj {
-			sv := stripeOf(itemStripe, v)
-			blocks[su*w+sv] = append(blocks[su*w+sv], cfEdge{u: u, v: v, rating: wts[i]})
-		}
-	}
-	for i := range blocks {
-		rng := rand.New(rand.NewSource(opt.Seed + int64(i)*104729))
-		rng.Shuffle(len(blocks[i]), func(a, b int) { blocks[i][a], blocks[i][b] = blocks[i][b], blocks[i][a] })
-	}
+	// Gemulla's n² uniform 2-D chunking (paper §3.2, point (1)): Native's
+	// shuffled grid, so Galois's SGD is Native's.
+	w := core.NumStripes(r)
+	blocks, _, _ := core.BuildBlocks(r, w)
+	core.ShuffleBlocks(blocks, opt.Seed)
 
-	gamma := opt.LearningRate
-	gd := opt.Method == core.GradientDescent
-	var gradP, gradQ []float64
-	if gd {
-		gradP = make([]float64, len(userF))
-		gradQ = make([]float64, len(itemF))
-	}
-	rmse := make([]float64, 0, opt.Iterations)
+	var rmse []float64
 	stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
-		// Diagonal sub's w blocks cover disjoint user and disjoint item
-		// stripes, so they run side by side: each worker takes a
-		// contiguous run of them and runs each block serially. GD's
-		// gradient sums stay write-disjoint the same way.
-		sub := 0
-		diagonal := backend.NewDense(pool, w, func(lo, hi int) {
-			for stripe := lo; stripe < hi; stripe++ {
-				block := blocks[stripe*w+(stripe+sub)%w]
-				if gd {
-					gdBlock(block, userF, itemF, gradP, gradQ, k, opt)
-				} else {
-					sgdBlock(block, userF, itemF, k, gamma, opt)
-				}
-			}
-		})
-		for it := 0; it < opt.Iterations; it++ {
-			if gd {
-				clear(gradP)
-				clear(gradQ)
-			}
-			for sub = 0; sub < w; sub++ {
-				diagonal.Run()
-			}
-			if gd {
-				// GD: one aggregate step per iteration.
-				for i := range userF {
-					userF[i] += float32(gamma * gradP[i])
-				}
-				for i := range itemF {
-					itemF[i] += float32(gamma * gradQ[i])
-				}
-			}
-			gamma *= opt.StepDecay
-			if !opt.SkipRMSETrajectory {
-				rmse = append(rmse, core.RMSE(r, k, userF, itemF))
-			}
+		if opt.Method == core.SGD {
+			rmse = core.TrainSGD(pool, r, opt, blocks, userF, itemF)
+		} else {
+			rmse = gd(pool, r, opt, w, blocks, userF, itemF)
 		}
 		return opt.Iterations
 	})
@@ -297,53 +217,46 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	return &core.CFResult{K: k, UserFactors: userF, ItemFactors: itemF, RMSE: rmse, Stats: stats}, nil
 }
 
-// sgdBlock applies the SGD updates to every rating of one block, in its
-// shuffled order.
-func sgdBlock(block []cfEdge, userF, itemF []float32, k int, gamma float64, opt core.CFOptions) {
-	for _, edge := range block {
-		pu := userF[int(edge.u)*k : int(edge.u+1)*k]
-		qv := itemF[int(edge.v)*k : int(edge.v+1)*k]
-		ev := float64(edge.rating) - core.Dot(pu, qv)
-		for d := 0; d < k; d++ {
-			pud, qvd := float64(pu[d]), float64(qv[d])
-			pu[d] = float32(pud + gamma*(ev*qvd-opt.LambdaP*pud))
-			qv[d] = float32(qvd + gamma*(ev*pud-opt.LambdaQ*qvd))
+// gd runs full-batch gradient descent over the block grid on the call's
+// pool: the diagonal schedule keeps the gradient sums write-disjoint the
+// way it keeps SGD's updates, and each iteration takes one aggregate step.
+// It updates the factors in place and returns the per-iteration RMSE
+// trajectory (empty when skipped).
+func gd(pool *backend.Pool, r *graph.Bipartite, opt core.CFOptions, w int, blocks [][]core.BlockEdge, userF, itemF []float32) []float64 {
+	gradP := make([]float64, len(userF))
+	gradQ := make([]float64, len(itemF))
+	rmse := make([]float64, 0, opt.Iterations)
+	gamma := opt.LearningRate
+	pass := core.DiagonalSweep(pool, w, func(b int) { gdBlock(blocks[b], userF, itemF, gradP, gradQ, opt.K, opt) })
+	for it := 0; it < opt.Iterations; it++ {
+		clear(gradP)
+		clear(gradQ)
+		pass()
+		for i := range userF {
+			userF[i] += float32(gamma * gradP[i])
+		}
+		for i := range itemF {
+			itemF[i] += float32(gamma * gradQ[i])
+		}
+		gamma *= opt.StepDecay
+		if !opt.SkipRMSETrajectory {
+			rmse = append(rmse, core.RMSE(r, opt.K, userF, itemF))
 		}
 	}
+	return rmse
 }
 
 // gdBlock adds one block's ratings to the full-batch gradients.
-func gdBlock(block []cfEdge, userF, itemF []float32, gradP, gradQ []float64, k int, opt core.CFOptions) {
+func gdBlock(block []core.BlockEdge, userF, itemF []float32, gradP, gradQ []float64, k int, opt core.CFOptions) {
 	for _, edge := range block {
-		pu := userF[int(edge.u)*k : int(edge.u+1)*k]
-		qv := itemF[int(edge.v)*k : int(edge.v+1)*k]
-		ev := float64(edge.rating) - core.Dot(pu, qv)
-		gp := gradP[int(edge.u)*k : int(edge.u+1)*k]
-		gq := gradQ[int(edge.v)*k : int(edge.v+1)*k]
+		pu := userF[int(edge.U)*k : int(edge.U+1)*k]
+		qv := itemF[int(edge.V)*k : int(edge.V+1)*k]
+		ev := float64(edge.Rating) - core.Dot(pu, qv)
+		gp := gradP[int(edge.U)*k : int(edge.U+1)*k]
+		gq := gradQ[int(edge.V)*k : int(edge.V+1)*k]
 		for d := 0; d < k; d++ {
 			gp[d] += ev*float64(qv[d]) - opt.LambdaP*float64(pu[d])
 			gq[d] += ev*float64(pu[d]) - opt.LambdaQ*float64(qv[d])
 		}
 	}
-}
-
-func stripeBounds(n uint32, w int) []uint32 {
-	b := make([]uint32, w+1)
-	for i := 0; i <= w; i++ {
-		b[i] = graph.MustU32(int64(uint64(n) * uint64(i) / uint64(w)))
-	}
-	return b
-}
-
-func stripeOf(bounds []uint32, v uint32) int {
-	lo, hi := 0, len(bounds)-1
-	for lo < hi-1 {
-		mid := (lo + hi) / 2
-		if bounds[mid] <= v {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

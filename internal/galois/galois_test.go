@@ -2,12 +2,16 @@ package galois
 
 import (
 	"errors"
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/native"
 	"graphmaze/internal/trace"
 )
 
@@ -171,6 +175,38 @@ func TestCollabFilterSGDBeatsGD(t *testing.T) {
 	}
 	if sgd.RMSE[iters-1] >= gd.RMSE[iters-1] {
 		t.Errorf("SGD final RMSE %v not below GD %v", sgd.RMSE[iters-1], gd.RMSE[iters-1])
+	}
+}
+
+// TestGaloisSGDMatchesNative: Galois's SGD is Native's — the same
+// shuffled W×W block grid, the same diagonal schedule and the same block
+// update — so the factors and the RMSE trajectory agree bit for bit, at
+// every worker count.
+func TestGaloisSGDMatchesNative(t *testing.T) {
+	bp := fixtureRatings(t)
+	opt := core.CFOptions{Method: core.SGD, K: 8, Iterations: 4, Seed: 7}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3, 4} {
+		runtime.GOMAXPROCS(procs)
+		want, err := native.New().CollabFilter(bp, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := New().CollabFilter(bp, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []struct {
+			name      string
+			want, got []float32
+		}{{"user", want.UserFactors, got.UserFactors}, {"item", want.ItemFactors, got.ItemFactors}} {
+			if !slices.EqualFunc(f.want, f.got, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+				t.Errorf("GOMAXPROCS=%d: Galois %s factors differ from Native's", procs, f.name)
+			}
+		}
+		if !slices.EqualFunc(want.RMSE, got.RMSE, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Errorf("GOMAXPROCS=%d: Galois RMSE %v, Native %v", procs, got.RMSE, want.RMSE)
+		}
 	}
 }
 

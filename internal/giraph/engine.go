@@ -145,9 +145,9 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	} else if opt.Exec.Cluster == nil {
 		// A combiner-less single-node run lowers onto the shared SpMV
 		// backend (DESIGN.md §12); everything else is the stock runtime.
-		in := g.Transpose()
+		in, outDeg := g.Transpose(), g.OutDegrees()
 		lower = func(pool *backend.Pool) Lowering {
-			return newPRLowering(pool, g, in, r, job.MaxSupersteps, job.Tracer)
+			return newPRLowering(pool, in, outDeg, r, job.MaxSupersteps, job.Tracer)
 		}
 	}
 	res, stats, err := e.runJob(job, opt.Exec, lower)
@@ -278,7 +278,7 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 				mine := ctx.OutEdges()
 				var count int64
 				for _, m := range messages {
-					count += int64(intersectSorted(mine, m.([]uint32)))
+					count += int64(graph.IntersectSortedCount(mine, m.([]uint32)))
 				}
 				if count > 0 {
 					ctx.AddToCounter(count)
@@ -292,23 +292,6 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 		return nil, err
 	}
 	return &core.TriangleResult{Count: res.Counter, Stats: stats}, nil
-}
-
-func intersectSorted(a, b []uint32) int {
-	i, j, c := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
-	}
-	return c
 }
 
 // cfValue boxes a vertex's latent factor.

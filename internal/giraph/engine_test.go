@@ -2,6 +2,7 @@ package giraph
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -148,6 +149,43 @@ func TestLoweredBFSSuperstepsMatchStock(t *testing.T) {
 	stock := steps(core.Exec{Trace: trace.New(), Cluster: &cluster.Config{Nodes: 1}})
 	if len(lowered) < 3 || !slices.Equal(lowered, stock) {
 		t.Errorf("per-superstep (active, messages, buffered bytes):\nlowered %v\nstock   %v", lowered, stock)
+	}
+}
+
+// TestLoweredPageRankSuperstepsMatchStock: the lowered PageRank (one
+// shared backend sweep per superstep after the first) must equal the stock
+// runtime on a one-node cluster — the ranks bit for bit, since the stock
+// runtime delivers messages in ascending sender order and the sweep folds
+// in-neighbours in that order, and the per-superstep active-vertex and
+// message counts and modeled buffer footprint.
+func TestLoweredPageRankSuperstepsMatchStock(t *testing.T) {
+	g := fixtureDirected(t)
+	run := func(x core.Exec) ([]float64, [][3]float64) {
+		t.Helper()
+		res, err := New().PageRank(g, core.PageRankOptions{Iterations: 6, RandomJump: 0.3, Exec: x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var steps [][3]float64
+		for _, ev := range x.Tracer().Events() {
+			if ev.Cat == "giraph.superstep" {
+				steps = append(steps, [3]float64{ev.Args["active"], ev.Args["messages"], ev.Args["buffered_bytes"]})
+			}
+		}
+		return res.Ranks, steps
+	}
+	lowRanks, lowSteps := run(core.Exec{Trace: trace.New()})
+	stockRanks, stockSteps := run(core.Exec{Trace: trace.New(), Cluster: &cluster.Config{Nodes: 1}})
+	if len(lowSteps) != 7 || !slices.Equal(lowSteps, stockSteps) {
+		t.Errorf("per-superstep (active, messages, buffered bytes):\nlowered %v\nstock   %v", lowSteps, stockSteps)
+	}
+	if len(lowRanks) != len(stockRanks) {
+		t.Fatalf("%d lowered ranks, %d stock", len(lowRanks), len(stockRanks))
+	}
+	for v := range lowRanks {
+		if math.Float64bits(lowRanks[v]) != math.Float64bits(stockRanks[v]) {
+			t.Fatalf("rank[%d]: lowered %v, stock %v", v, lowRanks[v], stockRanks[v])
+		}
 	}
 }
 

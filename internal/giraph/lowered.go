@@ -27,62 +27,53 @@ type Lowering interface {
 	Values() []any
 }
 
-// prLowering runs Algorithm 1's superstep schedule as dense semiring
-// SpMV: each vertex's outgoing rank/degree messages are one contribution
-// vector, and the per-vertex message fold is a plus-times SpMV over the
-// transpose. Because the stock runtime delivers messages in ascending
-// sender order (workers own ascending vertex ranges and flush in worker
-// order) and the transpose stores in-neighbours sorted, the float
-// summation order is identical and the lowered ranks are bit-for-bit the
-// stock ranks.
+// prLowering runs Algorithm 1's superstep schedule as the shared backend
+// sweep, (s, a, b) = (1, r, 1−r): superstep s ≥ 1 folds the rank/degree
+// messages superstep s−1 sent, and since no vertex changes its rank in
+// between, it computes them from the ranks it holds — one whole sweep,
+// contribution vector and plus-times SpMV over the transpose. Superstep 0
+// only does the sending's accounting. Because the stock runtime delivers
+// messages in ascending sender order (workers own ascending vertex ranges
+// and flush in worker order) and the transpose stores in-neighbours
+// sorted, the float summation order is identical and the lowered ranks
+// are bit-for-bit the stock ranks.
 type prLowering struct {
-	mul         *backend.SumVecMul
-	contribPass *backend.Dense
-	r           float64
-	ranks       []float64
-	contrib     []float64
-	edges       int64
-	maxS        int
-	buffered    int64
-	halted      bool
+	sweep    *backend.PageRankSweep
+	ranks    []float64
+	edges    int64
+	maxS     int
+	buffered int64
+	halted   bool
 }
 
-// newPRLowering binds the lowering to the call's pool. in is g's transpose,
-// built by the caller before the timed region.
-func newPRLowering(pool *backend.Pool, g, in *graph.CSR, r float64, maxSupersteps int, tr *trace.Tracer) *prLowering {
-	n := int(g.NumVertices)
+// newPRLowering binds the lowering to the call's pool. in is g's transpose
+// and outDeg g's out-degrees, both built by the caller before the timed
+// region.
+func newPRLowering(pool *backend.Pool, in *graph.CSR, outDeg []int64, r float64, maxSupersteps int, tr *trace.Tracer) *prLowering {
+	n := int(in.NumVertices)
 	at := backend.FromCSR(in)
 	l := &prLowering{
-		mul:     backend.NewSumVecMul(pool, at).WithTracer(tr),
-		r:       r,
-		ranks:   make([]float64, n),
-		contrib: make([]float64, n),
-		edges:   at.NNZ(),
-		maxS:    maxSupersteps,
+		sweep: backend.NewPageRankSweep(pool, at, outDeg, 1, r, 1-r, make([]float64, n)).WithTracer(tr),
+		ranks: make([]float64, n),
+		edges: at.NNZ(),
+		maxS:  maxSupersteps,
 	}
 	for i := range l.ranks {
 		l.ranks[i] = 1
 	}
-	offs := g.Offsets
-	l.contribPass = backend.NewDense(pool, n, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			l.contrib[v] = backend.DivDegree(l.ranks[v], offs[v+1]-offs[v])
-		}
-	})
 	return l
 }
 
 func (l *prLowering) Step(s int) (active, msgs int64) {
 	if s > 0 {
 		// Fold the previous superstep's messages: value ← r + (1−r)·Σ.
-		l.mul.AffineInto(l.ranks, l.contrib, l.r, 1-l.r)
+		l.sweep.Run(l.ranks, l.ranks)
 	}
 	n := int64(len(l.ranks))
 	if s < l.maxS-1 {
 		// Every vertex with out-edges re-broadcasts rank/degree: one
 		// message per edge, all buffered before delivery (the stock
 		// runtime's single-chunk superstep).
-		l.contribPass.Run()
 		l.buffered = l.edges * (javaObjectOverhead + 8)
 		return n, l.edges
 	}

@@ -114,6 +114,27 @@ func (g *CSR) HasEdge(u, v uint32) bool {
 	return false
 }
 
+// IntersectSortedCount counts common elements of two sorted id lists:
+// the merge every engine's triangle count runs over sorted adjacency.
+// It is small enough to inline at each call site.
+func IntersectSortedCount(a, b []uint32) int {
+	i, j, c := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		ai, bj := a[i], b[j]
+		switch {
+		case ai < bj:
+			i++
+		case ai > bj:
+			j++
+		default:
+			c++
+			i++
+			j++
+		}
+	}
+	return c
+}
+
 // Edges materializes the edge list. Intended for tests and tooling.
 func (g *CSR) Edges() []Edge {
 	out := make([]Edge, 0, g.NumEdges())

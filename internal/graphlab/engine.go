@@ -84,30 +84,24 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 }
 
 // pageRankLowered is the local PageRank sweep lowered onto the shared
-// SpMV backend (DESIGN.md §12): the GAS gather over in-edges is a
-// plus-times SpMV of the contribution vector over the transpose, and
-// Apply fuses into its affine epilogue. The fold order — zero-seeded
-// accumulator over ascending source ids — matches the generic runtime's
-// gather exactly, so the ranks are bit-identical to runLocal's, and the
-// sweep spans keep their shape (every vertex stays active and changes
-// every round under this spec).
+// backend sweep (DESIGN.md §12) as (s, a, b) = (1, r, 1−r): the GAS gather
+// over in-edges is a plus-times SpMV of the contribution vector over the
+// transpose, and Apply fuses into its affine epilogue. The fold order —
+// zero-seeded accumulator over ascending source ids — matches the generic
+// runtime's gather exactly, so the ranks are bit-identical to runLocal's,
+// and the sweep spans keep their shape (every vertex stays active and
+// changes every round under this spec).
 func pageRankLowered(pool *backend.Pool, in *graph.CSR, outDeg []int64, opt core.PageRankOptions, tr *trace.Tracer) []float64 {
 	n := int(in.NumVertices)
-	mul := backend.NewSumVecMul(pool, backend.FromCSR(in)).WithTracer(tr)
+	r := opt.RandomJump
+	sweep := backend.NewPageRankSweep(pool, backend.FromCSR(in), outDeg, 1, r, 1-r, make([]float64, n)).WithTracer(tr)
 	vals := make([]float64, n)
 	for i := range vals {
 		vals[i] = 1
 	}
-	contrib := make([]float64, n)
-	contribPass := backend.NewDense(pool, n, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			contrib[v] = backend.DivDegree(vals[v], outDeg[v])
-		}
-	})
 	for round := 1; round <= opt.Iterations; round++ {
 		sp := tr.Begin("graphlab.sweep", "sweep").Arg("round", float64(round))
-		contribPass.Run()
-		mul.AffineInto(vals, contrib, opt.RandomJump, 1-opt.RandomJump)
+		sweep.Run(vals, vals)
 		sp.Arg("changed", float64(n)).End()
 	}
 	return vals

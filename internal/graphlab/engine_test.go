@@ -2,6 +2,7 @@ package graphlab
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"graphmaze/internal/backend"
@@ -255,6 +256,27 @@ func TestCollabFilterCluster(t *testing.T) {
 	}
 	if res.Stats.Report.BytesSent == 0 {
 		t.Error("no factor traffic recorded")
+	}
+}
+
+// TestLoweredPageRankMatchesRunLocal: the lowered PageRank (the shared
+// backend sweep, run in place) equals the generic GAS runtime running
+// pageRankSpec, bit for bit, on pools of 1 and 3 workers: the same
+// zero-seeded fold over ascending in-neighbours, the same Apply.
+func TestLoweredPageRankMatchesRunLocal(t *testing.T) {
+	g := fixtureDirected(t)
+	in, outDeg := g.Transpose(), g.OutDegrees()
+	opt := core.PageRankOptions{Iterations: 6, RandomJump: 0.3}
+	for _, workers := range []int{1, 3} {
+		pool := backend.NewPool(workers)
+		want := runLocal(pool, g, in, outDeg, pageRankSpec(opt)).vals
+		got := pageRankLowered(pool, in, outDeg, opt, nil)
+		pool.Close()
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("workers=%d: rank[%d] lowered %v, runLocal %v", workers, v, got[v], want[v])
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package native
 import (
 	"encoding/binary"
 	"math"
-	"math/rand"
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
@@ -30,9 +29,9 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	itemF := core.InitFactors(r.NumItems, k, opt.Seed+1)
 	train := func(pool *backend.Pool) []float64 { return gdLocal(pool, r, opt, userF, itemF) }
 	if opt.Method == core.SGD {
-		blocks, _, _ := buildBlocks(r, numStripes(r))
-		shuffleBlocks(blocks, opt.Seed)
-		train = func(pool *backend.Pool) []float64 { return sgdLocal(pool, r, opt, blocks, userF, itemF) }
+		blocks, _, _ := core.BuildBlocks(r, core.NumStripes(r))
+		core.ShuffleBlocks(blocks, opt.Seed)
+		train = func(pool *backend.Pool) []float64 { return core.TrainSGD(pool, r, opt, blocks, userF, itemF) }
 	}
 	var rmse []float64
 	stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
@@ -43,118 +42,6 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		rmse = append(rmse, core.RMSE(r, k, userF, itemF))
 	}
 	return &core.CFResult{K: k, UserFactors: userF, ItemFactors: itemF, RMSE: rmse, Stats: stats}, nil
-}
-
-// blockEdge is one rating inside a (user-stripe, item-stripe) block.
-type blockEdge struct {
-	u, v   uint32
-	rating float32
-}
-
-// buildBlocks groups ratings into a W×W grid of blocks over contiguous
-// user and item stripes — Gemulla's partitioning: blocks on the same
-// diagonal touch disjoint users and items, so they update without locks.
-func buildBlocks(r *graph.Bipartite, w int) (blocks [][]blockEdge, userStripe, itemStripe []uint32) {
-	userStripe = stripeBounds(r.NumUsers, w)
-	itemStripe = stripeBounds(r.NumItems, w)
-	blocks = make([][]blockEdge, w*w)
-	for u := uint32(0); u < r.NumUsers; u++ {
-		su := stripeOf(userStripe, u)
-		adj, wts := r.ByUser.Neighbors(u), r.ByUser.EdgeWeights(u)
-		for i, v := range adj {
-			sv := stripeOf(itemStripe, v)
-			idx := su*w + sv
-			blocks[idx] = append(blocks[idx], blockEdge{u: u, v: v, rating: wts[i]})
-		}
-	}
-	return blocks, userStripe, itemStripe
-}
-
-func stripeBounds(n uint32, w int) []uint32 {
-	b := make([]uint32, w+1)
-	for i := 0; i <= w; i++ {
-		b[i] = graph.MustU32(int64(uint64(n) * uint64(i) / uint64(w)))
-	}
-	return b
-}
-
-func stripeOf(bounds []uint32, v uint32) int {
-	lo, hi := 0, len(bounds)-1
-	for lo < hi-1 {
-		mid := (lo + hi) / 2
-		if bounds[mid] <= v {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// shuffleBlocks pre-shuffles each block once with a deterministic seed:
-// SGD requires random visit order within a block.
-func shuffleBlocks(blocks [][]blockEdge, seed int64) {
-	for i := range blocks {
-		rng := rand.New(rand.NewSource(seed + int64(i)*7919))
-		rng.Shuffle(len(blocks[i]), func(a, b int) {
-			blocks[i][a], blocks[i][b] = blocks[i][b], blocks[i][a]
-		})
-	}
-}
-
-// sgdLocal runs diagonal-parallel SGD over the W×W shuffled blocks on the
-// call's pool: W sub-steps per iteration, each processing the W blocks of
-// one diagonal concurrently. It updates the factors in place and returns
-// the per-iteration RMSE trajectory (empty when skipped).
-func sgdLocal(pool *backend.Pool, r *graph.Bipartite, opt core.CFOptions, blocks [][]blockEdge, userF, itemF []float32) []float64 {
-	k := opt.K
-	w := numStripes(r)
-	rmse := make([]float64, 0, opt.Iterations)
-	gamma := opt.LearningRate
-	sub := 0
-	diagonal := backend.NewDense(pool, w, func(lo, hi int) {
-		for stripe := lo; stripe < hi; stripe++ {
-			sgdBlock(blocks[stripe*w+(stripe+sub)%w], userF, itemF, k, gamma, opt)
-		}
-	})
-	for it := 0; it < opt.Iterations; it++ {
-		for sub = 0; sub < w; sub++ {
-			diagonal.Run()
-		}
-		gamma *= opt.StepDecay
-		if !opt.SkipRMSETrajectory {
-			rmse = append(rmse, core.RMSE(r, k, userF, itemF))
-		}
-	}
-	return rmse
-}
-
-// numStripes picks the SGD grid width: enough for parallelism without
-// making blocks degenerate on small inputs.
-func numStripes(r *graph.Bipartite) int {
-	w := 8
-	for uint32(w) > r.NumUsers || uint32(w) > r.NumItems {
-		w /= 2
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// sgdBlock applies the paper's update equations (5)–(8) to every rating in
-// the block.
-func sgdBlock(block []blockEdge, userF, itemF []float32, k int, gamma float64, opt core.CFOptions) {
-	for _, edge := range block {
-		pu := userF[int(edge.u)*k : int(edge.u+1)*k]
-		qv := itemF[int(edge.v)*k : int(edge.v+1)*k]
-		euv := float64(edge.rating) - core.Dot(pu, qv)
-		for d := 0; d < k; d++ {
-			pud, qvd := float64(pu[d]), float64(qv[d])
-			pu[d] = float32(pud + gamma*(euv*qvd-opt.LambdaP*pud))
-			qv[d] = float32(qvd + gamma*(euv*pud-opt.LambdaQ*qvd))
-		}
-	}
 }
 
 // gdLocal runs full-batch gradient descent (paper eqs. 11–12) on the
@@ -240,7 +127,7 @@ func (e *Engine) cfCluster(r *graph.Bipartite, opt core.CFOptions) (*core.CFResu
 	userF := core.InitFactors(r.NumUsers, k, opt.Seed)
 	itemF := core.InitFactors(r.NumItems, k, opt.Seed+1)
 	n := c.Nodes()
-	blocks, userStripe, itemStripe := buildBlocks(r, n)
+	blocks, userStripe, itemStripe := core.BuildBlocks(r, n)
 
 	for node := 0; node < n; node++ {
 		users := int64(userStripe[node+1] - userStripe[node])
@@ -253,7 +140,7 @@ func (e *Engine) cfCluster(r *graph.Bipartite, opt core.CFOptions) (*core.CFResu
 	}
 
 	if opt.Method == core.SGD {
-		shuffleBlocks(blocks, opt.Seed)
+		core.ShuffleBlocks(blocks, opt.Seed)
 	}
 
 	rmse := make([]float64, 0, opt.Iterations)
@@ -271,7 +158,7 @@ func (e *Engine) cfCluster(r *graph.Bipartite, opt core.CFOptions) (*core.CFResu
 						}
 					}
 					stripe := (node + sub) % n
-					sgdBlock(blocks[node*n+stripe], userF, itemF, k, gamma, opt)
+					core.SGDBlock(blocks[node*n+stripe], userF, itemF, k, gamma, opt)
 					if n > 1 {
 						lo, hi := itemStripe[stripe], itemStripe[stripe+1]
 						c.Send(node, (node+n-1)%n, encodeStripe(lo, hi, itemF, k))
@@ -292,17 +179,17 @@ func (e *Engine) cfCluster(r *graph.Bipartite, opt core.CFOptions) (*core.CFResu
 				touched := make(map[uint32]bool)
 				for sv := 0; sv < n; sv++ {
 					for _, edge := range blocks[node*n+sv] {
-						pu := userF[int(edge.u)*k : int(edge.u+1)*k]
-						qv := itemF[int(edge.v)*k : int(edge.v+1)*k]
-						errv := float64(edge.rating) - core.Dot(pu, qv)
-						gp := gradP[int(edge.u)*k : int(edge.u+1)*k]
-						gq := gradQ[int(edge.v)*k : int(edge.v+1)*k]
+						pu := userF[int(edge.U)*k : int(edge.U+1)*k]
+						qv := itemF[int(edge.V)*k : int(edge.V+1)*k]
+						errv := float64(edge.Rating) - core.Dot(pu, qv)
+						gp := gradP[int(edge.U)*k : int(edge.U+1)*k]
+						gq := gradQ[int(edge.V)*k : int(edge.V+1)*k]
 						for d := 0; d < k; d++ {
 							gp[d] += float32(errv*float64(qv[d]) - opt.LambdaP*float64(pu[d]))
 							gq[d] += float32(errv*float64(pu[d]) - opt.LambdaQ*float64(qv[d]))
 						}
-						if sv != node && !touched[edge.v] {
-							touched[edge.v] = true
+						if sv != node && !touched[edge.V] {
+							touched[edge.V] = true
 							remoteItems++
 						}
 					}

@@ -98,33 +98,23 @@ func PageRankInto(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump, 
 	for i := range pr {
 		pr[i] = 1
 	}
-	mul := backend.NewSumVecMul(pool, in).WithTracer(tr)
-	pr, _, sweeps, _ := pageRankSweeps(pool, mul, outDeg, jump, tol, maxSweeps, pr, next, contrib, tr)
+	pr, _, sweeps, _ := pageRankSweeps(pool, in, outDeg, jump, tol, maxSweeps, pr, next, contrib, tr)
 	return pr, sweeps
 }
 
-// pageRankSweeps is the one contribution-caching sweep loop: a dense pass
-// producing the contribution array (one streaming store per vertex, so
-// the gather does a single random load per edge instead of two dependent
-// ones plus a divide), a mapped plus-times pattern SpMV over the in-CSR
-// with edge-balanced row splits, a buffer swap, and — when tol > 0 — the
-// convergence check. Per-vertex expressions and the ascending in-neighbor
-// fold order are fixed, so ranks are bit-identical at any worker count.
-// It starts from the ranks in pr and returns the final ranks, the other
-// buffer (the two swap every sweep), the sweeps run, and whether the
-// tolerance was met.
-func pageRankSweeps(pool *backend.Pool, mul *backend.SumVecMul, outDeg []int64, jump, tol float64, maxSweeps int,
+// pageRankSweeps is native's sweep loop over the one backend
+// PageRankSweep, run as (s, a, b) = (1−r, r, 1): each sweep reads pr and
+// writes next, the buffers swap, and — when tol > 0 — the convergence
+// check compares them. It starts from the ranks in pr and returns the
+// final ranks, the other buffer (the two swap every sweep), the sweeps
+// run, and whether the tolerance was met.
+func pageRankSweeps(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, maxSweeps int,
 	pr, next, contrib []float64, tr *trace.Tracer) (ranks, scratch []float64, sweeps int, converged bool) {
-	contribPass := backend.NewDense(pool, len(pr), func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			contrib[v] = backend.DivDegree((1-jump)*pr[v], outDeg[v])
-		}
-	})
+	sweep := backend.NewPageRankSweep(pool, in, outDeg, 1-jump, jump, 1, contrib).WithTracer(tr)
 	for sweeps < maxSweeps && !converged {
 		sp := tr.Begin("native.pr.iter", "pagerank iteration").Arg("iter", float64(sweeps))
 		sweeps++
-		contribPass.Run()
-		mul.AffineInto(next, contrib, jump, 1)
+		sweep.Run(next, pr)
 		pr, next = next, pr
 		converged = tol > 0 && maxAbsDiff(pool, pr, next) <= tol
 		sp.End()

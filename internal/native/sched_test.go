@@ -43,7 +43,7 @@ func triangleLocalStatic(e *Engine, g *graph.CSR) int64 {
 					}
 				}
 			} else {
-				total += int64(intersectSortedCount(adjV, adjU))
+				total += int64(graph.IntersectSortedCount(adjV, adjU))
 			}
 		}
 		if useBV {

@@ -103,7 +103,7 @@ func triangles(pool *backend.Pool, g *graph.CSR, first []int64, bitvector bool) 
 						}
 					}
 				} else {
-					local += int64(intersectSortedCount(adjV, adjU))
+					local += int64(graph.IntersectSortedCount(adjV, adjU))
 				}
 			}
 			if useBV {
@@ -115,25 +115,6 @@ func triangles(pool *backend.Pool, g *graph.CSR, first []int64, bitvector bool) 
 		total.Add(local)
 	}).Run()
 	return total.Load()
-}
-
-// intersectSortedCount counts common elements of two sorted id lists.
-func intersectSortedCount(a, b []uint32) int {
-	i, j, c := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		ai, bj := a[i], b[j]
-		switch {
-		case ai < bj:
-			i++
-		case ai > bj:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
-	}
-	return c
 }
 
 // triangleCluster distributes counting over a 1-D partition. For every
@@ -169,7 +150,7 @@ func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.
 			adjV := g.Neighbors(v)
 			for _, u := range adjV {
 				if owner := part.Owner(u); owner == node {
-					local += int64(intersectSortedCount(adjV, g.Neighbors(u)))
+					local += int64(graph.IntersectSortedCount(adjV, g.Neighbors(u)))
 				}
 			}
 			// v's list must reach the owners of v's remote out-neighbours:
@@ -214,7 +195,7 @@ func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.
 					if part.Owner(u) != node {
 						continue
 					}
-					local += int64(intersectSortedCount(msg.adj, g.Neighbors(u)))
+					local += int64(graph.IntersectSortedCount(msg.adj, g.Neighbors(u)))
 				}
 			}
 		}
