@@ -69,7 +69,7 @@ func WarmPageRank(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump, 
 		}
 	}
 
-	ranks, _, sweeps, converged := pageRankSweeps(pool, in, outDeg, jump, tol, maxSweeps,
+	ranks, sweeps, converged := pageRankSweeps(pool, in, outDeg, jump, tol, 0, maxSweeps,
 		ranks, make([]float64, n), make([]float64, n), nil)
 	if !converged {
 		return nil, sweeps, fmt.Errorf("native: incremental pagerank did not converge to %g in %d sweeps", tol, maxSweeps)

@@ -111,6 +111,49 @@ func TestPageRankMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPageRankIntoResumesBitForBit: a fixed-sweeps run resumed from the
+// ranks of a shorter one ends on the cold run's bits, for every split of
+// the sweeps, on pools of 1 and 3 workers; and the cold run's in-place
+// loop ends on the bits of the out-of-place swap it replaced.
+func TestPageRankIntoResumesBitForBit(t *testing.T) {
+	g := testGraphDirected(t)
+	in, deg := backend.FromCSR(g.Transpose()), g.OutDegrees()
+	n := int(g.NumVertices)
+	const sweeps, jump = 12, 0.3
+	same := func(a, b []float64) bool {
+		for v := range a {
+			if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	for _, workers := range []int{1, 3} {
+		pool := backend.NewPool(workers)
+		pr, next := make([]float64, n), make([]float64, n)
+		for v := range pr {
+			pr[v] = 1
+		}
+		swap := backend.NewPageRankSweep(pool, in, deg, 1-jump, jump, 1, make([]float64, n))
+		for i := 0; i < sweeps; i++ {
+			swap.Run(next, pr)
+			pr, next = next, pr
+		}
+		cold, ran := PageRank(pool, in, deg, jump, 0, sweeps, nil)
+		if ran != sweeps || !same(cold, pr) {
+			t.Fatalf("workers=%d: the in-place run (%d sweeps) differs from the out-of-place swap", workers, ran)
+		}
+		for done := 1; done <= sweeps; done++ {
+			part, _ := PageRank(pool, in, deg, jump, 0, done, nil)
+			ranks, total := PageRankInto(pool, in, deg, jump, 0, sweeps, done, nil, part, nil, make([]float64, n))
+			if total != sweeps || !same(ranks, cold) {
+				t.Errorf("workers=%d: resumed after %d sweeps, ran to %d and differs from the cold run", workers, done, total)
+			}
+		}
+		pool.Close()
+	}
+}
+
 func TestPageRankClusterMatchesReference(t *testing.T) {
 	g := testGraphDirected(t)
 	opt := core.PageRankOptions{Iterations: 6,

@@ -31,27 +31,30 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	// (a served query borrows them; CombBLAS and Galois allocate theirs
 	// before their kernels too).
 	n := int(g.NumVertices)
-	ranks, next, contrib := make([]float64, n), make([]float64, n), make([]float64, n)
+	ranks, spare := make([]float64, n), make([]float64, n)
 	stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) int {
-		ranks = e.pageRankLocal(pool, in, outDeg, opt, tr, ranks, next, contrib)
+		ranks = e.pageRankLocal(pool, in, outDeg, opt, tr, ranks, spare)
 		return opt.Iterations
 	})
 	return &core.PageRankResult{Ranks: ranks, Stats: stats}, nil
 }
 
 // pageRankLocal is the single-node kernel over the in-CSR, on the caller's
-// vectors (each in.NumVertices long, overwritten). It runs opt.Iterations
-// iterations and returns the ranks, pr or next.
+// vectors (each in.NumVertices long, overwritten): the tuned kernel sweeps
+// pr in place through the contributions in spare, the ablation baseline
+// swaps pr with spare every iteration. It runs opt.Iterations iterations
+// and returns the ranks, pr or spare.
 func (e *Engine) pageRankLocal(pool *backend.Pool, in *graph.CSR, outDeg []int64, opt core.PageRankOptions, tr *trace.Tracer,
-	pr, next, contrib []float64) []float64 {
+	pr, spare []float64) []float64 {
 	if e.tuning.ContribCaching {
 		// Tuned path: the engine is a thin wrapper over the package's one
 		// PageRank kernel — the engine-vs-native deltas in the harness
 		// tables measure pure framework abstraction cost over the same
 		// kernels.
-		ranks, _ := PageRankInto(pool, backend.FromCSR(in), outDeg, opt.RandomJump, 0, opt.Iterations, tr, pr, next, contrib)
+		ranks, _ := PageRankInto(pool, backend.FromCSR(in), outDeg, opt.RandomJump, 0, opt.Iterations, 0, tr, pr, nil, spare)
 		return ranks
 	}
+	next := spare
 	for i := range pr {
 		pr[i] = 1
 	}
@@ -86,40 +89,57 @@ func (e *Engine) pageRankLocal(pool *backend.Pool, in *graph.CSR, outDeg []int64
 // the number of sweeps run. tr may be nil.
 func PageRank(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, maxSweeps int, tr *trace.Tracer) ([]float64, int) {
 	n := int(in.NumRows)
-	return PageRankInto(pool, in, outDeg, jump, tol, maxSweeps, tr, make([]float64, n), make([]float64, n), make([]float64, n))
+	var next []float64
+	if tol > 0 {
+		next = make([]float64, n)
+	}
+	return PageRankInto(pool, in, outDeg, jump, tol, maxSweeps, 0, tr, make([]float64, n), next, make([]float64, n))
 }
 
-// PageRankInto is PageRank on the caller's vectors: pr, next and contrib
-// each hold in.NumRows elements and are overwritten whatever they held.
-// The returned ranks are pr or next (the two swap every sweep), so they
-// are the caller's to reuse once it has read them.
-func PageRankInto(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, maxSweeps int, tr *trace.Tracer,
+// PageRankInto is PageRank on the caller's vectors, each of in.NumRows
+// elements: pr holds the ranks after done sweeps from all-ones (done = 0:
+// whatever pr holds is reset to all-ones), and the run continues from
+// there to maxSweeps sweeps in all. Every sweep is a pure function of the
+// ranks before it, so a run resumed from done sweeps ends on the same bits
+// as a cold one. contrib is overwritten. A fixed-sweeps run (tol = 0)
+// sweeps pr in place and returns it, and next may be nil; with tol > 0
+// the returned ranks are pr or next (the two swap every sweep), so they
+// are the caller's to reuse once it has read them. The count returned
+// includes the done sweeps.
+func PageRankInto(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, maxSweeps, done int, tr *trace.Tracer,
 	pr, next, contrib []float64) ([]float64, int) {
-	for i := range pr {
-		pr[i] = 1
+	if done == 0 {
+		for i := range pr {
+			pr[i] = 1
+		}
 	}
-	pr, _, sweeps, _ := pageRankSweeps(pool, in, outDeg, jump, tol, maxSweeps, pr, next, contrib, tr)
+	pr, sweeps, _ := pageRankSweeps(pool, in, outDeg, jump, tol, done, maxSweeps, pr, next, contrib, tr)
 	return pr, sweeps
 }
 
 // pageRankSweeps is native's sweep loop over the one backend
-// PageRankSweep, run as (s, a, b) = (1−r, r, 1): each sweep reads pr and
-// writes next, the buffers swap, and — when tol > 0 — the convergence
-// check compares them. It starts from the ranks in pr and returns the
-// final ranks, the other buffer (the two swap every sweep), the sweeps
-// run, and whether the tolerance was met.
-func pageRankSweeps(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, maxSweeps int,
-	pr, next, contrib []float64, tr *trace.Tracer) (ranks, scratch []float64, sweeps int, converged bool) {
+// PageRankSweep, run as (s, a, b) = (1−r, r, 1), from the ranks in pr
+// after done sweeps up to maxSweeps. A fixed-sweeps run (tol = 0) sweeps
+// pr in place; with tol > 0 each sweep reads pr and writes next, the
+// buffers swap, and the convergence check compares them. It returns the
+// final ranks, the sweeps run (done included), and whether the tolerance
+// was met.
+func pageRankSweeps(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, done, maxSweeps int,
+	pr, next, contrib []float64, tr *trace.Tracer) (ranks []float64, sweeps int, converged bool) {
 	sweep := backend.NewPageRankSweep(pool, in, outDeg, 1-jump, jump, 1, contrib).WithTracer(tr)
-	for sweeps < maxSweeps && !converged {
+	for sweeps = done; sweeps < maxSweeps && !converged; {
 		sp := tr.Begin("native.pr.iter", "pagerank iteration").Arg("iter", float64(sweeps))
 		sweeps++
-		sweep.Run(next, pr)
-		pr, next = next, pr
-		converged = tol > 0 && maxAbsDiff(pool, pr, next) <= tol
+		if tol == 0 {
+			sweep.Run(pr, pr)
+		} else {
+			sweep.Run(next, pr)
+			pr, next = next, pr
+			converged = maxAbsDiff(pool, pr, next) <= tol
+		}
 		sp.End()
 	}
-	return pr, next, sweeps, converged
+	return pr, sweeps, converged
 }
 
 // maxAbsDiff returns the largest element-wise |a-b| as one dense pass on

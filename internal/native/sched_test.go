@@ -199,7 +199,7 @@ func TestPageRankEdgeBalancedMatchesStatic(t *testing.T) {
 			defer pool.Close()
 			n := g.NumVertices
 			gotRanks := e.pageRankLocal(pool, g.Transpose(), g.OutDegrees(), opt, nil,
-				make([]float64, n), make([]float64, n), make([]float64, n))
+				make([]float64, n), make([]float64, n))
 			for v := range wantRanks {
 				// Bit-identical: chunk boundaries moved, per-vertex sums did not.
 				if gotRanks[v] != wantRanks[v] {

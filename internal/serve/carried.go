@@ -7,13 +7,15 @@ import (
 )
 
 // Carried state (DESIGN.md §15): what lets a BFS or connected-components
-// miss after a delta cost what the delta changed. Beside the per-epoch
-// bound state a served graph keeps, per BFS source and for CC, the result
-// vector of the newest epoch it was computed at, and the cleaned edges of
-// every delta since the oldest of those vectors. A miss at epoch E takes
-// its vector out (ownership moves: the repair is in place, and no second
-// query can see it half repaired), repairs it with the pending edges of
-// (its epoch, E], reduces it, and puts it back tagged E.
+// miss after a delta cost what the delta changed, and a fixed-iters
+// PageRank miss cost only the sweeps its epoch has not run yet. Beside the
+// per-epoch bound state a served graph keeps, per BFS source and for CC,
+// the result vector of the newest epoch it was computed at, and the
+// cleaned edges of every delta since the oldest of those vectors. A miss
+// at epoch E takes its vector out (ownership moves: the repair is in
+// place, and no second query can see it half repaired), repairs it with
+// the pending edges of (its epoch, E], reduces it, and puts it back tagged
+// E.
 //
 // Three bounds keep this from growing with traffic, each a property of
 // the graph and none a setting: the vectors of one graph may total at
@@ -23,6 +25,13 @@ import (
 // pending list is what it bounds), and pending deltas no vector predates
 // are trimmed. Carried state holds vectors and edge lists, never a
 // snapshot.
+//
+// PageRank carries one rank vector per graph, apart from those bounds: a
+// fixed-iters answer is a prefix of one deterministic trajectory, so the
+// ranks after s sweeps at (epoch, jump) swept N−s more times are the
+// N-sweep answer bit for bit. Nothing repairs it across epochs (a warm
+// start there is a different float sequence); an older epoch's vector is
+// only a buffer to run cold in.
 
 // carried is one result vector and the epoch it is exact for.
 type carried struct {
@@ -35,6 +44,56 @@ type carried struct {
 }
 
 func (c *carried) bytes() int64 { return 4 * int64(cap(c.dist)+cap(c.labels)) }
+
+// rankSlot is the PageRank vector a graph carries: the ranks after sweeps
+// sweeps from all-ones with random jump jump, exact for epoch. vec is nil
+// while a miss holds it, and before the first.
+type rankSlot struct {
+	epoch  graph.Epoch
+	jump   float64
+	sweeps int
+	vec    []float64
+}
+
+// takeRanks hands a fixed-iters PageRank miss at (epoch, jump, iters) the
+// vector to run in, with the sweeps it already holds: the slot's own
+// ranks when they are exactly (epoch, jump) and no further than iters,
+// and its buffer, to run cold in, when they are from an older epoch.
+// Otherwise — a slot already past iters, another jump, a straggler pinned
+// to an older snapshot than the slot's — it returns nil and the miss runs
+// cold on scratch, leaving the slot to the queries it serves. Ownership
+// moves, as in takeCarried: until putRanks no other query sees the vector.
+func (g *servedGraph) takeRanks(epoch graph.Epoch, jump float64, iters int) (vec []float64, done int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	r := &g.ranks
+	switch {
+	case r.vec == nil:
+		return nil, 0
+	case r.epoch == epoch && r.jump == jump && r.sweeps <= iters:
+		done = r.sweeps
+	case r.epoch >= epoch:
+		return nil, 0
+	}
+	vec, r.vec = r.vec, nil
+	g.settle()
+	return vec, done
+}
+
+// putRanks offers r to the slot, which keeps it unless it has since
+// gained a newer epoch, or the same epoch with at least as many sweeps. It
+// returns the vector left over, the caller's to reuse: r.vec when the slot
+// refused it, else the one r displaced (nil from an empty slot).
+func (g *servedGraph) putRanks(r rankSlot) (spare []float64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if have := g.ranks; have.vec != nil && (have.epoch > r.epoch || have.epoch == r.epoch && have.sweeps >= r.sweeps) {
+		return r.vec
+	}
+	spare, g.ranks = g.ranks.vec, r
+	g.settle()
+	return spare
+}
 
 // notePending records the cleaned edges of the delta that produced epoch
 // (the graph now has n vertices) and applies the falling-behind bound.
@@ -135,7 +194,8 @@ func (g *servedGraph) carriedBytes() (total int64) {
 }
 
 // settle trims the pending deltas no carried vector predates and
-// republishes the two gauges. The caller holds g.mu.
+// republishes the two gauges; carried_bytes counts the rank slot too. The
+// caller holds g.mu.
 func (g *servedGraph) settle() {
 	end := g.pendingBase + graph.Epoch(len(g.pending))
 	keepFrom := end
@@ -150,6 +210,6 @@ func (g *servedGraph) settle() {
 	for _, added := range g.pending {
 		edges += len(added)
 	}
-	g.carriedGauge.Set(float64(g.carriedBytes()))
+	g.carriedGauge.Set(float64(g.carriedBytes() + 8*int64(cap(g.ranks.vec))))
 	g.pendingGauge.Set(float64(edges))
 }

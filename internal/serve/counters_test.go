@@ -76,6 +76,8 @@ func TestServerCountersAgreeWithClient(t *testing.T) {
 		"serve.graph.social.epoch",
 		"serve.graph.social.pending_edges",
 		"serve.inflight",
+		"serve.pagerank.resumed_sweeps",
+		"serve.pagerank.sweeps",
 		"serve.panics",
 		"serve.query.bfs_ns",
 		"serve.query.cc_ns",

@@ -222,6 +222,10 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	snap, added, stats, err := g.v.ApplyDelta(delta)
 	var persistErr error
 	if err == nil {
+		// The gauge moves with the epoch, under the lock that orders
+		// epochs: set after it, two deltas could publish theirs in the
+		// wrong order, and a failed save would skip a live epoch.
+		g.epochGauge.Set(float64(snap.Epoch()))
 		g.notePending(snap.Epoch(), added, snap.NumVertices())
 		_, _, persistErr = g.store.SaveDelta(snap, added, 1)
 	}
@@ -235,7 +239,6 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.deltas.Add(1)
-	g.epochGauge.Set(float64(snap.Epoch()))
 	writeJSON(w, http.StatusOK, deltaResponse{
 		Graph:       g.name,
 		Epoch:       uint64(snap.Epoch()),

@@ -219,9 +219,14 @@ func TestConcurrentMissesMatchFreshServer(t *testing.T) {
 // few kernel headers), and once a bypass BFS has run, the next allocates
 // less than its own 4·n-byte distance vector (what is left is the
 // traversal's bitmaps and frontier lists, the response and a few headers).
-// The collector is parked so the lending pool cannot be emptied
-// mid-test, and the best of a few tries is taken because a race-enabled
-// sync.Pool drops a quarter of what it is handed.
+// The PageRank rank slot's paths hold it too: a miss that resumes the
+// slot's shorter run, one the slot refuses because it already holds a
+// longer run (it runs on scratch), one whose scratch run displaces a
+// shorter run of another jump from the slot (the scratch takes the
+// displaced vector), and a bypass; the refused miss and the bypass leave
+// the slot as it was. The collector is parked so the lending pool cannot
+// be emptied mid-test, and the best of a few tries is taken because a
+// race-enabled sync.Pool drops a quarter of what it is handed.
 func TestWarmMissBorrowsItsVectors(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s := New(Config{Workers: 2})
@@ -230,34 +235,85 @@ func TestWarmMissBorrowsItsVectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := s.graphByName("social")
-	snap := g.v.Current()
-	n := uint64(snap.NumVertices())
+	n := uint64(g.v.Current().NumVertices())
+	run := func(q *query) {
+		if _, err := s.execute(g, g.v.Current(), q); err != nil {
+			t.Fatalf("%s: %v", q.kind, err)
+		}
+	}
+	pr := func(iters int, bypass bool) *query {
+		return &query{kind: kindPageRank, iters: iters, jump: 0.3, topK: 5, bypass: bypass}
+	}
 	for _, c := range []struct {
+		name   string
 		q      *query
 		budget uint64
+		// prep runs before each try, outside the measurement, and first
+		// inside it, before q; resumed is the sweeps each try after the
+		// first must skip; keepsSlot, that the tries leave the slot as
+		// they found it.
+		prep      func()
+		first     *query
+		resumed   int64
+		keepsSlot bool
 	}{
-		{&query{kind: kindPageRank, iters: 5, jump: 0.3, topK: 5}, 8 * n},
-		{&query{kind: kindCC}, 8 * n},
-		{&query{kind: kindCC, bypass: true}, 8 * n},
-		{&query{kind: kindBFS, source: 1, bypass: true}, 4 * n},
+		{name: "pagerank", q: pr(5, false), budget: 8 * n, resumed: 5}, // all of them after the first
+		{name: "pagerank resumed", q: pr(10, false), budget: 8 * n, resumed: 5, prep: func() {
+			// A new epoch (a duplicate edge still advances it) whose slot
+			// holds 5 sweeps.
+			if _, _, _, err := g.v.ApplyDelta([]graph.Edge{{Src: 1, Dst: 2}}); err != nil {
+				t.Fatal(err)
+			}
+			run(pr(5, false))
+		}},
+		{name: "pagerank refused", q: pr(5, false), budget: 8 * n, keepsSlot: true, prep: func() { run(pr(20, false)) }},
+		{name: "pagerank displacing", first: &query{kind: kindPageRank, iters: 5, jump: 0.15, topK: 5}, q: pr(10, false), budget: 8 * n,
+			prep: func() {
+				snap, _, _, err := g.v.ApplyDelta([]graph.Edge{{Src: 1, Dst: 2}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				g.bind(snap) // the epoch's out-degrees are not the miss's to pay
+			}},
+		{name: "pagerank bypass", q: pr(5, true), budget: 8 * n, keepsSlot: true},
+		{name: "cc", q: &query{kind: kindCC}, budget: 8 * n},
+		{name: "cc bypass", q: &query{kind: kindCC, bypass: true}, budget: 8 * n},
+		{name: "bfs bypass", q: &query{kind: kindBFS, source: 1, bypass: true}, budget: 4 * n},
 	} {
-		q := c.q
 		best := ^uint64(0)
 		for try := 0; try < 6; try++ {
+			if c.prep != nil {
+				c.prep()
+			}
+			g.mu.Lock()
+			slot := g.ranks
+			g.mu.Unlock()
+			resumed := s.prResumed.Value()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if _, err := s.execute(g, snap, q); err != nil {
-				t.Fatalf("%s: %v", q.kind, err)
+			if c.first != nil {
+				run(c.first)
 			}
+			run(c.q)
 			runtime.ReadMemStats(&after)
-			if try > 0 { // the first miss is the one that sizes the vectors
-				best = min(best, after.TotalAlloc-before.TotalAlloc)
+			if try == 0 {
+				continue // the first miss is the one that sizes the vectors
+			}
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+			if got := s.prResumed.Value() - resumed; got != c.resumed {
+				t.Errorf("%s: resumed %d sweeps, want %d", c.name, got, c.resumed)
+			}
+			g.mu.Lock()
+			kept := g.ranks
+			g.mu.Unlock()
+			if c.keepsSlot && (kept.epoch != slot.epoch || kept.jump != slot.jump || kept.sweeps != slot.sweeps || &kept.vec[0] != &slot.vec[0]) {
+				t.Errorf("%s: the slot went from %d sweeps at epoch %d to %d at %d, or changed its vector",
+					c.name, slot.sweeps, slot.epoch, kept.sweeps, kept.epoch)
 			}
 		}
-		t.Logf("warm %s miss (bypass %v): %d bytes allocated, budget %d", q.kind, q.bypass, best, c.budget)
+		t.Logf("warm %s miss: %d bytes allocated, budget %d", c.name, best, c.budget)
 		if best >= c.budget {
-			t.Errorf("warm %s miss (bypass %v) allocates %d bytes, want under %d for n = %d",
-				q.kind, q.bypass, best, c.budget, n)
+			t.Errorf("warm %s miss allocates %d bytes, want under %d for n = %d", c.name, best, c.budget, n)
 		}
 	}
 }

@@ -238,8 +238,9 @@ type datalogResponse struct {
 	Checksum string `json:"checksum"`
 }
 
-// rankVectors is the scratch one PageRank miss borrows: the two rank
-// buffers the sweeps swap and the contribution vector between them.
+// rankVectors is the scratch one PageRank miss borrows: the rank buffer,
+// the second one only a tol query's sweeps swap with, and the
+// contribution vector between them.
 type rankVectors struct{ pr, next, contrib []float64 }
 
 // labelVectors is the scratch one connected-components miss borrows: the
@@ -279,8 +280,11 @@ func sized[E any](s []E, n int) []E {
 // BFS and connected components have a second way to the same array: their
 // results are canonical (hop distances, min-id labels), so repairing the
 // vector the graph carries from an earlier epoch (carried.go) yields what
-// a cold run would, element for element. PageRank and Datalog always run
-// cold: a warm-started fixed-iters PageRank is a different float sequence.
+// a cold run would, element for element. A fixed-iters PageRank miss
+// resumes the ranks the graph carries from a shorter run at the same
+// epoch and jump (the sweeps are a pure function of the ranks before
+// them); a tol query, a bypass and Datalog always run cold, and nothing
+// warm-starts across epochs: that is a different float sequence.
 func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte, error) {
 	meta := queryMeta{Graph: g.name, Epoch: uint64(snap.Epoch()), Query: q.fingerprint()}
 	var resp any
@@ -289,13 +293,40 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 		st := g.bind(snap)
 		vec := borrow[rankVectors](&s.rankScratch)
 		n := int(st.in.NumRows)
-		vec.pr, vec.next, vec.contrib = sized(vec.pr, n), sized(vec.next, n), sized(vec.contrib, n)
-		ranks, iters := native.PageRankInto(s.pool, st.in, st.outDeg, q.jump, q.tol, q.iters, nil, vec.pr, vec.next, vec.contrib)
+		vec.contrib = sized(vec.contrib, n)
+		// A fixed-iters miss runs in the vector the graph's rank slot
+		// gives it, when it gives one; everything else runs on scratch.
+		carry := !q.bypass && q.tol == 0
+		var pr []float64
+		done := 0
+		if carry {
+			pr, done = g.takeRanks(snap.Epoch(), q.jump, q.iters)
+		}
+		onScratch := pr == nil
+		if onScratch {
+			vec.pr = sized(vec.pr, n)
+			pr = vec.pr
+		} else {
+			pr = sized(pr, n) // an older epoch's buffer, short of new vertices
+		}
+		if q.tol > 0 {
+			vec.next = sized(vec.next, n)
+		}
+		ranks, iters := native.PageRankInto(s.pool, st.in, st.outDeg, q.jump, q.tol, q.iters, done, nil, pr, vec.next, vec.contrib)
+		s.prSweeps.Add(int64(iters - done))
+		s.prResumed.Add(int64(done))
 		resp = &pageRankResponse{
 			queryMeta:  meta,
 			Iterations: iters,
 			Checksum:   checksumHex(hashFloat64s(ranks)),
 			Top:        topRanks(ranks, q.topK),
+		}
+		if carry {
+			// The scratch takes what the slot leaves over when the run was
+			// its own, or when it has no rank buffer of its own.
+			if spare := g.putRanks(rankSlot{epoch: snap.Epoch(), jump: q.jump, sweeps: iters, vec: ranks}); onScratch || vec.pr == nil {
+				vec.pr = spare
+			}
 		}
 		s.rankScratch.Put(vec)
 	case kindBFS:

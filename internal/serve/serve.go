@@ -107,6 +107,8 @@ type servedGraph struct {
 	pending     [][]graph.Edge
 	pendingBase graph.Epoch
 	stamp       uint64
+	// ranks is the one PageRank vector the graph carries.
+	ranks rankSlot
 
 	carriedGauge, pendingGauge, epochGauge *obs.Gauge
 }
@@ -183,12 +185,15 @@ type Server struct {
 	// The counters, resolved once in New like the histograms. computed
 	// counts kernel executions (misses that led their key, and bypasses),
 	// coalesced the times a request parked behind one, refreshed* the
-	// misses answered by repairing a carried vector, panics the handler
-	// panics answered with a 500. Every increment is Add(0, 1): one atomic
-	// add on one cache line, with no lane to pick first.
+	// misses answered by repairing a carried vector, prSweeps and
+	// prResumed the PageRank sweeps run and the ones a resumed miss
+	// skipped, panics the handler panics answered with a 500. Every
+	// increment is one atomic add on one cache line, with no lane to pick
+	// first.
 	requests, deltas            *obs.Counter
 	computed, coalesced, panics *obs.Counter
 	refreshedBFS, refreshedCC   *obs.Counter
+	prSweeps, prResumed         *obs.Counter
 
 	// beforeExecute, when a test sets it, runs on the request goroutine
 	// just before execute.
@@ -230,6 +235,8 @@ func New(cfg Config) *Server {
 		panics:       cfg.Registry.Counter("serve.panics"),
 		refreshedBFS: cfg.Registry.Counter("serve.refreshed.bfs"),
 		refreshedCC:  cfg.Registry.Counter("serve.refreshed.cc"),
+		prSweeps:     cfg.Registry.Counter("serve.pagerank.sweeps"),
+		prResumed:    cfg.Registry.Counter("serve.pagerank.resumed_sweeps"),
 	}
 	for _, kind := range queryKinds() {
 		s.kindHist[kind] = cfg.Registry.Hist("serve.query." + kind + "_ns")
