@@ -128,54 +128,24 @@ func TestClusterRunsTraceFromExecAlone(t *testing.T) {
 	}
 }
 
+// buildsOwnPool lists the engine functions allowed to start a par.Pool,
+// each with the reason.
+var buildsOwnPool = map[string]string{
+	"giraph.Run": "the stock superstep runtime models Giraph's worker threads per node (paper §5.4): one pool of Job.Workers for the job, whatever the caller's width",
+}
+
 // TestEnginesOwnNoClockOrPool pins the same contract structurally: no
-// engine package reads the wall clock or builds a backend.Pool outside its
+// engine package reads the wall clock or starts a par.Pool outside its
 // tests — core.Exec.Local does both, once, for every single-node call —
 // and in native, combblas, graphlab, socialite and galois the callback
-// given to core.Exec.Local names the *backend.Pool it receives (a blank or
+// given to core.Exec.Local names the *par.Pool it receives (a blank or
 // unnamed first parameter fails) unless its function is in
 // serialInTimedRegion. giraph alone brings its own runtime — its superstep
-// workers — and is exempt from the pool rule by package. Module-wide,
-// internal/par is the static fork-join below backend: no non-test file
-// outside internal/graph (construction, which backend imports) and
-// internal/giraph (its modelled workers) may import it. A nested module
-// (bench/) is its own build and is not walked.
+// workers — and is exempt from the callback rule by package; the one
+// function that starts that runtime's pool is in buildsOwnPool.
 func TestEnginesOwnNoClockOrPool(t *testing.T) {
-	parImporters := map[string]bool{"internal/graph": true, "internal/giraph": true}
-	parFset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == "." {
-				return nil
-			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || parImporters[filepath.ToSlash(filepath.Dir(path))] {
-			return nil
-		}
-		file, err := parser.ParseFile(parFset, path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
-		for _, imp := range file.Imports {
-			if ipath, _ := strconv.Unquote(imp.Path.Value); ipath == "graphmaze/internal/par" {
-				t.Errorf("%s imports internal/par: everything at or above backend runs on a backend.Pool", parFset.Position(imp.Pos()))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	ownRuntime := map[string]bool{"giraph": true}
-	discards := map[string]bool{}
+	discards, builds := map[string]bool{}, map[string]bool{}
 	for _, pkg := range []string{"native", "combblas", "graphlab", "socialite", "giraph", "galois"} {
 		dir := filepath.Join("internal", pkg)
 		entries, err := os.ReadDir(dir)
@@ -199,14 +169,23 @@ func TestEnginesOwnNoClockOrPool(t *testing.T) {
 					t.Errorf("%s imports time: engines leave the clock to core.Exec.Local", fset.Position(imp.Pos()))
 				}
 			}
-			ast.Inspect(file, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewPool" {
-					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "backend" {
-						t.Errorf("%s builds a backend.Pool: engines borrow the one core.Exec.Local hands them", fset.Position(sel.Pos()))
-					}
+			for _, decl := range file.Decls {
+				key := pkg + "."
+				if fn, ok := decl.(*ast.FuncDecl); ok {
+					key += fn.Name.Name
 				}
-				return true
-			})
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewPool" {
+						if x, ok := sel.X.(*ast.Ident); ok && x.Name == "par" && buildsOwnPool[key] == "" {
+							t.Errorf("%s: %s starts a par.Pool: engines borrow the one core.Exec.Local hands them", fset.Position(sel.Pos()), key)
+						}
+						if buildsOwnPool[key] != "" {
+							builds[key] = true
+						}
+					}
+					return true
+				})
+			}
 			if ownRuntime[pkg] {
 				continue
 			}
@@ -224,7 +203,7 @@ func TestEnginesOwnNoClockOrPool(t *testing.T) {
 					key := pkg + "." + fn.Name.Name
 					discards[key] = true
 					if serialInTimedRegion[key] == "" {
-						t.Errorf("%s: %s's core.Exec.Local callback discards its *backend.Pool: the kernel runs on one core inside the timed region (run it on the pool, or add it to serialInTimedRegion with the reason)",
+						t.Errorf("%s: %s's core.Exec.Local callback discards its *par.Pool: the kernel runs on one core inside the timed region (run it on the pool, or add it to serialInTimedRegion with the reason)",
 							fset.Position(kernel.Pos()), key)
 					}
 				}
@@ -237,6 +216,11 @@ func TestEnginesOwnNoClockOrPool(t *testing.T) {
 	for key := range serialInTimedRegion {
 		if !discards[key] {
 			t.Errorf("serialInTimedRegion lists %s, whose callback no longer discards its pool: delete the entry", key)
+		}
+	}
+	for key := range buildsOwnPool {
+		if !builds[key] {
+			t.Errorf("buildsOwnPool lists %s, which no longer starts a pool: delete the entry", key)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package graphmaze
 
 import (
-	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 	"graphmaze/internal/socialite"
 )
 
@@ -74,7 +74,7 @@ func (d *Datalog) Eval(src string) error {
 	if err != nil {
 		return err
 	}
-	pool := backend.NewPool(0)
+	pool := par.NewPool(0)
 	defer pool.Close()
 	return socialite.EvalOnce(pool, rule)
 }
@@ -88,7 +88,7 @@ func (d *Datalog) Fixpoint(src string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	pool := backend.NewPool(0)
+	pool := par.NewPool(0)
 	defer pool.Close()
 	return socialite.Fixpoint(pool, rule)
 }

@@ -10,9 +10,10 @@
 //     ([Traversal]) for BFS-shaped computations: a whole BFS that writes
 //     distances ([Traversal.Run]), or the level step a framework's own
 //     loop drives ([Traversal.Claim], [Traversal.Step]),
-//   - a persistent worker [Pool] so the per-iteration hot loop reuses
-//     parked goroutines and preallocated scratch instead of re-spawning and
-//     re-allocating (zero steady-state allocations; benchmark-asserted),
+//   - kernels that run on the caller's persistent par.Pool, so the
+//     per-iteration hot loop reuses parked goroutines and preallocated
+//     scratch instead of re-spawning and re-allocating (zero steady-state
+//     allocations; benchmark-asserted); each kernel is a par.Runner,
 //   - edge-balanced static row splits (graph.OffsetSplits on the CSR prefix
 //     sums) and 64-aligned dynamic chunk claiming, both chosen so results
 //     are bit-identical at every GOMAXPROCS setting.
@@ -63,23 +64,3 @@ func FromSnapshot(s *graph.Snapshot) *Matrix { return FromCSR(s.CSR()) }
 
 // NNZ reports the number of stored nonzeros.
 func (m *Matrix) NNZ() int64 { return int64(len(m.Cols)) }
-
-// evenSplits returns k+1 bounds cutting [0,n) into k contiguous ranges
-// whose sizes differ by at most one.
-func evenSplits(n, k int) []int {
-	if k < 1 {
-		k = 1
-	}
-	bounds := make([]int, k+1)
-	base, rem := n/k, n%k
-	lo := 0
-	for w := 0; w < k; w++ {
-		bounds[w] = lo
-		lo += base
-		if w < rem {
-			lo++
-		}
-	}
-	bounds[k] = n
-	return bounds
-}

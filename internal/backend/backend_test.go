@@ -7,6 +7,7 @@ import (
 
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 // testGraph builds a small RMAT graph; symmetric graphs are what the
@@ -93,7 +94,7 @@ func TestSumVecMulMatchesReference(t *testing.T) {
 	want := refSpMVSum(m, x)
 
 	for _, workers := range []int{1, 3, 8} {
-		pool := NewPool(workers)
+		pool := par.NewPool(workers)
 		k := NewSumVecMul(pool, m)
 		y := make([]float64, g.NumVertices)
 		k.MapInto(y, x, nil)
@@ -125,7 +126,7 @@ func TestTraversalMatchesReference(t *testing.T) {
 	want := refBFS(m, 1)
 
 	for _, workers := range []int{1, 4} {
-		pool := NewPool(workers)
+		pool := par.NewPool(workers)
 		tv := NewTraversal(pool, m, "backend.bfs.level", nil)
 		// Force the parallel kernels even on this small graph.
 		tv.serialEdges = 0
@@ -146,7 +147,7 @@ func TestTraversalMatchesReference(t *testing.T) {
 }
 
 func TestDensePass(t *testing.T) {
-	pool := NewPool(3)
+	pool := par.NewPool(3)
 	defer pool.Close()
 	n := 1000
 	src := randVec(uint32(n), 9)
@@ -188,7 +189,7 @@ func TestPageRankSweepInPlace(t *testing.T) {
 		return dst
 	}
 	for _, workers := range []int{1, 3} {
-		pool := NewPool(workers)
+		pool := par.NewPool(workers)
 		for _, f := range [][3]float64{{0.7, 0.3, 1}, {1, 0.3, 0.7}} {
 			s, a, b := f[0], f[1], f[2]
 			p := randVec(g.NumVertices, 5)
@@ -218,7 +219,7 @@ func TestPageRankSweepInPlace(t *testing.T) {
 func TestZeroSteadyStateAllocs(t *testing.T) {
 	g := testGraph(t, 10, 13, true)
 	m := FromCSR(g)
-	pool := NewPool(4)
+	pool := par.NewPool(4)
 	defer pool.Close()
 
 	x := randVec(g.NumVertices, 3)

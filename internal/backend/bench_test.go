@@ -2,6 +2,8 @@ package backend
 
 import (
 	"testing"
+
+	"graphmaze/internal/par"
 )
 
 // The backend micro-benchmarks are developer tools: nothing records
@@ -18,7 +20,7 @@ func benchGraph(b *testing.B, symmetric bool) *Matrix {
 // the per-iteration core of every lowered PageRank.
 func BenchmarkBackendSumVecMul(b *testing.B) {
 	m := benchGraph(b, false)
-	pool := NewPool(0)
+	pool := par.NewPool(0)
 	defer pool.Close()
 	k := NewSumVecMul(pool, m)
 	x := randVec(m.NumRows, 1)
@@ -38,7 +40,7 @@ func BenchmarkBackendSumVecMul(b *testing.B) {
 // against.
 func BenchmarkBackendPageRankIteration(b *testing.B) {
 	m := benchGraph(b, false)
-	pool := NewPool(0)
+	pool := par.NewPool(0)
 	defer pool.Close()
 	n := int(m.NumRows)
 	pr := randVec(m.NumRows, 2)
@@ -64,7 +66,7 @@ func BenchmarkBackendPageRankIteration(b *testing.B) {
 // BenchmarkBackendTraversal is the full direction-switching BFS.
 func BenchmarkBackendTraversal(b *testing.B) {
 	m := benchGraph(b, true)
-	pool := NewPool(0)
+	pool := par.NewPool(0)
 	defer pool.Close()
 	tv := NewTraversal(pool, m, "backend.bfs.level", nil)
 	tv.serialEdges = 0 // force the parallel kernels at bench scale

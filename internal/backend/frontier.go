@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"graphmaze/internal/bitvec"
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -39,7 +40,7 @@ const (
 // synchronous: a vertex's distance is the level of the first wave that
 // reaches it, independent of which worker claims it.
 type Traversal struct {
-	pool *Pool
+	pool *par.Pool
 	// m is the out-edge matrix push levels expand; in is its transpose,
 	// the in-edge matrix pull levels read parents from (m itself on a
 	// symmetric graph), or nil, which makes every level a push.
@@ -77,7 +78,7 @@ type Traversal struct {
 // NewTraversal builds the kernel for a symmetric m, whose rows are both
 // out- and in-edges. spanName names the per-level trace span; tr may be
 // nil.
-func NewTraversal(pool *Pool, m *Matrix, spanName string, tr *trace.Tracer) *Traversal {
+func NewTraversal(pool *par.Pool, m *Matrix, spanName string, tr *trace.Tracer) *Traversal {
 	return NewDirectedTraversal(pool, m, m, spanName, tr)
 }
 
@@ -86,7 +87,7 @@ func NewTraversal(pool *Pool, m *Matrix, spanName string, tr *trace.Tracer) *Tra
 // out itself. Pull levels read in's rows, so the traversal is exact on a
 // directed graph at every size. A nil in runs every level as a push,
 // which is exact on any graph.
-func NewDirectedTraversal(pool *Pool, out, in *Matrix, spanName string, tr *trace.Tracer) *Traversal {
+func NewDirectedTraversal(pool *par.Pool, out, in *Matrix, spanName string, tr *trace.Tracer) *Traversal {
 	return &Traversal{
 		pool:           pool,
 		m:              out,
@@ -228,11 +229,11 @@ func (t *Traversal) push(frontier, next []uint32) []uint32 {
 	return t.diffSnapshot(next)
 }
 
-// pushRunner is Traversal's push-phase chunkRunner ([lo, hi) indexes the
+// pushRunner is Traversal's push-phase par.Runner ([lo, hi) indexes the
 // expanding list).
 type pushRunner Traversal
 
-func (p *pushRunner) runChunk(worker, lo, hi int) {
+func (p *pushRunner) RunChunk(worker, lo, hi int) {
 	t := (*Traversal)(p)
 	dist, level := t.dist, t.level
 	for i := lo; i < hi; i++ {
@@ -267,7 +268,7 @@ func (t *Traversal) setFront(frontier []uint32) {
 // frontier.
 func (t *Traversal) pull() {
 	if n := int(t.m.NumRows); t.inline {
-		(*pullRunner)(t).runChunk(0, 0, n)
+		(*pullRunner)(t).RunChunk(0, 0, n)
 	} else {
 		t.pool.RunDynamic((*pullRunner)(t), n, 0)
 	}
@@ -296,7 +297,7 @@ func (t *Traversal) listFront(out []uint32) []uint32 {
 	return out
 }
 
-// pullRunner is Traversal's pull-phase chunkRunner ([lo, hi) is a vertex
+// pullRunner is Traversal's pull-phase par.Runner ([lo, hi) is a vertex
 // range starting on a word edge: RunDynamic's grains are multiples of 64).
 // It walks the range's bitmap words. A word's candidates are its
 // unvisited vertices with at least one in-edge; each scans its in-edges
@@ -307,7 +308,7 @@ func (t *Traversal) listFront(out []uint32) []uint32 {
 // has no atomics, no shared writes and no pass over dist afterwards.
 type pullRunner Traversal
 
-func (p *pullRunner) runChunk(worker, lo, hi int) {
+func (p *pullRunner) RunChunk(worker, lo, hi int) {
 	t := (*Traversal)(p)
 	off, cols := t.in.Offsets, t.in.Cols
 	visited, occ, front, found := t.visited.Words(), t.occIn, t.front, t.found

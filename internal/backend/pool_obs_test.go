@@ -4,20 +4,21 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
 // obsTestRunner is a trivial kernel that counts the indices it was given.
 type obsTestRunner struct{ n atomic.Int64 }
 
-func (r *obsTestRunner) runChunk(_, lo, hi int) { r.n.Add(int64(hi - lo)) }
+func (r *obsTestRunner) RunChunk(_, lo, hi int) { r.n.Add(int64(hi - lo)) }
 
 // TestPoolObservability checks an attached registry sees dispatch latency,
 // park latency, and the busy-fraction gauge — and that detaching stops
 // the flow without disturbing the pool.
 func TestPoolObservability(t *testing.T) {
 	tr := trace.New()
-	p := NewPool(4)
+	p := par.NewPool(4)
 	defer p.Close()
 	p.SetRegistry(tr.Registry())
 

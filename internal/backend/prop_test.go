@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 // TestPushPullEquivalence is the kernel-selection property test: a
@@ -146,7 +147,7 @@ func traversalFixtures(t *testing.T) []traversalFixture {
 // each calls run with a fresh traversal of fx for every pool, in-edge
 // matrix, cutover and forced direction (push, pull, auto; a traversal
 // with no in-edge matrix only as forced pull, which must push).
-func (fx traversalFixture) each(t *testing.T, pools []*Pool, run func(tv *Traversal, what string)) {
+func (fx traversalFixture) each(t *testing.T, pools []*par.Pool, run func(tv *Traversal, what string)) {
 	for pi, pool := range pools {
 		for _, in := range fx.ins {
 			for _, cut := range fx.cutovers {
@@ -170,8 +171,8 @@ func (fx traversalFixture) each(t *testing.T, pools []*Pool, run func(tv *Traver
 // testPools are pools of 1 to 4 workers, closed when the test ends, plus
 // a 1-worker pool whose team is held, so every dispatch on it takes the
 // inline RunDynamic path.
-func testPools(t *testing.T) []*Pool {
-	pools := []*Pool{NewPool(1), NewPool(2), NewPool(3), NewPool(4)}
+func testPools(t *testing.T) []*par.Pool {
+	pools := []*par.Pool{par.NewPool(1), par.NewPool(2), par.NewPool(3), par.NewPool(4)}
 	for _, p := range pools {
 		t.Cleanup(p.Close)
 	}
@@ -180,12 +181,12 @@ func testPools(t *testing.T) []*Pool {
 
 // heldPool returns a 1-worker pool whose team a blocked dispatch holds
 // until the test ends, so every dispatch on it runs on its caller.
-func heldPool(t *testing.T) *Pool {
-	pool := NewPool(1)
+func heldPool(t *testing.T) *par.Pool {
+	pool := par.NewPool(1)
 	held := &blockingRunner{entered: make(chan struct{}), release: make(chan struct{})}
 	done := make(chan struct{})
 	go func() {
-		pool.RunStatic(held, evenSplits(4, 1))
+		pool.RunStatic(held, par.EvenSplits(4, 1))
 		close(done)
 	}()
 	<-held.entered
@@ -238,7 +239,7 @@ func TestSpMVWorkerCountInvariance(t *testing.T) {
 
 	var want []float64
 	for _, workers := range []int{1, 2, 4, 7} {
-		pool := NewPool(workers)
+		pool := par.NewPool(workers)
 		k := NewSumVecMul(pool, m)
 		y := make([]float64, g.NumVertices)
 		k.MapInto(y, x, func(r uint32, acc float64) float64 { return 0.3 + 0.7*acc })
@@ -273,7 +274,7 @@ func patternMatrix(rng *rand.Rand, n, ncols int, length func(r int) int) *Matrix
 }
 
 // TestSumVecMulMatchesRowAtATimeFold is the kernel's order contract as a
-// property: whatever SumVecMul.runChunk does inside a chunk, MapInto
+// property: whatever SumVecMul.RunChunk does inside a chunk, MapInto
 // with and without a post transform equals the one-row-at-a-time, left-to-right reference fold
 // bit-for-bit, at every worker count, on the row shapes that stress a
 // chunked kernel — empty rows, a single row, row counts that leave an odd
@@ -315,7 +316,7 @@ func TestSumVecMulMatchesRowAtATimeFold(t *testing.T) {
 		}
 		want := refSpMVSum(m, x)
 		for _, workers := range []int{1, 2, 3, 4, 7} {
-			pool := NewPool(workers)
+			pool := par.NewPool(workers)
 			k := NewSumVecMul(pool, m)
 			raw := make([]float64, m.NumRows)
 			mapped := make([]float64, m.NumRows)
@@ -390,7 +391,7 @@ func TestSumVecMulOccupancyEdges(t *testing.T) {
 		sums := refSpMVSum(m, x)
 		shared := (&Matrix{NumRows: m.NumRows, Offsets: m.Offsets, Cols: m.Cols}).WithOccupancy()
 		for _, workers := range []int{1, 2, 3, 7} {
-			pool := NewPool(workers)
+			pool := par.NewPool(workers)
 			for _, mm := range []*Matrix{m, shared} {
 				k := NewSumVecMul(pool, mm)
 				affine, mapped, raw := nanVec(n), nanVec(n), nanVec(n)

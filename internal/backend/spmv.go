@@ -6,6 +6,7 @@ import (
 
 	"graphmaze/internal/graph"
 	"graphmaze/internal/obs"
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -25,13 +26,13 @@ import (
 // calls perform no allocation: construct once per algorithm run, call
 // AffineInto/AddInto once per iteration.
 type SumVecMul struct {
-	pool   *Pool
+	pool   *par.Pool
 	m      *Matrix
 	occ    []uint64
 	bounds []int
 	nnz    *obs.Counter
 
-	// The operands of the call in flight (runChunk reads them).
+	// The operands of the call in flight (RunChunk reads them).
 	x, y   []float64
 	a, b   float64
 	seeded bool
@@ -40,7 +41,7 @@ type SumVecMul struct {
 
 // NewSumVecMul builds the kernel for the pattern matrix m, reusing m's
 // occupancy words when WithOccupancy built them.
-func NewSumVecMul(pool *Pool, m *Matrix) *SumVecMul {
+func NewSumVecMul(pool *par.Pool, m *Matrix) *SumVecMul {
 	occ := m.occ
 	if occ == nil {
 		occ = occupancy(m.Offsets)
@@ -90,11 +91,11 @@ func (k *SumVecMul) run(y, x []float64, a, b float64, seeded bool, post func(uin
 	k.nnz.Add(k.m.NNZ())
 }
 
-// runChunk folds the occupied rows of [lo, hi) one at a time, each
-// strictly left to right in stored-column order. lo is a word edge, so the
-// chunk walks whole occupancy words: set bits are the rows the inner loop
-// visits, and without a seed the clear bits are written a + b·0 without
-// entering it. On the served graphs a third to a half of all rows are
+// RunChunk implements par.Runner: it folds the occupied rows of [lo, hi)
+// one at a time, each strictly left to right in stored-column order. lo
+// is a word edge, so the chunk walks whole occupancy words: set bits are
+// the rows the inner loop visits, and without a seed the clear bits are
+// written a + b·0 without entering it. On the served graphs a third to a half of all rows are
 // empty, so a row loop that tested each row's length mispredicted its exit
 // on a large share of rows (DESIGN.md §12). The operands are copied into
 // locals first: the stores to y could alias anything reachable through k,
@@ -103,7 +104,7 @@ func (k *SumVecMul) run(y, x []float64, a, b float64, seeded bool, post func(uin
 // row's sub-slice leaves one bounds check (the gather into x) per edge.
 // Interleaving two or four adjacent rows on top of this loop was measured
 // and lost to it (DESIGN.md §12).
-func (k *SumVecMul) runChunk(worker, lo, hi int) {
+func (k *SumVecMul) RunChunk(worker, lo, hi int) {
 	off, cols, occ, x, y := k.m.Offsets, k.m.Cols, k.occ, k.x, k.y
 	a, b, seeded := k.a, k.b, k.seeded
 	empty := a + b*0
@@ -184,7 +185,7 @@ type PageRankSweep struct {
 // NewPageRankSweep builds the sweep over the in-edge matrix in, with the
 // out-degrees deg and a contribution buffer of in.NumRows elements, which
 // every Run overwrites.
-func NewPageRankSweep(pool *Pool, in *Matrix, deg []int64, s, a, b float64, contrib []float64) *PageRankSweep {
+func NewPageRankSweep(pool *par.Pool, in *Matrix, deg []int64, s, a, b float64, contrib []float64) *PageRankSweep {
 	p := &PageRankSweep{mul: NewSumVecMul(pool, in), contrib: contrib, a: a, b: b}
 	p.pass = NewDense(pool, len(contrib), func(lo, hi int) {
 		src := p.src
@@ -216,20 +217,21 @@ func (p *PageRankSweep) Run(dst, src []float64) {
 // variables, so per-iteration calls do not allocate. Ranges are an even
 // static split; the body must write only indexes in [lo, hi).
 type Dense struct {
-	pool   *Pool
+	pool   *par.Pool
 	bounds []int
 	body   func(lo, hi int)
 }
 
 // NewDense builds a reusable element-wise kernel over [0, n).
-func NewDense(pool *Pool, n int, body func(lo, hi int)) *Dense {
-	return &Dense{pool: pool, bounds: evenSplits(n, pool.Workers()), body: body}
+func NewDense(pool *par.Pool, n int, body func(lo, hi int)) *Dense {
+	return &Dense{pool: pool, bounds: par.EvenSplits(n, pool.Workers()), body: body}
 }
 
 // Run executes one pass.
 func (d *Dense) Run() { d.pool.RunStatic(d, d.bounds) }
 
-func (d *Dense) runChunk(worker, lo, hi int) { d.body(lo, hi) }
+// RunChunk implements par.Runner.
+func (d *Dense) RunChunk(worker, lo, hi int) { d.body(lo, hi) }
 
 // Sweep is Dense's dynamically-scheduled sibling: chunks of [0, n) are
 // claimed from an atomic cursor, for passes whose per-element cost is
@@ -240,7 +242,7 @@ func (d *Dense) runChunk(worker, lo, hi int) { d.body(lo, hi) }
 // kernels that keep per-worker scratch across the many chunks one worker
 // claims.
 type Sweep struct {
-	pool  *Pool
+	pool  *par.Pool
 	n     int
 	grain int
 	body  func(worker, lo, hi int)
@@ -248,11 +250,12 @@ type Sweep struct {
 
 // NewSweep builds a reusable dynamic kernel over [0, n); grain <= 0 uses
 // the pool's default.
-func NewSweep(pool *Pool, n, grain int, body func(worker, lo, hi int)) *Sweep {
+func NewSweep(pool *par.Pool, n, grain int, body func(worker, lo, hi int)) *Sweep {
 	return &Sweep{pool: pool, n: n, grain: grain, body: body}
 }
 
 // Run executes one pass; allocation-free after construction.
 func (s *Sweep) Run() { s.pool.RunDynamic(s, s.n, s.grain) }
 
-func (s *Sweep) runChunk(worker, lo, hi int) { s.body(worker, lo, hi) }
+// RunChunk implements par.Runner.
+func (s *Sweep) RunChunk(worker, lo, hi int) { s.body(worker, lo, hi) }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"graphmaze/internal/obs"
+	"graphmaze/internal/par"
 )
 
 // TestPoolStressRace hammers one shared pool from several goroutines while
@@ -21,7 +22,7 @@ func TestPoolStressRace(t *testing.T) {
 	g := testGraph(t, 9, 55, true)
 	m := FromCSR(g)
 	n := int(g.NumVertices)
-	pool := NewPool(4)
+	pool := par.NewPool(4)
 	defer pool.Close()
 	reg := obs.NewRegistry()
 	pool.SetRegistry(reg)
@@ -118,7 +119,7 @@ func sumInts(xs []int) int {
 // plain: if a dispatch it is given ever reached the team, -race reports it.
 type chunkLog struct{ chunks [][3]int }
 
-func (l *chunkLog) runChunk(worker, lo, hi int) { l.chunks = append(l.chunks, [3]int{worker, lo, hi}) }
+func (l *chunkLog) RunChunk(worker, lo, hi int) { l.chunks = append(l.chunks, [3]int{worker, lo, hi}) }
 
 // blockingRunner holds its dispatch's worker 0 until release is closed.
 type blockingRunner struct {
@@ -126,7 +127,7 @@ type blockingRunner struct {
 	covered          [4]int
 }
 
-func (b *blockingRunner) runChunk(worker, lo, hi int) {
+func (b *blockingRunner) RunChunk(worker, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		b.covered[i]++
 	}
@@ -144,7 +145,7 @@ func (b *blockingRunner) runChunk(worker, lo, hi int) {
 // dispatch then finishes normally, and a dispatch on the free team is not
 // counted.
 func TestBusyPoolRunsOnTheCaller(t *testing.T) {
-	pool := NewPool(4)
+	pool := par.NewPool(4)
 	defer pool.Close()
 	reg := obs.NewRegistry()
 	pool.SetRegistry(reg)
@@ -153,7 +154,7 @@ func TestBusyPoolRunsOnTheCaller(t *testing.T) {
 	held := &blockingRunner{entered: make(chan struct{}), release: make(chan struct{})}
 	heldDone := make(chan struct{})
 	go func() {
-		pool.RunStatic(held, evenSplits(4, 4))
+		pool.RunStatic(held, par.EvenSplits(4, 4))
 		close(heldDone)
 	}()
 	<-held.entered

@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"graphmaze/internal/par"
 )
 
 // eachPool runs f on a serial pool and on one wider than a row loop needs:
 // Sweep's contracts hold at any size.
-func eachPool(t *testing.T, f func(t *testing.T, pool *Pool)) {
+func eachPool(t *testing.T, f func(t *testing.T, pool *par.Pool)) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			pool := NewPool(workers)
+			pool := par.NewPool(workers)
 			defer pool.Close()
 			f(t, pool)
 		})
@@ -21,7 +23,7 @@ func eachPool(t *testing.T, f func(t *testing.T, pool *Pool)) {
 // TestSweepTiles asserts a sweep covers [0,n) exactly once for grains
 // above, below and astride n, including the default grain and empty cases.
 func TestSweepTiles(t *testing.T) {
-	eachPool(t, func(t *testing.T, pool *Pool) {
+	eachPool(t, func(t *testing.T, pool *par.Pool) {
 		for _, n := range []int{0, 1, 3, 100, 1000, 4096, 100_000} {
 			for _, grain := range []int{-1, 0, 1, 7, 64, 1024, n + 1} {
 				marks := make([]int32, n)
@@ -49,9 +51,9 @@ func TestSweepTiles(t *testing.T) {
 // lo index (or writing whole bitset words) relies on for a deterministic
 // layout under dynamic scheduling.
 func TestSweepChunkLayout(t *testing.T) {
-	eachPool(t, func(t *testing.T, pool *Pool) {
+	eachPool(t, func(t *testing.T, pool *par.Pool) {
 		n := 10_000
-		for _, c := range []struct{ grain, want int }{{64, 64}, {100, 128}, {0, DefaultGrain}} {
+		for _, c := range []struct{ grain, want int }{{64, 64}, {100, 128}, {0, par.DefaultGrain}} {
 			NewSweep(pool, n, c.grain, func(_, lo, hi int) {
 				if lo%c.want != 0 {
 					t.Errorf("grain %d: chunk lo %d not a multiple of %d", c.grain, lo, c.want)
@@ -67,7 +69,7 @@ func TestSweepChunkLayout(t *testing.T) {
 // TestSweepWorkerBounds asserts worker indices stay below pool.Workers(),
 // the bound callers size scratch arrays with.
 func TestSweepWorkerBounds(t *testing.T) {
-	eachPool(t, func(t *testing.T, pool *Pool) {
+	eachPool(t, func(t *testing.T, pool *par.Pool) {
 		var covered atomic.Int64
 		NewSweep(pool, 50_000, 16, func(worker, lo, hi int) {
 			if worker < 0 || worker >= pool.Workers() {
@@ -91,7 +93,7 @@ func TestSweepStress(t *testing.T) {
 	if testing.Short() {
 		n, iters = 1<<13, 8
 	}
-	eachPool(t, func(t *testing.T, pool *Pool) {
+	eachPool(t, func(t *testing.T, pool *par.Pool) {
 		covered := make([]int64, n)
 		sweep := NewSweep(pool, n, 37, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -120,7 +122,7 @@ func TestSweepScratchExclusive(t *testing.T) {
 		iters = 20
 	}
 	n := 20_000
-	eachPool(t, func(t *testing.T, pool *Pool) {
+	eachPool(t, func(t *testing.T, pool *par.Pool) {
 		for it := 0; it < iters; it++ {
 			scratch := make([]int, pool.Workers())
 			var total atomic.Int64

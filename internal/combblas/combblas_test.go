@@ -7,11 +7,11 @@ import (
 	"slices"
 	"testing"
 
-	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 func fixtureDirected(t testing.TB) *graph.CSR {
@@ -145,8 +145,8 @@ func TestTranspose(t *testing.T) {
 // testPools returns the pool sizes the pool-taking primitives are checked
 // at — serial, and wider than a small input has chunks — closed with the
 // test.
-func testPools(t *testing.T) []*backend.Pool {
-	pools := []*backend.Pool{backend.NewPool(1), backend.NewPool(4)}
+func testPools(t *testing.T) []*par.Pool {
+	pools := []*par.Pool{par.NewPool(1), par.NewPool(4)}
 	t.Cleanup(func() {
 		for _, p := range pools {
 			p.Close()
@@ -269,7 +269,7 @@ func TestSpGEMMMatchesReferenceAtAnyPoolSize(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 2, 8} {
-			pool := backend.NewPool(workers)
+			pool := par.NewPool(workers)
 			got, err := SpGEMM(pool, ab[0], ab[1])
 			pool.Close()
 			if err != nil {
@@ -300,7 +300,7 @@ func TestSpGEMMMatchesReferenceAtAnyPoolSize(t *testing.T) {
 // cannot come back unnoticed.
 func TestSpGEMMAllocatesPerChunkNotPerRow(t *testing.T) {
 	a := spgemmCases(t)["rmat-scale10"][0]
-	pool := backend.NewPool(2)
+	pool := par.NewPool(2)
 	defer pool.Close()
 	chunks := (int(a.NumRows) + spgemmGrain - 1) / spgemmGrain
 	bound := float64(2*chunks + 64*pool.Workers() + 16)

@@ -8,6 +8,7 @@ import (
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -87,7 +88,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 		// fuses into its affine epilogue — same ascending in-row fold, same
 		// finishing expression, but the semiring indirection and the
 		// per-iteration output allocation are gone.
-		stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) int {
+		stats := opt.Exec.Local(func(pool *par.Pool, tr *trace.Tracer) int {
 			r := opt.RandomJump
 			sweep := backend.NewPageRankSweep(pool, backendView(at), outDeg, 1, r, 1-r, phat).WithTracer(tr)
 			for it := 0; it < opt.Iterations; it++ {
@@ -178,7 +179,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	}
 
 	if opt.Exec.Cluster == nil {
-		stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) (levels int) {
+		stats := opt.Exec.Local(func(pool *par.Pool, _ *trace.Tracer) (levels int) {
 			// Local frontier expansion lowers onto the backend's level
 			// step: its visited bitset replaces the per-level marks scan,
 			// and its scratch survives across levels. No in-edge matrix,
@@ -223,7 +224,7 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 	a := FromGraph(g)
 	if opt.Exec.Cluster == nil {
 		var count int64
-		stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+		stats := opt.Exec.Local(func(pool *par.Pool, _ *trace.Tracer) int {
 			var a2 *SpMat[int64]
 			if a2, err = SpGEMM(pool, a, a); err == nil {
 				count, err = EWiseMultSum(pool, a, a2)
@@ -399,7 +400,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	}
 	var stats core.RunStats
 	if grid == nil {
-		stats = opt.Exec.Local(func(*backend.Pool, *trace.Tracer) int {
+		stats = opt.Exec.Local(func(*par.Pool, *trace.Tracer) int {
 			for it := 0; it < opt.Iterations; it++ {
 				errPass(0, r.NumUsers, 0, r.NumItems)
 				gradPass(0, r.NumUsers, 0, r.NumItems)

@@ -12,6 +12,7 @@ import (
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 // SpMat is a sparse matrix in CSR layout with generic nonzero values.
@@ -181,7 +182,7 @@ func (s *rowAccumulator) appendRow(aCols []uint32, b *SpMat[struct{}], clo, chi 
 // product at their offsets. A row is folded and sorted by one worker and
 // placed by its row index, so Offsets, Cols and Vals are the same at any
 // pool size.
-func SpGEMM(pool *backend.Pool, a *SpMat[struct{}], b *SpMat[struct{}]) (*SpMat[int64], error) {
+func SpGEMM(pool *par.Pool, a *SpMat[struct{}], b *SpMat[struct{}]) (*SpMat[int64], error) {
 	if a.NumCols != b.NumRows {
 		return nil, fmt.Errorf("combblas: SpGEMM shape mismatch %d×%d · %d×%d", a.NumRows, a.NumCols, b.NumRows, b.NumCols)
 	}
@@ -225,7 +226,7 @@ func SpGEMM(pool *backend.Pool, a *SpMat[struct{}], b *SpMat[struct{}]) (*SpMat[
 // Chunks of rows are claimed on the caller's pool and each folds its partial
 // sum into the total with one atomic add (integer addition is exact, so the
 // sum is the same at any pool size).
-func EWiseMultSum(pool *backend.Pool, a *SpMat[struct{}], b *SpMat[int64]) (int64, error) {
+func EWiseMultSum(pool *par.Pool, a *SpMat[struct{}], b *SpMat[int64]) (int64, error) {
 	if a.NumRows != b.NumRows || a.NumCols != b.NumCols {
 		return 0, fmt.Errorf("combblas: EWiseMult shape mismatch")
 	}

@@ -21,6 +21,7 @@ import (
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/graph"
 	"graphmaze/internal/metrics"
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -62,7 +63,7 @@ func (e Exec) ClusterConfig() cluster.Config {
 }
 
 // Local runs the kernel of one single-node engine call and is the only code
-// on such a path that builds a backend.Pool, attaches the run's tracer to
+// on such a path that builds a par.Pool, attaches the run's tracer to
 // it, reads the wall clock or fills RunStats. The timed region is the kernel
 // alone (DESIGN.md §2.3): an engine builds its inputs in the layout it asks
 // for — transpose, out-degrees, matrices, tables, parsed rules — before the
@@ -72,9 +73,9 @@ func (e Exec) ClusterConfig() cluster.Config {
 // kernel returns the iterations it ran. A simulated-cluster call may borrow
 // its pool here too, for every node's evaluation; it then reports
 // SimulatedStats, not the measured time Local returns.
-func (e Exec) Local(kernel func(pool *backend.Pool, tr *trace.Tracer) (iterations int)) RunStats {
+func (e Exec) Local(kernel func(pool *par.Pool, tr *trace.Tracer) (iterations int)) RunStats {
 	tr := e.Tracer()
-	pool := backend.NewPool(0)
+	pool := par.NewPool(0)
 	defer pool.Close()
 	pool.SetRegistry(tr.Registry())
 	start := time.Now()
@@ -473,7 +474,7 @@ func NumStripes(r *graph.Bipartite) int {
 // time: W sub-steps, sub-step d handing the W blocks su·w + (su+d) mod W
 // — disjoint users, disjoint items — to the pool side by side, each
 // worker a contiguous run of them, visit running each block serially.
-func DiagonalSweep(pool *backend.Pool, w int, visit func(block int)) func() {
+func DiagonalSweep(pool *par.Pool, w int, visit func(block int)) func() {
 	sub := 0
 	diagonal := backend.NewDense(pool, w, func(lo, hi int) {
 		for stripe := lo; stripe < hi; stripe++ {
@@ -506,7 +507,7 @@ func SGDBlock(block []BlockEdge, userF, itemF []float32, k int, gamma float64, o
 // shuffled blocks on the call's pool — Native's single-node SGD and
 // Galois's, one code. It updates the factors in place and returns the
 // per-iteration RMSE trajectory (empty when skipped).
-func TrainSGD(pool *backend.Pool, r *graph.Bipartite, opt CFOptions, blocks [][]BlockEdge, userF, itemF []float32) []float64 {
+func TrainSGD(pool *par.Pool, r *graph.Bipartite, opt CFOptions, blocks [][]BlockEdge, userF, itemF []float32) []float64 {
 	rmse := make([]float64, 0, opt.Iterations)
 	gamma := opt.LearningRate
 	pass := DiagonalSweep(pool, NumStripes(r), func(b int) { SGDBlock(blocks[b], userF, itemF, opt.K, gamma, opt) })

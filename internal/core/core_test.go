@@ -5,8 +5,8 @@ import (
 	"sync"
 	"testing"
 
-	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 // paperGraph is Figure 2 of the paper: 0→1, 0→2, 1→2, 1→3, 2→3.
@@ -353,7 +353,7 @@ func TestValidateBFSAllEnginesWouldPass(t *testing.T) {
 // W entries at a time.
 func TestDiagonalSweepVisitsEachBlockOnce(t *testing.T) {
 	for _, workers := range []int{1, 3} {
-		pool := backend.NewPool(workers)
+		pool := par.NewPool(workers)
 		for _, w := range []int{1, 2, 5, 8} {
 			var mu sync.Mutex
 			var log []int

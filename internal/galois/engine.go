@@ -1,7 +1,7 @@
 // Package galois reimplements the Galois programming model (paper §3):
 // algorithms are parallel iterations over work items, handed out in
 // chunks that idle workers claim, and BFS runs on the bulk-synchronous
-// executor of Algorithm 3. Every loop runs on the backend.Pool its
+// executor of Algorithm 3. Every loop runs on the par.Pool its
 // core.Exec.Local call names. Galois is single-node (Table 2) but,
 // because partitioning is flexible and updates are immediately globally
 // visible, it is the only framework besides native code that can express
@@ -14,6 +14,7 @@ import (
 	"graphmaze/internal/backend"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -57,7 +58,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	for i := range pr {
 		pr[i] = 1
 	}
-	stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) int {
+	stats := opt.Exec.Local(func(pool *par.Pool, tr *trace.Tracer) int {
 		sweep := backend.NewSweep(pool, int(n), chunkSize, func(_, lo, hi int) {
 			for v := lo; v < hi; v++ {
 				sum := 0.0
@@ -100,7 +101,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	}
 	//lint:ignore atomic initialization happens-before the first round: the pool's wake channel publishes it to every worker
 	dist[opt.Source] = 0
-	stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) int {
+	stats := opt.Exec.Local(func(pool *par.Pool, tr *trace.Tracer) int {
 		return bulkRounds(pool, tr, []uint32{opt.Source}, func(v uint32, push []uint32) []uint32 {
 			level := atomic.LoadInt32(&dist[v])
 			for _, t := range g.Neighbors(v) {
@@ -121,7 +122,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 // worker, and returns it. The loop stops at an empty frontier and returns
 // the number of rounds; each round is one galois.round span carrying its
 // frontier size.
-func bulkRounds(pool *backend.Pool, tr *trace.Tracer, initial []uint32, body func(item uint32, push []uint32) []uint32) int {
+func bulkRounds(pool *par.Pool, tr *trace.Tracer, initial []uint32, body func(item uint32, push []uint32) []uint32) int {
 	pushed := make([][]uint32, pool.Workers())
 	frontier := append([]uint32(nil), initial...)
 	var next []uint32
@@ -161,7 +162,7 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 		return nil, core.ErrSingleNodeOnly
 	}
 	var count atomic.Int64
-	stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+	stats := opt.Exec.Local(func(pool *par.Pool, _ *trace.Tracer) int {
 		backend.NewSweep(pool, int(g.NumVertices), chunkSize, func(_, lo, hi int) {
 			var local int64
 			for v := lo; v < hi; v++ {
@@ -203,7 +204,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	core.ShuffleBlocks(blocks, opt.Seed)
 
 	var rmse []float64
-	stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+	stats := opt.Exec.Local(func(pool *par.Pool, _ *trace.Tracer) int {
 		if opt.Method == core.SGD {
 			rmse = core.TrainSGD(pool, r, opt, blocks, userF, itemF)
 		} else {
@@ -222,7 +223,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 // way it keeps SGD's updates, and each iteration takes one aggregate step.
 // It updates the factors in place and returns the per-iteration RMSE
 // trajectory (empty when skipped).
-func gd(pool *backend.Pool, r *graph.Bipartite, opt core.CFOptions, w int, blocks [][]core.BlockEdge, userF, itemF []float32) []float64 {
+func gd(pool *par.Pool, r *graph.Bipartite, opt core.CFOptions, w int, blocks [][]core.BlockEdge, userF, itemF []float32) []float64 {
 	gradP := make([]float64, len(userF))
 	gradQ := make([]float64, len(itemF))
 	rmse := make([]float64, 0, opt.Iterations)

@@ -7,6 +7,7 @@ import (
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/core"
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -60,7 +61,7 @@ func TestBulkRounds(t *testing.T) {
 		{name: "bfs", initial: []uint32{source}, span: g.NumVertices, children: g.Neighbors,
 			items: reached, rounds: int(maxLevel) + 1},
 	}
-	pools := []*backend.Pool{backend.NewPool(1), backend.NewPool(2), backend.NewPool(3), backend.NewPool(4), backend.NewPool(1)}
+	pools := []*par.Pool{par.NewPool(1), par.NewPool(2), par.NewPool(3), par.NewPool(4), par.NewPool(1)}
 	for _, p := range pools {
 		t.Cleanup(p.Close)
 	}

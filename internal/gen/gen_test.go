@@ -3,6 +3,8 @@ package gen
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -338,5 +340,70 @@ func TestTailDistanceIdentity(t *testing.T) {
 	deg := []int64{1, 2, 4, 8, 100}
 	if d := TailDistance(deg, deg); d != 0 {
 		t.Errorf("self distance = %v", d)
+	}
+}
+
+// TestRMATBuildAndDeltaIdenticalAcrossGOMAXPROCS: the generator, graph
+// construction and ApplyDelta all dispatch on a pool as wide as
+// GOMAXPROCS, so each must give the same bytes at 1, 3 and 4 procs. The
+// input spans four 2^16-edge generator chunks and takes the radix sort
+// path in both the build and the delta.
+func TestRMATBuildAndDeltaIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	type result struct {
+		edges, added []graph.Edge
+		csrs         []*graph.CSR
+	}
+	run := func() result {
+		var r result
+		var err error
+		if r.edges, err = RMAT(Graph500Config(14, 16, 5)); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range []graph.Orientation{graph.KeepDirection, graph.Symmetrize} {
+			b := graph.NewBuilder(1 << 14)
+			b.AddEdges(r.edges)
+			g, err := b.Build(graph.BuildOptions{Orientation: o, Dedup: true, DropSelfLoops: true, SortAdjacency: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.csrs = append(r.csrs, g)
+		}
+		v, err := graph.NewVersioned(r.csrs[1], graph.DeltaOptions{Symmetrize: true, DropSelfLoops: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta, err := RMAT(Graph500Config(15, 1, 6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, added, _, err := v.ApplyDelta(delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.added = added
+		r.csrs = append(r.csrs, snap.CSR())
+		return r
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want result
+	for _, procs := range []int{1, 3, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := run()
+		if procs == 1 {
+			want = got
+			continue
+		}
+		if !slices.Equal(got.edges, want.edges) {
+			t.Errorf("GOMAXPROCS=%d: RMAT edges differ from GOMAXPROCS=1", procs)
+		}
+		if !slices.Equal(got.added, want.added) {
+			t.Errorf("GOMAXPROCS=%d: ApplyDelta's added edges differ from GOMAXPROCS=1", procs)
+		}
+		for i, g := range got.csrs {
+			w := want.csrs[i]
+			if g.NumVertices != w.NumVertices || !slices.Equal(g.Offsets, w.Offsets) || !slices.Equal(g.Targets, w.Targets) {
+				t.Errorf("GOMAXPROCS=%d: CSR %d (directed build, symmetrized build, delta epoch) differs from GOMAXPROCS=1", procs, i)
+			}
+		}
 	}
 }

@@ -7,10 +7,9 @@ package gen
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 // RMATConfig parameterizes the recursive-matrix generator. A, B, and C are
@@ -91,37 +90,20 @@ func RMAT(cfg RMATConfig) ([]graph.Edge, error) {
 	edges := make([]graph.Edge, cfg.NumEdges)
 	const chunkSize = 1 << 16
 	numChunks := int((cfg.NumEdges + chunkSize - 1) / chunkSize)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > numChunks {
-		workers = numChunks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	chunks := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range chunks {
-				lo := int64(ci) * chunkSize
-				hi := lo + chunkSize
-				if hi > cfg.NumEdges {
-					hi = cfg.NumEdges
-				}
-				r := rand.New(rand.NewSource(mix(cfg.Seed, int64(ci))))
-				for i := lo; i < hi; i++ {
-					edges[i] = rmatEdge(r, cfg)
-				}
+	// Static ranges of chunk indices, not RunDynamic: its 64-index grain
+	// would run every chunk of a small graph on one worker.
+	pool := par.NewPool(min(par.NumWorkers(), max(numChunks, 1)))
+	defer pool.Close()
+	pool.RunStatic(par.RunnerFunc(func(_, clo, chi int) {
+		for ci := clo; ci < chi; ci++ {
+			lo := int64(ci) * chunkSize
+			hi := min(lo+chunkSize, cfg.NumEdges)
+			r := rand.New(rand.NewSource(mix(cfg.Seed, int64(ci))))
+			for i := lo; i < hi; i++ {
+				edges[i] = rmatEdge(r, cfg)
 			}
-		}()
-	}
-	for ci := 0; ci < numChunks; ci++ {
-		chunks <- ci
-	}
-	close(chunks)
-	wg.Wait()
+		}
+	}), par.EvenSplits(numChunks, pool.Workers()))
 
 	if cfg.PermuteVertices {
 		permuteEdges(edges, cfg.NumVertices(), cfg.Seed)

@@ -3,10 +3,10 @@ package giraph
 import (
 	"math"
 
-	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -77,7 +77,7 @@ func (e *Engine) newCluster(cfg cluster.Config) (*cluster.Cluster, error) {
 // region, where a non-nil lower binds the program's lowering to the call's
 // pool and runs that in place of the stock runtime. The modeled
 // coordination cost is added on top of either clock.
-func (e *Engine) runJob(job *Job, exec core.Exec, lower func(*backend.Pool) Lowering) (*Result, core.RunStats, error) {
+func (e *Engine) runJob(job *Job, exec core.Exec, lower func(*par.Pool) Lowering) (*Result, core.RunStats, error) {
 	if e.workers > 0 {
 		job.Workers = e.workers
 	}
@@ -99,7 +99,7 @@ func (e *Engine) runJob(job *Job, exec core.Exec, lower func(*backend.Pool) Lowe
 	var res *Result
 	var low Lowering
 	var err error
-	stats := exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+	stats := exec.Local(func(pool *par.Pool, _ *trace.Tracer) int {
 		if lower != nil {
 			low = lower(pool)
 			res = runLowered(job, low)
@@ -138,7 +138,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	}
 	job.EncodeValue, job.DecodeValue = Float64Codec()
 	job.Compute = prCompute(job, r)
-	var lower func(*backend.Pool) Lowering
+	var lower func(*par.Pool) Lowering
 	if e.combine {
 		// PageRank's messages fold with addition (§6.2 recommendation).
 		job.Combiner = func(a, b any) any { return a.(float64) + b.(float64) }
@@ -146,7 +146,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 		// A combiner-less single-node run lowers onto the shared SpMV
 		// backend (DESIGN.md §12); everything else is the stock runtime.
 		in, outDeg := g.Transpose(), g.OutDegrees()
-		lower = func(pool *backend.Pool) Lowering {
+		lower = func(pool *par.Pool) Lowering {
 			return newPRLowering(pool, in, outDeg, r, job.MaxSupersteps, job.Tracer)
 		}
 	}
@@ -218,7 +218,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 		},
 	}
 	job.EncodeValue, job.DecodeValue = Int32Codec()
-	var lower func(*backend.Pool) Lowering
+	var lower func(*par.Pool) Lowering
 	if e.combine {
 		// BFS messages fold with min (§6.2 recommendation).
 		job.Combiner = func(a, b any) any {
@@ -230,7 +230,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	} else if opt.Exec.Cluster == nil {
 		// A combiner-less single-node run lowers onto the backend's
 		// level step (min-combine ≡ first claim wins).
-		lower = func(pool *backend.Pool) Lowering { return newBFSLowering(pool, g, source) }
+		lower = func(pool *par.Pool) Lowering { return newBFSLowering(pool, g, source) }
 	}
 	res, stats, err := e.runJob(job, opt.Exec, lower)
 	if err != nil {

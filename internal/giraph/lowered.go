@@ -4,6 +4,7 @@ import (
 	"graphmaze/internal/backend"
 	"graphmaze/internal/bitvec"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -49,7 +50,7 @@ type prLowering struct {
 // newPRLowering binds the lowering to the call's pool. in is g's transpose
 // and outDeg g's out-degrees, both built by the caller before the timed
 // region.
-func newPRLowering(pool *backend.Pool, in *graph.CSR, outDeg []int64, r float64, maxSupersteps int, tr *trace.Tracer) *prLowering {
+func newPRLowering(pool *par.Pool, in *graph.CSR, outDeg []int64, r float64, maxSupersteps int, tr *trace.Tracer) *prLowering {
 	n := int(in.NumVertices)
 	at := backend.FromCSR(in)
 	l := &prLowering{
@@ -114,7 +115,7 @@ type bfsLowering struct {
 // bfsInfinity mirrors the vertex program's unreached sentinel.
 const bfsInfinity = int32(1) << 30
 
-func newBFSLowering(pool *backend.Pool, g *graph.CSR, source uint32) *bfsLowering {
+func newBFSLowering(pool *par.Pool, g *graph.CSR, source uint32) *bfsLowering {
 	n := g.NumVertices
 	l := &bfsLowering{
 		step:    backend.NewDirectedTraversal(pool, backend.FromCSR(g), nil, "", nil),

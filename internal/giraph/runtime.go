@@ -324,10 +324,13 @@ func Run(job *Job) (*Result, error) {
 		}
 	}
 
-	// computeSlice runs Compute over chunk[lo:hi] with Giraph's 4 workers,
-	// staging sends into slots base..base+workers-1.
+	// computeSlice runs Compute over chunk with Giraph's 4 workers, one
+	// static range each on the job's pool, staging sends into slots
+	// base..base+workers-1.
+	pool := par.NewPool(rt.workers)
+	defer pool.Close()
 	computeSlice := func(chunk []uint32, base int) {
-		par.ForWorkersIndexed(rt.workers, len(chunk), func(worker, lo, hi int) {
+		pool.RunStatic(par.RunnerFunc(func(worker, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				v := chunk[i]
 				msgs := inbox[v]
@@ -339,7 +342,7 @@ func Run(job *Job) (*Result, error) {
 				values[v] = ctx.value
 				inbox[v] = nil
 			}
-		})
+		}), par.EvenSplits(len(chunk), rt.workers))
 	}
 
 	// Per-superstep observability: active-vertex and message counters plus

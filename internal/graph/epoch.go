@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -160,8 +161,15 @@ func (v *Versioned) Options() DeltaOptions { return v.opts }
 // actually added (the "touched" set incremental kernels repair from; the
 // slice is freshly allocated and owned by the caller), and ingestion
 // statistics. An empty or fully-duplicate delta still advances the epoch,
-// so epoch numbers always count ApplyDelta calls.
+// so epoch numbers always count ApplyDelta calls. An endpoint of
+// math.MaxUint32 is an error and publishes nothing: the vertex count
+// n = id+1 would not fit a uint32.
 func (v *Versioned) ApplyDelta(delta []Edge) (*Snapshot, []Edge, DeltaStats, error) {
+	for _, e := range delta {
+		if e.Src == math.MaxUint32 || e.Dst == math.MaxUint32 {
+			return nil, nil, DeltaStats{}, fmt.Errorf("graph: delta edge (%d,%d): vertex ids must be below %d", e.Src, e.Dst, math.MaxUint32)
+		}
+	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -128,6 +130,41 @@ func TestApplyDeltaSymmetrize(t *testing.T) {
 	}
 	if !snap.CSR().HasEdge(2, 3) || !snap.CSR().HasEdge(3, 2) {
 		t.Fatal("missing symmetrized edge")
+	}
+}
+
+// TestApplyDeltaRejectsMaxVertexID: an endpoint of MaxUint32 would make
+// the vertex count id+1 wrap to 0 — on a directed graph that published a
+// 1-vertex epoch, on a symmetrized one mergeCSR panicked. It is an error
+// on both orientations, and the current epoch, its arrays and the next
+// valid delta are untouched.
+func TestApplyDeltaRejectsMaxVertexID(t *testing.T) {
+	for _, opts := range []DeltaOptions{{}, {Symmetrize: true, DropSelfLoops: true}} {
+		g := buildSorted(t, 4, []Edge{{0, 1}, {1, 2}, {2, 3}}, BuildOptions{})
+		offsets, targets := slices.Clone(g.Offsets), slices.Clone(g.Targets)
+		v, err := NewVersioned(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := v.Current()
+		for _, bad := range [][]Edge{{{math.MaxUint32, 0}}, {{1, 3}, {0, math.MaxUint32}}} {
+			if _, _, _, err := v.ApplyDelta(bad); err == nil {
+				t.Errorf("symmetrize=%v: delta %v applied, want an error", opts.Symmetrize, bad)
+			}
+		}
+		if v.Current() != before || before.Epoch() != 0 {
+			t.Fatalf("symmetrize=%v: a refused delta published epoch %d", opts.Symmetrize, v.Current().Epoch())
+		}
+		if c := before.CSR(); c.NumVertices != 4 || !slices.Equal(c.Offsets, offsets) || !slices.Equal(c.Targets, targets) {
+			t.Fatalf("symmetrize=%v: a refused delta changed the base: %d vertices, offsets %v, targets %v", opts.Symmetrize, c.NumVertices, c.Offsets, c.Targets)
+		}
+		snap, _, st, err := v.ApplyDelta([]Edge{{3, 4}})
+		if err != nil {
+			t.Fatalf("symmetrize=%v: next valid delta: %v", opts.Symmetrize, err)
+		}
+		if snap.Epoch() != 1 || snap.NumVertices() != 5 || st.NewVertices != 1 {
+			t.Fatalf("symmetrize=%v: next valid delta: epoch %d, %d vertices, %+v", opts.Symmetrize, snap.Epoch(), snap.NumVertices(), st)
+		}
 	}
 }
 

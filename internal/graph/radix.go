@@ -17,7 +17,8 @@ const radixSortThreshold = 1 << 14
 // order), then an LSD radix sort over 16-bit digits runs with parallel
 // per-worker histogram and scatter passes — CSR construction is the setup
 // cost of every experiment, and the comparator sort.Slice it replaces
-// spent most of its time in interface calls.
+// spent most of its time in interface calls. Every pass runs on one pool
+// started for the call, over the same static bounds.
 func sortEdgesByKey(edges []Edge) {
 	n := len(edges)
 	if n < radixSortThreshold {
@@ -29,14 +30,19 @@ func sortEdgesByKey(edges []Edge) {
 		})
 		return
 	}
+	// No more workers than keys: no range is empty, so every histogram
+	// pass fills each worker's table.
+	pool := par.NewPool(min(par.NumWorkers(), n))
+	defer pool.Close()
+	bounds := par.EvenSplits(n, pool.Workers())
 	keys := make([]uint64, n)
-	par.For(n, func(lo, hi int) {
+	pool.RunStatic(par.RunnerFunc(func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			keys[i] = uint64(edges[i].Src)<<32 | uint64(edges[i].Dst)
 		}
-	})
-	keys = radixSortUint64(keys, make([]uint64, n))
-	par.For(n, func(lo, hi int) {
+	}), bounds)
+	keys = radixSortUint64(pool, bounds, keys, make([]uint64, n))
+	pool.RunStatic(par.RunnerFunc(func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k := keys[i]
 			//lint:ignore truncate key packs two uint32 halves; the shift isolates the 32-bit src
@@ -45,7 +51,7 @@ func sortEdgesByKey(edges []Edge) {
 			dst := uint32(k)
 			edges[i] = Edge{Src: src, Dst: dst}
 		}
-	})
+	}), bounds)
 }
 
 // radixSortUint64 sorts keys ascending with a least-significant-digit
@@ -53,24 +59,19 @@ func sortEdgesByKey(edges []Edge) {
 // the slice holding the sorted data (either keys or tmp, depending on how
 // many passes ran). Passes whose digit is constant across all keys —
 // every pass above the graph's vertex-id width — are detected from the
-// histogram and skipped.
-func radixSortUint64(keys, tmp []uint64) []uint64 {
+// histogram and skipped. bounds (len pool.Workers()+1) is the static
+// split every pass runs over.
+func radixSortUint64(pool *par.Pool, bounds []int, keys, tmp []uint64) []uint64 {
 	const digitBits = 16
 	const buckets = 1 << digitBits
 	n := len(keys)
-	workers := par.NumWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := len(bounds) - 1
 	hist := make([][]int64, workers)
 	for shift := 0; shift < 64; shift += digitBits {
-		// Parallel per-worker histograms over the same static chunking the
-		// scatter pass will use (ForWorkersIndexed is deterministic for a
-		// fixed (workers, n), which is what makes the scatter stable).
-		par.ForWorkersIndexed(workers, n, func(w, lo, hi int) {
+		// Parallel per-worker histograms over the same static ranges the
+		// scatter pass will use: RunStatic hands worker w the same range
+		// in both passes, which is what makes the scatter stable.
+		pool.RunStatic(par.RunnerFunc(func(w, lo, hi int) {
 			h := hist[w]
 			if h == nil {
 				h = make([]int64, buckets)
@@ -81,7 +82,7 @@ func radixSortUint64(keys, tmp []uint64) []uint64 {
 			for i := lo; i < hi; i++ {
 				h[(keys[i]>>shift)&(buckets-1)]++
 			}
-		})
+		}), bounds)
 		// Exclusive prefix over (digit, worker): worker w's first write for
 		// digit d lands after all smaller digits and after workers < w,
 		// which keeps the pass stable. A digit owning every key means the
@@ -104,14 +105,14 @@ func radixSortUint64(keys, tmp []uint64) []uint64 {
 		if trivial {
 			continue
 		}
-		par.ForWorkersIndexed(workers, n, func(w, lo, hi int) {
+		pool.RunStatic(par.RunnerFunc(func(w, lo, hi int) {
 			pos := hist[w]
 			for i := lo; i < hi; i++ {
 				d := (keys[i] >> shift) & (buckets - 1)
 				tmp[pos[d]] = keys[i]
 				pos[d]++
 			}
-		})
+		}), bounds)
 		keys, tmp = tmp, keys
 	}
 	return keys

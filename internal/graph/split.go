@@ -33,22 +33,17 @@ func OffsetSplits(offsets []int64, k int) []int {
 
 // forEdgeBalanced runs body over the vertex range [0, len(offsets)-1) in
 // up to GOMAXPROCS contiguous ranges holding roughly equal numbers of
-// *edges* (OffsetSplits on the prefix sums), one goroutine per range. On
-// power-law graphs an equal-vertex split hands one worker all the hubs;
-// the edge-balanced split equalizes the per-edge work (paper §3.1). Every
-// vertex is in exactly one range and the call joins before returning.
+// *edges* (OffsetSplits on the prefix sums), one worker of a pool started
+// for the call per range. On power-law graphs an equal-vertex split hands
+// one worker all the hubs; the edge-balanced split equalizes the per-edge
+// work (paper §3.1). Every vertex is in exactly one range and the call
+// joins before returning.
 func forEdgeBalanced(offsets []int64, body func(lo, hi int)) {
 	n := len(offsets) - 1
 	if n <= 0 {
 		return
 	}
-	bounds := OffsetSplits(offsets, min(par.NumWorkers(), n))
-	parts := len(bounds) - 1
-	par.ForWorkersIndexed(parts, parts, func(_, lo, hi int) {
-		for p := lo; p < hi; p++ {
-			if bounds[p] < bounds[p+1] {
-				body(bounds[p], bounds[p+1])
-			}
-		}
-	})
+	pool := par.NewPool(min(par.NumWorkers(), n))
+	defer pool.Close()
+	pool.RunStatic(par.RunnerFunc(func(_, lo, hi int) { body(lo, hi) }), OffsetSplits(offsets, pool.Workers()))
 }

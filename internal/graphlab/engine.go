@@ -8,6 +8,7 @@ import (
 	"graphmaze/internal/core"
 	"graphmaze/internal/cuckoo"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -60,7 +61,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	if opt.Exec.Cluster == nil {
 		outDeg := g.OutDegrees()
 		var ranks []float64
-		stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) int {
+		stats := opt.Exec.Local(func(pool *par.Pool, tr *trace.Tracer) int {
 			ranks = pageRankLowered(pool, in, outDeg, opt, tr)
 			return opt.Iterations
 		})
@@ -91,7 +92,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 // runtime's gather exactly, so the ranks are bit-identical to runLocal's,
 // and the sweep spans keep their shape (every vertex stays active and
 // changes every round under this spec).
-func pageRankLowered(pool *backend.Pool, in *graph.CSR, outDeg []int64, opt core.PageRankOptions, tr *trace.Tracer) []float64 {
+func pageRankLowered(pool *par.Pool, in *graph.CSR, outDeg []int64, opt core.PageRankOptions, tr *trace.Tracer) []float64 {
 	n := int(in.NumVertices)
 	r := opt.RandomJump
 	sweep := backend.NewPageRankSweep(pool, backend.FromCSR(in), outDeg, 1, r, 1-r, make([]float64, n)).WithTracer(tr)
@@ -166,7 +167,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	if opt.Exec.Cluster == nil {
 		outDeg := g.OutDegrees()
 		var res runResult[int32]
-		stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+		stats := opt.Exec.Local(func(pool *par.Pool, _ *trace.Tracer) int {
 			res = runLocal(pool, g, in, outDeg, spec)
 			return res.rounds
 		})
@@ -200,7 +201,7 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 		return e.triangleCluster(g, opt)
 	}
 	var count int64
-	stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+	stats := opt.Exec.Local(func(pool *par.Pool, _ *trace.Tracer) int {
 		count = triangleLocal(pool, g)
 		return 1
 	})
@@ -217,7 +218,7 @@ const triangleGrain = 64
 // never shared by two running chunks, backend.TestSweepScratchExclusive)
 // and folds a chunk's count into the total with one atomic add; integer
 // addition is exact, so the count is the same at any pool size.
-func triangleLocal(pool *backend.Pool, g *graph.CSR) int64 {
+func triangleLocal(pool *par.Pool, g *graph.CSR) int64 {
 	sets := make([]*cuckoo.Set, pool.Workers())
 	var total atomic.Int64
 	backend.NewSweep(pool, int(g.NumVertices), triangleGrain, func(worker, lo, hi int) {
@@ -414,7 +415,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 			rmse = append(rmse, core.RMSE(r, k, userF, itemF))
 		}
 	}
-	train := func(*backend.Pool, *trace.Tracer) int {
+	train := func(*par.Pool, *trace.Tracer) int {
 		for it := 0; it < opt.Iterations; it++ {
 			iterate()
 		}

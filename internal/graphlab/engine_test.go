@@ -5,11 +5,11 @@ import (
 	"math"
 	"testing"
 
-	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 func fixtureDirected(t testing.TB) *graph.CSR {
@@ -177,7 +177,7 @@ func TestTriangleLocalAtAnyPoolSize(t *testing.T) {
 	g := acyclicRMAT(t, 10, 47)
 	want := core.RefTriangleCount(g)
 	for _, workers := range []int{1, 4, 8} {
-		pool := backend.NewPool(workers)
+		pool := par.NewPool(workers)
 		got := triangleLocal(pool, g)
 		pool.Close()
 		if got != want {
@@ -268,7 +268,7 @@ func TestLoweredPageRankMatchesRunLocal(t *testing.T) {
 	in, outDeg := g.Transpose(), g.OutDegrees()
 	opt := core.PageRankOptions{Iterations: 6, RandomJump: 0.3}
 	for _, workers := range []int{1, 3} {
-		pool := backend.NewPool(workers)
+		pool := par.NewPool(workers)
 		want := runLocal(pool, g, in, outDeg, pageRankSpec(opt)).vals
 		got := pageRankLowered(pool, in, outDeg, opt, nil)
 		pool.Close()
@@ -292,7 +292,7 @@ func TestRunLocalQuiescence(t *testing.T) {
 			return old, false, ActivateNone
 		},
 	}
-	pool := backend.NewPool(0)
+	pool := par.NewPool(0)
 	defer pool.Close()
 	res := runLocal(pool, g, in, g.OutDegrees(), spec)
 	if res.rounds != 1 {

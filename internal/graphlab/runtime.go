@@ -14,6 +14,7 @@ import (
 	"graphmaze/internal/bitvec"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -68,7 +69,7 @@ type runResult[V any] struct {
 // byte-granular changed flag are written at distinct vertex indices by
 // concurrent workers, and the next-round active set is claimed with
 // atomic bit sets — so steady-state rounds do not allocate.
-func runLocal[V, G any](pool *backend.Pool, g, in *graph.CSR, outDeg []int64, spec Spec[V, G]) runResult[V] {
+func runLocal[V, G any](pool *par.Pool, g, in *graph.CSR, outDeg []int64, spec Spec[V, G]) runResult[V] {
 	n := g.NumVertices
 	vals := make([]V, n)
 	for i := range vals {

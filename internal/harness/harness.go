@@ -25,6 +25,7 @@ import (
 	"graphmaze/internal/metrics"
 	"graphmaze/internal/native"
 	"graphmaze/internal/obs"
+	"graphmaze/internal/par"
 	"graphmaze/internal/socialite"
 	"graphmaze/internal/trace"
 )
@@ -421,7 +422,7 @@ func hostPeakBandwidth() float64 {
 		a[i] = 1
 		b[i] = 2
 	}
-	pool := backend.NewPool(0)
+	pool := par.NewPool(0)
 	defer pool.Close()
 	triad := backend.NewDense(pool, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -9,6 +9,7 @@ import (
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
 	"graphmaze/internal/native"
+	"graphmaze/internal/par"
 )
 
 // Stream is the DESIGN.md §14 experiment: the paper benchmarks static
@@ -81,7 +82,7 @@ func Stream(opt Options) error {
 	// One pool for the whole run: the incremental kernels and the
 	// full-recompute baselines all borrow it. The run carries the three
 	// result vectors from epoch to epoch itself, as graphserve does.
-	pool := backend.NewPool(0)
+	pool := par.NewPool(0)
 	defer pool.Close()
 	const jump, tol, maxSweeps = 0.3, 1e-9, 1000
 	src := bfsSource(base)

@@ -9,8 +9,10 @@ import (
 
 // DetRule is the determinism family. Bit-identical output across
 // engines and across GOMAXPROCS values is the repo's core contract, so
-// inside engine and checkpoint packages it flags the three ways order
-// nondeterminism sneaks in:
+// it flags the three ways order nondeterminism sneaks in — the map-range
+// and codec checks inside engine and checkpoint packages, the parallel
+// kernel body checks in every package, since graph construction and the
+// generator dispatch on the same pool as the engines:
 //
 //   - ranging over a map while feeding an order-sensitive sink: calls
 //     like Send/Encode/Write, or appends into state declared outside the
@@ -22,7 +24,8 @@ import (
 //     parallel kernel bodies or codec functions (encode/decode/
 //     snapshot/marshal).
 //   - floating-point accumulation into a shared scalar inside a
-//     parallel kernel body (par.For*, backend.NewDense/NewSweep): float
+//     parallel kernel body (par.For, par.RunnerFunc,
+//     backend.NewDense/NewSweep): float
 //     addition is not associative, so reduction order must be fixed per
 //     worker, not raced over.
 type DetRule struct{}
@@ -37,9 +40,7 @@ func (*DetRule) Doc() string {
 
 // Check implements Rule.
 func (r *DetRule) Check(p *Package, report func(pos token.Pos, format string, args ...any)) {
-	if !isEngine(p.Rel) && !strings.Contains(p.Rel, "ckpt") {
-		return
-	}
+	scoped := isEngine(p.Rel) || strings.Contains(p.Rel, "ckpt")
 	cg := BuildCallGraph(p)
 	reported := make(map[token.Pos]bool)
 	flag := func(pos token.Pos, format string, args ...any) {
@@ -54,8 +55,11 @@ func (r *DetRule) Check(p *Package, report func(pos token.Pos, format string, ar
 			if !ok || fn.Body == nil {
 				continue
 			}
-			r.checkMapRanges(p, fn, flag)
 			r.checkParBodies(p, cg, fn, flag)
+			if !scoped {
+				continue
+			}
+			r.checkMapRanges(p, fn, flag)
 			if isCodecName(fn.Name.Name) {
 				r.checkImpureReach(p, cg, fn, flag)
 			}
@@ -331,10 +335,11 @@ func impureWitness(cg *CallGraph, fn *types.Func, what int) (token.Pos, string) 
 }
 
 // forEachParBody finds every call inside body that takes a parallel
-// kernel body — par.ForXxx(...), and the backend pool's
-// backend.NewDense / backend.NewSweep passes where the served kernels
-// live — and yields each function-literal argument: the hot parallel
-// kernel bodies the det and hotalloc rules scope to.
+// kernel body — par.For(...), a closure handed to a pool as
+// par.RunnerFunc(...), and the backend.NewDense / backend.NewSweep passes
+// where the served kernels live — and yields each function-literal
+// argument: the hot parallel kernel bodies the det and hotalloc rules
+// scope to.
 func forEachParBody(p *Package, body *ast.BlockStmt, visit func(callName string, lit *ast.FuncLit)) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -355,7 +360,7 @@ func forEachParBody(p *Package, body *ast.BlockStmt, visit func(callName string,
 		}
 		pkg, name := pkgName.Imported().Name(), sel.Sel.Name
 		switch {
-		case pkg == "par" && strings.HasPrefix(name, "For"):
+		case pkg == "par" && (name == "For" || name == "RunnerFunc"):
 		case pkg == "backend" && (name == "NewDense" || name == "NewSweep"):
 		default:
 			return true

@@ -7,9 +7,9 @@ import (
 )
 
 // HotAllocRule is the hot-path allocation family. It scopes itself to
-// the function-literal bodies handed to par.For*-family calls and to the
-// backend pool's NewDense/NewSweep passes — the per-element and
-// per-worker kernels that run millions of times — and
+// the function-literal bodies handed to par.For, to a pool as
+// par.RunnerFunc, and to backend's NewDense/NewSweep passes — the
+// per-element and per-worker kernels that run millions of times — and
 // flags the allocation patterns the GraphMat "ninja gap" work calls out:
 //
 //   - append into a destination never preallocated with capacity in the
@@ -26,7 +26,7 @@ func (*HotAllocRule) Name() string { return "hotalloc" }
 
 // Doc implements Rule.
 func (*HotAllocRule) Doc() string {
-	return "par.For* and backend.NewDense/NewSweep kernel bodies must not allocate per element: preallocate appends, no defer/boxing/per-iteration closures"
+	return "par.For, par.RunnerFunc and backend.NewDense/NewSweep kernel bodies must not allocate per element: preallocate appends, no defer/boxing/per-iteration closures"
 }
 
 // Check implements Rule.

@@ -13,27 +13,38 @@ import (
 // and graphmaze/internal/backend with the same package names and
 // kernel-body-taking shapes: the det and hotalloc rules match on the
 // imported package's name, so fixtures do not need the real schedulers.
-const fixtureParSrc = `// Package par is the fixture fork-join.
+const fixtureParSrc = `// Package par is the fixture pool.
 package par
 
-// For runs f over static chunks.
-func For(n int, f func(lo, hi int)) { f(0, n) }
+// Runner is the unit of work a Pool dispatches.
+type Runner interface{ RunChunk(worker, lo, hi int) }
 
-// ForWorkersIndexed runs f per worker.
-func ForWorkersIndexed(workers, n int, f func(w, lo, hi int)) { f(0, 0, n) }
-`
+// RunnerFunc adapts a function to a Runner.
+type RunnerFunc func(worker, lo, hi int)
 
-const fixtureBackendSrc = `// Package backend is the fixture kernel pool.
-package backend
+// RunChunk implements Runner.
+func (f RunnerFunc) RunChunk(worker, lo, hi int) { f(worker, lo, hi) }
 
 // Pool is the fixture worker pool.
 type Pool struct{}
 
+// RunStatic runs r over the ranges in bounds.
+func (p *Pool) RunStatic(r Runner, bounds []int) { r.RunChunk(0, bounds[0], bounds[len(bounds)-1]) }
+
+// For runs f over static chunks.
+func For(n int, f func(lo, hi int)) { f(0, n) }
+`
+
+const fixtureBackendSrc = `// Package backend is the fixture kernel library.
+package backend
+
+import "graphmaze/internal/par"
+
 // NewDense runs f as a static pass over [0, n).
-func NewDense(p *Pool, n int, f func(lo, hi int)) *Pool { f(0, n); return p }
+func NewDense(p *par.Pool, n int, f func(lo, hi int)) *par.Pool { f(0, n); return p }
 
 // NewSweep runs f as a dynamic pass over [0, n).
-func NewSweep(p *Pool, n, grain int, f func(w, lo, hi int)) *Pool { f(0, 0, n); return p }
+func NewSweep(p *par.Pool, n, grain int, f func(w, lo, hi int)) *par.Pool { f(0, 0, n); return p }
 `
 
 // loadFixtureWithPar type-checks an in-memory package like loadFixture,
@@ -45,20 +56,20 @@ func loadFixtureWithPar(t *testing.T, rel string, files map[string]string) *Pack
 	base := importer.ForCompiler(fset, "source", nil)
 
 	prebuilt := map[string]*types.Package{}
-	for path, src := range map[string]string{
-		"graphmaze/internal/par":     fixtureParSrc,
-		"graphmaze/internal/backend": fixtureBackendSrc,
+	for _, fx := range []struct{ path, src string }{
+		{"graphmaze/internal/par", fixtureParSrc},
+		{"graphmaze/internal/backend", fixtureBackendSrc},
 	} {
-		f, err := parser.ParseFile(fset, path+"/fixture.go", src, parser.ParseComments)
+		f, err := parser.ParseFile(fset, fx.path+"/fixture.go", fx.src, parser.ParseComments)
 		if err != nil {
 			t.Fatal(err)
 		}
-		conf := types.Config{Importer: base}
-		pkg, err := conf.Check(path, fset, []*ast.File{f}, nil)
+		conf := types.Config{Importer: &prebuiltImporter{base: base, pkgs: prebuilt}}
+		pkg, err := conf.Check(fx.path, fset, []*ast.File{f}, nil)
 		if err != nil {
-			t.Fatalf("type-check fixture %s: %v", path, err)
+			t.Fatalf("type-check fixture %s: %v", fx.path, err)
 		}
-		prebuilt[path] = pkg
+		prebuilt[fx.path] = pkg
 	}
 
 	var parsed []*ast.File
@@ -218,7 +229,7 @@ func Flush(c *conn, m map[int][]byte) {
 }
 `})
 	if got := runRule(t, p, &DetRule{}); len(got) != 0 {
-		t.Fatalf("det only applies to engine and ckpt packages, got %v", got)
+		t.Fatalf("det's map-range check only applies to engine and ckpt packages, got %v", got)
 	}
 }
 
@@ -240,6 +251,29 @@ func Stamp(n int, out []int64) {
 }
 `})
 	wantFinding(t, runRule(t, p, &DetRule{}), "internal/native/a.go", 12, "det")
+}
+
+// TestDetFlagsWallClockInPoolBodyOutsideEngines: graph construction
+// dispatches closures on a pool as par.RunnerFunc, and a wall-clock read
+// there is flagged even though internal/graph is not an engine package.
+func TestDetFlagsWallClockInPoolBodyOutsideEngines(t *testing.T) {
+	p := loadFixtureWithPar(t, "internal/graph", map[string]string{"a.go": `package graph
+
+import (
+	"time"
+
+	"graphmaze/internal/par"
+)
+
+func Stamp(pool *par.Pool, bounds []int, out []int64) {
+	pool.RunStatic(par.RunnerFunc(func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = time.Now().UnixNano()
+		}
+	}), bounds)
+}
+`})
+	wantFinding(t, runRule(t, p, &DetRule{}), "internal/graph/a.go", 12, "det")
 }
 
 func TestDetFlagsWallClockReachableThroughHelper(t *testing.T) {
@@ -505,9 +539,12 @@ func Local() int {
 func TestDetSeesBackendPoolBodies(t *testing.T) {
 	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
 
-import "graphmaze/internal/backend"
+import (
+	"graphmaze/internal/backend"
+	"graphmaze/internal/par"
+)
 
-func Sum(pool *backend.Pool, xs []float64) float64 {
+func Sum(pool *par.Pool, xs []float64) float64 {
 	total := 0.0
 	backend.NewDense(pool, len(xs), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -517,7 +554,7 @@ func Sum(pool *backend.Pool, xs []float64) float64 {
 	return total
 }
 `})
-	wantFinding(t, runRule(t, p, &DetRule{}), "internal/native/a.go", 9, "det")
+	wantFinding(t, runRule(t, p, &DetRule{}), "internal/native/a.go", 12, "det")
 }
 
 // ----------------------------------------------------------- hotalloc --
@@ -540,12 +577,35 @@ func Collect(n int, sink func([]int)) {
 	wantFinding(t, runRule(t, p, &HotAllocRule{}), "internal/native/a.go", 9, "hotalloc")
 }
 
+// TestHotAllocFlagsAppendInPoolBody: the closure graph construction hands
+// a pool as par.RunnerFunc is a kernel body like a par.For one.
+func TestHotAllocFlagsAppendInPoolBody(t *testing.T) {
+	p := loadFixtureWithPar(t, "internal/graph", map[string]string{"a.go": `package graph
+
+import "graphmaze/internal/par"
+
+func Collect(pool *par.Pool, bounds []int, sink func([]int)) {
+	pool.RunStatic(par.RunnerFunc(func(_, lo, hi int) {
+		var local []int
+		for i := lo; i < hi; i++ {
+			local = append(local, i)
+		}
+		sink(local)
+	}), bounds)
+}
+`})
+	wantFinding(t, runRule(t, p, &HotAllocRule{}), "internal/graph/a.go", 9, "hotalloc")
+}
+
 func TestHotAllocSeesBackendPoolBodies(t *testing.T) {
 	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
 
-import "graphmaze/internal/backend"
+import (
+	"graphmaze/internal/backend"
+	"graphmaze/internal/par"
+)
 
-func Collect(pool *backend.Pool, n int, sink func([]int)) {
+func Collect(pool *par.Pool, n int, sink func([]int)) {
 	backend.NewSweep(pool, n, 64, func(_, lo, hi int) {
 		var local []int
 		for i := lo; i < hi; i++ {
@@ -555,7 +615,7 @@ func Collect(pool *backend.Pool, n int, sink func([]int)) {
 	})
 }
 `})
-	wantFinding(t, runRule(t, p, &HotAllocRule{}), "internal/native/a.go", 9, "hotalloc")
+	wantFinding(t, runRule(t, p, &HotAllocRule{}), "internal/native/a.go", 12, "hotalloc")
 }
 
 func TestHotAllocAllowsPreallocatedAppend(t *testing.T) {
@@ -680,7 +740,7 @@ func Slow(n int) []string {
 }
 `})
 	if got := runRule(t, p, &HotAllocRule{}); len(got) != 0 {
-		t.Fatalf("hotalloc only applies inside par.For* bodies, got %v", got)
+		t.Fatalf("hotalloc only applies inside parallel kernel bodies, got %v", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/metrics"
+	"graphmaze/internal/par"
 )
 
 // These tests pin the behaviours behind the paper's §6.1 optimization
@@ -148,7 +149,7 @@ func TestTuningStagesAllCorrect(t *testing.T) {
 
 func TestPageRankEarlyConvergence(t *testing.T) {
 	g := testGraphDirected(t)
-	pool := backend.NewPool(0)
+	pool := par.NewPool(0)
 	defer pool.Close()
 	in, outDeg := backend.FromCSR(g.Transpose()), g.OutDegrees()
 	// With a loose tolerance the run must stop early…

@@ -11,6 +11,7 @@ import (
 	"graphmaze/internal/codec"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -27,14 +28,14 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 		return e.bfsCluster(g, opt)
 	}
 	var dist []int32
-	stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) (levels int) {
+	stats := opt.Exec.Local(func(pool *par.Pool, tr *trace.Tracer) (levels int) {
 		dist, levels = e.bfsLocal(pool, g, opt.Source, tr)
 		return levels
 	})
 	return &core.BFSResult{Distances: dist, Stats: stats}, nil
 }
 
-func (e *Engine) bfsLocal(pool *backend.Pool, g *graph.CSR, source uint32, tr *trace.Tracer) ([]int32, int) {
+func (e *Engine) bfsLocal(pool *par.Pool, g *graph.CSR, source uint32, tr *trace.Tracer) ([]int32, int) {
 	if !e.tuning.Bitvector {
 		// Baseline data structure: the distance array itself is the
 		// visited set (a 4-byte random load per probe instead of a bit).
@@ -66,14 +67,14 @@ func (e *Engine) bfsLocal(pool *backend.Pool, g *graph.CSR, source uint32, tr *t
 // or nil for top-down levels only. It returns the hop distances, -1 for
 // unreached vertices, and the number of levels. span names the per-level
 // trace span; tr may be nil.
-func BFS(pool *backend.Pool, out, in *backend.Matrix, source uint32, span string, tr *trace.Tracer) ([]int32, int) {
+func BFS(pool *par.Pool, out, in *backend.Matrix, source uint32, span string, tr *trace.Tracer) ([]int32, int) {
 	return BFSInto(pool, out, in, source, span, tr, make([]int32, out.NumRows))
 }
 
 // BFSInto is BFS on the caller's distance vector: dist holds out.NumRows
 // elements and is overwritten whatever it held. The returned distances
 // are dist.
-func BFSInto(pool *backend.Pool, out, in *backend.Matrix, source uint32, span string, tr *trace.Tracer, dist []int32) ([]int32, int) {
+func BFSInto(pool *par.Pool, out, in *backend.Matrix, source uint32, span string, tr *trace.Tracer, dist []int32) ([]int32, int) {
 	for i := range dist {
 		dist[i] = -1
 	}

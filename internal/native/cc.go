@@ -3,6 +3,7 @@ package native
 import (
 	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 // Connected components for epoch-versioned graphs. Labels are canonical —
@@ -19,7 +20,7 @@ import (
 // ConnectedComponentsInto's flood over the result. The flood is serial,
 // so pool is unused. A caller that already holds the in-edge matrix calls
 // ConnectedComponentsInto and pays for no transpose.
-func ConnectedComponents(pool *backend.Pool, m *backend.Matrix) []uint32 {
+func ConnectedComponents(pool *par.Pool, m *backend.Matrix) []uint32 {
 	in := backend.FromCSR(graph.TransposeArrays(m.NumRows, m.Offsets, m.Cols))
 	return ConnectedComponentsInto(in, make([]uint32, m.NumRows), nil)
 }

@@ -9,6 +9,7 @@ import (
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 // jacobiCC is the reference oracle for connected components: the
@@ -17,7 +18,7 @@ import (
 // double-buffered so every sweep is deterministic at any worker count,
 // iterated until no label changes. It reads every edge once per sweep and
 // shares no code with the flood it checks.
-func jacobiCC(pool *backend.Pool, m *backend.Matrix) []uint32 {
+func jacobiCC(pool *par.Pool, m *backend.Matrix) []uint32 {
 	n := int(m.NumRows)
 	cur, next := make([]uint32, n), make([]uint32, n)
 	for i := range cur {
@@ -108,7 +109,7 @@ func TestConnectedComponentsFloodMatchesSweeps(t *testing.T) {
 		}
 	}
 
-	pool := backend.NewPool(2)
+	pool := par.NewPool(2)
 	defer pool.Close()
 	for _, f := range fixtures {
 		m := backend.FromCSR(f.g)

@@ -8,6 +8,7 @@ import (
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -27,14 +28,14 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	k := opt.K
 	userF := core.InitFactors(r.NumUsers, k, opt.Seed)
 	itemF := core.InitFactors(r.NumItems, k, opt.Seed+1)
-	train := func(pool *backend.Pool) []float64 { return gdLocal(pool, r, opt, userF, itemF) }
+	train := func(pool *par.Pool) []float64 { return gdLocal(pool, r, opt, userF, itemF) }
 	if opt.Method == core.SGD {
 		blocks, _, _ := core.BuildBlocks(r, core.NumStripes(r))
 		core.ShuffleBlocks(blocks, opt.Seed)
-		train = func(pool *backend.Pool) []float64 { return core.TrainSGD(pool, r, opt, blocks, userF, itemF) }
+		train = func(pool *par.Pool) []float64 { return core.TrainSGD(pool, r, opt, blocks, userF, itemF) }
 	}
 	var rmse []float64
-	stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+	stats := opt.Exec.Local(func(pool *par.Pool, _ *trace.Tracer) int {
 		rmse = train(pool)
 		return opt.Iterations
 	})
@@ -48,7 +49,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 // call's pool, parallel over users for P-gradients and over items for
 // Q-gradients. It updates the factors in place and returns the
 // per-iteration RMSE trajectory (empty when skipped).
-func gdLocal(pool *backend.Pool, r *graph.Bipartite, opt core.CFOptions, userF, itemF []float32) []float64 {
+func gdLocal(pool *par.Pool, r *graph.Bipartite, opt core.CFOptions, userF, itemF []float32) []float64 {
 	k := opt.K
 	gradP := make([]float32, len(userF))
 	gradQ := make([]float32, len(itemF))

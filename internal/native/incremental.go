@@ -5,6 +5,7 @@ import (
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 // This file holds the incremental native kernels for epoch-versioned
@@ -29,7 +30,7 @@ import (
 // an error, because a truncated run would silently break the conformance
 // pin. WarmPageRank(…, nil) is bit-identical to PageRank with the same tol:
 // on an all-ones start the mass deficit below is exactly 0.
-func WarmPageRank(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, maxSweeps int,
+func WarmPageRank(pool *par.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, maxSweeps int,
 	ranks []float64) ([]float64, int, error) {
 	n := int(in.NumRows)
 	if len(ranks) < n {

@@ -10,6 +10,7 @@ import (
 	"graphmaze/internal/backend"
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 type streamBench struct {
@@ -71,7 +72,7 @@ func (s *streamBench) next(b *testing.B, i int, reset func()) (*graph.Snapshot, 
 // per delta batch (transpose rebuild + delta-localized sweeps).
 func BenchmarkStreamPageRankRefresh(b *testing.B) {
 	s := newStreamBench(b, 12)
-	pool := backend.NewPool(0)
+	pool := par.NewPool(0)
 	defer pool.Close()
 	var ranks []float64
 	refresh := func(snap *graph.Snapshot) {
@@ -93,7 +94,7 @@ func BenchmarkStreamPageRankRefresh(b *testing.B) {
 // delta batch.
 func BenchmarkStreamBFSRepair(b *testing.B) {
 	s := newStreamBench(b, 12)
-	pool := backend.NewPool(0)
+	pool := par.NewPool(0)
 	defer pool.Close()
 	var dist []int32
 	b.ReportAllocs()
@@ -111,7 +112,7 @@ func BenchmarkStreamBFSRepair(b *testing.B) {
 // in-edge matrix).
 func BenchmarkStreamCCRepair(b *testing.B) {
 	s := newStreamBench(b, 12)
-	pool := backend.NewPool(0)
+	pool := par.NewPool(0)
 	defer pool.Close()
 	var labels []uint32
 	b.ReportAllocs()

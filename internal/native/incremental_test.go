@@ -9,6 +9,7 @@ import (
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 // conformanceProcs are the worker counts every incremental kernel is
@@ -18,7 +19,7 @@ var conformanceProcs = []int{1, 4}
 
 // symmetricBFS runs BFS from source on a symmetric snapshot, which is
 // its own in-edge matrix.
-func symmetricBFS(pool *backend.Pool, s *graph.Snapshot, source uint32) []int32 {
+func symmetricBFS(pool *par.Pool, s *graph.Snapshot, source uint32) []int32 {
 	m := backend.FromSnapshot(s)
 	dist, _ := BFS(pool, m, m, source, "native.bfs.level", nil)
 	return dist
@@ -70,7 +71,7 @@ func buildStream(t *testing.T, n uint32, baseEdges, epochs, deltaEdges int, opts
 // warmPR is WarmPageRank on snapshot s at the tolerance the conformance
 // tests pin: the transpose and out-degrees are built per epoch, as every
 // caller does.
-func warmPR(t *testing.T, pool *backend.Pool, s *graph.Snapshot, tol float64, ranks []float64) ([]float64, int) {
+func warmPR(t *testing.T, pool *par.Pool, s *graph.Snapshot, tol float64, ranks []float64) ([]float64, int) {
 	t.Helper()
 	g := s.CSR()
 	ranks, sweeps, err := WarmPageRank(pool, backend.FromCSR(g.Transpose()), g.OutDegrees(), 0.3, tol, 1000, ranks)
@@ -87,7 +88,7 @@ func TestIncrementalPageRankConformance(t *testing.T) {
 			defer runtime.GOMAXPROCS(prev)
 			v, deltas := buildStream(t, 150, 900, 3, 64, graph.DeltaOptions{DropSelfLoops: true}, 7)
 			const tol = 1e-10
-			pool := backend.NewPool(0)
+			pool := par.NewPool(0)
 			defer pool.Close()
 
 			check := func(s *graph.Snapshot, warmSweeps int, ranks []float64) {
@@ -134,7 +135,7 @@ func TestIncrementalBFSConformance(t *testing.T) {
 			v, deltas := buildStream(t, 200, 1200, 4, 72,
 				graph.DeltaOptions{Symmetrize: true, DropSelfLoops: true}, 11)
 			const source = 0
-			pool := backend.NewPool(0)
+			pool := par.NewPool(0)
 			defer pool.Close()
 			dist := symmetricBFS(pool, v.Current(), source)
 			for _, d := range deltas {
@@ -166,7 +167,7 @@ func TestIncrementalCCConformance(t *testing.T) {
 			// Sparse base: many components, so deltas actually merge some.
 			v, deltas := buildStream(t, 300, 180, 4, 48,
 				graph.DeltaOptions{Symmetrize: true, DropSelfLoops: true}, 13)
-			pool := backend.NewPool(0)
+			pool := par.NewPool(0)
 			defer pool.Close()
 			labels := ConnectedComponents(pool, backend.FromSnapshot(v.Current()))
 			for _, d := range deltas {
@@ -206,7 +207,7 @@ func TestIncrementalBFSDisconnectedThenBridged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := backend.NewPool(0)
+	pool := par.NewPool(0)
 	defer pool.Close()
 	dist := symmetricBFS(pool, v.Current(), 0)
 	if dist[3] != -1 || dist[5] != -1 {
@@ -269,7 +270,7 @@ func TestIncrementalKernelsRaceStress(t *testing.T) {
 		}()
 	}
 
-	pool := backend.NewPool(0)
+	pool := par.NewPool(0)
 	defer pool.Close()
 	ranks, _ := warmPR(t, pool, v.Current(), 1e-8, nil)
 	dist := symmetricBFS(pool, v.Current(), 0)

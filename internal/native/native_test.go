@@ -12,6 +12,7 @@ import (
 	"graphmaze/internal/core"
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 // testGraphDirected builds a small RMAT graph for PageRank (directed).
@@ -129,7 +130,7 @@ func TestPageRankIntoResumesBitForBit(t *testing.T) {
 		return len(a) == len(b)
 	}
 	for _, workers := range []int{1, 3} {
-		pool := backend.NewPool(workers)
+		pool := par.NewPool(workers)
 		pr, next := make([]float64, n), make([]float64, n)
 		for v := range pr {
 			pr[v] = 1
@@ -268,7 +269,7 @@ func TestBFSDirectedAboveSerialCutover(t *testing.T) {
 	out, in := backend.FromCSR(g), backend.FromCSR(g.Transpose())
 	for _, procs := range []int{1, 2} {
 		prev := runtime.GOMAXPROCS(procs)
-		pool := backend.NewPool(0)
+		pool := par.NewPool(0)
 		got, _ := BFS(pool, out, in, source, "native.bfs.level", nil)
 		pool.Close()
 		runtime.GOMAXPROCS(prev)
@@ -355,7 +356,7 @@ func TestTriangleCountMatchesReference(t *testing.T) {
 	}
 	// The symmetrized-input entry point counts the same triangles on the
 	// same edge list.
-	pool := backend.NewPool(0)
+	pool := par.NewPool(0)
 	defer pool.Close()
 	if got := TriangleCountSymmetrized(pool, testTriangleGraph(t, graph.Symmetrize)); got != want {
 		t.Errorf("TriangleCountSymmetrized = %d, oriented count %d", got, want)

@@ -11,6 +11,7 @@ import (
 	"graphmaze/internal/codec"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -32,7 +33,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	// before their kernels too).
 	n := int(g.NumVertices)
 	ranks, spare := make([]float64, n), make([]float64, n)
-	stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) int {
+	stats := opt.Exec.Local(func(pool *par.Pool, tr *trace.Tracer) int {
 		ranks = e.pageRankLocal(pool, in, outDeg, opt, tr, ranks, spare)
 		return opt.Iterations
 	})
@@ -44,7 +45,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 // pr in place through the contributions in spare, the ablation baseline
 // swaps pr with spare every iteration. It runs opt.Iterations iterations
 // and returns the ranks, pr or spare.
-func (e *Engine) pageRankLocal(pool *backend.Pool, in *graph.CSR, outDeg []int64, opt core.PageRankOptions, tr *trace.Tracer,
+func (e *Engine) pageRankLocal(pool *par.Pool, in *graph.CSR, outDeg []int64, opt core.PageRankOptions, tr *trace.Tracer,
 	pr, spare []float64) []float64 {
 	if e.tuning.ContribCaching {
 		// Tuned path: the engine is a thin wrapper over the package's one
@@ -87,7 +88,7 @@ func (e *Engine) pageRankLocal(pool *backend.Pool, in *graph.CSR, outDeg []int64
 // probability r. It runs at most maxSweeps sweeps, stopping early once
 // tol > 0 and no rank moves by more than tol, and returns the ranks with
 // the number of sweeps run. tr may be nil.
-func PageRank(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, maxSweeps int, tr *trace.Tracer) ([]float64, int) {
+func PageRank(pool *par.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, maxSweeps int, tr *trace.Tracer) ([]float64, int) {
 	n := int(in.NumRows)
 	var next []float64
 	if tol > 0 {
@@ -106,7 +107,7 @@ func PageRank(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump, tol 
 // the returned ranks are pr or next (the two swap every sweep), so they
 // are the caller's to reuse once it has read them. The count returned
 // includes the done sweeps.
-func PageRankInto(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, maxSweeps, done int, tr *trace.Tracer,
+func PageRankInto(pool *par.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, maxSweeps, done int, tr *trace.Tracer,
 	pr, next, contrib []float64) ([]float64, int) {
 	if done == 0 {
 		for i := range pr {
@@ -124,7 +125,7 @@ func PageRankInto(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump, 
 // buffers swap, and the convergence check compares them. It returns the
 // final ranks, the sweeps run (done included), and whether the tolerance
 // was met.
-func pageRankSweeps(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, done, maxSweeps int,
+func pageRankSweeps(pool *par.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, done, maxSweeps int,
 	pr, next, contrib []float64, tr *trace.Tracer) (ranks []float64, sweeps int, converged bool) {
 	sweep := backend.NewPageRankSweep(pool, in, outDeg, 1-jump, jump, 1, contrib).WithTracer(tr)
 	for sweeps = done; sweeps < maxSweeps && !converged; {
@@ -147,7 +148,7 @@ func pageRankSweeps(pool *backend.Pool, in *backend.Matrix, outDeg []int64, jump
 // with one CAS loop at chunk end: the partials are non-negative floats,
 // whose IEEE-754 bit patterns order like the numbers, and max is
 // order-independent, so the result is bit-identical to a serial scan.
-func maxAbsDiff(pool *backend.Pool, a, b []float64) float64 {
+func maxAbsDiff(pool *par.Pool, a, b []float64) float64 {
 	var worst atomic.Uint64
 	backend.NewDense(pool, len(a), func(lo, hi int) {
 		local := 0.0

@@ -9,6 +9,7 @@ import (
 	"graphmaze/internal/backend"
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 // directedStream is a directed RMAT graph in which vertex 0 reaches nothing
@@ -64,7 +65,7 @@ func directedStream(t *testing.T, seed int64) (*graph.Versioned, [][]graph.Edge)
 
 // directedBFS runs BFS from source on a directed snapshot, with its
 // transpose as the in-edge matrix bottom-up levels read.
-func directedBFS(pool *backend.Pool, s *graph.Snapshot, source uint32) []int32 {
+func directedBFS(pool *par.Pool, s *graph.Snapshot, source uint32) []int32 {
 	dist, _ := BFS(pool, backend.FromSnapshot(s), backend.FromCSR(s.CSR().Transpose()), source, "native.bfs.level", nil)
 	return dist
 }
@@ -83,7 +84,7 @@ func TestRepairCCDirectedConformance(t *testing.T) {
 			defer runtime.GOMAXPROCS(prev)
 			for _, stride := range []int{1, 3} {
 				v, deltas := directedStream(t, 23)
-				pool := backend.NewPool(0)
+				pool := par.NewPool(0)
 				defer pool.Close()
 				labels := ConnectedComponents(pool, backend.FromSnapshot(v.Current()))
 				if labels[0] != 0 || slices.Index(labels[1:], 0) >= 0 {
@@ -125,7 +126,7 @@ func TestRepairBFSDirectedConformance(t *testing.T) {
 			defer runtime.GOMAXPROCS(prev)
 			for _, stride := range []int{1, 4} {
 				v, deltas := directedStream(t, 29)
-				pool := backend.NewPool(0)
+				pool := par.NewPool(0)
 				defer pool.Close()
 				// The highest-degree vertex: a source that reaches something.
 				var source uint32

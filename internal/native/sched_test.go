@@ -9,6 +9,7 @@ import (
 	"graphmaze/internal/core"
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -119,7 +120,7 @@ func pageRankLocalStatic(e *Engine, g *graph.CSR, opt core.PageRankOptions) []fl
 func TestTriangleDynamicMatchesStatic(t *testing.T) {
 	g := testGraphAcyclic(t)
 	for _, workers := range []int{1, 4} {
-		pool := backend.NewPool(workers)
+		pool := par.NewPool(workers)
 		defer pool.Close()
 		for _, bitv := range []bool{true, false} {
 			tn := DefaultTuning()
@@ -146,7 +147,7 @@ func TestMaxAbsDiffMatchesSerial(t *testing.T) {
 	b[777] = -5e-7
 	want := maxAbsDiffSerial(a, b)
 	for _, workers := range []int{1, 4} {
-		pool := backend.NewPool(workers)
+		pool := par.NewPool(workers)
 		defer pool.Close()
 		if got := maxAbsDiff(pool, zero, zero); got != 0 {
 			t.Errorf("workers=%d: equal vectors differ by %v", workers, got)
@@ -195,7 +196,7 @@ func TestPageRankEdgeBalancedMatchesStatic(t *testing.T) {
 		opt := core.PageRankOptions{Iterations: 30, RandomJump: 0.15}
 		wantRanks := pageRankLocalStatic(e, g, opt)
 		for _, workers := range []int{1, 4} {
-			pool := backend.NewPool(workers)
+			pool := par.NewPool(workers)
 			defer pool.Close()
 			n := g.NumVertices
 			gotRanks := e.pageRankLocal(pool, g.Transpose(), g.OutDegrees(), opt, nil,
@@ -251,7 +252,7 @@ func TestBFSDynamicMatchesArrayReference(t *testing.T) {
 	if g.NumEdges() < 1<<19 {
 		t.Fatalf("test graph too small to engage the parallel BFS path: %d edges", g.NumEdges())
 	}
-	pool := backend.NewPool(0)
+	pool := par.NewPool(0)
 	defer pool.Close()
 	dist, _ := New().bfsLocal(pool, g, 1, nil)
 	refDist := make([]int32, g.NumVertices)

@@ -10,6 +10,7 @@ import (
 	"graphmaze/internal/codec"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -30,7 +31,7 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 		return e.triangleCluster(g, opt)
 	}
 	var count int64
-	stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+	stats := opt.Exec.Local(func(pool *par.Pool, _ *trace.Tracer) int {
 		count = triangles(pool, g, g.Offsets, e.tuning.Bitvector)
 		return 1
 	})
@@ -48,7 +49,7 @@ const triangleGrain = 64
 // neighbours above itself is exactly the acyclic orientation
 // TriangleCount's input stores, so one binary search per row finds where
 // that half starts and the count is the oriented kernel's.
-func TriangleCountSymmetrized(pool *backend.Pool, g *graph.CSR) int64 {
+func TriangleCountSymmetrized(pool *par.Pool, g *graph.CSR) int64 {
 	first := make([]int64, g.NumVertices)
 	backend.NewDense(pool, len(first), func(lo, hi int) {
 		for v := lo; v < hi; v++ {
@@ -67,7 +68,7 @@ func TriangleCountSymmetrized(pool *backend.Pool, g *graph.CSR) int64 {
 // on the caller's pool and each folds its partial count into the total
 // with one atomic add; integer addition is exact, so the count is the
 // same at any worker count.
-func triangles(pool *backend.Pool, g *graph.CSR, first []int64, bitvector bool) int64 {
+func triangles(pool *par.Pool, g *graph.CSR, first []int64, bitvector bool) int64 {
 	// Per-worker bit-vector scratch survives across the many small chunks
 	// one worker claims (allocating it per chunk would dominate).
 	scratch := make([]*bitvec.Vector, pool.Workers())

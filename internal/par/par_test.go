@@ -1,6 +1,7 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -32,10 +33,12 @@ func TestForEachIndexOnce(t *testing.T) {
 	}
 }
 
-func TestForWorkersSerial(t *testing.T) {
-	// With 1 worker the body must run inline over the full range.
+// TestForSerial: at GOMAXPROCS 1, For runs the body once over the full
+// range.
+func TestForSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var calls int
-	ForWorkers(1, 10, func(lo, hi int) {
+	For(10, func(lo, hi int) {
 		calls++
 		if lo != 0 || hi != 10 {
 			t.Errorf("range [%d,%d)", lo, hi)
@@ -46,56 +49,89 @@ func TestForWorkersSerial(t *testing.T) {
 	}
 }
 
-func TestForWorkersCapped(t *testing.T) {
+// chunkRecorder records, per worker index, the one static range a
+// dispatch handed that worker; the per-slot writes are plain.
+type chunkRecorder struct {
+	calls []int32
+	spans [][2]int
+}
+
+func newChunkRecorder(workers int) *chunkRecorder {
+	return &chunkRecorder{calls: make([]int32, workers), spans: make([][2]int, workers)}
+}
+
+func (r *chunkRecorder) RunChunk(worker, lo, hi int) {
+	r.calls[worker]++
+	r.spans[worker] = [2]int{lo, hi}
+}
+
+// TestRunStaticSerial: a 1-worker pool runs the body once, on the caller,
+// over the full range under worker index 0.
+func TestRunStaticSerial(t *testing.T) {
+	pool := NewPool(1)
+	defer pool.Close()
+	r := newChunkRecorder(1)
+	pool.RunStatic(r, EvenSplits(10, pool.Workers()))
+	if r.calls[0] != 1 || r.spans[0] != [2]int{0, 10} {
+		t.Errorf("serial dispatch: %d calls, last range %v; want one call over [0,10)", r.calls[0], r.spans[0])
+	}
+}
+
+// TestRunStaticCapped: a 3-worker pool runs at most 3 chunks per dispatch.
+func TestRunStaticCapped(t *testing.T) {
+	pool := NewPool(3)
+	defer pool.Close()
 	var chunks int64
-	ForWorkers(3, 100, func(lo, hi int) {
+	pool.RunStatic(RunnerFunc(func(_, _, _ int) {
 		atomic.AddInt64(&chunks, 1)
-	})
+	}), EvenSplits(100, pool.Workers()))
 	if chunks > 3 {
 		t.Errorf("chunks = %d, want ≤ 3", chunks)
 	}
 }
 
-func TestForWorkersIndexedDistinctWorkers(t *testing.T) {
-	// Explicit multi-worker invocation (GOMAXPROCS may be 1, so the
-	// parallel branches need explicit worker counts to be exercised).
-	seen := make([]int32, 4)
-	ForWorkersIndexed(4, 400, func(worker, lo, hi int) {
-		if worker < 0 || worker >= 4 {
-			t.Errorf("worker index %d out of range", worker)
+// TestRunStaticDistinctWorkers: on a 4-worker pool each worker index in
+// [0,4) runs exactly once per dispatch, over the range EvenSplits gave it.
+func TestRunStaticDistinctWorkers(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	bounds := EvenSplits(401, pool.Workers())
+	r := newChunkRecorder(4)
+	pool.RunStatic(r, bounds)
+	for w := 0; w < 4; w++ {
+		if r.calls[w] != 1 || r.spans[w] != [2]int{bounds[w], bounds[w+1]} {
+			t.Errorf("worker %d: %d calls, range %v; want one call over [%d,%d)", w, r.calls[w], r.spans[w], bounds[w], bounds[w+1])
 		}
-		atomic.AddInt32(&seen[worker], int32(hi-lo))
-	})
-	var total int32
-	for _, s := range seen {
-		total += s
-	}
-	if total != 400 {
-		t.Errorf("covered %d of 400", total)
 	}
 }
 
-func TestForWorkersIndexedSerial(t *testing.T) {
-	calls := 0
-	ForWorkersIndexed(1, 10, func(worker, lo, hi int) {
-		calls++
-		if worker != 0 || lo != 0 || hi != 10 {
-			t.Errorf("serial call = (%d, %d, %d)", worker, lo, hi)
+// TestRunStaticEmpty: an empty range runs no body.
+func TestRunStaticEmpty(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	r := newChunkRecorder(4)
+	pool.RunStatic(r, EvenSplits(0, pool.Workers()))
+	for w, c := range r.calls {
+		if c != 0 {
+			t.Errorf("worker %d ran %d times over an empty range", w, c)
 		}
-	})
-	if calls != 1 {
-		t.Errorf("calls = %d", calls)
 	}
 }
 
-func TestForWorkersIndexedEmpty(t *testing.T) {
-	ForWorkersIndexed(4, 0, func(int, int, int) { t.Error("body called for empty range") })
-}
-
-func TestForWorkersMoreWorkersThanItems(t *testing.T) {
-	var visited int64
-	ForWorkers(16, 3, func(lo, hi int) { atomic.AddInt64(&visited, int64(hi-lo)) })
-	if visited != 3 {
-		t.Errorf("visited %d of 3", visited)
+// TestRunStaticMoreWorkersThanItems: with fewer indices than workers the
+// first n workers take one index each and the rest run nothing.
+func TestRunStaticMoreWorkersThanItems(t *testing.T) {
+	pool := NewPool(16)
+	defer pool.Close()
+	r := newChunkRecorder(16)
+	pool.RunStatic(r, EvenSplits(3, pool.Workers()))
+	for w, c := range r.calls {
+		want := int32(0)
+		if w < 3 {
+			want = 1
+		}
+		if c != want || (c == 1 && r.spans[w] != [2]int{w, w + 1}) {
+			t.Errorf("worker %d: %d calls, range %v", w, c, r.spans[w])
+		}
 	}
 }

@@ -1,4 +1,4 @@
-package backend
+package par
 
 import (
 	"runtime"
@@ -9,19 +9,26 @@ import (
 	"graphmaze/internal/obs"
 )
 
-// chunkRunner is the unit of work a Pool dispatches: a kernel that can
+// Runner is the unit of work a Pool dispatches: a kernel that can
 // process the half-open index range [lo, hi) on behalf of one worker.
 // Kernels implement it with pointer receivers so the interface assignment
-// in RunStatic/RunDynamic never allocates.
+// in RunStatic/RunDynamic never allocates; a loop outside a hot path
+// passes a closure as a RunnerFunc.
 //
 // The chunks of one dispatch must never wait on each other: a dispatch
 // that finds the team busy runs all of them, one after another, on its
 // caller's goroutine. For the same reason per-worker scratch belongs to
 // the call, not to the pool: another caller's dispatch may be running the
 // same worker indices at the same moment.
-type chunkRunner interface {
-	runChunk(worker, lo, hi int)
+type Runner interface {
+	RunChunk(worker, lo, hi int)
 }
+
+// RunnerFunc adapts a function to a Runner.
+type RunnerFunc func(worker, lo, hi int)
+
+// RunChunk implements Runner.
+func (f RunnerFunc) RunChunk(worker, lo, hi int) { f(worker, lo, hi) }
 
 // DefaultGrain is the chunk size RunDynamic uses when the caller passes
 // grain <= 0. It is tuned for bodies costing tens of nanoseconds per index:
@@ -36,11 +43,12 @@ const (
 	modeDynamic        // workers claim grain-sized chunks from an atomic cursor
 )
 
-// Pool is a persistent team of workers the backend kernels run on.
-// Spawning goroutines per call (internal/par, below backend) allocates on
-// every dispatch, which an iterate-until-converged hot loop cannot
-// afford; a Pool parks its workers between dispatches so steady-state
-// iterations cost two channel hops per worker and zero allocations.
+// Pool is a persistent team of workers: every parallel loop in the module
+// runs on one, from the backend kernels and served queries to graph
+// construction, the RMAT generator and Giraph's modelled workers. A Pool
+// parks its workers between dispatches, so an iterate-until-converged
+// hot loop costs two channel hops per worker per pass and zero
+// allocations.
 //
 // Worker 0 is the calling goroutine, so a 1-worker pool degenerates to a
 // plain serial loop with no synchronization at all. A shared Pool is safe
@@ -60,7 +68,7 @@ type Pool struct {
 	done chan struct{}
 
 	mode   int
-	runner chunkRunner
+	runner Runner
 	bounds []int
 	cursor atomic.Int64
 	limit  int
@@ -168,7 +176,7 @@ func (p *Pool) work(w int) {
 	case modeStatic:
 		lo, hi := p.bounds[w], p.bounds[w+1]
 		if lo < hi {
-			p.runner.runChunk(w, lo, hi)
+			p.runner.RunChunk(w, lo, hi)
 		}
 	case modeDynamic:
 		for {
@@ -180,7 +188,7 @@ func (p *Pool) work(w int) {
 			if hi > p.limit {
 				hi = p.limit
 			}
-			p.runner.runChunk(w, lo, hi)
+			p.runner.RunChunk(w, lo, hi)
 		}
 	}
 }
@@ -215,19 +223,19 @@ func (p *Pool) ranInline() {
 	}
 }
 
-// RunStatic runs r over the k ranges described by bounds (len workers+1,
-// as produced by graph.OffsetSplits or evenSplits): worker w gets
+// RunStatic runs r over the ranges described by bounds (len Workers()+1,
+// as produced by graph.OffsetSplits or EvenSplits): worker w gets
 // [bounds[w], bounds[w+1]). Deterministic ownership — the same worker
 // index always sees the same range for the same bounds. When another
 // dispatch holds the team the caller runs the ranges itself, in ascending
 // order and each under its own worker index, so per-worker state groups
 // exactly as it does on the team.
-func (p *Pool) RunStatic(r chunkRunner, bounds []int) {
+func (p *Pool) RunStatic(r Runner, bounds []int) {
 	if !p.mu.TryLock() {
 		p.ranInline()
 		for w := 0; w+1 < len(bounds); w++ {
 			if lo, hi := bounds[w], bounds[w+1]; lo < hi {
-				r.runChunk(w, lo, hi)
+				r.RunChunk(w, lo, hi)
 			}
 		}
 		return
@@ -247,7 +255,7 @@ func (p *Pool) RunStatic(r chunkRunner, bounds []int) {
 // another dispatch holds the team the caller runs the chunks itself, in
 // ascending order as worker 0; which worker claims a chunk is arbitrary
 // on the team too.
-func (p *Pool) RunDynamic(r chunkRunner, n, grain int) {
+func (p *Pool) RunDynamic(r Runner, n, grain int) {
 	if grain <= 0 {
 		grain = DefaultGrain
 	}
@@ -255,7 +263,7 @@ func (p *Pool) RunDynamic(r chunkRunner, n, grain int) {
 	if !p.mu.TryLock() {
 		p.ranInline()
 		for lo := 0; lo < n; lo += grain {
-			r.runChunk(0, lo, min(lo+grain, n))
+			r.RunChunk(0, lo, min(lo+grain, n))
 		}
 		return
 	}
@@ -267,4 +275,25 @@ func (p *Pool) RunDynamic(r chunkRunner, n, grain int) {
 	p.dispatch()
 	p.runner = nil
 	p.mu.Unlock()
+}
+
+// EvenSplits returns k+1 bounds cutting [0,n) into k contiguous ranges
+// whose sizes differ by at most one; the first n%k ranges hold the extra
+// index, and when n < k the last k-n ranges are empty.
+func EvenSplits(n, k int) []int {
+	if k < 1 {
+		k = 1
+	}
+	bounds := make([]int, k+1)
+	base, rem := n/k, n%k
+	lo := 0
+	for w := 0; w < k; w++ {
+		bounds[w] = lo
+		lo += base
+		if w < rem {
+			lo++
+		}
+	}
+	bounds[k] = n
+	return bounds
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // These tests exist to run under `go test -race`: they exercise nested and
-// repeated use of the loop primitives and then verify exact results, so the
+// repeated use of the loops and then verify exact results, so the
 // race detector can observe the goroutine structure under real contention.
 // testing.Short() scales sizes down so the -short race pass stays fast
 // without skipping the scenario.
@@ -51,35 +51,38 @@ func TestNestedForStress(t *testing.T) {
 	}
 }
 
-// TestForWorkersIndexedSlotDisjoint verifies the per-worker staging
-// contract engines rely on: each worker index is handed out to exactly one
-// goroutine per call, and the index ranges tile [0,n) without overlap. The
-// per-slot writes are plain on purpose — if two goroutines ever shared a
-// worker index, the race detector would fire.
-func TestForWorkersIndexedSlotDisjoint(t *testing.T) {
+// TestRunStaticSlotDisjoint verifies the per-worker staging contract
+// graph's radix passes and Giraph's workers rely on: each worker index is
+// handed to exactly one goroutine per dispatch, and the ranges tile [0,n)
+// without overlap. The per-slot writes are plain on purpose — if two
+// goroutines ever shared a worker index, the race detector would fire.
+func TestRunStaticSlotDisjoint(t *testing.T) {
 	iters := 200
 	if testing.Short() {
 		iters = 40
 	}
 	workers, n := 8, 10_000
+	pool := NewPool(workers)
+	defer pool.Close()
+	bounds := EvenSplits(n, workers)
 	for it := 0; it < iters; it++ {
 		type span struct{ lo, hi int }
 		slots := make([]span, workers)
 		covered := make([]int64, n)
-		ForWorkersIndexed(workers, n, func(w, lo, hi int) {
+		pool.RunStatic(RunnerFunc(func(w, lo, hi int) {
 			slots[w] = span{lo, hi} // plain write: slot w must be exclusive
 			for i := lo; i < hi; i++ {
 				atomic.AddInt64(&covered[i], 1)
 			}
-		})
+		}), bounds)
 		for i, c := range covered {
 			if c != 1 {
 				t.Fatalf("iter %d: index %d covered %d times, want exactly once", it, i, c)
 			}
 		}
 		for w, s := range slots {
-			if s.hi < s.lo {
-				t.Fatalf("iter %d: worker %d got inverted range [%d,%d)", it, w, s.lo, s.hi)
+			if s.lo != bounds[w] || s.hi != bounds[w+1] {
+				t.Fatalf("iter %d: worker %d got [%d,%d), want [%d,%d)", it, w, s.lo, s.hi, bounds[w], bounds[w+1])
 			}
 		}
 	}

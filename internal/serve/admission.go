@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,17 +63,16 @@ type tenantQueue struct {
 	q      []*waiter
 }
 
-// waiter is one queued request. granted/cancelled transitions happen
-// under Admission.mu; ready is closed exactly once, on grant.
+// waiter is one queued request. granted is set under Admission.mu; ready
+// is closed exactly once, on grant.
 type waiter struct {
 	ready chan struct{}
 	// tag is the request's virtual start tag, frozen at enqueue time —
 	// freezing is what makes the schedule fair: a tenant that floods the
 	// queue pushes its own later tags out, while an idle tenant's next
 	// request starts back at the current virtual time and overtakes.
-	tag       float64
-	granted   bool
-	cancelled bool
+	tag     float64
+	granted bool
 }
 
 // NewAdmission builds the controller.
@@ -113,7 +113,6 @@ func (a *Admission) tenant(name string) *tenantQueue {
 	if t == nil {
 		if len(a.tenants) > a.max+a.depth {
 			for n, idle := range a.tenants {
-				idle.dropCancelled()
 				if len(idle.q) == 0 {
 					delete(a.tenants, n)
 				}
@@ -123,16 +122,6 @@ func (a *Admission) tenant(name string) *tenantQueue {
 		a.tenants[name] = t
 	}
 	return t
-}
-
-// dropCancelled pops cancelled waiters off the head of t's queue; their
-// queued count was already returned when they cancelled. Afterwards the
-// queue is empty or headed by a live waiter. The caller holds the
-// Admission's mu.
-func (t *tenantQueue) dropCancelled() {
-	for len(t.q) > 0 && t.q[0].cancelled {
-		t.q = t.q[1:]
-	}
 }
 
 // chargeLocked assigns the next virtual start tag for tenant t and
@@ -166,7 +155,6 @@ func (a *Admission) dispatchLocked() {
 		var best *tenantQueue
 		var bestTag float64
 		for _, t := range a.tenants {
-			t.dropCancelled()
 			if len(t.q) == 0 {
 				continue
 			}
@@ -224,7 +212,9 @@ func (a *Admission) Acquire(ctx context.Context, tenant string) error {
 			a.mu.Unlock()
 			return ctx.Err()
 		}
-		w.cancelled = true
+		// Leave the queue now, not when the waiter reaches its head: a
+		// queue only ever holds live waiters, at most QueueDepth of them.
+		t.q = slices.DeleteFunc(t.q, func(q *waiter) bool { return q == w })
 		a.queued--
 		a.queuedG.Set(float64(a.queued))
 		a.mu.Unlock()

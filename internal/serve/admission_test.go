@@ -180,6 +180,52 @@ func TestAdmissionContextCancelWhileQueued(t *testing.T) {
 	a.Release()
 }
 
+// TestAdmissionCancelledWaitersLeaveTheQueue: a request cancelled while
+// queued leaves its tenant's queue at once, not when it reaches the head.
+// One held slot, one live waiter at the head and 10 000 cancelled ones
+// behind it grew the queue to 10 001 entries while serve.queued read 1:
+// heap growth driven by client disconnects while slots are held.
+func TestAdmissionCancelledWaitersLeaveTheQueue(t *testing.T) {
+	const depth = 2
+	a := NewAdmission(AdmissionConfig{MaxInFlight: 1, QueueDepth: depth})
+	if err := a.Acquire(context.Background(), "t"); err != nil {
+		t.Fatalf("Acquire: %v", err)
+	}
+	live := make(chan error, 1)
+	go func() { live <- a.Acquire(context.Background(), "t") }()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		a.mu.Lock()
+		n := a.queued
+		a.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("live waiter never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 10_000; i++ {
+		if err := a.Acquire(gone, "t"); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled Acquire %d = %v, want context.Canceled", i, err)
+		}
+	}
+	a.mu.Lock()
+	qlen, queued := len(a.tenants["t"].q), a.queued
+	a.mu.Unlock()
+	if qlen > depth || queued != 1 {
+		t.Errorf("after 10 000 cancelled waiters: tenant queue holds %d, serve.queued %d; want at most %d and 1", qlen, queued, depth)
+	}
+	a.Release()
+	if err := <-live; err != nil {
+		t.Fatalf("live waiter: %v", err)
+	}
+	a.Release()
+}
+
 func TestAdmissionQueueDrainsInFlightCap(t *testing.T) {
 	// 2 slots, many waiters: at no point may more than 2 run at once.
 	a := NewAdmission(AdmissionConfig{MaxInFlight: 2, QueueDepth: 64})

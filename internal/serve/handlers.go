@@ -218,18 +218,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	for i, e := range req.Edges {
 		delta[i] = graph.Edge{Src: e[0], Dst: e[1]}
 	}
-	g.ingest.Lock()
-	snap, added, stats, err := g.v.ApplyDelta(delta)
-	var persistErr error
-	if err == nil {
-		// The gauge moves with the epoch, under the lock that orders
-		// epochs: set after it, two deltas could publish theirs in the
-		// wrong order, and a failed save would skip a live epoch.
-		g.epochGauge.Set(float64(snap.Epoch()))
-		g.notePending(snap.Epoch(), added, snap.NumVertices())
-		_, _, persistErr = g.store.SaveDelta(snap, added, 1)
-	}
-	g.ingest.Unlock()
+	snap, stats, err, persistErr := g.ingestDelta(delta)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "applying delta: %v", err)
 		return
@@ -247,6 +236,25 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		SelfLoops:   stats.SelfLoops,
 		NewVertices: stats.NewVertices,
 	})
+}
+
+// ingestDelta applies delta to g under its ingest lock, released on every
+// path out (a panic included), and persists the new epoch. err is the
+// delta's own fault; persistErr the epoch store's.
+func (g *servedGraph) ingestDelta(delta []graph.Edge) (snap *graph.Snapshot, stats graph.DeltaStats, err, persistErr error) {
+	g.ingest.Lock()
+	defer g.ingest.Unlock()
+	snap, added, stats, err := g.v.ApplyDelta(delta)
+	if err != nil {
+		return nil, stats, err, nil
+	}
+	// The gauge moves with the epoch, under the lock that orders epochs:
+	// set after it, two deltas could publish theirs in the wrong order,
+	// and a failed save would skip a live epoch.
+	g.epochGauge.Set(float64(snap.Epoch()))
+	g.notePending(snap.Epoch(), added, snap.NumVertices())
+	_, _, persistErr = g.store.SaveDelta(snap, added, 1)
+	return snap, stats, nil, persistErr
 }
 
 // graphInfo is one entry in the /graphs listing.

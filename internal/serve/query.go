@@ -13,6 +13,7 @@ import (
 	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
 	"graphmaze/internal/native"
+	"graphmaze/internal/par"
 	"graphmaze/internal/socialite"
 )
 
@@ -440,7 +441,7 @@ func (s *Server) execute(g *servedGraph, snap *graph.Snapshot, q *query) ([]byte
 // evaluate once; both on the server's pool. EDGE carries in, the epoch's
 // in-CSR, so the default rule's rounds are BFS levels that pull exactly as
 // /query/bfs does.
-func datalogQuery(pool *backend.Pool, snap *graph.Snapshot, in *backend.Matrix, q *query) (*datalogResponse, error) {
+func datalogQuery(pool *par.Pool, snap *graph.Snapshot, in *backend.Matrix, q *query) (*datalogResponse, error) {
 	reg := socialite.NewRegistry()
 	reg.Register(socialite.NewEdgeTable("EDGE", snap.CSR()).WithInEdges(in))
 	tbl := socialite.NewVecTable("REACH", snap.NumVertices())

@@ -23,7 +23,7 @@
 // across worker counts, a cache hit serves the exact bytes a recompute
 // would produce. A miss on a key another request is already computing
 // waits for that computation and is then served as a hit. Misses execute
-// on one shared persistent backend.Pool (each kernel phase on the whole
+// on one shared persistent par.Pool (each kernel phase on the whole
 // team when it is free, on the request's own goroutine when another
 // query holds it), in O(n) vectors borrowed from the server, and reduce the kernel's array to the response's few numbers in
 // single passes; after a delta, a BFS or connected-components miss repairs
@@ -43,6 +43,7 @@ import (
 	"graphmaze/internal/ckpt"
 	"graphmaze/internal/graph"
 	"graphmaze/internal/obs"
+	"graphmaze/internal/par"
 )
 
 // Config sizes the service.
@@ -164,7 +165,7 @@ func (g *servedGraph) bind(snap *graph.Snapshot) *epochState {
 type Server struct {
 	cfg   Config
 	reg   *obs.Registry
-	pool  *backend.Pool
+	pool  *par.Pool
 	adm   *Admission
 	cache *resultCache
 
@@ -214,7 +215,7 @@ type Server struct {
 // and must Close it (releasing the worker pool).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	pool := backend.NewPool(cfg.Workers)
+	pool := par.NewPool(cfg.Workers)
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 2 * pool.Workers()
 	}
@@ -255,7 +256,7 @@ func New(cfg Config) *Server {
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Pool exposes the shared kernel pool (tests and benchmarks).
-func (s *Server) Pool() *backend.Pool { return s.pool }
+func (s *Server) Pool() *par.Pool { return s.pool }
 
 // Close releases the worker pool. The server must be idle.
 func (s *Server) Close() { s.pool.Close() }

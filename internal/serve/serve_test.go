@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
@@ -355,6 +356,52 @@ func TestDeltaBodyBounded(t *testing.T) {
 	}
 	if v, _ := s.Graph("social"); v.Epoch() != 0 {
 		t.Errorf("oversized delta advanced the graph to epoch %d", v.Epoch())
+	}
+}
+
+// TestDeltaRejectsMaxVertexID: a /delta naming vertex 4294967295 is a
+// 400 on a symmetrized and on a directed graph; /graphs still shows the
+// old epoch and vertex count, and the next valid delta on the graph
+// answers 200 within a deadline (a handler that panicked holding the
+// ingest lock wedged it).
+func TestDeltaRejectsMaxVertexID(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	client := &http.Client{Timeout: 3 * time.Second}
+	post := func(body string) int {
+		t.Helper()
+		resp, err := client.Post(ts.URL+"/delta", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST /delta %s: %v", body, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	listing := func() map[string]graphInfo {
+		t.Helper()
+		code, _, body := get(t, ts.URL+"/graphs", nil)
+		var infos []graphInfo
+		if err := json.Unmarshal(body, &infos); code != http.StatusOK || err != nil {
+			t.Fatalf("/graphs: status %d, %v", code, err)
+		}
+		byName := map[string]graphInfo{}
+		for _, gi := range infos {
+			byName[gi.Name] = gi
+		}
+		return byName
+	}
+	before := listing()
+	for _, name := range []string{"social", "web"} {
+		if code := post(`{"graph":"` + name + `","edges":[[4294967295,0]]}`); code != http.StatusBadRequest {
+			t.Errorf("%s: delta naming vertex 4294967295: status %d, want 400", name, code)
+		}
+		after := listing()[name]
+		if after.Epoch != before[name].Epoch || after.Vertices != before[name].Vertices {
+			t.Errorf("%s: refused delta moved /graphs from epoch %d, %d vertices to epoch %d, %d vertices",
+				name, before[name].Epoch, before[name].Vertices, after.Epoch, after.Vertices)
+		}
+		if code := post(`{"graph":"` + name + `","edges":[[1,2]]}`); code != http.StatusOK {
+			t.Errorf("%s: next valid delta: status %d, want 200", name, code)
+		}
 	}
 }
 

@@ -3,10 +3,10 @@ package socialite
 import (
 	"fmt"
 
-	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -151,7 +151,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	}
 	// One pool per call: a single-node iteration evaluates the rule on it
 	// whole, a cluster iteration shard by shard on every node.
-	stats := opt.Exec.Local(func(pool *backend.Pool, tr *trace.Tracer) int {
+	stats := opt.Exec.Local(func(pool *par.Pool, tr *trace.Tracer) int {
 		for it := 0; it < opt.Iterations && err == nil; it++ {
 			if c == nil {
 				sp := tr.Begin("socialite.rule", "rule evaluation").Arg("iter", float64(it))
@@ -223,7 +223,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	if err != nil {
 		return nil, err
 	}
-	stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) (rounds int) {
+	stats := opt.Exec.Local(func(pool *par.Pool, _ *trace.Tracer) (rounds int) {
 		if c == nil {
 			// The shared driver lowers the rule's shape onto the backend's
 			// level step; EDGE has no in-edge view, so every level pushes.
@@ -300,7 +300,7 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 	if err != nil {
 		return nil, err
 	}
-	stats := opt.Exec.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+	stats := opt.Exec.Local(func(pool *par.Pool, _ *trace.Tracer) int {
 		if c == nil {
 			// A global $INC(1): chunk partials on the call's pool.
 			err = EvalOnce(pool, rule)
@@ -443,7 +443,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	// evalRules evaluates one iteration's rules on the call's pool: over
 	// the whole key space for a single-node run, shard-local on the
 	// cluster's nodes otherwise.
-	evalRules := func(pool *backend.Pool, gradPRule, gradQRule, applyP, applyQ *Rule) error {
+	evalRules := func(pool *par.Pool, gradPRule, gradQRule, applyP, applyQ *Rule) error {
 		for _, rule := range []*Rule{gradPRule, gradQRule, applyP, applyQ} {
 			if err := rule.Validate(); err != nil {
 				return err
@@ -507,7 +507,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		})
 	}
 
-	iterate := func(pool *backend.Pool) error {
+	iterate := func(pool *par.Pool) error {
 		gradP := NewVecTable("GRADP", r.NumUsers)
 		gradQ := NewVecTable("GRADQ", r.NumItems)
 		p2 := NewVecTable("P2", r.NumUsers)
@@ -537,7 +537,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		}
 		return nil
 	}
-	train := func(pool *backend.Pool, _ *trace.Tracer) int {
+	train := func(pool *par.Pool, _ *trace.Tracer) int {
 		for it := 0; it < opt.Iterations && err == nil; it++ {
 			err = iterate(pool)
 		}

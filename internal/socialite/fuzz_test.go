@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 // fuzzGraph is the fixed 64-vertex graph FuzzParse evaluates on: two
@@ -73,7 +73,7 @@ func FuzzParse(f *testing.F) {
 		f.Add(seed)
 	}
 	g := fuzzGraph(f)
-	var shardPools []*backend.Pool
+	var shardPools []*par.Pool
 	for _, workers := range shardPoolSizes {
 		shardPools = append(shardPools, newTestPool(f, workers))
 	}

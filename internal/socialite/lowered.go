@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"graphmaze/internal/backend"
+	"graphmaze/internal/par"
 )
 
 // This file holds the one rule-shape matcher and the evaluators it hands a
@@ -146,7 +147,7 @@ type RuleLowering struct {
 // LowerBFSRule builds the frontier lowering for a rule of the matched
 // shape that is recursive (the head table drives the body) and folds with
 // $MIN over scalars, on the caller's pool.
-func LowerBFSRule(pool *backend.Pool, rule *Rule) (*RuleLowering, bool) {
+func LowerBFSRule(pool *par.Pool, rule *Rule) (*RuleLowering, bool) {
 	sh, ok := matchEdgeShape(rule)
 	if !ok || rule.Head.Agg != AggMin || !rule.Recursive() || !sh.squareOver() {
 		return nil, false
@@ -271,7 +272,7 @@ func seminaive(rule *Rule, delta []uint32, round func(delta []uint32) ([]uint32,
 // of rounds. Rounds run on the caller's pool: through the BFS lowering
 // while its guards hold; a round that violates them re-runs on the generic
 // sharded evaluator, as does every later round.
-func Fixpoint(pool *backend.Pool, rule *Rule) (int, error) {
+func Fixpoint(pool *par.Pool, rule *Rule) (int, error) {
 	if !rule.Recursive() {
 		return 0, fmt.Errorf("socialite: Fixpoint needs a recursive rule (head table driving the body); evaluate rule %s once instead", rule.Name)
 	}
@@ -293,7 +294,7 @@ func Fixpoint(pool *backend.Pool, rule *Rule) (int, error) {
 // EvalOnce evaluates a rule once over its whole driver key space on the
 // caller's pool: lowered when the matcher and the lowering's guard allow,
 // on the generic sharded evaluator otherwise.
-func EvalOnce(pool *backend.Pool, rule *Rule) error {
+func EvalOnce(pool *par.Pool, rule *Rule) error {
 	span, err := rule.driverSpan()
 	if err != nil {
 		return err
@@ -320,7 +321,7 @@ func EvalOnce(pool *backend.Pool, rule *Rule) error {
 // cannot promise that: a source with no tuple in the driver or a prefix
 // table (its edges would emit nothing, not zero), a NaN emission (dropped,
 // not folded) or a head or emitted value that is not a scalar.
-func evalEdgeSum(pool *backend.Pool, s *edgeShape) bool {
+func evalEdgeSum(pool *par.Pool, s *edgeShape) bool {
 	rule := s.rule
 	head := rule.Head.Table
 	if rule.Head.Agg != AggSum || rule.readsHead() || !s.squareOver() {
@@ -375,7 +376,7 @@ type countLane struct {
 // as skewed as the degrees), each worker counts the tuples of the chunks
 // it claimed, and the tallies are added up. Counts are integers, so the
 // sum is exact — the tuple-at-a-time fold's, whoever claimed what.
-func evalGlobalCount(pool *backend.Pool, rule *Rule, span uint32) {
+func evalGlobalCount(pool *par.Pool, rule *Rule, span uint32) {
 	lanes := make([]countLane, pool.Workers())
 	backend.NewSweep(pool, int(span), 64, func(w, lo, hi int) {
 		l := &lanes[w]

@@ -12,6 +12,7 @@ import (
 	"graphmaze/internal/core"
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 // bfsRuleSrc is the paper's recursive BFS rule; weightedBFSRuleSrc adds a
@@ -147,7 +148,7 @@ func TestFixpointLoweredMatchesGeneric(t *testing.T) {
 		for _, procs := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/procs=%d", name, procs), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				pool := backend.NewPool(0)
+				pool := par.NewPool(0)
 				defer pool.Close()
 				source := maxDegreeVertex(g)
 				genericRule, want := genericFixpoint(t, func() *Rule { return buildBFSRule(t, bfsRuleSrc, NewEdgeTable("EDGE", g), source, nil) }, source)
@@ -201,7 +202,7 @@ func TestFixpointFallsBackMidRun(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			pool := backend.NewPool(0)
+			pool := par.NewPool(0)
 			defer pool.Close()
 
 			probe := buildBFSRule(t, weightedBFSRuleSrc, edge, source, step)
@@ -341,7 +342,7 @@ func TestLowerBFSRuleRejectsNonRecursive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := backend.NewPool(1)
+	pool := par.NewPool(1)
 	defer pool.Close()
 	if _, ok := LowerBFSRule(pool, rule); ok {
 		t.Fatal("non-recursive $SUM rule must not lower")
@@ -360,7 +361,7 @@ func TestLoweredRoundFallsBackOnNonUniformDelta(t *testing.T) {
 	rule := buildBFSRule(t, bfsRuleSrc, edge, 3, nil)
 	// A second seed at a different depth makes the first delta non-uniform.
 	rule.Head.Table.Put(5, Scalar(7))
-	pool := backend.NewPool(1)
+	pool := par.NewPool(1)
 	defer pool.Close()
 	low, ok := LowerBFSRule(pool, rule)
 	if !ok {
@@ -488,7 +489,7 @@ func TestSumLoweringMatchesGeneric(t *testing.T) {
 			for _, procs := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/%s/procs=%d", name, sc.name, procs), func(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					pool := backend.NewPool(0)
+					pool := par.NewPool(0)
 					defer pool.Close()
 
 					generic := buildSumRule(t, edge, sc)
@@ -534,7 +535,7 @@ func TestGlobalCountMatchesReference(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			pool := backend.NewPool(0)
+			pool := par.NewPool(0)
 			defer pool.Close()
 			tri := NewVecTable("TRIANGLE", 1)
 			reg := NewRegistry()
@@ -583,7 +584,7 @@ func TestNaNEmissionsDroppedAtEveryWorkerCount(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			pool := backend.NewPool(0)
+			pool := par.NewPool(0)
 			defer pool.Close()
 			generic, once := build(), build()
 			if _, err := evalSharded(pool, generic, 0, 4, nil, nil, 0, false); err != nil {

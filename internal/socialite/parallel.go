@@ -4,6 +4,7 @@ import (
 	"graphmaze/internal/backend"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
 
@@ -34,7 +35,7 @@ type kv struct {
 // Its only non-test caller is bench/'s Datalog replay; engines and the
 // server hand evalSharded the pool they already hold.
 func EvalParallel(rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) int, selfNode int, trackChanged bool) (stats EvalStats, err error) {
-	core.Exec{}.Local(func(pool *backend.Pool, _ *trace.Tracer) int {
+	core.Exec{}.Local(func(pool *par.Pool, _ *trace.Tracer) int {
 		stats, err = evalSharded(pool, rule, lo, hi, delta, owner, selfNode, trackChanged)
 		return 1
 	})
@@ -51,7 +52,7 @@ func EvalParallel(rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) 
 // nodes other than selfNode are tallied in the returned stats (the data
 // still folds — tables are shared in the simulation; the tally drives the
 // modeled network).
-func evalSharded(pool *backend.Pool, rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) int, selfNode int, trackChanged bool) (EvalStats, error) {
+func evalSharded(pool *par.Pool, rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) int, selfNode int, trackChanged bool) (EvalStats, error) {
 	var stats EvalStats
 	if _, err := rule.driverSpan(); err != nil {
 		return stats, err

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"graphmaze/internal/backend"
 	"graphmaze/internal/graph"
+	"graphmaze/internal/par"
 )
 
 // shardPoolSizes are the worker counts the sharded evaluator's tests run
@@ -14,9 +14,9 @@ import (
 var shardPoolSizes = []int{1, 2, 5}
 
 // newTestPool returns a pool of the given size, closed when t ends.
-func newTestPool(t testing.TB, workers int) *backend.Pool {
+func newTestPool(t testing.TB, workers int) *par.Pool {
 	t.Helper()
-	p := backend.NewPool(workers)
+	p := par.NewPool(workers)
 	t.Cleanup(p.Close)
 	return p
 }
