@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
@@ -101,17 +103,132 @@ func TestRMATTriangleParamsLessSkewed(t *testing.T) {
 	}
 }
 
+// TestRMATValidation also rejects a non-finite A, B or C (a NaN A would
+// put every edge in quadrant D) and noise outside [0, 1], which can drive
+// a quadrant weight negative, where the branch-free pick and a
+// first-match switch disagree. Every preset, and noise 1, validates.
 func TestRMATValidation(t *testing.T) {
+	noised := func(edit func(*RMATConfig)) RMATConfig {
+		c := Graph500Config(4, 2, 1)
+		edit(&c)
+		return c
+	}
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []RMATConfig{
 		{Scale: 0, NumEdges: 10, A: 0.5, B: 0.2, C: 0.2},
 		{Scale: 40, NumEdges: 10, A: 0.5, B: 0.2, C: 0.2},
 		{Scale: 5, NumEdges: -1, A: 0.5, B: 0.2, C: 0.2},
 		{Scale: 5, NumEdges: 10, A: 0.5, B: 0.3, C: 0.3},
 		{Scale: 5, NumEdges: 10, A: 0, B: 0.2, C: 0.2},
+		noised(func(c *RMATConfig) { c.A = nan }),
+		noised(func(c *RMATConfig) { c.B = nan }),
+		noised(func(c *RMATConfig) { c.C = nan }),
+		noised(func(c *RMATConfig) { c.A = inf }),
+		noised(func(c *RMATConfig) { c.B = -inf }),
+		noised(func(c *RMATConfig) { c.C = inf }),
+		noised(func(c *RMATConfig) { c.Noise = -0.1 }),
+		noised(func(c *RMATConfig) { c.Noise = 1.5 }),
+		noised(func(c *RMATConfig) { c.Noise = nan }),
 	}
 	for i, cfg := range bad {
 		if _, err := RMAT(cfg); err == nil {
-			t.Errorf("config %d: expected validation error", i)
+			t.Errorf("config %d (%+v): expected validation error", i, cfg)
+		}
+	}
+	good := []RMATConfig{Graph500Config(4, 2, 1), TriangleConfig(4, 2, 1), RatingsRMATConfig(4, 2, 1), noised(func(c *RMATConfig) { c.Noise = 1 })}
+	for i, cfg := range good {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("preset %d: %v", i, err)
+		}
+	}
+}
+
+// switchQuadrant is the first-match switch quadrant's branch-free pick
+// replaced, kept as its oracle.
+func switchQuadrant(u, al, bl, cl float64) (src, dst uint32) {
+	switch {
+	case u < al:
+		// top-left quadrant: no bits set
+	case u < al+bl:
+		dst |= 1
+	case u < al+bl+cl:
+		src |= 1
+	default:
+		src |= 1
+		dst |= 1
+	}
+	return src, dst
+}
+
+// TestQuadrantMatchesSwitch: the pick agrees with the switch on and
+// around every threshold, with empty B or C quadrants, and on random
+// draws from noised weights.
+func TestQuadrantMatchesSwitch(t *testing.T) {
+	check := func(u, al, bl, cl float64) {
+		t.Helper()
+		gs, gd := quadrant(u, al, bl, cl)
+		ws, wd := switchQuadrant(u, al, bl, cl)
+		if gs != ws || gd != wd {
+			t.Errorf("quadrant(%v; %v, %v, %v) = (%d,%d), switch (%d,%d)", u, al, bl, cl, gs, gd, ws, wd)
+		}
+	}
+	weights := [][3]float64{{0.57, 0.19, 0.19}, {0.45, 0.15, 0}, {0.4, 0, 0.22}, {0.5, 0, 0}, {0.3, 0.3, 0.3}}
+	for _, w := range weights {
+		al, bl, cl := w[0], w[1], w[2]
+		for _, x := range []float64{0, al, al + bl, al + bl + cl, 1} {
+			for _, u := range []float64{math.Nextafter(x, -1), x, math.Nextafter(x, 2)} {
+				if u >= 0 && u < 1 {
+					check(u, al, bl, cl)
+				}
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(9))
+	for i := 0; i < 100000; i++ {
+		al := 0.57 * (1 + (2*r.Float64() - 1))
+		bl := 0.19 * (1 + (2*r.Float64() - 1))
+		cl := 0.19 * (1 + (2*r.Float64() - 1))
+		check(r.Float64(), al, bl, cl)
+	}
+}
+
+// TestRMATStreamPinned pins the generator's output, not only its
+// agreement with itself: an FNV-64a hash of the edges (Src, Dst as
+// little-endian uint32s) for each preset at three seeds (one under
+// -short), computed from the switch-based quadrant pick the branch-free
+// one replaced.
+func TestRMATStreamPinned(t *testing.T) {
+	want := []struct {
+		cfg  RMATConfig
+		hash uint64
+	}{
+		{Graph500Config(16, 8, 1), 0xbd5acce63f69918d},
+		{TriangleConfig(15, 8, 1), 0xd8aca90b19178aac},
+		{RatingsRMATConfig(14, 16, 1), 0x10b10a4f0bd5d17d},
+		{Graph500Config(16, 8, 77), 0xa58c9a6b7480c4c9},
+		{TriangleConfig(15, 8, 77), 0x8f66697f0197c9e1},
+		{RatingsRMATConfig(14, 16, 77), 0x537b057fb6be84d3},
+		{Graph500Config(16, 8, -3), 0x40af5f5a2593aa18},
+		{TriangleConfig(15, 8, -3), 0x4543611a2e6b01d6},
+		{RatingsRMATConfig(14, 16, -3), 0x98ae821b03a64a60},
+	}
+	if testing.Short() {
+		want = want[:3] // the first seed of each preset
+	}
+	for _, w := range want {
+		edges, err := RMAT(w.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		for _, e := range edges {
+			binary.LittleEndian.PutUint32(b[:4], e.Src)
+			binary.LittleEndian.PutUint32(b[4:], e.Dst)
+			h.Write(b[:])
+		}
+		if got := h.Sum64(); got != w.hash {
+			t.Errorf("scale %d A=%v seed %d: edge hash %#016x, want %#016x", w.cfg.Scale, w.cfg.A, w.cfg.Seed, got, w.hash)
 		}
 	}
 }
@@ -344,8 +461,8 @@ func TestTailDistanceIdentity(t *testing.T) {
 }
 
 // TestRMATBuildAndDeltaIdenticalAcrossGOMAXPROCS: the generator, graph
-// construction and ApplyDelta all dispatch on a pool as wide as
-// GOMAXPROCS, so each must give the same bytes at 1, 3 and 4 procs. The
+// construction, ApplyDelta and Transpose all dispatch on a pool as wide
+// as GOMAXPROCS, so each must give the same bytes at 1, 3 and 4 procs. The
 // input spans four 2^16-edge generator chunks and takes the radix sort
 // path in both the build and the delta.
 func TestRMATBuildAndDeltaIdenticalAcrossGOMAXPROCS(t *testing.T) {
@@ -381,7 +498,7 @@ func TestRMATBuildAndDeltaIdenticalAcrossGOMAXPROCS(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.added = added
-		r.csrs = append(r.csrs, snap.CSR())
+		r.csrs = append(r.csrs, snap.CSR(), r.csrs[0].Transpose(), r.csrs[1].Transpose())
 		return r
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -402,7 +519,7 @@ func TestRMATBuildAndDeltaIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		for i, g := range got.csrs {
 			w := want.csrs[i]
 			if g.NumVertices != w.NumVertices || !slices.Equal(g.Offsets, w.Offsets) || !slices.Equal(g.Targets, w.Targets) {
-				t.Errorf("GOMAXPROCS=%d: CSR %d (directed build, symmetrized build, delta epoch) differs from GOMAXPROCS=1", procs, i)
+				t.Errorf("GOMAXPROCS=%d: CSR %d (directed build, symmetrized build, delta epoch, their two transposes) differs from GOMAXPROCS=1", procs, i)
 			}
 		}
 	}

@@ -129,11 +129,11 @@ func (b *Builder) Build(opt BuildOptions) (*CSR, error) {
 	g := buildCSR(b.numVertices, b.numVertices, len(edges), func(i int) (uint32, uint32) {
 		return edges[i].Src, edges[i].Dst
 	}, nil)
-	if opt.SortAdjacency {
-		g.SortAdjacency()
-	} else if opt.Dedup {
+	if opt.Dedup {
 		// The dedup sort already ordered each adjacency list.
 		g.sortedAdj = true
+	} else if opt.SortAdjacency {
+		g.SortAdjacency()
 	}
 	g.symmetrized = opt.Orientation == Symmetrize
 	if err := g.Validate(); err != nil {
@@ -197,14 +197,7 @@ func NewBipartite(numUsers, numItems uint32, ratings []WeightedEdge) (*Bipartite
 		return nil, err
 	}
 	byUser.sortedAdj = true
-	reversed := make([]WeightedEdge, len(sorted))
-	for i, r := range sorted {
-		reversed[i] = WeightedEdge{Src: r.Dst, Dst: r.Src, Weight: r.Weight}
-	}
-	byItem, err := FromWeightedEdgesRect(numItems, numUsers, reversed)
-	if err != nil {
-		return nil, err
-	}
-	byItem.SortAdjacency()
+	// Every item's users come out ascending, the order a sort would give.
+	byItem := byUser.Transpose()
 	return &Bipartite{NumUsers: numUsers, NumItems: numItems, ByUser: byUser, ByItem: byItem}, nil
 }

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+
+	"graphmaze/internal/par"
 )
 
 // Edge is a directed edge between two vertices.
@@ -258,38 +260,102 @@ func buildCSR(numVertices, numTargets uint32, numEdges int, edgeAt func(int) (ui
 	return &CSR{NumVertices: numVertices, Offsets: offsets, Targets: targets, Weights: weights, targetSpace: numTargets}
 }
 
+// transposeCutover is the edge count below which Transpose runs its
+// passes as one range on the caller: under it a pool's start-up costs
+// more than the second worker saves.
+const transposeCutover = 1 << 16
+
 // Transpose returns the graph with every edge reversed. An out-CSR becomes
 // an in-CSR and vice versa; PageRank's native kernel wants in-edges in CSR
 // form (paper §3.1). Weights follow their edges; a rectangular CSR swaps
-// its source and target spaces. Adjacency sortedness is guaranteed because
-// the counting-sort scatter visits sources in order.
+// its source and target spaces.
+//
+// It is one counting sort whose count and scatter passes run on a pool
+// started for the call, each worker over one OffsetSplits range of
+// sources. Worker w counts its in-edges per target; a prefix over
+// (target, worker) then starts w's run in each in-list after the runs of
+// workers < w, and the scatter writes every run in ascending source
+// order. So every in-list is sorted by source, exactly the array a
+// serial pass makes, at any worker count. Positions within a list are
+// uint32 (one per target per worker: at two workers the bytes of one
+// int64 cursor per target); a graph of 2^32 edges or more takes int64
+// positions and one worker.
 func (g *CSR) Transpose() *CSR {
-	n := g.targetSpace
-	offsets := make([]int64, n+1)
-	for _, t := range g.Targets {
-		offsets[t+1]++
+	if int64(len(g.Targets)) >= 1<<32 {
+		return transpose[int64](g, 1)
 	}
+	workers := 1
+	if len(g.Targets) >= transposeCutover {
+		// Every worker's positions span all targets: at most one worker
+		// per edge per target keeps them, and the prefix over them, within
+		// the size of the edge array at any core count.
+		workers = max(1, min(par.NumWorkers(), int(g.NumVertices), len(g.Targets)/max(int(g.targetSpace), 1)))
+	}
+	return transpose[uint32](g, workers)
+}
+
+func transpose[P uint32 | int64](g *CSR, workers int) *CSR {
+	n := g.targetSpace
+	srcOff, srcTgt, srcW := g.Offsets, g.Targets, g.Weights
+	var pool *par.Pool
+	if workers > 1 {
+		pool = par.NewPool(workers)
+		defer pool.Close()
+	}
+	run := func(r par.RunnerFunc, bounds []int) {
+		if pool == nil {
+			if bounds[0] < bounds[1] {
+				r(0, bounds[0], bounds[1])
+			}
+			return
+		}
+		pool.RunStatic(r, bounds)
+	}
+	bounds := OffsetSplits(srcOff, workers)
+	// pos[w][t] first counts worker w's in-edges of t, then holds where
+	// the next of them goes within t's in-list.
+	pos := make([][]P, workers)
+	for w := range pos {
+		pos[w] = make([]P, n)
+	}
+	run(func(w, lo, hi int) {
+		p := pos[w]
+		for _, t := range srcTgt[srcOff[lo]:srcOff[hi]] {
+			p[t]++
+		}
+	}, bounds)
+	offsets := make([]int64, n+1)
+	run(func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			var start P
+			for _, p := range pos {
+				start, p[t] = start+p[t], start
+			}
+			offsets[t+1] = int64(start)
+		}
+	}, par.EvenSplits(int(n), workers))
 	for i := 1; i < len(offsets); i++ {
 		offsets[i] += offsets[i-1]
 	}
-	targets := make([]uint32, len(g.Targets))
+	targets := make([]uint32, len(srcTgt))
 	var weights []float32
-	if g.Weights != nil {
-		weights = make([]float32, len(g.Weights))
+	if srcW != nil {
+		weights = make([]float32, len(srcW))
 	}
-	cursor := make([]int64, n)
-	for v := uint32(0); v < g.NumVertices; v++ {
-		start, end := g.Offsets[v], g.Offsets[v+1]
-		for i := start; i < end; i++ {
-			t := g.Targets[i]
-			pos := offsets[t] + cursor[t]
-			targets[pos] = v
-			if weights != nil {
-				weights[pos] = g.Weights[i]
+	run(func(w, lo, hi int) {
+		p := pos[w]
+		for v := uint32(lo); v < uint32(hi); v++ {
+			for i := srcOff[v]; i < srcOff[v+1]; i++ {
+				t := srcTgt[i]
+				at := offsets[t] + int64(p[t])
+				targets[at] = v
+				if weights != nil {
+					weights[at] = srcW[i]
+				}
+				p[t]++
 			}
-			cursor[t]++
 		}
-	}
+	}, bounds)
 	return &CSR{NumVertices: n, Offsets: offsets, Targets: targets, Weights: weights, targetSpace: g.NumVertices, sortedAdj: true, symmetrized: g.symmetrized}
 }
 

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -93,6 +95,61 @@ func TestTranspose(t *testing.T) {
 	for _, e := range g.Edges() {
 		if !back.HasEdge(e.Src, e.Dst) {
 			t.Errorf("double transpose lost edge (%d,%d)", e.Src, e.Dst)
+		}
+	}
+}
+
+// transposeSerial is the single-pass counting sort Transpose ran before
+// its count and scatter passes moved onto a pool, kept as the oracle the
+// parallel pass must match array for array.
+func transposeSerial(g *CSR) *CSR {
+	n := g.targetSpace
+	offsets := make([]int64, n+1)
+	for _, t := range g.Targets {
+		offsets[t+1]++
+	}
+	for i := 1; i < len(offsets); i++ {
+		offsets[i] += offsets[i-1]
+	}
+	targets := make([]uint32, len(g.Targets))
+	var weights []float32
+	if g.Weights != nil {
+		weights = make([]float32, len(g.Weights))
+	}
+	cursor := make([]int64, n)
+	for v := uint32(0); v < g.NumVertices; v++ {
+		start, end := g.Offsets[v], g.Offsets[v+1]
+		for i := start; i < end; i++ {
+			t := g.Targets[i]
+			pos := offsets[t] + cursor[t]
+			targets[pos] = v
+			if weights != nil {
+				weights[pos] = g.Weights[i]
+			}
+			cursor[t]++
+		}
+	}
+	return &CSR{NumVertices: n, Offsets: offsets, Targets: targets, Weights: weights, targetSpace: g.NumVertices, sortedAdj: true, symmetrized: g.symmetrized}
+}
+
+// TestTransposeInt64Positions: the int64-position instantiation a graph
+// of 2^32 edges or more takes gives the oracle's arrays too.
+func TestTransposeInt64Positions(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	edges := make([]WeightedEdge, transposeCutover+5)
+	for i := range edges {
+		edges[i] = WeightedEdge{Src: uint32(r.Intn(3000)), Dst: uint32(r.Intn(700)), Weight: r.Float32()}
+	}
+	g, err := FromWeightedEdgesRect(3000, 700, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := transposeSerial(g)
+	for _, workers := range []int{1, 3} {
+		got := transpose[int64](g, workers)
+		if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Targets, want.Targets) || !slices.Equal(got.Weights, want.Weights) ||
+			got.NumVertices != want.NumVertices || got.targetSpace != want.targetSpace {
+			t.Errorf("%d workers: int64-position transpose differs from the serial pass", workers)
 		}
 	}
 }

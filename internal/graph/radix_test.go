@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -105,6 +106,40 @@ func TestBuildDedupLargeMatchesSmallPath(t *testing.T) {
 	for i := range want.Targets {
 		if got.Targets[i] != want.Targets[i] {
 			t.Fatalf("Targets[%d] = %d, want %d", i, got.Targets[i], want.Targets[i])
+		}
+	}
+}
+
+// TestBuildDedupSkipsSortAdjacency: the dedup sort leaves every adjacency
+// list ordered, so Build with Dedup skips SortAdjacency's per-vertex
+// sort. With or without SortAdjacency the arrays are the same, they are
+// already what the sort would make, and both report sorted adjacency,
+// for every orientation on the radix path.
+func TestBuildDedupSkipsSortAdjacency(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const vertices = 1 << 10
+	edges := randomEdgeList(rng, 4*radixSortThreshold, vertices)
+	for _, o := range []Orientation{KeepDirection, Symmetrize, OrientAcyclic} {
+		build := func(sortAdj bool) *CSR {
+			b := NewBuilder(vertices)
+			b.AddEdges(append([]Edge(nil), edges...))
+			g, err := b.Build(BuildOptions{Orientation: o, Dedup: true, DropSelfLoops: true, SortAdjacency: sortAdj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
+		both, dedup := build(true), build(false)
+		resorted := &CSR{NumVertices: dedup.NumVertices, Offsets: dedup.Offsets, Targets: append([]uint32(nil), dedup.Targets...), targetSpace: dedup.targetSpace}
+		resorted.SortAdjacency()
+		for name, g := range map[string]*CSR{"Dedup+SortAdjacency": both, "Dedup then SortAdjacency": resorted} {
+			if !slices.Equal(g.Offsets, dedup.Offsets) || !slices.Equal(g.Targets, dedup.Targets) {
+				t.Errorf("orientation %d: %s differs from Dedup alone", o, name)
+			}
+		}
+		if both.Symmetrized() != dedup.Symmetrized() || !both.SortedAdjacency() || !dedup.SortedAdjacency() {
+			t.Errorf("orientation %d: flags differ: sorted %v/%v, symmetrized %v/%v (with/without SortAdjacency)", o,
+				both.SortedAdjacency(), dedup.SortedAdjacency(), both.Symmetrized(), dedup.Symmetrized())
 		}
 	}
 }

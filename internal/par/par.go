@@ -1,9 +1,10 @@
 // Package par is the module's one execution substrate: a persistent
 // worker [Pool] that every parallel loop runs on (DESIGN.md §8). The
 // backend kernels and every served query borrow the pool core.Exec.Local
-// or the server hands them; graph construction and ApplyDelta's scatter
-// (internal/graph, which backend imports), the RMAT generator and
-// Giraph's modelled worker threads (paper §5.4) start one for their call.
+// or the server hands them; graph construction, the transpose and
+// ApplyDelta's scatter (internal/graph, which backend imports), the RMAT
+// generator and Giraph's modelled worker threads (paper §5.4) start one
+// for their call.
 // A loop picks static bounds ([Pool.RunStatic], a stable worker index per
 // range, [EvenSplits] or an edge-balanced split) or grain-sized dynamic
 // chunks ([Pool.RunDynamic]); the pool's metrics keep their
