@@ -16,7 +16,7 @@ race:
 	$(GO) test -race -short ./...
 
 # lint is the whole static gate: graphlint (the project-specific analyzer,
-# eight rules, silenced only by reasoned //lint:ignore directives in the
+# seven rules, silenced only by reasoned //lint:ignore directives in the
 # code) and go vet. `go test ./...` runs the same rules over the tree as
 # lint.TestModuleIsClean.
 lint:

@@ -55,7 +55,7 @@ func TestGate(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	if got, want := strings.Join(names, " "), "atomic det goroutine hotalloc lock panic scratch truncate"; code != 0 || got != want {
+	if got, want := strings.Join(names, " "), "atomic det hotalloc lock panic scratch truncate"; code != 0 || got != want {
 		t.Fatalf("-list: exit %d, rules %q; want 0 and %q", code, got, want)
 	}
 

@@ -264,6 +264,72 @@ func localKernels(fn *ast.FuncDecl) []*ast.FuncLit {
 	return kernels
 }
 
+// goStatements pins every non-test `go` statement in the module, keyed by
+// file and enclosing function, each with what joins or stops the goroutine
+// it starts. A goroutine nobody joins outlives the call that started it and
+// skews every timing taken after it, so a new `go` statement anywhere in the
+// module fails TestGoStatementsArePinned until it is listed here with its
+// join.
+var goStatements = map[string]string{
+	"internal/par/pool.go NewPool":         "workers park on the wake channel and are joined per dispatch via the buffered done channel; Close releases them",
+	"internal/obs/http.go ServeHandler":    "the listener goroutine closes done when Serve returns; Shutdown and Close stop the server and wait on done",
+	"internal/obs/sampler.go StartSampler": "the sampling loop closes done when it exits; Stop closes stop and waits on done",
+}
+
+// TestGoStatementsArePinned holds the module's goroutines to the list in
+// goStatements: every package is read, the commands and examples included
+// (bench/ is a module of its own and is not).
+func TestGoStatementsArePinned(t *testing.T) {
+	found := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != "." && (err == nil || strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			key := filepath.ToSlash(path) + " "
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				if recv := receiverName(fn); recv != "" {
+					key += recv + "."
+				}
+				key += fn.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					found[key] = true
+					if goStatements[key] == "" {
+						t.Errorf("%s: go statement in %s: join the goroutine in the function that starts it, or list it in goStatements with what joins it",
+							fset.Position(g.Pos()), key)
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := range goStatements {
+		if !found[key] {
+			t.Errorf("goStatements lists %s, which no longer starts a goroutine: delete the entry", key)
+		}
+	}
+}
+
 // TestKernelSurfaceHasCallers: every exported function and method of
 // every package under internal/ is referenced by non-test code somewhere
 // in the repository, bench/ included, besides its own declaration. A

@@ -119,10 +119,10 @@ func (s *Store) Due(step int) bool {
 // cost in virtual seconds for a cluster of the given node count.
 func (s *Store) Save(step, phases int, data []byte, nodes int) float64 {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.ckpts = append(s.ckpts, Checkpoint{Step: step, Phases: phases, Data: data})
 	s.bytes += int64(len(data))
 	s.writes++
-	s.mu.Unlock()
 	return s.cfg.WriteSeconds(int64(len(data)), nodes)
 }
 

@@ -57,11 +57,11 @@ func (s *EpochStore) Save(snap *graph.Snapshot, nodes int) (int64, float64, erro
 		return 0, 0, err
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.put(s.blobs, snap.Epoch(), blob)
 	if snap.Epoch() == s.latest {
 		s.lastFull, s.sinceFull = int64(len(blob)), 0
 	}
-	s.mu.Unlock()
 	return int64(len(blob)), s.cfg.WriteSeconds(int64(len(blob)), nodes), nil
 }
 
@@ -75,6 +75,7 @@ func (s *EpochStore) Save(snap *graph.Snapshot, nodes int) (int64, float64, erro
 // whole snapshots follows from the sizes and is not a setting.
 func (s *EpochStore) SaveDelta(snap *graph.Snapshot, added []graph.Edge, nodes int) (int64, float64, error) {
 	rec := graph.EncodeDelta(nil, snap, added)
+	//lint:ignore lock Save below takes s.mu itself; the section only compares counters and stores into maps NewEpochStore made, and it has no return
 	s.mu.Lock()
 	chained := s.stored() && s.latest+1 == snap.Epoch() && s.sinceFull+int64(len(rec)) <= s.lastFull
 	if chained {
@@ -107,6 +108,7 @@ func (s *EpochStore) stored() bool { return len(s.blobs)+len(s.deltas) > 0 }
 func (s *EpochStore) Load(e graph.Epoch, nodes int) (*graph.Snapshot, float64, error) {
 	// The chain, newest first: records back to the first epoch stored whole.
 	var chain [][]byte
+	//lint:ignore lock decoding runs after the Unlock, outside the lock; the walk under it only reads maps and appends, and its one early return unlocks first
 	s.mu.Lock()
 	base, ok := s.blobs[e]
 	for at := e; !ok; {

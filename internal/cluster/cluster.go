@@ -225,6 +225,7 @@ func (c *Cluster) Config() Config { return c.cfg }
 // array is never overwritten.
 func (c *Cluster) Send(from, to int, payload []byte) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	existing := c.outbox[from][to]
 	switch {
 	case existing == nil:
@@ -240,7 +241,6 @@ func (c *Cluster) Send(from, to int, payload []byte) {
 	default:
 		c.outbox[from][to] = append(existing, payload...)
 	}
-	c.mu.Unlock()
 }
 
 // Account charges traffic from node `from` without materializing a
@@ -248,9 +248,9 @@ func (c *Cluster) Send(from, to int, payload []byte) {
 // Account is safe for concurrent use within a phase.
 func (c *Cluster) Account(from int, bytes, messages int64) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.extraBytes[from] += bytes
 	c.extraMsgs[from] += messages
-	c.mu.Unlock()
 }
 
 // Recv returns the payloads delivered to node at the last phase boundary,

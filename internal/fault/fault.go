@@ -175,8 +175,8 @@ func (p *Plan) Add(e Event) *Plan {
 		e.Factor = 1
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.events = append(p.events, e)
-	p.mu.Unlock()
 	return p
 }
 

@@ -149,6 +149,10 @@ func (v *Versioned) Epoch() Epoch { return v.cur.Load().epoch }
 // orientation.
 func (v *Versioned) Options() DeltaOptions { return v.opts }
 
+// minDeltaGrowth is how many vertices one delta may always add: a delta may
+// grow an n-vertex graph to n + max(n, minDeltaGrowth) vertices, no more.
+const minDeltaGrowth = 1 << 16
+
 // ApplyDelta ingests a batch of raw edge insertions and publishes the next
 // epoch. The delta is copied (the caller's slice is untouched), oriented
 // per the graph's DeltaOptions, dedup-sorted with the same parallel radix
@@ -161,13 +165,23 @@ func (v *Versioned) Options() DeltaOptions { return v.opts }
 // actually added (the "touched" set incremental kernels repair from; the
 // slice is freshly allocated and owned by the caller), and ingestion
 // statistics. An empty or fully-duplicate delta still advances the epoch,
-// so epoch numbers always count ApplyDelta calls. An endpoint of
-// math.MaxUint32 is an error and publishes nothing: the vertex count
-// n = id+1 would not fit a uint32.
+// so epoch numbers always count ApplyDelta calls.
+//
+// Two deltas are errors, refused before the lock and before any
+// allocation, that publish nothing: an
+// endpoint of math.MaxUint32, whose vertex count n = id+1 would not fit a
+// uint32, and one that would grow an n-vertex graph past
+// n + max(n, minDeltaGrowth) vertices, since every new vertex costs the
+// merged epoch its offsets whatever the delta weighs.
 func (v *Versioned) ApplyDelta(delta []Edge) (*Snapshot, []Edge, DeltaStats, error) {
+	have := uint64(v.Current().NumVertices())
+	limit := have + max(have, minDeltaGrowth)
 	for _, e := range delta {
 		if e.Src == math.MaxUint32 || e.Dst == math.MaxUint32 {
 			return nil, nil, DeltaStats{}, fmt.Errorf("graph: delta edge (%d,%d): vertex ids must be below %d", e.Src, e.Dst, math.MaxUint32)
+		}
+		if top := uint64(max(e.Src, e.Dst)) + 1; top > limit {
+			return nil, nil, DeltaStats{}, fmt.Errorf("graph: delta edge (%d,%d): would grow the graph from %d to %d vertices, past the %d one delta may reach", e.Src, e.Dst, have, top, limit)
 		}
 	}
 	v.mu.Lock()

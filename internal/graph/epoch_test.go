@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -135,8 +136,10 @@ func TestApplyDeltaSymmetrize(t *testing.T) {
 
 // TestApplyDeltaRejectsMaxVertexID: an endpoint of MaxUint32 would make
 // the vertex count id+1 wrap to 0 — on a directed graph that published a
-// 1-vertex epoch, on a symmetrized one mergeCSR panicked. It is an error
-// on both orientations, and the current epoch, its arrays and the next
+// 1-vertex epoch, on a symmetrized one mergeCSR panicked — and one of
+// MaxUint32−1 would make mergeCSR allocate two 2³²-entry offset arrays
+// for a one-edge delta. Each is an error on both orientations that
+// allocates under 1 MiB, and the current epoch, its arrays and the next
 // valid delta are untouched.
 func TestApplyDeltaRejectsMaxVertexID(t *testing.T) {
 	for _, opts := range []DeltaOptions{{}, {Symmetrize: true, DropSelfLoops: true}} {
@@ -147,9 +150,16 @@ func TestApplyDeltaRejectsMaxVertexID(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := v.Current()
-		for _, bad := range [][]Edge{{{math.MaxUint32, 0}}, {{1, 3}, {0, math.MaxUint32}}} {
-			if _, _, _, err := v.ApplyDelta(bad); err == nil {
+		for _, bad := range [][]Edge{{{math.MaxUint32, 0}}, {{1, 3}, {0, math.MaxUint32}}, {{math.MaxUint32 - 1, 0}}} {
+			var pre, post runtime.MemStats
+			runtime.ReadMemStats(&pre)
+			_, _, _, err := v.ApplyDelta(bad)
+			runtime.ReadMemStats(&post)
+			if err == nil {
 				t.Errorf("symmetrize=%v: delta %v applied, want an error", opts.Symmetrize, bad)
+			}
+			if grew := post.TotalAlloc - pre.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("symmetrize=%v: refusing delta %v allocated %d bytes, want under 1 MiB", opts.Symmetrize, bad, grew)
 			}
 		}
 		if v.Current() != before || before.Epoch() != 0 {
@@ -164,6 +174,32 @@ func TestApplyDeltaRejectsMaxVertexID(t *testing.T) {
 		}
 		if snap.Epoch() != 1 || snap.NumVertices() != 5 || st.NewVertices != 1 {
 			t.Fatalf("symmetrize=%v: next valid delta: epoch %d, %d vertices, %+v", opts.Symmetrize, snap.Epoch(), snap.NumVertices(), st)
+		}
+	}
+}
+
+// TestApplyDeltaBoundsGrowth: one delta may grow an n-vertex graph to
+// n + max(n, 2¹⁶) vertices and no further, on a small graph (the additive
+// floor) and on one past the floor (doubling).
+func TestApplyDeltaBoundsGrowth(t *testing.T) {
+	v, err := NewVersioned(buildSorted(t, 4, []Edge{{0, 1}}, BuildOptions{}), DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		top    uint32 // the delta's largest vertex id
+		ok     bool
+		vertex uint32 // vertex count after the step
+	}{
+		{4 + 1<<16, false, 4},
+		{3 + 1<<16, true, 4 + 1<<16},
+		{2 * (4 + 1<<16), false, 4 + 1<<16},
+		{2*(4+1<<16) - 1, true, 2 * (4 + 1<<16)},
+	} {
+		_, _, _, err := v.ApplyDelta([]Edge{{step.top, 0}})
+		if (err == nil) != step.ok || v.Current().NumVertices() != step.vertex {
+			t.Fatalf("delta to vertex %d: err %v, %d vertices; want ok=%v and %d vertices",
+				step.top, err, v.Current().NumVertices(), step.ok, step.vertex)
 		}
 	}
 }

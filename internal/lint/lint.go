@@ -1,16 +1,15 @@
 // Package lint implements graphlint, the project-specific static analyzer
 // that guards invariants our concurrent engine runtimes rely on but the
-// generic Go toolchain cannot check. It keeps eight rules, each of which
+// generic Go toolchain cannot check. It keeps seven rules, each of which
 // has found a defect in shipped code or is answered by a live directive
 // (DESIGN.md §7 has the ledger): atomic (no mixed atomic/plain access),
-// truncate (no silent 64-bit → 32-bit index narrowing), goroutine (no
-// fire-and-forget goroutines in engine code), panic (no panics in library
-// paths), scratch (no O(n) buffer allocated per round), and three built
-// on a small dataflow layer (cfg.go, dataflow.go, callgraph.go): det
-// (nondeterminism: map-order leaks, wall clock and global rand in kernels
-// and codecs, float accumulation order), lock (mutex discipline across
-// CFG paths and guarded fields across functions), and hotalloc
-// (allocation patterns inside pool-dispatched kernel bodies).
+// truncate (no silent 64-bit → 32-bit index narrowing), panic (no panics
+// in library paths), scratch (no O(n) buffer allocated per round), lock
+// (every Lock followed by defer Unlock, no double Lock, guarded fields
+// written under their lock), det (nondeterminism: map-order leaks, wall
+// clock and global rand in kernels and codecs, float accumulation order;
+// the one rule built on the package call graph of callgraph.go) and
+// hotalloc (allocation patterns inside pool-dispatched kernel bodies).
 //
 // The analyzer is built only on the standard library (go/parser, go/ast,
 // go/types): Load parses and type-checks the module from source, Run applies
@@ -76,7 +75,6 @@ func DefaultRules() []Rule {
 	return []Rule{
 		&AtomicRule{},
 		&DetRule{},
-		&GoroutineRule{},
 		&HotAllocRule{},
 		&LockRule{},
 		&PanicRule{},

@@ -141,51 +141,6 @@ func B() {
 	}
 }
 
-func TestGoroutineRuleFlagsUnjoined(t *testing.T) {
-	p := loadFixture(t, "internal/par", map[string]string{"a.go": `package par
-
-func Leak() {
-	go func() {}()
-}
-`})
-	wantFinding(t, runRule(t, p, &GoroutineRule{}), "internal/par/a.go", 4, "goroutine")
-}
-
-func TestGoroutineRuleAcceptsJoins(t *testing.T) {
-	p := loadFixture(t, "internal/par", map[string]string{"a.go": `package par
-
-import "sync"
-
-func Joined() {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done() }()
-	wg.Wait()
-}
-
-func ChanJoined() {
-	done := make(chan struct{})
-	go func() { close(done) }()
-	<-done
-}
-`})
-	if got := runRule(t, p, &GoroutineRule{}); len(got) != 0 {
-		t.Fatalf("joined goroutines should be clean, got %v", got)
-	}
-}
-
-func TestGoroutineRuleSkipsNonEnginePackages(t *testing.T) {
-	p := loadFixture(t, "internal/harness", map[string]string{"a.go": `package harness
-
-func Leak() {
-	go func() {}()
-}
-`})
-	if got := runRule(t, p, &GoroutineRule{}); len(got) != 0 {
-		t.Fatalf("rule must only apply to engine packages, got %v", got)
-	}
-}
-
 func TestPanicRuleFlagsLibraryPanic(t *testing.T) {
 	p := loadFixture(t, "internal/fix", map[string]string{"a.go": `package fix
 

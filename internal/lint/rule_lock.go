@@ -1,23 +1,32 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// LockRule enforces mutex discipline with the CFG forward-dataflow
-// engine: every sync.Mutex/RWMutex Lock must be released on every path
-// out of the function (an Unlock on the path or a defer that covers it),
-// no path may Lock the same mutex twice without an intervening Unlock
-// (self-deadlock), and — via per-function summaries — a struct field
-// that is written under its receiver's lock in one function must not be
-// written with no lock held in another. Constructor paths (New*/init, or
-// writes to values constructed in the same function) are exempt from the
-// guarded-field check: freshly built values are not shared yet.
+// LockRule enforces mutex discipline on a flat, source-order reading of
+// every function body, each function literal's body read on its own:
+//   - every Lock/RLock of a sync.Mutex or sync.RWMutex is followed, as its
+//     very next statement, by a defer of the matching Unlock/RUnlock on
+//     the same mutex, so a panic or an early return anywhere after it
+//     still releases the lock. A site that cannot defer carries
+//     //lint:ignore lock with the reason nothing between its Lock and its
+//     Unlock can panic or return early. This check covers library
+//     packages; package main (the commands, the examples and the
+//     benchmark program) is outside it, as it is outside the panic rule;
+//   - a write Lock of a mutex whose last operation in the body is still a
+//     Lock is a self-deadlock (a deferred Unlock does not release it);
+//   - a struct field written with a lock held in one function must not be
+//     written with none held in another. "Held" is lexical: the last
+//     Lock/Unlock before the write, on a mutex rooted at the written
+//     value's root object, is a Lock. Constructor paths (New*/new*/init,
+//     or writes to values built in the same function) are exempt, and a
+//     "caller holds mu" doc comment counts the helper's writes as held.
 type LockRule struct{}
 
 // Name implements Rule.
@@ -25,179 +34,49 @@ func (*LockRule) Name() string { return "lock" }
 
 // Doc implements Rule.
 func (*LockRule) Doc() string {
-	return "mutexes are released on every path, never double-locked, and guard their fields consistently"
+	return "every Lock is followed by defer Unlock, no mutex is locked twice, and guarded fields stay guarded"
 }
 
-// lockKey identifies one mutex as seen from one function: the root
-// object of the receiver chain plus the field path, with read locks
-// tracked separately from write locks.
+// lockKey identifies one mutex as seen from one function body: the root
+// object of the receiver chain plus the rendered chain, with read locks
+// tracked apart from write locks.
 type lockKey struct {
-	path string
+	root types.Object
+	path string // "s.mu"
 	read bool
 }
 
 func (k lockKey) describe() string {
-	name := k.path
-	if i := strings.IndexByte(name, ':'); i >= 0 {
-		name = name[i+1:]
-	}
 	if k.read {
-		return name + " (read lock)"
+		return k.path + " (read lock)"
 	}
-	return name
+	return k.path
 }
 
-// lockFact is the dataflow fact: the set of locks that may be held and
-// the set of unlocks guaranteed to run via defer.
-type lockFact struct {
-	valid    bool
-	held     map[lockKey]token.Pos // lock site of the (possibly) held lock
-	deferred map[lockKey]bool
-}
-
-type lockLattice struct {
-	p *Package
-}
-
-// Entry implements Lattice.
-func (l *lockLattice) Entry() lockFact {
-	return lockFact{valid: true, held: map[lockKey]token.Pos{}, deferred: map[lockKey]bool{}}
-}
-
-// Bottom implements Lattice.
-func (l *lockLattice) Bottom() lockFact { return lockFact{} }
-
-// Join implements Lattice: held is may (union), deferred is must
-// (intersection).
-func (l *lockLattice) Join(a, b lockFact) lockFact {
-	if !a.valid {
-		return b
-	}
-	if !b.valid {
-		return a
-	}
-	out := lockFact{valid: true, held: map[lockKey]token.Pos{}, deferred: map[lockKey]bool{}}
-	for k, pos := range a.held {
-		out.held[k] = pos
-	}
-	for k, pos := range b.held {
-		if _, ok := out.held[k]; !ok {
-			out.held[k] = pos
-		}
-	}
-	for k := range a.deferred {
-		if b.deferred[k] {
-			out.deferred[k] = true
-		}
-	}
-	return out
-}
-
-// Equal implements Lattice.
-func (l *lockLattice) Equal(a, b lockFact) bool {
-	if a.valid != b.valid || len(a.held) != len(b.held) || len(a.deferred) != len(b.deferred) {
-		return false
-	}
-	for k := range a.held {
-		if _, ok := b.held[k]; !ok {
-			return false
-		}
-	}
-	for k := range a.deferred {
-		if !b.deferred[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// Transfer implements Lattice.
-func (l *lockLattice) Transfer(f lockFact, n ast.Node) lockFact {
-	if !f.valid {
-		return f
-	}
-	ops := lockOpsIn(l.p, n)
-	if len(ops) == 0 {
-		return f
-	}
-	out := lockFact{valid: true, held: map[lockKey]token.Pos{}, deferred: map[lockKey]bool{}}
-	for k, pos := range f.held {
-		out.held[k] = pos
-	}
-	for k := range f.deferred {
-		out.deferred[k] = true
-	}
-	for _, op := range ops {
-		switch {
-		case op.deferred && !op.lock:
-			out.deferred[op.key] = true
-		case op.lock:
-			out.held[op.key] = op.pos
-		default:
-			delete(out.held, op.key)
-		}
-	}
-	return out
-}
-
-// lockOp is one Lock/Unlock touch found in a linearized node.
+// lockOp is one Lock/RLock/Unlock/RUnlock call on a sync mutex.
 type lockOp struct {
-	key      lockKey
-	lock     bool // Lock/RLock (vs Unlock/RUnlock)
-	deferred bool
-	pos      token.Pos
-}
-
-// lockOpsIn extracts the mutex operations of one shallow CFG node. A
-// DeferStmt's call is the deferred op; a deferred closure is scanned for
-// the unlocks it performs.
-func lockOpsIn(p *Package, n ast.Node) []lockOp {
-	var ops []lockOp
-	record := func(call *ast.CallExpr, deferred bool) {
-		if op, ok := mutexOp(p, call); ok {
-			op.deferred = deferred
-			ops = append(ops, op)
-		}
-	}
-	switch s := n.(type) {
-	case *ast.DeferStmt:
-		record(s.Call, true)
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			ast.Inspect(lit.Body, func(m ast.Node) bool {
-				if call, ok := m.(*ast.CallExpr); ok {
-					record(call, true)
-				}
-				return true
-			})
-		}
-		return ops
-	}
-	inspectShallow(n, func(m ast.Node) bool {
-		if call, ok := m.(*ast.CallExpr); ok {
-			record(call, false)
-		}
-		return true
-	})
-	return ops
+	key  lockKey
+	lock bool // Lock/RLock (vs Unlock/RUnlock)
+	call *ast.CallExpr
 }
 
 // mutexOp recognizes calls to the Lock/Unlock family of sync.Mutex and
-// sync.RWMutex and resolves the receiver to a lockKey.
+// sync.RWMutex and resolves the receiver to a lockKey. Receivers rooted
+// in calls or indexing are not tracked.
 func mutexOp(p *Package, call *ast.CallExpr) (lockOp, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return lockOp{}, false
 	}
-	name := sel.Sel.Name
-	var lock, read bool
-	switch name {
+	op := lockOp{call: call}
+	switch sel.Sel.Name {
 	case "Lock":
-		lock = true
+		op.lock = true
 	case "RLock":
-		lock, read = true, true
+		op.lock, op.key.read = true, true
 	case "Unlock":
 	case "RUnlock":
-		read = true
+		op.key.read = true
 	default:
 		return lockOp{}, false
 	}
@@ -205,58 +84,21 @@ func mutexOp(p *Package, call *ast.CallExpr) (lockOp, bool) {
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return lockOp{}, false
 	}
-	path, ok := exprPath(p, sel.X)
-	if !ok {
-		return lockOp{}, false
-	}
-	return lockOp{key: lockKey{path: path, read: read}, lock: lock, pos: call.Pos()}, true
-}
-
-// exprPath renders a selector chain (c.mu, w.inner.mu) as a stable key:
-// the root object's declaration position plus the field names. Chains
-// rooted in calls or indexing do not get a path (not trackable).
-func exprPath(p *Package, expr ast.Expr) (string, bool) {
-	var parts []string
-	for {
-		switch e := ast.Unparen(expr).(type) {
-		case *ast.Ident:
-			obj := p.Info.Uses[e]
-			if obj == nil {
-				obj = p.Info.Defs[e]
-			}
-			if obj == nil {
-				return "", false
-			}
-			name := e.Name
-			if len(parts) > 0 {
-				for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-					parts[i], parts[j] = parts[j], parts[i]
-				}
-				name += "." + strings.Join(parts, ".")
-			}
-			return fmt.Sprintf("%d:%s", obj.Pos(), name), true
+	var fields []string
+	for x := sel.X; ; {
+		switch e := ast.Unparen(x).(type) {
 		case *ast.SelectorExpr:
-			parts = append(parts, e.Sel.Name)
-			expr = e.X
-		default:
-			return "", false
-		}
-	}
-}
-
-// exprRoot resolves the root object of a selector chain.
-func exprRoot(p *Package, expr ast.Expr) types.Object {
-	for {
-		switch e := ast.Unparen(expr).(type) {
+			fields = append(fields, e.Sel.Name)
+			x = e.X
 		case *ast.Ident:
-			if obj := p.Info.Uses[e]; obj != nil {
-				return obj
+			if op.key.root = p.Info.Uses[e]; op.key.root == nil {
+				op.key.root = p.Info.Defs[e]
 			}
-			return p.Info.Defs[e]
-		case *ast.SelectorExpr:
-			expr = e.X
+			slices.Reverse(fields)
+			op.key.path = strings.Join(append([]string{e.Name}, fields...), ".")
+			return op, op.key.root != nil
 		default:
-			return nil
+			return lockOp{}, false
 		}
 	}
 }
@@ -266,158 +108,68 @@ func exprRoot(p *Package, expr ast.Expr) types.Object {
 type fieldWrite struct {
 	pos     token.Pos
 	fn      string
-	guarded bool // a receiver-rooted lock was held at the write
+	guarded bool // a lock rooted at the written value was held
 	exempt  bool // constructor path: New*/init, or locally built value
 }
 
 // Check implements Rule.
 func (r *LockRule) Check(p *Package, report func(pos token.Pos, format string, args ...any)) {
-	lat := &lockLattice{p: p}
 	writes := make(map[types.Object][]fieldWrite)
 	for _, file := range p.Files {
 		funcBodies(file, func(decl *ast.FuncDecl, body *ast.BlockStmt) {
-			r.checkBody(p, lat, decl, body, writes, report)
+			r.checkBody(p, decl, body, writes, report)
 		})
 	}
 
-	// Guarded-field summaries: a field written under its receiver's lock
-	// somewhere must not be written lock-free elsewhere.
+	// Guarded-field summaries: a field written under a lock somewhere
+	// must not be written lock-free elsewhere.
 	var fields []types.Object
 	for obj, ws := range writes {
-		guarded := false
-		for _, w := range ws {
-			if w.guarded {
-				guarded = true
-				break
-			}
-		}
-		if guarded {
+		if slices.ContainsFunc(ws, func(w fieldWrite) bool { return w.guarded }) {
 			fields = append(fields, obj)
 		}
 	}
 	sort.Slice(fields, func(i, j int) bool { return fields[i].Pos() < fields[j].Pos() })
 	for _, obj := range fields {
-		guardedIn := make(map[string]bool)
+		var guardedIn []string
 		for _, w := range writes[obj] {
 			if w.guarded {
-				guardedIn[w.fn] = true
+				guardedIn = append(guardedIn, w.fn)
 			}
 		}
+		sort.Strings(guardedIn)
 		for _, w := range writes[obj] {
-			if w.guarded || w.exempt || guardedIn[w.fn] {
+			if w.guarded || w.exempt || slices.Contains(guardedIn, w.fn) {
 				continue
 			}
 			report(w.pos, "field %s is written without a lock here but under a lock elsewhere (e.g. in %s)",
-				obj.Name(), firstKey(guardedIn))
+				obj.Name(), guardedIn[0])
 		}
 	}
 }
 
-func firstKey(set map[string]bool) string {
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if len(keys) == 0 {
-		return "?"
-	}
-	return keys[0]
-}
-
-func (r *LockRule) checkBody(p *Package, lat *lockLattice, decl *ast.FuncDecl, body *ast.BlockStmt,
+func (r *LockRule) checkBody(p *Package, decl *ast.FuncDecl, body *ast.BlockStmt,
 	writes map[types.Object][]fieldWrite, report func(pos token.Pos, format string, args ...any)) {
-	cfg := BuildCFG(body)
-	in := Solve(cfg, lat)
 	fnName := decl.Name.Name
-
-	reported := make(map[token.Pos]bool)
 	constructor := strings.HasPrefix(fnName, "New") || strings.HasPrefix(fnName, "new") || fnName == "init"
 	// The "Caller holds x.mu" doc convention: such helpers write guarded
-	// state on behalf of a caller that took the lock, so their writes
-	// count as guarded, not as violations.
+	// state on behalf of a caller that took the lock.
 	callerHolds := docSaysCallerHolds(decl.Doc)
-	localSpan := func(obj types.Object) bool {
-		return obj != nil && obj.Pos() >= body.Pos() && obj.Pos() <= body.End()
-	}
 
-	for _, b := range cfg.Blocks {
-		fact := in[b.Index]
-		if !fact.valid {
-			continue
-		}
-		for _, n := range b.Nodes {
-			// Double-lock: a write Lock of a key that may already be held.
-			for _, op := range lockOpsIn(p, n) {
-				if op.lock && !op.deferred && !op.key.read {
-					if prev, held := fact.held[op.key]; held && !reported[op.pos] {
-						reported[op.pos] = true
-						report(op.pos, "%s is locked again without an intervening Unlock (first Lock at %s): possible self-deadlock",
-							op.key.describe(), p.Fset.Position(prev))
-					}
+	next := make(map[*ast.CallExpr]ast.Stmt) // a call statement → the statement after it
+	pairNext := func(list []ast.Stmt) {
+		for i := 0; i+1 < len(list); i++ {
+			if es, ok := list[i].(*ast.ExprStmt); ok {
+				if call, ok := es.X.(*ast.CallExpr); ok {
+					next[call] = list[i+1]
 				}
 			}
-			// Leak at return: held and not covered by a deferred unlock.
-			if ret, ok := n.(*ast.ReturnStmt); ok {
-				r.reportLeaks(p, fact, ret.Pos(), reported, report)
-			}
-			// Guarded-field summary collection.
-			r.collectWrites(p, fact, n, fnName, constructor, callerHolds, localSpan, writes)
-			fact = lat.Transfer(fact, n)
-		}
-		// Fall-off-the-end paths (no return statement) also leak.
-		if last := len(b.Nodes); fact.valid {
-			exitBound := false
-			for _, s := range b.Succs {
-				if s == cfg.Exit {
-					exitBound = true
-				}
-			}
-			if exitBound && (last == 0 || !endsControl(b.Nodes[last-1])) {
-				r.reportLeaks(p, fact, body.End(), reported, report)
-			}
 		}
 	}
-}
-
-// endsControl reports whether the node already accounts for the exit
-// edge (a return or terminator call) so the fall-off check skips it.
-func endsControl(n ast.Node) bool {
-	switch s := n.(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.ExprStmt:
-		return isTerminatorStmt(s)
-	case ast.Stmt:
-		return isTerminatorStmt(s)
-	}
-	return false
-}
-
-func (r *LockRule) reportLeaks(p *Package, fact lockFact, at token.Pos, reported map[token.Pos]bool,
-	report func(pos token.Pos, format string, args ...any)) {
-	var leaked []lockKey
-	for k := range fact.held {
-		if !fact.deferred[k] {
-			leaked = append(leaked, k)
-		}
-	}
-	sort.Slice(leaked, func(i, j int) bool { return leaked[i].path < leaked[j].path })
-	for _, k := range leaked {
-		if reported[at] {
-			return
-		}
-		reported[at] = true
-		report(at, "%s (locked at %s) is still held when the function returns here: Unlock on this path or defer the Unlock before any return",
-			k.describe(), p.Fset.Position(fact.held[k]))
-	}
-}
-
-// collectWrites records struct-field writes in n with their lock
-// context for the cross-function guarded-field check.
-func (r *LockRule) collectWrites(p *Package, fact lockFact, n ast.Node, fnName string,
-	constructor, callerHolds bool, localSpan func(types.Object) bool, writes map[types.Object][]fieldWrite) {
-	recordLHS := func(lhs ast.Expr) {
+	held := make(map[lockKey]token.Pos) // keys whose last op so far is a Lock
+	doubled := make(map[lockKey]bool)
+	var locks []lockOp
+	recordWrite := func(lhs ast.Expr) {
 		sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
 		if !ok {
 			return
@@ -426,32 +178,88 @@ func (r *LockRule) collectWrites(p *Package, fact lockFact, n ast.Node, fnName s
 		if obj == nil || !isStructField(obj) || isSyncType(obj.Type()) {
 			return
 		}
-		root := exprRoot(p, sel.X)
+		root := exprRootOfChain(p, sel.X)
 		guarded := callerHolds
-		for k := range fact.held {
-			if rootOf(k.path) == rootPosOf(root) {
-				guarded = true
-				break
-			}
+		for k := range held {
+			guarded = guarded || (root != nil && k.root == root)
 		}
 		writes[obj] = append(writes[obj], fieldWrite{
 			pos:     sel.Pos(),
 			fn:      fnName,
 			guarded: guarded,
-			exempt:  constructor || localSpan(root),
+			exempt:  constructor || (root != nil && root.Pos() >= body.Pos() && root.Pos() <= body.End()),
 		})
 	}
-	inspectShallow(n, func(m ast.Node) bool {
-		switch s := m.(type) {
+
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit, *ast.DeferStmt:
+			// A literal's body is read on its own, and a deferred Unlock
+			// releases nothing until the function returns.
+			return false
+		case *ast.BlockStmt:
+			pairNext(n.List)
+		case *ast.CaseClause:
+			pairNext(n.Body)
+		case *ast.CommClause:
+			pairNext(n.Body)
 		case *ast.AssignStmt:
-			for _, lhs := range s.Lhs {
-				recordLHS(lhs)
+			for _, lhs := range n.Lhs {
+				recordWrite(lhs)
 			}
 		case *ast.IncDecStmt:
-			recordLHS(s.X)
+			recordWrite(n.X)
+		case *ast.CallExpr:
+			op, ok := mutexOp(p, n)
+			switch {
+			case !ok:
+			case !op.lock:
+				delete(held, op.key)
+			default:
+				if first, ok := held[op.key]; ok && !op.key.read {
+					doubled[op.key] = true
+					report(n.Pos(), "%s is locked again without an intervening Unlock (first Lock at %s): self-deadlock",
+						op.key.describe(), p.Fset.Position(first))
+				}
+				held[op.key] = n.Pos()
+				locks = append(locks, op)
+			}
 		}
 		return true
 	})
+
+	for _, op := range locks {
+		if doubled[op.key] || p.Types.Name() == "main" {
+			continue // a double lock is the one finding on its mutex
+		}
+		if d, ok := next[op.call].(*ast.DeferStmt); ok {
+			if un, ok := mutexOp(p, d.Call); ok && !un.lock && un.key == op.key {
+				continue
+			}
+		}
+		unlock := strings.Replace(op.call.Fun.(*ast.SelectorExpr).Sel.Name, "Lock", "Unlock", 1)
+		report(op.call.Pos(), "%s is locked without `defer %s.%s()` as the next statement: a panic or return before the %s leaves it held (defer it, or give //lint:ignore lock the reason nothing in between can panic or return)",
+			op.key.describe(), op.key.path, unlock, unlock)
+	}
+}
+
+// funcBodies yields every function body in the file — declarations and
+// function literals — with the enclosing declaration (the literal
+// inherits the declaration it appears in).
+func funcBodies(file *ast.File, visit func(decl *ast.FuncDecl, body *ast.BlockStmt)) {
+	for _, decl := range file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			continue
+		}
+		visit(fn, fn.Body)
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.FuncLit); ok {
+				visit(fn, lit.Body)
+			}
+			return true
+		})
+	}
 }
 
 // docSaysCallerHolds recognizes the "Caller holds ..." / "caller must
@@ -463,21 +271,6 @@ func docSaysCallerHolds(doc *ast.CommentGroup) bool {
 	text := strings.ToLower(doc.Text())
 	return strings.Contains(text, "caller holds") || strings.Contains(text, "caller must hold") ||
 		strings.Contains(text, "callers hold")
-}
-
-// rootOf extracts the "pos" prefix of a lockKey path.
-func rootOf(path string) string {
-	if i := strings.IndexByte(path, ':'); i >= 0 {
-		return path[:i]
-	}
-	return path
-}
-
-func rootPosOf(obj types.Object) string {
-	if obj == nil {
-		return "-"
-	}
-	return fmt.Sprintf("%d", obj.Pos())
 }
 
 // isStructField reports whether obj is a struct field.

@@ -394,7 +394,7 @@ func (s *S) Get(c bool) int {
 	return s.n
 }
 `})
-	wantFinding(t, runRule(t, p, &LockRule{}), "internal/fix/a.go", 13, "lock")
+	wantFinding(t, runRule(t, p, &LockRule{}), "internal/fix/a.go", 11, "lock")
 }
 
 func TestLockAllowsDeferredUnlock(t *testing.T) {
@@ -415,6 +415,24 @@ func (s *S) Get(c bool) int {
 	}
 	return s.n
 }
+`})
+	if got := runRule(t, p, &LockRule{}); len(got) != 0 {
+		t.Fatalf("a deferred unlock is clean, got %v", got)
+	}
+}
+
+// TestLockFlagsUnlockOnEveryPath: an explicit Unlock on every return path
+// is still a finding at the Lock, since a panic between the two leaves the
+// mutex held.
+func TestLockFlagsUnlockOnEveryPath(t *testing.T) {
+	p := loadFixture(t, "internal/fix", map[string]string{"a.go": `package fix
+
+import "sync"
+
+type S struct {
+	mu sync.Mutex
+	n  int
+}
 
 func (s *S) Balanced(c bool) int {
 	s.mu.Lock()
@@ -427,9 +445,91 @@ func (s *S) Balanced(c bool) int {
 	return n
 }
 `})
-	if got := runRule(t, p, &LockRule{}); len(got) != 0 {
-		t.Fatalf("deferred and per-path unlocks are clean, got %v", got)
+	wantFinding(t, runRule(t, p, &LockRule{}), "internal/fix/a.go", 11, "lock")
+}
+
+// ingestFixture is a delta handler in the shape that wedged every later
+// delta: the ingest lock is released explicitly on each return, and
+// apply, which can panic, runs in between. The directive line, when
+// given, goes directly above the Lock.
+func ingestFixture(directive string) string {
+	return `package fix
+
+import "sync"
+
+type served struct {
+	ingest sync.Mutex
+	epoch  int
+}
+
+func apply(delta []int) (int, error) { return delta[0], nil }
+
+func (g *served) ingestDelta(delta []int) (int, error) {
+` + directive + `
+	g.ingest.Lock()
+	n, err := apply(delta)
+	if err != nil {
+		g.ingest.Unlock()
+		return 0, err
 	}
+	g.epoch += n
+	g.ingest.Unlock()
+	return n, nil
+}
+`
+}
+
+func TestLockFlagsIngestUnlockedByHand(t *testing.T) {
+	p := loadFixture(t, "internal/fix", map[string]string{"a.go": ingestFixture("")})
+	wantFinding(t, runRule(t, p, &LockRule{}), "internal/fix/a.go", 14, "lock")
+}
+
+func TestLockDirectiveAnswersIngestUnlockedByHand(t *testing.T) {
+	p := loadFixture(t, "internal/fix", map[string]string{"a.go": ingestFixture(
+		"\t//lint:ignore lock apply only indexes a slice checked non-empty by every caller, and both returns unlock first")})
+	if got := runRule(t, p, &LockRule{}); len(got) != 0 {
+		t.Fatalf("a reasoned directive answers the site, got %v", got)
+	}
+}
+
+func TestLockFlagsDeferredUnlockOfTheWrongMode(t *testing.T) {
+	p := loadFixture(t, "internal/fix", map[string]string{"a.go": `package fix
+
+import "sync"
+
+type S struct {
+	mu sync.RWMutex
+	n  int
+}
+
+func (s *S) Get() int {
+	s.mu.RLock()
+	defer s.mu.Unlock()
+	return s.n
+}
+`})
+	wantFinding(t, runRule(t, p, &LockRule{}), "internal/fix/a.go", 11, "lock")
+}
+
+func TestLockFlagsBareLockInFuncLit(t *testing.T) {
+	p := loadFixture(t, "internal/fix", map[string]string{"a.go": `package fix
+
+import "sync"
+
+type S struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (s *S) Each(xs []int, f func(func())) {
+	f(func() {
+		s.mu.Lock()
+		s.n += len(xs)
+		s.mu.Unlock()
+	})
+}
+`})
+	wantFinding(t, runRule(t, p, &LockRule{}), "internal/fix/a.go", 12, "lock")
 }
 
 func TestLockFlagsDoubleLock(t *testing.T) {
@@ -461,9 +561,9 @@ type S struct {
 
 func (s *S) Both() {
 	s.a.Lock()
+	defer s.a.Unlock()
 	s.b.Lock()
-	s.b.Unlock()
-	s.a.Unlock()
+	defer s.b.Unlock()
 }
 `})
 	if got := runRule(t, p, &LockRule{}); len(got) != 0 {
@@ -483,8 +583,8 @@ type T struct {
 
 func (t *T) Inc() {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.count++
-	t.mu.Unlock()
 }
 
 func (t *T) Reset() {
@@ -506,8 +606,8 @@ type T struct {
 
 func (t *T) Inc() {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.count++
-	t.mu.Unlock()
 }
 
 // NewT builds a T; the value is not shared yet.

@@ -126,6 +126,7 @@ func (r *Registry) HistSnapshots() map[string]HistSnapshot {
 	if r == nil {
 		return nil
 	}
+	//lint:ignore lock the snapshots run after the Unlock, outside the registry lock; under it a slice is filled from a map, which cannot panic or return
 	r.mu.Lock()
 	hs := make([]*Histogram, 0, len(r.hists))
 	for _, h := range r.hists {

@@ -131,7 +131,6 @@ func NewPool(workers int) *Pool {
 	}
 	for w := 1; w < workers; w++ {
 		p.wake[w] = make(chan struct{})
-		//lint:ignore goroutine workers park on the wake channel and are joined per dispatch via the buffered done channel; Close releases them
 		go p.serve(w, p.wake[w])
 	}
 	return p

@@ -181,24 +181,10 @@ func (a *Admission) dispatchLocked() {
 // full (shed now, retry later) and the context's error if the caller gave
 // up while queued. On success the caller must Release exactly once.
 func (a *Admission) Acquire(ctx context.Context, tenant string) error {
-	a.mu.Lock()
-	t := a.tenant(tenant)
-	if a.inflight < a.max && a.queued == 0 {
-		a.admitLocked(a.chargeLocked(t))
-		a.mu.Unlock()
-		return nil
+	t, w, err := a.enqueue(tenant)
+	if w == nil {
+		return err
 	}
-	if a.queued >= a.depth {
-		a.shed.Add(1)
-		a.mu.Unlock()
-		return ErrOverloaded
-	}
-	w := &waiter{ready: make(chan struct{}), tag: a.chargeLocked(t)}
-	t.q = append(t.q, w)
-	a.queued++
-	a.queuedG.Set(float64(a.queued))
-	a.mu.Unlock()
-
 	waitStart := time.Now()
 	select {
 	case <-w.ready:
@@ -206,10 +192,10 @@ func (a *Admission) Acquire(ctx context.Context, tenant string) error {
 		return nil
 	case <-ctx.Done():
 		a.mu.Lock()
+		defer a.mu.Unlock()
 		if w.granted {
 			// Raced with a grant: the slot is ours, so hand it back.
 			a.releaseLocked()
-			a.mu.Unlock()
 			return ctx.Err()
 		}
 		// Leave the queue now, not when the waiter reaches its head: a
@@ -217,9 +203,30 @@ func (a *Admission) Acquire(ctx context.Context, tenant string) error {
 		t.q = slices.DeleteFunc(t.q, func(q *waiter) bool { return q == w })
 		a.queued--
 		a.queuedG.Set(float64(a.queued))
-		a.mu.Unlock()
 		return ctx.Err()
 	}
+}
+
+// enqueue charges the request to its tenant and admits it now (no
+// waiter, nil error), sheds it (no waiter, ErrOverloaded), or queues a
+// waiter on the tenant's queue for Acquire to wait on outside the lock.
+func (a *Admission) enqueue(tenant string) (*tenantQueue, *waiter, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	t := a.tenant(tenant)
+	if a.inflight < a.max && a.queued == 0 {
+		a.admitLocked(a.chargeLocked(t))
+		return t, nil, nil
+	}
+	if a.queued >= a.depth {
+		a.shed.Add(1)
+		return t, nil, ErrOverloaded
+	}
+	w := &waiter{ready: make(chan struct{}), tag: a.chargeLocked(t)}
+	t.q = append(t.q, w)
+	a.queued++
+	a.queuedG.Set(float64(a.queued))
+	return t, w, nil
 }
 
 // releaseLocked frees one in-flight slot and dispatches. The caller holds
@@ -233,6 +240,6 @@ func (a *Admission) releaseLocked() {
 // Release frees the slot taken by a successful Acquire.
 func (a *Admission) Release() {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.releaseLocked()
-	a.mu.Unlock()
 }

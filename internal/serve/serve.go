@@ -138,6 +138,7 @@ type epochState struct {
 // order. The in-CSR's occupancy words are built here too, so a PageRank
 // miss builds none.
 func (g *servedGraph) bind(snap *graph.Snapshot) *epochState {
+	//lint:ignore lock the build runs after the Unlock, outside the lock; the section only reads and swaps g.bound, and it has no return
 	g.mu.Lock()
 	st := g.bound
 	if st == nil || st.epoch != snap.Epoch() {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -359,11 +360,13 @@ func TestDeltaBodyBounded(t *testing.T) {
 	}
 }
 
-// TestDeltaRejectsMaxVertexID: a /delta naming vertex 4294967295 is a
-// 400 on a symmetrized and on a directed graph; /graphs still shows the
-// old epoch and vertex count, and the next valid delta on the graph
-// answers 200 within a deadline (a handler that panicked holding the
-// ingest lock wedged it).
+// TestDeltaRejectsMaxVertexID: a /delta naming vertex 4294967295, or
+// 4294967294 (whose merge would allocate 64 GiB of offsets for one edge),
+// is a 400 on a symmetrized and on a directed graph that allocates under
+// 1 MiB; /graphs still shows the old epoch and vertex count, and the next
+// valid delta on the graph answers 200 within a deadline (a handler that
+// panicked holding the ingest lock wedged it) and publishes the next
+// epoch.
 func TestDeltaRejectsMaxVertexID(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	client := &http.Client{Timeout: 3 * time.Second}
@@ -391,8 +394,17 @@ func TestDeltaRejectsMaxVertexID(t *testing.T) {
 	}
 	before := listing()
 	for _, name := range []string{"social", "web"} {
-		if code := post(`{"graph":"` + name + `","edges":[[4294967295,0]]}`); code != http.StatusBadRequest {
-			t.Errorf("%s: delta naming vertex 4294967295: status %d, want 400", name, code)
+		for _, id := range []string{"4294967295", "4294967294"} {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			code := post(`{"graph":"` + name + `","edges":[[` + id + `,0]]}`)
+			runtime.ReadMemStats(&m1)
+			if code != http.StatusBadRequest {
+				t.Errorf("%s: delta naming vertex %s: status %d, want 400", name, id, code)
+			}
+			if grew := m1.TotalAlloc - m0.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("%s: refusing a delta naming vertex %s allocated %d bytes, want under 1 MiB", name, id, grew)
+			}
 		}
 		after := listing()[name]
 		if after.Epoch != before[name].Epoch || after.Vertices != before[name].Vertices {
@@ -401,6 +413,9 @@ func TestDeltaRejectsMaxVertexID(t *testing.T) {
 		}
 		if code := post(`{"graph":"` + name + `","edges":[[1,2]]}`); code != http.StatusOK {
 			t.Errorf("%s: next valid delta: status %d, want 200", name, code)
+		}
+		if got := listing()[name].Epoch; got != before[name].Epoch+1 {
+			t.Errorf("%s: next valid delta published epoch %d, want %d", name, got, before[name].Epoch+1)
 		}
 	}
 }

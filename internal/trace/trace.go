@@ -120,8 +120,8 @@ func (t *Tracer) SetProcessName(pid int, name string) {
 		return
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.procs[pid] = name
-	t.mu.Unlock()
 }
 
 // Span is an in-flight real-time span returned by Begin. End completes it;
@@ -172,6 +172,7 @@ func (s *Span) End() {
 		Args:    s.args,
 	}
 	s.t = nil
+	//lint:ignore lock the histogram records after the Unlock, outside the tracer lock; the section appends and resolves the category's histogram, and it has no return
 	t.mu.Lock()
 	t.events = append(t.events, ev)
 	h := t.durHistLocked(s.cat)
@@ -196,6 +197,7 @@ func (t *Tracer) RecordVirtual(pid int, cat, name string, startSec, durSec float
 		DurNS:   int64(durSec * 1e9),
 		Args:    args,
 	}
+	//lint:ignore lock the histogram records after the Unlock, outside the tracer lock; the section appends and resolves the category's histogram, and it has no return
 	t.mu.Lock()
 	t.events = append(t.events, ev)
 	h := t.durHistLocked(cat)
