@@ -18,7 +18,6 @@ import (
 
 	"graphmaze/internal/ckpt"
 	"graphmaze/internal/fault"
-	"graphmaze/internal/metrics"
 	"graphmaze/internal/obs"
 	"graphmaze/internal/trace"
 )
@@ -141,15 +140,14 @@ func (c Config) Validate() error {
 // function runs and may Send messages; messages are delivered at the start
 // of the next phase via Recv.
 //
-// A Cluster is not safe for concurrent RunPhase calls, but Send and
-// Account may be called concurrently within a phase: a node's compute
-// function is free to fan out across goroutines (as the Giraph runtime
-// does) and let each worker queue messages directly.
+// A Cluster is not safe for concurrent RunPhase calls, but Send, Account
+// and RecordMemory may be called concurrently within a phase: a node's
+// compute function is free to fan out across goroutines (as the Giraph
+// runtime does) and let each worker queue messages directly.
 type Cluster struct {
-	cfg       Config
-	collector *metrics.Collector
+	cfg Config
 
-	mu          sync.Mutex // guards outbox, extraBytes, extraMsgs during a phase
+	mu          sync.Mutex // guards outbox, extraBytes, extraMsgs and memHighWater
 	outbox      [][][]byte // [from][to] payloads queued this phase
 	outboxOwned [][]bool   // [from][to] buffer is cluster-private (safe to append to)
 	inbox       [][][]byte // [node] payloads delivered from last phase
@@ -157,7 +155,17 @@ type Cluster struct {
 	extraMsgs   []int64
 	baselineMem []int64 // engine-declared resident bytes per node
 	phases      int
-	virtualSec  float64 // accumulated modeled wall clock
+	virtualSec  float64 // accumulated modeled wall clock, the one simulated clock
+
+	// tally holds the Report's counters, each summed in the order the
+	// phases, checkpoints and recoveries ran; Report fills in the clock,
+	// the memory peak and CPU utilization. memHighWater is the highest
+	// footprint any node recorded (the max over nodes of each node's
+	// high-water mark) and busyThreadSec the useful thread-seconds
+	// utilization divides.
+	tally         Report
+	memHighWater  int64
+	busyThreadSec float64
 
 	// Per-phase attribution histograms (virtual nanoseconds, one lane per
 	// node), resolved once at New from the tracer's registry; all nil — and
@@ -165,7 +173,6 @@ type Cluster struct {
 	computeHist *obs.Histogram
 	netHist     *obs.Histogram
 	waitHist    *obs.Histogram
-	phaseHist   *obs.Histogram
 }
 
 // New returns a cluster for the given configuration.
@@ -176,7 +183,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:         cfg,
-		collector:   metrics.NewCollector(cfg.Nodes, cfg.ThreadsPerNode, cfg.MemoryPerNode),
+		tally:       Report{Nodes: cfg.Nodes, MemoryPerNode: cfg.MemoryPerNode},
 		inbox:       make([][][]byte, cfg.Nodes),
 		extraBytes:  make([]int64, cfg.Nodes),
 		extraMsgs:   make([]int64, cfg.Nodes),
@@ -190,7 +197,6 @@ func New(cfg Config) (*Cluster, error) {
 		c.computeHist = reg.Hist("cluster.compute_ns")
 		c.netHist = reg.Hist("cluster.network_ns")
 		c.waitHist = reg.Hist("cluster.wait_ns")
-		c.phaseHist = reg.Hist("cluster.phase_wall_ns")
 	}
 	return c, nil
 }
@@ -262,13 +268,16 @@ func (c *Cluster) Recv(node int) [][]byte { return c.inbox[node] }
 // phase.
 func (c *Cluster) SetBaselineMemory(node int, bytes int64) {
 	c.baselineMem[node] = bytes
-	c.collector.RecordMemory(node, bytes)
+	c.RecordMemory(node, bytes)
 }
 
 // RecordMemory raises node's footprint high-water mark (for engine-private
-// scratch structures).
+// scratch structures). RecordMemory is safe for concurrent use within a
+// phase.
 func (c *Cluster) RecordMemory(node int, bytes int64) {
-	c.collector.RecordMemory(node, bytes)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.memHighWater = max(c.memHighWater, bytes)
 }
 
 // RunPhase executes compute(node) for every node, measures each node's
@@ -361,7 +370,9 @@ func (c *Cluster) RunPhase(compute func(node int) error) error {
 		if net > 0 {
 			achieved = float64(bytes) / net
 		}
-		c.collector.AddTraffic(bytes, msgs, achieved)
+		c.tally.BytesSent += bytes
+		c.tally.MessagesSent += msgs
+		c.tally.PeakNetworkBandwidth = max(c.tally.PeakNetworkBandwidth, achieved)
 		if net > maxNet {
 			maxNet = net
 		}
@@ -375,14 +386,16 @@ func (c *Cluster) RunPhase(compute func(node int) error) error {
 		for _, payload := range c.outbox[n] {
 			bufBytes += int64(len(payload))
 		}
-		c.collector.RecordMemory(n, c.baselineMem[n]+bufBytes)
+		c.RecordMemory(n, c.baselineMem[n]+bufBytes)
 	}
 
 	wall := maxCompute + maxNet
 	if c.cfg.Overlap {
 		wall = max(maxCompute, maxNet)
 	}
-	c.collector.AddPhase(wall, maxCompute, maxNet, busy)
+	c.tally.ComputeSeconds += maxCompute
+	c.tally.NetworkSeconds += maxNet
+	c.busyThreadSec += busy
 
 	if c.cfg.Trace.Enabled() {
 		// One span per node per phase: the node's own compute and network
@@ -409,11 +422,11 @@ func (c *Cluster) RunPhase(compute func(node int) error) error {
 				})
 			// The same attribution, distribution-shaped: per-node virtual
 			// nanoseconds so the trace report can quote p50/p99 compute vs
-			// network vs barrier wait instead of only per-phase totals.
+			// network vs barrier wait instead of only per-phase totals. The
+			// phase wall itself is RecordVirtual's cluster.phase.dur_ns.
 			c.computeHist.Record(n, int64(computeSec[n]*1e9))
 			c.netHist.Record(n, int64(netSec[n]*1e9))
 			c.waitHist.Record(n, int64(wait*1e9))
-			c.phaseHist.Record(n, int64(wall*1e9))
 		}
 	}
 	c.virtualSec += wall
@@ -425,7 +438,7 @@ func (c *Cluster) RunPhase(compute func(node int) error) error {
 			if p := c.outbox[from][to]; p != nil {
 				delivered = append(delivered, p)
 				// Receive buffers also occupy memory at the receiver.
-				c.collector.RecordMemory(to, c.baselineMem[to]+int64(len(p)))
+				c.RecordMemory(to, c.baselineMem[to]+int64(len(p)))
 			}
 		}
 		c.inbox[to] = delivered
@@ -437,7 +450,7 @@ func (c *Cluster) RunPhase(compute func(node int) error) error {
 
 // failPhase implements RunPhase's clean-on-error contract: it charges the
 // compute time already spent plus the failure-detection latency to the
-// virtual clock (surfaced as recovery_sec in the metrics Report), records
+// virtual clock (surfaced as the Report's RecoverySeconds), records
 // a per-node fault span on the trace, clears the outbox and accounted
 // counters, advances the executed-phase counter past the failed phase, and
 // returns err. The inbox is left holding the last successful phase's
@@ -454,7 +467,8 @@ func (c *Cluster) failPhase(computeSec []float64, err error) error {
 		}
 	}
 	wall := partial + detect
-	c.collector.AddFailedPhase(wall)
+	c.tally.RecoverySeconds += wall
+	c.tally.FailedPhases++
 	if c.cfg.Trace.Enabled() {
 		for n := 0; n < c.cfg.Nodes; n++ {
 			c.cfg.Trace.RecordVirtual(trace.PidNode(n), "cluster.fault",
@@ -485,6 +499,3 @@ func (c *Cluster) VirtualSeconds() float64 { return c.virtualSec }
 // Tracer returns the tracer the cluster was configured with (nil when
 // tracing is disabled).
 func (c *Cluster) Tracer() *trace.Tracer { return c.cfg.Trace }
-
-// Report finalizes and returns the run's metrics.
-func (c *Cluster) Report() metrics.Report { return c.collector.Report() }

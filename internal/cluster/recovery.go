@@ -18,7 +18,7 @@ import (
 // compute error) the latest checkpoint is restored and the loop re-runs
 // from the checkpointed step. Checkpoint writes, restore reads, and
 // failure detection all charge the cluster's virtual clock, so the
-// overhead and recovery cost show up in the metrics Report and as spans on
+// overhead and recovery cost show up in the Report and as spans on
 // the trace exactly like compute and network time.
 type Recovery struct {
 	c        *Cluster
@@ -109,7 +109,9 @@ func (r *Recovery) checkpoint(step int) error {
 	blob := codec.AppendSection(nil, engine)
 	blob = codec.AppendSection(blob, c.snapshotInbox())
 	cost := r.store.Save(step, c.phases, blob, c.cfg.Nodes)
-	c.collector.AddCheckpoint(cost, int64(len(blob)))
+	c.tally.CheckpointSeconds += cost
+	c.tally.CheckpointBytes += int64(len(blob))
+	c.tally.Checkpoints++
 	if c.cfg.Trace.Enabled() {
 		for n := 0; n < c.cfg.Nodes; n++ {
 			c.cfg.Trace.RecordVirtual(trace.PidNode(n), "cluster.checkpoint",
@@ -142,7 +144,9 @@ func (r *Recovery) recover(ck ckpt.Checkpoint) error {
 	}
 	cost := r.store.Config().ReadSeconds(int64(len(ck.Data)), c.cfg.Nodes)
 	replayed := phasesAtFailure - ck.Phases
-	c.collector.AddRecovery(cost, replayed)
+	c.tally.RecoverySeconds += cost
+	c.tally.Recoveries++
+	c.tally.ReplayedPhases += replayed
 	if c.cfg.Trace.Enabled() {
 		for n := 0; n < c.cfg.Nodes; n++ {
 			c.cfg.Trace.RecordVirtual(trace.PidNode(n), "cluster.recovery",

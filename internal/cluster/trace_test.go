@@ -98,17 +98,17 @@ func TestRunPhaseFeedsAttributionHistograms(t *testing.T) {
 		}
 	}
 	hs := tr.Registry().HistSnapshots()
-	for _, name := range []string{"cluster.compute_ns", "cluster.network_ns", "cluster.wait_ns", "cluster.phase_wall_ns"} {
+	for _, name := range []string{"cluster.compute_ns", "cluster.network_ns", "cluster.wait_ns", "cluster.phase.dur_ns"} {
 		if got := hs[name]; got.Count != phases*3 {
 			t.Errorf("%s count = %d, want %d", name, got.Count, phases*3)
 		}
 	}
-	// Wall per observation is the phase wall clock, identical across the
-	// phase's nodes; its histogram sum must therefore be nodes × virtual
-	// seconds (up to ns truncation).
-	wallSec := float64(hs["cluster.phase_wall_ns"].Sum) / 1e9
+	// Each cluster.phase span lasts the phase wall clock, identical across
+	// the phase's nodes; the span histogram's sum must therefore be nodes ×
+	// virtual seconds (up to ns truncation).
+	wallSec := float64(hs["cluster.phase.dur_ns"].Sum) / 1e9
 	if want := 3 * c.VirtualSeconds(); wallSec < want-1e-3 || wallSec > want+1e-3 {
-		t.Errorf("phase_wall hist sum %v, want %v", wallSec, want)
+		t.Errorf("cluster.phase.dur_ns sum %v, want %v", wallSec, want)
 	}
 	// The trace summary quotes the same histograms as quantiles.
 	hists := trace.Summarize(tr).Metrics.Histograms

@@ -20,7 +20,6 @@ import (
 	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/graph"
-	"graphmaze/internal/metrics"
 	"graphmaze/internal/par"
 	"graphmaze/internal/trace"
 )
@@ -98,7 +97,7 @@ type RunStats struct {
 	WallSeconds float64
 	Simulated   bool
 	Iterations  int
-	Report      metrics.Report
+	Report      cluster.Report
 }
 
 // SimulatedStats packages a finished cluster run: the modeled time is the

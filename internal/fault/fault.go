@@ -349,7 +349,7 @@ func ParsePlan(spec string) (*Plan, error) {
 			return nil, fmt.Errorf("fault: entry %q: %w", entry, err)
 		}
 		if kind == "seed" {
-			seeded := Seeded(int64(ev.Phase), SeedConfig{Crashes: maxInt(ev.Node, 1)})
+			seeded := Seeded(int64(ev.Phase), SeedConfig{Crashes: max(ev.Node, 1)})
 			for _, e := range seeded.Events() {
 				p.Add(e)
 			}
@@ -483,11 +483,4 @@ func parseRange(s string) (int, int, error) {
 		return 0, 0, fmt.Errorf("bad phase range %q", s)
 	}
 	return p1, p2, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

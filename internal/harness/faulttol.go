@@ -8,7 +8,6 @@ import (
 	"graphmaze/internal/core"
 	"graphmaze/internal/fault"
 	"graphmaze/internal/giraph"
-	"graphmaze/internal/metrics"
 	"graphmaze/internal/native"
 )
 
@@ -46,27 +45,27 @@ func FaultTolerance(opt Options) error {
 
 	type engineRun struct {
 		name string
-		run  func(cfg *cluster.Config) (ranks []float64, rep metrics.Report, err error)
+		run  func(cfg *cluster.Config) (ranks []float64, rep cluster.Report, err error)
 	}
 	engs := []engineRun{
-		{"Native", func(cfg *cluster.Config) ([]float64, metrics.Report, error) {
+		{"Native", func(cfg *cluster.Config) ([]float64, cluster.Report, error) {
 			res, err := native.New().PageRank(in.pr, core.PageRankOptions{
 				Iterations: opt.Iterations, Exec: core.Exec{Cluster: cfg, Trace: opt.Trace}})
 			if err != nil {
-				return nil, metrics.Report{}, err
+				return nil, cluster.Report{}, err
 			}
 			return res.Ranks, res.Stats.Report, nil
 		}},
-		{"Giraph", func(cfg *cluster.Config) ([]float64, metrics.Report, error) {
+		{"Giraph", func(cfg *cluster.Config) ([]float64, cluster.Report, error) {
 			res, err := giraph.New().PageRank(in.pr, core.PageRankOptions{
 				Iterations: opt.Iterations, Exec: core.Exec{Cluster: cfg, Trace: opt.Trace}})
 			if err != nil {
-				return nil, metrics.Report{}, err
+				return nil, cluster.Report{}, err
 			}
 			return res.Ranks, res.Stats.Report, nil
 		}},
 	}
-	record := func(eng, algo string, rep metrics.Report, err error) {
+	record := func(eng, algo string, rep cluster.Report, err error) {
 		if opt.rec == nil {
 			return
 		}

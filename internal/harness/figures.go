@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
@@ -9,7 +10,6 @@ import (
 	"graphmaze/internal/gen"
 	"graphmaze/internal/giraph"
 	"graphmaze/internal/graph"
-	"graphmaze/internal/metrics"
 	"graphmaze/internal/native"
 )
 
@@ -249,7 +249,7 @@ func Figure6(opt Options) error {
 	for _, algo := range Algos() {
 		fmt.Fprintf(opt.Out, "-- %s (4 nodes) --\n", algo)
 		var labels []string
-		var reports []metrics.Report
+		var reports []cluster.Report
 		for _, e := range engs {
 			rep, err := reportFor(opt, e, algo, in, 4, opt.Iterations)
 			if err != nil {
@@ -258,10 +258,41 @@ func Figure6(opt Options) error {
 			labels = append(labels, e.Name())
 			reports = append(reports, rep)
 		}
-		fmt.Fprint(opt.Out, metrics.FormatTable(labels, reports, cluster.MPI().Bandwidth))
+		fmt.Fprint(opt.Out, formatTable(labels, reports, cluster.MPI().Bandwidth))
 	}
 	fmt.Fprintln(opt.Out, "paper shape: Giraph lowest CPU util (~16%) and lowest peak BW, highest bytes sent; native/CombBLAS highest peak BW")
 	return nil
+}
+
+// formatTable renders labeled reports as the normalized four-metric table
+// of Figure 6. Values are percentages of: full CPU, the reference peak
+// bandwidth, node memory capacity, and the largest byte count among rows.
+func formatTable(labels []string, reports []cluster.Report, refBandwidth float64) string {
+	var maxBytes int64
+	for _, r := range reports {
+		if r.BytesSent > maxBytes {
+			maxBytes = r.BytesSent
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-12s %12s %14s %12s %14s\n", "framework", "CPU util %", "peak net BW %", "memory %", "bytes sent %")
+	for i, r := range reports {
+		label := "?"
+		if i < len(labels) {
+			label = labels[i]
+		}
+		bwPct, memPct, sentPct := 0.0, 0.0, 0.0
+		if refBandwidth > 0 {
+			bwPct = 100 * r.PeakNetworkBandwidth / refBandwidth
+		}
+		memPct = 100 * r.MemoryFraction()
+		if maxBytes > 0 {
+			sentPct = 100 * float64(r.BytesSent) / float64(maxBytes)
+		}
+		fmt.Fprintf(&b, "%-12s %12.1f %14.1f %12.1f %14.1f\n",
+			label, 100*r.CPUUtilization, bwPct, memPct, sentPct)
+	}
+	return b.String()
 }
 
 // Figure7 reproduces the native optimization ablation for PageRank and
@@ -347,7 +378,7 @@ func Figure7(opt Options) error {
 				baseBytes = bytes
 			}
 			tw.addRow(st.label, formatSeconds(best), fmt.Sprintf("%.2fX", base/best),
-				metrics.FormatBytes(bytes), fmt.Sprintf("%.1fX less", float64(baseBytes)/float64(bytes)))
+				cluster.FormatBytes(bytes), fmt.Sprintf("%.1fX less", float64(baseBytes)/float64(bytes)))
 		}
 		tw.write(opt.Out)
 	}
@@ -414,7 +445,7 @@ func GiraphPhasedSupersteps(opt Options) error {
 		if err != nil {
 			return err
 		}
-		tw.addRow(cfg.label, metrics.FormatBytes(tcRep.MemoryFootprintBytes), metrics.FormatBytes(cfRep.MemoryFootprintBytes))
+		tw.addRow(cfg.label, cluster.FormatBytes(tcRep.MemoryFootprintBytes), cluster.FormatBytes(cfRep.MemoryFootprintBytes))
 	}
 	tw.write(opt.Out)
 	fmt.Fprintln(opt.Out, "paper: splitting supersteps was the only way Giraph TC completed at all (§6.1.3)")
@@ -510,7 +541,7 @@ func GiraphRoadmap(opt Options) error {
 			return bfs.err
 		}
 		tw.addRow(cfg.label, formatSeconds(pr.seconds),
-			metrics.FormatBytes(pr.report.BytesSent),
+			cluster.FormatBytes(pr.report.BytesSent),
 			fmt.Sprintf("%.0f", 100*pr.report.CPUUtilization),
 			formatSeconds(bfs.seconds))
 	}

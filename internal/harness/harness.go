@@ -22,7 +22,6 @@ import (
 	"graphmaze/internal/giraph"
 	"graphmaze/internal/graph"
 	"graphmaze/internal/graphlab"
-	"graphmaze/internal/metrics"
 	"graphmaze/internal/native"
 	"graphmaze/internal/obs"
 	"graphmaze/internal/par"
@@ -73,7 +72,7 @@ type RunRecord struct {
 	Nodes   int             `json:"nodes"`
 	Seconds float64         `json:"seconds"`
 	Error   string          `json:"error,omitempty"`
-	Report  *metrics.Report `json:"report,omitempty"`
+	Report  *cluster.Report `json:"report,omitempty"`
 	// Hists holds the quantile summary of every registry histogram that
 	// recorded during this run and no other (the harness diffs histogram
 	// snapshots around each engine execution): per-phase latency tails and
@@ -241,7 +240,7 @@ func buildInputs(scale int, seed int64) (inputs, error) {
 // measurement is one (engine, algorithm, input) observation.
 type measurement struct {
 	seconds float64 // the paper's metric: per-iteration for PR/CF, total for BFS/TC
-	report  metrics.Report
+	report  cluster.Report
 	err     error
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"graphmaze/internal/cluster"
 	"graphmaze/internal/obs"
 	"graphmaze/internal/trace"
 )
@@ -329,5 +330,57 @@ func TestRunJSONAndTrace(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Error("chrome trace is empty")
+	}
+}
+
+func TestFormatTable(t *testing.T) {
+	reports := []cluster.Report{
+		{CPUUtilization: 0.9, PeakNetworkBandwidth: 5e9, BytesSent: 100, MemoryFootprintBytes: 10, MemoryPerNode: 100},
+		{CPUUtilization: 0.1, PeakNetworkBandwidth: 0.5e9, BytesSent: 400, MemoryFootprintBytes: 50, MemoryPerNode: 100},
+	}
+	out := formatTable([]string{"native", "giraph"}, reports, 5.5e9)
+	if !strings.Contains(out, "native") || !strings.Contains(out, "giraph") {
+		t.Fatalf("table missing rows: %q", out)
+	}
+	if !strings.Contains(out, "100.0") { // giraph sends the max bytes
+		t.Errorf("table missing normalized 100%% row: %q", out)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 3 {
+		t.Errorf("table has %d lines, want header + 2 rows", len(lines))
+	}
+}
+
+// TestFormatTableZeroReference: a zero reference bandwidth must not divide
+// by zero — the bandwidth column reads 0.
+func TestFormatTableZeroReference(t *testing.T) {
+	out := formatTable([]string{"x"}, []cluster.Report{{PeakNetworkBandwidth: 5e9}}, 0)
+	if !strings.Contains(out, "x") {
+		t.Fatalf("table missing row: %q", out)
+	}
+	if strings.Contains(out, "Inf") || strings.Contains(out, "NaN") {
+		t.Errorf("zero-reference table produced Inf/NaN: %q", out)
+	}
+}
+
+// TestFormatTableEmpty: no reports yields just the header.
+func TestFormatTableEmpty(t *testing.T) {
+	out := formatTable(nil, nil, 1e9)
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], "framework") {
+		t.Errorf("empty table = %q", out)
+	}
+}
+
+// TestFormatTableMissingLabels: more reports than labels must not panic;
+// unlabeled rows get a placeholder.
+func TestFormatTableMissingLabels(t *testing.T) {
+	out := formatTable([]string{"only"}, []cluster.Report{{}, {}}, 1e9)
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("table has %d lines, want 3", len(lines))
+	}
+	if !strings.HasPrefix(lines[2], "?") {
+		t.Errorf("unlabeled row = %q, want ? placeholder", lines[2])
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
-	"graphmaze/internal/metrics"
 	"graphmaze/internal/native"
 	"graphmaze/internal/socialite"
 )
@@ -239,7 +238,7 @@ func Table7(opt Options) error {
 }
 
 // reportFor is a convenience for experiments needing a raw cluster run.
-func reportFor(opt Options, e core.Engine, algo Algo, in inputs, nodes, iterations int) (metrics.Report, error) {
+func reportFor(opt Options, e core.Engine, algo Algo, in inputs, nodes, iterations int) (cluster.Report, error) {
 	m := runOne(opt, e, algo, in, nodes, iterations)
 	return m.report, m.err
 }

@@ -248,7 +248,7 @@ func Idioms(n uint32) []uint32 {
 }
 
 func TestTruncateRuleSkipsUntargetedPackages(t *testing.T) {
-	p := loadFixture(t, "internal/metrics", map[string]string{"a.go": `package metrics
+	p := loadFixture(t, "internal/obs", map[string]string{"a.go": `package obs
 
 func Narrow(x int64) uint32 { return uint32(x) }
 `})

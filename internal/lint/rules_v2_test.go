@@ -216,7 +216,7 @@ func Count(m map[int]int) int {
 }
 
 func TestDetSkipsNonEnginePackages(t *testing.T) {
-	p := loadFixture(t, "internal/metrics", map[string]string{"a.go": `package metrics
+	p := loadFixture(t, "internal/obs", map[string]string{"a.go": `package obs
 
 type conn struct{}
 

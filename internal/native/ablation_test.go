@@ -7,7 +7,6 @@ import (
 	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
-	"graphmaze/internal/metrics"
 	"graphmaze/internal/par"
 )
 
@@ -62,7 +61,7 @@ func TestTriangleCompressionReducesTraffic(t *testing.T) {
 // that sum.
 func TestOverlapReducesSimulatedTime(t *testing.T) {
 	g := testGraphDirected(t)
-	run := func(overlap bool) metrics.Report {
+	run := func(overlap bool) cluster.Report {
 		tn := DefaultTuning()
 		tn.Overlap = overlap
 		res, err := NewTuned(tn).PageRank(g, core.PageRankOptions{Iterations: 6,

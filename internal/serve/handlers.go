@@ -184,8 +184,11 @@ type deltaResponse struct {
 // "edges": [[src,dst],...]}. Ingestion holds only the graph's ingest lock
 // — queries pinned to older epochs keep running unblocked — and under it
 // the epoch advances, the cleaned edges join the pending list the carried
-// vectors are repaired from, and the delta's record is persisted into the
-// graph's epoch store, all before the response confirms the epoch.
+// vectors are repaired from, and the delta's record is saved into the
+// graph's epoch store, all before the response confirms the epoch. The
+// epoch store is an in-memory ledger whose sizes and modeled write costs
+// /graphs reports; nothing reaches disk and the server never reads it
+// back, so a confirmed epoch survives only as long as the process.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	if r.Method != http.MethodPost {
@@ -239,8 +242,9 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 }
 
 // ingestDelta applies delta to g under its ingest lock, released on every
-// path out (a panic included), and persists the new epoch. err is the
-// delta's own fault; persistErr the epoch store's.
+// path out (a panic included), and saves the new epoch's record into the
+// in-memory epoch store. err is the delta's own fault; persistErr the
+// epoch store's.
 func (g *servedGraph) ingestDelta(delta []graph.Edge) (snap *graph.Snapshot, stats graph.DeltaStats, err, persistErr error) {
 	g.ingest.Lock()
 	defer g.ingest.Unlock()
@@ -269,7 +273,8 @@ type graphInfo struct {
 }
 
 // handleGraphs lists the registered graphs with their live epoch and
-// persistence accounting.
+// epoch-store accounting: persisted_bytes and persisted_epochs are what
+// the in-memory store holds, not bytes on disk.
 func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return

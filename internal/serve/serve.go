@@ -77,7 +77,8 @@ func (c Config) withDefaults() Config {
 
 // servedGraph is one registered versioned graph plus its per-epoch bound
 // state, the result vectors it carries from epoch to epoch (carried.go)
-// and its persistence accounting.
+// and its epoch store: an in-memory ledger of each epoch's encoded bytes
+// and modeled write cost, which /graphs reports and nothing reads back.
 type servedGraph struct {
 	name  string
 	v     *graph.Versioned
@@ -90,7 +91,8 @@ type servedGraph struct {
 	symmetric bool
 
 	// ingest serializes /delta on this graph: the epoch advance, the
-	// pending entry and the persisted record are one step, in epoch order.
+	// pending entry and the epoch store's record are one step, in epoch
+	// order.
 	// Queries never take it.
 	ingest sync.Mutex
 
@@ -263,8 +265,9 @@ func (s *Server) Pool() *par.Pool { return s.pool }
 func (s *Server) Close() { s.pool.Close() }
 
 // AddGraph registers a versioned graph under name. Every published epoch
-// (the current one now, each delta's result later) is persisted into the
-// graph's epoch store, whose accounting /graphs reports.
+// (the current one now, each delta's result later) is saved into the
+// graph's in-memory epoch store, whose accounting /graphs reports; the
+// store is a ledger, not durable storage, and serve never reads it back.
 func (s *Server) AddGraph(name string, v *graph.Versioned) error {
 	if name == "" || v == nil {
 		return fmt.Errorf("serve: AddGraph needs a name and a graph")
