@@ -17,7 +17,7 @@ import (
 
 // snapshotState serializes the engine's inter-superstep state.
 func snapshotState(job *Job, rt *runtime, values []any, inbox [][]any) ([]byte, error) {
-	out := codec.AppendUint64(nil, uint64(rt.counter.Load()))
+	out := codec.AppendUint64(nil, uint64(rt.counter))
 	out = codec.AppendUint64s(out, rt.halted.words)
 	var err error
 	for v, val := range values {
@@ -72,7 +72,7 @@ func restoreState(job *Job, rt *runtime, values []any, data []byte) ([][]any, er
 	}
 	// Counter and active set commit only after the whole blob parsed (a
 	// restore error aborts the run, so partially-restored values are moot).
-	rt.counter.Store(int64(counterBits))
+	rt.counter = int64(counterBits)
 	copy(rt.halted.words, words)
 	return inbox, nil
 }

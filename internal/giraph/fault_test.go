@@ -107,7 +107,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	enc, dec := Float64Codec()
 	job := &Job{EncodeValue: enc, DecodeValue: dec}
 	rt := &runtime{halted: newBvec(5)}
-	rt.counter.Store(41)
+	rt.counter = 41
 	rt.halted.SetAtomic(2)
 	rt.halted.SetAtomic(4)
 	values := []any{0.5, 1.5, 2.5, 3.5, 4.5}
@@ -125,8 +125,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt2.counter.Load() != 41 {
-		t.Errorf("counter = %d, want 41", rt2.counter.Load())
+	if rt2.counter != 41 {
+		t.Errorf("counter = %d, want 41", rt2.counter)
 	}
 	if !rt2.halted.Get(2) || !rt2.halted.Get(4) || rt2.halted.Get(0) {
 		t.Error("halted bitset not restored")

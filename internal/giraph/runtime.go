@@ -13,6 +13,7 @@ package giraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -35,11 +36,12 @@ const javaObjectOverhead = 48
 const messageEnvelopeBytes = 16
 
 // Context is the view a vertex program gets of its vertex during Compute.
+// A worker reuses one Context for every vertex it computes.
 type Context struct {
-	id     uint32
-	worker int
-	rt     *runtime
-	value  any
+	id    uint32
+	slot  *slot
+	rt    *runtime
+	value any
 }
 
 // ID reports the vertex id.
@@ -82,10 +84,11 @@ func (c *Context) VoteToHalt() { c.rt.halted.SetAtomic(c.id) }
 
 // AddToCounter accumulates into a named global aggregator (Giraph
 // aggregators, used by triangle counting for the global sum).
-func (c *Context) AddToCounter(delta int64) { c.rt.counter.Add(delta) }
+func (c *Context) AddToCounter(delta int64) { c.slot.counter += delta }
 
 // Computation is the user's Compute method: invoked once per active vertex
-// per superstep with the messages delivered to it.
+// per superstep with the messages delivered to it. The runtime reclaims
+// the messages slice when the call returns.
 type Computation func(ctx *Context, messages []any)
 
 // Job configures a BSP run.
@@ -135,25 +138,37 @@ type runtime struct {
 	g         *graph.CSR
 	job       *Job
 	superstep int
-	counter   atomic.Int64
-	halted    *bvec
+	// counter is the aggregator total committed at the last superstep
+	// barrier; the superstep in flight adds to the slots' partials.
+	counter int64
+	halted  *bvec
 
-	// staging is per (node, worker): Compute on node n / worker w appends
-	// only to staging[n*workers+w], so sends never race. With a Combiner,
-	// stagingMap holds the per-destination combined message instead.
-	staging    [][]envelope
-	stagingMap []map[uint32]any
-	workers    int
-	nextInbox  [][]any
-	part       *graph.Partition1D
+	// slots is per (node, worker): Compute on node n / worker w writes
+	// only slots[n*workers+w], so sends and tallies never share state.
+	slots   []slot
+	workers int
+	// staged holds the superstep's buffered messages: each finished
+	// phase's sends, slot by slot, so it lists them in (phase, slot, send)
+	// order. None is delivered before the superstep's last phase ends.
+	staged      [][]envelope
+	part        *graph.Partition1D
+	baselineMem []int64
+}
 
-	// bufferedBytes tracks the modeled heap held by buffered messages in
-	// the current chunk; remoteBytes accumulates modeled wire traffic per
-	// node. Both are typed atomics because per-worker Compute goroutines
-	// update them concurrently while the superstep loop reads them.
-	bufferedBytes atomic.Int64
-	remoteBytes   []atomic.Int64
-	baselineMem   []int64
+// slot is one worker's frame for a superstep, padded to its own cache
+// line. Giraph keeps aggregators as per-worker partials that the master
+// reduces at the barrier; the modeled byte tallies are kept the same way
+// and folded where the superstep loop reads them.
+type slot struct {
+	// sends holds the worker's sends of the current phase; with a
+	// Combiner, combined holds its message per destination instead.
+	sends    []envelope
+	combined map[uint32]any
+	// buffered is the modeled heap of this phase's buffered messages,
+	// remote the modeled wire bytes to other nodes not yet accounted, and
+	// counter the superstep's aggregator partial.
+	buffered, remote, counter int64
+	_                         [8]byte
 }
 
 // bvec is a tiny atomic bitset.
@@ -187,48 +202,109 @@ func (b *bvec) ClearAtomic(i uint32) {
 }
 
 func (rt *runtime) send(ctx *Context, to uint32, msg any) {
-	slot := ctx.worker
+	sl := ctx.slot
 	if rt.job.Combiner != nil {
-		m := rt.stagingMap[slot]
-		if old, ok := m[to]; ok {
+		if old, ok := sl.combined[to]; ok {
 			// Combined in place: no additional buffer or wire cost.
-			m[to] = rt.job.Combiner(old, msg)
+			sl.combined[to] = rt.job.Combiner(old, msg)
 			return
 		}
-		m[to] = msg
-		size := int64(javaObjectOverhead)
-		if rt.job.MessageBytes != nil {
-			size += int64(rt.job.MessageBytes(msg))
-		}
-		rt.bufferedBytes.Add(size)
-		if rt.part != nil {
-			src, dst := rt.part.Owner(ctx.id), rt.part.Owner(to)
-			if src != dst {
-				wire := int64(messageEnvelopeBytes + 4)
-				if rt.job.MessageBytes != nil {
-					wire += int64(rt.job.MessageBytes(msg))
-				}
-				rt.remoteBytes[src].Add(wire)
-			}
-		}
-		return
+		sl.combined[to] = msg
+	} else {
+		sl.sends = append(sl.sends, envelope{to: to, msg: msg})
 	}
-	rt.staging[slot] = append(rt.staging[slot], envelope{to: to, msg: msg})
-	size := int64(javaObjectOverhead)
+	var payload int64
 	if rt.job.MessageBytes != nil {
-		size += int64(rt.job.MessageBytes(msg))
+		payload = int64(rt.job.MessageBytes(msg))
 	}
-	rt.bufferedBytes.Add(size)
-	if rt.part != nil {
-		src, dst := rt.part.Owner(ctx.id), rt.part.Owner(to)
-		if src != dst {
-			wire := int64(messageEnvelopeBytes + 4)
-			if rt.job.MessageBytes != nil {
-				wire += int64(rt.job.MessageBytes(msg))
+	sl.buffered += javaObjectOverhead + payload
+	if rt.part != nil && rt.part.Owner(ctx.id) != rt.part.Owner(to) {
+		sl.remote += messageEnvelopeBytes + 4 + payload
+	}
+}
+
+// beginSuperstep empties every slot: a replay after a rollback starts from
+// the checkpoint alone, not from a failed attempt's sends or partials.
+func (rt *runtime) beginSuperstep() {
+	for i := range rt.slots {
+		sl := &rt.slots[i]
+		sl.sends = nil
+		clear(sl.combined)
+		sl.buffered, sl.remote, sl.counter = 0, 0, 0
+	}
+	clear(rt.staged)
+	rt.staged = rt.staged[:0]
+}
+
+// takeRemote folds and zeroes node's modeled wire bytes.
+func (rt *runtime) takeRemote(node int) int64 {
+	var sum int64
+	for i := node * rt.workers; i < (node+1)*rt.workers; i++ {
+		sum += rt.slots[i].remote
+		rt.slots[i].remote = 0
+	}
+	return sum
+}
+
+// endPhase flushes a phase: it stages every slot's sends and returns the
+// modeled buffer they held, folded over the slots and zeroed. With a
+// Combiner a slot's messages are staged in ascending destination order:
+// checkpoints encode the inbox byte for byte, so the order must not depend
+// on map iteration.
+func (rt *runtime) endPhase() (buffered int64) {
+	var dests []uint32
+	for i := range rt.slots {
+		sl := &rt.slots[i]
+		if rt.job.Combiner != nil {
+			dests = dests[:0]
+			for to := range sl.combined {
+				dests = append(dests, to)
 			}
-			rt.remoteBytes[src].Add(wire)
+			slices.Sort(dests)
+			sl.sends = make([]envelope, len(dests))
+			for j, to := range dests {
+				sl.sends[j] = envelope{to: to, msg: sl.combined[to]}
+			}
+			clear(sl.combined)
+		}
+		rt.staged = append(rt.staged, sl.sends)
+		buffered += sl.buffered
+		sl.sends, sl.buffered = nil, 0
+	}
+	return buffered
+}
+
+// deliver builds the next superstep's inbox once, after its last phase:
+// one counting pass sizes every destination, one flat array backs every
+// inbox, and the staged sends fill it in (phase, slot, send) order. The
+// aggregator partials fold into the counter at the same barrier.
+func (rt *runtime) deliver() (inbox [][]any, msgs int64) {
+	offs := make([]int, rt.g.NumVertices+1)
+	for _, sends := range rt.staged {
+		for _, env := range sends {
+			offs[env.to+1]++
+		}
+		msgs += int64(len(sends))
+	}
+	for v := 1; v < len(offs); v++ {
+		offs[v] += offs[v-1]
+	}
+	flat := make([]any, msgs)
+	inbox = make([][]any, rt.g.NumVertices)
+	for v := range inbox {
+		inbox[v] = flat[offs[v]:offs[v]:offs[v+1]]
+	}
+	for _, sends := range rt.staged {
+		for _, env := range sends {
+			inbox[env.to] = append(inbox[env.to], env.msg)
 		}
 	}
+	clear(rt.staged)
+	rt.staged = rt.staged[:0]
+	for i := range rt.slots {
+		rt.counter += rt.slots[i].counter
+	}
+	return inbox, msgs
 }
 
 // runLowered drives a Lowering of the job's vertex program through the
@@ -313,7 +389,6 @@ func Run(job *Job) (*Result, error) {
 			return nil, err
 		}
 		rt.part = part
-		rt.remoteBytes = make([]atomic.Int64, nodes)
 		rt.baselineMem = make([]int64, nodes)
 		for node := 0; node < nodes; node++ {
 			lo, hi := part.Range(node)
@@ -324,6 +399,13 @@ func Run(job *Job) (*Result, error) {
 		}
 	}
 
+	rt.slots = make([]slot, nodes*rt.workers)
+	if job.Combiner != nil {
+		for i := range rt.slots {
+			rt.slots[i].combined = make(map[uint32]any)
+		}
+	}
+
 	// computeSlice runs Compute over chunk with Giraph's 4 workers, one
 	// static range each on the job's pool, staging sends into slots
 	// base..base+workers-1.
@@ -331,16 +413,17 @@ func Run(job *Job) (*Result, error) {
 	defer pool.Close()
 	computeSlice := func(chunk []uint32, base int) {
 		pool.RunStatic(par.RunnerFunc(func(worker, lo, hi int) {
+			ctx := &Context{slot: &rt.slots[base+worker], rt: rt}
 			for i := lo; i < hi; i++ {
 				v := chunk[i]
 				msgs := inbox[v]
 				if len(msgs) > 0 {
 					rt.halted.ClearAtomic(v)
 				}
-				ctx := &Context{id: v, worker: base + worker, rt: rt, value: values[v]}
+				ctx.id, ctx.value = v, values[v]
 				job.Compute(ctx, msgs)
 				values[v] = ctx.value
-				inbox[v] = nil
+				clear(msgs)
 			}
 		}), par.EvenSplits(len(chunk), rt.workers))
 	}
@@ -355,8 +438,8 @@ func Run(job *Job) (*Result, error) {
 	var supersteps int
 	// runStep executes superstep s and reports whether the run is done. A
 	// Recovery can re-invoke it with the same s after rolling engine state
-	// back to a checkpoint; everything the step touches is either rebuilt
-	// per chunk (staging, bufferedBytes, nextInbox) or part of the snapshot
+	// back to a checkpoint; everything the step touches is either emptied
+	// when it starts (the slots' sends and tallies) or part of the snapshot
 	// (values, halted, counter, inbox), so replays are exact.
 	runStep := func(s int) (bool, error) {
 		if job.MaxSupersteps > 0 && s >= job.MaxSupersteps {
@@ -381,8 +464,8 @@ func Run(job *Job) (*Result, error) {
 		} else {
 			stepSpan = tr.Begin("giraph.superstep", "superstep").Arg("superstep", float64(s))
 		}
-		var stepMsgs, stepPeakBuffered int64
-		rt.nextInbox = make([][]any, n)
+		var stepPeakBuffered int64
+		rt.beginSuperstep()
 
 		chunkSize := (len(activeList) + split - 1) / split
 		for chunkStart := 0; chunkStart < len(activeList); chunkStart += chunkSize {
@@ -391,15 +474,6 @@ func Run(job *Job) (*Result, error) {
 				chunkEnd = len(activeList)
 			}
 			chunk := activeList[chunkStart:chunkEnd]
-			if job.Combiner != nil {
-				rt.stagingMap = make([]map[uint32]any, nodes*rt.workers)
-				for i := range rt.stagingMap {
-					rt.stagingMap[i] = make(map[uint32]any)
-				}
-			} else {
-				rt.staging = make([][]envelope, nodes*rt.workers)
-			}
-			rt.bufferedBytes.Store(0)
 
 			if job.Cluster != nil {
 				err := job.Cluster.RunPhase(func(node int) error {
@@ -410,12 +484,11 @@ func Run(job *Job) (*Result, error) {
 					a := sort.Search(len(chunk), func(i int) bool { return chunk[i] >= lo })
 					b := sort.Search(len(chunk), func(i int) bool { return chunk[i] >= hi })
 					computeSlice(chunk[a:b], node*rt.workers)
-					if remote := rt.remoteBytes[node].Load(); remote > 0 {
+					if remote := rt.takeRemote(node); remote > 0 {
 						// Netty flushes per-destination buffers: the wire
 						// sees batched transfers, not one round-trip per
 						// vertex message.
 						job.Cluster.Account(node, remote, int64(nodes-1))
-						rt.remoteBytes[node].Store(0)
 					}
 					// Superstep barrier (zookeeper-style coordination).
 					job.Cluster.Account(node, 16, 1)
@@ -424,50 +497,27 @@ func Run(job *Job) (*Result, error) {
 				if err != nil {
 					return false, err
 				}
-				// Buffered messages sit on-heap until the chunk flushes.
-				if buffered := rt.bufferedBytes.Load(); buffered > 0 {
-					perNode := buffered / int64(nodes)
-					for node := 0; node < nodes; node++ {
-						job.Cluster.RecordMemory(node, rt.baselineMem[node]+perNode)
-					}
-				}
 			} else {
 				computeSlice(chunk, 0)
 			}
-			buffered := rt.bufferedBytes.Load()
+			// The phase flushes: its modeled buffer empties, but no message
+			// reaches a vertex before the superstep's last phase ends.
+			buffered := rt.endPhase()
+			if job.Cluster != nil && buffered > 0 {
+				// Buffered messages sit on-heap until the phase flushes.
+				perNode := buffered / int64(nodes)
+				for node := 0; node < nodes; node++ {
+					job.Cluster.RecordMemory(node, rt.baselineMem[node]+perNode)
+				}
+			}
 			if buffered > peakBuffered {
 				peakBuffered = buffered
 			}
 			if buffered > stepPeakBuffered {
 				stepPeakBuffered = buffered
 			}
-			// Flush: build the next inbox from the staged envelopes.
-			if job.Combiner != nil {
-				// Each slot map is flushed in sorted destination order:
-				// checkpoints encode the inbox byte-for-byte, so the
-				// flush order must not depend on map iteration order.
-				for _, m := range rt.stagingMap {
-					dests := make([]uint32, 0, len(m))
-					for to := range m {
-						dests = append(dests, to)
-					}
-					sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-					for _, to := range dests {
-						rt.nextInbox[to] = append(rt.nextInbox[to], m[to])
-						stepMsgs++
-					}
-				}
-				rt.stagingMap = nil
-			} else {
-				for _, worker := range rt.staging {
-					for _, env := range worker {
-						rt.nextInbox[env.to] = append(rt.nextInbox[env.to], env.msg)
-					}
-					stepMsgs += int64(len(worker))
-				}
-				rt.staging = nil
-			}
 		}
+		next, stepMsgs := rt.deliver()
 		msgCounter.Add(stepMsgs)
 		if stepSpan != nil {
 			stepSpan.Arg("active", float64(len(activeList))).
@@ -483,7 +533,7 @@ func Run(job *Job) (*Result, error) {
 					"buffered_bytes": float64(stepPeakBuffered),
 				})
 		}
-		inbox = rt.nextInbox
+		inbox = next
 		supersteps = s + 1
 		return false, nil
 	}
@@ -522,5 +572,5 @@ func Run(job *Job) (*Result, error) {
 			}
 		}
 	}
-	return &Result{Values: values, Supersteps: supersteps, Counter: rt.counter.Load(), PeakBufferedBytes: peakBuffered}, nil
+	return &Result{Values: values, Supersteps: supersteps, Counter: rt.counter, PeakBufferedBytes: peakBuffered}, nil
 }

@@ -2,17 +2,21 @@ package giraph
 
 import (
 	"testing"
+	"unsafe"
 
 	"graphmaze/internal/graph"
 )
 
 // TestSuperstepMessageDeliveryStress exists to run under `go test -race`:
 // every vertex messages all its out-edges every superstep with an elevated
-// worker count, so the per-worker staging slots, the atomic counter, and
-// the buffered-bytes accounting are all contended. The counter then checks
-// exact delivery: messages sent in superstep s arrive in superstep s+1, so
-// S supersteps deliver (S-1)·E messages. testing.Short() scales the graph
-// down without skipping the scenario.
+// worker count, so eight workers write their own slots' sends, aggregator
+// partials and buffered-bytes tallies side by side while the superstep
+// loop folds them between phases. The counter then checks exact delivery:
+// messages sent in superstep s arrive in superstep s+1, so S supersteps
+// deliver (S-1)·E messages. The job has no phases, so one phase is the
+// whole superstep and the folded buffer peaks at exactly E boxed
+// messages. testing.Short() scales the graph down without skipping the
+// scenario.
 func TestSuperstepMessageDeliveryStress(t *testing.T) {
 	n := uint32(20_000)
 	if testing.Short() {
@@ -55,12 +59,18 @@ func TestSuperstepMessageDeliveryStress(t *testing.T) {
 	if res.Supersteps != supersteps {
 		t.Fatalf("ran %d supersteps, want %d", res.Supersteps, supersteps)
 	}
+	if want := g.NumEdges() * (javaObjectOverhead + 8); res.PeakBufferedBytes != want {
+		t.Fatalf("PeakBufferedBytes = %d, want E × (%d + 8) = %d", res.PeakBufferedBytes, javaObjectOverhead, want)
+	}
+	if size := unsafe.Sizeof(slot{}); size != 64 {
+		t.Fatalf("a worker slot is %d bytes, want one 64-byte cache line", size)
+	}
 }
 
 // TestSuperstepSplitChunksStress repeats the delivery check with
-// SplitSupersteps and a Combiner enabled, covering the chunked superstep
-// path where staging maps are rebuilt per chunk while bufferedBytes is
-// reset and re-accumulated concurrently.
+// SplitSupersteps and a Combiner enabled, covering the phased superstep
+// path where each phase's combined messages are staged at its end and the
+// slots' buffered-bytes tallies are zeroed and re-accumulated.
 func TestSuperstepSplitChunksStress(t *testing.T) {
 	n := uint32(10_000)
 	if testing.Short() {

@@ -150,7 +150,12 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	if err != nil {
 		return nil, err
 	}
-	in := g.Transpose()
+	// Gather reads in-edges. A graph that stored every edge's reverse is
+	// its own transpose, and a min gather does not depend on their order.
+	in := g
+	if !g.Symmetrized() {
+		in = g.Transpose()
+	}
 	spec := bfsSpec(opt.Source)
 	spec.Tracer = opt.Exec.Tracer()
 	finish := func(res runResult[int32], stats core.RunStats) *core.BFSResult {

@@ -3,6 +3,7 @@ package graphlab
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"graphmaze/internal/cluster"
@@ -128,6 +129,44 @@ func TestBFSMatchesReference(t *testing.T) {
 	}
 	if !core.EqualDistances(want, res.Distances) {
 		t.Error("distances differ from reference")
+	}
+}
+
+// TestBFSSymmetrizedReadsItsOwnRows: on a graph that stored every edge's
+// reverse, BFS gathers through the graph's own rows, not a transpose of
+// it — the distances are the reference's, and one run allocates less than
+// the graph occupies, which a transpose alone would.
+func TestBFSSymmetrizedReadsItsOwnRows(t *testing.T) {
+	edges, err := gen.RMAT(gen.Graph500Config(12, 16, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(1 << 12)
+	b.AddEdges(edges)
+	g, err := b.Build(graph.BuildOptions{Orientation: graph.Symmetrize, Dedup: true, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Symmetrized() {
+		t.Fatal("a Symmetrize build does not report Symmetrized")
+	}
+	want := core.RefBFS(g, 0)
+	e := New()
+	if _, err := e.BFS(g, core.BFSOptions{Source: 0}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := e.BFS(g, core.BFSOptions{Source: 0})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !core.EqualDistances(want, res.Distances) {
+		t.Error("distances differ from reference")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(g.MemoryBytes()) {
+		t.Errorf("one BFS allocated %d bytes, the graph is %d: the run copies the graph", alloc, g.MemoryBytes())
 	}
 }
 
