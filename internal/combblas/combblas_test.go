@@ -3,6 +3,7 @@ package combblas
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -228,11 +229,36 @@ func spgemmReference(a, b *SpMat[struct{}]) *SpMat[int64] {
 	return c
 }
 
+// wordStraddle is a product over 500 columns — not a whole number of
+// 64-column bitmap words — whose rows land on the word edges 63/64 and
+// 127/128 and on the last column. B's row 0 is a hub over every column;
+// A's rows 0 and 130 reach it ahead of short rows, so a bit or count the
+// hub leaves behind would show in the rows after it. B's rows 2 and 3 put
+// two columns words apart (a wide, sparse product row), next to the dense
+// rows the hub and the random tail make.
+func wordStraddle() (a, b *SpMat[struct{}]) {
+	const n = 500
+	r := rand.New(rand.NewSource(47))
+	bRows := randomRows(r, n, n, 40, 0.2)
+	bRows[0] = make([]uint32, n)
+	for k := range bRows[0] {
+		bRows[0][k] = uint32(k)
+	}
+	bRows[1] = []uint32{63, 64, 127, 128, n - 1}
+	bRows[2] = []uint32{0, n - 1}
+	bRows[3] = []uint32{38, 300}
+	bRows[4] = []uint32{62, 63, 64, 65, 126, 127, 128, 129}
+	aRows := randomRows(r, 300, n, 6, 0.1)
+	copy(aRows, [][]uint32{{0}, {1}, {1, 4}, {2}, {3}, {2, 3}, {0, 1, 2}, {4}})
+	aRows[130] = []uint32{0, 4}
+	return patternFromRows(n, aRows), patternFromRows(n, bRows)
+}
+
 // spgemmCases are the products the differential and layout tests run: the
 // skewed input triangle counting squares, a rectangular product, operands
-// whose empty rows span whole chunks, and a hub row that touches every
-// column ahead of short rows (which must not pay for it, nor see its
-// counts).
+// whose empty rows span whole chunks, a hub row that touches every column
+// ahead of short rows (which must not pay for it, nor see its counts), and
+// the bitmap word-edge product of wordStraddle.
 func spgemmCases(t *testing.T) map[string][2]*SpMat[struct{}] {
 	rmat := FromGraph(acyclicRMAT(t, 10, 45))
 
@@ -247,11 +273,66 @@ func spgemmCases(t *testing.T) map[string][2]*SpMat[struct{}] {
 		hubRows[3][k] = uint32(k)
 	}
 	hub := patternFromRows(500, hubRows)
+	sa, sb := wordStraddle()
 	return map[string][2]*SpMat[struct{}]{
-		"rmat-scale10": {rmat, rmat},
-		"rectangular":  {patternFromRows(90, randomRows(r, 300, 90, 8, 0.2)), patternFromRows(1000, randomRows(r, 90, 1000, 40, 0.1))},
-		"empty-rows":   {patternFromRows(700, sparse), patternFromRows(700, sparse)},
-		"hub-row":      {hub, hub},
+		"rmat-scale10":  {rmat, rmat},
+		"rectangular":   {patternFromRows(90, randomRows(r, 300, 90, 8, 0.2)), patternFromRows(1000, randomRows(r, 90, 1000, 40, 0.1))},
+		"empty-rows":    {patternFromRows(700, sparse), patternFromRows(700, sparse)},
+		"hub-row":       {hub, hub},
+		"word-straddle": {sa, sb},
+	}
+}
+
+// TestAppendRowWindowMatchesReference is the windowed differential: one
+// accumulator per column window — windows that start and end off a 64-column
+// word edge, widths that are not a multiple of 64 — emits every row of the
+// wordStraddle product, and each row must be the naive product's restricted
+// to the window, with the column offset added back. Rows collect without
+// truncation, as a worker's chunk does, and after the last row the counts and
+// the bitmap must be all zero. Each wide window must see rows on both sides
+// of the emission rule (read off the bitmap, or sorted), so neither path goes
+// unchecked.
+func TestAppendRowWindowMatchesReference(t *testing.T) {
+	a, b := wordStraddle()
+	want := spgemmReference(a, b)
+	for _, w := range [][2]uint32{{0, 500}, {37, 301}, {1, 499}, {128, 500}, {63, 129}, {64, 128}, {499, 500}} {
+		clo, chi := w[0], w[1]
+		acc := newRowAccumulator(chi - clo)
+		scanned, sorted := 0, 0
+		for r := uint32(0); r < a.NumRows; r++ {
+			var wantCols []uint32
+			var wantVals []int64
+			cols, vals := want.Row(r)
+			for i, k := range cols {
+				if k >= clo && k < chi {
+					wantCols, wantVals = append(wantCols, k), append(wantVals, vals[i])
+				}
+			}
+			before := len(acc.cols)
+			aCols, _ := a.Row(r)
+			acc.appendRow(aCols, b, clo, chi)
+			if got := acc.cols[before:]; !slices.Equal(got, wantCols) {
+				t.Fatalf("window [%d,%d) row %d: columns %v, want %v", clo, chi, r, got, wantCols)
+			}
+			if got := acc.vals[before:]; !slices.Equal(got, wantVals) {
+				t.Fatalf("window [%d,%d) row %d: counts %v, want %v", clo, chi, r, got, wantVals)
+			}
+			// The emission rule: a word span below t·bits.Len(t) is scanned.
+			if n := len(wantCols); n > 0 {
+				if span := int(wantCols[n-1]-clo)>>6 - int(wantCols[0]-clo)>>6; span < n*bits.Len(uint(n)) {
+					scanned++
+				} else {
+					sorted++
+				}
+			}
+		}
+		if chi-clo >= 5*64 && (scanned == 0 || sorted == 0) {
+			t.Errorf("window [%d,%d): %d rows scanned, %d sorted; want both paths taken", clo, chi, scanned, sorted)
+		}
+		if slices.ContainsFunc(acc.count, func(c int64) bool { return c != 0 }) ||
+			slices.ContainsFunc(acc.mark, func(w uint64) bool { return w != 0 }) {
+			t.Errorf("window [%d,%d): accumulator not clean after the last row", clo, chi)
+		}
 	}
 }
 

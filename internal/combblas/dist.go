@@ -2,7 +2,7 @@ package combblas
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/graph"
@@ -64,8 +64,8 @@ func DistSpMV[A, X, Y any](g *Grid, m *SpMat[A], x []X, sr Semiring[A, X, Y], by
 		for r := rlo; r < rhi; r++ {
 			cols, vals := m.Row(r)
 			// Sorted columns: binary search the block-column window.
-			lo := sort.Search(len(cols), func(i int) bool { return cols[i] >= clo })
-			hi := sort.Search(len(cols), func(i int) bool { return cols[i] >= chi })
+			lo, _ := slices.BinarySearch(cols, clo)
+			hi, _ := slices.BinarySearch(cols, chi)
 			acc := y[r]
 			for i := lo; i < hi; i++ {
 				acc = sr.Add(acc, sr.Mul(vals[i], x[cols[i]]))
@@ -96,7 +96,7 @@ func DistSpMSpV(g *Grid, a *SpMat[struct{}], frontier []uint32, marks []bool) ([
 				continue
 			}
 			cols, _ := a.Row(v)
-			lo := sort.Search(len(cols), func(i int) bool { return cols[i] >= clo })
+			lo, _ := slices.BinarySearch(cols, clo)
 			for i := lo; i < len(cols) && cols[i] < chi; i++ {
 				c := cols[i]
 				if !marks[c] {
@@ -142,15 +142,16 @@ func DistTriangleCount(g *Grid, a *SpMat[struct{}]) (int64, error) {
 			aCols, _ := a.Row(r)
 			// The real system materializes the A² block (sorted CSR rows)
 			// before the EWiseMult — the expressibility overhead the paper
-			// blames for CombBLAS TC: an extra sort + pass + resident
-			// intermediate per row (§6.2: "inter-operation optimization ...
-			// can make it more efficient").
+			// blames for CombBLAS TC: the resident intermediate, modeled
+			// below as blockNNZ·12 bytes, and a second pass over it (§6.2:
+			// "inter-operation optimization ... can make it more
+			// efficient").
 			acc.cols, acc.vals = acc.cols[:0], acc.vals[:0]
 			acc.appendRow(aCols, a, clo, chi)
 			rowCols, rowVals := acc.cols, acc.vals
 			blockNNZ += int64(len(rowCols))
 			// EWiseMult: merge-intersect A's row window with the block row.
-			lo := sort.Search(len(aCols), func(i int) bool { return aCols[i] >= clo })
+			lo, _ := slices.BinarySearch(aCols, clo)
 			i, j := lo, 0
 			for i < len(aCols) && aCols[i] < chi && j < len(rowCols) {
 				switch {

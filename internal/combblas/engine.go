@@ -2,7 +2,7 @@ package combblas
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
@@ -317,8 +317,8 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	// is the framework's CF overhead.
 	rowWindow := func(u, ilo, ihi uint32) (int, int) {
 		cols, _ := rm.Row(u)
-		lo := sort.Search(len(cols), func(i int) bool { return cols[i] >= ilo })
-		hi := sort.Search(len(cols), func(i int) bool { return cols[i] >= ihi })
+		lo, _ := slices.BinarySearch(cols, ilo)
+		hi, _ := slices.BinarySearch(cols, ihi)
 		return lo, hi
 	}
 	errPass := func(ulo, uhi, ilo, ihi uint32) {

@@ -7,6 +7,7 @@ package combblas
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -120,31 +121,42 @@ func backendView[A any](m *SpMat[A]) *backend.Matrix {
 const spgemmGrain = 128
 
 // rowAccumulator is one worker's sparse accumulator for Gustavson's row
-// product: a dense path count per column of a window of B, plus the list of
-// columns the current row has touched. A path count is at least 1, so zero
-// stands for "untouched" and emitting a row clears exactly the entries it
-// set — a row costs O(touched), never O(window), however wide an earlier
+// product: a dense path count per column of a window of B, one bit per
+// column of the window marking the columns the current row has touched, and
+// the list of those columns. A path count is at least 1, so zero stands for
+// "untouched", and emitting a row clears exactly the counts and bitmap words
+// it set — a row costs O(touched), never O(window), however wide an earlier
 // hub row was. Emitted rows collect in cols/vals until the owner truncates
 // them, so a worker's output buffers are reused as well.
+//
+// Rows leave in column order because the model materialises A² as sorted
+// CSR; what that costs CombBLAS is the resident product and the second pass
+// over it, not a comparison sort. So a row whose touched columns span at
+// most t·bits.Len(t) bitmap words — t touched columns, about the comparisons
+// sorting them would take — is read off the bitmap in order, and only a
+// wider, sparser row sorts its list. Both give the same bytes.
 type rowAccumulator struct {
 	count   []int64
+	mark    []uint64
 	touched []uint32
 	cols    []uint32
 	vals    []int64
 }
 
 func newRowAccumulator(width uint32) *rowAccumulator {
-	return &rowAccumulator{count: make([]int64, width)}
+	return &rowAccumulator{count: make([]int64, width), mark: make([]uint64, (width+63)/64)}
 }
 
 // appendRow appends one row of A·B — aCols is the row of A, the product is
 // restricted to B's columns in [clo, chi), the window the accumulator spans
 // — to cols/vals as sorted columns with their path counts, and leaves the
-// counts clean for the next row. It is the one Gustavson row in the
-// package: SpGEMM passes every column, a grid node its block's.
+// counts and the bitmap clean for the next row. It is the one Gustavson row
+// in the package: SpGEMM passes every column, a grid node its block's.
+// count, mark and touched index columns relative to clo.
 func (s *rowAccumulator) appendRow(aCols []uint32, b *SpMat[struct{}], clo, chi uint32) {
 	whole := clo == 0 && chi >= b.NumCols
-	touched := s.touched[:0]
+	count, mark, touched := s.count, s.mark, s.touched[:0]
+	first, last := ^uint32(0), uint32(0)
 	for _, j := range aCols {
 		bCols, _ := b.Row(j)
 		if !whole {
@@ -153,20 +165,41 @@ func (s *rowAccumulator) appendRow(aCols []uint32, b *SpMat[struct{}], clo, chi 
 			bCols = bCols[lo:hi]
 		}
 		for _, k := range bCols {
-			if s.count[k-clo] == 0 {
-				touched = append(touched, k)
+			x := k - clo
+			if count[x] == 0 {
+				touched = append(touched, x)
+				mark[x>>6] |= 1 << (x & 63)
+				first, last = min(first, x), max(last, x)
 			}
-			s.count[k-clo]++
+			count[x]++
 		}
 	}
-	slices.Sort(touched)
-	s.cols = append(s.cols, touched...)
-	vals := s.vals
-	for _, k := range touched {
-		vals = append(vals, s.count[k-clo])
-		s.count[k-clo] = 0
+	s.touched = touched
+	if len(touched) == 0 {
+		return
 	}
-	s.touched, s.vals = touched, vals
+	t, n := len(touched), len(s.cols)
+	s.cols, s.vals = slices.Grow(s.cols, t)[:n+t], slices.Grow(s.vals, t)[:n+t]
+	cols, vals := s.cols[n:], s.vals[n:]
+	if lo, hi := int(first>>6), int(last>>6); hi-lo < t*bits.Len(uint(t)) {
+		i := 0
+		for w := lo; w <= hi; w++ {
+			for word := mark[w]; word != 0; word &= word - 1 {
+				x := uint32(w<<6 + bits.TrailingZeros64(word))
+				cols[i], vals[i] = x+clo, count[x]
+				count[x] = 0
+				i++
+			}
+			mark[w] = 0
+		}
+		return
+	}
+	slices.Sort(touched)
+	for i, x := range touched {
+		cols[i], vals[i] = x+clo, count[x]
+		count[x] = 0
+		mark[x>>6] = 0
+	}
 }
 
 // SpGEMM computes C = A·B over the counting semiring (values are the
@@ -179,7 +212,7 @@ func (s *rowAccumulator) appendRow(aCols []uint32, b *SpMat[struct{}], clo, chi 
 // (backend.TestSweepScratchExclusive pins that a worker index is never
 // shared by two running chunks); a finished chunk is kept as an exact-size
 // copy, and once every row length is known the chunks are copied into the
-// product at their offsets. A row is folded and sorted by one worker and
+// product at their offsets. A row is folded and emitted by one worker and
 // placed by its row index, so Offsets, Cols and Vals are the same at any
 // pool size.
 func SpGEMM(pool *par.Pool, a *SpMat[struct{}], b *SpMat[struct{}]) (*SpMat[int64], error) {
