@@ -43,7 +43,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "kernel pool workers (0 = GOMAXPROCS)")
 		inflight  = flag.Int("max-inflight", 0, "max concurrently executing queries (0 = 2x workers)")
 		queue     = flag.Int("queue-depth", 64, "admission queue depth; beyond it requests shed with 429")
-		cacheN    = flag.Int("cache-entries", 512, "result cache capacity (entries)")
+		cacheB    = flag.Int64("cache-bytes", serve.DefaultCacheBytes, "result cache capacity (bytes: bodies, keys and a fixed per-entry overhead)")
 		snapDir   = flag.String("snapshot-dir", "", "directory for persisted epoch snapshots (saved on clean shutdown)")
 		warmStart = flag.Bool("warm-start", false, "resume graphs from -snapshot-dir instead of rebuilding from edge lists")
 	)
@@ -52,7 +52,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	code := runServe(ctx, serveOpts{
 		addr: *addr, scale: *scale, edgef: *edgef, seed: *seed,
-		workers: *workers, inflight: *inflight, queue: *queue, cacheN: *cacheN,
+		workers: *workers, inflight: *inflight, queue: *queue, cacheBytes: *cacheB,
 		snapDir: *snapDir, warmStart: *warmStart,
 	}, os.Stdout, nil)
 	stop()
@@ -60,12 +60,12 @@ func main() {
 }
 
 type serveOpts struct {
-	addr                             string
-	scale, edgef                     int
-	seed                             int64
-	workers, inflight, queue, cacheN int
-	snapDir                          string
-	warmStart                        bool
+	addr                     string
+	scale, edgef             int
+	seed, cacheBytes         int64
+	workers, inflight, queue int
+	snapDir                  string
+	warmStart                bool
 }
 
 // builtinGraphs describes the two graphs the server always hosts: a
@@ -93,11 +93,11 @@ func runServe(ctx context.Context, o serveOpts, out io.Writer, ready func(addr s
 	defer sampler.Stop()
 
 	srv := serve.New(serve.Config{
-		Workers:      o.workers,
-		MaxInFlight:  o.inflight,
-		QueueDepth:   o.queue,
-		CacheEntries: o.cacheN,
-		Registry:     reg,
+		Workers:     o.workers,
+		MaxInFlight: o.inflight,
+		QueueDepth:  o.queue,
+		CacheBytes:  o.cacheBytes,
+		Registry:    reg,
 	})
 	defer srv.Close()
 

@@ -106,7 +106,7 @@ func (in *instance) epochs() map[string]uint64 {
 // on disk, then resume from them with the same epoch and the same bytes.
 func TestServeDeltaShutdownWarmStart(t *testing.T) {
 	const q = "/query/pagerank?graph=social&iters=5&k=3"
-	opts := serveOpts{scale: 8, edgef: 8, seed: 42, queue: 64, cacheN: 64, snapDir: t.TempDir()}
+	opts := serveOpts{scale: 8, edgef: 8, seed: 42, queue: 64, cacheBytes: 1 << 20, snapDir: t.TempDir()}
 
 	in := boot(t, opts)
 	if _, b := in.do(http.MethodGet, "/healthz", ""); string(b) != "ok\n" {

@@ -106,23 +106,10 @@ func (s *EpochStore) stored() bool { return len(s.blobs)+len(s.deltas) > 0 }
 // read cost in virtual seconds: the nearest whole snapshot at or below the
 // epoch is decoded and the delta records after it are replayed in order.
 func (s *EpochStore) Load(e graph.Epoch, nodes int) (*graph.Snapshot, float64, error) {
-	// The chain, newest first: records back to the first epoch stored whole.
-	var chain [][]byte
-	//lint:ignore lock decoding runs after the Unlock, outside the lock; the walk under it only reads maps and appends, and its one early return unlocks first
-	s.mu.Lock()
-	base, ok := s.blobs[e]
-	for at := e; !ok; {
-		rec, isDelta := s.deltas[at]
-		if !isDelta || at == 0 {
-			s.mu.Unlock()
-			return nil, 0, fmt.Errorf("ckpt: epoch %d not stored", e)
-		}
-		chain = append(chain, rec)
-		at--
-		base, ok = s.blobs[at]
+	base, chain, err := s.chain(e)
+	if err != nil {
+		return nil, 0, err
 	}
-	s.mu.Unlock()
-
 	read := int64(len(base))
 	snap, _, err := graph.DecodeSnapshot(base)
 	if err != nil {
@@ -141,11 +128,23 @@ func (s *EpochStore) Load(e graph.Epoch, nodes int) (*graph.Snapshot, float64, e
 	return snap, s.cfg.ReadSeconds(read, nodes), nil
 }
 
-// Latest reports the highest stored epoch.
-func (s *EpochStore) Latest() (graph.Epoch, bool) {
+// chain returns what Load replays for epoch e: the nearest whole snapshot
+// at or below it and the delta records after that one, newest first.
+// Decoding them is left to the caller, outside the lock.
+func (s *EpochStore) chain(e graph.Epoch) (base []byte, records [][]byte, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.latest, s.stored()
+	base, ok := s.blobs[e]
+	for at := e; !ok; {
+		rec, isDelta := s.deltas[at]
+		if !isDelta || at == 0 {
+			return nil, nil, fmt.Errorf("ckpt: epoch %d not stored", e)
+		}
+		records = append(records, rec)
+		at--
+		base, ok = s.blobs[at]
+	}
+	return base, records, nil
 }
 
 // Stats reports total bytes currently stored and the cumulative write

@@ -8,6 +8,14 @@ import (
 	"graphmaze/internal/graph"
 )
 
+// Latest reports the highest stored epoch: the round-trip tests' view of
+// what the store holds.
+func (s *EpochStore) Latest() (graph.Epoch, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.latest, s.stored()
+}
+
 func versionedFixture(t *testing.T) *graph.Versioned {
 	t.Helper()
 	b := graph.NewBuilder(5)

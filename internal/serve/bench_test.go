@@ -98,17 +98,19 @@ func BenchmarkAdmissionContended(b *testing.B) {
 	})
 }
 
-// BenchmarkResultCache measures the cache's get/put cycle.
+// BenchmarkResultCache measures the cache's probe of a cached key.
 func BenchmarkResultCache(b *testing.B) {
-	c := newResultCache(512, nil)
+	c := newResultCache(DefaultCacheBytes, nil)
 	body := []byte(`{"graph":"g","epoch":0,"query":"cc","components":1}`)
-	for i := 0; i < 512; i++ {
-		c.put(fmt.Sprintf("g@0|q%d", i), body)
+	keys := make([]cacheKey, 512)
+	for i := range keys {
+		keys[i] = bfsKey("g", 0, uint32(i))
+		c.put(keys[i], body)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.get(fmt.Sprintf("g@0|q%d", i%512)); !ok {
+		if _, ok := c.get(keys[i%len(keys)]); !ok {
 			b.Fatal("unexpected miss")
 		}
 	}

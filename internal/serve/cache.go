@@ -2,27 +2,43 @@ package serve
 
 import (
 	"container/list"
-	"fmt"
+	"strings"
 	"sync"
 
 	"graphmaze/internal/graph"
 	"graphmaze/internal/obs"
 )
 
-// cacheKey builds the result-cache key: the epoch is part of the key, so
-// a delta invalidates every cached result of the graph simply by moving
-// queries to a new key — stale entries age out of the LRU, they are never
-// flushed. The fingerprint is the canonical (parsed, defaulted,
-// re-serialized) query, so two spellings of the same query share an
-// entry.
-func cacheKey(graphName string, epoch graph.Epoch, fingerprint string) string {
-	return fmt.Sprintf("%s@%d|%s", graphName, epoch, fingerprint)
+// cacheKey is the result-cache key: the graph's epoch and the canonical
+// query, graph name included. The epoch is part of the key, so a delta
+// invalidates every cached result of the graph simply by moving queries
+// to a new key — stale entries age out of the LRU, they are never
+// flushed. The query is parsed and defaulted, so two spellings of the
+// same query share an entry; a bypass never reaches the cache, so bypass
+// is false in every key. Probing with it builds no string.
+type cacheKey struct {
+	epoch graph.Epoch
+	q     query
+}
+
+// entryOverhead is what an entry costs beside its body and its key's
+// strings: the list element, the entry with its key, and the map slot
+// holding the key again (TestEntryOverheadCoversTheEntry checks the sum).
+const entryOverhead = 384
+
+// entryCost is the bytes an entry is charged: its body, the strings its
+// key owns and the fixed overhead.
+func entryCost(key cacheKey, body []byte) int64 {
+	return int64(len(body)+len(key.q.graph)+len(key.q.rule)) + entryOverhead
 }
 
 // resultCache is a mutex-guarded LRU over fully serialized response
-// bodies. Caching bytes (not results) is what makes the hit path
-// byte-identical to recomputation by construction: the body was produced
-// by exactly one marshal of a deterministic kernel's output.
+// bodies, bounded in bytes: each entry is charged entryCost, and the
+// least recently used entries go until the total fits the budget. A body
+// that alone exceeds the budget is answered but never stored. Caching
+// bytes (not results) is what makes the hit path byte-identical to
+// recomputation by construction: the body was produced by exactly one
+// marshal of a deterministic kernel's output.
 //
 // It also coalesces misses. The first request to miss a key becomes the
 // key's leader and computes; a request that misses the same key while the
@@ -33,30 +49,35 @@ func cacheKey(graphName string, epoch graph.Epoch, fingerprint string) string {
 // starts computing.
 type resultCache struct {
 	mu       sync.Mutex
-	max      int
+	budget   int64
+	used     int64
 	ll       *list.List // front = most recent
-	entries  map[string]*list.Element
-	inflight map[string]chan struct{} // closed by release
+	entries  map[cacheKey]*list.Element
+	inflight map[cacheKey]chan struct{} // closed by release
 
 	hits, misses *obs.Counter
+	bytes        *obs.Gauge
 }
 
-// cacheEntry is one cached response body.
+// cacheEntry is one cached response body and what it is charged.
 type cacheEntry struct {
-	key  string
+	key  cacheKey
 	body []byte
+	cost int64
 }
 
-// newResultCache builds an empty cache whose probes count into reg's
-// serve.cache_hits / serve.cache_misses.
-func newResultCache(maxEntries int, reg *obs.Registry) *resultCache {
+// newResultCache builds an empty cache of budget bytes whose probes count
+// into reg's serve.cache_hits / serve.cache_misses and whose charged bytes
+// reg's serve.cache_bytes gauge reads.
+func newResultCache(budget int64, reg *obs.Registry) *resultCache {
 	return &resultCache{
-		max:      maxEntries,
+		budget:   budget,
 		ll:       list.New(),
-		entries:  make(map[string]*list.Element),
-		inflight: make(map[string]chan struct{}),
+		entries:  make(map[cacheKey]*list.Element),
+		inflight: make(map[cacheKey]chan struct{}),
 		hits:     reg.Counter("serve.cache_hits"),
 		misses:   reg.Counter("serve.cache_misses"),
+		bytes:    reg.Gauge("serve.cache_bytes"),
 	}
 }
 
@@ -67,7 +88,7 @@ func newResultCache(maxEntries int, reg *obs.Registry) *resultCache {
 // flight returns the channel that leader's release closes; the caller
 // parks on it and then acquires again — a hit if the leader filled the
 // cache, the leadership if it failed.
-func (c *resultCache) acquire(key string) (body []byte, hit bool, wait <-chan struct{}) {
+func (c *resultCache) acquire(key cacheKey) (body []byte, hit bool, wait <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
@@ -84,32 +105,44 @@ func (c *resultCache) acquire(key string) (body []byte, hit bool, wait <-chan st
 }
 
 // release ends the caller's leadership of key and wakes whoever parked on
-// it. Leaders defer it, so a failed or panicking computation strands no
-// one.
-func (c *resultCache) release(key string) {
+// it. Leaders defer it, so a failed, shed or panicking computation strands
+// no one.
+func (c *resultCache) release(key cacheKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	close(c.inflight[key])
 	delete(c.inflight, key)
 }
 
-// put stores body under key, evicting the least recently used entry when
-// full. Storing an existing key refreshes its body (the bytes are
-// identical for a deterministic kernel, so this is a recency bump).
-func (c *resultCache) put(key string, body []byte) {
+// put stores body under key, evicting least recently used entries until
+// the charged bytes fit the budget; a body that alone exceeds the budget
+// is not stored. Storing an existing key replaces its entry (the bytes are
+// identical for a deterministic kernel, so this is a recency bump). The
+// stored key owns its strings: the caller's graph name is the registered
+// one, and the rule, which may be a slice of the request line, is copied.
+func (c *resultCache) put(key cacheKey, body []byte) {
+	cost := entryCost(key, body)
+	key.q.rule = strings.Clone(key.q.rule)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).body = body
-		c.ll.MoveToFront(el)
-		return
+		c.remove(el)
 	}
-	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
-	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
+	if cost <= c.budget {
+		c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, body: body, cost: cost})
+		c.used += cost
+		for c.used > c.budget {
+			c.remove(c.ll.Back())
+		}
 	}
+	c.bytes.Set(float64(c.used))
+}
+
+// remove drops one entry and its charge. The caller holds c.mu.
+func (c *resultCache) remove(el *list.Element) {
+	e := c.ll.Remove(el).(*cacheEntry)
+	delete(c.entries, e.key)
+	c.used -= e.cost
 }
 
 // Len reports the current entry count.

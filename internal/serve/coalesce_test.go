@@ -62,7 +62,7 @@ func TestConcurrentIdenticalMissesComputeOnce(t *testing.T) {
 	postGrowDelta(t, ts.URL, growDeltas[0])
 
 	const n = 16
-	s.beforeExecute = func(*query) {
+	s.beforeExecute = func(query) {
 		waitFor(t, "the other requests to park", func() bool { return s.coalesced.Value() == n-1 })
 	}
 	computed := s.computed.Value()
@@ -96,7 +96,7 @@ func TestCoalescingIsPerKey(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, MaxInFlight: 8})
 	slow := "/query/cc?graph=social"
 	gate := make(chan struct{})
-	s.beforeExecute = func(q *query) {
+	s.beforeExecute = func(q query) {
 		if q.kind == kindCC && !q.bypass {
 			<-gate
 		}
@@ -139,13 +139,13 @@ func TestCoalescingIsPerKey(t *testing.T) {
 }
 
 // TestParkedRequestHonorsItsContext: a request parked behind a leader
-// whose client goes away returns at once, gives its admission slot back,
+// holds no admission slot; when its client goes away it returns at once
 // and leaves the leader and the key intact.
 func TestParkedRequestHonorsItsContext(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, MaxInFlight: 8})
 	path := "/query/cc?graph=web"
 	gate := make(chan struct{})
-	s.beforeExecute = func(*query) { <-gate }
+	s.beforeExecute = func(query) { <-gate }
 	inflight := s.reg.Gauge("serve.inflight")
 
 	done := make(chan reply, 1)
@@ -163,8 +163,8 @@ func TestParkedRequestHonorsItsContext(t *testing.T) {
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
 	}()
 	waitFor(t, "the second request to park", func() bool { return s.coalesced.Value() == 1 })
-	if inflight.Value() != 2 {
-		t.Errorf("serve.inflight = %v with a leader and a parked request, want 2", inflight.Value())
+	if inflight.Value() != 1 {
+		t.Errorf("serve.inflight = %v with a leader and a parked request, want 1 (the leader)", inflight.Value())
 	}
 	cancel()
 	select {
@@ -204,7 +204,7 @@ func TestLeaderPanicReleasesItsWaiters(t *testing.T) {
 
 	const waiters = 8
 	var once sync.Once
-	s.beforeExecute = func(*query) {
+	s.beforeExecute = func(query) {
 		once.Do(func() {
 			waitFor(t, "the waiters to park", func() bool { return s.coalesced.Value() == waiters })
 			panic("injected execute failure")

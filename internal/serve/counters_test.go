@@ -67,6 +67,7 @@ func TestServerCountersAgreeWithClient(t *testing.T) {
 		"backend.pool.park_ns",
 		"backend.pool.workers",
 		"serve.admitted",
+		"serve.cache_bytes",
 		"serve.cache_hits",
 		"serve.cache_misses",
 		"serve.coalesced",
@@ -102,19 +103,23 @@ func TestServerCountersAgreeWithClient(t *testing.T) {
 		tally["serve.requests"]++
 		switch {
 		case rec.Code == http.StatusTooManyRequests:
+			// Only a request that would compute is shed, and it probed
+			// the cache first.
 			tally["serve.shed"]++
+			tally["serve.cache_misses"]++
 			return
 		case rec.Code != http.StatusOK:
 			t.Fatalf("GET %s: status %d: %s", target, rec.Code, rec.Body)
 		}
-		tally["serve.admitted"]++
 		switch rec.Header().Get("X-Cache") {
 		case "hit":
 			tally["serve.cache_hits"]++
 		case "miss":
 			tally["serve.cache_misses"]++
+			tally["serve.admitted"]++
 			tally["serve.computed"]++
 		case "bypass":
+			tally["serve.admitted"]++
 			tally["serve.computed"]++
 		default:
 			t.Fatalf("GET %s: X-Cache %q", target, rec.Header().Get("X-Cache"))
@@ -141,7 +146,7 @@ func TestServerCountersAgreeWithClient(t *testing.T) {
 	// One request holds the only slot inside execute while a second
 	// arrives: with no queue it is shed.
 	entered, gate := make(chan struct{}), make(chan struct{})
-	s.beforeExecute = func(*query) { close(entered); <-gate }
+	s.beforeExecute = func(query) { close(entered); <-gate }
 	held := make(chan *httptest.ResponseRecorder)
 	go func() { held <- do(http.MethodGet, "/query/tc?graph=social", "", nil) }()
 	<-entered
@@ -149,7 +154,7 @@ func TestServerCountersAgreeWithClient(t *testing.T) {
 	close(gate)
 	count("/query/tc?graph=social", <-held)
 
-	if tally["serve.shed"] != 1 || tally["serve.cache_hits"] != 6 || tally["serve.cache_misses"] != 5 {
+	if tally["serve.shed"] != 1 || tally["serve.cache_hits"] != 6 || tally["serve.cache_misses"] != 6 {
 		t.Fatalf("the mix did not go as planned: %v", tally)
 	}
 	got := scrape().Counters

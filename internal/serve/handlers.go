@@ -16,7 +16,7 @@ func tenantOf(r *http.Request) string {
 	if t := r.Header.Get("X-Tenant"); t != "" {
 		return t
 	}
-	if t := r.URL.Query().Get("tenant"); t != "" {
+	if t := param(r.URL.RawQuery, "tenant"); t != "" {
 		return t
 	}
 	return "default"
@@ -39,14 +39,16 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// handleQuery is the full request pipeline: parse and canonicalize, admit
-// under the tenant's fair share, pin the graph's current epoch, probe the
-// result cache, on a miss either compute on the shared pool and fill the
-// cache or — when the same key is already being computed — wait for that
-// computation and take the hit path, respond. The request context is
-// honored at every wait point: a client that disconnects while queued or
-// parked gives its slot back, and a cancelled request is never charged as
-// computed.
+// handleQuery is the full request pipeline: parse and canonicalize, pin
+// the graph's current epoch, probe the result cache, and on a miss either
+// wait for the computation of the same key already in flight and take the
+// hit path, or lead the key: admit under the tenant's fair share, compute
+// on the shared pool, fill the cache, respond. Only a request that
+// computes — a leader or a bypass — takes an admission slot, so a hit is
+// never queued or shed behind misses and a parked request holds no slot.
+// The request context is honored at every wait point: a client that
+// disconnects while parked or queued leaves, and a cancelled request is
+// never charged as computed.
 //
 // X-Cache says which of the three a response was: "hit" is bytes out of
 // the cache, including a request that parked behind the computation that
@@ -62,7 +64,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "query endpoints are GET")
 		return
 	}
-	q, err := s.parseQuery(r)
+	q, err := parseQuery(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -72,10 +74,44 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown graph %q (have %v)", q.graph, s.graphNames())
 		return
 	}
+	q.graph = g.name // the registered string, not the request's bytes
 
-	// Admission: the first place a request waits. The context carries the
-	// client disconnect, so an abandoned request leaves the queue.
+	// Epoch pin: one atomic load. Everything below sees this snapshot even
+	// if deltas advance the graph while the request waits or computes.
 	start := time.Now()
+	snap := g.v.Current()
+	key := cacheKey{epoch: snap.Epoch(), q: q}
+	xcache := xcacheBypass
+	if !q.bypass {
+		// Coalesce: park while another request computes this key.
+		for {
+			body, hit, wait := s.cache.acquire(key)
+			if hit {
+				s.recordQuery(q.kind, time.Since(start))
+				writeBody(w, xcacheHit, body)
+				return
+			}
+			if wait == nil {
+				break
+			}
+			s.coalesced.Add(1)
+			select {
+			case <-wait:
+			case <-ctx.Done():
+				writeError(w, http.StatusServiceUnavailable, "cancelled while waiting: %v", ctx.Err())
+				return
+			}
+		}
+		// This request leads the key: whatever happens below — a shed, a
+		// 400, a panic — the requests parked behind it are released, and
+		// the first of them to find no entry leads next.
+		defer s.cache.release(key)
+		xcache = xcacheMiss
+	}
+
+	// Admission: the one wait a computing request has besides the key's.
+	// The context carries the client disconnect, so an abandoned request
+	// leaves the queue.
 	if err := s.adm.Acquire(ctx, tenantOf(r)); err != nil {
 		if errors.Is(err, ErrOverloaded) {
 			w.Header().Set("Retry-After", "1")
@@ -91,44 +127,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Epoch pin: one atomic load. Everything below sees this snapshot even
-	// if deltas advance the graph mid-query.
-	snap := g.v.Current()
-	key := cacheKey(g.name, snap.Epoch(), q.fingerprint())
-	state := "bypass"
-	if !q.bypass {
-		// Coalesce: park while another request computes this key. A parked
-		// request keeps its admission slot and never touches the pool.
-		for {
-			body, hit, wait := s.cache.acquire(key)
-			if hit {
-				s.recordQuery(q.kind, time.Since(start))
-				writeBody(w, "hit", body)
-				return
-			}
-			if wait == nil {
-				break
-			}
-			s.coalesced.Add(1)
-			select {
-			case <-wait:
-			case <-ctx.Done():
-				writeError(w, http.StatusServiceUnavailable, "cancelled while waiting: %v", ctx.Err())
-				return
-			}
-		}
-		// This request leads the key: whatever happens below — a 400, a
-		// panic — the requests parked behind it are released, and the first
-		// of them to find no entry leads next.
-		defer s.cache.release(key)
-		state = "miss"
-	}
-
 	s.computed.Add(1)
 	if s.beforeExecute != nil {
 		s.beforeExecute(q)
 	}
-	body, err := s.execute(g, snap, q)
+	body, err := s.execute(g, snap, &q)
 	if err != nil {
 		var bad *badRequestError
 		if errors.As(err, &bad) {
@@ -142,14 +145,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.cache.put(key, body)
 	}
 	s.recordQuery(q.kind, time.Since(start))
-	writeBody(w, state, body)
+	writeBody(w, xcache, body)
 }
+
+// The header values a query response carries, shared by every response
+// and assigned, not Set: Set builds a new one-element slice per call.
+// Each has capacity 1, so a later Add on a response's header copies
+// instead of writing into the shared array.
+var (
+	xcacheHit       = []string{"hit"}
+	xcacheMiss      = []string{"miss"}
+	xcacheBypass    = []string{"bypass"}
+	jsonContentType = []string{"application/json; charset=utf-8"}
+)
 
 // writeBody sends a query's serialized response, saying in X-Cache how it
 // was produced.
-func writeBody(w http.ResponseWriter, xcache string, body []byte) {
-	w.Header().Set("X-Cache", xcache)
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+func writeBody(w http.ResponseWriter, xcache []string, body []byte) {
+	h := w.Header()
+	h["X-Cache"] = xcache
+	h["Content-Type"] = jsonContentType
 	_, _ = w.Write(body)
 }
 

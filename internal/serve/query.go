@@ -43,7 +43,10 @@ const defaultDatalogRule = "REACH(t, $MIN(d)) :- REACH(s, d0), d = d0 + 1, EDGE(
 // could pin gigabytes in a cache bounded only by its entry count.
 const maxRuleBytes = 1 << 10
 
-// query is one parsed, validated, canonicalized request.
+// query is one parsed, validated, canonicalized request. It is a
+// comparable value, and every field a kind does not take stays zero, so
+// two spellings of one query are equal queries: the result cache keys on
+// it as it is (cacheKey).
 type query struct {
 	kind  string
 	graph string
@@ -74,78 +77,111 @@ func badRequest(format string, args ...any) error {
 }
 
 // parseQuery decodes /query/<kind>?graph=...&... into a canonical query.
-// Defaults are applied here so the fingerprint of an implicit and an
-// explicit spelling of the same query match.
-func (s *Server) parseQuery(r *http.Request) (*query, error) {
-	kind := r.URL.Path[len("/query/"):]
-	q := &query{kind: kind, bypass: strings.Contains(r.Header.Get("Cache-Control"), "no-cache")}
-	vals := r.URL.Query()
-	q.graph = vals.Get("graph")
+// Defaults are applied here so an implicit and an explicit spelling of the
+// same query are equal. Parameters are read off the raw query string in
+// place (param), so a valid request allocates nothing here.
+func parseQuery(r *http.Request) (query, error) {
+	q := query{bypass: strings.Contains(r.Header.Get("Cache-Control"), "no-cache")}
+	raw := r.URL.RawQuery
+	q.graph = param(raw, "graph")
 	if q.graph == "" {
-		return nil, badRequest("missing graph parameter")
+		return query{}, badRequest("missing graph parameter")
 	}
 	var err error
-	switch kind {
+	// q.kind is set from the constants, never from the path's own bytes:
+	// a stored cache key must not pin the request line.
+	switch kind := r.URL.Path[len("/query/"):]; kind {
 	case kindPageRank:
-		if q.iters, err = intParam(vals, "iters", 20); err != nil {
-			return nil, err
+		q.kind = kindPageRank
+		if q.iters, err = intParam(raw, "iters", 20); err != nil {
+			return query{}, err
 		}
 		if q.iters < 1 || q.iters > 1000 {
-			return nil, badRequest("iters must be in [1,1000]")
+			return query{}, badRequest("iters must be in [1,1000]")
 		}
-		if q.jump, err = floatParam(vals, "jump", 0.3); err != nil {
-			return nil, err
+		if q.jump, err = floatParam(raw, "jump", 0.3); err != nil {
+			return query{}, err
 		}
 		// Each range check is written so NaN fails it: ParseFloat accepts
 		// "NaN" and "Inf", and a NaN would reach the kernel and the cache.
 		if !(q.jump > 0 && q.jump < 1) {
-			return nil, badRequest("jump must be in (0,1)")
+			return query{}, badRequest("jump must be in (0,1)")
 		}
-		if q.tol, err = floatParam(vals, "tol", 0); err != nil {
-			return nil, err
+		if q.tol, err = floatParam(raw, "tol", 0); err != nil {
+			return query{}, err
 		}
 		if !(q.tol >= 0 && q.tol <= math.MaxFloat64) {
-			return nil, badRequest("tol must be finite and >= 0")
+			return query{}, badRequest("tol must be finite and >= 0")
 		}
 		if q.tol == 0 {
 			q.tol = 0 // -0 is 0: one query, one fingerprint
 		}
-		if q.topK, err = intParam(vals, "k", 10); err != nil {
-			return nil, err
+		if q.topK, err = intParam(raw, "k", 10); err != nil {
+			return query{}, err
 		}
 		if q.topK < 0 || q.topK > 1000 {
-			return nil, badRequest("k must be in [0,1000]")
+			return query{}, badRequest("k must be in [0,1000]")
 		}
 	case kindBFS, kindDatalog:
-		src, err := intParam(vals, "source", 0)
+		q.kind = kindBFS
+		if kind == kindDatalog {
+			q.kind = kindDatalog
+		}
+		src, err := intParam(raw, "source", 0)
 		if err != nil {
-			return nil, err
+			return query{}, err
 		}
 		if src < 0 || int64(src) > math.MaxUint32 {
-			return nil, badRequest("source must be in [0,%d]", uint32(math.MaxUint32))
+			return query{}, badRequest("source must be in [0,%d]", uint32(math.MaxUint32))
 		}
 		q.source = graph.MustU32(int64(src))
 		if kind == kindDatalog {
-			q.rule = vals.Get("rule")
+			q.rule = param(raw, "rule")
 			if q.rule == "" {
 				q.rule = defaultDatalogRule
 			}
 			if len(q.rule) > maxRuleBytes {
-				return nil, badRequest("rule is %d bytes, over the %d-byte limit", len(q.rule), maxRuleBytes)
+				return query{}, badRequest("rule is %d bytes, over the %d-byte limit", len(q.rule), maxRuleBytes)
 			}
 		}
-	case kindCC, kindTC:
-		// no parameters beyond the graph
+	case kindCC:
+		q.kind = kindCC
+	case kindTC:
+		q.kind = kindTC
 	default:
-		return nil, badRequest("unknown query kind %q (have %v)", kind, queryKinds())
+		return query{}, badRequest("unknown query kind %q (have %v)", kind, queryKinds())
 	}
 	return q, nil
 }
 
-// fingerprint renders the canonical query string: the cache key component
-// and the Query field echoed in every response. Requested as written, it
-// names the same query: %g writes a large tol as 1e+10, and a bare '+'
-// in a query string reads back as a space, so it is escaped.
+// param returns the first value of name in the raw query string raw, the
+// one url.Values.Get returns after URL.Query: pairs split at '&', a pair
+// holding ';' or whose key or value does not unescape is dropped, and the
+// key and value are unescaped, which copies only a field holding '%' or
+// '+'. An absent name reads as "".
+func param(raw, name string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		if key, err := url.QueryUnescape(key); err != nil || key != name {
+			continue
+		}
+		if value, err := url.QueryUnescape(value); err == nil {
+			return value
+		}
+	}
+	return ""
+}
+
+// fingerprint renders the canonical query string: the Query field echoed
+// in every response and the key of a carried vector; the result cache
+// keys on the query itself. Requested as written, it names the same
+// query: %g writes a large tol as 1e+10, and a bare '+' in a query string
+// reads back as a space, so it is escaped.
 func (q *query) fingerprint() string {
 	switch q.kind {
 	case kindPageRank:
@@ -163,8 +199,8 @@ func (q *query) fingerprint() string {
 	return q.kind
 }
 
-func intParam(vals url.Values, name string, def int) (int, error) {
-	s := vals.Get(name)
+func intParam(raw, name string, def int) (int, error) {
+	s := param(raw, name)
 	if s == "" {
 		return def, nil
 	}
@@ -175,8 +211,8 @@ func intParam(vals url.Values, name string, def int) (int, error) {
 	return v, nil
 }
 
-func floatParam(vals url.Values, name string, def float64) (float64, error) {
-	s := vals.Get(name)
+func floatParam(raw, name string, def float64) (float64, error) {
+	s := param(raw, name)
 	if s == "" {
 		return def, nil
 	}

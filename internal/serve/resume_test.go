@@ -64,7 +64,7 @@ func TestPageRankResumeMatchesCold(t *testing.T) {
 				// ends (a failed test must not leave it holding the server).
 				entered, release, stop := make(chan struct{}), make(chan struct{}), make(chan struct{})
 				t.Cleanup(func() { close(stop) })
-				s.beforeExecute = func(q *query) {
+				s.beforeExecute = func(q query) {
 					if q.topK == 3 {
 						select {
 						case entered <- struct{}{}:
@@ -149,13 +149,13 @@ func TestPageRankResumeMatchesCold(t *testing.T) {
 
 // TestPageRankSweepCounters pins serve.pagerank.sweeps (sweeps run) and
 // serve.pagerank.resumed_sweeps (sweeps a resumed miss skipped) exactly.
-// With a one-entry cache every request below is a miss: iters 5, 10, 20 at
-// one epoch run 20 sweeps and resume 15; 20, 10, 5 at the next run all 35,
-// because the slot keeps the longest run; iters 20 asked again after the
-// cache evicted it runs none. A no-cache request runs cold, and so does a
+// With a one-byte cache, which stores no body, every request below is a
+// miss: iters 5, 10, 20 at one epoch run 20 sweeps and resume 15; 20, 10,
+// 5 at the next run all 35, because the slot keeps the longest run; iters
+// 20 asked again, uncached, runs none. A no-cache request runs cold, and so does a
 // shorter run than the slot holds; both leave the slot alone.
 func TestPageRankSweepCounters(t *testing.T) {
-	s := New(Config{Workers: 2, CacheEntries: 1})
+	s := New(Config{Workers: 2, CacheBytes: 1})
 	t.Cleanup(s.Close)
 	if err := s.AddGraph("social", buildVersioned(t, 7, true, 42)); err != nil {
 		t.Fatal(err)

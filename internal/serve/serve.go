@@ -6,23 +6,24 @@
 //
 // The request pipeline (DESIGN.md §15) is
 //
-//	admission → fair queue → epoch pin → result cache → coalesce → backend pool → reduction
+//	epoch pin → result cache → coalesce → admission → fair queue → backend pool → reduction
 //
-// Admission is a bounded queue plus a max-in-flight cap: when both are
-// full the request is shed with 429 immediately, so overload degrades
-// into fast rejections instead of collapse. Queued requests are released
-// by per-tenant fair scheduling (start-time fair queuing, one equal share
-// per tenant), so one heavy tenant cannot starve the rest. An admitted
-// query pins the graph's current epoch with a single atomic load —
+// A query pins the graph's current epoch with a single atomic load —
 // ingestion via ApplyDelta never blocks readers, and a query keeps
 // computing on its pinned snapshot however many epochs advance
-// meanwhile. Results are
-// cached keyed on (graph, epoch, canonical query fingerprint): the epoch
-// in the key means a delta invalidates naturally by changing the key,
-// never by flushing, and because every kernel is pinned bit-identical
-// across worker counts, a cache hit serves the exact bytes a recompute
-// would produce. A miss on a key another request is already computing
-// waits for that computation and is then served as a hit. Misses execute
+// meanwhile. Results are cached keyed on (graph, epoch, canonical query),
+// in a cache bounded in bytes: the epoch in the key means a delta
+// invalidates naturally by changing the key, never by flushing, and
+// because every kernel is pinned bit-identical across worker counts, a
+// cache hit serves the exact bytes a recompute would produce. A miss on a
+// key another request is already computing waits for that computation and
+// is then served as a hit. Only a request that computes — the key's
+// leader, or a no-cache bypass — reaches admission, a bounded queue plus
+// a max-in-flight cap: when both are full the request is shed with 429
+// immediately, so overload degrades into fast rejections instead of
+// collapse, and a hit is never among them. Queued requests are released
+// by per-tenant fair scheduling (start-time fair queuing, one equal share
+// per tenant), so one heavy tenant cannot starve the rest. Misses execute
 // on one shared persistent par.Pool (each kernel phase on the whole
 // team when it is free, on the request's own goroutine when another
 // query holds it), in O(n) vectors borrowed from the server, and reduce the kernel's array to the response's few numbers in
@@ -55,19 +56,27 @@ type Config struct {
 	// QueueDepth bounds the admission queue across all tenants; a request
 	// arriving with the queue full is shed with 429 (default 64).
 	QueueDepth int
-	// CacheEntries bounds the result cache (default 512 entries).
-	CacheEntries int
+	// CacheBytes bounds the result cache: every entry is charged its body,
+	// its key's strings and a fixed overhead (default DefaultCacheBytes).
+	CacheBytes int64
 	// Registry receives the service metrics (latency histograms, queue
 	// gauges, shed/cache counters); nil creates a private one.
 	Registry *obs.Registry
 }
 
+// DefaultCacheBytes is the result cache's default budget, 16 MiB. The
+// largest body the parser admits, a k=1000 PageRank listing, is about
+// 50 kB, so it is below the 25 MB that 512 such entries could pin when the
+// cache was bounded by entry count; the served bodies are a few hundred
+// bytes, so it holds tens of thousands of those.
+const DefaultCacheBytes = 16 << 20
+
 func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 512
+	if c.CacheBytes <= 0 {
+		c.CacheBytes = DefaultCacheBytes
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -201,7 +210,7 @@ type Server struct {
 
 	// beforeExecute, when a test sets it, runs on the request goroutine
 	// just before execute.
-	beforeExecute func(*query)
+	beforeExecute func(query)
 
 	// rankScratch, labelScratch and distScratch lend execute the O(n)
 	// vectors a PageRank, connected-components or bypass BFS miss works in
@@ -226,7 +235,7 @@ func New(cfg Config) *Server {
 		cfg:    cfg,
 		reg:    cfg.Registry,
 		pool:   pool,
-		cache:  newResultCache(cfg.CacheEntries, cfg.Registry),
+		cache:  newResultCache(cfg.CacheBytes, cfg.Registry),
 		graphs: make(map[string]*servedGraph),
 
 		queryHist: cfg.Registry.Hist("serve.query_ns"),

@@ -122,11 +122,11 @@ func TestConcurrentDeltaQueryStress(t *testing.T) {
 	// 16 concurrent rebuilds.
 	for _, p := range paths {
 		req, _ := http.NewRequest(http.MethodGet, ts.URL+p, nil)
-		q, err := s.parseQuery(req)
+		q, err := parseQuery(req)
 		if err != nil {
 			t.Fatalf("parseQuery %s: %v", p, err)
 		}
-		body, err := s.execute(g, epoch0, q)
+		body, err := s.execute(g, epoch0, &q)
 		if err != nil {
 			t.Fatalf("execute %s on epoch 0: %v", p, err)
 		}
