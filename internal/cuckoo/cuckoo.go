@@ -64,7 +64,8 @@ func (s *Set) resize(rows uint32) {
 // Len reports the number of keys stored.
 func (s *Set) Len() int { return s.size }
 
-func (s *Set) hash(table int, key uint32) uint32 {
+// hash maps key to its bucket row in the given table; mask is rows-1.
+func hash(table int, key, mask uint32) uint32 {
 	x := uint64(key)
 	if table == 0 {
 		x = (x ^ (x >> 16)) * 0x45d9f3b
@@ -74,7 +75,7 @@ func (s *Set) hash(table int, key uint32) uint32 {
 		x = (x ^ (x >> 13)) * 0xaf723597
 	}
 	x ^= x >> 16
-	return uint32(x) & (s.rows - 1)
+	return uint32(x) & mask
 }
 
 // Contains reports whether key is in the set — at most two bucket probes.
@@ -82,16 +83,29 @@ func (s *Set) Contains(key uint32) bool {
 	if key == emptySlot {
 		return s.hasMax
 	}
-	for t := 0; t < 2; t++ {
-		row := s.hash(t, key) * bucketSize
-		b := s.buckets[t]
-		for i := uint32(0); i < bucketSize; i++ {
-			if b[row+i] == key {
-				return true
-			}
-		}
+	return probe(s.buckets[0], s.buckets[1], s.rows-1, key) != 0
+}
+
+// probe reports 1 when key, which must not be the sentinel, sits in one
+// of its two buckets and 0 otherwise. Both bucket rows are located up front
+// and all eight slots (bucketSize is 4) compared with no early exit, so a
+// lookup costs the same whether it hits in the first table, the second or
+// neither, and the predictor has no outcome to guess.
+func probe(b0, b1 []uint32, mask, key uint32) int {
+	r0 := hash(0, key, mask) * bucketSize
+	r1 := hash(1, key, mask) * bucketSize
+	x := (*[bucketSize]uint32)(b0[r0:])
+	y := (*[bucketSize]uint32)(b1[r1:])
+	return eq(x[0], key) | eq(x[1], key) | eq(x[2], key) | eq(x[3], key) |
+		eq(y[0], key) | eq(y[1], key) | eq(y[2], key) | eq(y[3], key)
+}
+
+// eq is a == b as 0 or 1, which the compiler emits as a SETcc.
+func eq(a, b uint32) int {
+	if a == b {
+		return 1
 	}
-	return false
+	return 0
 }
 
 // Insert adds key to the set; duplicates are ignored. Insert reports
@@ -134,7 +148,7 @@ func (s *Set) insertKicking(key uint32) (orphan uint32, ok bool) {
 	cur := key
 	table := 0
 	for kick := 0; kick < maxKicks; kick++ {
-		row := s.hash(table, cur) * bucketSize
+		row := hash(table, cur, s.rows-1) * bucketSize
 		b := s.buckets[table]
 		for i := uint32(0); i < bucketSize; i++ {
 			if b[row+i] == emptySlot {
@@ -183,11 +197,16 @@ func (s *Set) ForEach(fn func(uint32)) {
 // IntersectCount returns |s ∩ keys| — the triangle-counting primitive: the
 // received neighbour list is streamed against the local cuckoo set.
 func (s *Set) IntersectCount(keys []uint32) int {
+	b0, b1, mask := s.buckets[0], s.buckets[1], s.rows-1
 	c := 0
 	for _, k := range keys {
-		if s.Contains(k) {
-			c++
+		if k == emptySlot {
+			if s.hasMax {
+				c++
+			}
+			continue
 		}
+		c += probe(b0, b1, mask, k)
 	}
 	return c
 }

@@ -237,3 +237,56 @@ func TestResetSteadyStateAllocatesNothing(t *testing.T) {
 		t.Errorf("%v allocations per pass over already-seen sizes, want 0", allocs)
 	}
 }
+
+// TestIntersectCountMatchesContains: IntersectCount, which hoists the
+// tables and runs the branch-free probe, equals a Contains loop and a map
+// on sets that grew from a small capacity and were Reset to larger and
+// smaller ones, with the sentinel key ^uint32(0) in the set and out of it,
+// and in the probed list and out of it.
+func TestIntersectCountMatchesContains(t *testing.T) {
+	r := rand.New(rand.NewSource(46))
+	s := New(0)
+	for round, size := range []int{40, 3000, 5, 700, 0, 10000, 64} {
+		s.Reset(r.Intn(size + 1)) // under-sized: inserts below must grow it
+		ref := map[uint32]bool{}
+		withMax := round%2 == 1
+		if withMax {
+			s.Insert(^uint32(0))
+			ref[^uint32(0)] = true
+		}
+		for len(ref) < size {
+			k := uint32(r.Intn(4 * (size + 1)))
+			if r.Intn(3) == 0 {
+				k = ^uint32(0) - 1 - uint32(r.Intn(size+1))
+			}
+			s.Insert(k)
+			ref[k] = true
+		}
+		for _, probeMax := range []bool{false, true} {
+			keys := make([]uint32, 0, 2*size+1)
+			for i := 0; i < 2*size; i++ {
+				k := uint32(r.Intn(4 * (size + 1)))
+				if i%4 == 0 {
+					k = ^uint32(0) - 1 - uint32(r.Intn(size+1))
+				}
+				keys = append(keys, k)
+			}
+			if probeMax {
+				keys = append(keys, ^uint32(0))
+			}
+			loop, want := 0, 0
+			for _, k := range keys {
+				if s.Contains(k) {
+					loop++
+				}
+				if ref[k] {
+					want++
+				}
+			}
+			if got := s.IntersectCount(keys); got != loop || got != want {
+				t.Errorf("round %d (size %d, max in set %v, max probed %v): IntersectCount %d, Contains loop %d, map %d",
+					round, size, withMax, probeMax, got, loop, want)
+			}
+		}
+	}
+}

@@ -100,12 +100,13 @@ func (g *CSR) SortedAdjacency() bool { return g.sortedAdj }
 func (g *CSR) Symmetrized() bool { return g.symmetrized }
 
 // HasEdge reports whether the edge (u,v) is present. It is O(log d(u)) on
-// sorted adjacency and O(d(u)) otherwise; intended for tests and small
-// inputs, not inner loops.
+// sorted adjacency, by the branch-free lowerBound, and O(d(u)) otherwise.
+// SociaLite's per-tuple index probe and ApplyDelta's duplicate filter call
+// it in inner loops.
 func (g *CSR) HasEdge(u, v uint32) bool {
 	adj := g.Neighbors(u)
 	if g.sortedAdj {
-		i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
+		i := lowerBound(adj, v)
 		return i < len(adj) && adj[i] == v
 	}
 	for _, w := range adj {
@@ -116,23 +117,52 @@ func (g *CSR) HasEdge(u, v uint32) bool {
 	return false
 }
 
-// IntersectSortedCount counts common elements of two sorted id lists:
-// the merge every engine's triangle count runs over sorted adjacency.
-// It is small enough to inline at each call site.
+// lowerBound returns the first index i with s[i] >= x, or len(s), on a
+// sorted s. Each step halves the candidate range [base, base+n] and moves
+// base by half &^ mask, where mask is all ones exactly when s[base+half-1]
+// >= x: arithmetic, not a branch, because the probe's outcome on a random
+// key is a coin flip the predictor loses half the time. (Go does not turn
+// `if s[m] < x { base = m }` into a conditional move inside a loop.)
+func lowerBound(s []uint32, x uint32) int {
+	base, n := 0, len(s)
+	for n > 0 {
+		half := n - n>>1
+		mask := int((int64(x) - 1 - int64(s[base+half-1])) >> 63)
+		base += half &^ mask
+		n >>= 1
+	}
+	return base
+}
+
+// IntersectSortedCount counts common elements of two sorted, duplicate-free
+// id lists: the merge every engine's triangle count runs over sorted
+// adjacency. It first skips, by lowerBound, the prefix of either list below
+// the other's first element (on an acyclically oriented graph, the ids of
+// v's row up to its neighbour u all lie below u's row), then merges without
+// a branch on the comparison: each step advances i on ai <= bj and j on
+// ai >= bj, and counts when both advance.
 func IntersectSortedCount(a, b []uint32) int {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	a = a[lowerBound(a, b[0]):]
+	if len(a) == 0 {
+		return 0
+	}
+	b = b[lowerBound(b, a[0]):]
 	i, j, c := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		ai, bj := a[i], b[j]
-		switch {
-		case ai < bj:
-			i++
-		case ai > bj:
-			j++
-		default:
-			c++
-			i++
-			j++
+		di, dj := 0, 0
+		if ai <= bj {
+			di = 1
 		}
+		if ai >= bj {
+			dj = 1
+		}
+		c += di & dj
+		i += di
+		j += dj
 	}
 	return c
 }

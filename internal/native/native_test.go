@@ -2,6 +2,7 @@ package native
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -512,5 +513,89 @@ func TestPRMessageCodecRoundTrip(t *testing.T) {
 	e := New()
 	if err := e.applyPRMessage([]byte{1}, nil); err == nil {
 		t.Error("applied truncated message")
+	}
+}
+
+// degreeFixture is an edge list whose acyclic orientation has rows of
+// out-degree exactly 1, 2, 3, 63, 64 and 65 (each a vertex fanning out
+// to a path of neighbours with random chords), plus a hub row of 2000
+// over a random graph, so that every bit-vector row size the kernel
+// meets — the smallest, the word boundary, a whole hub — closes
+// triangles.
+func degreeFixture(t testing.TB, orientation graph.Orientation) (*graph.CSR, []int) {
+	t.Helper()
+	const n = 4096
+	r := rand.New(rand.NewSource(46))
+	var edges []graph.Edge
+	for v := uint32(1); v <= 2000; v++ {
+		edges = append(edges, graph.Edge{Src: 0, Dst: v})
+	}
+	for i := 0; i < 8000; i++ {
+		edges = append(edges, graph.Edge{Src: 1 + uint32(r.Intn(2000)), Dst: 1 + uint32(r.Intn(2000))})
+	}
+	degrees := []int{1, 2, 3, 63, 64, 65}
+	c := uint32(2100)
+	for _, d := range degrees {
+		for i := uint32(1); i <= uint32(d); i++ {
+			edges = append(edges, graph.Edge{Src: c, Dst: c + i})
+			if i < uint32(d) {
+				edges = append(edges, graph.Edge{Src: c + i, Dst: c + i + 1})
+			}
+			if j := 1 + uint32(r.Intn(d)); j != i {
+				edges = append(edges, graph.Edge{Src: c + i, Dst: c + j})
+			}
+		}
+		c += uint32(d) + 2
+	}
+	b := graph.NewBuilder(n)
+	b.AddEdges(edges)
+	g, err := b.Build(graph.BuildOptions{Orientation: orientation, Dedup: true, DropSelfLoops: true, SortAdjacency: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, append(degrees, 2000)
+}
+
+// TestTriangleCountEveryRowSize: the bit-vector kernel, which serves every
+// row of two or more neighbours, and the merge ablation equal the serial
+// reference on rows of out-degree 1, 2, 3, 63, 64, 65 and a hub, on pools
+// of 1, 2 and 8 workers, through the engine's oriented entry point and the
+// served symmetrized one.
+func TestTriangleCountEveryRowSize(t *testing.T) {
+	g, degrees := degreeFixture(t, graph.OrientAcyclic)
+	for _, d := range degrees {
+		found := false
+		for v := uint32(0); v < g.NumVertices && !found; v++ {
+			found = g.Degree(v) == int64(d)
+		}
+		if !found {
+			t.Fatalf("fixture has no row of out-degree %d", d)
+		}
+	}
+	want := core.RefTriangleCount(g)
+	if want == 0 {
+		t.Fatal("fixture has no triangles")
+	}
+	sym, _ := degreeFixture(t, graph.Symmetrize)
+	for _, workers := range []int{1, 2, 8} {
+		pool := par.NewPool(workers)
+		for _, bitv := range []bool{true, false} {
+			if got := triangles(pool, g, g.Offsets, bitv); got != want {
+				t.Errorf("workers=%d bitvector=%v: count %d, want %d", workers, bitv, got, want)
+			}
+		}
+		if got := TriangleCountSymmetrized(pool, sym); got != want {
+			t.Errorf("workers=%d: TriangleCountSymmetrized = %d, want %d", workers, got, want)
+		}
+		pool.Close()
+	}
+	for _, tuned := range []Tuning{DefaultTuning(), {}} {
+		res, err := NewTuned(tuned).TriangleCount(g, core.TriangleOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count != want {
+			t.Errorf("tuning %+v: count %d, want %d", tuned, res.Count, want)
+		}
 	}
 }

@@ -26,7 +26,7 @@ func triangleLocalStatic(e *Engine, g *graph.CSR) int64 {
 	var bv *bitvec.Vector
 	for v := uint32(0); v < g.NumVertices; v++ {
 		adjV := g.Neighbors(v)
-		useBV := e.tuning.Bitvector && len(adjV) >= bitvecDegreeThreshold
+		useBV := e.tuning.Bitvector && len(adjV) >= 2
 		if useBV {
 			if bv == nil {
 				bv = bitvec.New(g.NumVertices)

@@ -14,11 +14,6 @@ import (
 	"graphmaze/internal/trace"
 )
 
-// bitvecDegreeThreshold is the adjacency size above which the native code
-// switches from merge intersection to a bit-vector probe of the larger
-// list (paper §6.1.2: the bit-vector data structure gave TC ≈2.2×).
-const bitvecDegreeThreshold = 64
-
 // TriangleCount implements core.Engine over an acyclically oriented graph
 // with sorted adjacency: each vertex intersects its out-list with its
 // out-neighbours' out-lists (eq. 3 counts every triangle i<j<k once).
@@ -77,40 +72,36 @@ func triangles(pool *par.Pool, g *graph.CSR, first []int64, bitvector bool) int6
 		var local int64
 		for v := lo; v < hi; v++ {
 			adjV := g.Targets[first[v]:g.Offsets[v+1]]
-			if len(adjV) == 0 {
+			// A row of one neighbour u closes no triangle: u's row holds
+			// only ids above u.
+			if len(adjV) < 2 {
 				continue
 			}
-			useBV := bitvector && len(adjV) >= bitvecDegreeThreshold
-			var bv *bitvec.Vector
-			if useBV {
-				bv = scratch[worker]
-				if bv == nil {
-					bv = bitvec.New(g.NumVertices)
-					scratch[worker] = bv
+			if !bitvector {
+				for _, u := range adjV {
+					local += int64(graph.IntersectSortedCount(adjV, g.Targets[first[u]:g.Offsets[u+1]]))
 				}
-				for _, t := range adjV {
-					bv.Set(t)
-				}
+				continue
 			}
+			// Paper §6.1.2: mark v's row in the worker's bit-vector once,
+			// then probe each neighbour's row against it, one word read
+			// per element and no branch on the outcome.
+			bv := scratch[worker]
+			if bv == nil {
+				bv = bitvec.New(g.NumVertices)
+				scratch[worker] = bv
+			}
+			for _, t := range adjV {
+				bv.Set(t)
+			}
+			words := bv.Words()
 			for _, u := range adjV {
-				adjU := g.Targets[first[u]:g.Offsets[u+1]]
-				if useBV {
-					// Probe each element of the (usually shorter) list
-					// against the bit-vector: O(|adjU|) constant-time
-					// lookups instead of a merge over both lists.
-					for _, t := range adjU {
-						if bv.Get(t) {
-							local++
-						}
-					}
-				} else {
-					local += int64(graph.IntersectSortedCount(adjV, adjU))
+				for _, t := range g.Targets[first[u]:g.Offsets[u+1]] {
+					local += int64(words[t>>6] >> (t & 63) & 1)
 				}
 			}
-			if useBV {
-				for _, t := range adjV {
-					bv.Clear(t)
-				}
+			for _, t := range adjV {
+				bv.Clear(t)
 			}
 		}
 		total.Add(local)

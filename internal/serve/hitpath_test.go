@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -139,5 +141,72 @@ func TestShedLeaderReleasesItsKey(t *testing.T) {
 	}
 	if code, xcache, _ := get(t, path, nil); code != http.StatusOK || xcache != "miss" {
 		t.Errorf("the shed key afterwards: status %d X-Cache %q, want 200 miss", code, xcache)
+	}
+}
+
+// TestQueryRoutingMatchesTheMux: Handler sends a clean /query/ path
+// straight to handleQuery; every request in a corpus of clean, unclean,
+// escaped and misspelt paths gets the status, headers and body it gets
+// from the mux alone. The two servers see the same sequence, so their
+// caches agree on hit and miss.
+func TestQueryRoutingMatchesTheMux(t *testing.T) {
+	routed, _ := newTestServer(t, Config{Workers: 2})
+	plain, _ := newTestServer(t, Config{Workers: 2})
+	muxOnly := plain.newMux()
+	corpus := []struct{ method, target string }{
+		{http.MethodGet, "/query/bfs?graph=social&source=1"},
+		{http.MethodGet, "/query/bfs?graph=social&source=1"},
+		{http.MethodGet, "/query/cc?graph=web"},
+		{http.MethodGet, "/query/"},
+		{http.MethodGet, "/query"},
+		{http.MethodGet, "/query//bfs?graph=social"},
+		{http.MethodGet, "/query/./bfs?graph=social"},
+		{http.MethodGet, "/query/../delta"},
+		{http.MethodGet, "/query/bfs/?graph=social"},
+		{http.MethodGet, "/query/%2e%2e/delta?graph=social"},
+		{http.MethodGet, "/query/%2E%2E/graphs"},
+		{http.MethodGet, "/query%2Fbfs?graph=social"},
+		{http.MethodGet, "/%71uery/bfs?graph=social&source=1"},
+		{http.MethodGet, "/query/b%66s?graph=social&source=1"},
+		{http.MethodGet, "/query/nope?graph=social"},
+		{http.MethodGet, "/query/bfs?graph=nope"},
+		{http.MethodGet, "/QUERY/bfs?graph=social"},
+		{http.MethodPost, "/query/bfs?graph=social"},
+		{http.MethodHead, "/query/cc?graph=social"},
+		{http.MethodConnect, "/query/bfs?graph=social"},
+		{http.MethodGet, "/graphs"},
+		{http.MethodGet, "/"},
+	}
+	for _, c := range corpus {
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		routed.Handler().ServeHTTP(got, httptest.NewRequest(c.method, c.target, nil))
+		muxOnly.ServeHTTP(want, httptest.NewRequest(c.method, c.target, nil))
+		if got.Code != want.Code {
+			t.Errorf("%s %s: status %d, the mux answers %d", c.method, c.target, got.Code, want.Code)
+		}
+		if !reflect.DeepEqual(got.Header(), want.Header()) {
+			t.Errorf("%s %s: headers %v, the mux answers %v", c.method, c.target, got.Header(), want.Header())
+		}
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%s %s: body %q, the mux answers %q", c.method, c.target, got.Body, want.Body)
+		}
+	}
+}
+
+// TestHandlerHitDoesNotAllocate: a warmed hit through Handler, the
+// server's whole HTTP surface, allocates nothing once the header map is
+// reused — the /query/ route costs no mux lookup.
+func TestHandlerHitDoesNotAllocate(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 2})
+	h := s.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/query/pagerank?graph=social&iters=5&k=3", nil)
+	w := &headerWriter{h: http.Header{}}
+	h.ServeHTTP(w, req)
+	h.ServeHTTP(w, req)
+	if w.h.Get("X-Cache") != "hit" {
+		t.Fatalf("X-Cache %q after the miss, want hit", w.h.Get("X-Cache"))
+	}
+	if n := testing.AllocsPerRun(100, func() { h.ServeHTTP(w, req) }); n != 0 {
+		t.Errorf("a cache hit through Handler allocates %v times", n)
 	}
 }

@@ -36,7 +36,9 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"path"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -336,20 +338,16 @@ func (s *Server) graphNames() []string {
 
 // Handler returns the service mux: query and ingestion endpoints plus the
 // obs diagnostics (/metrics, /metrics.json, /debug/pprof/) mounted on the
-// same mux — one listener, one port. A handler that panics answers 500
-// (when nothing has been written yet), is counted in serve.panics and
-// logged with its path; by the time the panic gets here the handler's own
-// defers have already given back its admission slot and released the
-// requests parked behind it.
+// same mux — one listener, one port. A clean /query/ path is routed to
+// handleQuery before the mux, which would only pick that same handler at
+// the cost of its own allocations; see isQueryPath. A handler that panics
+// answers 500 (when nothing has been written yet), is counted in
+// serve.panics and logged with its path; by the time the panic gets here
+// the handler's own defers have already given back its admission slot and
+// released the requests parked behind it.
 func (s *Server) Handler() http.Handler {
 	s.muxOnce.Do(func() {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/query/", s.handleQuery)
-		mux.HandleFunc("/delta", s.handleDelta)
-		mux.HandleFunc("/graphs", s.handleGraphs)
-		mux.HandleFunc("/healthz", s.handleHealthz)
-		obs.MuxOn(mux, s.reg)
-		mux.HandleFunc("/", s.handleIndex)
+		mux := s.newMux()
 		s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			defer func() {
 				if p := recover(); p != nil {
@@ -358,10 +356,39 @@ func (s *Server) Handler() http.Handler {
 					writeError(w, http.StatusInternalServerError, "internal error")
 				}
 			}()
+			if isQueryPath(r) {
+				s.handleQuery(w, r)
+				return
+			}
 			mux.ServeHTTP(w, r)
 		})
 	})
 	return s.handler
+}
+
+// newMux registers every endpoint on a fresh ServeMux.
+func (s *Server) newMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/query/", s.handleQuery)
+	mux.HandleFunc("/delta", s.handleDelta)
+	mux.HandleFunc("/graphs", s.handleGraphs)
+	mux.HandleFunc("/healthz", s.handleHealthz)
+	obs.MuxOn(mux, s.reg)
+	mux.HandleFunc("/", s.handleIndex)
+	return mux
+}
+
+// isQueryPath reports whether the mux would send r to handleQuery as it
+// stands: a non-CONNECT request whose escaped path — the string the mux
+// matches — starts with /query/ and is already clean, so the mux neither
+// redirects it nor matches another pattern. Any other request, a
+// /query/bfs/ or a /query/../delta among them, goes through the mux.
+func isQueryPath(r *http.Request) bool {
+	if r.Method == http.MethodConnect {
+		return false
+	}
+	p := r.URL.EscapedPath()
+	return strings.HasPrefix(p, "/query/") && path.Clean(p) == p
 }
 
 // nextLane picks a histogram lane for the calling request goroutine.
