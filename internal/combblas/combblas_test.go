@@ -3,8 +3,8 @@ package combblas
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -206,7 +206,7 @@ func randomRows(r *rand.Rand, numRows int, numCols uint32, maxDeg int, emptyFrac
 
 // spgemmReference is the product the obvious way: one dense count vector
 // per row, filled by the triple loop and read back in column order — no
-// touched list, no sort, no chunks.
+// bitmap, no chunks.
 func spgemmReference(a, b *SpMat[struct{}]) *SpMat[int64] {
 	c := &SpMat[int64]{NumRows: a.NumRows, NumCols: b.NumCols, Offsets: make([]int64, a.NumRows+1), Cols: []uint32{}, Vals: []int64{}}
 	for i := uint32(0); i < a.NumRows; i++ {
@@ -229,36 +229,45 @@ func spgemmReference(a, b *SpMat[struct{}]) *SpMat[int64] {
 	return c
 }
 
-// wordStraddle is a product over 500 columns — not a whole number of
-// 64-column bitmap words — whose rows land on the word edges 63/64 and
-// 127/128 and on the last column. B's row 0 is a hub over every column;
-// A's rows 0 and 130 reach it ahead of short rows, so a bit or count the
-// hub leaves behind would show in the rows after it. B's rows 2 and 3 put
-// two columns words apart (a wide, sparse product row), next to the dense
-// rows the hub and the random tail make.
-func wordStraddle() (a, b *SpMat[struct{}]) {
-	const n = 500
-	r := rand.New(rand.NewSource(47))
-	bRows := randomRows(r, n, n, 40, 0.2)
+// straddle is a product over n columns whose rows land on bitmap edges. B's
+// row 0 is a hub over every column; A's rows 0 and 130 reach it ahead of
+// short rows, so a bit or count the hub leaves behind would show in the rows
+// after it. B's rows 1–4 are edges: the columns each side of a bitmap word
+// edge, two columns words apart (a wide, sparse product row) next to the
+// dense rows the hub and the random tail make.
+func straddle(n uint32, seed int64, edges [4][]uint32) (a, b *SpMat[struct{}]) {
+	r := rand.New(rand.NewSource(seed))
+	bRows := randomRows(r, int(n), n, 40, 0.2)
 	bRows[0] = make([]uint32, n)
 	for k := range bRows[0] {
 		bRows[0][k] = uint32(k)
 	}
-	bRows[1] = []uint32{63, 64, 127, 128, n - 1}
-	bRows[2] = []uint32{0, n - 1}
-	bRows[3] = []uint32{38, 300}
-	bRows[4] = []uint32{62, 63, 64, 65, 126, 127, 128, 129}
+	copy(bRows[1:], edges[:])
 	aRows := randomRows(r, 300, n, 6, 0.1)
 	copy(aRows, [][]uint32{{0}, {1}, {1, 4}, {2}, {3}, {2, 3}, {0, 1, 2}, {4}})
 	aRows[130] = []uint32{0, 4}
 	return patternFromRows(n, aRows), patternFromRows(n, bRows)
 }
 
+// wordStraddle is a straddle over 500 columns — not a whole number of
+// 64-column mark words — on the word edges 63/64 and 127/128 and the last
+// column.
+func wordStraddle() (a, b *SpMat[struct{}]) {
+	return straddle(500, 47, [4][]uint32{{63, 64, 127, 128, 499}, {0, 499}, {38, 300}, {62, 63, 64, 65, 126, 127, 128, 129}})
+}
+
+// summaryStraddle is a straddle over 9001 columns — three 4096-column
+// summary words, the last one partial — on the summary-word edges 4095/4096
+// and 8191/8192 and the last column.
+func summaryStraddle() (a, b *SpMat[struct{}]) {
+	return straddle(9001, 48, [4][]uint32{{4095, 4096, 8191, 8192, 9000}, {0, 9000}, {63, 4160}, {4032, 4094, 4095, 4096, 4097, 8190, 8191, 8192, 8193}})
+}
+
 // spgemmCases are the products the differential and layout tests run: the
 // skewed input triangle counting squares, a rectangular product, operands
 // whose empty rows span whole chunks, a hub row that touches every column
 // ahead of short rows (which must not pay for it, nor see its counts), and
-// the bitmap word-edge product of wordStraddle.
+// the bitmap word-edge products of wordStraddle and summaryStraddle.
 func spgemmCases(t *testing.T) map[string][2]*SpMat[struct{}] {
 	rmat := FromGraph(acyclicRMAT(t, 10, 45))
 
@@ -273,71 +282,72 @@ func spgemmCases(t *testing.T) map[string][2]*SpMat[struct{}] {
 		hubRows[3][k] = uint32(k)
 	}
 	hub := patternFromRows(500, hubRows)
-	sa, sb := wordStraddle()
+	wa, wb := wordStraddle()
+	sa, sb := summaryStraddle()
 	return map[string][2]*SpMat[struct{}]{
-		"rmat-scale10":  {rmat, rmat},
-		"rectangular":   {patternFromRows(90, randomRows(r, 300, 90, 8, 0.2)), patternFromRows(1000, randomRows(r, 90, 1000, 40, 0.1))},
-		"empty-rows":    {patternFromRows(700, sparse), patternFromRows(700, sparse)},
-		"hub-row":       {hub, hub},
-		"word-straddle": {sa, sb},
+		"rmat-scale10":     {rmat, rmat},
+		"rectangular":      {patternFromRows(90, randomRows(r, 300, 90, 8, 0.2)), patternFromRows(1000, randomRows(r, 90, 1000, 40, 0.1))},
+		"empty-rows":       {patternFromRows(700, sparse), patternFromRows(700, sparse)},
+		"hub-row":          {hub, hub},
+		"word-straddle":    {wa, wb},
+		"summary-straddle": {sa, sb},
 	}
 }
 
 // TestAppendRowWindowMatchesReference is the windowed differential: one
 // accumulator per column window — windows that start and end off a 64-column
-// word edge, widths that are not a multiple of 64 — emits every row of the
-// wordStraddle product, and each row must be the naive product's restricted
-// to the window, with the column offset added back. Rows collect without
-// truncation, as a worker's chunk does, and after the last row the counts and
-// the bitmap must be all zero. Each wide window must see rows on both sides
-// of the emission rule (read off the bitmap, or sorted), so neither path goes
-// unchecked.
+// mark word or a 4096-column summary word, widths that are a multiple of
+// neither — emits every row of the wordStraddle and summaryStraddle products,
+// and each row must be the naive product's restricted to the window, with
+// the column offset added back. Rows collect without truncation, as a
+// worker's chunk does, and after the last row the counts and both bitmap
+// levels must be all zero.
 func TestAppendRowWindowMatchesReference(t *testing.T) {
-	a, b := wordStraddle()
-	want := spgemmReference(a, b)
-	for _, w := range [][2]uint32{{0, 500}, {37, 301}, {1, 499}, {128, 500}, {63, 129}, {64, 128}, {499, 500}} {
-		clo, chi := w[0], w[1]
-		acc := newRowAccumulator(chi - clo)
-		scanned, sorted := 0, 0
-		for r := uint32(0); r < a.NumRows; r++ {
-			var wantCols []uint32
-			var wantVals []int64
-			cols, vals := want.Row(r)
-			for i, k := range cols {
-				if k >= clo && k < chi {
-					wantCols, wantVals = append(wantCols, k), append(wantVals, vals[i])
+	wa, wb := wordStraddle()
+	sa, sb := summaryStraddle()
+	for _, fx := range []struct {
+		name    string
+		a, b    *SpMat[struct{}]
+		windows [][2]uint32
+	}{
+		{"word-straddle", wa, wb, [][2]uint32{{0, 500}, {37, 301}, {1, 499}, {128, 500}, {63, 129}, {64, 128}, {499, 500}}},
+		{"summary-straddle", sa, sb, [][2]uint32{{0, 9001}, {37, 9000}, {4095, 4097}, {4096, 8192}, {1, 8193}, {8191, 9001}, {4000, 4200}}},
+	} {
+		want := spgemmReference(fx.a, fx.b)
+		for _, w := range fx.windows {
+			clo, chi := w[0], w[1]
+			acc := newRowAccumulator(chi - clo)
+			for r := uint32(0); r < fx.a.NumRows; r++ {
+				var wantCols []uint32
+				var wantVals []int64
+				cols, vals := want.Row(r)
+				for i, k := range cols {
+					if k >= clo && k < chi {
+						wantCols, wantVals = append(wantCols, k), append(wantVals, vals[i])
+					}
+				}
+				before := len(acc.cols)
+				aCols, _ := fx.a.Row(r)
+				acc.appendRow(aCols, fx.b, clo, chi)
+				if got := acc.cols[before:]; !slices.Equal(got, wantCols) {
+					t.Fatalf("%s window [%d,%d) row %d: columns %v, want %v", fx.name, clo, chi, r, got, wantCols)
+				}
+				if got := acc.vals[before:]; !slices.Equal(got, wantVals) {
+					t.Fatalf("%s window [%d,%d) row %d: counts %v, want %v", fx.name, clo, chi, r, got, wantVals)
 				}
 			}
-			before := len(acc.cols)
-			aCols, _ := a.Row(r)
-			acc.appendRow(aCols, b, clo, chi)
-			if got := acc.cols[before:]; !slices.Equal(got, wantCols) {
-				t.Fatalf("window [%d,%d) row %d: columns %v, want %v", clo, chi, r, got, wantCols)
+			nonzero := func(w uint64) bool { return w != 0 }
+			if slices.ContainsFunc(acc.count, func(c int64) bool { return c != 0 }) ||
+				slices.ContainsFunc(acc.mark, nonzero) || slices.ContainsFunc(acc.summary, nonzero) {
+				t.Errorf("%s window [%d,%d): accumulator not clean after the last row", fx.name, clo, chi)
 			}
-			if got := acc.vals[before:]; !slices.Equal(got, wantVals) {
-				t.Fatalf("window [%d,%d) row %d: counts %v, want %v", clo, chi, r, got, wantVals)
-			}
-			// The emission rule: a word span below t·bits.Len(t) is scanned.
-			if n := len(wantCols); n > 0 {
-				if span := int(wantCols[n-1]-clo)>>6 - int(wantCols[0]-clo)>>6; span < n*bits.Len(uint(n)) {
-					scanned++
-				} else {
-					sorted++
-				}
-			}
-		}
-		if chi-clo >= 5*64 && (scanned == 0 || sorted == 0) {
-			t.Errorf("window [%d,%d): %d rows scanned, %d sorted; want both paths taken", clo, chi, scanned, sorted)
-		}
-		if slices.ContainsFunc(acc.count, func(c int64) bool { return c != 0 }) ||
-			slices.ContainsFunc(acc.mark, func(w uint64) bool { return w != 0 }) {
-			t.Errorf("window [%d,%d): accumulator not clean after the last row", clo, chi)
 		}
 	}
 }
 
 // TestSpGEMMMatchesReferenceAtAnyPoolSize is the differential and layout
-// pin: Offsets, Cols and Vals equal the naive product's — so they are the
+// pin: Offsets equal the naive product's, the blocks laid end to end equal
+// its Cols and Vals, and so does every row Row reads off its block — the
 // same bytes at 1, 2 and 8 workers — and every row's columns strictly
 // increase. The 8-worker pool on the skewed input is also what the race
 // detector watches the per-worker accumulators and chunk buffers under.
@@ -359,11 +369,14 @@ func TestSpGEMMMatchesReferenceAtAnyPoolSize(t *testing.T) {
 			if got.NumRows != want.NumRows || got.NumCols != want.NumCols {
 				t.Fatalf("%s, %d workers: shape %d×%d, want %d×%d", name, workers, got.NumRows, got.NumCols, want.NumRows, want.NumCols)
 			}
-			if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Cols, want.Cols) || !slices.Equal(got.Vals, want.Vals) {
+			if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(slices.Concat(got.Cols...), want.Cols) || !slices.Equal(slices.Concat(got.Vals...), want.Vals) {
 				t.Fatalf("%s, %d workers: product differs from the naive reference", name, workers)
 			}
 			for r := uint32(0); r < got.NumRows; r++ {
-				cols, _ := got.Row(r)
+				cols, vals := got.Row(r)
+				if wantCols, wantVals := want.Row(r); !slices.Equal(cols, wantCols) || !slices.Equal(vals, wantVals) {
+					t.Fatalf("%s, %d workers: row %d reads %v/%v, want %v/%v", name, workers, r, cols, vals, wantCols, wantVals)
+				}
 				for i := 1; i < len(cols); i++ {
 					if cols[i-1] >= cols[i] {
 						t.Fatalf("%s, %d workers: row %d columns not strictly increasing: %v", name, workers, r, cols)
@@ -375,10 +388,10 @@ func TestSpGEMMMatchesReferenceAtAnyPoolSize(t *testing.T) {
 }
 
 // TestSpGEMMAllocatesPerChunkNotPerRow bounds the product's allocations by
-// its chunk count: two exact-size copies per chunk, plus per-worker scratch
-// (whose growth is logarithmic) and the output arrays. A slice pair per row
-// — over 1 700 allocations for this input's 867 non-empty product rows —
-// cannot come back unnoticed.
+// its chunk count: two exact-size blocks per chunk, plus per-worker scratch
+// (whose growth is logarithmic) and the product's Offsets and block tables.
+// A slice pair per row — over 1 700 allocations for this input's 867
+// non-empty product rows — cannot come back unnoticed.
 func TestSpGEMMAllocatesPerChunkNotPerRow(t *testing.T) {
 	a := spgemmCases(t)["rmat-scale10"][0]
 	pool := par.NewPool(2)
@@ -394,6 +407,36 @@ func TestSpGEMMAllocatesPerChunkNotPerRow(t *testing.T) {
 		t.Errorf("%v allocations for %d rows in %d chunks, want at most %v", allocs, a.NumRows, chunks, bound)
 	}
 	t.Logf("%v allocations, %d rows, %d chunks", allocs, a.NumRows, chunks)
+}
+
+// TestSpGEMMAllocatesTheProductOnce bounds one call's allocated bytes by
+// the product's modelled size, nnz(A²)·12 (a uint32 column and an int64
+// count per nonzero): the blocks are the product, so beyond them a call
+// allocates only Offsets and per-worker scratch — a dense count array and
+// chunk buffers that grow to the worker's largest chunk. On this scale-15
+// input that reads about 1.13, 1.19 and 1.58 at 1, 2 and 8 workers; a second,
+// contiguous copy of the product would put every pool size above 2.1. The
+// scale is the smallest at which the scratch leaves the bound 20 % headroom.
+func TestSpGEMMAllocatesTheProductOnce(t *testing.T) {
+	const bound = 2.0
+	a := FromGraph(acyclicRMAT(t, 15, 45))
+	for _, workers := range []int{1, 2, 8} {
+		pool := par.NewPool(workers)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c, err := SpGEMM(pool, a, a)
+		runtime.ReadMemStats(&after)
+		pool.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(c.NNZ()*12)
+		if ratio > bound {
+			t.Errorf("%d workers: allocated %.2f× nnz(A²)·12 bytes (nnz %d), want at most %v×", workers, ratio, c.NNZ(), bound)
+		}
+		t.Logf("%d workers: %.2f× nnz(A²)·12 bytes, nnz %d", workers, ratio, c.NNZ())
+	}
 }
 
 func TestSpGEMMShapeError(t *testing.T) {

@@ -175,7 +175,7 @@ func TestDistTriangleCountMatchesSerial(t *testing.T) {
 	a := FromGraph(g)
 	// The serial reference is the pooled product, which must not depend on
 	// the pool: same matrix layout and same count at sizes 1 and 4.
-	var ref *SpMat[int64]
+	var ref *Product
 	var want int64
 	for _, pool := range testPools(t) {
 		a2, err := SpGEMM(pool, a, a)

@@ -225,7 +225,7 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 	if opt.Exec.Cluster == nil {
 		var count int64
 		stats := opt.Exec.Local(func(pool *par.Pool, _ *trace.Tracer) int {
-			var a2 *SpMat[int64]
+			var a2 *Product
 			if a2, err = SpGEMM(pool, a, a); err == nil {
 				count, err = EWiseMultSum(pool, a, a2)
 			}

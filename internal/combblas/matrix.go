@@ -121,42 +121,45 @@ func backendView[A any](m *SpMat[A]) *backend.Matrix {
 const spgemmGrain = 128
 
 // rowAccumulator is one worker's sparse accumulator for Gustavson's row
-// product: a dense path count per column of a window of B, one bit per
-// column of the window marking the columns the current row has touched, and
-// the list of those columns. A path count is at least 1, so zero stands for
-// "untouched", and emitting a row clears exactly the counts and bitmap words
-// it set — a row costs O(touched), never O(window), however wide an earlier
-// hub row was. Emitted rows collect in cols/vals until the owner truncates
-// them, so a worker's output buffers are reused as well.
+// product: a dense path count per column of a window of B, a two-level bitmap
+// over the window — one mark bit per column, one summary bit per 64-column
+// mark word — and the number of columns the current row has touched. A path
+// count is at least 1, so zero stands for "untouched", and emitting a row
+// clears exactly the counts, mark words and summary words it set: a row costs
+// O(touched) plus one summary word per 4096 columns of its span, never
+// O(window), however wide an earlier hub row was. Emitted rows collect in
+// cols/vals until the owner truncates them, so a worker's output buffers are
+// reused as well.
 //
 // Rows leave in column order because the model materialises A² as sorted
 // CSR; what that costs CombBLAS is the resident product and the second pass
-// over it, not a comparison sort. So a row whose touched columns span at
-// most t·bits.Len(t) bitmap words — t touched columns, about the comparisons
-// sorting them would take — is read off the bitmap in order, and only a
-// wider, sparser row sorts its list. Both give the same bytes.
+// over it, not a comparison sort. The summary bits lead emission to the mark
+// words that hold a touched column, so the row is read off the bitmap in
+// order without scanning the empty words between them.
 type rowAccumulator struct {
 	count   []int64
 	mark    []uint64
-	touched []uint32
+	summary []uint64
 	cols    []uint32
 	vals    []int64
 }
 
 func newRowAccumulator(width uint32) *rowAccumulator {
-	return &rowAccumulator{count: make([]int64, width), mark: make([]uint64, (width+63)/64)}
+	words := (width + 63) / 64
+	return &rowAccumulator{count: make([]int64, width), mark: make([]uint64, words), summary: make([]uint64, (words+63)/64)}
 }
 
 // appendRow appends one row of A·B — aCols is the row of A, the product is
 // restricted to B's columns in [clo, chi), the window the accumulator spans
 // — to cols/vals as sorted columns with their path counts, and leaves the
-// counts and the bitmap clean for the next row. It is the one Gustavson row
-// in the package: SpGEMM passes every column, a grid node its block's.
-// count, mark and touched index columns relative to clo.
+// counts and both bitmap levels clean for the next row. It is the one
+// Gustavson row in the package: SpGEMM passes every column, a grid node its
+// block's. count, mark and summary index columns relative to clo.
 func (s *rowAccumulator) appendRow(aCols []uint32, b *SpMat[struct{}], clo, chi uint32) {
 	whole := clo == 0 && chi >= b.NumCols
-	count, mark, touched := s.count, s.mark, s.touched[:0]
-	first, last := ^uint32(0), uint32(0)
+	count, mark, summary := s.count, s.mark, s.summary
+	touched := 0
+	first, last := ^uint32(0), uint32(0) // summary words
 	for _, j := range aCols {
 		bCols, _ := b.Row(j)
 		if !whole {
@@ -167,23 +170,24 @@ func (s *rowAccumulator) appendRow(aCols []uint32, b *SpMat[struct{}], clo, chi 
 		for _, k := range bCols {
 			x := k - clo
 			if count[x] == 0 {
-				touched = append(touched, x)
+				touched++
 				mark[x>>6] |= 1 << (x & 63)
-				first, last = min(first, x), max(last, x)
+				summary[x>>12] |= 1 << (x >> 6 & 63)
+				first, last = min(first, x>>12), max(last, x>>12)
 			}
 			count[x]++
 		}
 	}
-	s.touched = touched
-	if len(touched) == 0 {
+	if touched == 0 {
 		return
 	}
-	t, n := len(touched), len(s.cols)
-	s.cols, s.vals = slices.Grow(s.cols, t)[:n+t], slices.Grow(s.vals, t)[:n+t]
+	n := len(s.cols)
+	s.cols, s.vals = slices.Grow(s.cols, touched)[:n+touched], slices.Grow(s.vals, touched)[:n+touched]
 	cols, vals := s.cols[n:], s.vals[n:]
-	if lo, hi := int(first>>6), int(last>>6); hi-lo < t*bits.Len(uint(t)) {
-		i := 0
-		for w := lo; w <= hi; w++ {
+	i := 0
+	for sw := int(first); sw <= int(last); sw++ {
+		for sword := summary[sw]; sword != 0; sword &= sword - 1 {
+			w := sw<<6 + bits.TrailingZeros64(sword)
 			for word := mark[w]; word != 0; word &= word - 1 {
 				x := uint32(w<<6 + bits.TrailingZeros64(word))
 				cols[i], vals[i] = x+clo, count[x]
@@ -192,14 +196,30 @@ func (s *rowAccumulator) appendRow(aCols []uint32, b *SpMat[struct{}], clo, chi 
 			}
 			mark[w] = 0
 		}
-		return
+		summary[sw] = 0
 	}
-	slices.Sort(touched)
-	for i, x := range touched {
-		cols[i], vals[i] = x+clo, count[x]
-		count[x] = 0
-		mark[x>>6] = 0
-	}
+}
+
+// Product is A² as SpGEMM leaves it: a CSR matrix held as the row blocks its
+// workers emitted. Offsets are global, as in SpMat; block k holds rows
+// [k·spgemmGrain, (k+1)·spgemmGrain) in Cols[k]/Vals[k], whose first element
+// is the product's element Offsets[k·spgemmGrain].
+type Product struct {
+	NumRows, NumCols uint32
+	Offsets          []int64
+	Cols             [][]uint32
+	Vals             [][]int64
+}
+
+// NNZ reports the number of stored nonzeros.
+func (m *Product) NNZ() int64 { return m.Offsets[m.NumRows] }
+
+// Row returns row r's column indices and values (aliases the matrix).
+func (m *Product) Row(r uint32) ([]uint32, []int64) {
+	k := r / spgemmGrain
+	base := m.Offsets[k*spgemmGrain]
+	lo, hi := m.Offsets[r]-base, m.Offsets[r+1]-base
+	return m.Cols[k][lo:hi], m.Vals[k][lo:hi]
 }
 
 // SpGEMM computes C = A·B over the counting semiring (values are the
@@ -211,22 +231,21 @@ func (s *rowAccumulator) appendRow(aCols []uint32, b *SpMat[struct{}], clo, chi 
 // owns one rowAccumulator, reused across the chunks it claims
 // (backend.TestSweepScratchExclusive pins that a worker index is never
 // shared by two running chunks); a finished chunk is kept as an exact-size
-// copy, and once every row length is known the chunks are copied into the
-// product at their offsets. A row is folded and emitted by one worker and
-// placed by its row index, so Offsets, Cols and Vals are the same at any
-// pool size.
-func SpGEMM(pool *par.Pool, a *SpMat[struct{}], b *SpMat[struct{}]) (*SpMat[int64], error) {
+// copy, and that copy is the product's block, so A² is held once. A row is
+// folded and emitted by one worker and placed by its row index, so Offsets
+// and every row are the same at any pool size.
+func SpGEMM(pool *par.Pool, a *SpMat[struct{}], b *SpMat[struct{}]) (*Product, error) {
 	if a.NumCols != b.NumRows {
 		return nil, fmt.Errorf("combblas: SpGEMM shape mismatch %d×%d · %d×%d", a.NumRows, a.NumCols, b.NumRows, b.NumCols)
 	}
 	n := int(a.NumRows)
-	offsets := make([]int64, n+1)
+	blocks := (n + spgemmGrain - 1) / spgemmGrain
+	c := &Product{NumRows: a.NumRows, NumCols: b.NumCols, Offsets: make([]int64, n+1),
+		Cols: make([][]uint32, blocks), Vals: make([][]int64, blocks)}
 	// Per-row cost is the sum of B-row lengths over the row's nonzeros —
 	// unpredictable from A's structure alone — so rows are claimed
 	// dynamically.
 	accs := make([]*rowAccumulator, pool.Workers())
-	chunkCols := make([][]uint32, (n+spgemmGrain-1)/spgemmGrain)
-	chunkVals := make([][]int64, len(chunkCols))
 	backend.NewSweep(pool, n, spgemmGrain, func(worker, lo, hi int) {
 		if accs[worker] == nil {
 			accs[worker] = newRowAccumulator(b.NumCols)
@@ -237,20 +256,16 @@ func SpGEMM(pool *par.Pool, a *SpMat[struct{}], b *SpMat[struct{}]) (*SpMat[int6
 			aCols, _ := a.Row(uint32(r))
 			before := len(acc.cols)
 			acc.appendRow(aCols, b, 0, b.NumCols)
-			offsets[r+1] = int64(len(acc.cols) - before) // the row's length, until the prefix sum
+			c.Offsets[r+1] = int64(len(acc.cols) - before) // the row's length, until the prefix sum
 		}
-		chunkCols[lo/spgemmGrain], chunkVals[lo/spgemmGrain] = slices.Clone(acc.cols), slices.Clone(acc.vals)
+		if len(acc.cols) > 0 { // an empty chunk's block stays nil, whichever worker ran it
+			c.Cols[lo/spgemmGrain], c.Vals[lo/spgemmGrain] = slices.Clone(acc.cols), slices.Clone(acc.vals)
+		}
 	}).Run()
 	for r := 0; r < n; r++ {
-		offsets[r+1] += offsets[r]
+		c.Offsets[r+1] += c.Offsets[r]
 	}
-	cols := make([]uint32, offsets[n])
-	vals := make([]int64, offsets[n])
-	backend.NewSweep(pool, n, spgemmGrain, func(_, lo, _ int) {
-		copy(cols[offsets[lo]:], chunkCols[lo/spgemmGrain])
-		copy(vals[offsets[lo]:], chunkVals[lo/spgemmGrain])
-	}).Run()
-	return &SpMat[int64]{NumRows: a.NumRows, NumCols: b.NumCols, Offsets: offsets, Cols: cols, Vals: vals}, nil
+	return c, nil
 }
 
 // EWiseMultSum returns Σ over positions present in both pattern matrix a
@@ -259,7 +274,7 @@ func SpGEMM(pool *par.Pool, a *SpMat[struct{}], b *SpMat[struct{}]) (*SpMat[int6
 // Chunks of rows are claimed on the caller's pool and each folds its partial
 // sum into the total with one atomic add (integer addition is exact, so the
 // sum is the same at any pool size).
-func EWiseMultSum(pool *par.Pool, a *SpMat[struct{}], b *SpMat[int64]) (int64, error) {
+func EWiseMultSum(pool *par.Pool, a *SpMat[struct{}], b *Product) (int64, error) {
 	if a.NumRows != b.NumRows || a.NumCols != b.NumCols {
 		return 0, fmt.Errorf("combblas: EWiseMult shape mismatch")
 	}

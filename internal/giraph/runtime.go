@@ -436,18 +436,19 @@ func Run(job *Job) (*Result, error) {
 
 	var peakBuffered int64
 	var supersteps int
+	activeList := make([]uint32, 0, n)
 	// runStep executes superstep s and reports whether the run is done. A
 	// Recovery can re-invoke it with the same s after rolling engine state
 	// back to a checkpoint; everything the step touches is either emptied
-	// when it starts (the slots' sends and tallies) or part of the snapshot
-	// (values, halted, counter, inbox), so replays are exact.
+	// when it starts (the slots' sends and tallies, the active list) or part
+	// of the snapshot (values, halted, counter, inbox), so replays are exact.
 	runStep := func(s int) (bool, error) {
 		if job.MaxSupersteps > 0 && s >= job.MaxSupersteps {
 			return true, nil
 		}
 		rt.superstep = s
 
-		activeList := make([]uint32, 0, n)
+		activeList = activeList[:0]
 		for v := uint32(0); v < n; v++ {
 			if len(inbox[v]) > 0 || !rt.halted.Get(v) {
 				activeList = append(activeList, v)
