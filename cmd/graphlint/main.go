@@ -1,7 +1,6 @@
 // Command graphlint runs the project-specific static analyzer over the
-// module and reports violations of the eight invariants internal/lint
-// keeps (atomic, det, goroutine, hotalloc, lock, panic, scratch, truncate;
-// -list describes each). It exits 1 when any finding survives the
+// module and reports violations of the five rules internal/lint keeps
+// (det, hotalloc, lock, scratch, truncate; -list describes each). It exits 1 when any finding survives the
 // //lint:ignore directives — the only suppression there is — and 2 on bad
 // usage, which makes one call the whole gate:
 //

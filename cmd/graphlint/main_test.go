@@ -10,14 +10,17 @@ import (
 
 const violating = `package fix
 
-import "sync/atomic"
+import "sync"
 
-var counter int64
+var (
+	mu      sync.Mutex
+	counter int64
+)
 
-func Bump() { atomic.AddInt64(&counter, 1) }
-
-func Read() int64 {
-	return counter
+func Bump() {
+	mu.Lock()
+	counter++
+	mu.Unlock()
 }
 `
 
@@ -40,12 +43,12 @@ func lintModule(t *testing.T, src string, args ...string) (code int, stdout, std
 // one, and bad usage exits 2.
 func TestGate(t *testing.T) {
 	code, out, _ := lintModule(t, violating, "./...")
-	if code != 1 || !strings.HasPrefix(out, "a.go:10: [atomic] ") {
-		t.Fatalf("violating module: exit %d, stdout %q; want 1 and an a.go:10 [atomic] finding", code, out)
+	if code != 1 || !strings.HasPrefix(out, "a.go:11: [lock] ") {
+		t.Fatalf("violating module: exit %d, stdout %q; want 1 and an a.go:11 [lock] finding", code, out)
 	}
 
-	ignored := strings.Replace(violating, "\treturn counter",
-		"\t//lint:ignore atomic read after every writer has been joined\n\treturn counter", 1)
+	ignored := strings.Replace(violating, "\tmu.Lock()",
+		"\t//lint:ignore lock an increment between Lock and Unlock cannot panic or return\n\tmu.Lock()", 1)
 	if code, out, errb := lintModule(t, ignored, "./..."); code != 0 || out != "" {
 		t.Fatalf("ignored violation: exit %d, stdout %q, stderr %q; want a clean exit 0", code, out, errb)
 	}
@@ -55,7 +58,7 @@ func TestGate(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	if got, want := strings.Join(names, " "), "atomic det hotalloc lock panic scratch truncate"; code != 0 || got != want {
+	if got, want := strings.Join(names, " "), "det hotalloc lock scratch truncate"; code != 0 || got != want {
 		t.Fatalf("-list: exit %d, rules %q; want 0 and %q", code, got, want)
 	}
 

@@ -96,10 +96,8 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	n := g.NumVertices
 	dist := make([]int32, n)
 	for i := range dist {
-		//lint:ignore atomic initialization happens-before the first round: the pool's wake channel publishes it to every worker
 		dist[i] = -1
 	}
-	//lint:ignore atomic initialization happens-before the first round: the pool's wake channel publishes it to every worker
 	dist[opt.Source] = 0
 	stats := opt.Exec.Local(func(pool *par.Pool, tr *trace.Tracer) int {
 		return bulkRounds(pool, tr, []uint32{opt.Source}, func(v uint32, push []uint32) []uint32 {

@@ -1,19 +1,34 @@
 // Package lint implements graphlint, the project-specific static analyzer
 // that guards invariants our concurrent engine runtimes rely on but the
-// generic Go toolchain cannot check. It keeps seven rules, each of which
-// has found a defect in shipped code or is answered by a live directive
-// (DESIGN.md §7 has the ledger): atomic (no mixed atomic/plain access),
-// truncate (no silent 64-bit → 32-bit index narrowing), panic (no panics
-// in library paths), scratch (no O(n) buffer allocated per round), lock
-// (every Lock followed by defer Unlock, no double Lock, guarded fields
-// written under their lock), det (nondeterminism: map-order leaks, wall
-// clock and global rand in kernels and codecs, float accumulation order;
-// the one rule built on the package call graph of callgraph.go) and
-// hotalloc (allocation patterns inside pool-dispatched kernel bodies).
+// generic Go toolchain and the rest of the test suite cannot check. A
+// check stays only while its mutant, a bug written into a real file of
+// the module, passes go test ./..., go test -race -short ./... and make
+// validate and is flagged here; TestMutantsAreCaught (mutants_test.go)
+// holds one mutant per check, and DESIGN.md §7 has the audit. Five rules
+// remain, each listed with its mutants:
+//
+//   - det: in engine and checkpoint code, an append to outer state or a
+//     call to an order-sensitive sink while ranging over a map (giraph's
+//     endPhase without its sort), and a float accumulated under map
+//     order (a sum over giraph's combiner map); in every package, a
+//     float accumulated into a variable shared by a parallel kernel body
+//     (native's ablation PageRank gather with its sum hoisted out of the
+//     body).
+//   - hotalloc: in a parallel kernel body, defer, conversion to an
+//     interface, and a closure built per loop iteration (each written
+//     into GraphLab's GAS sweep body).
+//   - lock: every Lock followed by defer Unlock, no double Lock, guarded
+//     fields written under their lock (serve's ingestDelta unlocking by
+//     hand on each return).
+//   - scratch: no graph-sized make per loop iteration in engine code (a
+//     per-round make in GraphLab's round loop).
+//   - truncate: no unchecked 64-bit or len/cap narrowing to 32 bits in
+//     graph, generator and engine code (native's PageRank message header
+//     without graph.MustU32).
 //
 // The analyzer is built only on the standard library (go/parser, go/ast,
-// go/types): Load parses and type-checks the module from source, Run applies
-// every Rule to every package, and findings are reported as
+// go/types): Load type-checks the module from source, Run applies every
+// Rule to every package, and findings are reported as
 // "file:line: [rule] message". Intentional violations are silenced in place
 // with a "//lint:ignore <rule> <reason>" comment on (or directly above) the
 // offending line, or for whole files with "//lint:file-ignore <rule>
@@ -73,11 +88,9 @@ type Rule interface {
 // DefaultRules returns every graphlint rule in reporting order.
 func DefaultRules() []Rule {
 	return []Rule{
-		&AtomicRule{},
 		&DetRule{},
 		&HotAllocRule{},
 		&LockRule{},
-		&PanicRule{},
 		&ScratchRule{},
 		&TruncateRule{},
 	}

@@ -5,44 +5,112 @@ import (
 	"go/importer"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"strings"
+	"sync"
 	"testing"
 )
 
+// fixtures type-checks every fixture package of the tests over one
+// FileSet and one standard-library importer, so the standard library is
+// read once per test binary, not once per fixture. Its module is
+// "graphmaze" with no directory: the only module packages it resolves are
+// the stand-ins for internal/par and internal/backend that fixtureLoader
+// registers.
+var fixtures *loader
+
+// fixtureParSrc and fixtureBackendSrc stand in for graphmaze/internal/par
+// and graphmaze/internal/backend with the same package names and
+// kernel-body-taking shapes: the det and hotalloc rules match on the
+// imported package's name, so fixtures do not need the real schedulers.
+const fixtureParSrc = `// Package par is the fixture pool.
+package par
+
+// Runner is the unit of work a Pool dispatches.
+type Runner interface{ RunChunk(worker, lo, hi int) }
+
+// RunnerFunc adapts a function to a Runner.
+type RunnerFunc func(worker, lo, hi int)
+
+// RunChunk implements Runner.
+func (f RunnerFunc) RunChunk(worker, lo, hi int) { f(worker, lo, hi) }
+
+// Pool is the fixture worker pool.
+type Pool struct{}
+
+// RunStatic runs r over the ranges in bounds.
+func (p *Pool) RunStatic(r Runner, bounds []int) { r.RunChunk(0, bounds[0], bounds[len(bounds)-1]) }
+
+// For runs f over static chunks.
+func For(n int, f func(lo, hi int)) { f(0, n) }
+`
+
+const fixtureBackendSrc = `// Package backend is the fixture kernel library.
+package backend
+
+import "graphmaze/internal/par"
+
+// NewDense runs f as a static pass over [0, n).
+func NewDense(p *par.Pool, n int, f func(lo, hi int)) *par.Pool { f(0, n); return p }
+
+// NewSweep runs f as a dynamic pass over [0, n).
+func NewSweep(p *par.Pool, n, grain int, f func(w, lo, hi int)) *par.Pool { f(0, 0, n); return p }
+`
+
+// fixtureLoader returns the shared fixture loader, building it (and the
+// fixture par and backend packages) on first use.
+func fixtureLoader(t *testing.T) *loader {
+	t.Helper()
+	if fixtures != nil {
+		return fixtures
+	}
+	fset := token.NewFileSet()
+	ld := &loader{
+		fset:    fset,
+		modPath: "graphmaze",
+		pkgs:    make(map[string]*Package),
+		std:     importer.ForCompiler(fset, "gc", nil),
+	}
+	for _, fx := range []struct{ rel, src string }{
+		{"internal/par", fixtureParSrc},
+		{"internal/backend", fixtureBackendSrc},
+	} {
+		f, err := parser.ParseFile(fset, fx.rel+"/fixture.go", fx.src, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ld.check(fx.rel, []*ast.File{f})
+		if err != nil {
+			t.Fatalf("type-check fixture %s: %v", fx.rel, err)
+		}
+		ld.pkgs[fx.rel] = p
+	}
+	fixtures = ld
+	return ld
+}
+
 // loadFixture type-checks an in-memory package rooted at the module-relative
-// directory rel. Files maps base names to source text.
+// directory rel. Files maps base names to source text; they may import
+// graphmaze/internal/par and graphmaze/internal/backend.
 func loadFixture(t *testing.T, rel string, files map[string]string) *Package {
 	t.Helper()
-	fset := token.NewFileSet()
+	ld := fixtureLoader(t)
 	var parsed []*ast.File
 	for name, src := range files {
 		full := name
 		if rel != "" {
 			full = rel + "/" + name
 		}
-		f, err := parser.ParseFile(fset, full, src, parser.ParseComments)
+		f, err := parser.ParseFile(ld.fset, full, src, parser.ParseComments)
 		if err != nil {
 			t.Fatalf("parse %s: %v", name, err)
 		}
 		parsed = append(parsed, f)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	path := "graphmaze"
-	if rel != "" {
-		path = "graphmaze/" + rel
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	tpkg, err := conf.Check(path, fset, parsed, info)
+	p, err := ld.check(rel, parsed)
 	if err != nil {
 		t.Fatalf("type-check fixture: %v", err)
 	}
-	return &Package{Rel: rel, Path: path, Fset: fset, Files: parsed, Types: tpkg, Info: info}
+	return p
 }
 
 // runRule applies a single rule (plus directive processing) to the fixture.
@@ -64,138 +132,6 @@ func wantFinding(t *testing.T, findings []Finding, file string, line int, rule s
 	}
 	if !strings.Contains(f.String(), "["+rule+"]") || !strings.HasPrefix(f.String(), file+":") {
 		t.Fatalf("rendered finding %q lacks file:line: [rule] shape", f.String())
-	}
-}
-
-func TestAtomicRuleFlagsMixedAccess(t *testing.T) {
-	p := loadFixture(t, "internal/fix", map[string]string{"a.go": `package fix
-
-import "sync/atomic"
-
-var counter int64
-
-func Bump() { atomic.AddInt64(&counter, 1) }
-
-func Read() int64 { return counter }
-`})
-	wantFinding(t, runRule(t, p, &AtomicRule{}), "internal/fix/a.go", 9, "atomic")
-}
-
-func TestAtomicRuleElementAccess(t *testing.T) {
-	p := loadFixture(t, "internal/fix", map[string]string{"a.go": `package fix
-
-import "sync/atomic"
-
-func Fill(xs []int64) {
-	atomic.AddInt64(&xs[0], 1)
-	xs[1] = 2
-	_ = xs // slice header use is fine
-	for _, v := range xs {
-		_ = v
-	}
-}
-`})
-	findings := runRule(t, p, &AtomicRule{})
-	if len(findings) != 2 {
-		t.Fatalf("want 2 findings (plain element write + element range), got %d: %v", len(findings), findings)
-	}
-	if findings[0].Line != 7 || findings[1].Line != 9 {
-		t.Fatalf("want findings at lines 7 and 9, got %v", findings)
-	}
-}
-
-func TestAtomicRuleCleanAllAtomic(t *testing.T) {
-	p := loadFixture(t, "internal/fix", map[string]string{"a.go": `package fix
-
-import "sync/atomic"
-
-var counter int64
-
-func Bump() { atomic.AddInt64(&counter, 1) }
-
-func Read() int64 { return atomic.LoadInt64(&counter) }
-`})
-	if got := runRule(t, p, &AtomicRule{}); len(got) != 0 {
-		t.Fatalf("all-atomic access should be clean, got %v", got)
-	}
-}
-
-func TestAtomicRuleDistinctLocalsDoNotAlias(t *testing.T) {
-	p := loadFixture(t, "internal/fix", map[string]string{"a.go": `package fix
-
-import "sync/atomic"
-
-func A() {
-	var x int64
-	atomic.AddInt64(&x, 1)
-}
-
-func B() {
-	var x int64
-	x = 2
-	_ = x
-}
-`})
-	if got := runRule(t, p, &AtomicRule{}); len(got) != 0 {
-		t.Fatalf("distinct locals named x must not alias, got %v", got)
-	}
-}
-
-func TestPanicRuleFlagsLibraryPanic(t *testing.T) {
-	p := loadFixture(t, "internal/fix", map[string]string{"a.go": `package fix
-
-func Convert(x int) int {
-	if x < 0 {
-		panic("negative")
-	}
-	return x
-}
-`})
-	wantFinding(t, runRule(t, p, &PanicRule{}), "internal/fix/a.go", 5, "panic")
-}
-
-func TestPanicRuleAllowsBuilderPaths(t *testing.T) {
-	p := loadFixture(t, "internal/fix", map[string]string{
-		"a.go": `package fix
-
-func MustConvert(x int) int {
-	if x < 0 {
-		panic("negative")
-	}
-	return x
-}
-
-func ValidateInput(x int) {
-	if x < 0 {
-		panic("negative")
-	}
-}
-`,
-		"builder.go": `package fix
-
-func BuildThing(x int) int {
-	if x < 0 {
-		panic("negative")
-	}
-	return x
-}
-`})
-	if got := runRule(t, p, &PanicRule{}); len(got) != 0 {
-		t.Fatalf("Must*/Validate*/builder.go panics are allowed, got %v", got)
-	}
-}
-
-func TestPanicRuleSkipsMainPackages(t *testing.T) {
-	p := loadFixture(t, "cmd/tool", map[string]string{"main.go": `package main
-
-func run() {
-	panic("cli may die loudly")
-}
-
-func main() { run() }
-`})
-	if got := runRule(t, p, &PanicRule{}); len(got) != 0 {
-		t.Fatalf("package main is exempt, got %v", got)
 	}
 }
 
@@ -258,40 +194,28 @@ func Narrow(x int64) uint32 { return uint32(x) }
 }
 
 func TestIgnoreDirectiveSuppressesFinding(t *testing.T) {
-	p := loadFixture(t, "internal/fix", map[string]string{"a.go": `package fix
+	p := loadFixture(t, "internal/graph", map[string]string{"a.go": `package graph
 
-import "sync/atomic"
-
-var counter int64
-
-func Bump() { atomic.AddInt64(&counter, 1) }
-
-func Read() int64 {
-	//lint:ignore atomic read happens after the join in every caller
-	return counter
+func Narrow(x int64) uint32 {
+	//lint:ignore truncate every caller passes a vertex id below 2^32
+	return uint32(x)
 }
 `})
-	if got := runRule(t, p, &AtomicRule{}); len(got) != 0 {
+	if got := runRule(t, p, &TruncateRule{}); len(got) != 0 {
 		t.Fatalf("directive should suppress the finding, got %v", got)
 	}
 }
 
 func TestFileIgnoreSuppressesWholeFile(t *testing.T) {
-	p := loadFixture(t, "internal/fix", map[string]string{"a.go": `package fix
+	p := loadFixture(t, "internal/graph", map[string]string{"a.go": `package graph
 
-//lint:file-ignore atomic this file exposes a dual plain/atomic API by design
+//lint:file-ignore truncate every function here narrows ids its callers range-check
 
-import "sync/atomic"
+func Narrow(x int64) uint32 { return uint32(x) }
 
-var counter int64
-
-func Bump() { atomic.AddInt64(&counter, 1) }
-
-func Read() int64 { return counter }
-
-func Write() { counter = 0 }
+func Count(xs []byte) uint32 { return uint32(len(xs)) }
 `})
-	if got := runRule(t, p, &AtomicRule{}); len(got) != 0 {
+	if got := runRule(t, p, &TruncateRule{}); len(got) != 0 {
 		t.Fatalf("file-ignore should suppress every finding, got %v", got)
 	}
 }
@@ -299,10 +223,10 @@ func Write() { counter = 0 }
 func TestDirectiveWithoutReasonIsAFinding(t *testing.T) {
 	p := loadFixture(t, "internal/fix", map[string]string{"a.go": `package fix
 
-//lint:ignore atomic
+//lint:ignore truncate
 func f() {}
 `})
-	findings := runRule(t, p, &AtomicRule{})
+	findings := runRule(t, p, &TruncateRule{})
 	if len(findings) != 1 || findings[0].Rule != "directive" {
 		t.Fatalf("reason-less directive must be reported, got %v", findings)
 	}
@@ -314,23 +238,44 @@ func TestDirectiveUnknownRuleIsAFinding(t *testing.T) {
 //lint:ignore nosuchrule because reasons
 func f() {}
 `})
-	findings := runRule(t, p, &AtomicRule{})
+	findings := runRule(t, p, &TruncateRule{})
 	if len(findings) != 1 || findings[0].Rule != "directive" || !strings.Contains(findings[0].Msg, "nosuchrule") {
 		t.Fatalf("unknown-rule directive must be reported, got %v", findings)
 	}
 }
 
-// TestModuleIsClean runs the full analyzer over the real module: the tree
-// must stay graphlint-clean, which is the same gate CI enforces.
-func TestModuleIsClean(t *testing.T) {
+// loadModule is the one load of the real module that TestModuleIsClean
+// and TestMutantsAreCaught share.
+var loadModule = sync.OnceValues(func() (*loader, error) {
+	modDir, err := FindModuleRoot(".")
+	if err != nil {
+		return nil, err
+	}
+	ld, err := newLoader(modDir)
+	if err == nil {
+		_, err = ld.loadAll()
+	}
+	return ld, err
+})
+
+// moduleLoader returns the shared module load; the module-wide tests skip
+// under -short, where the rest of the suite stays quick.
+func moduleLoader(t *testing.T) *loader {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("module-wide analysis is slow; covered by the non-short run and CI")
 	}
-	modDir, err := FindModuleRoot(".")
+	ld, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := Load(modDir)
+	return ld
+}
+
+// TestModuleIsClean runs the full analyzer over the real module: the tree
+// must stay graphlint-clean, which is the same gate CI enforces.
+func TestModuleIsClean(t *testing.T) {
+	pkgs, err := moduleLoader(t).loadAll()
 	if err != nil {
 		t.Fatal(err)
 	}

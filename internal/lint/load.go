@@ -16,23 +16,39 @@ import (
 // Load parses and type-checks every package of the module rooted at modDir
 // (the directory containing go.mod), excluding _test.go files and the
 // testdata, vendor, and hidden directories. File positions are reported
-// relative to modDir.
+// relative to modDir. The module's own packages are type-checked from
+// source; the standard library is read from the gc export data the go
+// command builds and caches, so the go command must be on PATH (as it is
+// under go run, go test and CI).
 func Load(modDir string) ([]*Package, error) {
+	ld, err := newLoader(modDir)
+	if err != nil {
+		return nil, err
+	}
+	return ld.loadAll()
+}
+
+// newLoader prepares a loader for the module rooted at modDir.
+func newLoader(modDir string) (*loader, error) {
 	modPath, err := modulePath(modDir)
 	if err != nil {
 		return nil, err
 	}
-	dirs, err := packageDirs(modDir)
-	if err != nil {
-		return nil, err
-	}
 	fset := token.NewFileSet()
-	ld := &loader{
+	return &loader{
 		fset:    fset,
 		modDir:  modDir,
 		modPath: modPath,
 		pkgs:    make(map[string]*Package),
-		std:     importer.ForCompiler(fset, "source", nil),
+		std:     importer.ForCompiler(fset, "gc", nil),
+	}, nil
+}
+
+// loadAll loads every package directory of the module, sorted by Rel.
+func (ld *loader) loadAll() ([]*Package, error) {
+	dirs, err := packageDirs(ld.modDir)
+	if err != nil {
+		return nil, err
 	}
 	var out []*Package
 	for _, rel := range dirs {
@@ -106,8 +122,8 @@ func isSourceFile(name string) bool {
 }
 
 // loader type-checks module packages on demand, resolving module-internal
-// imports recursively and everything else through the stdlib source
-// importer.
+// imports recursively and everything else through the standard library's
+// export data.
 type loader struct {
 	fset    *token.FileSet
 	modDir  string
@@ -125,8 +141,8 @@ func (ld *loader) Import(path string) (*types.Package, error) {
 }
 
 // ImportFrom implements types.ImporterFrom: module-internal paths are
-// type-checked from source in-process, all others delegate to the stdlib
-// source importer.
+// type-checked from source in-process, all others delegate to the
+// standard library's export data.
 func (ld *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	if rel, ok := ld.relOf(path); ok {
 		p, err := ld.load(rel)
@@ -195,7 +211,17 @@ func (ld *loader) load(rel string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, nil
 	}
+	p, err := ld.check(rel, files)
+	if err != nil {
+		return nil, err
+	}
+	ld.pkgs[rel] = p
+	return p, nil
+}
 
+// check type-checks files as the package in the module-relative directory
+// rel, without memoizing it.
+func (ld *loader) check(rel string, files []*ast.File) (*Package, error) {
 	path := ld.modPath
 	if rel != "" {
 		path = ld.modPath + "/" + rel
@@ -211,9 +237,7 @@ func (ld *loader) load(rel string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	p := &Package{Rel: rel, Path: path, Fset: ld.fset, Files: files, Types: tpkg, Info: info}
-	ld.pkgs[rel] = p
-	return p, nil
+	return &Package{Rel: rel, Path: path, Fset: ld.fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 func (ld *loader) inProgress(rel string) bool {

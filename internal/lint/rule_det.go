@@ -9,25 +9,27 @@ import (
 
 // DetRule is the determinism family. Bit-identical output across
 // engines and across GOMAXPROCS values is the repo's core contract, so
-// it flags the three ways order nondeterminism sneaks in — the map-range
-// and codec checks inside engine and checkpoint packages, the parallel
-// kernel body checks in every package, since graph construction and the
-// generator dispatch on the same pool as the engines:
+// it flags two ways order nondeterminism sneaks in — the map-range
+// checks inside engine and checkpoint packages, the parallel kernel body
+// check in every package, since graph construction and the generator
+// dispatch on the same pool as the engines:
 //
 //   - ranging over a map while feeding an order-sensitive sink: calls
 //     like Send/Encode/Write, or appends into state declared outside the
 //     loop. Collect-keys-then-sort is the blessed idiom and is not
 //     flagged (the appended slice is passed to a sort in the same
-//     function).
-//   - wall-clock time (time.Now/Since) or the unseeded global math/rand
-//     generator reachable — through the package call graph — from
-//     parallel kernel bodies or codec functions (encode/decode/
-//     snapshot/marshal).
+//     function). Floating-point accumulation into an outer scalar under
+//     map order is flagged too.
 //   - floating-point accumulation into a shared scalar inside a
 //     parallel kernel body (par.For, par.RunnerFunc,
 //     backend.NewDense/NewSweep): float
 //     addition is not associative, so reduction order must be fixed per
 //     worker, not raced over.
+//
+// Wall-clock reads and the global math/rand generator are not its
+// business: the root TestEnginesOwnNoClockOrPool keeps time out of the
+// engine packages, and the generator's and engines' pinned outputs
+// change when a kernel body draws from either.
 type DetRule struct{}
 
 // Name implements Rule.
@@ -35,13 +37,12 @@ func (*DetRule) Name() string { return "det" }
 
 // Doc implements Rule.
 func (*DetRule) Doc() string {
-	return "map iteration, wall clock, global rand, and float accumulation must not leak nondeterminism into engine output"
+	return "map iteration and float accumulation must not leak nondeterminism into engine output"
 }
 
 // Check implements Rule.
 func (r *DetRule) Check(p *Package, report func(pos token.Pos, format string, args ...any)) {
 	scoped := isEngine(p.Rel) || strings.Contains(p.Rel, "ckpt")
-	cg := BuildCallGraph(p)
 	reported := make(map[token.Pos]bool)
 	flag := func(pos token.Pos, format string, args ...any) {
 		if !reported[pos] {
@@ -55,28 +56,12 @@ func (r *DetRule) Check(p *Package, report func(pos token.Pos, format string, ar
 			if !ok || fn.Body == nil {
 				continue
 			}
-			r.checkParBodies(p, cg, fn, flag)
-			if !scoped {
-				continue
-			}
-			r.checkMapRanges(p, fn, flag)
-			if isCodecName(fn.Name.Name) {
-				r.checkImpureReach(p, cg, fn, flag)
+			r.checkParBodies(p, fn, flag)
+			if scoped {
+				r.checkMapRanges(p, fn, flag)
 			}
 		}
 	}
-}
-
-// isCodecName reports whether a function name marks a codec path whose
-// byte stream must be reproducible.
-func isCodecName(name string) bool {
-	l := strings.ToLower(name)
-	for _, frag := range []string{"encode", "decode", "snapshot", "marshal", "checksum"} {
-		if strings.Contains(l, frag) {
-			return true
-		}
-	}
-	return false
 }
 
 // orderSinkNames are method names whose call order is observable:
@@ -240,98 +225,27 @@ func sortedLater(p *Package, body *ast.BlockStmt, obj types.Object) bool {
 }
 
 // checkParBodies scans the parallel kernel bodies (forEachParBody) for
-// wall-clock reads, global rand, and shared float accumulation.
-func (r *DetRule) checkParBodies(p *Package, cg *CallGraph, fn *ast.FuncDecl,
+// shared float accumulation.
+func (r *DetRule) checkParBodies(p *Package, fn *ast.FuncDecl,
 	flag func(pos token.Pos, format string, args ...any)) {
 	forEachParBody(p, fn.Body, func(callName string, lit *ast.FuncLit) {
 		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.CallExpr:
-				callee := calleeFunc(p, s)
-				if callee == nil {
-					return true
+			s, ok := n.(*ast.AssignStmt)
+			if !ok || (s.Tok != token.ADD_ASSIGN && s.Tok != token.SUB_ASSIGN && s.Tok != token.MUL_ASSIGN) {
+				return true
+			}
+			for _, lhs := range s.Lhs {
+				id, ok := ast.Unparen(lhs).(*ast.Ident)
+				if !ok || !isFloatExpr(p, lhs) {
+					continue
 				}
-				switch {
-				case isWallClockFunc(callee):
-					flag(s.Pos(), "time.%s inside a %s body: wall-clock reads in parallel kernels vary run to run; use the virtual clock or time outside the loop", callee.Name(), callName)
-				case isGlobalRandFunc(callee):
-					flag(s.Pos(), "global math/rand.%s inside a %s body is unseeded and nondeterministic; draw from an explicit rand.New(rand.NewSource(seed))", callee.Name(), callName)
-				case callee.Pkg() == p.Types:
-					if cg.ReachesWallClock(callee) {
-						flag(s.Pos(), "%s reaches time.Now/Since and is called inside a %s body; kernels must not read the wall clock", callee.Name(), callName)
-					}
-					if cg.ReachesGlobalRand(callee) {
-						flag(s.Pos(), "%s reaches the global math/rand generator and is called inside a %s body; pass a seeded *rand.Rand instead", callee.Name(), callName)
-					}
-				}
-			case *ast.AssignStmt:
-				if s.Tok != token.ADD_ASSIGN && s.Tok != token.SUB_ASSIGN && s.Tok != token.MUL_ASSIGN {
-					return true
-				}
-				for _, lhs := range s.Lhs {
-					id, ok := ast.Unparen(lhs).(*ast.Ident)
-					if !ok || !isFloatExpr(p, lhs) {
-						continue
-					}
-					if obj := p.Info.Uses[id]; obj != nil && !within(obj.Pos(), lit) {
-						flag(s.Pos(), "floating-point accumulation into %s, captured from outside a %s body: reduction order depends on scheduling; accumulate per worker and combine in a fixed order", id.Name, callName)
-					}
+				if obj := p.Info.Uses[id]; obj != nil && !within(obj.Pos(), lit) {
+					flag(s.Pos(), "floating-point accumulation into %s, captured from outside a %s body: reduction order depends on scheduling; accumulate per worker and combine in a fixed order", id.Name, callName)
 				}
 			}
 			return true
 		})
 	})
-}
-
-// checkImpureReach flags codec functions that can reach wall-clock or
-// global-rand calls through the package call graph.
-func (r *DetRule) checkImpureReach(p *Package, cg *CallGraph, fn *ast.FuncDecl,
-	flag func(pos token.Pos, format string, args ...any)) {
-	obj, ok := p.Info.Defs[fn.Name].(*types.Func)
-	if !ok {
-		return
-	}
-	if cg.ReachesWallClock(obj) {
-		pos, via := impureWitness(cg, obj, 0)
-		flag(pos, "codec function %s reaches time.Now/Since (in %s): encoded bytes must not depend on the wall clock", fn.Name.Name, via)
-	}
-	if cg.ReachesGlobalRand(obj) {
-		pos, via := impureWitness(cg, obj, 1)
-		flag(pos, "codec function %s reaches the global math/rand generator (in %s): encoded bytes must be reproducible", fn.Name.Name, via)
-	}
-}
-
-// impureWitness walks the call graph to the first function with a direct
-// impure call and returns its site and name.
-func impureWitness(cg *CallGraph, fn *types.Func, what int) (token.Pos, string) {
-	visited := make(map[*types.Func]bool)
-	var walk func(f *types.Func) (token.Pos, string, bool)
-	walk = func(f *types.Func) (token.Pos, string, bool) {
-		if visited[f] {
-			return token.NoPos, "", false
-		}
-		visited[f] = true
-		s := cg.Summary(f)
-		if s == nil {
-			return token.NoPos, "", false
-		}
-		if what == 0 && s.WallClock {
-			return s.WallClockPos, f.Name(), true
-		}
-		if what == 1 && s.GlobalRand {
-			return s.GlobalRandPos, f.Name(), true
-		}
-		for _, c := range s.Callees {
-			if pos, via, ok := walk(c); ok {
-				return pos, via, true
-			}
-		}
-		return token.NoPos, "", false
-	}
-	if pos, via, ok := walk(fn); ok {
-		return pos, via
-	}
-	return fn.Pos(), fn.Name()
 }
 
 // forEachParBody finds every call inside body that takes a parallel

@@ -18,7 +18,9 @@ import (
 //     //lint:ignore lock with the reason nothing between its Lock and its
 //     Unlock can panic or return early. This check covers library
 //     packages; package main (the commands, the examples and the
-//     benchmark program) is outside it, as it is outside the panic rule;
+//     benchmark program) is outside it. TryLock is not read: par.Pool's
+//     two dispatch sections are the tree's only TryLock sites, and each
+//     defers its release;
 //   - a write Lock of a mutex whose last operation in the body is still a
 //     Lock is a self-deadlock (a deferred Unlock does not release it);
 //   - a struct field written with a lock held in one function must not be
@@ -291,4 +293,37 @@ func isSyncType(t types.Type) bool {
 	}
 	path := named.Obj().Pkg().Path()
 	return path == "sync" || path == "sync/atomic"
+}
+
+// selectedObject resolves x.f to f's object when it is a struct field or a
+// package-level variable.
+func selectedObject(p *Package, e *ast.SelectorExpr) types.Object {
+	if sel, ok := p.Info.Selections[e]; ok && sel.Kind() == types.FieldVal {
+		return sel.Obj()
+	}
+	if obj, ok := p.Info.Uses[e.Sel].(*types.Var); ok {
+		return obj
+	}
+	return nil
+}
+
+// calleeFunc statically resolves the function a call invokes: a plain
+// identifier, a package-qualified function, or a method. Calls through
+// function values and interfaces resolve to nil.
+func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := p.Info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		if sel, ok := p.Info.Selections[fun]; ok {
+			if fn, ok := sel.Obj().(*types.Func); ok && sel.Kind() == types.MethodVal {
+				return fn
+			}
+			return nil
+		}
+		fn, _ := p.Info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
 }

@@ -1,126 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"testing"
-)
-
-// fixtureParSrc and fixtureBackendSrc stand in for graphmaze/internal/par
-// and graphmaze/internal/backend with the same package names and
-// kernel-body-taking shapes: the det and hotalloc rules match on the
-// imported package's name, so fixtures do not need the real schedulers.
-const fixtureParSrc = `// Package par is the fixture pool.
-package par
-
-// Runner is the unit of work a Pool dispatches.
-type Runner interface{ RunChunk(worker, lo, hi int) }
-
-// RunnerFunc adapts a function to a Runner.
-type RunnerFunc func(worker, lo, hi int)
-
-// RunChunk implements Runner.
-func (f RunnerFunc) RunChunk(worker, lo, hi int) { f(worker, lo, hi) }
-
-// Pool is the fixture worker pool.
-type Pool struct{}
-
-// RunStatic runs r over the ranges in bounds.
-func (p *Pool) RunStatic(r Runner, bounds []int) { r.RunChunk(0, bounds[0], bounds[len(bounds)-1]) }
-
-// For runs f over static chunks.
-func For(n int, f func(lo, hi int)) { f(0, n) }
-`
-
-const fixtureBackendSrc = `// Package backend is the fixture kernel library.
-package backend
-
-import "graphmaze/internal/par"
-
-// NewDense runs f as a static pass over [0, n).
-func NewDense(p *par.Pool, n int, f func(lo, hi int)) *par.Pool { f(0, n); return p }
-
-// NewSweep runs f as a dynamic pass over [0, n).
-func NewSweep(p *par.Pool, n, grain int, f func(w, lo, hi int)) *par.Pool { f(0, 0, n); return p }
-`
-
-// loadFixtureWithPar type-checks an in-memory package like loadFixture,
-// additionally making the fixture par and backend packages importable
-// under their graphmaze paths.
-func loadFixtureWithPar(t *testing.T, rel string, files map[string]string) *Package {
-	t.Helper()
-	fset := token.NewFileSet()
-	base := importer.ForCompiler(fset, "source", nil)
-
-	prebuilt := map[string]*types.Package{}
-	for _, fx := range []struct{ path, src string }{
-		{"graphmaze/internal/par", fixtureParSrc},
-		{"graphmaze/internal/backend", fixtureBackendSrc},
-	} {
-		f, err := parser.ParseFile(fset, fx.path+"/fixture.go", fx.src, parser.ParseComments)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conf := types.Config{Importer: &prebuiltImporter{base: base, pkgs: prebuilt}}
-		pkg, err := conf.Check(fx.path, fset, []*ast.File{f}, nil)
-		if err != nil {
-			t.Fatalf("type-check fixture %s: %v", fx.path, err)
-		}
-		prebuilt[fx.path] = pkg
-	}
-
-	var parsed []*ast.File
-	for name, src := range files {
-		f, err := parser.ParseFile(fset, rel+"/"+name, src, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parse %s: %v", name, err)
-		}
-		parsed = append(parsed, f)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{Importer: &prebuiltImporter{base: base, pkgs: prebuilt}}
-	path := "graphmaze/" + rel
-	tpkg, err := conf.Check(path, fset, parsed, info)
-	if err != nil {
-		t.Fatalf("type-check fixture: %v", err)
-	}
-	return &Package{Rel: rel, Path: path, Fset: fset, Files: parsed, Types: tpkg, Info: info}
-}
-
-// prebuiltImporter serves already-checked in-memory packages and falls
-// back to the source importer for everything else (stdlib).
-type prebuiltImporter struct {
-	base types.Importer
-	pkgs map[string]*types.Package
-}
-
-func (m *prebuiltImporter) Import(path string) (*types.Package, error) {
-	if p := m.pkgs[path]; p != nil {
-		return p, nil
-	}
-	if from, ok := m.base.(types.ImporterFrom); ok {
-		return from.ImportFrom(path, "", 0)
-	}
-	return m.base.Import(path)
-}
-
-func (m *prebuiltImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if p := m.pkgs[path]; p != nil {
-		return p, nil
-	}
-	if from, ok := m.base.(types.ImporterFrom); ok {
-		return from.ImportFrom(path, dir, mode)
-	}
-	return m.base.Import(path)
-}
+import "testing"
 
 // ---------------------------------------------------------------- det --
 
@@ -233,116 +113,8 @@ func Flush(c *conn, m map[int][]byte) {
 	}
 }
 
-func TestDetFlagsWallClockInParBody(t *testing.T) {
-	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
-
-import (
-	"time"
-
-	"graphmaze/internal/par"
-)
-
-func Stamp(n int, out []int64) {
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = time.Now().UnixNano()
-		}
-	})
-}
-`})
-	wantFinding(t, runRule(t, p, &DetRule{}), "internal/native/a.go", 12, "det")
-}
-
-// TestDetFlagsWallClockInPoolBodyOutsideEngines: graph construction
-// dispatches closures on a pool as par.RunnerFunc, and a wall-clock read
-// there is flagged even though internal/graph is not an engine package.
-func TestDetFlagsWallClockInPoolBodyOutsideEngines(t *testing.T) {
-	p := loadFixtureWithPar(t, "internal/graph", map[string]string{"a.go": `package graph
-
-import (
-	"time"
-
-	"graphmaze/internal/par"
-)
-
-func Stamp(pool *par.Pool, bounds []int, out []int64) {
-	pool.RunStatic(par.RunnerFunc(func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = time.Now().UnixNano()
-		}
-	}), bounds)
-}
-`})
-	wantFinding(t, runRule(t, p, &DetRule{}), "internal/graph/a.go", 12, "det")
-}
-
-func TestDetFlagsWallClockReachableThroughHelper(t *testing.T) {
-	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
-
-import (
-	"time"
-
-	"graphmaze/internal/par"
-)
-
-func stamp() int64 { return time.Now().UnixNano() }
-
-func Kernel(n int, out []int64) {
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = stamp()
-		}
-	})
-}
-`})
-	wantFinding(t, runRule(t, p, &DetRule{}), "internal/native/a.go", 14, "det")
-}
-
-func TestDetFlagsGlobalRandInParBody(t *testing.T) {
-	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
-
-import (
-	"math/rand"
-
-	"graphmaze/internal/par"
-)
-
-func Shuffle(n int, out []int) {
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = rand.Intn(n)
-		}
-	})
-}
-`})
-	wantFinding(t, runRule(t, p, &DetRule{}), "internal/native/a.go", 12, "det")
-}
-
-func TestDetAllowsSeededRandInParBody(t *testing.T) {
-	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
-
-import (
-	"math/rand"
-
-	"graphmaze/internal/par"
-)
-
-func Shuffle(n int, out []int) {
-	r := rand.New(rand.NewSource(42))
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = r.Intn(n)
-		}
-	})
-}
-`})
-	if got := runRule(t, p, &DetRule{}); len(got) != 0 {
-		t.Fatalf("explicitly seeded rand is fine, got %v", got)
-	}
-}
-
 func TestDetFlagsSharedFloatAccumulationInParBody(t *testing.T) {
-	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
+	p := loadFixture(t, "internal/native", map[string]string{"a.go": `package native
 
 import "graphmaze/internal/par"
 
@@ -357,20 +129,6 @@ func Total(n int, xs []float64) float64 {
 }
 `})
 	wantFinding(t, runRule(t, p, &DetRule{}), "internal/native/a.go", 9, "det")
-}
-
-func TestDetFlagsWallClockReachableFromCodec(t *testing.T) {
-	p := loadFixture(t, "internal/ckpt", map[string]string{"a.go": `package ckpt
-
-import "time"
-
-func stamp() int64 { return time.Now().UnixNano() }
-
-func EncodeState(out []int64) {
-	out[0] = stamp()
-}
-`})
-	wantFinding(t, runRule(t, p, &DetRule{}), "internal/ckpt/a.go", 5, "det")
 }
 
 // --------------------------------------------------------------- lock --
@@ -637,7 +395,7 @@ func Local() int {
 // live in backend.NewDense/NewSweep bodies, so a float accumulation raced
 // across a dense pass must be flagged like one in a par.For body.
 func TestDetSeesBackendPoolBodies(t *testing.T) {
-	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
+	p := loadFixture(t, "internal/native", map[string]string{"a.go": `package native
 
 import (
 	"graphmaze/internal/backend"
@@ -659,87 +417,29 @@ func Sum(pool *par.Pool, xs []float64) float64 {
 
 // ----------------------------------------------------------- hotalloc --
 
-func TestHotAllocFlagsAppendWithoutPrealloc(t *testing.T) {
-	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
-
-import "graphmaze/internal/par"
-
-func Collect(n int, sink func([]int)) {
-	par.For(n, func(lo, hi int) {
-		var local []int
-		for i := lo; i < hi; i++ {
-			local = append(local, i)
-		}
-		sink(local)
-	})
-}
-`})
-	wantFinding(t, runRule(t, p, &HotAllocRule{}), "internal/native/a.go", 9, "hotalloc")
-}
-
-// TestHotAllocFlagsAppendInPoolBody: the closure graph construction hands
-// a pool as par.RunnerFunc is a kernel body like a par.For one.
-func TestHotAllocFlagsAppendInPoolBody(t *testing.T) {
-	p := loadFixtureWithPar(t, "internal/graph", map[string]string{"a.go": `package graph
-
-import "graphmaze/internal/par"
-
-func Collect(pool *par.Pool, bounds []int, sink func([]int)) {
-	pool.RunStatic(par.RunnerFunc(func(_, lo, hi int) {
-		var local []int
-		for i := lo; i < hi; i++ {
-			local = append(local, i)
-		}
-		sink(local)
-	}), bounds)
-}
-`})
-	wantFinding(t, runRule(t, p, &HotAllocRule{}), "internal/graph/a.go", 9, "hotalloc")
-}
-
 func TestHotAllocSeesBackendPoolBodies(t *testing.T) {
-	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
+	p := loadFixture(t, "internal/native", map[string]string{"a.go": `package native
 
 import (
 	"graphmaze/internal/backend"
 	"graphmaze/internal/par"
 )
 
-func Collect(pool *par.Pool, n int, sink func([]int)) {
-	backend.NewSweep(pool, n, 64, func(_, lo, hi int) {
-		var local []int
+func Box(pool *par.Pool, out []any) {
+	backend.NewSweep(pool, len(out), 64, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			local = append(local, i)
+			out[i] = any(i)
 		}
-		sink(local)
 	})
 }
 `})
-	wantFinding(t, runRule(t, p, &HotAllocRule{}), "internal/native/a.go", 12, "hotalloc")
+	wantFinding(t, runRule(t, p, &HotAllocRule{}), "internal/native/a.go", 11, "hotalloc")
 }
 
-func TestHotAllocAllowsPreallocatedAppend(t *testing.T) {
-	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
-
-import "graphmaze/internal/par"
-
-func Collect(n int, sink func([]int)) {
-	par.For(n, func(lo, hi int) {
-		local := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			local = append(local, i)
-		}
-		sink(local)
-	})
-}
-`})
-	if got := runRule(t, p, &HotAllocRule{}); len(got) != 0 {
-		t.Fatalf("preallocated append is clean, got %v", got)
-	}
-}
-
+// TestHotAllocFlagsDeferInBody: the closure graph construction hands a
+// pool as par.RunnerFunc is a kernel body like a par.For one.
 func TestHotAllocFlagsDeferInBody(t *testing.T) {
-	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
+	p := loadFixture(t, "internal/graph", map[string]string{"a.go": `package graph
 
 import (
 	"sync"
@@ -747,38 +447,18 @@ import (
 	"graphmaze/internal/par"
 )
 
-func Work(n int, mu *sync.Mutex) {
-	par.For(n, func(lo, hi int) {
+func Work(pool *par.Pool, bounds []int, mu *sync.Mutex) {
+	pool.RunStatic(par.RunnerFunc(func(_, lo, hi int) {
 		mu.Lock()
 		defer mu.Unlock()
-	})
+	}), bounds)
 }
 `})
-	wantFinding(t, runRule(t, p, &HotAllocRule{}), "internal/native/a.go", 12, "hotalloc")
-}
-
-func TestHotAllocFlagsFmtInBody(t *testing.T) {
-	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
-
-import (
-	"fmt"
-
-	"graphmaze/internal/par"
-)
-
-func Labels(n int, out []string) {
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = fmt.Sprintf("v%d", i)
-		}
-	})
-}
-`})
-	wantFinding(t, runRule(t, p, &HotAllocRule{}), "internal/native/a.go", 12, "hotalloc")
+	wantFinding(t, runRule(t, p, &HotAllocRule{}), "internal/graph/a.go", 12, "hotalloc")
 }
 
 func TestHotAllocFlagsClosureInLoop(t *testing.T) {
-	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
+	p := loadFixture(t, "internal/native", map[string]string{"a.go": `package native
 
 import "graphmaze/internal/par"
 
@@ -794,7 +474,7 @@ func Work(n int, run func(func() int)) {
 }
 
 func TestHotAllocAllowsClosureOutsideLoop(t *testing.T) {
-	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
+	p := loadFixture(t, "internal/native", map[string]string{"a.go": `package native
 
 import "graphmaze/internal/par"
 
@@ -811,7 +491,7 @@ func Work(n int, run func(func(int) int)) {
 }
 
 func TestHotAllocFlagsInterfaceConversion(t *testing.T) {
-	p := loadFixtureWithPar(t, "internal/native", map[string]string{"a.go": `package native
+	p := loadFixture(t, "internal/native", map[string]string{"a.go": `package native
 
 import "graphmaze/internal/par"
 
@@ -829,14 +509,14 @@ func Box(n int, out []any) {
 func TestHotAllocIgnoresCodeOutsideParBodies(t *testing.T) {
 	p := loadFixture(t, "internal/native", map[string]string{"a.go": `package native
 
-import "fmt"
+import "sync"
 
-func Slow(n int) []string {
-	var out []string
+func Slow(n int, mu *sync.Mutex, run func(func() any)) {
+	mu.Lock()
+	defer mu.Unlock()
 	for i := 0; i < n; i++ {
-		out = append(out, fmt.Sprintf("v%d", i))
+		run(func() any { return any(i) })
 	}
-	return out
 }
 `})
 	if got := runRule(t, p, &HotAllocRule{}); len(got) != 0 {
@@ -849,10 +529,10 @@ func Slow(n int) []string {
 func TestUnusedIgnoreDirectiveIsAFinding(t *testing.T) {
 	p := loadFixture(t, "internal/fix", map[string]string{"a.go": `package fix
 
-//lint:ignore atomic this violation was fixed long ago
+//lint:ignore truncate this violation was fixed long ago
 func f() {}
 `})
-	findings := runRule(t, p, &AtomicRule{})
+	findings := runRule(t, p, &TruncateRule{})
 	if len(findings) != 1 || findings[0].Rule != "ignore" {
 		t.Fatalf("stale directive must surface as an ignore finding, got %v", findings)
 	}
@@ -861,10 +541,10 @@ func f() {}
 func TestUnusedDirectiveForRuleNotRunIsSilent(t *testing.T) {
 	p := loadFixture(t, "internal/fix", map[string]string{"a.go": `package fix
 
-//lint:ignore atomic the atomic rule is not part of this run
+//lint:ignore truncate the truncate rule is not part of this run
 func f() {}
 `})
-	if got := runRule(t, p, &PanicRule{}); len(got) != 0 {
+	if got := runRule(t, p, &LockRule{}); len(got) != 0 {
 		t.Fatalf("a directive can only be judged stale when its rule ran, got %v", got)
 	}
 }
@@ -876,7 +556,7 @@ func TestProseMentionOfDirectiveIsNotParsed(t *testing.T) {
 // lint:ignore-adjacent prose must not parse as a directive either.
 func f() {}
 `})
-	if got := runRule(t, p, &AtomicRule{}); len(got) != 0 {
+	if got := runRule(t, p, &TruncateRule{}); len(got) != 0 {
 		t.Fatalf("prose mentioning directives must not parse, got %v", got)
 	}
 }
@@ -884,28 +564,22 @@ func f() {}
 func TestIgnoreScopedToRuleAndLine(t *testing.T) {
 	// A directive for one rule must not suppress another rule's finding
 	// on the same line.
-	p := loadFixture(t, "internal/fix", map[string]string{"a.go": `package fix
+	p := loadFixture(t, "internal/graph", map[string]string{"a.go": `package graph
 
-import "sync/atomic"
-
-var counter int64
-
-func Bump() { atomic.AddInt64(&counter, 1) }
-
-func Read() int64 {
-	//lint:ignore panic wrong rule on purpose
-	return counter
+func Narrow(x int64) uint32 {
+	//lint:ignore lock wrong rule on purpose
+	return uint32(x)
 }
 `})
-	findings := Run([]*Package{p}, []Rule{&AtomicRule{}, &PanicRule{}})
+	findings := Run([]*Package{p}, []Rule{&TruncateRule{}, &LockRule{}})
 	var rules []string
 	for _, f := range findings {
 		rules = append(rules, f.Rule)
 	}
-	// The atomic finding survives (directive names panic), and the panic
+	// The truncate finding survives (directive names lock), and the lock
 	// directive itself is stale.
-	if len(findings) != 2 || findings[0].Rule != "atomic" && findings[1].Rule != "atomic" {
-		t.Fatalf("want surviving atomic finding plus stale-directive finding, got %v (%v)", rules, findings)
+	if len(findings) != 2 || findings[0].Rule != "truncate" && findings[1].Rule != "truncate" {
+		t.Fatalf("want surviving truncate finding plus stale-directive finding, got %v (%v)", rules, findings)
 	}
 	hasIgnore := false
 	for _, f := range findings {

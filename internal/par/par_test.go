@@ -4,6 +4,9 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"graphmaze/internal/obs"
 )
 
 func TestForCoversRange(t *testing.T) {
@@ -133,5 +136,70 @@ func TestRunStaticMoreWorkersThanItems(t *testing.T) {
 		if c != want || (c == 1 && r.spans[w] != [2]int{w, w + 1}) {
 			t.Errorf("worker %d: %d calls, range %v", w, c, r.spans[w])
 		}
+	}
+}
+
+// TestRunStaticSurvivesAPanickingChunk and
+// TestRunDynamicSurvivesAPanickingChunk: a chunk that panics on worker 0,
+// the caller's goroutine, reaches a caller that recovers it (as
+// Server.Handler does), and the team comes back free.
+func TestRunStaticSurvivesAPanickingChunk(t *testing.T) {
+	survivesAPanickingChunk(t, func(p *Pool, r Runner, n int) { p.RunStatic(r, EvenSplits(n, p.Workers())) })
+}
+
+func TestRunDynamicSurvivesAPanickingChunk(t *testing.T) {
+	survivesAPanickingChunk(t, func(p *Pool, r Runner, n int) { p.RunDynamic(r, n, 64) })
+}
+
+// survivesAPanickingChunk panics worker 0's first chunk of a team
+// dispatch, recovers it, and then requires the next dispatch to run on the
+// team (backend.pool.inline stays 0) with every index exactly once, and
+// Close to return. The other workers' chunks wait until worker 0 has
+// started, so worker 0 always holds a chunk to panic in; a waiting chunk
+// is safe only because a fresh pool's first dispatch gets the team.
+func survivesAPanickingChunk(t *testing.T, run func(p *Pool, r Runner, n int)) {
+	const n = 8 * 64
+	pool := NewPool(4)
+	reg := obs.NewRegistry()
+	pool.SetRegistry(reg)
+	started := make(chan struct{})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("worker 0's panic did not reach the caller")
+			}
+		}()
+		run(pool, RunnerFunc(func(w, _, _ int) {
+			if w == 0 {
+				close(started)
+				panic("chunk failure")
+			}
+			<-started
+		}), n)
+	}()
+
+	var hits [n]atomic.Int32
+	run(pool, RunnerFunc(func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			hits[i].Add(1)
+		}
+	}), n)
+	if inline := reg.Counter("backend.pool.inline").Value(); inline != 0 {
+		t.Fatalf("the dispatch after a recovered panic ran on its caller (backend.pool.inline = %d): the team is still held", inline)
+	}
+	for i := range hits {
+		if c := hits[i].Load(); c != 1 {
+			t.Fatalf("index %d ran %d times after the recovered panic, want 1", i, c)
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		pool.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after a recovered panic")
 	}
 }

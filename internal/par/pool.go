@@ -201,7 +201,15 @@ func (p *Pool) dispatch() {
 	for w := 1; w < p.workers; w++ {
 		p.wake[w] <- struct{}{}
 	}
+	defer p.join(o, start)
 	p.work(0)
+}
+
+// join waits for workers 1…n−1 to finish the dispatch and records it. It
+// is deferred, so when a chunk panics on the caller's goroutine (worker 0)
+// the team still parks before it is released: a later dispatch must not
+// read this one's done signals as its own.
+func (p *Pool) join(o *poolObs, start time.Time) {
 	for w := 1; w < p.workers; w++ {
 		<-p.done
 	}
@@ -213,6 +221,16 @@ func (p *Pool) dispatch() {
 			o.busy.Set(float64(o.busyNS) / float64(el))
 		}
 	}
+}
+
+// release ends a team dispatch: it drops the runner, so the pool keeps no
+// kernel reachable between dispatches, and frees the team. It is deferred
+// from the moment TryLock succeeds, so a chunk that panics on the caller's
+// goroutine, and a caller that recovers it, leave the team free for the
+// next dispatch and for Close.
+func (p *Pool) release() {
+	p.runner = nil
+	p.mu.Unlock()
 }
 
 // ranInline counts a dispatch that found the team busy.
@@ -239,12 +257,11 @@ func (p *Pool) RunStatic(r Runner, bounds []int) {
 		}
 		return
 	}
+	defer p.release()
 	p.mode = modeStatic
 	p.runner = r
 	p.bounds = bounds
 	p.dispatch()
-	p.runner = nil
-	p.mu.Unlock()
 }
 
 // RunDynamic runs r over [0, n) in grain-sized chunks claimed from an
@@ -266,14 +283,13 @@ func (p *Pool) RunDynamic(r Runner, n, grain int) {
 		}
 		return
 	}
+	defer p.release()
 	p.mode = modeDynamic
 	p.runner = r
 	p.limit = n
 	p.grain = grain
 	p.cursor.Store(0)
 	p.dispatch()
-	p.runner = nil
-	p.mu.Unlock()
 }
 
 // EvenSplits returns k+1 bounds cutting [0,n) into k contiguous ranges

@@ -291,7 +291,6 @@ func (t *VecTable) fold(agg Agg, key uint32, val Value) bool {
 		old[0] += val.S()
 		return true
 	default:
-		//lint:ignore panic aggregations are validated by the parser; an unknown value here is a programmer error
 		panic(fmt.Sprintf("socialite: unknown aggregation %v", agg))
 	}
 }
@@ -321,7 +320,6 @@ func (t *VecTable) foldScalar(agg Agg, key uint32, x float64) bool {
 		}
 		return false
 	default:
-		//lint:ignore panic aggregations are validated by the parser; an unknown value here is a programmer error
 		panic(fmt.Sprintf("socialite: unknown aggregation %v", agg))
 	}
 }
