@@ -251,6 +251,16 @@ func SpGEMM(pool *par.Pool, a *SpMat[struct{}], b *SpMat[struct{}]) (*Product, e
 			accs[worker] = newRowAccumulator(b.NumCols)
 		}
 		acc := accs[worker]
+		// The chunk's flop count, Σ len(B row) over its nonzeros, bounds
+		// its product's length: the buffers grow to it here, before the
+		// rows, so appendRow never regrows them.
+		var flops int64
+		for _, j := range a.Cols[a.Offsets[lo]:a.Offsets[hi]] {
+			flops += b.Offsets[j+1] - b.Offsets[j]
+		}
+		if int64(cap(acc.cols)) < flops {
+			acc.cols, acc.vals = make([]uint32, 0, flops), make([]int64, 0, flops)
+		}
 		acc.cols, acc.vals = acc.cols[:0], acc.vals[:0]
 		for r := lo; r < hi; r++ {
 			aCols, _ := a.Row(uint32(r))

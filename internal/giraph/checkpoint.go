@@ -16,7 +16,7 @@ import (
 // a panic.
 
 // snapshotState serializes the engine's inter-superstep state.
-func snapshotState(job *Job, rt *runtime, values []any, inbox [][]any) ([]byte, error) {
+func snapshotState(job *Job, rt *runtime, values []any) ([]byte, error) {
 	out := codec.AppendUint64(nil, uint64(rt.counter))
 	out = codec.AppendUint64s(out, rt.halted.words)
 	var err error
@@ -25,7 +25,8 @@ func snapshotState(job *Job, rt *runtime, values []any, inbox [][]any) ([]byte, 
 			return nil, fmt.Errorf("giraph: encode value of vertex %d: %w", v, err)
 		}
 	}
-	for v, msgs := range inbox {
+	for v := range values {
+		msgs := rt.inbox.at(uint32(v))
 		out = codec.AppendUvarint(out, uint64(len(msgs)))
 		for _, m := range msgs {
 			if out, err = job.EncodeValue(out, m); err != nil {
@@ -36,45 +37,48 @@ func snapshotState(job *Job, rt *runtime, values []any, inbox [][]any) ([]byte, 
 	return out, nil
 }
 
-// restoreState rebuilds values (in place), the halted bitset, and the
-// counter from a snapshot, returning the restored inbox.
-func restoreState(job *Job, rt *runtime, values []any, data []byte) ([][]any, error) {
+// restoreState rebuilds values (in place), the halted bitset, the counter
+// and the inbox from a snapshot.
+func restoreState(job *Job, rt *runtime, values []any, data []byte) error {
 	counterBits, data, err := codec.Uint64(data)
 	if err != nil {
-		return nil, fmt.Errorf("giraph: restore counter: %w", err)
+		return fmt.Errorf("giraph: restore counter: %w", err)
 	}
 	words, data, err := codec.Uint64s(data)
 	if err != nil {
-		return nil, fmt.Errorf("giraph: restore active set: %w", err)
+		return fmt.Errorf("giraph: restore active set: %w", err)
 	}
 	if len(words) != len(rt.halted.words) {
-		return nil, fmt.Errorf("giraph: snapshot has %d halted words, runtime has %d", len(words), len(rt.halted.words))
+		return fmt.Errorf("giraph: snapshot has %d halted words, runtime has %d", len(words), len(rt.halted.words))
 	}
 	for i := range values {
 		if values[i], data, err = job.DecodeValue(data); err != nil {
-			return nil, fmt.Errorf("giraph: restore value of vertex %d: %w", i, err)
+			return fmt.Errorf("giraph: restore value of vertex %d: %w", i, err)
 		}
 	}
-	inbox := make([][]any, len(values))
-	for v := range inbox {
+	in := newInbox(len(values))
+	for v := range values {
 		count, rest, err := codec.Uvarint(data)
 		if err != nil {
-			return nil, fmt.Errorf("giraph: restore inbox of vertex %d: %w", v, err)
+			return fmt.Errorf("giraph: restore inbox of vertex %d: %w", v, err)
 		}
 		data = rest
 		for j := uint64(0); j < count; j++ {
 			var msg any
 			if msg, data, err = job.DecodeValue(data); err != nil {
-				return nil, fmt.Errorf("giraph: restore message %d of vertex %d: %w", j, v, err)
+				return fmt.Errorf("giraph: restore message %d of vertex %d: %w", j, v, err)
 			}
-			inbox[v] = append(inbox[v], msg)
+			in.msgs = append(in.msgs, msg)
 		}
+		in.offs[v+1] = len(in.msgs)
 	}
-	// Counter and active set commit only after the whole blob parsed (a
-	// restore error aborts the run, so partially-restored values are moot).
+	// Counter, active set and inbox commit only after the whole blob parsed
+	// (a restore error aborts the run, so partially-restored values are
+	// moot).
 	rt.counter = int64(counterBits)
 	copy(rt.halted.words, words)
-	return inbox, nil
+	rt.inbox = in
+	return nil
 }
 
 // Float64Codec returns EncodeValue/DecodeValue for float64-valued jobs

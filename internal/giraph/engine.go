@@ -75,7 +75,8 @@ func (e *Engine) newCluster(cfg cluster.Config) (*cluster.Cluster, error) {
 
 // runJob runs the job: on a cluster, or inside the single-node timed
 // region, where a non-nil lower binds the program's lowering to the call's
-// pool and runs that in place of the stock runtime. The modeled
+// pool and runs that in place of the stock runtime (the result then has no
+// Values: the caller reads the lowering's vector). The modeled
 // coordination cost is added on top of either clock.
 func (e *Engine) runJob(job *Job, exec core.Exec, lower func(*par.Pool) Lowering) (*Result, core.RunStats, error) {
 	if e.workers > 0 {
@@ -97,12 +98,10 @@ func (e *Engine) runJob(job *Job, exec core.Exec, lower func(*par.Pool) Lowering
 		return res, stats, nil
 	}
 	var res *Result
-	var low Lowering
 	var err error
 	stats := exec.Local(func(pool *par.Pool, _ *trace.Tracer) int {
 		if lower != nil {
-			low = lower(pool)
-			res = runLowered(job, low)
+			res = runLowered(job, lower(pool))
 		} else {
 			res, err = Run(job)
 		}
@@ -113,9 +112,6 @@ func (e *Engine) runJob(job *Job, exec core.Exec, lower func(*par.Pool) Lowering
 	})
 	if err != nil {
 		return nil, core.RunStats{}, err
-	}
-	if low != nil {
-		res.Values = low.Values()
 	}
 	stats.WallSeconds += float64(res.Supersteps) * coordinationSeconds
 	return res, stats, nil
@@ -139,6 +135,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	job.EncodeValue, job.DecodeValue = Float64Codec()
 	job.Compute = prCompute(job, r)
 	var lower func(*par.Pool) Lowering
+	var low *prLowering
 	if e.combine {
 		// PageRank's messages fold with addition (§6.2 recommendation).
 		job.Combiner = func(a, b any) any { return a.(float64) + b.(float64) }
@@ -147,16 +144,22 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 		// backend (DESIGN.md §12); everything else is the stock runtime.
 		in, outDeg := g.Transpose(), g.OutDegrees()
 		lower = func(pool *par.Pool) Lowering {
-			return newPRLowering(pool, in, outDeg, r, job.MaxSupersteps, job.Tracer)
+			low = newPRLowering(pool, in, outDeg, r, job.MaxSupersteps, job.Tracer)
+			return low
 		}
 	}
 	res, stats, err := e.runJob(job, opt.Exec, lower)
 	if err != nil {
 		return nil, err
 	}
-	ranks := make([]float64, g.NumVertices)
-	for i, v := range res.Values {
-		ranks[i] = v.(float64)
+	var ranks []float64
+	if low != nil {
+		ranks = low.ranks
+	} else {
+		ranks = make([]float64, g.NumVertices)
+		for i, v := range res.Values {
+			ranks[i] = v.(float64)
+		}
 	}
 	stats.Iterations = opt.Iterations
 	return &core.PageRankResult{Ranks: ranks, Stats: stats}, nil
@@ -219,6 +222,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	}
 	job.EncodeValue, job.DecodeValue = Int32Codec()
 	var lower func(*par.Pool) Lowering
+	var low *bfsLowering
 	if e.combine {
 		// BFS messages fold with min (§6.2 recommendation).
 		job.Combiner = func(a, b any) any {
@@ -230,19 +234,28 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	} else if opt.Exec.Cluster == nil {
 		// A combiner-less single-node run lowers onto the backend's
 		// level step (min-combine ≡ first claim wins).
-		lower = func(pool *par.Pool) Lowering { return newBFSLowering(pool, g, source) }
+		lower = func(pool *par.Pool) Lowering {
+			low = newBFSLowering(pool, g, source)
+			return low
+		}
 	}
 	res, stats, err := e.runJob(job, opt.Exec, lower)
 	if err != nil {
 		return nil, err
 	}
-	dist := make([]int32, g.NumVertices)
-	for i, v := range res.Values {
-		d := v.(int32)
-		if d >= inf {
-			d = -1
+	var dist []int32
+	if low != nil {
+		dist = low.dist
+	} else {
+		dist = make([]int32, g.NumVertices)
+		for i, v := range res.Values {
+			dist[i] = v.(int32)
 		}
-		dist[i] = d
+	}
+	for i, d := range dist {
+		if d >= inf {
+			dist[i] = -1
+		}
 	}
 	return &core.BFSResult{Distances: dist, Stats: stats}, nil
 }

@@ -108,12 +108,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	job := &Job{EncodeValue: enc, DecodeValue: dec}
 	rt := &runtime{halted: newBvec(5)}
 	rt.counter = 41
-	rt.halted.SetAtomic(2)
-	rt.halted.SetAtomic(4)
+	rt.halted.Set(2, true)
+	rt.halted.Set(4, false)
 	values := []any{0.5, 1.5, 2.5, 3.5, 4.5}
 	inbox := [][]any{{0.25}, nil, {1.0, 2.0, 3.0}, nil, {9.0}}
+	rt.inbox = newInbox(5)
+	for v, msgs := range inbox {
+		rt.inbox.msgs = append(rt.inbox.msgs, msgs...)
+		rt.inbox.offs[v+1] = len(rt.inbox.msgs)
+	}
 
-	blob, err := snapshotState(job, rt, values, inbox)
+	blob, err := snapshotState(job, rt, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +126,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Clobber the live state, then restore into it.
 	rt2 := &runtime{halted: newBvec(5)}
 	got := make([]any, 5)
-	gotInbox, err := restoreState(job, rt2, got, blob)
-	if err != nil {
+	if err := restoreState(job, rt2, got, blob); err != nil {
 		t.Fatal(err)
 	}
 	if rt2.counter != 41 {
@@ -137,19 +141,20 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	for v := range inbox {
-		if len(gotInbox[v]) != len(inbox[v]) {
-			t.Fatalf("inbox[%d] has %d messages, want %d", v, len(gotInbox[v]), len(inbox[v]))
+		gotMsgs := rt2.inbox.at(uint32(v))
+		if len(gotMsgs) != len(inbox[v]) {
+			t.Fatalf("inbox[%d] has %d messages, want %d", v, len(gotMsgs), len(inbox[v]))
 		}
 		for j := range inbox[v] {
-			if gotInbox[v][j] != inbox[v][j] {
-				t.Errorf("inbox[%d][%d] = %v, want %v", v, j, gotInbox[v][j], inbox[v][j])
+			if gotMsgs[j] != inbox[v][j] {
+				t.Errorf("inbox[%d][%d] = %v, want %v", v, j, gotMsgs[j], inbox[v][j])
 			}
 		}
 	}
 
 	// Truncated blobs must error, never panic.
 	for cut := 0; cut < len(blob); cut += 7 {
-		if _, err := restoreState(job, &runtime{halted: newBvec(5)}, make([]any, 5), blob[:cut]); err == nil {
+		if err := restoreState(job, &runtime{halted: newBvec(5)}, make([]any, 5), blob[:cut]); err == nil {
 			t.Fatalf("restore of %d-byte prefix should fail", cut)
 		}
 	}

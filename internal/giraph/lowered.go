@@ -14,7 +14,8 @@ import (
 // (DESIGN.md §12). A lowering must be observationally equivalent to the
 // stock runtime — same final Values, same per-superstep active/message
 // counts, same modeled buffer footprint — so the engine's results and
-// traces do not depend on which path ran.
+// traces do not depend on which path ran. The engine method reads the final
+// values off the lowering's own typed vector, unboxed.
 type Lowering interface {
 	// Step executes superstep s and reports the active-vertex and
 	// message counts the stock runtime would have observed.
@@ -24,8 +25,6 @@ type Lowering interface {
 	BufferedBytes() int64
 	// AllHalted reports whether every vertex has voted to halt.
 	AllHalted() bool
-	// Values returns the final boxed vertex values.
-	Values() []any
 }
 
 // prLowering runs Algorithm 1's superstep schedule as the shared backend
@@ -85,14 +84,6 @@ func (l *prLowering) Step(s int) (active, msgs int64) {
 
 func (l *prLowering) BufferedBytes() int64 { return l.buffered }
 func (l *prLowering) AllHalted() bool      { return l.halted }
-
-func (l *prLowering) Values() []any {
-	vals := make([]any, len(l.ranks))
-	for i, r := range l.ranks {
-		vals[i] = r
-	}
-	return vals
-}
 
 // bfsLowering runs Algorithm 2 as the backend's level step: the min
 // combine over delivered distance messages is exactly the step's claim — a
@@ -169,11 +160,3 @@ func (l *bfsLowering) BufferedBytes() int64 { return l.buffered }
 // so from superstep 1 on (the first time the runtime consults this) the
 // whole graph is parked.
 func (l *bfsLowering) AllHalted() bool { return true }
-
-func (l *bfsLowering) Values() []any {
-	vals := make([]any, len(l.dist))
-	for i, d := range l.dist {
-		vals[i] = d
-	}
-	return vals
-}

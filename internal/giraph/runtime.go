@@ -38,10 +38,14 @@ const messageEnvelopeBytes = 16
 // Context is the view a vertex program gets of its vertex during Compute.
 // A worker reuses one Context for every vertex it computes.
 type Context struct {
-	id    uint32
-	slot  *slot
-	rt    *runtime
-	value any
+	id   uint32
+	slot *slot
+	out  *outbox
+	rt   *runtime
+	// firstWord and lastWord are the halted-bitset words at the two ends of
+	// the worker's vertex range, the only ones another worker can share.
+	firstWord, lastWord uint32
+	value               any
 }
 
 // ID reports the vertex id.
@@ -80,7 +84,14 @@ func (c *Context) SendMessageToAllEdges(msg any) {
 
 // VoteToHalt marks the vertex inactive; a delivered message reactivates
 // it.
-func (c *Context) VoteToHalt() { c.rt.halted.SetAtomic(c.id) }
+func (c *Context) VoteToHalt() { c.rt.halted.Set(c.id, c.edge(c.id)) }
+
+// edge reports whether vertex v's halted word is at an end of the worker's
+// range.
+func (c *Context) edge(v uint32) bool {
+	w := v >> 6
+	return w == c.firstWord || w == c.lastWord
+}
 
 // AddToCounter accumulates into a named global aggregator (Giraph
 // aggregators, used by triangle counting for the global sum).
@@ -147,10 +158,15 @@ type runtime struct {
 	// only slots[n*workers+w], so sends and tallies never share state.
 	slots   []slot
 	workers int
+	// outs[i] holds slot i's envelope blocks.
+	outs []outbox
 	// staged holds the superstep's buffered messages: each finished
-	// phase's sends, slot by slot, so it lists them in (phase, slot, send)
-	// order. None is delivered before the superstep's last phase ends.
-	staged      [][]envelope
+	// phase's sends, slot by slot, as sub-slices of the slots' blocks, so
+	// it lists them in (phase, slot, send) order. None is delivered before
+	// the superstep's last phase ends.
+	staged [][]envelope
+	// inbox holds the messages delivered for the superstep in flight.
+	inbox       inbox
 	part        *graph.Partition1D
 	baselineMem []int64
 }
@@ -160,8 +176,9 @@ type runtime struct {
 // reduces at the barrier; the modeled byte tallies are kept the same way
 // and folded where the superstep loop reads them.
 type slot struct {
-	// sends holds the worker's sends of the current phase; with a
-	// Combiner, combined holds its message per destination instead.
+	// sends is the block the worker writes its sends into (its outbox's
+	// current block); with a Combiner, combined holds its message per
+	// destination until the phase ends.
 	sends    []envelope
 	combined map[uint32]any
 	// buffered is the modeled heap of this phase's buffered messages,
@@ -171,34 +188,137 @@ type slot struct {
 	_                         [8]byte
 }
 
-// bvec is a tiny atomic bitset.
+// bvec is the halted bitset. A worker computes an ascending vertex range
+// no other worker's overlaps, so only the words at the range's two ends can
+// hold another worker's bits: Set and Clear take a CAS on such a shared
+// word and a plain store on any other.
 type bvec struct{ words []uint64 }
 
 func newBvec(n uint32) *bvec { return &bvec{words: make([]uint64, (uint64(n)+63)/64)} }
 func (b *bvec) Get(i uint32) bool {
 	return atomic.LoadUint64(&b.words[i>>6])&(1<<(i&63)) != 0
 }
-func (b *bvec) SetAtomic(i uint32) {
+func (b *bvec) Set(i uint32, shared bool) {
+	w, bit := &b.words[i>>6], uint64(1)<<(i&63)
+	if !shared {
+		*w |= bit
+		return
+	}
 	for {
-		old := atomic.LoadUint64(&b.words[i>>6])
-		if old&(1<<(i&63)) != 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(&b.words[i>>6], old, old|1<<(i&63)) {
+		old := atomic.LoadUint64(w)
+		if old&bit != 0 || atomic.CompareAndSwapUint64(w, old, old|bit) {
 			return
 		}
 	}
 }
-func (b *bvec) ClearAtomic(i uint32) {
+func (b *bvec) Clear(i uint32, shared bool) {
+	w, bit := &b.words[i>>6], uint64(1)<<(i&63)
+	if !shared {
+		*w &^= bit
+		return
+	}
 	for {
-		old := atomic.LoadUint64(&b.words[i>>6])
-		if old&(1<<(i&63)) == 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(&b.words[i>>6], old, old&^(1<<(i&63))) {
+		old := atomic.LoadUint64(w)
+		if old&bit == 0 || atomic.CompareAndSwapUint64(w, old, old&^bit) {
 			return
 		}
 	}
+}
+
+// minBlock and maxBlock bound an envelope block's length: a slot's first
+// block holds minBlock envelopes and each later one as many as all before
+// it together, up to maxBlock (96 KiB).
+const minBlock, maxBlock = 16, 4096
+
+// outbox is one slot's envelope blocks, kept beside the slot rather than
+// in it (a slot is one cache line), and touched only when a block fills and
+// at the phase and superstep barriers. Sends are written front to back into
+// blocks[cur], whose live header is the slot's sends, and are never copied:
+// endPhase stages each phase's part of a block by sub-slice, and the next
+// superstep's start rewinds the blocks for reuse, so a run allocates a
+// slot's blocks once, for its largest superstep.
+type outbox struct {
+	blocks [][]envelope
+	cur    int
+	// markBlock and mark locate the first send not yet staged.
+	markBlock, mark int
+	// size is the blocks' total capacity.
+	size int
+}
+
+// put appends env to the slot's current block, moving to the next block
+// when it is full.
+func (o *outbox) put(sl *slot, env envelope) {
+	if len(sl.sends) == cap(sl.sends) {
+		sl.sends = o.next(sl.sends)
+	}
+	sl.sends = append(sl.sends, env)
+}
+
+// next files full, the block that just filled, and returns the next one:
+// a rewound block if the slot has one, else a new one.
+func (o *outbox) next(full []envelope) []envelope {
+	if len(o.blocks) > 0 {
+		o.blocks[o.cur] = full
+		o.cur++
+	}
+	if o.cur == len(o.blocks) {
+		size := min(max(o.size, minBlock), maxBlock)
+		o.size += size
+		o.blocks = append(o.blocks, make([]envelope, 0, size))
+	}
+	return o.blocks[o.cur]
+}
+
+// stage appends the sends written since the last stage — up to the end of
+// cur, the slot's live block — to staged, one sub-slice per block they
+// span.
+func (o *outbox) stage(staged [][]envelope, cur []envelope) [][]envelope {
+	if len(o.blocks) == 0 {
+		return staged
+	}
+	o.blocks[o.cur] = cur
+	for b := o.markBlock; b <= o.cur; b++ {
+		if part := o.blocks[b][o.mark:]; len(part) > 0 {
+			staged = append(staged, part)
+		}
+		o.mark = 0
+	}
+	o.markBlock, o.mark = o.cur, len(cur)
+	return staged
+}
+
+// rewind empties every block written since the last rewind (cur is the
+// live one), clearing the envelopes so no delivered message stays
+// reachable through them, and returns the first block to write into.
+func (o *outbox) rewind(cur []envelope) []envelope {
+	if len(o.blocks) == 0 {
+		return nil
+	}
+	o.blocks[o.cur] = cur
+	for b := range o.blocks[:o.cur+1] {
+		clear(o.blocks[b])
+		o.blocks[b] = o.blocks[b][:0]
+	}
+	o.cur, o.markBlock, o.mark = 0, 0, 0
+	return o.blocks[0]
+}
+
+// inbox holds the messages delivered for a superstep, laid out flat:
+// vertex v's are msgs[offs[v]:offs[v+1]]. A run keeps one inbox that
+// deliver refills in place, so its arrays are allocated once, at the
+// largest superstep.
+type inbox struct {
+	offs []int // n+2 long: deliver counts v's messages in offs[v+2]
+	msgs []any
+}
+
+func newInbox(n int) inbox { return inbox{offs: make([]int, n+2)} }
+
+// at returns vertex v's messages.
+func (in *inbox) at(v uint32) []any {
+	lo, hi := in.offs[v], in.offs[v+1]
+	return in.msgs[lo:hi:hi]
 }
 
 func (rt *runtime) send(ctx *Context, to uint32, msg any) {
@@ -211,7 +331,7 @@ func (rt *runtime) send(ctx *Context, to uint32, msg any) {
 		}
 		sl.combined[to] = msg
 	} else {
-		sl.sends = append(sl.sends, envelope{to: to, msg: msg})
+		ctx.out.put(sl, envelope{to: to, msg: msg})
 	}
 	var payload int64
 	if rt.job.MessageBytes != nil {
@@ -223,12 +343,13 @@ func (rt *runtime) send(ctx *Context, to uint32, msg any) {
 	}
 }
 
-// beginSuperstep empties every slot: a replay after a rollback starts from
-// the checkpoint alone, not from a failed attempt's sends or partials.
+// beginSuperstep empties every slot and rewinds its blocks, which the last
+// delivery has emptied into the inbox: a replay after a rollback starts
+// from the checkpoint alone, not from a failed attempt's sends or partials.
 func (rt *runtime) beginSuperstep() {
 	for i := range rt.slots {
 		sl := &rt.slots[i]
-		sl.sends = nil
+		sl.sends = rt.outs[i].rewind(sl.sends)
 		clear(sl.combined)
 		sl.buffered, sl.remote, sl.counter = 0, 0, 0
 	}
@@ -248,70 +369,73 @@ func (rt *runtime) takeRemote(node int) int64 {
 
 // endPhase flushes a phase: it stages every slot's sends and returns the
 // modeled buffer they held, folded over the slots and zeroed. With a
-// Combiner a slot's messages are staged in ascending destination order:
-// checkpoints encode the inbox byte for byte, so the order must not depend
-// on map iteration.
+// Combiner a slot's messages are written to its blocks in ascending
+// destination order: checkpoints encode the inbox byte for byte, so the
+// order must not depend on map iteration.
 func (rt *runtime) endPhase() (buffered int64) {
 	var dests []uint32
 	for i := range rt.slots {
-		sl := &rt.slots[i]
+		sl, out := &rt.slots[i], &rt.outs[i]
 		if rt.job.Combiner != nil {
 			dests = dests[:0]
 			for to := range sl.combined {
 				dests = append(dests, to)
 			}
 			slices.Sort(dests)
-			sl.sends = make([]envelope, len(dests))
-			for j, to := range dests {
-				sl.sends[j] = envelope{to: to, msg: sl.combined[to]}
+			for _, to := range dests {
+				out.put(sl, envelope{to: to, msg: sl.combined[to]})
 			}
 			clear(sl.combined)
 		}
-		rt.staged = append(rt.staged, sl.sends)
+		rt.staged = out.stage(rt.staged, sl.sends)
 		buffered += sl.buffered
-		sl.sends, sl.buffered = nil, 0
+		sl.buffered = 0
 	}
 	return buffered
 }
 
-// deliver builds the next superstep's inbox once, after its last phase:
-// one counting pass sizes every destination, one flat array backs every
-// inbox, and the staged sends fill it in (phase, slot, send) order. The
-// aggregator partials fold into the counter at the same barrier.
-func (rt *runtime) deliver() (inbox [][]any, msgs int64) {
-	offs := make([]int, rt.g.NumVertices+1)
+// deliver refills the inbox once, after the superstep's last phase: one
+// counting pass sizes every destination, and the staged sends fill the
+// flat array in (phase, slot, send) order, each destination's cursor
+// ending where the next one's messages start. The aggregator partials fold
+// into the counter at the same barrier.
+func (rt *runtime) deliver() (msgs int64) {
+	offs := rt.inbox.offs
+	clear(offs)
 	for _, sends := range rt.staged {
 		for _, env := range sends {
-			offs[env.to+1]++
+			offs[env.to+2]++
 		}
 		msgs += int64(len(sends))
 	}
-	for v := 1; v < len(offs); v++ {
+	for v := 2; v < len(offs); v++ {
 		offs[v] += offs[v-1]
 	}
-	flat := make([]any, msgs)
-	inbox = make([][]any, rt.g.NumVertices)
-	for v := range inbox {
-		inbox[v] = flat[offs[v]:offs[v]:offs[v+1]]
+	if int64(cap(rt.inbox.msgs)) < msgs {
+		rt.inbox.msgs = make([]any, msgs)
 	}
+	flat := rt.inbox.msgs[:msgs]
 	for _, sends := range rt.staged {
 		for _, env := range sends {
-			inbox[env.to] = append(inbox[env.to], env.msg)
+			flat[offs[env.to+1]] = env.msg
+			offs[env.to+1]++
 		}
 	}
+	rt.inbox.msgs = flat
 	clear(rt.staged)
 	rt.staged = rt.staged[:0]
 	for i := range rt.slots {
 		rt.counter += rt.slots[i].counter
 	}
-	return inbox, msgs
+	return msgs
 }
 
 // runLowered drives a Lowering of the job's vertex program through the
 // same superstep loop the stock runtime uses: identical termination
 // conditions (MaxSupersteps bound, quiescence when a message-free superstep
 // leaves every vertex halted), identical per-superstep spans and counters.
-// The result's Values are left for the caller to unbox from the lowering.
+// The result carries no Values: the caller reads the lowering's own typed
+// vector.
 func runLowered(job *Job, low Lowering) *Result {
 	tr := job.Tracer
 	activeCounter := tr.Registry().Counter("giraph.active_vertices")
@@ -375,12 +499,11 @@ func Run(job *Job) (*Result, error) {
 	if workers <= 0 {
 		workers = workersPerNode
 	}
-	rt := &runtime{g: g, job: job, halted: newBvec(n), workers: workers}
+	rt := &runtime{g: g, job: job, halted: newBvec(n), workers: workers, inbox: newInbox(int(n))}
 	values := make([]any, n)
 	for i := range values {
 		values[i] = job.Init(uint32(i))
 	}
-	inbox := make([][]any, n)
 	nodes := 1
 	if job.Cluster != nil {
 		nodes = job.Cluster.Nodes()
@@ -400,6 +523,7 @@ func Run(job *Job) (*Result, error) {
 	}
 
 	rt.slots = make([]slot, nodes*rt.workers)
+	rt.outs = make([]outbox, len(rt.slots))
 	if job.Combiner != nil {
 		for i := range rt.slots {
 			rt.slots[i].combined = make(map[uint32]any)
@@ -413,12 +537,16 @@ func Run(job *Job) (*Result, error) {
 	defer pool.Close()
 	computeSlice := func(chunk []uint32, base int) {
 		pool.RunStatic(par.RunnerFunc(func(worker, lo, hi int) {
-			ctx := &Context{slot: &rt.slots[base+worker], rt: rt}
+			if lo == hi {
+				return
+			}
+			ctx := &Context{slot: &rt.slots[base+worker], out: &rt.outs[base+worker], rt: rt,
+				firstWord: chunk[lo] >> 6, lastWord: chunk[hi-1] >> 6}
 			for i := lo; i < hi; i++ {
 				v := chunk[i]
-				msgs := inbox[v]
+				msgs := rt.inbox.at(v)
 				if len(msgs) > 0 {
-					rt.halted.ClearAtomic(v)
+					rt.halted.Clear(v, ctx.edge(v))
 				}
 				ctx.id, ctx.value = v, values[v]
 				job.Compute(ctx, msgs)
@@ -440,7 +568,7 @@ func Run(job *Job) (*Result, error) {
 	// runStep executes superstep s and reports whether the run is done. A
 	// Recovery can re-invoke it with the same s after rolling engine state
 	// back to a checkpoint; everything the step touches is either emptied
-	// when it starts (the slots' sends and tallies, the active list) or part
+	// when it starts (the slots' blocks and tallies, the active list) or part
 	// of the snapshot (values, halted, counter, inbox), so replays are exact.
 	runStep := func(s int) (bool, error) {
 		if job.MaxSupersteps > 0 && s >= job.MaxSupersteps {
@@ -450,7 +578,7 @@ func Run(job *Job) (*Result, error) {
 
 		activeList = activeList[:0]
 		for v := uint32(0); v < n; v++ {
-			if len(inbox[v]) > 0 || !rt.halted.Get(v) {
+			if len(rt.inbox.at(v)) > 0 || !rt.halted.Get(v) {
 				activeList = append(activeList, v)
 			}
 		}
@@ -518,7 +646,7 @@ func Run(job *Job) (*Result, error) {
 				stepPeakBuffered = buffered
 			}
 		}
-		next, stepMsgs := rt.deliver()
+		stepMsgs := rt.deliver()
 		msgCounter.Add(stepMsgs)
 		if stepSpan != nil {
 			stepSpan.Arg("active", float64(len(activeList))).
@@ -534,7 +662,6 @@ func Run(job *Job) (*Result, error) {
 					"buffered_bytes": float64(stepPeakBuffered),
 				})
 		}
-		inbox = next
 		supersteps = s + 1
 		return false, nil
 	}
@@ -546,15 +673,8 @@ func Run(job *Job) (*Result, error) {
 		// (Pregel's scheme, which Giraph inherits), and an injected crash
 		// rolls back and replays from the last snapshot.
 		rec := job.Cluster.Recovery(
-			func() ([]byte, error) { return snapshotState(job, rt, values, inbox) },
-			func(data []byte) error {
-				restored, err := restoreState(job, rt, values, data)
-				if err != nil {
-					return err
-				}
-				inbox = restored
-				return nil
-			})
+			func() ([]byte, error) { return snapshotState(job, rt, values) },
+			func(data []byte) error { return restoreState(job, rt, values, data) })
 		if rec.Store() != nil && (job.EncodeValue == nil || job.DecodeValue == nil) {
 			return nil, fmt.Errorf("giraph: checkpointing (interval %d) needs EncodeValue/DecodeValue on the job",
 				job.Cluster.Config().Ckpt.Interval)

@@ -12,8 +12,12 @@ import (
 // per-element and per-worker kernels that run millions of times — and
 // flags the allocation patterns the GraphMat "ninja gap" work calls out:
 //
-//   - defer inside the body (a heap-allocated defer record per call),
+//   - defer inside the body: outside a loop Go open-codes it and it
+//     allocates nothing, but every call still pays its setup and the
+//     deferred call; inside a loop it heap-allocates a record per
+//     iteration,
 //   - explicit conversions to interface types (boxing per element),
+//     type-parameter values included,
 //   - closures created inside a loop inside the body (one allocation
 //     per iteration).
 //
@@ -53,7 +57,7 @@ func (r *HotAllocRule) checkBody(p *Package, callName string, lit *ast.FuncLit,
 	walk = func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.DeferStmt:
-			report(s.Pos(), "defer inside a %s body allocates a defer record per call; hoist cleanup out of the kernel", callName)
+			report(s.Pos(), "defer inside a %s body costs its setup and deferred call on every call, and a heap record per iteration inside a loop; hoist cleanup out of the kernel", callName)
 		case *ast.ForStmt, *ast.RangeStmt:
 			inLoop++
 			defer func() { inLoop-- }()
@@ -103,16 +107,18 @@ func childNodes(n ast.Node) []ast.Node {
 // to an interface type.
 func isBoxing(p *Package, call *ast.CallExpr) bool {
 	tv, ok := p.Info.Types[call.Fun]
-	if !ok || !tv.IsType() || len(call.Args) != 1 {
-		return false
-	}
-	if _, isIface := tv.Type.Underlying().(*types.Interface); !isIface {
+	if !ok || !tv.IsType() || len(call.Args) != 1 || !isInterface(tv.Type) {
 		return false
 	}
 	atv, ok := p.Info.Types[call.Args[0]]
-	if !ok || atv.Type == nil {
-		return false
-	}
-	_, already := atv.Type.Underlying().(*types.Interface)
-	return !already
+	return ok && atv.Type != nil && !isInterface(atv.Type)
+}
+
+// isInterface reports whether t is an interface type. A type parameter is
+// not one, though its underlying type is its constraint interface (which
+// is all types.IsInterface reads): converting its value to an interface
+// boxes it, and converting to it does not.
+func isInterface(t types.Type) bool {
+	_, param := types.Unalias(t).(*types.TypeParam)
+	return !param && types.IsInterface(t)
 }

@@ -506,6 +506,25 @@ func Box(n int, out []any) {
 	wantFinding(t, runRule(t, p, &HotAllocRule{}), "internal/native/a.go", 8, "hotalloc")
 }
 
+// TestHotAllocFlagsTypeParameterBoxing: a type parameter's underlying type
+// is its constraint interface, yet converting its value to any boxes it
+// like any other value — the generic GAS runtime's case.
+func TestHotAllocFlagsTypeParameterBoxing(t *testing.T) {
+	p := loadFixture(t, "internal/native", map[string]string{"a.go": `package native
+
+import "graphmaze/internal/par"
+
+func Box[V any](n int, vals []V) {
+	par.For(n, func(lo, hi int) {
+		for _, v := range vals[lo:hi] {
+			_ = any(v)
+		}
+	})
+}
+`})
+	wantFinding(t, runRule(t, p, &HotAllocRule{}), "internal/native/a.go", 8, "hotalloc")
+}
+
 func TestHotAllocIgnoresCodeOutsideParBodies(t *testing.T) {
 	p := loadFixture(t, "internal/native", map[string]string{"a.go": `package native
 

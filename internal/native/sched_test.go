@@ -232,6 +232,52 @@ func TestAblationPageRankRunsOnThePool(t *testing.T) {
 	}
 }
 
+// TestAblationGatherAcrossPools runs the ablation gather (ContribCaching
+// off) on a scale-12 graph, four 1 024-row sweep chunks, so two workers
+// really split it, at pools of 1, 2 and 8. Each rank is one row's serial
+// fold, so the ranks are bit-identical at every pool size, and they agree
+// with the tuned kernel within the conformance tolerance. A fold whose sum
+// the workers shared reads wrong ranks here, and races under -race.
+func TestAblationGatherAcrossPools(t *testing.T) {
+	edges, err := gen.RMAT(gen.Graph500Config(12, 8, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(1 << 12)
+	b.AddEdges(edges)
+	g, err := b.Build(graph.BuildOptions{Dedup: true, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, outDeg := g.Transpose(), g.OutDegrees()
+	n := int(g.NumVertices)
+	opt := core.PageRankOptions{Iterations: 10, RandomJump: 0.15}
+	run := func(tn Tuning, workers int) []float64 {
+		pool := par.NewPool(workers)
+		defer pool.Close()
+		return NewTuned(tn).pageRankLocal(pool, in, outDeg, opt, nil, make([]float64, n), make([]float64, n))
+	}
+	tuned := run(DefaultTuning(), 2)
+	ablation := DefaultTuning()
+	ablation.ContribCaching = false
+	var first []float64
+	for _, workers := range []int{1, 2, 8} {
+		ranks := run(ablation, workers)
+		if first == nil {
+			first = ranks
+			if d := core.ComparePageRank(tuned, ranks); d > 1e-9 {
+				t.Fatalf("ablation ranks differ from the tuned kernel's by %v", d)
+			}
+			continue
+		}
+		for v := range ranks {
+			if math.Float64bits(ranks[v]) != math.Float64bits(first[v]) {
+				t.Fatalf("%d workers: rank[%d] = %v, 1 worker %v", workers, v, ranks[v], first[v])
+			}
+		}
+	}
+}
+
 // TestBFSDynamicMatchesArrayReference forces the parallel top-down /
 // bottom-up machinery (it engages above 2^19 edges) and checks every
 // distance against the simple array-probing baseline.
