@@ -34,12 +34,12 @@ loc:
 	@echo "non-test Go lines outside bench/: $$(git ls-files '*.go' | grep -v '^bench/' | grep -v '_test\.go$$' | xargs cat | wc -l)"
 	@echo "test Go lines outside bench/:     $$(git ls-files '*.go' | grep -v '^bench/' | grep '_test\.go$$' | xargs cat | wc -l)"
 
-# validate runs every engine × every algorithm against the serial
-# reference, single-node and on a simulated 4-node cluster: the one command
-# that checks each engine's multi-node values (the boundary exchanges, the
-# distributed runtimes) end to end. It exits non-zero on any disagreement.
+# validate runs the reference table, TestEnginesMatchReference: every
+# engine × algorithm × {1 node, 4 nodes} against the serial reference,
+# each cluster cell through internal/cluster's exchanges and the
+# distributed runtimes. go test ./... runs it too; this prints each cell.
 validate:
-	$(GO) run ./cmd/validate -scale 10 -nodes 4
+	$(GO) test -run '^TestEnginesMatchReference$$' -v .
 
 # bench-smoke vets and tests the repository's benchmark (BENCHMARK.json,
 # bench/). It is a module of its own, so `go build ./... && go test ./...`

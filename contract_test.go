@@ -330,20 +330,36 @@ func TestGoStatementsArePinned(t *testing.T) {
 	}
 }
 
+// testOracles are internal/core's serial references and the comparisons
+// made against them. Tests in every engine package and the root reference
+// table (TestEnginesMatchReference) check against them, and no package's
+// tests can import another's test file, so tests are their only callers
+// by design. An entry that gains a non-test caller, or whose function is
+// gone, fails the test.
+var testOracles = map[string]bool{
+	"internal/core.RefPageRank":                true,
+	"internal/core.RefBFS":                     true,
+	"internal/core.RefTriangleCount":           true,
+	"internal/core.ComparePageRank":            true,
+	"internal/core.EqualDistances":             true,
+	"internal/core.MonotonicallyNonIncreasing": true,
+	"internal/core.ValidateBFS":                true,
+}
+
 // TestKernelSurfaceHasCallers: every exported function and method of
 // every package under internal/ is referenced by non-test code somewhere
 // in the repository, bench/ included, besides its own declaration. A
 // name only tests call is a second implementation nobody runs (DESIGN.md
 // §12): delete it, give it the caller it is for, or, when a test uses it
-// as an oracle, move it into that test's file. The one exemption is an
-// exported method on an unexported receiver type: outside its package it
-// is reachable only through an interface (sort.Interface's Less and Swap,
-// say), whose caller is the interface's user, not a selector this scan
-// can see. The check reads syntax, not types: a function counts as
-// referenced when its package-qualified name (or, inside its own package,
-// its bare name) appears, a method when any selector names it, so it can
-// miss a dead method that shares its name with a live one, never flag a
-// live one.
+// as an oracle, move it into that test's file. Two exemptions: an
+// exported method on an unexported receiver type (outside its package it
+// is reachable only through an interface, sort.Interface's Less and Swap,
+// say, whose caller is the interface's user, not a selector this scan can
+// see), and the oracles in testOracles. The check reads syntax, not
+// types: a function counts as referenced when its package-qualified name
+// (or, inside its own package, its bare name) appears, a method when any
+// selector names it, so it can miss a dead method that shares its name
+// with a live one, never flag a live one.
 func TestKernelSurfaceHasCallers(t *testing.T) {
 	inModule := func(pkg string) bool { return strings.HasPrefix(pkg, "internal/") }
 	type decl struct {
@@ -419,12 +435,26 @@ func TestKernelSurfaceHasCallers(t *testing.T) {
 	if len(decls) == 0 {
 		t.Fatal("found no exported kernel declarations: the rule is checking nothing")
 	}
+	oracles := map[string]bool{}
 	for _, d := range decls {
-		if d.recv == "" && !funcRefs[d.pkg+"."+d.name] {
+		key := d.pkg + "." + d.name
+		if d.recv == "" && testOracles[key] {
+			oracles[key] = true
+			if funcRefs[key] {
+				t.Errorf("%s: %s is listed in testOracles but has a caller outside tests: delete the entry", d.pos, key)
+			}
+			continue
+		}
+		if d.recv == "" && !funcRefs[key] {
 			t.Errorf("%s: %s.%s has no caller outside tests", d.pos, filepath.Base(d.pkg), d.name)
 		}
 		if d.recv != "" && !methodRefs[d.name] {
 			t.Errorf("%s: %s.%s.%s has no caller outside tests", d.pos, filepath.Base(d.pkg), d.recv, d.name)
+		}
+	}
+	for key := range testOracles {
+		if !oracles[key] {
+			t.Errorf("testOracles lists %s, which is not an exported function: delete the entry", key)
 		}
 	}
 }

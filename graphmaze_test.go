@@ -2,6 +2,8 @@ package graphmaze
 
 import (
 	"testing"
+
+	"graphmaze/internal/core"
 )
 
 func TestEnginesRoster(t *testing.T) {
@@ -143,22 +145,20 @@ func TestDatasets(t *testing.T) {
 	}
 }
 
+// TestCapabilitiesMatchPaperTable2: each engine's distribution, whether
+// its model can express SGD, and the programming model it is written in.
 func TestCapabilitiesMatchPaperTable2(t *testing.T) {
-	multiNode := map[string]bool{
-		"Native": true, "GraphLab": true, "CombBLAS": true,
-		"SociaLite": true, "Giraph": true, "Galois": false,
-	}
-	sgd := map[string]bool{
-		"Native": true, "GraphLab": false, "CombBLAS": false,
-		"SociaLite": false, "Giraph": false, "Galois": true,
+	want := map[string]core.Capabilities{
+		"Native":    {MultiNode: true, SGD: true, ProgrammingModel: "native"},
+		"CombBLAS":  {MultiNode: true, SGD: false, ProgrammingModel: "sparse matrix"},
+		"GraphLab":  {MultiNode: true, SGD: false, ProgrammingModel: "vertex"},
+		"SociaLite": {MultiNode: true, SGD: false, ProgrammingModel: "datalog"},
+		"Giraph":    {MultiNode: true, SGD: false, ProgrammingModel: "vertex"},
+		"Galois":    {MultiNode: false, SGD: true, ProgrammingModel: "task"},
 	}
 	for _, e := range Engines() {
-		caps := e.Capabilities()
-		if caps.MultiNode != multiNode[e.Name()] {
-			t.Errorf("%s MultiNode = %v", e.Name(), caps.MultiNode)
-		}
-		if caps.SGD != sgd[e.Name()] {
-			t.Errorf("%s SGD = %v", e.Name(), caps.SGD)
+		if got := e.Capabilities(); got != want[e.Name()] {
+			t.Errorf("%s capabilities = %+v, want %+v", e.Name(), got, want[e.Name()])
 		}
 	}
 }

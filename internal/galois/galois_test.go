@@ -1,13 +1,11 @@
 package galois
 
 import (
-	"errors"
 	"math"
 	"runtime"
 	"slices"
 	"testing"
 
-	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
@@ -80,60 +78,6 @@ func TestIdentity(t *testing.T) {
 	}
 	if !caps.SGD {
 		t.Error("Galois must support SGD (paper §3.2)")
-	}
-}
-
-func TestSingleNodeOnly(t *testing.T) {
-	g := fixtureDirected(t)
-	exec := core.Exec{Cluster: &cluster.Config{Nodes: 2}}
-	if _, err := New().PageRank(g, core.PageRankOptions{Exec: exec}); !errors.Is(err, core.ErrSingleNodeOnly) {
-		t.Errorf("PageRank err = %v", err)
-	}
-	if _, err := New().BFS(fixtureUndirected(t), core.BFSOptions{Exec: exec}); !errors.Is(err, core.ErrSingleNodeOnly) {
-		t.Errorf("BFS err = %v", err)
-	}
-	if _, err := New().TriangleCount(fixtureAcyclic(t), core.TriangleOptions{Exec: exec}); !errors.Is(err, core.ErrSingleNodeOnly) {
-		t.Errorf("TriangleCount err = %v", err)
-	}
-	if _, err := New().CollabFilter(fixtureRatings(t), core.CFOptions{Exec: exec}); !errors.Is(err, core.ErrSingleNodeOnly) {
-		t.Errorf("CollabFilter err = %v", err)
-	}
-}
-
-func TestPageRankMatchesReference(t *testing.T) {
-	g := fixtureDirected(t)
-	opt := core.PageRankOptions{Iterations: 7}
-	want := core.RefPageRank(g, opt)
-	res, err := New().PageRank(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := core.ComparePageRank(want, res.Ranks); d > 1e-9 {
-		t.Errorf("max relative diff %v", d)
-	}
-}
-
-func TestBFSMatchesReference(t *testing.T) {
-	g := fixtureUndirected(t)
-	want := core.RefBFS(g, 13)
-	res, err := New().BFS(g, core.BFSOptions{Source: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !core.EqualDistances(want, res.Distances) {
-		t.Error("distances differ from reference")
-	}
-}
-
-func TestTriangleCountMatchesReference(t *testing.T) {
-	g := fixtureAcyclic(t)
-	want := core.RefTriangleCount(g)
-	res, err := New().TriangleCount(g, core.TriangleOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count != want {
-		t.Errorf("count = %d, want %d", res.Count, want)
 	}
 }
 

@@ -40,16 +40,6 @@ var mutants = []struct {
 		at: "mass += f",
 	},
 	{
-		check: "det/pool-body-float",
-		file:  "internal/native/pagerank.go",
-		edits: [][2]string{{
-			"\tgather := backend.NewSweep(pool, int(in.NumVertices), 0, func(_, lo, hi int) {\n\t\tfor v := lo; v < hi; v++ {\n\t\t\tsum := 0.0\n",
-			"\tsum := 0.0\n\tgather := backend.NewSweep(pool, int(in.NumVertices), 0, func(_, lo, hi int) {\n\t\tfor v := lo; v < hi; v++ {\n\t\t\tsum = 0.0\n",
-		}},
-		at: "sum += (1 - opt.RandomJump) * pr[j] / float64(outDeg[j])",
-	},
-
-	{
 		check: "hotalloc/defer",
 		file:  "internal/graphlab/runtime.go",
 		edits: [][2]string{{

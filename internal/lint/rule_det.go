@@ -9,27 +9,20 @@ import (
 
 // DetRule is the determinism family. Bit-identical output across
 // engines and across GOMAXPROCS values is the repo's core contract, so
-// it flags two ways order nondeterminism sneaks in — the map-range
-// checks inside engine and checkpoint packages, the parallel kernel body
-// check in every package, since graph construction and the generator
-// dispatch on the same pool as the engines:
+// it flags one way order nondeterminism sneaks into the engine and
+// checkpoint packages: ranging over a map while feeding an
+// order-sensitive sink — calls like Send/Encode/Write, or appends into
+// state declared outside the loop. Collect-keys-then-sort is the blessed
+// idiom and is not flagged (the appended slice is passed to a sort in the
+// same function). Floating-point accumulation into an outer scalar under
+// map order is flagged too.
 //
-//   - ranging over a map while feeding an order-sensitive sink: calls
-//     like Send/Encode/Write, or appends into state declared outside the
-//     loop. Collect-keys-then-sort is the blessed idiom and is not
-//     flagged (the appended slice is passed to a sort in the same
-//     function). Floating-point accumulation into an outer scalar under
-//     map order is flagged too.
-//   - floating-point accumulation into a shared scalar inside a
-//     parallel kernel body (par.For, par.RunnerFunc,
-//     backend.NewDense/NewSweep): float
-//     addition is not associative, so reduction order must be fixed per
-//     worker, not raced over.
-//
-// Wall-clock reads and the global math/rand generator are not its
-// business: the root TestEnginesOwnNoClockOrPool keeps time out of the
-// engine packages, and the generator's and engines' pinned outputs
-// change when a kernel body draws from either.
+// Wall-clock reads, the global math/rand generator and float
+// accumulation raced across a parallel kernel body are not its business:
+// the root TestEnginesOwnNoClockOrPool keeps time out of the engine
+// packages, the generator's and engines' pinned outputs change when a
+// kernel body draws from either, and the race detector and the
+// cross-pool tests see a shared accumulator.
 type DetRule struct{}
 
 // Name implements Rule.
@@ -42,7 +35,9 @@ func (*DetRule) Doc() string {
 
 // Check implements Rule.
 func (r *DetRule) Check(p *Package, report func(pos token.Pos, format string, args ...any)) {
-	scoped := isEngine(p.Rel) || strings.Contains(p.Rel, "ckpt")
+	if !isEngine(p.Rel) && !strings.Contains(p.Rel, "ckpt") {
+		return
+	}
 	reported := make(map[token.Pos]bool)
 	flag := func(pos token.Pos, format string, args ...any) {
 		if !reported[pos] {
@@ -56,10 +51,7 @@ func (r *DetRule) Check(p *Package, report func(pos token.Pos, format string, ar
 			if !ok || fn.Body == nil {
 				continue
 			}
-			r.checkParBodies(p, fn, flag)
-			if scoped {
-				r.checkMapRanges(p, fn, flag)
-			}
+			r.checkMapRanges(p, fn, flag)
 		}
 	}
 }
@@ -222,68 +214,4 @@ func sortedLater(p *Package, body *ast.BlockStmt, obj types.Object) bool {
 		return true
 	})
 	return found
-}
-
-// checkParBodies scans the parallel kernel bodies (forEachParBody) for
-// shared float accumulation.
-func (r *DetRule) checkParBodies(p *Package, fn *ast.FuncDecl,
-	flag func(pos token.Pos, format string, args ...any)) {
-	forEachParBody(p, fn.Body, func(callName string, lit *ast.FuncLit) {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			s, ok := n.(*ast.AssignStmt)
-			if !ok || (s.Tok != token.ADD_ASSIGN && s.Tok != token.SUB_ASSIGN && s.Tok != token.MUL_ASSIGN) {
-				return true
-			}
-			for _, lhs := range s.Lhs {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok || !isFloatExpr(p, lhs) {
-					continue
-				}
-				if obj := p.Info.Uses[id]; obj != nil && !within(obj.Pos(), lit) {
-					flag(s.Pos(), "floating-point accumulation into %s, captured from outside a %s body: reduction order depends on scheduling; accumulate per worker and combine in a fixed order", id.Name, callName)
-				}
-			}
-			return true
-		})
-	})
-}
-
-// forEachParBody finds every call inside body that takes a parallel
-// kernel body — par.For(...), a closure handed to a pool as
-// par.RunnerFunc(...), and the backend.NewDense / backend.NewSweep passes
-// where the served kernels live — and yields each function-literal
-// argument: the hot parallel kernel bodies the det and hotalloc rules
-// scope to.
-func forEachParBody(p *Package, body *ast.BlockStmt, visit func(callName string, lit *ast.FuncLit)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		pkgName, ok := p.Info.Uses[id].(*types.PkgName)
-		if !ok {
-			return true
-		}
-		pkg, name := pkgName.Imported().Name(), sel.Sel.Name
-		switch {
-		case pkg == "par" && (name == "For" || name == "RunnerFunc"):
-		case pkg == "backend" && (name == "NewDense" || name == "NewSweep"):
-		default:
-			return true
-		}
-		for _, arg := range call.Args {
-			if lit, ok := arg.(*ast.FuncLit); ok {
-				visit(pkg+"."+name, lit)
-			}
-		}
-		return true
-	})
 }

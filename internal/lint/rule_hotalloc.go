@@ -122,3 +122,42 @@ func isInterface(t types.Type) bool {
 	_, param := types.Unalias(t).(*types.TypeParam)
 	return !param && types.IsInterface(t)
 }
+
+// forEachParBody finds every call inside body that takes a parallel
+// kernel body — par.For(...), a closure handed to a pool as
+// par.RunnerFunc(...), and the backend.NewDense / backend.NewSweep passes
+// where the served kernels live — and yields each function-literal
+// argument: the hot parallel kernel bodies the hotalloc rule scopes to.
+func forEachParBody(p *Package, body *ast.BlockStmt, visit func(callName string, lit *ast.FuncLit)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		id, ok := sel.X.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		pkgName, ok := p.Info.Uses[id].(*types.PkgName)
+		if !ok {
+			return true
+		}
+		pkg, name := pkgName.Imported().Name(), sel.Sel.Name
+		switch {
+		case pkg == "par" && (name == "For" || name == "RunnerFunc"):
+		case pkg == "backend" && (name == "NewDense" || name == "NewSweep"):
+		default:
+			return true
+		}
+		for _, arg := range call.Args {
+			if lit, ok := arg.(*ast.FuncLit); ok {
+				visit(pkg+"."+name, lit)
+			}
+		}
+		return true
+	})
+}

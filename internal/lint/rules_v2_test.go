@@ -113,24 +113,6 @@ func Flush(c *conn, m map[int][]byte) {
 	}
 }
 
-func TestDetFlagsSharedFloatAccumulationInParBody(t *testing.T) {
-	p := loadFixture(t, "internal/native", map[string]string{"a.go": `package native
-
-import "graphmaze/internal/par"
-
-func Total(n int, xs []float64) float64 {
-	var sum float64
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sum += xs[i]
-		}
-	})
-	return sum
-}
-`})
-	wantFinding(t, runRule(t, p, &DetRule{}), "internal/native/a.go", 9, "det")
-}
-
 // --------------------------------------------------------------- lock --
 
 func TestLockFlagsLeakOnEarlyReturn(t *testing.T) {
@@ -389,30 +371,6 @@ func Local() int {
 	if got := runRule(t, p, &LockRule{}); len(got) != 0 {
 		t.Fatalf("constructors, caller-holds helpers, and local values are exempt, got %v", got)
 	}
-}
-
-// TestDetSeesBackendPoolBodies pins the matcher extension: the kernels
-// live in backend.NewDense/NewSweep bodies, so a float accumulation raced
-// across a dense pass must be flagged like one in a par.For body.
-func TestDetSeesBackendPoolBodies(t *testing.T) {
-	p := loadFixture(t, "internal/native", map[string]string{"a.go": `package native
-
-import (
-	"graphmaze/internal/backend"
-	"graphmaze/internal/par"
-)
-
-func Sum(pool *par.Pool, xs []float64) float64 {
-	total := 0.0
-	backend.NewDense(pool, len(xs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			total += xs[i]
-		}
-	})
-	return total
-}
-`})
-	wantFinding(t, runRule(t, p, &DetRule{}), "internal/native/a.go", 12, "det")
 }
 
 // ----------------------------------------------------------- hotalloc --

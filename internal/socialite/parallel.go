@@ -151,9 +151,7 @@ func evalSharded(pool *par.Pool, rule *Rule, lo, hi uint32, delta []uint32, owne
 }
 
 // evalDirect evaluates without routing buffers, folding each emission
-// immediately — the single-worker (and global-aggregate) path. SociaLite
-// compiles rules to tight loops; the hot shape the matcher recognises
-// avoids the generic recursive evaluator entirely.
+// immediately — the single-worker (and global-aggregate) path.
 func evalDirect(rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) int, selfNode int, trackChanged bool) (EvalStats, error) {
 	var stats EvalStats
 	sink := func(key uint32, val Value) {
@@ -171,39 +169,7 @@ func evalDirect(rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) in
 			stats.RemoteBytes += int64(4 + 8*width)
 		}
 	}
-	if sh, ok := matchEdgeShape(rule); ok {
-		sh.evalCompiled(lo, hi, delta, sink)
-	} else {
-		rule.evalDriver(rule.newEnv(), lo, hi, delta, sink)
-	}
+	rule.evalDriver(rule.newEnv(), lo, hi, delta, sink)
 	stats.Changed = dedup(stats.Changed)
 	return stats, nil
-}
-
-// evalCompiled is the moral equivalent of SociaLite's rule-to-Java
-// compilation for the matched shape: the loop-invariant prefix evaluates
-// once per source, the inner loop is a plain scan over the adjacency list.
-func (s *edgeShape) evalCompiled(lo, hi uint32, delta []uint32, sink emit) {
-	env := s.rule.newEnv()
-	edge := s.edge.Table
-	visit := func(src uint32) {
-		val, ok := s.sourceValue(env, src)
-		if !ok || isNaN(val) {
-			return
-		}
-		for _, dst := range edge.Neighbors(src) {
-			sink(dst, val)
-		}
-	}
-	if delta != nil {
-		for _, key := range delta {
-			if key >= lo && key < hi {
-				visit(key)
-			}
-		}
-		return
-	}
-	for key := lo; key < hi; key++ {
-		visit(key)
-	}
 }
