@@ -142,8 +142,8 @@ var referenceCF = CFOptions{K: 8, Iterations: 4, Seed: 7}
 
 // referenceInputs are the table's inputs: scale-10 RMATs and ratings from
 // seeds 42–45 (one per algorithm), then scale-7 RMATs from each of seeds
-// 100–105 with the BFS source seed mod n, and scale-9 ratings (the
-// smallest scale whose degree filter keeps ratings) from the same seed.
+// 100–105 with the BFS source seed mod n, and scale-9 ratings from the
+// same seed.
 func referenceInputs(t *testing.T) []referenceInput {
 	t.Helper()
 	build := func(name string, scale, edgeFactor, tcEdgeFactor, cfScale int, seeds [4]int64, source func(n uint32) uint32) referenceInput {
@@ -305,44 +305,6 @@ func TestEnginesMatchReference(t *testing.T) {
 						}
 					}
 				})
-			}
-		}
-	}
-}
-
-// TestRandomizedEngineAgreement: a randomized property over seeds — every
-// engine must agree with the reference on arbitrary RMAT inputs, not just
-// the fixed fixtures.
-func TestRandomizedEngineAgreement(t *testing.T) {
-	for seed := int64(100); seed < 106; seed++ {
-		tcG, err := Generate(Graph500{Scale: 7, EdgeFactor: 6, Seed: seed}, ForTriangles)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bfsG, err := Generate(Graph500{Scale: 7, EdgeFactor: 6, Seed: seed}, ForBFS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantTC := core.RefTriangleCount(tcG)
-		source := uint32(seed) % bfsG.NumVertices
-		wantBFS := core.RefBFS(bfsG, source)
-		for _, eng := range Engines() {
-			tc, err := eng.TriangleCount(tcG, TriangleOptions{})
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, eng.Name(), err)
-			}
-			if tc.Count != wantTC {
-				t.Errorf("seed %d: %s counts %d, want %d", seed, eng.Name(), tc.Count, wantTC)
-			}
-			bfs, err := eng.BFS(bfsG, BFSOptions{Source: source})
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, eng.Name(), err)
-			}
-			if !core.EqualDistances(wantBFS, bfs.Distances) {
-				t.Errorf("seed %d: %s BFS differs", seed, eng.Name())
-			}
-			if err := core.ValidateBFS(bfsG, source, bfs.Distances); err != nil {
-				t.Errorf("seed %d: %s BFS fails Graph500 validation: %v", seed, eng.Name(), err)
 			}
 		}
 	}

@@ -82,7 +82,7 @@ func TestTimedRegionIsTheKernel(t *testing.T) {
 // failure here, not a profile finding later.
 var serialInTimedRegion = map[string]string{
 	"combblas.CollabFilter": "serial single-node passes; the float fold order is pinned by the CF goldens",
-	"graphlab.CollabFilter": "serial gather and apply; the float fold order is pinned by the CF goldens and the native-trajectory test",
+	"graphlab.CollabFilter": "serial gather and apply; the float fold order is pinned by the CF goldens and the reference table's GraphLab/1-node/cf-gd cell",
 }
 
 // TestClusterRunsTraceFromExecAlone pins core.Exec's contract that a tracer

@@ -284,6 +284,34 @@ func TestRatingsGenerator(t *testing.T) {
 	}
 }
 
+// TestDefaultRatingsSmallScales: below scale 8 the item count is floored
+// at 8, so scales 5–7 keep ratings for every seed; from scale 8 up it is
+// 2^(scale-5), the paper's users-per-item ratio, so those inputs (and the
+// CF goldens built on them) do not move.
+func TestDefaultRatingsSmallScales(t *testing.T) {
+	for scale := 5; scale <= 7; scale++ {
+		for _, seed := range []int64{7, 31, 100} {
+			cfg := DefaultRatingsConfig(scale, 16, seed)
+			if cfg.NumItems != 8 {
+				t.Errorf("scale %d: %d items, want 8", scale, cfg.NumItems)
+			}
+			bp, err := Ratings(cfg)
+			if err != nil {
+				t.Errorf("scale %d seed %d: %v", scale, seed, err)
+				continue
+			}
+			if bp.NumRatings() == 0 {
+				t.Errorf("scale %d seed %d: no ratings", scale, seed)
+			}
+		}
+	}
+	for scale := 8; scale <= 20; scale++ {
+		if got, want := DefaultRatingsConfig(scale, 16, 1).NumItems, uint32(1)<<(scale-5); got != want {
+			t.Errorf("scale %d: %d items, want %d", scale, got, want)
+		}
+	}
+}
+
 func TestRatingsDeterministic(t *testing.T) {
 	cfg := DefaultRatingsConfig(9, 16, 5)
 	a, err := Ratings(cfg)

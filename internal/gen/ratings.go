@@ -25,17 +25,20 @@ type RatingsConfig struct {
 // DefaultRatingsConfig mirrors the paper's setup at a reduced scale:
 // ratings ≈ ratingsPerUser × 2^scale, items = 2^(scale-5) (Netflix has
 // ~27 users per item; a power of two keeps the fold on bit boundaries so
-// the RMAT column skew survives), 1–5 star ratings, min degree 5.
+// the RMAT column skew survives), 1–5 star ratings, min degree 5. Items
+// never drop below 8, the smallest power of two ≥ the min degree: with
+// fewer, no user could rate enough distinct items to pass the filter.
 func DefaultRatingsConfig(scale int, ratingsPerUser int, seed int64) RatingsConfig {
-	items := uint32(1)
-	if scale > 5 {
+	const minDegree = 5
+	items := uint32(8)
+	if scale > 8 {
 		items = uint32(1) << uint(scale-5)
 	}
 	return RatingsConfig{
 		Scale:      scale,
 		NumItems:   items,
 		NumRatings: int64(ratingsPerUser) << uint(scale),
-		MinDegree:  5,
+		MinDegree:  minDegree,
 		Seed:       seed,
 		MinRating:  1,
 		MaxRating:  5,

@@ -443,12 +443,3 @@ func (g *CSR) OutDegrees() []int64 {
 	}
 	return d
 }
-
-// InDegrees counts how many stored edges point at each target id.
-func (g *CSR) InDegrees() []int64 {
-	d := make([]int64, g.targetSpace)
-	for _, t := range g.Targets {
-		d[t]++
-	}
-	return d
-}

@@ -81,34 +81,6 @@ func (p *Partition1D) SendIDs(g *CSR) (sendIDs [][][]uint32) {
 	return sendIDs
 }
 
-// ReplicatedPartition is 1-D vertex partitioning plus replication of
-// high-degree vertices on every node, GraphLab's mitigation for power-law
-// load imbalance (paper §6.1.1, "Partitioning schemes"). Replicated
-// vertices receive local partial aggregations that are combined once per
-// round instead of once per edge.
-type ReplicatedPartition struct {
-	Base *Partition1D
-	// Replicated is the sorted list of vertex ids mirrored on all nodes.
-	Replicated []uint32
-}
-
-// NewReplicatedPartition replicates every vertex whose degree (in g's
-// stored orientation plus in-degree) exceeds degreeThreshold.
-func NewReplicatedPartition(g *CSR, parts int, degreeThreshold int64) (*ReplicatedPartition, error) {
-	base, err := NewPartition1D(g, parts)
-	if err != nil {
-		return nil, err
-	}
-	in := g.InDegrees()
-	rp := &ReplicatedPartition{Base: base}
-	for v := uint32(0); v < g.NumVertices; v++ {
-		if g.Degree(v)+in[v] > degreeThreshold {
-			rp.Replicated = append(rp.Replicated, v)
-		}
-	}
-	return rp, nil
-}
-
 // Partition2D is CombBLAS's edge partitioning: the adjacency matrix is cut
 // into an r×r block grid (r=√parts) and node (i,j) owns block (i,j). The
 // process count must be a perfect square (paper §4.3).

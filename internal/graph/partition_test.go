@@ -170,25 +170,6 @@ func TestGhostPlanCoversBoundaryEdges(t *testing.T) {
 	}
 }
 
-func TestReplicatedPartition(t *testing.T) {
-	// Star graph: vertex 0 is the hub.
-	edges := make([]Edge, 0, 40)
-	for v := uint32(1); v < 21; v++ {
-		edges = append(edges, Edge{0, v}, Edge{v, 0})
-	}
-	g, err := FromEdges(21, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := NewReplicatedPartition(g, 3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rp.Replicated) != 1 || rp.Replicated[0] != 0 {
-		t.Errorf("Replicated = %v, want just the hub", rp.Replicated)
-	}
-}
-
 func TestPartition2D(t *testing.T) {
 	p, err := NewPartition2D(100, 9)
 	if err != nil {

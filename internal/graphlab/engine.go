@@ -12,10 +12,6 @@ import (
 	"graphmaze/internal/trace"
 )
 
-// replicationDegree is the total-degree threshold above which a vertex is
-// mirrored on every node (GraphLab's power-law mitigation, §6.1.1).
-const replicationDegree = 512
-
 // Engine is the GraphLab-model engine.
 type Engine struct{}
 
@@ -57,9 +53,8 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	if err != nil {
 		return nil, err
 	}
-	in := g.Transpose()
+	in, outDeg := g.Transpose(), g.OutDegrees()
 	if opt.Exec.Cluster == nil {
-		outDeg := g.OutDegrees()
 		var ranks []float64
 		stats := opt.Exec.Local(func(pool *par.Pool, tr *trace.Tracer) int {
 			ranks = pageRankLowered(pool, in, outDeg, opt, tr)
@@ -73,11 +68,11 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	if err != nil {
 		return nil, err
 	}
-	rp, err := graph.NewReplicatedPartition(g, c.Nodes(), replicationDegree)
+	part, err := graph.NewPartition1D(g, c.Nodes())
 	if err != nil {
 		return nil, err
 	}
-	res, err := runCluster(g, in, spec, c, rp)
+	res, err := runCluster(g, in, outDeg, spec, c, part)
 	if err != nil {
 		return nil, err
 	}
@@ -156,6 +151,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	if !g.Symmetrized() {
 		in = g.Transpose()
 	}
+	outDeg := g.OutDegrees()
 	spec := bfsSpec(opt.Source)
 	spec.Tracer = opt.Exec.Tracer()
 	finish := func(res runResult[int32], stats core.RunStats) *core.BFSResult {
@@ -170,7 +166,6 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 		return &core.BFSResult{Distances: dist, Stats: stats}
 	}
 	if opt.Exec.Cluster == nil {
-		outDeg := g.OutDegrees()
 		var res runResult[int32]
 		stats := opt.Exec.Local(func(pool *par.Pool, _ *trace.Tracer) int {
 			res = runLocal(pool, g, in, outDeg, spec)
@@ -182,11 +177,11 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	if err != nil {
 		return nil, err
 	}
-	rp, err := graph.NewReplicatedPartition(g, c.Nodes(), replicationDegree)
+	part, err := graph.NewPartition1D(g, c.Nodes())
 	if err != nil {
 		return nil, err
 	}
-	res, err := runCluster(g, in, spec, c, rp)
+	res, err := runCluster(g, in, outDeg, spec, c, part)
 	if err != nil {
 		return nil, err
 	}

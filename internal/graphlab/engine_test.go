@@ -1,6 +1,7 @@
 package graphlab
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -59,24 +60,21 @@ func acyclicRMAT(t testing.TB, scale int, seed int64) *graph.CSR {
 	return g
 }
 
-func fixtureRatings(t testing.TB) *graph.Bipartite {
+// symmetrizedRMAT is a Graph500 RMAT graph at the given scale with every
+// edge's reverse stored.
+func symmetrizedRMAT(t testing.TB, scale int, seed int64) *graph.CSR {
 	t.Helper()
-	bp, err := gen.Ratings(gen.DefaultRatingsConfig(8, 16, 24))
+	edges, err := gen.RMAT(gen.Graph500Config(scale, 16, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bp
-}
-
-func TestIdentity(t *testing.T) {
-	e := New()
-	if e.Name() != "GraphLab" {
-		t.Errorf("Name = %q", e.Name())
+	b := graph.NewBuilder(1 << scale)
+	b.AddEdges(edges)
+	g, err := b.Build(graph.BuildOptions{Orientation: graph.Symmetrize, Dedup: true, DropSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	caps := e.Capabilities()
-	if !caps.MultiNode || caps.SGD || caps.ProgrammingModel != "vertex" {
-		t.Errorf("capabilities = %+v", caps)
-	}
+	return g
 }
 
 // TestPageRankCluster: GraphLab uses sockets, so a cluster run's achieved
@@ -97,16 +95,7 @@ func TestPageRankCluster(t *testing.T) {
 // it — the distances are the reference's, and one run allocates less than
 // the graph occupies, which a transpose alone would.
 func TestBFSSymmetrizedReadsItsOwnRows(t *testing.T) {
-	edges, err := gen.RMAT(gen.Graph500Config(12, 16, 24))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := graph.NewBuilder(1 << 12)
-	b.AddEdges(edges)
-	g, err := b.Build(graph.BuildOptions{Orientation: graph.Symmetrize, Dedup: true, DropSelfLoops: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := symmetrizedRMAT(t, 12, 24)
 	if !g.Symmetrized() {
 		t.Fatal("a Symmetrize build does not report Symmetrized")
 	}
@@ -173,41 +162,6 @@ func TestTriangleLocalAtAnyPoolSize(t *testing.T) {
 	}
 }
 
-func TestCollabFilterGD(t *testing.T) {
-	bp := fixtureRatings(t)
-	res, err := New().CollabFilter(bp, core.CFOptions{K: 8, Iterations: 5, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.RMSE) != 5 {
-		t.Fatalf("RMSE entries = %d", len(res.RMSE))
-	}
-	if !core.MonotonicallyNonIncreasing(res.RMSE, 1e-3) {
-		t.Errorf("GD RMSE not decreasing: %v", res.RMSE)
-	}
-}
-
-func TestCollabFilterMatchesNativeGDTrajectory(t *testing.T) {
-	// Same update rule, same seed → same trajectory as the serial
-	// reference (modulo float ordering).
-	bp := fixtureRatings(t)
-	opt := core.CFOptions{K: 4, Iterations: 3, Seed: 11}
-	ref := core.RefCollabFilterGD(bp, opt)
-	res, err := New().CollabFilter(bp, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref.RMSE {
-		diff := ref.RMSE[i] - res.RMSE[i]
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > 1e-3 {
-			t.Errorf("iteration %d: RMSE %v vs reference %v", i, res.RMSE[i], ref.RMSE[i])
-		}
-	}
-}
-
 // TestLoweredPageRankMatchesRunLocal: the lowered PageRank (the shared
 // backend sweep, run in place) equals the generic GAS runtime running
 // pageRankSpec, bit for bit, on pools of 1 and 3 workers: the same
@@ -246,5 +200,66 @@ func TestRunLocalQuiescence(t *testing.T) {
 	res := runLocal(pool, g, in, g.OutDegrees(), spec)
 	if res.rounds != 1 {
 		t.Errorf("rounds = %d, want 1", res.rounds)
+	}
+}
+
+// driverRuns runs spec through the pool driver on pools of 1 and 3
+// workers and through the node driver on 1 and 4 simulated nodes.
+func driverRuns[V, G any](t *testing.T, g, in *graph.CSR, outDeg []int64, spec Spec[V, G]) map[string]runResult[V] {
+	t.Helper()
+	runs := map[string]runResult[V]{}
+	for _, workers := range []int{1, 3} {
+		pool := par.NewPool(workers)
+		runs[fmt.Sprintf("pool of %d", workers)] = runLocal(pool, g, in, outDeg, spec)
+		pool.Close()
+	}
+	for _, nodes := range []int{1, 4} {
+		c, err := newCluster(cluster.Config{Nodes: nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := graph.NewPartition1D(g, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := runCluster(g, in, outDeg, spec, c, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[fmt.Sprintf("%d nodes", nodes)] = res
+	}
+	return runs
+}
+
+// sameRuns fails unless every run took the rounds and produced the value
+// bits of the pool-of-1 run.
+func sameRuns[V any](t *testing.T, algo string, runs map[string]runResult[V], bits func(V) uint64) {
+	t.Helper()
+	want := runs["pool of 1"]
+	for name, got := range runs {
+		if got.rounds != want.rounds {
+			t.Errorf("%s: %s ran %d rounds, a pool of 1 %d", algo, name, got.rounds, want.rounds)
+		}
+		for v := range want.vals {
+			if bits(got.vals[v]) != bits(want.vals[v]) {
+				t.Errorf("%s: vertex %d is %v on %s, %v on a pool of 1", algo, v, got.vals[v], name, want.vals[v])
+				break
+			}
+		}
+	}
+}
+
+// TestGASDriversAgree: the pool driver and the node driver run the same
+// rounds of one engine, so PageRank and BFS values are bit-identical on
+// pools of 1 and 3 workers and on 1 and 4 nodes.
+func TestGASDriversAgree(t *testing.T) {
+	g := symmetrizedRMAT(t, 12, 24)
+	in, outDeg := g.Transpose(), g.OutDegrees()
+	pr := driverRuns(t, g, in, outDeg, pageRankSpec(core.PageRankOptions{Iterations: 6, RandomJump: 0.3}))
+	sameRuns(t, "pagerank", pr, math.Float64bits)
+	bfs := driverRuns(t, g, in, outDeg, bfsSpec(0))
+	sameRuns(t, "bfs", bfs, func(d int32) uint64 { return uint64(uint32(d)) })
+	if r := bfs["pool of 1"].rounds; r < 3 {
+		t.Errorf("bfs ran %d rounds: the input does not exercise the active set", r)
 	}
 }

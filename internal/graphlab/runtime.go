@@ -1,7 +1,6 @@
 // Package graphlab reimplements GraphLab's programming model (paper §3):
 // synchronous Gather-Apply-Scatter vertex programs over a 1-D vertex
-// partitioning with replication of high-degree vertices, communicating
-// through TCP sockets. Algorithms are written as vertex programs against
+// partitioning, communicating through TCP sockets. Algorithms are written as vertex programs against
 // the generic runtime in this file; the per-edge abstraction cost (closure
 // calls, generic accumulators) is the realistic price of the model that
 // the paper measures at 3–9× native.
@@ -62,40 +61,57 @@ type runResult[V any] struct {
 	rounds int
 }
 
-// runLocal executes the program on the host: each round gathers over
-// in-edges of active vertices in parallel, applies, and schedules
-// (GraphLab's synchronous engine uses every core). The sweep runs on the
-// call's backend pool with persistent scratch — staged values and a
-// byte-granular changed flag are written at distinct vertex indices by
-// concurrent workers, and the next-round active set is claimed with
-// atomic bit sets — so steady-state rounds do not allocate.
-func runLocal[V, G any](pool *par.Pool, g, in *graph.CSR, outDeg []int64, spec Spec[V, G]) runResult[V] {
+// gas is the state of one synchronous GAS run, shared by both drivers:
+// the committed values, the values staged this round with a byte-granular
+// changed flag per vertex, and the active sets of this round and the next.
+// Every gather in a round reads the committed values; commit writes back
+// only the vertices that changed.
+type gas[V, G any] struct {
+	spec               Spec[V, G]
+	vals, staged       []V
+	changed            []byte
+	active, nextActive *bitvec.Vector
+	rounds             int
+	// sweep runs the per-vertex gather, apply and activate over a vertex
+	// range: the pool driver runs it whole, the node driver one owned range
+	// at a time. Concurrent chunks write staged values and changed flags
+	// at distinct vertex indices and claim next-round vertices with atomic
+	// bit sets, so steady-state rounds do not allocate.
+	sweep *backend.Sweep
+}
+
+// newGAS builds a run's state and its sweep. pool may be nil when only
+// RunChunk drives the sweep.
+func newGAS[V, G any](pool *par.Pool, g, in *graph.CSR, outDeg []int64, spec Spec[V, G]) *gas[V, G] {
 	n := g.NumVertices
-	vals := make([]V, n)
-	for i := range vals {
-		vals[i] = spec.Init(uint32(i))
+	e := &gas[V, G]{
+		spec:       spec,
+		vals:       make([]V, n),
+		staged:     make([]V, n),
+		changed:    make([]byte, n),
+		active:     bitvec.New(n),
+		nextActive: bitvec.New(n),
 	}
-	active := bitvec.New(n)
+	for i := range e.vals {
+		e.vals[i] = spec.Init(uint32(i))
+	}
 	if spec.InitialActive == nil {
 		for v := uint32(0); v < n; v++ {
-			active.Set(v)
+			e.active.Set(v)
 		}
 	} else {
 		for _, v := range spec.InitialActive {
-			active.Set(v)
+			e.active.Set(v)
 		}
 	}
-	anyActive := active.Count() > 0
-
-	staged := make([]V, n)
-	changed := make([]byte, n)
-	nextActive := bitvec.New(n)
 	// The sweep's per-vertex cost is the in-degree gather plus the
 	// out-degree scatter — skewed on power-law graphs, and further warped
 	// by the active set — so chunks are claimed dynamically. The body is
-	// built once; active/nextActive swap by variable, which the closure
-	// observes.
-	sweep := backend.NewSweep(pool, int(n), 0, func(_, lo, hi int) {
+	// built once; commit swaps the active sets, which each chunk reads
+	// afresh.
+	e.sweep = backend.NewSweep(pool, int(n), 0, func(_, lo, hi int) {
+		vals, staged, changed := e.vals, e.staged, e.changed
+		active, nextActive := e.active, e.nextActive
 		for v := uint32(lo); v < uint32(hi); v++ {
 			if !active.Get(v) {
 				continue
@@ -126,53 +142,63 @@ func runLocal[V, G any](pool *par.Pool, g, in *graph.CSR, outDeg []int64, spec S
 			}
 		}
 	})
+	return e
+}
 
-	rounds := 0
+// next reports whether another round runs — some vertex is active and
+// the round bound, if any, is not reached — and counts it.
+func (e *gas[V, G]) next() bool {
+	if e.active.Count() == 0 || (e.spec.MaxIterations > 0 && e.rounds >= e.spec.MaxIterations) {
+		return false
+	}
+	e.rounds++
+	return true
+}
+
+// commit ends a round after its sweep: a serial scan writes the staged
+// values back, clearing the changed flags, and the next round's active set
+// becomes current. It returns how many vertices changed.
+func (e *gas[V, G]) commit() int {
+	count := 0
+	for v, ch := range e.changed {
+		if ch != 0 {
+			e.vals[v] = e.staged[v]
+			e.changed[v] = 0
+			count++
+		}
+	}
+	e.active, e.nextActive = e.nextActive, e.active
+	e.nextActive.Reset()
+	return count
+}
+
+// runLocal is the pool driver: each round sweeps every active vertex on
+// the call's pool (GraphLab's synchronous engine uses every core).
+func runLocal[V, G any](pool *par.Pool, g, in *graph.CSR, outDeg []int64, spec Spec[V, G]) runResult[V] {
+	e := newGAS(pool, g, in, outDeg, spec)
 	// changedHist tracks how many vertices each sweep actually moved — the
 	// convergence-shape distribution behind the sweep spans.
 	changedHist := spec.Tracer.Registry().Hist("graphlab.sweep.changed")
-	for anyActive {
-		if spec.MaxIterations > 0 && rounds >= spec.MaxIterations {
-			break
-		}
-		rounds++
-		sweepSpan := spec.Tracer.Begin("graphlab.sweep", "sweep").Arg("round", float64(rounds))
-		nextActive.Reset()
-		sweep.Run()
-		// Serial apply scan: commit staged values, count and clear flags.
-		changedCount := 0
-		for v, ch := range changed {
-			if ch != 0 {
-				vals[v] = staged[v]
-				changed[v] = 0
-				changedCount++
-			}
-		}
-		sweepSpan.Arg("changed", float64(changedCount)).End()
-		changedHist.Record(0, int64(changedCount))
-		active, nextActive = nextActive, active
-		anyActive = active.Count() > 0
+	for e.next() {
+		sweepSpan := spec.Tracer.Begin("graphlab.sweep", "sweep").Arg("round", float64(e.rounds))
+		e.sweep.Run()
+		changed := e.commit()
+		sweepSpan.Arg("changed", float64(changed)).End()
+		changedHist.Record(0, int64(changed))
 	}
-	return runResult[V]{vals: vals, rounds: rounds}
+	return runResult[V]{vals: e.vals, rounds: e.rounds}
 }
 
-// runCluster executes the program on a simulated cluster: per round each
-// node gathers and applies its owned active vertices, then pushes changed
-// boundary values to consumers (GraphLab's ghost synchronization, with
-// local reduction so each value crosses each node pair at most once —
-// the "limited form of compression" of §6.1.1). GraphLab ships no delta
-// coding: every ghost update costs 4 id bytes + ValueBytes.
-func runCluster[V, G any](g *graph.CSR, in *graph.CSR, spec Spec[V, G], c *cluster.Cluster, replicated *graph.ReplicatedPartition) (runResult[V], error) {
-	part := replicated.Base
-	n := g.NumVertices
-	outDeg := g.OutDegrees()
-	vals := make([]V, n)
-	for i := range vals {
-		vals[i] = spec.Init(uint32(i))
-	}
+// runCluster is the node driver, on a simulated cluster: per round each
+// node sweeps its owned range of part, then pushes changed boundary values
+// to consumers (GraphLab's ghost synchronization). Each changed value is
+// charged once per consumer node, however many of that node's gathers read
+// it — the local reduction that is the "limited form of compression" of
+// §6.1.1. GraphLab ships no delta coding: every ghost update costs 4 id
+// bytes + ValueBytes.
+func runCluster[V, G any](g, in *graph.CSR, outDeg []int64, spec Spec[V, G], c *cluster.Cluster, part *graph.Partition1D) (runResult[V], error) {
 	// sendIDs[s][d]: the vertices owned by s whose values d's gathers read.
 	sendIDs := part.SendIDs(g)
-
 	for node := 0; node < c.Nodes(); node++ {
 		lo, hi := part.Range(node)
 		edges := in.Offsets[hi] - in.Offsets[lo]
@@ -183,89 +209,22 @@ func runCluster[V, G any](g *graph.CSR, in *graph.CSR, spec Spec[V, G], c *clust
 		c.SetBaselineMemory(node, edges*8+int64(hi-lo)*int64(spec.ValueBytes+16)+ghost)
 	}
 
-	active := make([]bool, n)
-	anyActive := false
-	if spec.InitialActive == nil {
-		for i := range active {
-			active[i] = true
-		}
-		anyActive = n > 0
-	} else {
-		for _, v := range spec.InitialActive {
-			active[v] = true
-			anyActive = true
-		}
-	}
-
-	// Round-persistent scratch, cleared (not reallocated) per round.
-	changed := make([]bool, n)
-	staged := make([]V, n)
-	nextActive := make([]bool, n)
-	rounds := 0
-	for anyActive {
-		if spec.MaxIterations > 0 && rounds >= spec.MaxIterations {
-			break
-		}
-		rounds++
-		for i := range nextActive {
-			nextActive[i] = false
-		}
-		for i := range changed {
-			changed[i] = false
-		}
-		// Synchronous engine: stage values so every node's gathers observe
-		// the previous round.
-		copy(staged, vals)
-		nextAny := false
+	e := newGAS(nil, g, in, outDeg, spec)
+	for e.next() {
 		roundStart := c.VirtualSeconds()
 		err := c.RunPhase(func(node int) error {
 			lo, hi := part.Range(node)
-			for v := lo; v < hi; v++ {
-				if !active[v] {
-					continue
-				}
-				acc := spec.GatherZero()
-				row, wts := in.Neighbors(v), in.EdgeWeights(v)
-				for i, src := range row {
-					var w float32 = 1
-					if wts != nil {
-						w = wts[i]
-					}
-					acc = spec.Gather(acc, src, vals[src], outDeg[src], w)
-				}
-				nv, didChange, act := spec.Apply(v, vals[v], acc, len(row) > 0)
-				if didChange {
-					staged[v] = nv
-					changed[v] = true
-				}
-				switch act {
-				case ActivateSelf:
-					nextActive[v] = true
-					nextAny = true
-				case ActivateNeighbors:
-					for _, t := range g.Neighbors(v) {
-						nextActive[t] = true
-					}
-					if g.Degree(v) > 0 {
-						nextAny = true
-					}
-				}
-			}
-			// Ghost sync: changed boundary values flow to consumers.
-			for d := 0; d < c.Nodes(); d++ {
-				ids := sendIDs[node][d]
-				if len(ids) == 0 {
-					continue
-				}
+			e.sweep.RunChunk(0, int(lo), int(hi))
+			// Ghost sync: changed boundary values flow to consumers as
+			// (id, value) pairs.
+			for _, ids := range sendIDs[node] {
 				var count int64
 				for _, v := range ids {
-					if changed[v] {
+					if e.changed[v] != 0 {
 						count++
 					}
 				}
 				if count > 0 {
-					// Values travel as (id, value) pairs; replicated
-					// vertices instead ship a partial aggregate once.
 					c.Account(node, count*int64(4+spec.ValueBytes), 1)
 				}
 			}
@@ -276,20 +235,12 @@ func runCluster[V, G any](g *graph.CSR, in *graph.CSR, spec Spec[V, G], c *clust
 		if err != nil {
 			return runResult[V]{}, err
 		}
-		var changedCount float64
-		for _, ch := range changed {
-			if ch {
-				changedCount++
-			}
-		}
+		changed := e.commit()
 		spec.Tracer.RecordVirtual(trace.PidEngine, "graphlab.sweep",
-			fmt.Sprintf("sweep %d", rounds), roundStart, c.VirtualSeconds()-roundStart,
-			map[string]float64{"changed": changedCount})
-		copy(vals, staged)
-		active, nextActive = nextActive, active
-		anyActive = nextAny
+			fmt.Sprintf("sweep %d", e.rounds), roundStart, c.VirtualSeconds()-roundStart,
+			map[string]float64{"changed": float64(changed)})
 	}
-	return runResult[V]{vals: vals, rounds: rounds}, nil
+	return runResult[V]{vals: e.vals, rounds: e.rounds}, nil
 }
 
 // newCluster builds the engine's cluster with GraphLab's socket layer.

@@ -43,8 +43,8 @@ var mutants = []struct {
 		check: "hotalloc/defer",
 		file:  "internal/graphlab/runtime.go",
 		edits: [][2]string{{
-			"\tsweep := backend.NewSweep(pool, int(n), 0, func(_, lo, hi int) {\n",
-			"\tsweep := backend.NewSweep(pool, int(n), 0, func(_, lo, hi int) {\n\t\tdefer spec.Tracer.Begin(\"graphlab.chunk\", \"chunk\").End()\n",
+			"\te.sweep = backend.NewSweep(pool, int(n), 0, func(_, lo, hi int) {\n",
+			"\te.sweep = backend.NewSweep(pool, int(n), 0, func(_, lo, hi int) {\n\t\tdefer spec.Tracer.Begin(\"graphlab.chunk\", \"chunk\").End()\n",
 		}},
 		at: "defer spec.Tracer.Begin",
 	},
@@ -85,8 +85,8 @@ var mutants = []struct {
 	{
 		check: "scratch",
 		file:  "internal/graphlab/runtime.go",
-		edits: [][2]string{{"\t\tnextActive.Reset()\n\t\tsweep.Run()\n", "\t\tnextActive.Reset()\n\t\tstaged = make([]V, g.NumVertices)\n\t\tsweep.Run()\n"}},
-		at:    "staged = make([]V, g.NumVertices)",
+		edits: [][2]string{{"\t\te.sweep.Run()\n", "\t\te.staged = make([]V, g.NumVertices)\n\t\te.sweep.Run()\n"}},
+		at:    "e.staged = make([]V, g.NumVertices)",
 	},
 	{
 		check: "truncate",
