@@ -29,7 +29,6 @@ type RatingsConfig struct {
 // never drop below 8, the smallest power of two ≥ the min degree: with
 // fewer, no user could rate enough distinct items to pass the filter.
 func DefaultRatingsConfig(scale int, ratingsPerUser int, seed int64) RatingsConfig {
-	const minDegree = 5
 	items := uint32(8)
 	if scale > 8 {
 		items = uint32(1) << uint(scale-5)
@@ -38,7 +37,7 @@ func DefaultRatingsConfig(scale int, ratingsPerUser int, seed int64) RatingsConf
 		Scale:      scale,
 		NumItems:   items,
 		NumRatings: int64(ratingsPerUser) << uint(scale),
-		MinDegree:  minDegree,
+		MinDegree:  5,
 		Seed:       seed,
 		MinRating:  1,
 		MaxRating:  5,
