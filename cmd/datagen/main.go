@@ -15,7 +15,6 @@ import (
 	"os"
 
 	"graphmaze/internal/datasets"
-	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
 )
 
@@ -78,15 +77,8 @@ func main() {
 			fatal(err)
 		}
 	case *scale > 0:
-		cfg := gen.Graph500Config(*scale, *edgeFactor, *seed)
-		if prep == datasets.PrepTriangle {
-			cfg = gen.TriangleConfig(*scale, *edgeFactor, *seed)
-		}
-		edges, err := gen.RMAT(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		g, err = datasets.PrepareEdges(cfg.NumVertices(), edges, prep)
+		var err error
+		g, err = datasets.Generate(*scale, *edgeFactor, *seed, prep)
 		if err != nil {
 			fatal(err)
 		}

@@ -28,7 +28,7 @@ import (
 	"syscall"
 	"time"
 
-	"graphmaze/internal/gen"
+	"graphmaze/internal/datasets"
 	"graphmaze/internal/graph"
 	"graphmaze/internal/obs"
 	"graphmaze/internal/serve"
@@ -164,22 +164,11 @@ func loadGraph(o serveOpts, name string, symmetric bool) (*graph.Versioned, stri
 		}
 		return v, "warm start: " + path, nil
 	}
-	edges, err := gen.RMAT(gen.Graph500Config(o.scale, o.edgef, o.seed+int64(len(name))))
-	if err != nil {
-		return nil, "", err
-	}
-	orientation := graph.KeepDirection
+	prep := datasets.PrepPageRank
 	if symmetric {
-		orientation = graph.Symmetrize
+		prep = datasets.PrepBFS
 	}
-	b := graph.NewBuilder(uint32(1) << uint(o.scale))
-	b.AddEdges(edges)
-	csr, err := b.Build(graph.BuildOptions{
-		Orientation:   orientation,
-		Dedup:         true,
-		DropSelfLoops: true,
-		SortAdjacency: true,
-	})
+	csr, err := datasets.Generate(o.scale, o.edgef, o.seed+int64(len(name)), prep)
 	if err != nil {
 		return nil, "", err
 	}

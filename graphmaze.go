@@ -150,17 +150,7 @@ func Generate(g Graph500, prep datasets.Prep) (*Graph, error) {
 	if g.EdgeFactor == 0 {
 		g.EdgeFactor = 16
 	}
-	var cfg gen.RMATConfig
-	if prep == ForTriangles {
-		cfg = gen.TriangleConfig(g.Scale, g.EdgeFactor, g.Seed)
-	} else {
-		cfg = gen.Graph500Config(g.Scale, g.EdgeFactor, g.Seed)
-	}
-	edges, err := gen.RMAT(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return datasets.PrepareEdges(cfg.NumVertices(), edges, prep)
+	return datasets.Generate(g.Scale, g.EdgeFactor, g.Seed, prep)
 }
 
 // GenerateRatings builds a synthetic power-law rating set mirroring the

@@ -1,9 +1,13 @@
 package graphmaze
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"graphmaze/internal/core"
+	"graphmaze/internal/datasets"
+	"graphmaze/internal/gen"
 )
 
 func TestEnginesRoster(t *testing.T) {
@@ -29,83 +33,63 @@ func TestEngineByName(t *testing.T) {
 	}
 }
 
-func TestGenerateAndRunAllEnginesAgree(t *testing.T) {
-	// The facade-level integration test: every engine produces the same
-	// answers on shared inputs.
-	prG, err := Generate(Graph500{Scale: 8, EdgeFactor: 8, Seed: 1}, ForPageRank)
+// TestInEdgeViewKeepsPageRankBits: every engine's PageRank reads its
+// in-edges through graph.CSR.In, which hands a symmetrized, sorted,
+// unweighted graph its own rows and transposes any other. A Symmetrize
+// build and a KeepDirection build of one edge list that already holds
+// every reverse are one graph with two construction records, so each
+// engine's ranks on the two must be bit-identical, at 1 node and at 4.
+func TestInEdgeViewKeepsPageRankBits(t *testing.T) {
+	const scale = 9
+	edges, err := gen.RMAT(gen.Graph500Config(scale, 8, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bfsG, err := Generate(Graph500{Scale: 8, EdgeFactor: 8, Seed: 1}, ForBFS)
+	doubled := slices.Clip(edges)
+	for _, e := range edges {
+		doubled = append(doubled, Edge{Src: e.Dst, Dst: e.Src})
+	}
+	sym, err := datasets.PrepareEdges(1<<scale, doubled, datasets.PrepBFS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcG, err := Generate(Graph500{Scale: 8, EdgeFactor: 8, Seed: 1}, ForTriangles)
+	dir, err := datasets.PrepareEdges(1<<scale, doubled, datasets.PrepPageRank)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	ref, err := Native().PageRank(prG, PageRankOptions{Iterations: 5})
-	if err != nil {
-		t.Fatal(err)
+	if !slices.Equal(sym.Offsets, dir.Offsets) || !slices.Equal(sym.Targets, dir.Targets) {
+		t.Fatal("the two builds of the doubled edge list differ")
 	}
-	refBFS, err := Native().BFS(bfsG, BFSOptions{Source: 2})
-	if err != nil {
-		t.Fatal(err)
+	if sym.In() != sym {
+		t.Error("In() of the Symmetrize build is not the graph itself")
 	}
-	refTC, err := Native().TriangleCount(tcG, TriangleOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, e := range Engines()[1:] {
-		pr, err := e.PageRank(prG, PageRankOptions{Iterations: 5})
-		if err != nil {
-			t.Fatalf("%s PageRank: %v", e.Name(), err)
-		}
-		for i := range ref.Ranks {
-			d := ref.Ranks[i] - pr.Ranks[i]
-			if d < 0 {
-				d = -d
-			}
-			if d > 1e-6*(1+ref.Ranks[i]) {
-				t.Fatalf("%s PageRank diverges at %d: %v vs %v", e.Name(), i, pr.Ranks[i], ref.Ranks[i])
-			}
-		}
-		bfs, err := e.BFS(bfsG, BFSOptions{Source: 2})
-		if err != nil {
-			t.Fatalf("%s BFS: %v", e.Name(), err)
-		}
-		for i := range refBFS.Distances {
-			if bfs.Distances[i] != refBFS.Distances[i] {
-				t.Fatalf("%s BFS diverges at %d", e.Name(), i)
-			}
-		}
-		tc, err := e.TriangleCount(tcG, TriangleOptions{})
-		if err != nil {
-			t.Fatalf("%s TriangleCount: %v", e.Name(), err)
-		}
-		if tc.Count != refTC.Count {
-			t.Fatalf("%s counts %d triangles, native counts %d", e.Name(), tc.Count, refTC.Count)
-		}
-	}
-}
-
-func TestCollabFilterAcrossEngines(t *testing.T) {
-	bp, err := GenerateRatings(8, 16, 3)
-	if err != nil {
-		t.Fatal(err)
+	if dir.In() == dir {
+		t.Error("In() of the KeepDirection build is the graph itself")
 	}
 	for _, e := range Engines() {
-		res, err := e.CollabFilter(bp, CFOptions{K: 4, Iterations: 3, Seed: 2})
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
-		}
-		if len(res.RMSE) != 3 {
-			t.Fatalf("%s: RMSE entries = %d", e.Name(), len(res.RMSE))
-		}
-		if res.RMSE[2] > res.RMSE[0] {
-			t.Errorf("%s: RMSE rose: %v", e.Name(), res.RMSE)
+		for _, nodes := range []int{1, 4} {
+			var x Exec
+			if nodes > 1 {
+				if !e.Capabilities().MultiNode {
+					continue
+				}
+				x.Cluster = &ClusterConfig{Nodes: nodes}
+			}
+			ranks := func(g *Graph) []float64 {
+				res, err := e.PageRank(g, PageRankOptions{Iterations: 6, Exec: x})
+				if err != nil {
+					t.Fatalf("%s/%d-node: %v", e.Name(), nodes, err)
+				}
+				return res.Ranks
+			}
+			want, got := ranks(dir), ranks(sym)
+			for v := range want {
+				if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+					t.Errorf("%s/%d-node: rank of %d is %v on the Symmetrize build, %v on the KeepDirection build",
+						e.Name(), nodes, v, got[v], want[v])
+					break
+				}
+			}
 		}
 	}
 }

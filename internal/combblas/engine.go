@@ -57,7 +57,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 		return nil, err
 	}
 	a := FromGraph(g)
-	at := FromGraph(g.Transpose()) // rows = destinations, sorted columns
+	at := FromGraph(g.In()) // rows = destinations, sorted columns
 	sr := PlusTimesF64()
 	// The degree vector is a row-wise Reduce over A (CombBLAS derives d
 	// with its Reduce primitive, eq. 9's d vector), held as counts.

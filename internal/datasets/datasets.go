@@ -105,11 +105,18 @@ func (p Preset) Build(prep Prep) (*graph.CSR, error) {
 	if p.Ratings {
 		return nil, fmt.Errorf("datasets: %s is a ratings preset; use BuildRatings", p.Name)
 	}
-	var cfg gen.RMATConfig
+	return Generate(p.Scale, p.EdgeFactor, p.Seed, prep)
+}
+
+// Generate draws an RMAT graph of 2^scale vertices and about edgeFactor
+// edges per vertex and prepares it for prep: the triangle preparation
+// draws with the triangle RMAT parameters, the others with Graph500's,
+// and PrepareEdges applies the build. It is the one place a Prep picks
+// its RMAT parameters, as PrepareEdges is for its build options.
+func Generate(scale, edgeFactor int, seed int64, prep Prep) (*graph.CSR, error) {
+	cfg := gen.Graph500Config(scale, edgeFactor, seed)
 	if prep == PrepTriangle {
-		cfg = gen.TriangleConfig(p.Scale, p.EdgeFactor, p.Seed)
-	} else {
-		cfg = gen.Graph500Config(p.Scale, p.EdgeFactor, p.Seed)
+		cfg = gen.TriangleConfig(scale, edgeFactor, seed)
 	}
 	edges, err := gen.RMAT(cfg)
 	if err != nil {

@@ -50,7 +50,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	if opt.Exec.Cluster != nil {
 		return nil, core.ErrSingleNodeOnly
 	}
-	in := g.Transpose()
+	in := g.In()
 	outDeg := g.OutDegrees()
 	n := g.NumVertices
 	pr := make([]float64, n)

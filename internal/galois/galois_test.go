@@ -67,20 +67,6 @@ func fixtureRatings(t testing.TB) *graph.Bipartite {
 	return bp
 }
 
-func TestIdentity(t *testing.T) {
-	e := New()
-	if e.Name() != "Galois" {
-		t.Errorf("Name = %q", e.Name())
-	}
-	caps := e.Capabilities()
-	if caps.MultiNode {
-		t.Error("Galois must be single-node (paper Table 2)")
-	}
-	if !caps.SGD {
-		t.Error("Galois must support SGD (paper §3.2)")
-	}
-}
-
 func TestCollabFilterSGDConverges(t *testing.T) {
 	bp := fixtureRatings(t)
 	res, err := New().CollabFilter(bp, core.CFOptions{Method: core.SGD, K: 8, Iterations: 6, Seed: 8})

@@ -142,7 +142,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	} else if opt.Exec.Cluster == nil {
 		// A combiner-less single-node run lowers onto the shared SpMV
 		// backend (DESIGN.md §12); everything else is the stock runtime.
-		in, outDeg := g.Transpose(), g.OutDegrees()
+		in, outDeg := g.In(), g.OutDegrees()
 		lower = func(pool *par.Pool) Lowering {
 			low = newPRLowering(pool, in, outDeg, r, job.MaxSupersteps, job.Tracer)
 			return low

@@ -66,16 +66,6 @@ func fixtureRatings(t testing.TB) *graph.Bipartite {
 	return bp
 }
 
-func TestIdentity(t *testing.T) {
-	e := New()
-	if e.Name() != "Giraph" {
-		t.Errorf("Name = %q", e.Name())
-	}
-	if caps := e.Capabilities(); !caps.MultiNode || caps.SGD {
-		t.Errorf("capabilities = %+v", caps)
-	}
-}
-
 // TestPageRankCluster: a cluster run stays under Netty's bandwidth
 // ceiling, and 4 workers on 48 provisioned threads keep CPU utilization
 // low by design.

@@ -295,6 +295,18 @@ func buildCSR(numVertices, numTargets uint32, numEdges int, edgeAt func(int) (ui
 // more than the second worker saves.
 const transposeCutover = 1 << 16
 
+// In returns the graph's in-edge view: row v lists v's in-neighbours in
+// ascending order. A graph that is Symmetrized, has SortedAdjacency and
+// is unweighted is its own transpose array for array, so In returns it
+// and a kernel's fold order is the one Transpose would give; any other
+// graph is transposed.
+func (g *CSR) In() *CSR {
+	if g.symmetrized && g.sortedAdj && g.Weights == nil {
+		return g
+	}
+	return g.Transpose()
+}
+
 // Transpose returns the graph with every edge reversed. An out-CSR becomes
 // an in-CSR and vice versa; PageRank's native kernel wants in-edges in CSR
 // form (paper §3.1). Weights follow their edges; a rectangular CSR swaps

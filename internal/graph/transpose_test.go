@@ -145,6 +145,7 @@ func sameCSR(got, want *graph.CSR) string {
 // TestTransposeMatchesSerial: at 1, 3 and 4 procs the parallel transpose
 // gives the serial pass's arrays for every fixture, and Symmetric, which
 // compares a graph with its transpose, answers as the serial pass would.
+// In gives them too, and is the graph itself only for the Symmetrize build.
 func TestTransposeMatchesSerial(t *testing.T) {
 	fixtures := transposeFixtures(t)
 	want := map[string]*graph.CSR{}
@@ -169,6 +170,13 @@ func TestTransposeMatchesSerial(t *testing.T) {
 				slices.Equal(g.Offsets, w.Offsets) && slices.Equal(g.Targets, w.Targets)
 			if got := g.Symmetric(); got != sym {
 				t.Errorf("GOMAXPROCS=%d %s: Symmetric() = %v, serial pass says %v", procs, name, got, sym)
+			}
+			in := g.In()
+			if field := sameCSR(in, w); field != "" {
+				t.Errorf("GOMAXPROCS=%d %s: In() %s differs from the serial transpose", procs, name, field)
+			}
+			if (in == g) != (name == "rmat-symmetric") {
+				t.Errorf("GOMAXPROCS=%d %s: In() returns the graph itself: %v", procs, name, in == g)
 			}
 		}
 	}

@@ -53,7 +53,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	if err != nil {
 		return nil, err
 	}
-	in, outDeg := g.Transpose(), g.OutDegrees()
+	in, outDeg := g.In(), g.OutDegrees()
 	if opt.Exec.Cluster == nil {
 		var ranks []float64
 		stats := opt.Exec.Local(func(pool *par.Pool, tr *trace.Tracer) int {
@@ -145,13 +145,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	if err != nil {
 		return nil, err
 	}
-	// Gather reads in-edges. A graph that stored every edge's reverse is
-	// its own transpose, and a min gather does not depend on their order.
-	in := g
-	if !g.Symmetrized() {
-		in = g.Transpose()
-	}
-	outDeg := g.OutDegrees()
+	in, outDeg := g.In(), g.OutDegrees()
 	spec := bfsSpec(opt.Source)
 	spec.Tracer = opt.Exec.Tracer()
 	finish := func(res runResult[int32], stats core.RunStats) *core.BFSResult {

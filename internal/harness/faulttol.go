@@ -118,7 +118,7 @@ func FaultTolerance(opt Options) error {
 				overhead = fmt.Sprintf("+%.1f%%", 100*(rep.SimulatedSeconds-base)/base)
 			}
 			tw.addRow(eng.name, intervalLabel(interval), formatSeconds(rep.SimulatedSeconds),
-				fmt.Sprintf("%d", rep.Checkpoints), formatBytes(rep.CheckpointBytes),
+				fmt.Sprintf("%d", rep.Checkpoints), cluster.FormatBytes(rep.CheckpointBytes),
 				formatSeconds(rep.CheckpointSeconds), overhead)
 		}
 	}
@@ -182,19 +182,6 @@ func intervalLabel(interval int) string {
 		return "off"
 	}
 	return fmt.Sprintf("%d", interval)
-}
-
-func formatBytes(b int64) string {
-	switch {
-	case b <= 0:
-		return "-"
-	case b < 1<<20:
-		return fmt.Sprintf("%.1fKB", float64(b)/(1<<10))
-	case b < 1<<30:
-		return fmt.Sprintf("%.1fMB", float64(b)/(1<<20))
-	default:
-		return fmt.Sprintf("%.2fGB", float64(b)/(1<<30))
-	}
 }
 
 // outputVerdict reports whether the recovered run's output matches the

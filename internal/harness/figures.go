@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"graphmaze"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/datasets"
@@ -52,7 +53,7 @@ func Figure3(opt Options) error {
 	if opt.Quick {
 		graphSets = graphSets[:2]
 	}
-	engs := engines()
+	engs := graphmaze.Engines()
 
 	for _, algo := range []Algo{PR, BFS, TC} {
 		fmt.Fprintf(opt.Out, "-- %s (single node) --\n", algo)
@@ -135,7 +136,7 @@ func Figure4(opt Options) error {
 			baseScale = 8
 		}
 	}
-	engs := engines()
+	engs := graphmaze.Engines()
 
 	for _, algo := range Algos() {
 		fmt.Fprintf(opt.Out, "-- %s (weak scaling, constant edges/node) --\n", algo)
@@ -190,7 +191,7 @@ func isSquare(n int) bool {
 // nodes).
 func Figure5(opt Options) error {
 	opt = opt.withDefaults()
-	engs := engines()
+	engs := graphmaze.Engines()
 
 	rows := []struct {
 		label string
@@ -245,7 +246,7 @@ func Figure6(opt Options) error {
 	if err != nil {
 		return err
 	}
-	engs := engines()[:5] // Galois has no multi-node runs
+	engs := graphmaze.Engines()[:5] // Galois has no multi-node runs
 	for _, algo := range Algos() {
 		fmt.Fprintf(opt.Out, "-- %s (4 nodes) --\n", algo)
 		var labels []string

@@ -15,17 +15,12 @@ import (
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
-	"graphmaze/internal/combblas"
 	"graphmaze/internal/core"
-	"graphmaze/internal/galois"
+	"graphmaze/internal/datasets"
 	"graphmaze/internal/gen"
-	"graphmaze/internal/giraph"
 	"graphmaze/internal/graph"
-	"graphmaze/internal/graphlab"
-	"graphmaze/internal/native"
 	"graphmaze/internal/obs"
 	"graphmaze/internal/par"
-	"graphmaze/internal/socialite"
 	"graphmaze/internal/trace"
 )
 
@@ -198,11 +193,6 @@ func (a Algo) String() string {
 // Algos lists all four in the paper's order.
 func Algos() []Algo { return []Algo{PR, BFS, CF, TC} }
 
-// engines returns the comparison set in the paper's column order.
-func engines() []core.Engine {
-	return []core.Engine{native.New(), combblas.New(), graphlab.New(), socialite.New(), giraph.New(), galois.New()}
-}
-
 // inputs bundles prepared graphs for all four algorithms.
 type inputs struct {
 	pr, bfs, tc *graph.CSR
@@ -212,23 +202,14 @@ type inputs struct {
 // buildInputs generates a synthetic input set at the given scale.
 func buildInputs(scale int, seed int64) (inputs, error) {
 	var in inputs
-	mk := func(cfg gen.RMATConfig, opt graph.BuildOptions) (*graph.CSR, error) {
-		edges, err := gen.RMAT(cfg)
-		if err != nil {
-			return nil, err
-		}
-		b := graph.NewBuilder(cfg.NumVertices())
-		b.AddEdges(edges)
-		return b.Build(opt)
-	}
 	var err error
-	if in.pr, err = mk(gen.Graph500Config(scale, 16, seed), graph.BuildOptions{Dedup: true, DropSelfLoops: true, SortAdjacency: true}); err != nil {
+	if in.pr, err = datasets.Generate(scale, 16, seed, datasets.PrepPageRank); err != nil {
 		return in, err
 	}
-	if in.bfs, err = mk(gen.Graph500Config(scale, 16, seed+1), graph.BuildOptions{Orientation: graph.Symmetrize, Dedup: true, DropSelfLoops: true, SortAdjacency: true}); err != nil {
+	if in.bfs, err = datasets.Generate(scale, 16, seed+1, datasets.PrepBFS); err != nil {
 		return in, err
 	}
-	if in.tc, err = mk(gen.TriangleConfig(scale, 8, seed+2), graph.BuildOptions{Orientation: graph.OrientAcyclic, Dedup: true, SortAdjacency: true}); err != nil {
+	if in.tc, err = datasets.Generate(scale, 8, seed+2, datasets.PrepTriangle); err != nil {
 		return in, err
 	}
 	if in.cf, err = gen.Ratings(gen.DefaultRatingsConfig(scale, 16, seed+3)); err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"graphmaze"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/obs"
 	"graphmaze/internal/trace"
@@ -270,9 +271,9 @@ func TestRunJSONAndTrace(t *testing.T) {
 		}
 		cells[r.Engine+"/"+r.Algo]++
 	}
-	if len(cells) != len(engines())*len(Algos()) || len(rep.Runs) != len(cells) {
+	if len(cells) != len(graphmaze.Engines())*len(Algos()) || len(rep.Runs) != len(cells) {
 		t.Errorf("%d run records over %d engine/algorithm cells, want one each of %d: %v",
-			len(rep.Runs), len(cells), len(engines())*len(Algos()), cells)
+			len(rep.Runs), len(cells), len(graphmaze.Engines())*len(Algos()), cells)
 	}
 	if rep.Trace == nil {
 		t.Fatal("JSON report missing trace summary")

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"graphmaze"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/native"
@@ -107,7 +108,7 @@ func Table4(opt Options) error {
 func slowdownTable(opt Options, nodes int, seeds []int64, scale int) error {
 	type cell struct{ ratios []float64 }
 	cells := map[string]map[Algo]*cell{}
-	engs := engines()
+	engs := graphmaze.Engines()
 	for _, e := range engs {
 		cells[e.Name()] = map[Algo]*cell{}
 		for _, a := range Algos() {

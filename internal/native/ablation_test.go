@@ -151,13 +151,14 @@ func TestPageRankEarlyConvergence(t *testing.T) {
 	pool := par.NewPool(0)
 	defer pool.Close()
 	in, outDeg := backend.FromCSR(g.Transpose()), g.OutDegrees()
+	n := int(g.NumVertices)
 	// With a loose tolerance the run must stop early…
-	ranks, sweeps := PageRank(pool, in, outDeg, 0.3, 1e-3, 200, nil)
+	ranks, sweeps := PageRankInto(pool, in, outDeg, 0.3, 1e-3, 200, 0, nil, make([]float64, n), make([]float64, n), make([]float64, n))
 	if sweeps >= 200 {
 		t.Errorf("no early convergence: ran %d sweeps", sweeps)
 	}
 	// …and the result must still be close to the fully converged ranks.
-	full, _ := PageRank(pool, in, outDeg, 0.3, 0, 200, nil)
+	full, _ := PageRankInto(pool, in, outDeg, 0.3, 0, 200, 0, nil, make([]float64, n), nil, make([]float64, n))
 	if d := core.ComparePageRank(full, ranks); d > 1e-2 {
 		t.Errorf("early-converged ranks off by %v", d)
 	}

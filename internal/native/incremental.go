@@ -28,8 +28,9 @@ import (
 // far from the touched region barely move, so the tolerance check stops
 // after a few sweeps instead of a cold run's dozens. Hitting maxSweeps is
 // an error, because a truncated run would silently break the conformance
-// pin. WarmPageRank(…, nil) is bit-identical to PageRank with the same tol:
-// on an all-ones start the mass deficit below is exactly 0.
+// pin. WarmPageRank(…, nil) is the cold run, bit-identical to PageRankInto
+// from done = 0 with the same tol: on an all-ones start the mass deficit
+// below is exactly 0.
 func WarmPageRank(pool *par.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, maxSweeps int,
 	ranks []float64) ([]float64, int, error) {
 	n := int(in.NumRows)

@@ -81,20 +81,6 @@ func testRatings(t testing.TB) *graph.Bipartite {
 	return bp
 }
 
-func TestEngineIdentity(t *testing.T) {
-	e := New()
-	if e.Name() != "Native" {
-		t.Errorf("Name = %q", e.Name())
-	}
-	caps := e.Capabilities()
-	if !caps.MultiNode || !caps.SGD {
-		t.Errorf("capabilities = %+v", caps)
-	}
-	if !e.Tuning().Compression {
-		t.Error("default tuning should enable compression")
-	}
-}
-
 // The reference tests below run the zero Tuning, every optimisation off;
 // the default tuning's cells are in the root TestEnginesMatchReference.
 
@@ -141,12 +127,12 @@ func TestPageRankIntoResumesBitForBit(t *testing.T) {
 			swap.Run(next, pr)
 			pr, next = next, pr
 		}
-		cold, ran := PageRank(pool, in, deg, jump, 0, sweeps, nil)
+		cold, ran := PageRankInto(pool, in, deg, jump, 0, sweeps, 0, nil, make([]float64, n), nil, make([]float64, n))
 		if ran != sweeps || !same(cold, pr) {
 			t.Fatalf("workers=%d: the in-place run (%d sweeps) differs from the out-of-place swap", workers, ran)
 		}
 		for done := 1; done <= sweeps; done++ {
-			part, _ := PageRank(pool, in, deg, jump, 0, done, nil)
+			part, _ := PageRankInto(pool, in, deg, jump, 0, done, 0, nil, make([]float64, n), nil, make([]float64, n))
 			ranks, total := PageRankInto(pool, in, deg, jump, 0, sweeps, done, nil, part, nil, make([]float64, n))
 			if total != sweeps || !same(ranks, cold) {
 				t.Errorf("workers=%d: resumed after %d sweeps, ran to %d and differs from the cold run", workers, done, total)

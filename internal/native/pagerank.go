@@ -26,7 +26,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	if opt.Exec.Cluster != nil {
 		return e.pageRankCluster(g, opt)
 	}
-	in := g.Transpose()
+	in := g.In()
 	outDeg := g.OutDegrees()
 	// The kernel's vectors are laid out with its inputs, before the clock
 	// (a served query borrows them; CombBLAS and Galois allocate theirs
@@ -81,28 +81,17 @@ func (e *Engine) pageRankLocal(pool *par.Pool, in *graph.CSR, outDeg []int64, op
 	return pr
 }
 
-// PageRank runs the contribution-caching PageRank from the paper's
-// all-ones start on the caller's pool: in is the in-edge pattern matrix
-// (the transpose — the paper stores in-edges in CSR form so the gather
-// streams, §3.1), outDeg the out-degrees, jump the random-jump
-// probability r. It runs at most maxSweeps sweeps, stopping early once
-// tol > 0 and no rank moves by more than tol, and returns the ranks with
-// the number of sweeps run. tr may be nil.
-func PageRank(pool *par.Pool, in *backend.Matrix, outDeg []int64, jump, tol float64, maxSweeps int, tr *trace.Tracer) ([]float64, int) {
-	n := int(in.NumRows)
-	var next []float64
-	if tol > 0 {
-		next = make([]float64, n)
-	}
-	return PageRankInto(pool, in, outDeg, jump, tol, maxSweeps, 0, tr, make([]float64, n), next, make([]float64, n))
-}
-
-// PageRankInto is PageRank on the caller's vectors, each of in.NumRows
-// elements: pr holds the ranks after done sweeps from all-ones (done = 0:
-// whatever pr holds is reset to all-ones), and the run continues from
-// there to maxSweeps sweeps in all. Every sweep is a pure function of the
-// ranks before it, so a run resumed from done sweeps ends on the same bits
-// as a cold one. contrib is overwritten. A fixed-sweeps run (tol = 0)
+// PageRankInto runs the contribution-caching PageRank on the caller's
+// pool and vectors: in is the in-edge pattern matrix (the paper stores
+// in-edges in CSR form so the gather streams, §3.1), outDeg the
+// out-degrees, jump the random-jump probability r, and pr, next and
+// contrib vectors of in.NumRows elements. pr holds the ranks after done
+// sweeps from the paper's all-ones start (done = 0: whatever pr holds is
+// reset to all-ones), and the run continues from there to maxSweeps
+// sweeps in all, stopping early once tol > 0 and no rank moves by more
+// than tol. tr may be nil. Every sweep is a pure function of the ranks
+// before it, so a run resumed from done sweeps ends on the same bits as a
+// cold one. contrib is overwritten. A fixed-sweeps run (tol = 0)
 // sweeps pr in place and returns it, and next may be nil; with tol > 0
 // the returned ranks are pr or next (the two swap every sweep), so they
 // are the caller's to reuse once it has read them. The count returned
@@ -185,7 +174,7 @@ func (e *Engine) pageRankCluster(g *graph.CSR, opt core.PageRankOptions) (*core.
 	if err != nil {
 		return nil, err
 	}
-	in := g.Transpose()
+	in := g.In()
 	outDeg := g.OutDegrees()
 	// sendIDs[s][d] is the boundary plan: the vertices owned by node s
 	// whose contributions node d needs. idPayloads[s*nodes+d] caches the

@@ -45,7 +45,9 @@ func TestServedNumbersMatchDirectKernels(t *testing.T) {
 			for _, tol := range []float64{0, 1e-3} {
 				var got pageRankResponse
 				fetch(fmt.Sprintf("/query/pagerank?graph=%s&iters=30&k=7&tol=%g", name, tol), &got)
-				wantRanks, wantIters := native.PageRank(s.Pool(), backend.FromCSR(g.Transpose()), g.OutDegrees(), 0.3, tol, 30, nil)
+				n := int(g.NumVertices)
+				wantRanks, wantIters := native.PageRankInto(s.Pool(), backend.FromCSR(g.Transpose()), g.OutDegrees(), 0.3, tol, 30, 0, nil,
+					make([]float64, n), make([]float64, n), make([]float64, n))
 				if got.Iterations != wantIters || got.Checksum != checksumFloat64s(wantRanks) {
 					t.Errorf("%s pagerank tol=%g: served %d iterations checksum %s, native kernel %d iterations checksum %s",
 						where, tol, got.Iterations, got.Checksum, wantIters, checksumFloat64s(wantRanks))

@@ -77,12 +77,11 @@ func (t *EdgeTable) Contains(src, dst uint32) bool { return t.g.HasEdge(src, dst
 func (t *EdgeTable) NumKeys() uint32 { return t.g.NumVertices }
 
 // transposed returns the relation keyed by dst: row t lists the sources of
-// t's tuples in ascending order (Transpose scatters sources in order), the
-// order the tuple-at-a-time evaluator folds a key's updates in. Its
-// occupancy words are built with it, for the SpMV every $SUM evaluation
-// runs over it.
+// t's tuples in ascending order (graph.CSR.In), the order the
+// tuple-at-a-time evaluator folds a key's updates in. Its occupancy words
+// are built with it, for the SpMV every $SUM evaluation runs over it.
 func (t *EdgeTable) transposed() *backend.Matrix {
-	t.inOnce.Do(func() { t.in = backend.FromCSR(t.g.Transpose()).WithOccupancy() })
+	t.inOnce.Do(func() { t.in = backend.FromCSR(t.g.In()).WithOccupancy() })
 	return t.in
 }
 
