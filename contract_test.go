@@ -357,9 +357,11 @@ var testOracles = map[string]bool{
 // say, whose caller is the interface's user, not a selector this scan can
 // see), and the oracles in testOracles. The check reads syntax, not
 // types: a function counts as referenced when its package-qualified name
-// (or, inside its own package, its bare name) appears, a method when any
-// selector names it, so it can miss a dead method that shares its name
-// with a live one, never flag a live one.
+// (or, inside its own package, its bare name) appears, a method when a
+// selector whose left side is not an imported package names it — so a
+// type or function of the same name (native.Tuning, say) does not keep a
+// dead method Tuning alive. It can still miss a dead method that shares
+// its name with a live one or a field, never flag a live one.
 func TestKernelSurfaceHasCallers(t *testing.T) {
 	inModule := func(pkg string) bool { return strings.HasPrefix(pkg, "internal/") }
 	type decl struct {
@@ -388,18 +390,14 @@ func TestKernelSurfaceHasCallers(t *testing.T) {
 			return err
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
-		imported := map[string]string{} // local name → kernel package
+		imported := map[string]string{} // local name → import path, module prefix trimmed
 		for _, imp := range file.Imports {
 			ipath, _ := strconv.Unquote(imp.Path.Value)
-			pkg := strings.TrimPrefix(ipath, "graphmaze/")
-			if !inModule(pkg) {
-				continue
-			}
-			name := filepath.Base(pkg)
+			name := filepath.Base(ipath)
 			if imp.Name != nil {
 				name = imp.Name.Name
 			}
-			imported[name] = pkg
+			imported[name] = strings.TrimPrefix(ipath, "graphmaze/")
 		}
 		declared := map[*ast.Ident]bool{}
 		for _, d := range file.Decls {
@@ -416,8 +414,10 @@ func TestKernelSurfaceHasCallers(t *testing.T) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				methodRefs[n.Sel.Name] = true
-				if x, ok := n.X.(*ast.Ident); ok && imported[x.Name] != "" {
+				x, ok := n.X.(*ast.Ident)
+				if !ok || imported[x.Name] == "" {
+					methodRefs[n.Sel.Name] = true
+				} else if inModule(imported[x.Name]) {
 					funcRefs[imported[x.Name]+"."+n.Sel.Name] = true
 				}
 			case *ast.Ident:

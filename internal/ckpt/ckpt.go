@@ -13,59 +13,50 @@ import (
 	"sync"
 )
 
+// The stable-storage cost model every checkpoint write and restore read
+// is charged (DESIGN.md §10): a fixed commit latency plus the blob, sharded
+// across the nodes, at a per-node bandwidth.
+const (
+	// Bandwidth is the per-node write/read bandwidth to stable storage in
+	// bytes/second: 1 GB/s, an HDFS-over-10GbE-era figure (nodes write
+	// their shards in parallel).
+	Bandwidth = 1e9
+	// Latency is the fixed virtual-time cost of one checkpoint or restore
+	// in seconds (metadata commit, barrier): 50 ms.
+	Latency = 0.05
+)
+
 // Config sizes checkpointing for a run.
 type Config struct {
 	// Interval is the number of engine steps (supersteps, iterations)
 	// between checkpoints; 0 disables checkpointing. Interval 1 matches
 	// Pregel's default of checkpointing every superstep.
 	Interval int
-	// Bandwidth is the per-node write/read bandwidth to stable storage in
-	// bytes/second (default 1 GB/s, an HDFS-over-10GbE-era figure; nodes
-	// write their shards in parallel).
-	Bandwidth float64
-	// Latency is the fixed virtual-time cost per checkpoint or restore
-	// (metadata commit, barrier; default 50 ms).
-	Latency float64
 }
 
 // Enabled reports whether the configuration checkpoints at all.
 func (c Config) Enabled() bool { return c.Interval > 0 }
-
-// WithDefaults fills unset cost parameters.
-func (c Config) WithDefaults() Config {
-	if c.Bandwidth == 0 {
-		c.Bandwidth = 1e9
-	}
-	if c.Latency == 0 {
-		c.Latency = 0.05
-	}
-	return c
-}
 
 // Validate reports the first problem with the configuration.
 func (c Config) Validate() error {
 	if c.Interval < 0 {
 		return fmt.Errorf("ckpt: negative interval %d", c.Interval)
 	}
-	if c.Bandwidth < 0 || c.Latency < 0 {
-		return fmt.Errorf("ckpt: negative cost parameters")
-	}
 	return nil
 }
 
 // WriteSeconds models the virtual time one checkpoint write costs: fixed
 // latency plus the blob sharded across nodes at the storage bandwidth.
-func (c Config) WriteSeconds(bytes int64, nodes int) float64 {
-	c = c.WithDefaults()
+func WriteSeconds(bytes int64, nodes int) float64 {
 	if nodes < 1 {
 		nodes = 1
 	}
-	return c.Latency + float64(bytes)/float64(nodes)/c.Bandwidth
+	return Latency + float64(bytes)/float64(nodes)/Bandwidth
 }
 
 // ReadSeconds models a restore read; symmetric with WriteSeconds.
-func (c Config) ReadSeconds(bytes int64, nodes int) float64 {
-	return c.WriteSeconds(bytes, nodes)
+func ReadSeconds(bytes int64, nodes int) float64 {
+	return WriteSeconds(bytes, nodes)
 }
 
 // Checkpoint is one saved snapshot.
@@ -97,14 +88,8 @@ func NewStore(cfg Config) *Store {
 	if !cfg.Enabled() {
 		return nil
 	}
-	return &Store{cfg: cfg.WithDefaults()}
+	return &Store{cfg: cfg}
 }
-
-// Config returns the store's (defaulted) configuration.
-func (s *Store) Config() Config { return s.cfg }
-
-// Interval returns the checkpoint interval in steps.
-func (s *Store) Interval() int { return s.cfg.Interval }
 
 // Due reports whether a checkpoint should be taken before the given step.
 func (s *Store) Due(step int) bool {
@@ -123,7 +108,7 @@ func (s *Store) Save(step, phases int, data []byte, nodes int) float64 {
 	s.ckpts = append(s.ckpts, Checkpoint{Step: step, Phases: phases, Data: data})
 	s.bytes += int64(len(data))
 	s.writes++
-	return s.cfg.WriteSeconds(int64(len(data)), nodes)
+	return WriteSeconds(int64(len(data)), nodes)
 }
 
 // Latest returns the most recent checkpoint.

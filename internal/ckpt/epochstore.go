@@ -18,8 +18,6 @@ import (
 // keyed by epoch — restores target a version, not "the latest before the
 // crash". It is safe for concurrent use.
 type EpochStore struct {
-	cfg Config
-
 	mu     sync.Mutex
 	blobs  map[graph.Epoch][]byte // whole snapshots
 	deltas map[graph.Epoch][]byte // delta records: deltas[e] turns e-1 into e
@@ -33,19 +31,15 @@ type EpochStore struct {
 	lastFull, sinceFull int64
 }
 
-// NewEpochStore returns a store with the configuration's cost model
-// (Interval is ignored; epoch persistence is delta-driven, not
-// step-driven).
-func NewEpochStore(cfg Config) *EpochStore {
+// NewEpochStore returns an empty store charged at the package's
+// stable-storage cost model. The configuration's Interval is ignored:
+// epoch persistence is delta-driven, not step-driven.
+func NewEpochStore(_ Config) *EpochStore {
 	return &EpochStore{
-		cfg:    cfg.WithDefaults(),
 		blobs:  map[graph.Epoch][]byte{},
 		deltas: map[graph.Epoch][]byte{},
 	}
 }
-
-// Config returns the store's (defaulted) configuration.
-func (s *EpochStore) Config() Config { return s.cfg }
 
 // Save encodes and retains the whole snapshot, returning the encoded size
 // and the write cost in virtual seconds for a cluster of the given node
@@ -62,7 +56,7 @@ func (s *EpochStore) Save(snap *graph.Snapshot, nodes int) (int64, float64, erro
 	if snap.Epoch() == s.latest {
 		s.lastFull, s.sinceFull = int64(len(blob)), 0
 	}
-	return int64(len(blob)), s.cfg.WriteSeconds(int64(len(blob)), nodes), nil
+	return int64(len(blob)), WriteSeconds(int64(len(blob)), nodes), nil
 }
 
 // SaveDelta persists the epoch of snap as the record of the edges it
@@ -86,7 +80,7 @@ func (s *EpochStore) SaveDelta(snap *graph.Snapshot, added []graph.Edge, nodes i
 	if !chained {
 		return s.Save(snap, nodes)
 	}
-	return int64(len(rec)), s.cfg.WriteSeconds(int64(len(rec)), nodes), nil
+	return int64(len(rec)), WriteSeconds(int64(len(rec)), nodes), nil
 }
 
 // put stores one encoded epoch in m. The caller holds s.mu.
@@ -125,7 +119,7 @@ func (s *EpochStore) Load(e graph.Epoch, nodes int) (*graph.Snapshot, float64, e
 			return nil, 0, fmt.Errorf("ckpt: %w", err)
 		}
 	}
-	return snap, s.cfg.ReadSeconds(read, nodes), nil
+	return snap, ReadSeconds(read, nodes), nil
 }
 
 // chain returns what Load replays for epoch e: the nearest whole snapshot

@@ -58,15 +58,22 @@ func MultiSocket() CommLayer {
 // per-message cost (the paper measures <10% network utilization).
 func Netty() CommLayer { return CommLayer{Name: "netty", Bandwidth: 0.35e9, Latency: 6e-5} }
 
+// ThreadsPerNode is the provisioned hardware thread count of every
+// simulated node: each of the paper's dual-socket Xeon E5-2697 testbed
+// nodes exposes 48 (§4.3). CPU utilization is normalized against it.
+const ThreadsPerNode = 48
+
+// MaxRecoveries bounds the rollback-and-replay attempts of one run before
+// a Recovery gives up: the fault-tolerance subsystem's bound since it was
+// built (DESIGN.md §10), which no experiment or service sets otherwise.
+const MaxRecoveries = 3
+
 // Config sizes a simulated cluster.
 type Config struct {
 	// Nodes is the number of logical machines.
 	Nodes int
-	// ThreadsPerNode is the provisioned hardware thread count (the paper's
-	// nodes expose 48); utilization is normalized against it.
-	ThreadsPerNode int
-	// WorkersPerNode is how many threads the engine actually keeps busy
-	// (Giraph: 4). Defaults to ThreadsPerNode.
+	// WorkersPerNode is how many of the ThreadsPerNode threads the engine
+	// actually keeps busy (Giraph: 4). Defaults to ThreadsPerNode.
 	WorkersPerNode int
 	// Comm is the communication layer model.
 	Comm CommLayer
@@ -88,26 +95,14 @@ type Config struct {
 	// Ckpt configures superstep checkpointing for engines that opt in via
 	// Recovery; Interval 0 disables it.
 	Ckpt ckpt.Config
-	// MaxRecoveries bounds rollback-and-replay attempts per run before a
-	// Recovery gives up (default 3).
-	MaxRecoveries int
 }
 
 func (c Config) withDefaults() Config {
-	if c.ThreadsPerNode == 0 {
-		c.ThreadsPerNode = 48
-	}
 	if c.WorkersPerNode == 0 {
-		c.WorkersPerNode = c.ThreadsPerNode
+		c.WorkersPerNode = ThreadsPerNode
 	}
 	if c.Comm.Bandwidth == 0 {
 		c.Comm = MPI()
-	}
-	if c.Ckpt.Enabled() {
-		c.Ckpt = c.Ckpt.WithDefaults()
-	}
-	if c.MaxRecoveries == 0 {
-		c.MaxRecoveries = 3
 	}
 	return c
 }
@@ -117,22 +112,16 @@ func (c Config) Validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("cluster: need at least one node, got %d", c.Nodes)
 	}
-	if c.ThreadsPerNode < 0 || c.WorkersPerNode < 0 {
-		return fmt.Errorf("cluster: negative thread counts")
+	if c.WorkersPerNode < 0 {
+		return fmt.Errorf("cluster: negative worker count %d", c.WorkersPerNode)
 	}
-	if c.WorkersPerNode > c.ThreadsPerNode && c.ThreadsPerNode != 0 {
-		return fmt.Errorf("cluster: %d workers exceed %d provisioned threads", c.WorkersPerNode, c.ThreadsPerNode)
+	if c.WorkersPerNode > ThreadsPerNode {
+		return fmt.Errorf("cluster: %d workers exceed %d provisioned threads", c.WorkersPerNode, ThreadsPerNode)
 	}
 	if c.Comm.Bandwidth < 0 || c.Comm.Latency < 0 {
 		return fmt.Errorf("cluster: negative comm parameters")
 	}
-	if err := c.Ckpt.Validate(); err != nil {
-		return err
-	}
-	if c.MaxRecoveries < 0 {
-		return fmt.Errorf("cluster: negative recovery bound %d", c.MaxRecoveries)
-	}
-	return nil
+	return c.Ckpt.Validate()
 }
 
 // Cluster is a simulated machine group. Engines structure distributed
@@ -379,7 +368,7 @@ func (c *Cluster) RunPhase(compute func(node int) error) error {
 		if computeSec[n] > maxCompute {
 			maxCompute = computeSec[n]
 		}
-		busy += computeSec[n] * float64(min(c.cfg.WorkersPerNode, c.cfg.ThreadsPerNode))
+		busy += computeSec[n] * float64(c.cfg.WorkersPerNode)
 
 		// Message buffers live alongside the baseline data.
 		var bufBytes int64

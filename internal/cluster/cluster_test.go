@@ -8,14 +8,14 @@ import (
 )
 
 func testConfig(nodes int) Config {
-	return Config{Nodes: nodes, ThreadsPerNode: 8, Comm: MPI(), MemoryPerNode: 1 << 30}
+	return Config{Nodes: nodes, Comm: MPI(), MemoryPerNode: 1 << 30}
 }
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Nodes: 0}); err == nil {
 		t.Error("accepted zero nodes")
 	}
-	if _, err := New(Config{Nodes: 2, ThreadsPerNode: 2, WorkersPerNode: 4}); err == nil {
+	if _, err := New(Config{Nodes: 2, WorkersPerNode: ThreadsPerNode + 1}); err == nil {
 		t.Error("accepted workers > threads")
 	}
 	if _, err := New(Config{Nodes: 2, Comm: CommLayer{Bandwidth: -1}}); err == nil {
@@ -29,8 +29,8 @@ func TestDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := c.Config()
-	if cfg.ThreadsPerNode != 48 || cfg.WorkersPerNode != 48 {
-		t.Errorf("defaults: threads=%d workers=%d", cfg.ThreadsPerNode, cfg.WorkersPerNode)
+	if cfg.WorkersPerNode != ThreadsPerNode {
+		t.Errorf("defaults: workers=%d, want all %d threads", cfg.WorkersPerNode, ThreadsPerNode)
 	}
 	if cfg.Comm.Name != "mpi" {
 		t.Errorf("default comm = %q", cfg.Comm.Name)
@@ -127,7 +127,7 @@ func TestComputeErrorAborts(t *testing.T) {
 func TestNetworkTimeModel(t *testing.T) {
 	// 1 MB over a 1 MB/s link with zero latency must cost ~1 virtual
 	// second.
-	cfg := Config{Nodes: 2, ThreadsPerNode: 1, Comm: CommLayer{Name: "slow", Bandwidth: 1e6}}
+	cfg := Config{Nodes: 2, Comm: CommLayer{Name: "slow", Bandwidth: 1e6}}
 	c, _ := New(cfg)
 	payload := make([]byte, 1e6)
 	if err := c.RunPhase(func(n int) error {
@@ -161,7 +161,7 @@ func TestOverlapReducesWall(t *testing.T) {
 		return nil
 	}
 	run := func(overlap bool) float64 {
-		cfg := Config{Nodes: 2, ThreadsPerNode: 1, Overlap: overlap,
+		cfg := Config{Nodes: 2, Overlap: overlap,
 			Comm: CommLayer{Name: "slow", Bandwidth: 50e6}} // 20ms for 1MB
 		c, _ := New(cfg)
 		_ = c.RunPhase(func(n int) error {
@@ -220,8 +220,8 @@ func TestMemoryAccounting(t *testing.T) {
 }
 
 func TestCPUUtilizationModel(t *testing.T) {
-	// WorkersPerNode=2 of ThreadsPerNode=8, pure compute → util ≈ 25%.
-	cfg := Config{Nodes: 1, ThreadsPerNode: 8, WorkersPerNode: 2, Comm: MPI()}
+	// A quarter of the ThreadsPerNode threads busy, pure compute → util ≈ 25%.
+	cfg := Config{Nodes: 1, WorkersPerNode: ThreadsPerNode / 4, Comm: MPI()}
 	c, _ := New(cfg)
 	_ = c.RunPhase(func(n int) error {
 		deadline := time.Now().Add(10 * time.Millisecond)

@@ -74,8 +74,8 @@ func (r *Recovery) Run(step func(step int) (done bool, err error)) error {
 				return err
 			}
 			recoveries++
-			if recoveries > r.c.cfg.MaxRecoveries {
-				return fmt.Errorf("cluster: giving up after %d recoveries: %w", r.c.cfg.MaxRecoveries, err)
+			if recoveries > MaxRecoveries {
+				return fmt.Errorf("cluster: giving up after %d recoveries: %w", MaxRecoveries, err)
 			}
 			ck, ok := r.store.Latest()
 			if !ok {
@@ -142,7 +142,7 @@ func (r *Recovery) recover(ck ckpt.Checkpoint) error {
 	if err := c.restoreInbox(inbox); err != nil {
 		return fmt.Errorf("cluster: restore inbox from step %d: %w", ck.Step, err)
 	}
-	cost := r.store.Config().ReadSeconds(int64(len(ck.Data)), c.cfg.Nodes)
+	cost := ckpt.ReadSeconds(int64(len(ck.Data)), c.cfg.Nodes)
 	replayed := phasesAtFailure - ck.Phases
 	c.tally.RecoverySeconds += cost
 	c.tally.Recoveries++

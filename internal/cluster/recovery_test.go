@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -171,7 +172,7 @@ func TestStragglerStretchesPhase(t *testing.T) {
 
 func TestDegradeStretchesNetwork(t *testing.T) {
 	run := func(degraded bool) float64 {
-		cfg := Config{Nodes: 2, ThreadsPerNode: 1, Comm: CommLayer{Name: "t", Bandwidth: 1e6}}
+		cfg := Config{Nodes: 2, Comm: CommLayer{Name: "t", Bandwidth: 1e6}}
 		if degraded {
 			cfg.Fault = (&fault.Plan{}).Add(fault.Event{Kind: fault.Degrade, Phase: 0, PhaseEnd: 0, Factor: 4})
 		}
@@ -291,7 +292,6 @@ func TestRecoveryTimelineDeterministic(t *testing.T) {
 
 func TestRecoveryGivesUpAfterBound(t *testing.T) {
 	cfg := testConfig(2)
-	cfg.MaxRecoveries = 2
 	cfg.Ckpt = ckpt.Config{Interval: 1}
 	c, _ := New(cfg)
 	boom := errors.New("persistent")
@@ -306,11 +306,11 @@ func TestRecoveryGivesUpAfterBound(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want wrapped boom", err)
 	}
-	if !strings.Contains(err.Error(), "giving up after 2 recoveries") {
+	if !strings.Contains(err.Error(), fmt.Sprintf("giving up after %d recoveries", MaxRecoveries)) {
 		t.Errorf("error %q lacks recovery bound", err)
 	}
-	if steps != 3 { // initial attempt + 2 replays
-		t.Errorf("step ran %d times, want 3", steps)
+	if steps != MaxRecoveries+1 { // initial attempt + one replay per recovery
+		t.Errorf("step ran %d times, want %d", steps, MaxRecoveries+1)
 	}
 }
 

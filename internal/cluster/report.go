@@ -69,7 +69,7 @@ func (c *Cluster) Report() Report {
 	r.SimulatedSeconds = c.virtualSec
 	r.MemoryFootprintBytes = c.memHighWater
 	if c.virtualSec > 0 {
-		r.CPUUtilization = min(c.busyThreadSec/(c.virtualSec*float64(c.cfg.ThreadsPerNode)*float64(c.cfg.Nodes)), 1)
+		r.CPUUtilization = min(c.busyThreadSec/(c.virtualSec*ThreadsPerNode*float64(c.cfg.Nodes)), 1)
 	}
 	return r
 }

@@ -16,7 +16,7 @@ import (
 // lower memory mark never lowers the high-water mark, and utilization is
 // busy thread-seconds over provisioned thread-seconds.
 func TestReportTallies(t *testing.T) {
-	cfg := Config{Nodes: 1, ThreadsPerNode: 8, Comm: MPI(), MemoryPerNode: 1 << 30}
+	cfg := Config{Nodes: 1, WorkersPerNode: 16, Comm: MPI(), MemoryPerNode: 1 << 30}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -51,10 +51,10 @@ func TestReportTallies(t *testing.T) {
 		t.Errorf("SimulatedSeconds = %v, want compute %v + network %v",
 			r.SimulatedSeconds, r.ComputeSeconds, r.NetworkSeconds)
 	}
-	// One node with every thread busy: busy thread-seconds are 8 ×
-	// ComputeSeconds and the denominator 8 × SimulatedSeconds, both exact
-	// power-of-two scalings, so the ratio is exact.
-	if want := r.ComputeSeconds / r.SimulatedSeconds; r.CPUUtilization != want {
+	// One node with 16 threads busy: busy thread-seconds are 16 ×
+	// ComputeSeconds, an exact power-of-two scaling of every phase's
+	// compute, over ThreadsPerNode × SimulatedSeconds provisioned.
+	if want := 16 * r.ComputeSeconds / (r.SimulatedSeconds * ThreadsPerNode); r.CPUUtilization != want {
 		t.Errorf("CPUUtilization = %v, want %v", r.CPUUtilization, want)
 	}
 }
@@ -63,7 +63,7 @@ func TestReportTallies(t *testing.T) {
 // provisioned threads could burn in the simulated time (which the model
 // only reaches through float rounding) report as full utilization.
 func TestCPUUtilizationCapped(t *testing.T) {
-	c, err := New(Config{Nodes: 1, ThreadsPerNode: 1, Comm: MPI()})
+	c, err := New(Config{Nodes: 1, Comm: MPI()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCPUUtilizationCapped(t *testing.T) {
 // TestEmptyReport: a cluster that ran nothing reports zero time and
 // utilization, and no modeled capacity gives a memory fraction of 0.
 func TestEmptyReport(t *testing.T) {
-	c, err := New(Config{Nodes: 2, ThreadsPerNode: 4})
+	c, err := New(Config{Nodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestEmptyReport(t *testing.T) {
 }
 
 func TestMemoryFraction(t *testing.T) {
-	c, err := New(Config{Nodes: 1, ThreadsPerNode: 1, MemoryPerNode: 1000})
+	c, err := New(Config{Nodes: 1, MemoryPerNode: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestMemoryFraction(t *testing.T) {
 // loses none of it.
 func TestConcurrentAccountAndRecordMemory(t *testing.T) {
 	const nodes = 8
-	c, err := New(Config{Nodes: nodes, ThreadsPerNode: 4})
+	c, err := New(Config{Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}

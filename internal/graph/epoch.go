@@ -105,13 +105,19 @@ func NewVersioned(base *CSR, opts DeltaOptions) (*Versioned, error) {
 // ckpt.EpochStore) — preserving its epoch number so later deltas continue
 // the original sequence instead of restarting at zero. The snapshot's CSR
 // must satisfy the same contract as NewVersioned's base; ownership passes
-// to the versioned graph.
+// to the versioned graph. The codec does not carry Symmetrized, so under
+// DeltaOptions.Symmetrize the CSR is checked against its transpose once,
+// here, and marked when every edge has its reverse; later epochs keep the
+// mark as a symmetrizing delta does for a built graph.
 func ResumeVersioned(s *Snapshot, opts DeltaOptions) (*Versioned, error) {
 	if s == nil {
 		return nil, errors.New("graph: resuming a versioned graph needs a snapshot")
 	}
 	if err := checkVersionedBase(s.csr); err != nil {
 		return nil, err
+	}
+	if opts.Symmetrize && !s.csr.symmetrized && s.csr.Symmetric() {
+		s.csr.symmetrized = true
 	}
 	v := &Versioned{opts: opts}
 	v.cur.Store(s)

@@ -208,7 +208,8 @@ func TestApplyDeltaBoundsGrowth(t *testing.T) {
 // build, kept by a symmetrizing delta from such a base and copied by
 // Transpose. It is a record, not a check: a directed build whose edges
 // happen to pair up, a directed delta and a decoded snapshot all report
-// false.
+// false. ResumeVersioned under a symmetrizing option is the one place that
+// checks, and it marks a decoded symmetric graph.
 func TestSymmetrizedRecordsConstruction(t *testing.T) {
 	sym := buildSorted(t, 4, []Edge{{0, 1}, {1, 2}}, BuildOptions{Orientation: Symmetrize})
 	paired := buildSorted(t, 4, []Edge{{0, 1}, {1, 0}}, BuildOptions{})
@@ -245,6 +246,21 @@ func TestSymmetrizedRecordsConstruction(t *testing.T) {
 	}
 	if decoded.CSR().Symmetrized() {
 		t.Error("a decoded snapshot reports Symmetrized; the codec does not persist it")
+	}
+	// Resuming checks the decoded graph once under a symmetrizing option,
+	// and only then.
+	for _, symmetrize := range []bool{false, true} {
+		snap, _, err := DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := ResumeVersioned(snap, DeltaOptions{Symmetrize: symmetrize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := v.Current().CSR().Symmetrized(); got != symmetrize {
+			t.Errorf("resumed with Symmetrize=%v: Symmetrized = %v", symmetrize, got)
+		}
 	}
 }
 

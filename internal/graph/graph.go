@@ -95,8 +95,9 @@ func (g *CSR) SortedAdjacency() bool { return g.sortedAdj }
 // DeltaOptions.Symmetrize from a base that reports true, or Transpose
 // reversed such a graph. It is a record, not a check (Symmetric is the
 // check), and the snapshot codec does not persist it, so a decoded graph
-// reports false. A kernel may read the graph's rows as its in-edges when
-// it reports true.
+// reports false until ResumeVersioned, under DeltaOptions.Symmetrize,
+// checks it and records the answer. A kernel may read the graph's rows as
+// its in-edges when it reports true.
 func (g *CSR) Symmetrized() bool { return g.symmetrized }
 
 // HasEdge reports whether the edge (u,v) is present. It is O(log d(u)) on

@@ -6,7 +6,9 @@ import (
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
+	"graphmaze/internal/codec"
 	"graphmaze/internal/core"
+	"graphmaze/internal/graph"
 	"graphmaze/internal/par"
 )
 
@@ -35,21 +37,39 @@ func TestBFSCompressionReducesTraffic(t *testing.T) {
 	}
 }
 
+// TestTriangleCompressionReducesTraffic: the cluster triangle count ships
+// each adjacency list compressed, so its traffic falls below the same
+// shipments' raw 4-byte encoding — one framed list per (vertex, remote
+// owner of one of its neighbours) pair, plus the count's allreduce.
 func TestTriangleCompressionReducesTraffic(t *testing.T) {
+	const nodes = 4
 	g := testGraphAcyclic(t)
-	run := func(compress bool) int64 {
-		tn := DefaultTuning()
-		tn.Compression = compress
-		res, err := NewTuned(tn).TriangleCount(g, core.TriangleOptions{
-			Exec: core.Exec{Cluster: &cluster.Config{Nodes: 4}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Stats.Report.BytesSent
+	res, err := New().TriangleCount(g, core.TriangleOptions{
+		Exec: core.Exec{Cluster: &cluster.Config{Nodes: nodes}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	raw, compressed := run(false), run(true)
-	if compressed >= raw {
-		t.Errorf("TC compression did not reduce traffic: %d vs %d", compressed, raw)
+	part, err := graph.NewPartition1D(g, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := int64(8 * nodes)
+	for v := uint32(0); v < g.NumVertices; v++ {
+		adj := g.Neighbors(v)
+		shipped := map[int]bool{part.Owner(v): true}
+		for _, u := range adj {
+			if d := part.Owner(u); !shipped[d] {
+				shipped[d] = true
+				body, err := codec.EncodeIDs(codec.Raw, adj, g.NumVertices)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw += int64(8 + len(body))
+			}
+		}
+	}
+	if compressed := res.Stats.Report.BytesSent; compressed >= raw {
+		t.Errorf("TC compression did not reduce traffic: %d vs %d raw", compressed, raw)
 	}
 }
 
@@ -110,11 +130,13 @@ func TestPRIdPayloadCachedAcrossIterations(t *testing.T) {
 
 func TestTuningStagesAllCorrect(t *testing.T) {
 	// Every point in the 4-knob tuning lattice must stay correct — the
-	// ablation sweeps through these configurations.
+	// ablation sweeps through these configurations. The bit-vector visited
+	// set changes only how BFS probes, so BFS traffic must not move with it.
 	g := testGraphDirected(t)
 	ug := testGraphUndirected(t)
 	wantPR := core.RefPageRank(g, core.PageRankOptions{Iterations: 4})
 	wantBFS := core.RefBFS(ug, 3)
+	bfsTraffic := map[int][2]int64{} // by mask without the Bitvector bit
 	for mask := 0; mask < 16; mask++ {
 		tn := Tuning{
 			ContribCaching: mask&1 != 0,
@@ -142,6 +164,14 @@ func TestTuningStagesAllCorrect(t *testing.T) {
 		}
 		if !core.EqualDistances(wantBFS, bfs.Distances) {
 			t.Errorf("tuning %+v: BFS differs", tn)
+		}
+		rep := bfs.Stats.Report
+		traffic := [2]int64{rep.BytesSent, rep.MessagesSent}
+		if other, ok := bfsTraffic[mask&^8]; !ok {
+			bfsTraffic[mask&^8] = traffic
+		} else if other != traffic {
+			t.Errorf("tuning %+v: BFS sent %d bytes in %d messages, %d in %d with Bitvector flipped",
+				tn, traffic[0], traffic[1], other[0], other[1])
 		}
 	}
 }

@@ -3,7 +3,6 @@ package native
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/bitvec"
@@ -29,28 +28,18 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	}
 	var dist []int32
 	stats := opt.Exec.Local(func(pool *par.Pool, tr *trace.Tracer) (levels int) {
-		dist, levels = e.bfsLocal(pool, g, opt.Source, tr)
+		dist, levels = bfsLocal(pool, g, opt.Source, tr)
 		return levels
 	})
 	return &core.BFSResult{Distances: dist, Stats: stats}, nil
 }
 
-func (e *Engine) bfsLocal(pool *par.Pool, g *graph.CSR, source uint32, tr *trace.Tracer) ([]int32, int) {
-	if !e.tuning.Bitvector {
-		// Baseline data structure: the distance array itself is the
-		// visited set (a 4-byte random load per probe instead of a bit).
-		dist := make([]int32, g.NumVertices)
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[source] = 0
-		return bfsTopDownArray(g, dist, source)
-	}
-	// Tuned path: the engine is a thin wrapper over the package's one BFS
-	// kernel. Pull levels read parents through an in-edge matrix, and the
-	// graph is its own only when its construction stored every reverse
-	// edge; without one every level is a push, which is exact on any
-	// graph.
+// bfsLocal is the one-node BFS: the engine is a thin wrapper over the
+// package's one BFS kernel. Pull levels read parents through an in-edge
+// matrix, and the graph is its own only when its construction stored
+// every reverse edge; without one every level is a push, which is exact
+// on any graph.
+func bfsLocal(pool *par.Pool, g *graph.CSR, source uint32, tr *trace.Tracer) ([]int32, int) {
 	m := backend.FromCSR(g)
 	var in *backend.Matrix
 	if g.Symmetrized() {
@@ -82,30 +71,13 @@ func BFSInto(pool *par.Pool, out, in *backend.Matrix, source uint32, span string
 	return dist, backend.NewDirectedTraversal(pool, out, in, span, tr).Run(dist, source)
 }
 
-// bfsTopDownArray is the no-bitvector baseline: serial-friendly top-down
-// expansion probing the distance array.
-func bfsTopDownArray(g *graph.CSR, dist []int32, source uint32) ([]int32, int) {
-	frontier := []uint32{source}
-	level := int32(0)
-	for len(frontier) > 0 {
-		level++
-		var next []uint32
-		for _, v := range frontier {
-			for _, t := range g.Neighbors(v) {
-				if atomic.CompareAndSwapInt32(&dist[t], -1, level) {
-					next = append(next, t)
-				}
-			}
-		}
-		frontier = next
-	}
-	return dist, int(level)
-}
-
 // bfsCluster is the distributed level-synchronous BFS: 1-D partition,
 // per-level exchange of discovered remote candidates as (optionally
 // compressed) sorted id lists — the paper's 3.2× BFS compression win
-// comes from exactly this traffic.
+// comes from exactly this traffic. The expansion probes the bit-vector
+// visited set with Tuning.Bitvector on, and the distance array (a 4-byte
+// random load per probe instead of a bit) with it off; the two agree on
+// every vertex, so only the probe's cost differs.
 func (e *Engine) bfsCluster(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error) {
 	cfg := opt.Exec.ClusterConfig()
 	cfg.Overlap = e.tuning.Overlap
@@ -178,6 +150,7 @@ func (e *Engine) bfsCluster(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult,
 			copy(frontiers, restored)
 			return nil
 		})
+	bitvector := e.tuning.Bitvector
 	var levels int
 	err = rec.Run(func(step int) (bool, error) {
 		level := graph.MustI32(int64(step)) + 1
@@ -204,7 +177,11 @@ func (e *Engine) bfsCluster(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult,
 			var next []uint32
 			for _, v := range frontiers[node] {
 				for _, t := range g.Neighbors(v) {
-					if visited.Get(t) {
+					if bitvector {
+						if visited.Get(t) {
+							continue
+						}
+					} else if dist[t] != -1 {
 						continue
 					}
 					owner := part.Owner(t)

@@ -119,7 +119,7 @@ func gdLocal(pool *par.Pool, r *graph.Bipartite, opt core.CFOptions, userF, item
 // pattern). GD aggregates partial item gradients at item owners.
 func (e *Engine) cfCluster(r *graph.Bipartite, opt core.CFOptions) (*core.CFResult, error) {
 	cfg := opt.Exec.ClusterConfig()
-	cfg.Overlap = e.tuning.Overlap
+	cfg.Overlap = true // as under DefaultTuning; no experiment ablates it here
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err

@@ -72,34 +72,46 @@ func TestPageRankClusterRecovery(t *testing.T) {
 
 // TestBFSClusterRecovery checks the same contract for BFS, whose
 // inter-phase state includes in-flight frontier candidates in the
-// cluster inbox.
+// cluster inbox, with the bit-vector visited set on and off: either way
+// the recovered run ends on the fault-free distances, and the two probes
+// checkpoint the same bytes.
 func TestBFSClusterRecovery(t *testing.T) {
 	g := testGraphUndirected(t)
-	base, err := New().BFS(g, core.BFSOptions{Source: 3,
-		Exec: core.Exec{Cluster: &cluster.Config{Nodes: 3}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg, plan := faultConfig(t, 3, "crash@2:n0", 1)
-	res, err := New().BFS(g, core.BFSOptions{Source: 3, Exec: core.Exec{Cluster: cfg}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i := range base.Distances {
-		if base.Distances[i] != res.Distances[i] {
-			t.Fatalf("dist[%d] = %d after recovery, want %d", i, res.Distances[i], base.Distances[i])
+	ckptBytes := map[bool]int64{}
+	for _, bitv := range []bool{true, false} {
+		tn := DefaultTuning()
+		tn.Bitvector = bitv
+		base, err := NewTuned(tn).BFS(g, core.BFSOptions{Source: 3,
+			Exec: core.Exec{Cluster: &cluster.Config{Nodes: 3}}})
+		if err != nil {
+			t.Fatal(err)
 		}
+
+		cfg, plan := faultConfig(t, 3, "crash@2:n0", 1)
+		res, err := NewTuned(tn).BFS(g, core.BFSOptions{Source: 3, Exec: core.Exec{Cluster: cfg}})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for i := range base.Distances {
+			if base.Distances[i] != res.Distances[i] {
+				t.Fatalf("bitvector=%v: dist[%d] = %d after recovery, want %d", bitv, i, res.Distances[i], base.Distances[i])
+			}
+		}
+		if res.Stats.Iterations != base.Stats.Iterations {
+			t.Errorf("bitvector=%v: levels = %d after recovery, want %d", bitv, res.Stats.Iterations, base.Stats.Iterations)
+		}
+		if len(plan.Fired()) != 1 {
+			t.Errorf("bitvector=%v: fired events = %v, want exactly the crash", bitv, plan.Fired())
+		}
+		rep := res.Stats.Report
+		if rep.Recoveries != 1 {
+			t.Errorf("bitvector=%v: Recoveries = %d, want 1", bitv, rep.Recoveries)
+		}
+		ckptBytes[bitv] = rep.CheckpointBytes
 	}
-	if res.Stats.Iterations != base.Stats.Iterations {
-		t.Errorf("levels = %d after recovery, want %d", res.Stats.Iterations, base.Stats.Iterations)
-	}
-	if len(plan.Fired()) != 1 {
-		t.Errorf("fired events = %v, want exactly the crash", plan.Fired())
-	}
-	if rep := res.Stats.Report; rep.Recoveries != 1 {
-		t.Errorf("Recoveries = %d, want 1", rep.Recoveries)
+	if ckptBytes[true] != ckptBytes[false] {
+		t.Errorf("checkpoint bytes %d with the bit-vector probe, %d without", ckptBytes[true], ckptBytes[false])
 	}
 }
 

@@ -81,23 +81,10 @@ func testRatings(t testing.TB) *graph.Bipartite {
 	return bp
 }
 
-// The reference tests below run the zero Tuning, every optimisation off;
-// the default tuning's cells are in the root TestEnginesMatchReference.
-
-func TestPageRankMatchesReference(t *testing.T) {
-	g := testGraphDirected(t)
-	opt := core.PageRankOptions{Iterations: 8}
-	res, err := NewTuned(Tuning{}).PageRank(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := core.ComparePageRank(core.RefPageRank(g, opt), res.Ranks); d > 1e-9 {
-		t.Errorf("max relative diff %v", d)
-	}
-	if res.Stats.Iterations != 8 {
-		t.Errorf("Iterations = %d", res.Stats.Iterations)
-	}
-}
+// The reference tests below run the zero Tuning, every optimisation off,
+// on the paths that read it; the default tuning's cells, and the one-node
+// PageRank and BFS, which always run optimized, are in the root
+// TestEnginesMatchReference.
 
 // TestPageRankIntoResumesBitForBit: a fixed-sweeps run resumed from the
 // ranks of a shorter one ends on the cold run's bits, for every split of
@@ -160,7 +147,7 @@ func TestPageRankClusterMatchesReference(t *testing.T) {
 }
 
 func TestPageRankCompressionReducesTraffic(t *testing.T) {
-	if !New().Tuning().Compression {
+	if !New().tuning.Compression {
 		t.Error("default tuning should enable compression")
 	}
 	g := testGraphDirected(t)
@@ -181,17 +168,6 @@ func TestPageRankCompressionReducesTraffic(t *testing.T) {
 	// Paper reports ≈2.2× for PageRank.
 	if ratio := float64(raw) / float64(compressed); ratio < 1.5 {
 		t.Errorf("compression ratio %.2f below expected ≥1.5", ratio)
-	}
-}
-
-func TestBFSMatchesReference(t *testing.T) {
-	g := testGraphUndirected(t)
-	res, err := NewTuned(Tuning{}).BFS(g, core.BFSOptions{Source: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !core.EqualDistances(core.RefBFS(g, 3), res.Distances) {
-		t.Error("distances differ from reference")
 	}
 }
 

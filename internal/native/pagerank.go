@@ -32,53 +32,15 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 	// (a served query borrows them; CombBLAS and Galois allocate theirs
 	// before their kernels too).
 	n := int(g.NumVertices)
-	ranks, spare := make([]float64, n), make([]float64, n)
+	ranks, contrib := make([]float64, n), make([]float64, n)
 	stats := opt.Exec.Local(func(pool *par.Pool, tr *trace.Tracer) int {
-		ranks = e.pageRankLocal(pool, in, outDeg, opt, tr, ranks, spare)
+		// The engine is a thin wrapper over the package's one PageRank
+		// kernel: the engine-vs-native deltas in the harness tables
+		// measure pure framework abstraction cost over the same kernels.
+		ranks, _ = PageRankInto(pool, backend.FromCSR(in), outDeg, opt.RandomJump, 0, opt.Iterations, 0, tr, ranks, nil, contrib)
 		return opt.Iterations
 	})
 	return &core.PageRankResult{Ranks: ranks, Stats: stats}, nil
-}
-
-// pageRankLocal is the single-node kernel over the in-CSR, on the caller's
-// vectors (each in.NumVertices long, overwritten): the tuned kernel sweeps
-// pr in place through the contributions in spare, the ablation baseline
-// swaps pr with spare every iteration. It runs opt.Iterations iterations
-// and returns the ranks, pr or spare.
-func (e *Engine) pageRankLocal(pool *par.Pool, in *graph.CSR, outDeg []int64, opt core.PageRankOptions, tr *trace.Tracer,
-	pr, spare []float64) []float64 {
-	if e.tuning.ContribCaching {
-		// Tuned path: the engine is a thin wrapper over the package's one
-		// PageRank kernel — the engine-vs-native deltas in the harness
-		// tables measure pure framework abstraction cost over the same
-		// kernels.
-		ranks, _ := PageRankInto(pool, backend.FromCSR(in), outDeg, opt.RandomJump, 0, opt.Iterations, 0, tr, pr, nil, spare)
-		return ranks
-	}
-	next := spare
-	for i := range pr {
-		pr[i] = 1
-	}
-	// Ablation baseline (no contribution caching): the gather reads raw
-	// ranks and divides per edge — two dependent loads and a divide per
-	// in-edge instead of one streaming load. Rows are claimed dynamically
-	// on the call's pool; each next[v] is one row's serial fold.
-	gather := backend.NewSweep(pool, int(in.NumVertices), 0, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			sum := 0.0
-			for _, j := range in.Neighbors(uint32(v)) {
-				sum += (1 - opt.RandomJump) * pr[j] / float64(outDeg[j])
-			}
-			next[v] = opt.RandomJump + sum
-		}
-	})
-	for it := 0; it < opt.Iterations; it++ {
-		sp := tr.Begin("native.pr.iter", "pagerank iteration").Arg("iter", float64(it))
-		gather.Run()
-		pr, next = next, pr
-		sp.End()
-	}
-	return pr
 }
 
 // PageRankInto runs the contribution-caching PageRank on the caller's

@@ -107,7 +107,7 @@ func BenchmarkNativePageRankSkewed(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		b.ReportMetric(float64(g.NumEdges()), "edges")
 		for i := 0; i < b.N; i++ {
-			pageRankLocalStatic(e, g, opt)
+			pageRankStatic(g, opt)
 		}
 	})
 	b.Run("edgebalanced", func(b *testing.B) {

@@ -10,7 +10,6 @@ import (
 	"graphmaze/internal/gen"
 	"graphmaze/internal/graph"
 	"graphmaze/internal/par"
-	"graphmaze/internal/trace"
 )
 
 // Moving a kernel between schedulers must not change results at all: the
@@ -70,51 +69,6 @@ func maxAbsDiffSerial(a, b []float64) float64 {
 		}
 	}
 	return worst
-}
-
-// pageRankLocalStatic is the PageRank kernel as serial loops, with and
-// without contribution caching.
-func pageRankLocalStatic(e *Engine, g *graph.CSR, opt core.PageRankOptions) []float64 {
-	in := g.Transpose()
-	outDeg := g.OutDegrees()
-	n := int(g.NumVertices)
-	pr := make([]float64, n)
-	next := make([]float64, n)
-	for i := range pr {
-		pr[i] = 1
-	}
-	var contrib []float64
-	if e.tuning.ContribCaching {
-		contrib = make([]float64, n)
-	}
-	for it := 0; it < opt.Iterations; it++ {
-		if e.tuning.ContribCaching {
-			for v := 0; v < n; v++ {
-				if outDeg[v] > 0 {
-					contrib[v] = (1 - opt.RandomJump) * pr[v] / float64(outDeg[v])
-				} else {
-					contrib[v] = 0
-				}
-			}
-			for v := 0; v < n; v++ {
-				sum := 0.0
-				for _, j := range in.Neighbors(uint32(v)) {
-					sum += contrib[j]
-				}
-				next[v] = opt.RandomJump + sum
-			}
-		} else {
-			for v := 0; v < n; v++ {
-				sum := 0.0
-				for _, j := range in.Neighbors(uint32(v)) {
-					sum += (1 - opt.RandomJump) * pr[j] / float64(outDeg[j])
-				}
-				next[v] = opt.RandomJump + sum
-			}
-		}
-		pr, next = next, pr
-	}
-	return pr
 }
 
 func TestTriangleDynamicMatchesStatic(t *testing.T) {
@@ -187,92 +141,51 @@ func TestContributionBranchFreeMatchesBranchy(t *testing.T) {
 	}
 }
 
-func TestPageRankEdgeBalancedMatchesStatic(t *testing.T) {
-	g := testGraphDirected(t)
-	for _, caching := range []bool{true, false} {
-		tn := DefaultTuning()
-		tn.ContribCaching = caching
-		e := NewTuned(tn)
-		opt := core.PageRankOptions{Iterations: 30, RandomJump: 0.15}
-		wantRanks := pageRankLocalStatic(e, g, opt)
-		for _, workers := range []int{1, 4} {
-			pool := par.NewPool(workers)
-			defer pool.Close()
-			n := g.NumVertices
-			gotRanks := e.pageRankLocal(pool, g.Transpose(), g.OutDegrees(), opt, nil,
-				make([]float64, n), make([]float64, n))
-			for v := range wantRanks {
-				// Bit-identical: chunk boundaries moved, per-vertex sums did not.
-				if gotRanks[v] != wantRanks[v] {
-					t.Fatalf("caching=%v workers=%d: rank[%d] = %v, static %v", caching, workers, v, gotRanks[v], wantRanks[v])
-				}
-			}
-		}
-	}
-}
-
-// TestAblationPageRankRunsOnThePool pins where the ablation gather runs:
-// without contribution caching it is a sweep on the pool core.Exec.Local
-// hands the kernel, one dispatch per iteration. A gather that spawned its
-// own goroutines beside the pool records none.
-func TestAblationPageRankRunsOnThePool(t *testing.T) {
-	tn := DefaultTuning()
-	tn.ContribCaching = false
-	const iters = 5
-	tr := trace.New()
-	res, err := NewTuned(tn).PageRank(testGraphDirected(t), core.PageRankOptions{Iterations: iters, Exec: core.Exec{Trace: tr}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Iterations != iters {
-		t.Fatalf("ran %d iterations, want %d", res.Stats.Iterations, iters)
-	}
-	if got := tr.Registry().HistSnapshots()["backend.pool.dispatch_ns"].Count; got < iters {
-		t.Errorf("%d pool dispatches recorded over %d iterations, want at least one each", got, iters)
-	}
-}
-
-// TestAblationGatherAcrossPools runs the ablation gather (ContribCaching
-// off) on a scale-12 graph, four 1 024-row sweep chunks, so two workers
-// really split it, at pools of 1, 2 and 8. Each rank is one row's serial
-// fold, so the ranks are bit-identical at every pool size, and they agree
-// with the tuned kernel within the conformance tolerance. A fold whose sum
-// the workers shared reads wrong ranks here, and races under -race.
-func TestAblationGatherAcrossPools(t *testing.T) {
-	edges, err := gen.RMAT(gen.Graph500Config(12, 8, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := graph.NewBuilder(1 << 12)
-	b.AddEdges(edges)
-	g, err := b.Build(graph.BuildOptions{Dedup: true, DropSelfLoops: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+// pageRankStatic is the engine's PageRank as serial loops: each sweep
+// first caches every vertex's contribution, then folds each in-row in
+// order.
+func pageRankStatic(g *graph.CSR, opt core.PageRankOptions) []float64 {
 	in, outDeg := g.Transpose(), g.OutDegrees()
 	n := int(g.NumVertices)
-	opt := core.PageRankOptions{Iterations: 10, RandomJump: 0.15}
-	run := func(tn Tuning, workers int) []float64 {
+	pr, contrib := make([]float64, n), make([]float64, n)
+	for i := range pr {
+		pr[i] = 1
+	}
+	for it := 0; it < opt.Iterations; it++ {
+		for v := 0; v < n; v++ {
+			contrib[v] = 0
+			if outDeg[v] > 0 {
+				contrib[v] = (1 - opt.RandomJump) * pr[v] / float64(outDeg[v])
+			}
+		}
+		for v := 0; v < n; v++ {
+			sum := 0.0
+			for _, j := range in.Neighbors(uint32(v)) {
+				sum += contrib[j]
+			}
+			pr[v] = opt.RandomJump + sum
+		}
+	}
+	return pr
+}
+
+// TestPageRankEdgeBalancedMatchesStatic: the engine's pool kernel ends on
+// the serial loops' bits at pools of 1 and 4 workers.
+func TestPageRankEdgeBalancedMatchesStatic(t *testing.T) {
+	g := testGraphDirected(t)
+	opt := core.PageRankOptions{Iterations: 30, RandomJump: 0.15}
+	want := pageRankStatic(g, opt)
+	in, outDeg := backend.FromCSR(g.Transpose()), g.OutDegrees()
+	n := int(g.NumVertices)
+	for _, workers := range []int{1, 4} {
 		pool := par.NewPool(workers)
 		defer pool.Close()
-		return NewTuned(tn).pageRankLocal(pool, in, outDeg, opt, nil, make([]float64, n), make([]float64, n))
-	}
-	tuned := run(DefaultTuning(), 2)
-	ablation := DefaultTuning()
-	ablation.ContribCaching = false
-	var first []float64
-	for _, workers := range []int{1, 2, 8} {
-		ranks := run(ablation, workers)
-		if first == nil {
-			first = ranks
-			if d := core.ComparePageRank(tuned, ranks); d > 1e-9 {
-				t.Fatalf("ablation ranks differ from the tuned kernel's by %v", d)
-			}
-			continue
-		}
-		for v := range ranks {
-			if math.Float64bits(ranks[v]) != math.Float64bits(first[v]) {
-				t.Fatalf("%d workers: rank[%d] = %v, 1 worker %v", workers, v, ranks[v], first[v])
+		got, _ := PageRankInto(pool, in, outDeg, opt.RandomJump, 0, opt.Iterations, 0, nil,
+			make([]float64, n), nil, make([]float64, n))
+		for v := range want {
+			// Bit-identical: chunk boundaries moved, per-vertex sums did not.
+			if got[v] != want[v] {
+				t.Fatalf("workers=%d: rank[%d] = %v, static %v", workers, v, got[v], want[v])
 			}
 		}
 	}
@@ -280,7 +193,7 @@ func TestAblationGatherAcrossPools(t *testing.T) {
 
 // TestBFSDynamicMatchesArrayReference forces the parallel top-down /
 // bottom-up machinery (it engages above 2^19 edges) and checks every
-// distance against the simple array-probing baseline.
+// distance against the serial array-probing reference.
 func TestBFSDynamicMatchesArrayReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-graph BFS conformance is not a -short test")
@@ -300,13 +213,8 @@ func TestBFSDynamicMatchesArrayReference(t *testing.T) {
 	}
 	pool := par.NewPool(0)
 	defer pool.Close()
-	dist, _ := New().bfsLocal(pool, g, 1, nil)
-	refDist := make([]int32, g.NumVertices)
-	for i := range refDist {
-		refDist[i] = -1
-	}
-	refDist[1] = 0
-	refDist, _ = bfsTopDownArray(g, refDist, 1)
+	dist, _ := bfsLocal(pool, g, 1, nil)
+	refDist := core.RefBFS(g, 1)
 	for v := range refDist {
 		if dist[v] != refDist[v] {
 			t.Fatalf("dist[%d] = %d, reference %d", v, dist[v], refDist[v])

@@ -114,10 +114,12 @@ func triangles(pool *par.Pool, g *graph.CSR, first []int64, bitvector bool) int6
 // to d exactly once per (u,d) pair; d then intersects it with adj(v) for
 // each of its owned v ∈ adj(u). This is the paper's "share neighbourhood
 // lists with neighbours" scheme, whose traffic dwarfs the graph itself
-// (Table 1: 0–10^6 bytes per edge).
+// (Table 1: 0–10^6 bytes per edge). The lists ship compressed and the
+// exchange overlaps compute, as under DefaultTuning; no experiment
+// ablates either here.
 func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.TriangleResult, error) {
 	cfg := opt.Exec.ClusterConfig()
-	cfg.Overlap = e.tuning.Overlap
+	cfg.Overlap = true
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err
@@ -160,7 +162,7 @@ func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.
 				if !marks.SetAtomic(v - lo) {
 					continue // adj(v) already queued for node d
 				}
-				payload, err := e.encodeAdjacency(v, adjV, g.NumVertices)
+				payload, err := encodeAdjacency(v, adjV, g.NumVertices)
 				if err != nil {
 					return err
 				}
@@ -212,15 +214,9 @@ type adjMessage struct {
 }
 
 // encodeAdjacency frames one vertex's adjacency list: vertex id, payload
-// length, then the (optionally compressed) sorted id list.
-func (e *Engine) encodeAdjacency(v uint32, adj []uint32, universe uint32) ([]byte, error) {
-	var body []byte
-	var err error
-	if e.tuning.Compression {
-		body, err = codec.EncodeIDsAuto(adj, universe)
-	} else {
-		body, err = codec.EncodeIDs(codec.Raw, adj, universe)
-	}
+// length, then the compressed sorted id list.
+func encodeAdjacency(v uint32, adj []uint32, universe uint32) ([]byte, error) {
+	body, err := codec.EncodeIDsAuto(adj, universe)
 	if err != nil {
 		return nil, err
 	}

@@ -95,12 +95,6 @@ type servedGraph struct {
 	v     *graph.Versioned
 	store *ckpt.EpochStore
 
-	// symmetric: every edge has its reverse, so the in-CSR PageRank pulls
-	// through and connected components floods back through is the graph
-	// itself. AddGraph verifies it on the base; DeltaOptions.Symmetrize
-	// preserves it from then on.
-	symmetric bool
-
 	// ingest serializes /delta on this graph: the epoch advance, the
 	// pending entry and the epoch store's record are one step, in epoch
 	// order.
@@ -144,12 +138,11 @@ type epochState struct {
 // the build runs outside it, once per state, so queries of the same
 // epoch wait for one build and queries of any other epoch wait for none.
 // A snapshot older than the slot's gets private state that is never
-// published; at most the queries in flight across a delta pay that. On a
-// symmetric graph the in-CSR is the snapshot's own arrays, not a copy:
-// the transpose of a symmetric CSR with sorted adjacency equals it array
-// for array, and PageRank over the alias folds every row in the same
-// order. The in-CSR's occupancy words are built here too, so a PageRank
-// miss builds none.
+// published; at most the queries in flight across a delta pay that. The
+// in-CSR is the snapshot CSR's In(): on a symmetrized graph its own
+// arrays, not a copy, which PageRank folds in the transpose's order. The
+// in-CSR's occupancy words are built here too, so a PageRank miss builds
+// none.
 func (g *servedGraph) bind(snap *graph.Snapshot) *epochState {
 	//lint:ignore lock the build runs after the Unlock, outside the lock; the section only reads and swaps g.bound, and it has no return
 	g.mu.Lock()
@@ -163,12 +156,7 @@ func (g *servedGraph) bind(snap *graph.Snapshot) *epochState {
 	}
 	g.mu.Unlock()
 	st.build.Do(func() {
-		if g.symmetric {
-			st.in = backend.FromSnapshot(st.snap)
-		} else {
-			st.in = backend.FromCSR(st.snap.CSR().Transpose())
-		}
-		st.in.WithOccupancy()
+		st.in = backend.FromCSR(st.snap.CSR().In()).WithOccupancy()
 		st.outDeg = st.snap.CSR().OutDegrees()
 	})
 	return st
@@ -292,7 +280,6 @@ func (s *Server) AddGraph(name string, v *graph.Versioned) error {
 		name:         name,
 		v:            v,
 		store:        ckpt.NewEpochStore(ckpt.Config{}),
-		symmetric:    v.Options().Symmetrize && v.Current().CSR().Symmetric(),
 		carriedVecs:  make(map[string]*carried),
 		carriedGauge: s.reg.Gauge("serve.graph." + name + ".carried_bytes"),
 		pendingGauge: s.reg.Gauge("serve.graph." + name + ".pending_edges"),

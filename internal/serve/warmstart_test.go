@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -166,5 +167,46 @@ func TestSaveSnapshotFileFailureKeepsPrior(t *testing.T) {
 	}
 	if got.Epoch() != 1 {
 		t.Errorf("reloaded epoch %d, want 1", got.Epoch())
+	}
+}
+
+// TestBoundInEdgesAliasSymmetricGraphs: the in-CSR bind hands PageRank
+// and connected components is the snapshot's own arrays on a symmetric
+// graph, built or warm-started from a file (whose codec does not carry
+// the mark ResumeVersioned restores), and after a symmetrizing delta on
+// either; on a directed graph it is a transpose.
+func TestBoundInEdgesAliasSymmetricGraphs(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	for _, symmetric := range []bool{true, false} {
+		built := buildVersioned(t, 7, symmetric, 42)
+		path := filepath.Join(t.TempDir(), "g.snap")
+		if err := SaveSnapshotFile(path, built.Current()); err != nil {
+			t.Fatal(err)
+		}
+		warm, err := WarmStart(path, built.Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, v := range map[string]*graph.Versioned{"built": built, "warm": warm} {
+			name = fmt.Sprintf("%s-%v", name, symmetric)
+			if err := s.AddGraph(name, v); err != nil {
+				t.Fatal(err)
+			}
+			g, _ := s.graphByName(name)
+			for step := 0; step < 2; step++ {
+				if step == 1 {
+					if _, _, _, err := v.ApplyDelta([]graph.Edge{{Src: 5, Dst: 77}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				snap := v.Current()
+				in := g.bind(snap).in
+				aliased := &in.Offsets[0] == &snap.CSR().Offsets[0] && &in.Cols[0] == &snap.CSR().Targets[0]
+				if aliased != symmetric {
+					t.Errorf("%s epoch %d: bound in-CSR aliases the snapshot: %v, want %v", name, snap.Epoch(), aliased, symmetric)
+				}
+			}
+		}
 	}
 }
