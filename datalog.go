@@ -1,7 +1,6 @@
 package graphmaze
 
 import (
-	"graphmaze/internal/graph"
 	"graphmaze/internal/par"
 	"graphmaze/internal/socialite"
 )
@@ -47,16 +46,12 @@ func (d *Datalog) AddTable(name string, numKeys uint32) *DatalogTable {
 
 // Set assigns key ← value.
 func (t *DatalogTable) Set(key uint32, value float64) {
-	t.t.Put(key, socialite.Scalar(value))
+	t.t.Put(key, value)
 }
 
 // Get reads a key's value.
 func (t *DatalogTable) Get(key uint32) (float64, bool) {
-	v, ok := t.t.Get(key)
-	if !ok {
-		return 0, false
-	}
-	return v.S(), true
+	return t.t.Get(key)
 }
 
 // Len reports how many keys hold values.
@@ -64,7 +59,7 @@ func (t *DatalogTable) Len() int { return t.t.Len() }
 
 // ForEach visits every (key, value) pair in key order.
 func (t *DatalogTable) ForEach(fn func(key uint32, value float64)) {
-	t.t.ForEach(func(k uint32, v socialite.Value) { fn(k, v.S()) })
+	t.t.ForEach(fn)
 }
 
 // Eval compiles and evaluates the rule once over all driver tuples, on a
@@ -92,5 +87,3 @@ func (d *Datalog) Fixpoint(src string) (int, error) {
 	defer pool.Close()
 	return socialite.Fixpoint(pool, rule)
 }
-
-var _ = graph.Edge{} // anchor the graph import for the Graph alias

@@ -91,7 +91,7 @@ type Config struct {
 	// Fault, when non-nil, injects the planned failures (node crashes,
 	// message loss, stragglers, comm degradation) at the cluster's fault
 	// points (DESIGN.md §10). Nil means a healthy cluster.
-	Fault fault.Injector
+	Fault *fault.Plan
 	// Ckpt configures superstep checkpointing for engines that opt in via
 	// Recovery; Interval 0 disables it.
 	Ckpt ckpt.Config

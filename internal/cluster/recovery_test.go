@@ -230,7 +230,7 @@ func (e *toyEngine) restore(data []byte) error {
 }
 
 func TestRecoveryProducesFaultFreeOutput(t *testing.T) {
-	run := func(plan fault.Injector) ([]uint32, *Cluster) {
+	run := func(plan *fault.Plan) ([]uint32, *Cluster) {
 		cfg := testConfig(2)
 		cfg.Fault = plan
 		cfg.Ckpt = ckpt.Config{Interval: 2}

@@ -114,7 +114,7 @@ func (e *Error) Error() string {
 	}
 }
 
-// Verdict is an Injector's decision about one in-flight payload.
+// Verdict is a Plan's decision about one in-flight payload.
 type Verdict int
 
 const (
@@ -126,33 +126,12 @@ const (
 	Truncated
 )
 
-// Injector is the interface the cluster consults at its fault points. A
-// nil Injector means a healthy cluster. Implementations must be safe for
-// use from a single RunPhase at a time (the cluster never calls
-// concurrently) and deterministic: the same call sequence yields the same
+// Plan is a deterministic fault schedule, consulted by the cluster at its
+// fault points. The zero Plan, and the nil one, are healthy. Plans are
+// single-use: one-shot events are consumed as they fire, so construct a
+// fresh Plan (same spec or seed) per run. The cluster calls a plan from
+// one RunPhase at a time, and the same call sequence yields the same
 // verdicts.
-type Injector interface {
-	// CrashPoint reports whether node fails while computing the given
-	// executed phase. A firing crash event is consumed.
-	CrashPoint(phase, node int) bool
-	// MessageFault judges a payload exchanged during the given phase. A
-	// firing drop/truncate event is consumed.
-	MessageFault(phase, from, to int) Verdict
-	// SlowFactor returns the compute-time multiplier for node at phase
-	// (≥1; 1 means healthy).
-	SlowFactor(phase, node int) float64
-	// DegradeFactor returns the bandwidth divisor for the phase (≥1; 1
-	// means healthy).
-	DegradeFactor(phase int) float64
-	// DetectSeconds is the modeled failure-detection latency charged to
-	// the virtual clock when a phase aborts (heartbeat timeout, barrier
-	// consensus on the failure).
-	DetectSeconds() float64
-}
-
-// Plan is a deterministic fault schedule implementing Injector. The zero
-// Plan is healthy. Plans are single-use: one-shot events are consumed as
-// they fire, so construct a fresh Plan (same spec or seed) per run.
 type Plan struct {
 	mu     sync.Mutex
 	events []Event
@@ -163,8 +142,6 @@ type Plan struct {
 // (ZooKeeper-style session expiry runs seconds; we charge a conservative
 // fraction of that).
 const DefaultDetectSeconds = 0.5
-
-var _ Injector = (*Plan)(nil)
 
 // Add appends an event, normalizing defaults (PhaseEnd, factors).
 func (p *Plan) Add(e Event) *Plan {
@@ -196,7 +173,8 @@ func (p *Plan) Fired() []Event {
 	return append([]Event(nil), p.fired...)
 }
 
-// CrashPoint implements Injector.
+// CrashPoint reports whether node fails while computing the given
+// executed phase. A firing crash event is consumed.
 func (p *Plan) CrashPoint(phase, node int) bool {
 	if p == nil {
 		return false
@@ -212,7 +190,8 @@ func (p *Plan) CrashPoint(phase, node int) bool {
 	return false
 }
 
-// MessageFault implements Injector.
+// MessageFault judges a payload exchanged during the given phase. A
+// firing drop/truncate event is consumed.
 func (p *Plan) MessageFault(phase, from, to int) Verdict {
 	if p == nil {
 		return Deliver
@@ -242,7 +221,8 @@ func (p *Plan) consume(i int) {
 	p.events = append(p.events[:i], p.events[i+1:]...)
 }
 
-// SlowFactor implements Injector.
+// SlowFactor returns the compute-time multiplier for node at phase (≥1;
+// 1 means healthy).
 func (p *Plan) SlowFactor(phase, node int) float64 {
 	if p == nil {
 		return 1
@@ -259,7 +239,8 @@ func (p *Plan) SlowFactor(phase, node int) float64 {
 	return f
 }
 
-// DegradeFactor implements Injector.
+// DegradeFactor returns the bandwidth divisor for the phase (≥1; 1 means
+// healthy).
 func (p *Plan) DegradeFactor(phase int) float64 {
 	if p == nil {
 		return 1
@@ -275,7 +256,9 @@ func (p *Plan) DegradeFactor(phase int) float64 {
 	return f
 }
 
-// DetectSeconds implements Injector.
+// DetectSeconds is the modeled failure-detection latency charged to the
+// virtual clock when a phase aborts (heartbeat timeout, barrier consensus
+// on the failure).
 func (p *Plan) DetectSeconds() float64 {
 	if p == nil {
 		return 0

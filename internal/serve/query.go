@@ -482,7 +482,7 @@ func datalogQuery(pool *par.Pool, snap *graph.Snapshot, in *backend.Matrix, q *q
 	reg.Register(socialite.NewEdgeTable("EDGE", snap.CSR()).WithInEdges(in))
 	tbl := socialite.NewVecTable("REACH", snap.NumVertices())
 	reg.Register(tbl)
-	tbl.Put(q.source, socialite.Scalar(0))
+	tbl.Put(q.source, 0)
 	rule, err := socialite.Parse(q.rule, reg)
 	if err != nil {
 		return nil, badRequest("bad rule: %v", err)
@@ -497,8 +497,8 @@ func datalogQuery(pool *par.Pool, snap *graph.Snapshot, in *backend.Matrix, q *q
 		return nil, badRequest("evaluating rule: %v", err)
 	}
 	sum := uint64(fnvOffset64)
-	tbl.ForEach(func(k uint32, v socialite.Value) {
-		sum = fnv1a(fnv1a(sum, uint64(k), 4), math.Float64bits(v.S()), 8)
+	tbl.ForEach(func(k uint32, v float64) {
+		sum = fnv1a(fnv1a(sum, uint64(k), 4), math.Float64bits(v), 8)
 	})
 	return &datalogResponse{
 		Rounds:   rounds,

@@ -2,7 +2,9 @@ package socialite
 
 import (
 	"fmt"
+	"math"
 
+	"graphmaze/internal/backend"
 	"graphmaze/internal/cluster"
 	"graphmaze/internal/core"
 	"graphmaze/internal/graph"
@@ -189,7 +191,7 @@ func (e *Engine) PageRank(g *graph.CSR, opt core.PageRankOptions) (*core.PageRan
 
 func vecToFloats(t *VecTable, n uint32) []float64 {
 	out := make([]float64, n)
-	t.ForEach(func(k uint32, v Value) { out[k] = v.S() })
+	t.ForEach(func(k uint32, v float64) { out[k] = v })
 	return out
 }
 
@@ -207,7 +209,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	n := g.NumVertices
 	edge := NewEdgeTable("EDGE", g)
 	dist := NewVecTable("BFS", n)
-	dist.Put(opt.Source, Scalar(0))
+	dist.Put(opt.Source, 0)
 
 	// The paper's recursive rule, compiled from source (assignment hoisted
 	// above the edge atom by the planner).
@@ -260,7 +262,7 @@ func (e *Engine) BFS(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult, error)
 	for i := range out {
 		out[i] = -1
 	}
-	dist.ForEach(func(k uint32, v Value) { out[k] = int32(v.S()) })
+	dist.ForEach(func(k uint32, v float64) { out[k] = int32(v) })
 	return &core.BFSResult{Distances: out, Stats: stats}, nil
 }
 
@@ -340,16 +342,20 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 	}
 	count := int64(0)
 	if v, ok := tri.Get(0); ok {
-		count = int64(v.S())
+		count = int64(v)
 	}
 	return &core.TriangleResult{Count: count, Stats: stats}, nil
 }
 
-// CollabFilter implements core.Engine: the user and item factor vectors
-// live in tables keyed by vertex; gradient rules join the rating table
-// with both factor tables and $SUM per key; apply rules assign the new
-// factors. Factor tables transfer to target machines at the start of each
-// iteration so the joins run locally (paper §3.2). SGD is inexpressible.
+// CollabFilter implements core.Engine. SociaLite keeps the user and item
+// factor vectors in tables keyed by vertex (paper §3.2): a gradient rule
+// joins RATING with both factor tables and $SUMs into GRADP[u], its mirror
+// over RATINGT into GRADQ[v], and apply rules assign P2[u] and Q2[v]. Every
+// head is keyed by its driver's own key, so each rule is a fold of that
+// key's own row in row order, and runs here as one: over every row on the
+// call's pool at one node; on a cluster, over each node's owned user and
+// item rows, after the factor tables transfer to the nodes whose joins
+// read them. SGD is inexpressible.
 func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFResult, error) {
 	opt, err := core.CheckCFInput(r, opt)
 	if err != nil {
@@ -359,61 +365,9 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		return nil, core.ErrUnsupported
 	}
 	k := opt.K
-	userInit := core.InitFactors(r.NumUsers, k, opt.Seed)
-	itemInit := core.InitFactors(r.NumItems, k, opt.Seed+1)
-	p := NewVecTable("P", r.NumUsers)
-	q := NewVecTable("Q", r.NumItems)
-	for u := uint32(0); u < r.NumUsers; u++ {
-		p.Put(u, toValue(userInit[int(u)*k:int(u+1)*k]))
-	}
-	for v := uint32(0); v < r.NumItems; v++ {
-		q.Put(v, toValue(itemInit[int(v)*k:int(v+1)*k]))
-	}
-	rating := NewEdgeTable("RATING", r.ByUser)
-	ratingT := NewEdgeTable("RATINGT", r.ByItem)
-
-	gradExpr := func(lambda float64) func(env *Env) Value {
-		return func(env *Env) Value {
-			self, other, rw := env.Vals[1], env.Vals[2], env.Vals[0].S()
-			dot := 0.0
-			for i := range self {
-				dot += self[i] * other[i]
-			}
-			out := make(Value, len(self))
-			for i := range out {
-				out[i] = (rw-dot)*other[i] - lambda*self[i]
-			}
-			return out
-		}
-	}
-	makeGradRule := func(name string, drv *EdgeTable, selfT, otherT, gradT *VecTable, lambda float64) *Rule {
-		return &Rule{
-			Name: name, KeySlots: 2, ValSlots: 4,
-			Driver: Driver{Edge: &EdgeAtom{Table: drv, SrcSlot: 0, DstSlot: 1, WeightSlot: 0}},
-			Atoms: []Atom{
-				{Vec: &VecAtom{Table: selfT, KeySlot: 0, ValSlot: 1}},
-				{Vec: &VecAtom{Table: otherT, KeySlot: 1, ValSlot: 2}},
-			},
-			Lets: []Let{{OutSlot: 3, F: gradExpr(lambda)}},
-			Head: Head{Table: gradT, Agg: AggSum, KeySlot: 0, ValSlot: 3},
-		}
-	}
-	makeApplyRule := func(name string, factorT, gradT, outT *VecTable, gamma float64) *Rule {
-		return &Rule{
-			Name: name, KeySlots: 1, ValSlots: 3,
-			Driver: Driver{Vec: &VecAtom{Table: factorT, KeySlot: 0, ValSlot: 0}},
-			Atoms:  []Atom{{Vec: &VecAtom{Table: gradT, KeySlot: 0, ValSlot: 1}}},
-			Lets: []Let{{OutSlot: 2, F: func(env *Env) Value {
-				f, gr := env.Vals[0], env.Vals[1]
-				out := make(Value, len(f))
-				for i := range out {
-					out[i] = f[i] + gamma*gr[i]
-				}
-				return out
-			}}},
-			Head: Head{Table: outT, Agg: AggAssign, KeySlot: 0, ValSlot: 2},
-		}
-	}
+	p := newCFSide(r.ByUser, core.InitFactors(r.NumUsers, k, opt.Seed), opt.LambdaP)
+	q := newCFSide(r.ByItem, core.InitFactors(r.NumItems, k, opt.Seed+1), opt.LambdaQ)
+	p.other, q.other = q, p
 
 	var c *cluster.Cluster
 	var userPart, itemPart *graph.Partition1D
@@ -440,21 +394,32 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	gamma := opt.LearningRate
 	rmse := make([]float64, 0, opt.Iterations)
 
-	// evalRules evaluates one iteration's rules on the call's pool: over
-	// the whole key space for a single-node run, shard-local on the
-	// cluster's nodes otherwise.
-	evalRules := func(pool *par.Pool, gradPRule, gradQRule, applyP, applyQ *Rule) error {
-		for _, rule := range []*Rule{gradPRule, gradQRule, applyP, applyQ} {
-			if err := rule.Validate(); err != nil {
-				return err
-			}
-		}
-		if c == nil {
-			for _, rule := range []*Rule{gradPRule, gradQRule, applyP, applyQ} {
-				if err := EvalOnce(pool, rule); err != nil {
-					return err
+	// rows runs row over users [ulo,uhi) and items [ilo,ihi) in one pass
+	// on the pool, 64-row chunks claimed dynamically (a row costs its
+	// degree); em is K floats of scratch for the chunk.
+	rows := func(pool *par.Pool, ulo, uhi, ilo, ihi uint32, row func(s *cfSide, key uint32, em []float64)) {
+		nu := int(uhi - ulo)
+		backend.NewSweep(pool, nu+int(ihi-ilo), 64, func(_, lo, hi int) {
+			em := make([]float64, k)
+			for i := lo; i < hi; i++ {
+				if i < nu {
+					row(p, ulo+uint32(i), em)
+				} else {
+					row(q, ilo+uint32(i-nu), em)
 				}
 			}
+		}).Run()
+	}
+	grad := (*cfSide).gradRow
+	apply := func(s *cfSide, key uint32, _ []float64) { s.applyRow(key, k, gamma) }
+
+	// evalRules folds one iteration's gradient rows, then its apply rows,
+	// on the call's pool: over every key for a single-node run, over each
+	// node's owned keys on a cluster.
+	evalRules := func(pool *par.Pool) error {
+		if c == nil {
+			rows(pool, 0, r.NumUsers, 0, r.NumItems, grad)
+			rows(pool, 0, r.NumUsers, 0, r.NumItems, apply)
 			return nil
 		}
 		// Iteration-start table transfer (paper §3.2): each node pulls the
@@ -484,62 +449,31 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		}); err != nil {
 			return err
 		}
-		// Gradients and applies run shard-local after the transfer.
-		if err := c.RunPhase(func(node int) error {
-			ulo, uhi := userPart.Range(node)
-			if _, err := evalSharded(pool, gradPRule, ulo, uhi, nil, nil, 0, false); err != nil {
+		// Gradients and applies run node-local after the transfer.
+		for _, row := range []func(*cfSide, uint32, []float64){grad, apply} {
+			if err := c.RunPhase(func(node int) error {
+				ulo, uhi := userPart.Range(node)
+				ilo, ihi := itemPart.Range(node)
+				rows(pool, ulo, uhi, ilo, ihi, row)
+				return nil
+			}); err != nil {
 				return err
 			}
-			ilo, ihi := itemPart.Range(node)
-			_, err := evalSharded(pool, gradQRule, ilo, ihi, nil, nil, 0, false)
-			return err
-		}); err != nil {
-			return err
-		}
-		return c.RunPhase(func(node int) error {
-			ulo, uhi := userPart.Range(node)
-			if _, err := evalSharded(pool, applyP, ulo, uhi, nil, nil, 0, false); err != nil {
-				return err
-			}
-			ilo, ihi := itemPart.Range(node)
-			_, err := evalSharded(pool, applyQ, ilo, ihi, nil, nil, 0, false)
-			return err
-		})
-	}
-
-	iterate := func(pool *par.Pool) error {
-		gradP := NewVecTable("GRADP", r.NumUsers)
-		gradQ := NewVecTable("GRADQ", r.NumItems)
-		p2 := NewVecTable("P2", r.NumUsers)
-		q2 := NewVecTable("Q2", r.NumItems)
-		gp := makeGradRule("gradP", rating, p, q, gradP, opt.LambdaP)
-		gq := makeGradRule("gradQ", ratingT, q, p, gradQ, opt.LambdaQ)
-		ap := makeApplyRule("applyP", p, gradP, p2, gamma)
-		aq := makeApplyRule("applyQ", q, gradQ, q2, gamma)
-		if err := evalRules(pool, gp, gq, ap, aq); err != nil {
-			return err
-		}
-		// Users or items with no gradient rows keep their factors.
-		p.ForEach(func(key uint32, val Value) {
-			if _, ok := p2.Get(key); !ok {
-				p2.Put(key, val)
-			}
-		})
-		q.ForEach(func(key uint32, val Value) {
-			if _, ok := q2.Get(key); !ok {
-				q2.Put(key, val)
-			}
-		})
-		p, q = p2, q2
-		gamma *= opt.StepDecay
-		if !opt.SkipRMSETrajectory {
-			rmse = append(rmse, rmseOf(r, k, p, q))
 		}
 		return nil
 	}
+
 	train := func(pool *par.Pool, _ *trace.Tracer) int {
-		for it := 0; it < opt.Iterations && err == nil; it++ {
-			err = iterate(pool)
+		for it := 0; it < opt.Iterations; it++ {
+			if err = evalRules(pool); err != nil {
+				break
+			}
+			p.f, p.next = p.next, p.f
+			q.f, q.next = q.next, q.f
+			gamma *= opt.StepDecay
+			if !opt.SkipRMSETrajectory {
+				rmse = append(rmse, rmseOf(r, k, p.f, q.f))
+			}
 		}
 		return opt.Iterations
 	}
@@ -551,44 +485,89 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		return nil, err
 	}
 	if opt.SkipRMSETrajectory {
-		rmse = append(rmse, rmseOf(r, k, p, q))
+		rmse = append(rmse, rmseOf(r, k, p.f, q.f))
 	}
-
-	userOut := make([]float32, int(r.NumUsers)*k)
-	itemOut := make([]float32, int(r.NumItems)*k)
-	p.ForEach(func(key uint32, val Value) {
-		for d := 0; d < k; d++ {
-			userOut[int(key)*k+d] = float32(val[d])
-		}
-	})
-	q.ForEach(func(key uint32, val Value) {
-		for d := 0; d < k; d++ {
-			itemOut[int(key)*k+d] = float32(val[d])
-		}
-	})
-	return &core.CFResult{K: k, UserFactors: userOut, ItemFactors: itemOut, RMSE: rmse, Stats: stats}, nil
+	return &core.CFResult{K: k, UserFactors: narrow(p.f), ItemFactors: narrow(q.f), RMSE: rmse, Stats: stats}, nil
 }
 
-func toValue(f []float32) Value {
-	out := make(Value, len(f))
+// cfSide is one side of the rating matrix: its rows (a user's ratings, or
+// an item's), its factor table f as a flat n·K column, the next factors
+// the apply rule assigns, the gradients, its λ and the side its rows join.
+// f and next swap after every iteration.
+type cfSide struct {
+	rows          *graph.CSR
+	f, next, grad []float64
+	lambda        float64
+	other         *cfSide
+}
+
+func newCFSide(rows *graph.CSR, init []float32, lambda float64) *cfSide {
+	f := make([]float64, len(init))
+	for i, x := range init {
+		f[i] = float64(x)
+	}
+	return &cfSide{rows: rows, f: f, next: make([]float64, len(f)), grad: make([]float64, len(f)), lambda: lambda}
+}
+
+// gradRow folds key's gradient: one emission (rw-dot)·other - λ·self per
+// rating rw of its row, in row order, summed from -0 (the one seed x + seed
+// returns every x from). An emission with a NaN element is dropped, as the
+// rule evaluator drops it, and the rest of the row still folds.
+func (s *cfSide) gradRow(key uint32, em []float64) {
+	k := len(em)
+	self := s.f[int(key)*k : int(key+1)*k]
+	g := s.grad[int(key)*k : int(key+1)*k]
+	for i := range g {
+		g[i] = math.Copysign(0, -1)
+	}
+	wts := s.rows.EdgeWeights(key)
+	for j, o := range s.rows.Neighbors(key) {
+		other := s.other.f[int(o)*k : int(o+1)*k]
+		rw := float64(wts[j])
+		dot := 0.0
+		for i := range self {
+			dot += self[i] * other[i]
+		}
+		nan := false
+		for i := range em {
+			em[i] = (rw-dot)*other[i] - s.lambda*self[i]
+			nan = nan || math.IsNaN(em[i])
+		}
+		if nan {
+			continue
+		}
+		for i := range g {
+			g[i] += em[i]
+		}
+	}
+}
+
+// applyRow assigns key's next factor f + γ·grad. A result with a NaN
+// element keeps f, as the rule evaluator drops the NaN assignment. A row
+// that folded no emission holds the -0 seed, and f + γ·(-0) is f for every
+// factor and every finite γ ≥ 0: a key without a gradient keeps its factor.
+func (s *cfSide) applyRow(key uint32, k int, gamma float64) {
+	f := s.f[int(key)*k : int(key+1)*k]
+	gr := s.grad[int(key)*k : int(key+1)*k]
+	out := s.next[int(key)*k : int(key+1)*k]
+	nan := false
+	for i := range out {
+		out[i] = f[i] + gamma*gr[i]
+		nan = nan || math.IsNaN(out[i])
+	}
+	if nan {
+		copy(out, f)
+	}
+}
+
+func narrow(f []float64) []float32 {
+	out := make([]float32, len(f))
 	for i, x := range f {
-		out[i] = float64(x)
+		out[i] = float32(x)
 	}
 	return out
 }
 
-func rmseOf(r *graph.Bipartite, k int, p, q *VecTable) float64 {
-	userF := make([]float32, int(r.NumUsers)*k)
-	itemF := make([]float32, int(r.NumItems)*k)
-	p.ForEach(func(key uint32, val Value) {
-		for d := 0; d < k; d++ {
-			userF[int(key)*k+d] = float32(val[d])
-		}
-	})
-	q.ForEach(func(key uint32, val Value) {
-		for d := 0; d < k; d++ {
-			itemF[int(key)*k+d] = float32(val[d])
-		}
-	})
-	return core.RMSE(r, k, userF, itemF)
+func rmseOf(r *graph.Bipartite, k int, p, q []float64) float64 {
+	return core.RMSE(r, k, narrow(p), narrow(q))
 }

@@ -43,10 +43,10 @@ func fuzzRegistry(g *graph.CSR) (*Registry, []*VecTable) {
 	rank.FillScalars(func(k uint32) float64 { return 1 / float64(k%11+1) })
 	outDeg.FillScalars(func(k uint32) float64 { return float64(g.Degree(k)) })
 	for k := uint32(0); k < n; k += 3 {
-		rank2.Put(k, Scalar(0.3))
+		rank2.Put(k, 0.3)
 	}
 	bfs := NewVecTable("BFS", n)
-	bfs.Put(0, Scalar(0))
+	bfs.Put(0, 0)
 	tables := []*VecTable{rank, outDeg, rank2, bfs, NewVecTable("TRIANGLE", n)}
 	reg := NewRegistry()
 	reg.Register(NewEdgeTable("OUTEDGE", g))
@@ -132,7 +132,7 @@ func FuzzParse(f *testing.F) {
 		// A recursive rule may never converge: compare a bounded number of
 		// rounds, the lowering's against the generic evaluator's.
 		var deltaP []uint32
-		pooled.Head.Table.ForEach(func(k uint32, _ Value) { deltaP = append(deltaP, k) })
+		pooled.Head.Table.ForEach(func(k uint32, _ float64) { deltaP = append(deltaP, k) })
 		deltaG := make([][]uint32, len(shardPools))
 		for i := range deltaG {
 			deltaG[i] = slices.Clone(deltaP)

@@ -14,9 +14,9 @@ import (
 //
 //	HEAD[t]($AGG(v)) :- DRIVER[s](v0), <key-local prefix>, EDGE[s](t).
 //
-// a keyed driver, vec atoms and scalar assignments that only look at the
+// a keyed driver, vec atoms and assignments that only look at the
 // driver's key, and one trailing unweighted edge atom whose destination
-// keys the scalar head. Every (s, t) tuple of a source then emits the same
+// keys the head. Every (s, t) tuple of a source then emits the same
 // value, so the head column is a sparse matrix-vector product over EDGE:
 //
 //   - recursive $MIN (HEAD is DRIVER, the BFS workhorse) is one level
@@ -54,16 +54,7 @@ func matchEdgeShape(rule *Rule) (*edgeShape, bool) {
 	}
 	prefix := rule.Atoms[:na-1]
 	for _, a := range prefix {
-		switch {
-		case a.Vec != nil:
-			if a.Vec.KeySlot != d.KeySlot {
-				return nil, false
-			}
-		case a.Let != nil:
-			if a.Let.FScalar == nil {
-				return nil, false
-			}
-		default:
+		if a.Let == nil && (a.Vec == nil || a.Vec.KeySlot != d.KeySlot) {
 			return nil, false
 		}
 	}
@@ -73,10 +64,10 @@ func matchEdgeShape(rule *Rule) (*edgeShape, bool) {
 // sourceValue evaluates the driver and the prefix for one source in env
 // and returns the value the head emits along each of the source's edges;
 // false when the driver or a prefix table holds no tuple for it.
-func (s *edgeShape) sourceValue(env *Env, src uint32) (Value, bool) {
+func (s *edgeShape) sourceValue(env *Env, src uint32) (float64, bool) {
 	v0, ok := s.driver.Table.Get(src)
 	if !ok {
-		return nil, false
+		return 0, false
 	}
 	env.Keys[s.driver.KeySlot] = src
 	if s.driver.ValSlot >= 0 {
@@ -86,14 +77,14 @@ func (s *edgeShape) sourceValue(env *Env, src uint32) (Value, bool) {
 		if a.Vec != nil {
 			v, ok := a.Vec.Table.Get(src)
 			if !ok {
-				return nil, false
+				return 0, false
 			}
 			if a.Vec.ValSlot >= 0 {
 				env.Vals[a.Vec.ValSlot] = v
 			}
 			continue
 		}
-		env.setScalar(a.Let.OutSlot, a.Let.FScalar(env))
+		env.Vals[a.Let.OutSlot] = a.Let.F(env)
 	}
 	return env.Vals[s.rule.Head.ValSlot], true
 }
@@ -146,30 +137,23 @@ type RuleLowering struct {
 
 // LowerBFSRule builds the frontier lowering for a rule of the matched
 // shape that is recursive (the head table drives the body) and folds with
-// $MIN over scalars, on the caller's pool.
+// $MIN, on the caller's pool.
 func LowerBFSRule(pool *par.Pool, rule *Rule) (*RuleLowering, bool) {
 	sh, ok := matchEdgeShape(rule)
 	if !ok || rule.Head.Agg != AggMin || !rule.Recursive() || !sh.squareOver() {
 		return nil, false
 	}
 	head := rule.Head.Table
-	// Seed the claimed set from the stored tuples; $MIN over vectors is
-	// not a shape we lower.
-	scalar := true
-	maxVal := math.Inf(-1)
-	head.ForEach(func(k uint32, v Value) {
-		if len(v) != 1 {
-			scalar = false
-		} else if v[0] > maxVal {
-			maxVal = v[0]
-		}
-	})
-	if !scalar {
-		return nil, false
-	}
 	edge := sh.edge.Table
 	step := backend.NewDirectedTraversal(pool, backend.FromCSR(edge.g), edge.in, "", nil)
-	head.ForEach(func(k uint32, _ Value) { step.Claim(k) })
+	// Seed the claimed set from the stored tuples.
+	maxVal := math.Inf(-1)
+	head.ForEach(func(k uint32, v float64) {
+		step.Claim(k)
+		if v > maxVal {
+			maxVal = v
+		}
+	})
 	return &RuleLowering{shape: sh, head: head, step: step, env: rule.newEnv(), maxVal: maxVal}, true
 }
 
@@ -190,12 +174,12 @@ func (l *RuleLowering) Round(delta []uint32) ([]uint32, bool) {
 		if !ok {
 			continue
 		}
-		if len(val) != 1 || math.IsNaN(val[0]) || (!first && val[0] != level) {
+		if math.IsNaN(val) || (!first && val != level) {
 			l.dead = true
 			return nil, false
 		}
 		if first {
-			level, first = val[0], false
+			level, first = val, false
 		}
 		frontier = append(frontier, src)
 	}
@@ -278,7 +262,7 @@ func Fixpoint(pool *par.Pool, rule *Rule) (int, error) {
 	}
 	driver := rule.Driver.Vec.Table
 	var delta []uint32
-	driver.ForEach(func(k uint32, _ Value) { delta = append(delta, k) })
+	driver.ForEach(func(k uint32, _ float64) { delta = append(delta, k) })
 	low, _ := LowerBFSRule(pool, rule)
 	return seminaive(rule, delta, func(delta []uint32) ([]uint32, error) {
 		if low != nil {
@@ -310,7 +294,7 @@ func EvalOnce(pool *par.Pool, rule *Rule) error {
 	return err
 }
 
-// evalEdgeSum evaluates a non-recursive scalar $SUM rule of the matched
+// evalEdgeSum evaluates a non-recursive $SUM rule of the matched
 // shape as y ← y + Aᵀ·x: x[s] is the value source s emits (one pass
 // through the rule's own prefix), Aᵀ is the edge table keyed by
 // destination, and y is the head column, each row's fold starting from the
@@ -319,8 +303,8 @@ func EvalOnce(pool *par.Pool, rule *Rule) error {
 // of Aᵀ left to right, so the column is that evaluator's bit for bit at
 // every worker count. It reports false, with the head untouched, when it
 // cannot promise that: a source with no tuple in the driver or a prefix
-// table (its edges would emit nothing, not zero), a NaN emission (dropped,
-// not folded) or a head or emitted value that is not a scalar.
+// table (its edges would emit nothing, not zero) or a NaN emission
+// (dropped, not folded).
 func evalEdgeSum(pool *par.Pool, s *edgeShape) bool {
 	rule := s.rule
 	head := rule.Head.Table
@@ -334,8 +318,8 @@ func evalEdgeSum(pool *par.Pool, s *edgeShape) bool {
 		env := rule.newEnv()
 		for src := lo; src < hi; src++ {
 			val, ok := s.sourceValue(env, uint32(src))
-			if ok && len(val) == 1 && !math.IsNaN(val[0]) {
-				x[src] = val[0]
+			if ok && !math.IsNaN(val) {
+				x[src] = val
 				continue
 			}
 			// A source without edges emits nothing whatever its value is.
@@ -350,10 +334,7 @@ func evalEdgeSum(pool *par.Pool, s *edgeShape) bool {
 	}
 	// A key with no stored value takes its first update as it comes; -0
 	// is the one seed x + seed returns every x from, +0 and -0 included.
-	y, ok := head.scalarColumn(math.Copysign(0, -1))
-	if !ok {
-		return false
-	}
+	y := head.scalarColumn(math.Copysign(0, -1))
 	in := edge.transposed()
 	backend.NewSumVecMul(pool, in).AddInto(y, x)
 	if head.Len() < len(y) {
@@ -384,7 +365,7 @@ func evalGlobalCount(pool *par.Pool, rule *Rule, span uint32) {
 			// Allocated by the worker that writes it, on every edge: frames
 			// made side by side on the caller would share cache lines.
 			l.env = rule.newEnv()
-			l.sink = func(uint32, Value) { l.n++ }
+			l.sink = func(uint32, float64) { l.n++ }
 		}
 		rule.evalDriver(l.env, uint32(lo), uint32(hi), nil, l.sink)
 	}).Run()
@@ -393,6 +374,6 @@ func evalGlobalCount(pool *par.Pool, rule *Rule, span uint32) {
 		total += lanes[i].n
 	}
 	if total != 0 {
-		rule.Head.Table.foldScalar(AggCount, 0, total)
+		rule.Head.Table.fold(AggCount, 0, total)
 	}
 }

@@ -29,14 +29,14 @@ const (
 func buildBFSRule(t *testing.T, src string, edge *EdgeTable, source uint32, step map[uint32]float64) *Rule {
 	t.Helper()
 	dist := NewVecTable("BFS", edge.NumKeys())
-	dist.Put(source, Scalar(0))
+	dist.Put(source, 0)
 	stepTable := NewVecTable("STEP", edge.NumKeys())
 	for v := uint32(0); v < edge.NumKeys(); v++ {
 		w, ok := step[v]
 		if !ok {
 			w = 1
 		}
-		stepTable.Put(v, Scalar(w))
+		stepTable.Put(v, w)
 	}
 	reg := NewRegistry()
 	reg.Register(edge)
@@ -93,9 +93,9 @@ func requireSameTuples(t *testing.T, what string, want, got *VecTable) {
 	if want.Len() != got.Len() {
 		t.Fatalf("%s: stored tuple counts differ: generic %d, got %d", what, want.Len(), got.Len())
 	}
-	want.ForEach(func(k uint32, v Value) {
+	want.ForEach(func(k uint32, v float64) {
 		gv, present := got.Get(k)
-		if !present || gv.S() != v.S() {
+		if !present || gv != v {
 			t.Fatalf("%s: key %d: generic %v, got %v (present=%v)", what, k, v, gv, present)
 		}
 	})
@@ -189,9 +189,8 @@ func TestFixpointLoweredMatchesGeneric(t *testing.T) {
 // TestFixpointFallsBackMidRun breaks the lowering's uniform-level guard
 // after the first round (one depth-1 vertex steps by 2): Fixpoint must
 // hand that round and the rest to the generic evaluator and still match
-// an all-generic run. The head it hands over is column-only — the
-// lowered round stored no Value array — and at 4 workers the sharded
-// evaluator folds into it concurrently (run it with -race).
+// an all-generic run. At 4 workers the sharded evaluator folds into the
+// head it hands over concurrently (run it with -race).
 func TestFixpointFallsBackMidRun(t *testing.T) {
 	g := fixtureUndirected(t)
 	edge := NewEdgeTable("EDGE", g)
@@ -213,9 +212,6 @@ func TestFixpointFallsBackMidRun(t *testing.T) {
 			depth1, ok := low.Round([]uint32{source})
 			if !ok {
 				t.Fatal("first round must lower")
-			}
-			if probe.Head.Table.vals != nil {
-				t.Fatal("a lowered round made the head's Value array")
 			}
 			if _, ok := low.Round(depth1); ok {
 				t.Fatal("second round mixes levels 2 and 3 and must not lower")
@@ -278,7 +274,7 @@ func TestFixpointRoundBound(t *testing.T) {
 	reach := func(g *graph.CSR, src string) *Rule {
 		t.Helper()
 		tbl := NewVecTable("REACH", g.NumVertices)
-		tbl.Put(0, Scalar(0))
+		tbl.Put(0, 0)
 		reg := NewRegistry()
 		reg.Register(NewEdgeTable("EDGE", g))
 		reg.Register(tbl)
@@ -360,7 +356,7 @@ func TestLoweredRoundFallsBackOnNonUniformDelta(t *testing.T) {
 	edge := NewEdgeTable("EDGE", g)
 	rule := buildBFSRule(t, bfsRuleSrc, edge, 3, nil)
 	// A second seed at a different depth makes the first delta non-uniform.
-	rule.Head.Table.Put(5, Scalar(7))
+	rule.Head.Table.Put(5, 7)
 	pool := par.NewPool(1)
 	defer pool.Close()
 	low, ok := LowerBFSRule(pool, rule)
@@ -406,13 +402,13 @@ func buildSumRule(t *testing.T, edge *EdgeTable, sc sumTables) *Rule {
 			if sc.negativeZeroes && k%5 == 0 {
 				v = math.Copysign(0, -1)
 			}
-			a.Put(k, Scalar(v))
+			a.Put(k, v)
 		}
 		if sc.bHas == nil || sc.bHas(k) {
-			b.Put(k, Scalar(float64(k%13+1)))
+			b.Put(k, float64(k%13+1))
 		}
 		if sc.outHas == nil || sc.outHas(k) {
-			out.Put(k, Scalar(0.15+float64(k%7)*1e-3))
+			out.Put(k, 0.15+float64(k%7)*1e-3)
 		}
 	}
 	reg := NewRegistry()
@@ -433,9 +429,9 @@ func sameBits(want, got *VecTable) error {
 		return fmt.Errorf("%d tuples, want %d", got.Len(), want.Len())
 	}
 	var err error
-	want.ForEach(func(k uint32, v Value) {
+	want.ForEach(func(k uint32, v float64) {
 		gv, ok := got.Get(k)
-		if err == nil && (!ok || len(gv) != 1 || math.Float64bits(gv[0]) != math.Float64bits(v[0])) {
+		if err == nil && (!ok || math.Float64bits(gv) != math.Float64bits(v)) {
 			err = fmt.Errorf("key %d: %v (present=%v), want %v", k, gv, ok, v)
 		}
 	})
@@ -549,7 +545,7 @@ func TestGlobalCountMatchesReference(t *testing.T) {
 				if err := EvalOnce(pool, rule); err != nil {
 					t.Fatal(err)
 				}
-				if v, _ := tri.Get(0); int64(v.S()) != round*want {
+				if v, _ := tri.Get(0); int64(v) != round*want {
 					t.Fatalf("after %d evaluations the count is %v, want %d", round, v, round*want)
 				}
 			}
@@ -567,9 +563,9 @@ func TestNaNEmissionsDroppedAtEveryWorkerCount(t *testing.T) {
 	}
 	build := func() *Rule {
 		a, out := NewVecTable("A", 4), NewVecTable("OUT", 4)
-		a.Put(0, Scalar(math.Inf(1)))
+		a.Put(0, math.Inf(1))
 		for k := uint32(1); k < 4; k++ {
-			a.Put(k, Scalar(float64(k)))
+			a.Put(k, float64(k))
 		}
 		reg := NewRegistry()
 		for _, tab := range []Table{NewEdgeTable("E", g), a, out} {
@@ -594,10 +590,10 @@ func TestNaNEmissionsDroppedAtEveryWorkerCount(t *testing.T) {
 				t.Fatal(err)
 			}
 			for what, rule := range map[string]*Rule{"evalSharded": generic, "EvalOnce": once} {
-				if v, ok := rule.Head.Table.Get(1); !ok || v.S() != 1 {
+				if v, ok := rule.Head.Table.Get(1); !ok || v != 1 {
 					t.Errorf("%s: OUT[1] = %v (present=%v), want 1: source 0's NaN is no tuple", what, v, ok)
 				}
-				if v, ok := rule.Head.Table.Get(2); !ok || v.S() != 1 {
+				if v, ok := rule.Head.Table.Get(2); !ok || v != 1 {
 					t.Errorf("%s: OUT[2] = %v (present=%v), want 1", what, v, ok)
 				}
 			}
@@ -605,33 +601,26 @@ func TestNaNEmissionsDroppedAtEveryWorkerCount(t *testing.T) {
 	}
 }
 
-// TestScalarColumnGathersAliasedValues pins the dense column's aliasing
-// rules: a scalar Value read from one key (a view of its slot) and stored
-// under another is copied into the other's slot, so a later write to the
-// first key does not reach it; a write to a slot is what its key reads;
-// and a vector anywhere means there is no scalar column.
+// TestScalarColumnGathersAliasedValues pins the dense column's rules: a
+// value read from one key and stored under another is copied into the
+// other's slot, so a later write to the first key does not reach it;
+// absent keys read as the fill; and a write to a slot is what its key
+// reads.
 func TestScalarColumnGathersAliasedValues(t *testing.T) {
 	tab := NewVecTable("T", 6)
 	for _, k := range []uint32{0, 1, 2, 4} {
-		tab.Put(k, Scalar(float64(k)+0.5))
+		tab.Put(k, float64(k)+0.5)
 	}
 	v4, _ := tab.Get(4)
 	tab.Put(5, v4)
-	tab.Put(4, Scalar(9))
-	col, ok := tab.scalarColumn(-1)
-	if !ok {
-		t.Fatal("a scalar table did not yield a column")
-	}
+	tab.Put(4, 9)
+	col := tab.scalarColumn(-1)
 	want := []float64{0.5, 1.5, 2.5, -1, 9, 4.5}
 	if !slices.Equal(col, want) {
 		t.Fatalf("column %v, want %v", col, want)
 	}
 	col[5] = 7
-	if v, _ := tab.Get(5); v.S() != 7 {
+	if v, _ := tab.Get(5); v != 7 {
 		t.Fatalf("key 5 reads %v after a write to its column slot", v)
-	}
-	tab.Put(2, Value{1, 2})
-	if _, ok := tab.scalarColumn(0); ok {
-		t.Fatal("a table holding a vector yielded a scalar column")
 	}
 }

@@ -26,10 +26,13 @@ type EvalStats struct {
 }
 
 type kv struct {
-	key    uint32
-	scalar float64
-	vec    Value // nil for scalar emissions (stored inline, no alloc)
+	key uint32
+	val float64
 }
+
+// emissionBytes is one head update on the wire: a 4-byte key and an 8-byte
+// value.
+const emissionBytes = 4 + 8
 
 // EvalParallel is evalSharded on a pool borrowed through core.Exec.Local.
 // Its only non-test caller is bench/'s Datalog replay; engines and the
@@ -94,25 +97,18 @@ func evalSharded(pool *par.Pool, rule *Rule, lo, hi uint32, delta []uint32, owne
 		buf := make([][]kv, workers)
 		dlo := lo + graph.MustU32(int64(uint64(span)*uint64(w)/uint64(workers)))
 		dhi := lo + graph.MustU32(int64(uint64(span)*uint64(w+1)/uint64(workers)))
-		sink := func(key uint32, val Value) {
-			s := shardOf(key)
-			e := kv{key: key}
-			if len(val) == 1 {
-				e.scalar = val[0]
-			} else {
-				e.vec = val
-			}
+		sink := func(key uint32, val float64) {
 			// Shard buffers are sparse: an eager per-shard make would cost
 			// more than amortized growth.
-			buf[s] = append(buf[s], e)
+			s := shardOf(key)
+			buf[s] = append(buf[s], kv{key, val})
 		}
 		rule.evalDriver(rule.newEnv(), dlo, dhi, delta, sink)
 		routed[w] = buf
 	})
 
 	// Phase 2: shard owners fold their updates; no two workers touch the
-	// same key, and none has to make the head's vector array.
-	rule.Head.Table.materialize()
+	// same key.
 	changedPer := make([][]uint32, workers)
 	remoteBytes := make([]int64, workers)
 	each(func(s int) {
@@ -125,19 +121,12 @@ func evalSharded(pool *par.Pool, rule *Rule, lo, hi uint32, delta []uint32, owne
 		}
 		for p := 0; p < workers; p++ {
 			for _, u := range routed[p][s] {
-				var changed bool
-				width := 1
-				if u.vec == nil {
-					changed = rule.Head.Table.foldScalar(rule.Head.Agg, u.key, u.scalar)
-				} else {
-					changed = rule.Head.Table.fold(rule.Head.Agg, u.key, u.vec)
-					width = len(u.vec)
-				}
+				changed := rule.Head.Table.fold(rule.Head.Agg, u.key, u.val)
 				if trackChanged && changed {
 					changedPer[s] = append(changedPer[s], u.key)
 				}
 				if owner != nil && owner(u.key) != selfNode {
-					remoteBytes[s] += int64(4 + 8*width)
+					remoteBytes[s] += emissionBytes
 				}
 			}
 		}
@@ -154,19 +143,12 @@ func evalSharded(pool *par.Pool, rule *Rule, lo, hi uint32, delta []uint32, owne
 // immediately — the single-worker (and global-aggregate) path.
 func evalDirect(rule *Rule, lo, hi uint32, delta []uint32, owner func(uint32) int, selfNode int, trackChanged bool) (EvalStats, error) {
 	var stats EvalStats
-	sink := func(key uint32, val Value) {
-		var changed bool
-		width := len(val)
-		if width == 1 {
-			changed = rule.Head.Table.foldScalar(rule.Head.Agg, key, val[0])
-		} else {
-			changed = rule.Head.Table.fold(rule.Head.Agg, key, val)
-		}
-		if trackChanged && changed {
+	sink := func(key uint32, val float64) {
+		if rule.Head.Table.fold(rule.Head.Agg, key, val) && trackChanged {
 			stats.Changed = append(stats.Changed, key)
 		}
 		if owner != nil && owner(key) != selfNode {
-			stats.RemoteBytes += int64(4 + 8*width)
+			stats.RemoteBytes += emissionBytes
 		}
 	}
 	rule.evalDriver(rule.newEnv(), lo, hi, delta, sink)

@@ -40,14 +40,14 @@ func TestEvalParallelMatchesSerialFold(t *testing.T) {
 	edgeT := NewEdgeTable("E", g)
 	src := NewVecTable("SRC", n)
 	for v := uint32(0); v < n; v++ {
-		src.Put(v, Scalar(float64(v)+0.5))
+		src.Put(v, float64(v)+0.5)
 	}
 	build := func(head *VecTable) *Rule {
 		return &Rule{
 			Name: "sum", KeySlots: 2, ValSlots: 2,
 			Driver: Driver{Vec: &VecAtom{Table: src, KeySlot: 0, ValSlot: 0}},
 			Atoms: []Atom{
-				{Let: &Let{OutSlot: 1, FScalar: func(env *Env) float64 { return env.Vals[0].S() * 3 }}},
+				{Let: &Let{OutSlot: 1, F: func(env *Env) float64 { return env.Vals[0] * 3 }}},
 				{Edge: &EdgeAtom{Table: edgeT, SrcSlot: 0, DstSlot: 1, WeightSlot: -1}},
 			},
 			Head: Head{Agg: AggSum, KeySlot: 1, ValSlot: 1},
@@ -61,8 +61,8 @@ func TestEvalParallelMatchesSerialFold(t *testing.T) {
 	if err := ruleW.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ruleW.evalDriver(ruleW.newEnv(), 0, n, nil, func(key uint32, val Value) {
-		want.foldScalar(AggSum, key, val[0])
+	ruleW.evalDriver(ruleW.newEnv(), 0, n, nil, func(key uint32, val float64) {
+		want.fold(AggSum, key, val)
 	})
 
 	evals := map[string]func(*Rule) error{"EvalParallel": func(rule *Rule) error {
@@ -100,7 +100,7 @@ func TestCompileScalarRuleRecognition(t *testing.T) {
 		Name: "ok", KeySlots: 2, ValSlots: 2,
 		Driver: Driver{Vec: &VecAtom{Table: vt, KeySlot: 0, ValSlot: 0}},
 		Atoms: []Atom{
-			{Let: &Let{OutSlot: 1, FScalar: func(env *Env) float64 { return 1 }}},
+			{Let: &Let{OutSlot: 1, F: func(env *Env) float64 { return 1 }}},
 			{Edge: &EdgeAtom{Table: edgeT, SrcSlot: 0, DstSlot: 1, WeightSlot: -1}},
 		},
 		Head: Head{Table: head, Agg: AggSum, KeySlot: 1, ValSlot: 1},
@@ -138,13 +138,13 @@ func TestEvalParallelDeltaRestriction(t *testing.T) {
 	edgeT := NewEdgeTable("E", g)
 	for _, workers := range shardPoolSizes {
 		dist := NewVecTable("D", 4)
-		dist.Put(0, Scalar(0))
-		dist.Put(2, Scalar(0))
+		dist.Put(0, 0)
+		dist.Put(2, 0)
 		rule := &Rule{
 			Name: "bfs", KeySlots: 2, ValSlots: 2,
 			Driver: Driver{Vec: &VecAtom{Table: dist, KeySlot: 0, ValSlot: 0}},
 			Atoms: []Atom{
-				{Let: &Let{OutSlot: 1, FScalar: func(env *Env) float64 { return env.Vals[0].S() + 1 }}},
+				{Let: &Let{OutSlot: 1, F: func(env *Env) float64 { return env.Vals[0] + 1 }}},
 				{Edge: &EdgeAtom{Table: edgeT, SrcSlot: 0, DstSlot: 1, WeightSlot: -1}},
 			},
 			Head: Head{Table: dist, Agg: AggMin, KeySlot: 1, ValSlot: 1},
@@ -170,7 +170,7 @@ func TestEvalParallelRemoteAccounting(t *testing.T) {
 	g, _ := graph.FromEdges(4, []graph.Edge{{Src: 0, Dst: 3}, {Src: 0, Dst: 1}})
 	edgeT := NewEdgeTable("E", g)
 	src := NewVecTable("S", 4)
-	src.Put(0, Scalar(1))
+	src.Put(0, 1)
 	// Owner: keys < 2 → node 0, else node 1. Evaluating as node 0, the
 	// emission to key 3 is remote, to key 1 local.
 	owner := func(k uint32) int {
@@ -184,7 +184,7 @@ func TestEvalParallelRemoteAccounting(t *testing.T) {
 			Name: "acc", KeySlots: 2, ValSlots: 2,
 			Driver: Driver{Vec: &VecAtom{Table: src, KeySlot: 0, ValSlot: 0}},
 			Atoms: []Atom{
-				{Let: &Let{OutSlot: 1, FScalar: func(env *Env) float64 { return 1 }}},
+				{Let: &Let{OutSlot: 1, F: func(env *Env) float64 { return 1 }}},
 				{Edge: &EdgeAtom{Table: edgeT, SrcSlot: 0, DstSlot: 1, WeightSlot: -1}},
 			},
 			Head: Head{Table: NewVecTable("H", 4), Agg: AggSum, KeySlot: 1, ValSlot: 1},
@@ -202,19 +202,38 @@ func TestEvalParallelRemoteAccounting(t *testing.T) {
 	}
 }
 
-func TestFoldScalarMatchesFold(t *testing.T) {
-	for _, agg := range []Agg{AggAssign, AggSum, AggMin, AggCount} {
-		a := NewVecTable("A", 4)
-		b := NewVecTable("B", 4)
-		inputs := []float64{3, 1, 4, 1, 5}
-		for _, x := range inputs {
-			a.fold(agg, 0, Scalar(x))
-			b.foldScalar(agg, 0, x)
-		}
-		av, _ := a.Get(0)
-		bv, _ := b.Get(0)
-		if av.S() != bv.S() {
-			t.Errorf("%v: fold %v vs foldScalar %v", agg, av.S(), bv.S())
+// TestBoundValuesAreReadAtBindTime: a value a body atom binds is the one
+// its table held when it was bound, so a rule that reads its own head
+// gives one answer wherever its assignment is written and whichever
+// evaluator folds it — the direct one (a one-worker pool, a constant head
+// key), which folds while the join runs, or the routed one, which folds
+// after. R[0] starts at 1 and emits v0+1 = 2 along each of its two edges.
+func TestBoundValuesAreReadAtBindTime(t *testing.T) {
+	g, err := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		"R[s]($SUM(v)) :- R[s](v0), EDGE[s](t), v = v0 + 1.",
+		"R[s]($SUM(v)) :- R[s](v0), v = v0 + 1, EDGE[s](t).",
+		"R(0, $SUM(v)) :- R(s, v0), EDGE(s, t), v = v0 + 1.",
+	} {
+		for _, workers := range shardPoolSizes {
+			reg := NewRegistry()
+			r := NewVecTable("R", 3)
+			r.Put(0, 1)
+			reg.Register(NewEdgeTable("EDGE", g))
+			reg.Register(r)
+			rule, err := Parse(src, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := EvalOnce(newTestPool(t, workers), rule); err != nil {
+				t.Fatal(err)
+			}
+			if v, _ := r.Get(0); v != 5 {
+				t.Errorf("%d workers: %s gives R[0] = %v, want 1+2+2 = 5", workers, src, v)
+			}
 		}
 	}
 }

@@ -443,7 +443,7 @@ type varExpr string
 func (v varExpr) vars() []string { return []string{string(v)} }
 func (v varExpr) compile(valSlot map[string]int) func(*Env) float64 {
 	slot := valSlot[string(v)]
-	return func(env *Env) float64 { return env.Vals[slot].S() }
+	return func(env *Env) float64 { return env.Vals[slot] }
 }
 
 type binExpr struct {
@@ -658,7 +658,7 @@ func (p *parser) compile(head headSpec, order []any) (*Rule, error) {
 			}
 			out := p.valSlot(it.variable)
 			fn := it.expr.compile(p.valSlots)
-			rule.Atoms = append(rule.Atoms, Atom{Let: &Let{OutSlot: out, FScalar: fn}})
+			rule.Atoms = append(rule.Atoms, Atom{Let: &Let{OutSlot: out, F: fn}})
 			p.valBound[it.variable] = true
 		}
 	}

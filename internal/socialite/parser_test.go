@@ -21,7 +21,7 @@ func parserFixture(t *testing.T) (*Registry, *graph.CSR) {
 	reg.Register(outDeg)
 	rank := NewVecTable("RANK", g.NumVertices)
 	for v := uint32(0); v < g.NumVertices; v++ {
-		rank.Put(v, Scalar(1))
+		rank.Put(v, 1)
 	}
 	reg.Register(rank)
 	reg.Register(NewVecTable("RANK2", g.NumVertices))
@@ -44,7 +44,7 @@ func TestParsePageRankRuleMatchesReference(t *testing.T) {
 	head := rank2.(*VecTable)
 	// Seed rule RANK2[n](0.3).
 	for v := uint32(0); v < g.NumVertices; v++ {
-		head.Put(v, Scalar(0.3))
+		head.Put(v, 0.3)
 	}
 	if _, err := evalSharded(newTestPool(t, 0), rule, 0, g.NumVertices, nil, nil, 0, false); err != nil {
 		t.Fatal(err)
@@ -52,12 +52,12 @@ func TestParsePageRankRuleMatchesReference(t *testing.T) {
 	want := core.RefPageRank(g, core.PageRankOptions{Iterations: 1})
 	for v := uint32(0); v < g.NumVertices; v++ {
 		got, _ := head.Get(v)
-		d := got.S() - want[v]
+		d := got - want[v]
 		if d < 0 {
 			d = -d
 		}
 		if d > 1e-9 {
-			t.Fatalf("vertex %d: parsed rule gives %v, reference %v", v, got.S(), want[v])
+			t.Fatalf("vertex %d: parsed rule gives %v, reference %v", v, got, want[v])
 		}
 	}
 }
@@ -73,7 +73,7 @@ func TestParseBFSRuleFixpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist.Put(7, Scalar(0))
+	dist.Put(7, 0)
 	if _, err := Fixpoint(newTestPool(t, 0), rule); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestParseBFSRuleFixpoint(t *testing.T) {
 			}
 			continue
 		}
-		if !ok || int32(got.S()) != want[v] {
+		if !ok || int32(got) != want[v] {
 			t.Fatalf("vertex %d: distance %v, want %d", v, got, want[v])
 		}
 	}
@@ -108,8 +108,8 @@ func TestParseTriangleRule(t *testing.T) {
 	}
 	want := core.RefTriangleCount(g)
 	got, _ := tri.Get(0)
-	if int64(got.S()) != want {
-		t.Fatalf("parsed rule counts %v triangles, want %d", got.S(), want)
+	if int64(got) != want {
+		t.Fatalf("parsed rule counts %v triangles, want %d", got, want)
 	}
 }
 
@@ -138,8 +138,8 @@ func TestParseExpressionPrecedence(t *testing.T) {
 	// Find the Let atom and evaluate it: 1+6-2 = 5.
 	for _, a := range rule.Atoms {
 		if a.Let != nil {
-			env := &Env{Keys: make([]uint32, rule.KeySlots), Vals: make([]Value, rule.ValSlots)}
-			if got := a.Let.FScalar(env); got != 5 {
+			env := &Env{Keys: make([]uint32, rule.KeySlots), Vals: make([]float64, rule.ValSlots)}
+			if got := a.Let.F(env); got != 5 {
 				t.Errorf("1+2*3-4/2 = %v, want 5", got)
 			}
 			return
@@ -156,9 +156,9 @@ func TestParseUnaryMinusAndParens(t *testing.T) {
 	}
 	for _, a := range rule.Atoms {
 		if a.Let != nil {
-			env := &Env{Keys: make([]uint32, rule.KeySlots), Vals: make([]Value, rule.ValSlots)}
-			env.Vals[0] = Scalar(2) // v0
-			if got := a.Let.FScalar(env); got != -6 {
+			env := &Env{Keys: make([]uint32, rule.KeySlots), Vals: make([]float64, rule.ValSlots)}
+			env.Vals[0] = 2 // v0
+			if got := a.Let.F(env); got != -6 {
 				t.Errorf("-(2+1)*2 = %v, want -6", got)
 			}
 			return
@@ -236,7 +236,7 @@ func TestParseBothPaperPageRankVariants(t *testing.T) {
 	reg.Register(outDeg)
 	rank := NewVecTable("RANK", g.NumVertices)
 	for v := uint32(0); v < g.NumVertices; v++ {
-		rank.Put(v, Scalar(1))
+		rank.Put(v, 1)
 	}
 	reg.Register(rank)
 	v1out := NewVecTable("RANKV1", g.NumVertices)
@@ -258,7 +258,7 @@ func TestParseBothPaperPageRankVariants(t *testing.T) {
 
 	seed := func(tab *VecTable) {
 		for v := uint32(0); v < g.NumVertices; v++ {
-			tab.Put(v, Scalar(0.3))
+			tab.Put(v, 0.3)
 		}
 	}
 	seed(v1out)
@@ -274,11 +274,11 @@ func TestParseBothPaperPageRankVariants(t *testing.T) {
 	for v := uint32(0); v < g.NumVertices; v++ {
 		a, _ := v1out.Get(v)
 		b, _ := v2out.Get(v)
-		if d := a.S() - b.S(); d > 1e-9 || d < -1e-9 {
-			t.Fatalf("vertex %d: variants disagree: %v vs %v", v, a.S(), b.S())
+		if d := a - b; d > 1e-9 || d < -1e-9 {
+			t.Fatalf("vertex %d: variants disagree: %v vs %v", v, a, b)
 		}
-		if d := a.S() - want[v]; d > 1e-9 || d < -1e-9 {
-			t.Fatalf("vertex %d: variant 1 gives %v, reference %v", v, a.S(), want[v])
+		if d := a - want[v]; d > 1e-9 || d < -1e-9 {
+			t.Fatalf("vertex %d: variant 1 gives %v, reference %v", v, a, want[v])
 		}
 	}
 }

@@ -3,6 +3,7 @@ package socialite
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // The rule representation below is the "compiled" form SociaLite produces
@@ -19,23 +20,12 @@ import (
 // and head $SUM into RANK2 keyed by n.
 
 // Env is a rule's slot frame during evaluation: key slots hold vertex ids,
-// value slots hold scalars/vectors. Scalar slots reuse a per-frame scratch
-// arena so rule evaluation is allocation-free on the hot path (SociaLite
-// compiles rules to tight Java loops; we match that with this fast path).
+// value slots hold scalars. Frames are made up front, so rule evaluation
+// allocates nothing per tuple (SociaLite compiles rules to tight Java
+// loops; we match that with this fast path).
 type Env struct {
-	Keys    []uint32
-	Vals    []Value
-	scratch []float64
-}
-
-// setScalar binds a value slot to a scalar without allocating.
-func (e *Env) setScalar(slot int, x float64) {
-	if e.scratch == nil {
-		e.scratch = make([]float64, len(e.Vals))
-	}
-	s := e.scratch[slot : slot+1 : slot+1]
-	s[0] = x
-	e.Vals[slot] = s
+	Keys []uint32
+	Vals []float64
 }
 
 // EdgeAtom joins a tail-nested edge table. Src must already be bound. If
@@ -68,16 +58,14 @@ type Atom struct {
 	Let  *Let
 }
 
-// Let computes a derived value from the current frame. Rules with scalar
-// expressions set FScalar (preferred: allocation-free); vector expressions
-// set F.
+// Let computes a derived value from the current frame.
 type Let struct {
 	OutSlot int
-	F       func(env *Env) Value
-	FScalar func(env *Env) float64
+	F       func(env *Env) float64
 }
 
-// Head aggregates the emitted tuple. ValSlot < 0 emits the constant 1
+// Head aggregates the emitted tuple; an emission that is NaN is dropped.
+// ValSlot < 0 emits the constant 1
 // ($INC(1)); KeySlot < 0 folds into the constant key 0 (global
 // aggregates like TRIANGLE(0, $INC(1))).
 type Head struct {
@@ -181,7 +169,7 @@ func (r *Rule) Validate() error {
 			if a.Let.OutSlot < 0 || a.Let.OutSlot >= r.ValSlots {
 				return fmt.Errorf("socialite: rule %s: atom %d let out slot out of range", r.Name, i)
 			}
-			if a.Let.F == nil && a.Let.FScalar == nil {
+			if a.Let.F == nil {
 				return fmt.Errorf("socialite: rule %s: atom %d let has no expression", r.Name, i)
 			}
 			boundVal[a.Let.OutSlot] = true
@@ -193,7 +181,7 @@ func (r *Rule) Validate() error {
 		if l.OutSlot < 0 || l.OutSlot >= r.ValSlots {
 			return fmt.Errorf("socialite: rule %s: let %d out slot out of range", r.Name, i)
 		}
-		if l.F == nil && l.FScalar == nil {
+		if l.F == nil {
 			return fmt.Errorf("socialite: rule %s: let %d has no expression", r.Name, i)
 		}
 		boundVal[l.OutSlot] = true
@@ -211,23 +199,19 @@ func (r *Rule) Validate() error {
 
 // emit is the head sink: fold into the head table (possibly remotely — the
 // engine supplies the routing).
-type emit func(key uint32, val Value)
+type emit func(key uint32, val float64)
 
 // evalFrom continues evaluation from atom index ai with the frame env.
 func (r *Rule) evalFrom(ai int, env *Env, sink emit) {
 	if ai == len(r.Atoms) {
 		for _, l := range r.Lets {
-			if l.FScalar != nil {
-				env.setScalar(l.OutSlot, l.FScalar(env))
-			} else {
-				env.Vals[l.OutSlot] = l.F(env)
-			}
+			env.Vals[l.OutSlot] = l.F(env)
 		}
-		val := one
+		val := 1.0
 		if r.Head.ValSlot >= 0 {
 			val = env.Vals[r.Head.ValSlot]
 		}
-		if isNaN(val) {
+		if math.IsNaN(val) {
 			return
 		}
 		key := uint32(0)
@@ -239,11 +223,7 @@ func (r *Rule) evalFrom(ai int, env *Env, sink emit) {
 	}
 	a := r.Atoms[ai]
 	if a.Let != nil {
-		if a.Let.FScalar != nil {
-			env.setScalar(a.Let.OutSlot, a.Let.FScalar(env))
-		} else {
-			env.Vals[a.Let.OutSlot] = a.Let.F(env)
-		}
+		env.Vals[a.Let.OutSlot] = a.Let.F(env)
 		r.evalFrom(ai+1, env, sink)
 		return
 	}
@@ -271,19 +251,15 @@ func (r *Rule) evalFrom(ai int, env *Env, sink emit) {
 	for i, dst := range adj {
 		env.Keys[e.DstSlot] = dst
 		if e.WeightSlot >= 0 && wts != nil {
-			env.setScalar(e.WeightSlot, float64(wts[i]))
+			env.Vals[e.WeightSlot] = float64(wts[i])
 		}
 		r.evalFrom(ai+1, env, sink)
 	}
 }
 
-// one is the constant emitted by $INC(1) heads; sinks must not retain or
-// mutate emitted values (they may alias shared or scratch storage).
-var one = Value{1}
-
 // newEnv returns an empty slot frame sized for the rule.
 func (r *Rule) newEnv() *Env {
-	return &Env{Keys: make([]uint32, r.KeySlots), Vals: make([]Value, r.ValSlots)}
+	return &Env{Keys: make([]uint32, r.KeySlots), Vals: make([]float64, r.ValSlots)}
 }
 
 // driverSpan reports the size of the key space the rule's driver
@@ -311,7 +287,7 @@ func (r *Rule) evalDriver(env *Env, lo, hi uint32, delta []uint32, sink emit) {
 			for i, dst := range adj {
 				env.Keys[d.DstSlot] = dst
 				if d.WeightSlot >= 0 && wts != nil {
-					env.setScalar(d.WeightSlot, float64(wts[i]))
+					env.Vals[d.WeightSlot] = float64(wts[i])
 				}
 				r.evalFrom(0, env, sink)
 			}

@@ -68,8 +68,8 @@ func TestVecTableBasics(t *testing.T) {
 	if _, ok := tab.Get(3); ok {
 		t.Error("fresh table has key")
 	}
-	tab.Put(3, Scalar(1.5))
-	if v, ok := tab.Get(3); !ok || v.S() != 1.5 {
+	tab.Put(3, 1.5)
+	if v, ok := tab.Get(3); !ok || v != 1.5 {
 		t.Errorf("Get = %v,%v", v, ok)
 	}
 	if tab.Len() != 1 {
@@ -79,32 +79,32 @@ func TestVecTableBasics(t *testing.T) {
 
 func TestFoldAggregations(t *testing.T) {
 	tab := NewVecTable("T", 4)
-	// SUM accumulates element-wise.
-	tab.fold(AggSum, 0, Value{1, 2})
-	tab.fold(AggSum, 0, Value{10, 20})
-	if v, _ := tab.Get(0); v[0] != 11 || v[1] != 22 {
+	// SUM accumulates.
+	tab.fold(AggSum, 0, 1)
+	tab.fold(AggSum, 0, 10)
+	if v, _ := tab.Get(0); v != 11 {
 		t.Errorf("SUM = %v", v)
 	}
 	// MIN keeps the smaller and reports change.
-	if !tab.fold(AggMin, 1, Scalar(5)) {
+	if !tab.fold(AggMin, 1, 5) {
 		t.Error("first MIN not a change")
 	}
-	if tab.fold(AggMin, 1, Scalar(9)) {
+	if tab.fold(AggMin, 1, 9) {
 		t.Error("larger MIN reported change")
 	}
-	if !tab.fold(AggMin, 1, Scalar(2)) {
+	if !tab.fold(AggMin, 1, 2) {
 		t.Error("smaller MIN not a change")
 	}
 	// COUNT increments.
-	tab.fold(AggCount, 2, Scalar(1))
-	tab.fold(AggCount, 2, Scalar(1))
-	if v, _ := tab.Get(2); v.S() != 2 {
+	tab.fold(AggCount, 2, 1)
+	tab.fold(AggCount, 2, 1)
+	if v, _ := tab.Get(2); v != 2 {
 		t.Errorf("COUNT = %v", v)
 	}
 	// ASSIGN overwrites.
-	tab.fold(AggAssign, 3, Scalar(7))
-	tab.fold(AggAssign, 3, Scalar(8))
-	if v, _ := tab.Get(3); v.S() != 8 {
+	tab.fold(AggAssign, 3, 7)
+	tab.fold(AggAssign, 3, 8)
+	if v, _ := tab.Get(3); v != 8 {
 		t.Errorf("ASSIGN = %v", v)
 	}
 }

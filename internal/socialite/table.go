@@ -9,7 +9,6 @@ package socialite
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -17,15 +16,9 @@ import (
 	"graphmaze/internal/graph"
 )
 
-// Value is a tuple attribute: a scalar or a K-vector (SociaLite stores
-// collaborative filtering's length-K vectors in table columns, §3.2).
-type Value []float64
-
-// Scalar wraps a float64 as a Value.
-func Scalar(x float64) Value { return Value{x} }
-
-// S returns the scalar view of a value.
-func (v Value) S() float64 { return v[0] }
+// Scalar returns x: a tuple attribute is a float64. Its caller is the
+// benchmark's Datalog replay (bench/layers.go), which seeds a table with it.
+func Scalar(x float64) float64 { return x }
 
 // Table is a relation the rule engine can enumerate and index.
 type Table interface {
@@ -85,18 +78,13 @@ func (t *EdgeTable) transposed() *backend.Matrix {
 	return t.in
 }
 
-// VecTable is a keyed single-column relation: key → Value. It backs both
-// scalar columns (RANK, DIST, DEGREE) and vector columns (the CF factor
-// tables). Scalars live in one dense column, so a scalar-only table holds
-// no Value per key and no []Value array at all.
+// VecTable is a keyed single-column relation: key → float64, held in one
+// dense column (RANK, DIST, DEGREE).
 type VecTable struct {
 	name    string
 	present []bool
 	count   atomic.Int64
-	// col holds the scalars: a Value read from it aliases the key's slot.
-	col []float64
-	// vals holds the vectors (nil elsewhere), made by the first vector Put.
-	vals []Value
+	col     []float64
 }
 
 // NewVecTable returns an empty table over keys [0, numKeys).
@@ -114,40 +102,20 @@ func (t *VecTable) NumKeys() uint32 { return graph.MustU32(int64(len(t.col))) }
 func (t *VecTable) Len() int { return int(t.count.Load()) }
 
 // Get returns the value at key, if present.
-func (t *VecTable) Get(key uint32) (Value, bool) {
+func (t *VecTable) Get(key uint32) (float64, bool) {
 	if !t.present[key] {
-		return nil, false
+		return 0, false
 	}
-	return t.value(key), true
+	return t.col[key], true
 }
 
-// value returns present key's value: its vector, or its column slot.
-func (t *VecTable) value(key uint32) Value {
-	if t.vals != nil && t.vals[key] != nil {
-		return t.vals[key]
+// Put assigns key ← x unconditionally.
+func (t *VecTable) Put(key uint32, x float64) {
+	if !t.present[key] {
+		t.present[key] = true
+		t.count.Add(1)
 	}
-	return t.col[key : key+1 : key+1]
-}
-
-// Put assigns key ← val unconditionally. A scalar is copied into the
-// table's column; a vector is stored as given.
-func (t *VecTable) Put(key uint32, val Value) {
-	if len(val) == 1 {
-		t.putScalar(key, val[0])
-		return
-	}
-	t.materialize()
-	t.mark(key)
-	t.vals[key] = val
-}
-
-// putScalar assigns key ← x in the column, allocating nothing.
-func (t *VecTable) putScalar(key uint32, x float64) {
-	t.mark(key)
 	t.col[key] = x
-	if t.vals != nil {
-		t.vals[key] = nil
-	}
 }
 
 // putScalars assigns key ← x for every key of keys, none of them present,
@@ -160,42 +128,18 @@ func (t *VecTable) putScalars(keys []uint32, x float64) {
 	t.count.Add(int64(len(keys)))
 }
 
-// mark makes key present.
-func (t *VecTable) mark(key uint32) {
-	if !t.present[key] {
-		t.present[key] = true
-		t.count.Add(1)
-	}
-}
-
-// materialize makes the table's []Value array, so no vector Put has to.
-// The sharded evaluator calls it before its shards fold concurrently: the
-// array is one allocation every shard's Puts would otherwise race to make.
-func (t *VecTable) materialize() {
-	if t.vals == nil {
-		t.vals = make([]Value, len(t.col))
-	}
-}
-
 // FillScalars assigns key ← f(key) for every key of the table.
 func (t *VecTable) FillScalars(f func(key uint32) float64) {
 	for k := range t.col {
 		t.col[k] = f(uint32(k))
 		t.present[k] = true
 	}
-	clear(t.vals)
 	t.count.Store(int64(len(t.col)))
 }
 
 // scalarColumn returns the table's dense column, in which absent keys now
-// read as fill; col[k] is key k's storage. ok is false when a present
-// value is a vector.
-func (t *VecTable) scalarColumn(fill float64) (col []float64, ok bool) {
-	for _, v := range t.vals {
-		if v != nil {
-			return nil, false
-		}
-	}
+// read as fill; col[k] is key k's storage.
+func (t *VecTable) scalarColumn(fill float64) []float64 {
 	if t.Len() < len(t.col) {
 		for k, p := range t.present {
 			if !p {
@@ -203,7 +147,7 @@ func (t *VecTable) scalarColumn(fill float64) (col []float64, ok bool) {
 			}
 		}
 	}
-	return t.col, true
+	return t.col
 }
 
 // adoptColumn makes every absent key that has(key) reports present, with
@@ -218,10 +162,10 @@ func (t *VecTable) adoptColumn(has func(key int) bool) {
 }
 
 // ForEach visits every present (key, value) in key order.
-func (t *VecTable) ForEach(fn func(key uint32, val Value)) {
+func (t *VecTable) ForEach(fn func(key uint32, val float64)) {
 	for k, p := range t.present {
 		if p {
-			fn(uint32(k), t.value(uint32(k)))
+			fn(uint32(k), t.col[k])
 		}
 	}
 }
@@ -232,9 +176,9 @@ type Agg int
 const (
 	// AggAssign overwrites (plain head, no aggregation).
 	AggAssign Agg = iota
-	// AggSum is $SUM — element-wise for vectors.
+	// AggSum is $SUM.
 	AggSum
-	// AggMin is $MIN (scalars). Fold reports whether the value changed,
+	// AggMin is $MIN. Fold reports whether the value changed,
 	// which drives semi-naive deltas.
 	AggMin
 	// AggCount is $INC(1).
@@ -257,78 +201,27 @@ func (a Agg) String() string {
 	}
 }
 
-// fold merges val into the table at key per the aggregation; it reports
+// fold merges x into the table at key per the aggregation; it reports
 // whether the stored value changed.
-func (t *VecTable) fold(agg Agg, key uint32, val Value) bool {
-	old, ok := t.Get(key)
+func (t *VecTable) fold(agg Agg, key uint32, x float64) bool {
 	switch agg {
 	case AggAssign:
-		t.Put(key, val)
-		return true
-	case AggSum:
-		if !ok {
-			cp := make(Value, len(val))
-			copy(cp, val)
-			t.Put(key, cp)
-			return true
-		}
-		for i := range old {
-			old[i] += val[i]
-		}
-		return true
-	case AggMin:
-		if !ok || val.S() < old.S() {
-			t.putScalar(key, val.S())
-			return true
-		}
-		return false
-	case AggCount:
-		if !ok {
-			t.putScalar(key, val.S())
-			return true
-		}
-		old[0] += val.S()
-		return true
-	default:
-		panic(fmt.Sprintf("socialite: unknown aggregation %v", agg))
-	}
-}
-
-// foldScalar is fold for scalar values, allocating nothing.
-func (t *VecTable) foldScalar(agg Agg, key uint32, x float64) bool {
-	old, ok := t.Get(key)
-	switch agg {
-	case AggAssign:
-		t.putScalar(key, x)
+		t.Put(key, x)
 		return true
 	case AggSum, AggCount:
-		if !ok {
-			t.putScalar(key, x)
+		if !t.present[key] {
+			t.Put(key, x)
 			return true
 		}
-		old[0] += x
+		t.col[key] += x
 		return true
 	case AggMin:
-		if !ok {
-			t.putScalar(key, x)
-			return true
-		}
-		if x < old[0] {
-			old[0] = x
+		if !t.present[key] || x < t.col[key] {
+			t.Put(key, x)
 			return true
 		}
 		return false
 	default:
 		panic(fmt.Sprintf("socialite: unknown aggregation %v", agg))
 	}
-}
-
-// isNaN guards against propagating NaNs out of user expressions.
-func isNaN(v Value) bool {
-	for _, x := range v {
-		if math.IsNaN(x) {
-			return true
-		}
-	}
-	return false
 }
