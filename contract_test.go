@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"graphmaze/internal/lint"
 	"graphmaze/internal/trace"
 )
 
@@ -330,131 +332,132 @@ func TestGoStatementsArePinned(t *testing.T) {
 	}
 }
 
-// testOracles are internal/core's serial references and the comparisons
-// made against them. Tests in every engine package and the root reference
-// table (TestEnginesMatchReference) check against them, and no package's
-// tests can import another's test file, so tests are their only callers
-// by design. An entry that gains a non-test caller, or whose function is
-// gone, fails the test.
-var testOracles = map[string]bool{
-	"internal/core.RefPageRank":                true,
-	"internal/core.RefBFS":                     true,
-	"internal/core.RefTriangleCount":           true,
-	"internal/core.ComparePageRank":            true,
-	"internal/core.EqualDistances":             true,
-	"internal/core.MonotonicallyNonIncreasing": true,
-	"internal/core.ValidateBFS":                true,
+// testOracles are the exported functions and methods whose only callers
+// are tests, by design, each with a test that uses it. internal/core's
+// serial references and the comparisons made against them are shared by
+// tests in every engine package and the root reference table
+// (TestEnginesMatchReference), and no package's tests can import another's
+// test file. An entry that gains a non-test caller, or whose declaration
+// is gone, fails the test.
+var testOracles = map[string]string{
+	"internal/core.RefPageRank":                "TestEnginesMatchReference",
+	"internal/core.RefBFS":                     "TestEnginesMatchReference",
+	"internal/core.RefTriangleCount":           "TestEnginesMatchReference",
+	"internal/core.ComparePageRank":            "TestEnginesMatchReference",
+	"internal/core.EqualDistances":             "TestEnginesMatchReference",
+	"internal/core.MonotonicallyNonIncreasing": "TestEnginesMatchReference",
+	"internal/core.ValidateBFS":                "TestEnginesMatchReference",
+	// The edge list of a prepared graph, which tests rebuild graphs from.
+	"internal/graph.CSR.Edges": "TestConformanceRejectsUnsortedTriangleInput",
+	// The replay that restores a graph from its epoch store reads it
+	// (ROADMAP item 2); until then its tests hold the stored chain to the
+	// live epochs.
+	"internal/ckpt.EpochStore.Load": "TestEpochStoreSaveDeltaLoadsEveryEpoch",
 }
 
 // TestKernelSurfaceHasCallers: every exported function and method of
-// every package under internal/ is referenced by non-test code somewhere
-// in the repository, bench/ included, besides its own declaration. A
-// name only tests call is a second implementation nobody runs (DESIGN.md
-// §12): delete it, give it the caller it is for, or, when a test uses it
-// as an oracle, move it into that test's file. Two exemptions: an
-// exported method on an unexported receiver type (outside its package it
-// is reachable only through an interface, sort.Interface's Less and Swap,
-// say, whose caller is the interface's user, not a selector this scan can
-// see), and the oracles in testOracles. The check reads syntax, not
-// types: a function counts as referenced when its package-qualified name
-// (or, inside its own package, its bare name) appears, a method when a
-// selector whose left side is not an imported package names it — so a
-// type or function of the same name (native.Tuning, say) does not keep a
-// dead method Tuning alive. It can still miss a dead method that shares
-// its name with a live one or a field, never flag a live one.
+// every package under internal/ is called by non-test code somewhere in
+// the repository, bench/ included. A name only tests call is a second
+// implementation nobody runs (DESIGN.md §12): delete it, give it the
+// caller it is for, or list it in testOracles with the test that uses it.
+// The check resolves every reference through go/types (lint.Load
+// type-checks the module, bench/ included), so a dead method that shares
+// its name with a live one or with a field is still found. A method counts
+// as called when a reference resolves to it or when it implements an
+// interface method some reference resolves to; fmt.Stringer's String and
+// error's Error count as referenced, since fmt calls them on the values it
+// formats. Exported methods on unexported receiver types are exempt:
+// outside their package they are reachable only through an interface,
+// often one the standard library calls (sort.Interface's Less and Swap,
+// say), which no reference here shows.
 func TestKernelSurfaceHasCallers(t *testing.T) {
-	inModule := func(pkg string) bool { return strings.HasPrefix(pkg, "internal/") }
-	type decl struct {
-		pos             token.Position
-		pkg, recv, name string
-	}
-	var decls []decl
-	funcRefs := map[string]bool{}   // "internal/backend.NewSumVecMul"
-	methodRefs := map[string]bool{} // "MapInto"
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		imported := map[string]string{} // local name → import path, module prefix trimmed
-		for _, imp := range file.Imports {
-			ipath, _ := strconv.Unquote(imp.Path.Value)
-			name := filepath.Base(ipath)
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imported[name] = strings.TrimPrefix(ipath, "graphmaze/")
-		}
-		declared := map[*ast.Ident]bool{}
-		for _, d := range file.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fn.Name] = true
-			recv := receiverName(fn)
-			if inModule(dir) && fn.Name.IsExported() && (recv == "" || token.IsExported(recv)) {
-				decls = append(decls, decl{fset.Position(fn.Pos()), dir, recv, fn.Name.Name})
-			}
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				x, ok := n.X.(*ast.Ident)
-				if !ok || imported[x.Name] == "" {
-					methodRefs[n.Sel.Name] = true
-				} else if inModule(imported[x.Name]) {
-					funcRefs[imported[x.Name]+"."+n.Sel.Name] = true
-				}
-			case *ast.Ident:
-				if inModule(dir) && !declared[n] {
-					funcRefs[dir+"."+n.Name] = true
-				}
-			}
-			return true
-		})
-		return nil
-	})
+	pkgs, err := lint.Load(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decls) == 0 {
-		t.Fatal("found no exported kernel declarations: the rule is checking nothing")
+	called := map[*types.Func]bool{}
+	ifaceMethods := map[string][]*types.Func{ // by name
+		"Error": {types.Universe.Lookup("error").Type().Underlying().(*types.Interface).Method(0)},
 	}
-	oracles := map[string]bool{}
-	for _, d := range decls {
-		key := d.pkg + "." + d.name
-		if d.recv == "" && testOracles[key] {
-			oracles[key] = true
-			if funcRefs[key] {
-				t.Errorf("%s: %s is listed in testOracles but has a caller outside tests: delete the entry", d.pos, key)
+	for _, p := range pkgs {
+		for _, imp := range p.Types.Imports() {
+			if imp.Path() == "fmt" && len(ifaceMethods["String"]) == 0 {
+				stringer := imp.Scope().Lookup("Stringer").Type().Underlying().(*types.Interface)
+				ifaceMethods["String"] = []*types.Func{stringer.Method(0)}
 			}
+		}
+		for _, obj := range p.Info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok || called[fn.Origin()] {
+				continue
+			}
+			fn = fn.Origin()
+			called[fn] = true
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				ifaceMethods[fn.Name()] = append(ifaceMethods[fn.Name()], fn)
+			}
+		}
+	}
+	implementsCalled := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		for _, m := range ifaceMethods[fn.Name()] {
+			iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+				return true
+			}
+		}
+		return false
+	}
+
+	checked, oracles := 0, map[string]bool{}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.Rel, "internal/") {
 			continue
 		}
-		if d.recv == "" && !funcRefs[key] {
-			t.Errorf("%s: %s.%s has no caller outside tests", d.pos, filepath.Base(d.pkg), d.name)
+		for _, file := range p.Files {
+			for _, d := range file.Decls {
+				decl, ok := d.(*ast.FuncDecl)
+				if !ok || !decl.Name.IsExported() {
+					continue
+				}
+				fn := p.Info.Defs[decl.Name].(*types.Func)
+				key := p.Rel + "." + fn.Name()
+				recv := fn.Type().(*types.Signature).Recv()
+				if recv != nil {
+					named := recv.Type()
+					if ptr, ok := named.(*types.Pointer); ok {
+						named = ptr.Elem()
+					}
+					name := named.(*types.Named).Obj().Name()
+					if !token.IsExported(name) {
+						continue
+					}
+					key = p.Rel + "." + name + "." + fn.Name()
+				}
+				checked++
+				live := called[fn] || (recv != nil && implementsCalled(fn))
+				if testOracles[key] != "" {
+					oracles[key] = true
+					if live {
+						t.Errorf("%s: %s is listed in testOracles but has a caller outside tests: delete the entry", p.Fset.Position(decl.Pos()), key)
+					}
+					continue
+				}
+				if !live {
+					t.Errorf("%s: %s has no caller outside tests", p.Fset.Position(decl.Pos()), strings.TrimPrefix(key, "internal/"))
+				}
+			}
 		}
-		if d.recv != "" && !methodRefs[d.name] {
-			t.Errorf("%s: %s.%s.%s has no caller outside tests", d.pos, filepath.Base(d.pkg), d.recv, d.name)
-		}
+	}
+	if checked == 0 {
+		t.Fatal("found no exported kernel declarations: the rule is checking nothing")
 	}
 	for key := range testOracles {
 		if !oracles[key] {
-			t.Errorf("testOracles lists %s, which is not an exported function: delete the entry", key)
+			t.Errorf("testOracles lists %s, which is not an exported function or method: delete the entry", key)
 		}
 	}
 }

@@ -21,9 +21,6 @@ func New(n uint32) *Vector {
 	return &Vector{words: make([]uint64, (uint64(n)+63)/64), n: n}
 }
 
-// Len reports the capacity in bits.
-func (v *Vector) Len() uint32 { return v.n }
-
 // Set sets bit i.
 func (v *Vector) Set(i uint32) {
 	v.words[i>>6] |= 1 << (i & 63)
@@ -88,6 +85,3 @@ func (v *Vector) ForEach(fn func(uint32)) {
 // Words exposes the raw word array for codecs. The slice aliases the
 // vector's storage.
 func (v *Vector) Words() []uint64 { return v.words }
-
-// MemoryBytes reports the resident size of the vector.
-func (v *Vector) MemoryBytes() int64 { return int64(len(v.words)) * 8 }

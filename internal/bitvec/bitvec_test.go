@@ -9,8 +9,8 @@ import (
 
 func TestSetGetClear(t *testing.T) {
 	v := New(130)
-	if v.Len() != 130 {
-		t.Fatalf("Len = %d", v.Len())
+	if v.n != 130 {
+		t.Fatalf("capacity = %d bits, want 130", v.n)
 	}
 	for _, i := range []uint32{0, 1, 63, 64, 65, 127, 128, 129} {
 		if v.Get(i) {
@@ -119,11 +119,12 @@ func TestQuickAgainstMapSet(t *testing.T) {
 	}
 }
 
+// TestMemoryBytes: a vector holds its bits in whole 64-bit words, no more.
 func TestMemoryBytes(t *testing.T) {
-	if got := New(128).MemoryBytes(); got != 16 {
-		t.Errorf("MemoryBytes(128 bits) = %d, want 16", got)
+	if got := len(New(128).Words()) * 8; got != 16 {
+		t.Errorf("128 bits take %d bytes, want 16", got)
 	}
-	if got := New(129).MemoryBytes(); got != 24 {
-		t.Errorf("MemoryBytes(129 bits) = %d, want 24", got)
+	if got := len(New(129).Words()) * 8; got != 24 {
+		t.Errorf("129 bits take %d bytes, want 24", got)
 	}
 }

@@ -1,17 +1,16 @@
-// Package ckpt implements the checkpoint store of the fault-tolerance
-// subsystem (DESIGN.md §10): engines snapshot their state every Interval
-// steps into opaque blobs (serialized through internal/codec's record
-// framing), and crash recovery restores the latest one. The store models
-// the cost of stable storage — per-checkpoint latency plus bytes over a
-// per-node bandwidth — so checkpoint writes and recovery reads charge the
-// same virtual clock as compute and network time, which is how the paper's
-// methodology would account them.
+// Package ckpt holds the checkpoint configuration and the stable-storage
+// cost model of the fault-tolerance subsystem (DESIGN.md §10): engines
+// snapshot their state every Interval steps into opaque blobs (serialized
+// through internal/codec's record framing), and crash recovery
+// (cluster.Recovery, which holds the one checkpoint it can roll back to)
+// restores the latest one. The model charges per-checkpoint latency plus
+// bytes over a per-node bandwidth, so checkpoint writes and recovery reads
+// charge the same virtual clock as compute and network time, which is how
+// the paper's methodology would account them. EpochStore persists a
+// versioned graph's epochs under the same model.
 package ckpt
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // The stable-storage cost model every checkpoint write and restore read
 // is charged (DESIGN.md §10): a fixed commit latency plus the blob, sharded
@@ -69,67 +68,4 @@ type Checkpoint struct {
 	Phases int
 	// Data is the opaque engine+cluster state blob.
 	Data []byte
-}
-
-// Store holds a run's checkpoints and the write/read statistics the
-// metrics layer reports. It is safe for concurrent use.
-type Store struct {
-	cfg Config
-
-	mu     sync.Mutex
-	ckpts  []Checkpoint
-	bytes  int64
-	writes int
-}
-
-// NewStore returns a store for the configuration (nil when checkpointing
-// is disabled, so callers can gate on the store).
-func NewStore(cfg Config) *Store {
-	if !cfg.Enabled() {
-		return nil
-	}
-	return &Store{cfg: cfg}
-}
-
-// Due reports whether a checkpoint should be taken before the given step.
-func (s *Store) Due(step int) bool {
-	if s == nil {
-		return false
-	}
-	return step%s.cfg.Interval == 0
-}
-
-// Save records a snapshot taken at the given step. The blob is retained,
-// not copied; the caller must not mutate it afterwards. Returns the write
-// cost in virtual seconds for a cluster of the given node count.
-func (s *Store) Save(step, phases int, data []byte, nodes int) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ckpts = append(s.ckpts, Checkpoint{Step: step, Phases: phases, Data: data})
-	s.bytes += int64(len(data))
-	s.writes++
-	return WriteSeconds(int64(len(data)), nodes)
-}
-
-// Latest returns the most recent checkpoint.
-func (s *Store) Latest() (Checkpoint, bool) {
-	if s == nil {
-		return Checkpoint{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.ckpts) == 0 {
-		return Checkpoint{}, false
-	}
-	return s.ckpts[len(s.ckpts)-1], true
-}
-
-// Stats reports total bytes written and the write count.
-func (s *Store) Stats() (bytes int64, writes int) {
-	if s == nil {
-		return 0, 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes, s.writes
 }

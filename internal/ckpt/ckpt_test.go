@@ -5,49 +5,6 @@ import (
 	"testing"
 )
 
-func TestDisabledStoreIsNil(t *testing.T) {
-	s := NewStore(Config{})
-	if s != nil {
-		t.Fatal("disabled config produced a store")
-	}
-	// Nil-safe accessors gate the recovery loop.
-	if s.Due(0) {
-		t.Error("nil store reported a checkpoint due")
-	}
-	if _, ok := s.Latest(); ok {
-		t.Error("nil store produced a checkpoint")
-	}
-	if b, w := s.Stats(); b != 0 || w != 0 {
-		t.Errorf("nil store stats = %d/%d", b, w)
-	}
-}
-
-func TestDue(t *testing.T) {
-	s := NewStore(Config{Interval: 3})
-	for step, want := range map[int]bool{0: true, 1: false, 2: false, 3: true, 6: true, 7: false} {
-		if got := s.Due(step); got != want {
-			t.Errorf("Due(%d) = %v, want %v", step, got, want)
-		}
-	}
-}
-
-func TestSaveLatestStats(t *testing.T) {
-	s := NewStore(Config{Interval: 2})
-	if _, ok := s.Latest(); ok {
-		t.Error("empty store produced a checkpoint")
-	}
-	s.Save(0, 0, []byte("aaaa"), 2)
-	s.Save(2, 5, []byte("bbbbbbbb"), 2)
-	ck, ok := s.Latest()
-	if !ok || ck.Step != 2 || ck.Phases != 5 || string(ck.Data) != "bbbbbbbb" {
-		t.Errorf("Latest = %+v, %v", ck, ok)
-	}
-	bytes, writes := s.Stats()
-	if bytes != 12 || writes != 2 {
-		t.Errorf("Stats = %d bytes / %d writes, want 12/2", bytes, writes)
-	}
-}
-
 func TestWriteSecondsModel(t *testing.T) {
 	// 2 GB over 2 nodes at 1 GB/s/node: 1 s transfer + the 50 ms latency.
 	got := WriteSeconds(2*Bandwidth, 2)
@@ -80,15 +37,5 @@ func TestValidate(t *testing.T) {
 	}
 	if err := (Config{Interval: 2}).Validate(); err != nil {
 		t.Errorf("rejected valid config: %v", err)
-	}
-}
-
-func TestSaveReturnsWriteCost(t *testing.T) {
-	// One 1 MB write on one node: 1 ms of transfer plus the latency.
-	s := NewStore(Config{Interval: 1})
-	cost := s.Save(0, 0, make([]byte, 1e6), 1)
-	want := 1e6/Bandwidth + Latency
-	if math.Abs(cost-want) > 1e-9 {
-		t.Errorf("Save cost = %v, want %v", cost, want)
 	}
 }

@@ -1,19 +1,28 @@
 package ckpt
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"graphmaze/internal/graph"
 )
 
-// Latest reports the highest stored epoch: the round-trip tests' view of
+// Latest reports the newest stored epoch: the round-trip tests' view of
 // what the store holds.
 func (s *EpochStore) Latest() (graph.Epoch, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.latest, s.stored()
+	return s.newest(), s.base != nil
+}
+
+// sameSnapshot reports whether got is want's epoch, array for array.
+func sameSnapshot(got, want *graph.Snapshot) bool {
+	a, b := want.CSR(), got.CSR()
+	return got.Epoch() == want.Epoch() && a.NumVertices == b.NumVertices &&
+		slices.Equal(a.Offsets, b.Offsets) && slices.Equal(a.Targets, b.Targets)
 }
 
 func versionedFixture(t *testing.T) *graph.Versioned {
@@ -43,18 +52,6 @@ func TestEpochStoreRoundTrip(t *testing.T) {
 	if bytes0 <= 0 || cost <= 0 {
 		t.Fatalf("save must report size and cost: %d bytes, %g s", bytes0, cost)
 	}
-	snap1, _, _, err := v.ApplyDelta([]graph.Edge{{Src: 3, Dst: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := store.Save(snap1, 4); err != nil {
-		t.Fatal(err)
-	}
-
-	if latest, ok := store.Latest(); !ok || latest != snap1.Epoch() {
-		t.Fatalf("latest = %d/%v, want %d", latest, ok, snap1.Epoch())
-	}
-	// Restoring an older epoch is the whole point of keying by epoch.
 	got, readCost, err := store.Load(snap0.Epoch(), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -62,23 +59,32 @@ func TestEpochStoreRoundTrip(t *testing.T) {
 	if readCost <= 0 {
 		t.Fatal("load must charge the cost model")
 	}
-	if got.Epoch() != snap0.Epoch() || got.NumEdges() != snap0.NumEdges() {
+	if !sameSnapshot(got, snap0) {
 		t.Fatalf("restored epoch %d with %d edges, want %d with %d",
 			got.Epoch(), got.NumEdges(), snap0.Epoch(), snap0.NumEdges())
 	}
-	a, b := snap0.CSR(), got.CSR()
-	for u := uint32(0); u < a.NumVertices; u++ {
-		an, bn := a.Neighbors(u), b.Neighbors(u)
-		if len(an) != len(bn) {
-			t.Fatalf("vertex %d degree %d, want %d", u, len(bn), len(an))
-		}
-		for i := range an {
-			if an[i] != bn[i] {
-				t.Fatalf("vertex %d adjacency diverges", u)
-			}
-		}
-	}
 
+	// A whole snapshot starts a new chain: the old epoch is released.
+	snap1, _, _, err := v.ApplyDelta([]graph.Edge{{Src: 3, Dst: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes1, _, err := store.Save(snap1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if latest, ok := store.Latest(); !ok || latest != snap1.Epoch() {
+		t.Fatalf("latest = %d/%v, want %d", latest, ok, snap1.Epoch())
+	}
+	if held, _ := store.Stats(); held != bytes1 {
+		t.Fatalf("store holds %d bytes after a new chain, want its snapshot's %d", held, bytes1)
+	}
+	if got, _, err := store.Load(snap1.Epoch(), 4); err != nil || !sameSnapshot(got, snap1) {
+		t.Fatalf("Load(%d) = %v, %v", snap1.Epoch(), got, err)
+	}
+	if _, _, err := store.Load(snap0.Epoch(), 4); err == nil || !strings.Contains(err.Error(), "epoch 0 released") {
+		t.Fatalf("Load of the released epoch 0 = %v, want an error naming it", err)
+	}
 	if _, _, err := store.Load(99, 4); err == nil {
 		t.Fatal("loading an unstored epoch must fail")
 	}
@@ -117,9 +123,12 @@ func randomDelta(rng *rand.Rand, n uint32, edges int) []graph.Edge {
 }
 
 // TestEpochStoreSaveDeltaLoadsEveryEpoch: with every epoch after the first
-// persisted as its delta record, Load rebuilds each one array for array —
-// across the point where the records outweigh the last whole snapshot and
-// the store takes a new one by itself.
+// persisted as its delta record, Load rebuilds each epoch of the current
+// chain array for array — across the points where the records outweigh
+// the chain's snapshot and the store starts a new chain by itself. Each
+// rollover releases the old chain, so the bytes held stay within twice a
+// snapshot of the live graph, and an epoch before the chain is an error
+// that names it.
 func TestEpochStoreSaveDeltaLoadsEveryEpoch(t *testing.T) {
 	for _, sym := range []bool{false, true} {
 		v := versionedFixture(t)
@@ -141,6 +150,7 @@ func TestEpochStoreSaveDeltaLoadsEveryEpoch(t *testing.T) {
 		live := []*graph.Snapshot{v.Current()}
 		rng := rand.New(rand.NewSource(5))
 		whole, records := 1, 0
+		chainStart := v.Epoch()
 		for i := 0; i < 40; i++ {
 			// Every fifth batch is wholly duplicate: the epoch advances and
 			// the record carries no edges.
@@ -158,13 +168,28 @@ func TestEpochStoreSaveDeltaLoadsEveryEpoch(t *testing.T) {
 				t.Fatal(err)
 			}
 			after, writes := store.Stats()
-			if after-before != n || cost <= 0 || writes != i+2 {
-				t.Fatalf("epoch %d: SaveDelta reported %d bytes at cost %g, stats grew by %d over %d writes", snap.Epoch(), n, cost, after-before, writes)
+			if cost <= 0 || writes != i+2 {
+				t.Fatalf("epoch %d: SaveDelta reported cost %g after %d writes", snap.Epoch(), cost, writes)
 			}
 			if n > int64(32+8*len(added)) {
-				whole++ // not a record: the store rolled over to a whole snapshot
+				// Not a record: the store rolled over to a new chain.
+				whole++
+				chainStart = snap.Epoch()
+				if after != n {
+					t.Fatalf("epoch %d: a new chain of %d bytes left the store holding %d", snap.Epoch(), n, after)
+				}
 			} else {
 				records++
+				if after-before != n {
+					t.Fatalf("epoch %d: a %d-byte record grew the store by %d", snap.Epoch(), n, after-before)
+				}
+			}
+			full, err := graph.EncodeSnapshot(nil, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after > 2*int64(len(full)) {
+				t.Fatalf("epoch %d: store holds %d bytes, over twice the live snapshot's %d", snap.Epoch(), after, len(full))
 			}
 			live = append(live, snap)
 		}
@@ -173,16 +198,22 @@ func TestEpochStoreSaveDeltaLoadsEveryEpoch(t *testing.T) {
 		}
 		for _, want := range live {
 			got, cost, err := store.Load(want.Epoch(), 1)
+			if want.Epoch() < chainStart {
+				released := fmt.Sprintf("epoch %d released", want.Epoch())
+				if err == nil || !strings.Contains(err.Error(), released) {
+					t.Fatalf("sym=%v: Load(%d) before the chain at %d = %v, want an error naming the epoch", sym, want.Epoch(), chainStart, err)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatalf("sym=%v: Load(%d): %v", sym, want.Epoch(), err)
 			}
-			a, b := want.CSR(), got.CSR()
-			if got.Epoch() != want.Epoch() || cost <= 0 || !slices.Equal(a.Offsets, b.Offsets) || !slices.Equal(a.Targets, b.Targets) {
+			if cost <= 0 || !sameSnapshot(got, want) {
 				t.Fatalf("sym=%v: Load(%d) differs from the live snapshot", sym, want.Epoch())
 			}
 		}
-		if latest, ok := store.Latest(); !ok || latest != v.Epoch() {
-			t.Fatalf("latest = %d/%v, want %d", latest, ok, v.Epoch())
+		if latest, ok := store.Latest(); !ok || latest != v.Epoch() || chainStart == 0 {
+			t.Fatalf("latest = %d/%v, want %d, from a chain past epoch 0 (at %d)", latest, ok, v.Epoch(), chainStart)
 		}
 	}
 }
@@ -243,9 +274,9 @@ func TestEpochStoreLoadReportsDamagedRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rec := store.deltas[2]
+	rec := store.records[1] // turns epoch 1 into 2
 	for _, damaged := range [][]byte{rec[:len(rec)-3], flipBit(rec, 8*len(rec)/2)} {
-		store.deltas[2] = damaged
+		store.records[1] = damaged
 		if _, _, err := store.Load(1, 1); err != nil {
 			t.Errorf("epoch 1 sits below the damaged record: %v", err)
 		}

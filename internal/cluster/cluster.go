@@ -143,8 +143,11 @@ type Cluster struct {
 	extraBytes  []int64    // accounted-only traffic per node this phase
 	extraMsgs   []int64
 	baselineMem []int64 // engine-declared resident bytes per node
-	phases      int
-	virtualSec  float64 // accumulated modeled wall clock, the one simulated clock
+	// phases counts executed phases, failed ones included. It is never
+	// rolled back: fault plans key their events on it, so a replayed phase
+	// runs under a fresh index and a consumed one-shot fault cannot re-fire.
+	phases     int
+	virtualSec float64 // accumulated modeled wall clock, the one simulated clock
 
 	// tally holds the Report's counters, each summed in the order the
 	// phases, checkpoints and recoveries ran; Report fills in the clock,
@@ -473,12 +476,6 @@ func (c *Cluster) failPhase(computeSec []float64, err error) error {
 	c.phases++
 	return err
 }
-
-// Phases reports how many phases have executed, failed ones included. The
-// counter is monotonic and never rolled back — fault plans key their
-// events on it, so a replayed phase runs under a fresh index and a
-// consumed one-shot fault cannot re-fire.
-func (c *Cluster) Phases() int { return c.phases }
 
 // VirtualSeconds reports the modeled wall clock accumulated so far.
 // Engines bracket RunPhase calls with it to place their own phase spans

@@ -242,8 +242,8 @@ func TestPhasesCounter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Phases() != 3 {
-		t.Errorf("Phases = %d, want 3", c.Phases())
+	if c.phases != 3 {
+		t.Errorf("Phases = %d, want 3", c.phases)
 	}
 }
 

@@ -11,18 +11,19 @@ import (
 
 // Recovery drives an engine's step loop with checkpointing and
 // rollback-and-replay (DESIGN.md §10), the availability scheme Pregel
-// describes and Giraph inherits: every Interval steps the engine's state —
-// plus the cluster's in-flight inbox, which belongs to the superstep
-// boundary — is snapshotted to the checkpoint store; when a step fails
-// (injected crash, transport-detected message fault, or an ordinary
-// compute error) the latest checkpoint is restored and the loop re-runs
-// from the checkpointed step. Checkpoint writes, restore reads, and
-// failure detection all charge the cluster's virtual clock, so the
-// overhead and recovery cost show up in the Report and as spans on
-// the trace exactly like compute and network time.
+// describes and Giraph inherits: every Ckpt.Interval steps the engine's
+// state — plus the cluster's in-flight inbox, which belongs to the
+// superstep boundary — is snapshotted into the one checkpoint the driver
+// holds, replacing the previous one; when a step fails (injected crash,
+// transport-detected message fault, or an ordinary compute error) that
+// checkpoint is restored and the loop re-runs from the checkpointed step.
+// Checkpoint writes, restore reads, and failure detection all charge the
+// cluster's virtual clock, so the overhead and recovery cost show up in
+// the Report and as spans on the trace exactly like compute and network
+// time.
 type Recovery struct {
 	c        *Cluster
-	store    *ckpt.Store
+	latest   *ckpt.Checkpoint // the checkpoint a rollback restores; nil before the first
 	snapshot func() ([]byte, error)
 	restore  func([]byte) error
 }
@@ -35,12 +36,7 @@ type Recovery struct {
 // disabled (Ckpt.Interval 0) the driver runs steps plainly and step errors
 // propagate unchanged.
 func (c *Cluster) Recovery(snapshot func() ([]byte, error), restore func([]byte) error) *Recovery {
-	return &Recovery{
-		c:        c,
-		store:    ckpt.NewStore(c.cfg.Ckpt),
-		snapshot: snapshot,
-		restore:  restore,
-	}
+	return &Recovery{c: c, snapshot: snapshot, restore: restore}
 }
 
 // Run executes step(0), step(1), ... until a step reports done or fails
@@ -57,34 +53,31 @@ func (c *Cluster) Recovery(snapshot func() ([]byte, error), restore func([]byte)
 // all-or-nothing — a recovered run therefore converges to output
 // bit-identical to a fault-free run's.
 func (r *Recovery) Run(step func(step int) (done bool, err error)) error {
+	cfg := r.c.cfg.Ckpt
 	recoveries := 0
 	for i := 0; ; {
-		if r.store.Due(i) {
-			// Skip the re-save after a rollback landed us back on a
-			// checkpointed step: the stored snapshot is still exact.
-			if ck, ok := r.store.Latest(); !ok || ck.Step != i {
-				if err := r.checkpoint(i); err != nil {
-					return fmt.Errorf("cluster: checkpoint at step %d: %w", i, err)
-				}
+		// Skip the re-save after a rollback landed us back on the
+		// checkpointed step: the held snapshot is still exact.
+		if cfg.Enabled() && i%cfg.Interval == 0 && (r.latest == nil || r.latest.Step != i) {
+			if err := r.checkpoint(i); err != nil {
+				return fmt.Errorf("cluster: checkpoint at step %d: %w", i, err)
 			}
 		}
 		done, err := step(i)
 		if err != nil {
-			if r.store == nil {
+			if !cfg.Enabled() {
 				return err
 			}
 			recoveries++
 			if recoveries > MaxRecoveries {
 				return fmt.Errorf("cluster: giving up after %d recoveries: %w", MaxRecoveries, err)
 			}
-			ck, ok := r.store.Latest()
-			if !ok {
-				return fmt.Errorf("cluster: step %d failed with no checkpoint to recover from: %w", i, err)
-			}
-			if rerr := r.recover(ck); rerr != nil {
+			// Step 0 is always checkpointed first, so a failing step has a
+			// checkpoint to roll back to.
+			if rerr := r.recover(); rerr != nil {
 				return errors.Join(err, rerr)
 			}
-			i = ck.Step
+			i = r.latest.Step
 			continue
 		}
 		if done {
@@ -94,12 +87,9 @@ func (r *Recovery) Run(step func(step int) (done bool, err error)) error {
 	}
 }
 
-// Store exposes the underlying checkpoint store (nil when checkpointing is
-// disabled), for stats.
-func (r *Recovery) Store() *ckpt.Store { return r.store }
-
 // checkpoint snapshots engine state and the cluster inbox into one blob,
-// saves it, and charges the write to the virtual clock.
+// holds it in place of the previous checkpoint, and charges the write to
+// the virtual clock.
 func (r *Recovery) checkpoint(step int) error {
 	c := r.c
 	engine, err := r.snapshot()
@@ -108,7 +98,8 @@ func (r *Recovery) checkpoint(step int) error {
 	}
 	blob := codec.AppendSection(nil, engine)
 	blob = codec.AppendSection(blob, c.snapshotInbox())
-	cost := r.store.Save(step, c.phases, blob, c.cfg.Nodes)
+	r.latest = &ckpt.Checkpoint{Step: step, Phases: c.phases, Data: blob}
+	cost := ckpt.WriteSeconds(int64(len(blob)), c.cfg.Nodes)
 	c.tally.CheckpointSeconds += cost
 	c.tally.CheckpointBytes += int64(len(blob))
 	c.tally.Checkpoints++
@@ -123,10 +114,11 @@ func (r *Recovery) checkpoint(step int) error {
 	return nil
 }
 
-// recover restores engine state and inbox from a checkpoint and charges
-// the restore read plus the rolled-back phases to the recovery tally.
-func (r *Recovery) recover(ck ckpt.Checkpoint) error {
-	c := r.c
+// recover restores engine state and inbox from the held checkpoint and
+// charges the restore read plus the rolled-back phases to the recovery
+// tally.
+func (r *Recovery) recover() error {
+	c, ck := r.c, r.latest
 	phasesAtFailure := c.phases // failPhase already counted the failed phase
 	engine, rest, err := codec.Section(ck.Data)
 	if err != nil {
@@ -177,8 +169,8 @@ func (c *Cluster) snapshotInbox() []byte {
 }
 
 // restoreInbox rebuilds the inbox from snapshotInbox's encoding. Payloads
-// are deep-copied out of the blob: the store retains the blob, and engines
-// may mutate delivered payloads in place.
+// are deep-copied out of the blob: the Recovery driver holds the blob for
+// the next rollback, and engines may mutate delivered payloads in place.
 func (c *Cluster) restoreInbox(data []byte) error {
 	nodes, data, err := codec.Uvarint(data)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -73,8 +74,8 @@ func TestComputeErrorCleanState(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("RunPhase error = %v", err)
 	}
-	if c.Phases() != 1 {
-		t.Errorf("failed phase did not advance counter: %d", c.Phases())
+	if c.phases != 1 {
+		t.Errorf("failed phase did not advance counter: %d", c.phases)
 	}
 	// The next phase must not deliver the aborted phase's sends or charge
 	// its accounted traffic.
@@ -321,9 +322,6 @@ func TestRecoveryWithoutCheckpointing(t *testing.T) {
 		func() ([]byte, error) { return nil, errors.New("must not be called") },
 		func([]byte) error { return errors.New("must not be called") },
 	)
-	if rec.Store() != nil {
-		t.Error("disabled checkpointing produced a store")
-	}
 	err := rec.Run(func(i int) (bool, error) {
 		if i == 2 {
 			return false, boom
@@ -332,6 +330,95 @@ func TestRecoveryWithoutCheckpointing(t *testing.T) {
 	})
 	if !errors.Is(err, boom) || strings.Contains(err.Error(), "recover") {
 		t.Errorf("error without checkpointing = %v, want plain boom", err)
+	}
+	if rec.latest != nil || c.Report().Checkpoints != 0 {
+		t.Error("disabled checkpointing took a checkpoint")
+	}
+}
+
+// TestRecoveryCheckpointCadence: with Interval 3 a checkpoint is taken
+// before steps 0, 3 and 6 and before no other.
+func TestRecoveryCheckpointCadence(t *testing.T) {
+	cfg := testConfig(2)
+	cfg.Ckpt = ckpt.Config{Interval: 3}
+	c, _ := New(cfg)
+	var at []int
+	steps := 0
+	err := c.Recovery(
+		func() ([]byte, error) { at = append(at, steps); return nil, nil },
+		func([]byte) error { return nil },
+	).Run(func(i int) (bool, error) {
+		steps++
+		return i >= 7, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 3, 6}; !reflect.DeepEqual(at, want) {
+		t.Errorf("checkpoints before steps %v, want %v", at, want)
+	}
+	if r := c.Report(); r.Checkpoints != 3 {
+		t.Errorf("Report.Checkpoints = %d, want 3", r.Checkpoints)
+	}
+}
+
+// TestRecoveryRollsBackToTheLatestCheckpoint: the driver holds only the
+// newest checkpoint, and a failure rolls back to it, not to an older one.
+func TestRecoveryRollsBackToTheLatestCheckpoint(t *testing.T) {
+	cfg := testConfig(2)
+	cfg.Ckpt = ckpt.Config{Interval: 2}
+	// Step i runs phase i: the crash fails step 5, after the checkpoints
+	// taken before steps 0, 2 and 4.
+	cfg.Fault = (&fault.Plan{}).Add(fault.Event{Kind: fault.Crash, Phase: 5, Node: 1})
+	c, _ := New(cfg)
+	e := &toyEngine{c: c}
+	var restored []byte
+	rec := c.Recovery(e.snapshot, func(data []byte) error {
+		restored = append([]byte(nil), data...)
+		return e.restore(data)
+	})
+	if err := rec.Run(e.step); err != nil {
+		t.Fatal(err)
+	}
+	ck := rec.latest
+	if ck == nil || ck.Step != 4 || ck.Phases != 4 {
+		t.Fatalf("held checkpoint = %+v, want step 4 at phase 4", ck)
+	}
+	engine, _, err := codec.Section(ck.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := codec.AppendUint32s(nil, []uint32{0, 1, 2, 3}); !bytes.Equal(engine, want) || !bytes.Equal(restored, want) {
+		t.Errorf("held engine state %v, restored %v, want step 4's %v", engine, restored, want)
+	}
+	r := c.Report()
+	if r.Checkpoints != 3 || r.Recoveries != 1 || r.ReplayedPhases != 2 {
+		t.Errorf("Checkpoints=%d Recoveries=%d ReplayedPhases=%d, want 3/1/2", r.Checkpoints, r.Recoveries, r.ReplayedPhases)
+	}
+}
+
+// TestCheckpointWriteCost: one 1 MB checkpoint on one node charges 1 ms of
+// transfer plus the latency, and its bytes, to the report.
+func TestCheckpointWriteCost(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.Ckpt = ckpt.Config{Interval: 1}
+	c, _ := New(cfg)
+	rec := c.Recovery(
+		func() ([]byte, error) { return make([]byte, 1e6), nil },
+		func([]byte) error { return nil },
+	)
+	if err := rec.Run(func(int) (bool, error) { return true, nil }); err != nil {
+		t.Fatal(err)
+	}
+	size := len(rec.latest.Data)
+	if size < 1e6 {
+		t.Fatalf("checkpoint blob is %d bytes, want the 1 MB engine state and the inbox", size)
+	}
+	r := c.Report()
+	want := float64(size)/ckpt.Bandwidth + ckpt.Latency
+	if math.Abs(r.CheckpointSeconds-want) > 1e-9 || r.CheckpointBytes != int64(size) || r.Checkpoints != 1 {
+		t.Errorf("checkpoint charged %v s for %d bytes over %d writes, want %v s for %d over 1",
+			r.CheckpointSeconds, r.CheckpointBytes, r.Checkpoints, want, size)
 	}
 }
 
@@ -448,8 +535,8 @@ func TestCheckpointBlobLayout(t *testing.T) {
 		func([]byte) error { return nil },
 	)
 	_ = rec.Run(func(i int) (bool, error) { return true, nil })
-	ck, ok := rec.Store().Latest()
-	if !ok {
+	ck := rec.latest
+	if ck == nil {
 		t.Fatal("no checkpoint written")
 	}
 	engine, rest, err := codec.Section(ck.Data)

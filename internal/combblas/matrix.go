@@ -66,31 +66,6 @@ func FromWeightedGraph(g *graph.CSR) (*SpMat[float32], error) {
 	}, nil
 }
 
-// Transpose returns the matrix with rows and columns exchanged.
-func (m *SpMat[T]) Transpose() *SpMat[T] {
-	offsets := make([]int64, m.NumCols+1)
-	for _, c := range m.Cols {
-		offsets[c+1]++
-	}
-	for i := 1; i < len(offsets); i++ {
-		offsets[i] += offsets[i-1]
-	}
-	cols := make([]uint32, len(m.Cols))
-	vals := make([]T, len(m.Vals))
-	cursor := make([]int64, m.NumCols)
-	for r := uint32(0); r < m.NumRows; r++ {
-		lo, hi := m.Offsets[r], m.Offsets[r+1]
-		for i := lo; i < hi; i++ {
-			c := m.Cols[i]
-			pos := offsets[c] + cursor[c]
-			cols[pos] = r
-			vals[pos] = m.Vals[i]
-			cursor[c]++
-		}
-	}
-	return &SpMat[T]{NumRows: m.NumCols, NumCols: m.NumRows, Offsets: offsets, Cols: cols, Vals: vals}
-}
-
 // Semiring defines the ⊗/⊕ pair for SpMV-style operations: Mul combines a
 // nonzero with a vector element, Add accumulates, Zero is the additive
 // identity.
@@ -210,9 +185,6 @@ type Product struct {
 	Cols             [][]uint32
 	Vals             [][]int64
 }
-
-// NNZ reports the number of stored nonzeros.
-func (m *Product) NNZ() int64 { return m.Offsets[m.NumRows] }
 
 // Row returns row r's column indices and values (aliases the matrix).
 func (m *Product) Row(r uint32) ([]uint32, []int64) {

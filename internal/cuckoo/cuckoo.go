@@ -61,9 +61,6 @@ func (s *Set) resize(rows uint32) {
 	s.rows = rows
 }
 
-// Len reports the number of keys stored.
-func (s *Set) Len() int { return s.size }
-
 // hash maps key to its bucket row in the given table; mask is rows-1.
 func hash(table int, key, mask uint32) uint32 {
 	x := uint64(key)
@@ -180,20 +177,6 @@ func (s *Set) grow() {
 	s.rows = bigger.rows
 }
 
-// ForEach calls fn for every key in unspecified order.
-func (s *Set) ForEach(fn func(uint32)) {
-	if s.hasMax {
-		fn(emptySlot)
-	}
-	for _, table := range s.buckets {
-		for _, key := range table {
-			if key != emptySlot {
-				fn(key)
-			}
-		}
-	}
-}
-
 // IntersectCount returns |s ∩ keys| — the triangle-counting primitive: the
 // received neighbour list is streamed against the local cuckoo set.
 func (s *Set) IntersectCount(keys []uint32) int {
@@ -209,9 +192,4 @@ func (s *Set) IntersectCount(keys []uint32) int {
 		c += probe(b0, b1, mask, k)
 	}
 	return c
-}
-
-// MemoryBytes reports the resident size of the tables.
-func (s *Set) MemoryBytes() int64 {
-	return int64(len(s.buckets)) * int64(s.rows) * bucketSize * 4
 }

@@ -7,6 +7,26 @@ import (
 	"testing/quick"
 )
 
+// forEach calls fn for every key the set holds, in unspecified order:
+// the tests' view of its contents.
+func (s *Set) forEach(fn func(uint32)) {
+	if s.hasMax {
+		fn(emptySlot)
+	}
+	for _, table := range s.buckets {
+		for _, key := range table {
+			if key != emptySlot {
+				fn(key)
+			}
+		}
+	}
+}
+
+// memoryBytes is the resident size of the set's tables.
+func (s *Set) memoryBytes() int64 {
+	return int64(len(s.buckets)) * int64(s.rows) * bucketSize * 4
+}
+
 func TestInsertContains(t *testing.T) {
 	s := New(16)
 	keys := []uint32{0, 1, 42, 1 << 20, 7, 9}
@@ -15,8 +35,8 @@ func TestInsertContains(t *testing.T) {
 			t.Errorf("Insert(%d) reported duplicate on first insert", k)
 		}
 	}
-	if s.Len() != len(keys) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(keys))
+	if s.size != len(keys) {
+		t.Fatalf("Len = %d, want %d", s.size, len(keys))
 	}
 	for _, k := range keys {
 		if !s.Contains(k) {
@@ -36,8 +56,8 @@ func TestInsertDuplicate(t *testing.T) {
 	if s.Insert(5) {
 		t.Error("duplicate insert reported as new")
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
+	if s.size != 1 {
+		t.Errorf("Len = %d, want 1", s.size)
 	}
 }
 
@@ -56,8 +76,8 @@ func TestSentinelKey(t *testing.T) {
 	if s.Insert(max) {
 		t.Error("duplicate sentinel insert reported new")
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
+	if s.size != 1 {
+		t.Errorf("Len = %d, want 1", s.size)
 	}
 }
 
@@ -67,8 +87,8 @@ func TestGrowth(t *testing.T) {
 	for i := uint32(0); i < n; i++ {
 		s.Insert(i * 2654435761) // well-spread keys
 	}
-	if s.Len() != n {
-		t.Fatalf("Len = %d, want %d", s.Len(), n)
+	if s.size != n {
+		t.Fatalf("Len = %d, want %d", s.size, n)
 	}
 	for i := uint32(0); i < n; i++ {
 		if !s.Contains(i * 2654435761) {
@@ -84,7 +104,7 @@ func TestForEach(t *testing.T) {
 		s.Insert(k)
 	}
 	got := map[uint32]bool{}
-	s.ForEach(func(k uint32) { got[k] = true })
+	s.forEach(func(k uint32) { got[k] = true })
 	if len(got) != len(want) {
 		t.Fatalf("ForEach visited %v, want %v", got, want)
 	}
@@ -124,7 +144,7 @@ func TestQuickAgainstMapSet(t *testing.T) {
 				return false
 			}
 		}
-		return s.Len() == len(ref)
+		return s.size == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -146,8 +166,8 @@ func TestAdversarialSameBucketKeys(t *testing.T) {
 }
 
 func TestMemoryBytesGrows(t *testing.T) {
-	small := New(4).MemoryBytes()
-	big := New(1 << 16).MemoryBytes()
+	small := New(4).memoryBytes()
+	big := New(1 << 16).memoryBytes()
 	if big <= small {
 		t.Errorf("MemoryBytes: big %d <= small %d", big, small)
 	}
@@ -185,7 +205,7 @@ func TestResetMatchesNew(t *testing.T) {
 		probes := randomKeys(r, 2000)
 		fresh := New(c.capacity)
 		reused.Reset(c.capacity)
-		if reused.Len() != 0 || reused.Contains(emptySlot) || reused.IntersectCount(probes) != 0 {
+		if reused.size != 0 || reused.Contains(emptySlot) || reused.IntersectCount(probes) != 0 {
 			t.Fatalf("case %d: set not empty after Reset", i)
 		}
 		for _, k := range keys {
@@ -193,8 +213,8 @@ func TestResetMatchesNew(t *testing.T) {
 				t.Fatalf("case %d: Insert(%d) newness differs", i, k)
 			}
 		}
-		if fresh.Len() != reused.Len() || fresh.MemoryBytes() != reused.MemoryBytes() {
-			t.Fatalf("case %d: len %d / %d bytes, fresh set has %d / %d", i, reused.Len(), reused.MemoryBytes(), fresh.Len(), fresh.MemoryBytes())
+		if fresh.size != reused.size || fresh.memoryBytes() != reused.memoryBytes() {
+			t.Fatalf("case %d: len %d / %d bytes, fresh set has %d / %d", i, reused.size, reused.memoryBytes(), fresh.size, fresh.memoryBytes())
 		}
 		for tbl := range fresh.buckets {
 			if !slices.Equal(fresh.buckets[tbl], reused.buckets[tbl]) {

@@ -54,9 +54,6 @@ func (c *Context) ID() uint32 { return c.id }
 // Superstep reports the current superstep number (0-based).
 func (c *Context) Superstep() int { return c.rt.superstep }
 
-// NumVertices reports the graph's vertex count.
-func (c *Context) NumVertices() uint32 { return c.rt.g.NumVertices }
-
 // Value returns the vertex's current (boxed) value.
 func (c *Context) Value() any { return c.value }
 
@@ -672,13 +669,12 @@ func Run(job *Job) (*Result, error) {
 		// aggregator counter, and pending messages are checkpointed
 		// (Pregel's scheme, which Giraph inherits), and an injected crash
 		// rolls back and replays from the last snapshot.
+		if cfg := job.Cluster.Config().Ckpt; cfg.Enabled() && (job.EncodeValue == nil || job.DecodeValue == nil) {
+			return nil, fmt.Errorf("giraph: checkpointing (interval %d) needs EncodeValue/DecodeValue on the job", cfg.Interval)
+		}
 		rec := job.Cluster.Recovery(
 			func() ([]byte, error) { return snapshotState(job, rt, values) },
 			func(data []byte) error { return restoreState(job, rt, values, data) })
-		if rec.Store() != nil && (job.EncodeValue == nil || job.DecodeValue == nil) {
-			return nil, fmt.Errorf("giraph: checkpointing (interval %d) needs EncodeValue/DecodeValue on the job",
-				job.Cluster.Config().Ckpt.Interval)
-		}
 		if err := rec.Run(runStep); err != nil {
 			return nil, err
 		}

@@ -36,7 +36,7 @@ func TestContextAccessors(t *testing.T) {
 		Compute: func(ctx *Context, _ []any) {
 			if ctx.ID() == 0 {
 				sawWeights = append(sawWeights, ctx.EdgeWeights()...)
-				sawN = ctx.NumVertices()
+				sawN = ctx.rt.g.NumVertices
 				if ctx.Superstep() != 0 {
 					t.Errorf("Superstep = %d", ctx.Superstep())
 				}

@@ -54,10 +54,6 @@ func (b *Builder) AddEdges(edges []Edge) {
 	b.edges = append(b.edges, edges...)
 }
 
-// Reset discards any accumulated edges, returning the builder to its
-// freshly-constructed state without waiting for a Build.
-func (b *Builder) Reset() { b.edges = nil }
-
 // Build applies the requested transforms and constructs the CSR. The
 // accumulated edges are consumed: whether Build succeeds or fails, the
 // builder's buffer is reset, so the builder itself is safe to reuse for

@@ -317,13 +317,3 @@ func mergeCSR(g *CSR, n uint32, added []Edge) *CSR {
 	})
 	return &CSR{NumVertices: n, Offsets: offsets, Targets: targets, targetSpace: n, sortedAdj: true}
 }
-
-// Validate checks the current snapshot's structural invariants (tests and
-// tooling; epochs are immutable so validation never races a build).
-func (v *Versioned) Validate() error {
-	s := v.Current()
-	if err := s.csr.Validate(); err != nil {
-		return fmt.Errorf("epoch %d: %w", s.epoch, err)
-	}
-	return nil
-}

@@ -114,14 +114,6 @@ func NewPartition2D(numVertices uint32, parts int) (*Partition2D, error) {
 	return &Partition2D{NumParts: parts, GridDim: r, RowStarts: starts, ColStarts: cols}, nil
 }
 
-// Owner returns the part owning edge (src,dst): the block whose row range
-// contains src and whose column range contains dst.
-func (p *Partition2D) Owner(src, dst uint32) int {
-	ri := sort.Search(p.GridDim, func(i int) bool { return p.RowStarts[i+1] > src })
-	ci := sort.Search(p.GridDim, func(i int) bool { return p.ColStarts[i+1] > dst })
-	return ri*p.GridDim + ci
-}
-
 // Block returns the (row, col) grid coordinates of part i.
 func (p *Partition2D) Block(i int) (row, col int) {
 	return i / p.GridDim, i % p.GridDim

@@ -134,7 +134,7 @@ func TestQuickPartition2D(t *testing.T) {
 		probe := []uint32{0, n / 3, n / 2, n - 1}
 		for _, s := range probe {
 			for _, d := range probe {
-				o := p.Owner(s, d)
+				o := p.owner(s, d)
 				br, bc := p.Block(o)
 				if s < p.RowStarts[br] || s >= p.RowStarts[br+1] {
 					return false

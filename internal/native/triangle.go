@@ -1,6 +1,8 @@
 package native
 
 import (
+	"encoding/binary"
+	"errors"
 	"slices"
 	"sync/atomic"
 
@@ -221,8 +223,8 @@ func encodeAdjacency(v uint32, adj []uint32, universe uint32) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, 8+len(body))
-	putUint32(out, v)
-	putUint32(out[4:], graph.MustU32(int64(len(body))))
+	binary.LittleEndian.PutUint32(out, v)
+	binary.LittleEndian.PutUint32(out[4:], graph.MustU32(int64(len(body))))
 	copy(out[8:], body)
 	return out, nil
 }
@@ -235,8 +237,8 @@ func (e *Engine) decodeAdjacencyBatch(payload []byte) ([]adjMessage, error) {
 		if len(payload) < 8 {
 			return nil, errShortFrame
 		}
-		v := getUint32(payload)
-		bodyLen := int(getUint32(payload[4:]))
+		v := binary.LittleEndian.Uint32(payload)
+		bodyLen := int(binary.LittleEndian.Uint32(payload[4:]))
 		if len(payload) < 8+bodyLen {
 			return nil, errShortFrame
 		}
@@ -250,19 +252,4 @@ func (e *Engine) decodeAdjacencyBatch(payload []byte) ([]adjMessage, error) {
 	return out, nil
 }
 
-var errShortFrame = errorString("native: truncated adjacency frame")
-
-type errorString string
-
-func (e errorString) Error() string { return string(e) }
-
-func putUint32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getUint32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
+var errShortFrame = errors.New("native: truncated adjacency frame")

@@ -288,8 +288,9 @@ type graphInfo struct {
 }
 
 // handleGraphs lists the registered graphs with their live epoch and
-// epoch-store accounting: persisted_bytes and persisted_epochs are what
-// the in-memory store holds, not bytes on disk.
+// epoch-store accounting: persisted_bytes is what the in-memory store
+// retains now (one snapshot chain, not bytes on disk) and persisted_epochs
+// how many epochs it has written.
 func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return

@@ -88,8 +88,9 @@ func (c Config) withDefaults() Config {
 
 // servedGraph is one registered versioned graph plus its per-epoch bound
 // state, the result vectors it carries from epoch to epoch (carried.go)
-// and its epoch store: an in-memory ledger of each epoch's encoded bytes
-// and modeled write cost, which /graphs reports and nothing reads back.
+// and its epoch store: an in-memory chain of the newest snapshot and the
+// delta records after it, whose size /graphs reports and nothing reads
+// back.
 type servedGraph struct {
 	name  string
 	v     *graph.Versioned

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -443,6 +445,82 @@ func TestGraphsListing(t *testing.T) {
 	}
 	if !infos[0].Symmetrized || infos[1].Symmetrized {
 		t.Errorf("symmetrized flags wrong: %+v", infos)
+	}
+}
+
+// TestDeltaEpochStoreStaysBounded: a graph taking /delta after /delta
+// keeps one snapshot chain in its epoch store. persisted_bytes drops back
+// each time the records outweigh the chain's snapshot and the store starts
+// a new chain, so it never exceeds twice a snapshot of the live graph plus
+// one record, however many deltas arrive. /graphs is read throughout, so
+// the race detector sees the chain reset against Stats.
+func TestDeltaEpochStoreStaysBounded(t *testing.T) {
+	s := New(Config{Workers: 1})
+	t.Cleanup(s.Close)
+	if err := s.AddGraph("g", buildVersioned(t, 5, true, 7)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	g, _ := s.graphByName("g")
+
+	persisted := func() int64 {
+		_, _, body := get(t, ts.URL+"/graphs", nil)
+		var infos []graphInfo
+		if err := json.Unmarshal(body, &infos); err != nil || len(infos) != 1 {
+			t.Fatalf("/graphs = %s: %v", body, err)
+		}
+		return infos[0].PersistedBytes
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Get(ts.URL + "/graphs")
+			if err != nil {
+				t.Errorf("GET /graphs: %v", err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	defer func() { close(stop); readers.Wait() }()
+
+	rng := rand.New(rand.NewSource(11))
+	rollovers, prev := 0, persisted()
+	for i := 0; i < 80; i++ {
+		var delta, both []graph.Edge
+		for j := 0; j < 8; j++ {
+			e := graph.Edge{Src: uint32(rng.Intn(64)), Dst: uint32(rng.Intn(64))}
+			delta = append(delta, e)
+			both = append(both, e, graph.Edge{Src: e.Dst, Dst: e.Src})
+		}
+		postEdges(t, ts.URL, "g", delta)
+		cur := g.v.Current()
+		snap, err := graph.EncodeSnapshot(nil, cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := 2*int64(len(snap)) + int64(len(graph.EncodeDelta(nil, cur, both)))
+		got := persisted()
+		if got > bound {
+			t.Fatalf("delta %d (epoch %d): persisted_bytes %d over twice the %d-byte snapshot plus a record (%d)", i, cur.Epoch(), got, len(snap), bound)
+		}
+		if got < prev {
+			rollovers++
+		}
+		prev = got
+	}
+	if rollovers < 2 {
+		t.Fatalf("persisted_bytes dropped back %d times in 80 deltas, want at least two rollovers", rollovers)
 	}
 }
 
