@@ -5,6 +5,23 @@ import (
 	"testing"
 )
 
+// TestDisabledStoreIsNil: the zero Config disables checkpointing, so the
+// recovery driver holds no checkpoint (it never takes one); any positive
+// Interval enables it.
+func TestDisabledStoreIsNil(t *testing.T) {
+	if (Config{}).Enabled() {
+		t.Error("zero config reports checkpointing enabled")
+	}
+	if err := (Config{}).Validate(); err != nil {
+		t.Errorf("zero config rejected: %v", err)
+	}
+	for _, n := range []int{1, 3} {
+		if !(Config{Interval: n}).Enabled() {
+			t.Errorf("Interval %d reports checkpointing disabled", n)
+		}
+	}
+}
+
 func TestWriteSecondsModel(t *testing.T) {
 	// 2 GB over 2 nodes at 1 GB/s/node: 1 s transfer + the 50 ms latency.
 	got := WriteSeconds(2*Bandwidth, 2)
