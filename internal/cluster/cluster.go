@@ -286,22 +286,19 @@ func (c *Cluster) RecordMemory(node int, bytes int64) {
 // been charged to the virtual clock. A Recovery rolls engine state back;
 // the cluster itself needs no further cleanup before the next RunPhase.
 func (c *Cluster) RunPhase(compute func(node int) error) error {
+	// A degraded interconnect: divided bandwidth, multiplied per-message
+	// latency, for this phase only (a factor of 1 when healthy).
 	comm := c.cfg.Comm
-	if c.cfg.Fault != nil {
-		if f := c.cfg.Fault.DegradeFactor(c.phases); f > 1 {
-			// A degraded interconnect: divided bandwidth, multiplied
-			// per-message latency, for this phase only.
-			comm.Bandwidth /= f
-			comm.Latency *= f
-		}
-	}
+	degrade := c.cfg.Fault.DegradeFactor(c.phases)
+	comm.Bandwidth /= degrade
+	comm.Latency *= degrade
 
 	computeSec := make([]float64, c.cfg.Nodes)
 	netSec := make([]float64, c.cfg.Nodes)
 	nodeBytes := make([]int64, c.cfg.Nodes)
 	nodeMsgs := make([]int64, c.cfg.Nodes)
 	for n := 0; n < c.cfg.Nodes; n++ {
-		if c.cfg.Fault != nil && c.cfg.Fault.CrashPoint(c.phases, n) {
+		if c.cfg.Fault.CrashPoint(c.phases, n) {
 			return c.failPhase(computeSec,
 				&fault.Error{Kind: fault.Crash, Phase: c.phases, Node: n})
 		}
@@ -311,12 +308,7 @@ func (c *Cluster) RunPhase(compute func(node int) error) error {
 			return c.failPhase(computeSec,
 				fmt.Errorf("cluster: node %d phase %d: %w", n, c.phases, err))
 		}
-		computeSec[n] = time.Since(start).Seconds()
-		if c.cfg.Fault != nil {
-			if f := c.cfg.Fault.SlowFactor(c.phases, n); f > 1 {
-				computeSec[n] *= f
-			}
-		}
+		computeSec[n] = time.Since(start).Seconds() * c.cfg.Fault.SlowFactor(c.phases, n)
 	}
 
 	// Transport check: drops and truncations are detected at exchange time
@@ -324,20 +316,18 @@ func (c *Cluster) RunPhase(compute func(node int) error) error {
 	// a detected message fault aborts the whole exchange, so no engine ever
 	// observes a corrupt or partial inbox and checkpoints never capture
 	// corruption. That is what keeps recovered runs bit-identical.
-	if c.cfg.Fault != nil {
-		for from := 0; from < c.cfg.Nodes; from++ {
-			for to, payload := range c.outbox[from] {
-				if to == from || payload == nil {
-					continue
-				}
-				switch c.cfg.Fault.MessageFault(c.phases, from, to) {
-				case fault.Dropped:
-					return c.failPhase(computeSec,
-						&fault.Error{Kind: fault.Drop, Phase: c.phases, Node: from, To: to})
-				case fault.Truncated:
-					return c.failPhase(computeSec,
-						&fault.Error{Kind: fault.Truncate, Phase: c.phases, Node: from, To: to})
-				}
+	for from := 0; from < c.cfg.Nodes; from++ {
+		for to, payload := range c.outbox[from] {
+			if to == from || payload == nil {
+				continue
+			}
+			switch c.cfg.Fault.MessageFault(c.phases, from, to) {
+			case fault.Dropped:
+				return c.failPhase(computeSec,
+					&fault.Error{Kind: fault.Drop, Phase: c.phases, Node: from, To: to})
+			case fault.Truncated:
+				return c.failPhase(computeSec,
+					&fault.Error{Kind: fault.Truncate, Phase: c.phases, Node: from, To: to})
 			}
 		}
 	}
@@ -389,39 +379,30 @@ func (c *Cluster) RunPhase(compute func(node int) error) error {
 	c.tally.NetworkSeconds += maxNet
 	c.busyThreadSec += busy
 
-	if c.cfg.Trace.Enabled() {
-		// One span per node per phase: the node's own compute and network
-		// time, with the barrier slack (time spent waiting on the slowest
-		// node) attributed as wait — the per-phase imbalance the paper's
-		// §6 roadmap arguments rest on.
-		for n := 0; n < c.cfg.Nodes; n++ {
-			active := computeSec[n] + netSec[n]
-			if c.cfg.Overlap {
-				active = max(computeSec[n], netSec[n])
-			}
-			wait := wall - active
-			if wait < 0 {
-				wait = 0
-			}
-			c.cfg.Trace.RecordVirtual(trace.PidNode(n), "cluster.phase",
-				fmt.Sprintf("phase %d", c.phases), c.virtualSec, wall,
-				map[string]float64{
-					"compute_sec": computeSec[n],
-					"network_sec": netSec[n],
-					"wait_sec":    wait,
-					"bytes":       float64(nodeBytes[n]),
-					"messages":    float64(nodeMsgs[n]),
-				})
-			// The same attribution, distribution-shaped: per-node virtual
-			// nanoseconds so the trace report can quote p50/p99 compute vs
-			// network vs barrier wait instead of only per-phase totals. The
-			// phase wall itself is RecordVirtual's cluster.phase.dur_ns.
-			c.computeHist.Record(n, int64(computeSec[n]*1e9))
-			c.netHist.Record(n, int64(netSec[n]*1e9))
-			c.waitHist.Record(n, int64(wait*1e9))
+	// One span per node per phase: the node's own compute and network
+	// time, with the barrier slack (time spent waiting on the slowest node)
+	// attributed as wait — the per-phase imbalance the paper's §6 roadmap
+	// arguments rest on. The same attribution feeds the per-node
+	// histograms, distribution-shaped, so the trace report can quote
+	// p50/p99 compute vs network vs barrier wait instead of only per-phase
+	// totals; the phase wall itself is RecordVirtual's cluster.phase.dur_ns.
+	c.charge(wall, "cluster.phase", fmt.Sprintf("phase %d", c.phases), func(n int) map[string]float64 {
+		active := computeSec[n] + netSec[n]
+		if c.cfg.Overlap {
+			active = max(computeSec[n], netSec[n])
 		}
-	}
-	c.virtualSec += wall
+		wait := max(wall-active, 0)
+		c.computeHist.Record(n, int64(computeSec[n]*1e9))
+		c.netHist.Record(n, int64(netSec[n]*1e9))
+		c.waitHist.Record(n, int64(wait*1e9))
+		return map[string]float64{
+			"compute_sec": computeSec[n],
+			"network_sec": netSec[n],
+			"wait_sec":    wait,
+			"bytes":       float64(nodeBytes[n]),
+			"messages":    float64(nodeMsgs[n]),
+		}
+	})
 
 	// Deliver: inbox[to] gets every non-nil payload addressed to it.
 	for to := 0; to < c.cfg.Nodes; to++ {
@@ -448,33 +429,33 @@ func (c *Cluster) RunPhase(compute func(node int) error) error {
 // returns err. The inbox is left holding the last successful phase's
 // deliveries so a Recovery can re-run the step from its checkpoint.
 func (c *Cluster) failPhase(computeSec []float64, err error) error {
-	detect := 0.0
-	if c.cfg.Fault != nil {
-		detect = c.cfg.Fault.DetectSeconds()
-	}
+	detect := c.cfg.Fault.DetectSeconds()
 	var partial float64
 	for _, s := range computeSec {
-		if s > partial {
-			partial = s
-		}
+		partial = max(partial, s)
 	}
 	wall := partial + detect
 	c.tally.RecoverySeconds += wall
 	c.tally.FailedPhases++
-	if c.cfg.Trace.Enabled() {
-		for n := 0; n < c.cfg.Nodes; n++ {
-			c.cfg.Trace.RecordVirtual(trace.PidNode(n), "cluster.fault",
-				fmt.Sprintf("phase %d failed", c.phases), c.virtualSec, wall,
-				map[string]float64{
-					"compute_sec": computeSec[n],
-					"detect_sec":  detect,
-				})
-		}
-	}
-	c.virtualSec += wall
+	c.charge(wall, "cluster.fault", fmt.Sprintf("phase %d failed", c.phases), func(n int) map[string]float64 {
+		return map[string]float64{"compute_sec": computeSec[n], "detect_sec": detect}
+	})
 	c.resetOutbox()
 	c.phases++
 	return err
+}
+
+// charge advances the virtual clock by sec, the only place it moves, and
+// records the interval on every node's track as one span of category cat
+// (a phase, a failed phase, a checkpoint write or a restore), with args(n)
+// as node n's attribution. args runs only when tracing is on.
+func (c *Cluster) charge(sec float64, cat, name string, args func(node int) map[string]float64) {
+	if c.cfg.Trace.Enabled() {
+		for n := 0; n < c.cfg.Nodes; n++ {
+			c.cfg.Trace.RecordVirtual(trace.PidNode(n), cat, name, c.virtualSec, sec, args(n))
+		}
+	}
+	c.virtualSec += sec
 }
 
 // VirtualSeconds reports the modeled wall clock accumulated so far.

@@ -6,7 +6,6 @@ import (
 
 	"graphmaze/internal/ckpt"
 	"graphmaze/internal/codec"
-	"graphmaze/internal/trace"
 )
 
 // Recovery drives an engine's step loop with checkpointing and
@@ -103,14 +102,9 @@ func (r *Recovery) checkpoint(step int) error {
 	c.tally.CheckpointSeconds += cost
 	c.tally.CheckpointBytes += int64(len(blob))
 	c.tally.Checkpoints++
-	if c.cfg.Trace.Enabled() {
-		for n := 0; n < c.cfg.Nodes; n++ {
-			c.cfg.Trace.RecordVirtual(trace.PidNode(n), "cluster.checkpoint",
-				fmt.Sprintf("checkpoint step %d", step), c.virtualSec, cost,
-				map[string]float64{"bytes": float64(len(blob))})
-		}
-	}
-	c.virtualSec += cost
+	c.charge(cost, "cluster.checkpoint", fmt.Sprintf("checkpoint step %d", step), func(int) map[string]float64 {
+		return map[string]float64{"bytes": float64(len(blob))}
+	})
 	return nil
 }
 
@@ -139,17 +133,9 @@ func (r *Recovery) recover() error {
 	c.tally.RecoverySeconds += cost
 	c.tally.Recoveries++
 	c.tally.ReplayedPhases += replayed
-	if c.cfg.Trace.Enabled() {
-		for n := 0; n < c.cfg.Nodes; n++ {
-			c.cfg.Trace.RecordVirtual(trace.PidNode(n), "cluster.recovery",
-				fmt.Sprintf("rollback to step %d", ck.Step), c.virtualSec, cost,
-				map[string]float64{
-					"replayed_phases": float64(replayed),
-					"bytes":           float64(len(ck.Data)),
-				})
-		}
-	}
-	c.virtualSec += cost
+	c.charge(cost, "cluster.recovery", fmt.Sprintf("rollback to step %d", ck.Step), func(int) map[string]float64 {
+		return map[string]float64{"replayed_phases": float64(replayed), "bytes": float64(len(ck.Data))}
+	})
 	return nil
 }
 

@@ -12,47 +12,57 @@ import (
 // ground truth rather than OS counters, plus the checkpoint and recovery
 // tallies of DESIGN.md §10. The harness prints it for Figure 6 and uses
 // it to explain slowdowns.
+//
+// Each field is either *modelled* — a function of the engines' traffic
+// and memory accounting and the comm-layer and checkpoint cost models
+// only, identical in every run and at every GOMAXPROCS (the harness's
+// model golden pins each one) — or *measured*: it folds in node compute
+// time read off the host clock, so it moves from run to run.
 type Report struct {
+	// Nodes is the simulated node count. Modelled.
 	Nodes int
 
 	// SimulatedSeconds is the modeled wall-clock of the run: per-phase
-	// compute plus (possibly overlapped) network time.
+	// compute plus (possibly overlapped) network time. Measured.
 	SimulatedSeconds float64
 	// ComputeSeconds and NetworkSeconds are the two addends before
 	// overlap, summed over phases (max over nodes within each phase).
+	// ComputeSeconds is measured, NetworkSeconds modelled.
 	ComputeSeconds, NetworkSeconds float64
 
 	// CPUUtilization is useful-thread-seconds divided by
 	// (SimulatedSeconds × provisioned threads × nodes), in [0,1].
+	// Measured.
 	CPUUtilization float64
 
 	// BytesSent is the total bytes put on the (modeled) wire by all nodes;
-	// MessagesSent counts discrete messages.
+	// MessagesSent counts discrete messages. Modelled.
 	BytesSent    int64
 	MessagesSent int64
 
 	// PeakNetworkBandwidth is the highest per-phase achieved rate
-	// (bytes/s) at any node.
+	// (bytes/s) at any node. Modelled.
 	PeakNetworkBandwidth float64
 
 	// MemoryFootprintBytes is the high-water per-node footprint (graph
 	// partitions plus message buffers); MemoryPerNode is the modeled node
-	// capacity it is normalized against in Figure 6.
+	// capacity it is normalized against in Figure 6. Modelled.
 	MemoryFootprintBytes int64
 	MemoryPerNode        int64
 
 	// CheckpointSeconds is virtual time spent writing checkpoints; it is
 	// included in SimulatedSeconds. CheckpointBytes and Checkpoints size
-	// the snapshots (DESIGN.md §10).
+	// the snapshots (DESIGN.md §10). Modelled.
 	CheckpointSeconds float64
 	CheckpointBytes   int64
 	Checkpoints       int
 
 	// RecoverySeconds is virtual time lost to failures: aborted-phase
 	// work, failure detection, and checkpoint restore reads. Included in
-	// SimulatedSeconds. Recoveries counts rollback-and-replay episodes,
-	// FailedPhases the phases that aborted, and ReplayedPhases the
-	// executed phases whose work a rollback discarded and redid.
+	// SimulatedSeconds; measured, since the aborted work is. Recoveries
+	// counts rollback-and-replay episodes, FailedPhases the phases that
+	// aborted, and ReplayedPhases the executed phases whose work a
+	// rollback discarded and redid; those three are modelled.
 	RecoverySeconds float64
 	Recoveries      int
 	FailedPhases    int

@@ -8,6 +8,7 @@ import (
 
 	"graphmaze/internal/ckpt"
 	"graphmaze/internal/fault"
+	"graphmaze/internal/trace"
 )
 
 // TestReportTallies drives a cluster through accounted traffic and
@@ -147,11 +148,15 @@ func TestConcurrentAccountAndRecordMemory(t *testing.T) {
 // crash and its recovery, the Report's simulated seconds are the virtual
 // clock engines place their spans on, bit for bit, and every one of
 // those seconds is charged to exactly one of compute, network,
-// checkpointing or recovery.
+// checkpointing or recovery. On every node's track the cluster's spans
+// (phases, the failed phase, checkpoints, the restore) tile the clock
+// from 0 to VirtualSeconds: a charge that moves the clock without a span,
+// or a span that does not move it, leaves a gap or an overlap.
 func TestReportClockIsTheVirtualClock(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.Ckpt = ckpt.Config{Interval: 2}
 	cfg.Fault = (&fault.Plan{}).Add(fault.Event{Kind: fault.Crash, Phase: 3, Node: 1})
+	cfg.Trace = trace.New()
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +175,34 @@ func TestReportClockIsTheVirtualClock(t *testing.T) {
 	parts := r.ComputeSeconds + r.NetworkSeconds + r.CheckpointSeconds + r.RecoverySeconds
 	if math.Abs(parts-r.SimulatedSeconds) > 1e-12*r.SimulatedSeconds {
 		t.Errorf("compute+network+checkpoint+recovery = %v, SimulatedSeconds = %v", parts, r.SimulatedSeconds)
+	}
+
+	// RecordVirtual truncates each start and duration to whole
+	// nanoseconds, so a span may start 1 ns off its predecessor's end.
+	ends := map[int]int64{}
+	cats := map[string]bool{}
+	for _, ev := range cfg.Trace.Events() {
+		if !strings.HasPrefix(ev.Cat, "cluster.") {
+			continue
+		}
+		cats[ev.Cat] = true
+		if gap := ev.StartNS - ends[ev.Pid]; gap < -1 || gap > 1 {
+			t.Errorf("pid %d: %s %q starts at %d ns, the previous span ended at %d ns", ev.Pid, ev.Cat, ev.Name, ev.StartNS, ends[ev.Pid])
+		}
+		ends[ev.Pid] = ev.StartNS + ev.DurNS
+	}
+	for _, cat := range []string{"cluster.phase", "cluster.fault", "cluster.checkpoint", "cluster.recovery"} {
+		if !cats[cat] {
+			t.Errorf("no %s span on the trace", cat)
+		}
+	}
+	if len(ends) != cfg.Nodes {
+		t.Fatalf("cluster spans on %d tracks, want %d", len(ends), cfg.Nodes)
+	}
+	for pid, end := range ends {
+		if gap := int64(c.VirtualSeconds()*1e9) - end; gap < -1 || gap > 1 {
+			t.Errorf("pid %d: spans end at %d ns, the virtual clock reads %v s", pid, end, c.VirtualSeconds())
+		}
 	}
 }
 

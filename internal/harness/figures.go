@@ -10,7 +10,6 @@ import (
 	"graphmaze/internal/datasets"
 	"graphmaze/internal/gen"
 	"graphmaze/internal/giraph"
-	"graphmaze/internal/graph"
 	"graphmaze/internal/native"
 )
 
@@ -252,12 +251,12 @@ func Figure6(opt Options) error {
 		var labels []string
 		var reports []cluster.Report
 		for _, e := range engs {
-			rep, err := reportFor(opt, e, algo, in, 4, opt.Iterations)
-			if err != nil {
+			m := runOne(opt, e, algo, in, 4, opt.Iterations)
+			if m.err != nil {
 				continue
 			}
 			labels = append(labels, e.Name())
-			reports = append(reports, rep)
+			reports = append(reports, m.report)
 		}
 		fmt.Fprint(opt.Out, formatTable(labels, reports, cluster.MPI().Bandwidth))
 	}
@@ -438,15 +437,15 @@ func GiraphPhasedSupersteps(opt Options) error {
 		{"monolithic supersteps", giraph.NewUnsplit()},
 		{"100 phased supersteps", giraph.New()},
 	} {
-		tcRep, err := reportFor(opt, cfg.e, TC, in, 4, opt.Iterations)
-		if err != nil {
-			return err
+		tc := runOne(opt, cfg.e, TC, in, 4, opt.Iterations)
+		if tc.err != nil {
+			return tc.err
 		}
-		cfRep, err := reportFor(opt, cfg.e, CF, in, 4, opt.Iterations)
-		if err != nil {
-			return err
+		cf := runOne(opt, cfg.e, CF, in, 4, opt.Iterations)
+		if cf.err != nil {
+			return cf.err
 		}
-		tw.addRow(cfg.label, cluster.FormatBytes(tcRep.MemoryFootprintBytes), cluster.FormatBytes(cfRep.MemoryFootprintBytes))
+		tw.addRow(cfg.label, cluster.FormatBytes(tc.report.MemoryFootprintBytes), cluster.FormatBytes(cf.report.MemoryFootprintBytes))
 	}
 	tw.write(opt.Out)
 	fmt.Fprintln(opt.Out, "paper: splitting supersteps was the only way Giraph TC completed at all (§6.1.3)")
@@ -502,8 +501,6 @@ func SGDvsGD(opt Options) error {
 		target, si, gdStr, float64(gi)/float64(si))
 	return nil
 }
-
-var _ = graph.Edge{} // keep the graph import for the inputs type
 
 // GiraphRoadmap applies the paper's §6.2 recommendations for Giraph —
 // message combiners and more workers per node — and measures how far they

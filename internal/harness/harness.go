@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -419,14 +418,4 @@ func hostPeakBandwidth() float64 {
 		}
 	}
 	return best
-}
-
-// sortedKeys returns a map's keys in order (for deterministic output).
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

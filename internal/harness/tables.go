@@ -5,7 +5,6 @@ import (
 
 	"graphmaze"
 	"graphmaze/internal/cluster"
-	"graphmaze/internal/core"
 	"graphmaze/internal/native"
 	"graphmaze/internal/socialite"
 )
@@ -236,10 +235,4 @@ func Table7(opt Options) error {
 	tw.write(opt.Out)
 	fmt.Fprintln(opt.Out, "paper (Table 7): PageRank 4.6s→1.9s (2.4×), Triangle Counting 7.6s→4.9s (1.6×)")
 	return nil
-}
-
-// reportFor is a convenience for experiments needing a raw cluster run.
-func reportFor(opt Options, e core.Engine, algo Algo, in inputs, nodes, iterations int) (cluster.Report, error) {
-	m := runOne(opt, e, algo, in, nodes, iterations)
-	return m.report, m.err
 }

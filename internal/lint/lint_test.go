@@ -244,8 +244,8 @@ func f() {}
 	}
 }
 
-// loadModule is the one load of the real module that TestModuleIsClean
-// and TestMutantsAreCaught share.
+// loadModule is the one load of the real module that TestModuleIsClean,
+// TestMutantsAreCaught and TestKernelSurfaceHasCallers share.
 var loadModule = sync.OnceValues(func() (*loader, error) {
 	modDir, err := FindModuleRoot(".")
 	if err != nil {
