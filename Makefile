@@ -37,9 +37,14 @@ loc:
 # validate runs the reference table, TestEnginesMatchReference: every
 # engine × algorithm × {1 node, 4 nodes} against the serial reference,
 # each cluster cell through internal/cluster's exchanges and the
-# distributed runtimes. go test ./... runs it too; this prints each cell.
+# distributed runtimes; this prints each cell. It then runs the model
+# golden, TestModelGolden, which holds every modelled cluster.Report
+# field of the multi-node experiments (traffic, bandwidth, network
+# seconds, memory, checkpoints) to its fixture. go test ./... runs both;
+# this is the one command a cluster-path change needs.
 validate:
 	$(GO) test -run '^TestEnginesMatchReference$$' -v .
+	$(GO) test -run '^TestModelGolden$$' ./internal/harness
 
 # bench-smoke vets and tests the repository's benchmark (BENCHMARK.json,
 # bench/). It is a module of its own, so `go build ./... && go test ./...`

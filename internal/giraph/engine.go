@@ -323,6 +323,11 @@ type cfMessage struct {
 // over the unified user+item vertex space. Each GD iteration is one
 // superstep exchanging O(K·E) bytes of factor messages (paper §3.2), with
 // phased supersteps bounding the buffer (§6.1.3). SGD is inexpressible.
+//
+// The factors and the last RMSE point are the job's own. Every earlier
+// point of the RMSE trajectory is not: the job keeps no per-superstep
+// metric, so those points come from core.RefCollabFilterGD, a second,
+// serial training run after the job with the same update rule and seed.
 func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFResult, error) {
 	opt, err := core.CheckCFInput(r, opt)
 	if err != nil {
@@ -408,9 +413,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	if err != nil {
 		return nil, err
 	}
-	// Unpack final factors and compute the RMSE trajectory's final point;
-	// Giraph jobs don't naturally expose per-superstep metrics, so the
-	// engine recomputes RMSE from each superstep via a second pass below.
+	// Unpack final factors and compute the RMSE trajectory's final point.
 	outUserF := make([]float32, int(r.NumUsers)*k)
 	outItemF := make([]float32, int(r.NumItems)*k)
 	for id, v := range res.Values {
@@ -425,8 +428,8 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	if opt.SkipRMSETrajectory {
 		rmseTrace = append(rmseTrace, final)
 	} else {
-		// Replays the per-iteration RMSE with the reference GD (identical
-		// update rule and seed) for the trajectory.
+		// A second, serial training run: the reference GD (identical
+		// update rule and seed) supplies every point but the last.
 		ref := core.RefCollabFilterGD(r, opt)
 		rmseTrace = append(rmseTrace, ref.RMSE...)
 		if len(rmseTrace) > 0 {

@@ -81,6 +81,30 @@ func (p *Partition1D) SendIDs(g *CSR) (sendIDs [][][]uint32) {
 	return sendIDs
 }
 
+// DistinctTargets counts, for every part i, the distinct targets that the
+// rows [rows[i], rows[i+1]) of g reach outside [local[i], local[i+1]): the
+// remote values part i pulls, or pushes partials for, once per round of a
+// distributed run. rows and local are part bounds shaped like
+// Partition1D.Starts; a nil local counts every target.
+func DistinctTargets(g *CSR, rows, local []uint32) []int64 {
+	var universe uint32
+	for _, t := range g.Targets {
+		universe = max(universe, t+1)
+	}
+	seen := make([]int, universe) // 1 + the last part that counted the target
+	counts := make([]int64, len(rows)-1)
+	for i := range counts {
+		for _, t := range g.Targets[g.Offsets[rows[i]]:g.Offsets[rows[i+1]]] {
+			if seen[t] == i+1 || local != nil && local[i] <= t && t < local[i+1] {
+				continue
+			}
+			seen[t] = i + 1
+			counts[i]++
+		}
+	}
+	return counts
+}
+
 // Partition2D is CombBLAS's edge partitioning: the adjacency matrix is cut
 // into an r×r block grid (r=√parts) and node (i,j) owns block (i,j). The
 // process count must be a perfect square (paper §4.3).

@@ -180,6 +180,41 @@ func TestGhostPlanCoversBoundaryEdges(t *testing.T) {
 	}
 }
 
+// TestDistinctTargetsMatchesBruteForce pins DistinctTargets, the per-node
+// remote-target counts the CF cluster paths charge by, against a set per
+// part: once with local ranges excluded (a bipartite-style target space
+// larger than the rows), once counting every target.
+func TestDistinctTargetsMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	const rows, targets = 200, 300
+	edges := make([]Edge, 0, 1500)
+	for i := 0; i < cap(edges); i++ {
+		edges = append(edges, Edge{uint32(rng.Intn(rows)), uint32(rng.Intn(targets))})
+	}
+	g, err := FromEdges(targets, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowBounds := []uint32{0, 37, 38, 120, rows}
+	local := []uint32{0, 90, 200, 201, targets}
+	for _, local := range [][]uint32{local, nil} {
+		got := DistinctTargets(g, rowBounds, local)
+		for i := range got {
+			set := map[uint32]bool{}
+			for v := rowBounds[i]; v < rowBounds[i+1]; v++ {
+				for _, tgt := range g.Neighbors(v) {
+					if local == nil || tgt < local[i] || tgt >= local[i+1] {
+						set[tgt] = true
+					}
+				}
+			}
+			if got[i] != int64(len(set)) {
+				t.Errorf("local=%v: part %d counts %d distinct targets, want %d", local, i, got[i], len(set))
+			}
+		}
+	}
+}
+
 func TestPartition2D(t *testing.T) {
 	p, err := NewPartition2D(100, 9)
 	if err != nil {

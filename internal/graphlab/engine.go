@@ -262,32 +262,28 @@ func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.
 	if err != nil {
 		return nil, err
 	}
+	// Boundary adjacency shipping: for every out-neighbour u of v owned
+	// elsewhere, adj(v) travels to owner(u) once per (v, owner) pair —
+	// uncompressed 4 B/id plus a 16-byte envelope per list.
+	shipBytes := make([]int64, c.Nodes())
+	shipLists := make([]int64, c.Nodes())
+	for node, dests := range part.SendIDs(g) {
+		lo, hi := part.Range(node)
+		edges := g.Offsets[hi] - g.Offsets[lo]
+		c.SetBaselineMemory(node, edges*8+int64(hi-lo)*48) // CSR + cuckoo sets
+		for _, ids := range dests {
+			for _, v := range ids {
+				shipBytes[node] += int64(len(g.Neighbors(v)))*4 + 16
+			}
+			shipLists[node] += int64(len(ids))
+		}
+	}
 	var total int64
 	set := cuckoo.New(0)
 	err = c.RunPhase(func(node int) error {
 		lo, hi := part.Range(node)
-		edges := g.Offsets[hi] - g.Offsets[lo]
-		c.SetBaselineMemory(node, edges*8+int64(hi-lo)*48) // CSR + cuckoo sets
 		total += triangleCuckoo(g, lo, hi, set)
-		// Boundary adjacency shipping: for every out-neighbour u of v owned
-		// elsewhere, adj(v) travels to owner(u) once per (v, owner) pair —
-		// uncompressed 4 B/id plus a 16-byte envelope per list.
-		type key struct {
-			v uint32
-			d int
-		}
-		sent := make(map[key]bool)
-		for v := lo; v < hi; v++ {
-			adjLen := int64(len(g.Neighbors(v)))
-			for _, u := range g.Neighbors(v) {
-				d := part.Owner(u)
-				if d == node || sent[key{v, d}] {
-					continue
-				}
-				sent[key{v, d}] = true
-				c.Account(node, adjLen*4+16, 1)
-			}
-		}
+		c.Account(node, shipBytes[node], shipLists[node])
 		return nil
 	})
 	if err != nil {
@@ -327,6 +323,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 
 	var c *cluster.Cluster
 	var userPart *graph.Partition1D
+	var touched []int64
 	if opt.Exec.Cluster != nil {
 		c, err = newCluster(opt.Exec.ClusterConfig())
 		if err != nil {
@@ -341,6 +338,9 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 			ratings := r.ByUser.Offsets[hi] - r.ByUser.Offsets[lo]
 			c.SetBaselineMemory(node, ratings*8+int64(hi-lo)*int64(k)*4+int64(r.NumItems)*int64(k)*4)
 		}
+		// The items each node's users rated: one K-vector message each per
+		// iteration, GraphLab's node-local reduction before send.
+		touched = graph.DistinctTargets(r.ByUser, userPart.Starts, nil)
 	}
 
 	gamma := opt.LearningRate
@@ -372,15 +372,8 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 				lo, hi := userPart.Range(node)
 				gatherInto(lo, hi)
 				// Every node pushes K-vector messages for the items its
-				// users rated — the O(K·E)-style traffic with GraphLab's
-				// node-local reduction (one message per touched item).
-				touched := make(map[uint32]bool)
-				for u := lo; u < hi; u++ {
-					for _, v := range r.ByUser.Neighbors(u) {
-						touched[v] = true
-					}
-				}
-				c.Account(node, int64(len(touched))*int64(4+4*k), int64(c.Nodes()-1))
+				// users rated — the O(K·E)-style traffic.
+				c.Account(node, touched[node]*int64(4+4*k), int64(c.Nodes()-1))
 				return nil
 			})
 		}

@@ -2,7 +2,6 @@ package native
 
 import (
 	"fmt"
-	"sort"
 
 	"graphmaze/internal/backend"
 	"graphmaze/internal/bitvec"
@@ -150,6 +149,16 @@ func (e *Engine) bfsCluster(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult,
 			copy(frontiers, restored)
 			return nil
 		})
+	// Remote candidates dedup through one bitmap per destination over the
+	// range it owns (the native code's send-side visited filters, [28]),
+	// allocated once: nodes compute one after another, and the node that
+	// set a bitmap's bits empties it before its compute returns.
+	remote := make([]*bitvec.Vector, c.Nodes())
+	for d := range remote {
+		lo, hi := part.Range(d)
+		remote[d] = bitvec.New(hi - lo)
+	}
+	var ids []uint32
 	bitvector := e.tuning.Bitvector
 	var levels int
 	err = rec.Run(func(step int) (bool, error) {
@@ -170,10 +179,7 @@ func (e *Engine) bfsCluster(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult,
 					}
 				}
 			}
-			// Expand the local frontier. Remote candidates dedup through
-			// per-destination bitmaps (the native code's send-side visited
-			// filters, [28]); iterating set bits yields them pre-sorted.
-			remote := make(map[int]*bitvec.Vector)
+			// Expand the local frontier.
 			var next []uint32
 			for _, v := range frontiers[node] {
 				for _, t := range g.Neighbors(v) {
@@ -190,12 +196,7 @@ func (e *Engine) bfsCluster(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult,
 						dist[t] = level
 						next = append(next, t)
 					} else {
-						marks := remote[owner]
-						if marks == nil {
-							marks = bitvec.New(n)
-							remote[owner] = marks
-						}
-						marks.Set(t)
+						remote[owner].Set(t - part.Starts[owner])
 					}
 				}
 			}
@@ -203,33 +204,31 @@ func (e *Engine) bfsCluster(g *graph.CSR, opt core.BFSOptions) (*core.BFSResult,
 			if len(next) > 0 {
 				anyActive = true
 			}
-			// Send in ascending destination order: map iteration order is
-			// random per run, and message order feeds the traced transfer
-			// accounting, which must be reproducible.
-			dests := make([]int, 0, len(remote))
-			for d := range remote {
-				dests = append(dests, d)
-			}
-			sort.Ints(dests)
-			for _, d := range dests {
-				marks := remote[d]
-				ids := make([]uint32, 0, marks.Count())
-				marks.ForEach(func(t uint32) { ids = append(ids, t) })
-				if len(ids) == 0 {
+			// Send in ascending destination order, each list read off its
+			// bitmap pre-sorted. Every bitmap is emptied, even past a
+			// failed encode, so the next compute starts on empty marks.
+			var err error
+			for d, marks := range remote {
+				base := part.Starts[d]
+				ids = ids[:0]
+				marks.ForEach(func(t uint32) { ids = append(ids, base+t) })
+				marks.Reset()
+				if len(ids) == 0 || err != nil {
 					continue
 				}
 				var payload []byte
-				var err error
 				if e.tuning.Compression {
 					payload, err = codec.EncodeIDsAuto(ids, n)
 				} else {
 					payload, err = codec.EncodeIDs(codec.Raw, ids, n)
 				}
-				if err != nil {
-					return err
+				if err == nil {
+					c.Send(node, d, payload)
+					anyActive = true
 				}
-				c.Send(node, d, payload)
-				anyActive = true
+			}
+			if err != nil {
+				return err
 			}
 			// Termination allreduce: one flag byte per node per level.
 			c.Account(node, 1, 1)

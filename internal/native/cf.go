@@ -140,8 +140,13 @@ func (e *Engine) cfCluster(r *graph.Bipartite, opt core.CFOptions) (*core.CFResu
 		c.SetBaselineMemory(node, users*int64(k)*4+items*int64(k)*4+ratings*12)
 	}
 
+	var remoteItems []int64
 	if opt.Method == core.SGD {
 		core.ShuffleBlocks(blocks, opt.Seed)
+	} else {
+		// GD ships partial gradients for the remote items a node's users
+		// rated.
+		remoteItems = graph.DistinctTargets(r.ByUser, userStripe, itemStripe)
 	}
 
 	rmse := make([]float64, 0, opt.Iterations)
@@ -176,8 +181,6 @@ func (e *Engine) cfCluster(r *graph.Bipartite, opt core.CFOptions) (*core.CFResu
 			gradP := make([]float32, len(userF))
 			gradQ := make([]float32, len(itemF))
 			err := c.RunPhase(func(node int) error {
-				var remoteItems int64
-				touched := make(map[uint32]bool)
 				for sv := 0; sv < n; sv++ {
 					for _, edge := range blocks[node*n+sv] {
 						pu := userF[int(edge.U)*k : int(edge.U+1)*k]
@@ -189,15 +192,11 @@ func (e *Engine) cfCluster(r *graph.Bipartite, opt core.CFOptions) (*core.CFResu
 							gp[d] += float32(errv*float64(qv[d]) - opt.LambdaP*float64(pu[d]))
 							gq[d] += float32(errv*float64(pu[d]) - opt.LambdaQ*float64(qv[d]))
 						}
-						if sv != node && !touched[edge.V] {
-							touched[edge.V] = true
-							remoteItems++
-						}
 					}
 				}
 				// Partial gradients for remote items: K floats + id each.
-				if remoteItems > 0 {
-					c.Account(node, remoteItems*(int64(k)*4+4), int64(n-1))
+				if remoteItems[node] > 0 {
+					c.Account(node, remoteItems[node]*(int64(k)*4+4), int64(n-1))
 				}
 				return nil
 			})

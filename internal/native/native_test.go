@@ -267,6 +267,79 @@ func TestBFSClusterMatchesReference(t *testing.T) {
 	}
 }
 
+// crossingPath builds an n-vertex symmetric graph whose component holding
+// vertex 0 is a path of levels+1 steps, step k at vertex (k mod 4)·n/4 +
+// k/4: under a 4-way partition each step lives on the node after its
+// predecessor's, so every BFS level from 0 ships one candidate across
+// nodes. The other vertices pair up into disjoint edges that keep the
+// edge-balanced partition on the quarters.
+func crossingPath(t *testing.T, n uint32, levels int) *graph.CSR {
+	t.Helper()
+	q := n / 4
+	step := func(k int) uint32 { return uint32(k%4)*q + uint32(k/4) }
+	var edges []graph.Edge
+	for k := 0; k < levels; k++ {
+		edges = append(edges, graph.Edge{Src: step(k), Dst: step(k + 1)})
+	}
+	for quarter := uint32(0); quarter < 4; quarter++ {
+		for v := quarter*q + uint32(levels/4) + 1; v+1 < (quarter+1)*q; v += 2 {
+			edges = append(edges, graph.Edge{Src: v, Dst: v + 1})
+		}
+	}
+	b := graph.NewBuilder(n)
+	b.AddEdges(edges)
+	g, err := b.Build(graph.BuildOptions{Orientation: graph.Symmetrize, Dedup: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := graph.NewPartition1D(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < levels; k++ {
+		if part.Owner(step(k)) == part.Owner(step(k+1)) {
+			t.Fatalf("n=%d: path step %d does not cross nodes", n, k)
+		}
+	}
+	return g
+}
+
+// TestClusterBFSAllocatesMarksOnce holds the 4-node BFS's per-destination
+// candidate bitmaps to one allocation per run: the bytes a run allocates
+// may grow with n (distances, visited bits, the bitmaps themselves) but
+// not with levels × n. Every level of the crossing path sends, so a
+// bitmap made per level and destination would cost levels/8 bytes a
+// vertex, 16 here, on top of the ≈4.3 the run needs.
+func TestClusterBFSAllocatesMarksOnce(t *testing.T) {
+	const levels = 128
+	allocated := func(n uint32) uint64 {
+		g := crossingPath(t, n, levels)
+		best := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			res, err := New().BFS(g, core.BFSOptions{Exec: core.Exec{Cluster: &cluster.Config{Nodes: 4}}})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Iterations != levels+1 {
+				t.Fatalf("n=%d: %d levels, want %d", n, res.Stats.Iterations, levels+1)
+			}
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	const n = 1 << 14
+	small, large := allocated(n), allocated(4*n)
+	perVertex := float64(large-small) / (3 * n)
+	t.Logf("allocated %d B at n=%d, %d B at n=%d: %.2f B per added vertex", small, n, large, 4*n, perVertex)
+	if perVertex > 8 {
+		t.Errorf("a run allocates %.2f bytes per added vertex over %d levels, want ≤ 8: per-level bitmaps are back", perVertex, levels)
+	}
+}
+
 func TestBFSUnreachable(t *testing.T) {
 	// Two components: 0-1, 2-3.
 	b := graph.NewBuilder(4)

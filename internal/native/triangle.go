@@ -136,42 +136,31 @@ func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.
 		c.SetBaselineMemory(node, edges*4+int64(hi-lo+1)*8)
 	}
 
+	// adj(v) must reach the owners of v's remote out-neighbours, once
+	// each: the triangle (v,u,t) is counted where adj(u) lives.
+	sendIDs := part.SendIDs(g)
+
 	var total int64
 	// Phase 1: local counting plus neighbourhood-list shipping.
 	err = c.RunPhase(func(node int) error {
 		lo, hi := part.Range(node)
-		var local int64
-		sentTo := make(map[int]*bitvec.Vector) // dedup (u,d) shipments
 		for v := lo; v < hi; v++ {
 			adjV := g.Neighbors(v)
 			for _, u := range adjV {
-				if owner := part.Owner(u); owner == node {
-					local += int64(graph.IntersectSortedCount(adjV, g.Neighbors(u)))
+				if part.Owner(u) == node {
+					total += int64(graph.IntersectSortedCount(adjV, g.Neighbors(u)))
 				}
 			}
-			// v's list must reach the owners of v's remote out-neighbours:
-			// the triangle (v,u,t) is counted where adj(u) lives.
-			for _, u := range adjV {
-				d := part.Owner(u)
-				if d == node {
-					continue
-				}
-				marks := sentTo[d]
-				if marks == nil {
-					marks = bitvec.New(hi - lo)
-					sentTo[d] = marks
-				}
-				if !marks.SetAtomic(v - lo) {
-					continue // adj(v) already queued for node d
-				}
-				payload, err := encodeAdjacency(v, adjV, g.NumVertices)
+		}
+		for d, ids := range sendIDs[node] {
+			for _, v := range ids {
+				payload, err := encodeAdjacency(v, g.Neighbors(v), g.NumVertices)
 				if err != nil {
 					return err
 				}
 				c.Send(node, d, payload)
 			}
 		}
-		atomic.AddInt64(&total, local)
 		return nil
 	})
 	if err != nil {
@@ -180,7 +169,6 @@ func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.
 
 	// Phase 2: intersect received lists with local adjacency.
 	err = c.RunPhase(func(node int) error {
-		var local int64
 		for _, payload := range c.Recv(node) {
 			lists, err := e.decodeAdjacencyBatch(payload)
 			if err != nil {
@@ -191,11 +179,10 @@ func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.
 					if part.Owner(u) != node {
 						continue
 					}
-					local += int64(graph.IntersectSortedCount(msg.adj, g.Neighbors(u)))
+					total += int64(graph.IntersectSortedCount(msg.adj, g.Neighbors(u)))
 				}
 			}
 		}
-		atomic.AddInt64(&total, local)
 		// Final count allreduce.
 		c.Account(node, 8, 1)
 		return nil
@@ -205,7 +192,7 @@ func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.
 	}
 
 	return &core.TriangleResult{
-		Count: atomic.LoadInt64(&total),
+		Count: total,
 		Stats: core.SimulatedStats(c, 1),
 	}, nil
 }

@@ -308,27 +308,30 @@ func (e *Engine) TriangleCount(g *graph.CSR, opt core.TriangleOptions) (*core.Tr
 			err = EvalOnce(pool, rule)
 			return 1
 		}
-		err = c.RunPhase(func(node int) error {
+		// Counts aggregate into node-local partials; only the partial sum
+		// crosses the network. The body join, however, ships tuples to
+		// the shards holding EDGE[y] and EDGE[x]: charge 8 bytes per
+		// cross-shard hop, batched per destination.
+		joinBytes := make([]int64, c.Nodes())
+		for node := range joinBytes {
 			lo, hi := part.Range(node)
-			// Counts aggregate into node-local partials; only the partial
-			// sum crosses the network. The body join, however, ships
-			// tuples to the shards holding EDGE[y] and EDGE[x]: charge 8
-			// bytes per cross-shard hop, batched per destination.
-			var joinBytes int64
-			if _, err := evalSharded(pool, rule, lo, hi, nil, nil, 0, false); err != nil {
-				return err
-			}
 			for x := lo; x < hi; x++ {
 				for _, y := range g.Neighbors(x) {
 					if part.Owner(y) != node {
 						// (x,y) ships to owner(y) for the EDGE(y,z) join,
 						// and each candidate (x,z) may hop again for the
 						// check.
-						joinBytes += 8 + int64(len(g.Neighbors(y)))*8
+						joinBytes[node] += 8 + int64(len(g.Neighbors(y)))*8
 					}
 				}
 			}
-			e.accountTraffic(c, node, joinBytes, c.Nodes()-1)
+		}
+		err = c.RunPhase(func(node int) error {
+			lo, hi := part.Range(node)
+			if _, err := evalSharded(pool, rule, lo, hi, nil, nil, 0, false); err != nil {
+				return err
+			}
+			e.accountTraffic(c, node, joinBytes[node], c.Nodes()-1)
 			c.Account(node, 8, 1) // count reduction
 			return nil
 		})
@@ -371,6 +374,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 
 	var c *cluster.Cluster
 	var userPart, itemPart *graph.Partition1D
+	var pulledItems, pulledUsers []int64
 	if opt.Exec.Cluster != nil {
 		c, err = e.newCluster(opt.Exec.ClusterConfig())
 		if err != nil {
@@ -389,6 +393,10 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 			ratings := r.ByUser.Offsets[uhi] - r.ByUser.Offsets[ulo]
 			c.SetBaselineMemory(node, ratings*12+int64(uhi-ulo)*int64(k)*8+int64(r.NumItems)*int64(k)*8/int64(c.Nodes()))
 		}
+		// The remote Q rows each node's users rated and the remote P rows
+		// its items were rated by.
+		pulledItems = graph.DistinctTargets(r.ByUser, userPart.Starts, itemPart.Starts)
+		pulledUsers = graph.DistinctTargets(r.ByItem, itemPart.Starts, userPart.Starts)
 	}
 
 	gamma := opt.LearningRate
@@ -423,27 +431,9 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 			return nil
 		}
 		// Iteration-start table transfer (paper §3.2): each node pulls the
-		// Q rows its users rated and the P rows its items were rated by.
+		// remote factor rows its joins read, an id and K float64s each.
 		if err := c.RunPhase(func(node int) error {
-			ulo, uhi := userPart.Range(node)
-			items := make(map[uint32]bool)
-			for u := ulo; u < uhi; u++ {
-				for _, v := range r.ByUser.Neighbors(u) {
-					if itemPart.Owner(v) != node {
-						items[v] = true
-					}
-				}
-			}
-			ilo, ihi := itemPart.Range(node)
-			users := make(map[uint32]bool)
-			for v := ilo; v < ihi; v++ {
-				for _, u := range r.ByItem.Neighbors(v) {
-					if userPart.Owner(u) != node {
-						users[u] = true
-					}
-				}
-			}
-			bytes := int64(len(items)+len(users)) * int64(4+8*k)
+			bytes := (pulledItems[node] + pulledUsers[node]) * int64(4+8*k)
 			e.accountTraffic(c, node, bytes, 2*(c.Nodes()-1))
 			return nil
 		}); err != nil {
