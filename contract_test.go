@@ -1,6 +1,7 @@
 package graphmaze
 
 import (
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"graphmaze/internal/fault"
 	"graphmaze/internal/trace"
 )
 
@@ -95,21 +97,7 @@ func TestClusterRunsTraceFromExecAlone(t *testing.T) {
 		if !eng.Capabilities().MultiNode {
 			continue
 		}
-		for algo, run := range map[string]func(Exec) error{
-			"pagerank": func(x Exec) error {
-				_, err := eng.PageRank(pr, PageRankOptions{Iterations: 2, Exec: x})
-				return err
-			},
-			"bfs": func(x Exec) error { _, err := eng.BFS(bfs, BFSOptions{Source: 0, Exec: x}); return err },
-			"triangles": func(x Exec) error {
-				_, err := eng.TriangleCount(tc, TriangleOptions{Exec: x})
-				return err
-			},
-			"cf": func(x Exec) error {
-				_, err := eng.CollabFilter(cf, CFOptions{K: 4, Iterations: 1, Exec: x})
-				return err
-			},
-		} {
+		for algo, run := range multiNodeCalls(eng, pr, bfs, tc, cf) {
 			tr := trace.New()
 			if err := run(Exec{Trace: tr, Cluster: &ClusterConfig{Nodes: 4}}); err != nil {
 				t.Errorf("%s %s: %v", eng.Name(), algo, err)
@@ -123,6 +111,52 @@ func TestClusterRunsTraceFromExecAlone(t *testing.T) {
 			}
 			if onNodes == 0 {
 				t.Errorf("%s %s: no node-track span from Exec{Trace: tr} alone", eng.Name(), algo)
+			}
+		}
+	}
+}
+
+// multiNodeCalls returns eng's PageRank, BFS, triangle and GD CF calls on
+// the conformance inputs, keyed by algorithm, each run under the Exec it
+// is handed.
+func multiNodeCalls(eng Engine, pr, bfs, tc *Graph, cf *Ratings) map[string]func(Exec) error {
+	return map[string]func(Exec) error{
+		"pagerank": func(x Exec) error {
+			_, err := eng.PageRank(pr, PageRankOptions{Iterations: 2, Exec: x})
+			return err
+		},
+		"bfs": func(x Exec) error { _, err := eng.BFS(bfs, BFSOptions{Source: 0, Exec: x}); return err },
+		"triangles": func(x Exec) error {
+			_, err := eng.TriangleCount(tc, TriangleOptions{Exec: x})
+			return err
+		},
+		"cf": func(x Exec) error {
+			_, err := eng.CollabFilter(cf, CFOptions{K: 4, Iterations: 1, Exec: x})
+			return err
+		},
+	}
+}
+
+// TestInjectedCrashFailsEveryClusterRun: a node crash in the first phase,
+// with no checkpoint to recover from, must fail every multi-node engine's
+// call on every algorithm with the cluster's *fault.Error — no engine may
+// drop a phase's error and return results from a phase that never ran.
+func TestInjectedCrashFailsEveryClusterRun(t *testing.T) {
+	pr, bfs, tc, cf := conformanceInputs(t)
+	for _, eng := range Engines() {
+		if !eng.Capabilities().MultiNode {
+			continue
+		}
+		for algo, run := range multiNodeCalls(eng, pr, bfs, tc, cf) {
+			// A plan's one-shot events are consumed, so each call gets its own.
+			plan, err := fault.ParsePlan("crash@0:n1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = run(Exec{Cluster: &ClusterConfig{Nodes: 4, Fault: plan}})
+			var fe *fault.Error
+			if !errors.As(err, &fe) || fe.Kind != fault.Crash {
+				t.Errorf("%s %s: error %v, want an injected crash (*fault.Error of kind Crash)", eng.Name(), algo, err)
 			}
 		}
 	}

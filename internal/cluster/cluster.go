@@ -131,14 +131,13 @@ func (c Config) Validate() error {
 //
 // A Cluster is not safe for concurrent RunPhase calls, but Send, Account
 // and RecordMemory may be called concurrently within a phase: a node's
-// compute function is free to fan out across goroutines (as the Giraph
-// runtime does) and let each worker queue messages directly.
+// compute function is free to fan out across goroutines and let each one
+// send its own destination's payload or charge traffic directly.
 type Cluster struct {
 	cfg Config
 
 	mu          sync.Mutex // guards outbox, extraBytes, extraMsgs and memHighWater
-	outbox      [][][]byte // [from][to] payloads queued this phase
-	outboxOwned [][]bool   // [from][to] buffer is cluster-private (safe to append to)
+	outbox      [][][]byte // [from][to] the payload queued this phase
 	inbox       [][][]byte // [node] payloads delivered from last phase
 	extraBytes  []int64    // accounted-only traffic per node this phase
 	extraMsgs   []int64
@@ -195,10 +194,8 @@ func New(cfg Config) (*Cluster, error) {
 
 func (c *Cluster) resetOutbox() {
 	c.outbox = make([][][]byte, c.cfg.Nodes)
-	c.outboxOwned = make([][]bool, c.cfg.Nodes)
 	for i := range c.outbox {
 		c.outbox[i] = make([][]byte, c.cfg.Nodes)
-		c.outboxOwned[i] = make([]bool, c.cfg.Nodes)
 	}
 	for i := range c.extraBytes {
 		c.extraBytes[i], c.extraMsgs[i] = 0, 0
@@ -213,32 +210,17 @@ func (c *Cluster) Config() Config { return c.cfg }
 
 // Send queues payload from node `from` to node `to`; it is delivered at
 // the next phase boundary. Self-sends are delivered but charged no network
-// time. Send is safe for concurrent use within a phase.
-//
-// Retention contract: the first payload for a (from, to) pair is retained
-// as-is, not copied — the caller must not mutate it until the phase
-// boundary. The cluster never writes into a caller's slice: if a second
-// Send targets the same pair, the buffered bytes are first moved to a
-// cluster-private buffer, so spare capacity in the first caller's backing
-// array is never overwritten.
+// time. A phase moves at most one payload per (from, to) pair, charged as
+// one message: a second Send to the same pair in one phase panics. The
+// payload is retained as-is, so the caller must not mutate it until the
+// phase boundary. Send is safe for concurrent use within a phase.
 func (c *Cluster) Send(from, to int, payload []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	existing := c.outbox[from][to]
-	switch {
-	case existing == nil:
-		c.outbox[from][to] = payload
-	case !c.outboxOwned[from][to]:
-		// Appending to the first sender's slice could write into its spare
-		// capacity, corrupting sibling slices that share the backing array.
-		// Copy to a private buffer before the append.
-		owned := make([]byte, len(existing), len(existing)+len(payload))
-		copy(owned, existing)
-		c.outbox[from][to] = append(owned, payload...)
-		c.outboxOwned[from][to] = true
-	default:
-		c.outbox[from][to] = append(existing, payload...)
+	if c.outbox[from][to] != nil {
+		panic(fmt.Sprintf("cluster: node %d sent to node %d twice in phase %d", from, to, c.phases))
 	}
+	c.outbox[from][to] = payload
 }
 
 // Account charges traffic from node `from` without materializing a

@@ -76,20 +76,46 @@ func TestMessageDelivery(t *testing.T) {
 	}
 }
 
-func TestSendAppends(t *testing.T) {
+// TestSecondSendToAPairPanics: a phase moves one payload per (from, to)
+// pair, so a second Send to the same pair is a programming error whose
+// panic names the pair and the phase. The first payload still arrives
+// untouched, and the next phase accepts the pair again.
+func TestSecondSendToAPairPanics(t *testing.T) {
 	c, _ := New(testConfig(2))
+	// Phase 0 delivers to node 1; phase 1 then holds the double send.
+	if err := c.RunPhase(func(int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	var recovered any
 	if err := c.RunPhase(func(n int) error {
 		if n == 0 {
 			c.Send(0, 1, []byte("ab"))
+			func() {
+				defer func() { recovered = recover() }()
+				c.Send(0, 1, []byte("cd"))
+			}()
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := recovered.(string)
+	if want := "node 0 sent to node 1 twice in phase 1"; !strings.Contains(msg, want) {
+		t.Fatalf("second Send recovered %v, want a panic containing %q", recovered, want)
+	}
+	if got := c.Recv(1); len(got) != 1 || string(got[0]) != "ab" {
+		t.Errorf("Recv = %q, want the first payload \"ab\" alone", got)
+	}
+	if err := c.RunPhase(func(n int) error {
+		if n == 0 {
 			c.Send(0, 1, []byte("cd"))
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got := c.Recv(1)
-	if len(got) != 1 || string(got[0]) != "abcd" {
-		t.Errorf("Recv = %q, want one payload \"abcd\"", got)
+	if got := c.Recv(1); len(got) != 1 || string(got[0]) != "cd" {
+		t.Errorf("next phase Recv = %q, want \"cd\"", got)
 	}
 }
 

@@ -14,48 +14,6 @@ import (
 	"graphmaze/internal/fault"
 )
 
-// TestSendDoesNotAliasFirstPayload is the regression test for the Send
-// append bug: appending a second payload into spare capacity of the first
-// sender's backing array corrupted sibling slices sharing that array.
-func TestSendDoesNotAliasFirstPayload(t *testing.T) {
-	c, _ := New(testConfig(2))
-	backing := []byte("abXY")
-	first := backing[:2]   // "ab" with spare capacity over "XY"
-	sibling := backing[2:] // the bytes an aliasing append would overwrite
-	if err := c.RunPhase(func(n int) error {
-		if n == 0 {
-			c.Send(0, 1, first)
-			c.Send(0, 1, []byte("cd"))
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Recv(1); len(got) != 1 || string(got[0]) != "abcd" {
-		t.Errorf("Recv = %q, want \"abcd\"", got)
-	}
-	if string(sibling) != "XY" {
-		t.Errorf("Send overwrote the first payload's sibling bytes: %q", sibling)
-	}
-}
-
-func TestSendThirdAppendReusesOwnedBuffer(t *testing.T) {
-	c, _ := New(testConfig(2))
-	if err := c.RunPhase(func(n int) error {
-		if n == 0 {
-			c.Send(0, 1, []byte("a"))
-			c.Send(0, 1, []byte("b"))
-			c.Send(0, 1, []byte("c"))
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Recv(1); len(got) != 1 || string(got[0]) != "abc" {
-		t.Errorf("Recv = %q, want \"abc\"", got)
-	}
-}
-
 // TestComputeErrorCleanState covers RunPhase's clean-on-error contract:
 // after a failed phase the outbox and accounted counters are cleared, the
 // phase counter has advanced, and the next phase starts from a defined

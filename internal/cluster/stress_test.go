@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 )
@@ -8,16 +9,17 @@ import (
 // TestConcurrentSendAccountStress exists to run under `go test -race`: it
 // exercises the documented contract that Send and Account are safe for
 // concurrent use within a phase. Every node's compute function fans out
-// across goroutines that all queue messages and analytic traffic at once;
-// the phase boundary then delivers, and the byte totals check that no
-// concurrent append was lost. testing.Short() scales the volume down
+// one goroutine per destination; each charges a storm of analytic traffic
+// and, halfway through it, sends its one payload for the phase. The phase
+// boundary then delivers, and the payloads and byte totals check that no
+// concurrent update was lost. testing.Short() scales the volume down
 // without skipping the scenario.
 func TestConcurrentSendAccountStress(t *testing.T) {
-	const nodes = 4
-	goroutines := 8
-	sendsPerGoroutine := 2_000
+	const nodes = 8
+	const payloadLen = 64
+	accountsPerGoroutine := 2_000
 	if testing.Short() {
-		sendsPerGoroutine = 250
+		accountsPerGoroutine = 250
 	}
 
 	c, err := New(Config{Nodes: nodes})
@@ -25,23 +27,21 @@ func TestConcurrentSendAccountStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	payload := []byte{0xab, 0xcd, 0xef, 0x01}
+	// payload(from, to) is the pair's one message, distinct per pair.
+	payload := func(from, to int) []byte {
+		return bytes.Repeat([]byte{byte(from*nodes + to)}, payloadLen)
+	}
 	err = c.RunPhase(func(node int) error {
 		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
+		for to := 0; to < nodes; to++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := 0; i < sendsPerGoroutine; i++ {
-					for to := 0; to < nodes; to++ {
-						if to == node {
-							continue
-						}
-						// Send must copy-append under the hood: the same
-						// payload slice is shared by every goroutine.
-						c.Send(node, to, payload)
-						c.Account(node, 16, 1)
+				for i := 0; i < accountsPerGoroutine; i++ {
+					if i == accountsPerGoroutine/2 && to != node {
+						c.Send(node, to, payload(node, to))
 					}
+					c.Account(node, 16, 1)
 				}
 			}()
 		}
@@ -52,18 +52,20 @@ func TestConcurrentSendAccountStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every node heard from nodes-1 senders, each contributing
-	// goroutines × sendsPerGoroutine × len(payload) bytes.
-	wantPerSender := goroutines * sendsPerGoroutine * len(payload)
+	// Every node heard from its nodes-1 peers, in sender order.
 	for node := 0; node < nodes; node++ {
 		delivered := c.Recv(node)
 		if len(delivered) != nodes-1 {
 			t.Fatalf("node %d: got %d sender buffers, want %d", node, len(delivered), nodes-1)
 		}
 		for i, buf := range delivered {
-			if len(buf) != wantPerSender {
-				t.Fatalf("node %d buffer %d: %d bytes delivered, want %d (concurrent Send lost data)",
-					node, i, len(buf), wantPerSender)
+			from := i
+			if from >= node {
+				from++
+			}
+			if !bytes.Equal(buf, payload(from, node)) {
+				t.Fatalf("node %d: payload from node %d is %d bytes %x…, want node %d's (concurrent Send lost data)",
+					node, from, len(buf), buf[:min(len(buf), 4)], from)
 			}
 		}
 	}
@@ -71,8 +73,12 @@ func TestConcurrentSendAccountStress(t *testing.T) {
 	// The analytic traffic must also have been tallied without loss: the
 	// phase report's bytes include both payloads and Account charges.
 	rep := c.Report()
-	wantBytes := int64(nodes * (nodes - 1) * goroutines * sendsPerGoroutine * (len(payload) + 16))
+	accounts := int64(nodes * nodes * accountsPerGoroutine)
+	wantBytes := int64(nodes*(nodes-1)*payloadLen) + 16*accounts
 	if rep.BytesSent != wantBytes {
 		t.Fatalf("report counts %d bytes sent, want %d (concurrent Account lost updates)", rep.BytesSent, wantBytes)
+	}
+	if wantMsgs := int64(nodes*(nodes-1)) + accounts; rep.MessagesSent != wantMsgs {
+		t.Fatalf("report counts %d messages sent, want %d", rep.MessagesSent, wantMsgs)
 	}
 }

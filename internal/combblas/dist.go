@@ -13,10 +13,9 @@ import (
 // CombBLAS is "the only framework that supports an edge-based partitioning
 // of the graph").
 type Grid struct {
-	C    *cluster.Cluster
-	P2D  *graph.Partition2D
-	Dim  int
-	rows uint32
+	C   *cluster.Cluster
+	P2D *graph.Partition2D
+	Dim int
 }
 
 // NewGrid builds a grid over the cluster for an n-vertex square matrix.
@@ -26,7 +25,7 @@ func NewGrid(c *cluster.Cluster, n uint32) (*Grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Grid{C: c, P2D: p2d, Dim: p2d.GridDim, rows: n}, nil
+	return &Grid{C: c, P2D: p2d, Dim: p2d.GridDim}, nil
 }
 
 // blockBounds returns node's block-row and block-column vertex ranges.

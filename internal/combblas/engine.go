@@ -29,24 +29,14 @@ func (e *Engine) Capabilities() core.Capabilities {
 	return core.Capabilities{MultiNode: true, SGD: false, ProgrammingModel: "sparse matrix"}
 }
 
-// newGrid builds the MPI-driven process grid; node counts must be perfect
-// squares (paper §4.3).
+// newGrid builds the process grid over a new cluster (MPI unless cfg says
+// otherwise); node counts must be perfect squares (paper §4.3).
 func (e *Engine) newGrid(cfg cluster.Config, n uint32) (*Grid, error) {
-	if cfg.Comm.Bandwidth == 0 {
-		cfg.Comm = cluster.MPI()
-	}
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	g, err := NewGrid(c, n)
-	if err != nil {
-		return nil, err
-	}
-	for node := 0; node < c.Nodes(); node++ {
-		c.SetBaselineMemory(node, 0) // raised per algorithm below
-	}
-	return g, nil
+	return NewGrid(c, n)
 }
 
 // PageRank implements core.Engine as the paper's equation (9):
@@ -275,11 +265,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 	if opt.Exec.Cluster != nil {
 		// CF's matrix is rectangular; the grid decomposes users into block
 		// rows and items into block columns.
-		cfg := opt.Exec.ClusterConfig()
-		if cfg.Comm.Bandwidth == 0 {
-			cfg.Comm = cluster.MPI()
-		}
-		c, err := cluster.New(cfg)
+		c, err := cluster.New(opt.Exec.ClusterConfig())
 		if err != nil {
 			return nil, err
 		}

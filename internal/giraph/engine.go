@@ -314,7 +314,6 @@ type cfValue struct {
 
 // cfMessage carries a partner's factor and the edge rating.
 type cfMessage struct {
-	from   uint32
 	factor []float32
 	rating float32
 }
@@ -399,7 +398,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 			if ctx.Superstep() < ctx.rt.job.MaxSupersteps-1 {
 				weights := ctx.EdgeWeights()
 				for i, t := range ctx.OutEdges() {
-					ctx.SendMessage(t, &cfMessage{from: ctx.ID(), factor: val.factor, rating: weights[i]})
+					ctx.SendMessage(t, &cfMessage{factor: val.factor, rating: weights[i]})
 				}
 			} else {
 				ctx.VoteToHalt()

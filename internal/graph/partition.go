@@ -109,8 +109,7 @@ func DistinctTargets(g *CSR, rows, local []uint32) []int64 {
 // into an r×r block grid (r=√parts) and node (i,j) owns block (i,j). The
 // process count must be a perfect square (paper §4.3).
 type Partition2D struct {
-	NumParts int
-	GridDim  int
+	GridDim int
 	// RowStarts/ColStarts delimit the vertex ranges of the block rows and
 	// columns; both have GridDim+1 entries.
 	RowStarts, ColStarts []uint32
@@ -135,7 +134,7 @@ func NewPartition2D(numVertices uint32, parts int) (*Partition2D, error) {
 	}
 	cols := make([]uint32, r+1)
 	copy(cols, starts)
-	return &Partition2D{NumParts: parts, GridDim: r, RowStarts: starts, ColStarts: cols}, nil
+	return &Partition2D{GridDim: r, RowStarts: starts, ColStarts: cols}, nil
 }
 
 // Block returns the (row, col) grid coordinates of part i.

@@ -345,7 +345,7 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 
 	gamma := opt.LearningRate
 	rmse := make([]float64, 0, opt.Iterations)
-	iterate := func() {
+	iterate := func() error {
 		gradP := make([]float64, len(userF))
 		gradQ := make([]float64, len(itemF))
 		gatherInto := func(ulo, uhi uint32) {
@@ -367,15 +367,15 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		}
 		if c == nil {
 			gatherInto(0, r.NumUsers)
-		} else {
-			_ = c.RunPhase(func(node int) error {
-				lo, hi := userPart.Range(node)
-				gatherInto(lo, hi)
-				// Every node pushes K-vector messages for the items its
-				// users rated — the O(K·E)-style traffic.
-				c.Account(node, touched[node]*int64(4+4*k), int64(c.Nodes()-1))
-				return nil
-			})
+		} else if err := c.RunPhase(func(node int) error {
+			lo, hi := userPart.Range(node)
+			gatherInto(lo, hi)
+			// Every node pushes K-vector messages for the items its
+			// users rated — the O(K·E)-style traffic.
+			c.Account(node, touched[node]*int64(4+4*k), int64(c.Nodes()-1))
+			return nil
+		}); err != nil {
+			return err
 		}
 		apply := func() {
 			for i := range userF {
@@ -387,24 +387,26 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		}
 		if c == nil {
 			apply()
-		} else {
-			_ = c.RunPhase(func(node int) error {
-				if node == 0 {
-					apply()
-				}
-				// Updated item factors broadcast back to all nodes.
-				c.Account(node, int64(r.NumItems)*int64(4*k)/int64(c.Nodes()), 1)
-				return nil
-			})
+		} else if err := c.RunPhase(func(node int) error {
+			if node == 0 {
+				apply()
+			}
+			// Updated item factors broadcast back to all nodes.
+			c.Account(node, int64(r.NumItems)*int64(4*k)/int64(c.Nodes()), 1)
+			return nil
+		}); err != nil {
+			return err
 		}
 		gamma *= opt.StepDecay
 		if !opt.SkipRMSETrajectory {
 			rmse = append(rmse, core.RMSE(r, k, userF, itemF))
 		}
+		return nil
 	}
+	// Only a cluster phase fails; its error ends training (err is nil here).
 	train := func(*par.Pool, *trace.Tracer) int {
-		for it := 0; it < opt.Iterations; it++ {
-			iterate()
+		for it := 0; it < opt.Iterations && err == nil; it++ {
+			err = iterate()
 		}
 		return opt.Iterations
 	}
@@ -413,6 +415,9 @@ func (e *Engine) CollabFilter(r *graph.Bipartite, opt core.CFOptions) (*core.CFR
 		stats = opt.Exec.Local(train)
 	} else {
 		stats = core.SimulatedStats(c, train(nil, nil))
+	}
+	if err != nil {
+		return nil, err
 	}
 	if opt.SkipRMSETrajectory {
 		rmse = append(rmse, core.RMSE(r, k, userF, itemF))

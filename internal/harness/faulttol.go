@@ -27,13 +27,7 @@ import (
 // -ckpt-interval the recovery runs' checkpoint interval.
 func FaultTolerance(opt Options) error {
 	opt = opt.withDefaults()
-	scale := opt.Scale
-	if scale == 0 {
-		scale = 12
-		if opt.Quick {
-			scale = 9
-		}
-	}
+	scale := opt.scale(12, 9)
 	nodes := 4
 	if len(opt.Nodes) > 0 {
 		nodes = opt.Nodes[0]

@@ -128,13 +128,7 @@ func Figure4(opt Options) error {
 			nodes = []int{1, 4}
 		}
 	}
-	baseScale := opt.Scale
-	if baseScale == 0 {
-		baseScale = 9
-		if opt.Quick {
-			baseScale = 8
-		}
-	}
+	baseScale := opt.scale(9, 8)
 	engs := graphmaze.Engines()
 
 	for _, algo := range Algos() {
@@ -234,13 +228,7 @@ func Figure5(opt Options) error {
 // normalized as in the paper.
 func Figure6(opt Options) error {
 	opt = opt.withDefaults()
-	scale := opt.Scale
-	if scale == 0 {
-		scale = 12
-		if opt.Quick {
-			scale = 9
-		}
-	}
+	scale := opt.scale(12, 9)
 	in, err := buildInputs(scale, 55)
 	if err != nil {
 		return err
@@ -304,13 +292,7 @@ func formatTable(labels []string, reports []cluster.Report, refBandwidth float64
 // several runs.
 func Figure7(opt Options) error {
 	opt = opt.withDefaults()
-	scale := opt.Scale
-	if scale == 0 {
-		scale = 15
-		if opt.Quick {
-			scale = 11
-		}
-	}
+	scale := opt.scale(15, 11)
 	in, err := buildInputs(scale, 66)
 	if err != nil {
 		return err
@@ -390,13 +372,7 @@ func Figure7(opt Options) error {
 // bit-vector data structure gives triangle counting ≈2.2×.
 func TriangleBitvectorAblation(opt Options) error {
 	opt = opt.withDefaults()
-	scale := opt.Scale
-	if scale == 0 {
-		scale = 13
-		if opt.Quick {
-			scale = 10
-		}
-	}
+	scale := opt.scale(13, 10)
 	in, err := buildInputs(scale, 77)
 	if err != nil {
 		return err
@@ -418,13 +394,7 @@ func TriangleBitvectorAblation(opt Options) error {
 // supersteps bound Giraph's buffered-message footprint.
 func GiraphPhasedSupersteps(opt Options) error {
 	opt = opt.withDefaults()
-	scale := opt.Scale
-	if scale == 0 {
-		scale = 11
-		if opt.Quick {
-			scale = 9
-		}
-	}
+	scale := opt.scale(11, 9)
 	in, err := buildInputs(scale, 88)
 	if err != nil {
 		return err
@@ -456,13 +426,7 @@ func GiraphPhasedSupersteps(opt Options) error {
 // iterations than GD for a fixed RMSE target.
 func SGDvsGD(opt Options) error {
 	opt = opt.withDefaults()
-	scale := opt.Scale
-	if scale == 0 {
-		scale = 11
-		if opt.Quick {
-			scale = 9
-		}
-	}
+	scale := opt.scale(11, 9)
 	cf, err := gen.Ratings(gen.DefaultRatingsConfig(scale, 16, 123))
 	if err != nil {
 		return err
@@ -509,13 +473,7 @@ func SGDvsGD(opt Options) error {
 // per node").
 func GiraphRoadmap(opt Options) error {
 	opt = opt.withDefaults()
-	scale := opt.Scale
-	if scale == 0 {
-		scale = 12
-		if opt.Quick {
-			scale = 9
-		}
-	}
+	scale := opt.scale(12, 9)
 	in, err := buildInputs(scale, 91)
 	if err != nil {
 		return err

@@ -59,6 +59,18 @@ type Options struct {
 	rec *[]RunRecord
 }
 
+// scale is an experiment's input scale: Scale when set, else the quick
+// default under Quick and the full one otherwise.
+func (o Options) scale(full, quick int) int {
+	switch {
+	case o.Scale != 0:
+		return o.Scale
+	case o.Quick:
+		return quick
+	}
+	return full
+}
+
 // RunRecord is one measurement in the machine-readable report.
 type RunRecord struct {
 	Engine  string          `json:"engine"`

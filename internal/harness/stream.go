@@ -31,13 +31,7 @@ import (
 // -deltas overrides the number of batches; -scale the base graph.
 func Stream(opt Options) error {
 	opt = opt.withDefaults()
-	scale := opt.Scale
-	if scale == 0 {
-		scale = 13
-		if opt.Quick {
-			scale = 10
-		}
-	}
+	scale := opt.scale(13, 10)
 	batches := opt.Deltas
 	if batches == 0 {
 		batches = 8

@@ -16,13 +16,7 @@ import (
 // limit.
 func Table4(opt Options) error {
 	opt = opt.withDefaults()
-	scale := opt.Scale
-	if scale == 0 {
-		scale = 14
-		if opt.Quick {
-			scale = 10
-		}
-	}
+	scale := opt.scale(14, 10)
 	in, err := buildInputs(scale, 11)
 	if err != nil {
 		return err
@@ -160,13 +154,7 @@ func slowdownTable(opt Options, nodes int, seeds []int64, scale int) error {
 // Table5 reproduces the single-node slowdown summary.
 func Table5(opt Options) error {
 	opt = opt.withDefaults()
-	scale := opt.Scale
-	if scale == 0 {
-		scale = 12
-		if opt.Quick {
-			scale = 9
-		}
-	}
+	scale := opt.scale(12, 9)
 	seeds := []int64{21, 22, 23}
 	if opt.Quick {
 		seeds = seeds[:1]
@@ -182,13 +170,7 @@ func Table5(opt Options) error {
 // square count shared by every framework's constraints at default scale).
 func Table6(opt Options) error {
 	opt = opt.withDefaults()
-	scale := opt.Scale
-	if scale == 0 {
-		scale = 12
-		if opt.Quick {
-			scale = 9
-		}
-	}
+	scale := opt.scale(12, 9)
 	seeds := []int64{31, 32}
 	if opt.Quick {
 		seeds = seeds[:1]
@@ -205,13 +187,7 @@ func Table6(opt Options) error {
 // counting, 4 nodes).
 func Table7(opt Options) error {
 	opt = opt.withDefaults()
-	scale := opt.Scale
-	if scale == 0 {
-		scale = 12
-		if opt.Quick {
-			scale = 9
-		}
-	}
+	scale := opt.scale(12, 9)
 	in, err := buildInputs(scale, 17)
 	if err != nil {
 		return err

@@ -66,9 +66,7 @@ func (f Finding) String() string {
 type Package struct {
 	// Rel is the package directory relative to the module root ("" for the
 	// root package). Rules use it to decide whether they apply.
-	Rel string
-	// Path is the full import path.
-	Path  string
+	Rel   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -159,11 +157,10 @@ func Run(pkgs []*Package, rules []Rule) []Finding {
 
 // ignoreDirective is one parsed //lint:ignore or //lint:file-ignore comment.
 type ignoreDirective struct {
-	rule   string
-	reason string
-	line   int
-	file   string
-	whole  bool // file-ignore: applies to the entire file
+	rule  string
+	line  int
+	file  string
+	whole bool // file-ignore: applies to the entire file
 }
 
 type ignoreSet struct {
@@ -214,11 +211,10 @@ func collectIgnores(p *Package) *ignoreSet {
 					continue
 				}
 				set.directives = append(set.directives, ignoreDirective{
-					rule:   fields[0],
-					reason: strings.Join(fields[1:], " "),
-					line:   pos.Line,
-					file:   pos.Filename,
-					whole:  whole,
+					rule:  fields[0],
+					line:  pos.Line,
+					file:  pos.Filename,
+					whole: whole,
 				})
 			}
 		}

@@ -237,7 +237,7 @@ func (ld *loader) check(rel string, files []*ast.File) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	return &Package{Rel: rel, Path: path, Fset: ld.fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Rel: rel, Fset: ld.fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 func (ld *loader) inProgress(rel string) bool {

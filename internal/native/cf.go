@@ -248,25 +248,21 @@ func encodeStripe(lo, hi uint32, itemF []float32, k int) []byte {
 	return out
 }
 
-// decodeStripe writes a stripe frame back into the factor array. The
-// payload may hold several concatenated frames.
+// decodeStripe writes the one stripe frame a payload holds back into the
+// factor array.
 func decodeStripe(payload []byte, itemF []float32, k int) error {
-	for len(payload) > 0 {
-		if len(payload) < 8 {
-			return errShortFrame
-		}
-		lo := binary.LittleEndian.Uint32(payload)
-		count := int(binary.LittleEndian.Uint32(payload[4:]))
-		need := 8 + 4*count*k
-		if len(payload) < need {
-			return errShortFrame
-		}
-		pos := 8
-		for i := int(lo) * k; i < (int(lo)+count)*k; i++ {
-			itemF[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[pos:]))
-			pos += 4
-		}
-		payload = payload[need:]
+	if len(payload) < 8 {
+		return errFrameLength
+	}
+	lo := binary.LittleEndian.Uint32(payload)
+	count := int(binary.LittleEndian.Uint32(payload[4:]))
+	if len(payload) != 8+4*count*k {
+		return errFrameLength
+	}
+	pos := 8
+	for i := int(lo) * k; i < (int(lo)+count)*k; i++ {
+		itemF[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[pos:]))
+		pos += 4
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"graphmaze/internal/codec"
@@ -488,6 +489,38 @@ func TestStripeCodecRoundTrip(t *testing.T) {
 	}
 	if err := decodeStripe([]byte{1, 2, 3}, decoded, k); err == nil {
 		t.Error("decoded truncated stripe")
+	}
+	if err := decodeStripe(append(payload, 0), decoded, k); err == nil {
+		t.Error("decoded a stripe with a trailing byte")
+	}
+}
+
+// TestAdjacencyBatchCodecRoundTrip: a triangle payload is its lists'
+// frames back to back, and a payload cut short of a frame is an error.
+func TestAdjacencyBatchCodecRoundTrip(t *testing.T) {
+	lists := [][]uint32{{1, 5, 9}, {}, {2, 3, 4, 900}}
+	var payload []byte
+	for v, adj := range lists {
+		frame, err := encodeAdjacency(uint32(v), adj, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload = append(payload, frame...)
+	}
+	got, err := decodeAdjacencyBatch(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(lists) {
+		t.Fatalf("decoded %d lists, want %d", len(got), len(lists))
+	}
+	for i := range lists {
+		if !slices.Equal(got[i], lists[i]) {
+			t.Errorf("list %d = %v, want %v", i, got[i], lists[i])
+		}
+	}
+	if _, err := decodeAdjacencyBatch(payload[:len(payload)-1]); err == nil {
+		t.Error("decoded a truncated payload")
 	}
 }
 

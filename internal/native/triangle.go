@@ -141,7 +141,9 @@ func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.
 	sendIDs := part.SendIDs(g)
 
 	var total int64
-	// Phase 1: local counting plus neighbourhood-list shipping.
+	// Phase 1: local counting plus neighbourhood-list shipping. Each
+	// destination gets one payload, its lists' frames in SendIDs order;
+	// a list bound for several destinations is encoded once.
 	err = c.RunPhase(func(node int) error {
 		lo, hi := part.Range(node)
 		for v := lo; v < hi; v++ {
@@ -152,12 +154,20 @@ func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.
 				}
 			}
 		}
+		frames := make([][]byte, hi-lo) // adj(v)'s frame, encoded on first use
 		for d, ids := range sendIDs[node] {
+			var payload []byte
 			for _, v := range ids {
-				payload, err := encodeAdjacency(v, g.Neighbors(v), g.NumVertices)
-				if err != nil {
-					return err
+				if frames[v-lo] == nil {
+					frame, err := encodeAdjacency(v, g.Neighbors(v), g.NumVertices)
+					if err != nil {
+						return err
+					}
+					frames[v-lo] = frame
 				}
+				payload = append(payload, frames[v-lo]...)
+			}
+			if payload != nil {
 				c.Send(node, d, payload)
 			}
 		}
@@ -170,16 +180,16 @@ func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.
 	// Phase 2: intersect received lists with local adjacency.
 	err = c.RunPhase(func(node int) error {
 		for _, payload := range c.Recv(node) {
-			lists, err := e.decodeAdjacencyBatch(payload)
+			lists, err := decodeAdjacencyBatch(payload)
 			if err != nil {
 				return err
 			}
-			for _, msg := range lists {
-				for _, u := range msg.adj {
+			for _, adj := range lists {
+				for _, u := range adj {
 					if part.Owner(u) != node {
 						continue
 					}
-					total += int64(graph.IntersectSortedCount(msg.adj, g.Neighbors(u)))
+					total += int64(graph.IntersectSortedCount(adj, g.Neighbors(u)))
 				}
 			}
 		}
@@ -197,11 +207,6 @@ func (e *Engine) triangleCluster(g *graph.CSR, opt core.TriangleOptions) (*core.
 	}, nil
 }
 
-type adjMessage struct {
-	vertex uint32
-	adj    []uint32
-}
-
 // encodeAdjacency frames one vertex's adjacency list: vertex id, payload
 // length, then the compressed sorted id list.
 func encodeAdjacency(v uint32, adj []uint32, universe uint32) ([]byte, error) {
@@ -216,27 +221,26 @@ func encodeAdjacency(v uint32, adj []uint32, universe uint32) ([]byte, error) {
 	return out, nil
 }
 
-// decodeAdjacencyBatch parses a concatenation of encodeAdjacency frames
-// (cluster.Send appends payloads between the same node pair).
-func (e *Engine) decodeAdjacencyBatch(payload []byte) ([]adjMessage, error) {
-	var out []adjMessage
+// decodeAdjacencyBatch parses a payload of concatenated encodeAdjacency
+// frames (one per list the sender shipped) into their adjacency lists.
+func decodeAdjacencyBatch(payload []byte) ([][]uint32, error) {
+	var out [][]uint32
 	for len(payload) > 0 {
 		if len(payload) < 8 {
-			return nil, errShortFrame
+			return nil, errFrameLength
 		}
-		v := binary.LittleEndian.Uint32(payload)
 		bodyLen := int(binary.LittleEndian.Uint32(payload[4:]))
 		if len(payload) < 8+bodyLen {
-			return nil, errShortFrame
+			return nil, errFrameLength
 		}
 		adj, err := codec.DecodeIDs(payload[8 : 8+bodyLen])
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, adjMessage{vertex: v, adj: adj})
+		out = append(out, adj)
 		payload = payload[8+bodyLen:]
 	}
 	return out, nil
 }
 
-var errShortFrame = errors.New("native: truncated adjacency frame")
+var errFrameLength = errors.New("native: frame length disagrees with its header")

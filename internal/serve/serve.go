@@ -166,7 +166,6 @@ func (g *servedGraph) bind(snap *graph.Snapshot) *epochState {
 // Server is the always-on query service. Create with New, register graphs
 // with AddGraph, mount Handler on a listener, Close when done.
 type Server struct {
-	cfg   Config
 	reg   *obs.Registry
 	pool  *par.Pool
 	adm   *Admission
@@ -223,7 +222,6 @@ func New(cfg Config) *Server {
 		cfg.MaxInFlight = 2 * pool.Workers()
 	}
 	s := &Server{
-		cfg:    cfg,
 		reg:    cfg.Registry,
 		pool:   pool,
 		cache:  newResultCache(cfg.CacheBytes, cfg.Registry),

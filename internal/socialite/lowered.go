@@ -44,7 +44,7 @@ type edgeShape struct {
 func matchEdgeShape(rule *Rule) (*edgeShape, bool) {
 	d := rule.Driver.Vec
 	na := len(rule.Atoms)
-	if d == nil || na == 0 || len(rule.Lets) != 0 || rule.Head.ValSlot < 0 {
+	if d == nil || na == 0 || rule.Head.ValSlot < 0 {
 		return nil, false
 	}
 	last := rule.Atoms[na-1].Edge

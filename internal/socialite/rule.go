@@ -93,7 +93,6 @@ type Rule struct {
 	ValSlots int
 	Driver   Driver
 	Atoms    []Atom
-	Lets     []Let
 	Head     Head
 }
 
@@ -177,15 +176,6 @@ func (r *Rule) Validate() error {
 			return fmt.Errorf("socialite: rule %s: atom %d is empty", r.Name, i)
 		}
 	}
-	for i, l := range r.Lets {
-		if l.OutSlot < 0 || l.OutSlot >= r.ValSlots {
-			return fmt.Errorf("socialite: rule %s: let %d out slot out of range", r.Name, i)
-		}
-		if l.F == nil {
-			return fmt.Errorf("socialite: rule %s: let %d has no expression", r.Name, i)
-		}
-		boundVal[l.OutSlot] = true
-	}
 	if r.Head.KeySlot >= 0 {
 		if err := checkKey(r.Head.KeySlot, true, "head"); err != nil {
 			return err
@@ -204,9 +194,6 @@ type emit func(key uint32, val float64)
 // evalFrom continues evaluation from atom index ai with the frame env.
 func (r *Rule) evalFrom(ai int, env *Env, sink emit) {
 	if ai == len(r.Atoms) {
-		for _, l := range r.Lets {
-			env.Vals[l.OutSlot] = l.F(env)
-		}
 		val := 1.0
 		if r.Head.ValSlot >= 0 {
 			val = env.Vals[r.Head.ValSlot]
