@@ -40,11 +40,13 @@ loc:
 # distributed runtimes; this prints each cell. It then runs the model
 # golden, TestModelGolden, which holds every modelled cluster.Report
 # field of the multi-node experiments (traffic, bandwidth, network
-# seconds, memory, checkpoints) to its fixture. go test ./... runs both;
-# this is the one command a cluster-path change needs.
+# seconds, memory, checkpoints) to its fixture, and internal/cluster's
+# own tests (the ledger fold, spans, faults and recovery). go test ./...
+# runs all three; this is the one command a cluster-path change needs.
 validate:
 	$(GO) test -run '^TestEnginesMatchReference$$' -v .
 	$(GO) test -run '^TestModelGolden$$' ./internal/harness
+	$(GO) test ./internal/cluster
 
 # bench-smoke vets and tests the repository's benchmark (BENCHMARK.json,
 # bench/). It is a module of its own, so `go build ./... && go test ./...`

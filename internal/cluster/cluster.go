@@ -6,9 +6,10 @@
 // so algorithm compute runs as real Go code on real data — one logical node
 // at a time, so per-node times are cleanly measured — while the network is
 // a model: each phase charges latency·messages + bytes/bandwidth of virtual
-// time per node. Run time, bytes sent, peak bandwidth, CPU utilization, and
-// memory footprint are all derived from this ground truth, which is exactly
-// the set of quantities the paper's multi-node analysis rests on.
+// time per node. Every advance of that virtual clock is a step in one
+// ledger; run time, bytes sent, peak bandwidth and CPU utilization are a
+// fold over it, and memory footprint a running high-water mark: exactly
+// the quantities the paper's multi-node analysis rests on.
 package cluster
 
 import (
@@ -136,27 +137,24 @@ func (c Config) Validate() error {
 type Cluster struct {
 	cfg Config
 
-	mu          sync.Mutex // guards outbox, extraBytes, extraMsgs and memHighWater
+	mu          sync.Mutex // guards outbox, open's traffic and memHighWater
 	outbox      [][][]byte // [from][to] the payload queued this phase
 	inbox       [][][]byte // [node] payloads delivered from last phase
-	extraBytes  []int64    // accounted-only traffic per node this phase
-	extraMsgs   []int64
-	baselineMem []int64 // engine-declared resident bytes per node
+	baselineMem []int64    // engine-declared resident bytes per node
 	// phases counts executed phases, failed ones included. It is never
 	// rolled back: fault plans key their events on it, so a replayed phase
 	// runs under a fresh index and a consumed one-shot fault cannot re-fire.
 	phases     int
 	virtualSec float64 // accumulated modeled wall clock, the one simulated clock
 
-	// tally holds the Report's counters, each summed in the order the
-	// phases, checkpoints and recoveries ran; Report fills in the clock,
-	// the memory peak and CPU utilization. memHighWater is the highest
-	// footprint any node recorded (the max over nodes of each node's
-	// high-water mark) and busyThreadSec the useful thread-seconds
-	// utilization divides.
-	tally         Report
-	memHighWater  int64
-	busyThreadSec float64
+	// ledger holds every charged step in charge order, the record Report
+	// folds; open is the phase in flight, which Account charges into.
+	// memHighWater is the highest footprint any node recorded (the max
+	// over nodes of each node's high-water mark): RecordMemory raises it
+	// before the first phase and concurrently within phases.
+	ledger       []step
+	open         step
+	memHighWater int64
 
 	// Per-phase attribution histograms (virtual nanoseconds, one lane per
 	// node), resolved once at New from the tracer's registry; all nil — and
@@ -164,6 +162,17 @@ type Cluster struct {
 	computeHist *obs.Histogram
 	netHist     *obs.Histogram
 	waitHist    *obs.Histogram
+}
+
+// step is one advance of the virtual clock, one ledger entry: a phase, a
+// failed phase, a checkpoint write or a restore.
+type step struct {
+	cat, name    string    // span category (the step's kind) and name
+	compute, net []float64 // per node: measured compute, modelled network seconds
+	bytes, msgs  []int64   // per node: modelled traffic, never charged for a failed phase
+	fixed, wall  float64   // detection, write or read seconds; the virtual seconds charged
+	ckptBytes    int64     // the checkpoint written or read
+	replayed     int       // executed phases a restore rolled back
 }
 
 // New returns a cluster for the given configuration.
@@ -174,10 +183,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:         cfg,
-		tally:       Report{Nodes: cfg.Nodes, MemoryPerNode: cfg.MemoryPerNode},
 		inbox:       make([][][]byte, cfg.Nodes),
-		extraBytes:  make([]int64, cfg.Nodes),
-		extraMsgs:   make([]int64, cfg.Nodes),
 		baselineMem: make([]int64, cfg.Nodes),
 	}
 	c.resetOutbox()
@@ -192,14 +198,14 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
+// resetOutbox empties the outbox and opens the next phase's step.
 func (c *Cluster) resetOutbox() {
-	c.outbox = make([][][]byte, c.cfg.Nodes)
+	n := c.cfg.Nodes
+	c.outbox = make([][][]byte, n)
 	for i := range c.outbox {
-		c.outbox[i] = make([][]byte, c.cfg.Nodes)
+		c.outbox[i] = make([][]byte, n)
 	}
-	for i := range c.extraBytes {
-		c.extraBytes[i], c.extraMsgs[i] = 0, 0
-	}
+	c.open = step{compute: make([]float64, n), net: make([]float64, n), bytes: make([]int64, n), msgs: make([]int64, n)}
 }
 
 // Nodes reports the node count.
@@ -229,8 +235,8 @@ func (c *Cluster) Send(from, to int, payload []byte) {
 func (c *Cluster) Account(from int, bytes, messages int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.extraBytes[from] += bytes
-	c.extraMsgs[from] += messages
+	c.open.bytes[from] += bytes
+	c.open.msgs[from] += messages
 }
 
 // Recv returns the payloads delivered to node at the last phase boundary,
@@ -275,22 +281,17 @@ func (c *Cluster) RunPhase(compute func(node int) error) error {
 	comm.Bandwidth /= degrade
 	comm.Latency *= degrade
 
-	computeSec := make([]float64, c.cfg.Nodes)
-	netSec := make([]float64, c.cfg.Nodes)
-	nodeBytes := make([]int64, c.cfg.Nodes)
-	nodeMsgs := make([]int64, c.cfg.Nodes)
+	s := &c.open
 	for n := 0; n < c.cfg.Nodes; n++ {
 		if c.cfg.Fault.CrashPoint(c.phases, n) {
-			return c.failPhase(computeSec,
-				&fault.Error{Kind: fault.Crash, Phase: c.phases, Node: n})
+			return c.failPhase(&fault.Error{Kind: fault.Crash, Phase: c.phases, Node: n})
 		}
 		start := time.Now()
 		if err := compute(n); err != nil {
-			computeSec[n] = time.Since(start).Seconds()
-			return c.failPhase(computeSec,
-				fmt.Errorf("cluster: node %d phase %d: %w", n, c.phases, err))
+			s.compute[n] = time.Since(start).Seconds()
+			return c.failPhase(fmt.Errorf("cluster: node %d phase %d: %w", n, c.phases, err))
 		}
-		computeSec[n] = time.Since(start).Seconds() * c.cfg.Fault.SlowFactor(c.phases, n)
+		s.compute[n] = time.Since(start).Seconds() * c.cfg.Fault.SlowFactor(c.phases, n)
 	}
 
 	// Transport check: drops and truncations are detected at exchange time
@@ -305,86 +306,30 @@ func (c *Cluster) RunPhase(compute func(node int) error) error {
 			}
 			switch c.cfg.Fault.MessageFault(c.phases, from, to) {
 			case fault.Dropped:
-				return c.failPhase(computeSec,
-					&fault.Error{Kind: fault.Drop, Phase: c.phases, Node: from, To: to})
+				return c.failPhase(&fault.Error{Kind: fault.Drop, Phase: c.phases, Node: from, To: to})
 			case fault.Truncated:
-				return c.failPhase(computeSec,
-					&fault.Error{Kind: fault.Truncate, Phase: c.phases, Node: from, To: to})
+				return c.failPhase(&fault.Error{Kind: fault.Truncate, Phase: c.phases, Node: from, To: to})
 			}
 		}
 	}
 
-	// Tally per-node traffic and charge network time.
-	var maxCompute, maxNet float64
-	var busy float64
+	// Add the sent payloads to each node's accounted traffic and charge
+	// its network time.
 	for n := 0; n < c.cfg.Nodes; n++ {
-		var bytes, msgs int64
-		for to, payload := range c.outbox[n] {
-			if to == n || payload == nil {
-				continue
-			}
-			bytes += int64(len(payload))
-			msgs++
-		}
-		bytes += c.extraBytes[n]
-		msgs += c.extraMsgs[n]
-		net := comm.Latency*float64(msgs) + float64(bytes)/comm.Bandwidth
-		netSec[n], nodeBytes[n], nodeMsgs[n] = net, bytes, msgs
-		achieved := 0.0
-		if net > 0 {
-			achieved = float64(bytes) / net
-		}
-		c.tally.BytesSent += bytes
-		c.tally.MessagesSent += msgs
-		c.tally.PeakNetworkBandwidth = max(c.tally.PeakNetworkBandwidth, achieved)
-		if net > maxNet {
-			maxNet = net
-		}
-		if computeSec[n] > maxCompute {
-			maxCompute = computeSec[n]
-		}
-		busy += computeSec[n] * float64(c.cfg.WorkersPerNode)
-
-		// Message buffers live alongside the baseline data.
 		var bufBytes int64
-		for _, payload := range c.outbox[n] {
+		for to, payload := range c.outbox[n] {
 			bufBytes += int64(len(payload))
+			if to != n && payload != nil {
+				s.bytes[n] += int64(len(payload))
+				s.msgs[n]++
+			}
 		}
+		s.net[n] = comm.Latency*float64(s.msgs[n]) + float64(s.bytes[n])/comm.Bandwidth
+		// Message buffers live alongside the baseline data.
 		c.RecordMemory(n, c.baselineMem[n]+bufBytes)
 	}
-
-	wall := maxCompute + maxNet
-	if c.cfg.Overlap {
-		wall = max(maxCompute, maxNet)
-	}
-	c.tally.ComputeSeconds += maxCompute
-	c.tally.NetworkSeconds += maxNet
-	c.busyThreadSec += busy
-
-	// One span per node per phase: the node's own compute and network
-	// time, with the barrier slack (time spent waiting on the slowest node)
-	// attributed as wait — the per-phase imbalance the paper's §6 roadmap
-	// arguments rest on. The same attribution feeds the per-node
-	// histograms, distribution-shaped, so the trace report can quote
-	// p50/p99 compute vs network vs barrier wait instead of only per-phase
-	// totals; the phase wall itself is RecordVirtual's cluster.phase.dur_ns.
-	c.charge(wall, "cluster.phase", fmt.Sprintf("phase %d", c.phases), func(n int) map[string]float64 {
-		active := computeSec[n] + netSec[n]
-		if c.cfg.Overlap {
-			active = max(computeSec[n], netSec[n])
-		}
-		wait := max(wall-active, 0)
-		c.computeHist.Record(n, int64(computeSec[n]*1e9))
-		c.netHist.Record(n, int64(netSec[n]*1e9))
-		c.waitHist.Record(n, int64(wait*1e9))
-		return map[string]float64{
-			"compute_sec": computeSec[n],
-			"network_sec": netSec[n],
-			"wait_sec":    wait,
-			"bytes":       float64(nodeBytes[n]),
-			"messages":    float64(nodeMsgs[n]),
-		}
-	})
+	s.cat, s.name = "cluster.phase", fmt.Sprintf("phase %d", c.phases)
+	c.charge(*s)
 
 	// Deliver: inbox[to] gets every non-nil payload addressed to it.
 	for to := 0; to < c.cfg.Nodes; to++ {
@@ -410,34 +355,74 @@ func (c *Cluster) RunPhase(compute func(node int) error) error {
 // counters, advances the executed-phase counter past the failed phase, and
 // returns err. The inbox is left holding the last successful phase's
 // deliveries so a Recovery can re-run the step from its checkpoint.
-func (c *Cluster) failPhase(computeSec []float64, err error) error {
-	detect := c.cfg.Fault.DetectSeconds()
-	var partial float64
-	for _, s := range computeSec {
-		partial = max(partial, s)
-	}
-	wall := partial + detect
-	c.tally.RecoverySeconds += wall
-	c.tally.FailedPhases++
-	c.charge(wall, "cluster.fault", fmt.Sprintf("phase %d failed", c.phases), func(n int) map[string]float64 {
-		return map[string]float64{"compute_sec": computeSec[n], "detect_sec": detect}
-	})
+func (c *Cluster) failPhase(err error) error {
+	c.open.cat, c.open.name = "cluster.fault", fmt.Sprintf("phase %d failed", c.phases)
+	c.open.fixed = c.cfg.Fault.DetectSeconds()
+	c.charge(c.open)
 	c.resetOutbox()
 	c.phases++
 	return err
 }
 
-// charge advances the virtual clock by sec, the only place it moves, and
-// records the interval on every node's track as one span of category cat
-// (a phase, a failed phase, a checkpoint write or a restore), with args(n)
-// as node n's attribution. args runs only when tracing is on.
-func (c *Cluster) charge(sec float64, cat, name string, args func(node int) map[string]float64) {
+// charge closes step s: its wall is the slowest node's compute plus the
+// slowest node's network time (their max under Overlap) plus its fixed
+// cost. charge advances the virtual clock by it, the only place the clock
+// moves, appends s to the ledger and records it as one span per node.
+func (c *Cluster) charge(s step) {
+	compute, net := s.peaks()
+	s.wall = compute + net
+	if c.cfg.Overlap {
+		s.wall = max(compute, net)
+	}
+	s.wall += s.fixed
 	if c.cfg.Trace.Enabled() {
 		for n := 0; n < c.cfg.Nodes; n++ {
-			c.cfg.Trace.RecordVirtual(trace.PidNode(n), cat, name, c.virtualSec, sec, args(n))
+			c.cfg.Trace.RecordVirtual(trace.PidNode(n), s.cat, s.name, c.virtualSec, s.wall, c.attribution(&s, n))
 		}
 	}
-	c.virtualSec += sec
+	c.virtualSec += s.wall
+	c.ledger = append(c.ledger, s)
+}
+
+// peaks returns the step's slowest node compute and network seconds.
+func (s *step) peaks() (compute, net float64) {
+	for n := range s.compute {
+		compute = max(compute, s.compute[n])
+	}
+	for n := range s.net {
+		net = max(net, s.net[n])
+	}
+	return compute, net
+}
+
+// attribution is node n's share of step s, its span's args. A phase
+// attributes the node's barrier slack (waiting on the slowest node) as
+// wait, the imbalance the paper's §6 roadmap rests on, and feeds the same
+// split to the per-node histograms; the wall is cluster.phase.dur_ns.
+func (c *Cluster) attribution(s *step, n int) map[string]float64 {
+	switch s.cat {
+	case "cluster.fault":
+		return map[string]float64{"compute_sec": s.compute[n], "detect_sec": s.fixed}
+	case "cluster.checkpoint":
+		return map[string]float64{"bytes": float64(s.ckptBytes)}
+	case "cluster.recovery":
+		return map[string]float64{"replayed_phases": float64(s.replayed), "bytes": float64(s.ckptBytes)}
+	}
+	active := s.compute[n] + s.net[n]
+	if c.cfg.Overlap {
+		active = max(s.compute[n], s.net[n])
+	}
+	wait := max(s.wall-active, 0)
+	c.computeHist.Record(n, int64(s.compute[n]*1e9))
+	c.netHist.Record(n, int64(s.net[n]*1e9))
+	c.waitHist.Record(n, int64(wait*1e9))
+	return map[string]float64{
+		"compute_sec": s.compute[n],
+		"network_sec": s.net[n],
+		"wait_sec":    wait,
+		"bytes":       float64(s.bytes[n]),
+		"messages":    float64(s.msgs[n]),
+	}
 }
 
 // VirtualSeconds reports the modeled wall clock accumulated so far.

@@ -87,9 +87,9 @@ func (r *Recovery) Run(step func(step int) (done bool, err error)) error {
 }
 
 // checkpoint snapshots engine state and the cluster inbox into one blob,
-// holds it in place of the previous checkpoint, and charges the write to
-// the virtual clock.
-func (r *Recovery) checkpoint(step int) error {
+// holds it in place of the previous checkpoint, and charges the write as
+// a step.
+func (r *Recovery) checkpoint(at int) error {
 	c := r.c
 	engine, err := r.snapshot()
 	if err != nil {
@@ -97,23 +97,16 @@ func (r *Recovery) checkpoint(step int) error {
 	}
 	blob := codec.AppendSection(nil, engine)
 	blob = codec.AppendSection(blob, c.snapshotInbox())
-	r.latest = &ckpt.Checkpoint{Step: step, Phases: c.phases, Data: blob}
-	cost := ckpt.WriteSeconds(int64(len(blob)), c.cfg.Nodes)
-	c.tally.CheckpointSeconds += cost
-	c.tally.CheckpointBytes += int64(len(blob))
-	c.tally.Checkpoints++
-	c.charge(cost, "cluster.checkpoint", fmt.Sprintf("checkpoint step %d", step), func(int) map[string]float64 {
-		return map[string]float64{"bytes": float64(len(blob))}
-	})
+	r.latest = &ckpt.Checkpoint{Step: at, Phases: c.phases, Data: blob}
+	c.charge(step{cat: "cluster.checkpoint", name: fmt.Sprintf("checkpoint step %d", at),
+		fixed: ckpt.WriteSeconds(int64(len(blob)), c.cfg.Nodes), ckptBytes: int64(len(blob))})
 	return nil
 }
 
 // recover restores engine state and inbox from the held checkpoint and
-// charges the restore read plus the rolled-back phases to the recovery
-// tally.
+// charges the restore read as a step that counts the rolled-back phases.
 func (r *Recovery) recover() error {
 	c, ck := r.c, r.latest
-	phasesAtFailure := c.phases // failPhase already counted the failed phase
 	engine, rest, err := codec.Section(ck.Data)
 	if err != nil {
 		return fmt.Errorf("cluster: corrupt checkpoint at step %d: %w", ck.Step, err)
@@ -128,14 +121,10 @@ func (r *Recovery) recover() error {
 	if err := c.restoreInbox(inbox); err != nil {
 		return fmt.Errorf("cluster: restore inbox from step %d: %w", ck.Step, err)
 	}
-	cost := ckpt.ReadSeconds(int64(len(ck.Data)), c.cfg.Nodes)
-	replayed := phasesAtFailure - ck.Phases
-	c.tally.RecoverySeconds += cost
-	c.tally.Recoveries++
-	c.tally.ReplayedPhases += replayed
-	c.charge(cost, "cluster.recovery", fmt.Sprintf("rollback to step %d", ck.Step), func(int) map[string]float64 {
-		return map[string]float64{"replayed_phases": float64(replayed), "bytes": float64(len(ck.Data))}
-	})
+	// failPhase already counted the failed phase among the replayed ones.
+	c.charge(step{cat: "cluster.recovery", name: fmt.Sprintf("rollback to step %d", ck.Step),
+		fixed: ckpt.ReadSeconds(int64(len(ck.Data)), c.cfg.Nodes), ckptBytes: int64(len(ck.Data)),
+		replayed: c.phases - ck.Phases})
 	return nil
 }
 

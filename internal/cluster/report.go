@@ -8,10 +8,10 @@ import (
 // Report is the paper's §5.4 / Figure 6 system-metric model of a
 // simulated run: the four quantities the paper measures with
 // sar/sysstat — CPU utilization, memory footprint, total network bytes
-// sent, peak achieved network bandwidth — taken from the cluster's own
-// ground truth rather than OS counters, plus the checkpoint and recovery
-// tallies of DESIGN.md §10. The harness prints it for Figure 6 and uses
-// it to explain slowdowns.
+// sent, peak achieved network bandwidth — folded from the cluster's
+// ledger of charged steps rather than read off OS counters, plus the
+// checkpoint and recovery counts of DESIGN.md §10. The harness prints it
+// for Figure 6 and uses it to explain slowdowns.
 //
 // Each field is either *modelled* — a function of the engines' traffic
 // and memory accounting and the comm-layer and checkpoint cost models
@@ -69,17 +69,47 @@ type Report struct {
 	ReplayedPhases  int
 }
 
-// Report returns the run's metrics so far. The simulated seconds are the
-// cluster's one virtual clock, and CPU utilization is normalized against
-// it.
+// Report returns the run's metrics so far: a fold over the ledger in
+// charge order, plus the memory high-water mark. The simulated seconds
+// sum to the cluster's one virtual clock, bit for bit, and CPU
+// utilization is normalized against them.
 func (c *Cluster) Report() Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r := c.tally
-	r.SimulatedSeconds = c.virtualSec
-	r.MemoryFootprintBytes = c.memHighWater
-	if c.virtualSec > 0 {
-		r.CPUUtilization = min(c.busyThreadSec/(c.virtualSec*ThreadsPerNode*float64(c.cfg.Nodes)), 1)
+	r := Report{Nodes: c.cfg.Nodes, MemoryPerNode: c.cfg.MemoryPerNode, MemoryFootprintBytes: c.memHighWater}
+	var busyThreadSec float64
+	for _, s := range c.ledger {
+		r.SimulatedSeconds += s.wall
+		switch s.cat {
+		case "cluster.phase":
+			compute, net := s.peaks()
+			r.ComputeSeconds += compute
+			r.NetworkSeconds += net
+			var busy float64
+			for n := range s.compute {
+				r.BytesSent += s.bytes[n]
+				r.MessagesSent += s.msgs[n]
+				if s.net[n] > 0 {
+					r.PeakNetworkBandwidth = max(r.PeakNetworkBandwidth, float64(s.bytes[n])/s.net[n])
+				}
+				busy += s.compute[n] * float64(c.cfg.WorkersPerNode)
+			}
+			busyThreadSec += busy
+		case "cluster.fault":
+			r.RecoverySeconds += s.wall
+			r.FailedPhases++
+		case "cluster.checkpoint":
+			r.CheckpointSeconds += s.wall
+			r.CheckpointBytes += s.ckptBytes
+			r.Checkpoints++
+		case "cluster.recovery":
+			r.RecoverySeconds += s.wall
+			r.Recoveries++
+			r.ReplayedPhases += s.replayed
+		}
+	}
+	if r.SimulatedSeconds > 0 {
+		r.CPUUtilization = min(busyThreadSec/(r.SimulatedSeconds*ThreadsPerNode*float64(c.cfg.Nodes)), 1)
 	}
 	return r
 }

@@ -62,18 +62,70 @@ func TestReportTallies(t *testing.T) {
 
 // TestCPUUtilizationCapped: busy thread-seconds above what the
 // provisioned threads could burn in the simulated time (which the model
-// only reaches through float rounding) report as full utilization.
+// only reaches through float rounding) report as full utilization. The
+// over-busy phase is a ledger step whose wall is shorter than its compute.
 func TestCPUUtilizationCapped(t *testing.T) {
 	c, err := New(Config{Nodes: 1, Comm: MPI()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RunPhase(func(n int) error { c.Account(n, 1, 1); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	c.busyThreadSec = 100 * c.VirtualSeconds()
+	c.ledger = append(c.ledger, step{cat: "cluster.phase", compute: []float64{1}, net: []float64{0},
+		bytes: []int64{0}, msgs: []int64{0}, wall: 0.5})
 	if r := c.Report(); r.CPUUtilization != 1 {
 		t.Errorf("CPUUtilization = %v, want clamped to 1", r.CPUUtilization)
+	}
+}
+
+// TestReportFoldsTheLedger charges hand-built steps — a phase, a failed
+// phase, a checkpoint write and a restore — with and without Overlap, and
+// pins every Report field exactly, the ones the host clock feeds in a
+// real run included. The seconds are dyadic, so every sum is exact.
+func TestReportFoldsTheLedger(t *testing.T) {
+	for _, overlap := range []bool{false, true} {
+		c, err := New(Config{Nodes: 2, WorkersPerNode: 12, Overlap: overlap, MemoryPerNode: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.RecordMemory(1, 777)
+		c.charge(step{cat: "cluster.phase", compute: []float64{0.5, 0.25}, net: []float64{0.125, 0.375},
+			bytes: []int64{1000, 6000}, msgs: []int64{2, 1}})
+		c.charge(step{cat: "cluster.fault", compute: []float64{0.25, 0}, fixed: 0.5})
+		c.charge(step{cat: "cluster.checkpoint", fixed: 0.25, ckptBytes: 4096})
+		c.charge(step{cat: "cluster.recovery", fixed: 0.125, ckptBytes: 4096, replayed: 3})
+
+		// The phase's wall is its slowest compute plus its slowest network
+		// time, 0.5 + 0.375, or their max under Overlap; the failed phase
+		// charges its partial compute plus detection, 0.25 + 0.5.
+		phase := 0.875
+		if overlap {
+			phase = 0.5
+		}
+		sim := phase + 0.75 + 0.25 + 0.125
+		want := Report{
+			Nodes:                2,
+			SimulatedSeconds:     sim,
+			ComputeSeconds:       0.5,
+			NetworkSeconds:       0.375,
+			CPUUtilization:       (0.5*12 + 0.25*12) / (sim * ThreadsPerNode * 2),
+			BytesSent:            7000,
+			MessagesSent:         3,
+			PeakNetworkBandwidth: 6000 / 0.375,
+			MemoryFootprintBytes: 777,
+			MemoryPerNode:        1 << 20,
+			CheckpointSeconds:    0.25,
+			CheckpointBytes:      4096,
+			Checkpoints:          1,
+			RecoverySeconds:      0.75 + 0.125,
+			Recoveries:           1,
+			FailedPhases:         1,
+			ReplayedPhases:       3,
+		}
+		if got := c.Report(); got != want {
+			t.Errorf("Overlap=%v:\n got %+v\nwant %+v", overlap, got, want)
+		}
+		if c.VirtualSeconds() != sim {
+			t.Errorf("Overlap=%v: VirtualSeconds = %v, want %v", overlap, c.VirtualSeconds(), sim)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package giraph
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -87,7 +88,8 @@ func TestPageRankCluster(t *testing.T) {
 // TestLoweredBFSSuperstepsMatchStock: the lowered BFS must report what
 // the stock runtime observes — here on a one-node cluster, which runs the
 // stock superstep loop — superstep for superstep: the same active-vertex
-// and message counts and the same modeled buffer footprint.
+// and message counts and the same modeled buffer footprint, on the spans
+// and in the per-superstep message and buffered-byte histograms.
 func TestLoweredBFSSuperstepsMatchStock(t *testing.T) {
 	g := fixtureUndirected(t)
 	steps := func(x core.Exec) [][3]float64 {
@@ -103,10 +105,24 @@ func TestLoweredBFSSuperstepsMatchStock(t *testing.T) {
 		}
 		return out
 	}
-	lowered := steps(core.Exec{Trace: trace.New()})
-	stock := steps(core.Exec{Trace: trace.New(), Cluster: &cluster.Config{Nodes: 1}})
-	if len(lowered) < 3 || !slices.Equal(lowered, stock) {
-		t.Errorf("per-superstep (active, messages, buffered bytes):\nlowered %v\nstock   %v", lowered, stock)
+	low, stock := core.Exec{Trace: trace.New()}, core.Exec{Trace: trace.New(), Cluster: &cluster.Config{Nodes: 1}}
+	lowered, stocked := steps(low), steps(stock)
+	if len(lowered) < 3 || !slices.Equal(lowered, stocked) {
+		t.Errorf("per-superstep (active, messages, buffered bytes):\nlowered %v\nstock   %v", lowered, stocked)
+	}
+	superstepHistsMatch(t, low.Tracer(), stock.Tracer())
+}
+
+// superstepHistsMatch fails t unless the lowered and the stock runs
+// recorded the same per-superstep message and buffered-byte histograms.
+func superstepHistsMatch(t *testing.T, lowered, stock *trace.Tracer) {
+	t.Helper()
+	low, st := lowered.Registry().HistSnapshots(), stock.Registry().HistSnapshots()
+	for _, name := range []string{"giraph.superstep.messages", "giraph.superstep.buffered_bytes"} {
+		if low[name].Count == 0 || !reflect.DeepEqual(low[name], st[name]) {
+			t.Errorf("%s: lowered count %d sum %d max %d, stock count %d sum %d max %d (buckets compared too)",
+				name, low[name].Count, low[name].Sum, low[name].Max, st[name].Count, st[name].Sum, st[name].Max)
+		}
 	}
 }
 
@@ -115,7 +131,7 @@ func TestLoweredBFSSuperstepsMatchStock(t *testing.T) {
 // runtime on a one-node cluster — the ranks bit for bit, since the stock
 // runtime delivers messages in ascending sender order and the sweep folds
 // in-neighbours in that order, and the per-superstep active-vertex and
-// message counts and modeled buffer footprint.
+// message counts and modeled buffer footprint, spans and histograms both.
 func TestLoweredPageRankSuperstepsMatchStock(t *testing.T) {
 	g := fixtureDirected(t)
 	run := func(x core.Exec) ([]float64, [][3]float64) {
@@ -132,11 +148,13 @@ func TestLoweredPageRankSuperstepsMatchStock(t *testing.T) {
 		}
 		return res.Ranks, steps
 	}
-	lowRanks, lowSteps := run(core.Exec{Trace: trace.New()})
-	stockRanks, stockSteps := run(core.Exec{Trace: trace.New(), Cluster: &cluster.Config{Nodes: 1}})
+	low, stock := core.Exec{Trace: trace.New()}, core.Exec{Trace: trace.New(), Cluster: &cluster.Config{Nodes: 1}}
+	lowRanks, lowSteps := run(low)
+	stockRanks, stockSteps := run(stock)
 	if len(lowSteps) != 7 || !slices.Equal(lowSteps, stockSteps) {
 		t.Errorf("per-superstep (active, messages, buffered bytes):\nlowered %v\nstock   %v", lowSteps, stockSteps)
 	}
+	superstepHistsMatch(t, low.Tracer(), stock.Tracer())
 	if len(lowRanks) != len(stockRanks) {
 		t.Fatalf("%d lowered ranks, %d stock", len(lowRanks), len(stockRanks))
 	}

@@ -553,11 +553,14 @@ func Run(job *Job) (*Result, error) {
 		}), par.EvenSplits(len(chunk), rt.workers))
 	}
 
-	// Per-superstep observability: active-vertex and message counters plus
-	// one span per superstep (real-time locally, virtual on a cluster).
+	// Per-superstep observability: active-vertex and message counters, the
+	// message and buffered-byte histograms runLowered records too, and one
+	// span per superstep (real-time locally, virtual on a cluster).
 	tr := job.Tracer
 	activeCounter := tr.Registry().Counter("giraph.active_vertices")
 	msgCounter := tr.Registry().Counter("giraph.messages")
+	msgHist := tr.Registry().Hist("giraph.superstep.messages")
+	bufHist := tr.Registry().Hist("giraph.superstep.buffered_bytes")
 
 	var peakBuffered int64
 	var supersteps int
@@ -645,6 +648,8 @@ func Run(job *Job) (*Result, error) {
 		}
 		stepMsgs := rt.deliver()
 		msgCounter.Add(stepMsgs)
+		msgHist.Record(0, stepMsgs)
+		bufHist.Record(0, stepPeakBuffered)
 		if stepSpan != nil {
 			stepSpan.Arg("active", float64(len(activeList))).
 				Arg("messages", float64(stepMsgs)).

@@ -248,6 +248,8 @@ func Figure6(opt Options) error {
 		}
 		fmt.Fprint(opt.Out, formatTable(labels, reports, cluster.MPI().Bandwidth))
 	}
+	fmt.Fprintln(opt.Out, "CPU util is measured (host-clock compute over the simulated clock, so it moves run to run);\n"+
+		"peak net BW, memory and bytes sent are modelled (the engines' accounting, identical in every run)")
 	fmt.Fprintln(opt.Out, "paper shape: Giraph lowest CPU util (~16%) and lowest peak BW, highest bytes sent; native/CombBLAS highest peak BW")
 	return nil
 }

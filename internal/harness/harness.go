@@ -242,19 +242,27 @@ type measurement struct {
 // (§5.4): capacity scales with the input rather than staying at the
 // paper's literal 64 GB.
 func runOne(opt Options, e core.Engine, algo Algo, in inputs, nodes, iterations int) measurement {
-	// Snapshot the histogram registry before the run so the record can
-	// carry exactly this run's observations (bucket counters are monotone,
-	// so the snapshot difference is exact even on a shared tracer).
+	return opt.track(e.Name(), algo.String(), nodes, func() measurement {
+		return runMeasured(opt, e, algo, in, nodes, iterations)
+	})
+}
+
+// track runs one engine run inside a harness.run span and, when a
+// machine-readable report is wanted, appends its RunRecord (stream's
+// per-kernel timings are the only records built elsewhere). The
+// histogram registry is snapshotted around the run so the record carries
+// exactly this run's observations (bucket counters are monotone, so the
+// snapshot difference is exact even on a shared tracer).
+func (o Options) track(engine, algo string, nodes int, run func() measurement) measurement {
 	var before map[string]obs.HistSnapshot
-	if opt.rec != nil {
-		before = opt.Trace.Registry().HistSnapshots()
+	if o.rec != nil {
+		before = o.Trace.Registry().HistSnapshots()
 	}
-	sp := opt.Trace.Begin("harness.run", fmt.Sprintf("%s %s", e.Name(), algo)).
-		Arg("nodes", float64(nodes))
-	m := runMeasured(opt, e, algo, in, nodes, iterations)
+	sp := o.Trace.Begin("harness.run", engine+" "+algo).Arg("nodes", float64(nodes))
+	m := run()
 	sp.End()
-	if opt.rec != nil {
-		rec := RunRecord{Engine: e.Name(), Algo: algo.String(), Nodes: nodes, Seconds: m.seconds}
+	if o.rec != nil {
+		rec := RunRecord{Engine: engine, Algo: algo, Nodes: nodes, Seconds: m.seconds}
 		if m.err != nil {
 			rec.Error = m.err.Error()
 		}
@@ -262,8 +270,8 @@ func runOne(opt Options, e core.Engine, algo Algo, in inputs, nodes, iterations 
 			r := m.report
 			rec.Report = &r
 		}
-		rec.Hists = obs.DeltaQuantiles(before, opt.Trace.Registry().HistSnapshots())
-		*opt.rec = append(*opt.rec, rec)
+		rec.Hists = obs.DeltaQuantiles(before, o.Trace.Registry().HistSnapshots())
+		*o.rec = append(*o.rec, rec)
 	}
 	return m
 }

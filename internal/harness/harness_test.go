@@ -159,6 +159,32 @@ func TestFaultTolQuick(t *testing.T) {
 	}
 }
 
+// TestFaultTolRecordsCarryHists: faulttol records its runs through the
+// helper every other experiment uses, so under a tracer each record
+// carries the histograms its own run observed: its one harness.run span
+// and the cluster's per-node phase attribution.
+func TestFaultTolRecordsCarryHists(t *testing.T) {
+	var js bytes.Buffer
+	if err := Run("faulttol", Options{Out: &bytes.Buffer{}, Quick: true, Iterations: 2, Trace: trace.New(), JSON: &js}); err != nil {
+		t.Fatal(err)
+	}
+	var rep jsonReport
+	if err := json.Unmarshal(js.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Runs) == 0 {
+		t.Fatal("faulttol recorded no runs")
+	}
+	for i, r := range rep.Runs {
+		if q := r.Hists["harness.run.dur_ns"]; q.Count != 1 {
+			t.Errorf("record %d (%s %s): harness.run.dur_ns count %d, want 1; hists %v", i, r.Engine, r.Algo, q.Count, r.Hists)
+		}
+		if q := r.Hists["cluster.compute_ns"]; q.Count == 0 {
+			t.Errorf("record %d (%s %s): no cluster.compute_ns observations", i, r.Engine, r.Algo)
+		}
+	}
+}
+
 func TestStreamQuick(t *testing.T) {
 	out := runQuick(t, "stream")
 	for _, frag := range []string{"epoch stream", "Ingest", "Stale inc", "Stale full", "epoch persistence"} {
